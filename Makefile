@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test race faultcheck tracecheck schedcheck coldcheck tunecheck servecheck alloccheck fuzz-regress bench-stat bench-snapshot bench-compare bench-pipeline bench-swar bench-obs bench-sched bench-artifact bench-tune bench-serve bench-alloc ci
+.PHONY: all build fmt vet test race stress faultcheck tracecheck schedcheck coldcheck tunecheck servecheck alloccheck fuzz-regress bench-stat bench-snapshot bench-compare bench-pipeline bench-swar bench-obs bench-sched bench-artifact bench-tune bench-serve bench-alloc ci
 
 all: build
 
@@ -26,6 +26,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Schedule-independence stress: the kernel and arena suites twenty times
+# each under the race detector at one, two and eight Ps — every reported
+# counter must be a function of the input, whatever the interleaving — plus
+# the simulator engines' profile-equality run.
+stress:
+	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/kernels ./internal/gpu/alloc
+	$(GO) test -race -count 1 -cpu 1,2,8 ./internal/search/ -run 'TestSimProfileSchedule'
 
 # Seeded fault-matrix smoke: replay the deterministic fault schedules
 # (engines x sites, watchdog, corruption re-verification, quarantine, CLI
@@ -85,11 +93,12 @@ servecheck:
 # grow/decode unit contracts, the dense-region engine matrix (overflow-retry
 # fires, hits stay byte-identical to worst-case provisioning and the CPU
 # reference), the dense run under seeded faults, the zero-body launch
-# regression, the pipeline's overflow-relaunch budget, and the root >=2x
+# regression, the host-ops failure sweep (no leaked or twice-freed buffer
+# whichever call fails), the pipeline's overflow-relaunch budget, and the root >=2x
 # provisioning-reduction acceptance gate.
 alloccheck:
 	$(GO) test -race -count 1 ./internal/gpu/alloc/
-	$(GO) test -race -count 1 ./internal/search/ -run 'TestDenseCandidateRegionMatrix|TestDenseRegionSeededFaults|TestZeroBodyChunkFind'
+	$(GO) test -race -count 1 ./internal/search/ -run 'TestDenseCandidateRegionMatrix|TestDenseRegionSeededFaults|TestZeroBodyChunkFind|TestHostOpsFailureSweep'
 	$(GO) test -race -count 1 ./internal/pipeline/ -run 'TestOverflowRelaunches|TestOverflowBudgetExhausted'
 	$(GO) test -race -count 1 -run 'TestArenaProvisioningRatio' .
 
@@ -183,4 +192,4 @@ bench-tune:
 bench-alloc:
 	$(GO) run ./cmd/benchsnap -o BENCH_alloc.json -bench 'ArenaProvisioning' -pkgs . -benchtime 50x
 
-ci: fmt vet build race faultcheck tracecheck schedcheck coldcheck tunecheck servecheck alloccheck bench-compare
+ci: fmt vet build race stress faultcheck tracecheck schedcheck coldcheck tunecheck servecheck alloccheck bench-compare

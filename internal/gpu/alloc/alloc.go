@@ -186,6 +186,11 @@ type Geometry struct {
 	Claimed int
 	// Counts holds the valid entry count of each claimed page.
 	Counts []int
+	// Order lists the claimed pages by ascending owning work-group. Page
+	// numbers are handed out by the cursor race, so page order varies run to
+	// run; consumers that concatenate pages walk Order instead, which makes
+	// the gathered entry order a function of the input alone.
+	Order []int
 	// Total is the sum of Counts.
 	Total int
 }
@@ -206,8 +211,7 @@ func Decode(cursor uint32, count, pageOf []uint32, pageSlots, pages int) (*Geome
 		return nil, fault.Errorf(fault.SiteArena, fault.Corruption,
 			"alloc: page cursor %d exceeds %d provisioned pages", cursor, pages)
 	}
-	g := &Geometry{PageSlots: pageSlots, Claimed: int(cursor), Counts: make([]int, cursor)}
-	owned := 0
+	g := &Geometry{PageSlots: pageSlots, Claimed: int(cursor), Counts: make([]int, cursor), Order: make([]int, 0, cursor)}
 	for grp, p := range pageOf {
 		n := count[grp]
 		switch {
@@ -234,20 +238,20 @@ func Decode(cursor uint32, count, pageOf []uint32, pageSlots, pages int) (*Geome
 		default:
 			g.Counts[p] = int(n)
 			g.Total += int(n)
-			owned++
+			g.Order = append(g.Order, int(p))
 		}
 	}
-	if owned != g.Claimed {
+	if len(g.Order) != g.Claimed {
 		return nil, fault.Errorf(fault.SiteArena, fault.Corruption,
-			"alloc: cursor claimed %d pages but %d groups own one", g.Claimed, owned)
+			"alloc: cursor claimed %d pages but %d groups own one", g.Claimed, len(g.Order))
 	}
 	return g, nil
 }
 
 // Gather appends the valid entries of every claimed page from the
-// page-strided device array src to dst, in page order.
+// page-strided device array src to dst, in work-group order.
 func Gather[T any](g *Geometry, src, dst []T) []T {
-	for p := 0; p < g.Claimed; p++ {
+	for _, p := range g.Order {
 		base := p * g.PageSlots
 		dst = append(dst, src[base:base+g.Counts[p]]...)
 	}

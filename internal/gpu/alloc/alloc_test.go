@@ -154,6 +154,37 @@ func TestClaimCompactsSparseEmissions(t *testing.T) {
 	}
 }
 
+// TestGatherWalksGroupOrder hands Decode a page table the cursor race
+// permuted — group 0 won page 2, group 1 page 0, group 2 page 1 — and
+// requires Gather to concatenate the pages by owning group, not by page
+// number: the gathered order must not depend on who won the race.
+func TestGatherWalksGroupOrder(t *testing.T) {
+	const pageSlots = 4
+	count := []uint32{2, 1, 3}
+	pageOf := []uint32{2, 0, 1}
+	geo, err := Decode(3, count, pageOf, pageSlots, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each page holds its owner's entries, tagged 10×group + slot.
+	data := make([]uint32, 3*pageSlots)
+	for grp, p := range pageOf {
+		for i := 0; i < int(count[grp]); i++ {
+			data[int(p)*pageSlots+i] = uint32(10*grp + i)
+		}
+	}
+	got := Gather(geo, data, nil)
+	want := []uint32{0, 1, 10, 20, 21, 22}
+	if len(got) != len(want) {
+		t.Fatalf("gathered %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("gathered %v, want %v (group order)", got, want)
+		}
+	}
+}
+
 // TestClaimOverflowGrowRetry drives the full host loop the backends run:
 // an under-provisioned launch overflows (counted, entries dropped, no
 // corruption), the layout doubles, and the retried launch at a sufficient

@@ -143,6 +143,16 @@ func runPipeline(t *testing.T, dev *gpu.Device, seq []byte, pattern, guide strin
 	loci := alloc.Gather(fgeo, fa.Loci, []uint32(nil))
 	flags := alloc.Gather(fgeo, fa.Flags, []byte(nil))
 	count := uint32(fgeo.Total)
+	// Gather fixes the order of the pages; within a page the goroutine-per-
+	// item launch fills slots in whatever order its items won the group
+	// counter. Sort each page's pairs so the comparer sees the candidate
+	// order the cooperative launch produces, whatever the schedule.
+	pos := 0
+	for _, p := range fgeo.Order {
+		n := fgeo.Counts[p]
+		sort.Sort(lociByLocus{loci[pos : pos+n], flags[pos : pos+n]})
+		pos += n
+	}
 
 	cgws := (int(count) + wg - 1) / wg * wg
 	if cgws == 0 {
@@ -204,6 +214,20 @@ func runPipeline(t *testing.T, dev *gpu.Device, seq []byte, pattern, guide strin
 		return hits[i].Dir < hits[j].Dir
 	})
 	return hits, fStats, cStats
+}
+
+// lociByLocus sorts one page's finder output, keeping each flag with its
+// locus.
+type lociByLocus struct {
+	loci  []uint32
+	flags []byte
+}
+
+func (s lociByLocus) Len() int           { return len(s.loci) }
+func (s lociByLocus) Less(i, j int) bool { return s.loci[i] < s.loci[j] }
+func (s lociByLocus) Swap(i, j int) {
+	s.loci[i], s.loci[j] = s.loci[j], s.loci[i]
+	s.flags[i], s.flags[j] = s.flags[j], s.flags[i]
 }
 
 func hitsEqual(a, b []baseline.Hit) bool {

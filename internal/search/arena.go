@@ -1,8 +1,8 @@
 package search
 
-// Arena provisioning shared by the simulator backends (SimCL, SimSYCL and,
-// through SimSYCL, MultiSYCL): how many pages each launch's hit-buffer
-// arena gets, and where the prediction comes from. Provisioning is
+// Arena provisioning for the simulator backend (simBackend, behind SimCL,
+// SimSYCL and MultiSYCL): how many pages each launch's hit-buffer arena
+// gets, and where the prediction comes from. Provisioning is
 // page-granular — every emitting work-group claims exactly one page however
 // few entries it writes — so what is predicted is the *fraction of groups
 // that emit*, not the entry count. The worst case (one page per group) is
@@ -107,14 +107,4 @@ func ArenaCostEstimate(chunkBytes, guides int) int64 {
 	finder := sites * arenaFinderPrior * arenaMargin * finderEntryBytes
 	perGuide := 2 * sites * arenaAdmissionCandRate * arenaComparerPrior * arenaMargin * comparerEntryBytes
 	return int64(finder + float64(guides)*perGuide)
-}
-
-// newFinderPredictor and newComparerPredictor build the per-backend density
-// predictors.
-func newFinderPredictor() *alloc.Predictor {
-	return alloc.NewPredictor(arenaAlpha, arenaMargin, arenaFinderPrior)
-}
-
-func newComparerPredictor() *alloc.Predictor {
-	return alloc.NewPredictor(arenaAlpha, arenaMargin, arenaComparerPrior)
 }

@@ -179,31 +179,25 @@ func TestZeroBodyChunkFind(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	cl, err := newCLBackend(&SimCL{Device: gpu.New(device.MI100(), gpu.WithWorkers(4)), Variant: kernels.Base}, plan)
-	if err != nil {
-		t.Fatal(err)
+	cores := []*simCore{
+		(&SimCL{Device: gpu.New(device.MI100(), gpu.WithWorkers(4)), Variant: kernels.Base}).core(),
+		(&SimSYCL{Device: gpu.New(device.MI100(), gpu.WithWorkers(4)), Variant: kernels.Base, WorkGroupSize: 64}).core(),
 	}
-	defer cl.Close()
-	st, err := cl.Stage(ctx, ch)
-	if err != nil {
-		t.Fatal(err)
+	for _, core := range cores {
+		b, err := newSimBackend(core, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := b.Stage(ctx, ch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := b.Find(ctx, st); err != nil || n != 0 {
+			t.Errorf("%s Find on zero-body chunk = (%d, %v), want (0, nil)", core.name, n, err)
+		}
+		b.Release(st)
+		if err := b.Close(); err != nil {
+			t.Errorf("%s Close: %v", core.name, err)
+		}
 	}
-	if n, err := cl.Find(ctx, st); err != nil || n != 0 {
-		t.Errorf("opencl Find on zero-body chunk = (%d, %v), want (0, nil)", n, err)
-	}
-	cl.Release(st)
-
-	sy, err := newSYCLBackend(&SimSYCL{Device: gpu.New(device.MI100(), gpu.WithWorkers(4)), Variant: kernels.Base, WorkGroupSize: 64}, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sy.Close()
-	st, err = sy.Stage(ctx, ch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := sy.Find(ctx, st); err != nil || n != 0 {
-		t.Errorf("sycl Find on zero-body chunk = (%d, %v), want (0, nil)", n, err)
-	}
-	sy.Release(st)
 }

@@ -82,39 +82,24 @@ func (e *MultiSYCL) Run(asm *genome.Assembly, req *Request) ([]Hit, error) {
 	return Collect(context.Background(), e, asm, req)
 }
 
-func (e *MultiSYCL) wgSize() int {
-	if e.WorkGroupSize > 0 {
-		return e.WorkGroupSize
-	}
-	return DefaultSYCLWorkGroup
-}
-
-// deviceWeights derives each device's scheduling weight from the timing
+// deviceWeight derives one device's scheduling weight from the timing
 // model: the inverse of the estimated cost of one chunk on that device,
 // with the finder/comparer launch contexts (occupancy, register pressure)
-// built by the autotuner's cost model from internal/isa. When the tuner ran
-// (tuned non-nil), each device is priced at its own selected (variant,
-// work-group size) pair, so a heterogeneous fleet's shards reflect the
-// kernels it will actually launch. A faster device gets a proportionally
-// larger initial shard.
-func (e *MultiSYCL) deviceWeights(req *Request, tuned []*tune.Decision) []float64 {
-	plen := len(req.Pattern)
+// built by the autotuner's cost model from internal/isa. The device is
+// priced at the (variant, work-group size) pair its engine will actually
+// launch — the tuner's selection when it ran — so a heterogeneous fleet's
+// shards reflect its kernels. A faster device gets a proportionally larger
+// initial shard.
+func deviceWeight(e *simCore, req *Request) float64 {
 	chunkBytes := req.ChunkBytes
 	if chunkBytes <= 0 {
 		chunkBytes = pipeline.DefaultChunkBytes
 	}
-	weights := make([]float64, len(e.Devices))
-	for i, d := range e.Devices {
-		v, wg := e.Variant, e.wgSize()
-		if tuned != nil && tuned[i] != nil {
-			v, wg = tuned[i].Variant, tuned[i].WGSize
-		}
-		est := tune.Estimate(d.Spec(), v, wg, plen, len(req.Queries))
-		if sec := est.Seconds(chunkBytes); sec > 0 {
-			weights[i] = 1 / sec
-		}
+	est := tune.Estimate(e.Device.Spec(), e.comparer(), e.wgSize(), len(req.Pattern), len(req.Queries))
+	if sec := est.Seconds(chunkBytes); sec > 0 {
+		return 1 / sec
 	}
-	return weights
+	return 0
 }
 
 // schedPolicy copies the engine policy for the scheduler, defaulting the
@@ -166,13 +151,12 @@ func (e *MultiSYCL) Stream(ctx context.Context, asm *genome.Assembly, req *Reque
 		}
 	}
 
-	// One SimSYCL shell per device: the scheduler opens its syclBackend
-	// (at most once per run), and the shell's profile collects what that
-	// device did. Sub-engines share the run's tracer and metrics.
+	// One SimSYCL shell per device: the scheduler opens its backend (at
+	// most once per run), and the shell's profile collects what that device
+	// did. Sub-engines share the run's tracer and metrics.
 	subEngines := make([]*SimSYCL, len(e.Devices))
 	marks := make([]int, len(e.Devices))
 	fleet := make([]sched.Device, len(e.Devices))
-	weights := e.deviceWeights(req, tuned)
 	for i, dev := range e.Devices {
 		sub := &SimSYCL{
 			Device: dev, Variant: e.Variant, WorkGroupSize: e.WorkGroupSize,
@@ -183,15 +167,16 @@ func (e *MultiSYCL) Stream(ctx context.Context, asm *genome.Assembly, req *Reque
 			sub.Auto, sub.Calibrate, sub.tuned = true, e.Calibrate, tuned[i]
 		}
 		subEngines[i] = sub
-		dev.SetObs(e.Trace, e.Metrics, sub.track()+"/gpu")
+		core := sub.core()
+		dev.SetObs(e.Trace, e.Metrics, sub.Track+"/gpu")
 		// Mark each injector before the run so only this run's fault
 		// delta is folded into the profile.
 		marks[i] = dev.Faults().Mark()
 		fleet[i] = sched.Device{
-			Name:   sub.track(),
-			Weight: weights[i],
+			Name:   sub.Track,
+			Weight: deviceWeight(core, req),
 			Open: func(plan *pipeline.Plan) (pipeline.Backend, error) {
-				return newSYCLBackend(sub, plan)
+				return newSimBackend(core, plan)
 			},
 		}
 	}

@@ -1,0 +1,140 @@
+package search
+
+import (
+	"context"
+	"fmt"
+
+	"casoffinder/internal/genome"
+	"casoffinder/internal/gpu"
+	"casoffinder/internal/kernels"
+	"casoffinder/internal/obs"
+	"casoffinder/internal/pipeline"
+	"casoffinder/internal/tune"
+)
+
+// simConfig is the configuration and run state of a simulator engine. SimCL
+// and SimSYCL are both defined on it: they take the same knobs and run the
+// same body (simCore), and differ only in the host API they drive.
+type simConfig struct {
+	// Device is the simulated GPU to run on.
+	Device *gpu.Device
+	// Variant selects the comparer kernel (Base unless exploring the
+	// optimizations of §IV.B).
+	Variant kernels.ComparerVariant
+	// WorkGroupSize forces a local size. 0 means the engine's default: the
+	// runtime's choice for SimCL, as the upstream OpenCL host program leaves
+	// it, and DefaultSYCLWorkGroup for SimSYCL.
+	WorkGroupSize int
+	// Auto resolves Variant and WorkGroupSize through the occupancy
+	// autotuner (internal/tune) for this device at Stream start: Variant is
+	// ignored, and WorkGroupSize (when set) narrows the tuner to that local
+	// size instead of overriding its choice. Calibrate additionally runs
+	// the tuner's online measured pass. Output is byte-identical to any
+	// fixed-variant run.
+	Auto      bool
+	Calibrate bool
+	// WorstCaseArena pins every launch's hit-buffer arena to the worst-case
+	// layout (one page per work-group — the provisioning the pre-arena
+	// backends effectively used) instead of sizing it from the predicted hit
+	// density. The kernels and the hit stream are identical either way; only
+	// the provisioned bytes differ, which is what the staged-bytes ablation
+	// measures.
+	WorstCaseArena bool
+	// Resilience, when set, runs the engine under the pipeline's
+	// fault-tolerant executor: transient errors (including SYCL asynchronous
+	// exceptions) retry with backoff, hung kernels are reaped by the
+	// watchdog, and chunks the device cannot complete fail over to the CPU
+	// SWAR engine (unless a custom Fallback is configured), preserving the
+	// byte-identical hit stream.
+	Resilience *pipeline.Resilience
+	// Trace and Metrics, when set, observe the run: pipeline-stage and
+	// kernel-launch spans, latency histograms and profile-mirroring
+	// counters. Track overrides the trace row prefix (the engine name by
+	// default); MultiSYCL sets it to tell its sub-engines apart.
+	Trace   *obs.Tracer
+	Metrics *obs.Metrics
+	Track   string
+
+	profile *Profile
+	// tuned is the resolved autotuner decision for the current run; set by
+	// stream (or by MultiSYCL for its per-device shells) before any backend
+	// opens, read-only while the run is live.
+	tuned *tune.Decision
+}
+
+// simCore is the engine body SimCL and SimSYCL share: the engine's
+// configuration plus the three things that tell the engines apart — the
+// name, the host-ops constructor and the local size used when nothing
+// chooses one.
+type simCore struct {
+	*simConfig
+	name      string
+	open      openOps
+	defaultWG int
+}
+
+func (e *simCore) track() string {
+	if e.Track != "" {
+		return e.Track
+	}
+	return e.name
+}
+
+// comparer is the variant the run actually launches: the tuner's selection
+// when one was resolved, the configured one otherwise.
+func (e *simCore) comparer() kernels.ComparerVariant {
+	if e.tuned != nil {
+		return e.tuned.Variant
+	}
+	return e.Variant
+}
+
+// wgSize is the launch local size: the tuner's selection when one was
+// resolved, the forced size otherwise, else the engine's default.
+func (e *simCore) wgSize() int {
+	if e.tuned != nil {
+		return e.tuned.WGSize
+	}
+	if e.WorkGroupSize > 0 {
+		return e.WorkGroupSize
+	}
+	return e.defaultWG
+}
+
+// stream drives the two kernels behind the shared pipeline: one scan worker
+// issues launches while the stager creates the next chunk's buffers.
+func (e *simCore) stream(ctx context.Context, asm *genome.Assembly, req *Request, emit func(Hit) error) error {
+	if e.Device == nil {
+		return fmt.Errorf("search: %s: nil device", e.name)
+	}
+	// Resolve the tuner before the pipeline opens the backend; the decision
+	// is read-only for the rest of the run.
+	e.tuned = nil
+	if e.Auto {
+		d, err := autotuneDecision(e.Device, req, e.WorkGroupSize, e.Calibrate)
+		if err != nil {
+			return fmt.Errorf("search: %s: autotune: %w", e.name, err)
+		}
+		e.tuned = d
+	}
+	p := &pipeline.Pipeline{
+		Open: func(plan *pipeline.Plan) (pipeline.Backend, error) {
+			return newSimBackend(e, plan)
+		},
+		ScanWorkers: 1,
+		Resilience:  resilienceFor(e.Resilience, func() *Profile { return e.profile }),
+		Trace:       e.Trace,
+		Metrics:     e.Metrics,
+		Track:       e.track(),
+	}
+	e.Device.SetObs(e.Trace, e.Metrics, e.track()+"/gpu")
+	// Mark the injector before the run so only this run's fault delta is
+	// folded into the profile — a reused engine must not re-count earlier
+	// runs' faults.
+	mark := e.Device.Faults().Mark()
+	err := p.Stream(ctx, asm, req, emit)
+	if e.profile != nil {
+		e.profile.addFaults(e.Device.Faults().LogSince(mark))
+	}
+	return err
+}
