@@ -30,10 +30,13 @@ race:
 # Schedule-independence stress: the kernel and arena suites twenty times
 # each under the race detector at one, two and eight Ps — every reported
 # counter must be a function of the input, whatever the interleaving — plus
-# the simulator engines' profile-equality run.
+# the simulator engines' profile-equality run and the daemon's response
+# flush tests (a timer, the pass goroutine and the handler share one
+# ResponseWriter; the client disconnects or stalls mid-stream).
 stress:
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/kernels ./internal/gpu/alloc
 	$(GO) test -race -count 1 -cpu 1,2,8 ./internal/search/ -run 'TestSimProfileSchedule'
+	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/serve/ -run 'TestFlush'
 
 # Seeded fault-matrix smoke: replay the deterministic fault schedules
 # (engines x sites, watchdog, corruption re-verification, quarantine, CLI
@@ -81,9 +84,11 @@ tunecheck:
 
 # Daemon smoke under the race detector: admission control (quota, shed,
 # deadline), cross-request coalescing byte-identity (clean and under a
-# seeded device-lost fault), graceful drain, panic isolation, the
-# casoffinderd end-to-end boot/search/shutdown cycle, and the CLI's
-# -timeout/-format satellites.
+# seeded device-lost fault), the response flush policy (first hit at once,
+# later hits within the bound, byte-identical output, disconnecting and
+# stalled clients), graceful drain, panic isolation, the casoffinderd
+# end-to-end boot/search/shutdown cycle, and the CLI's -timeout/-format
+# satellites.
 servecheck:
 	$(GO) test -race -count 1 ./internal/serve/
 	$(GO) test -race -count 1 ./cmd/casoffinderd/
@@ -134,7 +139,7 @@ bench-snapshot:
 # jump that losing the mmap load or the PAM-shard path would cost.
 bench-compare:
 	$(GO) run ./cmd/benchsnap -compare BENCH_baseline.json -benchtime 20x
-	$(GO) run ./cmd/benchsnap -compare BENCH_swar.json -bench 'SWARVsScalar|MultiPatternBatch' -pkgs . -benchtime 20x
+	$(GO) run ./cmd/benchsnap -compare BENCH_swar.json -bench 'SWARVsScalar|MultiPatternBatch' -pkgs ./internal/search -benchtime 20x
 	$(GO) run ./cmd/benchsnap -compare BENCH_obs.json -bench 'StreamVsRun|ObsOverhead' -pkgs . -benchtime 20x
 	$(GO) run ./cmd/benchsnap -compare BENCH_sched.json -bench 'WorkStealing' -pkgs . -benchtime 20x
 	$(GO) run ./cmd/benchsnap -compare BENCH_artifact.json -bench 'ColdStart' -pkgs . -benchtime 20x -threshold 1.3
@@ -148,7 +153,7 @@ bench-pipeline:
 
 # Record the SWAR snapshot (BenchmarkSWARVsScalar, BenchmarkMultiPatternBatch).
 bench-swar:
-	$(GO) run ./cmd/benchsnap -o BENCH_swar.json -bench 'SWARVsScalar|MultiPatternBatch' -pkgs . -benchtime 200x
+	$(GO) run ./cmd/benchsnap -o BENCH_swar.json -bench 'SWARVsScalar|MultiPatternBatch' -pkgs ./internal/search -benchtime 200x
 
 # Record the observability snapshot (BenchmarkStreamVsRun with the obs hooks
 # compiled in, plus the off/traced overhead pair). The off rows are the

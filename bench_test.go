@@ -319,29 +319,6 @@ func BenchmarkLaunchOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkCPUPackedVsBytes is the ablation for the 2-bit sequence format
-// (related work [21]): the same search through the byte path and the
-// packed path.
-func BenchmarkCPUPackedVsBytes(b *testing.B) {
-	asm := benchAssembly(b, 1<<21)
-	req := benchRequest()
-	for _, packed := range []bool{false, true} {
-		name := "bytes"
-		if packed {
-			name = "packed"
-		}
-		b.Run(name, func(b *testing.B) {
-			eng := &search.CPU{Packed: packed}
-			b.SetBytes(asm.TotalLen())
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Run(asm, req); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkStreamVsRun compares the collect-then-sort path against the
 // streaming path on a multi-chunk search: the pipeline's double-buffered
 // staging must make streaming no slower than batch collection.
@@ -381,103 +358,6 @@ func BenchmarkStreamVsRun(b *testing.B) {
 			_ = sink
 		})
 	}
-}
-
-// BenchmarkSWARVsScalar pits the word-parallel mismatch kernel against the
-// per-base packed reference over every window of a 64 KiB sequence, with
-// the limit at the pattern length so both sides count all positions (a
-// realistic threshold lets the scalar side exit early and would measure
-// candidate sparsity, not the kernel). The SWAR core touches one word per
-// 32 bases instead of one lookup per base; the gate is a >=3x speedup.
-func BenchmarkSWARVsScalar(b *testing.B) {
-	asm := benchAssembly(b, 1<<16)
-	seq := asm.Sequences[0].Data
-	pair, err := kernels.NewPatternPair([]byte("GGCCGACCTGTCGCTGACGCNNN"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	bp := search.CompileBitPattern(pair)
-	packed, err := genome.Pack(seq)
-	if err != nil {
-		b.Fatal(err)
-	}
-	view := packed.WordView(nil)
-	plen := bp.PatternLen()
-	limit := plen
-	positions := int64(len(seq) - plen + 1)
-	var sink int
-	b.Run("scalar", func(b *testing.B) {
-		b.SetBytes(positions)
-		for i := 0; i < b.N; i++ {
-			for pos := 0; pos+plen <= len(seq); pos++ {
-				mm, _ := bp.ScalarMismatches(packed, pos, 0, limit)
-				sink += mm
-			}
-		}
-	})
-	b.Run("swar", func(b *testing.B) {
-		b.SetBytes(positions)
-		for i := 0; i < b.N; i++ {
-			for pos := 0; pos+plen <= len(seq); pos++ {
-				mm, _ := bp.Mismatches(view, pos, 0, limit)
-				sink += mm
-			}
-		}
-	})
-	_ = sink
-}
-
-// BenchmarkMultiPatternBatch measures the batched multi-pattern scan: one
-// genome pass testing all eight guides at each staged candidate window
-// against eight independent single-guide passes (and the unbatched SWAR
-// engine as the middle ablation). The batch amortises chunk staging,
-// packing and candidate finding across the guide set.
-func BenchmarkMultiPatternBatch(b *testing.B) {
-	asm := benchAssembly(b, 1<<20)
-	guides := []string{
-		"GGCCGACCTGTCGCTGACGCNNN",
-		"CGCCAGCGTCAGCGACAGGTNNN",
-		"TACGATTACAGGCTGCATCANNN",
-		"ATTGCCGGAATCGATCCGTANNN",
-		"GGGCTATCCGGAATTCAGCGNNN",
-		"CCATTAGGCTTACGGATCGANNN",
-		"TTGACCGGTAAGCTAGCTCCNNN",
-		"AACGGTCCTAGGATCCTGTTNNN",
-	}
-	req := &search.Request{Pattern: bench.ExamplePattern}
-	for _, g := range guides {
-		req.Queries = append(req.Queries, search.Query{Guide: g, MaxMismatches: 4})
-	}
-	b.Run("batched", func(b *testing.B) {
-		eng := &search.CPU{Packed: true}
-		b.SetBytes(asm.TotalLen())
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Run(asm, req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("unbatched", func(b *testing.B) {
-		eng := &search.CPU{Packed: true, NoBatch: true}
-		b.SetBytes(asm.TotalLen())
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Run(asm, req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("independent", func(b *testing.B) {
-		eng := &search.CPU{Packed: true}
-		b.SetBytes(asm.TotalLen())
-		for i := 0; i < b.N; i++ {
-			for _, q := range req.Queries {
-				sub := &search.Request{Pattern: req.Pattern, Queries: []search.Query{q}}
-				if _, err := eng.Run(asm, sub); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
 }
 
 // BenchmarkIndexedVsScan compares the seed-and-extend engine against the

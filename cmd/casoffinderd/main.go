@@ -9,7 +9,7 @@
 //	casoffinderd [-listen 127.0.0.1:8077]
 //	             -genome [name=]path | -artifact [name=]genome.cart  (repeatable)
 //	             [-engine cpu|indexed|opencl|sycl] [-device MI100] [-variant auto]
-//	             [-workers N] [-packed]
+//	             [-workers N]
 //	             [-fault-rate 0.05 -fault-seed 42 -fault-site S -fault-after N]
 //	             [-watchdog 5s] [-max-retries N]
 //	             [-max-inflight 4] [-max-queue 64] [-max-inflight-bytes N]
@@ -146,7 +146,6 @@ func setup(args []string, stderr io.Writer) (*daemon, error) {
 	deviceName := fs.String("device", "MI100", "simulated device for the opencl/sycl engines")
 	variantName := fs.String("variant", "auto", "comparer kernel variant: auto, base, opt1..opt4 or bitparallel")
 	workers := fs.Int("workers", 0, "cpu engine workers (0 = all cores)")
-	packed := fs.Bool("packed", false, "cpu engine: scan the 2-bit packed genome with the bit-parallel SWAR core")
 	faultRate := fs.Float64("fault-rate", 0, "simulator fault injection probability in [0, 1] (0 = off)")
 	faultSeed := fs.Uint64("fault-seed", 1, "seed for the deterministic fault schedule and retry jitter")
 	faultSite := fs.String("fault-site", "", "restrict injection to one fault site (default: all sites)")
@@ -200,7 +199,7 @@ func setup(args []string, stderr io.Writer) (*daemon, error) {
 	}
 
 	eng, res, serialize, err := buildEngine(*engineName, *deviceName, *variantName,
-		*workers, *packed, faultPlan, *watchdog, *maxRetries, *faultSeed, tracer, metrics)
+		*workers, faultPlan, *watchdog, *maxRetries, *faultSeed, tracer, metrics)
 	if err != nil {
 		return nil, err
 	}
@@ -349,7 +348,7 @@ func splitSpec(spec string) (name, path string) {
 // the CPU engines run passes concurrently; the simulator engines carry
 // mutable device state, so they run with a resilience policy (for trailer
 // reports and CPU failover) and serialized passes.
-func buildEngine(engineName, deviceName, variantName string, workers int, packed bool,
+func buildEngine(engineName, deviceName, variantName string, workers int,
 	faultPlan fault.Plan, watchdog time.Duration, maxRetries int, seed uint64,
 	tracer *obs.Tracer, metrics *obs.Metrics) (search.Engine, *pipeline.Resilience, bool, error) {
 	variant, auto, err := parseVariant(variantName)
@@ -362,7 +361,7 @@ func buildEngine(engineName, deviceName, variantName string, workers int, packed
 			return nil, nil, false, usageError{fmt.Errorf("fault injection flags need the opencl or sycl engine, not %q", engineName)}
 		}
 		if engineName == "cpu" {
-			return &search.CPU{Workers: workers, Packed: packed, Trace: tracer, Metrics: metrics}, nil, false, nil
+			return &search.CPU{Workers: workers, Trace: tracer, Metrics: metrics}, nil, false, nil
 		}
 		return &search.Indexed{Workers: workers, Trace: tracer, Metrics: metrics}, nil, false, nil
 	case "opencl", "sycl":

@@ -53,10 +53,10 @@ func coldStartFixture(tb testing.TB, bases int) (fastaDir, artPath string, req *
 // errFirstHit is the sentinel a cold-start stream returns on its first hit.
 var errFirstHit = errors.New("first hit")
 
-// coldFirstHit streams the packed CPU engine until the first hit lands.
+// coldFirstHit streams the CPU engine until the first hit lands.
 func coldFirstHit(tb testing.TB, asm *genome.Assembly, req *search.Request) {
 	tb.Helper()
-	eng := &search.CPU{Packed: true}
+	eng := &search.CPU{}
 	err := eng.Stream(context.Background(), asm, req, func(search.Hit) error {
 		return errFirstHit
 	})

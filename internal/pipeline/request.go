@@ -34,6 +34,11 @@ type Request struct {
 // DefaultChunkBytes bounds one staged chunk when the request does not say.
 const DefaultChunkBytes = 1 << 20
 
+// MaxChunkBytes is the largest chunk budget a request may ask for. Engines
+// rely on it: the CPU scan keeps a candidate's chunk-local position in 30
+// bits.
+const MaxChunkBytes = 1 << 30
+
 // Hit is one reported off-target site. The JSON field names are the stable
 // NDJSON wire contract shared by the server's hit stream and the CLI's
 // -format json output; Dir is excluded from the default encoding and
@@ -116,6 +121,9 @@ func (r *Request) Validate() error {
 	}
 	if r.ChunkBytes < 0 {
 		return errors.New("search: negative chunk size")
+	}
+	if r.ChunkBytes > MaxChunkBytes {
+		return fmt.Errorf("search: chunk size %d exceeds the %d-byte limit", r.ChunkBytes, MaxChunkBytes)
 	}
 	return nil
 }

@@ -1,18 +1,21 @@
 package search
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"casoffinder/internal/genome"
 	"casoffinder/internal/kernels"
+	"casoffinder/internal/pipeline"
 )
 
 // seedScanChunk is the pre-optimization scan kept as a reference: it copies
 // the chunk to upper case and runs the PAM test and the guide comparison
-// position by position in one pass. The two-phase scanChunk must return
-// exactly its hits; BenchmarkCPUScanTwoPhase races the two.
+// position by position in one pass. The two-phase byte scanChunk and the
+// engine's SWAR backend must return exactly its hits;
+// BenchmarkCPUScanTwoPhase races the two byte scans.
 func seedScanChunk(ch *genome.Chunk, pattern *kernels.PatternPair, guides []*kernels.PatternPair, queries []Query) ([]Hit, error) {
 	data := genome.Upper(ch.Data)
 	plen := pattern.PatternLen
@@ -108,12 +111,41 @@ func testAssemblyTB(tb testing.TB, seed int64, seqLens []int, site string) *geno
 	return asm
 }
 
-// TestScanChunkMatchesSeed checks that the two-phase in-place scan returns
-// exactly the seed scan's hits, chunk by chunk, with the scratch reused
-// across chunks the way a worker reuses it.
+// backendScanChunk drives one chunk through the engine's backend the way a
+// pipeline scan worker does.
+func backendScanChunk(t testing.TB, be pipeline.Backend, ch *genome.Chunk) []Hit {
+	t.Helper()
+	ctx := context.Background()
+	st, err := be.Stage(ctx, ch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := be.Find(ctx, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n > 0 {
+		if err := be.(pipeline.BatchComparer).CompareAll(ctx, st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hits, err := be.Drain(ctx, st, new(pipeline.SiteRenderer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hits
+}
+
+// TestScanChunkMatchesSeed checks that the two-phase in-place byte scan and
+// the engine's SWAR backend return exactly the seed scan's hits, chunk by
+// chunk, with the scratch reused across chunks the way a worker reuses it.
 func TestScanChunkMatchesSeed(t *testing.T) {
 	for _, seed := range []int64{3, 17, 99} {
 		chunks, pattern, guides, queries := chunkFixture(t, seed, 3000, 400)
+		be := newCPUBackend(&pipeline.Plan{
+			Request: &Request{Pattern: testPattern, Queries: queries},
+			Pattern: pattern, Guides: guides,
+		})
 		var sc scanScratch
 		total := 0
 		for ci, ch := range chunks {
@@ -128,6 +160,12 @@ func TestScanChunkMatchesSeed(t *testing.T) {
 			if !equalHits(got, want) {
 				t.Errorf("seed %d chunk %d: two-phase hits diverge (%d vs %d)", seed, ci, len(got), len(want))
 			}
+			swar := backendScanChunk(t, be, ch)
+			sortHits(swar)
+			sortHits(want)
+			if !equalHits(swar, want) {
+				t.Errorf("seed %d chunk %d: SWAR backend hits diverge (%d vs %d)", seed, ci, len(swar), len(want))
+			}
 			total += len(want)
 		}
 		if total == 0 {
@@ -137,8 +175,9 @@ func TestScanChunkMatchesSeed(t *testing.T) {
 }
 
 // TestScanInnerLoopZeroAllocs pins the zero-allocation property of the hot
-// scan: once the worker's candidate buffer has grown, scanning a chunk that
-// yields PAM candidates but no hits must not allocate at all.
+// scan: once the worker's scratch has grown, packing a chunk, finding its
+// PAM candidates and comparing a guide that yields no hits must not
+// allocate at all.
 func TestScanInnerLoopZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	data := make([]byte, 4096)
@@ -146,56 +185,65 @@ func TestScanInnerLoopZeroAllocs(t *testing.T) {
 		data[i] = "ACGTacgt"[rng.Intn(8)]
 	}
 	asm := &genome.Assembly{Name: "alloc", Sequences: []*genome.Sequence{{Name: "s", Data: data}}}
-	pattern, err := kernels.NewPatternPair([]byte(testPattern))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// A guide that cannot occur in the ACGT-random data at zero mismatches:
-	// the scan reaches phase 2 at every NGG candidate but never appends.
-	guide, err := kernels.NewPatternPair([]byte("CCCCCCCCCCNN"))
+	// the scan reaches the compare at every NGG candidate but never appends.
+	req := &Request{Pattern: testPattern, Queries: []Query{{Guide: "CCCCCCCCCCNN", MaxMismatches: 0}}, ChunkBytes: 1024}
+	plan, err := pipeline.Compile(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunker := &genome.Chunker{ChunkBytes: 1024, PatternLen: pattern.PatternLen}
-	chunks, err := chunker.Plan(asm)
+	chunks, err := plan.Chunker.Plan(asm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	guides := []*kernels.PatternPair{guide}
-	queries := []Query{{Guide: "CCCCCCCCCCNN", MaxMismatches: 0}}
-	var sc scanScratch
-	// Warm the candidate buffer on every chunk first.
+	b := newCPUBackend(plan).(*cpuBackend)
+	s := &cpuStaged{sc: new(scanScratch)}
 	candidates := 0
-	for _, ch := range chunks {
-		hits, err := sc.scanChunk(ch, pattern, guides, queries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(hits) != 0 {
-			t.Fatalf("workload unexpectedly produced %d hits", len(hits))
-		}
-		candidates += len(sc.cand)
-	}
-	if candidates == 0 {
-		t.Fatal("workload produced no PAM candidates; the test would not exercise phase 2")
-	}
-	allocs := testing.AllocsPerRun(50, func() {
+	scan := func() {
 		for _, ch := range chunks {
-			if _, err := sc.scanChunk(ch, pattern, guides, queries); err != nil {
+			if err := s.sc.packed.Repack(ch.Data); err != nil {
 				t.Fatal(err)
 			}
+			s.sc.view = s.sc.packed.WordView(s.sc.view)
+			s.ch, s.view = ch, s.sc.view
+			s.sc.findSWARCandidates(ch, s.view, b.pattern, 0)
+			candidates += len(s.sc.cand)
+			b.compareGuides(s, 0, len(b.guides))
 		}
-	})
-	if allocs != 0 {
+	}
+	scan() // warm the scratch on every chunk first
+	if len(s.sc.entries) != 0 {
+		t.Fatalf("workload unexpectedly produced %d entries", len(s.sc.entries))
+	}
+	if candidates == 0 {
+		t.Fatal("workload produced no PAM candidates; the test would not exercise the compare")
+	}
+	if allocs := testing.AllocsPerRun(50, scan); allocs != 0 {
 		t.Errorf("scan allocated %.1f times per pass over %d chunks, want 0", allocs, len(chunks))
+	}
+}
+
+// TestCandidateEncoding: a candidate round-trips its position and strand
+// bits at the edges of the 30-bit position range pipeline.MaxChunkBytes
+// guarantees.
+func TestCandidateEncoding(t *testing.T) {
+	const body = 1 << 20
+	for _, pos := range []int{0, 1, body - 1, pipeline.MaxChunkBytes - 1} {
+		for strand := uint8(1); strand <= 3; strand++ {
+			c := newCandidate(pos, strand)
+			if c.pos() != pos || c.strand() != strand {
+				t.Errorf("candidate(%d, %d) decodes to (%d, %d)", pos, strand, c.pos(), c.strand())
+			}
+		}
 	}
 }
 
 // TestCPURunStopsOnScanError checks the early-cancellation path: when a
 // chunk scan fails, the failing worker returns and the dispatcher must stop
 // handing out the remaining chunks instead of deadlocking on a channel no
-// one reads. The packed path is the only scan that can fail (invalid bytes
-// at pack time).
+// one reads. It also pins that an assembly holding a non-IUPAC byte fails
+// every CPU run with Repack's error: the byte scan the engine used to
+// default to read such a byte as a mismatch instead.
 func TestCPURunStopsOnScanError(t *testing.T) {
 	data := make([]byte, 8192)
 	for i := range data {
@@ -209,12 +257,12 @@ func TestCPURunStopsOnScanError(t *testing.T) {
 		ChunkBytes: 64, // many chunks, so a stuck dispatcher would hang
 	}
 	for _, workers := range []int{1, 4} {
-		eng := &CPU{Workers: workers, Packed: true}
+		eng := &CPU{Workers: workers}
 		_, err := eng.Run(asm, req)
 		if err == nil {
 			t.Fatalf("workers=%d: invalid chunk accepted", workers)
 		}
-		if !strings.Contains(err.Error(), "packing chunk") {
+		if !strings.Contains(err.Error(), "packing chunk") || !strings.Contains(err.Error(), "cannot pack invalid code") {
 			t.Errorf("workers=%d: error = %v, want the pack failure", workers, err)
 		}
 	}

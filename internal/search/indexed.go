@@ -358,18 +358,17 @@ dispatch:
 		hits = append(hits, h...)
 	}
 
-	// Fallback queries use the packed scanning engine on a request
-	// restricted to them — sharing the SWAR core's batched multi-pattern
-	// scan, so many fallback guides still cost one genome pass — then
-	// remap query indices.
+	// Fallback queries use the scanning engine on a request restricted to
+	// them — its batched multi-pattern scan makes many fallback guides
+	// cost one genome pass — then remap query indices.
 	if len(fallback) > 0 {
 		sub := &Request{Pattern: req.Pattern, ChunkBytes: req.ChunkBytes}
 		for _, qi := range fallback {
 			sub.Queries = append(sub.Queries, req.Queries[qi])
 		}
 		scanHits, err := Collect(ctx, &CPU{
-			Workers: e.Workers, Packed: true,
-			Trace: e.Trace, Metrics: e.Metrics, Track: track + "/fallback",
+			Workers: e.Workers,
+			Trace:   e.Trace, Metrics: e.Metrics, Track: track + "/fallback",
 		}, asm, sub)
 		if err != nil {
 			return nil, err
@@ -515,4 +514,37 @@ func (e *Indexed) scanSequence(seq *genome.Sequence, pattern *kernels.PatternPai
 		})
 	}
 	return hits
+}
+
+// windowMatches tests the PAM scaffold at the given strand offset.
+func windowMatches(window []byte, p *kernels.PatternPair, offset int) bool {
+	for j := 0; j < p.PatternLen; j++ {
+		k := p.Index[offset+j]
+		if k == -1 {
+			break
+		}
+		if !genome.Matches(p.Codes[offset+int(k)], window[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// countMismatches counts mismatching guide positions at the strand offset,
+// giving up past the limit.
+func countMismatches(window []byte, g *kernels.PatternPair, offset, limit int) (int, bool) {
+	mm := 0
+	for j := 0; j < g.PatternLen; j++ {
+		k := g.Index[offset+j]
+		if k == -1 {
+			break
+		}
+		if !genome.Matches(g.Codes[offset+int(k)], window[k]) {
+			mm++
+			if mm > limit {
+				return mm, false
+			}
+		}
+	}
+	return mm, true
 }

@@ -1,0 +1,251 @@
+package search
+
+import (
+	"context"
+	"fmt"
+
+	"casoffinder/internal/genome"
+	"casoffinder/internal/kernels"
+	"casoffinder/internal/pipeline"
+)
+
+// The scan paths the SWAR+batch engine replaced, kept as the references the
+// equivalence tests and the ablation benchmarks run it against: the
+// one-byte-per-base scan, the per-base scan over the 2-bit packed format
+// (the "2-bit sequence format" of the paper's related work [21], without
+// word parallelism), and the SWAR core with multi-pattern batching switched
+// off. internal/baseline stays the independent oracle; these share the
+// engine's pipeline, chunking and drain so a divergence points at the scan.
+
+// refArm selects a reference scan.
+type refArm int
+
+const (
+	refBytes   refArm = iota // IUPAC byte tables, one base per load
+	refScalar                // 2-bit codes against 4-bit masks, one base per lookup
+	refNoBatch               // the production backend, one Compare call per guide
+)
+
+// refCPU is CPU with the scan swapped for a reference arm.
+type refCPU struct {
+	Workers int
+	Arm     refArm
+}
+
+func (c *refCPU) Name() string { return "cpu" }
+
+func (c *refCPU) Run(asm *genome.Assembly, req *Request) ([]Hit, error) {
+	return Collect(context.Background(), c, asm, req)
+}
+
+func (c *refCPU) Stream(ctx context.Context, asm *genome.Assembly, req *Request, emit func(Hit) error) error {
+	p := &pipeline.Pipeline{
+		Open: func(plan *pipeline.Plan) (pipeline.Backend, error) {
+			if c.Arm == refNoBatch {
+				// Embedding the interface hides CompareAll, so the
+				// pipeline loops Compare per guide.
+				return struct{ pipeline.Backend }{newCPUBackend(plan)}, nil
+			}
+			return &refBackend{plan: plan, scalar: c.Arm == refScalar}, nil
+		},
+		ScanWorkers: (&CPU{Workers: c.Workers}).workers(),
+		Track:       c.Name(),
+	}
+	return p.Stream(ctx, asm, req, emit)
+}
+
+// refBackend runs the byte or the per-base packed arm under the pipeline
+// Backend contract.
+type refBackend struct {
+	plan   *pipeline.Plan
+	scalar bool
+}
+
+type refStaged struct {
+	ch     *genome.Chunk
+	sc     scanScratch
+	packed *genome.Packed
+}
+
+func (b *refBackend) Stage(ctx context.Context, ch *genome.Chunk) (pipeline.Staged, error) {
+	return &refStaged{ch: ch}, nil
+}
+
+func (b *refBackend) Find(ctx context.Context, st pipeline.Staged) (int, error) {
+	s := st.(*refStaged)
+	if !b.scalar {
+		s.sc.findCandidates(s.ch, b.plan.Pattern)
+		return len(s.sc.cand), nil
+	}
+	packed, err := genome.Pack(s.ch.Data)
+	if err != nil {
+		return 0, fmt.Errorf("search: packing chunk at %s:%d: %w", s.ch.SeqName, s.ch.Start, err)
+	}
+	s.packed = packed
+	s.sc.findPackedCandidates(s.ch, packed, b.plan.Pattern)
+	return len(s.sc.cand), nil
+}
+
+func (b *refBackend) Compare(ctx context.Context, st pipeline.Staged, qi int) error {
+	s := st.(*refStaged)
+	g, limit := b.plan.Guides[qi], b.plan.Request.Queries[qi].MaxMismatches
+	if b.scalar {
+		s.sc.comparePacked(s.packed, g, qi, limit)
+	} else {
+		s.sc.compare(s.ch.Data, g, qi, limit)
+	}
+	return nil
+}
+
+func (b *refBackend) Drain(ctx context.Context, st pipeline.Staged, r *pipeline.SiteRenderer) ([]Hit, error) {
+	s := st.(*refStaged)
+	return drainEntries(r, s.ch, b.plan.Guides, s.sc.entries)
+}
+
+func (b *refBackend) Close() error { return nil }
+
+// findCandidates is the byte-path PAM prefilter over the chunk body. The
+// chunk is scanned in place: the IUPAC tables accept soft-masked lower-case
+// bases, and site rendering normalizes case.
+func (sc *scanScratch) findCandidates(ch *genome.Chunk, pattern *kernels.PatternPair) {
+	plen := pattern.PatternLen
+	cand := sc.cand[:0]
+	for pos := 0; pos < ch.Body; pos++ {
+		window := ch.Data[pos : pos+plen]
+		var strand uint8
+		if windowMatches(window, pattern, 0) {
+			strand |= genome.PAMFwd
+		}
+		if windowMatches(window, pattern, plen) {
+			strand |= genome.PAMRev
+		}
+		if strand != 0 {
+			cand = append(cand, newCandidate(pos, strand))
+		}
+	}
+	sc.cand = cand
+}
+
+// compare tests one guide at every surviving candidate on the byte path.
+func (sc *scanScratch) compare(data []byte, g *kernels.PatternPair, qi, limit int) {
+	plen := g.PatternLen
+	for _, cd := range sc.cand {
+		pos := cd.pos()
+		window := data[pos : pos+plen]
+		if cd.strand()&genome.PAMFwd != 0 {
+			if mm, ok := countMismatches(window, g, 0, limit); ok {
+				sc.entries = append(sc.entries, rawHit{qi: qi, pos: pos, dir: kernels.DirForward, mm: mm})
+			}
+		}
+		if cd.strand()&genome.PAMRev != 0 {
+			if mm, ok := countMismatches(window, g, plen, limit); ok {
+				sc.entries = append(sc.entries, rawHit{qi: qi, pos: pos, dir: kernels.DirReverse, mm: mm})
+			}
+		}
+	}
+}
+
+// scanChunk is the fused byte-path scan over one chunk — the PAM prefilter
+// followed by every guide at every candidate, rendering hits as it goes, in
+// the seed scan's order (position-major, then query, then strand).
+func (sc *scanScratch) scanChunk(ch *genome.Chunk, pattern *kernels.PatternPair, guides []*kernels.PatternPair, queries []Query) ([]Hit, error) {
+	sc.findCandidates(ch, pattern)
+	plen := pattern.PatternLen
+	var hits []Hit
+	for _, cd := range sc.cand {
+		pos := cd.pos()
+		window := ch.Data[pos : pos+plen]
+		for qi, g := range guides {
+			limit := queries[qi].MaxMismatches
+			if cd.strand()&genome.PAMFwd != 0 {
+				if mm, ok := countMismatches(window, g, 0, limit); ok {
+					hits = append(hits, Hit{
+						QueryIndex: qi,
+						SeqName:    ch.SeqName,
+						Pos:        ch.Start + pos,
+						Dir:        kernels.DirForward,
+						Mismatches: mm,
+						Site:       renderSite(window, g, kernels.DirForward),
+					})
+				}
+			}
+			if cd.strand()&genome.PAMRev != 0 {
+				if mm, ok := countMismatches(window, g, plen, limit); ok {
+					hits = append(hits, Hit{
+						QueryIndex: qi,
+						SeqName:    ch.SeqName,
+						Pos:        ch.Start + pos,
+						Dir:        kernels.DirReverse,
+						Mismatches: mm,
+						Site:       renderSite(window, g, kernels.DirReverse),
+					})
+				}
+			}
+		}
+	}
+	return hits, nil
+}
+
+// packedMismatches counts the indexed positions of g's strand half at offset
+// whose 2-bit code in p is unknown or outside the pattern code's IUPAC mask,
+// giving up past the limit: one Packed.Code lookup per base.
+func packedMismatches(g *kernels.PatternPair, p *genome.Packed, pos, offset, limit int) (int, bool) {
+	mm := 0
+	for j := 0; j < g.PatternLen; j++ {
+		k := g.Index[offset+j]
+		if k == -1 {
+			break
+		}
+		code, known := p.Code(pos + int(k))
+		if !known || genome.MaskOf(g.Codes[offset+int(k)])&(1<<code) == 0 {
+			mm++
+			if mm > limit {
+				return mm, false
+			}
+		}
+	}
+	return mm, true
+}
+
+// ScalarMismatches is Mismatches computed per base, the reference of
+// FuzzSWARMismatch.
+func (b *BitPattern) ScalarMismatches(p *genome.Packed, pos, offset, limit int) (int, bool) {
+	return packedMismatches(b.pair, p, pos, offset, limit)
+}
+
+// findPackedCandidates is the per-base packed PAM prefilter.
+func (sc *scanScratch) findPackedCandidates(ch *genome.Chunk, packed *genome.Packed, pattern *kernels.PatternPair) {
+	plen := pattern.PatternLen
+	cand := sc.cand[:0]
+	for pos := 0; pos < ch.Body; pos++ {
+		var strand uint8
+		if _, ok := packedMismatches(pattern, packed, pos, 0, 0); ok {
+			strand |= genome.PAMFwd
+		}
+		if _, ok := packedMismatches(pattern, packed, pos, plen, 0); ok {
+			strand |= genome.PAMRev
+		}
+		if strand != 0 {
+			cand = append(cand, newCandidate(pos, strand))
+		}
+	}
+	sc.cand = cand
+}
+
+// comparePacked tests one guide per base at every surviving candidate.
+func (sc *scanScratch) comparePacked(packed *genome.Packed, g *kernels.PatternPair, qi, limit int) {
+	plen := g.PatternLen
+	for _, cd := range sc.cand {
+		pos := cd.pos()
+		if cd.strand()&genome.PAMFwd != 0 {
+			if mm, ok := packedMismatches(g, packed, pos, 0, limit); ok {
+				sc.entries = append(sc.entries, rawHit{qi: qi, pos: pos, dir: kernels.DirForward, mm: mm})
+			}
+		}
+		if cd.strand()&genome.PAMRev != 0 {
+			if mm, ok := packedMismatches(g, packed, pos, plen, limit); ok {
+				sc.entries = append(sc.entries, rawHit{qi: qi, pos: pos, dir: kernels.DirReverse, mm: mm})
+			}
+		}
+	}
+}

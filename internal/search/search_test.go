@@ -11,6 +11,7 @@ import (
 	"casoffinder/internal/gpu"
 	"casoffinder/internal/gpu/device"
 	"casoffinder/internal/kernels"
+	"casoffinder/internal/pipeline"
 )
 
 // testAssembly builds a small deterministic assembly with planted
@@ -211,6 +212,7 @@ func TestRequestValidation(t *testing.T) {
 		{"bad guide code", Request{Pattern: "NGG", Queries: []Query{{Guide: "A!N"}}}},
 		{"negative mm", Request{Pattern: "NGG", Queries: []Query{{Guide: "ACN", MaxMismatches: -1}}}},
 		{"negative chunk", Request{Pattern: "NGG", Queries: []Query{{Guide: "ACN"}}, ChunkBytes: -5}},
+		{"chunk over the limit", Request{Pattern: "NGG", Queries: []Query{{Guide: "ACN"}}, ChunkBytes: pipeline.MaxChunkBytes + 1}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -348,8 +350,8 @@ func TestNilDeviceErrors(t *testing.T) {
 	}
 }
 
-// TestPackedEngineEquivalence: the 2-bit packed scan path returns
-// byte-identical results to the default byte path, including sites, on
+// TestPackedEngineEquivalence: the engine's 2-bit packed scan returns
+// byte-identical results to the reference byte path, including sites, on
 // randomized genomes with soft masking and Ns.
 func TestPackedEngineEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
@@ -357,11 +359,11 @@ func TestPackedEngineEquivalence(t *testing.T) {
 		asm := testAssembly(t, seed, []int{300 + rng.Intn(500)}, testSite)
 		req := testRequest(rng.Intn(4))
 		req.ChunkBytes = 100 + rng.Intn(400)
-		plain, err := (&CPU{Workers: 2}).Run(asm, req)
+		plain, err := (&refCPU{Workers: 2, Arm: refBytes}).Run(asm, req)
 		if err != nil {
 			return false
 		}
-		packed, err := (&CPU{Workers: 2, Packed: true}).Run(asm, req)
+		packed, err := (&CPU{Workers: 2}).Run(asm, req)
 		if err != nil {
 			return false
 		}
@@ -384,11 +386,11 @@ func TestPackedEngineAmbiguityCodes(t *testing.T) {
 		Queries:    []Query{{Guide: "GATTACANN", MaxMismatches: 1}},
 		ChunkBytes: 64,
 	}
-	plain, err := (&CPU{}).Run(asm, req)
+	plain, err := (&refCPU{Arm: refBytes}).Run(asm, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed, err := (&CPU{Packed: true}).Run(asm, req)
+	packed, err := (&CPU{}).Run(asm, req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,11 +10,11 @@ import (
 )
 
 // streamEngines is the full engine list for stream/batch equivalence: the
-// shared trio plus the packed CPU path and the seed-and-extend engine.
+// shared trio plus the reference byte scan and the seed-and-extend engine.
 func streamEngines(t *testing.T) []Engine {
 	t.Helper()
 	return append(engines(t),
-		&CPU{Workers: 2, Packed: true},
+		&refCPU{Workers: 2, Arm: refBytes},
 		&Indexed{Workers: 2, MinSeedLen: 3},
 	)
 }

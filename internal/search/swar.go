@@ -14,9 +14,9 @@ import (
 // lanes plus one accumulator word per nucleotide marking the lanes whose
 // IUPAC mask admits that base. Mismatch counting is then four XOR-derived
 // equality planes, three ANDs/ORs and one OnesCount64 per pattern word,
-// and PAM-candidate finding tests 32 genome positions per iteration. A
-// per-base scalar path (maskedPattern in packed.go, plus ScalarMismatches
-// below) is kept as the equivalence-test reference.
+// and PAM-candidate finding tests 32 genome positions per iteration. The
+// per-base scalar and byte paths it replaced are the equivalence-test
+// references in ref_test.go.
 
 // bitIdx is one indexed pattern position of a strand half: its offset from
 // the window start and its IUPAC mask.
@@ -40,12 +40,10 @@ type bitHalf struct {
 }
 
 // BitPattern is a PatternPair compiled for word-parallel scanning over a
-// genome.WordView. Exported so the repository benchmarks can pit the SWAR
-// and scalar mismatch kernels against each other.
+// genome.WordView.
 type BitPattern struct {
 	pair  *kernels.PatternPair
-	masks []genome.Mask // parallel to pair.Codes, for the scalar reference
-	words int           // pattern words per strand half: ceil(PatternLen/32)
+	words int // pattern words per strand half: ceil(PatternLen/32)
 	half  [2]bitHalf
 }
 
@@ -53,14 +51,7 @@ type BitPattern struct {
 // halves.
 func CompileBitPattern(pair *kernels.PatternPair) *BitPattern {
 	plen := pair.PatternLen
-	b := &BitPattern{
-		pair:  pair,
-		masks: make([]genome.Mask, len(pair.Codes)),
-		words: (plen + 31) / 32,
-	}
-	for i, c := range pair.Codes {
-		b.masks[i] = genome.MaskOf(c)
-	}
+	b := &BitPattern{pair: pair, words: (plen + 31) / 32}
 	for hi := 0; hi < 2; hi++ {
 		offset := hi * plen
 		h := &b.half[hi]
@@ -73,7 +64,7 @@ func CompileBitPattern(pair *kernels.PatternPair) *BitPattern {
 			if k == -1 {
 				break
 			}
-			m := b.masks[offset+int(k)]
+			m := genome.MaskOf(pair.Codes[offset+int(k)])
 			w, bit := int(k)>>5, uint(k&31)*2
 			h.lanes[w] |= 1 << bit
 			for c := 0; c < 4; c++ {
@@ -86,12 +77,6 @@ func CompileBitPattern(pair *kernels.PatternPair) *BitPattern {
 	}
 	return b
 }
-
-// Words returns the number of 32-base pattern words per strand half.
-func (b *BitPattern) Words() int { return b.words }
-
-// PatternLen returns the compiled pattern's length in bases.
-func (b *BitPattern) PatternLen() int { return b.pair.PatternLen }
 
 func (b *BitPattern) halfIndex(offset int) int {
 	if offset == 0 {
@@ -195,31 +180,10 @@ func (b *BitPattern) MatchLanes(v *genome.WordView, pos0, offset int) uint64 {
 	return lanes
 }
 
-// ScalarMismatches is the per-base packed reference the SWAR equivalence
-// tests and the BenchmarkSWARVsScalar baseline run against: the same
-// result as Mismatches, computed one Packed.Code lookup at a time.
-func (b *BitPattern) ScalarMismatches(p *genome.Packed, pos, offset, limit int) (int, bool) {
-	mm := 0
-	for j := 0; j < b.pair.PatternLen; j++ {
-		k := b.pair.Index[offset+j]
-		if k == -1 {
-			break
-		}
-		code, known := p.Code(pos + int(k))
-		if !known || b.masks[offset+int(k)]&(1<<code) == 0 {
-			mm++
-			if mm > limit {
-				return mm, false
-			}
-		}
-	}
-	return mm, true
-}
-
 // findSWARCandidates is the word-parallel PAM prefilter: 32 candidate
 // positions per iteration, both strands, with the tail past the chunk body
-// clamped off. Candidate order matches the scalar finders (ascending
-// position), so downstream phases cannot tell which finder ran. base maps
+// clamped off. Candidates come out in ascending position, the order of an
+// artifact PAM shard, so downstream phases cannot tell which ran. base maps
 // chunk-local positions into v's coordinates: 0 when v is the chunk's own
 // word view, ch.Start when v is a whole-sequence view resident in a genome
 // artifact (the chunk aliases sequence bytes, so the windows are the same
@@ -241,35 +205,15 @@ func (sc *scanScratch) findSWARCandidates(ch *genome.Chunk, v *genome.WordView, 
 			bit := uint(bits.TrailingZeros64(u))
 			var strand uint8
 			if fw&(1<<bit) != 0 {
-				strand |= strandFwd
+				strand |= genome.PAMFwd
 			}
 			if rv&(1<<bit) != 0 {
-				strand |= strandRev
+				strand |= genome.PAMRev
 			}
-			cand = append(cand, candidate{pos: pos0 + int(bit>>1), strand: strand})
+			cand = append(cand, newCandidate(pos0+int(bit>>1), strand))
 		}
 	}
 	sc.cand = cand
-}
-
-// compareSWAR tests one guide's compiled pattern at every surviving
-// candidate — the word-parallel counterpart of comparePacked, used when the
-// batched multi-pattern path is disabled. base shifts chunk-local candidate
-// positions into v's coordinates (see findSWARCandidates).
-func (sc *scanScratch) compareSWAR(v *genome.WordView, g *BitPattern, qi, limit, base int) {
-	plen := g.pair.PatternLen
-	for _, cd := range sc.cand {
-		if cd.strand&strandFwd != 0 {
-			if mm, ok := g.Mismatches(v, base+cd.pos, 0, limit); ok {
-				sc.entries = append(sc.entries, rawHit{qi: qi, pos: cd.pos, dir: kernels.DirForward, mm: mm})
-			}
-		}
-		if cd.strand&strandRev != 0 {
-			if mm, ok := g.Mismatches(v, base+cd.pos, plen, limit); ok {
-				sc.entries = append(sc.entries, rawHit{qi: qi, pos: cd.pos, dir: kernels.DirReverse, mm: mm})
-			}
-		}
-	}
 }
 
 // candidatesFromShard loads the chunk's candidates from a genome artifact's
@@ -281,6 +225,9 @@ func (sc *scanScratch) compareSWAR(v *genome.WordView, g *BitPattern, qi, limit,
 // the chunk geometry can only come from artifact damage and reject the
 // chunk with a corruption-classed error, mirroring drainEntries.
 func (sc *scanScratch) candidatesFromShard(ch *genome.Chunk, shard []uint64) error {
+	if cap(sc.cand) < len(shard) {
+		sc.cand = make([]candidate, 0, len(shard))
+	}
 	cand := sc.cand[:0]
 	for _, e := range shard {
 		pos := int(e>>2) - ch.Start
@@ -289,7 +236,7 @@ func (sc *scanScratch) candidatesFromShard(ch *genome.Chunk, shard []uint64) err
 			return fault.Errorf(fault.SiteArtifact, fault.Corruption,
 				"search: chunk %s:%d: PAM shard entry %#x outside the %d-position chunk body", ch.SeqName, ch.Start, e, ch.Body)
 		}
-		cand = append(cand, candidate{pos: pos, strand: strand})
+		cand = append(cand, newCandidate(pos, strand))
 	}
 	sc.cand = cand
 	return nil

@@ -12,9 +12,9 @@ import (
 	"casoffinder/internal/kernels"
 )
 
-// TestSWARPathsEquivalence: the byte path, the batched SWAR path, the
-// unbatched SWAR path and the per-base scalar packed reference all return
-// byte-identical hits on randomized genomes.
+// TestSWARPathsEquivalence: the engine's batched SWAR scan and the three
+// reference arms — the byte path, the unbatched SWAR path and the per-base
+// scalar packed path — all return byte-identical hits on randomized genomes.
 func TestSWARPathsEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -27,14 +27,14 @@ func TestSWARPathsEquivalence(t *testing.T) {
 			},
 			ChunkBytes: 100 + rng.Intn(400),
 		}
-		want, err := (&CPU{Workers: 2}).Run(asm, req)
+		want, err := (&refCPU{Workers: 2, Arm: refBytes}).Run(asm, req)
 		if err != nil {
 			return false
 		}
-		for _, eng := range []*CPU{
-			{Workers: 2, Packed: true},
-			{Workers: 2, Packed: true, NoBatch: true},
-			{Workers: 2, Packed: true, Scalar: true},
+		for _, eng := range []Engine{
+			&CPU{Workers: 2},
+			&refCPU{Workers: 2, Arm: refNoBatch},
+			&refCPU{Workers: 2, Arm: refScalar},
 		} {
 			got, err := eng.Run(asm, req)
 			if err != nil {
@@ -42,8 +42,7 @@ func TestSWARPathsEquivalence(t *testing.T) {
 				return false
 			}
 			if !equalHits(got, want) {
-				t.Logf("seed %d: packed=%v scalar=%v nobatch=%v diverged (%d vs %d hits)",
-					seed, eng.Packed, eng.Scalar, eng.NoBatch, len(got), len(want))
+				t.Logf("seed %d: %#v diverged (%d vs %d hits)", seed, eng, len(got), len(want))
 				return false
 			}
 		}
@@ -64,7 +63,6 @@ func TestSWARFinderMatchesScalar(t *testing.T) {
 		t.Fatal(err)
 	}
 	bp := CompileBitPattern(pair)
-	mp := newMaskedPattern(pair)
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{12, 40, 63, 64, 65, 200, 333} {
 		data := make([]byte, n)
@@ -86,7 +84,7 @@ func TestSWARFinderMatchesScalar(t *testing.T) {
 			t.Fatal(err)
 		}
 		var a, b scanScratch
-		a.findPackedCandidates(ch, packed, mp)
+		a.findPackedCandidates(ch, packed, pair)
 		b.findSWARCandidates(ch, packed.WordView(nil), bp, 0)
 		if len(a.cand) != len(b.cand) {
 			t.Fatalf("n=%d: scalar found %d candidates, SWAR %d", n, len(a.cand), len(b.cand))
@@ -155,7 +153,7 @@ func TestBatchedMatchesPerPattern(t *testing.T) {
 func TestBitParallelSimEngines(t *testing.T) {
 	asm := testAssembly(t, 61, []int{700, 450, 90}, testSite)
 	req := testRequest(2)
-	want, err := (&CPU{Workers: 2, Packed: true}).Run(asm, req)
+	want, err := (&CPU{Workers: 2}).Run(asm, req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,6 +26,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add(`{"pattern":"NNNNNNNNNNNGG","guides":[{"guide":"GATTACAGTANNN","max_mismatches":1}],"timeout_ms":-1}`)
 	f.Add(`{"pattern":"NNNNNNNNNNNGG","guides":[{"guide":"GATTACAGTANNN","max_mismatches":1}]}{"pattern":"NN"}`)
 	f.Add(`{"pattern":"nnnnnnnnnnngg","guides":[{"guide":"gattacagtannn","max_mismatches":0}]}`)
+	f.Add(`{"pattern":"NNNNNNNNNNNGG","guides":[{"guide":"GATTACAGTANNN","max_mismatches":1}],"chunk_bytes":1073741825}`)
 	f.Add(strings.Repeat(`{"guides":[`, 64))
 
 	lim := Limits{MaxGuides: 8}.withDefaults()

@@ -265,14 +265,14 @@ func (s *Server) finish(status string) {
 // isolated to a 500 for that request alone.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	reqID := int(s.reqSeq.Add(1))
-	started := false
+	var out *hitStream // set once the request is admitted
 	defer func() {
 		if rec := recover(); rec != nil {
 			s.metrics.Count(obs.MetricServePanics, 1)
 			s.finish(statusError)
 			s.cfg.Trace.Instant("serve", "panic", reqID,
 				obs.Attr{Key: "panic", Value: fmt.Sprint(rec)})
-			if !started {
+			if out == nil || !out.started {
 				writeAPIError(w, apiErrorf(http.StatusInternalServerError, "panic",
 					"internal error handling request"), 0)
 			}
@@ -371,29 +371,13 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 	// Stream. From the first hit on, failures become trailers, never
 	// status rewrites or dropped connections.
-	flusher, _ := w.(http.Flusher)
-	bw := bufio.NewWriter(w)
-	var hits int64
+	out = newHitStream(w)
+	defer out.stop()
 	emit := func(h pipeline.Hit) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if !started {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.WriteHeader(http.StatusOK)
-			started = true
-		}
-		if err := search.WriteHitJSON(bw, preq, h); err != nil {
-			return err
-		}
-		hits++
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
+		return out.writeHit(preq, h)
 	}
 
 	tRun := time.Now()
@@ -404,10 +388,14 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	} else {
 		rep, passErr, emitErr = s.coal.Join(ctx, genomeName, preq, emit)
 	}
+	// No emit runs past this point (a pass never emits after it returns,
+	// and a departed member is fenced off by the batch mutex); stopping the
+	// delayed flush leaves the handler the response's only writer.
+	out.stop()
 	s.metrics.Observe(obs.MetricServeStreamSeconds, time.Since(tRun).Seconds())
-	s.metrics.Count(obs.MetricServeHits, hits)
+	s.metrics.Count(obs.MetricServeHits, out.hits)
 	s.cfg.Trace.Complete("serve", "stream", reqID, tRun, time.Since(tRun),
-		obs.Attr{Key: "hits", Value: strconv.FormatInt(hits, 10)})
+		obs.Attr{Key: "hits", Value: strconv.FormatInt(out.hits, 10)})
 
 	if emitErr != nil && !errors.Is(emitErr, context.DeadlineExceeded) {
 		// Our own write to this client failed: the connection is gone and
@@ -415,7 +403,94 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.finish(statusCanceled)
 		return
 	}
-	s.writeOutcome(w, bw, started, hits, rep, firstErr(emitErr, passErr))
+	s.writeOutcome(out, rep, firstErr(emitErr, passErr))
+}
+
+// flushDelay bounds how long a hit after the first may sit in the response
+// buffer before it is pushed to the client.
+const flushDelay = time.Millisecond
+
+// hitStream is a response's NDJSON writer and its one flush policy, shared
+// by solo and coalesced requests: the first hit is pushed to the client at
+// once (time-to-first-hit is a hit's encode plus one flush), every later hit
+// within flushDelay of being written even if no further hit ever follows.
+// Flushing per hit instead costs two syscall-bound flushes a line and, on an
+// output-heavy request, more than the scan that produced the hits.
+//
+// emit calls writeHit from the pass goroutine and the delayed flush runs on
+// a timer goroutine, so mu guards every touch of the ResponseWriter from the
+// first hit until stop; after stop the handler goroutine owns it again.
+type hitStream struct {
+	w       http.ResponseWriter
+	flusher http.Flusher // nil when the ResponseWriter cannot flush
+	bw      *bufio.Writer
+
+	mu      sync.Mutex
+	started bool        // the 200 header is out
+	hits    int64       // lines written
+	timer   *time.Timer // the pending delayed flush, nil when none is
+	stopped bool
+	err     error // first write or flush failure, returned by every later writeHit
+}
+
+func newHitStream(w http.ResponseWriter) *hitStream {
+	flusher, _ := w.(http.Flusher)
+	return &hitStream{w: w, flusher: flusher, bw: bufio.NewWriter(w)}
+}
+
+// writeHit appends one hit line to the response and schedules its flush.
+func (o *hitStream) writeHit(req *pipeline.Request, h pipeline.Hit) error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.err != nil {
+		return o.err
+	}
+	first := !o.started
+	if first {
+		o.w.Header().Set("Content-Type", "application/x-ndjson")
+		o.w.WriteHeader(http.StatusOK)
+		o.started = true
+	}
+	if o.err = search.WriteHitJSON(o.bw, req, h); o.err != nil {
+		return o.err
+	}
+	o.hits++
+	switch {
+	case first:
+		o.flushLocked()
+	case o.timer == nil:
+		o.timer = time.AfterFunc(flushDelay, o.delayedFlush)
+	}
+	return o.err
+}
+
+// delayedFlush is the timer's callback.
+func (o *hitStream) delayedFlush() {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.timer = nil
+	if !o.stopped && o.err == nil {
+		o.flushLocked()
+	}
+}
+
+// flushLocked pushes everything buffered to the client.
+func (o *hitStream) flushLocked() {
+	if o.err = o.bw.Flush(); o.err == nil && o.flusher != nil {
+		o.flusher.Flush()
+	}
+}
+
+// stop ends the delayed flushing: once it returns no timer callback touches
+// the ResponseWriter again (one already waiting on mu finds stopped set).
+// Lines still buffered go out with the trailer. Idempotent.
+func (o *hitStream) stop() {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.stopped = true
+	if o.timer != nil {
+		o.timer.Stop()
+	}
 }
 
 // retryAfterSeconds renders a rejection's hint as the whole-seconds
@@ -444,7 +519,7 @@ func firstErr(emitErr, passErr error) error {
 // writeOutcome terminates the response: a trailer when the stream started
 // (or completed cleanly), a typed error envelope when nothing was written
 // yet and the pass failed outright.
-func (s *Server) writeOutcome(w http.ResponseWriter, bw *bufio.Writer, started bool, hits int64, rep *pipeline.Report, passErr error) {
+func (s *Server) writeOutcome(out *hitStream, rep *pipeline.Report, passErr error) {
 	degraded := rep != nil && rep.Degraded()
 	var pe *pipeline.PartialError
 	partial := errors.As(passErr, &pe)
@@ -452,7 +527,7 @@ func (s *Server) writeOutcome(w http.ResponseWriter, bw *bufio.Writer, started b
 	if passErr == nil || partial {
 		// Clean or gracefully degraded: both complete with done:true. A
 		// quarantined chunk is reported, never a dropped request.
-		tr := Trailer{Done: true, Hits: hits, Degraded: degraded || partial}
+		tr := Trailer{Done: true, Hits: out.hits, Degraded: degraded || partial}
 		if rep != nil {
 			tr.Retries, tr.Failovers, tr.WatchdogKills = rep.Retries, rep.Failovers, rep.WatchdogKills
 			tr.Quarantined = len(rep.Quarantined)
@@ -463,7 +538,7 @@ func (s *Server) writeOutcome(w http.ResponseWriter, bw *bufio.Writer, started b
 		} else {
 			s.finish(statusOK)
 		}
-		s.writeTrailer(w, bw, started, http.StatusOK, tr)
+		out.writeTrailer(http.StatusOK, tr)
 		return
 	}
 
@@ -477,26 +552,27 @@ func (s *Server) writeOutcome(w http.ResponseWriter, bw *bufio.Writer, started b
 	if errors.As(passErr, &ae) {
 		status, body = ae.Status, &ErrorBody{Code: ae.Code, Message: ae.Message}
 	}
-	s.writeTrailer(w, bw, started, status, Trailer{Done: false, Hits: hits, Degraded: degraded, Error: body})
+	out.writeTrailer(status, Trailer{Done: false, Hits: out.hits, Degraded: degraded, Error: body})
 }
 
 // writeTrailer emits the final NDJSON object. When nothing streamed yet the
 // status code is still ours to choose; afterwards the trailer itself is the
-// only channel, so it rides on the already-open 200 stream.
-func (s *Server) writeTrailer(w http.ResponseWriter, bw *bufio.Writer, started bool, status int, tr Trailer) {
-	if !started {
+// only channel, so it rides on the already-open 200 stream, behind any hit
+// lines still buffered. The handler calls it after stop.
+func (o *hitStream) writeTrailer(status int, tr Trailer) {
+	if !o.started {
 		if tr.Error != nil && status != http.StatusOK {
-			writeAPIError(w, &APIError{Status: status, Code: tr.Error.Code, Message: tr.Error.Message}, 0)
+			writeAPIError(o.w, &APIError{Status: status, Code: tr.Error.Code, Message: tr.Error.Message}, 0)
 			return
 		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
+		o.w.Header().Set("Content-Type", "application/x-ndjson")
+		o.w.WriteHeader(http.StatusOK)
 	}
 	data, err := json.Marshal(tr)
 	if err != nil {
 		return
 	}
-	bw.Write(data)
-	bw.WriteByte('\n')
-	bw.Flush()
+	o.bw.Write(data)
+	o.bw.WriteByte('\n')
+	o.bw.Flush()
 }

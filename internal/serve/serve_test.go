@@ -173,6 +173,7 @@ func TestSearchRequestErrors(t *testing.T) {
 		{"bad pam code", `{"pattern":"NNNNNNNNNNNG!","guides":[{"guide":"GATTACAGTANNN","max_mismatches":1}]}`, 400, "bad-request"},
 		{"guide length mismatch", `{"pattern":"NNNNNNNNNNNGG","guides":[{"guide":"GAT","max_mismatches":1}]}`, 400, "bad-request"},
 		{"negative mismatches", `{"pattern":"NNNNNNNNNNNGG","guides":[{"guide":"GATTACAGTANNN","max_mismatches":-1}]}`, 400, "bad-request"},
+		{"chunk budget over the limit", `{"pattern":"NNNNNNNNNNNGG","guides":[{"guide":"GATTACAGTANNN","max_mismatches":1}],"chunk_bytes":1073741825}`, 400, "bad-request"},
 		{"bad priority", `{"pattern":"NNNNNNNNNNNGG","guides":[{"guide":"GATTACAGTANNN","max_mismatches":1}],"priority":"urgent"}`, 400, "bad-priority"},
 		{"negative timeout", `{"pattern":"NNNNNNNNNNNGG","guides":[{"guide":"GATTACAGTANNN","max_mismatches":1}],"timeout_ms":-5}`, 400, "bad-timeout"},
 		{"too many guides", `{"pattern":"NNNNNNNNNNNGG","guides":[` +
@@ -678,18 +679,13 @@ func TestGracefulDrain(t *testing.T) {
 		defer cancel()
 		drained <- s.Drain(ctx)
 	}()
-	// Drain must refuse new work immediately...
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp := postSearch(t, ts, searchBody, nil)
-		io.Copy(io.Discard, resp.Body)
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("draining server still admits searches")
-		}
+	// Drain must refuse new work from the moment it starts (a search sent
+	// before that would be admitted and block on the stub for good)...
+	for !s.draining.Load() {
 		time.Sleep(time.Millisecond)
+	}
+	if resp := postSearch(t, ts, searchBody, nil); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("draining server admitted a search: status %d", resp.StatusCode)
 	}
 	// ...while the in-flight stream completes untouched.
 	select {
