@@ -27,14 +27,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Schedule-independence stress: the kernel and arena suites twenty times
-# each under the race detector at one, two and eight Ps — every reported
-# counter must be a function of the input, whatever the interleaving — plus
-# the simulator engines' profile-equality run and the daemon's response
+# Schedule-independence stress: the kernel suite (the group-kernel vs
+# per-access-reference differential included), the simulator core and the
+# arena suite twenty times each under the race detector at one, two and
+# eight Ps — every reported counter must be a function of the input,
+# whatever the interleaving — plus the simulator engines' profile-equality
+# run (an arena-overflowing workload included) and the daemon's response
 # flush tests (a timer, the pass goroutine and the handler share one
 # ResponseWriter; the client disconnects or stalls mid-stream).
 stress:
-	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/kernels ./internal/gpu/alloc
+	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/kernels ./internal/gpu ./internal/gpu/alloc
 	$(GO) test -race -count 1 -cpu 1,2,8 ./internal/search/ -run 'TestSimProfileSchedule'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/serve/ -run 'TestFlush'
 
@@ -120,6 +122,7 @@ fuzz-regress:
 	$(GO) test ./internal/genome/ -run '^$$' -fuzz '^FuzzPack$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/gpu/alloc/ -run '^$$' -fuzz '^FuzzArenaDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/kernels/ -run '^$$' -fuzz '^FuzzGroupKernels$$' -fuzztime $(FUZZTIME)
 
 # Run the tracked micro-benchmarks briefly and print the parsed results
 # without touching the committed snapshot.

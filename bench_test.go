@@ -250,13 +250,9 @@ func BenchmarkISACompile(b *testing.B) {
 // empty kernel over 64k items.
 func BenchmarkSimLaunch(b *testing.B) {
 	dev := gpu.New(device.MI60())
+	nop := func() []gpu.Phase { return []gpu.Phase{func(g *gpu.Group) {}} }
 	for i := 0; i < b.N; i++ {
-		_, err := dev.Launch(gpu.LaunchSpec{
-			Name:   "nop",
-			Global: gpu.R1(1 << 16),
-			Local:  gpu.R1(256),
-			Kernel: func(g *gpu.Group) gpu.WorkItemFunc { return func(it *gpu.Item) {} },
-		})
+		_, err := dev.Launch(gpu.LaunchSpec{Name: "nop", Global: gpu.R1(1 << 16), Local: gpu.R1(256), Phases: nop})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -264,57 +260,30 @@ func BenchmarkSimLaunch(b *testing.B) {
 }
 
 // BenchmarkLaunchOverhead isolates the scheduler cost of one kernel launch:
-// an empty kernel and a tiny barrier kernel, each under the legacy
-// goroutine-per-item contract and under the cooperative contract
-// (BarrierFree for the empty kernel, phase-split for the barrier kernel).
-// The ratio between the legacy and cooperative rows is the launch-overhead
-// reduction the cooperative scheduler buys.
+// an empty kernel, and a tiny two-phase kernel that also walks its
+// work-items. A run-by-hand tool; no snapshot tracks it.
 func BenchmarkLaunchOverhead(b *testing.B) {
 	dev := gpu.New(device.MI60())
 	const global, local = 1 << 14, 64
-	launch := func(b *testing.B, spec gpu.LaunchSpec) {
+	launch := func(b *testing.B, kernel gpu.PhaseKernel) {
 		b.Helper()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := dev.Launch(spec); err != nil {
+			if _, err := dev.Launch(gpu.LaunchSpec{Name: "tiny", Global: gpu.R1(global), Local: gpu.R1(local), Phases: kernel}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	nop := func(g *gpu.Group) gpu.WorkItemFunc { return func(it *gpu.Item) {} }
-	b.Run("empty/legacy", func(b *testing.B) {
-		launch(b, gpu.LaunchSpec{Name: "nop", Global: gpu.R1(global), Local: gpu.R1(local), Kernel: nop})
+	b.Run("empty", func(b *testing.B) {
+		launch(b, func() []gpu.Phase { return []gpu.Phase{func(g *gpu.Group) {}} })
 	})
-	b.Run("empty/coop", func(b *testing.B) {
-		launch(b, gpu.LaunchSpec{Name: "nop", Global: gpu.R1(global), Local: gpu.R1(local), Kernel: nop, BarrierFree: true})
-	})
-	barrierKernel := func(g *gpu.Group) gpu.WorkItemFunc {
-		shared := make([]int32, local)
-		return func(it *gpu.Item) {
-			if it.LocalID(0) == 0 {
-				shared[0] = int32(it.GroupID(0))
+	b.Run("barrier", func(b *testing.B) {
+		launch(b, func() []gpu.Phase {
+			shared := make([]int32, local)
+			return []gpu.Phase{
+				func(g *gpu.Group) { shared[0] = int32(g.ID(0)) },
+				func(g *gpu.Group) { g.Each(func(it *gpu.Item) { _ = shared[0] }) },
 			}
-			it.Barrier()
-			_ = shared[0]
-		}
-	}
-	b.Run("barrier/legacy", func(b *testing.B) {
-		launch(b, gpu.LaunchSpec{Name: "tiny", Global: gpu.R1(global), Local: gpu.R1(local), Kernel: barrierKernel})
-	})
-	b.Run("barrier/coop", func(b *testing.B) {
-		launch(b, gpu.LaunchSpec{
-			Name: "tiny", Global: gpu.R1(global), Local: gpu.R1(local),
-			Phases: func(g *gpu.Group) []gpu.WorkItemFunc {
-				shared := make([]int32, local)
-				return []gpu.WorkItemFunc{
-					func(it *gpu.Item) {
-						if it.LocalID(0) == 0 {
-							shared[0] = int32(it.GroupID(0))
-						}
-					},
-					func(it *gpu.Item) { _ = shared[0] },
-				}
-			},
 		})
 	})
 }

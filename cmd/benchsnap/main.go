@@ -5,7 +5,7 @@
 //	benchsnap                    # run and write BENCH_baseline.json
 //	benchsnap -o snap.json       # write elsewhere
 //	benchsnap -stat              # run and print, write nothing (CI mode)
-//	benchsnap -bench 'LaunchOverhead|CPUScan' -benchtime 100x
+//	benchsnap -bench 'SimLaunch|CPUScan' -benchtime 100x
 //	benchsnap -compare BENCH_baseline.json   # regression gate vs a snapshot
 //
 // With -compare the run is diffed against the named snapshot: each benchmark
@@ -55,7 +55,7 @@ type Snapshot struct {
 }
 
 func main() {
-	bench := flag.String("bench", "LaunchOverhead|CPUScanTwoPhase|SimLaunch|CPUEngine$|StreamVsRun|SWARVsScalar|MultiPatternBatch", "benchmark selection regexp")
+	bench := flag.String("bench", "CPUScanTwoPhase|SimLaunch|CPUEngine$|StreamVsRun|SWARVsScalar|MultiPatternBatch", "benchmark selection regexp")
 	benchtime := flag.String("benchtime", "200x", "go test -benchtime value")
 	out := flag.String("o", "BENCH_baseline.json", "snapshot output path")
 	stat := flag.Bool("stat", false, "print the parsed results without writing the snapshot")

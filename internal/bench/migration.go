@@ -50,7 +50,8 @@ func migrationTables() []migrationTable {
 				{"get_global_id(0)  -> gpu.Item.GlobalID(0)", "item.get_global_id(0)  -> sycl.NDItem.GetGlobalID(0)"},
 				{"get_group_id(0)  -> gpu.Item.GroupID(0)", "item.get_group(0)  -> sycl.NDItem.GetGroup(0)"},
 				{"get_local_size(0)  -> gpu.Item.LocalRange(0)", "item.get_local_range(0)  -> sycl.NDItem.GetLocalRange(0)"},
-				{"barrier(CLK_LOCAL_MEM_FENCE)  -> gpu.Item.Barrier()", "item.barrier(access::fence_space::local_space)  -> sycl.NDItem.Barrier(sycl.LocalSpace)"},
+				{"barrier(CLK_LOCAL_MEM_FENCE)  -> the boundary between two gpu.Phase functions of the kernel's gpu.PhaseKernel (KernelBuilder.BuildPhases)",
+					"item.barrier(access::fence_space::local_space)  -> the boundary between two phases of Handler.ParallelForPhases"},
 			},
 		},
 		{
@@ -63,12 +64,12 @@ func migrationTables() []migrationTable {
 		{
 			title: "Table VI: executing the finder kernel",
 			rows: []migrationRow{
-				{"__kernel void finder(__global char* chr, __constant char* pat, ..., __local char* l_pat, __local int* l_pat_index)  -> kernels.Finder(it, args, lPat, lPatIndex)",
-					"void finder(nd_item<1>& item, char* chr, char* pat, ...)  -> the same kernels.Finder body called from the lambda"},
+				{"__kernel void finder(__global char* chr, __constant char* pat, ..., __local char* l_pat, __local int* l_pat_index)  -> kernels.NewFinder(args).Phases(lPat, lPatIndex)",
+					"void finder(nd_item<1>& item, char* chr, char* pat, ...)  -> the same kernels.Finder phases returned from the ParallelForPhases lambda"},
 				{"clSetKernelArg(k, 0, ...); clSetKernelArg(k, 1, ...); ...  -> Kernel.SetArg / Kernel.SetArgLocal per slot",
 					"variables captured by the lambda  -> accessors and local accessors captured by the command-group closure"},
 				{"clEnqueueNDRangeKernel(q, k, 1, NULL, gws, lws, ...)  -> CommandQueue.EnqueueNDRangeKernel(k, gws, lws)",
-					"q.submit([&](handler& h){ h.parallel_for(nd_range<1>(gws, lws), [=](nd_item<1> it){ finder(it, ...); }); })  -> Queue.Submit + Handler.ParallelFor"},
+					"q.submit([&](handler& h){ h.parallel_for(nd_range<1>(gws, lws), [=](nd_item<1> it){ finder(it, ...); }); })  -> Queue.Submit + Handler.ParallelForPhases (Handler.ParallelFor for a barrier-free body)"},
 			},
 		},
 	}

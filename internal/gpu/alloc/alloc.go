@@ -19,17 +19,17 @@
 // per work-group can never overflow, which is what makes the doubling
 // schedule terminate: growth is capped at a provably sufficient size, and
 // overflow observed *at* that size can only mean corrupted arena state. The
-// claim protocol is also schedule-deterministic: every emission costs one
-// atomic add plus one atomic read (or, for the one claiming item per group,
-// one cursor add and one publish store), so launch Stats are identical
-// under the cooperative and legacy contracts.
+// claim protocol is also schedule-deterministic as long as the launch fits:
+// every emission costs one atomic add plus one atomic read (or, for the one
+// claiming item per group, one cursor add and one publish store). Which
+// groups win the pages of an under-provisioned launch is a race between
+// workers, so the host does not account a launch it voids.
 package alloc
 
 import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"casoffinder/internal/fault"
 	"casoffinder/internal/gpu"
@@ -135,43 +135,38 @@ type Device struct {
 	Overflow *uint32
 }
 
-// Claim allocates one output slot for the calling work-item, returning -1
+// Claim allocates one output slot for a work-item of group g, returning -1
 // when the arena is exhausted (the drop is counted in Overflow; the host
 // grows the arena and relaunches). The group's first emitting item claims
 // the group's single page from the global cursor and publishes it; every
 // later emission is one atomic add on the group counter and one atomic read
-// of the published page, making the accounted traffic independent of how
-// the scheduler interleaves work-items.
-func (d *Device) Claim(it *gpu.Item) int {
-	g := it.GroupID(0)
-	off := it.AtomicIncUint32(&d.Count[g])
+// of the published page, so the accounted traffic of a launch that fits its
+// arena is a function of what each group emits.
+func (d *Device) Claim(g *gpu.Group) int {
+	grp, st := g.ID(0), g.Stats()
+	off := st.AtomicIncUint32(&d.Count[grp])
 	if int(off) >= d.PageSlots {
 		// Only reachable when the host sized pages below the group's
 		// maximum output, violating the one-page-per-group invariant;
 		// dropped defensively rather than corrupting a neighbour page.
-		it.AtomicIncUint32(d.Overflow)
+		st.AtomicIncUint32(d.Overflow)
 		return -1
 	}
 	if off == 0 {
-		page := it.AtomicIncUint32(d.Cursor)
+		page := st.AtomicIncUint32(d.Cursor)
 		if int(page) >= d.Pages {
-			it.AtomicStoreUint32(&d.PageOf[g], PageOverflow)
-			it.AtomicIncUint32(d.Overflow)
+			st.AtomicStoreUint32(&d.PageOf[grp], PageOverflow)
+			st.AtomicIncUint32(d.Overflow)
 			return -1
 		}
-		it.AtomicStoreUint32(&d.PageOf[g], page)
+		st.AtomicStoreUint32(&d.PageOf[grp], page)
 		return int(page) * d.PageSlots
 	}
-	page := it.AtomicLoadUint32(&d.PageOf[g])
-	for page == NoPage {
-		// The claiming sibling has taken offset 0 but not published yet;
-		// a device would replay the dependent read, so the spin is not
-		// separately costed. Under sequential (cooperative or inline)
-		// execution the claimer always runs first and the loop never spins.
-		page = atomic.LoadUint32(&d.PageOf[g])
-	}
+	// A group's items run in order on one worker, so its claiming item has
+	// always published before a sibling reads.
+	page := st.AtomicLoadUint32(&d.PageOf[grp])
 	if page == PageOverflow {
-		it.AtomicIncUint32(d.Overflow)
+		st.AtomicIncUint32(d.Overflow)
 		return -1
 	}
 	return int(page)*d.PageSlots + int(off)

@@ -14,6 +14,14 @@ func testDevice() *gpu.Device {
 	return gpu.New(device.MI100(), gpu.WithWorkers(4))
 }
 
+// perItem is a barrier-free kernel: one phase that runs body for every
+// work-item of the group.
+func perItem(body func(it *gpu.Item)) gpu.PhaseKernel {
+	return func() []gpu.Phase {
+		return []gpu.Phase{func(g *gpu.Group) { g.Each(body) }}
+	}
+}
+
 func TestLayoutConstructors(t *testing.T) {
 	w := WorstCase(10, 64)
 	if w.Pages != 10 || w.PageSlots != 64 || w.Groups != 10 {
@@ -104,18 +112,16 @@ func TestClaimCompactsSparseEmissions(t *testing.T) {
 		Name:   "emit",
 		Global: gpu.R1(groups * wg),
 		Local:  gpu.R1(wg),
-		Kernel: func(g *gpu.Group) gpu.WorkItemFunc {
-			return func(it *gpu.Item) {
-				if !emits(it.GroupID(0), it.LocalID(0)) {
-					return
-				}
-				slot := dev.Claim(it)
-				if slot < 0 {
-					return
-				}
-				data[slot] = uint32(it.GlobalID(0))
+		Phases: perItem(func(it *gpu.Item) {
+			if !emits(it.GroupID(0), it.LocalID(0)) {
+				return
 			}
-		},
+			slot := dev.Claim(it.Group())
+			if slot < 0 {
+				return
+			}
+			data[slot] = uint32(it.GlobalID(0))
+		}),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -208,13 +214,11 @@ func TestClaimOverflowGrowRetry(t *testing.T) {
 			Name:   "emit-all",
 			Global: gpu.R1(groups * wg),
 			Local:  gpu.R1(wg),
-			Kernel: func(g *gpu.Group) gpu.WorkItemFunc {
-				return func(it *gpu.Item) {
-					if slot := dev.Claim(it); slot >= 0 {
-						data[slot] = uint32(it.GlobalID(0)) + 1
-					}
+			Phases: perItem(func(it *gpu.Item) {
+				if slot := dev.Claim(it.Group()); slot >= 0 {
+					data[slot] = uint32(it.GlobalID(0)) + 1
 				}
-			},
+			}),
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -244,9 +248,9 @@ func TestClaimOverflowGrowRetry(t *testing.T) {
 	}
 }
 
-// TestClaimDeterministicTotals runs the same dense launch twice under the
-// concurrent scheduler: the atomic traffic and decoded totals must not
-// depend on interleaving.
+// TestClaimDeterministicTotals runs the same dense launch twice on four
+// workers: the atomic traffic and decoded totals must not depend on how the
+// workers interleave their page claims.
 func TestClaimDeterministicTotals(t *testing.T) {
 	const groups, wg = 8, 64
 	layout := WorstCase(groups, wg)
@@ -257,13 +261,11 @@ func TestClaimDeterministicTotals(t *testing.T) {
 			Name:   "emit",
 			Global: gpu.R1(groups * wg),
 			Local:  gpu.R1(wg),
-			Kernel: func(g *gpu.Group) gpu.WorkItemFunc {
-				return func(it *gpu.Item) {
-					if it.GlobalID(0)%3 == 0 {
-						dev.Claim(it)
-					}
+			Phases: perItem(func(it *gpu.Item) {
+				if it.GlobalID(0)%3 == 0 {
+					dev.Claim(it.Group())
 				}
-			},
+			}),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -1,19 +1,19 @@
 package gpu
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"casoffinder/internal/gpu/device"
 )
 
-// TestPhasesLeaderPrefetch is the cooperative-contract port of
-// TestBarrierLeaderPrefetch: the leader item stages shared local memory in
-// phase 0, the implicit inter-phase barrier publishes it, and phase 1 reads
-// it back. The range is sized past the inline-launch threshold so several
-// workers race over the groups.
+// TestPhasesLeaderPrefetch is TestBarrierLeaderPrefetch sized past the
+// inline-launch threshold, so several workers race over the groups, each
+// with its own local memory.
 func TestPhasesLeaderPrefetch(t *testing.T) {
 	d := testDevice(t)
 	const groups, local = 128, 64
@@ -22,19 +22,16 @@ func TestPhasesLeaderPrefetch(t *testing.T) {
 		Name:   "prefetch_phases",
 		Global: R1(groups * local),
 		Local:  R1(local),
-		Phases: func(g *Group) []WorkItemFunc {
+		Phases: func() []Phase {
 			shared := make([]int32, local) // reused across the worker's groups
-			return []WorkItemFunc{
-				func(it *Item) {
-					if it.LocalID(0) == 0 {
-						base := int32(it.GroupID(0) * 1000)
-						for k := range shared {
-							shared[k] = base + int32(k)
-						}
+			return []Phase{
+				func(g *Group) {
+					for k := range shared {
+						shared[k] = int32(g.ID(0)*1000 + k)
 					}
 				},
-				func(it *Item) {
-					results[it.GlobalID(0)] = shared[it.LocalID(0)]
+				func(g *Group) {
+					copy(results[g.Base():g.Base()+g.Size()], shared)
 				},
 			}
 		},
@@ -49,9 +46,9 @@ func TestPhasesLeaderPrefetch(t *testing.T) {
 	}
 }
 
-// TestBarrierFreeCoverage checks that the cooperative path taken by
-// BarrierFree kernels still visits every global ID exactly once, with
-// enough items to spill past the inline-launch threshold.
+// TestBarrierFreeCoverage checks that a barrier-free kernel — one phase, a
+// per-item loop — visits every global ID exactly once, with enough items to
+// spill past the inline-launch threshold.
 func TestBarrierFreeCoverage(t *testing.T) {
 	d := testDevice(t)
 	const global, local = 8192, 64
@@ -60,16 +57,13 @@ func TestBarrierFreeCoverage(t *testing.T) {
 		Name:   "cover_coop",
 		Global: R1(global),
 		Local:  R1(local),
-		Kernel: func(g *Group) WorkItemFunc {
-			return func(it *Item) {
-				gid := it.GlobalID(0)
-				if gid != it.GroupID(0)*it.LocalRange(0)+it.LocalID(0) {
-					t.Errorf("item %d: coordinate mismatch", gid)
-				}
-				seen[gid]++ // unique index per item: no race
+		Phases: perItem(func(it *Item) {
+			gid := it.GlobalID(0)
+			if gid != it.GroupID(0)*it.LocalRange(0)+it.LocalID(0) || gid != it.Group().Base()+it.LocalID(0) {
+				t.Errorf("item %d: coordinate mismatch", gid)
 			}
-		},
-		BarrierFree: true,
+			seen[gid]++ // unique index per item: no race
+		}),
 	})
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
@@ -81,124 +75,60 @@ func TestBarrierFreeCoverage(t *testing.T) {
 	}
 }
 
-// TestBarrierFreeFreshLocals checks that a BarrierFree kernel keeps the
-// legacy factory contract: the factory runs per group and SetLocals storage
-// is not leaked between groups.
-func TestBarrierFreeFreshLocals(t *testing.T) {
-	d := testDevice(t)
-	const groups, local = 64, 64
-	var stale atomic.Int32
-	_, err := d.Launch(LaunchSpec{
-		Name:   "fresh_locals",
-		Global: R1(groups * local),
-		Local:  R1(local),
-		Kernel: func(g *Group) WorkItemFunc {
-			if g.locals != nil {
-				stale.Add(1)
-			}
-			g.SetLocals([]any{make([]int32, local)})
-			return func(it *Item) {
-				buf := it.Group().Local(0).([]int32)
-				buf[it.LocalID(0)] = int32(it.GlobalID(0))
-			}
-		},
-		BarrierFree: true,
-	})
-	if err != nil {
-		t.Fatalf("Launch: %v", err)
-	}
-	if n := stale.Load(); n != 0 {
-		t.Errorf("%d groups saw stale locals from a previous group", n)
-	}
-}
-
-// TestBarrierFreeViolation checks that a kernel declared BarrierFree that
-// calls Item.Barrier anyway fails the launch instead of deadlocking.
-func TestBarrierFreeViolation(t *testing.T) {
-	d := testDevice(t)
-	_, err := d.Launch(LaunchSpec{
-		Name:   "liar",
-		Global: R1(64),
-		Local:  R1(64),
-		Kernel: func(g *Group) WorkItemFunc {
-			return func(it *Item) { it.Barrier() }
-		},
-		BarrierFree: true,
-	})
-	if err == nil {
-		t.Fatal("Launch = nil error, want barrier-misuse failure")
-	}
-	if !strings.Contains(err.Error(), "Barrier") {
-		t.Errorf("error %q does not mention the barrier misuse", err)
-	}
-}
-
-// TestPhaseBarrierViolation checks the same for a phase body: phases are
-// split at barriers, so calling Item.Barrier inside one is a bug.
-func TestPhaseBarrierViolation(t *testing.T) {
-	d := testDevice(t)
-	_, err := d.Launch(LaunchSpec{
-		Name:   "phase_liar",
-		Global: R1(64),
-		Local:  R1(64),
-		Phases: func(g *Group) []WorkItemFunc {
-			return []WorkItemFunc{func(it *Item) { it.Barrier() }}
-		},
-	})
-	if err == nil {
-		t.Fatal("Launch = nil error, want barrier-misuse failure")
-	}
-}
-
-// TestPhasesStatsParity runs the same counting kernel under the legacy
-// blocking contract and as a two-phase cooperative kernel and requires the
-// aggregated Stats to be identical, barrier counts included — the timing
-// model prices launches off these counters, so the scheduler switch must
-// not change them.
+// TestPhasesStatsParity counts the same kernel two ways — a hook call per
+// access on every work-item, and once per group with the per-item cost
+// scaled by the group size — and requires identical Stats, barrier counts
+// included: the timing model prices launches off these counters, so how a
+// kernel accounts must not change them.
 func TestPhasesStatsParity(t *testing.T) {
 	d := testDevice(t)
 	const global, local = 4096, 64
-	stage := func(it *Item) {
-		it.ALU(2)
-		it.LoadGlobal(4)
-		it.StoreLocal()
+	stage := func(s *Stats) {
+		s.ALU(2)
+		s.LoadGlobal(4)
+		s.StoreLocal()
 	}
-	scan := func(it *Item) {
-		it.LoadLocal()
-		it.Branch(it.GlobalID(0)%2 == 0)
-		it.StoreGlobal(4)
+	scan := func(s *Stats, diverged bool) {
+		s.LoadLocal()
+		s.Branch(diverged)
+		s.StoreGlobal(4)
 	}
-	legacy, err := d.Launch(LaunchSpec{
-		Name:   "parity_legacy",
-		Global: R1(global),
-		Local:  R1(local),
-		Kernel: func(g *Group) WorkItemFunc {
-			return func(it *Item) {
-				stage(it)
-				it.Barrier()
-				scan(it)
+	perAccess, err := d.Launch(LaunchSpec{
+		Name: "parity_items", Global: R1(global), Local: R1(local),
+		Phases: func() []Phase {
+			return []Phase{
+				func(g *Group) { g.Each(func(it *Item) { stage(it.Stats) }) },
+				func(g *Group) { g.Each(func(it *Item) { scan(it.Stats, it.GlobalID(0)%2 == 0) }) },
 			}
 		},
 	})
 	if err != nil {
-		t.Fatalf("legacy Launch: %v", err)
+		t.Fatalf("per-access Launch: %v", err)
 	}
-	coop, err := d.Launch(LaunchSpec{
-		Name:   "parity_coop",
-		Global: R1(global),
-		Local:  R1(local),
-		Phases: func(g *Group) []WorkItemFunc {
-			return []WorkItemFunc{stage, scan}
+	var stageCost, even, odd Stats
+	stage(&stageCost)
+	scan(&even, true)
+	scan(&odd, false)
+	perGroup, err := d.Launch(LaunchSpec{
+		Name: "parity_groups", Global: R1(global), Local: R1(local),
+		Phases: func() []Phase {
+			return []Phase{
+				func(g *Group) { g.Stats().AddScaled(&stageCost, int64(g.Size())) },
+				func(g *Group) {
+					g.Stats().AddScaled(&even, int64(g.Size()/2))
+					g.Stats().AddScaled(&odd, int64(g.Size()/2))
+				},
+			}
 		},
 	})
 	if err != nil {
-		t.Fatalf("cooperative Launch: %v", err)
+		t.Fatalf("per-group Launch: %v", err)
 	}
-	if *legacy != *coop {
-		t.Errorf("stats diverge:\nlegacy = %+v\ncoop   = %+v", *legacy, *coop)
+	if *perAccess != *perGroup {
+		t.Errorf("stats diverge:\nper access = %+v\nper group  = %+v", *perAccess, *perGroup)
 	}
-	if coop.Barriers != global {
-		t.Errorf("coop Barriers = %d, want %d (one per item per phase boundary)", coop.Barriers, global)
+	if perGroup.Barriers != global {
+		t.Errorf("Barriers = %d, want %d (one per item per phase boundary)", perGroup.Barriers, global)
 	}
 }
 
@@ -214,9 +144,9 @@ func TestPhaseFactoryPerWorker(t *testing.T) {
 		Name:   "factory_count",
 		Global: R1(groups * local),
 		Local:  R1(local),
-		Phases: func(g *Group) []WorkItemFunc {
+		Phases: func() []Phase {
 			calls.Add(1)
-			return []WorkItemFunc{func(it *Item) {}}
+			return []Phase{func(g *Group) {}}
 		},
 	})
 	if err != nil {
@@ -228,7 +158,7 @@ func TestPhaseFactoryPerWorker(t *testing.T) {
 }
 
 // TestPhasesAtomicCompaction reruns the comparer's output-compaction idiom
-// under the cooperative scheduler.
+// with several workers claiming slots at once.
 func TestPhasesAtomicCompaction(t *testing.T) {
 	d := testDevice(t)
 	const n = 8192
@@ -238,14 +168,12 @@ func TestPhasesAtomicCompaction(t *testing.T) {
 		Name:   "compact_coop",
 		Global: R1(n),
 		Local:  R1(128),
-		Phases: func(g *Group) []WorkItemFunc {
-			return []WorkItemFunc{func(it *Item) {
-				if it.GlobalID(0)%3 == 0 {
-					old := it.AtomicIncUint32(&count)
-					slots[old] = int32(it.GlobalID(0))
-				}
-			}}
-		},
+		Phases: perItem(func(it *Item) {
+			if it.GlobalID(0)%3 == 0 {
+				old := it.AtomicIncUint32(&count)
+				slots[old] = int32(it.GlobalID(0))
+			}
+		}),
 	})
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
@@ -264,30 +192,62 @@ func TestPhasesAtomicCompaction(t *testing.T) {
 	}
 }
 
-// TestLaunchSpecValidation covers the cooperative-contract launch errors.
+// TestLaunchSpecValidation covers the launch errors of a mis-shaped or
+// panicking kernel: each must come back from Launch as an error — on the
+// inline path, on one worker and on several — and leave no goroutine behind.
 func TestLaunchSpecValidation(t *testing.T) {
-	d := testDevice(t)
-	nop := func(g *Group) WorkItemFunc { return func(it *Item) {} }
-	onePhase := func(g *Group) []WorkItemFunc { return []WorkItemFunc{func(it *Item) {}} }
-	t.Run("both contracts", func(t *testing.T) {
-		_, err := d.Launch(LaunchSpec{Name: "k", Global: R1(64), Local: R1(64), Kernel: nop, Phases: onePhase})
-		if err == nil {
-			t.Fatal("Launch accepted both Kernel and Phases")
-		}
-	})
-	t.Run("no phases returned", func(t *testing.T) {
-		_, err := d.Launch(LaunchSpec{
-			Name: "k", Global: R1(64 * 64), Local: R1(64),
-			Phases: func(g *Group) []WorkItemFunc { return nil },
+	nop := func(g *Group) {}
+	cases := []struct {
+		name, want string
+		kernel     PhaseKernel
+	}{
+		{"no phases returned", "no phases", func() []Phase { return nil }},
+		{"nil phase", "nil phase 1", func() []Phase { return []Phase{nop, nil} }},
+		{"panicking phase", "panicked: boom", func() []Phase {
+			return []Phase{nop, func(g *Group) {
+				if g.Linear()%7 == 3 {
+					panic("boom")
+				}
+			}}
+		}},
+		{"panicking factory", "panicked: no kernel", func() []Phase { panic("no kernel") }},
+	}
+	shapes := []struct {
+		name            string
+		workers, groups int
+	}{{"inline", 4, 16}, {"one worker", 1, 256}, {"four workers", 4, 256}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, sh := range shapes {
+				before := runtime.NumGoroutine()
+				d := New(device.MI100(), WithWorkers(sh.workers))
+				stats, err := d.Launch(LaunchSpec{Name: "k", Global: R1(sh.groups * 64), Local: R1(64), Phases: tc.kernel})
+				if err == nil || stats != nil {
+					t.Fatalf("%s: Launch = %v, %v; want a launch error", sh.name, stats, err)
+				}
+				if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), `launch "k"`) {
+					t.Errorf("%s: error %q does not name the launch and %q", sh.name, err, tc.want)
+				}
+				if len(d.LaunchLog()) != 0 {
+					t.Errorf("%s: failed launch was logged", sh.name)
+				}
+				// Launch waits for its workers to finish; give the last of
+				// them a moment to be reaped after its final instruction.
+				after := runtime.NumGoroutine()
+				for i := 0; i < 200 && after > before; i++ {
+					time.Sleep(time.Millisecond)
+					after = runtime.NumGoroutine()
+				}
+				if after > before {
+					t.Errorf("%s: %d goroutines before the launch, %d after", sh.name, before, after)
+				}
+			}
 		})
-		if err == nil {
-			t.Fatal("Launch accepted an empty phase list")
-		}
-	})
+	}
 }
 
-// TestConcurrentCooperativeLaunches stresses the cooperative scheduler with
-// parallel launches the way the out-of-order frontends drive it.
+// TestConcurrentCooperativeLaunches stresses the scheduler with parallel
+// launches the way the out-of-order frontends drive it.
 func TestConcurrentCooperativeLaunches(t *testing.T) {
 	d := New(device.MI100(), WithWorkers(4))
 	const launchers = 8
@@ -302,18 +262,18 @@ func TestConcurrentCooperativeLaunches(t *testing.T) {
 				Name:   "stress_coop",
 				Global: R1(4096),
 				Local:  R1(64),
-				Phases: func(g *Group) []WorkItemFunc {
+				Phases: func() []Phase {
 					shared := make([]int32, 64)
-					return []WorkItemFunc{
-						func(it *Item) {
-							if it.LocalID(0) == 0 {
-								for k := range shared {
-									shared[k] = int32(l * 1000)
-								}
+					return []Phase{
+						func(g *Group) {
+							for k := range shared {
+								shared[k] = int32(l * 1000)
 							}
 						},
-						func(it *Item) {
-							out[it.GlobalID(0)] = shared[it.LocalID(0)] + int32(it.GlobalID(0))
+						func(g *Group) {
+							g.Each(func(it *Item) {
+								out[it.GlobalID(0)] = shared[it.LocalID(0)] + int32(it.GlobalID(0))
+							})
 						},
 					}
 				},

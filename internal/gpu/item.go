@@ -1,25 +1,40 @@
 package gpu
 
-import "sync/atomic"
+// Phase is one barrier-delimited section of a kernel, called once per
+// work-group. The scheduler runs a group's phases in order on one worker, so
+// the boundary between two phases has exactly the semantics of a work-group
+// barrier — everything phase k wrote is visible to phase k+1 — without
+// blocking a goroutine, and it accounts one barrier execution per work-item
+// per boundary.
+type Phase func(g *Group)
 
-// Group is the work-group context handed to a GroupKernel factory. Go
-// variables created inside the factory are shared by all work-items of the
-// group, playing the role of OpenCL __local / SYCL local-accessor memory.
+// PhaseKernel is the launch contract: a factory the scheduler invokes once
+// per executing worker, returning the kernel's phases. Storage the factory
+// allocates plays the role of shared local memory and is reused by every
+// group the worker runs. That matches real devices, where local memory is
+// uninitialized at group start — phases must write it before reading it, as
+// the paper's staging loops do.
+type PhaseKernel func() []Phase
+
+// Group is the work-group a Phase is running: its coordinates in the
+// ND-range and the executing worker's Stats shard. One Group per worker is
+// re-targeted at each work-group the worker claims.
 type Group struct {
-	launch  *launchState
-	id      [MaxDims]int
-	linear  int
-	barrier *barrier
-	locals  []any
+	launch *launchState
+	stats  *Stats
+	id     [MaxDims]int
+	linear int
+	items  []Item
 }
 
-// SetLocals attaches per-group shared storage created by a kernel factory;
-// the SYCL frontend uses it to back local accessors. It must be called from
-// the GroupKernel factory, before any work-item of the group runs.
-func (g *Group) SetLocals(ls []any) { g.locals = ls }
-
-// Local returns the i'th shared-storage object set by SetLocals.
-func (g *Group) Local(i int) any { return g.locals[i] }
+// target repoints the worker's group at the given linear group index.
+func (g *Group) target(linear int) {
+	g.linear = linear
+	for dim := 0; dim < MaxDims; dim++ {
+		g.id[dim] = linear % g.launch.gridDim[dim]
+		linear /= g.launch.gridDim[dim]
+	}
+}
 
 // ID returns the group's index in dimension d (get_group_id).
 func (g *Group) ID(d int) int {
@@ -32,47 +47,54 @@ func (g *Group) ID(d int) int {
 // Linear returns the group's linearized index.
 func (g *Group) Linear() int { return g.linear }
 
+// Base returns the global index, in dimension 0, of the group's first
+// work-item; a one-dimensional group covers [Base, Base+Size).
+func (g *Group) Base() int { return g.id[0] * g.launch.local.Size(0) }
+
+// Size returns the number of work-items in the group.
+func (g *Group) Size() int { return g.launch.groupSize }
+
 // LocalRange returns the work-group extent in dimension d.
 func (g *Group) LocalRange(d int) int { return g.launch.local.Size(d) }
 
 // Device returns the device executing the group.
 func (g *Group) Device() *Device { return g.launch.dev }
 
-// WorkItemFunc is the per-work-item kernel body.
-type WorkItemFunc func(it *Item)
+// Stats returns the executing worker's counter shard. Groups of one worker
+// run one after another, so a phase updates it without synchronization.
+func (g *Group) Stats() *Stats { return g.stats }
 
-// GroupKernel is invoked once per work-group; its closure state is the
-// group's shared local memory, and the returned body runs once per
-// work-item.
-type GroupKernel func(g *Group) WorkItemFunc
+// Each runs body for every work-item of the group in local-index order —
+// the per-item loop of a barrier-free kernel section. The items are built
+// on a worker's first call and reused, so kernels that work on the group as
+// a whole never pay for them.
+func (g *Group) Each(body func(it *Item)) {
+	if g.items == nil {
+		g.items = make([]Item, g.Size())
+		for li := range g.items {
+			it := &g.items[li]
+			it.Stats, it.group = g.stats, g
+			rem := li
+			for dim := 0; dim < MaxDims; dim++ {
+				it.localID[dim] = rem % g.launch.local.Size(dim)
+				rem /= g.launch.local.Size(dim)
+			}
+		}
+	}
+	for li := range g.items {
+		body(&g.items[li])
+	}
+}
 
-// PhaseKernel is the cooperative scheduler's kernel contract: the kernel
-// body split at its barrier points. The returned phases run in order, each
-// executed for every work-item of the group before the next starts, which
-// gives the inter-phase boundary exactly the semantics of a work-group
-// barrier without blocking any goroutine.
-//
-// Unlike GroupKernel, the factory is invoked once per executing worker, not
-// once per group: the Group it receives is re-targeted at each group the
-// worker runs, and any local-memory storage the factory allocates is reused
-// across those groups. That matches real devices, where shared local memory
-// is uninitialized at group start — phases must write local memory before
-// reading it, as the paper's staging loops do.
-type PhaseKernel func(g *Group) []WorkItemFunc
-
-// Item is the execution context of one work-item: its coordinates in the
-// ND-range, the group barrier, and the access counters that feed the launch
-// Stats. It corresponds to the OpenCL built-in index functions and the SYCL
-// nd_item class contrasted in the paper's Table IV.
-//
-// Under the cooperative scheduler all items of a worker share one Stats
-// shard (they run sequentially, so the unsynchronized counters are safe);
-// under the legacy scheduler each concurrent item counts into its own.
+// Item is the execution context of one work-item inside Group.Each: its
+// coordinates in the ND-range and, embedded, the counting hooks of its
+// worker's Stats shard. It corresponds to the OpenCL built-in index
+// functions and the SYCL nd_item class contrasted in the paper's Table IV;
+// the barrier of that table is the boundary between two phases.
 type Item struct {
-	group    *Group
-	localID  [MaxDims]int
-	globalID [MaxDims]int
-	stats    *Stats
+	*Stats
+	group   *Group
+	localID [MaxDims]int
 }
 
 // Group returns the work-group context of the item.
@@ -84,7 +106,7 @@ func (it *Item) GlobalID(d int) int {
 	if d < 0 || d >= MaxDims {
 		return 0
 	}
-	return it.globalID[d]
+	return it.group.id[d]*it.group.launch.local.Size(d) + it.localID[d]
 }
 
 // LocalID returns the index within the work-group (get_local_id).
@@ -107,112 +129,8 @@ func (it *Item) GlobalRange(d int) int { return it.group.launch.global.Size(d) }
 
 // GroupRange returns the number of work-groups in dimension d.
 func (it *Item) GroupRange(d int) int {
-	l := it.group.launch
-	if d >= l.global.Dims() {
+	if d < 0 || d >= MaxDims {
 		return 1
 	}
-	return l.global.Size(d) / l.local.Size(d)
-}
-
-// Barrier synchronises all work-items of the group
-// (barrier(CLK_LOCAL_MEM_FENCE) / nd_item::barrier(local_space)). Under the
-// cooperative scheduler there is no blocking barrier — barriers are the
-// boundaries between phases — so a kernel that was declared barrier-free
-// (or phase-structured) yet calls Barrier fails the launch instead of
-// deadlocking.
-func (it *Item) Barrier() {
-	it.stats.Barriers++
-	if it.group.barrier == nil {
-		panic("gpu: Item.Barrier called under the cooperative scheduler; " +
-			"split the kernel at its barriers with LaunchSpec.Phases instead of declaring it BarrierFree")
-	}
-	it.group.barrier.wait()
-}
-
-// Counting hooks. Kernel bodies call these alongside their ordinary Go
-// memory accesses so the launch Stats reflect the traffic a real device
-// would see; the optimization variants of the comparer kernel differ mainly
-// in which of these they execute.
-
-// LoadGlobal accounts one global-memory read of n bytes.
-func (it *Item) LoadGlobal(n int) {
-	it.stats.GlobalLoadOps++
-	it.stats.GlobalLoadBytes += int64(n)
-}
-
-// StoreGlobal accounts one global-memory write of n bytes.
-func (it *Item) StoreGlobal(n int) {
-	it.stats.GlobalStoreOps++
-	it.stats.GlobalStoreBytes += int64(n)
-}
-
-// LoadGlobalRedundant accounts one global read that re-fetches an address
-// this work-item already loaded (served from cache on a real device).
-func (it *Item) LoadGlobalRedundant(n int) {
-	it.stats.GlobalLoadOps++
-	it.stats.GlobalLoadBytes += int64(n)
-	it.stats.RedundantLoadOps++
-}
-
-// LoadGlobalN accounts ops global-memory reads of elemBytes each.
-func (it *Item) LoadGlobalN(ops, elemBytes int) {
-	it.stats.GlobalLoadOps += int64(ops)
-	it.stats.GlobalLoadBytes += int64(ops) * int64(elemBytes)
-}
-
-// LoadLocalN accounts n shared-local-memory reads.
-func (it *Item) LoadLocalN(n int) { it.stats.LocalLoadOps += int64(n) }
-
-// StoreLocalN accounts n shared-local-memory writes.
-func (it *Item) StoreLocalN(n int) { it.stats.LocalStoreOps += int64(n) }
-
-// LoadConstant accounts one constant-memory read.
-func (it *Item) LoadConstant() { it.stats.ConstantLoadOps++ }
-
-// LoadLocal accounts one shared-local-memory read.
-func (it *Item) LoadLocal() { it.stats.LocalLoadOps++ }
-
-// StoreLocal accounts one shared-local-memory write.
-func (it *Item) StoreLocal() { it.stats.LocalStoreOps++ }
-
-// ALU accounts n arithmetic operations.
-func (it *Item) ALU(n int) { it.stats.ALUOps += int64(n) }
-
-// Branch accounts one branch; diverged marks intra-wavefront divergence.
-func (it *Item) Branch(diverged bool) {
-	it.stats.Branches++
-	if diverged {
-		it.stats.DivergentBranches++
-	}
-}
-
-// AtomicIncUint32 performs the atomic increment of Table V — the only
-// atomic the application's kernels use — returning the previous value. The
-// update is a real atomic on host memory, so concurrent work-items get
-// unique slots exactly as on a device.
-func (it *Item) AtomicIncUint32(p *uint32) uint32 {
-	it.stats.AtomicOps++
-	return atomic.AddUint32(p, 1) - 1
-}
-
-// AtomicAddUint32 adds delta and returns the previous value.
-func (it *Item) AtomicAddUint32(p *uint32, delta uint32) uint32 {
-	it.stats.AtomicOps++
-	return atomic.AddUint32(p, delta) - delta
-}
-
-// AtomicLoadUint32 performs an atomic read. The hit-buffer arena's claim
-// protocol reads the group's published page with it: under the legacy
-// concurrent contract the page is written by a racing work-item of the same
-// group, so a plain load would be a data race on the host.
-func (it *Item) AtomicLoadUint32(p *uint32) uint32 {
-	it.stats.AtomicOps++
-	return atomic.LoadUint32(p)
-}
-
-// AtomicStoreUint32 performs an atomic write. The arena's claiming item
-// publishes the group's page with it.
-func (it *Item) AtomicStoreUint32(p *uint32, v uint32) {
-	it.stats.AtomicOps++
-	atomic.StoreUint32(p, v)
+	return it.group.launch.gridDim[d]
 }

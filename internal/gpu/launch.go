@@ -14,34 +14,22 @@ import (
 
 // LocalArg marks an OpenCL-style __local kernel argument — the result of
 // clSetKernelArg with a size and a NULL pointer. Kernel builders turn it
-// into per-group shared storage.
+// into worker-resident shared storage.
 type LocalArg struct {
 	Bytes int
 }
 
 // LaunchSpec describes one kernel launch: the kernel name (for the launch
-// log), the ND-range decomposition, and the kernel under one of two
-// contracts. Exactly one of Kernel or Phases must be set.
+// log), the ND-range decomposition, and the kernel as a PhaseKernel — the
+// one launch contract.
 type LaunchSpec struct {
 	Name   string
 	Global Range
 	Local  Range
-	// Kernel is the legacy goroutine-per-item contract: the work-items of
-	// each group run concurrently, so Item.Barrier has its real blocking
-	// semantics. Use it for kernels with barriers that cannot be expressed
-	// as phases.
-	Kernel GroupKernel
-	// Phases is the cooperative contract: the kernel body is split at its
-	// barrier points and the scheduler runs each phase for every work-item
-	// of a group sequentially on one worker, with zero per-item goroutines.
-	// See PhaseKernel for the local-memory reuse semantics.
+	// Phases is the kernel body split at its barrier points, built once per
+	// executing worker and run once per work-group. A kernel without a
+	// barrier is a single phase.
 	Phases PhaseKernel
-	// BarrierFree declares that Kernel never calls Item.Barrier, letting
-	// the scheduler run its work-items sequentially on the owning worker
-	// (the cooperative path) while keeping the legacy fresh-locals-per-group
-	// factory semantics. A kernel that breaks the declaration by calling
-	// Barrier makes the launch fail instead of deadlocking.
-	BarrierFree bool
 	// LDSBytesPerWG declares how much shared local memory each work-group
 	// uses; it is carried into the launch record for the occupancy model
 	// and validated against the device limit.
@@ -55,25 +43,25 @@ type LaunchSpec struct {
 
 // launchState is the per-launch context shared by all groups.
 type launchState struct {
-	dev    *Device
-	global Range
-	local  Range
+	dev       *Device
+	global    Range
+	local     Range
+	gridDim   [MaxDims]int // work-groups per dimension
+	groupSize int          // work-items per group
 }
 
-// inlineLaunchItems bounds the cooperative launches that run entirely on
+// inlineLaunchItems bounds the launches that run entirely on
 // the calling goroutine: below this many work-items the work is dominated
 // by scheduling overhead, so spawning workers would cost more than it buys.
 const inlineLaunchItems = 2048
 
 // Launch executes the kernel over the ND-range and returns the aggregated
 // access statistics. Work-groups are distributed over the device's host
-// worker pool; each worker claims groups from an atomic cursor. Under the
-// cooperative contract (Phases, or Kernel with BarrierFree) the work-items
-// of a group run sequentially on the owning worker with pooled per-worker
-// state and no per-item goroutines; under the legacy Kernel contract each
-// work-item gets its own goroutine so barriers keep their real blocking
-// semantics. Launch blocks until the kernel completes (the frontends add
-// their own asynchronous-queue semantics on top).
+// worker pool; each worker claims groups from an atomic cursor and runs a
+// group's phases one after another with its own phase closures, Group and
+// Stats shard, so a launch starts no goroutine per work-item or per group.
+// Launch blocks until the kernel completes (the frontends add their own
+// asynchronous-queue semantics on top).
 func (d *Device) Launch(spec LaunchSpec) (*Stats, error) {
 	if d.obsTrace == nil && d.obsMetrics == nil {
 		return d.launch(&spec)
@@ -102,11 +90,8 @@ func (d *Device) launch(spec *LaunchSpec) (*Stats, error) {
 	if err := d.injectLaunchFault(spec); err != nil {
 		return nil, err
 	}
-	if spec.Kernel == nil && spec.Phases == nil {
+	if spec.Phases == nil {
 		return nil, fmt.Errorf("gpu: launch %q: nil kernel", spec.Name)
-	}
-	if spec.Kernel != nil && spec.Phases != nil {
-		return nil, fmt.Errorf("gpu: launch %q: both Kernel and Phases set", spec.Name)
 	}
 	if err := checkNDRange(spec.Global, spec.Local, d.spec.MaxWorkGroupSize); err != nil {
 		return nil, fmt.Errorf("gpu: launch %q: %w", spec.Name, err)
@@ -116,35 +101,23 @@ func (d *Device) launch(spec *LaunchSpec) (*Stats, error) {
 			spec.Name, spec.LDSBytesPerWG, d.spec.LDSPerCUBytes)
 	}
 
-	ls := &launchState{dev: d, global: spec.Global, local: spec.Local}
-	var gridDim [MaxDims]int
+	ls := &launchState{dev: d, global: spec.Global, local: spec.Local, groupSize: spec.Local.Total()}
 	numGroups := 1
 	for dim := 0; dim < MaxDims; dim++ {
-		gridDim[dim] = spec.Global.Size(dim) / spec.Local.Size(dim)
-		numGroups *= gridDim[dim]
+		ls.gridDim[dim] = spec.Global.Size(dim) / spec.Local.Size(dim)
+		numGroups *= ls.gridDim[dim]
 	}
-	groupSize := spec.Local.Total()
 
 	workers := d.workers
 	if workers > numGroups {
 		workers = numGroups
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	cooperative := spec.Phases != nil || spec.BarrierFree
-	if cooperative && numGroups*groupSize <= inlineLaunchItems {
+	if workers < 1 || numGroups*ls.groupSize <= inlineLaunchItems {
 		workers = 1
 	}
 
 	var total Stats
-	var err error
-	if cooperative {
-		err = d.runCooperative(spec, ls, gridDim, numGroups, groupSize, workers, &total)
-	} else {
-		err = d.runConcurrent(spec, ls, gridDim, numGroups, groupSize, workers, &total)
-	}
-	if err != nil {
+	if err := runGroups(spec.Phases, ls, numGroups, workers, &total); err != nil {
 		return nil, fmt.Errorf("gpu: launch %q: %w", spec.Name, err)
 	}
 	total.WorkItems = int64(spec.Global.Total())
@@ -179,105 +152,51 @@ func (d *Device) injectLaunchFault(spec *LaunchSpec) error {
 	return nil
 }
 
-// coopWorker is the pooled per-worker execution state of the cooperative
-// scheduler: one Group and one Item per local index, reused across every
-// group the worker executes, all counting into one shared Stats shard.
-type coopWorker struct {
-	group *Group
-	items []Item
-}
-
-func newCoopWorker(ls *launchState, groupSize int, stats *Stats, local Range) *coopWorker {
-	w := &coopWorker{
-		group: &Group{launch: ls},
-		items: make([]Item, groupSize),
-	}
-	for li := range w.items {
-		it := &w.items[li]
-		it.group = w.group
-		it.stats = stats
-		rem := li
-		for dim := 0; dim < MaxDims; dim++ {
-			it.localID[dim] = rem % local.Size(dim)
-			rem /= local.Size(dim)
-		}
-	}
-	return w
-}
-
-// target repoints the worker's group and items at the given linear group.
-func (w *coopWorker) target(linear int, gridDim [MaxDims]int, local Range) {
-	g := w.group
-	g.linear = linear
-	rem := linear
-	for dim := 0; dim < MaxDims; dim++ {
-		g.id[dim] = rem % gridDim[dim]
-		rem /= gridDim[dim]
-	}
-	for li := range w.items {
-		it := &w.items[li]
-		for dim := 0; dim < MaxDims; dim++ {
-			it.globalID[dim] = g.id[dim]*local.Size(dim) + it.localID[dim]
-		}
-	}
-}
-
-// runCooperative executes the launch under the cooperative contract: each
-// worker claims groups from the shared cursor and runs all work-items of a
-// group sequentially, phase by phase. The boundary between two phases is
-// the work-group barrier: because phase k runs to completion for every item
-// before phase k+1 starts, all pre-barrier memory effects are visible after
-// it, and the scheduler accounts one barrier execution per item per
-// boundary exactly as the blocking path would.
-func (d *Device) runCooperative(spec *LaunchSpec, ls *launchState, gridDim [MaxDims]int, numGroups, groupSize, workers int, total *Stats) error {
+// runGroups executes the launch's work-groups on the given number of
+// workers and sums their shards into total. A worker that panics, or whose
+// kernel factory returns no phase or a nil one, fails the launch; the others
+// drain the cursor and every goroutine has exited on return.
+func runGroups(kernel PhaseKernel, ls *launchState, numGroups, workers int, total *Stats) error {
 	var next atomic.Int64
-	workerStats := make([]Stats, workers)
-	errs := make([]error, workers)
+	state := make([]struct {
+		stats Stats
+		group Group
+		err   error
+	}, workers)
 
 	run := func(wi int) {
+		w := &state[wi]
 		defer func() {
 			if r := recover(); r != nil {
-				errs[wi] = fmt.Errorf("work-group kernel panicked: %v", r)
+				w.err = fmt.Errorf("work-group kernel panicked: %v", r)
 			}
 		}()
-		ws := &workerStats[wi]
-		w := newCoopWorker(ls, groupSize, ws, spec.Local)
-		var phases []WorkItemFunc
-		if spec.Phases != nil {
-			// The factory runs once per worker: local memory it allocates is
-			// reused by every group the worker executes, matching the
-			// uninitialized-at-group-start semantics of device LDS.
-			phases = spec.Phases(w.group)
-			if len(phases) == 0 {
-				errs[wi] = fmt.Errorf("phase kernel returned no phases")
+		g := &w.group
+		g.launch, g.stats = ls, &w.stats
+		phases := kernel()
+		if len(phases) == 0 {
+			w.err = fmt.Errorf("phase kernel returned no phases")
+			return
+		}
+		for pi, phase := range phases {
+			if phase == nil {
+				w.err = fmt.Errorf("phase kernel returned a nil phase %d", pi)
 				return
 			}
 		}
+		// Every work-item executes the barrier at each phase boundary.
+		barriers := int64(len(phases)-1) * int64(ls.groupSize)
 		for {
 			linear := int(next.Add(1)) - 1
 			if linear >= numGroups {
 				return
 			}
-			w.target(linear, gridDim, spec.Local)
-			if spec.Phases != nil {
-				for pi, phase := range phases {
-					if pi > 0 {
-						// Implicit work-group barrier between phases: every
-						// item of the group executes it.
-						ws.Barriers += int64(groupSize)
-					}
-					for li := range w.items {
-						phase(&w.items[li])
-					}
-				}
-			} else {
-				w.group.locals = nil
-				body := spec.Kernel(w.group) // fresh per group: legacy locals
-				for li := range w.items {
-					body(&w.items[li])
-				}
+			g.target(linear)
+			for _, phase := range phases {
+				phase(g)
 			}
-			ws.WorkGroups++
+			w.stats.Barriers += barriers
+			w.stats.WorkGroups++
 		}
 	}
 
@@ -295,73 +214,11 @@ func (d *Device) runCooperative(spec *LaunchSpec, ls *launchState, gridDim [MaxD
 		run(0)
 		wg.Wait()
 	}
-	for wi := range workerStats {
-		total.Add(&workerStats[wi])
-		if errs[wi] != nil {
-			return errs[wi]
+	for wi := range state {
+		total.Add(&state[wi].stats)
+		if state[wi].err != nil {
+			return state[wi].err
 		}
-	}
-	return nil
-}
-
-// runConcurrent executes the launch under the legacy contract: one
-// goroutine per work-item per group, so Item.Barrier blocks for real.
-// Group, barrier and item state are still pooled per worker and the stats
-// shards are merged without a mutex.
-func (d *Device) runConcurrent(spec *LaunchSpec, ls *launchState, gridDim [MaxDims]int, numGroups, groupSize, workers int, total *Stats) error {
-	var next atomic.Int64
-	workerStats := make([]Stats, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for wi := 0; wi < workers; wi++ {
-		go func(wi int) {
-			defer wg.Done()
-			ws := &workerStats[wi]
-			g := &Group{launch: ls, barrier: newBarrier(groupSize)}
-			items := make([]Item, groupSize)
-			itemStats := make([]Stats, groupSize)
-			for {
-				linear := int(next.Add(1)) - 1
-				if linear >= numGroups {
-					return
-				}
-				g.linear = linear
-				g.locals = nil
-				rem := linear
-				for dim := 0; dim < MaxDims; dim++ {
-					g.id[dim] = rem % gridDim[dim]
-					rem /= gridDim[dim]
-				}
-				body := spec.Kernel(g)
-				var itemWG sync.WaitGroup
-				itemWG.Add(groupSize)
-				for li := 0; li < groupSize; li++ {
-					it := &items[li]
-					itemStats[li] = Stats{}
-					it.group = g
-					it.stats = &itemStats[li]
-					rem := li
-					for dim := 0; dim < MaxDims; dim++ {
-						it.localID[dim] = rem % spec.Local.Size(dim)
-						rem /= spec.Local.Size(dim)
-						it.globalID[dim] = g.id[dim]*spec.Local.Size(dim) + it.localID[dim]
-					}
-					go func() {
-						defer itemWG.Done()
-						body(it)
-					}()
-				}
-				itemWG.Wait()
-				ws.WorkGroups++
-				for li := range itemStats {
-					ws.Add(&itemStats[li])
-				}
-			}
-		}(wi)
-	}
-	wg.Wait()
-	for wi := range workerStats {
-		total.Add(&workerStats[wi])
 	}
 	return nil
 }

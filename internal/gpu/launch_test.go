@@ -3,6 +3,7 @@ package gpu
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"casoffinder/internal/gpu/device"
@@ -11,6 +12,14 @@ import (
 func testDevice(t *testing.T) *Device {
 	t.Helper()
 	return New(device.MI100(), WithWorkers(4))
+}
+
+// perItem is a barrier-free kernel: one phase that runs body for every
+// work-item of the group.
+func perItem(body func(it *Item)) PhaseKernel {
+	return func() []Phase {
+		return []Phase{func(g *Group) { g.Each(body) }}
+	}
 }
 
 // TestLaunchCoversGlobalIDs checks that every global ID in a 1-D range is
@@ -24,21 +33,19 @@ func TestLaunchCoversGlobalIDs(t *testing.T) {
 		Name:   "cover",
 		Global: R1(global),
 		Local:  R1(local),
-		Kernel: func(g *Group) WorkItemFunc {
-			return func(it *Item) {
-				gid := it.GlobalID(0)
-				if gid != it.GroupID(0)*it.LocalRange(0)+it.LocalID(0) {
-					bad.Store(gid, "coordinate mismatch")
-				}
-				if it.GlobalRange(0) != global || it.LocalRange(0) != local {
-					bad.Store(gid, "range mismatch")
-				}
-				if it.GroupRange(0) != global/local {
-					bad.Store(gid, "group range mismatch")
-				}
-				seen[gid]++ // unique index per item: no race
+		Phases: perItem(func(it *Item) {
+			gid := it.GlobalID(0)
+			if gid != it.GroupID(0)*it.LocalRange(0)+it.LocalID(0) {
+				bad.Store(gid, "coordinate mismatch")
 			}
-		},
+			if it.GlobalRange(0) != global || it.LocalRange(0) != local {
+				bad.Store(gid, "range mismatch")
+			}
+			if it.GroupRange(0) != global/local {
+				bad.Store(gid, "group range mismatch")
+			}
+			seen[gid]++ // unique index per item: no race
+		}),
 	})
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
@@ -62,12 +69,10 @@ func TestLaunch3D(t *testing.T) {
 		Name:   "cover3d",
 		Global: R3(x, y, z),
 		Local:  R3(4, 3, 2),
-		Kernel: func(g *Group) WorkItemFunc {
-			return func(it *Item) {
-				idx := it.GlobalID(0) + x*(it.GlobalID(1)+y*it.GlobalID(2))
-				seen[idx]++
-			}
-		},
+		Phases: perItem(func(it *Item) {
+			idx := it.GlobalID(0) + x*(it.GlobalID(1)+y*it.GlobalID(2))
+			seen[idx]++
+		}),
 	})
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
@@ -80,28 +85,33 @@ func TestLaunch3D(t *testing.T) {
 }
 
 // TestBarrierLeaderPrefetch reproduces the exact pattern of the paper's
-// kernels: the first work-item of each group fills shared local memory, a
-// barrier follows, then every item reads the shared data. Without correct
-// barrier semantics some item would observe zeros.
+// kernels on a launch small enough to run inline on the calling goroutine:
+// the first work-item of each group fills shared local memory, a barrier —
+// the phase boundary — follows, then every item reads the shared data.
+// Without barrier semantics some item would observe another group's values.
 func TestBarrierLeaderPrefetch(t *testing.T) {
 	d := testDevice(t)
 	const groups, local = 32, 64
 	results := make([]int32, groups*local)
-	_, err := d.Launch(LaunchSpec{
+	stats, err := d.Launch(LaunchSpec{
 		Name:   "prefetch",
 		Global: R1(groups * local),
 		Local:  R1(local),
-		Kernel: func(g *Group) WorkItemFunc {
+		Phases: func() []Phase {
 			shared := make([]int32, local) // work-group local memory
-			return func(it *Item) {
-				li := it.GlobalID(0) - it.GroupID(0)*it.LocalRange(0)
-				if li == 0 {
-					for k := range shared {
-						shared[k] = int32(100 + k)
-					}
-				}
-				it.Barrier()
-				results[it.GlobalID(0)] = shared[li]
+			return []Phase{
+				func(g *Group) {
+					g.Each(func(it *Item) {
+						if it.GlobalID(0)-it.GroupID(0)*it.LocalRange(0) == 0 {
+							for k := range shared {
+								shared[k] = int32(100*it.GroupID(0) + k)
+							}
+						}
+					})
+				},
+				func(g *Group) {
+					g.Each(func(it *Item) { results[it.GlobalID(0)] = shared[it.LocalID(0)] })
+				},
 			}
 		},
 	})
@@ -109,48 +119,56 @@ func TestBarrierLeaderPrefetch(t *testing.T) {
 		t.Fatalf("Launch: %v", err)
 	}
 	for gid, v := range results {
-		if want := int32(100 + gid%local); v != want {
+		if want := int32(100*(gid/local) + gid%local); v != want {
 			t.Fatalf("item %d read %d, want %d (barrier visibility broken)", gid, v, want)
 		}
 	}
+	if stats.Barriers != groups*local {
+		t.Errorf("Barriers = %d, want %d (one per item per phase boundary)", stats.Barriers, groups*local)
+	}
 }
 
-// TestBarrierMultiplePhases stresses barrier reuse within one group.
+// TestBarrierMultiplePhases stresses a kernel with many barriers: after
+// each one every item of the group must see all arrivals of the phase
+// before it, in every group a worker runs.
 func TestBarrierMultiplePhases(t *testing.T) {
 	d := testDevice(t)
-	const local, phases = 32, 5
-	counter := make([]int32, phases)
-	var mu sync.Mutex
-	_, err := d.Launch(LaunchSpec{
+	const groups, local, barriers = 128, 32, 9
+	var bad atomic.Int32
+	stats, err := d.Launch(LaunchSpec{
 		Name:   "phases",
-		Global: R1(local),
+		Global: R1(groups * local),
 		Local:  R1(local),
-		Kernel: func(g *Group) WorkItemFunc {
-			progress := make([]int32, phases)
-			return func(it *Item) {
-				for p := 0; p < phases; p++ {
-					mu.Lock()
-					progress[p]++
-					mu.Unlock()
-					it.Barrier()
-					// After the barrier every item must see all arrivals.
-					mu.Lock()
-					if progress[p] != local {
-						counter[p]++
+		Phases: func() []Phase {
+			progress := make([]int32, barriers+1)
+			phases := make([]Phase, barriers+1)
+			for p := range phases {
+				phases[p] = func(g *Group) {
+					g.Each(func(it *Item) {
+						if p > 0 && progress[p-1] != local {
+							bad.Add(1)
+						}
+						progress[p]++
+					})
+					if p > 0 {
+						progress[p-1] = 0 // consumed: the next group starts clean
 					}
-					mu.Unlock()
-					it.Barrier()
+					if p == barriers {
+						progress[p] = 0
+					}
 				}
 			}
+			return phases
 		},
 	})
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	for p, bad := range counter {
-		if bad != 0 {
-			t.Errorf("phase %d: %d items saw incomplete arrivals", p, bad)
-		}
+	if n := bad.Load(); n != 0 {
+		t.Errorf("%d items saw incomplete arrivals after a barrier", n)
+	}
+	if want := int64(barriers * groups * local); stats.Barriers != want {
+		t.Errorf("Barriers = %d, want %d", stats.Barriers, want)
 	}
 }
 
@@ -165,14 +183,12 @@ func TestAtomicCompaction(t *testing.T) {
 		Name:   "compact",
 		Global: R1(n),
 		Local:  R1(128),
-		Kernel: func(g *Group) WorkItemFunc {
-			return func(it *Item) {
-				if it.GlobalID(0)%3 == 0 { // a third of the items "match"
-					old := it.AtomicIncUint32(&count)
-					slots[old] = int32(it.GlobalID(0))
-				}
+		Phases: perItem(func(it *Item) {
+			if it.GlobalID(0)%3 == 0 { // a third of the items "match"
+				old := it.AtomicIncUint32(&count)
+				slots[old] = int32(it.GlobalID(0))
 			}
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
@@ -201,9 +217,7 @@ func TestAtomicAdd(t *testing.T) {
 		Name:   "add",
 		Global: R1(256),
 		Local:  R1(64),
-		Kernel: func(g *Group) WorkItemFunc {
-			return func(it *Item) { it.AtomicAddUint32(&sum, 2) }
-		},
+		Phases: perItem(func(it *Item) { it.AtomicAddUint32(&sum, 2) }),
 	})
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
@@ -220,18 +234,22 @@ func TestLaunchStats(t *testing.T) {
 		Name:   "stats",
 		Global: R1(global),
 		Local:  R1(local),
-		Kernel: func(g *Group) WorkItemFunc {
-			return func(it *Item) {
-				it.LoadGlobal(4)
-				it.LoadGlobal(1)
-				it.StoreGlobal(4)
-				it.LoadConstant()
-				it.LoadLocal()
-				it.StoreLocal()
-				it.ALU(3)
-				it.Branch(true)
-				it.Branch(false)
-				it.Barrier()
+		Phases: func() []Phase {
+			return []Phase{
+				func(g *Group) {
+					g.Each(func(it *Item) {
+						it.LoadGlobal(4)
+						it.LoadGlobal(1)
+						it.StoreGlobal(4)
+						it.LoadConstant()
+						it.LoadLocal()
+						it.StoreLocal()
+						it.ALU(3)
+						it.Branch(true)
+						it.Branch(false)
+					})
+				},
+				func(g *Group) {}, // a closing barrier
 			}
 		},
 	})
@@ -271,17 +289,17 @@ func TestLaunchStats(t *testing.T) {
 
 func TestLaunchErrors(t *testing.T) {
 	d := testDevice(t)
-	nop := func(g *Group) WorkItemFunc { return func(it *Item) {} }
+	nop := perItem(func(it *Item) {})
 	tests := []struct {
 		name    string
 		spec    LaunchSpec
 		wantErr error
 	}{
 		{"nil kernel", LaunchSpec{Name: "k", Global: R1(64), Local: R1(64)}, nil},
-		{"bad divide", LaunchSpec{Name: "k", Global: R1(100), Local: R1(64), Kernel: nop}, ErrLocalSize},
-		{"oversized group", LaunchSpec{Name: "k", Global: R1(4096), Local: R1(4096), Kernel: nop}, ErrWorkGroupTooLarge},
-		{"zero range", LaunchSpec{Name: "k", Kernel: nop}, ErrInvalidRange},
-		{"huge lds", LaunchSpec{Name: "k", Global: R1(64), Local: R1(64), Kernel: nop, LDSBytesPerWG: 1 << 20}, nil},
+		{"bad divide", LaunchSpec{Name: "k", Global: R1(100), Local: R1(64), Phases: nop}, ErrLocalSize},
+		{"oversized group", LaunchSpec{Name: "k", Global: R1(4096), Local: R1(4096), Phases: nop}, ErrWorkGroupTooLarge},
+		{"zero range", LaunchSpec{Name: "k", Phases: nop}, ErrInvalidRange},
+		{"huge lds", LaunchSpec{Name: "k", Global: R1(64), Local: R1(64), Phases: nop, LDSBytesPerWG: 1 << 20}, nil},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -298,21 +316,19 @@ func TestLaunchErrors(t *testing.T) {
 
 func TestLaunchLogAndProfile(t *testing.T) {
 	d := testDevice(t)
-	kernel := func(loads int) GroupKernel {
-		return func(g *Group) WorkItemFunc {
-			return func(it *Item) {
-				for i := 0; i < loads; i++ {
-					it.LoadGlobal(4)
-				}
+	kernel := func(loads int) PhaseKernel {
+		return perItem(func(it *Item) {
+			for i := 0; i < loads; i++ {
+				it.LoadGlobal(4)
 			}
-		}
+		})
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := d.Launch(LaunchSpec{Name: "finder", Global: R1(64), Local: R1(64), Kernel: kernel(1)}); err != nil {
+		if _, err := d.Launch(LaunchSpec{Name: "finder", Global: R1(64), Local: R1(64), Phases: kernel(1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := d.Launch(LaunchSpec{Name: "comparer", Global: R1(64), Local: R1(64), Kernel: kernel(10)}); err != nil {
+	if _, err := d.Launch(LaunchSpec{Name: "comparer", Global: R1(64), Local: R1(64), Phases: kernel(10)}); err != nil {
 		t.Fatal(err)
 	}
 	log := d.LaunchLog()
@@ -340,18 +356,19 @@ func TestGroupContext(t *testing.T) {
 		Name:   "groups",
 		Global: R1(groups * 16),
 		Local:  R1(16),
-		Kernel: func(g *Group) WorkItemFunc {
-			if g.Device() != d {
-				t.Error("Group.Device mismatch")
-			}
-			if g.LocalRange(0) != 16 {
-				t.Errorf("Group.LocalRange = %d", g.LocalRange(0))
-			}
-			if g.ID(0) != g.Linear() {
-				t.Errorf("1-D group: ID(0)=%d != Linear()=%d", g.ID(0), g.Linear())
-			}
-			linears[g.Linear()]++
-			return func(it *Item) {}
+		Phases: func() []Phase {
+			return []Phase{func(g *Group) {
+				if g.Device() != d {
+					t.Error("Group.Device mismatch")
+				}
+				if g.LocalRange(0) != 16 || g.Size() != 16 {
+					t.Errorf("Group.LocalRange = %d, Size = %d", g.LocalRange(0), g.Size())
+				}
+				if g.ID(0) != g.Linear() || g.Base() != 16*g.Linear() {
+					t.Errorf("1-D group: ID(0)=%d, Linear()=%d, Base()=%d", g.ID(0), g.Linear(), g.Base())
+				}
+				linears[g.Linear()]++ // unique index per group: no race
+			}}
 		},
 	})
 	if err != nil {
@@ -359,7 +376,7 @@ func TestGroupContext(t *testing.T) {
 	}
 	for i, n := range linears {
 		if n != 1 {
-			t.Errorf("group %d instantiated %d times", i, n)
+			t.Errorf("group %d ran %d times", i, n)
 		}
 	}
 }
@@ -370,16 +387,14 @@ func TestItemOutOfRangeDims(t *testing.T) {
 		Name:   "dims",
 		Global: R1(4),
 		Local:  R1(4),
-		Kernel: func(g *Group) WorkItemFunc {
-			return func(it *Item) {
-				if it.GlobalID(5) != 0 || it.LocalID(-1) != 0 || it.GroupID(7) != 0 {
-					t.Error("out-of-range dims should be 0")
-				}
-				if it.GlobalRange(2) != 1 || it.GroupRange(2) != 1 {
-					t.Error("out-of-range range dims should be 1")
-				}
+		Phases: perItem(func(it *Item) {
+			if it.GlobalID(5) != 0 || it.LocalID(-1) != 0 || it.GroupID(7) != 0 {
+				t.Error("out-of-range dims should be 0")
 			}
-		},
+			if it.GlobalRange(2) != 1 || it.GroupRange(2) != 1 || it.GroupRange(-1) != 1 {
+				t.Error("out-of-range range dims should be 1")
+			}
+		}),
 	})
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
@@ -402,11 +417,9 @@ func TestConcurrentLaunches(t *testing.T) {
 				Name:   "stress",
 				Global: R1(512),
 				Local:  R1(64),
-				Kernel: func(g *Group) WorkItemFunc {
-					return func(it *Item) {
-						out[it.GlobalID(0)] = int32(l*1000 + it.GlobalID(0))
-					}
-				},
+				Phases: perItem(func(it *Item) {
+					out[it.GlobalID(0)] = int32(l*1000 + it.GlobalID(0))
+				}),
 			})
 			if err != nil {
 				t.Error(err)

@@ -89,6 +89,11 @@ func TestStatsAdd(t *testing.T) {
 	a := Stats{WorkItems: 1, GlobalLoadOps: 2, GlobalLoadBytes: 8, AtomicOps: 3, Branches: 4, DivergentBranches: 1}
 	b := Stats{WorkItems: 10, GlobalLoadOps: 20, GlobalLoadBytes: 80, AtomicOps: 30, Branches: 40, DivergentBranches: 10}
 	a.Add(&b)
+	var scaled Stats
+	scaled.AddScaled(&b, 3)
+	if want := (Stats{WorkItems: 30, GlobalLoadOps: 60, GlobalLoadBytes: 240, AtomicOps: 90, Branches: 120, DivergentBranches: 30}); scaled != want {
+		t.Errorf("AddScaled result: %+v", scaled)
+	}
 	if a.WorkItems != 11 || a.GlobalLoadOps != 22 || a.GlobalLoadBytes != 88 ||
 		a.AtomicOps != 33 || a.Branches != 44 || a.DivergentBranches != 11 {
 		t.Errorf("Add result: %+v", a)
@@ -99,20 +104,18 @@ func TestItemCounterHelpers(t *testing.T) {
 	d := New(device.MI60(), WithWorkers(1))
 	stats, err := d.Launch(LaunchSpec{
 		Name: "counters", Global: R1(4), Local: R1(4),
-		Kernel: func(g *Group) WorkItemFunc {
-			g.SetLocals([]any{make([]int32, 4)})
-			return func(it *Item) {
-				if it.Group() != g {
-					t.Error("Item.Group mismatch")
-				}
-				if s, ok := g.Local(0).([]int32); !ok || len(s) != 4 {
-					t.Error("Group.Local wrong")
-				}
-				it.LoadGlobalN(3, 4)
-				it.LoadGlobalRedundant(4)
-				it.LoadLocalN(5)
-				it.StoreLocalN(2)
-			}
+		Phases: func() []Phase {
+			return []Phase{func(g *Group) {
+				g.Each(func(it *Item) {
+					if it.Group() != g || it.Stats != g.Stats() {
+						t.Error("Item.Group or its Stats shard mismatch")
+					}
+					it.LoadGlobalN(3, 4)
+					it.LoadGlobalRedundant(4)
+					it.LoadLocalN(5)
+					it.StoreLocalN(2)
+				})
+			}}
 		},
 	})
 	if err != nil {

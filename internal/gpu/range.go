@@ -7,12 +7,14 @@
 // with barriers; all work-items see a device global memory and a read-only
 // constant memory; atomics serialise concurrent updates to a location.
 //
-// Kernels are Go closures. A launch supplies a GroupKernel factory that is
-// invoked once per work-group — plain Go variables it creates play the role
-// of shared local memory — and returns the per-work-item body. Work-items of
-// a group execute concurrently (true barrier semantics) while groups are
-// distributed over a host worker pool. Every launch produces a Stats record
-// of the memory traffic and instruction mix the timing model consumes.
+// Kernels are Go closures under one launch contract: a launch supplies a
+// PhaseKernel, a factory invoked once per host worker that returns the
+// kernel body split at its barriers into phases, each called once per
+// work-group. Variables the factory creates play the role of shared local
+// memory, and the boundary between two phases is the work-group barrier.
+// Groups are distributed over a host worker pool. Every launch produces a
+// Stats record of the memory traffic and instruction mix the timing model
+// consumes.
 package gpu
 
 import (

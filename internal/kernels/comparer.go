@@ -9,8 +9,8 @@ import (
 // ComparerVariant selects between the baseline comparer of Listing 1 and
 // the paper's cumulative optimizations (§IV.B). All variants compute
 // identical results; they differ in the memory traffic the compiler would
-// emit for them, which the simulator accounts through the Item counters,
-// and in the register pressure internal/isa derives for them.
+// emit for them, which the simulator accounts through the Stats hooks, and
+// in the register pressure internal/isa derives for them.
 type ComparerVariant int
 
 // Comparer variants, cumulative in the paper's order.
@@ -106,223 +106,163 @@ func (v ComparerVariant) costs() comparerCosts {
 	}
 }
 
-// ComparerFunc is the shape of one comparer body or phase: the work-item,
-// the kernel arguments, and the work-group-local staging arrays ("l_comp",
-// "l_comp_index"), each of length 2*PatternLen.
-type ComparerFunc func(it *gpu.Item, a *ComparerArgs, lComp []byte, lCompIndex []int32)
+// Comparer is one comparer variant bound to one launch's arguments
+// (Listing 1). Phase 0 stages comp and comp_index into shared local memory
+// (L1-L8: cooperatively for opt3+, by the group leader before — the same
+// traffic either way); the phase boundary is the kernel's barrier; phase 1
+// (L9-L42) walks the guide's index array on each flagged strand, counting
+// mismatches with early exit past the threshold, and compacts passing
+// entries through the output arena.
+type Comparer struct {
+	a      *ComparerArgs
+	c      comparerCosts
+	strand [2]strandPlan
+	// stage is one group's staging traffic; item what every work-item
+	// executes before the barrier; live what an item below LociCount pays
+	// before it looks at its flag's strands; store one compacted entry.
+	stage, item, live, store gpu.Stats
+}
 
-// Comparer returns the kernel body for the variant under the blocking
-// contract: staging, a real barrier, then comparison.
-func Comparer(v ComparerVariant) ComparerFunc {
+// NewComparer validates the arguments and builds the launch's cost plan.
+func NewComparer(v ComparerVariant, a *ComparerArgs) (*Comparer, error) {
+	if err := a.validate(); err != nil {
+		return nil, err
+	}
 	c := v.costs()
-	return func(it *gpu.Item, a *ComparerArgs, lComp []byte, lCompIndex []int32) {
-		comparerStage(it, a, lComp, lCompIndex, c)
-		it.Barrier()
-		comparerCompare(it, a, lComp, lCompIndex, c)
+	k := &Comparer{a: a, c: c}
+	var w walkCosts
+	w.enter.Branch(true) // the strand's flag test
+	if c.lociPerHalf {
+		w.enter.LoadGlobalRedundant(4) // opt1: loci[i] hoisted out of the loop
+	}
+	w.early.Branch(true)
+	w.step = func(terms int) (s gpu.Stats) {
+		s.LoadLocal() // comp_index[j]
+		if c.ldsPerTerm {
+			s.LoadLocalN(terms)
+		} else {
+			s.LoadLocal() // opt4: one LDS read, then a register
+		}
+		if c.lociPerIter {
+			s.LoadGlobalRedundant(4) // base: loci[i] reloaded per iteration
+		}
+		s.LoadGlobal(1) // chr[loci[i]+k]
+		s.ALU(aluPerTerm*terms + 2)
+		s.Branch(true)
+		return s
+	}
+	if c.wordParallel {
+		// Per 32-base pattern word: two 8-byte global loads (the 2-bit
+		// packed text word and the unknown-lane word), the five precompiled
+		// mask words from local memory, then a fixed ALU sequence — four
+		// equality planes, four mask folds, the bad-lane combine and a
+		// popcount — scores every base of the word at once. The group loop
+		// still compares byte-wise, so results are bit-identical to the
+		// other variants; only the accounted traffic changes, and the
+		// threshold early-exit moves to word granularity.
+		w.words = true
+		w.step = func(int) (s gpu.Stats) {
+			s.LoadGlobalN(2, 8)
+			s.LoadLocalN(5)
+			s.ALU(18)
+			s.Branch(true)
+			return s
+		}
+	}
+	var err error
+	if k.strand, err = planStrands(a.Guide, &w); err != nil {
+		return nil, fmt.Errorf("kernels: %s: %w", ComparerKernelName(v), err)
+	}
+	k.item.ALU(2) // L1: the local index
+	for i := 0; i < 2*a.Guide.PatternLen; i++ {
+		k.stage.LoadGlobal(1)
+		k.stage.LoadGlobal(4)
+		k.stage.StoreLocalN(2)
+	}
+	k.live.LoadGlobal(1) // flag[i]
+	for r := 1; r < c.flagLoads; r++ {
+		k.live.LoadGlobalRedundant(1)
+	}
+	if !c.lociPerIter && !c.lociPerHalf {
+		k.live.LoadGlobal(4) // opt2+: loci[i] registered once per item
+	}
+	if c.lociPerIter {
+		k.store.LoadGlobalRedundant(4) // base: mm_loci[slot] = loci[i] reloads again
+	}
+	k.store.StoreGlobal(2)
+	k.store.StoreGlobal(1)
+	k.store.StoreGlobal(4)
+	return k, nil
+}
+
+// Phases returns the kernel's two phases for one worker. lComp and
+// lCompIndex are the worker's local staging arrays ("l_comp",
+// "l_comp_index"), each of length 2*PatternLen.
+func (k *Comparer) Phases(lComp []byte, lCompIndex []int32) []gpu.Phase {
+	hist := newHist(&k.strand)
+	return []gpu.Phase{
+		func(g *gpu.Group) { stageGroup(g, k.a.Guide, lComp, lCompIndex, &k.stage, &k.item) },
+		func(g *gpu.Group) { k.compareGroup(g, lComp, lCompIndex, hist) },
 	}
 }
 
-// ComparerPhases returns the variant's body split at its single barrier
-// point for the cooperative scheduler: phase 0 stages the pattern tables
-// into local memory, phase 1 runs the comparison. Running them through
-// gpu.LaunchSpec.Phases is equivalent — in results and in every Stats
-// counter — to running Comparer under the blocking contract.
-func ComparerPhases(v ComparerVariant) [2]ComparerFunc {
-	c := v.costs()
-	return [2]ComparerFunc{
-		func(it *gpu.Item, a *ComparerArgs, lComp []byte, lCompIndex []int32) {
-			comparerStage(it, a, lComp, lCompIndex, c)
-		},
-		func(it *gpu.Item, a *ComparerArgs, lComp []byte, lCompIndex []int32) {
-			comparerCompare(it, a, lComp, lCompIndex, c)
-		},
+// flagStrands maps a finder flag to the strands the comparer walks, as a
+// bit per strand; an unknown flag walks neither.
+var flagStrands = [256]uint8{FlagBoth: 0b11, FlagForward: 0b01, FlagReverse: 0b10}
+
+var strandDir = [2]byte{DirForward, DirReverse}
+
+func (k *Comparer) compareGroup(g *gpu.Group, lComp []byte, lCompIndex []int32, hist [2][]int64) {
+	a, plen, threshold := k.a, k.a.Guide.PatternLen, int(k.a.Threshold)
+	base, n := g.Base(), inRange(g, int(a.LociCount))
+	// Before opt2 loci[i] is re-read from global memory — per strand (opt1)
+	// or per iteration and per store (base). The plan prices every such
+	// read as a reload; the first one an item performs is not, and firsts
+	// counts those items.
+	reloads := k.c.lociPerIter || k.c.lociPerHalf
+	stores, drops, firsts := 0, 0, 0
+	for i := base; i < base+n; i++ {
+		locus := int(a.Loci[i])
+		read := false
+		for s := range k.strand {
+			if flagStrands[a.Flags[i]]&(1<<s) == 0 {
+				continue
+			}
+			sp, off := &k.strand[s], s*plen
+			e, mm := sp.walk(lComp[off:off+plen], lCompIndex[off:off+plen], a.Chr, locus, threshold)
+			hist[s][e]++
+			read = read || k.c.lociPerHalf || sp.n > 0
+			if e != len(sp.exit)-1 {
+				continue
+			}
+			// L19-L23 / L36-L40: compact one passing entry through the
+			// arena. An exhausted arena drops the entry — counted in
+			// Arena.Overflow, recovered by the host's grow-and-relaunch.
+			slot := a.Arena.Claim(g)
+			if slot < 0 {
+				drops++
+				continue
+			}
+			a.MMCount[slot] = uint16(mm)
+			a.Direction[slot] = strandDir[s]
+			a.MMLoci[slot] = uint32(locus)
+			stores++
+			read = true
+		}
+		if read && reloads {
+			firsts++
+		}
 	}
+	st := g.Stats()
+	for s := range k.strand {
+		k.strand[s].fold(st, hist[s])
+	}
+	st.AddScaled(&k.live, int64(n))
+	st.AddScaled(&k.store, int64(stores))
+	diverged(st, g.Size()-n+drops) // items past LociCount, dropped entries
+	st.RedundantLoadOps -= int64(firsts)
 }
 
 // ComparerLocalBytes returns the shared-local-memory bytes one work-group
 // of the comparer uses for a guide pattern of length plen.
 func ComparerLocalBytes(plen int) int { return 2*plen + 4*2*plen }
-
-// comparerStage is L1-L8 of Listing 1 with the per-variant cost model
-// applied: compute the local index and stage comp and comp_index into
-// shared local memory (cooperatively for opt3+, leader-only before).
-func comparerStage(it *gpu.Item, a *ComparerArgs, lComp []byte, lCompIndex []int32, c comparerCosts) {
-	plen := a.Guide.PatternLen
-	i := it.GlobalID(0)
-	li := i - it.GroupID(0)*it.LocalRange(0) // L1 of Listing 1
-	it.ALU(2)
-
-	// L2-L8: stage comp and comp_index into shared local memory.
-	if c.coopPrefetch {
-		wg := it.LocalRange(0)
-		for k := li; k < plen*2; k += wg {
-			lComp[k] = a.Guide.Codes[k]
-			lCompIndex[k] = a.Guide.Index[k]
-			it.LoadGlobal(1)
-			it.LoadGlobal(4)
-			it.StoreLocalN(2)
-		}
-	} else if li == 0 {
-		for k := 0; k < plen*2; k++ {
-			lComp[k] = a.Guide.Codes[k]
-			lCompIndex[k] = a.Guide.Index[k]
-			it.LoadGlobal(1)
-			it.LoadGlobal(4)
-			it.StoreLocalN(2)
-		}
-	}
-}
-
-// comparerCompare is L9-L42 of Listing 1, after the barrier: for each
-// flagged strand walk the guide's index array, counting mismatches with
-// early exit past the threshold, and compact passing entries through the
-// atomic entry counter.
-func comparerCompare(it *gpu.Item, a *ComparerArgs, lComp []byte, lCompIndex []int32, c comparerCosts) {
-	plen := a.Guide.PatternLen
-	i := it.GlobalID(0)
-
-	if uint32(i) >= a.LociCount {
-		it.Branch(true)
-		return
-	}
-
-	flag := a.Flags[i]
-	it.LoadGlobal(1)
-	for r := 1; r < c.flagLoads; r++ {
-		it.LoadGlobalRedundant(1)
-	}
-	locus := int(a.Loci[i])
-	if !c.lociPerIter && !c.lociPerHalf {
-		it.LoadGlobal(4) // opt2+: loci[i] registered once per item
-	}
-
-	// compareStrand walks one half of the index array (L9-L24 forward,
-	// L26-L42 reverse). offset selects the strand; pattern characters live
-	// at lComp[k+offset] and reference characters at chr[locus+k].
-	firstLociRead := true
-	readLocus := func() {
-		if firstLociRead {
-			it.LoadGlobal(4)
-			firstLociRead = false
-			return
-		}
-		it.LoadGlobalRedundant(4)
-	}
-
-	compareStrand := func(offset int) (uint16, bool) {
-		if c.lociPerHalf {
-			readLocus() // opt1: loci[i] hoisted out of the loop
-		}
-		var mm uint16
-		for j := 0; j < plen; j++ {
-			k := lCompIndex[offset+j]
-			it.LoadLocal()
-			if k == -1 {
-				it.Branch(false)
-				break
-			}
-			code := lComp[offset+int(k)]
-			terms := ladderPos[code]
-			if c.ldsPerTerm {
-				it.LoadLocalN(terms)
-			} else {
-				it.LoadLocal() // opt4: one LDS read, then a register
-			}
-			if c.lociPerIter {
-				readLocus() // base: loci[i] reloaded per iteration
-			}
-			it.LoadGlobal(1) // chr[loci[i]+k]
-			it.ALU(aluPerTerm*terms + 2)
-			it.Branch(true)
-			if mismatch(code, a.Chr[locus+int(k)]) {
-				mm++
-				if mm > a.Threshold {
-					it.Branch(true)
-					return mm, false
-				}
-			}
-		}
-		return mm, true
-	}
-
-	// The bit-parallel variant swaps the per-base ladder for the SWAR word
-	// loop: per 32-base pattern word it issues two 8-byte global loads (the
-	// 2-bit packed text word and the unknown-lane word) and reads the five
-	// precompiled mask words from local memory, then a fixed ALU sequence —
-	// four equality planes, four mask folds, the bad-lane combine and a
-	// popcount — scores every base of the word at once. The mismatch
-	// arithmetic below stays byte-wise so results are bit-identical to the
-	// other variants; only the accounted traffic changes: ~1/16th the
-	// global load ops of a byte-per-base walk, each 8× wider, and the
-	// threshold early-exit moves to word granularity.
-	if c.wordParallel {
-		compareStrand = func(offset int) (uint16, bool) {
-			var mm uint16
-			j := 0
-			for base := 0; base < plen; base += 32 {
-				start := j
-				for j < plen {
-					k := lCompIndex[offset+j]
-					it.LoadLocal()
-					if k == -1 || int(k) >= base+32 {
-						break
-					}
-					j++
-				}
-				if j > start {
-					it.LoadGlobalN(2, 8) // packed text word + unknown lanes
-					it.LoadLocalN(5)     // lane word + four accumulator masks
-					it.ALU(18)
-					it.Branch(true)
-					for jj := start; jj < j; jj++ {
-						k := lCompIndex[offset+jj]
-						if mismatch(lComp[offset+int(k)], a.Chr[locus+int(k)]) {
-							mm++
-						}
-					}
-					if mm > a.Threshold {
-						it.Branch(true)
-						return mm, false
-					}
-				}
-				if j >= plen || lCompIndex[offset+j] == -1 {
-					break
-				}
-			}
-			return mm, true
-		}
-	}
-
-	// store compacts one passing entry (L19-L23 / L36-L40) through the
-	// output arena. An exhausted arena drops the entry — counted in
-	// Arena.Overflow, recovered by the host's grow-and-relaunch.
-	store := func(mm uint16, dir byte) {
-		slot := a.Arena.Claim(it)
-		if slot < 0 {
-			it.Branch(true)
-			return
-		}
-		a.MMCount[slot] = mm
-		a.Direction[slot] = dir
-		a.MMLoci[slot] = uint32(locus)
-		if c.lociPerIter {
-			readLocus() // base: mm_loci[slot] = loci[i] reloads again
-		}
-		it.StoreGlobal(2)
-		it.StoreGlobal(1)
-		it.StoreGlobal(4)
-	}
-
-	if flag == FlagBoth || flag == FlagForward {
-		it.Branch(true)
-		if mm, ok := compareStrand(0); ok && mm <= a.Threshold {
-			store(mm, DirForward)
-		}
-	}
-	if flag == FlagBoth || flag == FlagReverse {
-		it.Branch(true)
-		if mm, ok := compareStrand(plen); ok && mm <= a.Threshold {
-			store(mm, DirReverse)
-		}
-	}
-}

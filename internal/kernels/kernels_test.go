@@ -2,7 +2,6 @@ package kernels
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -84,162 +83,6 @@ func TestVariantNames(t *testing.T) {
 	if !Opt3.CooperativeFetch() || !Opt4.CooperativeFetch() {
 		t.Error("opt3/opt4 should report cooperative fetch")
 	}
-}
-
-// runPipeline executes the finder then the given comparer variant on one
-// chunk through the raw simulator, returning sorted hits.
-func runPipeline(t *testing.T, dev *gpu.Device, seq []byte, pattern, guide string, maxMM int, v ComparerVariant, wg int) ([]baseline.Hit, *gpu.Stats, *gpu.Stats) {
-	t.Helper()
-	pat, err := NewPatternPair([]byte(pattern))
-	if err != nil {
-		t.Fatalf("pattern: %v", err)
-	}
-	gd, err := NewPatternPair([]byte(guide))
-	if err != nil {
-		t.Fatalf("guide: %v", err)
-	}
-	chr := genome.Upper(seq)
-	sites := len(chr) - pat.PatternLen + 1
-	if sites < 0 {
-		sites = 0
-	}
-
-	gws := (sites + wg - 1) / wg * wg
-	if gws == 0 {
-		gws = wg
-	}
-	farena := alloc.NewHost(alloc.WorstCase(gws/wg, wg))
-	fa := &FinderArgs{
-		Chr:     chr,
-		Pattern: pat,
-		Sites:   sites,
-		Loci:    make([]uint32, farena.Layout.Slots()),
-		Flags:   make([]byte, farena.Layout.Slots()),
-		Arena:   farena.Device(),
-	}
-	if err := fa.validate(); err != nil {
-		t.Fatalf("finder args: %v", err)
-	}
-	fStats, err := dev.Launch(gpu.LaunchSpec{
-		Name:   "finder",
-		Global: gpu.R1(gws),
-		Local:  gpu.R1(wg),
-		Kernel: func(g *gpu.Group) gpu.WorkItemFunc {
-			lPat := make([]byte, 2*pat.PatternLen)
-			lIdx := make([]int32, 2*pat.PatternLen)
-			return func(it *gpu.Item) { Finder(it, fa, lPat, lIdx) }
-		},
-	})
-	if err != nil {
-		t.Fatalf("finder launch: %v", err)
-	}
-	if farena.Overflow[0] != 0 {
-		t.Fatalf("worst-case finder arena overflowed %d entries", farena.Overflow[0])
-	}
-	fgeo, err := farena.Decode()
-	if err != nil {
-		t.Fatalf("finder arena decode: %v", err)
-	}
-	loci := alloc.Gather(fgeo, fa.Loci, []uint32(nil))
-	flags := alloc.Gather(fgeo, fa.Flags, []byte(nil))
-	count := uint32(fgeo.Total)
-	// Gather fixes the order of the pages; within a page the goroutine-per-
-	// item launch fills slots in whatever order its items won the group
-	// counter. Sort each page's pairs so the comparer sees the candidate
-	// order the cooperative launch produces, whatever the schedule.
-	pos := 0
-	for _, p := range fgeo.Order {
-		n := fgeo.Counts[p]
-		sort.Sort(lociByLocus{loci[pos : pos+n], flags[pos : pos+n]})
-		pos += n
-	}
-
-	cgws := (int(count) + wg - 1) / wg * wg
-	if cgws == 0 {
-		cgws = wg
-	}
-	carena := alloc.NewHost(alloc.WorstCase(cgws/wg, 2*wg))
-	ca := &ComparerArgs{
-		Chr:       chr,
-		Loci:      loci,
-		Flags:     flags,
-		LociCount: count,
-		Guide:     gd,
-		Threshold: uint16(maxMM),
-		MMLoci:    make([]uint32, carena.Layout.Slots()),
-		MMCount:   make([]uint16, carena.Layout.Slots()),
-		Direction: make([]byte, carena.Layout.Slots()),
-		Arena:     carena.Device(),
-	}
-	if err := ca.validate(); err != nil {
-		t.Fatalf("comparer args: %v", err)
-	}
-	body := Comparer(v)
-	cStats, err := dev.Launch(gpu.LaunchSpec{
-		Name:   ComparerKernelName(v),
-		Global: gpu.R1(cgws),
-		Local:  gpu.R1(wg),
-		Kernel: func(g *gpu.Group) gpu.WorkItemFunc {
-			lComp := make([]byte, 2*gd.PatternLen)
-			lIdx := make([]int32, 2*gd.PatternLen)
-			return func(it *gpu.Item) { body(it, ca, lComp, lIdx) }
-		},
-	})
-	if err != nil {
-		t.Fatalf("comparer launch: %v", err)
-	}
-	if carena.Overflow[0] != 0 {
-		t.Fatalf("worst-case comparer arena overflowed %d entries", carena.Overflow[0])
-	}
-	cgeo, err := carena.Decode()
-	if err != nil {
-		t.Fatalf("comparer arena decode: %v", err)
-	}
-	mmLoci := alloc.Gather(cgeo, ca.MMLoci, []uint32(nil))
-	mmCount := alloc.Gather(cgeo, ca.MMCount, []uint16(nil))
-	dirs := alloc.Gather(cgeo, ca.Direction, []byte(nil))
-
-	hits := make([]baseline.Hit, 0, cgeo.Total)
-	for i := 0; i < cgeo.Total; i++ {
-		hits = append(hits, baseline.Hit{
-			Pos:        int(mmLoci[i]),
-			Dir:        dirs[i],
-			Mismatches: int(mmCount[i]),
-		})
-	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Pos != hits[j].Pos {
-			return hits[i].Pos < hits[j].Pos
-		}
-		return hits[i].Dir < hits[j].Dir
-	})
-	return hits, fStats, cStats
-}
-
-// lociByLocus sorts one page's finder output, keeping each flag with its
-// locus.
-type lociByLocus struct {
-	loci  []uint32
-	flags []byte
-}
-
-func (s lociByLocus) Len() int           { return len(s.loci) }
-func (s lociByLocus) Less(i, j int) bool { return s.loci[i] < s.loci[j] }
-func (s lociByLocus) Swap(i, j int) {
-	s.loci[i], s.loci[j] = s.loci[j], s.loci[i]
-	s.flags[i], s.flags[j] = s.flags[j], s.flags[i]
-}
-
-func hitsEqual(a, b []baseline.Hit) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestPipelineMatchesBaseline(t *testing.T) {
@@ -400,13 +243,13 @@ func TestFinderFlagsBothStrands(t *testing.T) {
 		Flags:   make([]byte, arena.Layout.Slots()),
 		Arena:   arena.Device(),
 	}
+	finder, err := NewFinder(fa)
+	if err != nil {
+		t.Fatal(err)
+	}
 	_, err = dev.Launch(gpu.LaunchSpec{
 		Name: "finder", Global: gpu.R1(4), Local: gpu.R1(4),
-		Kernel: func(g *gpu.Group) gpu.WorkItemFunc {
-			lPat := make([]byte, 6)
-			lIdx := make([]int32, 6)
-			return func(it *gpu.Item) { Finder(it, fa, lPat, lIdx) }
-		},
+		Phases: func() []gpu.Phase { return finder.Phases(make([]byte, 6), make([]int32, 6)) },
 	})
 	if err != nil {
 		t.Fatal(err)

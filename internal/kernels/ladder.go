@@ -10,11 +10,9 @@
 // The comparer comes in five variants: the baseline of Listing 1 plus the
 // paper's cumulative optimizations opt1-opt4 (§IV.B). All variants are
 // functionally identical; they differ in the memory traffic they generate
-// (which the Item counters record) and, through internal/isa, in register
+// (which the gpu.Stats hooks record) and, through internal/isa, in register
 // pressure and occupancy.
 package kernels
-
-import "casoffinder/internal/genome"
 
 // ladderOrder is the evaluation order of the degenerate-base comparison
 // ladder in Listing 1: the kernel tests the pattern character against each
@@ -38,10 +36,6 @@ var ladderPos = func() [256]int {
 	}
 	return t
 }()
-
-// mismatch reports whether the genome base fails to match the pattern code,
-// with the semantics of the Listing 1 ladder (see genome.Matches).
-func mismatch(patternCode, base byte) bool { return !genome.Matches(patternCode, base) }
 
 // aluPerTerm is the arithmetic cost accounted per evaluated ladder term
 // (a comparison on the pattern character plus one on the genome base).

@@ -144,29 +144,18 @@ func ComparerKernelName(v ComparerVariant) string {
 // CLSource returns the OpenCL program source registry holding the finder
 // and every comparer variant, keyed by kernel name. It is the argument to
 // Context.CreateProgramWithSource, standing in for the application's
-// OpenCL C source string. Every kernel carries both contracts: the legacy
-// goroutine-per-item Build and the cooperative BuildPhases the frontend
-// prefers.
+// OpenCL C source string.
 func CLSource() opencl.Source {
 	src := opencl.Source{
-		"finder": {
-			NumArgs:     finderNumArgs,
-			Build:       buildFinder,
-			BuildPhases: buildFinderPhases,
-		},
+		"finder": {NumArgs: finderNumArgs, BuildPhases: buildFinderPhases},
 	}
 	for _, v := range AllVariants() {
-		src[ComparerKernelName(v)] = opencl.KernelBuilder{
-			NumArgs:     comparerNumArgs,
-			Build:       buildComparer(v),
-			BuildPhases: buildComparerPhases(v),
-		}
+		src[ComparerKernelName(v)] = opencl.KernelBuilder{NumArgs: comparerNumArgs, BuildPhases: buildComparerPhases(v)}
 	}
 	return src
 }
 
-// finderSlots parses and validates the finder's bound argument slots,
-// returning the kernel arguments and the element counts of the two local
+// finderSlots parses the finder's bound argument slots, returning the kernel arguments and the element counts of the two local
 // staging arrays.
 func finderSlots(args []any) (fa *FinderArgs, lPatN, lIdxN int, err error) {
 	chr, err := memSlice[byte](args, FinderArgChr)
@@ -221,24 +210,7 @@ func finderSlots(args []any) (fa *FinderArgs, lPatN, lIdxN int, err error) {
 		Flags: flags,
 		Arena: arena,
 	}
-	if err := fa.validate(); err != nil {
-		return nil, 0, 0, err
-	}
 	return fa, lPatN, lIdxN, nil
-}
-
-func buildFinder(args []any) (gpu.GroupKernel, error) {
-	fa, lPatN, lIdxN, err := finderSlots(args)
-	if err != nil {
-		return nil, err
-	}
-	return func(g *gpu.Group) gpu.WorkItemFunc {
-		lPat := make([]byte, lPatN)
-		lPatIndex := make([]int32, lIdxN)
-		return func(it *gpu.Item) {
-			Finder(it, fa, lPat, lPatIndex)
-		}
-	}, nil
 }
 
 func buildFinderPhases(args []any) (gpu.PhaseKernel, error) {
@@ -246,20 +218,18 @@ func buildFinderPhases(args []any) (gpu.PhaseKernel, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(g *gpu.Group) []gpu.WorkItemFunc {
-		// Allocated once per worker and reused across groups; FinderStage
-		// overwrites the staging arrays before FinderScan reads them.
-		lPat := make([]byte, lPatN)
-		lPatIndex := make([]int32, lIdxN)
-		return []gpu.WorkItemFunc{
-			func(it *gpu.Item) { FinderStage(it, fa, lPat, lPatIndex) },
-			func(it *gpu.Item) { FinderScan(it, fa, lPat, lPatIndex) },
-		}
+	f, err := NewFinder(fa)
+	if err != nil {
+		return nil, err
+	}
+	// The __local arrays are allocated once per worker and reused across
+	// its groups; the stage phase overwrites them before the scan reads.
+	return func() []gpu.Phase {
+		return f.Phases(make([]byte, lPatN), make([]int32, lIdxN))
 	}, nil
 }
 
-// comparerSlots parses and validates the comparer's bound argument slots,
-// returning the kernel arguments and the element counts of the two local
+// comparerSlots parses the comparer's bound argument slots, returning the kernel arguments and the element counts of the two local
 // staging arrays.
 func comparerSlots(args []any) (ca *ComparerArgs, lCompN, lIdxN int, err error) {
 	lociCount, err := scalar[uint32](args, ComparerArgLociCount)
@@ -334,27 +304,7 @@ func comparerSlots(args []any) (ca *ComparerArgs, lCompN, lIdxN int, err error) 
 		Direction: direction,
 		Arena:     arena,
 	}
-	if err := ca.validate(); err != nil {
-		return nil, 0, 0, err
-	}
 	return ca, lCompN, lIdxN, nil
-}
-
-func buildComparer(v ComparerVariant) func(args []any) (gpu.GroupKernel, error) {
-	return func(args []any) (gpu.GroupKernel, error) {
-		ca, lCompN, lIdxN, err := comparerSlots(args)
-		if err != nil {
-			return nil, err
-		}
-		body := Comparer(v)
-		return func(g *gpu.Group) gpu.WorkItemFunc {
-			lComp := make([]byte, lCompN)
-			lCompIndex := make([]int32, lIdxN)
-			return func(it *gpu.Item) {
-				body(it, ca, lComp, lCompIndex)
-			}
-		}, nil
-	}
 }
 
 func buildComparerPhases(v ComparerVariant) func(args []any) (gpu.PhaseKernel, error) {
@@ -363,16 +313,12 @@ func buildComparerPhases(v ComparerVariant) func(args []any) (gpu.PhaseKernel, e
 		if err != nil {
 			return nil, err
 		}
-		phases := ComparerPhases(v)
-		return func(g *gpu.Group) []gpu.WorkItemFunc {
-			// Allocated once per worker and reused across groups; the stage
-			// phase overwrites both arrays before the compare phase reads.
-			lComp := make([]byte, lCompN)
-			lCompIndex := make([]int32, lIdxN)
-			return []gpu.WorkItemFunc{
-				func(it *gpu.Item) { phases[0](it, ca, lComp, lCompIndex) },
-				func(it *gpu.Item) { phases[1](it, ca, lComp, lCompIndex) },
-			}
+		k, err := NewComparer(v, ca)
+		if err != nil {
+			return nil, err
+		}
+		return func() []gpu.Phase {
+			return k.Phases(make([]byte, lCompN), make([]int32, lIdxN))
 		}, nil
 	}
 }

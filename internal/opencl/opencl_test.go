@@ -2,6 +2,7 @@ package opencl
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"casoffinder/internal/gpu"
@@ -15,7 +16,7 @@ func vecScaleSource() Source {
 	return Source{
 		"vec_scale": {
 			NumArgs: 4,
-			Build: func(args []any) (gpu.GroupKernel, error) {
+			BuildPhases: func(args []any) (gpu.PhaseKernel, error) {
 				in, err := Slice[int32](args[0].(*Mem))
 				if err != nil {
 					return nil, err
@@ -32,22 +33,25 @@ func vecScaleSource() Source {
 				if !ok {
 					return nil, errors.New("arg 3 must be __local")
 				}
-				return func(g *gpu.Group) gpu.WorkItemFunc {
+				return func() []gpu.Phase {
 					staging := make([]int32, local.Bytes/4)
-					return func(it *gpu.Item) {
-						gid := it.GlobalID(0)
-						li := it.LocalID(0)
-						if gid < len(in) {
-							staging[li] = in[gid]
+					stage := func(it *gpu.Item) {
+						if gid := it.GlobalID(0); gid < len(in) {
+							staging[it.LocalID(0)] = in[gid]
 							it.LoadGlobal(4)
 							it.StoreLocal()
 						}
-						it.Barrier()
-						if gid < len(out) {
-							out[gid] = staging[li] * scale
+					}
+					scaleOut := func(it *gpu.Item) {
+						if gid := it.GlobalID(0); gid < len(out) {
+							out[gid] = staging[it.LocalID(0)] * scale
 							it.LoadLocal()
 							it.StoreGlobal(4)
 						}
+					}
+					return []gpu.Phase{
+						func(g *gpu.Group) { g.Each(stage) },
+						func(g *gpu.Group) { g.Each(scaleOut) }, // after the barrier
 					}
 				}, nil
 			},
@@ -475,5 +479,57 @@ func TestAccessors(t *testing.T) {
 	k, _ := prog.CreateKernel("vec_scale")
 	if k.Name() != "vec_scale" {
 		t.Error("Kernel.Name")
+	}
+}
+
+// TestPhaseKernelErrorsSurfaceOnEnqueue: a kernel whose builder is missing
+// or fails, whose phase kernel is mis-shaped — no phase, a nil phase — or
+// that panics in its factory or in a group, comes back from the enqueue as
+// an error naming the kernel, on the in-order and the out-of-order queue.
+func TestPhaseKernelErrorsSurfaceOnEnqueue(t *testing.T) {
+	nop := func(g *gpu.Group) {}
+	kernel := func(k gpu.PhaseKernel) KernelBuilder {
+		return KernelBuilder{BuildPhases: func([]any) (gpu.PhaseKernel, error) { return k, nil }}
+	}
+	src := Source{
+		"no_builder":   {},
+		"build_fails":  {BuildPhases: func([]any) (gpu.PhaseKernel, error) { return nil, errors.New("bad args") }},
+		"no_phases":    kernel(func() []gpu.Phase { return nil }),
+		"nil_phase":    kernel(func() []gpu.Phase { return []gpu.Phase{nop, nil} }),
+		"phase_panics": kernel(func() []gpu.Phase { return []gpu.Phase{func(g *gpu.Group) { panic("boom") }} }),
+		"panics":       kernel(func() []gpu.Phase { panic("no kernel") }),
+	}
+	want := map[string]string{
+		"no_builder": "no kernel builder", "build_fails": "bad args", "no_phases": "no phases",
+		"nil_phase": "nil phase", "phase_panics": "panicked: boom", "panics": "panicked: no kernel",
+	}
+	ctx, q, _ := setup(t)
+	prog, err := ctx.CreateProgramWithSource(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := prog.Build(""); err != nil {
+		t.Fatal(err)
+	}
+	ooo, err := ctx.CreateCommandQueueWithProperties(q.dev, OutOfOrder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name := range src {
+		k, err := prog.CreateKernel(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = q.EnqueueNDRangeKernel(k, 64*64, 64)
+		if err == nil || !strings.Contains(err.Error(), want[name]) || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: enqueue = %v, want an error naming the kernel and %q", name, err, want[name])
+		}
+		ev, err := ooo.EnqueueNDRangeKernelWithEvents(k, 64*64, 64, nil)
+		if err != nil {
+			t.Fatalf("%s: out-of-order enqueue: %v", name, err)
+		}
+		if err := ev.Wait(); err == nil || !strings.Contains(err.Error(), want[name]) {
+			t.Errorf("%s: out-of-order event = %v, want an error naming %q", name, err, want[name])
+		}
 	}
 }

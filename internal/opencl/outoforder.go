@@ -97,7 +97,6 @@ func (q *CommandQueue) EnqueueNDRangeKernelWithEvents(k *Kernel, gws, lws int, w
 	if lws <= 0 {
 		lws = defaultLocalSize(gws)
 	}
-	builder := k.builder
 	name := k.name
 	ev := newPendingEvent(name)
 	q.track(ev)
@@ -106,13 +105,8 @@ func (q *CommandQueue) EnqueueNDRangeKernelWithEvents(k *Kernel, gws, lws int, w
 			ev.complete(nil, err)
 			return
 		}
-		spec := gpu.LaunchSpec{
-			Name:          name,
-			Global:        gpu.R1(gws),
-			Local:         gpu.R1(lws),
-			LDSBytesPerWG: lds,
-		}
-		if err := buildSpec(builder, name, args, &spec); err != nil {
+		spec, err := k.launchSpec(nil, args, gws, lws, lds)
+		if err != nil {
 			ev.complete(nil, err)
 			return
 		}

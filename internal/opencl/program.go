@@ -1,13 +1,14 @@
 package opencl
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
 	"casoffinder/internal/gpu"
 )
 
-// KernelBuilder turns bound argument slots into an executable group kernel.
+// KernelBuilder turns bound argument slots into an executable kernel.
 // Arguments arrive in slot order exactly as SetArg bound them: *Mem for
 // global/constant buffers, gpu.LocalArg for __local declarations, and plain
 // Go values for by-value scalars. Builders live beside the kernel bodies in
@@ -15,13 +16,9 @@ import (
 type KernelBuilder struct {
 	// NumArgs is the number of argument slots the kernel declares.
 	NumArgs int
-	// Build validates the bound arguments and returns the group kernel for
-	// the legacy goroutine-per-item scheduler.
-	Build func(args []any) (gpu.GroupKernel, error)
-	// BuildPhases, when set, returns the kernel split at its barrier points
-	// for the cooperative scheduler; enqueues prefer it over Build. It is
-	// the simulator's stand-in for a compiler that statically resolves the
-	// kernel's barrier structure.
+	// BuildPhases validates the bound arguments and returns the kernel
+	// split at its barrier points. It is the simulator's stand-in for a
+	// compiler that statically resolves the kernel's barrier structure.
 	BuildPhases func(args []any) (gpu.PhaseKernel, error)
 }
 
@@ -165,23 +162,23 @@ func (k *Kernel) Release() error {
 	return nil
 }
 
-// buildSpec turns bound arguments into the launch-spec kernel fields,
-// preferring the cooperative phase contract when the builder provides it.
-func buildSpec(builder KernelBuilder, name string, args []any, spec *gpu.LaunchSpec) error {
-	if builder.BuildPhases != nil {
-		phases, err := builder.BuildPhases(args)
-		if err != nil {
-			return fmt.Errorf("opencl: kernel %s: %w", name, err)
-		}
-		spec.Phases = phases
-		return nil
+// launchSpec builds the kernel from its bound arguments into a launch spec.
+func (k *Kernel) launchSpec(ctx context.Context, args []any, gws, lws, lds int) (gpu.LaunchSpec, error) {
+	if k.builder.BuildPhases == nil {
+		return gpu.LaunchSpec{}, fmt.Errorf("opencl: kernel %s: no kernel builder", k.name)
 	}
-	groupKernel, err := builder.Build(args)
+	phases, err := k.builder.BuildPhases(args)
 	if err != nil {
-		return fmt.Errorf("opencl: kernel %s: %w", name, err)
+		return gpu.LaunchSpec{}, fmt.Errorf("opencl: kernel %s: %w", k.name, err)
 	}
-	spec.Kernel = groupKernel
-	return nil
+	return gpu.LaunchSpec{
+		Name:          k.name,
+		Global:        gpu.R1(gws),
+		Local:         gpu.R1(lws),
+		Phases:        phases,
+		LDSBytesPerWG: lds,
+		Ctx:           ctx,
+	}, nil
 }
 
 // bind snapshots the argument slots for an enqueue, verifying completeness.

@@ -166,14 +166,8 @@ func (q *CommandQueue) EnqueueNDRangeKernelCtx(ctx context.Context, k *Kernel, g
 	if lws <= 0 {
 		lws = defaultLocalSize(gws)
 	}
-	spec := gpu.LaunchSpec{
-		Name:          k.name,
-		Global:        gpu.R1(gws),
-		Local:         gpu.R1(lws),
-		LDSBytesPerWG: lds,
-		Ctx:           ctx,
-	}
-	if err := buildSpec(k.builder, k.name, args, &spec); err != nil {
+	spec, err := k.launchSpec(ctx, args, gws, lws, lds)
+	if err != nil {
 		return nil, err
 	}
 	stats, err := q.dev.sim.Launch(spec)

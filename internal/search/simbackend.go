@@ -314,9 +314,16 @@ func (b *simBackend) runArena(layout alloc.Layout, p *arenaPass) error {
 		if err != nil {
 			return err
 		}
-		b.prof.addKernel(p.kernel, stats, p.pad)
-
 		geo, dropped, err := b.readArena(arena)
+		if dropped == 0 {
+			// Which groups won the pages of a launch that overflowed is a
+			// race between workers, so a voided attempt's statistics are
+			// not a function of the input: it is accounted by addArena
+			// above and OverflowRetries below, and its kernel counters stay
+			// out of the profile. A launch whose readback failed still
+			// counts.
+			b.prof.addKernel(p.kernel, stats, p.pad)
+		}
 		if err != nil {
 			return err
 		}

@@ -49,9 +49,8 @@ func (e *SimSYCL) Stream(ctx context.Context, asm *genome.Assembly, req *Request
 // of the SYCL column), buffers whose storage the runtime owns, and command
 // groups that bind them through accessors.
 type syclOps struct {
-	queue  *sycl.Queue
-	phases [2]kernels.ComparerFunc
-	name   string
+	queue   *sycl.Queue
+	variant kernels.ComparerVariant
 }
 
 // openSYCL builds the queue from a device selector. The async handler is
@@ -64,7 +63,7 @@ func openSYCL(dev *gpu.Device, v kernels.ComparerVariant, onAsync func()) (hostO
 		return nil, err
 	}
 	q.SetAsyncHandler(func(*sycl.AsyncError) { onAsync() })
-	return &syclOps{queue: q, phases: kernels.ComparerPhases(v), name: kernels.ComparerKernelName(v)}, nil
+	return &syclOps{queue: q, variant: v}, nil
 }
 
 // close has nothing to release: the queue owns no device objects.
@@ -234,9 +233,12 @@ func (o *syclOps) launchFinder(ctx context.Context, l *finderLaunch) (*gpu.Stats
 		if err != nil {
 			return err
 		}
-		return h.ParallelForPhases("finder", gpu.R1(l.gws), gpu.R1(l.wg), []func(it *sycl.NDItem){
-			func(it *sycl.NDItem) { kernels.FinderStage(it.Item(), fa, lPat.Slice(it), lPatIdx.Slice(it)) },
-			func(it *sycl.NDItem) { kernels.FinderScan(it.Item(), fa, lPat.Slice(it), lPatIdx.Slice(it)) },
+		k, err := kernels.NewFinder(fa)
+		if err != nil {
+			return err
+		}
+		return h.ParallelForPhases("finder", gpu.R1(l.gws), gpu.R1(l.wg), func(m *sycl.LocalMem) []gpu.Phase {
+			return k.Phases(lPat.Slice(m), lPatIdx.Slice(m))
 		})
 	}))
 }
@@ -267,9 +269,12 @@ func (o *syclOps) launchComparer(ctx context.Context, l *comparerLaunch) (*gpu.S
 		if err != nil {
 			return err
 		}
-		return h.ParallelForPhases(o.name, gpu.R1(l.gws), gpu.R1(l.wg), []func(it *sycl.NDItem){
-			func(it *sycl.NDItem) { o.phases[0](it.Item(), ca, lComp.Slice(it), lCompIdx.Slice(it)) },
-			func(it *sycl.NDItem) { o.phases[1](it.Item(), ca, lComp.Slice(it), lCompIdx.Slice(it)) },
+		k, err := kernels.NewComparer(o.variant, ca)
+		if err != nil {
+			return err
+		}
+		return h.ParallelForPhases(kernels.ComparerKernelName(o.variant), gpu.R1(l.gws), gpu.R1(l.wg), func(m *sycl.LocalMem) []gpu.Phase {
+			return k.Phases(lComp.Slice(m), lCompIdx.Slice(m))
 		})
 	}))
 }

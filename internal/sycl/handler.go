@@ -54,57 +54,36 @@ func (h *Handler) setAction(a func(dev *gpu.Device) (*gpu.Stats, error)) error {
 	return nil
 }
 
-// ParallelFor launches a kernel over an nd_range — the SYCL side of
-// Table VI: h.parallel_for(nd_range<1>(gws, lws), [=](nd_item<1> it)
-// { finder(it, ...) }). The name labels the launch in the device log.
+// ParallelFor launches a barrier-free kernel over an nd_range — the SYCL
+// side of Table VI: h.parallel_for(nd_range<1>(gws, lws), [=](nd_item<1> it)
+// { ... }). The body runs once per work-item, as the single phase of a
+// ParallelForPhases kernel; the name labels the launch in the device log.
 func (h *Handler) ParallelFor(name string, global, local gpu.Range, body func(it *NDItem)) error {
 	if body == nil {
 		return fmt.Errorf("sycl: nil kernel body")
 	}
-	locals := h.locals
-	lds := h.ldsBytes
-	lctx := h.ctx
-	h.opName = name
-	return h.setAction(func(dev *gpu.Device) (*gpu.Stats, error) {
-		return dev.Launch(gpu.LaunchSpec{
-			Name:   name,
-			Global: global,
-			Local:  local,
-			Kernel: func(g *gpu.Group) gpu.WorkItemFunc {
-				shared := make([]any, len(locals))
-				for i, mk := range locals {
-					shared[i] = mk()
-				}
-				g.SetLocals(shared)
-				return func(it *gpu.Item) {
-					nd := NDItem{it: it}
-					body(&nd)
-				}
-			},
-			LDSBytesPerWG: lds,
-			Ctx:           lctx,
-		})
+	return h.ParallelForPhases(name, global, local, func(*LocalMem) []gpu.Phase {
+		// One NDItem per worker: its items run one after another.
+		nd := new(NDItem)
+		each := func(it *gpu.Item) {
+			nd.it = it
+			body(nd)
+		}
+		return []gpu.Phase{func(g *gpu.Group) { g.Each(each) }}
 	})
 }
 
 // ParallelForPhases launches a kernel whose body is split at its barrier
-// points, one function per phase, through the simulator's cooperative
-// scheduler: all work-items of a group run each phase sequentially on one
-// worker, with an implicit work-group barrier between phases and zero
-// per-item goroutines. It is the SYCL frontend's counterpart of a compiler
-// that statically resolves the kernel's barrier structure; ParallelFor
-// remains for bodies whose barriers cannot be split out. Local-accessor
-// storage is allocated once per worker and reused across that worker's
-// groups, so phases must write local memory before reading it, exactly as
-// on a real device.
-func (h *Handler) ParallelForPhases(name string, global, local gpu.Range, phases []func(it *NDItem)) error {
-	if len(phases) == 0 {
-		return fmt.Errorf("sycl: no kernel phases")
-	}
-	for _, ph := range phases {
-		if ph == nil {
-			return fmt.Errorf("sycl: nil kernel phase")
-		}
+// points into phases, each called once per work-group (gpu.PhaseKernel) —
+// the SYCL frontend's counterpart of a compiler that statically resolves
+// the kernel's barrier structure. The simulator calls kernel once per
+// executing worker with that worker's local-accessor storage, which is
+// reused across the worker's groups, so phases must write local memory
+// before reading it, exactly as on a real device. A kernel that returns no
+// phase, or a nil one, fails the launch on its event.
+func (h *Handler) ParallelForPhases(name string, global, local gpu.Range, kernel func(m *LocalMem) []gpu.Phase) error {
+	if kernel == nil {
+		return fmt.Errorf("sycl: nil phase kernel")
 	}
 	locals := h.locals
 	lds := h.ldsBytes
@@ -115,25 +94,12 @@ func (h *Handler) ParallelForPhases(name string, global, local gpu.Range, phases
 			Name:   name,
 			Global: global,
 			Local:  local,
-			Phases: func(g *gpu.Group) []gpu.WorkItemFunc {
-				shared := make([]any, len(locals))
+			Phases: func() []gpu.Phase {
+				m := &LocalMem{slices: make([]any, len(locals))}
 				for i, mk := range locals {
-					shared[i] = mk()
+					m.slices[i] = mk()
 				}
-				g.SetLocals(shared)
-				// One NDItem per worker: the phases of a group run
-				// sequentially, so the wrapper can be reused without
-				// allocating per work-item.
-				nd := new(NDItem)
-				out := make([]gpu.WorkItemFunc, len(phases))
-				for i, ph := range phases {
-					ph := ph
-					out[i] = func(it *gpu.Item) {
-						nd.it = it
-						ph(nd)
-					}
-				}
-				return out
+				return kernel(m)
 			},
 			LDSBytesPerWG: lds,
 			Ctx:           lctx,
@@ -189,10 +155,15 @@ func Copy[T any](h *Handler, dst, src *Accessor[T]) error {
 }
 
 // LocalAccessor is shared local memory declared in a command group — the
-// SYCL replacement for an OpenCL __local kernel argument (§III.E). Each
-// work-group gets its own storage.
+// SYCL replacement for an OpenCL __local kernel argument (§III.E).
 type LocalAccessor[T any] struct {
 	index int
+}
+
+// LocalMem is one worker's storage for the command group's local accessors:
+// the local memory of whichever work-group the worker is running.
+type LocalMem struct {
+	slices []any
 }
 
 // NewLocalAccessor declares n elements of work-group-local storage.
@@ -210,9 +181,10 @@ func NewLocalAccessor[T any](h *Handler, n int) (*LocalAccessor[T], error) {
 	return &LocalAccessor[T]{index: idx}, nil
 }
 
-// Slice returns the calling work-group's storage.
-func (la *LocalAccessor[T]) Slice(it *NDItem) []T {
-	return it.it.Group().Local(la.index).([]T)
+// Slice resolves the accessor's storage in m, once per worker rather than
+// once per access.
+func (la *LocalAccessor[T]) Slice(m *LocalMem) []T {
+	return m.slices[la.index].([]T)
 }
 
 // Submit runs a command-group function and schedules its action — the SYCL
@@ -278,27 +250,27 @@ func (q *Queue) SubmitCtx(ctx context.Context, cg func(h *Handler) error) *Event
 		}
 	}
 
+	// The handler is told before the event completes: once a waiter on the
+	// event runs, the delivery — and whatever the handler recorded — has
+	// already happened, so nothing of a command group outlives its event.
+	finish := func(stats *gpu.Stats, err error) {
+		q.deliverAsync(op, err)
+		ev.complete(stats, err)
+	}
 	go func() {
 		for _, d := range deps {
 			if err := d.Wait(); err != nil {
-				err = fmt.Errorf("sycl: dependency failed: %w", err)
-				ev.complete(nil, err)
-				q.deliverAsync(op, err)
+				finish(nil, fmt.Errorf("sycl: dependency failed: %w", err))
 				return
 			}
 		}
 		for _, b := range buffers {
 			if err := b.ensureAlloc(q.dev); err != nil {
-				ev.complete(nil, err)
-				q.deliverAsync(op, err)
+				finish(nil, err)
 				return
 			}
 		}
-		stats, err := h.action(q.dev)
-		ev.complete(stats, err)
-		if err != nil {
-			q.deliverAsync(op, err)
-		}
+		finish(h.action(q.dev))
 	}()
 	return ev
 }

@@ -2,17 +2,6 @@ package sycl
 
 import "casoffinder/internal/gpu"
 
-// FenceSpace selects the memory scope of a barrier, as in
-// access::fence_space (Table IV).
-type FenceSpace int
-
-// Fence spaces.
-const (
-	LocalSpace FenceSpace = iota + 1
-	GlobalSpace
-	GlobalAndLocalSpace
-)
-
 // NDItem encapsulates a work-item's coordinates within its work-group and
 // ND-range — the SYCL nd_item class of Table IV. Method names follow the
 // SYCL spelling so the migration contrast with the OpenCL index functions
@@ -21,7 +10,12 @@ const (
 //	get_global_id(0)              -> item.GetGlobalID(0)
 //	get_group_id(0)               -> item.GetGroup(0)
 //	get_local_size(0)             -> item.GetLocalRange(0)
-//	barrier(CLK_LOCAL_MEM_FENCE)  -> item.Barrier(sycl.LocalSpace)
+//	barrier(CLK_LOCAL_MEM_FENCE)  -> the boundary between two phases of
+//	                                 Handler.ParallelForPhases
+//
+// The simulator has no blocking barrier to call: everything a phase wrote is
+// visible to the next, which satisfies every fence space of
+// item.barrier(access::fence_space).
 type NDItem struct {
 	it *gpu.Item
 }
@@ -43,11 +37,6 @@ func (n *NDItem) GetGlobalRange(d int) int { return n.it.GlobalRange(d) }
 
 // GetGroupRange returns the number of work-groups in dimension d.
 func (n *NDItem) GetGroupRange(d int) int { return n.it.GroupRange(d) }
-
-// Barrier synchronises the work-group; the fence space is accepted for
-// fidelity with Table IV (the simulator's barrier is sequentially
-// consistent, which satisfies every space).
-func (n *NDItem) Barrier(space FenceSpace) { n.it.Barrier() }
 
 // Item exposes the underlying simulator work-item so kernel bodies shared
 // with the OpenCL frontend can be called from a SYCL lambda, the

@@ -11,7 +11,8 @@
 //	            accessors / Event / implicit destruction
 //	Table II  — NewBuffer[T](ws), NewBufferFrom(host), Buffer.Destroy
 //	Table III — AccessRange + CopyFromDevice / CopyToDevice with offsets
-//	Table IV  — NDItem.GetGlobalID / GetGroup / GetLocalRange / Barrier
+//	Table IV  — NDItem.GetGlobalID / GetGroup / GetLocalRange; the barrier
+//	            is the boundary between two ParallelForPhases phases
 //	Table V   — AtomicRef.FetchAdd via AtomicInc
 //	Table VI  — Queue.Submit(func(h)) { h.ParallelFor(NDRange, body) }
 //

@@ -2,6 +2,8 @@ package sycl
 
 import (
 	"errors"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"casoffinder/internal/gpu"
@@ -47,7 +49,7 @@ func TestSelectors(t *testing.T) {
 
 // TestSubmitParallelFor drives the SYCL side of Table VI: a buffer, a
 // command group with accessors and a local accessor, a parallel_for over an
-// nd_range, and an event wait.
+// nd_range — split at its barrier into two phases — and an event wait.
 func TestSubmitParallelFor(t *testing.T) {
 	q := newTestQueue(t)
 	const n = 1024
@@ -77,19 +79,22 @@ func TestSubmitParallelFor(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		return h.ParallelFor("scale", gpu.R1(n), gpu.R1(256), func(it *NDItem) {
-			gid := it.GetGlobalID(0)
-			li := it.GetLocalID(0)
-			s := staging.Slice(it)
-			s[li] = inAcc.Slice()[gid]
-			it.Barrier(LocalSpace)
-			outAcc.Slice()[gid] = s[li] * 2
+		return h.ParallelForPhases("scale", gpu.R1(n), gpu.R1(256), func(m *LocalMem) []gpu.Phase {
+			s := staging.Slice(m)
+			return []gpu.Phase{
+				func(g *gpu.Group) {
+					g.Each(func(it *gpu.Item) { s[it.LocalID(0)] = inAcc.Slice()[it.GlobalID(0)] })
+				},
+				func(g *gpu.Group) { // after item.barrier(local_space)
+					g.Each(func(it *gpu.Item) { outAcc.Slice()[it.GlobalID(0)] = s[it.LocalID(0)] * 2 })
+				},
+			}
 		})
 	})
 	if err := ev.Wait(); err != nil {
 		t.Fatalf("event: %v", err)
 	}
-	if ev.Stats() == nil || ev.Stats().WorkItems != n {
+	if ev.Stats() == nil || ev.Stats().WorkItems != n || ev.Stats().Barriers != n {
 		t.Errorf("stats = %+v", ev.Stats())
 	}
 	got, err := out.Snapshot()
@@ -344,6 +349,47 @@ func TestCommandGroupErrors(t *testing.T) {
 	}
 	if _, err := Access(escaped, buf, Read); !errors.Is(err, ErrHandlerReuse) {
 		t.Errorf("escaped handler = %v, want ErrHandlerReuse", err)
+	}
+}
+
+// TestPhaseKernelErrorsSurfaceOnEvent: a phase kernel that is mis-shaped —
+// no phase, a nil phase — or that panics, in its factory or in a group,
+// fails the launch as an error on the event and through the async handler;
+// it never takes the process down.
+func TestPhaseKernelErrorsSurfaceOnEvent(t *testing.T) {
+	q := newTestQueue(t)
+	var delivered atomic.Int32
+	q.SetAsyncHandler(func(*AsyncError) { delivered.Add(1) })
+	nop := func(g *gpu.Group) {}
+	cases := []struct {
+		name, want string
+		kernel     func(m *LocalMem) []gpu.Phase
+	}{
+		{"no phases", "no phases", func(*LocalMem) []gpu.Phase { return nil }},
+		{"nil phase", "nil phase", func(*LocalMem) []gpu.Phase { return []gpu.Phase{nop, nil} }},
+		{"panicking phase", "panicked: boom", func(*LocalMem) []gpu.Phase {
+			return []gpu.Phase{func(g *gpu.Group) { panic("boom") }}
+		}},
+		{"panicking factory", "panicked: no kernel", func(*LocalMem) []gpu.Phase { panic("no kernel") }},
+	}
+	for i, tc := range cases {
+		ev := q.Submit(func(h *Handler) error {
+			return h.ParallelForPhases(tc.name, gpu.R1(64*64), gpu.R1(64), tc.kernel)
+		})
+		err := ev.Wait()
+		if err == nil || !strings.Contains(err.Error(), tc.want) || ev.Stats() != nil {
+			t.Errorf("%s: event = %v (stats %v), want an error naming %q", tc.name, err, ev.Stats(), tc.want)
+		}
+		// The handler has run by the time the event completes.
+		if got := int(delivered.Load()); got != i+1 {
+			t.Errorf("%s: async handler saw %d deliveries, want %d", tc.name, got, i+1)
+		}
+	}
+	ev := q.Submit(func(h *Handler) error {
+		return h.ParallelForPhases("nil", gpu.R1(64), gpu.R1(64), nil)
+	})
+	if err := ev.Wait(); err == nil {
+		t.Error("nil phase kernel accepted")
 	}
 }
 

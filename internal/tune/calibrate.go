@@ -122,18 +122,16 @@ func measure(dev *gpu.Device, n normConfig, w *calibWorkload, c *Candidate) (flo
 		Direction: make([]byte, arena.Layout.Slots()),
 		Arena:     arena.Device(),
 	}
-	phases := kernels.ComparerPhases(c.Variant)
+	k, err := kernels.NewComparer(c.Variant, ca)
+	if err != nil {
+		return 0, fmt.Errorf("tune: calibration kernel %s/wg=%d: %w", c.Variant, wg, err)
+	}
 	stats, err := dev.Launch(gpu.LaunchSpec{
 		Name:   kernels.ComparerKernelName(c.Variant),
 		Global: gpu.R1(gws),
 		Local:  gpu.R1(wg),
-		Phases: func(g *gpu.Group) []gpu.WorkItemFunc {
-			lComp := make([]byte, 2*plen)
-			lIdx := make([]int32, 2*plen)
-			return []gpu.WorkItemFunc{
-				func(it *gpu.Item) { phases[0](it, ca, lComp, lIdx) },
-				func(it *gpu.Item) { phases[1](it, ca, lComp, lIdx) },
-			}
+		Phases: func() []gpu.Phase {
+			return k.Phases(make([]byte, 2*plen), make([]int32, 2*plen))
 		},
 	})
 	if err != nil {
