@@ -28,16 +28,18 @@ race:
 	$(GO) test -race ./...
 
 # Schedule-independence stress: the kernel suite (the group-kernel vs
-# per-access-reference differential included), the simulator core and the
-# arena suite twenty times each under the race detector at one, two and
-# eight Ps — every reported counter must be a function of the input,
-# whatever the interleaving — plus the simulator engines' profile-equality
-# run (an arena-overflowing workload included) and the daemon's response
-# flush tests (a timer, the pass goroutine and the handler share one
+# per-access-reference differential included), the simulator core, the
+# arena suite and the executor (its one-slot contract in internal/pipeline,
+# the fleet in internal/sched) twenty times each under the race detector at
+# one, two and eight Ps — every reported counter must be a function of the
+# input, whatever the interleaving — plus the simulator engines'
+# profile-equality run (an arena-overflowing workload included) with the
+# seeded fault matrix and its replay check, and the daemon's response flush
+# tests (a timer, the pass goroutine and the handler share one
 # ResponseWriter; the client disconnects or stalls mid-stream).
 stress:
-	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/kernels ./internal/gpu ./internal/gpu/alloc
-	$(GO) test -race -count 1 -cpu 1,2,8 ./internal/search/ -run 'TestSimProfileSchedule'
+	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/kernels ./internal/gpu ./internal/gpu/alloc ./internal/sched ./internal/pipeline
+	$(GO) test -race -count 1 -cpu 1,2,8 ./internal/search/ -run 'TestSimProfileSchedule|TestFaultDeterminism|TestFaultMatrix'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/serve/ -run 'TestFlush'
 
 # Seeded fault-matrix smoke: replay the deterministic fault schedules
@@ -54,12 +56,12 @@ tracecheck:
 	$(GO) test ./cmd/casoffinder/ -count 1 -run 'TestTraceMetricsSmoke'
 	$(GO) test ./internal/search/ -count 1 -run 'TestTraceCovers|TestMetricsAgreeWithProfile'
 
-# Work-stealing scheduler smoke under the race detector: the deque/steal/
-# eviction machinery, the scheduler-backed MultiSYCL determinism contract
-# (fleet output byte-identical to a single device, including seeded-fault
-# eviction runs) and the -devices CLI path.
+# Executor smoke under the race detector: the queue/slot/recovery machinery
+# (one-slot contract in internal/pipeline, fleets in internal/sched), the
+# MultiSYCL determinism contract (fleet output byte-identical to a single
+# device, including seeded-fault eviction runs) and the -devices CLI path.
 schedcheck:
-	$(GO) test -race -count 1 ./internal/sched/
+	$(GO) test -race -count 1 ./internal/sched/ ./internal/pipeline/
 	$(GO) test -race -count 1 ./internal/search/ -run 'TestMultiSYCL'
 	$(GO) test -race -count 1 ./cmd/casoffinder/ -run 'TestRunFleet|TestParseFleet'
 
@@ -101,8 +103,8 @@ servecheck:
 # fires, hits stay byte-identical to worst-case provisioning and the CPU
 # reference), the dense run under seeded faults, the zero-body launch
 # regression, the host-ops failure sweep (no leaked or twice-freed buffer
-# whichever call fails), the pipeline's overflow-relaunch budget, and the root >=2x
-# provisioning-reduction acceptance gate.
+# whichever call fails), the executor's overflow-relaunch budget, and the
+# root >=2x provisioning-reduction acceptance gate.
 alloccheck:
 	$(GO) test -race -count 1 ./internal/gpu/alloc/
 	$(GO) test -race -count 1 ./internal/search/ -run 'TestDenseCandidateRegionMatrix|TestDenseRegionSeededFaults|TestZeroBodyChunkFind|TestHostOpsFailureSweep'
@@ -164,9 +166,8 @@ bench-swar:
 bench-obs:
 	$(GO) run ./cmd/benchsnap -o BENCH_obs.json -bench 'StreamVsRun|ObsOverhead' -pkgs . -benchtime 200x
 
-# Record the scheduler snapshot (BenchmarkWorkStealing: static split vs
-# work-stealing on homogeneous/heterogeneous/straggler fleets). The straggler
-# steal-vs-static ratio is the scheduler's headline speedup.
+# Record the fleet snapshot (BenchmarkWorkStealing: the executor on
+# homogeneous/heterogeneous/straggler fleets).
 bench-sched:
 	$(GO) run ./cmd/benchsnap -o BENCH_sched.json -bench 'WorkStealing' -pkgs . -benchtime 20x
 

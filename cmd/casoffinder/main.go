@@ -45,17 +45,17 @@
 // The selected kernel per device is reported on stderr with the profile;
 // output is byte-identical across all variants and both autotune modes.
 //
-// -devices runs the sycl engine across a simulated multi-GPU fleet behind
-// the work-stealing scheduler: a comma-separated list of device names
-// (radeonvii, mi60, mi100 — repeats allowed), each fleet slot seeded with a
-// cost-model-proportional shard of the chunk plan and idle devices stealing
-// from the most loaded one. Output stays byte-identical to a single-device
+// -devices runs the sycl engine across a simulated multi-GPU fleet: a
+// comma-separated list of device names (radeonvii, mi60, mi100 — repeats
+// allowed), one executor slot each, every device pulling the next chunk of
+// the plan when it is free. Output stays byte-identical to a single-device
 // run. With fault injection, each slot gets its own schedule (seeded
-// -fault-seed + slot index) and a device that exhausts its retries is
-// evicted, its queue redistributed to the survivors.
+// -fault-seed + slot index) and a device that exhausts its retries on a
+// chunk is evicted, the chunk going back to the queue for the survivors; the
+// last device left fails such chunks over to the CPU engine instead.
 //
 // The fault flags drive the simulator engines through seeded deterministic
-// fault injection with the resilient pipeline enabled: transient failures
+// fault injection with a resilience policy set: transient failures
 // retry with backoff, hung kernels are reaped by -watchdog, and chunks the
 // simulated device cannot complete fail over to the CPU engine, preserving
 // the output byte-for-byte. A degradation summary goes to stderr.
@@ -144,7 +144,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs.SetOutput(stderr)
 	engineName := fs.String("engine", "cpu", "search engine: cpu, indexed, opencl or sycl")
 	deviceName := fs.String("device", "MI100", "simulated device for the opencl/sycl engines")
-	devicesFlag := fs.String("devices", "", "comma-separated device fleet for the sycl engine (radeonvii, mi60, mi100; repeats allowed) — runs the work-stealing multi-device scheduler")
+	devicesFlag := fs.String("devices", "", "comma-separated device fleet for the sycl engine (radeonvii, mi60, mi100; repeats allowed), one executor slot each")
 	variantName := fs.String("variant", "auto", "comparer kernel variant: auto (per-device occupancy autotuner), base, opt1..opt4 or bitparallel")
 	autotuneMode := fs.String("autotune", "model", "autotuner mode for -variant auto: model (analytic scoring only) or calibrate (re-rank finalists on measured launches)")
 	outPath := fs.String("o", "", "output file (default stdout)")
@@ -470,14 +470,14 @@ func printDegradation(stderr io.Writer, p *search.Profile) {
 			p.Retries, p.Failovers, p.WatchdogKills, p.QuarantinedChunks, p.AsyncExceptions)
 	}
 	if len(p.DeviceChunks) > 0 {
-		fmt.Fprintf(stderr, "scheduler: steals=%d evictions=%d\n", p.Steals, p.Evictions)
+		fmt.Fprintf(stderr, "scheduler: evictions=%d\n", p.Evictions)
 		names := make([]string, 0, len(p.DeviceChunks))
 		for name := range p.DeviceChunks {
 			names = append(names, name)
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			fmt.Fprintf(stderr, "  device %-14s chunks=%-4d steals=%d\n", name, p.DeviceChunks[name], p.DeviceSteals[name])
+			fmt.Fprintf(stderr, "  device %-14s chunks=%d\n", name, p.DeviceChunks[name])
 		}
 	}
 	if len(p.Faults) > 0 {

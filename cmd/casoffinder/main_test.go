@@ -260,9 +260,9 @@ func TestRunFaultDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunFleet drives the -devices flag: a heterogeneous fleet behind the
-// work-stealing scheduler must print the same hits as a single-device run
-// and report the per-device schedule on stderr.
+// TestRunFleet drives the -devices flag: a heterogeneous fleet must print
+// the same hits as a single-device run and report the per-device breakdown
+// on stderr.
 func TestRunFleet(t *testing.T) {
 	input := writeTestData(t, "NNNNNNNNNNNGG")
 	var golden, out, errOut bytes.Buffer
@@ -277,7 +277,7 @@ func TestRunFleet(t *testing.T) {
 	if out.String() != golden.String() {
 		t.Errorf("fleet output differs from single device:\n%s\nvs\n%s", out.String(), golden.String())
 	}
-	if !strings.Contains(errOut.String(), "scheduler: steals=") {
+	if !strings.Contains(errOut.String(), "scheduler: evictions=0") {
 		t.Errorf("stderr missing scheduler summary: %s", errOut.String())
 	}
 	if !strings.Contains(errOut.String(), "device sycl-sim[0]") {
@@ -286,10 +286,16 @@ func TestRunFleet(t *testing.T) {
 }
 
 // TestRunFleetEviction kills every fleet device with rate-1 launch faults:
-// the whole fleet evicts, the stranded chunks drain through the CPU
+// all but the last device evict, the last fails every chunk over to the CPU
 // fallback, and the hits still match the clean run.
 func TestRunFleetEviction(t *testing.T) {
 	input := writeTestData(t, "NNNNNNNNNNNGG")
+	// A second sequence is a second chunk: only as many devices as the plan
+	// has chunks ever open.
+	chr2 := filepath.Join(filepath.Dir(input), "chrs", "chr2.fa")
+	if err := os.WriteFile(chr2, []byte(">chr2\nAAAAGATTACAGTACGGAAAAAAAAAAAAAAA\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	var golden, out, errOut bytes.Buffer
 	if err := run([]string{"-engine", "sycl", "-variant", "base", input}, &golden, &errOut); err != nil {
 		t.Fatal(err)
@@ -303,7 +309,7 @@ func TestRunFleetEviction(t *testing.T) {
 	if out.String() != golden.String() {
 		t.Errorf("eviction output differs from golden:\n%s\nvs\n%s", out.String(), golden.String())
 	}
-	if !strings.Contains(errOut.String(), "evictions=2") {
+	if !strings.Contains(errOut.String(), "evictions=1") {
 		t.Errorf("stderr missing eviction count: %s", errOut.String())
 	}
 	if !strings.Contains(errOut.String(), "degraded:") {

@@ -11,8 +11,8 @@
 // Determinism does not come from wall-clock or scheduler state: each site
 // keeps its own event counter, and the decision for the n-th event at a site
 // is a pure hash of (seed, site, n). As long as the per-site event order is
-// deterministic — true for the simulator engines, whose single scan worker
-// and single stager serialise every enqueue — the whole fault schedule is.
+// deterministic — true for the simulator engines, where one executor slot's
+// goroutine issues every enqueue on its device — the whole fault schedule is.
 package fault
 
 import (
@@ -58,10 +58,6 @@ const (
 	// SiteWatchdog is not injected: it labels errors the pipeline's
 	// watchdog synthesises when a backend call exceeds its deadline.
 	SiteWatchdog Site = "pipeline.watchdog"
-	// SiteEviction is not injected either: it labels the errors the
-	// multi-device scheduler synthesises when it quarantines chunks
-	// stranded by a fully evicted fleet.
-	SiteEviction Site = "sched.evict"
 	// SiteArtifact is not injected either: it labels corruption the search
 	// layer detects in a persistent genome artifact's precomputed PAM
 	// shards (entries outside the chunk geometry, impossible strand bits).
@@ -83,8 +79,7 @@ const (
 )
 
 // Sites lists the injectable sites, for flag validation and fault-matrix
-// sweeps. SiteWatchdog and SiteEviction are synthesised, never injected, so
-// they are not listed.
+// sweeps. SiteWatchdog is synthesised, never injected, so it is not listed.
 func Sites() []Site {
 	return []Site{
 		SiteLaunch, SiteHang, SiteReadback,
@@ -103,7 +98,7 @@ func ParseSite(s string) (Site, error) {
 	return "", fmt.Errorf("fault: unknown site %q (want one of %v)", s, Sites())
 }
 
-// Class is the error taxonomy the resilient pipeline acts on.
+// Class is the error taxonomy the executor's recovery rule acts on.
 type Class int
 
 // Error classes.
@@ -331,7 +326,7 @@ func (in *Injector) Counts() map[Site]int64 {
 }
 
 // Jitter hashes (seed, a, b) to a deterministic value in [0.5, 1.0), the
-// scale factor the resilient pipeline applies to its exponential backoff:
+// scale factor the resilience policy applies to its exponential backoff:
 // reproducible like everything else in the fault schedule, but still spread
 // enough that distinct chunks never retry in lockstep.
 func Jitter(seed, a, b uint64) float64 {

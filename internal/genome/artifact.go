@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"math"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"unsafe"
@@ -244,6 +245,36 @@ func (a *Artifact) PAMRange(si, lo, hi int) []uint64 {
 		to++
 	}
 	return pam[from:to]
+}
+
+// Prefault makes the sections a word-parallel scan walks end to end — the
+// code and unknown-lane words of every sequence, and with pam the PAM shards
+// — resident now, by reading one word per page. A mapped payload otherwise
+// faults in as the scan reaches it, so a short-lived process's resident set
+// climbs until it exits and what an observer reads depends on when it looks;
+// after Prefault it is at its plateau before the first chunk. The raw bytes
+// stay lazy: a scan reads them only around hits. Cheap to repeat (one load
+// per page) and a no-op for built or byte-slice-backed artifacts.
+func (a *Artifact) Prefault(pam bool) {
+	if a.close == nil {
+		return
+	}
+	stride := os.Getpagesize() / 8
+	var sum uint64
+	touch := func(w []uint64) {
+		for i := 0; i < len(w); i += stride {
+			sum += w[i]
+		}
+	}
+	for i := range a.seqs {
+		s := &a.seqs[i]
+		touch(s.view.codes)
+		touch(s.view.unknown)
+		if pam {
+			touch(s.pam)
+		}
+	}
+	runtime.KeepAlive(sum)
 }
 
 // Assembly returns the assembly view of the artifact: sequence Data aliases
@@ -566,7 +597,8 @@ func ReadArtifact(data []byte) (*Artifact, error) {
 // LoadArtifact reads and parses the artifact at path. The load is
 // O(header): on unix the file is memory-mapped read-only, so only the
 // header pages are touched before the first kernel launch and the payload
-// faults in lazily as the engines walk it; elsewhere the file is read whole.
+// faults in lazily as the engines walk it (or at once where an engine calls
+// Prefault); elsewhere the file is read whole.
 // Either way the payload lands in the artifact's views without being
 // scanned, copied or repacked. Call Close when done with a loaded artifact
 // to release the mapping (safe to skip for process-lifetime loads).

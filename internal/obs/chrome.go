@@ -35,8 +35,8 @@ type chromeTrace struct {
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	spans := t.Spans()
 	// Deterministic track → tid assignment: first-appearance order in the
-	// span log, which is itself deterministic for the serial resilient
-	// executor and stable enough for the concurrent topology.
+	// span log, which is itself deterministic for a one-slot run and stable
+	// enough for a fleet.
 	tids := make(map[string]int)
 	var tracks []string
 	for _, s := range spans {

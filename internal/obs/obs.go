@@ -36,10 +36,6 @@ const (
 	MetricReadBytes       = "casoffinder_read_bytes_total"
 	MetricCandidateSites  = "casoffinder_candidate_sites_total"
 	MetricEntries         = "casoffinder_entries_total"
-	MetricRetries         = "casoffinder_retries_total"
-	MetricFailovers       = "casoffinder_failovers_total"
-	MetricWatchdogKills   = "casoffinder_watchdog_kills_total"
-	MetricQuarantined     = "casoffinder_quarantined_chunks_total"
 	MetricAsyncExceptions = "casoffinder_async_exceptions_total"
 	// MetricFaults carries a site="..." label per fault site.
 	MetricFaults = "casoffinder_faults_total"
@@ -47,17 +43,27 @@ const (
 	// Hit-buffer arena counters (internal/gpu/alloc), also mirrored from
 	// search.Profile mutators: bytes of arena entry storage provisioned,
 	// pages claimed by kernels, and launches repeated after an arena
-	// overflow (grow-and-retry).
+	// overflow (the backend's grow-and-retry, plus the executor's relaunch
+	// when an overflow escapes a backend).
 	MetricArenaBytes     = "casoffinder_arena_bytes_total"
 	MetricArenaPages     = "casoffinder_arena_page_claims_total"
 	MetricArenaOverflows = "casoffinder_arena_overflow_retries_total"
 
-	// Emitted by the pipeline topologies.
+	// Emitted by the chunk executor (internal/sched) and the scan attempts it
+	// runs: stage and whole-attempt latencies, the depth of the run's chunk
+	// queue (unclaimed chunks), hits and chunks emitted, and each recovery
+	// event where it happens — search.Profile folds the run report without
+	// counting them again.
 	MetricStageSeconds   = "casoffinder_stage_seconds"
 	MetricScanSeconds    = "casoffinder_scan_seconds"
-	MetricQueueOccupancy = "casoffinder_queue_occupancy"
+	MetricQueueDepth     = "casoffinder_queue_depth"
 	MetricHits           = "casoffinder_hits_total"
 	MetricPipelineChunks = "casoffinder_pipeline_chunks_total"
+	MetricRetries        = "casoffinder_retries_total"
+	MetricFailovers      = "casoffinder_failovers_total"
+	MetricWatchdogKills  = "casoffinder_watchdog_kills_total"
+	MetricQuarantined    = "casoffinder_quarantined_chunks_total"
+	MetricEvictions      = "casoffinder_evictions_total"
 
 	// Emitted by the gpu simulator's launch hook, labelled kernel="...".
 	MetricKernelLaunchSeconds = "casoffinder_kernel_launch_seconds"
@@ -65,12 +71,6 @@ const (
 
 	// Emitted by the opencl frontend, labelled dir="read"|"write".
 	MetricCLTransfers = "casoffinder_cl_transfers_total"
-
-	// Emitted by the work-stealing multi-device scheduler (internal/sched).
-	// MetricDeviceQueueDepth carries a device="..." label per deque.
-	MetricSteals           = "casoffinder_steals_total"
-	MetricEvictions        = "casoffinder_evictions_total"
-	MetricDeviceQueueDepth = "casoffinder_device_queue_depth"
 
 	// Emitted by search.Profile.addTune when the occupancy autotuner
 	// (internal/tune) resolved a kernel selection for a device.

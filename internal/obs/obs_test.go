@@ -18,11 +18,11 @@ func TestNilDisabledPathAllocatesNothing(t *testing.T) {
 		_ = tr.Len()
 		_ = tr.Spans()
 		m.Count(MetricChunks, 1)
-		m.Gauge(MetricQueueOccupancy, 2)
-		m.GaugeAdd(MetricQueueOccupancy, 1)
+		m.Gauge(MetricQueueDepth, 2)
+		m.GaugeAdd(MetricQueueDepth, 1)
 		m.Observe(MetricStageSeconds, 1e-4)
 		_ = m.Counter(MetricChunks)
-		_ = m.GaugeValue(MetricQueueOccupancy)
+		_ = m.GaugeValue(MetricQueueDepth)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil obs disabled path allocated %v times per run, want 0", allocs)
@@ -157,8 +157,8 @@ func TestMetricsRegistry(t *testing.T) {
 	m.Count(MetricChunks, 3)
 	m.Count(MetricChunks, 2)
 	m.Count(L(MetricFaults, "site", "launch"), 1)
-	m.Gauge(MetricQueueOccupancy, 2)
-	m.GaugeAdd(MetricQueueOccupancy, -1)
+	m.Gauge(MetricQueueDepth, 2)
+	m.GaugeAdd(MetricQueueDepth, -1)
 	m.Observe(MetricStageSeconds, 5e-5) // le="0.0001" bucket
 	m.Observe(MetricStageSeconds, 0.5)  // le="1" bucket
 	m.Observe(MetricStageSeconds, 99)   // +Inf overflow
@@ -166,7 +166,7 @@ func TestMetricsRegistry(t *testing.T) {
 	if got := m.Counter(MetricChunks); got != 5 {
 		t.Fatalf("Counter(chunks) = %d, want 5", got)
 	}
-	if got := m.GaugeValue(MetricQueueOccupancy); got != 1 {
+	if got := m.GaugeValue(MetricQueueDepth); got != 1 {
 		t.Fatalf("GaugeValue = %v, want 1", got)
 	}
 
@@ -201,7 +201,7 @@ func TestWritePrometheus(t *testing.T) {
 	m.Count(MetricChunks, 4)
 	m.Count(L(MetricCLTransfers, "dir", "read"), 2)
 	m.Count(L(MetricCLTransfers, "dir", "write"), 3)
-	m.Gauge(MetricQueueOccupancy, 1)
+	m.Gauge(MetricQueueDepth, 1)
 	// Power-of-two observations keep the float sum exact for the string match.
 	m.Observe(L(MetricKernelLaunchSeconds, "kernel", "finder"), 0.0009765625) // 2^-10, le="0.001"
 	m.Observe(L(MetricKernelLaunchSeconds, "kernel", "finder"), 0.001953125)  // 2^-9, le="0.01"
@@ -217,8 +217,8 @@ func TestWritePrometheus(t *testing.T) {
 		"# TYPE casoffinder_cl_transfers_total counter\n",
 		`casoffinder_cl_transfers_total{dir="read"} 2` + "\n",
 		`casoffinder_cl_transfers_total{dir="write"} 3` + "\n",
-		"# TYPE casoffinder_queue_occupancy gauge\n",
-		"casoffinder_queue_occupancy 1\n",
+		"# TYPE casoffinder_queue_depth gauge\n",
+		"casoffinder_queue_depth 1\n",
 		"# TYPE casoffinder_kernel_launch_seconds histogram\n",
 		`casoffinder_kernel_launch_seconds_bucket{kernel="finder",le="0.01"} 2` + "\n",
 		`casoffinder_kernel_launch_seconds_bucket{kernel="finder",le="+Inf"} 2` + "\n",

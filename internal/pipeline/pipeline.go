@@ -1,26 +1,19 @@
-// Package pipeline is the shared streaming orchestrator behind every search
-// engine: one copy of the request lifecycle — validate, compile the
-// PatternPairs, walk the genome.Chunker plan, double-buffer chunk staging,
-// render hits, and merge them into the deterministic output order —
-// parameterized by a small Backend interface that the CPU scan and the two
-// simulator host programs implement as thin adapters over their kernel
-// launches. The paper's central artifact is one application expressed
+// Package pipeline is what every search engine shares below the executor:
+// one copy of the request lifecycle up to a compiled Plan (validate, compile
+// the PatternPairs, fix the genome.Chunker), the Backend contract the CPU scan
+// and the two simulator host programs implement as thin adapters over their
+// kernel launches, one scan Attempt of one chunk on one backend, hit
+// rendering and the deterministic output order, and the Resilience policy
+// with its Report. The paper's central artifact is one application expressed
 // against two programming models with identical results; this package is
 // that shape in the repo, so adding a backend never re-implements the host
-// program.
-//
-// The schedule is a classic double buffer: a single stager goroutine stages
-// chunk N+1 while a scan worker drives the backend's kernels over chunk N.
-// Hits stream to the caller in chunk order as each chunk completes, so a
-// search over a full assembly never materializes its whole result set.
+// program. Which backend runs which chunk, recovery and ordered emission are
+// internal/sched's.
 package pipeline
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"strconv"
-	"sync"
 	"time"
 
 	"casoffinder/internal/genome"
@@ -29,8 +22,7 @@ import (
 )
 
 // Plan is a compiled request: the validated pattern and guide tables plus
-// the chunker that walks the assembly. Chunks are never materialized here —
-// the stager walks Chunker.Each so staging overlaps scanning.
+// the chunker that cuts the assembly into the executor's queue.
 type Plan struct {
 	// Request is the validated originating request.
 	Request *Request
@@ -41,8 +33,8 @@ type Plan struct {
 	// Chunker stages the assembly within the request's chunk budget.
 	Chunker *genome.Chunker
 	// Artifact is the persistent genome artifact backing the assembly, or
-	// nil for FASTA-loaded assemblies. Stream fills it from
-	// Assembly.Artifact after compilation; backends that can consume the
+	// nil for FASTA-loaded assemblies. CompileFor fills it from
+	// Assembly.Artifact; backends that can consume the
 	// resident word views and PAM shards (the CPU SWAR scan, and through it
 	// every resilience fallback) read it here, so artifact awareness needs
 	// no Backend interface change.
@@ -57,8 +49,26 @@ func Compile(req *Request) (*Plan, error) {
 	return compileValidated(req)
 }
 
-// compileValidated compiles an already-validated request, so a traced Stream
-// can record validation and compilation as separate spans.
+// CompileFor compiles req for a run over asm: Compile plus the assembly's
+// artifact, with validation and compilation recorded as separate spans on
+// track when tr is non-nil.
+func CompileFor(asm *genome.Assembly, req *Request, tr *obs.Tracer, track string) (*Plan, error) {
+	t0 := time.Now()
+	if err := req.Validate(); err != nil {
+		return nil, err
+	}
+	tr.Complete(track, "validate", -1, t0, time.Since(t0))
+	t0 = time.Now()
+	plan, err := compileValidated(req)
+	tr.Complete(track, "compile", -1, t0, time.Since(t0))
+	if err != nil {
+		return nil, err
+	}
+	plan.Artifact = asm.Artifact()
+	return plan, nil
+}
+
+// compileValidated compiles an already-validated request.
 func compileValidated(req *Request) (*Plan, error) {
 	pattern, err := kernels.NewPatternPair([]byte(req.Pattern))
 	if err != nil {
@@ -84,17 +94,15 @@ func compileValidated(req *Request) (*Plan, error) {
 // as opaque and hands it back to the same backend's scan methods.
 type Staged any
 
-// Backend executes the kernel side of the search for one engine. The
-// pipeline calls Stage from a dedicated stager goroutine — possibly while a
-// scan worker is inside Find or Compare for an earlier chunk — and the
-// remaining methods from scan workers, never concurrently for the same
-// handle.
+// Backend executes the kernel side of the search for one engine. A backend
+// is opened once per executor slot and driven by that slot's goroutine only,
+// one chunk at a time (Attempt).
 //
 // On the success path every staged chunk flows Stage → Find → Compare (per
 // query, only when Find reported candidates) → Drain. On error or
-// cancellation the pipeline stops calling scan methods; Close must then
-// release whatever staged handles never reached Drain, so an aborted run
-// cannot leak device buffers.
+// cancellation the attempt stops calling scan methods; Close must then
+// release whatever staged handles never reached Drain (and were not handed
+// to Release), so an aborted run cannot leak device buffers.
 type Backend interface {
 	// Stage uploads one chunk and returns the backend's handle for it.
 	Stage(ctx context.Context, ch *genome.Chunk) (Staged, error)
@@ -109,13 +117,13 @@ type Backend interface {
 	Drain(ctx context.Context, st Staged, r *SiteRenderer) ([]Hit, error)
 	// Close releases everything the backend still holds: run-wide state
 	// and any staged handles that never reached Drain. It is called
-	// exactly once, after all pipeline goroutines have stopped.
+	// exactly once, by the goroutine that drove the backend.
 	Close() error
 }
 
 // BatchComparer is an optional Backend capability: a backend that can run
 // every query's comparer over a staged chunk in a single fused pass.
-// When the backend implements it, the pipeline calls CompareAll once per
+// When the backend implements it, Attempt calls CompareAll once per
 // chunk instead of looping Compare per query, letting the backend stage
 // each candidate window once and evaluate all compiled patterns against it
 // (the CPU SWAR path's multi-pattern batching). CompareAll must accumulate
@@ -123,361 +131,4 @@ type Backend interface {
 // hits are sorted afterwards, so entry order within the chunk is free.
 type BatchComparer interface {
 	CompareAll(ctx context.Context, st Staged) error
-}
-
-// An Executor is a pluggable chunk-execution topology. Given a compiled
-// plan it owns everything between compilation and the emit callback:
-// backend lifecycle, chunk scheduling across however many backends it
-// manages, retry/failover policy, and reordering results into the
-// ordered-emit contract (hits grouped by chunk in plan order, sorted within
-// each chunk). The work-stealing multi-device scheduler in internal/sched
-// is the canonical implementation; the built-in double-buffered and serial
-// resilient topologies remain the single-backend defaults.
-type Executor interface {
-	Execute(ctx context.Context, plan *Plan, asm *genome.Assembly, emit func(Hit) error) error
-}
-
-// Pipeline drives one Backend over an assembly.
-type Pipeline struct {
-	// Open builds the backend for a compiled plan (device setup, program
-	// build, pattern upload). It is called once per Stream.
-	Open func(plan *Plan) (Backend, error)
-	// Executor, when non-nil, replaces the built-in topologies entirely:
-	// Stream validates and compiles the request, then delegates chunk
-	// execution, backend lifecycle and ordered emission to it. Open,
-	// ScanWorkers and Resilience are ignored in that mode (the executor
-	// carries its own backends and policy).
-	Executor Executor
-	// ScanWorkers bounds the concurrent scan workers; values below 1 mean
-	// one worker (the double-buffered schedule of the simulator engines).
-	// The CPU engine raises it to scan chunks in parallel.
-	ScanWorkers int
-	// Resilience, when non-nil, switches Stream to the serial
-	// fault-tolerant executor (see resilience.go): per-chunk retry with
-	// backoff, watchdog deadlines, failover to a fallback backend, and
-	// quarantine with a PartialError instead of aborting on the first
-	// backend failure. ScanWorkers is ignored in that mode.
-	Resilience *Resilience
-
-	// Trace, when non-nil, records a span for every pipeline stage
-	// (validate, compile, stage, find, compare, drain, emit) and every
-	// resilience event (retry, backoff, watchdog kill, failover,
-	// quarantine). Nil tracing costs one pointer check per call site.
-	Trace *obs.Tracer
-	// Metrics, when non-nil, receives the pipeline's stage/scan latency
-	// histograms, the staged-queue occupancy gauge and the chunk/hit
-	// counters.
-	Metrics *obs.Metrics
-	// Track prefixes the trace rows this pipeline emits (usually the engine
-	// name); empty means "pipeline".
-	Track string
-}
-
-// track returns the base trace-track name.
-func (p *Pipeline) track() string {
-	if p.Track != "" {
-		return p.Track
-	}
-	return "pipeline"
-}
-
-// observed reports whether any observability sink is attached; call sites
-// use it to skip the time.Now() pair on the disabled path.
-func (p *Pipeline) observed() bool {
-	return p.Trace != nil || p.Metrics != nil
-}
-
-// Stream executes the request, calling emit sequentially for every hit.
-// Hits arrive grouped by chunk in chunk order, sorted within each chunk, so
-// the overall stream is deterministic. A cancelled context or an emit error
-// aborts staging and in-flight dispatch and is returned. emit must not be
-// nil.
-func (p *Pipeline) Stream(ctx context.Context, asm *genome.Assembly, req *Request, emit func(Hit) error) error {
-	var plan *Plan
-	var err error
-	if p.Trace != nil {
-		t0 := time.Now()
-		err = req.Validate()
-		p.Trace.Complete(p.track(), "validate", -1, t0, time.Since(t0))
-		if err != nil {
-			return err
-		}
-		t0 = time.Now()
-		plan, err = compileValidated(req)
-		p.Trace.Complete(p.track(), "compile", -1, t0, time.Since(t0))
-	} else {
-		plan, err = Compile(req)
-	}
-	if err != nil {
-		return err
-	}
-	plan.Artifact = asm.Artifact()
-	if p.Executor != nil {
-		return p.Executor.Execute(ctx, plan, asm, emit)
-	}
-	be, err := p.Open(plan)
-	if err != nil {
-		return err
-	}
-	var runErr error
-	if p.Resilience != nil {
-		runErr = p.runResilient(ctx, be, plan, asm, emit)
-	} else {
-		runErr = p.run(ctx, be, plan, asm, emit)
-	}
-	if cerr := be.Close(); runErr == nil {
-		runErr = cerr
-	}
-	return runErr
-}
-
-// Collect executes the request and returns all hits in the deterministic
-// output order. On error the partial results are dropped and nil is
-// returned — except for a PartialError from the resilient executor, where
-// the hits outside the quarantined chunks are returned alongside it.
-func (p *Pipeline) Collect(ctx context.Context, asm *genome.Assembly, req *Request) ([]Hit, error) {
-	var hits []Hit
-	if err := p.Stream(ctx, asm, req, func(h Hit) error {
-		hits = append(hits, h)
-		return nil
-	}); err != nil {
-		var pe *PartialError
-		if errors.As(err, &pe) {
-			SortHits(hits)
-			return hits, err
-		}
-		return nil, err
-	}
-	SortHits(hits)
-	return hits, nil
-}
-
-// run owns the goroutine topology:
-//
-//	stager ──stagedCh──▶ scan workers ──results──▶ collector (caller)
-//
-// The stager walks the chunk plan, staging each chunk and handing it over;
-// scan workers drive the backend kernels; the collector reorders finished
-// chunks back into plan order and emits. The first error cancels the
-// derived context, which stops the stager, aborts blocked sends, and makes
-// in-flight scans fail fast at their next phase boundary.
-func (p *Pipeline) run(ctx context.Context, be Backend, plan *Plan, asm *genome.Assembly, emit func(Hit) error) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	workers := p.ScanWorkers
-	if workers < 1 {
-		workers = 1
-	}
-
-	var (
-		errOnce  sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-
-	type stagedChunk struct {
-		index int
-		st    Staged
-	}
-	type scannedChunk struct {
-		index int
-		hits  []Hit
-	}
-	// stagedCh is unbuffered on purpose: the stager completes Stage for
-	// chunk N+1 and then blocks on the send while a scanner works chunk N
-	// — exactly one chunk of prefetch. A deeper channel would hold more
-	// device memory live without hiding any more latency.
-	stagedCh := make(chan stagedChunk)
-	results := make(chan scannedChunk, workers)
-
-	observed := p.observed()
-	var stagerWG sync.WaitGroup
-	stagerWG.Add(1)
-	go func() {
-		defer stagerWG.Done()
-		defer close(stagedCh)
-		track := p.track() + "/stager"
-		index := 0
-		if err := plan.Chunker.Each(asm, func(ch *genome.Chunk) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			var st Staged
-			var err error
-			if observed {
-				t0 := time.Now()
-				st, err = be.Stage(ctx, ch)
-				dur := time.Since(t0)
-				p.Trace.Complete(track, "stage", index, t0, dur,
-					obs.Attr{Key: "bytes", Value: strconv.Itoa(len(ch.Data))})
-				p.Metrics.Observe(obs.MetricStageSeconds, dur.Seconds())
-			} else {
-				st, err = be.Stage(ctx, ch)
-			}
-			if err != nil {
-				return err
-			}
-			select {
-			case stagedCh <- stagedChunk{index: index, st: st}:
-				p.Metrics.GaugeAdd(obs.MetricQueueOccupancy, 1)
-				index++
-				return nil
-			case <-ctx.Done():
-				// The handle never reaches a scanner; Close releases it.
-				return ctx.Err()
-			}
-		}); err != nil {
-			fail(err)
-		}
-	}()
-
-	var scanWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		scanWG.Add(1)
-		go func(w int) {
-			defer scanWG.Done()
-			track := p.track() + "/worker" + strconv.Itoa(w)
-			r := &SiteRenderer{}
-			for sc := range stagedCh {
-				p.Metrics.GaugeAdd(obs.MetricQueueOccupancy, -1)
-				var hits []Hit
-				var err error
-				if observed {
-					t0 := time.Now()
-					hits, err = p.scanOne(ctx, be, plan, sc.st, r, sc.index, track)
-					dur := time.Since(t0)
-					p.Trace.Complete(track, "scan", sc.index, t0, dur)
-					p.Metrics.Observe(obs.MetricScanSeconds, dur.Seconds())
-				} else {
-					hits, err = p.scanOne(ctx, be, plan, sc.st, r, sc.index, track)
-				}
-				if err != nil {
-					// Keep draining stagedCh so the stager is never
-					// stranded on a send; after fail the scans below
-					// short-circuit on the cancelled context and their
-					// handles are released by Close.
-					fail(err)
-					continue
-				}
-				select {
-				case results <- scannedChunk{index: sc.index, hits: hits}:
-				case <-ctx.Done():
-				}
-			}
-		}(w)
-	}
-	go func() {
-		scanWG.Wait()
-		close(results)
-	}()
-
-	// The collector runs on the caller's goroutine so emit is always
-	// sequential, reordering out-of-order scans back into chunk order.
-	collectTrack := p.track() + "/collect"
-	pending := make(map[int][]Hit)
-	next := 0
-	emitting := true
-	for res := range results {
-		pending[res.index] = res.hits
-		for {
-			hits, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			chunk := next
-			next++
-			if !emitting {
-				continue
-			}
-			var t0 time.Time
-			if observed {
-				t0 = time.Now()
-			}
-			for _, h := range hits {
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					emitting = false
-					break
-				}
-				if err := emit(h); err != nil {
-					fail(err)
-					emitting = false
-					break
-				}
-			}
-			if observed {
-				p.Trace.Complete(collectTrack, "emit", chunk, t0, time.Since(t0),
-					obs.Attr{Key: "hits", Value: strconv.Itoa(len(hits))})
-				p.Metrics.Count(obs.MetricHits, int64(len(hits)))
-				p.Metrics.Count(obs.MetricPipelineChunks, 1)
-			}
-		}
-	}
-	stagerWG.Wait()
-	return firstErr
-}
-
-// scanOne drives one staged chunk through the backend's kernel phases and
-// returns its hits sorted. The context is checked at every phase boundary
-// so cancellation takes effect within one kernel launch. chunk and track
-// label the phase spans when tracing is on.
-func (p *Pipeline) scanOne(ctx context.Context, be Backend, plan *Plan, st Staged, r *SiteRenderer, chunk int, track string) ([]Hit, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	traced := p.Trace != nil
-	var t0 time.Time
-	if traced {
-		t0 = time.Now()
-	}
-	n, err := be.Find(ctx, st)
-	if traced {
-		p.Trace.Complete(track, "find", chunk, t0, time.Since(t0),
-			obs.Attr{Key: "candidates", Value: strconv.Itoa(n)})
-	}
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		if traced {
-			t0 = time.Now()
-		}
-		if bc, ok := be.(BatchComparer); ok {
-			err = bc.CompareAll(ctx, st)
-		} else {
-			for qi := range plan.Guides {
-				if err = ctx.Err(); err != nil {
-					break
-				}
-				if err = be.Compare(ctx, st, qi); err != nil {
-					break
-				}
-			}
-		}
-		if traced {
-			p.Trace.Complete(track, "compare", chunk, t0, time.Since(t0))
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if traced {
-		t0 = time.Now()
-	}
-	hits, err := be.Drain(ctx, st, r)
-	if traced {
-		p.Trace.Complete(track, "drain", chunk, t0, time.Since(t0))
-	}
-	if err != nil {
-		return nil, err
-	}
-	SortHits(hits)
-	return hits, nil
 }

@@ -1,29 +1,19 @@
-// Resilient execution: the fault-tolerant chunk executor the pipeline
-// switches to when a Resilience policy is configured. Where the default
-// topology treats the first backend error as fatal to the whole run, the
-// resilient executor treats errors as per-chunk events: transient failures
-// are retried with capped exponential backoff, hung kernels are reaped by a
+// The resilience policy and the one scan attempt it governs. A backend error
+// is a per-chunk event, not the end of the run: transient failures are
+// retried with capped exponential backoff, hung kernels are reaped by a
 // per-phase watchdog deadline, and chunks that keep failing — or fail
-// fatally, or return corrupted data — are re-staged on a fallback backend.
-// Only a chunk that fails on the fallback too is quarantined; the run then
-// completes with a structured PartialError instead of aborting.
-//
-// Determinism contract: the resilient executor runs strictly serially — one
-// goroutine stages, scans and emits each chunk before touching the next.
-// This deliberately gives up the double-buffered stage/scan overlap of the
-// default topology, because overlapping enqueues would race the per-site
-// fault-injection counters and make the injection schedule depend on thread
-// interleaving. Serial execution makes the whole failure schedule, the
-// retry/failover trace and the emitted hit stream a pure function of
-// (request, assembly, fault seed), which is what lets a fault run be
-// replayed byte-identically.
+// fatally, or return corrupted data — go to another backend. This file holds
+// what engines and the executor share — the Resilience policy, the Report and
+// PartialError a degraded run produces, and Attempt, one watchdog-guarded
+// Stage→Drain pass of one chunk on one backend. The recovery rule itself
+// (retry, overflow relaunch, eviction, failover, quarantine) is
+// internal/sched's.
 package pipeline
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
 	"casoffinder/internal/fault"
@@ -51,14 +41,12 @@ const (
 	DefaultMaxOverflowRelaunches = 2
 )
 
-// Resilience configures the fault-tolerant executor. Setting a non-nil
-// Resilience on a Pipeline switches Stream from the concurrent
-// double-buffered topology to the serial resilient one (see the package
-// comment on determinism).
+// Resilience is the recovery policy of a run. Without one the first backend
+// error aborts the run.
 type Resilience struct {
-	// MaxRetries is how many times a chunk is retried on the primary
-	// backend after a transient failure before failing over. Zero means
-	// DefaultMaxRetries; negative means no retries.
+	// MaxRetries is how many times a chunk is retried on the backend that
+	// failed it transiently before the chunk has exhausted that backend.
+	// Zero means DefaultMaxRetries; negative means no retries.
 	MaxRetries int
 	// Watchdog bounds every backend phase call (Stage, Find, Compare,
 	// Drain). A phase that exceeds it — a hung simulated kernel — is
@@ -74,17 +62,18 @@ type Resilience struct {
 	// Seed feeds the backoff jitter so retry timing is reproducible.
 	Seed uint64
 	// Fallback opens the failover backend for a plan. It is called at
-	// most once per Stream, lazily, the first time a chunk exhausts the
-	// primary; the backend is closed with the run. A nil Fallback
-	// disables failover: chunks that exhaust the primary are quarantined
-	// directly.
+	// most once per run, lazily, the first time a chunk exhausts the last
+	// live slot; the backend is closed with the run. A nil Fallback
+	// disables failover: such chunks are quarantined directly.
 	Fallback func(plan *Plan) (Backend, error)
 	// OnReport, when set, receives the run's resilience report exactly
 	// once, after the last chunk settles and before backends close.
 	OnReport func(*Report)
 }
 
-func (r *Resilience) maxRetries() int {
+// RetryBudget returns the effective per-chunk transient retry budget:
+// MaxRetries with the documented zero/negative semantics resolved.
+func (r *Resilience) RetryBudget() int {
 	if r.MaxRetries == 0 {
 		return DefaultMaxRetries
 	}
@@ -94,44 +83,20 @@ func (r *Resilience) maxRetries() int {
 	return r.MaxRetries
 }
 
-func (r *Resilience) backoffBase() time.Duration {
-	if r.BackoffBase <= 0 {
-		return DefaultBackoffBase
-	}
-	return r.BackoffBase
-}
-
-func (r *Resilience) backoffMax() time.Duration {
-	if r.BackoffMax <= 0 {
-		return DefaultBackoffMax
-	}
-	return r.BackoffMax
-}
-
-// RetryBudget returns the effective per-chunk transient retry budget on the
-// primary arm: MaxRetries with the documented zero/negative semantics
-// resolved. Exported for executors outside this package (internal/sched)
-// that run their own retry loop over Attempt.
-func (r *Resilience) RetryBudget() int { return r.maxRetries() }
-
 // RetryBackoff returns the deterministic delay before retry attempt
 // (1-based) of the given chunk: capped exponential growth scaled by a
 // jitter in [0.5, 1.0) derived from (Seed, chunk, attempt), so two runs
 // with the same seed retry on the same schedule.
 func (r *Resilience) RetryBackoff(chunk, attempt int) time.Duration {
-	return r.backoff(chunk, attempt)
-}
-
-// backoff implements RetryBackoff.
-func (r *Resilience) backoff(chunk, attempt int) time.Duration {
-	d := r.backoffBase()
-	max := r.backoffMax()
-	for i := 1; i < attempt; i++ {
+	d, max := r.BackoffBase, r.BackoffMax
+	if d <= 0 {
+		d = DefaultBackoffBase
+	}
+	if max <= 0 {
+		max = DefaultBackoffMax
+	}
+	for i := 1; i < attempt && d < max; i++ {
 		d *= 2
-		if d >= max {
-			d = max
-			break
-		}
 	}
 	if d > max {
 		d = max
@@ -144,11 +109,11 @@ func (r *Resilience) backoff(chunk, attempt int) time.Duration {
 // PartialError when chunks were quarantined and delivered through
 // Resilience.OnReport in every case.
 type Report struct {
-	// Chunks is the number of chunks the plan produced.
+	// Chunks is the number of chunks that settled (emitted or quarantined).
 	Chunks int
-	// Retries counts primary-backend retry attempts across all chunks.
+	// Retries counts transient retry attempts across all chunks.
 	Retries int64
-	// OverflowRelaunches counts chunks relaunched on the primary after a
+	// OverflowRelaunches counts chunks relaunched on the same backend after a
 	// fault.Overflow error escaped the backend (an arena exhausted at its
 	// worst-case layout, i.e. corrupted arena readback).
 	OverflowRelaunches int64
@@ -205,198 +170,11 @@ func (e *PartialError) Error() string {
 }
 
 // Releaser is an optional Backend capability: backends that can release the
-// per-chunk resources of an abandoned staged handle implement it, so the
-// resilient executor returns device memory as soon as a scan attempt is
-// abandoned instead of holding every orphaned handle until Close.
+// per-chunk resources of an abandoned staged handle implement it, so Attempt
+// returns device memory as soon as a scan attempt is abandoned instead of
+// holding every orphaned handle until Close.
 type Releaser interface {
 	Release(st Staged)
-}
-
-// runResilient is the serial fault-tolerant executor (see the package
-// comment for the topology and determinism rationale). Hits are emitted in
-// chunk order as each chunk settles; a context cancellation or emit error
-// aborts the run, while chunk-level failures degrade it.
-func (p *Pipeline) runResilient(ctx context.Context, be Backend, plan *Plan, asm *genome.Assembly, emit func(Hit) error) error {
-	res := p.Resilience
-	rep := &Report{}
-	var fallback Backend
-	defer func() {
-		if res.OnReport != nil {
-			res.OnReport(rep)
-		}
-	}()
-	defer func() {
-		if fallback != nil {
-			fallback.Close()
-		}
-	}()
-
-	// openFallback opens the failover backend on first use.
-	openFallback := func() (Backend, error) {
-		if fallback != nil {
-			return fallback, nil
-		}
-		if res.Fallback == nil {
-			return nil, nil
-		}
-		fb, err := res.Fallback(plan)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: opening fallback backend: %w", err)
-		}
-		fallback = fb
-		rep.FallbackUsed = true
-		return fb, nil
-	}
-
-	observed := p.observed()
-	track := p.track() + "/resilient"
-	r := &SiteRenderer{}
-	index := 0
-	err := plan.Chunker.Each(asm, func(ch *genome.Chunk) error {
-		hits, cf, err := p.scanResilient(ctx, be, openFallback, plan, index, ch, r, rep)
-		if err != nil {
-			return err // cancellation: abort the walk
-		}
-		rep.Chunks++
-		if cf != nil {
-			p.Trace.Instant(track, "quarantine", index,
-				obs.Attr{Key: "error", Value: cf.Err.Error()})
-			rep.Quarantined = append(rep.Quarantined, *cf)
-		} else {
-			var t0 time.Time
-			if observed {
-				t0 = time.Now()
-			}
-			for _, h := range hits {
-				if err := emit(h); err != nil {
-					return err
-				}
-			}
-			if observed {
-				p.Trace.Complete(track, "emit", index, t0, time.Since(t0),
-					obs.Attr{Key: "hits", Value: strconv.Itoa(len(hits))})
-				p.Metrics.Count(obs.MetricHits, int64(len(hits)))
-			}
-		}
-		p.Metrics.Count(obs.MetricPipelineChunks, 1)
-		index++
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if len(rep.Quarantined) > 0 {
-		return &PartialError{Report: rep}
-	}
-	return nil
-}
-
-// scanResilient settles one chunk: primary attempts with transient retry,
-// then a failover attempt on the fallback backend, then quarantine. The
-// returned error is non-nil only for run-aborting conditions (context
-// cancellation); chunk-level failures come back as a ChunkFailure.
-func (p *Pipeline) scanResilient(ctx context.Context, primary Backend, openFallback func() (Backend, error), plan *Plan, index int, ch *genome.Chunk, r *SiteRenderer, rep *Report) ([]Hit, *ChunkFailure, error) {
-	res := p.Resilience
-	observed := p.observed()
-	track := p.track() + "/resilient"
-	attempts := 0
-	var lastErr error
-
-	// attempt runs one Stage→Drain pass on a backend, timing it for the
-	// scan-latency histogram when observed.
-	attempt := func(be Backend) ([]Hit, error) {
-		if !observed {
-			return p.attemptChunk(ctx, be, plan, index, ch, r, rep)
-		}
-		t0 := time.Now()
-		hits, err := p.attemptChunk(ctx, be, plan, index, ch, r, rep)
-		p.Metrics.Observe(obs.MetricScanSeconds, time.Since(t0).Seconds())
-		return hits, err
-	}
-
-	// Primary arm: first attempt plus the transient retry budget. Overflow
-	// errors relaunch on their own bounded budget without backoff or
-	// consuming a transient retry — the arena state is rebuilt from scratch
-	// each attempt, so there is nothing to wait out.
-	overflows := 0
-	for try := 0; ; try++ {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		hits, err := attempt(primary)
-		attempts++
-		if err == nil {
-			return hits, nil, nil
-		}
-		if ctx.Err() != nil {
-			return nil, nil, ctx.Err()
-		}
-		lastErr = err
-		if fault.ClassOf(err) == fault.Overflow && overflows < DefaultMaxOverflowRelaunches {
-			overflows++
-			rep.OverflowRelaunches++
-			p.Trace.Instant(track, "overflow-relaunch", index,
-				obs.Attr{Key: "error", Value: err.Error()})
-			try--
-			continue
-		}
-		if fault.ClassOf(err) != fault.Transient || try >= res.maxRetries() {
-			break // fatal, corrupted, or out of retries: fail over
-		}
-		rep.Retries++
-		p.Trace.Instant(track, "retry", index,
-			obs.Attr{Key: "try", Value: strconv.Itoa(try + 1)},
-			obs.Attr{Key: "error", Value: err.Error()})
-		delay := res.backoff(index, try+1)
-		if observed {
-			t0 := time.Now()
-			err = sleepCtx(ctx, delay)
-			p.Trace.Complete(track, "backoff", index, t0, time.Since(t0))
-		} else {
-			err = sleepCtx(ctx, delay)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-
-	// Failover arm: one attempt on the fallback backend.
-	if fb, err := openFallback(); err != nil {
-		lastErr = err
-	} else if fb != nil {
-		rep.Failovers++
-		p.Trace.Instant(track, "failover", index,
-			obs.Attr{Key: "error", Value: lastErr.Error()})
-		hits, err := attempt(fb)
-		attempts++
-		if err == nil {
-			return hits, nil, nil
-		}
-		if ctx.Err() != nil {
-			return nil, nil, ctx.Err()
-		}
-		lastErr = err
-	}
-
-	return nil, &ChunkFailure{
-		Index:    index,
-		SeqName:  ch.SeqName,
-		Start:    ch.Start,
-		Body:     ch.Body,
-		Attempts: attempts,
-		Err:      lastErr,
-	}, nil
-}
-
-// attemptChunk runs one full scan attempt on one backend through Attempt,
-// counting any watchdog kill into the run report.
-func (p *Pipeline) attemptChunk(ctx context.Context, be Backend, plan *Plan, index int, ch *genome.Chunk, r *SiteRenderer, rep *Report) ([]Hit, error) {
-	o := AttemptObs{Trace: p.Trace, Metrics: p.Metrics, Track: p.track() + "/resilient"}
-	hits, err := Attempt(ctx, be, plan, index, ch, r, p.Resilience.Watchdog, o)
-	if IsWatchdogKill(err) {
-		rep.WatchdogKills++
-	}
-	return hits, err
 }
 
 // AttemptObs carries the observability sinks the phase spans and latency
@@ -410,8 +188,9 @@ type AttemptObs struct {
 }
 
 // Attempt runs one full scan attempt — Stage through Drain — of one chunk
-// on one backend: the shared building block under both the serial resilient
-// executor and the multi-device scheduler (internal/sched). Each phase is
+// on one backend; the executor (internal/sched) builds every chunk's
+// recovery out of Attempts. The attempt is a "scan" span and a scan-latency
+// sample on the track, its phases are spans inside it. Each phase is
 // bounded by the watchdog deadline (zero disables it): a phase that exceeds
 // it — a hung simulated kernel — is cancelled through its context and comes
 // back as a transient SiteWatchdog fault (IsWatchdogKill), with a
@@ -422,6 +201,14 @@ type AttemptObs struct {
 // through untouched.
 func Attempt(ctx context.Context, be Backend, plan *Plan, index int, ch *genome.Chunk, r *SiteRenderer, watchdog time.Duration, o AttemptObs) (hits []Hit, err error) {
 	observed := o.Trace != nil || o.Metrics != nil
+	if observed {
+		t0 := time.Now()
+		defer func() {
+			dur := time.Since(t0)
+			o.Trace.Complete(o.Track, "scan", index, t0, dur)
+			o.Metrics.Observe(obs.MetricScanSeconds, dur.Seconds())
+		}()
+	}
 	guard := func(ctx context.Context, name string, phase func(context.Context) error) error {
 		pctx := ctx
 		if watchdog > 0 {
@@ -512,19 +299,4 @@ func Attempt(ctx context.Context, be Backend, plan *Plan, index int, ch *genome.
 func IsWatchdogKill(err error) bool {
 	var fe *fault.Error
 	return errors.As(err, &fe) && fe.Site == fault.SiteWatchdog
-}
-
-// sleepCtx sleeps for d or until the context is cancelled.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }

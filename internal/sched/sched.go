@@ -1,44 +1,37 @@
-// Package sched is the work-stealing multi-device executor: it runs the
-// chunks of one compiled pipeline plan across a fleet of backends (one per
-// simulated GPU), replacing both the static even split of the original
-// MultiSYCL engine and the serial per-chunk loop of the resilient pipeline
-// for multi-device topologies (DESIGN.md §11).
+// Package sched is the chunk executor every engine runs on: one queue of the
+// plan's chunks in plan order under one mutex, and a fleet of slots — each a
+// backend opened once and driven by one goroutine — that pull the lowest
+// unclaimed index, scan it (pipeline.Attempt) and hand the result to the
+// ordered-emit collector on the caller's goroutine. A single simulator engine
+// is a one-slot fleet, the CPU engine is one slot per worker, MultiSYCL one
+// slot per device (DESIGN.md §7).
 //
-// Topology. Every device owns a deque seeded with a contiguous span of the
-// chunk plan, sized proportionally to the device's cost-model weight
-// (ShardCounts), so an MI100 starts with more genome than a Radeon VII. A
-// device worker pops its own deque from the front; when it runs dry it
-// steals half the tail of the most loaded deque. All deques share one
-// mutex — chunk counts are modest (hundreds, not millions) and each task
-// spans a simulated kernel launch, so contention is negligible and the
-// single lock keeps eviction/redistribution trivially race-free.
-//
-// Resilience is device-level, not chunk-level. With a Policy set, a chunk
-// that fails transiently retries on its owning device with the policy's
-// deterministic backoff; a chunk that exhausts the budget (or fails
-// fatally, or returns corrupted data) evicts the device — its remaining
-// deque redistributes to the survivors — and only a fully evicted fleet
-// routes the stranded chunks through the policy's fallback backend, one at
-// a time in chunk order. With Static set, stealing and eviction are off:
-// every device keeps its initial shard and failed chunks fail over
-// individually (the pre-scheduler behaviour, kept as the benchmark
-// baseline). A nil Policy keeps the pipeline's fail-fast contract.
+// Recovery is one rule, chosen from what the run can observe. With a Policy
+// set, a transient failure retries on the same slot with the policy's seeded
+// backoff; a fault.Overflow relaunches at once on its own small budget; any
+// other failure — or an exhausted budget — means the chunk has exhausted its
+// slot. If another live slot exists, the slot is evicted and the chunk goes
+// back to the queue at its index. The last live slot (always, in a one-slot
+// fleet) is never evicted: the chunk alone fails over to the policy's lazily
+// opened fallback backend, is quarantined if that fails too, and the slot
+// keeps serving the queue. A nil Policy is fail-fast: the first chunk error
+// aborts the run.
 //
 // Determinism contract. Chunk indices are assigned at plan time and the
-// collector reorders settled chunks back into plan order before emitting,
-// exactly like the single-backend topologies — so the hit stream is
-// byte-identical to a serial run no matter which device ran which chunk or
-// how the steal schedule interleaved. Steal and eviction *counts* are
-// scheduling artifacts and deliberately not deterministic; per-device
-// fault-injection schedules stay deterministic because each backend is
-// driven by exactly one goroutine.
+// collector emits settled chunks in plan order, so the hit stream does not
+// depend on which slot ran which chunk. Slots i < min(len(Slots), chunks)
+// open, eagerly, and only they run, so which backends exist is a function of
+// the plan. Each backend is driven by exactly one goroutine, so a one-slot
+// run's backend calls — and with them a seeded fault schedule, the report
+// and the fault log — replay exactly; in a fleet, which device meets which
+// chunk (and so eviction counts under faults) is scheduling.
 package sched
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -50,68 +43,52 @@ import (
 	"casoffinder/internal/pipeline"
 )
 
-// Device is one fleet slot: a named backend factory with a scheduling
-// weight. Open is called lazily, on the slot's worker goroutine, the first
-// time the slot has a task — eagerly at start when its initial shard is
-// non-empty — so an idle slot costs nothing.
-type Device struct {
-	// Name labels the slot's trace track, queue-depth gauge and report row.
+// Slot is one fleet member: a backend factory and the name of its trace
+// track and report row (empty means "<track>/worker<i>").
+type Slot struct {
 	Name string
-	// Weight sizes the initial shard; non-positive weights fall back to an
-	// even split across the fleet.
-	Weight float64
-	// Open builds the slot's backend for the compiled plan.
+	// Open builds the slot's backend for the compiled plan. It is called at
+	// most once per run, on the slot's own goroutine.
 	Open func(plan *pipeline.Plan) (pipeline.Backend, error)
 }
 
-// DeviceReport is the per-slot accounting of one run.
-type DeviceReport struct {
-	// Name is the slot name.
+// SlotReport is the per-slot accounting of one run.
+type SlotReport struct {
 	Name string
-	// Chunks counts the chunks this slot settled successfully.
+	// Chunks counts the chunks this slot settled (on its own backend or,
+	// as the last live slot, on the fallback).
 	Chunks int
-	// Steals counts the steal operations this slot performed as the thief.
-	Steals int
 	// Evicted reports whether the slot was evicted, and EvictErr why.
 	Evicted  bool
 	EvictErr string
 }
 
-// Report extends the pipeline resilience report with the scheduler's
-// steal/eviction accounting. The embedded Report fields keep their
-// meanings; Failovers counts chunks settled (or quarantined) on the
-// fallback arm.
+// Report extends the pipeline resilience report with the fleet's accounting.
 type Report struct {
 	pipeline.Report
-	// Steals counts steal operations across the fleet.
-	Steals int64
-	// Evictions counts devices evicted from the fleet.
+	// Evictions counts slots evicted from the fleet.
 	Evictions int64
-	// Devices holds one row per fleet slot, in slot order.
-	Devices []DeviceReport
+	// Slots holds one row per slot that ran, in slot order.
+	Slots []SlotReport
 }
 
-// Executor runs pipeline plans across a device fleet. It implements
-// pipeline.Executor.
+// Executor runs requests across a fleet of slots.
 type Executor struct {
-	// Devices is the fleet; at least one slot is required.
-	Devices []Device
-	// Policy enables device-level resilience (see the package comment).
-	// Nil means fail-fast: the first chunk error aborts the run.
+	// Slots is the fleet; at least one is required.
+	Slots []Slot
+	// Policy enables recovery (see the package comment). Nil means
+	// fail-fast. Its OnReport, when set, receives the run's report too.
 	Policy *pipeline.Resilience
-	// Static disables stealing and eviction, pinning every chunk to its
-	// cost-model shard with per-chunk failover.
-	Static bool
-	// Trace and Metrics observe the run; phase spans land on each slot's
-	// Name track, scheduler events (steal, evict, failover, quarantine)
-	// as instants, and deque depths as per-device gauges.
+	// Trace and Metrics observe the run: scan and phase spans land on each
+	// slot's track with its recovery events (retry, overflow-relaunch,
+	// evict, failover, quarantine) as instants, emit spans on
+	// "<track>/collect", fallback attempts on "<track>/fallback".
 	Trace   *obs.Tracer
 	Metrics *obs.Metrics
-	// Track prefixes the scheduler's own trace rows (collector, fallback
-	// arm); empty means "sched".
+	// Track prefixes the trace rows; empty means "sched".
 	Track string
 	// OnReport, when set, receives the run report exactly once, after the
-	// last chunk settles.
+	// last chunk settles and every backend has closed.
 	OnReport func(*Report)
 }
 
@@ -122,61 +99,17 @@ func (x *Executor) track() string {
 	return "sched"
 }
 
-// ShardCounts splits n chunks across len(weights) deques proportionally to
-// the weights, rounding by largest remainder so no shard deviates from its
-// exact proportional share by a full chunk — in particular the remainder of
-// an even split spreads one chunk at a time across the fleet instead of
-// piling onto the last device (the old static-split skew). Non-positive or
-// non-finite weights fall back to an even split.
-func ShardCounts(n int, weights []float64) []int {
-	k := len(weights)
-	counts := make([]int, k)
-	if n <= 0 || k == 0 {
-		return counts
+// Stream compiles req and executes it over asm, calling emit sequentially
+// for every hit: hits arrive grouped by chunk in plan order, sorted within
+// each chunk. A cancelled context or an emit error aborts the run and is
+// returned; a run that quarantined chunks returns a *pipeline.PartialError
+// after emitting everything else.
+func (x *Executor) Stream(ctx context.Context, asm *genome.Assembly, req *pipeline.Request, emit func(pipeline.Hit) error) error {
+	plan, err := pipeline.CompileFor(asm, req, x.Trace, x.track())
+	if err != nil {
+		return err
 	}
-	sum := 0.0
-	usable := true
-	for _, w := range weights {
-		if !(w > 0) || math.IsInf(w, 0) || math.IsNaN(w) {
-			usable = false
-			break
-		}
-		sum += w
-	}
-	if !usable || sum <= 0 || math.IsInf(sum, 0) {
-		for i := range counts {
-			counts[i] = n / k
-		}
-		for i := 0; i < n%k; i++ {
-			counts[i]++
-		}
-		return counts
-	}
-	type share struct {
-		i    int
-		frac float64
-	}
-	shares := make([]share, k)
-	rem := n
-	for i, w := range weights {
-		exact := float64(n) * w / sum
-		counts[i] = int(exact)
-		rem -= counts[i]
-		shares[i] = share{i: i, frac: exact - float64(counts[i])}
-	}
-	sort.SliceStable(shares, func(a, b int) bool { return shares[a].frac > shares[b].frac })
-	for j := 0; j < rem; j++ {
-		counts[shares[j%k].i]++
-	}
-	return counts
-}
-
-// task is one chunk's scheduling state; it moves between deques by value.
-type task struct {
-	index    int
-	ch       *genome.Chunk
-	attempts int
-	lastErr  error
+	return x.execute(ctx, plan, asm, emit)
 }
 
 // settled is one chunk's terminal result, sent to the collector.
@@ -186,99 +119,96 @@ type settled struct {
 	quarantined bool
 }
 
-// run is the shared state of one Execute call.
+// run is the shared state of one execution.
 type run struct {
 	x        *Executor
 	plan     *pipeline.Plan
+	chunks   []*genome.Chunk
 	ctx      context.Context
 	cancel   context.CancelFunc
 	observed bool
+	watchdog time.Duration // per-phase deadline of every attempt; 0 = none
+	// attempts counts scan attempts per chunk; an entry belongs to whoever
+	// holds the chunk's claim.
+	attempts []int
 
-	mu          sync.Mutex
-	cond        *sync.Cond
-	deques      [][]task
-	seeded      []bool
-	evicted     []bool
-	orphans     []task
-	outstanding int
-	failed      bool
-	firstErr    error
-	closeErr    error
-	rep         *Report
+	mu   sync.Mutex
+	cond *sync.Cond // signalled when a claim may succeed or the run may be over
+	// The queue: next is the lowest index never claimed, requeued holds the
+	// indices evicted slots handed back (ascending, all below next).
+	next      int
+	requeued  []int
+	unsettled int
+	live      int // slots neither evicted nor failed to open
+	firstErr  error
+	closeErr  error
+	rep       *Report
 
-	// fbMu serialises the fallback arm: the backend is shared and serial
-	// execution keeps failover deterministic (one chunk at a time, like
-	// the serial resilient executor).
-	fbMu       sync.Mutex
-	fbOpened   bool
-	fb         pipeline.Backend
-	fbErr      error
-	fbRenderer *pipeline.SiteRenderer
+	// The fallback arm. Only the last live slot ever fails over, so one
+	// goroutine touches these.
+	fbOpened bool
+	fb       pipeline.Backend
+	fbErr    error
 
 	results chan settled
-	wg      sync.WaitGroup
 }
 
-// Execute implements pipeline.Executor.
-func (x *Executor) Execute(ctx context.Context, plan *pipeline.Plan, asm *genome.Assembly, emit func(pipeline.Hit) error) error {
-	if len(x.Devices) == 0 {
-		return errors.New("sched: no devices")
+func (x *Executor) execute(ctx context.Context, plan *pipeline.Plan, asm *genome.Assembly, emit func(pipeline.Hit) error) error {
+	if len(x.Slots) == 0 {
+		return errors.New("sched: no slots")
 	}
 	chunks, err := plan.Chunker.Plan(asm)
 	if err != nil {
 		return err
 	}
+	slots := min(len(x.Slots), len(chunks))
 
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	r := &run{
-		x:           x,
-		plan:        plan,
-		ctx:         rctx,
-		cancel:      cancel,
-		observed:    x.Trace != nil || x.Metrics != nil,
-		deques:      make([][]task, len(x.Devices)),
-		seeded:      make([]bool, len(x.Devices)),
-		evicted:     make([]bool, len(x.Devices)),
-		outstanding: len(chunks),
-		rep:         &Report{Devices: make([]DeviceReport, len(x.Devices))},
-		fbRenderer:  &pipeline.SiteRenderer{},
-		results:     make(chan settled, len(chunks)),
+		x:         x,
+		plan:      plan,
+		chunks:    chunks,
+		ctx:       rctx,
+		cancel:    cancel,
+		observed:  x.Trace != nil || x.Metrics != nil,
+		attempts:  make([]int, len(chunks)),
+		unsettled: len(chunks),
+		live:      slots,
+		rep:       &Report{Slots: make([]SlotReport, slots)},
+		// One result per slot: a collector that lags (a slow emit) blocks
+		// the slots instead of letting the whole genome's hits pile up.
+		results: make(chan settled, slots),
 	}
 	r.cond = sync.NewCond(&r.mu)
-
-	// Seed each deque with its contiguous cost-model shard.
-	weights := make([]float64, len(x.Devices))
-	for i, d := range x.Devices {
-		weights[i] = d.Weight
-		r.rep.Devices[i].Name = r.deviceTrack(i)
+	if x.Policy != nil {
+		r.watchdog = x.Policy.Watchdog
 	}
-	counts := ShardCounts(len(chunks), weights)
-	start := 0
-	for i, c := range counts {
-		r.seeded[i] = c > 0
-		for k := start; k < start+c; k++ {
-			r.deques[i] = append(r.deques[i], task{index: k, ch: chunks[k]})
+	x.Metrics.Gauge(obs.MetricQueueDepth, float64(len(chunks)))
+	// Wake waiting claims on cancellation. Holding the mutex orders the
+	// wake-up after any claim that checked the context just before it was
+	// cancelled has gone to sleep.
+	stop := context.AfterFunc(rctx, func() {
+		r.mu.Lock()
+		r.cond.Broadcast()
+		r.mu.Unlock()
+	})
+	defer stop()
+
+	var wg sync.WaitGroup
+	for i := 0; i < slots; i++ {
+		// The row's name doubles as the slot's trace track.
+		if r.rep.Slots[i].Name = x.Slots[i].Name; x.Slots[i].Name == "" {
+			r.rep.Slots[i].Name = x.track() + "/worker" + strconv.Itoa(i)
 		}
-		start += c
-		r.gaugeLocked(i)
-	}
-
-	for i := range x.Devices {
-		r.wg.Add(1)
+		wg.Add(1)
 		go func(i int) {
-			defer r.wg.Done()
+			defer wg.Done()
 			r.worker(i)
 		}(i)
 	}
-	// Wake cond waiters on external cancellation; exits with the run.
 	go func() {
-		<-rctx.Done()
-		r.cond.Broadcast()
-	}()
-	go func() {
-		r.wg.Wait()
-		r.drainOrphans()
+		wg.Wait()
 		if r.fb != nil {
 			r.foldClose(r.fb.Close())
 		}
@@ -293,28 +223,25 @@ func (x *Executor) Execute(ctx context.Context, plan *pipeline.Plan, asm *genome
 	if x.OnReport != nil {
 		x.OnReport(r.rep)
 	}
-	r.mu.Lock()
-	ferr, cerr := r.firstErr, r.closeErr
-	r.mu.Unlock()
-	if ferr != nil {
-		return ferr
+	if x.Policy != nil && x.Policy.OnReport != nil {
+		x.Policy.OnReport(&r.rep.Report)
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if cerr != nil {
-		return cerr
-	}
-	if len(r.rep.Quarantined) > 0 {
+	switch {
+	case r.firstErr != nil:
+		return r.firstErr
+	case ctx.Err() != nil:
+		return ctx.Err()
+	case r.closeErr != nil:
+		return r.closeErr
+	case len(r.rep.Quarantined) > 0:
 		return &pipeline.PartialError{Report: &r.rep.Report}
 	}
 	return nil
 }
 
 // collect reorders settled chunks back into plan order on the caller's
-// goroutine and emits their hits — the same ordered-emit contract as the
-// single-backend topologies. Quarantined chunks advance the cursor with no
-// hits.
+// goroutine and emits their hits. Quarantined chunks advance the cursor with
+// no hits. It returns once every slot has stopped and closed its backend.
 func (r *run) collect(emit func(pipeline.Hit) error) {
 	x := r.x
 	track := x.track() + "/collect"
@@ -337,12 +264,11 @@ func (r *run) collect(emit func(pipeline.Hit) error) {
 					t0 = time.Now()
 				}
 				for _, h := range rec.hits {
-					if err := r.ctx.Err(); err != nil {
-						r.fail(err)
-						emitting = false
-						break
+					err := r.ctx.Err()
+					if err == nil {
+						err = emit(h)
 					}
-					if err := emit(h); err != nil {
+					if err != nil {
 						r.fail(err)
 						emitting = false
 						break
@@ -359,290 +285,162 @@ func (r *run) collect(emit func(pipeline.Hit) error) {
 	}
 }
 
-// worker drives one device slot: open the backend when there is work, then
-// settle tasks until the run is over for this slot.
+// worker drives slot i: open its backend, then settle claims until the run
+// is over or the slot is evicted.
 func (r *run) worker(i int) {
-	dev := &r.x.Devices[i]
-	var be pipeline.Backend
-	defer func() {
-		if be != nil {
-			r.foldClose(be.Close())
+	track := r.rep.Slots[i].Name
+	be, err := r.x.Slots[i].Open(r.plan)
+	if err != nil {
+		// A slot that cannot open has nothing to serve the queue with: it
+		// is evicted like any other, and as the last one fails the run.
+		if r.x.Policy == nil || !r.evict(i, -1, fmt.Errorf("sched: opening %s: %w", track, err)) {
+			r.fail(err)
 		}
-	}()
-	sr := &pipeline.SiteRenderer{}
-
-	// Open eagerly when the initial shard was non-empty: per-run device
-	// setup (pattern-table staging) then happens exactly once per seeded
-	// slot regardless of how the steal schedule plays out — the shard
-	// could already be stolen away by the time this worker starts — so
-	// profile accounting stays deterministic. Slots seeded empty open
-	// lazily on their first stolen task.
-	if r.seeded[i] {
-		var err error
-		if be, err = dev.Open(r.plan); err != nil {
-			r.deviceFailed(i, nil, fmt.Errorf("sched: opening device %s: %w", r.deviceTrack(i), err))
-			return
-		}
+		return
 	}
-
+	defer func() { r.foldClose(be.Close()) }()
+	sr := &pipeline.SiteRenderer{}
 	for {
-		t, ok := r.next(i)
+		index, ok := r.claim()
 		if !ok {
 			return
 		}
-		if be == nil {
-			var err error
-			if be, err = dev.Open(r.plan); err != nil {
-				r.deviceFailed(i, &t, fmt.Errorf("sched: opening device %s: %w", r.deviceTrack(i), err))
-				return
-			}
-		}
-		hits, err := r.runTask(i, be, &t, sr)
+		hits, err := r.scan(be, index, sr, track)
 		switch {
 		case err == nil:
-			r.settle(i, t, hits, false)
+			r.settle(i, settled{index: index, hits: hits})
 		case r.ctx.Err() != nil:
 			return
 		case r.x.Policy == nil:
-			r.fail(fmt.Errorf("sched: device %s: %w", r.deviceTrack(i), err))
+			r.fail(err)
 			return
-		case r.x.Static:
-			r.settleViaFallback(i, t, err)
+		case r.evict(i, index, err):
+			return
 		default:
-			r.evict(i, &t, err)
-			return
+			r.failover(i, index, sr, track, err)
 		}
 	}
 }
 
-// next blocks until slot i has a task, stealing from the most loaded deque
-// when its own runs dry, and reports false when the run is over for this
-// slot: no task can ever arrive again, the run failed, or the context was
-// cancelled.
-func (r *run) next(i int) (task, bool) {
+// claim blocks until there is a chunk to scan and returns the lowest
+// unclaimed index; it reports false when the run is over: every chunk
+// settled, the run failed, or the context was cancelled. A slot facing an
+// empty queue waits while chunks are still in flight elsewhere, because an
+// eviction may hand one back.
+func (r *run) claim() (int, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
-		if r.failed || r.ctx.Err() != nil {
-			return task{}, false
+		if r.firstErr != nil || r.ctx.Err() != nil {
+			return 0, false
 		}
-		if d := r.deques[i]; len(d) > 0 {
-			t := d[0]
-			r.deques[i] = d[1:]
-			r.gaugeLocked(i)
-			return t, true
+		index := -1
+		if len(r.requeued) > 0 {
+			index, r.requeued = r.requeued[0], r.requeued[1:]
+		} else if r.next < len(r.chunks) {
+			index = r.next
+			r.next++
 		}
-		if r.outstanding == 0 {
-			return task{}, false
+		if index >= 0 {
+			r.x.Metrics.Gauge(obs.MetricQueueDepth, float64(len(r.chunks)-r.next+len(r.requeued)))
+			return index, true
 		}
-		if r.x.Static {
-			// Static split: nothing ever refills an empty deque.
-			return task{}, false
-		}
-		if r.stealLocked(i) {
-			continue
+		if r.unsettled == 0 {
+			return 0, false
 		}
 		r.cond.Wait()
 	}
 }
 
-// stealLocked moves half the tail (rounded up) of the most loaded deque to
-// slot i. Caller holds r.mu.
-func (r *run) stealLocked(i int) bool {
-	victim, best := -1, 0
-	for j := range r.deques {
-		if j != i && len(r.deques[j]) > best {
-			victim, best = j, len(r.deques[j])
-		}
-	}
-	if victim < 0 {
-		return false
-	}
-	n := (best + 1) / 2
-	d := r.deques[victim]
-	stolen := d[len(d)-n:]
-	r.deques[victim] = d[:len(d)-n]
-	r.deques[i] = append(r.deques[i], stolen...)
-	r.rep.Steals++
-	r.rep.Devices[i].Steals++
-	r.gaugeLocked(i)
-	r.gaugeLocked(victim)
-	r.x.Metrics.Count(obs.MetricSteals, 1)
-	r.x.Trace.Instant(r.deviceTrack(i), "steal", stolen[0].index,
-		obs.Attr{Key: "victim", Value: r.deviceTrack(victim)},
-		obs.Attr{Key: "tasks", Value: strconv.Itoa(n)})
-	// The thief's refilled deque is itself a steal target now.
-	r.cond.Broadcast()
-	return true
-}
-
-// runTask settles one task on slot i's backend: one attempt plus the
-// policy's transient retry budget with its deterministic backoff — the same
-// retry classification as the serial resilient executor's primary arm.
-func (r *run) runTask(i int, be pipeline.Backend, t *task, sr *pipeline.SiteRenderer) ([]pipeline.Hit, error) {
+// scan settles one chunk on the slot's own backend as far as the policy's
+// same-slot budgets go: transient failures retry with the seeded backoff,
+// an overflow relaunches at once on its own budget (the arena is rebuilt
+// from scratch each attempt, so there is nothing to wait out, and a flaky
+// device keeps its retries). Any error it returns has exhausted the slot.
+func (r *run) scan(be pipeline.Backend, index int, sr *pipeline.SiteRenderer, track string) ([]pipeline.Hit, error) {
 	res := r.x.Policy
-	for try := 0; ; try++ {
-		hits, err := r.attemptOn(be, t, sr, r.deviceTrack(i))
-		if err == nil {
-			return hits, nil
+	retries, overflows := 0, 0
+	for {
+		hits, err := r.attempt(be, index, sr, track)
+		if err == nil || res == nil {
+			return hits, err
 		}
 		if r.ctx.Err() != nil {
 			return nil, r.ctx.Err()
 		}
-		if res == nil || fault.ClassOf(err) != fault.Transient || try >= res.RetryBudget() {
+		switch class := fault.ClassOf(err); {
+		case class == fault.Overflow && overflows < pipeline.DefaultMaxOverflowRelaunches:
+			overflows++
+			r.count(&r.rep.OverflowRelaunches, obs.MetricArenaOverflows)
+			r.x.Trace.Instant(track, "overflow-relaunch", index,
+				obs.Attr{Key: "error", Value: err.Error()})
+		case class == fault.Transient && retries < res.RetryBudget():
+			retries++
+			r.count(&r.rep.Retries, obs.MetricRetries)
+			r.x.Trace.Instant(track, "retry", index,
+				obs.Attr{Key: "try", Value: strconv.Itoa(retries)},
+				obs.Attr{Key: "error", Value: err.Error()})
+			t0 := time.Now()
+			serr := sleepCtx(r.ctx, res.RetryBackoff(index, retries))
+			r.x.Trace.Complete(track, "backoff", index, t0, time.Since(t0))
+			if serr != nil {
+				return nil, serr
+			}
+		default:
 			return nil, err
-		}
-		r.mu.Lock()
-		r.rep.Retries++
-		r.mu.Unlock()
-		r.x.Metrics.Count(obs.MetricRetries, 1)
-		r.x.Trace.Instant(r.deviceTrack(i), "retry", t.index,
-			obs.Attr{Key: "try", Value: strconv.Itoa(try + 1)},
-			obs.Attr{Key: "error", Value: err.Error()})
-		if serr := sleepCtx(r.ctx, res.RetryBackoff(t.index, try+1)); serr != nil {
-			return nil, serr
 		}
 	}
 }
 
-// attemptOn runs one watchdog-guarded scan attempt of t on be, counting the
-// attempt, the scan-latency sample and any watchdog kill.
-func (r *run) attemptOn(be pipeline.Backend, t *task, sr *pipeline.SiteRenderer, track string) ([]pipeline.Hit, error) {
+// attempt runs one watchdog-guarded scan attempt of a chunk on be, counting
+// the attempt and any watchdog kill.
+func (r *run) attempt(be pipeline.Backend, index int, sr *pipeline.SiteRenderer, track string) ([]pipeline.Hit, error) {
 	o := pipeline.AttemptObs{Trace: r.x.Trace, Metrics: r.x.Metrics, Track: track}
-	var wd time.Duration
-	if r.x.Policy != nil {
-		wd = r.x.Policy.Watchdog
-	}
-	var hits []pipeline.Hit
-	var err error
-	if r.observed {
-		t0 := time.Now()
-		hits, err = pipeline.Attempt(r.ctx, be, r.plan, t.index, t.ch, sr, wd, o)
-		r.x.Metrics.Observe(obs.MetricScanSeconds, time.Since(t0).Seconds())
-	} else {
-		hits, err = pipeline.Attempt(r.ctx, be, r.plan, t.index, t.ch, sr, wd, o)
-	}
-	t.attempts++
-	if err != nil {
-		t.lastErr = err
-		if pipeline.IsWatchdogKill(err) {
-			r.mu.Lock()
-			r.rep.WatchdogKills++
-			r.mu.Unlock()
-			r.x.Metrics.Count(obs.MetricWatchdogKills, 1)
-		}
+	hits, err := pipeline.Attempt(r.ctx, be, r.plan, index, r.chunks[index], sr, r.watchdog, o)
+	r.attempts[index]++
+	if pipeline.IsWatchdogKill(err) {
+		r.count(&r.rep.WatchdogKills, obs.MetricWatchdogKills)
 	}
 	return hits, err
 }
 
-// deviceFailed handles a slot-level failure (backend open error, or an
-// exhausted chunk in stealing mode): fail-fast without a policy, eviction
-// with one. failed is the task in flight, if any.
-func (r *run) deviceFailed(i int, failed *task, cause error) {
-	if r.x.Policy == nil {
-		r.fail(cause)
-		return
-	}
-	r.evict(i, failed, cause)
-}
-
-// evict removes slot i from the fleet: the failed task plus the slot's
-// unfinished deque move to the survivors round-robin — or to the orphan
-// list for the fallback arm when no survivor is left (always, in Static
-// mode, where chunks never migrate between devices).
-func (r *run) evict(i int, failed *task, cause error) {
+// evict removes slot i from the fleet after cause exhausted it, handing its
+// chunk (index >= 0) back to the queue, and reports true — unless i is the
+// last live slot, which is never evicted.
+func (r *run) evict(i, index int, cause error) bool {
 	r.mu.Lock()
-	r.evicted[i] = true
-	dr := &r.rep.Devices[i]
-	dr.Evicted = true
-	dr.EvictErr = cause.Error()
+	if r.live == 1 {
+		r.mu.Unlock()
+		return false
+	}
+	r.live--
+	row := &r.rep.Slots[i]
+	row.Evicted, row.EvictErr = true, cause.Error()
 	r.rep.Evictions++
-	var moved []task
-	if failed != nil {
-		moved = append(moved, *failed)
+	if index >= 0 {
+		at := sort.SearchInts(r.requeued, index)
+		r.requeued = append(r.requeued, 0)
+		copy(r.requeued[at+1:], r.requeued[at:])
+		r.requeued[at] = index
 	}
-	moved = append(moved, r.deques[i]...)
-	r.deques[i] = nil
-	var survivors []int
-	if !r.x.Static {
-		for j := range r.deques {
-			if j != i && !r.evicted[j] {
-				survivors = append(survivors, j)
-			}
-		}
-	}
-	if len(survivors) == 0 {
-		r.orphans = append(r.orphans, moved...)
-	} else {
-		for k, mt := range moved {
-			j := survivors[k%len(survivors)]
-			r.deques[j] = append(r.deques[j], mt)
-		}
-		for _, j := range survivors {
-			r.gaugeLocked(j)
-		}
-	}
-	r.gaugeLocked(i)
 	r.mu.Unlock()
 	r.cond.Broadcast()
 	r.x.Metrics.Count(obs.MetricEvictions, 1)
-	index := -1
-	if failed != nil {
-		index = failed.index
-	}
-	r.x.Trace.Instant(r.deviceTrack(i), "evict", index,
-		obs.Attr{Key: "error", Value: cause.Error()},
-		obs.Attr{Key: "requeued", Value: strconv.Itoa(len(moved))})
+	r.x.Trace.Instant(row.Name, "evict", index,
+		obs.Attr{Key: "error", Value: cause.Error()})
+	return true
 }
 
-// settle reports slot i's (or the fallback arm's, i < 0) terminal result
-// for t to the collector.
-func (r *run) settle(i int, t task, hits []pipeline.Hit, quarantined bool) {
-	r.mu.Lock()
-	r.rep.Chunks++
-	if i >= 0 && !quarantined {
-		r.rep.Devices[i].Chunks++
-	}
-	r.outstanding--
-	r.mu.Unlock()
-	r.cond.Broadcast()
-	select {
-	case r.results <- settled{index: t.index, hits: hits, quarantined: quarantined}:
-	case <-r.ctx.Done():
-	}
-}
-
-// quarantine records t as lost and settles it with no hits, advancing the
-// collector's cursor past the gap.
-func (r *run) quarantine(i int, t task, err error) {
-	r.mu.Lock()
-	r.rep.Quarantined = append(r.rep.Quarantined, pipeline.ChunkFailure{
-		Index:    t.index,
-		SeqName:  t.ch.SeqName,
-		Start:    t.ch.Start,
-		Body:     t.ch.Body,
-		Attempts: t.attempts,
-		Err:      err,
-	})
-	r.mu.Unlock()
-	r.x.Metrics.Count(obs.MetricQuarantined, 1)
-	r.x.Trace.Instant(r.x.track(), "quarantine", t.index,
-		obs.Attr{Key: "error", Value: err.Error()})
-	r.settle(i, t, nil, true)
-}
-
-// fallbackAttempt tries t once on the shared fallback backend, opening it
-// on first use. ok is false when the policy has no fallback or it failed to
-// open (err then carries the open error, if any).
-func (r *run) fallbackAttempt(from string, t *task, cause error) (hits []pipeline.Hit, err error, ok bool) {
-	r.fbMu.Lock()
-	defer r.fbMu.Unlock()
+// failover is the last live slot's recourse for a chunk that exhausted it:
+// one attempt on the policy's fallback backend, opened on first use, then
+// quarantine. The slot goes on serving the queue either way.
+func (r *run) failover(i, index int, sr *pipeline.SiteRenderer, track string, cause error) {
 	if !r.fbOpened {
 		r.fbOpened = true
-		if res := r.x.Policy; res != nil && res.Fallback != nil {
-			fb, oerr := res.Fallback(r.plan)
-			if oerr != nil {
-				r.fbErr = fmt.Errorf("sched: opening fallback backend: %w", oerr)
+		if open := r.x.Policy.Fallback; open != nil {
+			fb, err := open(r.plan)
+			if err != nil {
+				r.fbErr = fmt.Errorf("sched: opening fallback backend: %w", err)
 			} else {
 				r.fb = fb
 				r.mu.Lock()
@@ -652,116 +450,82 @@ func (r *run) fallbackAttempt(from string, t *task, cause error) (hits []pipelin
 		}
 	}
 	if r.fb == nil {
-		return nil, r.fbErr, false
-	}
-	r.mu.Lock()
-	r.rep.Failovers++
-	r.mu.Unlock()
-	r.x.Metrics.Count(obs.MetricFailovers, 1)
-	r.x.Trace.Instant(from, "failover", t.index,
-		obs.Attr{Key: "error", Value: cause.Error()})
-	hits, err = r.attemptOn(r.fb, t, r.fbRenderer, r.x.track()+"/fallback")
-	return hits, err, true
-}
-
-// settleViaFallback is the Static-mode per-chunk failover: the chunk that
-// exhausted its device is re-staged on the shared fallback, quarantined if
-// that fails too.
-func (r *run) settleViaFallback(i int, t task, cause error) {
-	hits, err, ok := r.fallbackAttempt(r.deviceTrack(i), &t, cause)
-	if !ok {
-		if err == nil {
-			err = cause
+		if r.fbErr != nil {
+			cause = r.fbErr
 		}
-		r.quarantine(i, t, err)
-		return
-	}
-	if err != nil {
+	} else {
+		r.count(&r.rep.Failovers, obs.MetricFailovers)
+		r.x.Trace.Instant(track, "failover", index,
+			obs.Attr{Key: "error", Value: cause.Error()})
+		hits, err := r.attempt(r.fb, index, sr, r.x.track()+"/fallback")
+		if err == nil {
+			r.settle(i, settled{index: index, hits: hits})
+			return
+		}
 		if r.ctx.Err() != nil {
 			return
 		}
-		r.quarantine(i, t, err)
-		return
+		cause = err
 	}
-	r.settle(i, t, hits, false)
+	ch := r.chunks[index]
+	r.mu.Lock()
+	r.rep.Quarantined = append(r.rep.Quarantined, pipeline.ChunkFailure{
+		Index: index, SeqName: ch.SeqName, Start: ch.Start, Body: ch.Body,
+		Attempts: r.attempts[index], Err: cause,
+	})
+	r.mu.Unlock()
+	r.x.Metrics.Count(obs.MetricQuarantined, 1)
+	r.x.Trace.Instant(track, "quarantine", index,
+		obs.Attr{Key: "error", Value: cause.Error()})
+	r.settle(i, settled{index: index, quarantined: true})
 }
 
-// drainOrphans settles the tasks stranded by a fully evicted fleet (or by
-// a statically split device that could not open) on the fallback backend —
-// strictly serially, in chunk order, like the serial resilient executor.
-func (r *run) drainOrphans() {
+// settle hands slot i's terminal result for a chunk to the collector.
+func (r *run) settle(i int, s settled) {
 	r.mu.Lock()
-	orphans := r.orphans
-	r.orphans = nil
-	failed := r.failed
+	r.rep.Chunks++
+	if !s.quarantined {
+		r.rep.Slots[i].Chunks++
+	}
+	r.unsettled--
 	r.mu.Unlock()
-	if len(orphans) == 0 || failed || r.ctx.Err() != nil {
-		return
+	r.cond.Broadcast()
+	select {
+	case r.results <- s:
+		// Yield so the collector runs now. The send made it runnable on this
+		// P, but with every P busy scanning it would otherwise sit there
+		// until this slot blocks or is preempted — a whole chunk later,
+		// which is the time to the first hit (EXPERIMENTS.md).
+		runtime.Gosched()
+	case <-r.ctx.Done():
 	}
-	sort.Slice(orphans, func(a, b int) bool { return orphans[a].index < orphans[b].index })
-	track := r.x.track() + "/fallback"
-	for _, t := range orphans {
-		t := t
-		cause := t.lastErr
-		if cause == nil {
-			cause = fault.Errorf(fault.SiteEviction, fault.Fatal,
-				"sched: all %d devices evicted", len(r.x.Devices))
-		}
-		hits, err, ok := r.fallbackAttempt(track, &t, cause)
-		if !ok {
-			if err == nil {
-				err = cause
-			}
-			r.quarantine(-1, t, err)
-			continue
-		}
-		if err != nil {
-			if r.ctx.Err() != nil {
-				return
-			}
-			r.quarantine(-1, t, err)
-			continue
-		}
-		r.settle(-1, t, hits, false)
-	}
+}
+
+// count adds one to a report counter and to its metric.
+func (r *run) count(field *int64, metric string) {
+	r.mu.Lock()
+	*field++
+	r.mu.Unlock()
+	r.x.Metrics.Count(metric, 1)
 }
 
 // fail records the run's first fatal error and cancels everything.
 func (r *run) fail(err error) {
 	r.mu.Lock()
-	if !r.failed {
-		r.failed = true
+	if r.firstErr == nil {
 		r.firstErr = err
 	}
 	r.mu.Unlock()
 	r.cancel()
-	r.cond.Broadcast()
 }
 
 // foldClose folds a backend Close error without masking an earlier one.
 func (r *run) foldClose(err error) {
-	if err == nil {
-		return
-	}
 	r.mu.Lock()
 	if r.closeErr == nil {
 		r.closeErr = err
 	}
 	r.mu.Unlock()
-}
-
-// gaugeLocked publishes slot i's deque depth. Caller holds r.mu.
-func (r *run) gaugeLocked(i int) {
-	r.x.Metrics.Gauge(obs.L(obs.MetricDeviceQueueDepth, "device", r.deviceTrack(i)),
-		float64(len(r.deques[i])))
-}
-
-// deviceTrack names slot i's trace track and report row.
-func (r *run) deviceTrack(i int) string {
-	if n := r.x.Devices[i].Name; n != "" {
-		return n
-	}
-	return r.x.track() + "/dev" + strconv.Itoa(i)
 }
 
 // sleepCtx sleeps for d or until the context is cancelled.

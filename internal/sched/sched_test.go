@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -127,7 +129,7 @@ func testPlan(t *testing.T, nChunks int) (*pipeline.Plan, *genome.Assembly) {
 }
 
 // runExec executes x over a fresh nChunks-fixture and returns the emitted
-// hits, the report, and Execute's error.
+// hits, the report, and the run's error.
 func runExec(t *testing.T, x *Executor, nChunks int) ([]pipeline.Hit, *Report, error) {
 	t.Helper()
 	plan, asm := testPlan(t, nChunks)
@@ -143,7 +145,7 @@ func runExec(t *testing.T, x *Executor, nChunks int) ([]pipeline.Hit, *Report, e
 		}
 	}
 	var hits []pipeline.Hit
-	err := x.Execute(context.Background(), plan, asm, func(h pipeline.Hit) error {
+	err := x.execute(context.Background(), plan, asm, func(h pipeline.Hit) error {
 		hits = append(hits, h)
 		return nil
 	})
@@ -154,7 +156,7 @@ func runExec(t *testing.T, x *Executor, nChunks int) ([]pipeline.Hit, *Report, e
 }
 
 // wantOrdered asserts the hit stream is exactly one hit per chunk, in plan
-// order — the determinism contract shared with the serial topologies.
+// order — the determinism contract.
 func wantOrdered(t *testing.T, hits []pipeline.Hit, nChunks int) {
 	t.Helper()
 	if len(hits) != nChunks {
@@ -167,100 +169,18 @@ func wantOrdered(t *testing.T, hits []pipeline.Hit, nChunks int) {
 	}
 }
 
-// --- ShardCounts ------------------------------------------------------------
-
-func TestShardCountsProportional(t *testing.T) {
-	cases := []struct {
-		n       int
-		weights []float64
-		want    []int
-	}{
-		{10, []float64{1, 1}, []int{5, 5}},
-		{8, []float64{3, 1}, []int{6, 2}},
-		{7, []float64{2, 1}, []int{5, 2}},              // 4.67, 2.33 → remainder to the larger fraction
-		{10, []float64{1, 1, 1, 1}, []int{3, 3, 2, 2}}, // remainder spreads round-robin
-		{2, []float64{1, 1, 1, 1}, []int{1, 1, 0, 0}},
-		{0, []float64{1, 1}, []int{0, 0}},
-		{5, nil, nil},
-	}
-	for _, c := range cases {
-		got := ShardCounts(c.n, c.weights)
-		if len(c.weights) == 0 {
-			if len(got) != 0 {
-				t.Errorf("ShardCounts(%d, %v) = %v, want empty", c.n, c.weights, got)
-			}
-			continue
-		}
-		if fmt.Sprint(got) != fmt.Sprint(c.want) {
-			t.Errorf("ShardCounts(%d, %v) = %v, want %v", c.n, c.weights, got, c.want)
-		}
-	}
-}
-
-// TestShardCountsRemainderNotSkewed pins the fix for the old static-split
-// remainder bug: the last device used to absorb the entire remainder
-// ([2,2,2,4] for 10 chunks over 4 equal devices); now the remainder spreads
-// one chunk at a time.
-func TestShardCountsRemainderNotSkewed(t *testing.T) {
-	got := ShardCounts(10, []float64{1, 1, 1, 1})
-	if fmt.Sprint(got) == fmt.Sprint([]int{2, 2, 2, 4}) {
-		t.Fatal("remainder still piles onto the last shard (old skew)")
-	}
-	max, min := 0, 10
-	for _, c := range got {
-		if c > max {
-			max = c
-		}
-		if c < min {
-			min = c
-		}
-	}
-	if max-min > 1 {
-		t.Fatalf("equal-weight shards deviate by more than one chunk: %v", got)
-	}
-}
-
-func TestShardCountsBadWeights(t *testing.T) {
-	// Zero, negative, NaN or infinite weights fall back to an even split.
-	for _, weights := range [][]float64{
-		{0, 0, 0},
-		{-1, 2, 3},
-		{1, 0, 1},
-	} {
-		got := ShardCounts(7, weights)
-		if fmt.Sprint(got) != fmt.Sprint([]int{3, 2, 2}) {
-			t.Errorf("ShardCounts(7, %v) = %v, want even split [3 2 2]", weights, got)
-		}
-	}
-}
-
-func TestShardCountsConserveTotal(t *testing.T) {
-	for n := 0; n < 50; n++ {
-		for _, weights := range [][]float64{{1}, {1, 2}, {5, 3, 2}, {0.3, 0.3, 0.3, 0.1}} {
-			total := 0
-			for _, c := range ShardCounts(n, weights) {
-				total += c
-			}
-			if total != n {
-				t.Fatalf("ShardCounts(%d, %v) loses chunks: total %d", n, weights, total)
-			}
-		}
-	}
-}
-
 // --- Executor ---------------------------------------------------------------
 
-func fleet(bes ...*fakeBackend) []Device {
-	devs := make([]Device, len(bes))
+func fleet(bes ...*fakeBackend) []Slot {
+	slots := make([]Slot, len(bes))
 	for i, be := range bes {
 		be := be
-		devs[i] = Device{
-			Name:   fmt.Sprintf("dev%d", i),
-			Weight: 1,
-			Open:   func(*pipeline.Plan) (pipeline.Backend, error) { return be, nil },
+		slots[i] = Slot{
+			Name: fmt.Sprintf("dev%d", i),
+			Open: func(*pipeline.Plan) (pipeline.Backend, error) { return be, nil },
 		}
 	}
-	return devs
+	return slots
 }
 
 func TestExecutorOrderedEmit(t *testing.T) {
@@ -269,17 +189,17 @@ func TestExecutorOrderedEmit(t *testing.T) {
 	b0 := &fakeBackend{}
 	b1 := &fakeBackend{delay: 200 * time.Microsecond}
 	b2 := &fakeBackend{delay: 500 * time.Microsecond}
-	x := &Executor{Devices: fleet(b0, b1, b2)}
+	x := &Executor{Slots: fleet(b0, b1, b2)}
 	hits, rep, err := runExec(t, x, 12)
 	if err != nil {
-		t.Fatalf("Execute: %v", err)
+		t.Fatalf("run: %v", err)
 	}
 	wantOrdered(t, hits, 12)
 	if rep.Chunks != 12 {
 		t.Errorf("report chunks = %d, want 12", rep.Chunks)
 	}
 	settled := 0
-	for _, d := range rep.Devices {
+	for _, d := range rep.Slots {
 		settled += d.Chunks
 	}
 	if settled != 12 {
@@ -290,56 +210,95 @@ func TestExecutorOrderedEmit(t *testing.T) {
 	}
 }
 
-func TestExecutorSteals(t *testing.T) {
-	// One fast and one slow device, even initial split: the fast device
-	// must drain its shard and then steal from the slow one's tail.
-	fast := &fakeBackend{}
-	slow := &fakeBackend{delay: 2 * time.Millisecond}
-	x := &Executor{Devices: fleet(fast, slow)}
-	hits, rep, err := runExec(t, x, 16)
+func TestExecutorSlotsPullInPlanOrder(t *testing.T) {
+	// Every Find returns only once all three slots are inside one — a
+	// dispatcher that serialised chunks would never get there. Because each
+	// slot pulls the lowest unclaimed index, the chunks that meet at the
+	// barrier are always the next three of the plan, so the collector never
+	// waits on more than a fleet's worth of settled chunks; and because a
+	// slot hands over each result before it claims again, a slow emit holds
+	// the fleet back instead of letting scanned chunks pile up.
+	const slots, chunks = 3, 12
+	var (
+		mu      sync.Mutex
+		arrived []int
+		waves   [][]int
+		release = make(chan struct{})
+		scanned atomic.Int64
+	)
+	barrier := func(start, _ int) error {
+		mu.Lock()
+		arrived = append(arrived, start/12)
+		wait := release
+		if len(arrived) == slots {
+			sort.Ints(arrived)
+			waves, arrived = append(waves, arrived), nil
+			release = make(chan struct{})
+			close(wait)
+		}
+		mu.Unlock()
+		select {
+		case <-wait:
+			scanned.Add(1)
+			return nil
+		case <-time.After(5 * time.Second):
+			return errors.New("the fleet never had all its slots scanning at once")
+		}
+	}
+	x := &Executor{Slots: fleet(&fakeBackend{failFind: barrier}, &fakeBackend{failFind: barrier}, &fakeBackend{failFind: barrier})}
+	plan, asm := testPlan(t, chunks)
+	emitted := 0
+	err := x.execute(context.Background(), plan, asm, func(pipeline.Hit) error {
+		time.Sleep(200 * time.Microsecond)
+		// Unemitted: at most a wave reordering, a wave in the results
+		// channel and a wave in the slots' hands.
+		if ahead := int(scanned.Load()) - emitted; ahead > 3*slots {
+			return fmt.Errorf("%d chunks scanned ahead of the emit cursor, want at most %d", ahead, 3*slots)
+		}
+		emitted++
+		return nil
+	})
 	if err != nil {
-		t.Fatalf("Execute: %v", err)
+		t.Fatalf("run: %v", err)
 	}
-	wantOrdered(t, hits, 16)
-	if rep.Steals == 0 {
-		t.Error("fast device never stole from the slow one")
+	for w, wave := range waves {
+		if want := []int{slots * w, slots*w + 1, slots*w + 2}; fmt.Sprint(wave) != fmt.Sprint(want) {
+			t.Errorf("wave %d scanned chunks %v together, want %v", w, wave, want)
+		}
 	}
-	if rep.Devices[0].Chunks <= 8 {
-		t.Errorf("fast device settled %d chunks, want > its initial shard of 8", rep.Devices[0].Chunks)
+	if emitted != chunks || len(waves) != chunks/slots {
+		t.Errorf("emitted %d chunks in %d waves, want %d in %d", emitted, len(waves), chunks, chunks/slots)
 	}
 }
 
-func TestExecutorStaticNoSteal(t *testing.T) {
-	fast := &fakeBackend{}
-	slow := &fakeBackend{delay: 2 * time.Millisecond}
-	x := &Executor{Devices: fleet(fast, slow), Static: true}
-	hits, rep, err := runExec(t, x, 16)
+func TestExecutorOpensOnlyNeededSlots(t *testing.T) {
+	// Two chunks, five slots: slots 0 and 1 open, the rest never do, so
+	// which backends exist is a function of the plan, not of timing.
+	var opened [5]atomic.Int64
+	slots := make([]Slot, len(opened))
+	for i := range slots {
+		i := i
+		slots[i].Open = func(*pipeline.Plan) (pipeline.Backend, error) {
+			opened[i].Add(1)
+			return &fakeBackend{}, nil
+		}
+	}
+	hits, rep, err := runExec(t, &Executor{Slots: slots}, 2)
 	if err != nil {
-		t.Fatalf("Execute: %v", err)
+		t.Fatalf("run: %v", err)
 	}
-	wantOrdered(t, hits, 16)
-	if rep.Steals != 0 {
-		t.Errorf("static split stole %d times, want 0", rep.Steals)
+	wantOrdered(t, hits, 2)
+	for i := range opened {
+		want := int64(0)
+		if i < 2 {
+			want = 1
+		}
+		if got := opened[i].Load(); got != want {
+			t.Errorf("slot %d opened %d times, want %d", i, got, want)
+		}
 	}
-	if rep.Devices[0].Chunks != 8 || rep.Devices[1].Chunks != 8 {
-		t.Errorf("static shards settled %d/%d, want the even 8/8 split",
-			rep.Devices[0].Chunks, rep.Devices[1].Chunks)
-	}
-}
-
-func TestExecutorWeightedShards(t *testing.T) {
-	// A 3:1 weight ratio must show up in the static settle counts.
-	b0, b1 := &fakeBackend{}, &fakeBackend{}
-	devs := fleet(b0, b1)
-	devs[0].Weight = 3
-	x := &Executor{Devices: devs, Static: true}
-	_, rep, err := runExec(t, x, 16)
-	if err != nil {
-		t.Fatalf("Execute: %v", err)
-	}
-	if rep.Devices[0].Chunks != 12 || rep.Devices[1].Chunks != 4 {
-		t.Errorf("weighted shards settled %d/%d, want 12/4",
-			rep.Devices[0].Chunks, rep.Devices[1].Chunks)
+	if len(rep.Slots) != 2 || rep.Slots[1].Name != "sched/worker1" {
+		t.Errorf("report rows = %+v, want the two slots that ran", rep.Slots)
 	}
 }
 
@@ -353,12 +312,12 @@ func TestExecutorTransientRetries(t *testing.T) {
 		return nil
 	}}
 	x := &Executor{
-		Devices: fleet(be),
-		Policy:  &pipeline.Resilience{MaxRetries: 3, BackoffBase: time.Microsecond, BackoffMax: time.Microsecond},
+		Slots:  fleet(be),
+		Policy: &pipeline.Resilience{MaxRetries: 3, BackoffBase: time.Microsecond, BackoffMax: time.Microsecond},
 	}
 	hits, rep, err := runExec(t, x, 6)
 	if err != nil {
-		t.Fatalf("Execute: %v", err)
+		t.Fatalf("run: %v", err)
 	}
 	wantOrdered(t, hits, 6)
 	if rep.Retries != 2 {
@@ -370,10 +329,11 @@ func TestExecutorTransientRetries(t *testing.T) {
 }
 
 func TestExecutorEvictionRedistributes(t *testing.T) {
-	// Device 0 fails fatally on first touch: it must be evicted and its
-	// whole shard — including the failed chunk — must finish on device 1.
-	// The survivor waits at the gate until device 0 has a chunk in
-	// flight, so the failure cannot be stolen away before it happens.
+	// Slot 0 fails fatally on first touch: it must be evicted and every
+	// chunk — the failed one included, back in the queue at its index —
+	// must finish on slot 1. The survivor waits at the gate until slot 0
+	// has a chunk in flight, so it cannot drain the queue before the
+	// failure happens.
 	var once sync.Once
 	badStaged := make(chan struct{})
 	bad := &fakeBackend{
@@ -382,37 +342,39 @@ func TestExecutorEvictionRedistributes(t *testing.T) {
 	}
 	good := &fakeBackend{stageHook: func() { <-badStaged }}
 	x := &Executor{
-		Devices: fleet(bad, good),
-		Policy:  &pipeline.Resilience{MaxRetries: -1},
+		Slots:  fleet(bad, good),
+		Policy: &pipeline.Resilience{MaxRetries: -1},
 	}
 	hits, rep, err := runExec(t, x, 10)
 	if err != nil {
-		t.Fatalf("Execute: %v", err)
+		t.Fatalf("run: %v", err)
 	}
 	wantOrdered(t, hits, 10)
-	if rep.Evictions != 1 || !rep.Devices[0].Evicted {
-		t.Fatalf("evictions = %d, dev0 evicted = %v; want 1/true", rep.Evictions, rep.Devices[0].Evicted)
+	if rep.Evictions != 1 || !rep.Slots[0].Evicted {
+		t.Fatalf("evictions = %d, dev0 evicted = %v; want 1/true", rep.Evictions, rep.Slots[0].Evicted)
 	}
-	if rep.Devices[1].Evicted {
+	if rep.Slots[1].Evicted {
 		t.Error("survivor marked evicted")
 	}
-	if rep.Devices[1].Chunks != 10 {
-		t.Errorf("survivor settled %d chunks, want all 10", rep.Devices[1].Chunks)
+	if rep.Slots[1].Chunks != 10 {
+		t.Errorf("survivor settled %d chunks, want all 10", rep.Slots[1].Chunks)
 	}
 	if rep.Failovers != 0 {
-		t.Errorf("failovers = %d, want 0 (survivor absorbed the shard)", rep.Failovers)
+		t.Errorf("failovers = %d, want 0 (the survivor absorbed the chunk)", rep.Failovers)
 	}
-	if !strings.Contains(rep.Devices[0].EvictErr, "injected fatal") {
-		t.Errorf("eviction cause %q does not carry the fault", rep.Devices[0].EvictErr)
+	if !strings.Contains(rep.Slots[0].EvictErr, "injected fatal") {
+		t.Errorf("eviction cause %q does not carry the fault", rep.Slots[0].EvictErr)
 	}
 }
 
 func TestExecutorAllEvictedFallsBack(t *testing.T) {
-	// Both devices die: every chunk must drain serially, in order, through
-	// the policy's fallback backend.
+	// Both slots die on every chunk: the first to exhaust a chunk is
+	// evicted, the last live slot is not — it fails every chunk over to the
+	// policy's fallback, one at a time, and keeps serving the queue.
 	fb := &fakeBackend{}
+	b0, b1 := &fakeBackend{failFind: fatalAlways}, &fakeBackend{failFind: fatalAlways}
 	x := &Executor{
-		Devices: fleet(&fakeBackend{failFind: fatalAlways}, &fakeBackend{failFind: fatalAlways}),
+		Slots: fleet(b0, b1),
 		Policy: &pipeline.Resilience{
 			MaxRetries: -1,
 			Fallback:   func(*pipeline.Plan) (pipeline.Backend, error) { return fb, nil },
@@ -420,34 +382,66 @@ func TestExecutorAllEvictedFallsBack(t *testing.T) {
 	}
 	hits, rep, err := runExec(t, x, 8)
 	if err != nil {
-		t.Fatalf("Execute: %v", err)
+		t.Fatalf("run: %v", err)
 	}
 	wantOrdered(t, hits, 8)
-	if rep.Evictions != 2 {
-		t.Errorf("evictions = %d, want 2", rep.Evictions)
+	if rep.Evictions != 1 || rep.Slots[0].Evicted == rep.Slots[1].Evicted {
+		t.Errorf("evictions = %d (%+v), want all but the last live slot", rep.Evictions, rep.Slots)
 	}
-	if !rep.FallbackUsed {
-		t.Error("fallback not marked used")
+	if !rep.FallbackUsed || rep.Failovers != 8 || fb.finds != 8 {
+		t.Errorf("fallback used=%v failovers=%d finds=%d, want one failover per chunk (8)", rep.FallbackUsed, rep.Failovers, fb.finds)
 	}
-	if rep.Failovers != 8 {
-		t.Errorf("failovers = %d, want one per stranded chunk (8)", rep.Failovers)
+	if b0.finds+b1.finds != 9 {
+		t.Errorf("the fleet tried %d scans, want 9: every chunk on the last slot, one on the evicted", b0.finds+b1.finds)
 	}
-	if fb.closed != 1 {
-		t.Errorf("fallback closed %d times, want 1", fb.closed)
+	if fb.closed != 1 || b0.closed != 1 || b1.closed != 1 {
+		t.Errorf("backends closed %d/%d, fallback %d times, want 1 each", b0.closed, b1.closed, fb.closed)
+	}
+}
+
+func TestExecutorLastSlotFailsOver(t *testing.T) {
+	// A one-slot fleet is its own last live slot: a chunk that exhausts it
+	// fails over alone, nothing is evicted, and the chunks after it run on
+	// the slot's own backend again — a single engine's per-chunk failover.
+	fb := &fakeBackend{}
+	be := &fakeBackend{failFind: func(start, call int) error {
+		if start == 24 {
+			return fatalAlways(start, call)
+		}
+		return nil
+	}}
+	x := &Executor{
+		Slots: fleet(be),
+		Policy: &pipeline.Resilience{
+			MaxRetries: -1,
+			Fallback:   func(*pipeline.Plan) (pipeline.Backend, error) { return fb, nil },
+		},
+	}
+	hits, rep, err := runExec(t, x, 6)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	wantOrdered(t, hits, 6)
+	if rep.Evictions != 0 || rep.Failovers != 1 || rep.Slots[0].Chunks != 6 {
+		t.Errorf("report = %+v, want no eviction, one failover, all 6 chunks settled by the slot", rep)
+	}
+	if be.finds != 6 || fb.finds != 1 {
+		t.Errorf("primary scanned %d chunks and the fallback %d, want 6 and 1", be.finds, fb.finds)
 	}
 }
 
 func TestExecutorQuarantineWithoutFallback(t *testing.T) {
 	// A dead fleet and no fallback: the run completes with every chunk
-	// quarantined and a PartialError, not a hard failure.
+	// quarantined under the fault that failed it and a PartialError, not a
+	// hard failure.
 	x := &Executor{
-		Devices: fleet(&fakeBackend{failFind: fatalAlways}),
-		Policy:  &pipeline.Resilience{MaxRetries: -1},
+		Slots:  fleet(&fakeBackend{failFind: fatalAlways}),
+		Policy: &pipeline.Resilience{MaxRetries: -1},
 	}
 	hits, rep, err := runExec(t, x, 5)
 	var pe *pipeline.PartialError
 	if !errors.As(err, &pe) {
-		t.Fatalf("Execute: %v, want PartialError", err)
+		t.Fatalf("run: %v, want PartialError", err)
 	}
 	if len(hits) != 0 {
 		t.Errorf("quarantined run emitted %d hits", len(hits))
@@ -456,53 +450,17 @@ func TestExecutorQuarantineWithoutFallback(t *testing.T) {
 		t.Fatalf("quarantined %d chunks, want 5", len(rep.Quarantined))
 	}
 	for i, q := range rep.Quarantined {
-		if q.Index != i {
-			t.Fatalf("quarantine list out of order: entry %d has index %d", i, q.Index)
+		if q.Index != i || q.Attempts != 1 || fault.ClassOf(q.Err) != fault.Fatal {
+			t.Fatalf("quarantine entry %d = %+v, want chunk %d after one fatal attempt", i, q, i)
 		}
-	}
-	// The chunk that actually failed carries the fault; the stranded rest
-	// carry the scheduler's eviction label.
-	var fe *fault.Error
-	if !errors.As(rep.Quarantined[1].Err, &fe) || fe.Site != fault.SiteEviction {
-		t.Errorf("stranded chunk error %v, want site %s", rep.Quarantined[1].Err, fault.SiteEviction)
-	}
-}
-
-func TestExecutorStaticFailover(t *testing.T) {
-	// Static mode keeps the old per-chunk failover: the bad device's shard
-	// fails over chunk by chunk, no eviction, no migration to device 1.
-	fb := &fakeBackend{}
-	good := &fakeBackend{}
-	devs := fleet(&fakeBackend{failFind: fatalAlways}, good)
-	x := &Executor{
-		Devices: devs,
-		Static:  true,
-		Policy: &pipeline.Resilience{
-			MaxRetries: -1,
-			Fallback:   func(*pipeline.Plan) (pipeline.Backend, error) { return fb, nil },
-		},
-	}
-	hits, rep, err := runExec(t, x, 10)
-	if err != nil {
-		t.Fatalf("Execute: %v", err)
-	}
-	wantOrdered(t, hits, 10)
-	if rep.Evictions != 0 {
-		t.Errorf("static mode evicted %d devices, want 0", rep.Evictions)
-	}
-	if rep.Failovers != 5 {
-		t.Errorf("failovers = %d, want 5 (device 0's shard)", rep.Failovers)
-	}
-	if rep.Devices[1].Chunks != 5 {
-		t.Errorf("device 1 settled %d chunks, want its own 5", rep.Devices[1].Chunks)
 	}
 }
 
 func TestExecutorWatchdogEvicts(t *testing.T) {
-	// A hung device is reaped by the watchdog; with no retry budget the
-	// kill evicts it and the survivor finishes the run. The survivor is
-	// held at the gate until the hung device has a chunk in flight, so
-	// the hang cannot be stolen away before it happens.
+	// A hung slot is reaped by the watchdog; with no retry budget the kill
+	// evicts it and the survivor finishes the run. The survivor is held at
+	// the gate until the hung slot has a chunk in flight, so it cannot
+	// drain the queue before the hang happens.
 	var once sync.Once
 	hungStaged := make(chan struct{})
 	hung := &fakeBackend{
@@ -511,12 +469,12 @@ func TestExecutorWatchdogEvicts(t *testing.T) {
 	}
 	good := &fakeBackend{stageHook: func() { <-hungStaged }}
 	x := &Executor{
-		Devices: fleet(hung, good),
-		Policy:  &pipeline.Resilience{MaxRetries: -1, Watchdog: 5 * time.Millisecond},
+		Slots:  fleet(hung, good),
+		Policy: &pipeline.Resilience{MaxRetries: -1, Watchdog: 5 * time.Millisecond},
 	}
 	hits, rep, err := runExec(t, x, 8)
 	if err != nil {
-		t.Fatalf("Execute: %v", err)
+		t.Fatalf("run: %v", err)
 	}
 	wantOrdered(t, hits, 8)
 	if rep.WatchdogKills == 0 {
@@ -528,18 +486,18 @@ func TestExecutorWatchdogEvicts(t *testing.T) {
 }
 
 func TestExecutorFailFastWithoutPolicy(t *testing.T) {
-	// Hold the healthy device at the gate until the failing one has a
-	// chunk in flight, so the failure cannot be stolen away.
+	// Hold the healthy slot at the gate until the failing one has a chunk
+	// in flight, so it cannot drain the queue first.
 	var once sync.Once
 	badStaged := make(chan struct{})
 	bad := &fakeBackend{
 		failFind:  fatalAlways,
 		stageHook: func() { once.Do(func() { close(badStaged) }) },
 	}
-	x := &Executor{Devices: fleet(bad, &fakeBackend{stageHook: func() { <-badStaged }})}
+	x := &Executor{Slots: fleet(bad, &fakeBackend{stageHook: func() { <-badStaged }})}
 	_, rep, err := runExec(t, x, 8)
 	if err == nil {
-		t.Fatal("Execute succeeded, want fail-fast error")
+		t.Fatal("run succeeded, want fail-fast error")
 	}
 	if !strings.Contains(err.Error(), "injected fatal") {
 		t.Errorf("error %v does not carry the cause", err)
@@ -550,44 +508,49 @@ func TestExecutorFailFastWithoutPolicy(t *testing.T) {
 }
 
 func TestExecutorOpenFailure(t *testing.T) {
-	// A device whose backend cannot open is evicted like any other
-	// failure; its shard migrates to the survivor.
+	// A slot whose backend cannot open is evicted like any other failure;
+	// the survivor serves the whole queue.
 	good := &fakeBackend{}
-	devs := []Device{
-		{Name: "broken", Weight: 1, Open: func(*pipeline.Plan) (pipeline.Backend, error) {
+	devs := []Slot{
+		{Name: "broken", Open: func(*pipeline.Plan) (pipeline.Backend, error) {
 			return nil, errors.New("no such device")
 		}},
-		{Name: "ok", Weight: 1, Open: func(*pipeline.Plan) (pipeline.Backend, error) { return good, nil }},
+		{Name: "ok", Open: func(*pipeline.Plan) (pipeline.Backend, error) { return good, nil }},
 	}
-	x := &Executor{Devices: devs, Policy: &pipeline.Resilience{MaxRetries: -1}}
+	x := &Executor{Slots: devs, Policy: &pipeline.Resilience{MaxRetries: -1}}
 	hits, rep, err := runExec(t, x, 10)
 	if err != nil {
-		t.Fatalf("Execute: %v", err)
+		t.Fatalf("run: %v", err)
 	}
 	wantOrdered(t, hits, 10)
-	if rep.Evictions != 1 || !rep.Devices[0].Evicted {
+	if rep.Evictions != 1 || !rep.Slots[0].Evicted {
 		t.Errorf("open failure did not evict: evictions=%d", rep.Evictions)
 	}
-	if rep.Devices[1].Chunks != 10 {
-		t.Errorf("survivor settled %d chunks, want 10 (got: %+v)", rep.Devices[1].Chunks, rep.Devices)
+	if rep.Slots[1].Chunks != 10 {
+		t.Errorf("survivor settled %d chunks, want 10 (got: %+v)", rep.Slots[1].Chunks, rep.Slots)
+	}
+	// The last live slot has nothing to serve the queue with: the run fails.
+	x = &Executor{Slots: devs[:1], Policy: x.Policy}
+	if _, _, err := runExec(t, x, 10); err == nil || !strings.Contains(err.Error(), "no such device") {
+		t.Errorf("run over a fleet that cannot open: %v, want the open error", err)
 	}
 }
 
 func TestExecutorNoDevices(t *testing.T) {
 	x := &Executor{}
 	plan, asm := testPlan(t, 1)
-	err := x.Execute(context.Background(), plan, asm, func(pipeline.Hit) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "no devices") {
-		t.Fatalf("Execute: %v, want no-devices error", err)
+	err := x.execute(context.Background(), plan, asm, func(pipeline.Hit) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "no slots") {
+		t.Fatalf("run: %v, want no-slots error", err)
 	}
 }
 
 func TestExecutorEmitError(t *testing.T) {
-	x := &Executor{Devices: fleet(&fakeBackend{})}
+	x := &Executor{Slots: fleet(&fakeBackend{})}
 	plan, asm := testPlan(t, 6)
 	sentinel := errors.New("sink full")
 	n := 0
-	err := x.Execute(context.Background(), plan, asm, func(pipeline.Hit) error {
+	err := x.execute(context.Background(), plan, asm, func(pipeline.Hit) error {
 		n++
 		if n == 2 {
 			return sentinel
@@ -595,27 +558,27 @@ func TestExecutorEmitError(t *testing.T) {
 		return nil
 	})
 	if !errors.Is(err, sentinel) {
-		t.Fatalf("Execute: %v, want emit error", err)
+		t.Fatalf("run: %v, want emit error", err)
 	}
 }
 
 func TestExecutorContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	slow := &fakeBackend{delay: 5 * time.Millisecond}
-	x := &Executor{Devices: fleet(slow)}
+	x := &Executor{Slots: fleet(slow)}
 	plan, asm := testPlan(t, 10)
 	done := make(chan error, 1)
 	go func() {
-		done <- x.Execute(ctx, plan, asm, func(pipeline.Hit) error { return nil })
+		done <- x.execute(ctx, plan, asm, func(pipeline.Hit) error { return nil })
 	}()
 	time.Sleep(2 * time.Millisecond)
 	cancel()
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("Execute: %v, want context.Canceled", err)
+			t.Fatalf("run: %v, want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Execute did not return after cancel")
+		t.Fatal("run did not return after cancel")
 	}
 }

@@ -24,7 +24,7 @@ type rawHit struct {
 // chunk geometry first: a locus outside the chunk window, an impossible
 // strand byte or a mismatch count beyond the pattern length can only come
 // from a damaged device-to-host readback, so the chunk is rejected with a
-// corruption-classed error instead of a panic — the resilient pipeline then
+// corruption-classed error instead of a panic — the executor then
 // re-verifies it on the fallback backend. The injected corruption model
 // flips MSBs (loud, always out of range); silently in-range corruption
 // would need checksummed transfers, which is out of scope (DESIGN.md §9).
@@ -72,30 +72,18 @@ func closeErr(relErr error, err *error) {
 	}
 }
 
-// resilienceFor adapts an engine-configured resilience policy for one run:
-// it installs the CPU SWAR engine as the failover backend when none is set
+// policyFor copies an engine-configured resilience policy for one run,
+// installing the CPU SWAR engine as the failover backend when none is set
 // (its hit stream is byte-identical to the simulator engines', so a
-// failed-over chunk preserves the golden output), and chains the run report
-// into the engine's profile ahead of any caller-provided OnReport. A nil
-// policy stays nil — the pipeline keeps its default fail-fast topology.
-func resilienceFor(res *pipeline.Resilience, prof func() *Profile) *pipeline.Resilience {
+// failed-over chunk preserves the golden output). A nil policy stays nil —
+// the executor keeps its fail-fast contract.
+func policyFor(res *pipeline.Resilience) *pipeline.Resilience {
 	if res == nil {
 		return nil
 	}
 	r := *res
 	if r.Fallback == nil {
-		r.Fallback = func(plan *pipeline.Plan) (pipeline.Backend, error) {
-			return newCPUBackend(plan), nil
-		}
-	}
-	user := res.OnReport
-	r.OnReport = func(rep *pipeline.Report) {
-		if p := prof(); p != nil {
-			p.addResilience(rep)
-		}
-		if user != nil {
-			user(rep)
-		}
+		r.Fallback = openCPUBackend
 	}
 	return &r
 }

@@ -10,6 +10,7 @@ import (
 	"casoffinder/internal/kernels"
 	"casoffinder/internal/obs"
 	"casoffinder/internal/pipeline"
+	"casoffinder/internal/sched"
 )
 
 // CPU is the production engine: a goroutine-parallel scan over genome
@@ -44,30 +45,34 @@ func (c *CPU) Run(asm *genome.Assembly, req *Request) ([]Hit, error) {
 	return Collect(context.Background(), c, asm, req)
 }
 
-// Stream implements Engine by running the shared pipeline over the in-place
-// chunk scan, one scan worker per configured CPU.
+// Stream implements Engine: the executor over one slot, each with its own
+// in-place chunk scanner, per configured CPU.
 func (c *CPU) Stream(ctx context.Context, asm *genome.Assembly, req *Request, emit func(Hit) error) error {
-	track := c.Track
-	if track == "" {
-		track = c.Name()
+	// The slots walk a mapped artifact's words and shards end to end; fault
+	// them in up front rather than a page at a time across the run.
+	if art := asm.Artifact(); art != nil {
+		art.Prefault(art.HasPAMIndex(req.Pattern))
 	}
-	p := &pipeline.Pipeline{
-		Open: func(plan *pipeline.Plan) (pipeline.Backend, error) {
-			return newCPUBackend(plan), nil
-		},
-		ScanWorkers: c.workers(),
-		Trace:       c.Trace,
-		Metrics:     c.Metrics,
-		Track:       track,
+	x := &sched.Executor{
+		Slots:   make([]sched.Slot, c.workers()),
+		Trace:   c.Trace,
+		Metrics: c.Metrics,
+		Track:   c.Track,
 	}
-	return p.Stream(ctx, asm, req, emit)
+	if x.Track == "" {
+		x.Track = c.Name()
+	}
+	for i := range x.Slots {
+		x.Slots[i].Open = openCPUBackend
+	}
+	return x.Stream(ctx, asm, req, emit)
 }
 
 // cpuBackend adapts the goroutine scan to the pipeline Backend contract.
-// Staging is free (chunks are scanned in place), so the pipeline's scan
-// workers carry all the parallelism. It implements pipeline.BatchComparer,
-// so the pipeline fuses all guides into one pass over each chunk's cached
-// window words.
+// Staging is free (chunks are scanned in place), so the executor's slots
+// carry all the parallelism. It implements pipeline.BatchComparer, so an
+// attempt fuses all guides into one pass over each chunk's cached window
+// words.
 type cpuBackend struct {
 	plan *pipeline.Plan
 	// shards is set when the plan's artifact carries PAM shards built for
@@ -93,6 +98,11 @@ func newCPUBackend(plan *pipeline.Plan) pipeline.Backend {
 		b.guides[i] = CompileBitPattern(g)
 	}
 	return b
+}
+
+// openCPUBackend is newCPUBackend as a slot's (or a policy's fallback) opener.
+func openCPUBackend(plan *pipeline.Plan) (pipeline.Backend, error) {
+	return newCPUBackend(plan), nil
 }
 
 // cpuStaged is the CPU's staged-chunk handle: the chunk itself plus the
@@ -157,7 +167,7 @@ func (b *cpuBackend) Find(ctx context.Context, st pipeline.Staged) (int, error) 
 }
 
 // Compare implements pipeline.Backend: one guide over the surviving
-// candidates (the comparer kernel's role). The pipeline calls CompareAll
+// candidates (the comparer kernel's role). Attempt calls CompareAll
 // instead.
 func (b *cpuBackend) Compare(ctx context.Context, st pipeline.Staged, qi int) error {
 	b.compareGuides(st.(*cpuStaged), qi, qi+1)
@@ -171,19 +181,30 @@ func (b *cpuBackend) CompareAll(ctx context.Context, st pipeline.Staged) error {
 	return nil
 }
 
+// inlineWindowWords is how many 32-base window words compareGuides keeps on
+// its own stack: patterns up to 128 bases, every real guide+PAM.
+const inlineWindowWords = 4
+
 // compareGuides tests guides lo..hi-1 at every surviving candidate: the
-// window words are fetched once into pooled scratch, then every guide's
-// compiled pattern runs against the cached words (pattern-major inner
-// loop).
+// window words are fetched once, then every guide's compiled pattern runs
+// against the cached words (pattern-major inner loop). The words are written
+// once per candidate, so they live on this goroutine's stack — as small heap
+// objects they shared cache lines with the BitPattern tables every worker
+// reads (EXPERIMENTS.md, "False sharing in compareGuides"); only patterns
+// over inlineWindowWords words fall back to the pooled slice.
 func (b *cpuBackend) compareGuides(s *cpuStaged, lo, hi int) {
 	sc := s.sc
 	words := b.pattern.words
 	plen := b.plan.Pattern.PatternLen
-	if cap(sc.winText) < words {
-		sc.winText = make([]uint64, words)
-		sc.winUnk = make([]uint64, words)
+	var textBuf, unkBuf [inlineWindowWords]uint64
+	text, unk := textBuf[:], unkBuf[:]
+	if words > inlineWindowWords {
+		if cap(sc.win) < 2*words {
+			sc.win = make([]uint64, 2*words)
+		}
+		text, unk = sc.win[:words], sc.win[words:2*words]
 	}
-	text, unk := sc.winText[:words], sc.winUnk[:words]
+	text, unk = text[:words], unk[:words]
 	queries := b.plan.Request.Queries
 	for _, cd := range sc.cand {
 		pos, strand := cd.pos(), cd.strand()
@@ -249,14 +270,13 @@ func (c candidate) strand() uint8 { return uint8(c & 3) }
 // scanScratch holds per-worker buffers reused across chunks so the scan
 // allocates nothing per position: candidate and entry accumulators, the
 // packed chunk and its word view (rebuilt in place each chunk), and the
-// cached window words of the batched compare.
+// batched compare's window words for patterns too long for its stack.
 type scanScratch struct {
 	cand    []candidate
 	entries []rawHit
 	packed  genome.Packed
 	view    *genome.WordView
-	winText []uint64
-	winUnk  []uint64
+	win     []uint64
 }
 
 // scratchPool keeps one scanScratch per concurrent scan. It has package

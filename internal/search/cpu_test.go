@@ -221,6 +221,13 @@ func TestScanInnerLoopZeroAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, scan); allocs != 0 {
 		t.Errorf("scan allocated %.1f times per pass over %d chunks, want 0", allocs, len(chunks))
 	}
+	// The compare itself needs no scratch for a pattern this short: its
+	// window words live on its own stack, not in heap objects that could
+	// share a cache line with the pattern tables.
+	cold := &cpuStaged{ch: s.ch, view: s.view, sc: &scanScratch{cand: s.sc.cand}}
+	if allocs := testing.AllocsPerRun(50, func() { b.compareGuides(cold, 0, len(b.guides)) }); allocs != 0 || cold.sc.win != nil {
+		t.Errorf("compareGuides allocated %.1f times per call (pooled window %v), want 0 and none", allocs, cold.sc.win)
+	}
 }
 
 // TestCandidateEncoding: a candidate round-trips its position and strand

@@ -16,21 +16,17 @@ import (
 
 // MultiSYCL extends the SYCL application to several devices — the paper's
 // stated limitation ("The SYCL application currently executes on a single
-// GPU device", §IV.A) turned future work. The fleet runs behind the
-// work-stealing scheduler (internal/sched): each device's deque is seeded
-// with a cost-model-proportional shard of the chunk plan — the per-chunk
-// estimate from internal/timing for the device's Table VII spec and the
-// selected comparer variant — and idle devices steal half the tail of the
-// most loaded deque, so a heterogeneous fleet stays busy end to end
-// instead of waiting on its slowest member.
+// GPU device", §IV.A) turned future work. The fleet is the executor
+// (internal/sched) with one slot per device: every device pulls the next
+// chunk of the plan when it is free, so a heterogeneous fleet stays busy end
+// to end instead of waiting on its slowest member.
 //
-// Resilience is device-level: with a policy set, a chunk that exhausts its
-// retries (or trips the watchdog, or returns corrupted data) evicts its
-// device and the device's remaining work redistributes to the survivors;
-// only a fully evicted fleet falls back to the CPU SWAR engine, chunk by
-// chunk. Hits still flow through the pipeline's ordered-emit contract, so
-// the stream is byte-identical to a single-device run regardless of which
-// device ran which chunk.
+// With a policy set, a chunk that exhausts its retries (or trips the
+// watchdog, or returns corrupted data) evicts its device and goes back to
+// the queue for the survivors; the last device left is never evicted and
+// fails such chunks over to the CPU SWAR engine one by one. Hits flow through
+// the ordered-emit contract, so the stream is byte-identical to a
+// single-device run regardless of which device ran which chunk.
 type MultiSYCL struct {
 	// Devices are the simulated GPUs to spread the search over.
 	Devices []*gpu.Device
@@ -40,8 +36,7 @@ type MultiSYCL struct {
 	WorkGroupSize int
 	// Auto resolves the comparer variant and work-group size per device
 	// through the occupancy autotuner (internal/tune) at Stream start: a
-	// heterogeneous fleet can run a different kernel on each member, and
-	// the scheduler's shard weights are seeded from the tuned estimates.
+	// heterogeneous fleet can run a different kernel on each member.
 	// Variant is ignored; WorkGroupSize (when set) narrows the tuner to
 	// that local size. Calibrate additionally runs the tuner's online
 	// measured pass per device type. Output stays byte-identical.
@@ -51,19 +46,15 @@ type MultiSYCL struct {
 	// worst-case layout instead of density-driven provisioning; see
 	// SimCL.WorstCaseArena.
 	WorstCaseArena bool
-	// Resilience, when set, is the fleet's device-level policy: per-chunk
-	// transient retries on the owning device, then eviction; a fully
-	// evicted fleet fails over to the CPU engine (unless a custom
-	// Fallback is configured).
+	// Resilience, when set, is the fleet's recovery policy: per-chunk
+	// transient retries on the device that holds the chunk, then eviction;
+	// the last live device fails chunks over to the CPU engine (unless a
+	// custom Fallback is configured).
 	Resilience *pipeline.Resilience
-	// Static pins every chunk to its cost-model shard — no stealing, no
-	// eviction, per-chunk failover — the pre-scheduler behaviour, kept
-	// for comparison benchmarks.
-	Static bool
 	// Trace and Metrics, when set, are shared by every per-device
 	// sub-engine: each device's spans land on its own "sycl-sim[i]"
-	// track, scheduler events (steal, evict, failover) on the same
-	// tracks, and the counters sum across devices in one registry.
+	// track, recovery events (evict, failover) on the same tracks, and the
+	// counters sum across devices in one registry.
 	Trace   *obs.Tracer
 	Metrics *obs.Metrics
 
@@ -74,7 +65,7 @@ type MultiSYCL struct {
 func (e *MultiSYCL) Name() string { return "sycl-multi" }
 
 // LastProfile implements Profiler: the merged profile of all devices, with
-// the scheduler's steal/eviction accounting folded in.
+// the executor's eviction and per-device accounting folded in.
 func (e *MultiSYCL) LastProfile() *Profile { return e.profile }
 
 // Run implements Engine.
@@ -82,47 +73,10 @@ func (e *MultiSYCL) Run(asm *genome.Assembly, req *Request) ([]Hit, error) {
 	return Collect(context.Background(), e, asm, req)
 }
 
-// deviceWeight derives one device's scheduling weight from the timing
-// model: the inverse of the estimated cost of one chunk on that device,
-// with the finder/comparer launch contexts (occupancy, register pressure)
-// built by the autotuner's cost model from internal/isa. The device is
-// priced at the (variant, work-group size) pair its engine will actually
-// launch — the tuner's selection when it ran — so a heterogeneous fleet's
-// shards reflect its kernels. A faster device gets a proportionally larger
-// initial shard.
-func deviceWeight(e *simCore, req *Request) float64 {
-	chunkBytes := req.ChunkBytes
-	if chunkBytes <= 0 {
-		chunkBytes = pipeline.DefaultChunkBytes
-	}
-	est := tune.Estimate(e.Device.Spec(), e.comparer(), e.wgSize(), len(req.Pattern), len(req.Queries))
-	if sec := est.Seconds(chunkBytes); sec > 0 {
-		return 1 / sec
-	}
-	return 0
-}
-
-// schedPolicy copies the engine policy for the scheduler, defaulting the
-// fallback to the CPU SWAR engine (byte-identical hit stream, so a
-// failed-over chunk preserves the golden output). Unlike resilienceFor it
-// does not chain OnReport: the scheduler reports through sched.Report.
-func (e *MultiSYCL) schedPolicy() *pipeline.Resilience {
-	if e.Resilience == nil {
-		return nil
-	}
-	r := *e.Resilience
-	if r.Fallback == nil {
-		r.Fallback = func(plan *pipeline.Plan) (pipeline.Backend, error) {
-			return newCPUBackend(plan), nil
-		}
-	}
-	return &r
-}
-
 // Stream implements Engine: compile once, then run the chunk plan across
-// the fleet through the work-stealing executor. Hits are emitted in chunk
-// order as chunks settle — the pipeline's ordered-emit contract — so the
-// stream matches a single-device run byte for byte.
+// the fleet. Hits are emitted in chunk order as chunks settle — the
+// ordered-emit contract — so the stream matches a single-device run byte
+// for byte.
 func (e *MultiSYCL) Stream(ctx context.Context, asm *genome.Assembly, req *Request, emit func(Hit) error) error {
 	if err := req.Validate(); err != nil {
 		return err
@@ -136,7 +90,7 @@ func (e *MultiSYCL) Stream(ctx context.Context, asm *genome.Assembly, req *Reque
 		}
 	}
 
-	// Resolve the tuner per device before seeding the fleet: repeated
+	// Resolve the tuner per device before the fleet starts: repeated
 	// device types hit the tune package's memoized decision, so an N-GPU
 	// homogeneous fleet scores (and calibrates) once.
 	var tuned []*tune.Decision
@@ -151,12 +105,12 @@ func (e *MultiSYCL) Stream(ctx context.Context, asm *genome.Assembly, req *Reque
 		}
 	}
 
-	// One SimSYCL shell per device: the scheduler opens its backend (at
-	// most once per run), and the shell's profile collects what that device
-	// did. Sub-engines share the run's tracer and metrics.
+	// One SimSYCL shell per device: its slot opens the backend (at most once
+	// per run), and the shell's profile collects what that device did.
+	// Sub-engines share the run's tracer and metrics.
 	subEngines := make([]*SimSYCL, len(e.Devices))
 	marks := make([]int, len(e.Devices))
-	fleet := make([]sched.Device, len(e.Devices))
+	fleet := make([]sched.Slot, len(e.Devices))
 	for i, dev := range e.Devices {
 		sub := &SimSYCL{
 			Device: dev, Variant: e.Variant, WorkGroupSize: e.WorkGroupSize,
@@ -172,9 +126,8 @@ func (e *MultiSYCL) Stream(ctx context.Context, asm *genome.Assembly, req *Reque
 		// Mark each injector before the run so only this run's fault
 		// delta is folded into the profile.
 		marks[i] = dev.Faults().Mark()
-		fleet[i] = sched.Device{
-			Name:   sub.Track,
-			Weight: deviceWeight(core, req),
+		fleet[i] = sched.Slot{
+			Name: sub.Track,
 			Open: func(plan *pipeline.Plan) (pipeline.Backend, error) {
 				return newSimBackend(core, plan)
 			},
@@ -182,22 +135,15 @@ func (e *MultiSYCL) Stream(ctx context.Context, asm *genome.Assembly, req *Reque
 	}
 
 	var schedRep *sched.Report
-	exec := &sched.Executor{
-		Devices:  fleet,
-		Policy:   e.schedPolicy(),
-		Static:   e.Static,
+	x := &sched.Executor{
+		Slots:    fleet,
+		Policy:   policyFor(e.Resilience),
 		Trace:    e.Trace,
 		Metrics:  e.Metrics,
 		Track:    e.Name(),
 		OnReport: func(rep *sched.Report) { schedRep = rep },
 	}
-	p := &pipeline.Pipeline{
-		Executor: exec,
-		Trace:    e.Trace,
-		Metrics:  e.Metrics,
-		Track:    e.Name(),
-	}
-	err := p.Stream(ctx, asm, req, emit)
+	err := x.Stream(ctx, asm, req, emit)
 
 	// Fold each device's fault delta into that device's own profile —
 	// which carries the shared metrics registry, so MetricFaults stays in
@@ -208,8 +154,8 @@ func (e *MultiSYCL) Stream(ctx context.Context, asm *genome.Assembly, req *Reque
 	for i, sub := range subEngines {
 		prof := sub.LastProfile()
 		if prof == nil {
-			// The scheduler never opened this device (empty shard, no
-			// steal); it cannot have fired faults either.
+			// No slot opened this device (fewer chunks than devices); it
+			// cannot have fired faults either.
 			continue
 		}
 		prof.addFaults(e.Devices[i].Faults().LogSince(marks[i]))

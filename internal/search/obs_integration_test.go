@@ -114,10 +114,10 @@ func TestTraceCoversResilientRun(t *testing.T) {
 	}
 }
 
-// TestTraceCoversConcurrentPipeline checks the double-buffered topology: the
-// stager, per-worker and collector tracks each carry their phase spans for
-// every chunk, the queue-occupancy gauge drains back to zero, and the hits
-// counter matches the emitted stream.
+// TestTraceCoversConcurrentPipeline checks a multi-slot run: the per-worker
+// and collector tracks carry their phase spans for every chunk, each
+// attempt's phases sit inside its scan span, the queue-depth gauge drains to
+// zero, and the hits counter matches the emitted stream.
 func TestTraceCoversConcurrentPipeline(t *testing.T) {
 	asm := testAssembly(t, 11, []int{700, 450, 90}, testSite)
 	req := testRequest(2)
@@ -148,18 +148,19 @@ func TestTraceCoversConcurrentPipeline(t *testing.T) {
 			if s.Chunk != -1 {
 				t.Errorf("%s span bound to chunk %d, want run-level -1", s.Name, s.Chunk)
 			}
-		case "stage":
-			if !strings.HasSuffix(s.Track, "/stager") {
-				t.Errorf("stage span on track %q, want the stager track", s.Track)
+		case "stage", "find", "compare", "drain", "scan":
+			if !strings.HasPrefix(s.Track, "cpu/worker") {
+				t.Errorf("%s span on track %q, want a worker track", s.Name, s.Track)
 			}
-		case "scan":
-			if !strings.Contains(s.Track, "/worker") {
-				t.Errorf("scan span on track %q, want a worker track", s.Track)
+		case "emit":
+			if s.Track != "cpu/collect" {
+				t.Errorf("emit span on track %q, want the collector track", s.Track)
 			}
 		}
 	}
-	if got := snap.Gauges[obs.MetricQueueOccupancy]; got != 0 {
-		t.Errorf("queue occupancy gauge = %g after the run, want 0", got)
+	requireContiguous(t, "scan", spanChunks(spans, "scan"), chunks)
+	if got := snap.Gauges[obs.MetricQueueDepth]; got != 0 {
+		t.Errorf("queue depth gauge = %g after the run, want 0", got)
 	}
 	if got := snap.Counters[obs.MetricHits]; got != int64(len(hits)) {
 		t.Errorf("hits counter = %d, stream emitted %d", got, len(hits))

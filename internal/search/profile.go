@@ -18,7 +18,7 @@ import (
 // pipeline counters the timing model needs to cost staging and transfers.
 //
 // The exported fields are safe to read once the run has returned; while a
-// run is live the pipeline's stager and scan workers update them
+// run is live the backend and its device's callbacks update them
 // concurrently through the locked mutators below.
 type Profile struct {
 	// Kernels aggregates launch statistics by kernel name.
@@ -53,10 +53,10 @@ type Profile struct {
 	// and was grown (the bounded grow-and-retry loop).
 	OverflowRetries int64
 
-	// Resilience counters, filled by the fault-tolerant executor when the
+	// Recovery counters, folded from the executor's run report when the
 	// engine runs with a pipeline.Resilience policy.
 
-	// Retries counts primary-backend retry attempts.
+	// Retries counts transient retry attempts.
 	Retries int64
 	// Failovers counts chunks re-staged on the fallback backend.
 	Failovers int64
@@ -68,17 +68,14 @@ type Profile struct {
 	// asynchronous exception handler.
 	AsyncExceptions int64
 
-	// Scheduler counters, filled by the work-stealing multi-device
-	// executor (internal/sched) when the engine runs a fleet.
+	// Fleet counters, folded from the executor's run report when the
+	// engine runs several devices.
 
-	// Steals counts deque steal operations across the fleet.
-	Steals int64
-	// Evictions counts devices quarantined out of the fleet.
+	// Evictions counts devices evicted from the fleet.
 	Evictions int64
-	// DeviceChunks and DeviceSteals break chunk settles and steals down
-	// by device slot name; nil outside scheduler runs.
+	// DeviceChunks breaks chunk settles down by device slot name; nil
+	// outside fleet runs.
 	DeviceChunks map[string]int
-	DeviceSteals map[string]int
 
 	// Autotuner records, filled when the engine resolved its kernel
 	// selection through the occupancy autotuner (internal/tune).
@@ -192,51 +189,39 @@ func (p *Profile) addOverflowRetry() {
 	p.metrics.Count(obs.MetricArenaOverflows, 1)
 }
 
-// addResilience folds one run's resilience report into the profile.
+// addResilience folds one run's resilience report into the profile. It does
+// not mirror into the metrics registry: the executor counts each event where
+// it happens.
 func (p *Profile) addResilience(rep *pipeline.Report) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.Retries += rep.Retries
 	p.OverflowRetries += rep.OverflowRelaunches
 	p.Failovers += rep.Failovers
 	p.WatchdogKills += rep.WatchdogKills
 	p.QuarantinedChunks += len(rep.Quarantined)
-	p.mu.Unlock()
-	p.metrics.Count(obs.MetricArenaOverflows, rep.OverflowRelaunches)
-	p.metrics.Count(obs.MetricRetries, rep.Retries)
-	p.metrics.Count(obs.MetricFailovers, rep.Failovers)
-	p.metrics.Count(obs.MetricWatchdogKills, rep.WatchdogKills)
-	p.metrics.Count(obs.MetricQuarantined, int64(len(rep.Quarantined)))
 }
 
-// addSched folds one scheduler run's report into the profile. Unlike
-// addResilience it does NOT mirror into the metrics registry: the scheduler
-// emits its counters live (steal by steal), so mirroring the folded totals
-// here would double-count them in the -metrics dump.
+// addSched folds a fleet run's report into the profile: the resilience
+// counters plus evictions and the per-device chunk counts.
 func (p *Profile) addSched(rep *sched.Report) {
+	p.addResilience(&rep.Report)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.Retries += rep.Retries
-	p.Failovers += rep.Failovers
-	p.WatchdogKills += rep.WatchdogKills
-	p.QuarantinedChunks += len(rep.Quarantined)
-	p.Steals += rep.Steals
 	p.Evictions += rep.Evictions
-	if len(rep.Devices) > 0 {
-		if p.DeviceChunks == nil {
-			p.DeviceChunks = make(map[string]int)
-			p.DeviceSteals = make(map[string]int)
-		}
-		for _, d := range rep.Devices {
-			p.DeviceChunks[d.Name] += d.Chunks
-			p.DeviceSteals[d.Name] += d.Steals
-		}
+	if p.DeviceChunks == nil {
+		p.DeviceChunks = make(map[string]int)
+	}
+	for _, d := range rep.Slots {
+		p.DeviceChunks[d.Name] += d.Chunks
 	}
 }
 
 // addTune records one autotuner decision under the engine's track name,
 // mirroring the counters (and a variant-labelled selection count) into the
 // metrics registry at decision time — the same live-mirroring contract as the
-// other mutators, so a -metrics dump always agrees with the profile totals.
+// device-side mutators, so a -metrics dump always agrees with the profile
+// totals.
 func (p *Profile) addTune(track string, d *tune.Decision) {
 	p.mu.Lock()
 	if p.TunedVariant == nil {
@@ -332,23 +317,17 @@ func (p *Profile) merge(o *Profile) {
 	p.WatchdogKills += o.WatchdogKills
 	p.QuarantinedChunks += o.QuarantinedChunks
 	p.AsyncExceptions += o.AsyncExceptions
-	p.Steals += o.Steals
 	p.Evictions += o.Evictions
 	if o.DeviceChunks != nil {
 		if p.DeviceChunks == nil {
 			p.DeviceChunks = make(map[string]int)
-			p.DeviceSteals = make(map[string]int)
 		}
 		for name, n := range o.DeviceChunks {
 			p.DeviceChunks[name] += n
 		}
-		for name, n := range o.DeviceSteals {
-			p.DeviceSteals[name] += n
-		}
 	}
-	// Tuner records fold like the scheduler's: each decision already
-	// mirrored into the shared registry when addTune ran, so merge only
-	// sums the profile side.
+	// Each tuner decision already mirrored into the shared registry when
+	// addTune ran, so merge only sums the profile side.
 	if o.TunedVariant != nil {
 		if p.TunedVariant == nil {
 			p.TunedVariant = make(map[string]string)

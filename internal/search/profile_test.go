@@ -279,28 +279,12 @@ func TestMultiSYCLMergeParity(t *testing.T) {
 	}
 }
 
-// TestMetricsAgreeWithProfile is the acceptance check for the counter
-// mirror: on a seeded fault run the metrics registry and the engine profile
-// must report the same totals.
-func TestMetricsAgreeWithProfile(t *testing.T) {
-	asm := testAssembly(t, 7, []int{600, 300}, testSite)
-	req := testRequest(2)
-	plan := fault.Plan{Seed: 1234, Rate: 0.3}
-	dev := gpu.New(device.MI100(), gpu.WithWorkers(4))
-	dev.SetFaults(fault.NewInjector(plan))
-	m := obs.NewMetrics()
-	eng := &SimSYCL{
-		Device: dev, Variant: kernels.Base, WorkGroupSize: 64,
-		Resilience: &pipeline.Resilience{Seed: plan.Seed, Watchdog: 500 * time.Millisecond},
-		Metrics:    m,
-	}
-	if _, err := eng.Run(asm, req); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	p := eng.LastProfile()
-	if p.Retries == 0 && p.Failovers == 0 {
-		t.Fatal("run was not degraded; raise the fault rate for the test to mean anything")
-	}
+// requireMetricsAgree asserts the registry and the profile report the same
+// totals. The device-side counters are mirrored by the Profile mutators, the
+// recovery counters are counted once, by the executor, and folded into the
+// profile from its report — neither side may count an event twice.
+func requireMetricsAgree(t *testing.T, m *obs.Metrics, p *Profile) {
+	t.Helper()
 	snap := m.Snapshot()
 	counters := map[string]int64{
 		obs.MetricChunks:          int64(p.Chunks),
@@ -312,6 +296,7 @@ func TestMetricsAgreeWithProfile(t *testing.T) {
 		obs.MetricFailovers:       p.Failovers,
 		obs.MetricWatchdogKills:   p.WatchdogKills,
 		obs.MetricQuarantined:     int64(p.QuarantinedChunks),
+		obs.MetricEvictions:       p.Evictions,
 		obs.MetricAsyncExceptions: p.AsyncExceptions,
 		// Arena accounting must survive the fault paths too: a Find that
 		// rejects a corrupted count readback records the readback (and any
@@ -331,5 +316,54 @@ func TestMetricsAgreeWithProfile(t *testing.T) {
 		if got := snap.Counters[series]; got != want {
 			t.Errorf("counter %s = %d, profile says %d", series, got, want)
 		}
+	}
+}
+
+// TestMetricsAgreeWithProfile is the acceptance check for the one
+// accounting: on a seeded fault run of every engine the metrics registry and
+// the engine profile must report the same totals. The CPU engine has neither
+// a device nor a profile; it must come out clean.
+func TestMetricsAgreeWithProfile(t *testing.T) {
+	asm := testAssembly(t, 7, []int{600, 300}, testSite)
+	req := testRequest(2)
+	plan := fault.Plan{Seed: 1234, Rate: 0.3}
+	faulty := func(seed uint64) *gpu.Device {
+		dev := gpu.New(device.MI100(), gpu.WithWorkers(4))
+		dev.SetFaults(fault.NewInjector(fault.Plan{Seed: seed, Rate: plan.Rate}))
+		return dev
+	}
+	res := &pipeline.Resilience{Seed: plan.Seed, Watchdog: 500 * time.Millisecond}
+	for _, mk := range []func(m *obs.Metrics) Engine{
+		func(m *obs.Metrics) Engine { return &CPU{Workers: 2, Metrics: m} },
+		func(m *obs.Metrics) Engine {
+			return &SimCL{Device: faulty(plan.Seed), Variant: kernels.Base, Resilience: res, Metrics: m}
+		},
+		func(m *obs.Metrics) Engine {
+			return &SimSYCL{Device: faulty(plan.Seed), Variant: kernels.Base, WorkGroupSize: 64, Resilience: res, Metrics: m}
+		},
+		func(m *obs.Metrics) Engine {
+			return &MultiSYCL{Devices: []*gpu.Device{faulty(plan.Seed), faulty(plan.Seed + 1)},
+				Variant: kernels.Base, WorkGroupSize: 64, Resilience: res, Metrics: m}
+		},
+	} {
+		m := obs.NewMetrics()
+		eng := mk(m)
+		t.Run(eng.Name(), func(t *testing.T) {
+			hits, err := eng.Run(asm, req)
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if got := m.Counter(obs.MetricHits); got != int64(len(hits)) {
+				t.Errorf("hits counter = %d, run returned %d", got, len(hits))
+			}
+			p := newProfile(nil)
+			if pr, ok := eng.(Profiler); ok {
+				p = pr.LastProfile()
+				if p.Retries == 0 && p.Failovers == 0 {
+					t.Fatal("run was not degraded; raise the fault rate for the test to mean anything")
+				}
+			}
+			requireMetricsAgree(t, m, p)
+		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"casoffinder/internal/genome"
 	"casoffinder/internal/kernels"
 	"casoffinder/internal/pipeline"
+	"casoffinder/internal/sched"
 )
 
 // The scan paths the SWAR+batch engine replaced, kept as the references the
@@ -15,7 +16,7 @@ import (
 // (the "2-bit sequence format" of the paper's related work [21], without
 // word parallelism), and the SWAR core with multi-pattern batching switched
 // off. internal/baseline stays the independent oracle; these share the
-// engine's pipeline, chunking and drain so a divergence points at the scan.
+// engine's executor, chunking and drain so a divergence points at the scan.
 
 // refArm selects a reference scan.
 type refArm int
@@ -39,19 +40,18 @@ func (c *refCPU) Run(asm *genome.Assembly, req *Request) ([]Hit, error) {
 }
 
 func (c *refCPU) Stream(ctx context.Context, asm *genome.Assembly, req *Request, emit func(Hit) error) error {
-	p := &pipeline.Pipeline{
-		Open: func(plan *pipeline.Plan) (pipeline.Backend, error) {
+	x := &sched.Executor{Slots: make([]sched.Slot, (&CPU{Workers: c.Workers}).workers()), Track: c.Name()}
+	for i := range x.Slots {
+		x.Slots[i].Open = func(plan *pipeline.Plan) (pipeline.Backend, error) {
 			if c.Arm == refNoBatch {
 				// Embedding the interface hides CompareAll, so the
-				// pipeline loops Compare per guide.
+				// attempt loops Compare per guide.
 				return struct{ pipeline.Backend }{newCPUBackend(plan)}, nil
 			}
 			return &refBackend{plan: plan, scalar: c.Arm == refScalar}, nil
-		},
-		ScanWorkers: (&CPU{Workers: c.Workers}).workers(),
-		Track:       c.Name(),
+		}
 	}
-	return p.Stream(ctx, asm, req, emit)
+	return x.Stream(ctx, asm, req, emit)
 }
 
 // refBackend runs the byte or the per-base packed arm under the pipeline

@@ -127,8 +127,7 @@ type simBackend struct {
 	finderPred   *alloc.Predictor
 	comparerPred *alloc.Predictor
 
-	// mu guards live: the stager creates buffers while the scan worker
-	// frees others.
+	// mu guards live.
 	mu   sync.Mutex
 	live map[devBuf]struct{}
 }
@@ -393,8 +392,6 @@ type simStaged struct {
 // Stage implements pipeline.Backend: create the chunk's sequence buffer. The
 // chunk is staged as-is: the kernels' IUPAC tables accept soft-masked
 // lower-case bases (site rendering normalizes case in the reported site).
-// This runs on the stager goroutine while the scan worker drives kernels
-// over the previous chunk.
 func (b *simBackend) Stage(ctx context.Context, ch *genome.Chunk) (pipeline.Staged, error) {
 	s := &simStaged{ch: ch}
 	var err error
@@ -556,7 +553,7 @@ func (b *simBackend) freeStaged(s *simStaged) (err error) {
 
 // Drain implements pipeline.Backend: render the accumulated entries and free
 // the chunk's buffers. Corrupted entries keep the buffers for Release or
-// Close and hand the corruption class to the resilient executor.
+// Close and hand the corruption class to the executor.
 func (b *simBackend) Drain(ctx context.Context, st pipeline.Staged, r *pipeline.SiteRenderer) ([]Hit, error) {
 	s := st.(*simStaged)
 	hits, err := drainEntries(r, s.ch, b.plan.Guides, s.entries)
@@ -570,7 +567,7 @@ func (b *simBackend) Drain(ctx context.Context, st pipeline.Staged, r *pipeline.
 }
 
 // Release implements pipeline.Releaser: free an abandoned staged handle's
-// buffers as soon as the resilient executor gives up on an attempt, rather
+// buffers as soon as an attempt is abandoned, rather
 // than holding them (against the device memory budget) until Close.
 func (b *simBackend) Release(st pipeline.Staged) {
 	if s, ok := st.(*simStaged); ok && s != nil {

@@ -9,6 +9,7 @@ import (
 	"casoffinder/internal/kernels"
 	"casoffinder/internal/obs"
 	"casoffinder/internal/pipeline"
+	"casoffinder/internal/sched"
 	"casoffinder/internal/tune"
 )
 
@@ -40,12 +41,12 @@ type simConfig struct {
 	// the provisioned bytes differ, which is what the staged-bytes ablation
 	// measures.
 	WorstCaseArena bool
-	// Resilience, when set, runs the engine under the pipeline's
-	// fault-tolerant executor: transient errors (including SYCL asynchronous
-	// exceptions) retry with backoff, hung kernels are reaped by the
-	// watchdog, and chunks the device cannot complete fail over to the CPU
-	// SWAR engine (unless a custom Fallback is configured), preserving the
-	// byte-identical hit stream.
+	// Resilience, when set, is the run's recovery policy (internal/sched):
+	// transient errors (including SYCL asynchronous exceptions) retry with
+	// backoff, hung kernels are reaped by the watchdog, and chunks the
+	// device cannot complete fail over to the CPU SWAR engine (unless a
+	// custom Fallback is configured), preserving the byte-identical hit
+	// stream.
 	Resilience *pipeline.Resilience
 	// Trace and Metrics, when set, observe the run: pipeline-stage and
 	// kernel-launch spans, latency histograms and profile-mirroring
@@ -101,14 +102,14 @@ func (e *simCore) wgSize() int {
 	return e.defaultWG
 }
 
-// stream drives the two kernels behind the shared pipeline: one scan worker
-// issues launches while the stager creates the next chunk's buffers.
+// stream runs the engine as a one-slot fleet: the slot's goroutine stages
+// each chunk and issues its launches.
 func (e *simCore) stream(ctx context.Context, asm *genome.Assembly, req *Request, emit func(Hit) error) error {
 	if e.Device == nil {
 		return fmt.Errorf("search: %s: nil device", e.name)
 	}
-	// Resolve the tuner before the pipeline opens the backend; the decision
-	// is read-only for the rest of the run.
+	// Resolve the tuner before the slot opens the backend; the decision is
+	// read-only for the rest of the run.
 	e.tuned = nil
 	if e.Auto {
 		d, err := autotuneDecision(e.Device, req, e.WorkGroupSize, e.Calibrate)
@@ -117,22 +118,27 @@ func (e *simCore) stream(ctx context.Context, asm *genome.Assembly, req *Request
 		}
 		e.tuned = d
 	}
-	p := &pipeline.Pipeline{
-		Open: func(plan *pipeline.Plan) (pipeline.Backend, error) {
+	e.profile = nil
+	x := &sched.Executor{
+		Slots: []sched.Slot{{Open: func(plan *pipeline.Plan) (pipeline.Backend, error) {
 			return newSimBackend(e, plan)
+		}}},
+		Policy:  policyFor(e.Resilience),
+		Trace:   e.Trace,
+		Metrics: e.Metrics,
+		Track:   e.track(),
+		OnReport: func(rep *sched.Report) {
+			if e.profile != nil {
+				e.profile.addResilience(&rep.Report)
+			}
 		},
-		ScanWorkers: 1,
-		Resilience:  resilienceFor(e.Resilience, func() *Profile { return e.profile }),
-		Trace:       e.Trace,
-		Metrics:     e.Metrics,
-		Track:       e.track(),
 	}
 	e.Device.SetObs(e.Trace, e.Metrics, e.track()+"/gpu")
 	// Mark the injector before the run so only this run's fault delta is
 	// folded into the profile — a reused engine must not re-count earlier
 	// runs' faults.
 	mark := e.Device.Faults().Mark()
-	err := p.Stream(ctx, asm, req, emit)
+	err := x.Stream(ctx, asm, req, emit)
 	if e.profile != nil {
 		e.profile.addFaults(e.Device.Faults().LogSince(mark))
 	}

@@ -705,7 +705,9 @@ func TestGracefulDrain(t *testing.T) {
 
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, func(c *Config) { c.Metrics = obs.NewMetrics() })
-	postSearch(t, ts, searchBody, nil)
+	// The first hit is flushed at once, so postSearch returns while the
+	// request is still in flight; the counters settle with the trailer.
+	readStream(t, postSearch(t, ts, searchBody, nil))
 	resp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)

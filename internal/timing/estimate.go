@@ -1,11 +1,10 @@
-// Per-device chunk-cost estimation for the work-stealing scheduler
-// (internal/sched): how long one staged chunk of the search costs on a
-// given device, composed from the same roofline terms as KernelSeconds over
-// synthetic per-site access statistics. The scheduler divides a fixed chunk
-// count proportionally to 1/Seconds, so only the cross-device ratios
-// matter; the synthetic stats only need the right shape — a coalesced
-// single-pass finder and a scattered per-candidate comparer (the §IV.B
-// hotspot) — not calibrated magnitudes.
+// Per-device chunk-cost estimation for the autotuner (internal/tune): how
+// long one staged chunk of the search costs on a given device, composed from
+// the same roofline terms as KernelSeconds over synthetic per-site access
+// statistics. The tuner ranks (variant, work-group size) pairs by it, so
+// only the ratios matter; the synthetic stats only need the right shape — a
+// coalesced single-pass finder and a scattered per-candidate comparer (the
+// §IV.B hotspot) — not calibrated magnitudes.
 
 package timing
 
