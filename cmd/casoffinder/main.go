@@ -13,7 +13,6 @@
 //	            [-autotune model|calibrate]
 //	            [-devices radeonvii,mi60,mi100]
 //	            [-index build|use] [-index-file genome.cart]
-//	            [-worst-case-arena]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	            [-fault-rate 0.05 -fault-seed 42] [-watchdog 5s]
 //	            [-trace trace.json] [-metrics metrics.prom]
@@ -161,7 +160,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	maxRetries := fs.Int("max-retries", 0, "chunk retries before CPU failover (0 = default 2, negative = none)")
 	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON of the run to this file (open in chrome://tracing or Perfetto)")
 	metricsPath := fs.String("metrics", "", "write run metrics to this file (Prometheus text; a merged JSON snapshot goes to FILE.json)")
-	worstArena := fs.Bool("worst-case-arena", false, "simulator engines: pin every hit-buffer arena to its worst-case size instead of density-driven provisioning (the staged-bytes ablation baseline; output is byte-identical either way)")
 	indexMode := fs.String("index", "", "genome artifact mode: 'build' packs the genome (with a PAM-site index for this input's pattern) into the artifact file and searches from it; 'use' loads a previously built artifact instead of parsing FASTA")
 	indexFile := fs.String("index-file", "", "genome artifact path for -index (default: the input's genome path + \".cart\")")
 	if err := fs.Parse(args); err != nil {
@@ -261,7 +259,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return err
 	}
 
-	eng, profiler, err := buildEngine(*engineName, *deviceName, fleet, variant, auto, calibrate, *workers, *worstArena, faultPlan, res, tracer, metrics)
+	eng, profiler, err := buildEngine(*engineName, *deviceName, fleet, variant, auto, calibrate, *workers, faultPlan, res, tracer, metrics)
 	if err != nil {
 		return err
 	}
@@ -567,7 +565,7 @@ func parseVariant(name string) (kernels.ComparerVariant, bool, error) {
 	return 0, false, fmt.Errorf("unknown comparer variant %q (want auto, base, opt1..opt4 or bitparallel)", name)
 }
 
-func buildEngine(engine, deviceName string, fleet []device.Spec, variant kernels.ComparerVariant, auto, calibrate bool, workers int, worstArena bool,
+func buildEngine(engine, deviceName string, fleet []device.Spec, variant kernels.ComparerVariant, auto, calibrate bool, workers int,
 	faultPlan fault.Plan, res *pipeline.Resilience, tracer *obs.Tracer, metrics *obs.Metrics) (search.Engine, search.Profiler, error) {
 	if len(fleet) > 0 && engine != "sycl" {
 		return nil, nil, usageError{fmt.Errorf("-devices runs the multi-device scheduler, which needs -engine sycl, not %q", engine)}
@@ -579,9 +577,6 @@ func buildEngine(engine, deviceName string, fleet []device.Spec, variant kernels
 		// passing resilience run.
 		if faultPlan.Rate > 0 || res != nil {
 			return nil, nil, usageError{fmt.Errorf("fault injection flags need the opencl or sycl engine, not %q", engine)}
-		}
-		if worstArena {
-			return nil, nil, usageError{fmt.Errorf("-worst-case-arena pins the simulator hit arenas, which need the opencl or sycl engine, not %q", engine)}
 		}
 		if engine == "cpu" {
 			return &search.CPU{Workers: workers, Trace: tracer, Metrics: metrics}, nil, nil
@@ -602,7 +597,7 @@ func buildEngine(engine, deviceName string, fleet []device.Spec, variant kernels
 					}
 				}
 			}
-			e := &search.MultiSYCL{Devices: devs, Variant: variant, Auto: auto, Calibrate: calibrate, WorstCaseArena: worstArena, Resilience: res, Trace: tracer, Metrics: metrics}
+			e := &search.MultiSYCL{Devices: devs, Variant: variant, Auto: auto, Calibrate: calibrate, Resilience: res, Trace: tracer, Metrics: metrics}
 			return e, e, nil
 		}
 		spec, err := device.ByName(deviceName)
@@ -614,10 +609,10 @@ func buildEngine(engine, deviceName string, fleet []device.Spec, variant kernels
 			dev.SetFaults(in)
 		}
 		if engine == "opencl" {
-			e := &search.SimCL{Device: dev, Variant: variant, Auto: auto, Calibrate: calibrate, WorstCaseArena: worstArena, Resilience: res, Trace: tracer, Metrics: metrics}
+			e := &search.SimCL{Device: dev, Variant: variant, Auto: auto, Calibrate: calibrate, Resilience: res, Trace: tracer, Metrics: metrics}
 			return e, e, nil
 		}
-		e := &search.SimSYCL{Device: dev, Variant: variant, Auto: auto, Calibrate: calibrate, WorstCaseArena: worstArena, Resilience: res, Trace: tracer, Metrics: metrics}
+		e := &search.SimSYCL{Device: dev, Variant: variant, Auto: auto, Calibrate: calibrate, Resilience: res, Trace: tracer, Metrics: metrics}
 		return e, e, nil
 	default:
 		return nil, nil, usageError{fmt.Errorf("unknown engine %q (want cpu, indexed, opencl or sycl)", engine)}

@@ -97,23 +97,6 @@ func TestRunOutputFile(t *testing.T) {
 	}
 }
 
-// TestRunWorstCaseArena pins the ablation contract of -worst-case-arena:
-// pinning the hit arenas to their worst-case size changes provisioning
-// only, never the hit stream.
-func TestRunWorstCaseArena(t *testing.T) {
-	input := writeTestData(t, "NNNNNNNNNNNGG")
-	var dyn, worst, errOut bytes.Buffer
-	if err := run([]string{"-engine", "sycl", "-variant", "base", input}, &dyn, &errOut); err != nil {
-		t.Fatalf("dynamic run: %v", err)
-	}
-	if err := run([]string{"-engine", "sycl", "-variant", "base", "-worst-case-arena", input}, &worst, &errOut); err != nil {
-		t.Fatalf("worst-case run: %v", err)
-	}
-	if dyn.String() != worst.String() {
-		t.Errorf("-worst-case-arena changed the output:\n dynamic: %q\n worst:   %q", dyn.String(), worst.String())
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	input := writeTestData(t, "NNNNNNNNNNNGG")
 	var out, errOut bytes.Buffer
@@ -127,7 +110,6 @@ func TestRunErrors(t *testing.T) {
 		{"bad engine", []string{"-engine", "cuda", input}},
 		{"bad device", []string{"-engine", "sycl", "-device", "H100", input}},
 		{"bad variant", []string{"-variant", "opt9", input}},
-		{"worst-case arena without a simulator", []string{"-engine", "cpu", "-worst-case-arena", input}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -168,6 +150,7 @@ func TestRunUsageErrorsExitUsage(t *testing.T) {
 		{"bad flag", []string{"-no-such-flag", input}},
 		{"bad engine", []string{"-engine", "cuda", input}},
 		{"bad variant", []string{"-variant", "opt9", input}},
+		{"retired flag", []string{"-worst-case-arena", input}},
 		{"bad device", []string{"-engine", "sycl", "-device", "H100", input}},
 		{"bad fault site", []string{"-engine", "opencl", "-fault-rate", "0.5", "-fault-site", "gpu.meltdown", input}},
 		{"fault rate out of range", []string{"-engine", "opencl", "-fault-rate", "1.5", input}},
@@ -480,9 +463,9 @@ func TestRunProfileFlags(t *testing.T) {
 	}
 }
 
-// TestTraceMetricsSmoke is the tracecheck gate: a seeded fault run with
-// -trace and -metrics must leave behind a parseable Chrome trace, Prometheus
-// text, and a JSON snapshot whose counters agree with the profile block.
+// TestTraceMetricsSmoke: a seeded fault run with -trace and -metrics must
+// leave behind a parseable Chrome trace, Prometheus text, and a JSON
+// snapshot whose counters agree with the profile block.
 func TestTraceMetricsSmoke(t *testing.T) {
 	input := writeTestData(t, "NNNNNNNNNNNGG")
 	dir := t.TempDir()

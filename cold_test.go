@@ -65,14 +65,14 @@ func coldFirstHit(tb testing.TB, asm *genome.Assembly, req *search.Request) {
 	}
 }
 
-// TestColdStartRatio is the make coldcheck gate for the acceptance number:
+// TestColdStartRatio is the gate for the artifact's acceptance number:
 // time-to-first-hit from the warm artifact must be at least 10x faster than
 // from FASTA parse+pack. Each side takes the best of a few runs so scheduler
 // noise cannot fail the gate; the measured ratio sits well above 10x (the
 // FASTA side pays an O(genome) parse, the artifact side an O(header) mmap).
 func TestColdStartRatio(t *testing.T) {
 	if testing.Short() {
-		t.Skip("timing-sensitive ratio gate; run via make coldcheck")
+		t.Skip("timing-sensitive ratio gate")
 	}
 	fastaDir, artPath, req := coldStartFixture(t, 1<<22)
 

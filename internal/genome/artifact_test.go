@@ -197,7 +197,10 @@ func TestArtifactPrefault(t *testing.T) {
 			sum += w
 		}
 	}
-	if grew := residentFileMB(t) - before; grew > 0.05 {
+	// RssFile is process-wide: the test binary's own text pages fault in
+	// too (seen: 0.07 MB once in ~60 processes), so the bound sits between
+	// that and the 0.25 MB of the smallest section Prefault touches.
+	if grew := residentFileMB(t) - before; grew > 0.15 {
 		t.Errorf("walking the words and shards after Prefault faulted in another %.2f MB (checksum %#x)", grew, sum)
 	}
 	if err := got.Close(); err != nil {

@@ -45,10 +45,13 @@ func chunkKey(ch *genome.Chunk) string { return fmt.Sprintf("%s:%d", ch.SeqName,
 // fakeBackend fabricates one hit per chunk and accounts for every handle so
 // tests can assert that nothing staged is ever leaked: at any quiescent
 // point drained + released + liveAtClose must equal staged. It is safe to
-// share between slots.
+// share between slots: a handle one slot's Close swept while another slot
+// was still scanning it is counted once, at close. Any other handle is
+// counted on every Drain and Release, so a double settle breaks the equation.
 type fakeBackend struct {
 	mu          sync.Mutex
 	live        map[*genome.Chunk]struct{}
+	swept       map[*genome.Chunk]struct{} // counted in liveAtClose by another slot's Close
 	stageOrder  []string
 	stageCalls  int
 	staged      int
@@ -65,7 +68,7 @@ type fakeBackend struct {
 }
 
 func newFakeBackend() *fakeBackend {
-	return &fakeBackend{live: map[*genome.Chunk]struct{}{}, attempts: map[string]int{}, stageErrAt: -1}
+	return &fakeBackend{live: map[*genome.Chunk]struct{}{}, swept: map[*genome.Chunk]struct{}{}, attempts: map[string]int{}, stageErrAt: -1}
 }
 
 func (b *fakeBackend) Stage(ctx context.Context, ch *genome.Chunk) (Staged, error) {
@@ -101,17 +104,30 @@ func (b *fakeBackend) Compare(ctx context.Context, st Staged, qi int) error { re
 func (b *fakeBackend) Drain(ctx context.Context, st Staged, r *SiteRenderer) ([]Hit, error) {
 	ch := st.(*genome.Chunk)
 	b.mu.Lock()
-	delete(b.live, ch)
-	b.drained++
+	if !b.settleSwept(ch) {
+		b.drained++
+	}
 	b.mu.Unlock()
 	return []Hit{{SeqName: ch.SeqName, Pos: ch.Start, Dir: '+', Site: "AAA"}}, nil
+}
+
+// settleSwept takes a handle out of the live set and reports whether a
+// Close had already swept (and counted) it. b.mu is held.
+func (b *fakeBackend) settleSwept(ch *genome.Chunk) bool {
+	_, ok := b.swept[ch]
+	delete(b.swept, ch)
+	delete(b.live, ch)
+	return ok
 }
 
 func (b *fakeBackend) Close() error {
 	b.mu.Lock()
 	b.closed++
 	b.liveAtClose += len(b.live)
-	b.live = map[*genome.Chunk]struct{}{}
+	for ch := range b.live {
+		b.swept[ch] = struct{}{}
+	}
+	clear(b.live)
 	b.mu.Unlock()
 	return nil
 }
@@ -142,8 +158,9 @@ type releasingBackend struct{ *fakeBackend }
 
 func (b releasingBackend) Release(st Staged) {
 	b.mu.Lock()
-	delete(b.live, st.(*genome.Chunk))
-	b.released++
+	if !b.settleSwept(st.(*genome.Chunk)) {
+		b.released++
+	}
 	b.mu.Unlock()
 }
 

@@ -50,6 +50,13 @@ type arenaProfiler interface {
 	LastProfile() *Profile
 }
 
+// arenaBuild names a constructor for one arena-backed engine, pinned to
+// worst-case arenas or density-provisioned.
+type arenaBuild struct {
+	name  string
+	build func(worst bool) arenaProfiler
+}
+
 // TestDenseCandidateRegionMatrix drives the dense genome through all five
 // engines. For the arena-backed simulators it runs each engine twice — the
 // density-provisioned default and the pinned worst-case baseline — and
@@ -75,59 +82,134 @@ func TestDenseCandidateRegionMatrix(t *testing.T) {
 		t.Errorf("indexed diverged on the dense genome (%d vs %d hits)", len(idx), len(want))
 	}
 
-	builds := []struct {
-		name  string
-		build func(worst bool) arenaProfiler
-	}{
+	builds := []arenaBuild{
 		{"opencl-sim", func(worst bool) arenaProfiler {
 			return &SimCL{Device: gpu.New(device.MI100(), gpu.WithWorkers(4)),
-				Variant: kernels.Base, WorstCaseArena: worst}
+				Variant: kernels.Base, worstCaseArena: worst}
 		}},
 		{"sycl-sim", func(worst bool) arenaProfiler {
 			return &SimSYCL{Device: gpu.New(device.MI100(), gpu.WithWorkers(4)),
-				Variant: kernels.Opt3, WorkGroupSize: 64, WorstCaseArena: worst}
+				Variant: kernels.Opt3, WorkGroupSize: 64, worstCaseArena: worst}
 		}},
 		{"sycl-multi", func(worst bool) arenaProfiler {
 			return &MultiSYCL{Devices: []*gpu.Device{
 				gpu.New(device.MI100(), gpu.WithWorkers(4)),
 				gpu.New(device.MI60(), gpu.WithWorkers(4)),
-			}, Variant: kernels.Base, WorkGroupSize: 64, WorstCaseArena: worst}
+			}, Variant: kernels.Base, WorkGroupSize: 64, worstCaseArena: worst}
 		}},
 	}
 	for _, b := range builds {
 		t.Run(b.name, func(t *testing.T) {
-			worstEng := b.build(true)
-			worstHits, err := worstEng.Run(asm, req)
-			if err != nil {
-				t.Fatalf("worst-case run: %v", err)
-			}
-			dynEng := b.build(false)
-			dynHits, err := dynEng.Run(asm, req)
-			if err != nil {
-				t.Fatalf("dynamic run: %v", err)
-			}
-			if !equalHits(dynHits, worstHits) {
-				t.Errorf("dynamic hits diverge from worst-case baseline (%d vs %d)",
-					len(dynHits), len(worstHits))
-			}
-			if !equalHits(dynHits, want) {
-				t.Errorf("hits diverge from the CPU reference (%d vs %d)", len(dynHits), len(want))
-			}
-
-			worstProf, dynProf := worstEng.LastProfile(), dynEng.LastProfile()
-			if worstProf.OverflowRetries != 0 {
-				t.Errorf("worst-case provisioning overflowed %d times; it never may",
-					worstProf.OverflowRetries)
-			}
-			if dynProf.OverflowRetries == 0 {
-				t.Error("dense region did not trip the overflow-retry path")
-			}
+			worstProf, dynProf := provisioningPair(t, b.build, asm, req, want)
 			if dynProf.ArenaBytes >= worstProf.ArenaBytes {
 				t.Errorf("dynamic provisioning %d bytes >= worst case %d bytes",
 					dynProf.ArenaBytes, worstProf.ArenaBytes)
 			}
 			if dynProf.ArenaPageClaims == 0 {
 				t.Error("no arena pages claimed on a genome full of hits")
+			}
+		})
+	}
+}
+
+// provisioningPair runs one engine build twice on the same input, pinned to
+// worst-case arenas and density-provisioned, and checks what holds on any
+// genome with a dense region: both hit streams equal the CPU reference,
+// worst-case provisioning never overflows and the dynamic run does. It
+// returns the two profiles for the caller's byte accounting.
+func provisioningPair(t *testing.T, build func(worst bool) arenaProfiler, asm *genome.Assembly, req *Request, want []Hit) (worstProf, dynProf *Profile) {
+	t.Helper()
+	worstEng := build(true)
+	worstHits, err := worstEng.Run(asm, req)
+	if err != nil {
+		t.Fatalf("worst-case run: %v", err)
+	}
+	dynEng := build(false)
+	dynHits, err := dynEng.Run(asm, req)
+	if err != nil {
+		t.Fatalf("dynamic run: %v", err)
+	}
+	if !equalHits(dynHits, worstHits) {
+		t.Errorf("dynamic hits diverge from worst-case baseline (%d vs %d)",
+			len(dynHits), len(worstHits))
+	}
+	if !equalHits(dynHits, want) {
+		t.Errorf("hits diverge from the CPU reference (%d vs %d)", len(dynHits), len(want))
+	}
+	worstProf, dynProf = worstEng.LastProfile(), dynEng.LastProfile()
+	if worstProf.OverflowRetries != 0 {
+		t.Errorf("worst-case provisioning overflowed %d times; it never may",
+			worstProf.OverflowRetries)
+	}
+	if dynProf.OverflowRetries == 0 {
+		t.Error("dense region did not trip the overflow-retry path")
+	}
+	return worstProf, dynProf
+}
+
+// arenaFixture builds the provisioning-ratio genome in two regions. The
+// first is a T desert with a lone GG PAM island every 512 bases: one finder
+// work-group in eight emits a candidate, and no candidate survives the
+// mismatch budget, so worst-case provisioning stages full per-group finder
+// pages and a comparer arena the chunks never touch. The second region is
+// all G — every position a PAM site, every candidate a hit — the density
+// spike that must trip the overflow grow-and-retry path instead of
+// dropping hits.
+func arenaFixture(sparse, dense int) (*genome.Assembly, *Request) {
+	data := make([]byte, sparse+dense)
+	for i := 0; i < sparse; i++ {
+		data[i] = 'T'
+	}
+	for i := 192; i+1 < sparse; i += 512 {
+		data[i], data[i+1] = 'G', 'G'
+	}
+	for i := sparse; i < len(data); i++ {
+		data[i] = 'G'
+	}
+	asm := &genome.Assembly{Name: "arena-dense", Sequences: []*genome.Sequence{
+		{Name: "chr1", Data: data},
+	}}
+	req := &Request{
+		Pattern:    testPattern,
+		Queries:    []Query{{Guide: "GGGGGGGGGGNN", MaxMismatches: 1}},
+		ChunkBytes: 1 << 12,
+	}
+	return asm, req
+}
+
+// TestArenaProvisioningRatio pins the allocator's headline number exactly:
+// on the arenaFixture genome, density-driven provisioning stages 145 128
+// arena bytes where pinned worst-case provisioning stages 371 304 (2.56x),
+// on both single-device simulators, with the hit stream equal to the
+// worst-case run and to the CPU reference. Provisioning depends on chunk
+// geometry and the predictor fold over chunks in plan order, not on timing,
+// so the byte counts are a function of the input.
+func TestArenaProvisioningRatio(t *testing.T) {
+	const worstBytes, dynBytes = 371304, 145128
+	asm, req := arenaFixture(1<<16, 1<<10)
+	want, err := (&CPU{Workers: 4}).Run(asm, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) < 500 {
+		t.Fatalf("dense region produced only %d hits; fixture is not dense", len(want))
+	}
+	builds := []arenaBuild{
+		{"opencl-sim", func(worst bool) arenaProfiler {
+			return &SimCL{Device: gpu.New(device.MI100(), gpu.WithWorkers(2)),
+				Variant: kernels.Base, worstCaseArena: worst}
+		}},
+		{"sycl-sim", func(worst bool) arenaProfiler {
+			return &SimSYCL{Device: gpu.New(device.MI100(), gpu.WithWorkers(2)),
+				Variant: kernels.Base, WorkGroupSize: 64, worstCaseArena: worst}
+		}},
+	}
+	for _, b := range builds {
+		t.Run(b.name, func(t *testing.T) {
+			worstProf, dynProf := provisioningPair(t, b.build, asm, req, want)
+			if worstProf.ArenaBytes != worstBytes || dynProf.ArenaBytes != dynBytes {
+				t.Errorf("arena bytes: worst-case %d, dynamic %d; want %d and %d",
+					worstProf.ArenaBytes, dynProf.ArenaBytes, worstBytes, dynBytes)
 			}
 		})
 	}

@@ -14,8 +14,7 @@ import (
 // seedScanChunk is the pre-optimization scan kept as a reference: it copies
 // the chunk to upper case and runs the PAM test and the guide comparison
 // position by position in one pass. The two-phase byte scanChunk and the
-// engine's SWAR backend must return exactly its hits;
-// BenchmarkCPUScanTwoPhase races the two byte scans.
+// engine's SWAR backend must return exactly its hits.
 func seedScanChunk(ch *genome.Chunk, pattern *kernels.PatternPair, guides []*kernels.PatternPair, queries []Query) ([]Hit, error) {
 	data := genome.Upper(ch.Data)
 	plen := pattern.PatternLen
@@ -273,37 +272,4 @@ func TestCPURunStopsOnScanError(t *testing.T) {
 			t.Errorf("workers=%d: error = %v, want the pack failure", workers, err)
 		}
 	}
-}
-
-// BenchmarkCPUScanTwoPhase races the two-phase in-place scan against the
-// seed single-pass scan on the default synthetic workload.
-func BenchmarkCPUScanTwoPhase(b *testing.B) {
-	chunks, pattern, guides, queries := chunkFixture(b, 7, 1<<18, 1<<14)
-	bytes := int64(0)
-	for _, ch := range chunks {
-		bytes += int64(ch.Body)
-	}
-	b.Run("seed", func(b *testing.B) {
-		b.SetBytes(bytes)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, ch := range chunks {
-				if _, err := seedScanChunk(ch, pattern, guides, queries); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("twophase", func(b *testing.B) {
-		var sc scanScratch
-		b.SetBytes(bytes)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, ch := range chunks {
-				if _, err := sc.scanChunk(ch, pattern, guides, queries); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
 }

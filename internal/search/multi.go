@@ -42,10 +42,6 @@ type MultiSYCL struct {
 	// measured pass per device type. Output stays byte-identical.
 	Auto      bool
 	Calibrate bool
-	// WorstCaseArena pins every device's hit-buffer arenas to the
-	// worst-case layout instead of density-driven provisioning; see
-	// SimCL.WorstCaseArena.
-	WorstCaseArena bool
 	// Resilience, when set, is the fleet's recovery policy: per-chunk
 	// transient retries on the device that holds the chunk, then eviction;
 	// the last live device fails chunks over to the CPU engine (unless a
@@ -57,6 +53,10 @@ type MultiSYCL struct {
 	// counters sum across devices in one registry.
 	Trace   *obs.Tracer
 	Metrics *obs.Metrics
+
+	// worstCaseArena is passed to every device's sub-engine; see
+	// simConfig.worstCaseArena (test reference only).
+	worstCaseArena bool
 
 	profile *Profile
 }
@@ -114,7 +114,7 @@ func (e *MultiSYCL) Stream(ctx context.Context, asm *genome.Assembly, req *Reque
 	for i, dev := range e.Devices {
 		sub := &SimSYCL{
 			Device: dev, Variant: e.Variant, WorkGroupSize: e.WorkGroupSize,
-			WorstCaseArena: e.WorstCaseArena,
+			worstCaseArena: e.worstCaseArena,
 			Trace:          e.Trace, Metrics: e.Metrics, Track: fmt.Sprintf("sycl-sim[%d]", i),
 		}
 		if tuned != nil {

@@ -122,7 +122,7 @@ type simBackend struct {
 
 	// finderPred and comparerPred carry the observed hit density across
 	// chunks; each launch's arena is provisioned from them unless the
-	// artifact's PAM index gives an exact count or WorstCaseArena pins the
+	// artifact's PAM index gives an exact count or a test pins the worst-case
 	// layout.
 	finderPred   *alloc.Predictor
 	comparerPred *alloc.Predictor
@@ -435,7 +435,7 @@ func (b *simBackend) Find(ctx context.Context, st pipeline.Staged) (int, error) 
 	}
 	pad := b.groupSize()
 	gws := (sites + pad - 1) / pad * pad
-	err := b.runArena(finderLayout(b.plan, b.finderPred, s.ch, gws/pad, pad, b.e.WorstCaseArena), &arenaPass{
+	err := b.runArena(finderLayout(b.plan, b.finderPred, s.ch, gws/pad, pad, b.e.worstCaseArena), &arenaPass{
 		kernel:  "finder",
 		outKind: bufState, outElems: finderOut, entryBytes: finderEntryBytes,
 		pred: b.finderPred, pad: pad,
@@ -500,7 +500,7 @@ func (b *simBackend) Compare(ctx context.Context, st pipeline.Staged, qi int) (e
 
 	pad := b.groupSize()
 	cgws := (s.n + pad - 1) / pad * pad
-	return b.runArena(comparerLayout(b.comparerPred, cgws/pad, 2*pad, b.e.WorstCaseArena), &arenaPass{
+	return b.runArena(comparerLayout(b.comparerPred, cgws/pad, 2*pad, b.e.worstCaseArena), &arenaPass{
 		kernel:  kernels.ComparerKernelName(b.e.comparer()),
 		outKind: bufOut, outElems: comparerOut, entryBytes: comparerEntryBytes,
 		pred: b.comparerPred, pad: pad,

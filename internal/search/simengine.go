@@ -34,13 +34,6 @@ type simConfig struct {
 	// fixed-variant run.
 	Auto      bool
 	Calibrate bool
-	// WorstCaseArena pins every launch's hit-buffer arena to the worst-case
-	// layout (one page per work-group — the provisioning the pre-arena
-	// backends effectively used) instead of sizing it from the predicted hit
-	// density. The kernels and the hit stream are identical either way; only
-	// the provisioned bytes differ, which is what the staged-bytes ablation
-	// measures.
-	WorstCaseArena bool
 	// Resilience, when set, is the run's recovery policy (internal/sched):
 	// transient errors (including SYCL asynchronous exceptions) retry with
 	// backoff, hung kernels are reaped by the watchdog, and chunks the
@@ -55,6 +48,12 @@ type simConfig struct {
 	Trace   *obs.Tracer
 	Metrics *obs.Metrics
 	Track   string
+
+	// worstCaseArena pins every launch's hit-buffer arena to the worst-case
+	// layout (one page per work-group) instead of sizing it from the
+	// predicted hit density. Only this package's tests set it: it is the
+	// reference the density-driven hit stream must equal byte for byte.
+	worstCaseArena bool
 
 	profile *Profile
 	// tuned is the resolved autotuner decision for the current run; set by
