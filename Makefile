@@ -54,7 +54,9 @@ stress:
 # Fuzz regression mode: the seed corpora (f.Add entries) replay on every
 # plain `go test`; this target additionally fuzzes each target briefly to
 # grow the corpus and shake out fresh inputs. Not part of `ci` — fuzzing is
-# open-ended by nature.
+# open-ended by nature. FuzzEngines' inputs are kilobyte assemblies; the
+# default 60 s minimization of each new-coverage input ate the whole budget
+# (≈10 execs in 30 s against ≈1 000/s without it), so it is off there.
 FUZZTIME ?= 10s
 fuzz-regress:
 	$(GO) test ./internal/search/ -run '^$$' -fuzz '^FuzzSWARMismatch$$' -fuzztime $(FUZZTIME)
@@ -66,6 +68,7 @@ fuzz-regress:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/gpu/alloc/ -run '^$$' -fuzz '^FuzzArenaDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kernels/ -run '^$$' -fuzz '^FuzzGroupKernels$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/search/ -run '^$$' -fuzz '^FuzzEngines$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0
 
 # The six workloads of BENCHMARK.json through the real binaries; everything
 # it builds and writes stays under .bench_build/.

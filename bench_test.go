@@ -7,7 +7,7 @@
 // tests of internal/bench. What is left here has no snapshot, no threshold
 // and no Makefile target:
 //
-//	go test -run '^$' -bench 'IndexedVsScan|ObsOverhead|ColdStart|Autotune' -benchmem .
+//	go test -run '^$' -bench 'ObsOverhead|ColdStart|Autotune' -benchmem .
 package casoffinder_bench
 
 import (
@@ -40,30 +40,6 @@ func benchRequest() *search.Request {
 		Queries: []search.Query{
 			{Guide: "GGCCGACCTGTCGCTGACGCNNN", MaxMismatches: 5},
 		},
-	}
-}
-
-// BenchmarkIndexedVsScan compares the seed-and-extend engine against the
-// plain scan — the related-work claim [20] that an index-based CPU tool
-// runs orders of magnitude faster than position-by-position scanning.
-func BenchmarkIndexedVsScan(b *testing.B) {
-	asm := benchAssembly(b, 1<<22)
-	req := &search.Request{
-		Pattern: bench.ExamplePattern,
-		Queries: []search.Query{
-			{Guide: "GGCCGACCTGTCGCTGACGCNNN", MaxMismatches: 2},
-			{Guide: "CGCCAGCGTCAGCGACAGGTNNN", MaxMismatches: 2},
-		},
-	}
-	for _, eng := range []search.Engine{&search.CPU{}, &search.Indexed{}} {
-		b.Run(eng.Name(), func(b *testing.B) {
-			b.SetBytes(asm.TotalLen())
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Run(asm, req); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

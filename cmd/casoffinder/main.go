@@ -141,7 +141,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("casoffinder", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	engineName := fs.String("engine", "cpu", "search engine: cpu, indexed, opencl or sycl")
+	engineName := fs.String("engine", "cpu", "search engine: cpu, opencl or sycl")
 	deviceName := fs.String("device", "MI100", "simulated device for the opencl/sycl engines")
 	devicesFlag := fs.String("devices", "", "comma-separated device fleet for the sycl engine (radeonvii, mi60, mi100; repeats allowed), one executor slot each")
 	variantName := fs.String("variant", "auto", "comparer kernel variant: auto (per-device occupancy autotuner), base, opt1..opt4 or bitparallel")
@@ -230,7 +230,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return err
 	}
 
-	variant, auto, err := parseVariant(*variantName)
+	variant, auto, err := kernels.ParseVariant(*variantName)
 	if err != nil {
 		return usageError{err}
 	}
@@ -551,37 +551,20 @@ func printAutotune(stderr io.Writer, p *search.Profile) {
 	}
 }
 
-// parseVariant resolves the -variant flag: "auto" selects the occupancy
-// autotuner, a variant name forces that kernel.
-func parseVariant(name string) (kernels.ComparerVariant, bool, error) {
-	if name == "auto" {
-		return 0, true, nil
-	}
-	for _, v := range kernels.AllVariants() {
-		if v.String() == name {
-			return v, false, nil
-		}
-	}
-	return 0, false, fmt.Errorf("unknown comparer variant %q (want auto, base, opt1..opt4 or bitparallel)", name)
-}
-
 func buildEngine(engine, deviceName string, fleet []device.Spec, variant kernels.ComparerVariant, auto, calibrate bool, workers int,
 	faultPlan fault.Plan, res *pipeline.Resilience, tracer *obs.Tracer, metrics *obs.Metrics) (search.Engine, search.Profiler, error) {
 	if len(fleet) > 0 && engine != "sycl" {
 		return nil, nil, usageError{fmt.Errorf("-devices runs the multi-device scheduler, which needs -engine sycl, not %q", engine)}
 	}
 	switch engine {
-	case "cpu", "indexed":
+	case "cpu":
 		// The fault sites all live in the simulated runtimes; a silent
 		// no-op here would make "-fault-rate 0.3 -engine cpu" look like a
 		// passing resilience run.
 		if faultPlan.Rate > 0 || res != nil {
 			return nil, nil, usageError{fmt.Errorf("fault injection flags need the opencl or sycl engine, not %q", engine)}
 		}
-		if engine == "cpu" {
-			return &search.CPU{Workers: workers, Trace: tracer, Metrics: metrics}, nil, nil
-		}
-		return &search.Indexed{Workers: workers, Trace: tracer, Metrics: metrics}, nil, nil
+		return &search.CPU{Workers: workers, Trace: tracer, Metrics: metrics}, nil, nil
 	case "opencl", "sycl":
 		if len(fleet) > 0 {
 			devs := make([]*gpu.Device, len(fleet))
@@ -615,6 +598,6 @@ func buildEngine(engine, deviceName string, fleet []device.Spec, variant kernels
 		e := &search.SimSYCL{Device: dev, Variant: variant, Auto: auto, Calibrate: calibrate, Resilience: res, Trace: tracer, Metrics: metrics}
 		return e, e, nil
 	default:
-		return nil, nil, usageError{fmt.Errorf("unknown engine %q (want cpu, indexed, opencl or sycl)", engine)}
+		return nil, nil, usageError{fmt.Errorf("unknown engine %q (want cpu, opencl or sycl)", engine)}
 	}
 }

@@ -149,13 +149,15 @@ func TestRunUsageErrorsExitUsage(t *testing.T) {
 		{"no input", nil},
 		{"bad flag", []string{"-no-such-flag", input}},
 		{"bad engine", []string{"-engine", "cuda", input}},
+		{"retired engine", []string{"-engine", "indexed", input}},
 		{"bad variant", []string{"-variant", "opt9", input}},
 		{"retired flag", []string{"-worst-case-arena", input}},
 		{"bad device", []string{"-engine", "sycl", "-device", "H100", input}},
 		{"bad fault site", []string{"-engine", "opencl", "-fault-rate", "0.5", "-fault-site", "gpu.meltdown", input}},
+		{"retired fault site", []string{"-engine", "sycl", "-fault-site", "sycl.usm", input}},
 		{"fault rate out of range", []string{"-engine", "opencl", "-fault-rate", "1.5", input}},
 		{"fault flags on cpu engine", []string{"-engine", "cpu", "-fault-rate", "0.5", input}},
-		{"watchdog on indexed engine", []string{"-engine", "indexed", "-watchdog", "1s", input}},
+		{"watchdog on cpu engine", []string{"-engine", "cpu", "-watchdog", "1s", input}},
 		{"unknown fleet device", []string{"-engine", "sycl", "-devices", "mi60,h100", input}},
 		{"empty fleet device", []string{"-engine", "sycl", "-devices", "mi60,,mi100", input}},
 		{"fleet on cpu engine", []string{"-engine", "cpu", "-devices", "mi60", input}},
@@ -319,22 +321,6 @@ func TestParseFleet(t *testing.T) {
 	}
 	if _, err := parseFleet("mi60,vega64"); err == nil {
 		t.Error("unknown device accepted")
-	}
-}
-
-func TestParseVariant(t *testing.T) {
-	v, auto, err := parseVariant("opt2")
-	if err != nil || auto || v.String() != "opt2" {
-		t.Errorf("parseVariant(opt2) = %v, %v, %v", v, auto, err)
-	}
-	if v, auto, err := parseVariant("bitparallel"); err != nil || auto || v.String() != "bitparallel" {
-		t.Errorf("parseVariant(bitparallel) = %v, %v, %v", v, auto, err)
-	}
-	if _, auto, err := parseVariant("auto"); err != nil || !auto {
-		t.Errorf("parseVariant(auto) = auto %v, %v; want the tuner", auto, err)
-	}
-	if _, _, err := parseVariant("fast"); err == nil {
-		t.Error("unknown variant accepted")
 	}
 }
 

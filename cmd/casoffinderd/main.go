@@ -8,7 +8,7 @@
 //
 //	casoffinderd [-listen 127.0.0.1:8077]
 //	             -genome [name=]path | -artifact [name=]genome.cart  (repeatable)
-//	             [-engine cpu|indexed|opencl|sycl] [-device MI100] [-variant auto]
+//	             [-engine cpu|opencl|sycl] [-device MI100] [-variant auto]
 //	             [-workers N]
 //	             [-fault-rate 0.05 -fault-seed 42 -fault-site S -fault-after N]
 //	             [-watchdog 5s] [-max-retries N]
@@ -142,7 +142,7 @@ func setup(args []string, stderr io.Writer) (*daemon, error) {
 	var genomes, artifacts repeatFlag
 	fs.Var(&genomes, "genome", "FASTA genome file or directory to keep resident, optionally name=path (repeatable)")
 	fs.Var(&artifacts, "artifact", ".cart genome artifact to mmap resident, optionally name=path (repeatable)")
-	engineName := fs.String("engine", "cpu", "search engine: cpu, indexed, opencl or sycl")
+	engineName := fs.String("engine", "cpu", "search engine: cpu, opencl or sycl")
 	deviceName := fs.String("device", "MI100", "simulated device for the opencl/sycl engines")
 	variantName := fs.String("variant", "auto", "comparer kernel variant: auto, base, opt1..opt4 or bitparallel")
 	workers := fs.Int("workers", 0, "cpu engine workers (0 = all cores)")
@@ -345,25 +345,22 @@ func splitSpec(spec string) (name, path string) {
 }
 
 // buildEngine mirrors the CLI's engine construction for the daemon's subset:
-// the CPU engines run passes concurrently; the simulator engines carry
+// the CPU engine runs passes concurrently; the simulator engines carry
 // mutable device state, so they run with a resilience policy (for trailer
 // reports and CPU failover) and serialized passes.
 func buildEngine(engineName, deviceName, variantName string, workers int,
 	faultPlan fault.Plan, watchdog time.Duration, maxRetries int, seed uint64,
 	tracer *obs.Tracer, metrics *obs.Metrics) (search.Engine, *pipeline.Resilience, bool, error) {
-	variant, auto, err := parseVariant(variantName)
+	variant, auto, err := kernels.ParseVariant(variantName)
 	if err != nil {
 		return nil, nil, false, usageError{err}
 	}
 	switch engineName {
-	case "cpu", "indexed":
+	case "cpu":
 		if faultPlan.Rate > 0 || watchdog > 0 {
 			return nil, nil, false, usageError{fmt.Errorf("fault injection flags need the opencl or sycl engine, not %q", engineName)}
 		}
-		if engineName == "cpu" {
-			return &search.CPU{Workers: workers, Trace: tracer, Metrics: metrics}, nil, false, nil
-		}
-		return &search.Indexed{Workers: workers, Trace: tracer, Metrics: metrics}, nil, false, nil
+		return &search.CPU{Workers: workers, Trace: tracer, Metrics: metrics}, nil, false, nil
 	case "opencl", "sycl":
 		spec, err := device.ByName(deviceName)
 		if err != nil {
@@ -381,20 +378,6 @@ func buildEngine(engineName, deviceName, variantName string, workers int,
 		}
 		return &search.SimSYCL{Device: dev, Variant: variant, Auto: auto, Resilience: res, Trace: tracer, Metrics: metrics}, res, true, nil
 	default:
-		return nil, nil, false, usageError{fmt.Errorf("unknown engine %q (want cpu, indexed, opencl or sycl)", engineName)}
+		return nil, nil, false, usageError{fmt.Errorf("unknown engine %q (want cpu, opencl or sycl)", engineName)}
 	}
-}
-
-// parseVariant resolves -variant: "auto" selects the occupancy autotuner, a
-// variant name forces that kernel.
-func parseVariant(name string) (kernels.ComparerVariant, bool, error) {
-	if name == "auto" {
-		return 0, true, nil
-	}
-	for _, v := range kernels.AllVariants() {
-		if v.String() == name {
-			return v, false, nil
-		}
-	}
-	return 0, false, fmt.Errorf("unknown comparer variant %q (want auto, base, opt1..opt4 or bitparallel)", name)
 }

@@ -205,11 +205,13 @@ func TestSetupUsageErrors(t *testing.T) {
 		{"bad flag", []string{"-no-such-flag"}},
 		{"retired -packed", []string{"-genome", dir, "-packed"}},
 		{"bad engine", []string{"-genome", dir, "-engine", "cuda"}},
+		{"retired engine", []string{"-genome", dir, "-engine", "indexed"}},
 		{"bad device", []string{"-genome", dir, "-engine", "sycl", "-device", "H100"}},
 		{"bad variant", []string{"-genome", dir, "-variant", "opt9"}},
 		{"fault flags on cpu", []string{"-genome", dir, "-fault-rate", "0.5"}},
 		{"fault rate out of range", []string{"-genome", dir, "-engine", "opencl", "-fault-rate", "2"}},
 		{"bad fault site", []string{"-genome", dir, "-engine", "opencl", "-fault-rate", "1", "-fault-site", "gpu.meltdown"}},
+		{"retired fault site", []string{"-genome", dir, "-engine", "sycl", "-fault-site", "sycl.usm"}},
 		{"duplicate genome name", []string{"-genome", dir, "-genome", dir}},
 	}
 	for _, tt := range tests {

@@ -52,9 +52,6 @@ const (
 	// group: the event completes with the error and the queue's async
 	// handler receives it.
 	SiteSYCLAsync Site = "sycl.async"
-	// SiteSYCLUSM fails a USM allocation (sycl::malloc_device returning
-	// null).
-	SiteSYCLUSM Site = "sycl.usm"
 	// SiteWatchdog is not injected: it labels errors the pipeline's
 	// watchdog synthesises when a backend call exceeds its deadline.
 	SiteWatchdog Site = "pipeline.watchdog"
@@ -84,7 +81,7 @@ func Sites() []Site {
 	return []Site{
 		SiteLaunch, SiteHang, SiteReadback,
 		SiteCLEnqueue, SiteCLTransfer, SiteCLDeviceLost,
-		SiteSYCLAsync, SiteSYCLUSM,
+		SiteSYCLAsync,
 	}
 }
 

@@ -88,7 +88,7 @@ func TestRateApproximation(t *testing.T) {
 
 func TestSiteFilter(t *testing.T) {
 	in := NewInjector(Plan{Seed: 3, Rate: 1, Site: SiteCLTransfer})
-	if in.Fire(SiteLaunch) || in.Fire(SiteSYCLUSM) {
+	if in.Fire(SiteLaunch) || in.Fire(SiteSYCLAsync) {
 		t.Error("filtered sites fired")
 	}
 	if !in.Fire(SiteCLTransfer) {
@@ -136,8 +136,10 @@ func TestParseSite(t *testing.T) {
 			t.Errorf("ParseSite(%q) = %v, %v", s, got, err)
 		}
 	}
-	if _, err := ParseSite("gpu.meltdown"); err == nil {
-		t.Error("unknown site accepted")
+	for _, s := range []string{"gpu.meltdown", "sycl.usm"} {
+		if _, err := ParseSite(s); err == nil {
+			t.Errorf("unknown site %q accepted", s)
+		}
 	}
 	if _, err := ParseSite(string(SiteWatchdog)); err == nil {
 		t.Error("synthesised watchdog site should not be injectable")

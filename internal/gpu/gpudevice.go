@@ -62,11 +62,6 @@ func New(spec device.Spec, opts ...Option) *Device {
 // Spec returns the device specification.
 func (d *Device) Spec() device.Spec { return d.spec }
 
-// WithFaults attaches a fault injector at construction time.
-func WithFaults(in *fault.Injector) Option {
-	return func(d *Device) { d.faults = in }
-}
-
 // SetFaults attaches (or, with nil, removes) the device's fault injector.
 // It must be called before work is submitted; the injector is then read
 // without locking on the launch path.

@@ -52,6 +52,20 @@ func Variants() []ComparerVariant { return []ComparerVariant{Base, Opt1, Opt2, O
 // five plus the SWAR BitParallel extension.
 func AllVariants() []ComparerVariant { return append(Variants(), BitParallel) }
 
+// ParseVariant resolves a -variant flag value: "auto" selects the occupancy
+// autotuner, a variant name forces that kernel.
+func ParseVariant(name string) (ComparerVariant, bool, error) {
+	if name == "auto" {
+		return 0, true, nil
+	}
+	for _, v := range AllVariants() {
+		if v.String() == name {
+			return v, false, nil
+		}
+	}
+	return 0, false, fmt.Errorf("unknown comparer variant %q (want auto, base, opt1..opt4 or bitparallel)", name)
+}
+
 func (v ComparerVariant) String() string {
 	switch v {
 	case Base:

@@ -85,6 +85,22 @@ func TestVariantNames(t *testing.T) {
 	}
 }
 
+func TestParseVariant(t *testing.T) {
+	v, auto, err := ParseVariant("opt2")
+	if err != nil || auto || v.String() != "opt2" {
+		t.Errorf("ParseVariant(opt2) = %v, %v, %v", v, auto, err)
+	}
+	if v, auto, err := ParseVariant("bitparallel"); err != nil || auto || v.String() != "bitparallel" {
+		t.Errorf("ParseVariant(bitparallel) = %v, %v, %v", v, auto, err)
+	}
+	if _, auto, err := ParseVariant("auto"); err != nil || !auto {
+		t.Errorf("ParseVariant(auto) = auto %v, %v; want the tuner", auto, err)
+	}
+	if _, _, err := ParseVariant("fast"); err == nil {
+		t.Error("unknown variant accepted")
+	}
+}
+
 func TestPipelineMatchesBaseline(t *testing.T) {
 	dev := gpu.New(device.MI60(), gpu.WithWorkers(4))
 	seq := []byte("ACCGATTACAGGTTTGATTACAAGCCNNGATTACAGGACGTCCTGTAATCGG")

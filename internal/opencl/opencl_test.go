@@ -485,7 +485,7 @@ func TestAccessors(t *testing.T) {
 // TestPhaseKernelErrorsSurfaceOnEnqueue: a kernel whose builder is missing
 // or fails, whose phase kernel is mis-shaped — no phase, a nil phase — or
 // that panics in its factory or in a group, comes back from the enqueue as
-// an error naming the kernel, on the in-order and the out-of-order queue.
+// an error naming the kernel.
 func TestPhaseKernelErrorsSurfaceOnEnqueue(t *testing.T) {
 	nop := func(g *gpu.Group) {}
 	kernel := func(k gpu.PhaseKernel) KernelBuilder {
@@ -511,10 +511,6 @@ func TestPhaseKernelErrorsSurfaceOnEnqueue(t *testing.T) {
 	if err := prog.Build(""); err != nil {
 		t.Fatal(err)
 	}
-	ooo, err := ctx.CreateCommandQueueWithProperties(q.dev, OutOfOrder)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for name := range src {
 		k, err := prog.CreateKernel(name)
 		if err != nil {
@@ -523,13 +519,6 @@ func TestPhaseKernelErrorsSurfaceOnEnqueue(t *testing.T) {
 		_, err = q.EnqueueNDRangeKernel(k, 64*64, 64)
 		if err == nil || !strings.Contains(err.Error(), want[name]) || !strings.Contains(err.Error(), name) {
 			t.Errorf("%s: enqueue = %v, want an error naming the kernel and %q", name, err, want[name])
-		}
-		ev, err := ooo.EnqueueNDRangeKernelWithEvents(k, 64*64, 64, nil)
-		if err != nil {
-			t.Fatalf("%s: out-of-order enqueue: %v", name, err)
-		}
-		if err := ev.Wait(); err == nil || !strings.Contains(err.Error(), want[name]) {
-			t.Errorf("%s: out-of-order event = %v, want an error naming %q", name, err, want[name])
 		}
 	}
 }

@@ -26,10 +26,8 @@ type CommandQueue struct {
 	ctx *Context
 	dev *Device
 
-	mu         sync.Mutex
-	released   bool
-	outOfOrder bool
-	pending    []*Event
+	mu       sync.Mutex
+	released bool
 }
 
 // CreateCommandQueue creates a queue for one device of the context
@@ -69,45 +67,28 @@ func (q *CommandQueue) Release() error {
 	return nil
 }
 
-// Finish blocks until all enqueued commands complete (clFinish). On an
-// in-order queue every command has already completed under the synchronous
-// schedule; on an out-of-order queue Finish waits for the outstanding
-// asynchronous commands.
+// Finish blocks until all enqueued commands complete (clFinish). Every
+// command has already completed under the synchronous schedule, so only a
+// released queue makes it fail.
 func (q *CommandQueue) Finish() error {
-	if err := q.use(); err != nil {
-		return err
-	}
-	return q.finishPending()
+	return q.use()
 }
 
-// Event tracks one enqueued command — step 12 of Table I. Wait blocks until
-// the command completes; Stats exposes the kernel launch statistics for
-// kernel events (nil for transfers). Events from in-order queues are
-// complete on return; events from out-of-order queues complete
-// asynchronously.
+// Event tracks one enqueued command — step 12 of Table I. Stats exposes the
+// kernel launch statistics for kernel events (nil for transfers). The queue
+// is in-order, so an event is complete when its enqueue call returns, and a
+// command that failed returned its error there instead of an event.
 type Event struct {
 	kernelName string
 	stats      *gpu.Stats
-	err        error
-	done       chan struct{} // nil for already-complete events
 }
 
 // Wait blocks until the command completes (clWaitForEvents).
-func (e *Event) Wait() error {
-	if e.done != nil {
-		<-e.done
-	}
-	return e.err
-}
+func (e *Event) Wait() error { return nil }
 
-// Stats returns the launch statistics of a kernel event (after completion),
-// or nil for transfers.
-func (e *Event) Stats() *gpu.Stats {
-	if e.done != nil {
-		<-e.done
-	}
-	return e.stats
-}
+// Stats returns the launch statistics of a kernel event, or nil for
+// transfers.
+func (e *Event) Stats() *gpu.Stats { return e.stats }
 
 // KernelName returns the kernel that produced the event, or "".
 func (e *Event) KernelName() string { return e.kernelName }

@@ -55,7 +55,7 @@ func BenchmarkSWARVsScalar(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	bp := CompileBitPattern(pair)
+	bp := compileBitPattern(pair)
 	packed, err := genome.Pack(seq)
 	if err != nil {
 		b.Fatal(err)

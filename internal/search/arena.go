@@ -46,8 +46,8 @@ const (
 // finderLayout provisions one chunk's finder arena. Worst case when the
 // engine pins it; an exact emitting-group count from the artifact's
 // PAM-site index when the plan carries one for this pattern (the same
-// resident shards the Indexed engine scans); the density predictor
-// otherwise.
+// resident shards the CPU engine takes its candidates from); the density
+// predictor otherwise.
 func finderLayout(plan *pipeline.Plan, pred *alloc.Predictor, ch *genome.Chunk, groups, pageSlots int, worstCase bool) alloc.Layout {
 	if worstCase {
 		return alloc.WorstCase(groups, pageSlots)

@@ -57,14 +57,13 @@ type arenaBuild struct {
 	build func(worst bool) arenaProfiler
 }
 
-// TestDenseCandidateRegionMatrix drives the dense genome through all five
+// TestDenseCandidateRegionMatrix drives the dense genome through all four
 // engines. For the arena-backed simulators it runs each engine twice — the
 // density-provisioned default and the pinned worst-case baseline — and
 // requires (1) the dynamic run's overflow-retry actually fired, (2) its hit
 // stream is byte-identical to the worst-case baseline and to the CPU
 // reference, and (3) it provisioned strictly fewer arena bytes than
-// worst-case provisioning. CPU and Indexed have no arenas; they pin the
-// reference stream.
+// worst-case provisioning. CPU has no arena; it pins the reference stream.
 func TestDenseCandidateRegionMatrix(t *testing.T) {
 	asm := denseAssembly(3200, 500)
 	req := denseRequest()
@@ -75,11 +74,6 @@ func TestDenseCandidateRegionMatrix(t *testing.T) {
 	}
 	if len(want) < 300 {
 		t.Fatalf("dense genome produced only %d hits; region is not dense", len(want))
-	}
-	if idx, err := (&Indexed{Workers: 4}).Run(asm, req); err != nil {
-		t.Fatalf("indexed: %v", err)
-	} else if !equalHits(idx, want) {
-		t.Errorf("indexed diverged on the dense genome (%d vs %d hits)", len(idx), len(want))
 	}
 
 	builds := []arenaBuild{

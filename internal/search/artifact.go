@@ -10,7 +10,7 @@ import (
 
 // BuildArtifact packs asm into a persistent genome artifact. A non-empty
 // pattern additionally precomputes per-sequence PAM-candidate shards with
-// the SWAR 32-wide prefilter — the same MatchLanes sweep the scan engines
+// the SWAR 32-wide prefilter — the same matchLanes sweep the scan engines
 // run per chunk, hoisted to build time over whole sequences. Chunk bodies
 // tile a sequence's candidate range exactly, so a loaded shard sliced to
 // any chunk window reproduces that chunk's fresh prefilter output (and its
@@ -23,14 +23,14 @@ func BuildArtifact(asm *genome.Assembly, pattern string) (*genome.Artifact, erro
 	if err != nil {
 		return nil, fmt.Errorf("search: artifact pattern: %w", err)
 	}
-	bp := CompileBitPattern(pair)
+	bp := compileBitPattern(pair)
 	plen := pair.PatternLen
 	pamFor := func(si int, v *genome.WordView) []uint64 {
 		var shard []uint64
 		starts := v.Len() - plen + 1
 		for pos0 := 0; pos0 < starts; pos0 += 32 {
-			fw := bp.MatchLanes(v, pos0, 0)
-			rv := bp.MatchLanes(v, pos0, plen)
+			fw := bp.matchLanes(v, pos0, 0)
+			rv := bp.matchLanes(v, pos0, plen)
 			union := fw | rv
 			if union == 0 {
 				continue

@@ -56,7 +56,6 @@ func TestArtifactEquivalenceAllEngines(t *testing.T) {
 		{"cpu-bytes", &refCPU{Workers: 2, Arm: refBytes}},
 		{"cpu-nobatch", &refCPU{Workers: 2, Arm: refNoBatch}},
 		{"cpu-scalar", &refCPU{Workers: 2, Arm: refScalar}},
-		{"indexed", &Indexed{Workers: 2}},
 		{"opencl", &SimCL{Device: gpu.New(device.MI60(), gpu.WithWorkers(2)), Variant: kernels.Base}},
 		{"sycl", &SimSYCL{Device: gpu.New(device.MI100(), gpu.WithWorkers(2)), Variant: kernels.Opt3, WorkGroupSize: 64}},
 		{"multisycl", &MultiSYCL{Devices: []*gpu.Device{gpu.New(device.MI60()), gpu.New(device.MI100())}, Variant: kernels.Base, WorkGroupSize: 64}},
@@ -103,7 +102,7 @@ func TestArtifactShardMatchesScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bp := CompileBitPattern(pair)
+		bp := compileBitPattern(pair)
 		chunker := &genome.Chunker{ChunkBytes: 300, PatternLen: pair.PatternLen}
 		chunks := 0
 		err = chunker.Each(asm, func(ch *genome.Chunk) error {
@@ -152,9 +151,10 @@ func badShardAssembly(t *testing.T, asm *genome.Assembly, pattern string, plen i
 	return art.Assembly()
 }
 
-// TestArtifactCorruptShardRejected: shard entries that violate the chunk or
-// sequence geometry must reject the run with a corruption-classed error —
-// never a panic, never a silent wrong answer.
+// TestArtifactCorruptShardRejected: a shard entry a chunk selects that
+// violates its geometry must reject the run with a corruption-classed error,
+// and one no chunk selects must stay inert — never a panic, never a silent
+// wrong answer.
 func TestArtifactCorruptShardRejected(t *testing.T) {
 	asm := testAssembly(t, 7, []int{900}, testSite)
 	req := testRequest(2)
@@ -171,15 +171,27 @@ func TestArtifactCorruptShardRejected(t *testing.T) {
 	if _, err := (&CPU{}).Run(zeroStrand, req); !isCorruption(err) {
 		t.Errorf("CPU on zero-strand shard: err = %v, want artifact corruption", err)
 	}
-	if _, err := (&Indexed{}).Run(zeroStrand, req); !isCorruption(err) {
-		t.Errorf("Indexed on zero-strand shard: err = %v, want artifact corruption", err)
-	}
 
-	// A position whose window overruns the sequence end: the per-sequence
-	// consumer must bounds-check before slicing.
+	// A position whose window overruns the sequence end lies in no chunk
+	// body, so no chunk's shard slice selects it: the run must not slice
+	// past the sequence, and may report only sites the FASTA run reports.
+	want, err := (&CPU{}).Run(asm, req)
+	if err != nil {
+		t.Fatal(err)
+	}
 	overrun := badShardAssembly(t, asm, req.Pattern, plen, uint64(900-1)<<2|genome.PAMFwd)
-	if _, err := (&Indexed{}).Run(overrun, req); !isCorruption(err) {
-		t.Errorf("Indexed on overrun shard: err = %v, want artifact corruption", err)
+	got, err := (&CPU{}).Run(overrun, req)
+	if err != nil {
+		t.Fatalf("CPU on overrun shard: %v", err)
+	}
+	for _, h := range got {
+		found := false
+		for _, w := range want {
+			found = found || h == w
+		}
+		if !found {
+			t.Errorf("CPU on overrun shard reports %+v, which the FASTA run does not", h)
+		}
 	}
 }
 

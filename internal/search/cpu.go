@@ -81,21 +81,21 @@ type cpuBackend struct {
 	shards bool
 	// The scaffold and guides compiled for word-parallel scanning, once per
 	// run.
-	pattern *BitPattern
-	guides  []*BitPattern
+	pattern *bitPattern
+	guides  []*bitPattern
 }
 
 // newCPUBackend compiles the plan's patterns for the SWAR core. It is also
 // the failover backend of the resilient simulator engines: its hit stream is
 // byte-identical to theirs.
 func newCPUBackend(plan *pipeline.Plan) pipeline.Backend {
-	b := &cpuBackend{plan: plan, pattern: CompileBitPattern(plan.Pattern)}
+	b := &cpuBackend{plan: plan, pattern: compileBitPattern(plan.Pattern)}
 	if plan.Artifact != nil {
 		b.shards = plan.Artifact.HasPAMIndex(plan.Request.Pattern)
 	}
-	b.guides = make([]*BitPattern, len(plan.Guides))
+	b.guides = make([]*bitPattern, len(plan.Guides))
 	for i, g := range plan.Guides {
-		b.guides[i] = CompileBitPattern(g)
+		b.guides[i] = compileBitPattern(g)
 	}
 	return b
 }
@@ -189,7 +189,7 @@ const inlineWindowWords = 4
 // window words are fetched once, then every guide's compiled pattern runs
 // against the cached words (pattern-major inner loop). The words are written
 // once per candidate, so they live on this goroutine's stack — as small heap
-// objects they shared cache lines with the BitPattern tables every worker
+// objects they shared cache lines with the bitPattern tables every worker
 // reads (EXPERIMENTS.md, "False sharing in compareGuides"); only patterns
 // over inlineWindowWords words fall back to the pooled slice.
 func (b *cpuBackend) compareGuides(s *cpuStaged, lo, hi int) {
@@ -214,12 +214,12 @@ func (b *cpuBackend) compareGuides(s *cpuStaged, lo, hi int) {
 		for qi := lo; qi < hi; qi++ {
 			g, limit := b.guides[qi], queries[qi].MaxMismatches
 			if strand&genome.PAMFwd != 0 {
-				if mm, ok := g.MismatchesWords(text, unk, 0, limit); ok {
+				if mm, ok := g.mismatchesWords(text, unk, 0, limit); ok {
 					sc.entries = append(sc.entries, rawHit{qi: qi, pos: pos, dir: kernels.DirForward, mm: mm})
 				}
 			}
 			if strand&genome.PAMRev != 0 {
-				if mm, ok := g.MismatchesWords(text, unk, plen, limit); ok {
+				if mm, ok := g.mismatchesWords(text, unk, plen, limit); ok {
 					sc.entries = append(sc.entries, rawHit{qi: qi, pos: pos, dir: kernels.DirReverse, mm: mm})
 				}
 			}

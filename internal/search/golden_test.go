@@ -35,7 +35,6 @@ GATTACANN	chr2	2	GATTACAGG	+	0
 	engs := []Engine{
 		&CPU{},
 		&refCPU{Arm: refBytes},
-		&Indexed{MinSeedLen: 3},
 		&SimCL{Device: gpu.New(device.MI60(), gpu.WithWorkers(2)), Variant: kernels.Base},
 		&SimSYCL{Device: gpu.New(device.MI100(), gpu.WithWorkers(2)), Variant: kernels.Opt4, WorkGroupSize: 16},
 	}

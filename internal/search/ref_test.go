@@ -104,6 +104,45 @@ func (b *refBackend) Drain(ctx context.Context, st pipeline.Staged, r *pipeline.
 
 func (b *refBackend) Close() error { return nil }
 
+// windowMatches tests the PAM scaffold at the given strand offset.
+func windowMatches(window []byte, p *kernels.PatternPair, offset int) bool {
+	for j := 0; j < p.PatternLen; j++ {
+		k := p.Index[offset+j]
+		if k == -1 {
+			break
+		}
+		if !genome.Matches(p.Codes[offset+int(k)], window[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// countMismatches counts mismatching guide positions at the strand offset,
+// giving up past the limit.
+func countMismatches(window []byte, g *kernels.PatternPair, offset, limit int) (int, bool) {
+	mm := 0
+	for j := 0; j < g.PatternLen; j++ {
+		k := g.Index[offset+j]
+		if k == -1 {
+			break
+		}
+		if !genome.Matches(g.Codes[offset+int(k)], window[k]) {
+			mm++
+			if mm > limit {
+				return mm, false
+			}
+		}
+	}
+	return mm, true
+}
+
+// renderSite is the one-shot site renderer; the streaming hot path uses the
+// per-worker pipeline.SiteRenderer instead.
+func renderSite(window []byte, guide *kernels.PatternPair, dir byte) string {
+	return pipeline.RenderSite(window, guide, dir)
+}
+
 // findCandidates is the byte-path PAM prefilter over the chunk body. The
 // chunk is scanned in place: the IUPAC tables accept soft-masked lower-case
 // bases, and site rendering normalizes case.
@@ -209,7 +248,7 @@ func packedMismatches(g *kernels.PatternPair, p *genome.Packed, pos, offset, lim
 
 // ScalarMismatches is Mismatches computed per base, the reference of
 // FuzzSWARMismatch.
-func (b *BitPattern) ScalarMismatches(p *genome.Packed, pos, offset, limit int) (int, bool) {
+func (b *bitPattern) ScalarMismatches(p *genome.Packed, pos, offset, limit int) (int, bool) {
 	return packedMismatches(b.pair, p, pos, offset, limit)
 }
 

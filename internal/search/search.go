@@ -24,7 +24,6 @@ import (
 	"context"
 
 	"casoffinder/internal/genome"
-	"casoffinder/internal/kernels"
 	"casoffinder/internal/pipeline"
 )
 
@@ -73,9 +72,3 @@ func Collect(ctx context.Context, eng Engine, asm *genome.Assembly, req *Request
 
 // sortHits puts hits into the deterministic output order.
 func sortHits(hits []Hit) { pipeline.SortHits(hits) }
-
-// renderSite is the one-shot site renderer; the streaming hot path uses the
-// per-worker pipeline.SiteRenderer instead.
-func renderSite(window []byte, guide *kernels.PatternPair, dir byte) string {
-	return pipeline.RenderSite(window, guide, dir)
-}

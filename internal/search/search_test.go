@@ -1,6 +1,7 @@
 package search
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -141,6 +142,114 @@ func TestEnginesEquivalentProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
+}
+
+// fuzzCode folds an arbitrary byte onto alphabet, keeping bytes already in it.
+func fuzzCode(b byte, alphabet string) byte {
+	if strings.IndexByte(alphabet, b) >= 0 {
+		return b
+	}
+	return alphabet[int(b)%len(alphabet)]
+}
+
+// fuzzCase derives one search from fuzz bytes: an assembly of at most four
+// sequences and 2 kbases over ACGT, soft-masked acgt and N ('>' starts a new
+// sequence), an IUPAC scaffold of at most 32 codes, and one to three IUPAC
+// guides of its length cut from guides (N-padded when it runs short).
+func fuzzCase(bases, pattern, guides []byte, budget uint8, chunk uint16) (*genome.Assembly, *Request) {
+	const iupac = "ACGTRYSWKMBDHVN"
+	asm := &genome.Assembly{Name: "fuzz"}
+	var data []byte
+	flush := func() {
+		if len(data) > 0 {
+			asm.Sequences = append(asm.Sequences, &genome.Sequence{Name: "s" + string(rune('0'+len(asm.Sequences))), Data: data})
+			data = nil
+		}
+	}
+	if len(bases) > 2048 {
+		bases = bases[:2048]
+	}
+	for _, b := range bases {
+		if b == '>' && len(asm.Sequences) < 3 {
+			flush()
+			continue
+		}
+		data = append(data, fuzzCode(b, "ACGTacgtNn"))
+	}
+	flush()
+
+	if len(pattern) > 32 {
+		pattern = pattern[:32]
+	}
+	plen := len(pattern)
+	scaffold := make([]byte, plen)
+	for i, b := range pattern {
+		scaffold[i] = fuzzCode(b, iupac)
+	}
+	req := &Request{Pattern: string(scaffold), ChunkBytes: plen + int(chunk)%1024}
+	for g := 0; g < 3 && (g == 0 || (g+1)*plen <= len(guides)); g++ {
+		guide := bytes.Repeat([]byte{'N'}, plen)
+		for i := range guide {
+			if j := g*plen + i; j < len(guides) {
+				guide[i] = fuzzCode(guides[j], iupac)
+			}
+		}
+		req.Queries = append(req.Queries, Query{Guide: string(guide), MaxMismatches: int(budget % 7)})
+	}
+	return asm, req
+}
+
+// FuzzEngines is the cross-engine differential fuzzer: every engine, over
+// the FASTA-backed assembly and over its artifact after a codec round trip,
+// must return exactly the hits of the naive internal/baseline scan.
+func FuzzEngines(f *testing.F) {
+	join := func(asm *genome.Assembly) []byte {
+		var seqs [][]byte
+		for _, s := range asm.Sequences {
+			seqs = append(seqs, s.Data)
+		}
+		return bytes.Join(seqs, []byte{'>'})
+	}
+	// The fixed cases of TestEnginesMatchBaseline and of the retired
+	// seed-and-extend engine's N/soft-mask test, then N and soft-masked
+	// runs around sites on both strands under a degenerate 5' scaffold.
+	f.Add(join(testAssemblyTB(f, 11, []int{700, 450, 90, 5}, testSite)), []byte(testPattern), []byte(testGuide), uint8(2), uint16(300-len(testPattern)))
+	f.Add(join(testAssemblyTB(f, 41, []int{600}, "gattacagtacgattacagtagg")),
+		[]byte("NNNNNNNNNNNNNNNNNNNNNGG"), []byte("GATTACAGTACGATTACAGTANN"), uint8(2), uint16(1000))
+	f.Add([]byte("NNNNNNNNTTTAGATTACAnnnnnnnnacgtacgtTGTAATCTAAANNNN>ttttgattacaTTTCGATTRCA"),
+		[]byte("TTTVNNNNNNN"), []byte("NNNNGATTACANNNNGRTYACWNNNNSATKMCA"), uint8(1), uint16(5))
+	f.Fuzz(func(t *testing.T, bases, pattern, guides []byte, budget uint8, chunk uint16) {
+		asm, req := fuzzCase(bases, pattern, guides, budget, chunk)
+		if len(asm.Sequences) == 0 || len(req.Pattern) == 0 {
+			return
+		}
+		want := baselineHits(t, asm, req)
+		art, err := BuildArtifact(asm, req.Pattern)
+		if err != nil {
+			t.Fatalf("BuildArtifact: %v", err)
+		}
+		if art, err = genome.ReadArtifact(art.Encode()); err != nil {
+			t.Fatalf("ReadArtifact: %v", err)
+		}
+		multi := &MultiSYCL{Devices: []*gpu.Device{
+			gpu.New(device.MI60(), gpu.WithWorkers(2)),
+			gpu.New(device.MI100(), gpu.WithWorkers(2)),
+		}, Variant: kernels.Base, WorkGroupSize: 64}
+		for _, eng := range append(engines(t), multi) {
+			for _, in := range []struct {
+				name string
+				asm  *genome.Assembly
+			}{{"FASTA", asm}, {"artifact", art.Assembly()}} {
+				got, err := eng.Run(in.asm, req)
+				if err != nil {
+					t.Fatalf("%s on %s: %v", eng.Name(), in.name, err)
+				}
+				if !equalHits(got, want) {
+					t.Errorf("%s on %s: %d hits, baseline %d\nrequest %+v", eng.Name(), in.name, len(got), len(want), req)
+				}
+			}
+		}
+	})
 }
 
 // TestOpenCLAndSYCLIdentical is the migration-correctness claim of the

@@ -10,13 +10,10 @@ import (
 )
 
 // streamEngines is the full engine list for stream/batch equivalence: the
-// shared trio plus the reference byte scan and the seed-and-extend engine.
+// shared trio plus the reference byte scan.
 func streamEngines(t *testing.T) []Engine {
 	t.Helper()
-	return append(engines(t),
-		&refCPU{Workers: 2, Arm: refBytes},
-		&Indexed{Workers: 2, MinSeedLen: 3},
-	)
+	return append(engines(t), &refCPU{Workers: 2, Arm: refBytes})
 }
 
 // TestStreamMatchesRun: for every engine, the hits emitted by Stream,

@@ -39,19 +39,19 @@ type bitHalf struct {
 	acc [4][]uint64
 }
 
-// BitPattern is a PatternPair compiled for word-parallel scanning over a
+// bitPattern is a PatternPair compiled for word-parallel scanning over a
 // genome.WordView.
-type BitPattern struct {
+type bitPattern struct {
 	pair  *kernels.PatternPair
 	words int // pattern words per strand half: ceil(PatternLen/32)
 	half  [2]bitHalf
 }
 
-// CompileBitPattern compiles pair into per-word bit masks for both strand
+// compileBitPattern compiles pair into per-word bit masks for both strand
 // halves.
-func CompileBitPattern(pair *kernels.PatternPair) *BitPattern {
+func compileBitPattern(pair *kernels.PatternPair) *bitPattern {
 	plen := pair.PatternLen
-	b := &BitPattern{pair: pair, words: (plen + 31) / 32}
+	b := &bitPattern{pair: pair, words: (plen + 31) / 32}
 	for hi := 0; hi < 2; hi++ {
 		offset := hi * plen
 		h := &b.half[hi]
@@ -78,7 +78,7 @@ func CompileBitPattern(pair *kernels.PatternPair) *BitPattern {
 	return b
 }
 
-func (b *BitPattern) halfIndex(offset int) int {
+func (b *bitPattern) halfIndex(offset int) int {
 	if offset == 0 {
 		return 0
 	}
@@ -106,32 +106,15 @@ func (h *bitHalf) mismatchWord(text, unk uint64, w int) int {
 	return bits.OnesCount64(h.lanes[w] & (unk | ^matched))
 }
 
-// Mismatches counts mismatching indexed positions of the strand half
-// selected by offset (0 or PatternLen) for the window starting at pos,
-// giving up past the limit. The pass/fail decision and the passing counts
-// are identical to the scalar paths; a failing count may exceed the
-// scalar's limit+1 because whole words are counted at a time.
-func (b *BitPattern) Mismatches(v *genome.WordView, pos, offset, limit int) (int, bool) {
-	h := &b.half[b.halfIndex(offset)]
-	mm := 0
-	for w := 0; w < b.words; w++ {
-		if h.lanes[w] == 0 {
-			continue
-		}
-		text, unk := v.Window(pos + w*32)
-		mm += h.mismatchWord(text, unk, w)
-		if mm > limit {
-			return mm, false
-		}
-	}
-	return mm, true
-}
-
-// MismatchesWords is Mismatches over pre-fetched window words — the
-// batched multi-pattern scan stages text[w], unk[w] = Window(pos+32w) once
-// per candidate and then runs every compiled pattern against the cached
-// words (all guides of a request share one pattern length).
-func (b *BitPattern) MismatchesWords(text, unk []uint64, offset, limit int) (int, bool) {
+// mismatchesWords counts mismatching indexed positions of the strand half
+// selected by offset (0 or PatternLen) over pre-fetched window words, giving
+// up past the limit — the batched multi-pattern scan stages text[w], unk[w]
+// = Window(pos+32w) once per candidate and then runs every compiled pattern
+// against the cached words (all guides of a request share one pattern
+// length). The pass/fail decision and the passing counts are identical to
+// the scalar paths; a failing count may exceed the scalar's limit+1 because
+// whole words are counted at a time.
+func (b *bitPattern) mismatchesWords(text, unk []uint64, offset, limit int) (int, bool) {
 	h := &b.half[b.halfIndex(offset)]
 	mm := 0
 	for w := 0; w < b.words; w++ {
@@ -146,14 +129,14 @@ func (b *BitPattern) MismatchesWords(text, unk []uint64, offset, limit int) (int
 	return mm, true
 }
 
-// MatchLanes tests 32 consecutive candidate positions pos0..pos0+31 against
+// matchLanes tests 32 consecutive candidate positions pos0..pos0+31 against
 // the strand half selected by offset, returning a word whose lane bit 2i is
 // set when the window at pos0+i matches every indexed pattern position.
 // For each indexed position k it loads the (unaligned) window at pos0+k,
 // whose lane i is genome base pos0+i+k, and prunes the surviving lane set;
 // scaffold matches are rare, so the loop usually exits after one or two
 // pattern positions with lanes == 0.
-func (b *BitPattern) MatchLanes(v *genome.WordView, pos0, offset int) uint64 {
+func (b *bitPattern) matchLanes(v *genome.WordView, pos0, offset int) uint64 {
 	h := &b.half[b.halfIndex(offset)]
 	lanes := uint64(genome.LaneMask)
 	for _, e := range h.idx {
@@ -188,12 +171,12 @@ func (b *BitPattern) MatchLanes(v *genome.WordView, pos0, offset int) uint64 {
 // word view, ch.Start when v is a whole-sequence view resident in a genome
 // artifact (the chunk aliases sequence bytes, so the windows are the same
 // bases either way); candidate positions stay chunk-local.
-func (sc *scanScratch) findSWARCandidates(ch *genome.Chunk, v *genome.WordView, b *BitPattern, base int) {
+func (sc *scanScratch) findSWARCandidates(ch *genome.Chunk, v *genome.WordView, b *bitPattern, base int) {
 	plen := b.pair.PatternLen
 	cand := sc.cand[:0]
 	for pos0 := 0; pos0 < ch.Body; pos0 += 32 {
-		fw := b.MatchLanes(v, base+pos0, 0)
-		rv := b.MatchLanes(v, base+pos0, plen)
+		fw := b.matchLanes(v, base+pos0, 0)
+		rv := b.matchLanes(v, base+pos0, plen)
 		union := fw | rv
 		if union == 0 {
 			continue
@@ -219,7 +202,7 @@ func (sc *scanScratch) findSWARCandidates(ch *genome.Chunk, v *genome.WordView, 
 // candidatesFromShard loads the chunk's candidates from a genome artifact's
 // precomputed PAM shard instead of scanning: entries carry absolute
 // positions, which become chunk-local here. The shard was built by the same
-// MatchLanes prefilter over the whole sequence, and chunk bodies tile the
+// matchLanes prefilter over the whole sequence, and chunk bodies tile the
 // sequence's candidate range exactly, so the resulting candidate set (and
 // its ascending order) is identical to a fresh scan. Entries that violate
 // the chunk geometry can only come from artifact damage and reject the

@@ -53,7 +53,7 @@ func TestSWARPathsEquivalence(t *testing.T) {
 	}
 }
 
-// TestSWARFinderMatchesScalar: the 32-wide MatchLanes prefilter selects
+// TestSWARFinderMatchesScalar: the 32-wide matchLanes prefilter selects
 // exactly the candidates (positions and strand bits) of the per-base
 // packed finder, including at chunk-body tails that are not a multiple
 // of 32.
@@ -62,7 +62,7 @@ func TestSWARFinderMatchesScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp := CompileBitPattern(pair)
+	bp := compileBitPattern(pair)
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{12, 40, 63, 64, 65, 200, 333} {
 		data := make([]byte, n)
@@ -175,6 +175,24 @@ func TestBitParallelSimEngines(t *testing.T) {
 	}
 }
 
+// Mismatches is mismatchesWords fetching each window word from v as it
+// goes, for the window starting at pos.
+func (b *bitPattern) Mismatches(v *genome.WordView, pos, offset, limit int) (int, bool) {
+	h := &b.half[b.halfIndex(offset)]
+	mm := 0
+	for w := 0; w < b.words; w++ {
+		if h.lanes[w] == 0 {
+			continue
+		}
+		text, unk := v.Window(pos + w*32)
+		mm += h.mismatchWord(text, unk, w)
+		if mm > limit {
+			return mm, false
+		}
+	}
+	return mm, true
+}
+
 // FuzzSWARMismatch: on arbitrary IUPAC patterns and sequences the SWAR
 // mismatch count, the per-base scalar packed count and the byte-path count
 // agree exactly, for every strand half and limit.
@@ -199,7 +217,7 @@ func FuzzSWARMismatch(f *testing.F) {
 			limit = -limit
 		}
 		limit %= plen + 2
-		bp := CompileBitPattern(pair)
+		bp := compileBitPattern(pair)
 		v := packed.WordView(nil)
 		upper := genome.Upper(seq)
 		for pos := 0; pos+plen <= len(seq); pos++ {
