@@ -42,21 +42,27 @@ race:
 # goroutine and the handler share one ResponseWriter; the client disconnects
 # or stalls mid-stream) at the same count; plus, once per P count, the
 # simulator engines' profile-equality run (an arena-overflowing workload
-# included), the seeded fault matrix with its replay check, and the dense
+# included), the seeded fault matrix with its replay check, the dense
 # region matrix (a fleet device's arena predictor is fed by whichever chunk
-# it met first; ROADMAP item 1 records the failure rate).
+# it met first; ROADMAP item 1 records the failure rate), and the ledger
+# tests: a run has one search.Profile, a fleet's slots all write it, and it
+# is published into the registry once — the race detector over those
+# concurrent writers, and the metrics/profile agreement after them, are the
+# check.
 stress:
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/kernels ./internal/gpu ./internal/gpu/alloc ./internal/sched ./internal/pipeline
 	$(GO) test -race -count 20 -cpu 1,2,8 ./cmd/benchtab -run 'TestRunCSV'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/serve/ -run 'TestFlush'
-	$(GO) test -race -count 1 -cpu 1,2,8 ./internal/search/ -run 'TestSimProfileSchedule|TestFaultDeterminism|TestFaultMatrix|TestDenseCandidateRegionMatrix'
+	$(GO) test -race -count 1 -cpu 1,2,8 ./internal/search/ -run 'TestSimProfileSchedule|TestFaultDeterminism|TestFaultMatrix|TestDenseCandidateRegionMatrix|TestMetricsAgreeWithProfile|TestMultiSYCLSchedMetricsParity|TestMultiSYCLMergeParity|TestProfileMerge'
 
 # Fuzz regression mode: the seed corpora (f.Add entries) replay on every
 # plain `go test`; this target additionally fuzzes each target briefly to
 # grow the corpus and shake out fresh inputs. Not part of `ci` — fuzzing is
 # open-ended by nature. FuzzEngines' inputs are kilobyte assemblies; the
 # default 60 s minimization of each new-coverage input ate the whole budget
-# (≈10 execs in 30 s against ≈1 000/s without it), so it is off there.
+# (≈10 execs in 30 s against ≈1 000/s without it), so it is off there. Its
+# second arm (five faulted simulator runs per input, injected hangs waiting
+# out a 20 ms watchdog) brings it to ≈100/s.
 FUZZTIME ?= 10s
 fuzz-regress:
 	$(GO) test ./internal/search/ -run '^$$' -fuzz '^FuzzSWARMismatch$$' -fuzztime $(FUZZTIME)

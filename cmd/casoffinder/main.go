@@ -61,9 +61,8 @@
 //
 // -trace records every pipeline stage, kernel launch and resilience event
 // as Chrome trace-event JSON (load it in chrome://tracing or Perfetto);
-// -metrics writes the run's counters and latency histograms as Prometheus
-// text exposition plus a JSON snapshot merged with the engine profile at
-// FILE.json. Both are off (and cost nothing) by default.
+// -metrics writes the run's counters and latency histograms as the Prometheus
+// text page the daemon serves. Both are off (and cost nothing) by default.
 //
 // -format json emits each hit as one NDJSON object (the same encoding
 // casoffinderd streams) instead of the tab-separated text lines. -timeout
@@ -77,7 +76,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -159,7 +157,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	watchdog := fs.Duration("watchdog", 0, "deadline per backend phase; a hung simulated kernel is cancelled and retried (0 = off)")
 	maxRetries := fs.Int("max-retries", 0, "chunk retries before CPU failover (0 = default 2, negative = none)")
 	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON of the run to this file (open in chrome://tracing or Perfetto)")
-	metricsPath := fs.String("metrics", "", "write run metrics to this file (Prometheus text; a merged JSON snapshot goes to FILE.json)")
+	metricsPath := fs.String("metrics", "", "write run metrics to this file (Prometheus text exposition)")
 	indexMode := fs.String("index", "", "genome artifact mode: 'build' packs the genome (with a PAM-site index for this input's pattern) into the artifact file and searches from it; 'use' loads a previously built artifact instead of parsing FASTA")
 	indexFile := fs.String("index-file", "", "genome artifact path for -index (default: the input's genome path + \".cart\")")
 	if err := fs.Parse(args); err != nil {
@@ -191,8 +189,12 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		faultPlan.Site = site
 	}
 	var res *pipeline.Resilience
+	// relaunches is the one recovery count the profile does not show on its
+	// own (it folds relaunches into OverflowRetries).
+	var relaunches int64
 	if *faultRate > 0 || *watchdog > 0 {
-		res = &pipeline.Resilience{MaxRetries: *maxRetries, Watchdog: *watchdog, Seed: *faultSeed}
+		res = &pipeline.Resilience{MaxRetries: *maxRetries, Watchdog: *watchdog, Seed: *faultSeed,
+			OnReport: func(rep *pipeline.Report) { relaunches = rep.OverflowRelaunches }}
 	}
 
 	if *cpuProfile != "" {
@@ -345,25 +347,21 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 				fmt.Fprintf(stderr, "  kernel %-14s launches=%-4d %s\n", name, p.Launches[name], s.String())
 			}
 			printAutotune(stderr, p)
-			printDegradation(stderr, p)
+			printDegradation(stderr, p, relaunches)
 		}
 	}
 
 	// Observability artifacts are written even on a partial run — a trace
 	// of a degraded run is exactly what the flags exist for.
 	if tracer != nil {
-		if werr := writeTrace(*tracePath, tracer); runErr == nil && err == nil {
+		if werr := writeFile(*tracePath, tracer.WriteChromeTrace); runErr == nil && err == nil {
 			err = werr
 		} else if werr != nil {
 			fmt.Fprintln(stderr, "casoffinder: trace:", werr)
 		}
 	}
 	if metrics != nil {
-		var prof *search.Profile
-		if profiler != nil {
-			prof = profiler.LastProfile()
-		}
-		if werr := writeMetrics(*metricsPath, metrics, prof); runErr == nil && err == nil {
+		if werr := writeFile(*metricsPath, metrics.WritePrometheus); runErr == nil && err == nil {
 			err = werr
 		} else if werr != nil {
 			fmt.Fprintln(stderr, "casoffinder: metrics:", werr)
@@ -419,53 +417,31 @@ func loadAssembly(input *search.Input, mode, path string, stderr io.Writer) (*ge
 	}
 }
 
-// writeTrace dumps the run's spans as Chrome trace-event JSON.
-func writeTrace(path string, t *obs.Tracer) error {
+// writeFile creates path and fills it with write: the run's spans as Chrome
+// trace-event JSON, or its metric registry as Prometheus text exposition.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	err = t.WriteChromeTrace(f)
+	err = write(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	return err
 }
 
-// writeMetrics dumps the run's metric registry twice: Prometheus text
-// exposition at path, and a JSON document at path+".json" merging the
-// snapshot with the engine's search.Profile (when one exists) so the two
-// accountings sit side by side.
-func writeMetrics(path string, m *obs.Metrics, prof *search.Profile) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = m.WritePrometheus(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	doc := struct {
-		Metrics *obs.Snapshot   `json:"metrics"`
-		Profile *search.Profile `json:"profile,omitempty"`
-	}{Metrics: m.Snapshot(), Profile: prof}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path+".json", append(data, '\n'), 0o644)
-}
-
 // printDegradation reports how far the run strayed from the clean path: the
 // resilience counters, the asynchronous exceptions the SYCL handler saw and
 // the injected fault events by site. Silent on a clean run.
-func printDegradation(stderr io.Writer, p *search.Profile) {
+func printDegradation(stderr io.Writer, p *search.Profile, relaunches int64) {
 	if p.Degraded() || p.AsyncExceptions > 0 {
-		fmt.Fprintf(stderr, "degraded: retries=%d failovers=%d watchdog-kills=%d quarantined=%d async-exceptions=%d\n",
+		fmt.Fprintf(stderr, "degraded: retries=%d failovers=%d watchdog-kills=%d quarantined=%d async-exceptions=%d",
 			p.Retries, p.Failovers, p.WatchdogKills, p.QuarantinedChunks, p.AsyncExceptions)
+		if relaunches > 0 {
+			fmt.Fprintf(stderr, " overflow-relaunches=%d", relaunches)
+		}
+		fmt.Fprintln(stderr)
 	}
 	if len(p.DeviceChunks) > 0 {
 		fmt.Fprintf(stderr, "scheduler: evictions=%d\n", p.Evictions)
@@ -495,16 +471,10 @@ func printDegradation(stderr io.Writer, p *search.Profile) {
 // writeHeapProfile snapshots the heap to path after a final collection, so
 // the profile reflects live allocations rather than garbage.
 func writeHeapProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	runtime.GC()
-	err = pprof.WriteHeapProfile(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return writeFile(path, func(w io.Writer) error {
+		runtime.GC()
+		return pprof.WriteHeapProfile(w)
+	})
 }
 
 // parseFleet maps the -devices list to simulated device specs. Names are

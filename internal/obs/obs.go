@@ -6,8 +6,8 @@
 // the hotspot (§IV.B) and per-kernel counters explain why each optimization
 // helps (Tables VII–X) — and this package is the host-side equivalent: a
 // timeline of every pipeline stage, kernel launch and resilience event, plus
-// machine-readable rates the search.Profile totals can be cross-checked
-// against.
+// machine-readable rates and the search.Profile totals of the runs published
+// into the registry.
 //
 // Disabled-path contract: both *Tracer and *Metrics are valid as nil
 // receivers, and every recording method begins with a nil pointer check and
@@ -28,11 +28,14 @@ type Attr struct {
 }
 
 // Metric names, shared by every layer that emits them so the Prometheus page
-// and the JSON snapshot stay consistent. Names ending in _total are
+// and Snapshot stay consistent. Names ending in _total are
 // counters; _seconds names are histograms; the rest are gauges.
 const (
-	// Emitted by search.Profile mutators — these mirror the Profile fields
-	// one-to-one, so a -metrics dump always agrees with the profile totals.
+	// Published by search.Profile.publish, once, when a simulator run
+	// returns — the only writer of every series in this block and of the
+	// arena, recovery and autotuner blocks below. Each is the Profile field of
+	// the same name, so the registry is the sum of the profiles published
+	// into it (DESIGN.md §10).
 	MetricChunks          = "casoffinder_chunks_total"
 	MetricStagedBytes     = "casoffinder_staged_bytes_total"
 	MetricReadBytes       = "casoffinder_read_bytes_total"
@@ -42,40 +45,44 @@ const (
 	// MetricFaults carries a site="..." label per fault site.
 	MetricFaults = "casoffinder_faults_total"
 
-	// Hit-buffer arena counters (internal/gpu/alloc), also mirrored from
-	// search.Profile mutators: bytes of arena entry storage provisioned,
-	// pages claimed by kernels, and launches repeated after an arena
-	// overflow (the backend's grow-and-retry, plus the executor's relaunch
-	// when an overflow escapes a backend).
+	// Hit-buffer arena counters (internal/gpu/alloc), published from the
+	// profile too: bytes of arena entry storage provisioned, pages claimed
+	// by kernels, and launches repeated after an arena overflow (the
+	// backend's grow-and-retry, plus the executor's relaunch when an
+	// overflow escapes a backend).
 	MetricArenaBytes     = "casoffinder_arena_bytes_total"
 	MetricArenaPages     = "casoffinder_arena_page_claims_total"
 	MetricArenaOverflows = "casoffinder_arena_overflow_retries_total"
 
-	// Emitted by the chunk executor (internal/sched) and the scan attempts it
-	// runs: stage and whole-attempt latencies, the depth of the run's chunk
-	// queue (unclaimed chunks), hits and chunks emitted, and each recovery
-	// event where it happens — search.Profile folds the run report without
-	// counting them again.
+	// Emitted live by the chunk executor (internal/sched) and the scan
+	// attempts it runs, on every engine: stage and whole-attempt latencies,
+	// the depth of the run's chunk queue (unclaimed chunks), hits and chunks
+	// emitted.
 	MetricStageSeconds   = "casoffinder_stage_seconds"
 	MetricScanSeconds    = "casoffinder_scan_seconds"
 	MetricQueueDepth     = "casoffinder_queue_depth"
 	MetricHits           = "casoffinder_hits_total"
 	MetricPipelineChunks = "casoffinder_pipeline_chunks_total"
-	MetricRetries        = "casoffinder_retries_total"
-	MetricFailovers      = "casoffinder_failovers_total"
-	MetricWatchdogKills  = "casoffinder_watchdog_kills_total"
-	MetricQuarantined    = "casoffinder_quarantined_chunks_total"
-	MetricEvictions      = "casoffinder_evictions_total"
+
+	// The executor's recovery events. It counts them in its run report only;
+	// the profile folds the report and publishes them.
+	MetricRetries       = "casoffinder_retries_total"
+	MetricFailovers     = "casoffinder_failovers_total"
+	MetricWatchdogKills = "casoffinder_watchdog_kills_total"
+	MetricQuarantined   = "casoffinder_quarantined_chunks_total"
+	MetricEvictions     = "casoffinder_evictions_total"
 
 	// Emitted by the gpu simulator's launch hook, labelled kernel="...".
+	// Counted per attempted launch, failed and voided ones included, so under
+	// faults it exceeds the profile's Launches by design.
 	MetricKernelLaunchSeconds = "casoffinder_kernel_launch_seconds"
 	MetricKernelLaunches      = "casoffinder_kernel_launches_total"
 
 	// Emitted by the opencl frontend, labelled dir="read"|"write".
 	MetricCLTransfers = "casoffinder_cl_transfers_total"
 
-	// Emitted by search.Profile.addTune when the occupancy autotuner
-	// (internal/tune) resolved a kernel selection for a device.
+	// The occupancy autotuner's (internal/tune) kernel selections, one per
+	// device whose backend opened, published from the profile.
 	// MetricTuneSelected carries a variant="..." label per selected
 	// comparer variant.
 	MetricTuneDecisions    = "casoffinder_tune_decisions_total"

@@ -82,7 +82,10 @@ type Executor struct {
 	// Trace and Metrics observe the run: scan and phase spans land on each
 	// slot's track with its recovery events (retry, overflow-relaunch,
 	// evict, failover, quarantine) as instants, emit spans on
-	// "<track>/collect", fallback attempts on "<track>/fallback".
+	// "<track>/collect", fallback attempts on "<track>/fallback". The
+	// registry gets the queue-depth gauge, the hit and emitted-chunk counters
+	// and the stage/scan histograms live; recovery events are counted in
+	// the Report only, for whoever owns the run's ledger to publish.
 	Trace   *obs.Tracer
 	Metrics *obs.Metrics
 	// Track prefixes the trace rows; empty means "sched".
@@ -371,12 +374,12 @@ func (r *run) scan(be pipeline.Backend, index int, sr *pipeline.SiteRenderer, tr
 		switch class := fault.ClassOf(err); {
 		case class == fault.Overflow && overflows < pipeline.DefaultMaxOverflowRelaunches:
 			overflows++
-			r.count(&r.rep.OverflowRelaunches, obs.MetricArenaOverflows)
+			r.count(&r.rep.OverflowRelaunches)
 			r.x.Trace.Instant(track, "overflow-relaunch", index,
 				obs.Attr{Key: "error", Value: err.Error()})
 		case class == fault.Transient && retries < res.RetryBudget():
 			retries++
-			r.count(&r.rep.Retries, obs.MetricRetries)
+			r.count(&r.rep.Retries)
 			r.x.Trace.Instant(track, "retry", index,
 				obs.Attr{Key: "try", Value: strconv.Itoa(retries)},
 				obs.Attr{Key: "error", Value: err.Error()})
@@ -399,7 +402,7 @@ func (r *run) attempt(be pipeline.Backend, index int, sr *pipeline.SiteRenderer,
 	hits, err := pipeline.Attempt(r.ctx, be, r.plan, index, r.chunks[index], sr, r.watchdog, o)
 	r.attempts[index]++
 	if pipeline.IsWatchdogKill(err) {
-		r.count(&r.rep.WatchdogKills, obs.MetricWatchdogKills)
+		r.count(&r.rep.WatchdogKills)
 	}
 	return hits, err
 }
@@ -425,7 +428,6 @@ func (r *run) evict(i, index int, cause error) bool {
 	}
 	r.mu.Unlock()
 	r.cond.Broadcast()
-	r.x.Metrics.Count(obs.MetricEvictions, 1)
 	r.x.Trace.Instant(row.Name, "evict", index,
 		obs.Attr{Key: "error", Value: cause.Error()})
 	return true
@@ -454,7 +456,7 @@ func (r *run) failover(i, index int, sr *pipeline.SiteRenderer, track string, ca
 			cause = r.fbErr
 		}
 	} else {
-		r.count(&r.rep.Failovers, obs.MetricFailovers)
+		r.count(&r.rep.Failovers)
 		r.x.Trace.Instant(track, "failover", index,
 			obs.Attr{Key: "error", Value: cause.Error()})
 		hits, err := r.attempt(r.fb, index, sr, r.x.track()+"/fallback")
@@ -474,7 +476,6 @@ func (r *run) failover(i, index int, sr *pipeline.SiteRenderer, track string, ca
 		Attempts: r.attempts[index], Err: cause,
 	})
 	r.mu.Unlock()
-	r.x.Metrics.Count(obs.MetricQuarantined, 1)
 	r.x.Trace.Instant(track, "quarantine", index,
 		obs.Attr{Key: "error", Value: cause.Error()})
 	r.settle(i, settled{index: index, quarantined: true})
@@ -501,12 +502,11 @@ func (r *run) settle(i int, s settled) {
 	}
 }
 
-// count adds one to a report counter and to its metric.
-func (r *run) count(field *int64, metric string) {
+// count adds one to a report counter.
+func (r *run) count(field *int64) {
 	r.mu.Lock()
 	*field++
 	r.mu.Unlock()
-	r.x.Metrics.Count(metric, 1)
 }
 
 // fail records the run's first fatal error and cancels everything.

@@ -260,6 +260,7 @@ func TestZeroBodyChunkFind(t *testing.T) {
 		(&SimSYCL{Device: gpu.New(device.MI100(), gpu.WithWorkers(4)), Variant: kernels.Base, WorkGroupSize: 64}).core(),
 	}
 	for _, core := range cores {
+		core.profile = newProfile()
 		b, err := newSimBackend(core, plan)
 		if err != nil {
 			t.Fatal(err)

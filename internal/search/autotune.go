@@ -6,7 +6,7 @@ package search
 // instead of trusting the caller's fixed Variant/WorkGroupSize pair. The
 // decision is recorded in the run's Profile (addTune) when the backend opens,
 // so every tuned run reports what it selected and why-shaped evidence (the
-// candidate count) lands in the metrics registry.
+// candidate count) reaches the metrics registry with the rest of the profile.
 //
 // A forced WorkGroupSize does not bypass the tuner: it narrows the candidate
 // field to that one size, so the tuner still picks the best variant at the

@@ -107,19 +107,9 @@ func TestAutoCalibrateByteIdentical(t *testing.T) {
 	if p.TuneCalibrations != 1 {
 		t.Errorf("TuneCalibrations = %d, want 1", p.TuneCalibrations)
 	}
-	snap := m.Snapshot()
-	if c := snap.Counters[obs.MetricTuneDecisions]; c != p.TuneDecisions {
-		t.Errorf("metrics tune decisions %d != profile %d", c, p.TuneDecisions)
-	}
-	if c := snap.Counters[obs.MetricTuneCandidates]; c != p.TuneCandidates {
-		t.Errorf("metrics tune candidates %d != profile %d", c, p.TuneCandidates)
-	}
-	if c := snap.Counters[obs.MetricTuneCalibrations]; c != p.TuneCalibrations {
-		t.Errorf("metrics tune calibrations %d != profile %d", c, p.TuneCalibrations)
-	}
-	v := p.TunedVariant[eng.Name()]
-	if c := snap.Counters[obs.L(obs.MetricTuneSelected, "variant", v)]; c != 1 {
-		t.Errorf("selected-variant series for %q = %d, want 1", v, c)
+	requireMetricsAgree(t, m, p)
+	if v := p.TunedVariant[eng.Name()]; m.Counter(obs.L(obs.MetricTuneSelected, "variant", v)) != 1 {
+		t.Errorf("selected-variant series for %q missing", v)
 	}
 }
 

@@ -119,6 +119,7 @@ func TestHostOpsFailureSweep(t *testing.T) {
 		}
 		defer func() { core.open = open }()
 
+		core.profile = newProfile()
 		b, err := newSimBackend(core, plan)
 		if err == nil {
 			err = func() error {

@@ -10,8 +10,6 @@ import (
 	"casoffinder/internal/kernels"
 	"casoffinder/internal/obs"
 	"casoffinder/internal/pipeline"
-	"casoffinder/internal/sched"
-	"casoffinder/internal/tune"
 )
 
 // MultiSYCL extends the SYCL application to several devices — the paper's
@@ -47,14 +45,14 @@ type MultiSYCL struct {
 	// the last live device fails chunks over to the CPU engine (unless a
 	// custom Fallback is configured).
 	Resilience *pipeline.Resilience
-	// Trace and Metrics, when set, are shared by every per-device
-	// sub-engine: each device's spans land on its own "sycl-sim[i]"
-	// track, recovery events (evict, failover) on the same tracks, and the
-	// counters sum across devices in one registry.
+	// Trace and Metrics, when set, observe the whole fleet: each device's
+	// spans land on its own "sycl-sim[i]" track, recovery events (evict,
+	// failover) on the same tracks, and the run's one profile is published
+	// into the registry when the run returns.
 	Trace   *obs.Tracer
 	Metrics *obs.Metrics
 
-	// worstCaseArena is passed to every device's sub-engine; see
+	// worstCaseArena is passed to every device's shell; see
 	// simConfig.worstCaseArena (test reference only).
 	worstCaseArena bool
 
@@ -64,8 +62,9 @@ type MultiSYCL struct {
 // Name implements Engine.
 func (e *MultiSYCL) Name() string { return "sycl-multi" }
 
-// LastProfile implements Profiler: the merged profile of all devices, with
-// the executor's eviction and per-device accounting folded in.
+// LastProfile implements Profiler: the one profile every device of the last
+// run wrote, with the executor's eviction and per-device accounting folded
+// in.
 func (e *MultiSYCL) LastProfile() *Profile { return e.profile }
 
 // Run implements Engine.
@@ -78,92 +77,20 @@ func (e *MultiSYCL) Run(asm *genome.Assembly, req *Request) ([]Hit, error) {
 // ordered-emit contract — so the stream matches a single-device run byte
 // for byte.
 func (e *MultiSYCL) Stream(ctx context.Context, asm *genome.Assembly, req *Request, emit func(Hit) error) error {
-	if err := req.Validate(); err != nil {
-		return err
-	}
+	e.profile = newProfile()
 	if len(e.Devices) == 0 {
 		return errors.New("search: sycl-multi: no devices")
 	}
-	for i, d := range e.Devices {
-		if d == nil {
-			return fmt.Errorf("search: sycl-multi: device %d is nil", i)
-		}
-	}
-
-	// Resolve the tuner per device before the fleet starts: repeated
-	// device types hit the tune package's memoized decision, so an N-GPU
-	// homogeneous fleet scores (and calibrates) once.
-	var tuned []*tune.Decision
-	if e.Auto {
-		tuned = make([]*tune.Decision, len(e.Devices))
-		for i, dev := range e.Devices {
-			d, err := autotuneDecision(dev, req, e.WorkGroupSize, e.Calibrate)
-			if err != nil {
-				return fmt.Errorf("search: %s: autotune device %d: %w", e.Name(), i, err)
-			}
-			tuned[i] = d
-		}
-	}
-
-	// One SimSYCL shell per device: its slot opens the backend (at most once
-	// per run), and the shell's profile collects what that device did.
-	// Sub-engines share the run's tracer and metrics.
-	subEngines := make([]*SimSYCL, len(e.Devices))
-	marks := make([]int, len(e.Devices))
-	fleet := make([]sched.Slot, len(e.Devices))
+	// One SimSYCL shell per device, all on the run's one profile: a shell's
+	// slot opens its backend (at most once per run) on that device.
+	cores := make([]*simCore, len(e.Devices))
 	for i, dev := range e.Devices {
-		sub := &SimSYCL{
+		cores[i] = (&SimSYCL{
 			Device: dev, Variant: e.Variant, WorkGroupSize: e.WorkGroupSize,
-			worstCaseArena: e.worstCaseArena,
-			Trace:          e.Trace, Metrics: e.Metrics, Track: fmt.Sprintf("sycl-sim[%d]", i),
-		}
-		if tuned != nil {
-			sub.Auto, sub.Calibrate, sub.tuned = true, e.Calibrate, tuned[i]
-		}
-		subEngines[i] = sub
-		core := sub.core()
-		dev.SetObs(e.Trace, e.Metrics, sub.Track+"/gpu")
-		// Mark each injector before the run so only this run's fault
-		// delta is folded into the profile.
-		marks[i] = dev.Faults().Mark()
-		fleet[i] = sched.Slot{
-			Name: sub.Track,
-			Open: func(plan *pipeline.Plan) (pipeline.Backend, error) {
-				return newSimBackend(core, plan)
-			},
-		}
+			Auto: e.Auto, Calibrate: e.Calibrate, Resilience: e.Resilience,
+			Trace: e.Trace, Metrics: e.Metrics, Track: fmt.Sprintf("sycl-sim[%d]", i),
+			worstCaseArena: e.worstCaseArena, profile: e.profile,
+		}).core()
 	}
-
-	var schedRep *sched.Report
-	x := &sched.Executor{
-		Slots:    fleet,
-		Policy:   policyFor(e.Resilience),
-		Trace:    e.Trace,
-		Metrics:  e.Metrics,
-		Track:    e.Name(),
-		OnReport: func(rep *sched.Report) { schedRep = rep },
-	}
-	err := x.Stream(ctx, asm, req, emit)
-
-	// Fold each device's fault delta into that device's own profile —
-	// which carries the shared metrics registry, so MetricFaults stays in
-	// step — then merge everything. The merged profile carries no
-	// registry of its own: every count already streamed in live, and
-	// folding again here would double-count.
-	merged := newProfile(nil)
-	for i, sub := range subEngines {
-		prof := sub.LastProfile()
-		if prof == nil {
-			// No slot opened this device (fewer chunks than devices); it
-			// cannot have fired faults either.
-			continue
-		}
-		prof.addFaults(e.Devices[i].Faults().LogSince(marks[i]))
-		merged.merge(prof)
-	}
-	if schedRep != nil {
-		merged.addSched(schedRep)
-	}
-	e.profile = merged
-	return err
+	return streamCores(ctx, e.Name(), true, cores, asm, req, emit)
 }

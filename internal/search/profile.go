@@ -7,7 +7,6 @@ import (
 	"casoffinder/internal/fault"
 	"casoffinder/internal/gpu"
 	"casoffinder/internal/obs"
-	"casoffinder/internal/pipeline"
 	"casoffinder/internal/sched"
 	"casoffinder/internal/tune"
 )
@@ -17,9 +16,11 @@ import (
 // used to identify the comparer as the hotspot, §IV.B) and the host-side
 // pipeline counters the timing model needs to cost staging and transfers.
 //
-// The exported fields are safe to read once the run has returned; while a
-// run is live the backend and its device's callbacks update them
-// concurrently through the locked mutators below.
+// A run has exactly one Profile, created before any slot opens: every
+// slot's backend (one per device in a fleet) and the executor's report write
+// it through the locked mutators below, and it is published into the run's
+// metrics registry once, when the run returns. The exported fields are safe
+// to read from then on.
 type Profile struct {
 	// Kernels aggregates launch statistics by kernel name.
 	Kernels map[string]gpu.Stats
@@ -100,24 +101,23 @@ type Profile struct {
 	// logs.
 	FaultLog []fault.Event
 
-	mu sync.Mutex
+	// degraded is Degraded's answer, recorded from the executor's report.
+	degraded bool
 
-	// metrics mirrors the counters above into the run's metrics registry as
-	// they accumulate, so a -metrics dump always agrees with the profile
-	// totals. Nil when the run is unobserved; obs methods are nil-safe.
-	metrics *obs.Metrics
+	mu sync.Mutex
 }
 
-func newProfile(m *obs.Metrics) *Profile {
+func newProfile() *Profile {
 	return &Profile{
 		Kernels:        make(map[string]gpu.Stats),
 		Launches:       make(map[string]int),
 		WorkGroupSizes: make(map[string]int),
-		metrics:        m,
 	}
 }
 
-// addKernel merges one launch into the profile.
+// addKernel merges one launch into the profile. A kernel keeps its
+// work-group size only while every launch agrees on it; a fleet whose devices
+// disagree records 0 ("mixed") rather than whichever device launched last.
 func (p *Profile) addKernel(name string, s *gpu.Stats, wgSize int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -125,6 +125,9 @@ func (p *Profile) addKernel(name string, s *gpu.Stats, wgSize int) {
 	agg.Add(s)
 	p.Kernels[name] = agg
 	p.Launches[name]++
+	if prev, ok := p.WorkGroupSizes[name]; ok && prev != wgSize {
+		wgSize = 0
+	}
 	p.WorkGroupSizes[name] = wgSize
 }
 
@@ -134,8 +137,6 @@ func (p *Profile) addStagedChunk(n int64) {
 	p.Chunks++
 	p.BytesStaged += n
 	p.mu.Unlock()
-	p.metrics.Count(obs.MetricChunks, 1)
-	p.metrics.Count(obs.MetricStagedBytes, n)
 }
 
 // addStaged counts n bytes of host-to-device traffic.
@@ -143,7 +144,6 @@ func (p *Profile) addStaged(n int64) {
 	p.mu.Lock()
 	p.BytesStaged += n
 	p.mu.Unlock()
-	p.metrics.Count(obs.MetricStagedBytes, n)
 }
 
 // addRead counts n bytes of device-to-host traffic.
@@ -151,7 +151,6 @@ func (p *Profile) addRead(n int64) {
 	p.mu.Lock()
 	p.BytesRead += n
 	p.mu.Unlock()
-	p.metrics.Count(obs.MetricReadBytes, n)
 }
 
 // addCandidates counts finder-reported candidate sites.
@@ -159,7 +158,6 @@ func (p *Profile) addCandidates(n int64) {
 	p.mu.Lock()
 	p.CandidateSites += n
 	p.mu.Unlock()
-	p.metrics.Count(obs.MetricCandidateSites, n)
 }
 
 // addEntries counts comparer output entries.
@@ -167,7 +165,6 @@ func (p *Profile) addEntries(n int64) {
 	p.mu.Lock()
 	p.Entries += n
 	p.mu.Unlock()
-	p.metrics.Count(obs.MetricEntries, n)
 }
 
 // addArena records one launch's arena provisioning: bytes of entry storage
@@ -177,8 +174,6 @@ func (p *Profile) addArena(bytes, pageClaims int64) {
 	p.ArenaBytes += bytes
 	p.ArenaPageClaims += pageClaims
 	p.mu.Unlock()
-	p.metrics.Count(obs.MetricArenaBytes, bytes)
-	p.metrics.Count(obs.MetricArenaPages, pageClaims)
 }
 
 // addOverflowRetry counts one grow-and-relaunch after an arena overflow.
@@ -186,13 +181,12 @@ func (p *Profile) addOverflowRetry() {
 	p.mu.Lock()
 	p.OverflowRetries++
 	p.mu.Unlock()
-	p.metrics.Count(obs.MetricArenaOverflows, 1)
 }
 
-// addResilience folds one run's resilience report into the profile. It does
-// not mirror into the metrics registry: the executor counts each event where
-// it happens.
-func (p *Profile) addResilience(rep *pipeline.Report) {
+// addReport folds the executor's report — a run has one — into the profile:
+// the recovery counters and evictions, whether the run counts as degraded,
+// and — for a fleet — the per-device chunk counts.
+func (p *Profile) addReport(rep *sched.Report, fleet bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.Retries += rep.Retries
@@ -200,30 +194,20 @@ func (p *Profile) addResilience(rep *pipeline.Report) {
 	p.Failovers += rep.Failovers
 	p.WatchdogKills += rep.WatchdogKills
 	p.QuarantinedChunks += len(rep.Quarantined)
-}
-
-// addSched folds a fleet run's report into the profile: the resilience
-// counters plus evictions and the per-device chunk counts.
-func (p *Profile) addSched(rep *sched.Report) {
-	p.addResilience(&rep.Report)
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.Evictions += rep.Evictions
-	if p.DeviceChunks == nil {
-		p.DeviceChunks = make(map[string]int)
-	}
-	for _, d := range rep.Slots {
-		p.DeviceChunks[d.Name] += d.Chunks
+	p.degraded = rep.Degraded() || rep.Evictions > 0
+	if fleet {
+		p.DeviceChunks = make(map[string]int, len(rep.Slots))
+		for _, d := range rep.Slots {
+			p.DeviceChunks[d.Name] = d.Chunks
+		}
 	}
 }
 
-// addTune records one autotuner decision under the engine's track name,
-// mirroring the counters (and a variant-labelled selection count) into the
-// metrics registry at decision time — the same live-mirroring contract as the
-// device-side mutators, so a -metrics dump always agrees with the profile
-// totals.
+// addTune records one autotuner decision under the engine's track name.
 func (p *Profile) addTune(track string, d *tune.Decision) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.TunedVariant == nil {
 		p.TunedVariant = make(map[string]string)
 		p.TunedWGSize = make(map[string]int)
@@ -235,15 +219,6 @@ func (p *Profile) addTune(track string, d *tune.Decision) {
 	if d.Calibrated {
 		p.TuneCalibrations++
 	}
-	p.mu.Unlock()
-	p.metrics.Count(obs.MetricTuneDecisions, 1)
-	p.metrics.Count(obs.MetricTuneCandidates, int64(len(d.Candidates)))
-	if d.Calibrated {
-		p.metrics.Count(obs.MetricTuneCalibrations, 1)
-	}
-	if p.metrics != nil {
-		p.metrics.Count(obs.L(obs.MetricTuneSelected, "variant", d.Variant.String()), 1)
-	}
 }
 
 // addAsync counts one delivery to the SYCL async exception handler.
@@ -251,17 +226,18 @@ func (p *Profile) addAsync() {
 	p.mu.Lock()
 	p.AsyncExceptions++
 	p.mu.Unlock()
-	p.metrics.Count(obs.MetricAsyncExceptions, 1)
 }
 
-// addFaults folds one run's fired fault events — the delta the engine read
-// with Injector.Mark/LogSince, not the injector's cumulative log — into the
-// profile, keeping FaultLog in its documented (site, seq) order.
+// addFaults folds the fault events one device fired during the run — the
+// delta the engine read with Injector.Mark/LogSince, not the injector's
+// cumulative log — into the profile, keeping FaultLog in its documented
+// (site, seq) order however many devices fold theirs.
 func (p *Profile) addFaults(events []fault.Event) {
 	if len(events) == 0 {
 		return
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.Faults == nil {
 		p.Faults = make(map[fault.Site]int64)
 	}
@@ -270,91 +246,59 @@ func (p *Profile) addFaults(events []fault.Event) {
 	}
 	p.FaultLog = append(p.FaultLog, events...)
 	fault.SortEvents(p.FaultLog)
-	p.mu.Unlock()
-	if p.metrics != nil {
-		for _, e := range events {
-			p.metrics.Count(obs.L(obs.MetricFaults, "site", string(e.Site)), 1)
+}
+
+// publish adds the run's totals to the metrics registry. It is the only
+// writer of these series and runs once, when the run returns, so the registry
+// is the sum of the profiles published into it and cannot disagree with
+// them. A series appears once its total is non-zero.
+func (p *Profile) publish(m *obs.Metrics) {
+	if m == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, s := range []struct {
+		series string
+		total  int64
+	}{
+		{obs.MetricChunks, int64(p.Chunks)},
+		{obs.MetricStagedBytes, p.BytesStaged},
+		{obs.MetricReadBytes, p.BytesRead},
+		{obs.MetricCandidateSites, p.CandidateSites},
+		{obs.MetricEntries, p.Entries},
+		{obs.MetricArenaBytes, p.ArenaBytes},
+		{obs.MetricArenaPages, p.ArenaPageClaims},
+		{obs.MetricArenaOverflows, p.OverflowRetries},
+		{obs.MetricRetries, p.Retries},
+		{obs.MetricFailovers, p.Failovers},
+		{obs.MetricWatchdogKills, p.WatchdogKills},
+		{obs.MetricQuarantined, int64(p.QuarantinedChunks)},
+		{obs.MetricEvictions, p.Evictions},
+		{obs.MetricAsyncExceptions, p.AsyncExceptions},
+		{obs.MetricTuneDecisions, p.TuneDecisions},
+		{obs.MetricTuneCandidates, p.TuneCandidates},
+		{obs.MetricTuneCalibrations, p.TuneCalibrations},
+	} {
+		if s.total != 0 {
+			m.Count(s.series, s.total)
 		}
+	}
+	for site, n := range p.Faults {
+		m.Count(obs.L(obs.MetricFaults, "site", string(site)), n)
+	}
+	for _, variant := range p.TunedVariant {
+		m.Count(obs.L(obs.MetricTuneSelected, "variant", variant), 1)
 	}
 }
 
-// Degraded reports whether the run deviated from the clean path.
+// Degraded reports whether the run deviated from the clean path: any
+// recovery event in the executor's report (pipeline.Report.Degraded) or an
+// evicted device.
 func (p *Profile) Degraded() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.Retries > 0 || p.Failovers > 0 || p.WatchdogKills > 0 ||
-		p.QuarantinedChunks > 0 || p.Evictions > 0
-}
-
-// merge folds o into p. o must be quiescent (its run finished).
-func (p *Profile) merge(o *Profile) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for name, s := range o.Kernels {
-		agg := p.Kernels[name]
-		agg.Add(&s)
-		p.Kernels[name] = agg
-		p.Launches[name] += o.Launches[name]
-		// A merged profile keeps a kernel's work-group size only while every
-		// device agrees on it; a conflict records 0 ("mixed") rather than
-		// whichever device merged last.
-		if prev, ok := p.WorkGroupSizes[name]; !ok {
-			p.WorkGroupSizes[name] = o.WorkGroupSizes[name]
-		} else if prev != o.WorkGroupSizes[name] {
-			p.WorkGroupSizes[name] = 0
-		}
-	}
-	p.Chunks += o.Chunks
-	p.BytesStaged += o.BytesStaged
-	p.BytesRead += o.BytesRead
-	p.CandidateSites += o.CandidateSites
-	p.Entries += o.Entries
-	p.ArenaBytes += o.ArenaBytes
-	p.ArenaPageClaims += o.ArenaPageClaims
-	p.OverflowRetries += o.OverflowRetries
-	p.Retries += o.Retries
-	p.Failovers += o.Failovers
-	p.WatchdogKills += o.WatchdogKills
-	p.QuarantinedChunks += o.QuarantinedChunks
-	p.AsyncExceptions += o.AsyncExceptions
-	p.Evictions += o.Evictions
-	if o.DeviceChunks != nil {
-		if p.DeviceChunks == nil {
-			p.DeviceChunks = make(map[string]int)
-		}
-		for name, n := range o.DeviceChunks {
-			p.DeviceChunks[name] += n
-		}
-	}
-	// Each tuner decision already mirrored into the shared registry when
-	// addTune ran, so merge only sums the profile side.
-	if o.TunedVariant != nil {
-		if p.TunedVariant == nil {
-			p.TunedVariant = make(map[string]string)
-			p.TunedWGSize = make(map[string]int)
-		}
-		for track, v := range o.TunedVariant {
-			p.TunedVariant[track] = v
-		}
-		for track, wg := range o.TunedWGSize {
-			p.TunedWGSize[track] = wg
-		}
-	}
-	p.TuneDecisions += o.TuneDecisions
-	p.TuneCandidates += o.TuneCandidates
-	p.TuneCalibrations += o.TuneCalibrations
-	if o.Faults != nil {
-		if p.Faults == nil {
-			p.Faults = make(map[fault.Site]int64)
-		}
-		for site, n := range o.Faults {
-			p.Faults[site] += n
-		}
-	}
-	p.FaultLog = append(p.FaultLog, o.FaultLog...)
-	// Per-device logs arrive individually sorted; the concatenation is not.
-	// Re-sort so multi-device merges keep the documented replay order.
-	fault.SortEvents(p.FaultLog)
+	return p.degraded
 }
 
 // KernelNames returns the profiled kernel names ("finder" plus the comparer

@@ -1,7 +1,12 @@
 package search
 
 import (
+	"context"
+	"errors"
+	"reflect"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,6 +17,7 @@ import (
 	"casoffinder/internal/kernels"
 	"casoffinder/internal/obs"
 	"casoffinder/internal/pipeline"
+	"casoffinder/internal/sched"
 )
 
 // faultLogSorted reports whether the log is in the documented (site, seq)
@@ -29,7 +35,7 @@ func faultLogSorted(log []fault.Event) bool {
 // sorted regardless of insertion order, so reports and the timing model
 // iterate deterministically.
 func TestKernelNamesSorted(t *testing.T) {
-	p := newProfile(nil)
+	p := newProfile()
 	for _, name := range []string{"comparer.opt3", "finder", "comparer.base", "aligner"} {
 		p.addKernel(name, &gpu.Stats{WorkItems: 1}, 64)
 	}
@@ -42,28 +48,41 @@ func TestKernelNamesSorted(t *testing.T) {
 	}
 }
 
-// TestProfileMergeAggregates pins merge's summing behaviour for kernel
-// stats, launch counts, pipeline counters and the fault map.
+// twoWriters runs a and b concurrently against one profile, as two fleet
+// slots do, and returns it once both are done.
+func twoWriters(a, b func(p *Profile)) *Profile {
+	p := newProfile()
+	var wg sync.WaitGroup
+	for _, write := range []func(*Profile){a, b} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			write(p)
+		}()
+	}
+	wg.Wait()
+	return p
+}
+
+// TestProfileMergeAggregates pins the summing behaviour of two devices
+// writing one profile for kernel stats, launch counts, pipeline counters and
+// the fault map.
 func TestProfileMergeAggregates(t *testing.T) {
-	a := newProfile(nil)
-	a.addKernel("finder", &gpu.Stats{WorkItems: 100, WorkGroups: 2}, 64)
-	a.addStagedChunk(1000)
-	a.addCandidates(5)
-	a.addEntries(3)
-	a.addFaults([]fault.Event{{Site: fault.SiteReadback, Seq: 0}})
-
-	b := newProfile(nil)
-	b.addKernel("finder", &gpu.Stats{WorkItems: 50, WorkGroups: 1}, 64)
-	b.addKernel("comparer.base", &gpu.Stats{WorkItems: 10, WorkGroups: 1}, 128)
-	b.addStagedChunk(500)
-	b.addRead(200)
-	b.addCandidates(2)
-	b.addEntries(1)
-	b.addFaults([]fault.Event{{Site: fault.SiteReadback, Seq: 1}, {Site: fault.SiteHang, Seq: 0}})
-
-	m := newProfile(nil)
-	m.merge(a)
-	m.merge(b)
+	m := twoWriters(func(a *Profile) {
+		a.addKernel("finder", &gpu.Stats{WorkItems: 100, WorkGroups: 2}, 64)
+		a.addStagedChunk(1000)
+		a.addCandidates(5)
+		a.addEntries(3)
+		a.addFaults([]fault.Event{{Site: fault.SiteReadback, Seq: 0}})
+	}, func(b *Profile) {
+		b.addKernel("finder", &gpu.Stats{WorkItems: 50, WorkGroups: 1}, 64)
+		b.addKernel("comparer.base", &gpu.Stats{WorkItems: 10, WorkGroups: 1}, 128)
+		b.addStagedChunk(500)
+		b.addRead(200)
+		b.addCandidates(2)
+		b.addEntries(1)
+		b.addFaults([]fault.Event{{Site: fault.SiteReadback, Seq: 1}, {Site: fault.SiteHang, Seq: 0}})
+	})
 
 	if got := m.Kernels["finder"]; got.WorkItems != 150 || got.WorkGroups != 3 {
 		t.Errorf("merged finder stats = %+v, want WorkItems=150 WorkGroups=3", got)
@@ -87,19 +106,16 @@ func TestProfileMergeAggregates(t *testing.T) {
 
 // TestProfileMergeWorkGroupSizes pins the multi-device work-group-size rule:
 // agreement keeps the size, disagreement records 0 ("mixed") instead of
-// whichever device merged last.
+// whichever device launched last.
 func TestProfileMergeWorkGroupSizes(t *testing.T) {
-	a := newProfile(nil)
-	a.addKernel("finder", &gpu.Stats{}, 64)
-	a.addKernel("comparer.base", &gpu.Stats{}, 256)
-
-	b := newProfile(nil)
-	b.addKernel("finder", &gpu.Stats{}, 64)
-	b.addKernel("comparer.base", &gpu.Stats{}, 128)
-
-	m := newProfile(nil)
-	m.merge(a)
-	m.merge(b)
+	m := twoWriters(func(a *Profile) {
+		a.addKernel("finder", &gpu.Stats{}, 64)
+		a.addKernel("comparer.base", &gpu.Stats{}, 256)
+	}, func(b *Profile) {
+		b.addKernel("finder", &gpu.Stats{}, 64)
+		b.addKernel("comparer.base", &gpu.Stats{}, 128)
+		b.addKernel("comparer.base", &gpu.Stats{}, 128)
+	})
 	if m.WorkGroupSizes["finder"] != 64 {
 		t.Errorf("agreeing kernel: WorkGroupSizes[finder] = %d, want 64", m.WorkGroupSizes["finder"])
 	}
@@ -108,20 +124,40 @@ func TestProfileMergeWorkGroupSizes(t *testing.T) {
 	}
 }
 
-// TestProfileMergeFaultLogSorted pins the fix for the merge ordering bug:
+// TestProfileMergeFaultLogSorted pins the fix for the fold ordering bug:
 // per-device logs arrive individually sorted, but their concatenation is
-// not — merge must restore the (site, seq) invariant.
+// not — each fold must restore the (site, seq) invariant.
 func TestProfileMergeFaultLogSorted(t *testing.T) {
-	a := newProfile(nil)
-	a.addFaults([]fault.Event{{Site: fault.SiteSYCLAsync, Seq: 0}, {Site: fault.SiteSYCLAsync, Seq: 1}})
-	b := newProfile(nil)
-	b.addFaults([]fault.Event{{Site: fault.SiteReadback, Seq: 0}})
-
-	m := newProfile(nil)
-	m.merge(a) // sycl.async events first...
-	m.merge(b) // ...then readback, which sorts before them
+	m := newProfile()
+	m.addFaults([]fault.Event{{Site: fault.SiteSYCLAsync, Seq: 0}, {Site: fault.SiteSYCLAsync, Seq: 1}}) // sycl.async events first...
+	m.addFaults([]fault.Event{{Site: fault.SiteReadback, Seq: 0}})                                       // ...then readback, which sorts before them
 	if !faultLogSorted(m.FaultLog) {
 		t.Errorf("merged FaultLog out of order: %v", m.FaultLog)
+	}
+}
+
+// TestProfileDegraded pins the one definition of "degraded": whatever the
+// executor's report calls degraded — an overflow relaunch included, though
+// no counter of its own shows it — or an eviction.
+func TestProfileDegraded(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rep  sched.Report
+		want bool
+	}{
+		{"clean", sched.Report{}, false},
+		{"relaunch only", sched.Report{Report: pipeline.Report{OverflowRelaunches: 1}}, true},
+		{"retry", sched.Report{Report: pipeline.Report{Retries: 1}}, true},
+		{"eviction only", sched.Report{Evictions: 1}, true},
+	} {
+		p := newProfile()
+		p.addReport(&tc.rep, false)
+		if p.Degraded() != tc.want {
+			t.Errorf("%s: Degraded() = %v, want %v", tc.name, p.Degraded(), tc.want)
+		}
+		if p.DeviceChunks != nil {
+			t.Errorf("%s: DeviceChunks = %v outside a fleet, want nil", tc.name, p.DeviceChunks)
+		}
 	}
 }
 
@@ -279,42 +315,54 @@ func TestMultiSYCLMergeParity(t *testing.T) {
 	}
 }
 
-// requireMetricsAgree asserts the registry and the profile report the same
-// totals. The device-side counters are mirrored by the Profile mutators, the
-// recovery counters are counted once, by the executor, and folded into the
-// profile from its report — neither side may count an event twice.
-func requireMetricsAgree(t *testing.T, m *obs.Metrics, p *Profile) {
+// requireMetricsAgree asserts the registry holds exactly the sum of what the
+// runs' profiles show — every twin series, the fault sites and the selected
+// variants. Profile.publish is the only writer of these series, so a run that
+// published twice, not at all, or before its last write shows up here.
+func requireMetricsAgree(t *testing.T, m *obs.Metrics, runs ...*Profile) {
 	t.Helper()
-	snap := m.Snapshot()
-	counters := map[string]int64{
-		obs.MetricChunks:          int64(p.Chunks),
-		obs.MetricStagedBytes:     p.BytesStaged,
-		obs.MetricReadBytes:       p.BytesRead,
-		obs.MetricCandidateSites:  p.CandidateSites,
-		obs.MetricEntries:         p.Entries,
-		obs.MetricRetries:         p.Retries,
-		obs.MetricFailovers:       p.Failovers,
-		obs.MetricWatchdogKills:   p.WatchdogKills,
-		obs.MetricQuarantined:     int64(p.QuarantinedChunks),
-		obs.MetricEvictions:       p.Evictions,
-		obs.MetricAsyncExceptions: p.AsyncExceptions,
-		// Arena accounting must survive the fault paths too: a Find that
-		// rejects a corrupted count readback records the readback (and any
-		// arena provisioning before it) in both ledgers before rejecting,
-		// so a degraded run cannot drift the -metrics view from LastProfile.
-		obs.MetricArenaBytes:     p.ArenaBytes,
-		obs.MetricArenaPages:     p.ArenaPageClaims,
-		obs.MetricArenaOverflows: p.OverflowRetries,
-	}
-	for name, want := range counters {
-		if got := snap.Counters[name]; got != want {
-			t.Errorf("counter %s = %d, profile says %d", name, got, want)
+	want := map[string]int64{}
+	for _, p := range runs {
+		for name, v := range map[string]int64{
+			obs.MetricChunks:           int64(p.Chunks),
+			obs.MetricStagedBytes:      p.BytesStaged,
+			obs.MetricReadBytes:        p.BytesRead,
+			obs.MetricCandidateSites:   p.CandidateSites,
+			obs.MetricEntries:          p.Entries,
+			obs.MetricRetries:          p.Retries,
+			obs.MetricFailovers:        p.Failovers,
+			obs.MetricWatchdogKills:    p.WatchdogKills,
+			obs.MetricQuarantined:      int64(p.QuarantinedChunks),
+			obs.MetricEvictions:        p.Evictions,
+			obs.MetricAsyncExceptions:  p.AsyncExceptions,
+			obs.MetricTuneDecisions:    p.TuneDecisions,
+			obs.MetricTuneCandidates:   p.TuneCandidates,
+			obs.MetricTuneCalibrations: p.TuneCalibrations,
+			// Arena accounting must survive the fault paths too: a Find that
+			// rejects a corrupted count readback records the readback (and any
+			// arena provisioning before it) before rejecting.
+			obs.MetricArenaBytes:     p.ArenaBytes,
+			obs.MetricArenaPages:     p.ArenaPageClaims,
+			obs.MetricArenaOverflows: p.OverflowRetries,
+		} {
+			want[name] += v
+		}
+		for site, n := range p.Faults {
+			want[obs.L(obs.MetricFaults, "site", string(site))] += n
+		}
+		for _, variant := range p.TunedVariant {
+			want[obs.L(obs.MetricTuneSelected, "variant", variant)]++
 		}
 	}
-	for site, want := range p.Faults {
-		series := obs.L(obs.MetricFaults, "site", string(site))
-		if got := snap.Counters[series]; got != want {
-			t.Errorf("counter %s = %d, profile says %d", series, got, want)
+	snap := m.Snapshot()
+	for name, v := range want {
+		if got := snap.Counters[name]; got != v {
+			t.Errorf("counter %s = %d, profiles say %d", name, got, v)
+		}
+	}
+	for name, got := range snap.Counters {
+		if _, ok := want[name]; !ok && (strings.HasPrefix(name, obs.MetricFaults) || strings.HasPrefix(name, obs.MetricTuneSelected)) {
+			t.Errorf("counter %s = %d, no profile shows it", name, got)
 		}
 	}
 }
@@ -356,7 +404,7 @@ func TestMetricsAgreeWithProfile(t *testing.T) {
 			if got := m.Counter(obs.MetricHits); got != int64(len(hits)) {
 				t.Errorf("hits counter = %d, run returned %d", got, len(hits))
 			}
-			p := newProfile(nil)
+			p := newProfile()
 			if pr, ok := eng.(Profiler); ok {
 				p = pr.LastProfile()
 				if p.Retries == 0 && p.Failovers == 0 {
@@ -364,6 +412,96 @@ func TestMetricsAgreeWithProfile(t *testing.T) {
 				}
 			}
 			requireMetricsAgree(t, m, p)
+		})
+	}
+}
+
+// TestLastProfileNeverStale reuses one engine across a good run, every early
+// failure and a mid-run cancel: LastProfile is always the run that just
+// returned — empty when the run failed before its executor started, the
+// partial totals when it was cancelled — and the registry shared by the runs
+// holds exactly the sum of what each profile showed.
+func TestLastProfileNeverStale(t *testing.T) {
+	asm := testAssembly(t, 7, []int{1500, 900, 600}, testSite)
+	req := testRequest(2)
+	newDev := func() *gpu.Device { return gpu.New(device.MI100(), gpu.WithWorkers(2)) }
+	for _, tc := range []struct {
+		name string
+		// build returns the engine and the knobs the failures turn: the
+		// device slot and the forced work-group size.
+		build func(m *obs.Metrics) (eng arenaProfiler, dev **gpu.Device, wg *int)
+	}{
+		{"opencl", func(m *obs.Metrics) (arenaProfiler, **gpu.Device, *int) {
+			e := &SimCL{Device: newDev(), Auto: true, Metrics: m}
+			return e, &e.Device, &e.WorkGroupSize
+		}},
+		{"sycl", func(m *obs.Metrics) (arenaProfiler, **gpu.Device, *int) {
+			e := &SimSYCL{Device: newDev(), Auto: true, Metrics: m}
+			return e, &e.Device, &e.WorkGroupSize
+		}},
+		{"sycl-multi", func(m *obs.Metrics) (arenaProfiler, **gpu.Device, *int) {
+			e := &MultiSYCL{Devices: []*gpu.Device{newDev(), newDev()}, Auto: true, Metrics: m}
+			return e, &e.Devices[1], &e.WorkGroupSize
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := obs.NewMetrics()
+			eng, dev, wg := tc.build(m)
+			good := *dev
+			var shown []*Profile
+			for _, run := range []struct {
+				name   string
+				before func()
+				req    *Request
+				cancel bool
+				early  bool
+			}{
+				{name: "good", req: req},
+				{name: "nil device", before: func() { *dev = nil }, req: req, early: true},
+				{name: "autotune error", before: func() { *wg = 1 << 20 }, req: req, early: true},
+				{name: "invalid request", req: &Request{Pattern: "NGG"}, early: true},
+				{name: "cancelled", req: req, cancel: true},
+				{name: "good again", req: req},
+			} {
+				*dev, *wg = good, 0
+				if run.before != nil {
+					run.before()
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				err := eng.Stream(ctx, asm, run.req, func(Hit) error {
+					if run.cancel {
+						cancel()
+					}
+					return nil
+				})
+				cancel()
+				p := eng.LastProfile()
+				shown = append(shown, p)
+				switch {
+				case run.early:
+					if err == nil {
+						t.Errorf("%s: run succeeded", run.name)
+					}
+					if !reflect.DeepEqual(p, newProfile()) {
+						t.Errorf("%s: LastProfile() = %+v, want an empty profile", run.name, p)
+					}
+				case run.cancel:
+					if !errors.Is(err, context.Canceled) {
+						t.Errorf("%s: err = %v, want context.Canceled", run.name, err)
+					}
+					if p.Chunks == 0 || p.Chunks >= shown[0].Chunks {
+						t.Errorf("%s: %d chunks staged, want a partial run of the good run's %d", run.name, p.Chunks, shown[0].Chunks)
+					}
+				default:
+					if err != nil {
+						t.Fatalf("%s: %v", run.name, err)
+					}
+					if p.Entries == 0 || p.Entries != shown[0].Entries {
+						t.Errorf("%s: %d entries, first good run had %d", run.name, p.Entries, shown[0].Entries)
+					}
+				}
+			}
+			requireMetricsAgree(t, m, shown...)
 		})
 	}
 }

@@ -3,15 +3,19 @@ package search
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"casoffinder/internal/baseline"
+	"casoffinder/internal/fault"
 	"casoffinder/internal/genome"
 	"casoffinder/internal/gpu"
 	"casoffinder/internal/gpu/device"
 	"casoffinder/internal/kernels"
+	"casoffinder/internal/obs"
 	"casoffinder/internal/pipeline"
 )
 
@@ -199,9 +203,74 @@ func fuzzCase(bases, pattern, guides []byte, budget uint8, chunk uint16) (*genom
 	return asm, req
 }
 
+// fuzzFaultArm is FuzzEngines' second arm: the simulator engines under a
+// seeded fault plan and a resilience policy must still return the baseline's
+// hits, publish exactly what LastProfile shows into a fresh registry, and —
+// on the one-slot engines, whose backend calls replay exactly — fire the same
+// faults when the seed is replayed. In a fleet, which device meets which
+// chunk is scheduling, so MultiSYCL runs once. The chunk size is floored so
+// that a plan of a thousand one-base chunks does not wait out a watchdog
+// deadline per injected hang.
+func fuzzFaultArm(t *testing.T, asm *genome.Assembly, req *Request, want []Hit, plan fault.Plan) {
+	faulted := *req
+	faulted.ChunkBytes = max(req.ChunkBytes, 256)
+	res := &pipeline.Resilience{
+		Seed: plan.Seed, Watchdog: 20 * time.Millisecond,
+		BackoffBase: time.Microsecond, BackoffMax: time.Microsecond,
+	}
+	dev := func(slot uint64) *gpu.Device {
+		d := gpu.New(device.MI100(), gpu.WithWorkers(2))
+		d.SetFaults(fault.NewInjector(fault.Plan{Seed: plan.Seed + slot, Rate: plan.Rate}))
+		return d
+	}
+	for _, tc := range []struct {
+		build func(m *obs.Metrics) arenaProfiler
+		runs  int
+	}{
+		{func(m *obs.Metrics) arenaProfiler {
+			return &SimCL{Device: dev(0), Variant: kernels.Base, Resilience: res, Metrics: m}
+		}, 2},
+		{func(m *obs.Metrics) arenaProfiler {
+			return &SimSYCL{Device: dev(0), Variant: kernels.Base, WorkGroupSize: 64, Resilience: res, Metrics: m}
+		}, 2},
+		{func(m *obs.Metrics) arenaProfiler {
+			return &MultiSYCL{Devices: []*gpu.Device{dev(0), dev(1)}, Variant: kernels.Base, WorkGroupSize: 64, Resilience: res, Metrics: m}
+		}, 1},
+	} {
+		var first *Profile
+		for run := 0; run < tc.runs; run++ {
+			m := obs.NewMetrics()
+			eng := tc.build(m)
+			got, err := eng.Run(asm, &faulted)
+			if err != nil {
+				t.Fatalf("%s under %+v: %v", eng.Name(), plan, err)
+			}
+			if !equalHits(got, want) {
+				t.Errorf("%s under %+v: %d hits, baseline %d\nrequest %+v", eng.Name(), plan, len(got), len(want), &faulted)
+			}
+			p := eng.LastProfile()
+			requireMetricsAgree(t, m, p)
+			if first == nil {
+				first = p
+				continue
+			}
+			// A watchdog kill with no injected hang behind it is the machine
+			// stalling a real phase past the deadline: correct, but not a
+			// function of the seed.
+			stalled := first.WatchdogKills != first.Faults[fault.SiteHang] || p.WatchdogKills != p.Faults[fault.SiteHang]
+			if !stalled && !(reflect.DeepEqual(p.Faults, first.Faults) && reflect.DeepEqual(p.FaultLog, first.FaultLog)) {
+				t.Errorf("%s: replaying %+v fired %v, first run %v", eng.Name(), plan, p.Faults, first.Faults)
+			}
+		}
+	}
+}
+
 // FuzzEngines is the cross-engine differential fuzzer: every engine, over
 // the FASTA-backed assembly and over its artifact after a codec round trip,
-// must return exactly the hits of the naive internal/baseline scan.
+// must return exactly the hits of the naive internal/baseline scan; then the
+// simulator engines again under a fault plan drawn from the same bytes (seed
+// from chunk, rate up to 0.3 from budget), with the run's ledger in the
+// oracle (fuzzFaultArm).
 func FuzzEngines(f *testing.F) {
 	join := func(asm *genome.Assembly) []byte {
 		var seqs [][]byte
@@ -218,6 +287,11 @@ func FuzzEngines(f *testing.F) {
 		[]byte("NNNNNNNNNNNNNNNNNNNNNGG"), []byte("GATTACAGTACGATTACAGTANN"), uint8(2), uint16(1000))
 	f.Add([]byte("NNNNNNNNTTTAGATTACAnnnnnnnnacgtacgtTGTAATCTAAANNNN>ttttgattacaTTTCGATTRCA"),
 		[]byte("TTTVNNNNNNN"), []byte("NNNNGATTACANNNNGRTYACWNNNNSATKMCA"), uint8(1), uint16(5))
+	// The plans of TestMetricsAgreeWithProfile (seed 1234, rate 0.3) and
+	// TestMultiSYCLSchedMetricsParity (seed 50, rate 0.2) over their
+	// assemblies, two mismatches each.
+	f.Add(join(testAssemblyTB(f, 7, []int{600, 300}, testSite)), []byte(testPattern), []byte(testGuide), uint8(36*7+2), uint16(1234))
+	f.Add(join(testAssemblyTB(f, 25, []int{900, 600, 400}, testSite)), []byte(testPattern), []byte(testGuide), uint8(24*7+2), uint16(50))
 	f.Fuzz(func(t *testing.T, bases, pattern, guides []byte, budget uint8, chunk uint16) {
 		asm, req := fuzzCase(bases, pattern, guides, budget, chunk)
 		if len(asm.Sequences) == 0 || len(req.Pattern) == 0 {
@@ -249,6 +323,7 @@ func FuzzEngines(f *testing.F) {
 				}
 			}
 		}
+		fuzzFaultArm(t, asm, req, want, fault.Plan{Seed: uint64(chunk), Rate: float64(budget/7) / 120})
 	})
 }
 

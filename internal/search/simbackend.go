@@ -137,12 +137,11 @@ type simBackend struct {
 // Close.
 func newSimBackend(e *simCore, plan *pipeline.Plan) (_ *simBackend, err error) {
 	b := &simBackend{
-		e: e, plan: plan, prof: newProfile(e.Metrics),
+		e: e, plan: plan, prof: e.profile,
 		finderPred:   alloc.NewPredictor(arenaAlpha, arenaMargin, arenaFinderPrior),
 		comparerPred: alloc.NewPredictor(arenaAlpha, arenaMargin, arenaComparerPrior),
 		live:         make(map[devBuf]struct{}),
 	}
-	e.profile = b.prof
 	if e.tuned != nil {
 		b.prof.addTune(e.track(), e.tuned)
 	}

@@ -42,9 +42,9 @@ type simConfig struct {
 	// stream.
 	Resilience *pipeline.Resilience
 	// Trace and Metrics, when set, observe the run: pipeline-stage and
-	// kernel-launch spans, latency histograms and profile-mirroring
-	// counters. Track overrides the trace row prefix (the engine name by
-	// default); MultiSYCL sets it to tell its sub-engines apart.
+	// kernel-launch spans and latency histograms live, the profile's totals
+	// when the run returns. Track overrides the trace row prefix (the engine
+	// name by default); MultiSYCL sets it to tell its devices apart.
 	Trace   *obs.Tracer
 	Metrics *obs.Metrics
 	Track   string
@@ -55,10 +55,11 @@ type simConfig struct {
 	// reference the density-driven hit stream must equal byte for byte.
 	worstCaseArena bool
 
+	// profile is the current run's one ledger: set before anything that can
+	// fail, written by every backend of the run, and what LastProfile returns.
 	profile *Profile
 	// tuned is the resolved autotuner decision for the current run; set by
-	// stream (or by MultiSYCL for its per-device shells) before any backend
-	// opens, read-only while the run is live.
+	// streamCores before any backend opens, read-only while the run is live.
 	tuned *tune.Decision
 }
 
@@ -101,45 +102,67 @@ func (e *simCore) wgSize() int {
 	return e.defaultWG
 }
 
-// stream runs the engine as a one-slot fleet: the slot's goroutine stages
-// each chunk and issues its launches.
+// stream runs the engine as a one-element fleet.
 func (e *simCore) stream(ctx context.Context, asm *genome.Assembly, req *Request, emit func(Hit) error) error {
-	if e.Device == nil {
-		return fmt.Errorf("search: %s: nil device", e.name)
+	e.profile = newProfile()
+	return streamCores(ctx, e.track(), false, []*simCore{e}, asm, req, emit)
+}
+
+// streamCores runs one request over the cores, one executor slot each; every
+// slot's goroutine stages its chunks and issues their launches. The cores
+// share the run's settings (Resilience, Trace, Metrics) and its one profile,
+// which the caller created: a failure before the executor starts leaves it
+// empty, and every exit publishes what it holds. A fleet names its slots
+// after their cores' tracks and reports chunks by device.
+func streamCores(ctx context.Context, track string, fleet bool, cores []*simCore, asm *genome.Assembly, req *Request, emit func(Hit) error) error {
+	run := cores[0].simConfig
+	defer run.profile.publish(run.Metrics)
+	if err := req.Validate(); err != nil {
+		return err
 	}
-	// Resolve the tuner before the slot opens the backend; the decision is
-	// read-only for the rest of the run.
-	e.tuned = nil
-	if e.Auto {
-		d, err := autotuneDecision(e.Device, req, e.WorkGroupSize, e.Calibrate)
-		if err != nil {
-			return fmt.Errorf("search: %s: autotune: %w", e.name, err)
+	// Resolve the tuner per device before any slot opens its backend; the
+	// decision is read-only for the rest of the run. Repeated device types
+	// hit the tune package's memoized decision, so a homogeneous fleet scores
+	// (and calibrates) once.
+	for i, c := range cores {
+		if c.Device == nil {
+			return fmt.Errorf("search: %s: device %d is nil", track, i)
 		}
-		e.tuned = d
-	}
-	e.profile = nil
-	x := &sched.Executor{
-		Slots: []sched.Slot{{Open: func(plan *pipeline.Plan) (pipeline.Backend, error) {
-			return newSimBackend(e, plan)
-		}}},
-		Policy:  policyFor(e.Resilience),
-		Trace:   e.Trace,
-		Metrics: e.Metrics,
-		Track:   e.track(),
-		OnReport: func(rep *sched.Report) {
-			if e.profile != nil {
-				e.profile.addResilience(&rep.Report)
+		c.tuned = nil
+		if c.Auto {
+			d, err := autotuneDecision(c.Device, req, c.WorkGroupSize, c.Calibrate)
+			if err != nil {
+				return fmt.Errorf("search: %s: autotune device %d: %w", track, i, err)
 			}
-		},
+			c.tuned = d
+		}
 	}
-	e.Device.SetObs(e.Trace, e.Metrics, e.track()+"/gpu")
-	// Mark the injector before the run so only this run's fault delta is
-	// folded into the profile — a reused engine must not re-count earlier
-	// runs' faults.
-	mark := e.Device.Faults().Mark()
+	slots := make([]sched.Slot, len(cores))
+	marks := make([]int, len(cores))
+	for i, c := range cores {
+		slots[i].Open = func(plan *pipeline.Plan) (pipeline.Backend, error) {
+			return newSimBackend(c, plan)
+		}
+		if fleet {
+			slots[i].Name = c.track()
+		}
+		c.Device.SetObs(run.Trace, run.Metrics, c.track()+"/gpu")
+		// Mark the injector before the run so only this run's fault delta is
+		// folded into the profile — a reused engine must not re-count earlier
+		// runs' faults.
+		marks[i] = c.Device.Faults().Mark()
+	}
+	x := &sched.Executor{
+		Slots:    slots,
+		Policy:   policyFor(run.Resilience),
+		Trace:    run.Trace,
+		Metrics:  run.Metrics,
+		Track:    track,
+		OnReport: func(rep *sched.Report) { run.profile.addReport(rep, fleet) },
+	}
 	err := x.Stream(ctx, asm, req, emit)
-	if e.profile != nil {
-		e.profile.addFaults(e.Device.Faults().LogSince(mark))
+	for i, c := range cores {
+		run.profile.addFaults(c.Device.Faults().LogSince(marks[i]))
 	}
 	return err
 }

@@ -28,6 +28,10 @@ type stubEngine struct {
 	started  chan struct{} // non-nil: receives one token per Stream call
 	hits     []pipeline.Hit
 	panicMsg string
+	// report, when set, is handed to onReport after the hits, as a resilient
+	// engine's executor does.
+	report   *pipeline.Report
+	onReport func(*pipeline.Report)
 }
 
 func (e *stubEngine) Name() string { return "stub" }
@@ -57,6 +61,9 @@ func (e *stubEngine) Stream(ctx context.Context, asm *genome.Assembly, req *sear
 		if err := emit(h); err != nil {
 			return err
 		}
+	}
+	if e.report != nil {
+		e.onReport(e.report)
 	}
 	return nil
 }
@@ -398,32 +405,52 @@ func TestBurstSheds(t *testing.T) {
 // TestDegradedDeviceLossCompletes is the resilience acceptance check: a
 // seeded device loss mid-request fails over to the CPU; the response
 // completes with every hit and a degraded trailer — never a dropped
-// connection or a 5xx.
+// connection or a 5xx. The second row is a pass whose only recovery event is
+// an executor overflow relaunch: degraded too, and the trailer says why.
 func TestDegradedDeviceLossCompletes(t *testing.T) {
 	dev := gpu.New(device.MI100())
 	dev.SetFaults(fault.NewInjector(fault.Plan{Seed: 42, Rate: 1, Site: fault.SiteCLDeviceLost}))
 	res := &pipeline.Resilience{Seed: 42}
-	eng := &search.SimCL{Device: dev, Resilience: res}
-	s, ts := newTestServer(t, func(c *Config) {
-		c.Engine = eng
-		c.SerializePasses = true
-		c.Metrics = obs.NewMetrics()
-	})
-	res.OnReport = s.ReportSink()
+	relaunched := &stubEngine{
+		hits:   []pipeline.Hit{{SeqName: "chr1", Pos: 4, Dir: '+', Site: "GATTACAGTAGG"}},
+		report: &pipeline.Report{OverflowRelaunches: 1},
+	}
+	for _, tc := range []struct {
+		name   string
+		engine search.Engine
+		sink   *func(*pipeline.Report)
+		want   func(Trailer) bool
+	}{
+		{"device loss", &search.SimCL{Device: dev, Resilience: res}, &res.OnReport,
+			func(tr Trailer) bool { return tr.Failovers > 0 }},
+		{"relaunch only", relaunched, &relaunched.onReport,
+			func(tr Trailer) bool {
+				return tr == Trailer{Done: true, Hits: 1, Degraded: true, OverflowRelaunches: 1}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, func(c *Config) {
+				c.Engine = tc.engine
+				c.SerializePasses = true
+				c.Metrics = obs.NewMetrics()
+			})
+			*tc.sink = s.ReportSink()
 
-	resp := postSearch(t, ts, searchBody, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200 (degradation must not fail the request)", resp.StatusCode)
-	}
-	hits, tr := readStream(t, resp)
-	if len(hits) == 0 || !strings.Contains(hits[0], `"pos":4`) {
-		t.Errorf("failover lost the planted hit: %v", hits)
-	}
-	if !tr.Done || !tr.Degraded || tr.Failovers == 0 {
-		t.Errorf("trailer = %+v, want done, degraded, failovers > 0", tr)
-	}
-	if got := s.cfg.Metrics.Counter(obs.L(obs.MetricServeRequests, "status", "degraded")); got != 1 {
-		t.Errorf("degraded request count = %d, want 1", got)
+			resp := postSearch(t, ts, searchBody, nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status = %d, want 200 (degradation must not fail the request)", resp.StatusCode)
+			}
+			hits, tr := readStream(t, resp)
+			if len(hits) == 0 || !strings.Contains(hits[0], `"pos":4`) {
+				t.Errorf("degraded pass lost the planted hit: %v", hits)
+			}
+			if !tr.Done || !tr.Degraded || !tc.want(tr) {
+				t.Errorf("trailer = %+v, want done, degraded and its cause counted", tr)
+			}
+			if got := s.cfg.Metrics.Counter(obs.L(obs.MetricServeRequests, "status", "degraded")); got != 1 {
+				t.Errorf("degraded request count = %d, want 1", got)
+			}
+		})
 	}
 }
 
