@@ -33,8 +33,12 @@ race:
 	$(GO) test -race -count 1 ./...
 
 # Schedule-independence stress: the kernel suite (the group-kernel vs
-# per-access-reference differential included), the simulator core, the
-# arena suite and the executor (its one-slot contract in internal/pipeline,
+# per-access-reference differential included), the compiled-kernel cache and
+# the tuner over it (internal/isa's one mutex is all that guards a first
+# compile raced by a fleet's slots, and tune.Select keeps no state of its
+# own: TestCompileMemoized and TestSelectDeterministic call both from
+# several goroutines), the simulator core, the arena suite and the executor
+# (its one-slot contract in internal/pipeline,
 # the fleet in internal/sched) twenty times each under the race detector at
 # one, two and eight Ps — every reported counter must be a function of the
 # input, whatever the interleaving — with Table VIII rendered against its
@@ -50,7 +54,7 @@ race:
 # concurrent writers, and the metrics/profile agreement after them, are the
 # check.
 stress:
-	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/kernels ./internal/gpu ./internal/gpu/alloc ./internal/sched ./internal/pipeline
+	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/kernels ./internal/isa ./internal/tune ./internal/gpu ./internal/gpu/alloc ./internal/sched ./internal/pipeline
 	$(GO) test -race -count 20 -cpu 1,2,8 ./cmd/benchtab -run 'TestRunCSV'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/serve/ -run 'TestFlush'
 	$(GO) test -race -count 1 -cpu 1,2,8 ./internal/search/ -run 'TestSimProfileSchedule|TestFaultDeterminism|TestFaultMatrix|TestDenseCandidateRegionMatrix|TestMetricsAgreeWithProfile|TestMultiSYCLSchedMetricsParity|TestMultiSYCLMergeParity|TestProfileMerge'

@@ -108,7 +108,7 @@ func BenchmarkColdStart(b *testing.B) {
 // BenchmarkAutotune runs the SYCL engine at the tuner's per-device selection
 // against the best and worst fixed (variant, work-group size) pairs the cost
 // model can name (via tune.Predict): the tuned row must track the best-fixed
-// row — it launches the same kernel plus one memoized Select — and the
+// row — it launches the same kernel plus one Select — and the
 // worst-fixed row documents what a bad hand pick costs. The model's own
 // ms/chunk prediction rides along as a custom metric.
 func BenchmarkAutotune(b *testing.B) {
@@ -148,8 +148,7 @@ func BenchmarkAutotune(b *testing.B) {
 // TestAutotuneWithinBestFixed is the autotuner's acceptance gate at the
 // repository root: on every Table VII device the selected (variant,
 // work-group size) must score within 5% of the best fixed pair under the
-// same model — exact for the model pass by construction (argmin), and the
-// calibrated counterpart is gated in internal/tune.
+// same model — exact by construction (argmin).
 func TestAutotuneWithinBestFixed(t *testing.T) {
 	req := benchRequest()
 	for _, spec := range device.All() {
@@ -161,7 +160,7 @@ func TestAutotuneWithinBestFixed(t *testing.T) {
 		best := math.Inf(1)
 		var bestV kernels.ComparerVariant
 		var bestWG int
-		for _, v := range kernels.AllVariants() {
+		for _, v := range kernels.Variants() {
 			for _, wg := range tune.DefaultWGSizes() {
 				if p := tune.Predict(cfg, v, wg); p > 0 && p < best {
 					best, bestV, bestWG = p, v, wg

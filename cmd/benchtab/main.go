@@ -99,6 +99,8 @@ func run(w io.Writer, table string, scale int, devName string) error {
 		fmt.Fprintln(w, bench.RenderChunkSweep(points))
 	}
 	if table == "listing" {
+		finder := isa.CompileFinder()
+		fmt.Fprintf(w, "=== %s: %s ===\n", finder.Name, finder.Summary())
 		for _, v := range kernels.Variants() {
 			p := isa.CompileComparer(v)
 			fmt.Fprintf(w, "=== %s: %s ===\n", p.Name, p.Summary())

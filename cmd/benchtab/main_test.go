@@ -5,6 +5,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"casoffinder/internal/isa"
 )
 
 const tinyScale = 1 << 15
@@ -14,6 +16,15 @@ func TestRunStaticTables(t *testing.T) {
 		if err := run(io.Discard, table, tinyScale, "MI100"); err != nil {
 			t.Errorf("run(%s): %v", table, err)
 		}
+	}
+	// The listing leads with the finder's footprint, the one kernel Table X
+	// has no row for.
+	var b strings.Builder
+	if err := run(&b, "listing", tinyScale, "MI100"); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(b.String(), "=== finder: "+isa.CompileFinder().Summary()+" ===\n") {
+		t.Errorf("listing does not open with the finder's summary:\n%.200s", b.String())
 	}
 }
 

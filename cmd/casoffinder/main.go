@@ -10,7 +10,6 @@
 // Usage:
 //
 //	casoffinder [-engine cpu|opencl|sycl] [-device MI100] [-variant auto]
-//	            [-autotune model|calibrate]
 //	            [-devices radeonvii,mi60,mi100]
 //	            [-index build|use] [-index-file genome.cart]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -37,12 +36,9 @@
 // (variant, work-group size) pair with the per-chunk cost model at the
 // occupancy the variant achieves, and launches the argmin — per device, so a
 // heterogeneous -devices fleet can run a different kernel on each member. A
-// named -variant (base, opt1..opt4, bitparallel) forces that kernel and
-// bypasses the tuner. -autotune calibrate additionally re-ranks the tuner's
-// finalists on real measured launches over a small synthetic chunk (on a
-// private simulated device, so fault schedules and metrics are untouched).
-// The selected kernel per device is reported on stderr with the profile;
-// output is byte-identical across all variants and both autotune modes.
+// named -variant (base or opt1..opt4) forces that kernel and bypasses the
+// tuner. The selected kernel per device is reported on stderr with the
+// profile; output is byte-identical across all variants.
 //
 // -devices runs the sycl engine across a simulated multi-GPU fleet: a
 // comma-separated list of device names (radeonvii, mi60, mi100 — repeats
@@ -142,8 +138,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	engineName := fs.String("engine", "cpu", "search engine: cpu, opencl or sycl")
 	deviceName := fs.String("device", "MI100", "simulated device for the opencl/sycl engines")
 	devicesFlag := fs.String("devices", "", "comma-separated device fleet for the sycl engine (radeonvii, mi60, mi100; repeats allowed), one executor slot each")
-	variantName := fs.String("variant", "auto", "comparer kernel variant: auto (per-device occupancy autotuner), base, opt1..opt4 or bitparallel")
-	autotuneMode := fs.String("autotune", "model", "autotuner mode for -variant auto: model (analytic scoring only) or calibrate (re-rank finalists on measured launches)")
+	variantName := fs.String("variant", "auto", "comparer kernel variant: auto (per-device occupancy autotuner), base or opt1..opt4")
 	outPath := fs.String("o", "", "output file (default stdout)")
 	format := fs.String("format", "text", "hit output format: text (tab-separated) or json (NDJSON, one hit object per line)")
 	timeout := fs.Duration("timeout", 0, "overall run deadline; an expired run exits 1 with a client.deadline error (0 = none)")
@@ -236,17 +231,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if err != nil {
 		return usageError{err}
 	}
-	var calibrate bool
-	switch *autotuneMode {
-	case "model":
-	case "calibrate":
-		calibrate = true
-	default:
-		return usageError{fmt.Errorf("unknown -autotune mode %q (want model or calibrate)", *autotuneMode)}
-	}
-	if calibrate && !auto {
-		return usageError{fmt.Errorf("-autotune calibrate tunes the kernel selection, which -variant %s forces; use -variant auto", *variantName)}
-	}
 	var tracer *obs.Tracer
 	if *tracePath != "" {
 		tracer = obs.NewTracer()
@@ -261,7 +245,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return err
 	}
 
-	eng, profiler, err := buildEngine(*engineName, *deviceName, fleet, variant, auto, calibrate, *workers, faultPlan, res, tracer, metrics)
+	eng, profiler, err := buildEngine(*engineName, *deviceName, fleet, variant, auto, *workers, faultPlan, res, tracer, metrics)
 	if err != nil {
 		return err
 	}
@@ -506,22 +490,18 @@ func printAutotune(stderr io.Writer, p *search.Profile) {
 	if len(p.TunedVariant) == 0 {
 		return
 	}
-	mode := "model"
-	if p.TuneCalibrations > 0 {
-		mode = "calibrated"
-	}
 	tracks := make([]string, 0, len(p.TunedVariant))
 	for track := range p.TunedVariant {
 		tracks = append(tracks, track)
 	}
 	sort.Strings(tracks)
 	for _, track := range tracks {
-		fmt.Fprintf(stderr, "autotune: %-14s variant=%s wg=%d (%s, %d candidates scored)\n",
-			track, p.TunedVariant[track], p.TunedWGSize[track], mode, p.TuneCandidates/p.TuneDecisions)
+		fmt.Fprintf(stderr, "autotune: %-14s variant=%s wg=%d (model, %d candidates scored)\n",
+			track, p.TunedVariant[track], p.TunedWGSize[track], p.TuneCandidates/p.TuneDecisions)
 	}
 }
 
-func buildEngine(engine, deviceName string, fleet []device.Spec, variant kernels.ComparerVariant, auto, calibrate bool, workers int,
+func buildEngine(engine, deviceName string, fleet []device.Spec, variant kernels.ComparerVariant, auto bool, workers int,
 	faultPlan fault.Plan, res *pipeline.Resilience, tracer *obs.Tracer, metrics *obs.Metrics) (search.Engine, search.Profiler, error) {
 	if len(fleet) > 0 && engine != "sycl" {
 		return nil, nil, usageError{fmt.Errorf("-devices runs the multi-device scheduler, which needs -engine sycl, not %q", engine)}
@@ -550,7 +530,7 @@ func buildEngine(engine, deviceName string, fleet []device.Spec, variant kernels
 					}
 				}
 			}
-			e := &search.MultiSYCL{Devices: devs, Variant: variant, Auto: auto, Calibrate: calibrate, Resilience: res, Trace: tracer, Metrics: metrics}
+			e := &search.MultiSYCL{Devices: devs, Variant: variant, Auto: auto, Resilience: res, Trace: tracer, Metrics: metrics}
 			return e, e, nil
 		}
 		spec, err := device.ByName(deviceName)
@@ -562,10 +542,10 @@ func buildEngine(engine, deviceName string, fleet []device.Spec, variant kernels
 			dev.SetFaults(in)
 		}
 		if engine == "opencl" {
-			e := &search.SimCL{Device: dev, Variant: variant, Auto: auto, Calibrate: calibrate, Resilience: res, Trace: tracer, Metrics: metrics}
+			e := &search.SimCL{Device: dev, Variant: variant, Auto: auto, Resilience: res, Trace: tracer, Metrics: metrics}
 			return e, e, nil
 		}
-		e := &search.SimSYCL{Device: dev, Variant: variant, Auto: auto, Calibrate: calibrate, Resilience: res, Trace: tracer, Metrics: metrics}
+		e := &search.SimSYCL{Device: dev, Variant: variant, Auto: auto, Resilience: res, Trace: tracer, Metrics: metrics}
 		return e, e, nil
 	default:
 		return nil, nil, usageError{fmt.Errorf("unknown engine %q (want cpu, opencl or sycl)", engine)}

@@ -352,25 +352,19 @@ func TestRunAutoVariant(t *testing.T) {
 	if err := run([]string{"-engine", "sycl", "-device", "MI60", "-variant", "base", input}, &forced, &errOut); err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []string{"model", "calibrate"} {
-		var out, errOut bytes.Buffer
-		err := run([]string{"-engine", "sycl", "-device", "MI60", "-autotune", mode, input}, &out, &errOut)
-		if err != nil {
-			t.Fatalf("%s: %v (stderr: %s)", mode, err, errOut.String())
-		}
-		if out.String() != forced.String() {
-			t.Errorf("%s: tuned output differs from forced-variant output:\n%s\nvs\n%s", mode, out.String(), forced.String())
-		}
-		if !strings.Contains(errOut.String(), "autotune: sycl-sim") {
-			t.Errorf("%s: stderr missing the autotune summary: %s", mode, errOut.String())
-		}
-		wantMode := "model"
-		if mode == "calibrate" {
-			wantMode = "calibrated"
-		}
-		if !strings.Contains(errOut.String(), wantMode) {
-			t.Errorf("%s: summary does not name the %s pass: %s", mode, wantMode, errOut.String())
-		}
+	var out bytes.Buffer
+	errOut.Reset()
+	if err := run([]string{"-engine", "sycl", "-device", "MI60", input}, &out, &errOut); err != nil {
+		t.Fatalf("%v (stderr: %s)", err, errOut.String())
+	}
+	if out.String() != forced.String() {
+		t.Errorf("tuned output differs from forced-variant output:\n%s\nvs\n%s", out.String(), forced.String())
+	}
+	if !strings.Contains(errOut.String(), "autotune: sycl-sim") {
+		t.Errorf("stderr missing the autotune summary: %s", errOut.String())
+	}
+	if !strings.Contains(errOut.String(), "(model, 20 candidates scored)") {
+		t.Errorf("summary does not report the 5x4 model pass: %s", errOut.String())
 	}
 }
 
@@ -394,33 +388,29 @@ func TestRunAutoVariantFleet(t *testing.T) {
 	}
 }
 
-// TestRunAutotuneUsageErrors: calibration without the tuner, and unknown
-// modes, are usage mistakes (exit 2), not runtime failures.
-func TestRunAutotuneUsageErrors(t *testing.T) {
+// TestRunRetiredFlags: the second tuner pass and the sixth comparer are
+// gone, so naming them is a usage mistake (exit 2), and what the command
+// says it accepts is what is left.
+func TestRunRetiredFlags(t *testing.T) {
 	input := writeTestData(t, "NNNNNNNNNNNGG")
-	var out, errOut bytes.Buffer
-	err := run([]string{"-engine", "sycl", "-variant", "base", "-autotune", "calibrate", input}, &out, &errOut)
-	if err == nil || exitCode(err) != exitUsage {
-		t.Errorf("-variant base -autotune calibrate: err %v (exit %d), want a usage error", err, exitCode(err))
-	}
-	err = run([]string{"-engine", "sycl", "-autotune", "turbo", input}, &out, &errOut)
-	if err == nil || exitCode(err) != exitUsage {
-		t.Errorf("-autotune turbo: err %v (exit %d), want a usage error", err, exitCode(err))
-	}
-}
-
-func TestRunBitParallelSimVariant(t *testing.T) {
-	input := writeTestData(t, "NNNNNNNNNNNGG")
-	var out, errOut bytes.Buffer
-	err := run([]string{"-engine", "opencl", "-variant", "bitparallel", input}, &out, &errOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "chr1\t4\t") {
-		t.Errorf("output missing the planted site:\n%s", out.String())
-	}
-	if !strings.Contains(errOut.String(), "comparer_bitparallel") {
-		t.Errorf("profile should name the bitparallel comparer: %s", errOut.String())
+	for _, tt := range []struct {
+		args []string
+		want string // in the error or the usage text
+	}{
+		{[]string{"-engine", "sycl", "-autotune", "calibrate"}, "base or opt1..opt4"},
+		{[]string{"-engine", "sycl", "-variant", "base", "-autotune", "calibrate"}, "flag provided but not defined"},
+		{[]string{"-engine", "sycl", "-autotune", "turbo"}, "flag provided but not defined"},
+		{[]string{"-engine", "opencl", "-variant", "bitparallel"}, "want auto, base or opt1..opt4"},
+	} {
+		var out, errOut bytes.Buffer
+		err := run(append(tt.args, input), &out, &errOut)
+		if err == nil || exitCode(err) != exitUsage {
+			t.Errorf("%v: err %v (exit %d), want a usage error", tt.args, err, exitCode(err))
+			continue
+		}
+		if said := err.Error() + errOut.String(); !strings.Contains(said, tt.want) {
+			t.Errorf("%v: %q missing from %q", tt.args, tt.want, said)
+		}
 	}
 }
 

@@ -144,7 +144,7 @@ func setup(args []string, stderr io.Writer) (*daemon, error) {
 	fs.Var(&artifacts, "artifact", ".cart genome artifact to mmap resident, optionally name=path (repeatable)")
 	engineName := fs.String("engine", "cpu", "search engine: cpu, opencl or sycl")
 	deviceName := fs.String("device", "MI100", "simulated device for the opencl/sycl engines")
-	variantName := fs.String("variant", "auto", "comparer kernel variant: auto, base, opt1..opt4 or bitparallel")
+	variantName := fs.String("variant", "auto", "comparer kernel variant: auto, base or opt1..opt4")
 	workers := fs.Int("workers", 0, "cpu engine workers (0 = all cores)")
 	faultRate := fs.Float64("fault-rate", 0, "simulator fault injection probability in [0, 1] (0 = off)")
 	faultSeed := fs.Uint64("fault-seed", 1, "seed for the deterministic fault schedule and retry jitter")

@@ -208,6 +208,7 @@ func TestSetupUsageErrors(t *testing.T) {
 		{"retired engine", []string{"-genome", dir, "-engine", "indexed"}},
 		{"bad device", []string{"-genome", dir, "-engine", "sycl", "-device", "H100"}},
 		{"bad variant", []string{"-genome", dir, "-variant", "opt9"}},
+		{"retired variant", []string{"-genome", dir, "-variant", "bitparallel"}},
 		{"fault flags on cpu", []string{"-genome", dir, "-fault-rate", "0.5"}},
 		{"fault rate out of range", []string{"-genome", dir, "-engine", "opencl", "-fault-rate", "2"}},
 		{"bad fault site", []string{"-genome", dir, "-engine", "opencl", "-fault-rate", "1", "-fault-site", "gpu.meltdown"}},

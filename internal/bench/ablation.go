@@ -53,15 +53,7 @@ func WGSweep(scaleBases int, sizes []int) ([]WGSweepPoint, error) {
 					continue
 				}
 				scaled := timing.ScaleStats(stats, scale)
-				sec += timing.KernelSeconds(timing.KernelConfig{
-					Spec:                spec,
-					OccupancyWaves:      cm.Occupancy,
-					VGPRs:               cm.VGPRs,
-					WorkGroupSize:       wg,
-					LeaderPrefetch:      true,
-					PrefetchOpsPerGroup: 4 * plen,
-					ScatterFactor:       1.0,
-				}, &scaled)
+				sec += timing.KernelSeconds(timing.ComparerConfig(spec, cm.Occupancy, cm.VGPRs, wg, plen, true), &scaled)
 			}
 			points = append(points, WGSweepPoint{Device: spec.Name, WorkGroupSize: wg, Seconds: sec})
 		}

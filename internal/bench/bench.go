@@ -175,29 +175,12 @@ func Measure(spec device.Spec, api API, variant kernels.ComparerVariant, wl Work
 	for name, stats := range p.Kernels {
 		scaled := timing.ScaleStats(stats, scale)
 		wg := p.WorkGroupSizes[name]
-		var cfg timing.KernelConfig
 		if name == "finder" {
-			cfg = timing.KernelConfig{
-				Spec:                spec,
-				OccupancyWaves:      fm.Occupancy,
-				VGPRs:               fm.VGPRs,
-				WorkGroupSize:       wg,
-				LeaderPrefetch:      true,
-				PrefetchOpsPerGroup: 4 * plen,
-				ScatterFactor:       0.02, // coalesced sequential scan
-			}
+			cfg := timing.FinderConfig(spec, fm.Occupancy, fm.VGPRs, wg, plen)
 			m.FinderBreakdown = timing.KernelBreakdown(cfg, &scaled)
 			m.FinderSeconds = m.FinderBreakdown.Total()
 		} else {
-			cfg = timing.KernelConfig{
-				Spec:                spec,
-				OccupancyWaves:      cm.Occupancy,
-				VGPRs:               cm.VGPRs,
-				WorkGroupSize:       wg,
-				LeaderPrefetch:      !variant.CooperativeFetch(),
-				PrefetchOpsPerGroup: 4 * plen,
-				ScatterFactor:       1.0, // scattered candidate sites
-			}
+			cfg := timing.ComparerConfig(spec, cm.Occupancy, cm.VGPRs, wg, plen, !variant.CooperativeFetch())
 			bd := timing.KernelBreakdown(cfg, &scaled)
 			m.ComparerBreakdown = bd
 			m.ComparerSeconds += bd.Total()

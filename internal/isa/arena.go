@@ -23,47 +23,19 @@ const (
 	ArenaVGPRs = 3
 )
 
-// arenaOccupancy evaluates the occupancy rule with the arena claim's
-// register overhead added to a kernel's compiled demand.
-func arenaOccupancy(spec device.Spec, d RegDemand, ldsBytes, wg int) int {
-	return spec.Occupancy(device.KernelResources{
-		VGPRs:         d.VGPRs + ArenaVGPRs,
-		SGPRs:         d.SGPRs + ArenaSGPRs,
-		LDSBytesPerWG: ldsBytes,
-		WorkGroupSize: wg,
-	})
-}
+// arenaDemand is the claim sequence's register overhead.
+var arenaDemand = RegDemand{VGPRs: ArenaVGPRs, SGPRs: ArenaSGPRs}
 
 // FinderMetricsArenaAt is FinderMetricsAt with the arena claim's register
 // overhead folded into the reported demand and occupancy — the launch
 // context of the finder the engines actually run.
 func FinderMetricsArenaAt(spec device.Spec, plen, wg int) Metrics {
-	m := FinderMetricsAt(spec, plen, wg)
-	m.SGPRs += ArenaSGPRs
-	m.VGPRs += ArenaVGPRs
-	cache.mu.Lock()
-	d := finderDemandLocked()
-	cache.mu.Unlock()
-	if wg <= 0 {
-		wg = DefaultWorkGroupSize
-	}
-	m.Occupancy = arenaOccupancy(spec, d, kernels.FinderLocalBytes(plen), wg)
-	return m
+	return compiledFinder().metrics(spec, kernels.FinderLocalBytes(plen), wg, arenaDemand)
 }
 
 // ComparerMetricsArenaAt is ComparerMetricsAt with the arena claim's
 // register overhead folded into the reported demand and occupancy — the
 // launch context of the comparer variants the engines actually run.
 func ComparerMetricsArenaAt(v kernels.ComparerVariant, spec device.Spec, plen, wg int) Metrics {
-	m := ComparerMetricsAt(v, spec, plen, wg)
-	m.SGPRs += ArenaSGPRs
-	m.VGPRs += ArenaVGPRs
-	cache.mu.Lock()
-	d := comparerDemandLocked(v)
-	cache.mu.Unlock()
-	if wg <= 0 {
-		wg = DefaultWorkGroupSize
-	}
-	m.Occupancy = arenaOccupancy(spec, d, kernels.ComparerLocalBytes(plen), wg)
-	return m
+	return compiledComparer(v).metrics(spec, kernels.ComparerLocalBytes(plen), wg, arenaDemand)
 }

@@ -3,12 +3,12 @@ package isa
 // Compilation memoization. The pseudo-GCN compiler is deterministic and its
 // outputs are immutable once built — Allocate, Listing, CodeBytes and
 // CountUnit only read the Program — so compilation is cached process-wide:
-// one Program and one RegDemand per comparer variant (programs are
-// device-independent), plus one Metrics row per (variant, device spec,
-// pattern length, work-group size). The autotuner scores every variant at
-// several work-group sizes per device at engine init, and MultiSYCL fleets
-// construct one engine per slot; without the cache each of those paths
-// would re-run emission and liveness analysis on identical kernels.
+// one compiled kernel per comparer variant (programs are device-independent)
+// plus the finder, a fixed six entries. Nothing a caller passes beyond the
+// variant keys the cache: a Metrics row is the occupancy rule applied to a
+// cached kernel for one (device spec, pattern length, work-group size) and
+// is recomputed on every call, so a daemon whose requests choose the
+// pattern length cannot grow it.
 //
 // Callers of CompileComparer/CompileFinder receive the shared cached
 // Program and must treat it as read-only.
@@ -25,32 +25,23 @@ import (
 // points assume — the SYCL program's 256-item groups (§IV.A).
 const DefaultWorkGroupSize = 256
 
-type comparerMetricsKey struct {
-	variant kernels.ComparerVariant
-	spec    device.Spec
-	plen    int
-	wg      int
-}
-
-type finderMetricsKey struct {
-	spec device.Spec
-	plen int
-	wg   int
+// compiled is one kernel as the cache keeps it: the program and everything
+// a Metrics row reports that does not depend on the launch context.
+type compiled struct {
+	variant   kernels.ComparerVariant // kernels.Base for the finder
+	prog      *Program
+	demand    RegDemand
+	codeBytes int
+	ldsInsts  int
+	vmemInsts int
 }
 
 var cache = struct {
-	mu              sync.Mutex
-	comparer        map[kernels.ComparerVariant]*Program
-	comparerDemand  map[kernels.ComparerVariant]RegDemand
-	finder          *Program
-	finderDemand    RegDemand
-	comparerMetrics map[comparerMetricsKey]Metrics
-	finderMetrics   map[finderMetricsKey]Metrics
+	mu       sync.Mutex
+	comparer map[kernels.ComparerVariant]*compiled
+	finder   *compiled
 }{
-	comparer:        make(map[kernels.ComparerVariant]*Program),
-	comparerDemand:  make(map[kernels.ComparerVariant]RegDemand),
-	comparerMetrics: make(map[comparerMetricsKey]Metrics),
-	finderMetrics:   make(map[finderMetricsKey]Metrics),
+	comparer: make(map[kernels.ComparerVariant]*compiled),
 }
 
 // compileCount counts actual compiler invocations — cache misses, not
@@ -64,39 +55,63 @@ var compileCount atomic.Int64
 // fleet slots or tuner passes have been constructed.
 func CompileCount() int64 { return compileCount.Load() }
 
-func compileComparerLocked(v kernels.ComparerVariant) *Program {
-	if p, ok := cache.comparer[v]; ok {
-		return p
-	}
+// analyze records a freshly emitted program as a cache entry.
+func analyze(v kernels.ComparerVariant, p *Program) *compiled {
 	compileCount.Add(1)
-	cfg := configFor(v)
-	p := emitComparer(kernels.ComparerKernelName(v), cfg)
-	if v >= kernels.Opt1 {
-		p = EliminateGuardedReloads(p)
+	return &compiled{
+		variant:   v,
+		prog:      p,
+		demand:    Allocate(p),
+		codeBytes: p.CodeBytes(),
+		ldsInsts:  p.CountUnit(LDS),
+		vmemInsts: p.CountUnit(VMEM),
 	}
-	cache.comparer[v] = p
-	return p
 }
 
-func comparerDemandLocked(v kernels.ComparerVariant) RegDemand {
-	if d, ok := cache.comparerDemand[v]; ok {
-		return d
+func compiledComparer(v kernels.ComparerVariant) *compiled {
+	cache.mu.Lock()
+	defer cache.mu.Unlock()
+	c, ok := cache.comparer[v]
+	if !ok {
+		p := emitComparer(kernels.ComparerKernelName(v), configFor(v))
+		if v >= kernels.Opt1 {
+			p = EliminateGuardedReloads(p)
+		}
+		c = analyze(v, p)
+		cache.comparer[v] = c
 	}
-	d := Allocate(compileComparerLocked(v))
-	cache.comparerDemand[v] = d
-	return d
+	return c
 }
 
-func compileFinderLocked() *Program {
+func compiledFinder() *compiled {
+	cache.mu.Lock()
+	defer cache.mu.Unlock()
 	if cache.finder == nil {
-		compileCount.Add(1)
-		cache.finder = emitFinder()
-		cache.finderDemand = Allocate(cache.finder)
+		cache.finder = analyze(kernels.Base, emitFinder())
 	}
 	return cache.finder
 }
 
-func finderDemandLocked() RegDemand {
-	compileFinderLocked()
-	return cache.finderDemand
+// metrics is the kernel's Table X row in one launch context: ldsBytes of
+// shared local memory per wg-item group on spec, with extra registers (the
+// arena claim's, or none) added to the compiled demand.
+func (c *compiled) metrics(spec device.Spec, ldsBytes, wg int, extra RegDemand) Metrics {
+	if wg <= 0 {
+		wg = DefaultWorkGroupSize
+	}
+	sgprs, vgprs := c.demand.SGPRs+extra.SGPRs, c.demand.VGPRs+extra.VGPRs
+	return Metrics{
+		Variant:   c.variant,
+		CodeBytes: c.codeBytes,
+		SGPRs:     sgprs,
+		VGPRs:     vgprs,
+		Occupancy: spec.Occupancy(device.KernelResources{
+			VGPRs:         vgprs,
+			SGPRs:         sgprs,
+			LDSBytesPerWG: ldsBytes,
+			WorkGroupSize: wg,
+		}),
+		LDSInsts:  c.ldsInsts,
+		VMEMInsts: c.vmemInsts,
+	}
 }

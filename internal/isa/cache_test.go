@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"sync"
 	"testing"
 
 	"casoffinder/internal/gpu/device"
@@ -10,10 +11,32 @@ import (
 // TestCompileMemoized: compilation results are shared — repeated
 // CompileComparer/CompileFinder calls and metrics queries across devices
 // and work-group sizes must not re-run the compiler. The process-wide
-// compile count stays bounded by the number of distinct kernels (six
+// compile count stays bounded by the number of distinct kernels (five
 // comparer variants plus the finder) no matter how many engines or tuner
 // passes preceded this test.
 func TestCompileMemoized(t *testing.T) {
+	// A fleet opens its devices at once: the first compile of each kernel
+	// may be raced from several goroutines, and all must get the one program.
+	var wg sync.WaitGroup
+	progs := make([][]*Program, 4)
+	for g := range progs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			progs[g] = append(progs[g], CompileFinder())
+			for _, v := range kernels.Variants() {
+				progs[g] = append(progs[g], CompileComparer(v))
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range progs {
+		for i, p := range progs[g] {
+			if p != progs[0][i] {
+				t.Errorf("goroutine %d compiled its own kernel %d", g, i)
+			}
+		}
+	}
 	p1 := CompileComparer(kernels.Opt3)
 	p2 := CompileComparer(kernels.Opt3)
 	if p1 != p2 {
@@ -22,11 +45,11 @@ func TestCompileMemoized(t *testing.T) {
 	if f1, f2 := CompileFinder(), CompileFinder(); f1 != f2 {
 		t.Error("CompileFinder returned distinct programs; memoization lost")
 	}
-	for _, v := range kernels.AllVariants() {
+	for _, v := range kernels.Variants() {
 		CompileComparer(v)
 	}
 	warm := CompileCount()
-	if limit := int64(len(kernels.AllVariants()) + 1); warm > limit {
+	if limit := int64(len(kernels.Variants()) + 1); warm > limit {
 		t.Errorf("compile count %d exceeds the %d distinct kernels", warm, limit)
 	}
 
@@ -35,7 +58,7 @@ func TestCompileMemoized(t *testing.T) {
 	for _, spec := range device.All() {
 		for _, wg := range []int{64, 128, 256, 512} {
 			FinderMetricsAt(spec, 23, wg)
-			for _, v := range kernels.AllVariants() {
+			for _, v := range kernels.Variants() {
 				ComparerMetricsAt(v, spec, 23, wg)
 			}
 		}
@@ -49,7 +72,7 @@ func TestCompileMemoized(t *testing.T) {
 // default 256-item group reproduce the plain Table X rows exactly.
 func TestMetricsAtMatchesDefault(t *testing.T) {
 	spec := device.RadeonVII()
-	for _, v := range kernels.AllVariants() {
+	for _, v := range kernels.Variants() {
 		if ComparerMetricsAt(v, spec, 23, DefaultWorkGroupSize) != ComparerMetrics(v, spec, 23) {
 			t.Errorf("%s: ComparerMetricsAt(256) diverges from ComparerMetrics", v)
 		}
@@ -59,8 +82,8 @@ func TestMetricsAtMatchesDefault(t *testing.T) {
 	}
 }
 
-// TestMetricsAtNoAllocWhenWarm: the memoized metrics path is the tuner's
-// inner loop; once warm it must not allocate.
+// TestMetricsAtNoAllocWhenWarm: a metrics row is the tuner's inner loop;
+// recomputed over the warm kernel cache it must not allocate.
 func TestMetricsAtNoAllocWhenWarm(t *testing.T) {
 	spec := device.MI100()
 	ComparerMetricsAt(kernels.Opt4, spec, 23, 128)

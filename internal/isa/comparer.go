@@ -31,7 +31,6 @@ type emitCfg struct {
 	orFoldPer      int  // ladder terms per folded s_or (opt4 VOP3 folding)
 	sgprResident   int  // resident scalar descriptors / saved-exec masks
 	vgprResident   int  // resident vector state (id triple, scratch base)
-	wordLadder     bool // SWAR word loop replaces the per-base ladder
 }
 
 // ladderTerms is the static length of the degenerate-base comparison ladder
@@ -78,20 +77,6 @@ func configFor(v kernels.ComparerVariant) emitCfg {
 		cfg.dsPerTerms = ladderTerms // one LDS read per iteration
 		cfg.promotedExtras = 3
 		cfg.orFoldPer = 6
-	case kernels.BitParallel:
-		// The SWAR word core: the per-base ladder collapses into a short
-		// word loop (ladderUnroll/ladderDepth now count 32-base words), so
-		// far less code is emitted, but each in-flight word holds two wide
-		// loads, five mask words and the promoted shifted-window state —
-		// register demand rises past opt4's.
-		cfg.coop = true
-		cfg.wordLadder = true
-		cfg.ladderUnroll = 3
-		cfg.ladderDepth = 3
-		cfg.dsPerTerms = ladderTerms
-		cfg.promotedExtras = 7
-		cfg.sgprResident = 2
-		cfg.vgprResident = 12
 	}
 	return cfg
 }
@@ -99,11 +84,7 @@ func configFor(v kernels.ComparerVariant) emitCfg {
 // CompileComparer lowers a comparer variant to the pseudo-ISA and returns
 // the program after the passes the variant enables. The result is memoized
 // per variant (see cache.go) and must be treated as read-only.
-func CompileComparer(v kernels.ComparerVariant) *Program {
-	cache.mu.Lock()
-	defer cache.mu.Unlock()
-	return compileComparerLocked(v)
-}
+func CompileComparer(v kernels.ComparerVariant) *Program { return compiledComparer(v).prog }
 
 // emitComparer builds the instruction stream of Listing 1 under cfg.
 func emitComparer(name string, cfg emitCfg) *Program {
@@ -247,10 +228,7 @@ func emitComparer(name string, cfg emitCfg) *Program {
 		trip := b.s()
 		b.salu("s_mov_trip"+suffix, trip, plen)
 		b.beginLoop()
-		if cfg.wordLadder {
-			emitWordLadder(b, cfg, suffix, mm, li, locus, threshold)
-		}
-		for g := 0; !cfg.wordLadder && g < cfg.ladderUnroll; g += cfg.ladderDepth {
+		for g := 0; g < cfg.ladderUnroll; g += cfg.ladderDepth {
 			depth := cfg.ladderDepth
 			if g+depth > cfg.ladderUnroll {
 				depth = cfg.ladderUnroll - g
@@ -371,79 +349,6 @@ func emitComparer(name string, cfg emitCfg) *Program {
 	return b.prog()
 }
 
-// emitWordLadder emits the SWAR comparison loop of the bitparallel
-// variant: each trip scores one 32-base pattern word with two wide global
-// loads (the 2-bit packed text word and the unknown-lane word), five LDS
-// mask reads and a fixed plane/fold/popcount ALU sequence, in place of 32
-// trips through the per-base ladder. ladderUnroll/ladderDepth count words
-// here; each in-flight word holds its loaded pair, the five mask words and
-// the promoted shifted-window state live together, which is where the
-// variant's extra register pressure comes from.
-func emitWordLadder(b *builder, cfg emitCfg, suffix string, mm, li, locus, threshold Reg) {
-	for g := 0; g < cfg.ladderUnroll; g += cfg.ladderDepth {
-		depth := cfg.ladderDepth
-		if g+depth > cfg.ladderUnroll {
-			depth = cfg.ladderUnroll - g
-		}
-		type slot struct {
-			text, unk Reg
-			masks     [5]Reg
-			extras    []Reg
-		}
-		slots := make([]slot, depth)
-		// Load group: issue the wide text/unknown loads and the mask reads
-		// for the next `depth` words together.
-		for d := range slots {
-			idxAddr := b.valu("v_addr_lidx"+suffix, b.v(), li)
-			k := b.dsread("ds_read_b32 l_comp_index[j]"+suffix, b.v(), idxAddr)
-			b.vcmp("v_cmp_k_neg1"+suffix, b.s(), k)
-			b.branch("s_cbranch_end"+suffix, k)
-
-			wordAddr := b.valu("v_addr_text_word"+suffix, b.v(), locus, k)
-			b.valu("v_addc_text_word"+suffix, wordAddr, wordAddr)
-			s := &slots[d]
-			s.text = b.vload("global_load_dwordx2 text word"+suffix, b.v(), wordAddr, false)
-			s.unk = b.vload("global_load_dwordx2 unknown word"+suffix, b.v(), wordAddr, false)
-			maskAddr := b.valu("v_addr_masks"+suffix, b.v(), k)
-			names := [5]string{"lanes", "acc_a", "acc_c", "acc_g", "acc_t"}
-			for m := range s.masks {
-				s.masks[m] = b.dsread("ds_read_b64 "+names[m]+suffix, b.v(), maskAddr)
-			}
-			// The unaligned window load keeps the neighbouring word and the
-			// shift products promoted in registers across the score group.
-			for e := 0; e < cfg.promotedExtras; e++ {
-				s.extras = append(s.extras, b.valu("v_mov_promoted"+suffix, b.v(), s.text))
-			}
-		}
-		// Score group: equality planes, mask folds, bad-lane combine and
-		// popcount for each staged word.
-		for _, s := range slots {
-			hi := b.valu("v_lshr_hi"+suffix, b.v(), s.text)
-			var planes [4]Reg
-			for p := range planes {
-				planes[p] = b.valu("v_and_plane"+suffix, b.v(), s.text, hi)
-			}
-			var matched Reg
-			for p := range planes {
-				fold := b.valu("v_and_fold"+suffix, b.v(), planes[p], s.masks[p+1])
-				if p == 0 {
-					matched = fold
-				} else {
-					matched = b.valu("v_or_fold"+suffix, b.v(), matched, fold)
-				}
-			}
-			notM := b.valu("v_not_matched"+suffix, b.v(), matched)
-			bad := b.valu("v_or_bad"+suffix, b.v(), notM, s.unk)
-			bad = b.valu("v_and_lanes"+suffix, bad, bad, s.masks[0])
-			cnt := b.valu("v_bcnt_u64"+suffix, b.v(), bad)
-			uses := append([]Reg{mm, cnt}, s.extras...)
-			b.valu("v_add_mm"+suffix, mm, uses...)
-			cmpT := b.vcmp("v_cmp_mm_thresh"+suffix, b.s(), mm, threshold)
-			b.branch("s_cbranch_break"+suffix, cmpT)
-		}
-	}
-}
-
 // Metrics are the Table X columns for one kernel variant.
 type Metrics struct {
 	Variant   kernels.ComparerVariant
@@ -465,52 +370,15 @@ func ComparerMetrics(v kernels.ComparerVariant, spec device.Spec, plen int) Metr
 // ComparerMetricsAt is ComparerMetrics at an explicit work-group size: the
 // occupancy column is evaluated for wg-item groups instead of the standard
 // 256. The autotuner scores candidate work-group sizes through this entry
-// point; rows are memoized per (variant, spec, plen, wg).
+// point.
 func ComparerMetricsAt(v kernels.ComparerVariant, spec device.Spec, plen, wg int) Metrics {
-	if wg <= 0 {
-		wg = DefaultWorkGroupSize
-	}
-	key := comparerMetricsKey{variant: v, spec: spec, plen: plen, wg: wg}
-	cache.mu.Lock()
-	defer cache.mu.Unlock()
-	if m, ok := cache.comparerMetrics[key]; ok {
-		return m
-	}
-	p := compileComparerLocked(v)
-	d := comparerDemandLocked(v)
-	occ := spec.Occupancy(device.KernelResources{
-		VGPRs:         d.VGPRs,
-		SGPRs:         d.SGPRs,
-		LDSBytesPerWG: kernels.ComparerLocalBytes(plen),
-		WorkGroupSize: wg,
-	})
-	m := Metrics{
-		Variant:   v,
-		CodeBytes: p.CodeBytes(),
-		SGPRs:     d.SGPRs,
-		VGPRs:     d.VGPRs,
-		Occupancy: occ,
-		LDSInsts:  p.CountUnit(LDS),
-		VMEMInsts: p.CountUnit(VMEM),
-	}
-	cache.comparerMetrics[key] = m
-	return m
+	return compiledComparer(v).metrics(spec, kernels.ComparerLocalBytes(plen), wg, RegDemand{})
 }
 
 // TableX returns the metrics for every variant in order, the full Table X.
 func TableX(spec device.Spec, plen int) []Metrics {
 	out := make([]Metrics, 0, len(kernels.Variants()))
 	for _, v := range kernels.Variants() {
-		out = append(out, ComparerMetrics(v, spec, plen))
-	}
-	return out
-}
-
-// ExtendedTableX is Table X with the repository's BitParallel row appended
-// after the paper's five — the SWAR trade-off continued one step past opt4.
-func ExtendedTableX(spec device.Spec, plen int) []Metrics {
-	out := make([]Metrics, 0, len(kernels.AllVariants()))
-	for _, v := range kernels.AllVariants() {
 		out = append(out, ComparerMetrics(v, spec, plen))
 	}
 	return out

@@ -114,11 +114,7 @@ func emitFinder() *Program {
 // CompileFinder lowers the finder kernel (it has a single variant: the
 // paper's optimizations target only the comparer hotspot). The result is
 // memoized (see cache.go) and must be treated as read-only.
-func CompileFinder() *Program {
-	cache.mu.Lock()
-	defer cache.mu.Unlock()
-	return compileFinderLocked()
-}
+func CompileFinder() *Program { return compiledFinder().prog }
 
 // FinderMetrics compiles the finder and reports its resource usage and
 // occupancy for the device, with the LDS footprint of a plen-base pattern
@@ -127,35 +123,7 @@ func FinderMetrics(spec device.Spec, plen int) Metrics {
 	return FinderMetricsAt(spec, plen, DefaultWorkGroupSize)
 }
 
-// FinderMetricsAt is FinderMetrics at an explicit work-group size,
-// memoized per (spec, plen, wg).
+// FinderMetricsAt is FinderMetrics at an explicit work-group size.
 func FinderMetricsAt(spec device.Spec, plen, wg int) Metrics {
-	if wg <= 0 {
-		wg = DefaultWorkGroupSize
-	}
-	key := finderMetricsKey{spec: spec, plen: plen, wg: wg}
-	cache.mu.Lock()
-	defer cache.mu.Unlock()
-	if m, ok := cache.finderMetrics[key]; ok {
-		return m
-	}
-	p := compileFinderLocked()
-	d := finderDemandLocked()
-	occ := spec.Occupancy(device.KernelResources{
-		VGPRs:         d.VGPRs,
-		SGPRs:         d.SGPRs,
-		LDSBytesPerWG: kernels.FinderLocalBytes(plen),
-		WorkGroupSize: wg,
-	})
-	m := Metrics{
-		Variant:   kernels.Base,
-		CodeBytes: p.CodeBytes(),
-		SGPRs:     d.SGPRs,
-		VGPRs:     d.VGPRs,
-		Occupancy: occ,
-		LDSInsts:  p.CountUnit(LDS),
-		VMEMInsts: p.CountUnit(VMEM),
-	}
-	cache.finderMetrics[key] = m
-	return m
+	return compiledFinder().metrics(spec, kernels.FinderLocalBytes(plen), wg, RegDemand{})
 }

@@ -207,43 +207,6 @@ func TestTableXMechanisms(t *testing.T) {
 	}
 }
 
-// TestBitParallelRow pins the SWAR variant's compiled footprint relative
-// to opt4: the word loop replaces the unrolled per-base ladder so the code
-// shrinks and global-memory instructions thin out, while the in-flight
-// word state (wide text/unknown pairs, five mask words, promoted
-// shifted-window values) pushes vector-register demand past opt4's — the
-// Table X trade-off taken one step further.
-func TestBitParallelRow(t *testing.T) {
-	spec := device.MI100()
-	opt4 := ComparerMetrics(kernels.Opt4, spec, 23)
-	bp := ComparerMetrics(kernels.BitParallel, spec, 23)
-	if bp.CodeBytes >= opt4.CodeBytes {
-		t.Errorf("bitparallel code %d not shorter than opt4's %d", bp.CodeBytes, opt4.CodeBytes)
-	}
-	if bp.VGPRs <= opt4.VGPRs {
-		t.Errorf("bitparallel VGPRs %d not above opt4's %d", bp.VGPRs, opt4.VGPRs)
-	}
-	if bp.VMEMInsts >= opt4.VMEMInsts {
-		t.Errorf("bitparallel VMEM insts %d not below opt4's %d", bp.VMEMInsts, opt4.VMEMInsts)
-	}
-	if bp.Occupancy > opt4.Occupancy {
-		t.Errorf("bitparallel occupancy %d above opt4's %d despite higher register pressure",
-			bp.Occupancy, opt4.Occupancy)
-	}
-	rows := ExtendedTableX(spec, 23)
-	if len(rows) != len(kernels.AllVariants()) {
-		t.Fatalf("ExtendedTableX returned %d rows", len(rows))
-	}
-	if rows[len(rows)-1].Variant != kernels.BitParallel {
-		t.Errorf("last extended row is %s, want bitparallel", rows[len(rows)-1].Variant)
-	}
-	for i, v := range kernels.Variants() {
-		if rows[i] != ComparerMetrics(v, spec, 23) {
-			t.Errorf("extended row %d diverges from TableX", i)
-		}
-	}
-}
-
 // TestTableXStableAcrossDevices: the ISA metrics are a property of the
 // compiled kernel, not the device (occupancy uses the same CDNA rule).
 func TestTableXStableAcrossDevices(t *testing.T) {

@@ -33,24 +33,11 @@ const (
 	// local memory in a register, halving LDS traffic but raising register
 	// pressure enough to cost a wave of occupancy (Table X).
 	Opt4
-	// BitParallel replaces the per-base ladder with the SWAR word core:
-	// the chunk is read as 2-bit packed words (32 bases plus an
-	// unknown-lane word per load) and each pattern word is tested with
-	// precompiled lane masks — equality planes, mask folds and one
-	// popcount. Fewer, wider global loads and a shorter inner loop, paid
-	// for with more live registers; it extends the paper's Table X
-	// trade-off one step past Opt4.
-	BitParallel
 )
 
-// Variants lists the paper's comparer variants in cumulative order — the
-// five rows of Table X. BitParallel is this repository's extension and is
-// deliberately excluded; AllVariants includes it.
+// Variants lists the comparer variants in cumulative order — the five rows
+// of Table X.
 func Variants() []ComparerVariant { return []ComparerVariant{Base, Opt1, Opt2, Opt3, Opt4} }
-
-// AllVariants lists every comparer variant the kernels build: the paper's
-// five plus the SWAR BitParallel extension.
-func AllVariants() []ComparerVariant { return append(Variants(), BitParallel) }
 
 // ParseVariant resolves a -variant flag value: "auto" selects the occupancy
 // autotuner, a variant name forces that kernel.
@@ -58,12 +45,12 @@ func ParseVariant(name string) (ComparerVariant, bool, error) {
 	if name == "auto" {
 		return 0, true, nil
 	}
-	for _, v := range AllVariants() {
+	for _, v := range Variants() {
 		if v.String() == name {
 			return v, false, nil
 		}
 	}
-	return 0, false, fmt.Errorf("unknown comparer variant %q (want auto, base, opt1..opt4 or bitparallel)", name)
+	return 0, false, fmt.Errorf("unknown comparer variant %q (want auto, base or opt1..opt4)", name)
 }
 
 func (v ComparerVariant) String() string {
@@ -78,8 +65,6 @@ func (v ComparerVariant) String() string {
 		return "opt3"
 	case Opt4:
 		return "opt4"
-	case BitParallel:
-		return "bitparallel"
 	default:
 		return fmt.Sprintf("ComparerVariant(%d)", int(v))
 	}
@@ -100,7 +85,6 @@ type comparerCosts struct {
 	lociPerHalf  bool // loci[i] read once per strand loop (hoisted)
 	ldsPerTerm   bool // l_comp[k] read once per evaluated ladder term
 	coopPrefetch bool // all items stage the pattern arrays
-	wordParallel bool // SWAR core: two wide loads per 32-base pattern word
 }
 
 func (v ComparerVariant) costs() comparerCosts {
@@ -113,8 +97,6 @@ func (v ComparerVariant) costs() comparerCosts {
 		return comparerCosts{flagLoads: 1, ldsPerTerm: true}
 	case Opt3:
 		return comparerCosts{flagLoads: 1, ldsPerTerm: true, coopPrefetch: true}
-	case BitParallel:
-		return comparerCosts{flagLoads: 1, coopPrefetch: true, wordParallel: true}
 	default: // Opt4
 		return comparerCosts{flagLoads: 1, coopPrefetch: true}
 	}
@@ -164,24 +146,6 @@ func NewComparer(v ComparerVariant, a *ComparerArgs) (*Comparer, error) {
 		s.ALU(aluPerTerm*terms + 2)
 		s.Branch(true)
 		return s
-	}
-	if c.wordParallel {
-		// Per 32-base pattern word: two 8-byte global loads (the 2-bit
-		// packed text word and the unknown-lane word), the five precompiled
-		// mask words from local memory, then a fixed ALU sequence — four
-		// equality planes, four mask folds, the bad-lane combine and a
-		// popcount — scores every base of the word at once. The group loop
-		// still compares byte-wise, so results are bit-identical to the
-		// other variants; only the accounted traffic changes, and the
-		// threshold early-exit moves to word granularity.
-		w.words = true
-		w.step = func(int) (s gpu.Stats) {
-			s.LoadGlobalN(2, 8)
-			s.LoadLocalN(5)
-			s.ALU(18)
-			s.Branch(true)
-			return s
-		}
 	}
 	var err error
 	if k.strand, err = planStrands(a.Guide, &w); err != nil {

@@ -55,7 +55,7 @@ func randomCodes(rng *rand.Rand, alphabet string, n int) []byte {
 // come out of the group kernels exactly as out of the per-access reference.
 func TestGroupMatchesReference(t *testing.T) {
 	dev := gpu.New(device.MI100(), gpu.WithWorkers(4))
-	for _, v := range AllVariants() {
+	for _, v := range Variants() {
 		t.Run(v.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(31 + v)))
 			candidates, hits := int64(0), 0
@@ -96,7 +96,7 @@ func TestGroupMatchesReference(t *testing.T) {
 	// kernels, at the same emissions.
 	t.Run("overflow", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(5))
-		for _, v := range AllVariants() {
+		for _, v := range Variants() {
 			res := diffPipeline(t, dev, pipelineRun{
 				seq: randomCodes(rng, "ACGT", 2000), pattern: "NNNNNNNN", guide: "ACGTNNNN",
 				maxMM: 4, variant: v, wg: 64, pageSlots: 4,
@@ -156,7 +156,7 @@ func FuzzGroupKernels(f *testing.F) {
 				t.Skip()
 			}
 		}
-		all := AllVariants()
+		all := Variants()
 		diffPipeline(t, dev, pipelineRun{
 			seq: seq, pattern: pattern, guide: guide, maxMM: int(threshold),
 			variant: all[int(variant)%len(all)], wg: 1 + int(wg), pageSlots: int(pageSlots),

@@ -90,9 +90,6 @@ func TestParseVariant(t *testing.T) {
 	if err != nil || auto || v.String() != "opt2" {
 		t.Errorf("ParseVariant(opt2) = %v, %v, %v", v, auto, err)
 	}
-	if v, auto, err := ParseVariant("bitparallel"); err != nil || auto || v.String() != "bitparallel" {
-		t.Errorf("ParseVariant(bitparallel) = %v, %v, %v", v, auto, err)
-	}
 	if _, auto, err := ParseVariant("auto"); err != nil || !auto {
 		t.Errorf("ParseVariant(auto) = auto %v, %v; want the tuner", auto, err)
 	}

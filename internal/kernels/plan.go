@@ -24,12 +24,9 @@ type strandPlan struct {
 	// n is the number of index entries the walk evaluates (the pattern's
 	// non-N positions).
 	n int
-	// exitAt[j] is the exit taken when the kernel's threshold test after
-	// entry j fires, or -1 where the kernel does not test (inside a SWAR
-	// word).
-	exitAt []int32
 	// exit[e] is everything an item has accrued for this strand when it
-	// leaves the walk at exit e; the last exit is the completed walk.
+	// leaves the walk on the threshold test after entry e; the last exit is
+	// the completed walk.
 	exit []gpu.Stats
 }
 
@@ -38,7 +35,6 @@ type walkCosts struct {
 	enter gpu.Stats                 // before the first entry
 	step  func(terms int) gpu.Stats // one evaluated entry: a ladder of terms
 	early gpu.Stats                 // leaving on the threshold test
-	words bool                      // SWAR: test once per 32-base word
 }
 
 // planStrand prices the walk over one strand's index array idx and pattern
@@ -53,47 +49,17 @@ func planStrand(idx []int32, codes []byte, w *walkCosts) (strandPlan, error) {
 		}
 		sp.n++
 	}
-	sp.exitAt = make([]int32, sp.n)
 	sp.exit = make([]gpu.Stats, 0, sp.n+1)
 	acc := w.enter
-	// step charges one step and opens the exit behind entry j.
-	step := func(j, terms int) {
-		cost := w.step(terms)
+	for j := 0; j < sp.n; j++ {
+		cost := w.step(ladderPos[codes[idx[j]]])
 		acc.Add(&cost)
-		sp.exitAt[j] = int32(len(sp.exit))
 		sp.exit = append(sp.exit, acc)
-		sp.exit[len(sp.exit)-1].Add(&w.early)
+		sp.exit[j].Add(&w.early)
 	}
-	if w.words {
-		// The SWAR loop scans the index array up to the end of each 32-base
-		// window (one local read per probed entry), then scores the window's
-		// entries with one fixed word step.
-		j := 0
-		for base := 0; base < plen; base += 32 {
-			start := j
-			for j < plen {
-				acc.LoadLocal()
-				if idx[j] == -1 || int(idx[j]) >= base+32 {
-					break
-				}
-				sp.exitAt[j] = -1
-				j++
-			}
-			if j > start {
-				step(j-1, 0)
-			}
-			if j == sp.n {
-				break
-			}
-		}
-	} else {
-		for j := 0; j < sp.n; j++ {
-			step(j, ladderPos[codes[idx[j]]])
-		}
-		if sp.n < plen { // the -1 terminator is read, and ends the loop
-			acc.LoadLocal()
-			acc.Branch(false)
-		}
+	if sp.n < plen { // the -1 terminator is read, and ends the loop
+		acc.LoadLocal()
+		acc.Branch(false)
 	}
 	sp.exit = append(sp.exit, acc)
 	return sp, nil
@@ -136,8 +102,8 @@ func (sp *strandPlan) walk(codes []byte, idx []int32, chr []byte, pos, threshold
 		if !genome.Matches(codes[k], chr[pos+int(k)]) {
 			mm++
 		}
-		if mm > threshold && sp.exitAt[j] >= 0 {
-			return int(sp.exitAt[j]), mm
+		if mm > threshold {
+			return j, mm
 		}
 	}
 	return len(sp.exit) - 1, mm

@@ -216,46 +216,6 @@ func comparerCompare(it *gpu.Item, a *ComparerArgs, lComp []byte, lCompIndex []i
 		return mm, true
 	}
 
-	// The bit-parallel variant swaps the per-base ladder for the SWAR word
-	// loop (see NewComparer); the mismatch arithmetic stays byte-wise.
-	if c.wordParallel {
-		compareStrand = func(offset int) (uint16, bool) {
-			var mm uint16
-			j := 0
-			for base := 0; base < plen; base += 32 {
-				start := j
-				for j < plen {
-					k := lCompIndex[offset+j]
-					it.LoadLocal()
-					if k == -1 || int(k) >= base+32 {
-						break
-					}
-					j++
-				}
-				if j > start {
-					it.LoadGlobalN(2, 8) // packed text word + unknown lanes
-					it.LoadLocalN(5)     // lane word + four accumulator masks
-					it.ALU(18)
-					it.Branch(true)
-					for jj := start; jj < j; jj++ {
-						k := lCompIndex[offset+jj]
-						if mismatch(lComp[offset+int(k)], a.Chr[locus+int(k)]) {
-							mm++
-						}
-					}
-					if mm > a.Threshold {
-						it.Branch(true)
-						return mm, false
-					}
-				}
-				if j >= plen || lCompIndex[offset+j] == -1 {
-					break
-				}
-			}
-			return mm, true
-		}
-	}
-
 	// store compacts one passing entry (L19-L23 / L36-L40) through the
 	// output arena.
 	store := func(mm uint16, dir byte) {

@@ -149,7 +149,7 @@ func CLSource() opencl.Source {
 	src := opencl.Source{
 		"finder": {NumArgs: finderNumArgs, BuildPhases: buildFinderPhases},
 	}
-	for _, v := range AllVariants() {
+	for _, v := range Variants() {
 		src[ComparerKernelName(v)] = opencl.KernelBuilder{NumArgs: comparerNumArgs, BuildPhases: buildComparerPhases(v)}
 	}
 	return src

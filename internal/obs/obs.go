@@ -85,10 +85,9 @@ const (
 	// device whose backend opened, published from the profile.
 	// MetricTuneSelected carries a variant="..." label per selected
 	// comparer variant.
-	MetricTuneDecisions    = "casoffinder_tune_decisions_total"
-	MetricTuneCandidates   = "casoffinder_tune_candidates_total"
-	MetricTuneCalibrations = "casoffinder_tune_calibrations_total"
-	MetricTuneSelected     = "casoffinder_tune_selected_total"
+	MetricTuneDecisions  = "casoffinder_tune_decisions_total"
+	MetricTuneCandidates = "casoffinder_tune_candidates_total"
+	MetricTuneSelected   = "casoffinder_tune_selected_total"
 
 	// Emitted by the search-as-a-service daemon (internal/serve).
 	// MetricServeRequests carries a status="..." label (the terminal request

@@ -2,11 +2,11 @@ package search
 
 // The engines' bridge to the occupancy autotuner (internal/tune). An engine
 // with Auto set resolves its comparer variant and work-group size here at
-// Stream start — once per device, memoized process-wide by the tune package —
-// instead of trusting the caller's fixed Variant/WorkGroupSize pair. The
-// decision is recorded in the run's Profile (addTune) when the backend opens,
-// so every tuned run reports what it selected and why-shaped evidence (the
-// candidate count) reaches the metrics registry with the rest of the profile.
+// Stream start, once per device, instead of trusting the caller's fixed
+// Variant/WorkGroupSize pair. The decision is recorded in the run's Profile
+// (addTune) when the backend opens, so every tuned run reports what it
+// selected and why-shaped evidence (the candidate count) reaches the metrics
+// registry with the rest of the profile.
 //
 // A forced WorkGroupSize does not bypass the tuner: it narrows the candidate
 // field to that one size, so the tuner still picks the best variant at the
@@ -21,16 +21,13 @@ import (
 
 // autotuneDecision resolves the tuner's choice for one device and one search
 // shape. forceWG > 0 narrows the scored work-group sizes to exactly that
-// size; calibrate additionally runs the tuner's online measured pass on a
-// private device (never the engine's — the isolation contract that keeps
-// fault schedules and observability untouched).
-func autotuneDecision(dev *gpu.Device, req *Request, forceWG int, calibrate bool) (*tune.Decision, error) {
+// size.
+func autotuneDecision(dev *gpu.Device, req *Request, forceWG int) (*tune.Decision, error) {
 	cfg := tune.Config{
 		Spec:       dev.Spec(),
 		PatternLen: len(req.Pattern),
 		Queries:    len(req.Queries),
 		ChunkBytes: req.ChunkBytes,
-		Calibrate:  calibrate,
 	}
 	if forceWG > 0 {
 		cfg.WGSizes = []int{forceWG}

@@ -7,19 +7,17 @@ import (
 	"casoffinder/internal/gpu"
 	"casoffinder/internal/gpu/device"
 	"casoffinder/internal/kernels"
-	"casoffinder/internal/obs"
 	"casoffinder/internal/tune"
 )
 
 // tuneConfigFor mirrors what autotuneDecision builds for a test request, so
 // tests can ask the tune package what the engines should have selected.
-func tuneConfigFor(spec device.Spec, req *Request, calibrate bool) tune.Config {
+func tuneConfigFor(spec device.Spec, req *Request) tune.Config {
 	return tune.Config{
 		Spec:       spec,
 		PatternLen: len(req.Pattern),
 		Queries:    len(req.Queries),
 		ChunkBytes: req.ChunkBytes,
-		Calibrate:  calibrate,
 	}
 }
 
@@ -63,7 +61,7 @@ func TestAutoMatchesFixedVariantHits(t *testing.T) {
 		case *SimSYCL:
 			spec = e.Device.Spec()
 		}
-		d, err := tune.Select(tuneConfigFor(spec, req, false))
+		d, err := tune.Select(tuneConfigFor(spec, req))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,36 +78,6 @@ func TestAutoMatchesFixedVariantHits(t *testing.T) {
 		if got := p.WorkGroupSizes[name]; got != d.WGSize {
 			t.Errorf("%s: %q ran at wg=%d, tuner selected %d", eng.Name(), name, got, d.WGSize)
 		}
-	}
-}
-
-// TestAutoCalibrateByteIdentical: the online calibration pass measures real
-// launches on a private device, so a calibrated run must still emit the
-// reference stream, count exactly one calibration, and leave the engine
-// device's fault accounting untouched. Metrics mirror the tuner counters.
-func TestAutoCalibrateByteIdentical(t *testing.T) {
-	asm := testAssembly(t, 11, []int{700, 450, 90}, testSite)
-	req := testRequest(2)
-	want := baselineHits(t, asm, req)
-	m := obs.NewMetrics()
-	eng := &SimSYCL{
-		Device: gpu.New(device.MI100(), gpu.WithWorkers(4)),
-		Auto:   true, Calibrate: true, Metrics: m,
-	}
-	got, err := eng.Run(asm, req)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if !equalHits(got, want) {
-		t.Errorf("calibrated auto run diverged from reference (%d hits != %d)", len(got), len(want))
-	}
-	p := eng.LastProfile()
-	if p.TuneCalibrations != 1 {
-		t.Errorf("TuneCalibrations = %d, want 1", p.TuneCalibrations)
-	}
-	requireMetricsAgree(t, m, p)
-	if v := p.TunedVariant[eng.Name()]; m.Counter(obs.L(obs.MetricTuneSelected, "variant", v)) != 1 {
-		t.Errorf("selected-variant series for %q missing", v)
 	}
 }
 
@@ -185,7 +153,7 @@ func TestMultiAutoPerDeviceDecisions(t *testing.T) {
 			// The scheduler may not have opened an idle device; skip it.
 			continue
 		}
-		d, err := tune.Select(tuneConfigFor(s, req, false))
+		d, err := tune.Select(tuneConfigFor(s, req))
 		if err != nil {
 			t.Fatal(err)
 		}

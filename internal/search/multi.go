@@ -36,10 +36,8 @@ type MultiSYCL struct {
 	// through the occupancy autotuner (internal/tune) at Stream start: a
 	// heterogeneous fleet can run a different kernel on each member.
 	// Variant is ignored; WorkGroupSize (when set) narrows the tuner to
-	// that local size. Calibrate additionally runs the tuner's online
-	// measured pass per device type. Output stays byte-identical.
-	Auto      bool
-	Calibrate bool
+	// that local size. Output stays byte-identical.
+	Auto bool
 	// Resilience, when set, is the fleet's recovery policy: per-chunk
 	// transient retries on the device that holds the chunk, then eviction;
 	// the last live device fails chunks over to the CPU engine (unless a
@@ -87,7 +85,7 @@ func (e *MultiSYCL) Stream(ctx context.Context, asm *genome.Assembly, req *Reque
 	for i, dev := range e.Devices {
 		cores[i] = (&SimSYCL{
 			Device: dev, Variant: e.Variant, WorkGroupSize: e.WorkGroupSize,
-			Auto: e.Auto, Calibrate: e.Calibrate, Resilience: e.Resilience,
+			Auto: e.Auto, Resilience: e.Resilience,
 			Trace: e.Trace, Metrics: e.Metrics, Track: fmt.Sprintf("sycl-sim[%d]", i),
 			worstCaseArena: e.worstCaseArena, profile: e.profile,
 		}).core()

@@ -86,12 +86,10 @@ type Profile struct {
 	// nil when no tuner ran.
 	TunedVariant map[string]string
 	TunedWGSize  map[string]int
-	// TuneDecisions counts tuner decisions folded into this profile,
-	// TuneCandidates the (variant, work-group size) pairs they scored, and
-	// TuneCalibrations the decisions that ran the online measured pass.
-	TuneDecisions    int64
-	TuneCandidates   int64
-	TuneCalibrations int64
+	// TuneDecisions counts tuner decisions folded into this profile and
+	// TuneCandidates the (variant, work-group size) pairs they scored.
+	TuneDecisions  int64
+	TuneCandidates int64
 
 	// Faults counts injected fault events by site; nil when no injector
 	// was active.
@@ -216,9 +214,6 @@ func (p *Profile) addTune(track string, d *tune.Decision) {
 	p.TunedWGSize[track] = d.WGSize
 	p.TuneDecisions++
 	p.TuneCandidates += int64(len(d.Candidates))
-	if d.Calibrated {
-		p.TuneCalibrations++
-	}
 }
 
 // addAsync counts one delivery to the SYCL async exception handler.
@@ -278,7 +273,6 @@ func (p *Profile) publish(m *obs.Metrics) {
 		{obs.MetricAsyncExceptions, p.AsyncExceptions},
 		{obs.MetricTuneDecisions, p.TuneDecisions},
 		{obs.MetricTuneCandidates, p.TuneCandidates},
-		{obs.MetricTuneCalibrations, p.TuneCalibrations},
 	} {
 		if s.total != 0 {
 			m.Count(s.series, s.total)

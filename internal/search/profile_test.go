@@ -324,20 +324,19 @@ func requireMetricsAgree(t *testing.T, m *obs.Metrics, runs ...*Profile) {
 	want := map[string]int64{}
 	for _, p := range runs {
 		for name, v := range map[string]int64{
-			obs.MetricChunks:           int64(p.Chunks),
-			obs.MetricStagedBytes:      p.BytesStaged,
-			obs.MetricReadBytes:        p.BytesRead,
-			obs.MetricCandidateSites:   p.CandidateSites,
-			obs.MetricEntries:          p.Entries,
-			obs.MetricRetries:          p.Retries,
-			obs.MetricFailovers:        p.Failovers,
-			obs.MetricWatchdogKills:    p.WatchdogKills,
-			obs.MetricQuarantined:      int64(p.QuarantinedChunks),
-			obs.MetricEvictions:        p.Evictions,
-			obs.MetricAsyncExceptions:  p.AsyncExceptions,
-			obs.MetricTuneDecisions:    p.TuneDecisions,
-			obs.MetricTuneCandidates:   p.TuneCandidates,
-			obs.MetricTuneCalibrations: p.TuneCalibrations,
+			obs.MetricChunks:          int64(p.Chunks),
+			obs.MetricStagedBytes:     p.BytesStaged,
+			obs.MetricReadBytes:       p.BytesRead,
+			obs.MetricCandidateSites:  p.CandidateSites,
+			obs.MetricEntries:         p.Entries,
+			obs.MetricRetries:         p.Retries,
+			obs.MetricFailovers:       p.Failovers,
+			obs.MetricWatchdogKills:   p.WatchdogKills,
+			obs.MetricQuarantined:     int64(p.QuarantinedChunks),
+			obs.MetricEvictions:       p.Evictions,
+			obs.MetricAsyncExceptions: p.AsyncExceptions,
+			obs.MetricTuneDecisions:   p.TuneDecisions,
+			obs.MetricTuneCandidates:  p.TuneCandidates,
 			// Arena accounting must survive the fault paths too: a Find that
 			// rejects a corrupted count readback records the readback (and any
 			// arena provisioning before it) before rejecting.

@@ -211,7 +211,7 @@ func fuzzCase(bases, pattern, guides []byte, budget uint8, chunk uint16) (*genom
 // chunk is scheduling, so MultiSYCL runs once. The chunk size is floored so
 // that a plan of a thousand one-base chunks does not wait out a watchdog
 // deadline per injected hang.
-func fuzzFaultArm(t *testing.T, asm *genome.Assembly, req *Request, want []Hit, plan fault.Plan) {
+func fuzzFaultArm(t *testing.T, asm *genome.Assembly, req *Request, want []Hit, plan fault.Plan, v kernels.ComparerVariant) {
 	faulted := *req
 	faulted.ChunkBytes = max(req.ChunkBytes, 256)
 	res := &pipeline.Resilience{
@@ -228,13 +228,13 @@ func fuzzFaultArm(t *testing.T, asm *genome.Assembly, req *Request, want []Hit, 
 		runs  int
 	}{
 		{func(m *obs.Metrics) arenaProfiler {
-			return &SimCL{Device: dev(0), Variant: kernels.Base, Resilience: res, Metrics: m}
+			return &SimCL{Device: dev(0), Variant: v, Resilience: res, Metrics: m}
 		}, 2},
 		{func(m *obs.Metrics) arenaProfiler {
-			return &SimSYCL{Device: dev(0), Variant: kernels.Base, WorkGroupSize: 64, Resilience: res, Metrics: m}
+			return &SimSYCL{Device: dev(0), Variant: v, WorkGroupSize: 64, Resilience: res, Metrics: m}
 		}, 2},
 		{func(m *obs.Metrics) arenaProfiler {
-			return &MultiSYCL{Devices: []*gpu.Device{dev(0), dev(1)}, Variant: kernels.Base, WorkGroupSize: 64, Resilience: res, Metrics: m}
+			return &MultiSYCL{Devices: []*gpu.Device{dev(0), dev(1)}, Variant: v, WorkGroupSize: 64, Resilience: res, Metrics: m}
 		}, 1},
 	} {
 		var first *Profile
@@ -267,10 +267,12 @@ func fuzzFaultArm(t *testing.T, asm *genome.Assembly, req *Request, want []Hit, 
 
 // FuzzEngines is the cross-engine differential fuzzer: every engine, over
 // the FASTA-backed assembly and over its artifact after a codec round trip,
-// must return exactly the hits of the naive internal/baseline scan; then the
-// simulator engines again under a fault plan drawn from the same bytes (seed
-// from chunk, rate up to 0.3 from budget), with the run's ledger in the
-// oracle (fuzzFaultArm).
+// must return exactly the hits of the naive internal/baseline scan, and so
+// must the three reference scans of ref_test.go over the FASTA assembly;
+// then the simulator engines again under a fault plan drawn from the same
+// bytes (seed from chunk, rate up to 0.3 from budget), with the run's ledger
+// in the oracle (fuzzFaultArm). The simulator engines' comparer is drawn
+// from budget too, so the corpus walks the whole ladder.
 func FuzzEngines(f *testing.F) {
 	join := func(asm *genome.Assembly) []byte {
 		var seqs [][]byte
@@ -305,25 +307,38 @@ func FuzzEngines(f *testing.F) {
 		if art, err = genome.ReadArtifact(art.Encode()); err != nil {
 			t.Fatalf("ReadArtifact: %v", err)
 		}
-		multi := &MultiSYCL{Devices: []*gpu.Device{
-			gpu.New(device.MI60(), gpu.WithWorkers(2)),
-			gpu.New(device.MI100(), gpu.WithWorkers(2)),
-		}, Variant: kernels.Base, WorkGroupSize: 64}
-		for _, eng := range append(engines(t), multi) {
-			for _, in := range []struct {
-				name string
-				asm  *genome.Assembly
-			}{{"FASTA", asm}, {"artifact", art.Assembly()}} {
-				got, err := eng.Run(in.asm, req)
+		v := kernels.Variants()[int(budget)%5]
+		type input struct {
+			name string
+			asm  *genome.Assembly
+		}
+		both := []input{{"FASTA", asm}, {"artifact", art.Assembly()}}
+		for _, tc := range []struct {
+			eng Engine
+			in  []input
+		}{
+			{&CPU{Workers: 4}, both},
+			{&SimCL{Device: gpu.New(device.MI60(), gpu.WithWorkers(4)), Variant: v}, both},
+			{&SimSYCL{Device: gpu.New(device.MI100(), gpu.WithWorkers(4)), Variant: v, WorkGroupSize: 64}, both},
+			{&MultiSYCL{Devices: []*gpu.Device{
+				gpu.New(device.MI60(), gpu.WithWorkers(2)),
+				gpu.New(device.MI100(), gpu.WithWorkers(2)),
+			}, Variant: v, WorkGroupSize: 64}, both},
+			{&refCPU{Workers: 2, Arm: refBytes}, both[:1]},
+			{&refCPU{Workers: 2, Arm: refScalar}, both[:1]},
+			{&refCPU{Workers: 2, Arm: refNoBatch}, both[:1]},
+		} {
+			for _, in := range tc.in {
+				got, err := tc.eng.Run(in.asm, req)
 				if err != nil {
-					t.Fatalf("%s on %s: %v", eng.Name(), in.name, err)
+					t.Fatalf("%T %s on %s: %v", tc.eng, v, in.name, err)
 				}
 				if !equalHits(got, want) {
-					t.Errorf("%s on %s: %d hits, baseline %d\nrequest %+v", eng.Name(), in.name, len(got), len(want), req)
+					t.Errorf("%T %s on %s: %d hits, baseline %d\nrequest %+v", tc.eng, v, in.name, len(got), len(want), req)
 				}
 			}
 		}
-		fuzzFaultArm(t, asm, req, want, fault.Plan{Seed: uint64(chunk), Rate: float64(budget/7) / 120})
+		fuzzFaultArm(t, asm, req, want, fault.Plan{Seed: uint64(chunk), Rate: float64(budget/7) / 120}, v)
 	})
 }
 

@@ -29,11 +29,9 @@ type simConfig struct {
 	// Auto resolves Variant and WorkGroupSize through the occupancy
 	// autotuner (internal/tune) for this device at Stream start: Variant is
 	// ignored, and WorkGroupSize (when set) narrows the tuner to that local
-	// size instead of overriding its choice. Calibrate additionally runs
-	// the tuner's online measured pass. Output is byte-identical to any
-	// fixed-variant run.
-	Auto      bool
-	Calibrate bool
+	// size instead of overriding its choice. Output is byte-identical to
+	// any fixed-variant run.
+	Auto bool
 	// Resilience, when set, is the run's recovery policy (internal/sched):
 	// transient errors (including SYCL asynchronous exceptions) retry with
 	// backoff, hung kernels are reaped by the watchdog, and chunks the
@@ -121,16 +119,14 @@ func streamCores(ctx context.Context, track string, fleet bool, cores []*simCore
 		return err
 	}
 	// Resolve the tuner per device before any slot opens its backend; the
-	// decision is read-only for the rest of the run. Repeated device types
-	// hit the tune package's memoized decision, so a homogeneous fleet scores
-	// (and calibrates) once.
+	// decision is read-only for the rest of the run.
 	for i, c := range cores {
 		if c.Device == nil {
 			return fmt.Errorf("search: %s: device %d is nil", track, i)
 		}
 		c.tuned = nil
 		if c.Auto {
-			d, err := autotuneDecision(c.Device, req, c.WorkGroupSize, c.Calibrate)
+			d, err := autotuneDecision(c.Device, req, c.WorkGroupSize)
 			if err != nil {
 				return fmt.Errorf("search: %s: autotune device %d: %w", track, i, err)
 			}

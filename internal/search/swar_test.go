@@ -147,34 +147,6 @@ func TestBatchedMatchesPerPattern(t *testing.T) {
 	}
 }
 
-// TestBitParallelSimEngines: both simulator frontends run the SWAR comparer
-// variant end to end and agree exactly with the CPU engine — the same
-// optimization modeled on the simulated device and executed on the host.
-func TestBitParallelSimEngines(t *testing.T) {
-	asm := testAssembly(t, 61, []int{700, 450, 90}, testSite)
-	req := testRequest(2)
-	want, err := (&CPU{Workers: 2}).Run(asm, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 {
-		t.Fatal("no hits; fixture too sparse")
-	}
-	sims := []Engine{
-		&SimCL{Device: gpu.New(device.MI60(), gpu.WithWorkers(4)), Variant: kernels.BitParallel},
-		&SimSYCL{Device: gpu.New(device.MI100(), gpu.WithWorkers(4)), Variant: kernels.BitParallel, WorkGroupSize: 64},
-	}
-	for _, eng := range sims {
-		got, err := eng.Run(asm, req)
-		if err != nil {
-			t.Fatalf("%s: %v", eng.Name(), err)
-		}
-		if !equalHits(got, want) {
-			t.Errorf("%s with bitparallel comparer diverged (%d vs %d hits)", eng.Name(), len(got), len(want))
-		}
-	}
-}
-
 // Mismatches is mismatchesWords fetching each window word from v as it
 // goes, for the window starting at pos.
 func (b *bitPattern) Mismatches(v *genome.WordView, pos, offset, limit int) (int, bool) {

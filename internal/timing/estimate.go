@@ -46,7 +46,7 @@ func launchGroups(n int64, cfg KernelConfig) int64 {
 	return (n + wg - 1) / wg
 }
 
-// EffectiveWaves converts a resource-limited occupancy (waves per SIMD,
+// effectiveWaves converts a resource-limited occupancy (waves per SIMD,
 // from device.Spec.Occupancy) into the effective wave parallelism a launch
 // with the given work-group size sustains. Two effects the flat occupancy
 // number hides:
@@ -61,7 +61,7 @@ func launchGroups(n int64, cfg KernelConfig) int64 {
 // Non-positive occWaves means the hardware maximum; non-positive wgSize
 // means the standard 256-item group. A group too large for the slot budget
 // still runs — alone — so the result is never below one group's waves.
-func EffectiveWaves(spec device.Spec, occWaves, wgSize int) float64 {
+func effectiveWaves(spec device.Spec, occWaves, wgSize int) float64 {
 	wave := spec.WavefrontSize
 	if wave <= 0 {
 		wave = 64
@@ -90,19 +90,16 @@ func EffectiveWaves(spec device.Spec, occWaves, wgSize int) float64 {
 // pass over every position, the comparer over the surviving candidates on
 // both strands per query, plus the per-chunk host and transfer overhead.
 // Kernel terms are evaluated at the work-group-corrected effective
-// occupancy (EffectiveWaves), so the estimate separates candidate
+// occupancy (effectiveWaves), so the estimate separates candidate
 // work-group sizes instead of flattening them.
 func (e ChunkEstimate) Seconds(chunkBytes int) float64 {
-	finder, comparer, host := e.Parts(chunkBytes)
+	finder, comparer, host := e.parts(chunkBytes)
 	return finder + comparer + host
 }
 
-// Parts decomposes the estimate into its finder-kernel, comparer-kernel and
-// host/transfer terms; Seconds is their sum. They are exposed separately so
-// the autotuner's calibration pass can swap the analytic comparer term —
-// the §IV.B hotspot it actually measures — for a measured one without
-// re-deriving the rest.
-func (e ChunkEstimate) Parts(chunkBytes int) (finderSec, comparerSec, hostSec float64) {
+// parts decomposes the estimate into its finder-kernel, comparer-kernel and
+// host/transfer terms; Seconds is their sum.
+func (e ChunkEstimate) parts(chunkBytes int) (finderSec, comparerSec, hostSec float64) {
 	if chunkBytes <= 0 {
 		chunkBytes = estimateDefaultChunkBytes
 	}

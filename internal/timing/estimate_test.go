@@ -188,12 +188,12 @@ func TestEffectiveWaves(t *testing.T) {
 		{4, 1024, 4},  // 16 slots = exactly one 16-wave group
 	}
 	for _, c := range cases {
-		if got := EffectiveWaves(spec, c.occ, c.wg); got != c.want {
-			t.Errorf("EffectiveWaves(occ=%d, wg=%d) = %v, want %v", c.occ, c.wg, got, c.want)
+		if got := effectiveWaves(spec, c.occ, c.wg); got != c.want {
+			t.Errorf("effectiveWaves(occ=%d, wg=%d) = %v, want %v", c.occ, c.wg, got, c.want)
 		}
 	}
-	if got := EffectiveWaves(spec, 0, 0); got != 10 {
-		t.Errorf("EffectiveWaves defaults = %v, want the 10-wave maximum", got)
+	if got := effectiveWaves(spec, 0, 0); got != 10 {
+		t.Errorf("effectiveWaves defaults = %v, want the 10-wave maximum", got)
 	}
 }
 
@@ -241,7 +241,7 @@ func TestEffectiveWavesGranularityPenalty(t *testing.T) {
 
 func TestChunkEstimatePartsSum(t *testing.T) {
 	e := chunkEstimate(device.MI60())
-	f, c, h := e.Parts(1 << 20)
+	f, c, h := e.parts(1 << 20)
 	if f <= 0 || c <= 0 || h <= 0 {
 		t.Fatalf("Parts = (%.6g, %.6g, %.6g), want all positive", f, c, h)
 	}

@@ -104,8 +104,32 @@ type KernelConfig struct {
 	// WaveSlots, when positive, overrides OccupancyWaves with a fractional
 	// effective wave count: the resource-limited occupancy corrected for
 	// work-group wave-slot granularity and partial-wave lane fill (see
-	// EffectiveWaves). ChunkEstimate fills it from WorkGroupSize.
+	// effectiveWaves). ChunkEstimate fills it from WorkGroupSize.
 	WaveSlots float64
+}
+
+// FinderConfig is the finder's launch context on spec: the pattern staged
+// by the group leader (4 loads per base: codes and index, both strands) and
+// a perfectly coalesced sequential scan.
+func FinderConfig(spec device.Spec, occupancy, vgprs, wg, plen int) KernelConfig {
+	c := ComparerConfig(spec, occupancy, vgprs, wg, plen, true)
+	c.ScatterFactor = 0.02
+	return c
+}
+
+// ComparerConfig is a comparer variant's launch context on spec: the same
+// staging traffic, leader-only before opt3, and scattered candidate-site
+// reads.
+func ComparerConfig(spec device.Spec, occupancy, vgprs, wg, plen int, leaderPrefetch bool) KernelConfig {
+	return KernelConfig{
+		Spec:                spec,
+		OccupancyWaves:      occupancy,
+		VGPRs:               vgprs,
+		WorkGroupSize:       wg,
+		LeaderPrefetch:      leaderPrefetch,
+		PrefetchOpsPerGroup: 4 * plen,
+		ScatterFactor:       1.0,
+	}
 }
 
 func (c KernelConfig) scatter() float64 {
@@ -130,7 +154,7 @@ func (c KernelConfig) occupancy() float64 {
 // occupancy and work-group size, unless the caller already set it.
 func (c KernelConfig) withEffectiveWaves() KernelConfig {
 	if c.WaveSlots <= 0 {
-		c.WaveSlots = EffectiveWaves(c.Spec, c.OccupancyWaves, c.WorkGroupSize)
+		c.WaveSlots = effectiveWaves(c.Spec, c.OccupancyWaves, c.WorkGroupSize)
 	}
 	return c
 }

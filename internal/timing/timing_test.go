@@ -5,8 +5,6 @@ import (
 
 	"casoffinder/internal/gpu"
 	"casoffinder/internal/gpu/device"
-	"casoffinder/internal/isa"
-	"casoffinder/internal/kernels"
 )
 
 // comparerish returns stats shaped like a comparer launch over n items.
@@ -195,54 +193,6 @@ func TestScaleHost(t *testing.T) {
 	h := ScaleHost(HostCounters{BytesStaged: 100, BytesRead: 10, Chunks: 4, Entries: 7}, 3)
 	if h.BytesStaged != 300 || h.BytesRead != 30 || h.Chunks != 12 || h.Entries != 21 {
 		t.Errorf("ScaleHost = %+v", h)
-	}
-}
-
-// TestBitParallelTradeoff models the SWAR comparer against opt4 with each
-// variant's real compiled footprint (internal/isa): the word core issues a
-// fraction of the global load ops, each 8 bytes wide, so the latency and
-// bandwidth terms collapse and the estimate falls well below opt4's — but
-// the extra register pressure is charged too, and the same SWAR traffic at
-// opt4's pressure would be faster still.
-func TestBitParallelTradeoff(t *testing.T) {
-	spec := device.MI60()
-	opt4m := isa.ComparerMetrics(kernels.Opt4, spec, 23)
-	bpm := isa.ComparerMetrics(kernels.BitParallel, spec, 23)
-	if bpm.VGPRs <= pressureKneeVGPRs {
-		t.Fatalf("bitparallel VGPRs %d below the pressure knee %d; the trade-off is free",
-			bpm.VGPRs, pressureKneeVGPRs)
-	}
-
-	n := int64(1 << 20)
-	opt4 := comparerish(n)
-	// SWAR-shaped traffic: ~1/5th the global load ops at 8 bytes each (two
-	// wide words per 32 bases replace byte-per-base reads, nothing left to
-	// reload), and local reads per word instead of per ladder term.
-	bp := opt4
-	bp.GlobalLoadOps = 3 * n
-	bp.RedundantLoadOps = 0
-	bp.GlobalLoadBytes = 17 * n
-	bp.LocalLoadOps = 12 * n
-	bp.ALUOps = 120 * n
-
-	cfg4 := baseCfg()
-	cfg4.LeaderPrefetch = false // both variants stage cooperatively
-	cfg4.VGPRs = opt4m.VGPRs
-	cfg4.OccupancyWaves = opt4m.Occupancy
-	cfgB := cfg4
-	cfgB.VGPRs = bpm.VGPRs
-	cfgB.OccupancyWaves = bpm.Occupancy
-
-	t4 := KernelSeconds(cfg4, &opt4)
-	tb := KernelSeconds(cfgB, &bp)
-	if tb >= t4*0.6 {
-		t.Errorf("bitparallel estimate %.4f not well below opt4's %.4f", tb, t4)
-	}
-	lean := cfgB
-	lean.VGPRs = opt4m.VGPRs
-	if tl := KernelSeconds(lean, &bp); tl >= tb {
-		t.Errorf("register pressure should cost time: %.4f at %d VGPRs vs %.4f at %d",
-			tb, cfgB.VGPRs, tl, lean.VGPRs)
 	}
 }
 

@@ -7,25 +7,19 @@
 // variant achieves at that group size, and selects the argmin — per device,
 // automatically, where the paper selects by hand per part.
 //
-// The model can be wrong in ways a static table cannot correct, so Select
-// optionally runs a brief online calibration pass (Config.Calibrate): the
-// top finalists each execute a real comparer launch over a small synthetic
-// chunk on a private simulated device, and the finalists re-rank on the
-// measured kernel cost projected to a full chunk. Calibration touches no
-// engine state — no fault injector, no metrics registry — and is fully
-// deterministic, so tuned runs keep the byte-identical hit-stream contract.
-//
-// Decisions are memoized per normalized Config: a MultiSYCL fleet with
-// repeated device types resolves each type once, and repeated engine
-// construction (tests, the service-to-be) does not re-score.
+// The model pass is all there is. Its synthetic per-site statistics depend
+// on the pattern length and candidate rate, never on the variant, so what it
+// separates candidates by is occupancy, register pressure and the staging
+// mode — not the traffic a variant saves (ROADMAP item 4(a) puts that inside
+// the model). A pass is a few dozen occupancy evaluations over the kernels
+// internal/isa compiled once, so nothing is memoized: every field of a
+// Config but the spec can come from a daemon request, and a decision cache
+// keyed by them would grow with whatever clients send.
 package tune
 
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
-	"sync"
 
 	"casoffinder/internal/gpu/device"
 	"casoffinder/internal/isa"
@@ -37,10 +31,6 @@ import (
 // does not restrict them: the OpenCL runtime's 64, the SYCL program's 256
 // (§IV.A), and the neighbours that bracket the granularity trade-off.
 func DefaultWGSizes() []int { return []int{64, 128, 256, 512} }
-
-// DefaultFinalists is how many top-ranked candidates the calibration pass
-// measures when Config.Finalists is unset.
-const DefaultFinalists = 3
 
 // defaultChunkBytes matches the pipeline's default staging budget.
 const defaultChunkBytes = 1 << 20
@@ -56,18 +46,10 @@ type Config struct {
 	// ChunkBytes is the staged chunk size the scores are evaluated at;
 	// non-positive means the pipeline default (1 MiB).
 	ChunkBytes int
-	// Variants restricts the scored comparer variants; nil means every
-	// registered variant (kernels.AllVariants).
-	Variants []kernels.ComparerVariant
 	// WGSizes restricts the scored work-group sizes; nil means
 	// DefaultWGSizes. Sizes beyond the device's MaxWorkGroupSize are
 	// skipped.
 	WGSizes []int
-	// Calibrate enables the online calibration pass over the finalists.
-	Calibrate bool
-	// Finalists is how many top candidates calibration measures;
-	// non-positive means DefaultFinalists.
-	Finalists int
 }
 
 // Candidate is one scored (variant, work-group size) pair.
@@ -76,20 +58,9 @@ type Candidate struct {
 	WGSize  int
 	// Occupancy is the comparer's Table X waves-per-SIMD at this WG size.
 	Occupancy int
-	// Predicted is the model-estimated seconds per staged chunk.
+	// Predicted is the model-estimated seconds per staged chunk, the value
+	// the tuner ranks by.
 	Predicted float64
-	// Measured is the calibrated seconds per staged chunk; zero when this
-	// candidate was not measured.
-	Measured float64
-}
-
-// Score is the value the tuner ranks by: the measured cost when the
-// calibration pass produced one, the model prediction otherwise.
-func (c Candidate) Score() float64 {
-	if c.Measured > 0 {
-		return c.Measured
-	}
-	return c.Predicted
 }
 
 // Decision is the tuner's result for one device: the selected kernel and
@@ -99,56 +70,34 @@ type Decision struct {
 	Variant   kernels.ComparerVariant
 	WGSize    int
 	Predicted float64
-	// Measured is the winner's calibrated chunk cost (zero without
-	// calibration).
-	Measured float64
-	// Calibrated reports whether the online pass ran; Candidates[i].Measured
-	// is set on the measured finalists.
-	Calibrated bool
-	// Candidates holds every scored pair in final rank order.
+	// Candidates holds every scored pair in rank order.
 	Candidates []Candidate
 }
 
 func (d *Decision) String() string {
-	mode := "model"
-	if d.Calibrated {
-		mode = "calibrated"
-	}
-	return fmt.Sprintf("%s: %s wg=%d (%s, %.3gms/chunk, %d candidates)",
-		d.Device, d.Variant, d.WGSize, mode, d.Predicted*1e3, len(d.Candidates))
+	return fmt.Sprintf("%s: %s wg=%d (model, %.3gms/chunk, %d candidates)",
+		d.Device, d.Variant, d.WGSize, d.Predicted*1e3, len(d.Candidates))
 }
 
-// clone returns an independent copy so cached decisions stay immutable.
-func (d *Decision) clone() *Decision {
-	c := *d
-	c.Candidates = append([]Candidate(nil), d.Candidates...)
-	return &c
-}
-
-// normConfig is a Config with defaults applied — comparable, so it keys the
-// decision cache.
+// normConfig is a Config with defaults applied and the work-group sizes
+// the device cannot launch dropped.
 type normConfig struct {
 	spec       device.Spec
 	plen       int
 	queries    int
 	chunkBytes int
-	calibrate  bool
-	finalists  int
-	variants   string // canonical comma-joined names
-	wgSizes    string // canonical comma-joined sizes
+	wgSizes    []int
 }
 
-func normalize(cfg Config) (normConfig, []kernels.ComparerVariant, []int, error) {
+func normalize(cfg Config) (normConfig, error) {
 	if cfg.Spec.Name == "" {
-		return normConfig{}, nil, nil, fmt.Errorf("tune: empty device spec")
+		return normConfig{}, fmt.Errorf("tune: empty device spec")
 	}
 	n := normConfig{
 		spec:       cfg.Spec,
 		plen:       cfg.PatternLen,
 		queries:    cfg.Queries,
 		chunkBytes: cfg.ChunkBytes,
-		calibrate:  cfg.Calibrate,
-		finalists:  cfg.Finalists,
 	}
 	if n.plen <= 0 {
 		n.plen = 23
@@ -159,53 +108,26 @@ func normalize(cfg Config) (normConfig, []kernels.ComparerVariant, []int, error)
 	if n.chunkBytes <= 0 {
 		n.chunkBytes = defaultChunkBytes
 	}
-	if n.finalists <= 0 {
-		n.finalists = DefaultFinalists
-	}
-	variants := cfg.Variants
-	if variants == nil {
-		variants = kernels.AllVariants()
-	}
-	if len(variants) == 0 {
-		return normConfig{}, nil, nil, fmt.Errorf("tune: no comparer variants to score")
-	}
 	wgs := cfg.WGSizes
 	if wgs == nil {
 		wgs = DefaultWGSizes()
 	}
-	kept := make([]int, 0, len(wgs))
+	n.wgSizes = make([]int, 0, len(wgs))
 	for _, wg := range wgs {
 		if wg <= 0 {
-			return normConfig{}, nil, nil, fmt.Errorf("tune: invalid work-group size %d", wg)
+			return normConfig{}, fmt.Errorf("tune: invalid work-group size %d", wg)
 		}
 		if cfg.Spec.MaxWorkGroupSize > 0 && wg > cfg.Spec.MaxWorkGroupSize {
 			continue
 		}
-		kept = append(kept, wg)
+		n.wgSizes = append(n.wgSizes, wg)
 	}
-	if len(kept) == 0 {
-		return normConfig{}, nil, nil, fmt.Errorf("tune: no work-group size fits %s (max %d)",
+	if len(n.wgSizes) == 0 {
+		return normConfig{}, fmt.Errorf("tune: no work-group size fits %s (max %d)",
 			cfg.Spec.Name, cfg.Spec.MaxWorkGroupSize)
 	}
-	vNames := make([]string, len(variants))
-	for i, v := range variants {
-		vNames[i] = v.String()
-	}
-	wNames := make([]string, len(kept))
-	for i, wg := range kept {
-		wNames[i] = strconv.Itoa(wg)
-	}
-	n.variants = strings.Join(vNames, ",")
-	n.wgSizes = strings.Join(wNames, ",")
-	return n, variants, kept, nil
+	return n, nil
 }
-
-// decisions memoizes Select results per normalized config: same spec and
-// search shape, same decision, computed once per process.
-var decisions = struct {
-	mu sync.Mutex
-	m  map[normConfig]*Decision
-}{m: make(map[normConfig]*Decision)}
 
 // Estimate builds the per-chunk cost model for one fixed (variant, WG size)
 // on a device — the same launch-context shape the MultiSYCL scheduler seeds
@@ -226,24 +148,8 @@ func Estimate(spec device.Spec, v kernels.ComparerVariant, wg, plen, queries int
 	fm := isa.FinderMetricsArenaAt(spec, plen, wg)
 	cm := isa.ComparerMetricsArenaAt(v, spec, plen, wg)
 	return timing.ChunkEstimate{
-		Finder: timing.KernelConfig{
-			Spec:                spec,
-			OccupancyWaves:      fm.Occupancy,
-			VGPRs:               fm.VGPRs,
-			WorkGroupSize:       wg,
-			LeaderPrefetch:      true,
-			PrefetchOpsPerGroup: 4 * plen,
-			ScatterFactor:       0.02,
-		},
-		Comparer: timing.KernelConfig{
-			Spec:                spec,
-			OccupancyWaves:      cm.Occupancy,
-			VGPRs:               cm.VGPRs,
-			WorkGroupSize:       wg,
-			LeaderPrefetch:      !v.CooperativeFetch(),
-			PrefetchOpsPerGroup: 4 * plen,
-			ScatterFactor:       1.0,
-		},
+		Finder:     timing.FinderConfig(spec, fm.Occupancy, fm.VGPRs, wg, plen),
+		Comparer:   timing.ComparerConfig(spec, cm.Occupancy, cm.VGPRs, wg, plen, !v.CooperativeFetch()),
 		PatternLen: plen,
 		Queries:    queries,
 	}
@@ -253,7 +159,7 @@ func Estimate(spec device.Spec, v kernels.ComparerVariant, wg, plen, queries int
 // (variant, WG size) under cfg — the tuner's scoring function, exposed for
 // fixed-variant baselines in benchmarks and ablations.
 func Predict(cfg Config, v kernels.ComparerVariant, wg int) float64 {
-	n, _, _, err := normalize(cfg)
+	n, err := normalize(cfg)
 	if err != nil {
 		return 0
 	}
@@ -261,72 +167,46 @@ func Predict(cfg Config, v kernels.ComparerVariant, wg int) float64 {
 }
 
 // Select scores every (variant, work-group size) candidate for cfg and
-// returns the ranked decision. Results are memoized per normalized config;
-// the returned Decision is the caller's to keep.
+// returns the ranked decision.
 func Select(cfg Config) (*Decision, error) {
-	n, variants, wgs, err := normalize(cfg)
+	n, err := normalize(cfg)
 	if err != nil {
 		return nil, err
 	}
-	decisions.mu.Lock()
-	if d, ok := decisions.m[n]; ok {
-		decisions.mu.Unlock()
-		return d.clone(), nil
-	}
-	decisions.mu.Unlock()
-
-	// Score outside the lock: calibration launches kernels. A concurrent
-	// duplicate computation is deterministic and therefore harmless.
-	d, err := selectUncached(n, variants, wgs)
-	if err != nil {
-		return nil, err
-	}
-	decisions.mu.Lock()
-	decisions.m[n] = d
-	decisions.mu.Unlock()
-	return d.clone(), nil
+	return score(n), nil
 }
 
-// rank orders candidates best-first, with a deterministic tiebreak: lower
-// score, then the cumulative variant order, then smaller groups.
-func rank(cands []Candidate) {
+// score prices and ranks n's candidates best-first, with a deterministic
+// tiebreak: lower prediction, then the cumulative variant order, then
+// smaller groups.
+func score(n normConfig) *Decision {
+	variants := kernels.Variants()
+	cands := make([]Candidate, 0, len(variants)*len(n.wgSizes))
+	for _, v := range variants {
+		for _, wg := range n.wgSizes {
+			cands = append(cands, Candidate{
+				Variant:   v,
+				WGSize:    wg,
+				Occupancy: isa.ComparerMetricsAt(v, n.spec, n.plen, wg).Occupancy,
+				Predicted: Estimate(n.spec, v, wg, n.plen, n.queries).Seconds(n.chunkBytes),
+			})
+		}
+	}
 	sort.SliceStable(cands, func(i, j int) bool {
-		si, sj := cands[i].Score(), cands[j].Score()
-		if si != sj {
-			return si < sj
+		if cands[i].Predicted != cands[j].Predicted {
+			return cands[i].Predicted < cands[j].Predicted
 		}
 		if cands[i].Variant != cands[j].Variant {
 			return cands[i].Variant < cands[j].Variant
 		}
 		return cands[i].WGSize < cands[j].WGSize
 	})
-}
-
-func selectUncached(n normConfig, variants []kernels.ComparerVariant, wgs []int) (*Decision, error) {
-	cands := make([]Candidate, 0, len(variants)*len(wgs))
-	for _, v := range variants {
-		for _, wg := range wgs {
-			cm := isa.ComparerMetricsAt(v, n.spec, n.plen, wg)
-			cands = append(cands, Candidate{
-				Variant:   v,
-				WGSize:    wg,
-				Occupancy: cm.Occupancy,
-				Predicted: Estimate(n.spec, v, wg, n.plen, n.queries).Seconds(n.chunkBytes),
-			})
-		}
+	best := cands[0]
+	return &Decision{
+		Device:     n.spec.Name,
+		Variant:    best.Variant,
+		WGSize:     best.WGSize,
+		Predicted:  best.Predicted,
+		Candidates: cands,
 	}
-	rank(cands)
-
-	d := &Decision{Device: n.spec.Name, Candidates: cands}
-	if n.calibrate {
-		if err := calibrate(n, d); err != nil {
-			return nil, err
-		}
-	}
-	best := d.Candidates[0]
-	d.Variant = best.Variant
-	d.WGSize = best.WGSize
-	d.Predicted = best.Predicted
-	d.Measured = best.Measured
-	return d, nil
 }
