@@ -38,8 +38,8 @@ race:
 # compile raced by a fleet's slots, and tune.Select keeps no state of its
 # own: TestCompileMemoized and TestSelectDeterministic call both from
 # several goroutines), the simulator core, the arena suite and the executor
-# (its one-slot contract in internal/pipeline,
-# the fleet in internal/sched) twenty times each under the race detector at
+# (internal/pipeline: the one-slot contract, the fleet and its reorder
+# window) twenty times each under the race detector at
 # one, two and eight Ps — every reported counter must be a function of the
 # input, whatever the interleaving — with Table VIII rendered against its
 # golden CSV and the daemon's response flush tests (a timer, the pass
@@ -54,7 +54,7 @@ race:
 # concurrent writers, and the metrics/profile agreement after them, are the
 # check.
 stress:
-	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/kernels ./internal/isa ./internal/tune ./internal/gpu ./internal/gpu/alloc ./internal/sched ./internal/pipeline
+	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/kernels ./internal/isa ./internal/tune ./internal/gpu ./internal/gpu/alloc ./internal/pipeline
 	$(GO) test -race -count 20 -cpu 1,2,8 ./cmd/benchtab -run 'TestRunCSV'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/serve/ -run 'TestFlush'
 	$(GO) test -race -count 1 -cpu 1,2,8 ./internal/search/ -run 'TestSimProfileSchedule|TestFaultDeterminism|TestFaultMatrix|TestDenseCandidateRegionMatrix|TestMetricsAgreeWithProfile|TestMultiSYCLSchedMetricsParity|TestMultiSYCLMergeParity|TestProfileMerge'

@@ -54,7 +54,7 @@ const (
 	MetricArenaPages     = "casoffinder_arena_page_claims_total"
 	MetricArenaOverflows = "casoffinder_arena_overflow_retries_total"
 
-	// Emitted live by the chunk executor (internal/sched) and the scan
+	// Emitted live by the chunk executor (pipeline.Executor) and the scan
 	// attempts it runs, on every engine: stage and whole-attempt latencies,
 	// the depth of the run's chunk queue (unclaimed chunks), hits and chunks
 	// emitted.

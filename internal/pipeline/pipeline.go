@@ -1,24 +1,22 @@
-// Package pipeline is what every search engine shares below the executor:
-// one copy of the request lifecycle up to a compiled Plan (validate, compile
-// the PatternPairs, fix the genome.Chunker), the Backend contract the CPU scan
-// and the two simulator host programs implement as thin adapters over their
-// kernel launches, one scan Attempt of one chunk on one backend, hit
-// rendering and the deterministic output order, and the Resilience policy
-// with its Report. The paper's central artifact is one application expressed
-// against two programming models with identical results; this package is
-// that shape in the repo, so adding a backend never re-implements the host
-// program. Which backend runs which chunk, recovery and ordered emission are
-// internal/sched's.
+// Package pipeline is how every search engine runs: one copy of the request
+// lifecycle up to a compiled Plan (validate, compile the PatternPairs, fix
+// the genome.Chunker), the Backend contract the CPU scan and the two
+// simulator host programs implement as thin adapters over their kernel
+// launches, the one Executor that runs a plan's chunks over a fleet of
+// backend slots with retry, eviction, failover and ordered emission, the
+// Resilience policy with the run's Report, and hit rendering and the
+// deterministic output order. The paper's central artifact is one
+// application expressed against two programming models with identical
+// results; this package is that shape in the repo, so adding a backend never
+// re-implements the host program.
 package pipeline
 
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"casoffinder/internal/genome"
 	"casoffinder/internal/kernels"
-	"casoffinder/internal/obs"
 )
 
 // Plan is a compiled request: the validated pattern and guide tables plus
@@ -33,7 +31,7 @@ type Plan struct {
 	// Chunker stages the assembly within the request's chunk budget.
 	Chunker *genome.Chunker
 	// Artifact is the persistent genome artifact backing the assembly, or
-	// nil for FASTA-loaded assemblies. CompileFor fills it from
+	// nil for FASTA-loaded assemblies. Executor.Stream fills it from
 	// Assembly.Artifact; backends that can consume the
 	// resident word views and PAM shards (the CPU SWAR scan, and through it
 	// every resilience fallback) read it here, so artifact awareness needs
@@ -47,25 +45,6 @@ func Compile(req *Request) (*Plan, error) {
 		return nil, err
 	}
 	return compileValidated(req)
-}
-
-// CompileFor compiles req for a run over asm: Compile plus the assembly's
-// artifact, with validation and compilation recorded as separate spans on
-// track when tr is non-nil.
-func CompileFor(asm *genome.Assembly, req *Request, tr *obs.Tracer, track string) (*Plan, error) {
-	t0 := time.Now()
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	tr.Complete(track, "validate", -1, t0, time.Since(t0))
-	t0 = time.Now()
-	plan, err := compileValidated(req)
-	tr.Complete(track, "compile", -1, t0, time.Since(t0))
-	if err != nil {
-		return nil, err
-	}
-	plan.Artifact = asm.Artifact()
-	return plan, nil
 }
 
 // compileValidated compiles an already-validated request.
@@ -96,7 +75,7 @@ type Staged any
 
 // Backend executes the kernel side of the search for one engine. A backend
 // is opened once per executor slot and driven by that slot's goroutine only,
-// one chunk at a time (Attempt).
+// one chunk at a time.
 //
 // On the success path every staged chunk flows Stage → Find → Compare (per
 // query, only when Find reported candidates) → Drain. On error or
@@ -123,7 +102,7 @@ type Backend interface {
 
 // BatchComparer is an optional Backend capability: a backend that can run
 // every query's comparer over a staged chunk in a single fused pass.
-// When the backend implements it, Attempt calls CompareAll once per
+// When the backend implements it, an attempt calls CompareAll once per
 // chunk instead of looping Compare per query, letting the backend stage
 // each candidate window once and evaluate all compiled patterns against it
 // (the CPU SWAR path's multi-pattern batching). CompareAll must accumulate
@@ -131,4 +110,12 @@ type Backend interface {
 // hits are sorted afterwards, so entry order within the chunk is free.
 type BatchComparer interface {
 	CompareAll(ctx context.Context, st Staged) error
+}
+
+// Releaser is an optional Backend capability: backends that can release the
+// per-chunk resources of an abandoned staged handle implement it, so a failed
+// scan attempt returns device memory at once instead of holding every
+// orphaned handle until Close.
+type Releaser interface {
+	Release(st Staged)
 }

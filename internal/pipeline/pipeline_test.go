@@ -1,9 +1,9 @@
-// The single-backend contract, pinned through the one executor
-// (internal/sched) as a one-slot fleet over a fake backend: ordered emit,
-// abort paths, handle accounting, and the recovery rule as a single engine
-// sees it (retry, overflow relaunch, per-chunk failover, quarantine). The
-// fleet side — several slots, eviction — is pinned in internal/sched.
-package pipeline_test
+// The executor over one fake backend. This file holds the fake and what a
+// single engine sees: ordered emit, abort paths, handle accounting, and the
+// recovery rule on one slot (retry, overflow relaunch, per-chunk failover,
+// quarantine). executor_test.go pins the fleet: several slots, the pull
+// order and reorder window, eviction.
+package pipeline
 
 import (
 	"context"
@@ -11,16 +11,24 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"casoffinder/internal/fault"
 	"casoffinder/internal/genome"
-	. "casoffinder/internal/pipeline"
-	"casoffinder/internal/sched"
 )
 
+// testReq is an all-N request: every position is a site, and each chunk
+// holds 12 of them (16 bytes less the pattern's 4-base overlap).
+func testReq() *Request {
+	return &Request{
+		Pattern:    "NNNNN",
+		Queries:    []Query{{Guide: "NNNNN", MaxMismatches: 5}},
+		ChunkBytes: 16,
+	}
+}
+
+// testAsm builds one sequence per length.
 func testAsm(seqLens ...int) *genome.Assembly {
 	asm := &genome.Assembly{Name: "t"}
 	for i, n := range seqLens {
@@ -32,67 +40,90 @@ func testAsm(seqLens ...int) *genome.Assembly {
 	return asm
 }
 
-func testReq() *Request {
-	return &Request{
-		Pattern:    "NNNGG",
-		Queries:    []Query{{Guide: "ACGNN", MaxMismatches: 1}},
-		ChunkBytes: 32,
-	}
-}
+// chunked is one sequence that testReq cuts into exactly n chunks.
+func chunked(n int) *genome.Assembly { return testAsm(12*n + 4) }
 
 func chunkKey(ch *genome.Chunk) string { return fmt.Sprintf("%s:%d", ch.SeqName, ch.Start) }
 
-// fakeBackend fabricates one hit per chunk and accounts for every handle so
-// tests can assert that nothing staged is ever leaked: at any quiescent
-// point drained + released + liveAtClose must equal staged. It is safe to
-// share between slots: a handle one slot's Close swept while another slot
-// was still scanning it is counted once, at close. Any other handle is
-// counted on every Drain and Release, so a double settle breaks the equation.
+// golden is the clean stream of testReq over asm: the fake's one hit per
+// chunk, in plan order.
+func golden(t *testing.T, asm *genome.Assembly) []string {
+	t.Helper()
+	plan, err := Compile(testReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks, err := plan.Chunker.Plan(asm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, ch := range chunks {
+		want = append(want, chunkKey(ch))
+	}
+	return want
+}
+
+// fakeBackend fabricates one hit per chunk, at its start, so the stream
+// depends only on plan order. It accounts for every handle so tests can
+// assert that nothing staged is ever leaked: at any quiescent point drained
+// + released + liveAtClose must equal staged. It is safe to share between
+// slots: a handle one slot's Close swept while another slot was still
+// scanning it is counted once, at close. Any other handle is counted on
+// every Drain and Release, so a double settle breaks the equation.
 type fakeBackend struct {
+	// stage, when set, runs at the top of every Stage call with the call's
+	// 0-based number; an error fails the call.
+	stage func(call int) error
+	// find, when set, scripts Find: it gets the phase context, the chunk and
+	// the 0-based number of this backend's attempts at that chunk.
+	find func(ctx context.Context, ch *genome.Chunk, attempt int) error
+
 	mu          sync.Mutex
-	live        map[*genome.Chunk]struct{}
-	swept       map[*genome.Chunk]struct{} // counted in liveAtClose by another slot's Close
-	stageOrder  []string
+	live, swept map[*genome.Chunk]bool // swept: counted at another slot's Close
+	attempts    map[string]int
 	stageCalls  int
 	staged      int
+	finds       int
 	drained     int
 	released    int
 	closed      int
 	liveAtClose int
-	attempts    map[string]int
-
-	stageErrAt int // Stage call that fails; -1 = never
-	// failFind scripts Find: it receives the phase context, the chunk key
-	// and the 0-based attempt number for that chunk on this backend.
-	failFind func(ctx context.Context, key string, attempt int) error
-}
-
-func newFakeBackend() *fakeBackend {
-	return &fakeBackend{live: map[*genome.Chunk]struct{}{}, swept: map[*genome.Chunk]struct{}{}, attempts: map[string]int{}, stageErrAt: -1}
 }
 
 func (b *fakeBackend) Stage(ctx context.Context, ch *genome.Chunk) (Staged, error) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
+	call := b.stageCalls
 	b.stageCalls++
-	if b.stageCalls-1 == b.stageErrAt {
-		return nil, errors.New("stage boom")
+	b.mu.Unlock()
+	if b.stage != nil {
+		if err := b.stage(call); err != nil {
+			return nil, err
+		}
 	}
 	st := *ch // a handle per attempt, so a retried chunk is a fresh one
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.live == nil {
+		b.live, b.swept = map[*genome.Chunk]bool{}, map[*genome.Chunk]bool{}
+	}
 	b.staged++
-	b.live[&st] = struct{}{}
-	b.stageOrder = append(b.stageOrder, chunkKey(ch))
+	b.live[&st] = true
 	return &st, nil
 }
 
 func (b *fakeBackend) Find(ctx context.Context, st Staged) (int, error) {
-	key := chunkKey(st.(*genome.Chunk))
+	ch := st.(*genome.Chunk)
 	b.mu.Lock()
-	attempt := b.attempts[key]
-	b.attempts[key]++
+	if b.attempts == nil {
+		b.attempts = map[string]int{}
+	}
+	attempt := b.attempts[chunkKey(ch)]
+	b.attempts[chunkKey(ch)]++
+	b.finds++
 	b.mu.Unlock()
-	if b.failFind != nil {
-		if err := b.failFind(ctx, key, attempt); err != nil {
+	if b.find != nil {
+		if err := b.find(ctx, ch, attempt); err != nil {
 			return 0, err
 		}
 	}
@@ -103,32 +134,31 @@ func (b *fakeBackend) Compare(ctx context.Context, st Staged, qi int) error { re
 
 func (b *fakeBackend) Drain(ctx context.Context, st Staged, r *SiteRenderer) ([]Hit, error) {
 	ch := st.(*genome.Chunk)
-	b.mu.Lock()
-	if !b.settleSwept(ch) {
-		b.drained++
-	}
-	b.mu.Unlock()
+	b.settle(ch, &b.drained)
 	return []Hit{{SeqName: ch.SeqName, Pos: ch.Start, Dir: '+', Site: "AAA"}}, nil
 }
 
-// settleSwept takes a handle out of the live set and reports whether a
-// Close had already swept (and counted) it. b.mu is held.
-func (b *fakeBackend) settleSwept(ch *genome.Chunk) bool {
-	_, ok := b.swept[ch]
+// settle takes a handle out of the live set and counts it in n, unless a
+// Close already swept (and counted) it.
+func (b *fakeBackend) settle(ch *genome.Chunk, n *int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.swept[ch] {
+		*n++
+	}
 	delete(b.swept, ch)
 	delete(b.live, ch)
-	return ok
 }
 
 func (b *fakeBackend) Close() error {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	b.closed++
 	b.liveAtClose += len(b.live)
 	for ch := range b.live {
-		b.swept[ch] = struct{}{}
+		b.swept[ch] = true
 	}
 	clear(b.live)
-	b.mu.Unlock()
 	return nil
 }
 
@@ -137,6 +167,11 @@ func (b *fakeBackend) attemptsFor(key string) int {
 	defer b.mu.Unlock()
 	return b.attempts[key]
 }
+
+// releasingBackend adds the Releaser capability.
+type releasingBackend struct{ *fakeBackend }
+
+func (b releasingBackend) Release(st Staged) { b.settle(st.(*genome.Chunk), &b.released) }
 
 // checkAccounting asserts the backend was closed once per slot that opened
 // it and no staged handle escaped Drain, Release and Close.
@@ -153,51 +188,71 @@ func checkAccounting(t *testing.T, b *fakeBackend, slots int) {
 	}
 }
 
-// releasingBackend adds the Releaser capability.
-type releasingBackend struct{ *fakeBackend }
+// Find scripts.
 
-func (b releasingBackend) Release(st Staged) {
-	b.mu.Lock()
-	if !b.settleSwept(st.(*genome.Chunk)) {
-		b.released++
-	}
-	b.mu.Unlock()
+// hang is a wedged kernel: only the phase context can end it.
+func hang(ctx context.Context, _ *genome.Chunk, _ int) error {
+	<-ctx.Done()
+	return ctx.Err()
 }
 
-// executor builds a fleet of `slots` slots that all open be, with an
-// optional policy whose fallback (when non-nil) is fb.
-func executor(be Backend, slots int, res *Resilience, fb Backend) *sched.Executor {
-	x := &sched.Executor{Slots: make([]sched.Slot, slots), Policy: res}
-	for i := range x.Slots {
-		x.Slots[i].Open = func(*Plan) (Backend, error) { return be, nil }
+// delay is a slow device.
+func delay(d time.Duration) func(context.Context, *genome.Chunk, int) error {
+	return func(ctx context.Context, _ *genome.Chunk, _ int) error {
+		select {
+		case <-time.After(d):
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
-	if fb != nil {
-		res.Fallback = func(*Plan) (Backend, error) { return fb, nil }
-	}
-	return x
 }
 
-// stream runs the test request and returns the emitted hits as "seq:pos".
-func stream(ctx context.Context, x *sched.Executor, asm *genome.Assembly, req *Request) ([]string, error) {
+// fatal fails every Find with a fatal fault.
+func fatal(_ context.Context, ch *genome.Chunk, _ int) error {
+	return fault.Errorf(fault.SiteLaunch, fault.Fatal, "injected fatal at %d", ch.Start)
+}
+
+var (
+	errTransient = fault.Errorf(fault.SiteCLEnqueue, fault.Transient, "scripted transient")
+	errOverflow  = fault.Errorf(fault.SiteArena, fault.Overflow, "scripted arena exhaustion")
+)
+
+// opener is a slot's (or a policy's fallback) opener that returns be.
+func opener(be Backend) func(*Plan) (Backend, error) {
+	return func(*Plan) (Backend, error) { return be, nil }
+}
+
+// fleet is one slot per backend, named dev0, dev1, …; passing one backend
+// several times shares it between slots.
+func fleet(bes ...Backend) []Slot {
+	slots := make([]Slot, len(bes))
+	for i, be := range bes {
+		slots[i] = Slot{Name: fmt.Sprintf("dev%d", i), Open: opener(be)}
+	}
+	return slots
+}
+
+// stream runs testReq over asm on x and returns the emitted hits as
+// "seq:pos", the report — OnReport must fire exactly once — and the error.
+func stream(ctx context.Context, t *testing.T, x *Executor, asm *genome.Assembly) ([]string, *Report, error) {
+	t.Helper()
+	var rep *Report
+	x.OnReport = func(r *Report) {
+		if rep != nil {
+			t.Error("OnReport called twice")
+		}
+		rep = r
+	}
 	var got []string
-	err := x.Stream(ctx, asm, req, func(h Hit) error {
+	err := x.Stream(ctx, asm, testReq(), func(h Hit) error {
 		got = append(got, fmt.Sprintf("%s:%d", h.SeqName, h.Pos))
 		return nil
 	})
-	return got, err
-}
-
-// golden is the clean stream of testReq over asm.
-func golden(t *testing.T, asm *genome.Assembly) []string {
-	t.Helper()
-	want, err := stream(context.Background(), executor(newFakeBackend(), 1, nil, nil), asm, testReq())
-	if err != nil {
-		t.Fatal(err)
+	if rep == nil {
+		t.Fatal("OnReport never called")
 	}
-	if len(want) < 3 {
-		t.Fatalf("golden stream too small: %v", want)
-	}
-	return want
+	return got, rep, err
 }
 
 func sameStream(t *testing.T, got, want []string) {
@@ -208,35 +263,43 @@ func sameStream(t *testing.T, got, want []string) {
 }
 
 // TestStreamEmitsInChunkOrder: with several slots racing, hits must still
-// arrive grouped by chunk in plan order.
+// arrive grouped by chunk in plan order. Each even chunk's Find returns only
+// after the odd chunk behind it has finished, so chunks complete out of
+// order whatever the interleaving.
 func TestStreamEmitsInChunkOrder(t *testing.T) {
-	b := newFakeBackend()
-	// Skew per-chunk scan latency so completion order scrambles.
-	var calls atomic.Int64
-	b.failFind = func(context.Context, string, int) error {
-		time.Sleep(time.Duration(calls.Add(1)%5*300) * time.Microsecond)
-		return nil
-	}
 	asm := testAsm(500, 200)
-	got, err := stream(context.Background(), executor(b, 4, nil, nil), asm, testReq())
+	want := golden(t, asm)
+	done := make(map[string]chan struct{}, len(want))
+	for _, key := range want {
+		done[key] = make(chan struct{})
+	}
+	behind := make(map[string]chan struct{}) // even chunk → its odd successor's done
+	for i := 0; i+1 < len(want); i += 2 {
+		behind[want[i]] = done[want[i+1]]
+	}
+	b := &fakeBackend{find: func(_ context.Context, ch *genome.Chunk, _ int) error {
+		if wait, ok := behind[chunkKey(ch)]; ok {
+			<-wait
+		}
+		close(done[chunkKey(ch)])
+		return nil
+	}}
+	got, _, err := stream(context.Background(), t, &Executor{Slots: fleet(b, b, b, b)}, asm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameStream(t, got, golden(t, asm))
+	sameStream(t, got, want)
 	checkAccounting(t, b, 4)
 }
 
 // TestEmitErrorAborts: an emit error must stop the run, surface as the
-// stream error, and leave no staged handle unreleased.
+// stream error, and leave no staged handle unreleased. The reorder window
+// keeps the slot from staging more than two chunks past the failed emit.
 func TestEmitErrorAborts(t *testing.T) {
-	b := newFakeBackend()
-	b.failFind = func(context.Context, string, int) error {
-		time.Sleep(time.Millisecond)
-		return nil
-	}
+	b := &fakeBackend{}
 	asm := testAsm(2000)
 	sentinel := errors.New("emit failed")
-	err := executor(b, 1, nil, nil).Stream(context.Background(), asm, testReq(), func(Hit) error { return sentinel })
+	err := (&Executor{Slots: fleet(b)}).Stream(context.Background(), asm, testReq(), func(Hit) error { return sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want the emit error", err)
 	}
@@ -250,8 +313,8 @@ func TestEmitErrorAborts(t *testing.T) {
 // aborts the run under a policy too.
 func TestResilientEmitErrorAborts(t *testing.T) {
 	sentinel := errors.New("emit failed")
-	err := executor(newFakeBackend(), 1, &Resilience{}, nil).Stream(context.Background(), testAsm(500), testReq(),
-		func(Hit) error { return sentinel })
+	x := &Executor{Slots: fleet(&fakeBackend{}), Policy: &Resilience{}}
+	err := x.Stream(context.Background(), testAsm(500), testReq(), func(Hit) error { return sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want the emit error", err)
 	}
@@ -261,9 +324,13 @@ func TestResilientEmitErrorAborts(t *testing.T) {
 // fails the run, and the handles staged before it are drained or — when the
 // abort catches the other slot mid-scan — swept by Close.
 func TestStageErrorReleasesHandles(t *testing.T) {
-	b := newFakeBackend()
-	b.stageErrAt = 3
-	_, err := stream(context.Background(), executor(b, 2, nil, nil), testAsm(2000), testReq())
+	b := &fakeBackend{stage: func(call int) error {
+		if call == 3 {
+			return errors.New("stage boom")
+		}
+		return nil
+	}}
+	_, _, err := stream(context.Background(), t, &Executor{Slots: fleet(b, b)}, testAsm(2000))
 	if err == nil || !strings.Contains(err.Error(), "stage boom") {
 		t.Fatalf("err = %v, want the stage error", err)
 	}
@@ -273,14 +340,12 @@ func TestStageErrorReleasesHandles(t *testing.T) {
 // TestCancellation: cancelling the context mid-scan returns ctx.Err() and
 // releases everything.
 func TestCancellation(t *testing.T) {
-	b := newFakeBackend()
 	ctx, cancel := context.WithCancel(context.Background())
-	b.failFind = func(ctx context.Context, _ string, _ int) error {
+	b := &fakeBackend{find: func(ctx context.Context, ch *genome.Chunk, attempt int) error {
 		cancel()
-		<-ctx.Done()
-		return ctx.Err()
-	}
-	_, err := stream(ctx, executor(b, 1, nil, nil), testAsm(2000), testReq())
+		return hang(ctx, ch, attempt)
+	}}
+	_, _, err := stream(ctx, t, &Executor{Slots: fleet(b)}, testAsm(2000))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -294,15 +359,15 @@ func TestCancellation(t *testing.T) {
 // before any backend is opened.
 func TestCompileErrors(t *testing.T) {
 	opened := 0
-	x := &sched.Executor{Slots: []sched.Slot{{Open: func(*Plan) (Backend, error) {
+	x := &Executor{Slots: []Slot{{Open: func(*Plan) (Backend, error) {
 		opened++
-		return newFakeBackend(), nil
+		return &fakeBackend{}, nil
 	}}}}
 	for _, req := range []*Request{
 		{Pattern: "", Queries: []Query{{Guide: "NN"}}},
 		{Pattern: "NNNGG", Queries: []Query{{Guide: "ACGNN"}}, ChunkBytes: 3},
 	} {
-		if _, err := stream(context.Background(), x, testAsm(100), req); err == nil {
+		if err := x.Stream(context.Background(), testAsm(100), req, func(Hit) error { return nil }); err == nil {
 			t.Errorf("request %+v accepted", req)
 		} else if !strings.HasPrefix(err.Error(), "search: ") {
 			t.Errorf("error %q lacks the search: prefix", err)
@@ -314,7 +379,7 @@ func TestCompileErrors(t *testing.T) {
 }
 
 // batchBackend layers the BatchComparer capability over fakeBackend,
-// counting the fused calls and any per-query Compare call, which Attempt
+// counting the fused calls and any per-query Compare call, which an attempt
 // must never make once the capability is present.
 type batchBackend struct {
 	*fakeBackend
@@ -335,10 +400,10 @@ func (b *batchBackend) CompareAll(ctx context.Context, st Staged) error {
 // one fused compare per chunk, even with several queries, and the per-query
 // entry point is never used.
 func TestBatchComparerPreferred(t *testing.T) {
-	b := &batchBackend{fakeBackend: newFakeBackend()}
+	b := &batchBackend{fakeBackend: &fakeBackend{}}
 	req := testReq()
 	req.Queries = append(req.Queries, Query{Guide: "TTANN", MaxMismatches: 0})
-	if _, err := stream(context.Background(), executor(b, 1, nil, nil), testAsm(500), req); err != nil {
+	if err := (&Executor{Slots: fleet(b)}).Stream(context.Background(), testAsm(500), req, func(Hit) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if b.staged == 0 || b.batchCalls != b.staged || b.singleCalls != 0 {
@@ -348,7 +413,7 @@ func TestBatchComparerPreferred(t *testing.T) {
 	checkAccounting(t, b.fakeBackend, 1)
 }
 
-// recoveryCase scripts the primary's Find for chunk seq0:28 of a one-slot
+// recoveryCase scripts the primary's Find for chunk seq0:12 of a one-slot
 // fleet and pins the report and how often the primary saw the chunk. The
 // stream must be the golden one whatever happens: the fallback re-verifies
 // what the primary could not.
@@ -356,7 +421,7 @@ type recoveryCase struct {
 	res      Resilience
 	fail     func(ctx context.Context, attempt int) error
 	fallback bool
-	want     Report // Chunks and FallbackUsed are derived
+	want     Report // Chunks, FallbackUsed and Slots are derived
 	attempts int
 }
 
@@ -364,41 +429,33 @@ func (tc recoveryCase) run(t *testing.T) {
 	t.Helper()
 	asm := testAsm(500)
 	want := golden(t, asm)
-	b := releasingBackend{newFakeBackend()}
-	b.failFind = func(ctx context.Context, key string, attempt int) error {
-		if key == "seq0:28" {
+	b := releasingBackend{&fakeBackend{find: func(ctx context.Context, ch *genome.Chunk, attempt int) error {
+		if chunkKey(ch) == "seq0:12" {
 			return tc.fail(ctx, attempt)
 		}
 		return nil
-	}
-	var fb Backend
+	}}}
 	if tc.fallback {
-		fb = newFakeBackend()
+		tc.res.Fallback = opener(&fakeBackend{})
 	}
-	var rep *Report
-	tc.res.OnReport = func(r *Report) { rep = r }
-	got, err := stream(context.Background(), executor(b, 1, &tc.res, fb), asm, testReq())
+	got, rep, err := stream(context.Background(), t, &Executor{Slots: fleet(b), Policy: &tc.res}, asm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameStream(t, got, want)
 	tc.want.Chunks, tc.want.FallbackUsed = len(want), tc.fallback
+	tc.want.Slots = []SlotReport{{Name: "dev0", Chunks: len(want)}}
 	if fmt.Sprint(*rep) != fmt.Sprint(tc.want) {
 		t.Errorf("report = %+v, want %+v", *rep, tc.want)
 	}
 	if !rep.Degraded() {
 		t.Error("run not marked degraded")
 	}
-	if n := b.attemptsFor("seq0:28"); n != tc.attempts {
+	if n := b.attemptsFor("seq0:12"); n != tc.attempts {
 		t.Errorf("primary attempts = %d, want %d", n, tc.attempts)
 	}
 	checkAccounting(t, b.fakeBackend, 1)
 }
-
-var (
-	errTransient = fault.Errorf(fault.SiteCLEnqueue, fault.Transient, "scripted transient")
-	errOverflow  = fault.Errorf(fault.SiteArena, fault.Overflow, "scripted arena exhaustion")
-)
 
 // TestResilientRetryRecovers: a transient failure on a chunk's first attempt
 // is retried on the primary, without touching the fallback.
@@ -432,12 +489,12 @@ func TestOverflowRelaunches(t *testing.T) {
 	recoveryCase{
 		res: Resilience{MaxRetries: -1},
 		fail: func(_ context.Context, attempt int) error {
-			if attempt < DefaultMaxOverflowRelaunches {
+			if attempt < maxOverflowRelaunches {
 				return errOverflow
 			}
 			return nil
 		},
-		want: Report{OverflowRelaunches: DefaultMaxOverflowRelaunches}, attempts: DefaultMaxOverflowRelaunches + 1,
+		want: Report{OverflowRelaunches: maxOverflowRelaunches}, attempts: maxOverflowRelaunches + 1,
 	}.run(t)
 }
 
@@ -448,8 +505,8 @@ func TestOverflowBudgetExhausted(t *testing.T) {
 	recoveryCase{
 		res:  Resilience{MaxRetries: -1},
 		fail: func(context.Context, int) error { return errOverflow }, fallback: true,
-		want:     Report{OverflowRelaunches: DefaultMaxOverflowRelaunches, Failovers: 1},
-		attempts: DefaultMaxOverflowRelaunches + 1,
+		want:     Report{OverflowRelaunches: maxOverflowRelaunches, Failovers: 1},
+		attempts: maxOverflowRelaunches + 1,
 	}.run(t)
 }
 
@@ -474,8 +531,7 @@ func TestWatchdogReapsHang(t *testing.T) {
 		res: Resilience{Watchdog: 25 * time.Millisecond},
 		fail: func(ctx context.Context, attempt int) error {
 			if attempt == 0 {
-				<-ctx.Done() // wedged kernel: only the watchdog can reap it
-				return ctx.Err()
+				return hang(ctx, nil, attempt)
 			}
 			return nil
 		},
@@ -486,20 +542,24 @@ func TestWatchdogReapsHang(t *testing.T) {
 	}
 }
 
-// quarantineRun fails chunk seq0:28 fatally with no fallback configured.
+// quarantineRun fails chunk seq0:12 fatally with no fallback configured.
+// The policy's OnReport must see the executor's report.
 func quarantineRun(t *testing.T) (got, want []string, rep *Report, err error) {
 	t.Helper()
 	asm := testAsm(500)
 	want = golden(t, asm)
-	b := releasingBackend{newFakeBackend()}
-	b.failFind = func(_ context.Context, key string, _ int) error {
-		if key == "seq0:28" {
+	b := releasingBackend{&fakeBackend{find: func(_ context.Context, ch *genome.Chunk, _ int) error {
+		if chunkKey(ch) == "seq0:12" {
 			return fault.Errorf(fault.SiteCLDeviceLost, fault.Fatal, "scripted fatal")
 		}
 		return nil
+	}}}
+	var policyRep *Report
+	res := &Resilience{OnReport: func(r *Report) { policyRep = r }}
+	got, rep, err = stream(context.Background(), t, &Executor{Slots: fleet(b), Policy: res}, asm)
+	if policyRep != rep {
+		t.Error("the policy's OnReport and the executor's saw different reports")
 	}
-	res := &Resilience{OnReport: func(r *Report) { rep = r }}
-	got, err = stream(context.Background(), executor(b, 1, res, nil), asm, testReq())
 	checkAccounting(t, b.fakeBackend, 1)
 	return got, want, rep, err
 }
@@ -517,7 +577,7 @@ func TestResilientQuarantine(t *testing.T) {
 		t.Fatalf("report = %+v (OnReport saw %+v), want one quarantined chunk", pe.Report, rep)
 	}
 	q := pe.Report.Quarantined[0]
-	if q.Index != 1 || q.SeqName != "seq0" || q.Start != 28 || q.Attempts != 1 || fault.ClassOf(q.Err) != fault.Fatal {
+	if q.Index != 1 || q.SeqName != "seq0" || q.Start != 12 || q.Attempts != 1 || fault.ClassOf(q.Err) != fault.Fatal {
 		t.Errorf("quarantine record = %+v", q)
 	}
 }
@@ -528,7 +588,7 @@ func TestCollectKeepsPartialHits(t *testing.T) {
 	got, want, _, _ := quarantineRun(t)
 	var kept []string
 	for _, h := range want {
-		if h != "seq0:28" {
+		if h != "seq0:12" {
 			kept = append(kept, h)
 		}
 	}
@@ -543,14 +603,14 @@ func TestBackoffDeterministic(t *testing.T) {
 	same := true
 	for chunk := 0; chunk < 4; chunk++ {
 		for attempt := 1; attempt <= 6; attempt++ {
-			d := res.RetryBackoff(chunk, attempt)
-			if d != res.RetryBackoff(chunk, attempt) {
+			d := res.retryBackoff(chunk, attempt)
+			if d != res.retryBackoff(chunk, attempt) {
 				t.Fatalf("backoff(%d,%d) nondeterministic", chunk, attempt)
 			}
 			if d > res.BackoffMax || d < res.BackoffBase/2 {
 				t.Errorf("backoff(%d,%d) = %v outside [base/2, max]", chunk, attempt, d)
 			}
-			same = same && d == other.RetryBackoff(chunk, attempt)
+			same = same && d == other.retryBackoff(chunk, attempt)
 		}
 	}
 	if same {

@@ -45,13 +45,6 @@ func (r *SiteRenderer) Render(window []byte, guide *kernels.PatternPair, dir byt
 	return string(out)
 }
 
-// RenderSite is the one-shot convenience form of SiteRenderer.Render for
-// callers outside the hot path.
-func RenderSite(window []byte, guide *kernels.PatternPair, dir byte) string {
-	var r SiteRenderer
-	return r.Render(window, guide, dir)
-}
-
 // SortHits puts hits into the deterministic output order: by query, then
 // sequence name, position and strand. The keys are unique across a search
 // (chunk bodies partition the site starts), so the unstable sort still

@@ -1,24 +1,18 @@
-// The resilience policy and the one scan attempt it governs. A backend error
-// is a per-chunk event, not the end of the run: transient failures are
-// retried with capped exponential backoff, hung kernels are reaped by a
-// per-phase watchdog deadline, and chunks that keep failing — or fail
-// fatally, or return corrupted data — go to another backend. This file holds
-// what engines and the executor share — the Resilience policy, the Report and
-// PartialError a degraded run produces, and Attempt, one watchdog-guarded
-// Stage→Drain pass of one chunk on one backend. The recovery rule itself
-// (retry, overflow relaunch, eviction, failover, quarantine) is
-// internal/sched's.
+// The resilience policy and the report of a run. A backend error is a
+// per-chunk event, not the end of the run: transient failures are retried
+// with capped exponential backoff, hung kernels are reaped by a per-phase
+// watchdog deadline, and chunks that keep failing — or fail fatally, or
+// return corrupted data — go to another backend. The recovery rule itself
+// (retry, overflow relaunch, eviction, failover, quarantine) is the
+// executor's (executor.go).
+
 package pipeline
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"time"
 
 	"casoffinder/internal/fault"
-	"casoffinder/internal/genome"
-	"casoffinder/internal/obs"
 )
 
 // Default resilience parameters, used when the corresponding Resilience
@@ -31,15 +25,16 @@ const (
 	DefaultBackoffBase = 1 * time.Millisecond
 	// DefaultBackoffMax caps the exponential backoff growth.
 	DefaultBackoffMax = 50 * time.Millisecond
-	// DefaultMaxOverflowRelaunches is the per-chunk budget for relaunching
-	// after a fault.Overflow error escapes a backend. Backends grow their
-	// hit-buffer arena and relaunch internally, so an escaped overflow means
-	// the arena was exhausted at its worst-case layout — possible only under
-	// corrupted arena readback, which a fresh attempt usually clears. The
-	// budget is separate from the transient retry budget: an overflow
-	// relaunch must not starve the retries a genuinely flaky device needs.
-	DefaultMaxOverflowRelaunches = 2
 )
+
+// maxOverflowRelaunches is the per-chunk budget for relaunching after a
+// fault.Overflow error escapes a backend. Backends grow their hit-buffer
+// arena and relaunch internally, so an escaped overflow means the arena was
+// exhausted at its worst-case layout — possible only under corrupted arena
+// readback, which a fresh attempt usually clears. The budget is separate
+// from the transient retry budget: an overflow relaunch must not starve the
+// retries a genuinely flaky device needs.
+const maxOverflowRelaunches = 2
 
 // Resilience is the recovery policy of a run. Without one the first backend
 // error aborts the run.
@@ -66,14 +61,14 @@ type Resilience struct {
 	// live slot; the backend is closed with the run. A nil Fallback
 	// disables failover: such chunks are quarantined directly.
 	Fallback func(plan *Plan) (Backend, error)
-	// OnReport, when set, receives the run's resilience report exactly
-	// once, after the last chunk settles and before backends close.
+	// OnReport, when set, receives the run's report exactly once, after the
+	// last chunk settles and every backend has closed.
 	OnReport func(*Report)
 }
 
-// RetryBudget returns the effective per-chunk transient retry budget:
+// retryBudget returns the effective per-chunk transient retry budget:
 // MaxRetries with the documented zero/negative semantics resolved.
-func (r *Resilience) RetryBudget() int {
+func (r *Resilience) retryBudget() int {
 	if r.MaxRetries == 0 {
 		return DefaultMaxRetries
 	}
@@ -83,11 +78,11 @@ func (r *Resilience) RetryBudget() int {
 	return r.MaxRetries
 }
 
-// RetryBackoff returns the deterministic delay before retry attempt
+// retryBackoff returns the deterministic delay before retry attempt
 // (1-based) of the given chunk: capped exponential growth scaled by a
 // jitter in [0.5, 1.0) derived from (Seed, chunk, attempt), so two runs
 // with the same seed retry on the same schedule.
-func (r *Resilience) RetryBackoff(chunk, attempt int) time.Duration {
+func (r *Resilience) retryBackoff(chunk, attempt int) time.Duration {
 	d, max := r.BackoffBase, r.BackoffMax
 	if d <= 0 {
 		d = DefaultBackoffBase
@@ -105,9 +100,10 @@ func (r *Resilience) RetryBackoff(chunk, attempt int) time.Duration {
 	return time.Duration(float64(d) * j)
 }
 
-// Report summarises the resilience events of one run. It is attached to a
-// PartialError when chunks were quarantined and delivered through
-// Resilience.OnReport in every case.
+// Report summarises one run: its recovery events and the fleet's
+// accounting. It is attached to a PartialError when chunks were quarantined
+// and delivered through Executor.OnReport and Resilience.OnReport in every
+// case.
 type Report struct {
 	// Chunks is the number of chunks that settled (emitted or quarantined).
 	Chunks int
@@ -126,12 +122,17 @@ type Report struct {
 	// Quarantined lists the chunks that failed on every arm, in chunk
 	// order. Their hits are missing from the emitted stream.
 	Quarantined []ChunkFailure
+	// Evictions counts slots evicted from the fleet.
+	Evictions int64
+	// Slots holds one row per slot that ran, in slot order. Which slot
+	// settled which chunk is scheduling, so the rows' Chunks are too.
+	Slots []SlotReport
 }
 
 // Degraded reports whether the run deviated from the clean path at all.
 func (r *Report) Degraded() bool {
 	return r.Retries > 0 || r.OverflowRelaunches > 0 || r.Failovers > 0 ||
-		r.WatchdogKills > 0 || len(r.Quarantined) > 0
+		r.WatchdogKills > 0 || len(r.Quarantined) > 0 || r.Evictions > 0
 }
 
 // ChunkFailure records one quarantined chunk: which part of the assembly is
@@ -167,136 +168,4 @@ type PartialError struct {
 func (e *PartialError) Error() string {
 	n := len(e.Report.Quarantined)
 	return fmt.Sprintf("pipeline: partial results: %d of %d chunks quarantined", n, e.Report.Chunks)
-}
-
-// Releaser is an optional Backend capability: backends that can release the
-// per-chunk resources of an abandoned staged handle implement it, so Attempt
-// returns device memory as soon as a scan attempt is abandoned instead of
-// holding every orphaned handle until Close.
-type Releaser interface {
-	Release(st Staged)
-}
-
-// AttemptObs carries the observability sinks the phase spans and latency
-// histograms of one Attempt land on. The zero value disables observation
-// (the obs types are nil-safe).
-type AttemptObs struct {
-	Trace   *obs.Tracer
-	Metrics *obs.Metrics
-	// Track names the trace track the phase spans are recorded on.
-	Track string
-}
-
-// Attempt runs one full scan attempt — Stage through Drain — of one chunk
-// on one backend; the executor (internal/sched) builds every chunk's
-// recovery out of Attempts. The attempt is a "scan" span and a scan-latency
-// sample on the track, its phases are spans inside it. Each phase is
-// bounded by the watchdog deadline (zero disables it): a phase that exceeds
-// it — a hung simulated kernel — is cancelled through its context and comes
-// back as a transient SiteWatchdog fault (IsWatchdogKill), with a
-// "watchdog-kill" instant on the track; counting kills and classifying the
-// error for retry is the caller's job. The staged handle is released (when
-// the backend implements Releaser) if any later phase fails, so a retried
-// chunk always re-stages fresh. Cancellation of the parent context passes
-// through untouched.
-func Attempt(ctx context.Context, be Backend, plan *Plan, index int, ch *genome.Chunk, r *SiteRenderer, watchdog time.Duration, o AttemptObs) (hits []Hit, err error) {
-	observed := o.Trace != nil || o.Metrics != nil
-	if observed {
-		t0 := time.Now()
-		defer func() {
-			dur := time.Since(t0)
-			o.Trace.Complete(o.Track, "scan", index, t0, dur)
-			o.Metrics.Observe(obs.MetricScanSeconds, dur.Seconds())
-		}()
-	}
-	guard := func(ctx context.Context, name string, phase func(context.Context) error) error {
-		pctx := ctx
-		if watchdog > 0 {
-			var cancel context.CancelFunc
-			pctx, cancel = context.WithTimeout(ctx, watchdog)
-			defer cancel()
-		}
-		var err error
-		if observed {
-			t0 := time.Now()
-			err = phase(pctx)
-			dur := time.Since(t0)
-			o.Trace.Complete(o.Track, name, index, t0, dur)
-			if name == "stage" {
-				o.Metrics.Observe(obs.MetricStageSeconds, dur.Seconds())
-			}
-		} else {
-			err = phase(pctx)
-		}
-		if err != nil && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-			o.Trace.Instant(o.Track, "watchdog-kill", index,
-				obs.Attr{Key: "phase", Value: name})
-			return fault.New(fault.SiteWatchdog, fault.Transient,
-				fmt.Errorf("pipeline: watchdog deadline (%v) reaped phase: %w", watchdog, err))
-		}
-		return err
-	}
-
-	var st Staged
-	err = guard(ctx, "stage", func(pctx context.Context) error {
-		var serr error
-		st, serr = be.Stage(pctx, ch)
-		return serr
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		if err != nil {
-			if rel, ok := be.(Releaser); ok {
-				rel.Release(st)
-			}
-		}
-	}()
-
-	var n int
-	err = guard(ctx, "find", func(pctx context.Context) error {
-		var ferr error
-		n, ferr = be.Find(pctx, st)
-		return ferr
-	})
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		if bc, ok := be.(BatchComparer); ok {
-			err = guard(ctx, "compare", func(pctx context.Context) error {
-				return bc.CompareAll(pctx, st)
-			})
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			for qi := range plan.Guides {
-				err = guard(ctx, "compare", func(pctx context.Context) error {
-					return be.Compare(pctx, st, qi)
-				})
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	err = guard(ctx, "drain", func(pctx context.Context) error {
-		var derr error
-		hits, derr = be.Drain(pctx, st, r)
-		return derr
-	})
-	if err != nil {
-		return nil, err
-	}
-	SortHits(hits)
-	return hits, nil
-}
-
-// IsWatchdogKill reports whether err is a watchdog-synthesised kill from
-// Attempt (a reaped phase rather than a backend failure).
-func IsWatchdogKill(err error) bool {
-	var fe *fault.Error
-	return errors.As(err, &fe) && fe.Site == fault.SiteWatchdog
 }

@@ -10,7 +10,6 @@ import (
 	"casoffinder/internal/kernels"
 	"casoffinder/internal/obs"
 	"casoffinder/internal/pipeline"
-	"casoffinder/internal/sched"
 )
 
 // CPU is the production engine: a goroutine-parallel scan over genome
@@ -53,8 +52,8 @@ func (c *CPU) Stream(ctx context.Context, asm *genome.Assembly, req *Request, em
 	if art := asm.Artifact(); art != nil {
 		art.Prefault(art.HasPAMIndex(req.Pattern))
 	}
-	x := &sched.Executor{
-		Slots:   make([]sched.Slot, c.workers()),
+	x := &pipeline.Executor{
+		Slots:   make([]pipeline.Slot, c.workers()),
 		Trace:   c.Trace,
 		Metrics: c.Metrics,
 		Track:   c.Track,
@@ -167,7 +166,7 @@ func (b *cpuBackend) Find(ctx context.Context, st pipeline.Staged) (int, error) 
 }
 
 // Compare implements pipeline.Backend: one guide over the surviving
-// candidates (the comparer kernel's role). Attempt calls CompareAll
+// candidates (the comparer kernel's role). An attempt calls CompareAll
 // instead.
 func (b *cpuBackend) Compare(ctx context.Context, st pipeline.Staged, qi int) error {
 	b.compareGuides(st.(*cpuStaged), qi, qi+1)

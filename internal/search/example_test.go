@@ -1,8 +1,12 @@
 package search_test
 
 import (
+	"bytes"
 	"fmt"
 	"log"
+	"slices"
+	"sort"
+	"strings"
 
 	"casoffinder/internal/genome"
 	"casoffinder/internal/gpu"
@@ -56,4 +60,108 @@ func ExampleSimSYCL_Run() {
 		len(hits), p.CandidateSites, p.Chunks)
 	// Output:
 	// 2 hits from 4 candidate sites in 1 chunk(s)
+}
+
+// ExampleCPU_Run_guideScreen is the workload that motivates Cas-OFFinder:
+// rank candidate guides for a target locus by their genome-wide off-target
+// burden, so the least promiscuous one can be chosen.
+func ExampleCPU_Run_guideScreen() {
+	asm, err := genome.Generate(genome.HG38Like(512 << 10))
+	if err != nil {
+		log.Fatal(err)
+	}
+	// Candidate guides: NGG-adjacent 20-mers spread over the first bases of
+	// chr2 (a pretend target locus).
+	guides := candidateGuides(genome.Upper(asm.Sequence("chr2").Data[:20_000]), 5)
+	const maxMM = 7
+	req := &search.Request{Pattern: strings.Repeat("N", 20) + "NGG"}
+	for _, g := range guides {
+		req.Queries = append(req.Queries, search.Query{Guide: g + "NNN", MaxMismatches: maxMM})
+	}
+	hits, err := (&search.CPU{}).Run(asm, req)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// Off-target burden: every site but the on-target one, each weighing
+	// four times more per mismatch fewer.
+	type score struct {
+		guide  string
+		byMM   [maxMM + 1]int
+		burden int
+	}
+	scores := make([]score, len(guides))
+	for i, g := range guides {
+		scores[i] = score{guide: g, burden: -1 << (2 * maxMM)}
+	}
+	for _, h := range hits {
+		s := &scores[h.QueryIndex]
+		s.byMM[h.Mismatches]++
+		s.burden += 1 << (2 * (maxMM - h.Mismatches))
+	}
+	sort.SliceStable(scores, func(i, j int) bool { return scores[i].burden < scores[j].burden })
+	fmt.Printf("%d candidate guides against %d bases\n", len(guides), asm.TotalLen())
+	for _, s := range scores {
+		fmt.Printf("%s  sites by mismatches %v  burden %d\n", s.guide, s.byMM, s.burden)
+	}
+	fmt.Println("recommended:", scores[0].guide)
+	// Output:
+	// 5 candidate guides against 524288 bases
+	// ACTCTTATGATATCCTAGCA  sites by mismatches [1 0 0 0 0 0 0 9]  burden 9
+	// AACGAAATATATGCGACGAC  sites by mismatches [1 0 0 0 0 0 1 6]  burden 10
+	// ACTTGACTAACGATTTCCCA  sites by mismatches [1 0 0 0 0 0 2 6]  burden 14
+	// AAAACTTTCAAAGCGTTTAC  sites by mismatches [1 0 0 0 0 0 1 13]  burden 17
+	// CAATATAGATTCTTCCACGA  sites by mismatches [1 0 0 0 0 0 2 12]  burden 20
+	// recommended: ACTCTTATGATATCCTAGCA
+}
+
+// candidateGuides collects up to max distinct NGG-adjacent 20-mers of
+// concrete bases, at least 200 bases apart.
+func candidateGuides(locus []byte, max int) []string {
+	var out []string
+	for i := 0; i+23 <= len(locus) && len(out) < max; i++ {
+		w := locus[i : i+23]
+		if w[21] != 'G' || w[22] != 'G' || bytes.ContainsFunc(w, func(r rune) bool { return !genome.IsConcrete(byte(r)) }) {
+			continue
+		}
+		if g := string(w[:20]); !slices.Contains(out, g) {
+			out = append(out, g)
+			i += 200
+		}
+	}
+	return out
+}
+
+// ExampleMultiSYCL_Run spreads the SYCL application over the paper's three
+// devices — its stated single-device limitation (§IV.A) turned future work —
+// and checks the hits against one MI100. Which device ran which chunk is the
+// pull queue's choice, so only schedule-independent facts are printed.
+func ExampleMultiSYCL_Run() {
+	asm, err := genome.Generate(genome.HG38Like(256 << 10))
+	if err != nil {
+		log.Fatal(err)
+	}
+	req := &search.Request{
+		Pattern: "NNNNNNNNNNNNNNNNNNNNNRG",
+		Queries: []search.Query{{Guide: "GGCCGACCTGTCGCTGACGCNNN", MaxMismatches: 8}},
+	}
+	single := &search.SimSYCL{Device: gpu.New(device.MI100()), Variant: kernels.Opt3}
+	want, err := single.Run(asm, req)
+	if err != nil {
+		log.Fatal(err)
+	}
+	multi := &search.MultiSYCL{
+		Devices: []*gpu.Device{gpu.New(device.RadeonVII()), gpu.New(device.MI60()), gpu.New(device.MI100())},
+		Variant: kernels.Opt3,
+	}
+	got, err := multi.Run(asm, req)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("one MI100: %d hits from %d chunks\n", len(want), single.LastProfile().Chunks)
+	fmt.Printf("three devices: %d hits from %d chunks\n", len(got), multi.LastProfile().Chunks)
+	fmt.Println("identical:", slices.Equal(got, want))
+	// Output:
+	// one MI100: 13 hits from 24 chunks
+	// three devices: 13 hits from 24 chunks
+	// identical: true
 }

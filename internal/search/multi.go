@@ -15,7 +15,7 @@ import (
 // MultiSYCL extends the SYCL application to several devices — the paper's
 // stated limitation ("The SYCL application currently executes on a single
 // GPU device", §IV.A) turned future work. The fleet is the executor
-// (internal/sched) with one slot per device: every device pulls the next
+// (pipeline.Executor) with one slot per device: every device pulls the next
 // chunk of the plan when it is free, so a heterogeneous fleet stays busy end
 // to end instead of waiting on its slowest member.
 //

@@ -7,7 +7,7 @@ import (
 	"casoffinder/internal/fault"
 	"casoffinder/internal/gpu"
 	"casoffinder/internal/obs"
-	"casoffinder/internal/sched"
+	"casoffinder/internal/pipeline"
 	"casoffinder/internal/tune"
 )
 
@@ -74,8 +74,10 @@ type Profile struct {
 
 	// Evictions counts devices evicted from the fleet.
 	Evictions int64
-	// DeviceChunks breaks chunk settles down by device slot name; nil
-	// outside fleet runs.
+	// DeviceChunks breaks chunk settles down by device slot name, from the
+	// report's Slots; nil outside fleet runs. It depends on the schedule by
+	// definition — a pull queue hands each chunk to whichever device is free
+	// first — and is the one field meant to (DESIGN.md §7).
 	DeviceChunks map[string]int
 
 	// Autotuner records, filled when the engine resolved its kernel
@@ -184,7 +186,7 @@ func (p *Profile) addOverflowRetry() {
 // addReport folds the executor's report — a run has one — into the profile:
 // the recovery counters and evictions, whether the run counts as degraded,
 // and — for a fleet — the per-device chunk counts.
-func (p *Profile) addReport(rep *sched.Report, fleet bool) {
+func (p *Profile) addReport(rep *pipeline.Report, fleet bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.Retries += rep.Retries
@@ -193,7 +195,7 @@ func (p *Profile) addReport(rep *sched.Report, fleet bool) {
 	p.WatchdogKills += rep.WatchdogKills
 	p.QuarantinedChunks += len(rep.Quarantined)
 	p.Evictions += rep.Evictions
-	p.degraded = rep.Degraded() || rep.Evictions > 0
+	p.degraded = rep.Degraded()
 	if fleet {
 		p.DeviceChunks = make(map[string]int, len(rep.Slots))
 		for _, d := range rep.Slots {
@@ -287,8 +289,8 @@ func (p *Profile) publish(m *obs.Metrics) {
 }
 
 // Degraded reports whether the run deviated from the clean path: any
-// recovery event in the executor's report (pipeline.Report.Degraded) or an
-// evicted device.
+// recovery event in the executor's report, an evicted device included
+// (pipeline.Report.Degraded).
 func (p *Profile) Degraded() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -17,7 +17,6 @@ import (
 	"casoffinder/internal/kernels"
 	"casoffinder/internal/obs"
 	"casoffinder/internal/pipeline"
-	"casoffinder/internal/sched"
 )
 
 // faultLogSorted reports whether the log is in the documented (site, seq)
@@ -142,13 +141,13 @@ func TestProfileMergeFaultLogSorted(t *testing.T) {
 func TestProfileDegraded(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		rep  sched.Report
+		rep  pipeline.Report
 		want bool
 	}{
-		{"clean", sched.Report{}, false},
-		{"relaunch only", sched.Report{Report: pipeline.Report{OverflowRelaunches: 1}}, true},
-		{"retry", sched.Report{Report: pipeline.Report{Retries: 1}}, true},
-		{"eviction only", sched.Report{Evictions: 1}, true},
+		{"clean", pipeline.Report{}, false},
+		{"relaunch only", pipeline.Report{OverflowRelaunches: 1}, true},
+		{"retry", pipeline.Report{Retries: 1}, true},
+		{"eviction only", pipeline.Report{Evictions: 1}, true},
 	} {
 		p := newProfile()
 		p.addReport(&tc.rep, false)
@@ -488,8 +487,9 @@ func TestLastProfileNeverStale(t *testing.T) {
 					if !errors.Is(err, context.Canceled) {
 						t.Errorf("%s: err = %v, want context.Canceled", run.name, err)
 					}
-					if p.Chunks == 0 || p.Chunks >= shown[0].Chunks {
-						t.Errorf("%s: %d chunks staged, want a partial run of the good run's %d", run.name, p.Chunks, shown[0].Chunks)
+					if p == shown[0] || p.Chunks == 0 {
+						t.Errorf("%s: LastProfile() = %p with %d chunks staged, want this run's own (the good run's was %p)",
+							run.name, p, p.Chunks, shown[0])
 					}
 				default:
 					if err != nil {

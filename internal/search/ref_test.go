@@ -7,7 +7,6 @@ import (
 	"casoffinder/internal/genome"
 	"casoffinder/internal/kernels"
 	"casoffinder/internal/pipeline"
-	"casoffinder/internal/sched"
 )
 
 // The scan paths the SWAR+batch engine replaced, kept as the references the
@@ -40,7 +39,7 @@ func (c *refCPU) Run(asm *genome.Assembly, req *Request) ([]Hit, error) {
 }
 
 func (c *refCPU) Stream(ctx context.Context, asm *genome.Assembly, req *Request, emit func(Hit) error) error {
-	x := &sched.Executor{Slots: make([]sched.Slot, (&CPU{Workers: c.Workers}).workers()), Track: c.Name()}
+	x := &pipeline.Executor{Slots: make([]pipeline.Slot, (&CPU{Workers: c.Workers}).workers()), Track: c.Name()}
 	for i := range x.Slots {
 		x.Slots[i].Open = func(plan *pipeline.Plan) (pipeline.Backend, error) {
 			if c.Arm == refNoBatch {
@@ -140,7 +139,8 @@ func countMismatches(window []byte, g *kernels.PatternPair, offset, limit int) (
 // renderSite is the one-shot site renderer; the streaming hot path uses the
 // per-worker pipeline.SiteRenderer instead.
 func renderSite(window []byte, guide *kernels.PatternPair, dir byte) string {
-	return pipeline.RenderSite(window, guide, dir)
+	var r pipeline.SiteRenderer
+	return r.Render(window, guide, dir)
 }
 
 // findCandidates is the byte-path PAM prefilter over the chunk body. The

@@ -9,7 +9,6 @@ import (
 	"casoffinder/internal/kernels"
 	"casoffinder/internal/obs"
 	"casoffinder/internal/pipeline"
-	"casoffinder/internal/sched"
 	"casoffinder/internal/tune"
 )
 
@@ -32,7 +31,7 @@ type simConfig struct {
 	// size instead of overriding its choice. Output is byte-identical to
 	// any fixed-variant run.
 	Auto bool
-	// Resilience, when set, is the run's recovery policy (internal/sched):
+	// Resilience, when set, is the run's recovery policy (pipeline.Executor):
 	// transient errors (including SYCL asynchronous exceptions) retry with
 	// backoff, hung kernels are reaped by the watchdog, and chunks the
 	// device cannot complete fail over to the CPU SWAR engine (unless a
@@ -133,7 +132,7 @@ func streamCores(ctx context.Context, track string, fleet bool, cores []*simCore
 			c.tuned = d
 		}
 	}
-	slots := make([]sched.Slot, len(cores))
+	slots := make([]pipeline.Slot, len(cores))
 	marks := make([]int, len(cores))
 	for i, c := range cores {
 		slots[i].Open = func(plan *pipeline.Plan) (pipeline.Backend, error) {
@@ -148,13 +147,13 @@ func streamCores(ctx context.Context, track string, fleet bool, cores []*simCore
 		// runs' faults.
 		marks[i] = c.Device.Faults().Mark()
 	}
-	x := &sched.Executor{
+	x := &pipeline.Executor{
 		Slots:    slots,
 		Policy:   policyFor(run.Resilience),
 		Trace:    run.Trace,
 		Metrics:  run.Metrics,
 		Track:    track,
-		OnReport: func(rep *sched.Report) { run.profile.addReport(rep, fleet) },
+		OnReport: func(rep *pipeline.Report) { run.profile.addReport(rep, fleet) },
 	}
 	err := x.Stream(ctx, asm, req, emit)
 	for i, c := range cores {
