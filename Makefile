@@ -41,8 +41,8 @@ race:
 # (internal/pipeline: the one-slot contract, the fleet and its reorder
 # window) twenty times each under the race detector at
 # one, two and eight Ps — every reported counter must be a function of the
-# input, whatever the interleaving — with Table VIII rendered against its
-# golden CSV and the daemon's response flush tests (a timer, the pass
+# input, whatever the interleaving — with Tables VIII and IX and Fig. 2
+# rendered against their golden CSVs and the daemon's response flush tests (a timer, the pass
 # goroutine and the handler share one ResponseWriter; the client disconnects
 # or stalls mid-stream) at the same count; plus, once per P count, the
 # simulator engines' profile-equality run (an arena-overflowing workload

@@ -16,7 +16,7 @@ import (
 )
 
 func main() {
-	table := flag.String("table", "all", "artifact to regenerate: 1, migration (tables 2-6), 7, 8, 9, 10, fig2, profile, wgsweep, chunksweep, listing or all")
+	table := flag.String("table", "all", "artifact to regenerate: 1, migration (tables 2-6), 7, 8, 9, 10, fig2, profile, wgsweep, chunksweep, listing, debug (model terms of every Table VIII cell) or all")
 	scale := flag.Int("scale", bench.DefaultScaleBases, "generated assembly bases per dataset")
 	dev := flag.String("device", "MI100", "device for Table X")
 	csvOut := flag.Bool("csv", false, "emit tables 8, 9 and fig2 as CSV instead of text")
@@ -141,14 +141,18 @@ func runCSV(w io.Writer, table string, scale int) error {
 // cell, used when recalibrating the timing constants.
 func debugBreakdown(w io.Writer, scale int) error {
 	for _, wl := range bench.Workloads(scale) {
+		cs, err := bench.RunDataset(wl, bench.Arm{API: bench.OpenCL, Variant: kernels.Base}, bench.Arm{API: bench.SYCL, Variant: kernels.Base})
+		if err != nil {
+			return err
+		}
 		for _, spec := range device.All() {
-			for _, api := range []bench.API{bench.OpenCL, bench.SYCL} {
-				m, err := bench.Measure(spec, api, 0, wl)
+			for _, c := range cs {
+				m, err := bench.Project(c, spec)
 				if err != nil {
 					return err
 				}
 				fmt.Fprintf(w, "%-5s %-6s %-6s elapsed=%6.1f finder=%6.2f comparer=%6.2f host=%6.2f  cmp[C=%.2f B=%.2f L=%.2f Ld=%.2f G=%.2f] fnd[C=%.2f B=%.2f L=%.2f Ld=%.2f G=%.2f]\n",
-					wl.Name, spec.Name, api, m.ElapsedSeconds(), m.FinderSeconds, m.ComparerSeconds, m.HostSeconds,
+					wl.Name, spec.Name, c.API, m.ElapsedSeconds(), m.FinderSeconds, m.ComparerSeconds, m.HostSeconds,
 					m.ComparerBreakdown.Compute, m.ComparerBreakdown.Bandwidth, m.ComparerBreakdown.Latency,
 					m.ComparerBreakdown.Leader, m.ComparerBreakdown.Group,
 					m.FinderBreakdown.Compute, m.FinderBreakdown.Bandwidth, m.FinderBreakdown.Latency,

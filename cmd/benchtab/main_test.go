@@ -28,23 +28,29 @@ func TestRunStaticTables(t *testing.T) {
 	}
 }
 
-// TestRunCSV pins Table VIII byte for byte at tinyScale: the modelled times
-// are a function of the input, whatever GOMAXPROCS or the interleaving
-// (make stress repeats this under -race at -cpu 1,2,8).
+// TestRunCSV pins Tables VIII and IX and Fig. 2 byte for byte at tinyScale:
+// the modelled times are a function of the input, whatever GOMAXPROCS or the
+// interleaving (make stress repeats this under -race at -cpu 1,2,8).
 func TestRunCSV(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measured tables are slow")
 	}
-	want, err := os.ReadFile("testdata/table8_tiny.csv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := runCSV(&b, "8", tinyScale); err != nil {
-		t.Fatal(err)
-	}
-	if b.String() != string(want) {
-		t.Errorf("-csv -table 8 at scale %d:\n%s\nwant testdata/table8_tiny.csv:\n%s", tinyScale, b.String(), want)
+	for table, golden := range map[string]string{
+		"8":    "testdata/table8_tiny.csv",
+		"9":    "testdata/table9_tiny.csv",
+		"fig2": "testdata/fig2_tiny.csv",
+	} {
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := runCSV(&b, table, tinyScale); err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != string(want) {
+			t.Errorf("-csv -table %s at scale %d:\n%s\nwant %s:\n%s", table, tinyScale, b.String(), golden, want)
+		}
 	}
 	if err := runCSV(io.Discard, "7", tinyScale); err == nil {
 		t.Error("csv for unsupported table accepted")

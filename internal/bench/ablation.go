@@ -5,11 +5,8 @@ import (
 	"strings"
 
 	"casoffinder/internal/genome"
-	"casoffinder/internal/gpu"
 	"casoffinder/internal/gpu/device"
-	"casoffinder/internal/isa"
 	"casoffinder/internal/kernels"
-	"casoffinder/internal/search"
 	"casoffinder/internal/timing"
 )
 
@@ -29,33 +26,24 @@ type WGSweepPoint struct {
 }
 
 // WGSweep measures the baseline comparer under explicit work-group sizes on
-// the SYCL engine, hg19 workload.
+// the SYCL engine, hg19 workload: one run per size, priced on every device.
 func WGSweep(scaleBases int, sizes []int) ([]WGSweepPoint, error) {
-	wl := HG19Workload(scaleBases)
-	asm, err := genome.Generate(wl.Profile)
+	arms := make([]Arm, len(sizes))
+	for i, wg := range sizes {
+		arms[i] = Arm{API: SYCL, Variant: kernels.Base, WorkGroupSize: wg}
+	}
+	cs, err := RunDataset(HG19Workload(scaleBases), arms...)
 	if err != nil {
 		return nil, err
 	}
-	plen := len(wl.Request.Pattern)
 	var points []WGSweepPoint
 	for _, spec := range device.All() {
-		cm := isa.ComparerMetrics(kernels.Base, spec, plen)
-		for _, wg := range sizes {
-			eng := &search.SimSYCL{Device: gpu.New(spec), Variant: kernels.Base, WorkGroupSize: wg}
-			if _, err := eng.Run(asm, wl.Request); err != nil {
-				return nil, fmt.Errorf("bench: wg sweep %d on %s: %w", wg, spec.Name, err)
-			}
-			p := eng.LastProfile()
-			scale := float64(wl.Profile.FullScaleBases) / float64(wl.Profile.TotalBases)
-			var sec float64
-			for name, stats := range p.Kernels {
-				if name == "finder" {
-					continue
-				}
-				scaled := timing.ScaleStats(stats, scale)
-				sec += timing.KernelSeconds(timing.ComparerConfig(spec, cm.Occupancy, cm.VGPRs, wg, plen, true), &scaled)
-			}
-			points = append(points, WGSweepPoint{Device: spec.Name, WorkGroupSize: wg, Seconds: sec})
+		ms, err := projectEach(cs, spec)
+		if err != nil {
+			return nil, err
+		}
+		for i, m := range ms {
+			points = append(points, WGSweepPoint{Device: spec.Name, WorkGroupSize: sizes[i], Seconds: m.ComparerSeconds})
 		}
 	}
 	return points, nil

@@ -1,9 +1,12 @@
 package bench
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
+	"casoffinder/internal/genome"
 	"casoffinder/internal/gpu/device"
 	"casoffinder/internal/kernels"
 )
@@ -55,6 +58,84 @@ func TestMeasureBasics(t *testing.T) {
 func TestMeasureUnknownAPI(t *testing.T) {
 	if _, err := Measure(device.MI60(), API("CUDA"), kernels.Base, HG19Workload(testScale)); err == nil {
 		t.Error("unknown API accepted")
+	}
+}
+
+// TestRunDeviceIndependent proves the fact run-once-project-many rests on:
+// a functional run's hits and whole Profile are the same on every Table VII
+// device, for both datasets, both APIs, every variant and the work-group
+// sweep's forced sizes. A device that chose a different local size, chunking
+// or arena would fail here before it could skew a projected table.
+func TestRunDeviceIndependent(t *testing.T) {
+	var arms []Arm
+	for _, api := range []API{OpenCL, SYCL} {
+		for _, v := range kernels.Variants() {
+			arms = append(arms, Arm{API: api, Variant: v})
+		}
+	}
+	arms = append(arms, Arm{API: SYCL, Variant: kernels.Base, WorkGroupSize: 64}, Arm{API: SYCL, Variant: kernels.Base, WorkGroupSize: 512})
+	for _, wl := range Workloads(testScale) {
+		asm, err := genome.Generate(wl.Profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, arm := range arms {
+			var want *Counters
+			for _, spec := range device.All() {
+				c, err := Run(asm, arm, wl, []device.Spec{spec})
+				if err != nil {
+					t.Fatalf("%s %+v on %s: %v", wl.Name, arm, spec.Name, err)
+				}
+				if want == nil {
+					want = c
+					continue
+				}
+				if c.Hits != want.Hits {
+					t.Errorf("%s %+v: %s found %d hits, %s %d", wl.Name, arm, spec.Name, c.Hits, device.All()[0].Name, want.Hits)
+				}
+				if !reflect.DeepEqual(c.Profile, want.Profile) {
+					t.Errorf("%s %+v: profile on %s differs from %s:\n got %+v\nwant %+v",
+						wl.Name, arm, spec.Name, device.All()[0].Name, c.Profile, want.Profile)
+				}
+			}
+			// A forced size is the size the comparer ran at, which is what
+			// Project prices the sweep with.
+			if arm.WorkGroupSize == 0 {
+				continue
+			}
+			for name, wg := range want.Profile.WorkGroupSizes {
+				if name != "finder" && wg != arm.WorkGroupSize {
+					t.Errorf("%s %+v: %s ran at work-group size %d", wl.Name, arm, name, wg)
+				}
+			}
+		}
+	}
+}
+
+// TestProjectRefusesTighterDevice: counters checked under the Table VII
+// limits price on every Table VII device, but a device that would have
+// refused the SYCL program's 256-item groups is a *LimitError, not a number.
+func TestProjectRefusesTighterDevice(t *testing.T) {
+	wl := HG19Workload(testScale)
+	cs, err := RunDataset(wl, Arm{API: SYCL, Variant: kernels.Base})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range device.All() {
+		if _, err := Project(cs[0], spec); err != nil {
+			t.Errorf("Project on %s: %v", spec.Name, err)
+		}
+	}
+	narrow := device.MI100()
+	narrow.MaxWorkGroupSize = 128
+	_, err = Project(cs[0], narrow)
+	var le *LimitError
+	if !errors.As(err, &le) || le.Device != "MI100" || le.Spec.MaxWorkGroupSize != 128 || le.Run.MaxWorkGroupSize != 1024 {
+		t.Fatalf("Project on MI100 with 128-item groups: err %v, want a *LimitError", err)
+	}
+	// The per-cell path refuses it too: the run itself fails its launches.
+	if _, err := Measure(narrow, SYCL, kernels.Base, wl); err == nil {
+		t.Error("Measure ran 256-item groups on a device capped at 128")
 	}
 }
 

@@ -38,12 +38,16 @@ func (r HotspotRow) KernelShareOfElapsed() float64 {
 }
 
 // Hotspot profiles the baseline SYCL application on every device and
-// dataset.
+// dataset: one run per dataset, priced on every device.
 func Hotspot(scaleBases int) ([]HotspotRow, error) {
 	var rows []HotspotRow
 	for _, wl := range Workloads(scaleBases) {
+		cs, err := RunDataset(wl, Arm{API: SYCL, Variant: kernels.Base})
+		if err != nil {
+			return nil, err
+		}
 		for _, spec := range device.All() {
-			m, err := Measure(spec, SYCL, kernels.Base, wl)
+			m, err := Project(cs[0], spec)
 			if err != nil {
 				return nil, err
 			}

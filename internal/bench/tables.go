@@ -24,32 +24,44 @@ type Table8Row struct {
 func (r Table8Row) Speedup() float64 { return r.OpenCL / r.SYCL }
 
 // Table8 measures every (device, dataset) cell of Table VIII with the
-// baseline comparer.
+// baseline comparer: one OpenCL and one SYCL run per dataset, each priced on
+// every device (4 runs for 12 cells).
 func Table8(scaleBases int) ([]Table8Row, error) {
 	var rows []Table8Row
 	for _, wl := range Workloads(scaleBases) {
+		cs, err := RunDataset(wl, Arm{API: OpenCL, Variant: kernels.Base}, Arm{API: SYCL, Variant: kernels.Base})
+		if err != nil {
+			return nil, err
+		}
+		if cs[0].Hits != cs[1].Hits {
+			return nil, fmt.Errorf("bench: %s: OpenCL found %d hits, SYCL %d", wl.Name, cs[0].Hits, cs[1].Hits)
+		}
 		for _, spec := range device.All() {
-			ocl, err := Measure(spec, OpenCL, kernels.Base, wl)
+			ms, err := projectEach(cs, spec)
 			if err != nil {
 				return nil, err
-			}
-			syc, err := Measure(spec, SYCL, kernels.Base, wl)
-			if err != nil {
-				return nil, err
-			}
-			if ocl.Hits != syc.Hits {
-				return nil, fmt.Errorf("bench: %s/%s: OpenCL found %d hits, SYCL %d",
-					spec.Name, wl.Name, ocl.Hits, syc.Hits)
 			}
 			rows = append(rows, Table8Row{
 				Device:  spec.Name,
 				Dataset: wl.Name,
-				OpenCL:  ocl.ElapsedSeconds(),
-				SYCL:    syc.ElapsedSeconds(),
+				OpenCL:  ms[0].ElapsedSeconds(),
+				SYCL:    ms[1].ElapsedSeconds(),
 			})
 		}
 	}
 	return rows, nil
+}
+
+// projectEach prices every run on spec.
+func projectEach(cs []*Counters, spec device.Spec) ([]*Measurement, error) {
+	ms := make([]*Measurement, len(cs))
+	for i, c := range cs {
+		var err error
+		if ms[i], err = Project(c, spec); err != nil {
+			return nil, err
+		}
+	}
+	return ms, nil
 }
 
 // Table9Row is one device row of Table IX: elapsed SYCL time with the
@@ -64,28 +76,28 @@ type Table9Row struct {
 // Speedup returns the base/opt elapsed ratio.
 func (r Table9Row) Speedup() float64 { return r.Base / r.Opt }
 
-// Table9 measures every (device, dataset) cell of Table IX.
+// Table9 measures every (device, dataset) cell of Table IX: one baseline and
+// one opt3 SYCL run per dataset (4 runs for 12 cells).
 func Table9(scaleBases int) ([]Table9Row, error) {
 	var rows []Table9Row
 	for _, wl := range Workloads(scaleBases) {
+		cs, err := RunDataset(wl, Arm{API: SYCL, Variant: kernels.Base}, Arm{API: SYCL, Variant: kernels.Opt3})
+		if err != nil {
+			return nil, err
+		}
+		if cs[0].Hits != cs[1].Hits {
+			return nil, fmt.Errorf("bench: %s: base found %d hits, opt %d", wl.Name, cs[0].Hits, cs[1].Hits)
+		}
 		for _, spec := range device.All() {
-			base, err := Measure(spec, SYCL, kernels.Base, wl)
+			ms, err := projectEach(cs, spec)
 			if err != nil {
 				return nil, err
-			}
-			opt, err := Measure(spec, SYCL, kernels.Opt3, wl)
-			if err != nil {
-				return nil, err
-			}
-			if base.Hits != opt.Hits {
-				return nil, fmt.Errorf("bench: %s/%s: base found %d hits, opt %d",
-					spec.Name, wl.Name, base.Hits, opt.Hits)
 			}
 			rows = append(rows, Table9Row{
 				Device:  spec.Name,
 				Dataset: wl.Name,
-				Base:    base.ElapsedSeconds(),
-				Opt:     opt.ElapsedSeconds(),
+				Base:    ms[0].ElapsedSeconds(),
+				Opt:     ms[1].ElapsedSeconds(),
 			})
 		}
 	}
@@ -102,20 +114,29 @@ type Fig2Point struct {
 }
 
 // Fig2 measures the comparer kernel time for every optimization step on
-// every device and dataset, the series of Fig. 2.
+// every device and dataset, the series of Fig. 2: one SYCL run per (dataset,
+// variant), priced on every device (10 runs for 30 points).
 func Fig2(scaleBases int) ([]Fig2Point, error) {
+	var arms []Arm
+	for _, v := range kernels.Variants() {
+		arms = append(arms, Arm{API: SYCL, Variant: v})
+	}
 	var points []Fig2Point
 	for _, wl := range Workloads(scaleBases) {
+		cs, err := RunDataset(wl, arms...)
+		if err != nil {
+			return nil, err
+		}
 		for _, spec := range device.All() {
-			for _, v := range kernels.Variants() {
-				m, err := Measure(spec, SYCL, v, wl)
-				if err != nil {
-					return nil, err
-				}
+			ms, err := projectEach(cs, spec)
+			if err != nil {
+				return nil, err
+			}
+			for _, m := range ms {
 				points = append(points, Fig2Point{
 					Device:  spec.Name,
 					Dataset: wl.Name,
-					Variant: v,
+					Variant: m.Variant,
 					Seconds: m.ComparerSeconds,
 				})
 			}

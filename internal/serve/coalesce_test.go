@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -243,7 +244,9 @@ func TestCoalesceMemberDeparture(t *testing.T) {
 		<-gate
 		return run(ctx, g, req, emit)
 	}
-	c := newCoalescer(50*time.Millisecond, 0, gated, nil)
+	// The window never expires on its own: the test seals the batch once both
+	// members are in it and one has left.
+	c := newCoalescer(time.Hour, 0, gated, nil)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
@@ -264,9 +267,11 @@ func TestCoalesceMemberDeparture(t *testing.T) {
 		}
 		close(gate)
 	}()
-	// Let both members join the batch, then kill one before the pass runs.
-	time.Sleep(10 * time.Millisecond)
+	// Wait until both members have joined the batch, then kill one before
+	// the pass runs.
+	b := openBatch(c, coalKey{genome: "test", pattern: stay.Pattern, chunkBytes: stay.ChunkBytes}, 2)
 	cancel()
+	c.seal(b)
 	wg.Wait()
 
 	if got := stayBuf.String(); got != golden {
@@ -277,6 +282,21 @@ func TestCoalesceMemberDeparture(t *testing.T) {
 		// arrive after the member was marked gone; with the gated pass none
 		// should arrive at all.
 		t.Errorf("departed member still received hits: %q", leaveBuf.String())
+	}
+}
+
+// openBatch waits, under the coalescer's lock, until the open batch for key
+// holds n members, and returns it.
+func openBatch(c *coalescer, key coalKey, n int) *coalBatch {
+	for {
+		c.mu.Lock()
+		b := c.pending[key]
+		joined := b != nil && len(b.members) == n
+		c.mu.Unlock()
+		if joined {
+			return b
+		}
+		runtime.Gosched()
 	}
 }
 
