@@ -44,7 +44,11 @@ race:
 # input, whatever the interleaving — with Tables VIII and IX and Fig. 2
 # rendered against their golden CSVs and the daemon's response flush tests (a timer, the pass
 # goroutine and the handler share one ResponseWriter; the client disconnects
-# or stalls mid-stream) at the same count; plus, once per P count, the
+# or stalls mid-stream) and the CPU scan's equivalence suite (the SWAR
+# compare against the byte and scalar references, patterns of one to five
+# words, the batched-vs-per-guide merge and the zero-allocation pin, whose
+# pooled planes are per-goroutine scratch) at the same count; plus, once per
+# P count, the
 # simulator engines' profile-equality run (an arena-overflowing workload
 # included), the seeded fault matrix with its replay check, the dense
 # region matrix (a fleet device's arena predictor is fed by whichever chunk
@@ -57,6 +61,7 @@ stress:
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/kernels ./internal/isa ./internal/tune ./internal/gpu ./internal/gpu/alloc ./internal/pipeline
 	$(GO) test -race -count 20 -cpu 1,2,8 ./cmd/benchtab -run 'TestRunCSV'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/serve/ -run 'TestFlush'
+	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/search/ -run 'TestSWAR|TestScanChunkMatchesSeed|TestScanInnerLoopZeroAllocs|TestBatchedMatchesPerPattern|TestCompareMultiWordPatterns'
 	$(GO) test -race -count 1 -cpu 1,2,8 ./internal/search/ -run 'TestSimProfileSchedule|TestFaultDeterminism|TestFaultMatrix|TestDenseCandidateRegionMatrix|TestMetricsAgreeWithProfile|TestMultiSYCLSchedMetricsParity|TestMultiSYCLMergeParity|TestProfileMerge'
 
 # Fuzz regression mode: the seed corpora (f.Add entries) replay on every

@@ -1,10 +1,13 @@
 package search
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"casoffinder/internal/genome"
 	"casoffinder/internal/kernels"
+	"casoffinder/internal/pipeline"
 )
 
 // The ablation benchmarks of the CPU scan: the engine against the
@@ -44,23 +47,22 @@ func BenchmarkCPUPackedVsBytes(b *testing.B) {
 }
 
 // BenchmarkSWARVsScalar pits the word-parallel mismatch kernel against the
-// per-base packed reference over every window of a 64 KiB sequence, with
-// the limit at the pattern length so both sides count all positions (a
+// per-base packed reference over every forward window of a 64 KiB sequence,
+// with the limit at the pattern length so both sides count all positions (a
 // realistic threshold lets the scalar side exit early and would measure
-// candidate sparsity, not the kernel). The SWAR core touches one word per
-// 32 bases instead of one lookup per base; the gate is a >=3x speedup.
+// candidate sparsity, not the kernel). The SWAR side is the batched compare
+// with every window a candidate; it touches one word per 32 bases instead of
+// one lookup per base.
 func BenchmarkSWARVsScalar(b *testing.B) {
 	seq := benchAssembly(b, 1<<16).Sequences[0].Data
 	pair, err := kernels.NewPatternPair([]byte("GGCCGACCTGTCGCTGACGCNNN"))
 	if err != nil {
 		b.Fatal(err)
 	}
-	bp := compileBitPattern(pair)
 	packed, err := genome.Pack(seq)
 	if err != nil {
 		b.Fatal(err)
 	}
-	view := packed.WordView(nil)
 	plen := pair.PatternLen
 	limit := plen
 	positions := int64(len(seq) - plen + 1)
@@ -75,12 +77,12 @@ func BenchmarkSWARVsScalar(b *testing.B) {
 		}
 	})
 	b.Run("swar", func(b *testing.B) {
+		be, s := everyWindow(pair, packed.WordView(nil), len(seq), genome.PAMFwd, limit)
 		b.SetBytes(positions)
 		for i := 0; i < b.N; i++ {
-			for pos := 0; pos+plen <= len(seq); pos++ {
-				mm, _ := bp.Mismatches(view, pos, 0, limit)
-				sink += mm
-			}
+			s.sc.entries = s.sc.entries[:0]
+			be.compareGuides(s, 0, 1)
+			sink += len(s.sc.entries)
 		}
 	})
 	_ = sink
@@ -120,4 +122,55 @@ func BenchmarkMultiPatternBatch(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkCompareGuides is the compare layer alone: the PAM-prefiltered
+// candidates of a generated 4 Mbase hg38-like assembly, found once, run
+// through compareGuides with one and with three guides at <=5 mismatches,
+// the benchmark's CLI op shape. It reports ns per candidate and per
+// candidate×guide.
+func BenchmarkCompareGuides(b *testing.B) {
+	asm := benchAssembly(b, 4<<20)
+	guides := []string{"GGCCGACCTGTCGCTGACGCNNN", "CGCCAGCGTCAGCGACAGGTNNN", "TACGATTACAGGCTGCATCANNN"}
+	for _, n := range []int{1, 3} {
+		b.Run(fmt.Sprintf("guides=%d", n), func(b *testing.B) {
+			req := &Request{Pattern: benchPattern}
+			for _, g := range guides[:n] {
+				req.Queries = append(req.Queries, Query{Guide: g, MaxMismatches: 5})
+			}
+			plan, err := pipeline.Compile(req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			chunks, err := plan.Chunker.Plan(asm)
+			if err != nil {
+				b.Fatal(err)
+			}
+			be := newCPUBackend(plan).(*cpuBackend)
+			staged := make([]*cpuStaged, len(chunks))
+			cands := 0
+			for i, ch := range chunks {
+				staged[i] = &cpuStaged{ch: ch, sc: new(scanScratch)}
+				if err := staged[i].sc.packed.Repack(ch.Data); err != nil {
+					b.Fatal(err)
+				}
+				staged[i].view = staged[i].sc.packed.WordView(nil)
+				staged[i].sc.findSWARCandidates(ch, staged[i].view, be.pattern, 0)
+				cands += len(staged[i].sc.cand)
+			}
+			ctx := context.Background()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, s := range staged {
+					s.sc.entries = s.sc.entries[:0]
+					if err := be.CompareAll(ctx, s); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(cands)
+			b.ReportMetric(ns, "ns/cand")
+			b.ReportMetric(ns/float64(n), "ns/cand-guide")
+		})
+	}
 }

@@ -30,7 +30,7 @@ func BuildArtifact(asm *genome.Assembly, pattern string) (*genome.Artifact, erro
 		starts := v.Len() - plen + 1
 		for pos0 := 0; pos0 < starts; pos0 += 32 {
 			fw := bp.matchLanes(v, pos0, 0)
-			rv := bp.matchLanes(v, pos0, plen)
+			rv := bp.matchLanes(v, pos0, 1)
 			union := fw | rv
 			if union == 0 {
 				continue

@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 
@@ -81,20 +82,20 @@ type cpuBackend struct {
 	// The scaffold and guides compiled for word-parallel scanning, once per
 	// run.
 	pattern *bitPattern
-	guides  []*bitPattern
+	guides  guideTable
 }
 
 // newCPUBackend compiles the plan's patterns for the SWAR core. It is also
 // the failover backend of the resilient simulator engines: its hit stream is
 // byte-identical to theirs.
 func newCPUBackend(plan *pipeline.Plan) pipeline.Backend {
-	b := &cpuBackend{plan: plan, pattern: compileBitPattern(plan.Pattern)}
+	b := &cpuBackend{
+		plan:    plan,
+		pattern: compileBitPattern(plan.Pattern),
+		guides:  compileGuides(plan.Guides, plan.Pattern.PatternLen),
+	}
 	if plan.Artifact != nil {
 		b.shards = plan.Artifact.HasPAMIndex(plan.Request.Pattern)
-	}
-	b.guides = make([]*bitPattern, len(plan.Guides))
-	for i, g := range plan.Guides {
-		b.guides[i] = compileBitPattern(g)
 	}
 	return b
 }
@@ -176,7 +177,7 @@ func (b *cpuBackend) Compare(ctx context.Context, st pipeline.Staged, qi int) er
 // CompareAll implements pipeline.BatchComparer: one genome pass per chunk
 // instead of one per guide.
 func (b *cpuBackend) CompareAll(ctx context.Context, st pipeline.Staged) error {
-	b.compareGuides(st.(*cpuStaged), 0, len(b.guides))
+	b.compareGuides(st.(*cpuStaged), 0, len(b.plan.Guides))
 	return nil
 }
 
@@ -184,42 +185,49 @@ func (b *cpuBackend) CompareAll(ctx context.Context, st pipeline.Staged) error {
 // its own stack: patterns up to 128 bases, every real guide+PAM.
 const inlineWindowWords = 4
 
-// compareGuides tests guides lo..hi-1 at every surviving candidate: the
-// window words are fetched once, then every guide's compiled pattern runs
-// against the cached words (pattern-major inner loop). The words are written
-// once per candidate, so they live on this goroutine's stack — as small heap
-// objects they shared cache lines with the bitPattern tables every worker
-// reads (EXPERIMENTS.md, "False sharing in compareGuides"); only patterns
-// over inlineWindowWords words fall back to the pooled slice.
+// strandDir maps a strand half to its hit direction.
+var strandDir = [2]byte{kernels.DirForward, kernels.DirReverse}
+
+// compareGuides tests guides lo..hi-1 at every surviving candidate. Each
+// candidate's window words are decoded into equality planes once, then every
+// guide's rows of the flat table are scored against them (pattern-major
+// inner loop); entries come out candidate, then guide, then forward before
+// reverse. The planes are written once per candidate, so they live on this
+// goroutine's stack — as small heap objects they shared cache lines with the
+// pattern tables every worker reads (EXPERIMENTS.md, "False sharing in
+// compareGuides"); only patterns over inlineWindowWords words use the pooled
+// slice.
 func (b *cpuBackend) compareGuides(s *cpuStaged, lo, hi int) {
 	sc := s.sc
-	words := b.pattern.words
-	plen := b.plan.Pattern.PatternLen
-	var textBuf, unkBuf [inlineWindowWords]uint64
-	text, unk := textBuf[:], unkBuf[:]
-	if words > inlineWindowWords {
-		if cap(sc.win) < 2*words {
-			sc.win = make([]uint64, 2*words)
+	tab := &b.guides
+	var buf [inlineWindowWords]windowPlanes
+	planes := buf[:]
+	if tab.words > inlineWindowWords {
+		if cap(sc.planes) < tab.words {
+			sc.planes = make([]windowPlanes, tab.words)
 		}
-		text, unk = sc.win[:words], sc.win[words:2*words]
+		planes = sc.planes
 	}
-	text, unk = text[:words], unk[:words]
+	planes = planes[:tab.words]
 	queries := b.plan.Request.Queries
 	for _, cd := range sc.cand {
 		pos, strand := cd.pos(), cd.strand()
-		for w := 0; w < words; w++ {
-			text[w], unk[w] = s.view.Window(s.base + pos + 32*w)
+		for w := range planes {
+			text, unk := s.view.Window(s.base + pos + 32*w)
+			a, c, g, t := eqPlanes(text)
+			planes[w] = windowPlanes{a &^ unk, c &^ unk, g &^ unk, t &^ unk}
 		}
 		for qi := lo; qi < hi; qi++ {
-			g, limit := b.guides[qi], queries[qi].MaxMismatches
-			if strand&genome.PAMFwd != 0 {
-				if mm, ok := g.mismatchesWords(text, unk, 0, limit); ok {
-					sc.entries = append(sc.entries, rawHit{qi: qi, pos: pos, dir: kernels.DirForward, mm: mm})
+			limit := queries[qi].MaxMismatches
+			for st := strand; st != 0; st &= st - 1 {
+				h := bits.TrailingZeros8(st)
+				r := 2*qi + h
+				mm := tab.rows[r*tab.words].mismatches(&planes[0])
+				if tab.words > 1 && mm <= limit {
+					mm = tab.scoreTail(planes, r, mm, limit)
 				}
-			}
-			if strand&genome.PAMRev != 0 {
-				if mm, ok := g.mismatchesWords(text, unk, plen, limit); ok {
-					sc.entries = append(sc.entries, rawHit{qi: qi, pos: pos, dir: kernels.DirReverse, mm: mm})
+				if mm <= limit {
+					sc.entries = append(sc.entries, rawHit{qi: qi, pos: pos, dir: strandDir[h], mm: mm})
 				}
 			}
 		}
@@ -269,13 +277,13 @@ func (c candidate) strand() uint8 { return uint8(c & 3) }
 // scanScratch holds per-worker buffers reused across chunks so the scan
 // allocates nothing per position: candidate and entry accumulators, the
 // packed chunk and its word view (rebuilt in place each chunk), and the
-// batched compare's window words for patterns too long for its stack.
+// batched compare's window planes for patterns too long for its stack.
 type scanScratch struct {
 	cand    []candidate
 	entries []rawHit
 	packed  genome.Packed
 	view    *genome.WordView
-	win     []uint64
+	planes  []windowPlanes
 }
 
 // scratchPool keeps one scanScratch per concurrent scan. It has package

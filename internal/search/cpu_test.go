@@ -176,7 +176,7 @@ func TestScanChunkMatchesSeed(t *testing.T) {
 // TestScanInnerLoopZeroAllocs pins the zero-allocation property of the hot
 // scan: once the worker's scratch has grown, packing a chunk, finding its
 // PAM candidates and comparing a guide that yields no hits must not
-// allocate at all.
+// allocate at all — a pattern too long for the compare's stack included.
 func TestScanInnerLoopZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	data := make([]byte, 4096)
@@ -207,7 +207,7 @@ func TestScanInnerLoopZeroAllocs(t *testing.T) {
 			s.ch, s.view = ch, s.sc.view
 			s.sc.findSWARCandidates(ch, s.view, b.pattern, 0)
 			candidates += len(s.sc.cand)
-			b.compareGuides(s, 0, len(b.guides))
+			b.compareGuides(s, 0, len(plan.Guides))
 		}
 	}
 	scan() // warm the scratch on every chunk first
@@ -221,11 +221,30 @@ func TestScanInnerLoopZeroAllocs(t *testing.T) {
 		t.Errorf("scan allocated %.1f times per pass over %d chunks, want 0", allocs, len(chunks))
 	}
 	// The compare itself needs no scratch for a pattern this short: its
-	// window words live on its own stack, not in heap objects that could
-	// share a cache line with the pattern tables.
+	// window planes live on its own stack, not in heap objects that could
+	// share a cache line with the guide table.
 	cold := &cpuStaged{ch: s.ch, view: s.view, sc: &scanScratch{cand: s.sc.cand}}
-	if allocs := testing.AllocsPerRun(50, func() { b.compareGuides(cold, 0, len(b.guides)) }); allocs != 0 || cold.sc.win != nil {
-		t.Errorf("compareGuides allocated %.1f times per call (pooled window %v), want 0 and none", allocs, cold.sc.win)
+	if allocs := testing.AllocsPerRun(50, func() { b.compareGuides(cold, 0, len(plan.Guides)) }); allocs != 0 || cold.sc.planes != nil {
+		t.Errorf("compareGuides allocated %.1f times per call (pooled planes %v), want 0 and none", allocs, cold.sc.planes)
+	}
+
+	// A pattern past inlineWindowWords words takes its planes from the
+	// pooled scratch: the first compare grows it, every later one reuses it.
+	long, err := kernels.NewPatternPair([]byte(strings.Repeat("C", 137) + "NNN"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed, err := genome.Pack(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb, ls := everyWindow(long, packed.WordView(nil), len(data), genome.PAMFwd|genome.PAMRev, 0)
+	lb.compareGuides(ls, 0, 1)
+	if len(ls.sc.planes) <= inlineWindowWords || len(ls.sc.entries) != 0 {
+		t.Fatalf("long pattern: pooled planes %d words, %d entries; want > %d and none", len(ls.sc.planes), len(ls.sc.entries), inlineWindowWords)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { lb.compareGuides(ls, 0, 1) }); allocs != 0 {
+		t.Errorf("warm compareGuides of a %d-base pattern allocated %.1f times per call, want 0", long.PatternLen, allocs)
 	}
 }
 

@@ -246,12 +246,6 @@ func packedMismatches(g *kernels.PatternPair, p *genome.Packed, pos, offset, lim
 	return mm, true
 }
 
-// ScalarMismatches is Mismatches computed per base, the reference of
-// FuzzSWARMismatch.
-func (b *bitPattern) ScalarMismatches(p *genome.Packed, pos, offset, limit int) (int, bool) {
-	return packedMismatches(b.pair, p, pos, offset, limit)
-}
-
 // findPackedCandidates is the per-base packed PAM prefilter.
 func (sc *scanScratch) findPackedCandidates(ch *genome.Chunk, packed *genome.Packed, pattern *kernels.PatternPair) {
 	plen := pattern.PatternLen

@@ -9,14 +9,14 @@ import (
 )
 
 // The SWAR (SIMD-within-a-register) core processes 32 bases per uint64
-// instead of one base per load. A PatternPair is compiled once into
-// per-word lane masks — for each 32-base pattern word, the set of indexed
-// lanes plus one accumulator word per nucleotide marking the lanes whose
-// IUPAC mask admits that base. Mismatch counting is then four XOR-derived
-// equality planes, three ANDs/ORs and one OnesCount64 per pattern word,
-// and PAM-candidate finding tests 32 genome positions per iteration. The
-// per-base scalar and byte paths it replaced are the equivalence-test
-// references in ref_test.go.
+// instead of one base per load. A window word is split into four equality
+// planes, one per 2-bit code, with the genome's unknown lanes cleared; a
+// guide is compiled once into per-word lane masks — the set of indexed lanes
+// plus one accumulator word per nucleotide marking the lanes whose IUPAC mask
+// admits that base. Mismatch counting is then four ANDs, three ORs, one
+// AND-NOT and one OnesCount64 per pattern word, and PAM-candidate finding
+// tests 32 genome positions per iteration. The per-base scalar and byte paths
+// it replaced are the equivalence-test references in ref_test.go.
 
 // bitIdx is one indexed pattern position of a strand half: its offset from
 // the window start and its IUPAC mask.
@@ -25,64 +25,27 @@ type bitIdx struct {
 	m genome.Mask
 }
 
-// bitHalf is the compiled form of one strand half of a pattern.
-type bitHalf struct {
-	// idx lists the indexed (non-N) positions in ascending order; the
-	// 32-wide candidate finder walks it so each iteration prunes 32
-	// positions against one pattern position.
-	idx []bitIdx
-	// lanes[w] has lane bit 2·(k mod 32) set for every indexed position k
-	// in pattern word w.
-	lanes []uint64
-	// acc[c][w] has the lane bit set when the pattern mask at that
-	// position admits 2-bit code c. matched = OR_c(eqPlane_c & acc[c]).
-	acc [4][]uint64
-}
-
-// bitPattern is a PatternPair compiled for word-parallel scanning over a
-// genome.WordView.
+// bitPattern is a scaffold compiled for the 32-wide candidate finder: per
+// strand half, the indexed (non-N) positions in ascending order, which
+// matchLanes walks so each iteration prunes 32 positions against one
+// pattern position.
 type bitPattern struct {
-	pair  *kernels.PatternPair
-	words int // pattern words per strand half: ceil(PatternLen/32)
-	half  [2]bitHalf
+	idx [2][]bitIdx
 }
 
-// compileBitPattern compiles pair into per-word bit masks for both strand
-// halves.
+// compileBitPattern lists the indexed positions of both strand halves.
 func compileBitPattern(pair *kernels.PatternPair) *bitPattern {
-	plen := pair.PatternLen
-	b := &bitPattern{pair: pair, words: (plen + 31) / 32}
-	for hi := 0; hi < 2; hi++ {
-		offset := hi * plen
-		h := &b.half[hi]
-		h.lanes = make([]uint64, b.words)
-		for c := 0; c < 4; c++ {
-			h.acc[c] = make([]uint64, b.words)
-		}
-		for j := 0; j < plen; j++ {
-			k := pair.Index[offset+j]
+	b := new(bitPattern)
+	for h := range b.idx {
+		offset := h * pair.PatternLen
+		for _, k := range pair.Index[offset : offset+pair.PatternLen] {
 			if k == -1 {
 				break
 			}
-			m := genome.MaskOf(pair.Codes[offset+int(k)])
-			w, bit := int(k)>>5, uint(k&31)*2
-			h.lanes[w] |= 1 << bit
-			for c := 0; c < 4; c++ {
-				if m&(1<<c) != 0 {
-					h.acc[c][w] |= 1 << bit
-				}
-			}
-			h.idx = append(h.idx, bitIdx{k: k, m: m})
+			b.idx[h] = append(b.idx[h], bitIdx{k: k, m: genome.MaskOf(pair.Codes[offset+int(k)])})
 		}
 	}
 	return b
-}
-
-func (b *bitPattern) halfIndex(offset int) int {
-	if offset == 0 {
-		return 0
-	}
-	return 1
 }
 
 // eqPlanes splits a 32-lane code word into four equality planes: lane bit
@@ -96,50 +59,79 @@ func eqPlanes(x uint64) (a, c, g, t uint64) {
 	return
 }
 
-// mismatchWord counts the indexed lanes of pattern word w that mismatch
-// the text word: lanes that are unknown in the genome, or whose code is
-// outside the pattern mask. This is the SWAR replacement for 32 iterations
-// of the scalar IUPAC ladder.
-func (h *bitHalf) mismatchWord(text, unk uint64, w int) int {
-	ea, ec, eg, et := eqPlanes(text)
-	matched := ea&h.acc[0][w] | ec&h.acc[1][w] | eg&h.acc[2][w] | et&h.acc[3][w]
-	return bits.OnesCount64(h.lanes[w] & (unk | ^matched))
+// windowPlanes are the equality planes of one 32-base window word with its
+// unknown lanes cleared: lane bit 2i of plane c is set when lane i holds a
+// known base of 2-bit code c.
+type windowPlanes [4]uint64
+
+// guideWord is one 32-base word of one strand half of a compiled guide.
+// lanes has lane bit 2·(k mod 32) set for every indexed position k in the
+// word; acc[c] has it set when the pattern mask at k admits 2-bit code c.
+type guideWord struct {
+	lanes uint64
+	acc   [4]uint64
 }
 
-// mismatchesWords counts mismatching indexed positions of the strand half
-// selected by offset (0 or PatternLen) over pre-fetched window words, giving
-// up past the limit — the batched multi-pattern scan stages text[w], unk[w]
-// = Window(pos+32w) once per candidate and then runs every compiled pattern
-// against the cached words (all guides of a request share one pattern
-// length). The pass/fail decision and the passing counts are identical to
-// the scalar paths; a failing count may exceed the scalar's limit+1 because
-// whole words are counted at a time.
-func (b *bitPattern) mismatchesWords(text, unk []uint64, offset, limit int) (int, bool) {
-	h := &b.half[b.halfIndex(offset)]
-	mm := 0
-	for w := 0; w < b.words; w++ {
-		if h.lanes[w] == 0 {
-			continue
-		}
-		mm += h.mismatchWord(text[w], unk[w], w)
-		if mm > limit {
-			return mm, false
+// mismatches counts the word's indexed lanes that no plane matches: lanes
+// unknown in the genome, or whose code is outside the pattern mask. This is
+// the SWAR replacement for 32 iterations of the scalar IUPAC ladder.
+func (g *guideWord) mismatches(p *windowPlanes) int {
+	return bits.OnesCount64(g.lanes &^ (p[0]&g.acc[0] | p[1]&g.acc[1] | p[2]&g.acc[2] | p[3]&g.acc[3]))
+}
+
+// guideTable is every guide of a request compiled into one flat slice: row
+// 2·qi+h (guide qi, strand half h) is words guideWords long and starts at
+// (2·qi+h)·words. All guides of a request share one pattern length.
+type guideTable struct {
+	words int // pattern words per strand half: ceil(PatternLen/32)
+	rows  []guideWord
+}
+
+// compileGuides lowers each guide's indexed positions, as compileBitPattern
+// lists them, to per-word lane masks.
+func compileGuides(guides []*kernels.PatternPair, plen int) guideTable {
+	t := guideTable{words: (plen + 31) / 32}
+	t.rows = make([]guideWord, 2*len(guides)*t.words)
+	for qi, pair := range guides {
+		for h, idx := range compileBitPattern(pair).idx {
+			row := t.rows[(2*qi+h)*t.words:][:t.words]
+			for _, e := range idx {
+				g, bit := &row[e.k>>5], uint64(1)<<(uint(e.k&31)*2)
+				g.lanes |= bit
+				for c := range g.acc {
+					if e.m&(1<<c) != 0 {
+						g.acc[c] |= bit
+					}
+				}
+			}
 		}
 	}
-	return mm, true
+	return t
+}
+
+// scoreTail adds words 1.. of row r to mm, word 0's count, giving up as
+// soon as the count exceeds the limit: the count passes when it is <= limit.
+// The pass/fail decision and the passing counts are identical to the scalar
+// paths; a failing count may exceed the scalar's limit+1 because whole words
+// are counted at a time.
+func (t *guideTable) scoreTail(planes []windowPlanes, r, mm, limit int) int {
+	row := t.rows[r*t.words:][:len(planes)]
+	for w := 1; w < len(row) && mm <= limit; w++ {
+		mm += row[w].mismatches(&planes[w])
+	}
+	return mm
 }
 
 // matchLanes tests 32 consecutive candidate positions pos0..pos0+31 against
-// the strand half selected by offset, returning a word whose lane bit 2i is
+// strand half h (0 forward, 1 reverse), returning a word whose lane bit 2i is
 // set when the window at pos0+i matches every indexed pattern position.
 // For each indexed position k it loads the (unaligned) window at pos0+k,
 // whose lane i is genome base pos0+i+k, and prunes the surviving lane set;
 // scaffold matches are rare, so the loop usually exits after one or two
 // pattern positions with lanes == 0.
-func (b *bitPattern) matchLanes(v *genome.WordView, pos0, offset int) uint64 {
-	h := &b.half[b.halfIndex(offset)]
+func (b *bitPattern) matchLanes(v *genome.WordView, pos0, h int) uint64 {
 	lanes := uint64(genome.LaneMask)
-	for _, e := range h.idx {
+	for _, e := range b.idx[h] {
 		text, unk := v.Window(pos0 + int(e.k))
 		ea, ec, eg, et := eqPlanes(text)
 		var matched uint64
@@ -172,11 +164,10 @@ func (b *bitPattern) matchLanes(v *genome.WordView, pos0, offset int) uint64 {
 // artifact (the chunk aliases sequence bytes, so the windows are the same
 // bases either way); candidate positions stay chunk-local.
 func (sc *scanScratch) findSWARCandidates(ch *genome.Chunk, v *genome.WordView, b *bitPattern, base int) {
-	plen := b.pair.PatternLen
 	cand := sc.cand[:0]
 	for pos0 := 0; pos0 < ch.Body; pos0 += 32 {
 		fw := b.matchLanes(v, base+pos0, 0)
-		rv := b.matchLanes(v, base+pos0, plen)
+		rv := b.matchLanes(v, base+pos0, 1)
 		union := fw | rv
 		if union == 0 {
 			continue

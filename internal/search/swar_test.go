@@ -2,7 +2,9 @@ package search
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +12,7 @@ import (
 	"casoffinder/internal/gpu"
 	"casoffinder/internal/gpu/device"
 	"casoffinder/internal/kernels"
+	"casoffinder/internal/pipeline"
 )
 
 // TestSWARPathsEquivalence: the engine's batched SWAR scan and the three
@@ -147,31 +150,108 @@ func TestBatchedMatchesPerPattern(t *testing.T) {
 	}
 }
 
-// Mismatches is mismatchesWords fetching each window word from v as it
-// goes, for the window starting at pos.
-func (b *bitPattern) Mismatches(v *genome.WordView, pos, offset, limit int) (int, bool) {
-	h := &b.half[b.halfIndex(offset)]
-	mm := 0
-	for w := 0; w < b.words; w++ {
-		if h.lanes[w] == 0 {
-			continue
-		}
-		text, unk := v.Window(pos + w*32)
-		mm += h.mismatchWord(text, unk, w)
-		if mm > limit {
-			return mm, false
-		}
+// TestCompareMultiWordPatterns: the batched compare past word 0. For
+// pattern lengths on both sides of each 32-base word boundary up to the
+// pooled-planes path, IUPAC guides at limits 0, mid and PatternLen over an
+// N- and soft-mask-laden genome with sites planted on both strands, the CPU
+// engine returns the byte path's hits exactly, at chunk sizes that cut
+// through windows.
+func TestCompareMultiWordPatterns(t *testing.T) {
+	const iupac = "ACGTRYSWKMBDHVN"
+	for _, plen := range []int{31, 32, 33, 63, 64, 65, 127, 128, 129, 130} {
+		t.Run(fmt.Sprint(plen), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(plen)))
+			site := []byte(strings.Repeat("G", plen))
+			for i := range site[:plen-2] {
+				site[i] = "ACGT"[rng.Intn(4)]
+			}
+			asm := testAssembly(t, int64(plen), []int{4*plen + 300, 2*plen + 50, plen}, string(site))
+			req := &Request{Pattern: strings.Repeat("N", plen-2) + "GG"}
+			for _, limit := range []int{0, plen / 4, plen} {
+				// The site's bases, every fifth widened to an IUPAC code that
+				// still admits it, and N over the PAM.
+				guide := append([]byte(nil), site...)
+				for i := range guide {
+					if i >= plen-3 {
+						guide[i] = 'N'
+						continue
+					}
+					for rng.Intn(5) == 0 {
+						if c := iupac[rng.Intn(len(iupac))]; genome.Matches(c, site[i]) {
+							guide[i] = c
+							break
+						}
+					}
+				}
+				req.Queries = append(req.Queries, Query{Guide: string(guide), MaxMismatches: limit})
+			}
+			for _, chunk := range []int{plen + 1, 1000} {
+				req.ChunkBytes = chunk
+				want, err := (&refCPU{Workers: 2, Arm: refBytes}).Run(asm, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(want) == 0 || want[0].QueryIndex != 0 {
+					t.Fatalf("chunk %d: the limit-0 guide has no hits; fixture too sparse", chunk)
+				}
+				got, err := (&CPU{Workers: 2}).Run(asm, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !equalHits(got, want) {
+					t.Errorf("chunk %d: %d hits, byte path %d", chunk, len(got), len(want))
+				}
+			}
+		})
 	}
-	return mm, true
 }
 
-// FuzzSWARMismatch: on arbitrary IUPAC patterns and sequences the SWAR
-// mismatch count, the per-base scalar packed count and the byte-path count
-// agree exactly, for every strand half and limit.
+// everyWindow stages every window of v that fits n bases as a candidate on
+// the given strands for one guide at limit, ready for the batched compare.
+func everyWindow(pair *kernels.PatternPair, v *genome.WordView, n int, strand uint8, limit int) (*cpuBackend, *cpuStaged) {
+	b := newCPUBackend(&pipeline.Plan{
+		Request: &Request{Queries: []Query{{MaxMismatches: limit}}},
+		Pattern: pair, Guides: []*kernels.PatternPair{pair},
+	}).(*cpuBackend)
+	s := &cpuStaged{sc: new(scanScratch), view: v}
+	for pos := 0; pos+pair.PatternLen <= n; pos++ {
+		s.sc.cand = append(s.sc.cand, newCandidate(pos, strand))
+	}
+	return b, s
+}
+
+// FuzzSWARMismatch: on arbitrary IUPAC patterns and sequences the batched
+// compare's guide-table count, the per-base scalar packed count and the
+// byte-path count agree exactly, for every window, strand half and limit:
+// a window passes on one exactly when it passes on all three, with the same
+// count. The 33-, 65- and 129-base seeds run the tail words past word 0,
+// and the 129-base one the pooled planes of a pattern too long for the
+// compare's stack.
 func FuzzSWARMismatch(f *testing.F) {
 	f.Add([]byte("NNNNNNNNNNGG"), []byte("GATTACAGTAGGACGTACGTNNRYacgt"), 0)
 	f.Add([]byte("GANNTTNRYNGG"), []byte("gattacagtaggACGTACGT"), 3)
 	f.Add([]byte("NGG"), []byte("AGGTGGNGGRGG"), 1)
+	// Longer seeds whose first window is the pattern's own bases, every
+	// fourth position a random IUPAC code, so that window passes; its last
+	// base, alone in the last word, matches once (G) and mismatches once (C).
+	rng := rand.New(rand.NewSource(31))
+	for _, plen := range []int{33, 65, 129} {
+		for _, last := range []byte("GC") {
+			seq := make([]byte, plen+40)
+			for i := range seq {
+				seq[i] = "ACGTacgtN"[rng.Intn(9)]
+			}
+			seq[plen-1] = 'G'
+			pattern := genome.Upper(seq[:plen])
+			for i := range pattern[:plen-1] {
+				if rng.Intn(4) == 0 {
+					pattern[i] = "ACGTRYSWKMBDHVN"[rng.Intn(15)]
+				}
+			}
+			pattern[plen-1] = last
+			f.Add(pattern, seq, plen/4)
+		}
+	}
 	f.Fuzz(func(t *testing.T, pattern, seq []byte, limit int) {
 		pair, err := kernels.NewPatternPair(pattern)
 		if err != nil {
@@ -189,30 +269,32 @@ func FuzzSWARMismatch(f *testing.F) {
 			limit = -limit
 		}
 		limit %= plen + 2
-		bp := compileBitPattern(pair)
-		v := packed.WordView(nil)
+		b, s := everyWindow(pair, packed.WordView(nil), len(seq), genome.PAMFwd|genome.PAMRev, limit)
+		b.compareGuides(s, 0, 1)
+		entries := s.sc.entries
 		upper := genome.Upper(seq)
 		for pos := 0; pos+plen <= len(seq); pos++ {
-			for _, offset := range []int{0, plen} {
-				mm, ok := bp.Mismatches(v, pos, offset, limit)
-				smm, sok := bp.ScalarMismatches(packed, pos, offset, limit)
-				bmm, bok := countMismatches(upper[pos:pos+plen], pair, offset, limit)
+			for h, dir := range strandDir {
+				smm, sok := packedMismatches(pair, packed, pos, h*plen, limit)
+				bmm, bok := countMismatches(upper[pos:pos+plen], pair, h*plen, limit)
+				ok := len(entries) > 0 && entries[0].pos == pos && entries[0].dir == dir
 				if ok != sok || ok != bok {
-					t.Fatalf("pos %d offset %d: pass/fail diverges: SWAR %v, scalar %v, byte %v",
-						pos, offset, ok, sok, bok)
+					t.Fatalf("pos %d half %d: pass/fail diverges: table %v, scalar %v, byte %v", pos, h, ok, sok, bok)
 				}
-				if ok {
-					// Counts are exact only on the pass side; the rejecting
-					// paths stop at different points past the limit (the
-					// SWAR core counts a whole word at a time).
-					if mm != smm || mm != bmm {
-						t.Fatalf("pos %d offset %d: SWAR %d != scalar %d / byte %d mismatches",
-							pos, offset, mm, smm, bmm)
-					}
-				} else if mm <= limit {
-					t.Fatalf("pos %d offset %d: rejected with mm %d <= limit %d", pos, offset, mm, limit)
+				if !ok {
+					continue
 				}
+				// Counts are compared on the pass side only; the rejecting
+				// paths stop at different points past the limit (the table
+				// counts a whole word at a time).
+				if mm := entries[0].mm; mm != smm || mm != bmm {
+					t.Fatalf("pos %d half %d: table %d != scalar %d / byte %d mismatches", pos, h, mm, smm, bmm)
+				}
+				entries = entries[1:]
 			}
+		}
+		if len(entries) != 0 {
+			t.Fatalf("%d entries past the last window, first %+v", len(entries), entries[0])
 		}
 	})
 }
