@@ -68,7 +68,7 @@ const (
 	SiteDeadline Site = "client.deadline"
 	// SiteArena is not injected: it labels the hit-buffer arena. Class
 	// Overflow marks an under-provisioned arena whose launch dropped
-	// entries (the host grows the arena and relaunches); class Corruption
+	// entries (the host refits the arena and relaunches); class Corruption
 	// marks arena geometry that came back from the device impossible
 	// (page cursor past the provisioned pages, page fills beyond any
 	// legal overshoot) even at worst-case provisioning.
@@ -111,9 +111,9 @@ const (
 	// Fatal faults take the backend down for good (device lost, poisoned
 	// context); the only recovery is failover.
 	Fatal
-	// Overflow marks a launch whose output arena was too small for the
-	// observed hit density: no data is damaged and the device is healthy —
-	// the recovery is deterministic (grow the arena, relaunch) and must
+	// Overflow marks a launch whose output arena was too small for its
+	// hits: no data is damaged and the device is healthy — the recovery is
+	// deterministic (refit the arena, relaunch) and must
 	// not consume the transient-retry budget or trigger failover.
 	Overflow
 )

@@ -1,8 +1,8 @@
 // Package alloc is the device-side hit-buffer arena: a page-based
 // sub-allocator that lets kernels compact an unpredictable number of output
-// entries into an arena provisioned for the *observed* hit density instead
-// of the worst case ("Dynamic Memory Management on GPUs with SYCL" shape,
-// specialised to the append-only output pattern of the finder and comparer).
+// entries into an arena provisioned below the worst case ("Dynamic Memory
+// Management on GPUs with SYCL" shape, specialised to the append-only output
+// pattern of the finder and comparer).
 //
 // The arena is a flat slot array cut into fixed-size pages. Pages are sized
 // so one work-group's maximum output fits in one page (PageSlots >= max
@@ -11,14 +11,15 @@
 // atomic page cursor and publishes it to the group's page table, and every
 // emission takes its slot offset from the group's emission counter. When the
 // cursor runs past the provisioned pages the claim bumps an overflow counter
-// and drops the write — the host reads the counter back, grows the arena on
-// a bounded doubling schedule capped at the worst-case layout, and
-// relaunches, so no entry is ever lost end to end.
+// and drops the write — the host reads the counters back, refits the arena
+// to exactly the groups that emitted (Refit) and relaunches once, so no
+// entry is ever lost end to end.
 //
 // Under the one-page-per-group invariant the worst-case layout of one page
-// per work-group can never overflow, which is what makes the doubling
-// schedule terminate: growth is capped at a provably sufficient size, and
-// overflow observed *at* that size can only mean corrupted arena state. The
+// per work-group can never overflow, and neither can the refitted one: a
+// group bumps its emission counter before it tries the cursor, so an
+// overflowed launch's counters still name every group that emits. Overflow
+// observed at either size can only mean corrupted arena state. The
 // claim protocol is also schedule-deterministic as long as the launch fits:
 // every emission costs one atomic add plus one atomic read (or, for the one
 // claiming item per group, one cursor add and one publish store). Which
@@ -28,8 +29,6 @@ package alloc
 
 import (
 	"fmt"
-	"math"
-	"sync"
 
 	"casoffinder/internal/fault"
 	"casoffinder/internal/gpu"
@@ -69,9 +68,8 @@ func WorstCase(groups, pageSlots int) Layout {
 
 // SizedPages returns a layout provisioning pages pages directly, clamped to
 // [one page, the worst case for groups]. Because every emitting group claims
-// exactly one page regardless of how few entries it writes, provisioning is
-// a prediction of *emitting groups*, not of entries — this is the
-// constructor the density predictors use.
+// exactly one page regardless of how few entries it writes, provisioning
+// counts *emitting groups*, not entries.
 func SizedPages(pages, groups, pageSlots int) Layout {
 	l := WorstCase(groups, pageSlots)
 	if pages < 1 {
@@ -83,19 +81,28 @@ func SizedPages(pages, groups, pageSlots int) Layout {
 	return l
 }
 
-// Grow returns the next layout of the bounded doubling schedule: double the
-// pages, capped at the worst case. ok is false when l is already at the
-// cap, i.e. overflow at this size is impossible without corruption.
-func Grow(l Layout) (next Layout, ok bool) {
-	worst := WorstCase(l.Groups, l.PageSlots)
-	if l.Pages >= worst.Pages {
+// Refit returns the layout that relaunches a launch which overflowed at l:
+// one page per group whose emission counter (count, read back from the
+// overflowed launch) is non-zero, clamped to the worst case. Claim bumps a
+// group's counter before it tries the page cursor, so the counters name
+// every emitting group even though the launch dropped entries. ok is false
+// when that is no more pages than l provisioned: the overflow was then
+// impossible, so the counters can only be corrupted.
+func Refit(l Layout, count []uint32) (next Layout, ok bool) {
+	if len(count) != l.Groups {
 		return l, false
 	}
-	l.Pages *= 2
-	if l.Pages > worst.Pages {
-		l.Pages = worst.Pages
+	need := 0
+	for _, n := range count {
+		if n != 0 {
+			need++
+		}
 	}
-	return l, true
+	next = SizedPages(need, l.Groups, l.PageSlots)
+	if next.Pages <= l.Pages {
+		return l, false
+	}
+	return next, true
 }
 
 // Slots is the total entry capacity of the layout.
@@ -137,7 +144,9 @@ type Device struct {
 
 // Claim allocates one output slot for a work-item of group g, returning -1
 // when the arena is exhausted (the drop is counted in Overflow; the host
-// grows the arena and relaunches). The group's first emitting item claims
+// refits the arena and relaunches). The group's emission counter is bumped
+// before anything else, so it counts the group as emitting even when the
+// claim fails — what Refit relies on. The group's first emitting item claims
 // the group's single page from the global cursor and publishes it; every
 // later emission is one atomic add on the group counter and one atomic read
 // of the published page, so the accounted traffic of a launch that fits its
@@ -313,66 +322,6 @@ func UnsetPages(n int) []uint32 {
 		pages[i] = NoPage
 	}
 	return pages
-}
-
-// Predictor tracks an exponentially weighted moving average of output
-// density across launches, seeding each chunk's arena from the chunks
-// before it. Because provisioning is page-granular (every emitting group
-// claims one page however few entries it writes), callers feed it page
-// claims per work-group — Observe(groups, pagesClaimed) — and read
-// predictions in pages; the same mechanics serve any per-unit rate. It is
-// safe for concurrent use.
-type Predictor struct {
-	mu     sync.Mutex
-	alpha  float64
-	margin float64
-	rate   float64
-	seeded bool
-}
-
-// NewPredictor returns a predictor starting at initial entries-per-unit.
-// alpha is the EWMA weight of the newest observation; margin is the safety
-// factor applied to predictions (headroom against density variance between
-// neighbouring chunks).
-func NewPredictor(alpha, margin, initial float64) *Predictor {
-	return &Predictor{alpha: alpha, margin: margin, rate: initial}
-}
-
-// Predict returns the provisioning estimate for units scanned units:
-// ceil(rate × units × margin), at least 1.
-func (p *Predictor) Predict(units int) int {
-	p.mu.Lock()
-	rate := p.rate
-	p.mu.Unlock()
-	n := int(math.Ceil(rate * float64(units) * p.margin))
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// Observe folds one completed launch's observed density into the average.
-// The first observation replaces the configured prior entirely.
-func (p *Predictor) Observe(units, entries int) {
-	if units <= 0 {
-		return
-	}
-	obs := float64(entries) / float64(units)
-	p.mu.Lock()
-	if !p.seeded {
-		p.rate = obs
-		p.seeded = true
-	} else {
-		p.rate += p.alpha * (obs - p.rate)
-	}
-	p.mu.Unlock()
-}
-
-// Rate returns the current entries-per-unit estimate.
-func (p *Predictor) Rate() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.rate
 }
 
 // String renders the layout for error messages and logs.

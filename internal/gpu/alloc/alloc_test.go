@@ -49,37 +49,31 @@ func TestLayoutConstructors(t *testing.T) {
 	}
 }
 
-// TestGrowDoublesToWorstCase pins the bounded doubling schedule: every Grow
-// doubles, the cap is the worst case, and growth at the cap reports ok=false
-// — the invariant that makes the overflow-retry loop terminate.
-func TestGrowDoublesToWorstCase(t *testing.T) {
-	l := SizedPages(1, 13, 64)
-	var trail []int
-	for {
-		next, ok := Grow(l)
-		if !ok {
-			break
-		}
-		if next.Pages <= l.Pages {
-			t.Fatalf("Grow did not grow: %d -> %d", l.Pages, next.Pages)
-		}
-		l = next
-		trail = append(trail, l.Pages)
-		if len(trail) > 10 {
-			t.Fatalf("doubling schedule did not terminate: %v", trail)
-		}
+// TestRefit pins the relaunch rule: one page per group whose emission
+// counter is non-zero, and ok=false whenever the counters call for no more
+// pages than the overflowed launch had — an overflow the counters cannot
+// explain is corrupted state, never a reason to relaunch.
+func TestRefit(t *testing.T) {
+	l := SizedPages(4, 13, 64)
+	count := []uint32{3, 0, 1, 64, 0, 2, 9, 0, 0, 1, 5, 0, 7} // 8 emitting groups
+	next, ok := Refit(l, count)
+	if !ok || next.Pages != 8 || next.Groups != 13 || next.PageSlots != 64 {
+		t.Fatalf("Refit = %+v, %v; want 8 pages of 64 slots over 13 groups", next, ok)
 	}
-	want := []int{2, 4, 8, 13}
-	if len(trail) != len(want) {
-		t.Fatalf("growth trail = %v, want %v", trail, want)
-	}
-	for i := range want {
-		if trail[i] != want[i] {
-			t.Fatalf("growth trail = %v, want %v", trail, want)
+	for _, tt := range []struct {
+		name  string
+		l     Layout
+		count []uint32
+	}{
+		{"all zero", l, make([]uint32, 13)},
+		{"fewer emitters than pages", l, []uint32{1, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+		{"as many emitters as pages", l, []uint32{1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+		{"worst case", WorstCase(3, 64), []uint32{1, 1, 1}},
+		{"short counter table", l, []uint32{1, 1, 1, 1, 1}},
+	} {
+		if got, ok := Refit(tt.l, tt.count); ok || got != tt.l {
+			t.Errorf("%s: Refit = %+v, %v; want the layout back and ok=false", tt.name, got, ok)
 		}
-	}
-	if _, ok := Grow(l); ok {
-		t.Error("Grow at the worst case reported ok")
 	}
 }
 
@@ -191,30 +185,32 @@ func TestGatherWalksGroupOrder(t *testing.T) {
 	}
 }
 
-// TestClaimOverflowGrowRetry drives the full host loop the backends run:
-// an under-provisioned launch overflows (counted, entries dropped, no
-// corruption), the layout doubles, and the retried launch at a sufficient
-// size recovers every entry.
-func TestClaimOverflowGrowRetry(t *testing.T) {
+// TestClaimOverflowRefitRetry drives the full host loop the backends run,
+// bounded at two attempts: an under-provisioned launch overflows (counted,
+// entries dropped, no corruption), its read-back emission counters size the
+// relaunch exactly, and the relaunch recovers every entry.
+func TestClaimOverflowRefitRetry(t *testing.T) {
 	const (
 		groups    = 8
 		wg        = 32
 		pageSlots = wg
 	)
-	layout := SizedPages(1, groups, pageSlots) // every group emits: 8 needed
+	// Five of the eight groups emit, every item of each.
+	emits := func(group int) bool { return group%3 != 1 }
+	layout := SizedPages(1, groups, pageSlots)
 	d := testDevice()
-	for attempt := 0; ; attempt++ {
-		if attempt > 8 {
-			t.Fatal("grow-retry loop did not terminate")
-		}
+	for attempt := 0; attempt < 2; attempt++ {
 		h := NewHost(layout)
 		data := make([]uint32, layout.Slots())
 		dev := h.Device()
 		if _, err := d.Launch(gpu.LaunchSpec{
-			Name:   "emit-all",
+			Name:   "emit-some",
 			Global: gpu.R1(groups * wg),
 			Local:  gpu.R1(wg),
 			Phases: perItem(func(it *gpu.Item) {
+				if !emits(it.GroupID(0)) {
+					return
+				}
 				if slot := dev.Claim(it.Group()); slot >= 0 {
 					data[slot] = uint32(it.GlobalID(0)) + 1
 				}
@@ -223,29 +219,33 @@ func TestClaimOverflowGrowRetry(t *testing.T) {
 			t.Fatal(err)
 		}
 		if h.Overflow[0] == 0 {
+			if attempt == 0 {
+				t.Fatal("one page for five emitting groups did not overflow")
+			}
 			geo, err := h.Decode()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if geo.Total != groups*wg {
-				t.Fatalf("recovered %d entries, want %d", geo.Total, groups*wg)
+			if geo.Claimed != 5 || geo.Total != 5*wg {
+				t.Fatalf("recovered %d entries on %d pages, want %d on 5", geo.Total, geo.Claimed, 5*wg)
 			}
 			for _, v := range Gather(geo, data, nil) {
 				if v == 0 {
 					t.Fatal("gathered an unwritten slot")
 				}
 			}
-			if attempt == 0 {
-				t.Fatal("one page for eight emitting groups did not overflow")
-			}
 			return
 		}
-		next, ok := Grow(layout)
+		next, ok := Refit(layout, h.Count)
 		if !ok {
-			t.Fatalf("overflow at the worst case (%v)", layout)
+			t.Fatalf("attempt %d overflowed at %v, which its counters say fits", attempt, layout)
+		}
+		if next.Pages != 5 {
+			t.Fatalf("Refit sized the relaunch at %d pages, want one per emitting group (5)", next.Pages)
 		}
 		layout = next
 	}
+	t.Fatal("the relaunch at Refit's layout overflowed")
 }
 
 // TestClaimDeterministicTotals runs the same dense launch twice on four
@@ -335,32 +335,5 @@ func TestHostReset(t *testing.T) {
 	h.Reset()
 	if h.Cursor[0] != 0 || h.Overflow[0] != 0 || h.Count[1] != 0 || h.PageOf[1] != NoPage {
 		t.Errorf("Reset left state: %+v", h)
-	}
-}
-
-func TestPredictor(t *testing.T) {
-	p := NewPredictor(0.3, 1.5, 1.0)
-	// Prior rate 1.0 with margin 1.5: 10 units -> 15 pages.
-	if got := p.Predict(10); got != 15 {
-		t.Errorf("prior Predict(10) = %d, want 15", got)
-	}
-	// The first observation replaces the prior outright.
-	p.Observe(10, 2)
-	if r := p.Rate(); r != 0.2 {
-		t.Errorf("rate after first observation = %v, want 0.2", r)
-	}
-	if got := p.Predict(10); got != 3 {
-		t.Errorf("Predict(10) = %d, want ceil(0.2*10*1.5) = 3", got)
-	}
-	// Later observations fold in with the EWMA weight.
-	p.Observe(10, 10)
-	if r := p.Rate(); r < 0.43 || r > 0.45 {
-		t.Errorf("rate after EWMA fold = %v, want 0.2 + 0.3*(1.0-0.2) = 0.44", r)
-	}
-	// Predictions never drop below one page, and zero-unit observations
-	// are ignored rather than dividing by zero.
-	p.Observe(0, 100)
-	if got := NewPredictor(0.3, 1.5, 0).Predict(10); got != 1 {
-		t.Errorf("zero-rate Predict = %d, want the one-page floor", got)
 	}
 }

@@ -133,7 +133,7 @@ type FinderArgs struct {
 	Flags []byte
 	// Arena is the output sub-allocator: work-items claim one slot per
 	// emitted entry; exhaustion is counted in Arena.Overflow and the host
-	// grows and relaunches.
+	// refits the arena and relaunches.
 	Arena *alloc.Device
 }
 

@@ -215,7 +215,7 @@ func (k *Comparer) compareGroup(g *gpu.Group, lComp []byte, lCompIndex []int32, 
 			}
 			// L19-L23 / L36-L40: compact one passing entry through the
 			// arena. An exhausted arena drops the entry — counted in
-			// Arena.Overflow, recovered by the host's grow-and-relaunch.
+			// Arena.Overflow, recovered by the host's refit-and-relaunch.
 			slot := a.Arena.Claim(g)
 			if slot < 0 {
 				drops++

@@ -88,7 +88,7 @@ func (f *Finder) scanGroup(g *gpu.Group, lPat []byte, lPatIndex []int32, hist [2
 		slot := a.Arena.Claim(g)
 		if slot < 0 {
 			// Arena exhausted: the drop is counted in Arena.Overflow and the
-			// host grows the arena and relaunches, so no site is ever lost.
+			// host refits the arena and relaunches, so no site is ever lost.
 			branches++
 			continue
 		}

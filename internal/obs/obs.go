@@ -48,7 +48,7 @@ const (
 	// Hit-buffer arena counters (internal/gpu/alloc), published from the
 	// profile too: bytes of arena entry storage provisioned, pages claimed
 	// by kernels, and launches repeated after an arena overflow (the
-	// backend's grow-and-retry, plus the executor's relaunch when an
+	// backend's refit-and-relaunch, plus the executor's relaunch when an
 	// overflow escapes a backend).
 	MetricArenaBytes     = "casoffinder_arena_bytes_total"
 	MetricArenaPages     = "casoffinder_arena_page_claims_total"

@@ -28,10 +28,11 @@ const (
 )
 
 // maxOverflowRelaunches is the per-chunk budget for relaunching after a
-// fault.Overflow error escapes a backend. Backends grow their hit-buffer
-// arena and relaunch internally, so an escaped overflow means the arena was
-// exhausted at its worst-case layout — possible only under corrupted arena
-// readback, which a fresh attempt usually clears. The budget is separate
+// fault.Overflow error escapes a backend. Backends refit their hit-buffer
+// arena to the launch's own emission counters and relaunch once internally,
+// so an escaped overflow is one those counters cannot explain — possible
+// only under corrupted arena readback, which a fresh attempt usually
+// clears. The budget is separate
 // from the transient retry budget: an overflow relaunch must not starve the
 // retries a genuinely flaky device needs.
 const maxOverflowRelaunches = 2

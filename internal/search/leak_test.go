@@ -9,6 +9,7 @@ import (
 	"casoffinder/internal/fault"
 	"casoffinder/internal/genome"
 	"casoffinder/internal/gpu"
+	"casoffinder/internal/gpu/alloc"
 	"casoffinder/internal/gpu/device"
 	"casoffinder/internal/kernels"
 	"casoffinder/internal/pipeline"
@@ -95,16 +96,7 @@ func (f *faultyOps) readRange(src devBuf, off, n int, dst any) error {
 // executor makes on a failed attempt — nothing live in the driver, in the
 // veneer or on the device.
 func TestHostOpsFailureSweep(t *testing.T) {
-	asm := denseAssembly(300, 200)
-	req := denseRequest()
-	req.ChunkBytes = 0
-	plan, err := pipeline.Compile(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := asm.Sequences[0].Data
-	plen := plan.Pattern.PatternLen
-	ch := &genome.Chunk{SeqName: "chr1", Data: data, Body: len(data) - plen + 1, Overlap: plen - 1}
+	plan, ch := sweepChunk(t, 300, 200)
 	ctx := context.Background()
 
 	// attempt runs the chunk with the failAt-th call failing (0: none) and
@@ -162,11 +154,7 @@ func TestHostOpsFailureSweep(t *testing.T) {
 		return f.calls, err
 	}
 
-	cores := []*simCore{
-		(&SimCL{Device: gpu.New(device.MI100(), gpu.WithWorkers(4)), Variant: kernels.Base}).core(),
-		(&SimSYCL{Device: gpu.New(device.MI100(), gpu.WithWorkers(4)), Variant: kernels.Base, WorkGroupSize: 64}).core(),
-	}
-	for _, core := range cores {
+	for _, core := range sweepCores() {
 		t.Run(core.name, func(t *testing.T) {
 			calls, err := attempt(t, core, 0)
 			if err != nil {
@@ -186,5 +174,174 @@ func TestHostOpsFailureSweep(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// sweepChunk is the one-chunk plan the host-ops fakes drive: a GGA run
+// and an all-G run (denseAssembly), so the chunk has candidates and hits.
+func sweepChunk(t *testing.T, sparse, dense int) (*pipeline.Plan, *genome.Chunk) {
+	t.Helper()
+	asm := denseAssembly(sparse, dense)
+	req := denseRequest()
+	req.ChunkBytes = 0
+	plan, err := pipeline.Compile(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := asm.Sequences[0].Data
+	plen := plan.Pattern.PatternLen
+	return plan, &genome.Chunk{SeqName: "chr1", Data: data, Body: len(data) - plen + 1, Overlap: plen - 1}
+}
+
+// sweepCores returns one fresh engine core per veneer.
+func sweepCores() []*simCore {
+	return []*simCore{
+		(&SimCL{Device: gpu.New(device.MI100(), gpu.WithWorkers(4)), Variant: kernels.Base}).core(),
+		(&SimSYCL{Device: gpu.New(device.MI100(), gpu.WithWorkers(4)), Variant: kernels.Base, WorkGroupSize: 64}).core(),
+	}
+}
+
+// overflowOps is a host-ops implementation whose arena readback lies about
+// one kernel: that kernel's overflow counter always reads back non-zero and
+// its emission counters read back as the first emit groups emitting one
+// entry each, emit growing by grow after every read (a negative emit fails
+// the read with errCounterRead). It records the layout of each of that
+// kernel's launches.
+type overflowOps struct {
+	hostOps
+	comparer   bool
+	emit, grow int
+	ovf, count devBuf
+	layouts    []alloc.Layout
+}
+
+func (o *overflowOps) watch(comparer bool, a *simArena) {
+	if comparer == o.comparer {
+		o.ovf, o.count = a.ovf, a.count
+		o.layouts = append(o.layouts, a.layout)
+	}
+}
+
+func (o *overflowOps) launchFinder(ctx context.Context, l *finderLaunch) (*gpu.Stats, error) {
+	o.watch(false, l.arena)
+	return o.hostOps.launchFinder(ctx, l)
+}
+
+func (o *overflowOps) launchComparer(ctx context.Context, l *comparerLaunch) (*gpu.Stats, error) {
+	o.watch(true, l.arena)
+	return o.hostOps.launchComparer(ctx, l)
+}
+
+func (o *overflowOps) readRange(src devBuf, off, n int, dst any) error {
+	if err := o.hostOps.readRange(src, off, n, dst); err != nil {
+		return err
+	}
+	switch src {
+	case o.ovf:
+		dst.([]uint32)[0] = 1
+	case o.count:
+		if o.emit < 0 {
+			return errCounterRead
+		}
+		for i := range dst.([]uint32) {
+			dst.([]uint32)[i] = 0
+			if i < o.emit {
+				dst.([]uint32)[i] = 1
+			}
+		}
+		o.emit += o.grow
+	}
+	return nil
+}
+
+var errCounterRead = errors.New("injected emission-counter read failure")
+
+// TestArenaOverflowBounded feeds the arena loop overflows its counters
+// cannot explain, through both veneers: a finder overflow at the worst case,
+// a comparer overflow whose counters are all zero, and a comparer whose
+// counters call for one more group on every read, so that each relaunch
+// overflows again with room left to grow. Each must come back as the typed
+// fault.Overflow error after at most one relaunch — never a loop — with
+// every buffer of the failed launches freed before the error returns. A
+// failed counter read after an overflow returns that error instead. No
+// overflowed launch may reach the profile's kernel statistics.
+func TestArenaOverflowBounded(t *testing.T) {
+	plan, ch := sweepChunk(t, 300, 600) // eleven comparer groups
+	ctx := context.Background()
+	for _, tt := range []struct {
+		name       string
+		comparer   bool
+		emit, grow int
+		launches   int
+	}{
+		{"finder at worst case", false, 1, 0, 1},
+		{"comparer counters zero", true, 0, 0, 1},
+		{"comparer relaunch overflows", true, comparerFirstPages + 1, 1, 2},
+		{"comparer counter read fails", true, -1, 0, 1},
+	} {
+		for _, core := range sweepCores() {
+			t.Run(tt.name+"/"+core.name, func(t *testing.T) {
+				o := &overflowOps{comparer: tt.comparer, emit: tt.emit, grow: tt.grow}
+				open := core.open
+				core.open = func(dev *gpu.Device, v kernels.ComparerVariant, onAsync func()) (hostOps, error) {
+					inner, err := open(dev, v, onAsync)
+					o.hostOps = inner
+					return o, err
+				}
+				core.profile = newProfile()
+				b, err := newSimBackend(core, plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := b.Stage(ctx, ch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tt.comparer {
+					if _, err = b.Find(ctx, st); err != nil {
+						t.Fatal(err)
+					}
+				}
+				live := len(b.live)
+				if tt.comparer {
+					err = b.Compare(ctx, st, 0)
+				} else {
+					_, err = b.Find(ctx, st)
+				}
+				var fe *fault.Error
+				if tt.emit < 0 {
+					if !errors.Is(err, errCounterRead) {
+						t.Errorf("err = %v, want the injected counter read failure", err)
+					}
+				} else if !errors.As(err, &fe) || fe.Site != fault.SiteArena || fe.Class != fault.Overflow {
+					t.Errorf("err = %v, want a typed SiteArena overflow", err)
+				} else if n := len(b.live); n != live {
+					t.Errorf("%d live handles after the failed launch, %d before it", n, live)
+				}
+				kernel := "finder"
+				if tt.comparer {
+					kernel = kernels.ComparerKernelName(core.comparer())
+				}
+				if n := core.profile.Launches[kernel]; n != 0 {
+					t.Errorf("%d overflowed %s launches reached the profile", n, kernel)
+				}
+				if len(o.layouts) != tt.launches {
+					t.Errorf("%d launches (%v), want %d", len(o.layouts), o.layouts, tt.launches)
+				}
+				if g := o.layouts[0].Groups; tt.grow > 0 && g <= tt.emit+tt.grow {
+					t.Fatalf("%d comparer groups leave the counters no room to call for a third launch", g)
+				}
+				if core.profile.OverflowRetries != int64(tt.launches-1) {
+					t.Errorf("OverflowRetries = %d, want %d", core.profile.OverflowRetries, tt.launches-1)
+				}
+				b.Release(st)
+				if err := b.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if n := core.Device.AllocatedBytes(); n != 0 {
+					t.Errorf("device holds %d bytes after Close", n)
+				}
+			})
+		}
 	}
 }

@@ -44,14 +44,14 @@ type Profile struct {
 
 	// Hit-buffer arena counters, filled by the arena-backed backends.
 
-	// ArenaBytes is the total arena entry storage provisioned across
-	// launches — the figure density-driven allocation shrinks relative to
-	// worst-case provisioning.
+	// ArenaBytes is the total arena storage provisioned across launches,
+	// voided attempts included.
 	ArenaBytes int64
 	// ArenaPageClaims is the number of arena pages kernels claimed.
 	ArenaPageClaims int64
 	// OverflowRetries counts launches repeated after the arena overflowed
-	// and was grown (the bounded grow-and-retry loop).
+	// and was refitted (at most one per launch), plus the executor's
+	// relaunches of a chunk whose overflow escaped the backend.
 	OverflowRetries int64
 
 	// Recovery counters, folded from the executor's run report when the
@@ -176,7 +176,7 @@ func (p *Profile) addArena(bytes, pageClaims int64) {
 	p.mu.Unlock()
 }
 
-// addOverflowRetry counts one grow-and-relaunch after an arena overflow.
+// addOverflowRetry counts one refit-and-relaunch after an arena overflow.
 func (p *Profile) addOverflowRetry() {
 	p.mu.Lock()
 	p.OverflowRetries++

@@ -120,13 +120,6 @@ type simBackend struct {
 
 	patBuf, patIdxBuf devBuf
 
-	// finderPred and comparerPred carry the observed hit density across
-	// chunks; each launch's arena is provisioned from them unless the
-	// artifact's PAM index gives an exact count or a test pins the worst-case
-	// layout.
-	finderPred   *alloc.Predictor
-	comparerPred *alloc.Predictor
-
 	// mu guards live.
 	mu   sync.Mutex
 	live map[devBuf]struct{}
@@ -136,12 +129,7 @@ type simBackend struct {
 // pattern tables. On any failure the partially built state is torn down via
 // Close.
 func newSimBackend(e *simCore, plan *pipeline.Plan) (_ *simBackend, err error) {
-	b := &simBackend{
-		e: e, plan: plan, prof: e.profile,
-		finderPred:   alloc.NewPredictor(arenaAlpha, arenaMargin, arenaFinderPrior),
-		comparerPred: alloc.NewPredictor(arenaAlpha, arenaMargin, arenaComparerPrior),
-		live:         make(map[devBuf]struct{}),
-	}
+	b := &simBackend{e: e, plan: plan, prof: e.profile, live: make(map[devBuf]struct{})}
 	if e.tuned != nil {
 		b.prof.addTune(e.track(), e.tuned)
 	}
@@ -229,34 +217,40 @@ func (b *simBackend) createArena(l alloc.Layout) (*simArena, error) {
 }
 
 // readArena reads the launch's arena state back. The overflow counter is
-// read (and accounted) first: a non-zero value means the launch dropped
-// entries and must be retried on a grown arena, returned as dropped with a
-// nil geometry. A clean launch's claim state is then read and decoded —
-// Decode rejects impossible state as fault.SiteArena corruption, after the
-// readback bytes are already on the profile.
-func (b *simBackend) readArena(a *simArena) (geo *alloc.Geometry, dropped uint32, err error) {
+// read (and accounted) first. A non-zero value means the launch dropped
+// entries: its per-group emission counters are read (and accounted) and
+// returned as overflowed, with a nil geometry, for alloc.Refit to size the
+// relaunch — overflowed is non-nil even when that read fails, so the caller
+// still knows the launch was voided. A clean launch's claim state is read
+// and decoded instead — Decode rejects impossible state as fault.SiteArena
+// corruption, after the readback bytes are already on the profile.
+func (b *simBackend) readArena(a *simArena) (geo *alloc.Geometry, overflowed []uint32, err error) {
 	groups := a.layout.Groups
 	state := make([]uint32, 2+2*groups)
 	ovf, cursor, count, pageOf := state[:1], state[1:2], state[2:2+groups], state[2+groups:]
 	if err := b.ops.readRange(a.ovf, 0, 1, ovf); err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	b.prof.addRead(4)
 	if ovf[0] != 0 {
-		return nil, ovf[0], nil
+		if err := b.ops.readRange(a.count, 0, groups, count); err != nil {
+			return nil, count, err
+		}
+		b.prof.addRead(4 * int64(groups))
+		return nil, count, nil
 	}
 	if err := b.ops.readRange(a.cursor, 0, 1, cursor); err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	if err := b.ops.readRange(a.count, 0, groups, count); err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	if err := b.ops.readRange(a.page, 0, groups, pageOf); err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	b.prof.addRead(4 + 8*int64(groups))
 	geo, err = alloc.Decode(cursor[0], count, pageOf, a.layout.PageSlots, a.layout.Pages)
-	return geo, 0, err
+	return geo, nil, err
 }
 
 // arenaPass describes one kernel's launch-and-collect cycle to runArena.
@@ -268,7 +262,6 @@ type arenaPass struct {
 	outKind    bufKind
 	outElems   []any
 	entryBytes int
-	pred       *alloc.Predictor
 	// pad is the work-group size the layout was cut for.
 	pad int
 	// limit is the most entries an intact launch can emit.
@@ -279,12 +272,15 @@ type arenaPass struct {
 	consume func(geo *alloc.Geometry, out []devBuf) error
 }
 
-// runArena launches a kernel into an arena provisioned at layout, growing
-// and relaunching on overflow, then hands the clean launch's geometry to the
-// pass and feeds the density predictor. Only the arena's claim state crosses
-// back to the host here. An error leaves the attempt's buffers to Close.
+// runArena launches a kernel into an arena provisioned at layout and hands
+// the clean launch's geometry to the pass. A launch that overflows is
+// relaunched once, at the layout its own emission counters call for
+// (alloc.Refit); a second overflow, or counters that call for no more pages
+// than the launch had, can only be corrupted state and return the typed
+// fault.Overflow error. Only the arena's claim state crosses back to the
+// host here. An error leaves the attempt's buffers to Close.
 func (b *simBackend) runArena(layout alloc.Layout, p *arenaPass) error {
-	for {
+	for relaunched := false; ; relaunched = true {
 		out := make([]devBuf, len(p.outElems))
 		for i, elem := range p.outElems {
 			var err error
@@ -312,29 +308,29 @@ func (b *simBackend) runArena(layout alloc.Layout, p *arenaPass) error {
 		if err != nil {
 			return err
 		}
-		geo, dropped, err := b.readArena(arena)
-		if dropped == 0 {
+		geo, overflowed, err := b.readArena(arena)
+		if overflowed == nil {
 			// Which groups won the pages of a launch that overflowed is a
 			// race between workers, so a voided attempt's statistics are
 			// not a function of the input: it is accounted by addArena
 			// above and OverflowRetries below, and its kernel counters stay
-			// out of the profile. A launch whose readback failed still
-			// counts.
+			// out of the profile. A launch whose readback failed before it
+			// showed an overflow still counts.
 			b.prof.addKernel(p.kernel, stats, p.pad)
 		}
 		if err != nil {
 			return err
 		}
-		if dropped > 0 {
+		if overflowed != nil {
 			if err := release(); err != nil {
 				return err
 			}
-			grown, ok := alloc.Grow(layout)
-			if !ok {
+			refit, ok := alloc.Refit(layout, overflowed)
+			if relaunched || !ok {
 				return fault.Errorf(fault.SiteArena, fault.Overflow,
-					"search: %s: %s arena dropped %d entries at worst-case %v", b.e.name, p.kernel, dropped, layout)
+					"search: %s: %s arena overflowed at %v, more than its emission counters allow", b.e.name, p.kernel, layout)
 			}
-			layout = grown
+			layout = refit
 			b.prof.addOverflowRetry()
 			continue
 		}
@@ -351,11 +347,7 @@ func (b *simBackend) runArena(layout alloc.Layout, p *arenaPass) error {
 		if err := p.consume(geo, out); err != nil {
 			return err
 		}
-		if err := release(); err != nil {
-			return err
-		}
-		p.pred.Observe(layout.Groups, geo.Claimed)
-		return nil
+		return release()
 	}
 }
 
@@ -434,10 +426,10 @@ func (b *simBackend) Find(ctx context.Context, st pipeline.Staged) (int, error) 
 	}
 	pad := b.groupSize()
 	gws := (sites + pad - 1) / pad * pad
-	err := b.runArena(finderLayout(b.plan, b.finderPred, s.ch, gws/pad, pad, b.e.worstCaseArena), &arenaPass{
+	err := b.runArena(alloc.WorstCase(gws/pad, pad), &arenaPass{
 		kernel:  "finder",
 		outKind: bufState, outElems: finderOut, entryBytes: finderEntryBytes,
-		pred: b.finderPred, pad: pad,
+		pad:   pad,
 		limit: sites, // at most one entry per scanned site
 		launch: func(a *simArena, out []devBuf) (*gpu.Stats, error) {
 			return b.ops.launchFinder(ctx, &finderLaunch{
@@ -499,10 +491,10 @@ func (b *simBackend) Compare(ctx context.Context, st pipeline.Staged, qi int) (e
 
 	pad := b.groupSize()
 	cgws := (s.n + pad - 1) / pad * pad
-	return b.runArena(comparerLayout(b.comparerPred, cgws/pad, 2*pad, b.e.worstCaseArena), &arenaPass{
+	return b.runArena(comparerLayout(cgws/pad, 2*pad, b.e.worstCaseArena), &arenaPass{
 		kernel:  kernels.ComparerKernelName(b.e.comparer()),
 		outKind: bufOut, outElems: comparerOut, entryBytes: comparerEntryBytes,
-		pred: b.comparerPred, pad: pad,
+		pad:   pad,
 		limit: 2 * s.n, // at most one entry per strand per candidate
 		launch: func(a *simArena, out []devBuf) (*gpu.Stats, error) {
 			return b.ops.launchComparer(ctx, &comparerLaunch{

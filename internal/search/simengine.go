@@ -47,9 +47,9 @@ type simConfig struct {
 	Track   string
 
 	// worstCaseArena pins every launch's hit-buffer arena to the worst-case
-	// layout (one page per work-group) instead of sizing it from the
-	// predicted hit density. Only this package's tests set it: it is the
-	// reference the density-driven hit stream must equal byte for byte.
+	// layout (one page per work-group) instead of the comparer's small first
+	// attempt. Only this package's tests set it: it is the reference the
+	// dynamically provisioned hit stream must equal byte for byte.
 	worstCaseArena bool
 
 	// profile is the current run's one ledger: set before anything that can
