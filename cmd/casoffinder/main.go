@@ -327,7 +327,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		if p := profiler.LastProfile(); p != nil {
 			fmt.Fprintf(stderr, "profile: %d chunks, %d candidate sites, %d entries\n",
 				p.Chunks, p.CandidateSites, p.Entries)
-			for name, s := range p.Kernels {
+			for _, name := range p.KernelNames() {
+				s := p.Kernels[name]
 				fmt.Fprintf(stderr, "  kernel %-14s launches=%-4d %s\n", name, p.Launches[name], s.String())
 			}
 			printAutotune(stderr, p)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -64,6 +65,28 @@ func TestRunSimEnginesWithProfile(t *testing.T) {
 		}
 		if !strings.Contains(errOut.String(), "kernel") {
 			t.Errorf("%s: no kernel profile on stderr: %s", engine, errOut.String())
+		}
+	}
+}
+
+// TestRunProfileKernelOrder: the profile block lists its kernels sorted by
+// name on every run, not in map order (which would swap the finder and
+// comparer lines between identical runs).
+func TestRunProfileKernelOrder(t *testing.T) {
+	input := writeTestData(t, "NNNNNNNNNNNGG")
+	for i := 0; i < 10; i++ {
+		var out, errOut bytes.Buffer
+		if err := run([]string{"-engine", "sycl", input}, &out, &errOut); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		var kernels []string
+		for _, line := range strings.Split(errOut.String(), "\n") {
+			if f := strings.Fields(line); len(f) > 1 && f[0] == "kernel" {
+				kernels = append(kernels, f[1])
+			}
+		}
+		if len(kernels) < 2 || !slices.IsSorted(kernels) {
+			t.Fatalf("run %d: kernel lines %q, want at least two in sorted order", i, kernels)
 		}
 	}
 }

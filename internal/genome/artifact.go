@@ -15,16 +15,16 @@ import (
 )
 
 // An Artifact is a genome assembly in its search-ready form, persisted so
-// that repeated runs (or a resident server) skip the FASTA parse, the 2-bit
-// pack and the word-view derivation that otherwise dominate cold start. One
-// artifact bundles, per sequence:
+// that repeated runs (or a resident server) skip the FASTA parse and the
+// word-view build that otherwise dominate cold start. One artifact bundles,
+// per sequence:
 //
 //   - the raw sequence bytes exactly as loaded (site rendering and the
 //     simulator engines stage these, so artifact-backed output stays
 //     byte-identical to a FASTA-backed run);
-//   - the 32-bases-per-uint64 packed code words and Morton-spread
-//     unknown-lane words in WordView layout, padding word included, so a
-//     word view over any chunk window is a slice header away;
+//   - the 32-bases-per-uint64 code words and unknown-lane words in
+//     WordView layout, padding word included, so a word view over any
+//     chunk window is a slice header away;
 //   - optionally a sorted shard of PAM-candidate positions precomputed for
 //     one scaffold pattern with the SWAR 32-wide prefilter, letting the
 //     scan engines skip candidate finding entirely.
@@ -171,13 +171,11 @@ func BuildArtifact(asm *Assembly, pattern string, patternLen int, pamFor PAMFunc
 		seqs:       make([]artifactSeq, len(asm.Sequences)),
 	}
 	for i, seq := range asm.Sequences {
-		p, err := Pack(seq.Data)
-		if err != nil {
+		s := &a.seqs[i]
+		if _, err := NewWordView(seq.Data, &s.view); err != nil {
 			return nil, fmt.Errorf("genome: artifact: sequence %s: %w", seq.Name, err)
 		}
-		s := &a.seqs[i]
 		s.name, s.desc, s.raw = seq.Name, seq.Description, seq.Data
-		p.WordView(&s.view)
 		if pamFor != nil {
 			s.pam = pamFor(i, &s.view)
 		}

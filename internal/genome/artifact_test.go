@@ -75,14 +75,13 @@ func TestArtifactRoundTrip(t *testing.T) {
 		t.Error("HasPAMIndex matched a different scaffold")
 	}
 
-	// The decoded word views must equal a fresh Pack+WordView derivation.
+	// The decoded word views must equal a fresh build from the bytes.
 	asm := artifactFixture()
 	for si, seq := range asm.Sequences {
-		p, err := Pack(seq.Data)
+		want, err := NewWordView(seq.Data, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := p.WordView(nil)
 		have := got.View(si)
 		if have.Len() != want.Len() || have.Words() != want.Words() {
 			t.Fatalf("seq %d: view geometry %d/%d, want %d/%d", si, have.Len(), have.Words(), want.Len(), want.Words())

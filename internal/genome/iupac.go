@@ -1,9 +1,10 @@
 // Package genome provides the sequence substrate for the off-target search
 // engine: IUPAC nucleotide-code semantics, FASTA input and output for
-// single- and multi-sequence files, a 2-bit packed sequence codec, a genome
-// chunker that splits assemblies into device-sized pieces, and a
-// deterministic synthetic-assembly generator used in place of the UCSC
-// hg19/hg38 downloads.
+// single- and multi-sequence files, the 2-bit word view the CPU scan reads
+// (built from the sequence bytes in one pass), a genome chunker that splits
+// assemblies into device-sized pieces, and a deterministic
+// synthetic-assembly generator used in place of the UCSC hg19/hg38
+// downloads.
 package genome
 
 import "fmt"

@@ -1,77 +1,87 @@
 package genome
 
-import "encoding/binary"
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+)
 
 // LaneMask has the low bit of every 2-bit base lane set. SWAR routines use
 // it to broadcast a 2-bit code across a word and to collapse per-lane
 // comparison planes into one bit per base.
 const LaneMask = 0x5555555555555555
 
-// WordView is a word-parallel view of a Packed sequence: 32 bases per
-// uint64 (base i at bits 2·(i mod 32) and up), plus a parallel array of
-// unknown lanes where bit 2·(i mod 32) is set when base i was ambiguous.
-// Both arrays carry one padding word, and every lane at or past Len is
-// marked unknown, so a shifted window load never needs a bounds branch and
-// out-of-range lanes can never match a concrete pattern position.
+// WordView is the word-parallel form of a sequence, the 2-bit format the
+// scan reads: 32 bases per uint64 (base i at bits 2·(i mod 32) and up,
+// A,C,G,T = 0..3), plus a parallel array of unknown lanes where bit
+// 2·(i mod 32) is set when base i was ambiguous. Both arrays carry one
+// padding word, and every lane at or past Len is marked unknown, so a
+// shifted window load never needs a bounds branch and out-of-range lanes
+// can never match a concrete pattern position.
 type WordView struct {
 	n       int
 	codes   []uint64
 	unknown []uint64
 }
 
-// WordView builds (or rebuilds, reusing reuse's buffers when non-nil) the
-// word-parallel view of p. Scan workers keep one per scratch so the per-
-// chunk rebuild allocates nothing once warm.
-func (p *Packed) WordView(reuse *WordView) *WordView {
+// Entries of laneTable: a concrete base maps to its 2-bit code, any other
+// IUPAC code to laneUnknown (code A, lane unknown), any other byte to
+// laneInvalid.
+const (
+	laneUnknown = 4
+	laneInvalid = 5
+)
+
+var laneTable = func() [256]byte {
+	var t [256]byte
+	for b := range t {
+		switch m := MaskOf(byte(b)); {
+		case m == MaskNone:
+			t[b] = laneInvalid
+		case !IsConcrete(byte(b)):
+			t[b] = laneUnknown
+		default:
+			t[b] = byte(bits.TrailingZeros8(uint8(m)))
+		}
+	}
+	return t
+}()
+
+// NewWordView builds the word view of seq (or rebuilds it into reuse's
+// buffers when reuse is non-nil) in one pass over the bytes. U counts as T,
+// case is ignored, and every other IUPAC code becomes an unknown lane; a
+// byte that is no IUPAC code is an error, after which reuse is partially
+// filled and must be rebuilt before use. Scan workers keep one view per
+// scratch, so the per-chunk rebuild allocates nothing once warm.
+func NewWordView(seq []byte, reuse *WordView) (*WordView, error) {
 	v := reuse
 	if v == nil {
 		v = new(WordView)
 	}
-	dw := (p.n + 31) / 32
-	words := dw + 1
-	if cap(v.codes) < words {
-		v.codes = make([]uint64, words)
-	} else {
-		v.codes = v.codes[:words]
-	}
-	if cap(v.unknown) < words {
-		v.unknown = make([]uint64, words)
-	} else {
-		v.unknown = v.unknown[:words]
-	}
-	v.n = p.n
+	dw := (len(seq) + 31) / 32
+	v.codes = slices.Grow(v.codes[:0], dw+1)[:dw+1]
+	v.unknown = slices.Grow(v.unknown[:0], dw+1)[:dw+1]
+	v.n = len(seq)
 	for w := 0; w < dw; w++ {
-		// The byte packing is little-endian within each byte, so a
-		// little-endian 8-byte load lands base 32w+i exactly at lane i.
-		off := w * 8
-		var cw uint64
-		if off+8 <= len(p.codes) {
-			cw = binary.LittleEndian.Uint64(p.codes[off : off+8])
-		} else {
-			for j := off; j < len(p.codes); j++ {
-				cw |= uint64(p.codes[j]) << (8 * uint(j-off))
+		var code, unknown uint64
+		word := seq[32*w : min(32*w+32, len(seq))]
+		for i, b := range word {
+			switch c := laneTable[b]; c {
+			case laneInvalid:
+				return nil, fmt.Errorf("genome: cannot pack invalid code %q at offset %d", b, 32*w+i)
+			case laneUnknown:
+				unknown |= 1 << (2 * i)
+			default:
+				code |= uint64(c) << (2 * i)
 			}
 		}
-		v.codes[w] = cw
-		// The unknown bitmap is 1 bit per base; spread the 32 bits
-		// covering this word onto the even (lane) bit positions.
-		uoff := w * 4
-		var ub uint32
-		if uoff+4 <= len(p.unknown) {
-			ub = binary.LittleEndian.Uint32(p.unknown[uoff : uoff+4])
-		} else {
-			for j := uoff; j < len(p.unknown); j++ {
-				ub |= uint32(p.unknown[j]) << (8 * uint(j-uoff))
-			}
+		if r := len(word); r < 32 {
+			unknown |= LaneMask << (2 * r)
 		}
-		v.unknown[w] = spread32(ub)
+		v.codes[w], v.unknown[w] = code, unknown
 	}
-	if r := p.n & 31; r != 0 {
-		v.unknown[dw-1] |= LaneMask << (uint(r) * 2)
-	}
-	v.codes[dw] = 0
-	v.unknown[dw] = LaneMask
-	return v
+	v.codes[dw], v.unknown[dw] = 0, LaneMask
+	return v, nil
 }
 
 // Len returns the number of bases the view covers.
@@ -93,16 +103,4 @@ func (v *WordView) Window(pos int) (code, unknown uint64) {
 		unknown |= v.unknown[w+1] << (64 - sh)
 	}
 	return code, unknown
-}
-
-// spread32 interleaves a zero bit after every bit of x, moving bit i of the
-// unknown bitmap to lane position 2i.
-func spread32(x uint32) uint64 {
-	v := uint64(x)
-	v = (v | v<<16) & 0x0000FFFF0000FFFF
-	v = (v | v<<8) & 0x00FF00FF00FF00FF
-	v = (v | v<<4) & 0x0F0F0F0F0F0F0F0F
-	v = (v | v<<2) & 0x3333333333333333
-	v = (v | v<<1) & 0x5555555555555555
-	return v
 }

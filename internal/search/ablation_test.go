@@ -59,7 +59,7 @@ func BenchmarkSWARVsScalar(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	packed, err := genome.Pack(seq)
+	v, err := genome.NewWordView(seq, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -71,13 +71,13 @@ func BenchmarkSWARVsScalar(b *testing.B) {
 		b.SetBytes(positions)
 		for i := 0; i < b.N; i++ {
 			for pos := 0; pos+plen <= len(seq); pos++ {
-				mm, _ := packedMismatches(pair, packed, pos, 0, limit)
+				mm, _ := packedMismatches(pair, seq, pos, 0, limit)
 				sink += mm
 			}
 		}
 	})
 	b.Run("swar", func(b *testing.B) {
-		be, s := everyWindow(pair, packed.WordView(nil), len(seq), genome.PAMFwd, limit)
+		be, s := everyWindow(pair, v, len(seq), genome.PAMFwd, limit)
 		b.SetBytes(positions)
 		for i := 0; i < b.N; i++ {
 			s.sc.entries = s.sc.entries[:0]
@@ -151,10 +151,11 @@ func BenchmarkCompareGuides(b *testing.B) {
 			cands := 0
 			for i, ch := range chunks {
 				staged[i] = &cpuStaged{ch: ch, sc: new(scanScratch)}
-				if err := staged[i].sc.packed.Repack(ch.Data); err != nil {
+				v, err := genome.NewWordView(ch.Data, nil)
+				if err != nil {
 					b.Fatal(err)
 				}
-				staged[i].view = staged[i].sc.packed.WordView(nil)
+				staged[i].view = v
 				staged[i].sc.findSWARCandidates(ch, staged[i].view, be.pattern, 0)
 				cands += len(staged[i].sc.cand)
 			}

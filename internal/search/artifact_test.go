@@ -108,11 +108,11 @@ func TestArtifactShardMatchesScan(t *testing.T) {
 		err = chunker.Each(asm, func(ch *genome.Chunk) error {
 			chunks++
 			var scan, shard scanScratch
-			p, err := genome.Pack(ch.Data)
+			v, err := genome.NewWordView(ch.Data, nil)
 			if err != nil {
 				return err
 			}
-			scan.findSWARCandidates(ch, p.WordView(nil), bp, 0)
+			scan.findSWARCandidates(ch, v, bp, 0)
 			if err := shard.candidatesFromShard(ch, art.PAMRange(ch.SeqIndex, ch.Start, ch.Start+ch.Body)); err != nil {
 				return err
 			}

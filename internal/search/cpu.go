@@ -140,9 +140,10 @@ func (b *cpuBackend) Stage(ctx context.Context, ch *genome.Chunk) (pipeline.Stag
 
 // Find implements pipeline.Backend: the PAM prefilter into the pooled
 // candidate buffer (the finder kernel's role). It prefers the artifact's
-// resident whole-sequence view — no per-chunk Repack/WordView rebuild, and
-// with matching PAM shards no prefilter scan at all; otherwise the chunk is
-// packed here, in the scan worker, so packing parallelizes across chunks.
+// resident whole-sequence view — no per-chunk word-view build, and with
+// matching PAM shards no prefilter scan at all; otherwise the chunk's view
+// is built here, in the scan worker, so the build parallelizes across
+// chunks.
 func (b *cpuBackend) Find(ctx context.Context, st pipeline.Staged) (int, error) {
 	s := st.(*cpuStaged)
 	s.sc = scratchPool.Get().(*scanScratch)
@@ -156,11 +157,11 @@ func (b *cpuBackend) Find(ctx context.Context, st pipeline.Staged) (int, error) 
 			return len(s.sc.cand), nil
 		}
 	} else {
-		if err := s.sc.packed.Repack(s.ch.Data); err != nil {
+		v, err := genome.NewWordView(s.ch.Data, s.sc.view)
+		if err != nil {
 			return 0, fmt.Errorf("search: packing chunk at %s:%d: %w", s.ch.SeqName, s.ch.Start, err)
 		}
-		s.sc.view = s.sc.packed.WordView(s.sc.view)
-		s.view, s.base = s.sc.view, 0
+		s.sc.view, s.view, s.base = v, v, 0
 	}
 	s.sc.findSWARCandidates(s.ch, s.view, b.pattern, s.base)
 	return len(s.sc.cand), nil
@@ -276,12 +277,11 @@ func (c candidate) strand() uint8 { return uint8(c & 3) }
 
 // scanScratch holds per-worker buffers reused across chunks so the scan
 // allocates nothing per position: candidate and entry accumulators, the
-// packed chunk and its word view (rebuilt in place each chunk), and the
+// chunk's word view (rebuilt in place each chunk), and the
 // batched compare's window planes for patterns too long for its stack.
 type scanScratch struct {
 	cand    []candidate
 	entries []rawHit
-	packed  genome.Packed
 	view    *genome.WordView
 	planes  []windowPlanes
 }

@@ -200,11 +200,12 @@ func TestScanInnerLoopZeroAllocs(t *testing.T) {
 	candidates := 0
 	scan := func() {
 		for _, ch := range chunks {
-			if err := s.sc.packed.Repack(ch.Data); err != nil {
+			v, err := genome.NewWordView(ch.Data, s.sc.view)
+			if err != nil {
 				t.Fatal(err)
 			}
-			s.sc.view = s.sc.packed.WordView(s.sc.view)
-			s.ch, s.view = ch, s.sc.view
+			s.sc.view = v
+			s.ch, s.view = ch, v
 			s.sc.findSWARCandidates(ch, s.view, b.pattern, 0)
 			candidates += len(s.sc.cand)
 			b.compareGuides(s, 0, len(plan.Guides))
@@ -234,11 +235,11 @@ func TestScanInnerLoopZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed, err := genome.Pack(data)
+	v, err := genome.NewWordView(data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb, ls := everyWindow(long, packed.WordView(nil), len(data), genome.PAMFwd|genome.PAMRev, 0)
+	lb, ls := everyWindow(long, v, len(data), genome.PAMFwd|genome.PAMRev, 0)
 	lb.compareGuides(ls, 0, 1)
 	if len(ls.sc.planes) <= inlineWindowWords || len(ls.sc.entries) != 0 {
 		t.Fatalf("long pattern: pooled planes %d words, %d entries; want > %d and none", len(ls.sc.planes), len(ls.sc.entries), inlineWindowWords)
@@ -267,7 +268,7 @@ func TestCandidateEncoding(t *testing.T) {
 // chunk scan fails, the failing worker returns and the dispatcher must stop
 // handing out the remaining chunks instead of deadlocking on a channel no
 // one reads. It also pins that an assembly holding a non-IUPAC byte fails
-// every CPU run with Repack's error: the byte scan the engine used to
+// every CPU run with NewWordView's error: the byte scan the engine used to
 // default to read such a byte as a mismatch instead.
 func TestCPURunStopsOnScanError(t *testing.T) {
 	data := make([]byte, 8192)

@@ -62,6 +62,35 @@ func ExampleSimSYCL_Run() {
 	// 2 hits from 4 candidate sites in 1 chunk(s)
 }
 
+// ExampleCPU_Run_quickstart generates a 2 Mbp hg38-like synthetic genome
+// (24 scaled chromosomes), takes a 20-nt protospacer that really exists
+// next to an NGG PAM on chr1, and searches for its off-target sites with up
+// to four mismatches; the on-target site is always among them.
+func ExampleCPU_Run_quickstart() {
+	asm, err := genome.Generate(genome.HG38Like(2 << 20))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("generated %s: %d sequences, %d bases\n", asm.Name, len(asm.Sequences), asm.TotalLen())
+	guide := candidateGuides(genome.Upper(asm.Sequence("chr1").Data), 1)[0]
+	req := &search.Request{
+		Pattern: strings.Repeat("N", 20) + "NGG", // SpCas9: 20-nt guide, NGG PAM
+		Queries: []search.Query{{Guide: guide + "NNN", MaxMismatches: 4}},
+	}
+	hits, err := (&search.CPU{}).Run(asm, req)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("%d sites with <= 4 mismatches:\n", len(hits))
+	for _, h := range hits {
+		fmt.Printf("%s:%d %s %c %d mismatches\n", h.SeqName, h.Pos, h.Site, h.Dir, h.Mismatches)
+	}
+	// Output:
+	// generated hg38-like: 24 sequences, 2097152 bases
+	// 1 sites with <= 4 mismatches:
+	// chr1:5 TAGGAAAGATAATTCAATCTTGG + 0 mismatches
+}
+
 // ExampleCPU_Run_guideScreen is the workload that motivates Cas-OFFinder:
 // rank candidate guides for a target locus by their genome-wide off-target
 // burden, so the least promiscuous one can be chosen.

@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"casoffinder/internal/genome"
 	"casoffinder/internal/kernels"
@@ -61,9 +62,8 @@ type refBackend struct {
 }
 
 type refStaged struct {
-	ch     *genome.Chunk
-	sc     scanScratch
-	packed *genome.Packed
+	ch *genome.Chunk
+	sc scanScratch
 }
 
 func (b *refBackend) Stage(ctx context.Context, ch *genome.Chunk) (pipeline.Staged, error) {
@@ -76,12 +76,12 @@ func (b *refBackend) Find(ctx context.Context, st pipeline.Staged) (int, error) 
 		s.sc.findCandidates(s.ch, b.plan.Pattern)
 		return len(s.sc.cand), nil
 	}
-	packed, err := genome.Pack(s.ch.Data)
-	if err != nil {
-		return 0, fmt.Errorf("search: packing chunk at %s:%d: %w", s.ch.SeqName, s.ch.Start, err)
+	for i, c := range s.ch.Data {
+		if !genome.IsCode(c) {
+			return 0, fmt.Errorf("search: packing chunk at %s:%d: invalid code %q at offset %d", s.ch.SeqName, s.ch.Start, c, i)
+		}
 	}
-	s.packed = packed
-	s.sc.findPackedCandidates(s.ch, packed, b.plan.Pattern)
+	s.sc.findPackedCandidates(s.ch, b.plan.Pattern)
 	return len(s.sc.cand), nil
 }
 
@@ -89,7 +89,7 @@ func (b *refBackend) Compare(ctx context.Context, st pipeline.Staged, qi int) er
 	s := st.(*refStaged)
 	g, limit := b.plan.Guides[qi], b.plan.Request.Queries[qi].MaxMismatches
 	if b.scalar {
-		s.sc.comparePacked(s.packed, g, qi, limit)
+		s.sc.comparePacked(s.ch.Data, g, qi, limit)
 	} else {
 		s.sc.compare(s.ch.Data, g, qi, limit)
 	}
@@ -225,17 +225,27 @@ func (sc *scanScratch) scanChunk(ch *genome.Chunk, pattern *kernels.PatternPair,
 	return hits, nil
 }
 
+// packedCode is the 2-bit format's collapse rule restated over one raw
+// byte: a concrete base is known and its code is its ACGT index (U counts
+// as T, case is ignored); every other IUPAC code is unknown.
+func packedCode(b byte) (code byte, known bool) {
+	if !genome.IsConcrete(b) {
+		return 0, false
+	}
+	return byte(min(strings.IndexByte("ACGTU", b&^0x20), 3)), true
+}
+
 // packedMismatches counts the indexed positions of g's strand half at offset
-// whose 2-bit code in p is unknown or outside the pattern code's IUPAC mask,
-// giving up past the limit: one Packed.Code lookup per base.
-func packedMismatches(g *kernels.PatternPair, p *genome.Packed, pos, offset, limit int) (int, bool) {
+// whose 2-bit code in seq is unknown or outside the pattern code's IUPAC
+// mask, giving up past the limit: one packedCode lookup per base.
+func packedMismatches(g *kernels.PatternPair, seq []byte, pos, offset, limit int) (int, bool) {
 	mm := 0
 	for j := 0; j < g.PatternLen; j++ {
 		k := g.Index[offset+j]
 		if k == -1 {
 			break
 		}
-		code, known := p.Code(pos + int(k))
+		code, known := packedCode(seq[pos+int(k)])
 		if !known || genome.MaskOf(g.Codes[offset+int(k)])&(1<<code) == 0 {
 			mm++
 			if mm > limit {
@@ -247,15 +257,15 @@ func packedMismatches(g *kernels.PatternPair, p *genome.Packed, pos, offset, lim
 }
 
 // findPackedCandidates is the per-base packed PAM prefilter.
-func (sc *scanScratch) findPackedCandidates(ch *genome.Chunk, packed *genome.Packed, pattern *kernels.PatternPair) {
+func (sc *scanScratch) findPackedCandidates(ch *genome.Chunk, pattern *kernels.PatternPair) {
 	plen := pattern.PatternLen
 	cand := sc.cand[:0]
 	for pos := 0; pos < ch.Body; pos++ {
 		var strand uint8
-		if _, ok := packedMismatches(pattern, packed, pos, 0, 0); ok {
+		if _, ok := packedMismatches(pattern, ch.Data, pos, 0, 0); ok {
 			strand |= genome.PAMFwd
 		}
-		if _, ok := packedMismatches(pattern, packed, pos, plen, 0); ok {
+		if _, ok := packedMismatches(pattern, ch.Data, pos, plen, 0); ok {
 			strand |= genome.PAMRev
 		}
 		if strand != 0 {
@@ -266,17 +276,17 @@ func (sc *scanScratch) findPackedCandidates(ch *genome.Chunk, packed *genome.Pac
 }
 
 // comparePacked tests one guide per base at every surviving candidate.
-func (sc *scanScratch) comparePacked(packed *genome.Packed, g *kernels.PatternPair, qi, limit int) {
+func (sc *scanScratch) comparePacked(seq []byte, g *kernels.PatternPair, qi, limit int) {
 	plen := g.PatternLen
 	for _, cd := range sc.cand {
 		pos := cd.pos()
 		if cd.strand()&genome.PAMFwd != 0 {
-			if mm, ok := packedMismatches(g, packed, pos, 0, limit); ok {
+			if mm, ok := packedMismatches(g, seq, pos, 0, limit); ok {
 				sc.entries = append(sc.entries, rawHit{qi: qi, pos: pos, dir: kernels.DirForward, mm: mm})
 			}
 		}
 		if cd.strand()&genome.PAMRev != 0 {
-			if mm, ok := packedMismatches(g, packed, pos, plen, limit); ok {
+			if mm, ok := packedMismatches(g, seq, pos, plen, limit); ok {
 				sc.entries = append(sc.entries, rawHit{qi: qi, pos: pos, dir: kernels.DirReverse, mm: mm})
 			}
 		}

@@ -82,13 +82,13 @@ func TestSWARFinderMatchesScalar(t *testing.T) {
 			continue
 		}
 		ch := &genome.Chunk{SeqName: "s", Data: data, Body: body}
-		packed, err := genome.Pack(data)
+		v, err := genome.NewWordView(data, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var a, b scanScratch
-		a.findPackedCandidates(ch, packed, pair)
-		b.findSWARCandidates(ch, packed.WordView(nil), bp, 0)
+		a.findPackedCandidates(ch, pair)
+		b.findSWARCandidates(ch, v, bp, 0)
 		if len(a.cand) != len(b.cand) {
 			t.Fatalf("n=%d: scalar found %d candidates, SWAR %d", n, len(a.cand), len(b.cand))
 		}
@@ -257,7 +257,7 @@ func FuzzSWARMismatch(f *testing.F) {
 		if err != nil {
 			return
 		}
-		packed, err := genome.Pack(seq)
+		v, err := genome.NewWordView(seq, nil)
 		if err != nil {
 			return
 		}
@@ -269,13 +269,13 @@ func FuzzSWARMismatch(f *testing.F) {
 			limit = -limit
 		}
 		limit %= plen + 2
-		b, s := everyWindow(pair, packed.WordView(nil), len(seq), genome.PAMFwd|genome.PAMRev, limit)
+		b, s := everyWindow(pair, v, len(seq), genome.PAMFwd|genome.PAMRev, limit)
 		b.compareGuides(s, 0, 1)
 		entries := s.sc.entries
 		upper := genome.Upper(seq)
 		for pos := 0; pos+plen <= len(seq); pos++ {
 			for h, dir := range strandDir {
-				smm, sok := packedMismatches(pair, packed, pos, h*plen, limit)
+				smm, sok := packedMismatches(pair, seq, pos, h*plen, limit)
 				bmm, bok := countMismatches(upper[pos:pos+plen], pair, h*plen, limit)
 				ok := len(entries) > 0 && entries[0].pos == pos && entries[0].dir == dir
 				if ok != sok || ok != bok {
