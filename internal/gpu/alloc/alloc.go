@@ -181,6 +181,47 @@ func (d *Device) Claim(g *gpu.Group) int {
 	return int(page)*d.PageSlots + int(off)
 }
 
+// ClaimN allocates k output slots for k successive emissions of group g and
+// is exactly k Claim calls: it leaves Count, Cursor, PageOf and Overflow as
+// they would and charges the same AtomicOps, but touches each word once.
+// Successive claims succeed as a prefix — a failed cursor claim marks the
+// group PageOverflow and a filled page stays full — so the grant is the
+// got slots first, first+1, …; the k-got claims after them are dropped and
+// counted in Overflow. first is -1 when got is 0.
+func (d *Device) ClaimN(g *gpu.Group, k int) (first, got int) {
+	if k <= 0 {
+		return -1, 0
+	}
+	grp, st := g.ID(0), g.Stats()
+	// One emission-counter add per claim; the claims at offsets inside the
+	// page each read the published page, except a leader's, which takes a
+	// page from the cursor and publishes it (two operations).
+	off := int(st.AtomicAddUint32(&d.Count[grp], uint32(k)))
+	in := min(max(d.PageSlots-off, 0), k)
+	st.AtomicOps += int64(k - 1 + max(in-1, 0))
+	first = -1
+	if in > 0 {
+		var page uint32
+		if off == 0 {
+			page = st.AtomicIncUint32(d.Cursor)
+			if int(page) >= d.Pages {
+				page = PageOverflow
+			}
+			st.AtomicStoreUint32(&d.PageOf[grp], page)
+		} else {
+			page = st.AtomicLoadUint32(&d.PageOf[grp])
+		}
+		if page != PageOverflow {
+			first, got = int(page)*d.PageSlots+off, in
+		}
+	}
+	if drop := k - got; drop > 0 {
+		st.AtomicAddUint32(d.Overflow, uint32(drop))
+		st.AtomicOps += int64(drop - 1)
+	}
+	return first, got
+}
+
 // Geometry is the decoded result of one launch: which pages were claimed
 // and how many valid entries each holds.
 type Geometry struct {

@@ -2,6 +2,8 @@ package alloc
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -280,6 +282,110 @@ func TestClaimDeterministicTotals(t *testing.T) {
 	a2, t2 := run()
 	if a1 != a2 || t1 != t2 {
 		t.Errorf("runs diverged: atomics %d vs %d, totals %d vs %d", a1, a2, t1, t2)
+	}
+}
+
+// TestClaimNMatchesClaims drives twin arenas from the same random prior
+// state — page size, provisioned pages, the group's emission counter and
+// page, the cursor — one through k Claim calls and one through ClaimN(g, k),
+// and requires the same slots, the same Count, Cursor, PageOf and Overflow
+// afterwards and the same AtomicOps. Every path of the claim protocol must
+// come up: a leader's fresh page, followers, a page filling mid-batch, an
+// exhausted cursor, a group already marked PageOverflow, and k = 0.
+func TestClaimNMatchesClaims(t *testing.T) {
+	const groups = 3
+	rng := rand.New(rand.NewSource(35))
+	dev := testDevice()
+	paths := map[string]int{}
+	// run launches one kernel over the arena in which only group grp acts.
+	run := func(h *Host, grp int, body func(d *Device, g *gpu.Group)) int64 {
+		d := h.Device()
+		st, err := dev.Launch(gpu.LaunchSpec{
+			Name:   "claim",
+			Global: gpu.R1(groups),
+			Local:  gpu.R1(1),
+			Phases: func() []gpu.Phase {
+				return []gpu.Phase{func(g *gpu.Group) {
+					if g.ID(0) == grp {
+						body(d, g)
+					}
+				}}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.AtomicOps
+	}
+	for trial := 0; trial < 400; trial++ {
+		l := Layout{PageSlots: 1 + rng.Intn(8), Pages: 1 + rng.Intn(4), Groups: groups}
+		grp, k := rng.Intn(groups), rng.Intn(12)
+		prior := NewHost(l)
+		prior.Cursor[0] = uint32(rng.Intn(l.Pages + 2))
+		prior.Overflow[0] = uint32(rng.Intn(3))
+		switch rng.Intn(3) {
+		case 0: // the group has not emitted yet
+			paths["fresh"]++
+		case 1: // the group holds a page
+			prior.Cursor[0] = uint32(1 + rng.Intn(l.Pages))
+			prior.PageOf[grp] = uint32(rng.Intn(int(prior.Cursor[0])))
+			prior.Count[grp] = uint32(1 + rng.Intn(l.PageSlots+2))
+			paths["follower"]++
+		default: // the group's claim found the arena exhausted
+			prior.PageOf[grp] = PageOverflow
+			prior.Count[grp] = uint32(1 + rng.Intn(l.PageSlots+2))
+			paths["published overflow"]++
+		}
+		switch {
+		case k == 0:
+			paths["k=0"]++
+		case prior.Count[grp] == 0 && int(prior.Cursor[0]) >= l.Pages:
+			paths["cursor exhausted"]++
+		case prior.PageOf[grp] != PageOverflow && int(prior.Count[grp]) < l.PageSlots && int(prior.Count[grp])+k > l.PageSlots:
+			paths["page fills mid-batch"]++
+		}
+		clone := func() *Host {
+			h := NewHost(l)
+			h.Cursor[0], h.Overflow[0] = prior.Cursor[0], prior.Overflow[0]
+			copy(h.Count, prior.Count)
+			copy(h.PageOf, prior.PageOf)
+			return h
+		}
+		one, batch := clone(), clone()
+		var want, got []int
+		wantOps := run(one, grp, func(d *Device, g *gpu.Group) {
+			for range k {
+				want = append(want, d.Claim(g))
+			}
+		})
+		gotOps := run(batch, grp, func(d *Device, g *gpu.Group) {
+			first, n := d.ClaimN(g, k)
+			if n > 0 && first < 0 || n == 0 && first != -1 {
+				t.Errorf("ClaimN = (%d, %d)", first, n)
+			}
+			for i := range k {
+				if i < n {
+					got = append(got, first+i)
+				} else {
+					got = append(got, -1)
+				}
+			}
+		})
+		if !slices.Equal(got, want) || gotOps != wantOps ||
+			batch.Cursor[0] != one.Cursor[0] || batch.Overflow[0] != one.Overflow[0] ||
+			!slices.Equal(batch.Count, one.Count) || !slices.Equal(batch.PageOf, one.PageOf) {
+			t.Fatalf("trial %d: layout %v, group %d, prior count %d page %#x cursor %d, k %d:\n"+
+				"ClaimN slots %v, %d atomics, cursor %d, overflow %d, count %v, pages %#x\n"+
+				"Claim  slots %v, %d atomics, cursor %d, overflow %d, count %v, pages %#x",
+				trial, l, grp, prior.Count[grp], prior.PageOf[grp], prior.Cursor[0], k,
+				got, gotOps, batch.Cursor[0], batch.Overflow[0], batch.Count, batch.PageOf,
+				want, wantOps, one.Cursor[0], one.Overflow[0], one.Count, one.PageOf)
+		}
+	}
+	for _, p := range []string{"fresh", "follower", "published overflow", "k=0", "cursor exhausted", "page fills mid-batch"} {
+		if paths[p] == 0 {
+			t.Errorf("no trial took the %q path", p)
+		}
 	}
 }
 
