@@ -3,7 +3,7 @@
 // input format:
 //
 //	/path/to/genome_dir_or_fasta
-//	NNNNNNNNNNNNNNNNNNNNNRG [dnabulge rnabulge]
+//	NNNNNNNNNNNNNNNNNNNNNRG
 //	GGCCGACCTGTCGCTGACGCNNN 5
 //	...
 //
@@ -83,7 +83,6 @@ import (
 	"sort"
 	"strings"
 
-	"casoffinder/internal/bulge"
 	"casoffinder/internal/fault"
 	"casoffinder/internal/genome"
 	"casoffinder/internal/gpu"
@@ -260,67 +259,41 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		out = f
 	}
 
-	var runErr error
-	if input.DNABulge > 0 || input.RNABulge > 0 {
-		// The bulge search runs whole-result (no stream to time out or
-		// re-encode); keep its single output format honest rather than
-		// silently ignoring the flags.
-		if *format == "json" {
-			return usageError{fmt.Errorf("-format json covers the mismatch-only stream; bulge-annotated output is text only")}
-		}
-		if *timeout > 0 {
-			return usageError{fmt.Errorf("-timeout covers the streaming search; bulge runs are not cancellable")}
-		}
-		hits, err := bulge.Search(eng, asm, &input.Request, bulge.Options{
-			MaxDNABulge: input.DNABulge,
-			MaxRNABulge: input.RNABulge,
-		})
-		if err != nil {
-			return err
-		}
-		for _, h := range hits {
-			guide := input.Request.Queries[h.QueryIndex].Guide
-			fmt.Fprintf(out, "%s\t%s\t%d\t%s\t%c\t%d\t%s:%d\n",
-				guide, h.SeqName, h.Pos, h.Site, h.Dir, h.Mismatches, h.BulgeType, h.BulgeSize)
-		}
-	} else {
-		// Stream output lines as chunks complete instead of collecting the
-		// whole result first; an interrupt (or -timeout) cancels the
-		// in-flight search.
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-		defer stop()
-		if *timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, *timeout)
-			defer cancel()
-		}
-		writeHit := search.WriteHit
-		if *format == "json" {
-			writeHit = search.WriteHitJSON
-		}
-		bw := bufio.NewWriter(out)
-		count := 0
-		runErr = eng.Stream(ctx, asm, &input.Request, func(h search.Hit) error {
-			count++
-			return writeHit(bw, &input.Request, h)
-		})
-		if ferr := bw.Flush(); runErr == nil {
-			runErr = ferr
-		}
-		if *timeout > 0 && errors.Is(runErr, context.DeadlineExceeded) {
-			// The run overran its own budget: label it with the
-			// client.deadline site so the failure reads as a deliberate
-			// cutoff, and exit 1 (a runtime outcome, not partial output —
-			// nothing says the missing chunks would have quarantined).
-			runErr = fault.New(fault.SiteDeadline, fault.Fatal,
-				fmt.Errorf("run exceeded -timeout %v", *timeout))
-		}
-		var pe *pipeline.PartialError
-		if runErr == nil || errors.As(runErr, &pe) {
-			// A partial run still emitted every non-quarantined chunk's
-			// hits; report the count alongside the exitPartial error.
-			fmt.Fprintf(stderr, "%d sites reported\n", count)
-		}
+	// Stream output lines as chunks complete instead of collecting the whole
+	// result first; an interrupt (or -timeout) cancels the in-flight search.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
+	writeHit := search.WriteHit
+	if *format == "json" {
+		writeHit = search.WriteHitJSON
+	}
+	bw := bufio.NewWriter(out)
+	count := 0
+	runErr := eng.Stream(ctx, asm, &input.Request, func(h search.Hit) error {
+		count++
+		return writeHit(bw, &input.Request, h)
+	})
+	if ferr := bw.Flush(); runErr == nil {
+		runErr = ferr
+	}
+	if *timeout > 0 && errors.Is(runErr, context.DeadlineExceeded) {
+		// The run overran its own budget: label it with the client.deadline
+		// site so the failure reads as a deliberate cutoff, and exit 1 (a
+		// runtime outcome, not partial output — nothing says the missing
+		// chunks would have quarantined).
+		runErr = fault.New(fault.SiteDeadline, fault.Fatal,
+			fmt.Errorf("run exceeded -timeout %v", *timeout))
+	}
+	var pe *pipeline.PartialError
+	if runErr == nil || errors.As(runErr, &pe) {
+		// A partial run still emitted every non-quarantined chunk's hits;
+		// report the count alongside the exitPartial error.
+		fmt.Fprintf(stderr, "%d sites reported\n", count)
 	}
 
 	if profiler != nil {

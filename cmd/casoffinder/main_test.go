@@ -91,14 +91,26 @@ func TestRunProfileKernelOrder(t *testing.T) {
 	}
 }
 
+// TestRunBulgeInput: a pattern line with cas-offinder-bulge's columns is an
+// input error like any other ParseInput failure (exit 1, the parser's
+// message as the error main prints, no hit), whatever the output flags.
 func TestRunBulgeInput(t *testing.T) {
 	input := writeTestData(t, "NNNNNNNNNNNGG 1 1")
-	var out, errOut bytes.Buffer
-	if err := run([]string{input}, &out, &errOut); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if !strings.Contains(out.String(), "none:0") {
-		t.Errorf("bulge output missing annotated plain hit:\n%s", out.String())
+	for _, args := range [][]string{{input}, {"-format", "json", input}, {"-timeout", "1s", input}} {
+		var out, errOut bytes.Buffer
+		err := run(args, &out, &errOut)
+		if err == nil {
+			t.Fatalf("%q: bulge-column input accepted", args)
+		}
+		if got := exitCode(err); got != exitRuntime {
+			t.Errorf("%q: exitCode = %d, want %d (err: %v)", args, got, exitRuntime, err)
+		}
+		if !strings.Contains(err.Error(), "bulge columns are not supported") {
+			t.Errorf("%q: error %q does not name the bulge columns", args, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%q: wrote hits for a rejected input:\n%s", args, out.String())
+		}
 	}
 }
 
@@ -582,14 +594,11 @@ func TestRunFormatJSON(t *testing.T) {
 // TestRunFormatTimeoutUsageErrors: the new flags validate like every other.
 func TestRunFormatTimeoutUsageErrors(t *testing.T) {
 	plain := writeTestData(t, "NNNNNNNNNNNGG")
-	bulged := writeTestData(t, "NNNNNNNNNNNGG 1 1")
 	tests := []struct {
 		name string
 		args []string
 	}{
 		{"unknown format", []string{"-format", "xml", plain}},
-		{"json with bulge", []string{"-format", "json", bulged}},
-		{"timeout with bulge", []string{"-timeout", "1s", bulged}},
 		{"negative timeout", []string{"-timeout", "-1s", plain}},
 	}
 	for _, tt := range tests {

@@ -118,6 +118,14 @@ type repeatFlag []string
 func (f *repeatFlag) String() string     { return strings.Join(*f, ",") }
 func (f *repeatFlag) Set(v string) error { *f = append(*f, v); return nil }
 
+// Connection timeouts against slow-loris clients. No server-wide ReadTimeout:
+// a read deadline armed while a response streams cancels it on expiry, so
+// the search body has its own deadline in package serve.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // daemon is the assembled service: resident genomes, a warmed engine behind
 // the serve.Server, and the HTTP front end bound to its listener.
 type daemon struct {
@@ -236,7 +244,7 @@ func setup(args []string, stderr io.Writer) (*daemon, error) {
 	}
 	return &daemon{
 		srv:          srv,
-		http:         &http.Server{Handler: srv.Handler()},
+		http:         &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout},
 		ln:           ln,
 		drainTimeout: *drainTimeout,
 		tracer:       tracer,

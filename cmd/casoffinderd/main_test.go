@@ -8,10 +8,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -40,10 +43,20 @@ const daemonSearchBody = `{"pattern":"NNNNNNNNNNNGG","guides":[{"guide":"GATTACA
 // and a stop function that triggers graceful shutdown and waits for exit.
 func startDaemon(t *testing.T, args ...string) (baseURL string, stop func() error) {
 	t.Helper()
+	return startDaemonWith(t, nil, args...)
+}
+
+// startDaemonWith is startDaemon with mut applied to the assembled daemon
+// before it serves.
+func startDaemonWith(t *testing.T, mut func(*daemon), args ...string) (baseURL string, stop func() error) {
+	t.Helper()
 	var errOut bytes.Buffer
 	d, err := setup(append([]string{"-listen", "127.0.0.1:0"}, args...), &errOut)
 	if err != nil {
 		t.Fatalf("setup: %v (stderr: %s)", err, errOut.String())
+	}
+	if mut != nil {
+		mut(d)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -73,6 +86,69 @@ func startDaemon(t *testing.T, args ...string) (baseURL string, stop func() erro
 		case <-time.After(10 * time.Second):
 			return fmt.Errorf("daemon did not exit (stderr: %s)", errOut.String())
 		}
+	}
+}
+
+// TestDaemonHeaderTimeout: a client that sends its request headers one
+// byte at a time is cut off at the header timeout, is served nothing but a
+// 400, and leaves no goroutine behind once the daemon stops. The daemon
+// sets no server-wide ReadTimeout: that deadline would cut long streams.
+func TestDaemonHeaderTimeout(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	before := runtime.NumGoroutine()
+	baseURL, stop := startDaemonWith(t, func(d *daemon) {
+		if d.http.ReadHeaderTimeout != readHeaderTimeout || d.http.IdleTimeout != idleTimeout || d.http.ReadTimeout != 0 {
+			t.Errorf("server timeouts: header %v, idle %v, read %v; want %v, %v, 0",
+				d.http.ReadHeaderTimeout, d.http.IdleTimeout, d.http.ReadTimeout, readHeaderTimeout, idleTimeout)
+		}
+		d.http.ReadHeaderTimeout = timeout
+	}, "-genome", writeGenomeDir(t))
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(baseURL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One header byte every 10 ms: the whole header would take 5 s.
+	header := "GET /healthz HTTP/1.1\r\nHost: test\r\nX-Pad: " + strings.Repeat("a", 460) + "\r\n\r\n"
+	trickled := make(chan struct{})
+	go func() {
+		defer close(trickled)
+		tick := time.NewTicker(10 * time.Millisecond)
+		defer tick.Stop()
+		for i := range len(header) {
+			if _, err := conn.Write([]byte{header[i]}); err != nil {
+				return
+			}
+			<-tick.C
+		}
+	}()
+	start := time.Now()
+	// Returns once the server closes: EOF, or a reset when the close finds
+	// unread header bytes in its receive buffer.
+	got, err := io.ReadAll(conn)
+	elapsed := time.Since(start)
+	conn.Close()
+	<-trickled
+	if err != nil && !errors.Is(err, syscall.ECONNRESET) {
+		t.Fatalf("reading the connection: %v", err)
+	}
+	if len(got) > 0 && !strings.HasPrefix(string(got), "HTTP/1.1 400 ") {
+		t.Errorf("server answered a request whose headers never completed:\n%s", got)
+	}
+	if elapsed < timeout || elapsed > 2500*time.Millisecond {
+		t.Errorf("connection closed after %v; want it cut at the %v header timeout", elapsed, timeout)
+	}
+
+	if err := stop(); err != nil {
+		t.Fatalf("stop: %v", err)
+	}
+	http.DefaultClient.CloseIdleConnections()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the daemon stopped, %d before it started", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

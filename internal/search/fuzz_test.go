@@ -5,8 +5,10 @@ import (
 	"testing"
 )
 
-// FuzzParseInput checks the input-file parser never panics and that every
-// accepted input yields a validated request.
+// FuzzParseInput checks the input-file parser never panics, that every
+// accepted input yields a validated request, and that the pattern line of an
+// accepted input (the first non-comment line after the genome path) is one
+// field: no bulge columns get through.
 func FuzzParseInput(f *testing.F) {
 	f.Add("genome\nNNNGG\nACGTN 2\n")
 	f.Add("g\nNNNGG 1 1\nACGTN 2\nTTTTN 0\n")
@@ -24,8 +26,14 @@ func FuzzParseInput(f *testing.F) {
 		if parsed.GenomeDir == "" {
 			t.Fatal("accepted input has empty genome dir")
 		}
-		if parsed.DNABulge < 0 || parsed.RNABulge < 0 {
-			t.Fatal("negative bulge size accepted")
+		var lines []string
+		for _, line := range strings.Split(in, "\n") {
+			if line = strings.TrimSpace(line); line != "" && !strings.HasPrefix(line, "#") {
+				lines = append(lines, line)
+			}
+		}
+		if len(lines) < 2 || len(strings.Fields(lines[1])) != 1 {
+			t.Fatalf("accepted input whose pattern line is not one field: %q", in)
 		}
 	})
 }

@@ -12,20 +12,16 @@ import (
 // Input is a parsed Cas-OFFinder input file:
 //
 //	/path/to/genome_dir            <- genome directory or FASTA file
-//	NNNNNNNNNNNNNNNNNNNNNRG [d r]  <- PAM scaffold, optional bulge sizes
+//	NNNNNNNNNNNNNNNNNNNNNRG        <- PAM scaffold
 //	GGCCGACCTGTCGCTGACGCNNN 5      <- guide and mismatch limit, repeated
 //
 // matching the example the paper's evaluation uses (reference [17]). The
-// optional second and third fields of the pattern line give the DNA and RNA
-// bulge sizes of the cas-offinder-bulge extension.
+// pattern line is the scaffold alone; a further column is an input error.
 type Input struct {
 	// GenomeDir is the directory (or single FASTA file) to scan.
 	GenomeDir string
 	// Request is the parsed search request.
 	Request Request
-	// DNABulge and RNABulge are the optional bulge sizes (0 when absent).
-	DNABulge int
-	RNABulge int
 }
 
 // ParseInput reads an input file.
@@ -49,22 +45,10 @@ func ParseInput(r io.Reader) (*Input, error) {
 	in := &Input{GenomeDir: lines[0]}
 
 	patFields := strings.Fields(lines[1])
-	in.Request.Pattern = strings.ToUpper(patFields[0])
-	switch len(patFields) {
-	case 1:
-	case 3:
-		d, err := strconv.Atoi(patFields[1])
-		if err != nil || d < 0 {
-			return nil, fmt.Errorf("search: invalid DNA bulge size %q", patFields[1])
-		}
-		rn, err := strconv.Atoi(patFields[2])
-		if err != nil || rn < 0 {
-			return nil, fmt.Errorf("search: invalid RNA bulge size %q", patFields[2])
-		}
-		in.DNABulge, in.RNABulge = d, rn
-	default:
-		return nil, fmt.Errorf("search: pattern line must be PATTERN or PATTERN DNABULGE RNABULGE, got %q", lines[1])
+	if len(patFields) != 1 {
+		return nil, fmt.Errorf("search: pattern line must be PATTERN alone (DNA/RNA bulge columns are not supported), got %q", lines[1])
 	}
+	in.Request.Pattern = strings.ToUpper(patFields[0])
 
 	for _, line := range lines[2:] {
 		fields := strings.Fields(line)

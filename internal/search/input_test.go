@@ -30,23 +30,6 @@ CGCCAGCGTCAGCGACAGGTNNN 5
 	if parsed.Request.Queries[0].Guide != "GGCCGACCTGTCGCTGACGCNNN" || parsed.Request.Queries[0].MaxMismatches != 5 {
 		t.Errorf("query 0 = %+v", parsed.Request.Queries[0])
 	}
-	if parsed.DNABulge != 0 || parsed.RNABulge != 0 {
-		t.Error("bulge sizes should default to 0")
-	}
-}
-
-func TestParseInputBulge(t *testing.T) {
-	in := `genome.fa
-NNNNNNNNNNNNNNNNNNNNNRG 2 1
-GGCCGACCTGTCGCTGACGCNNN 4
-`
-	parsed, err := ParseInput(strings.NewReader(in))
-	if err != nil {
-		t.Fatalf("ParseInput: %v", err)
-	}
-	if parsed.DNABulge != 2 || parsed.RNABulge != 1 {
-		t.Errorf("bulge = %d/%d, want 2/1", parsed.DNABulge, parsed.RNABulge)
-	}
 }
 
 func TestParseInputLowerCaseFolded(t *testing.T) {
@@ -61,24 +44,31 @@ func TestParseInputLowerCaseFolded(t *testing.T) {
 }
 
 func TestParseInputErrors(t *testing.T) {
+	const bulgeColumns = "bulge columns are not supported"
 	tests := []struct {
 		name string
 		in   string
+		want string // substring of the error message
 	}{
-		{"too short", "genome\nNGG\n"},
-		{"bad mismatch", "g\nNNNGG\nACGTN x\n"},
-		{"negative mismatch", "g\nNNNGG\nACGTN -1\n"},
-		{"bad query fields", "g\nNNNGG\nACGTN\n"},
-		{"bad pattern fields", "g\nNNNGG 1\nACGTN 2\n"},
-		{"bad dna bulge", "g\nNNNGG x 1\nACGTN 2\n"},
-		{"bad rna bulge", "g\nNNNGG 1 x\nACGTN 2\n"},
-		{"length mismatch", "g\nNNNGG\nACGT 2\n"},
-		{"invalid code", "g\nNNNG!\nACGTN 2\n"},
+		{"too short", "genome\nNGG\n", "needs a genome path"},
+		{"bad mismatch", "g\nNNNGG\nACGTN x\n", "invalid mismatch count"},
+		{"negative mismatch", "g\nNNNGG\nACGTN -1\n", "invalid mismatch count"},
+		{"bad query fields", "g\nNNNGG\nACGTN\n", "query line must be"},
+		{"bad pattern fields", "g\nNNNGG 1\nACGTN 2\n", bulgeColumns},
+		{"bulge columns", "g\nNNNGG 1 1\nACGTN 2\n", bulgeColumns},
+		{"bad dna bulge", "g\nNNNGG x 1\nACGTN 2\n", bulgeColumns},
+		{"bad rna bulge", "g\nNNNGG 1 x\nACGTN 2\n", bulgeColumns},
+		{"length mismatch", "g\nNNNGG\nACGT 2\n", "guide length"},
+		{"invalid code", "g\nNNNG!\nACGTN 2\n", "pattern"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := ParseInput(strings.NewReader(tt.in)); err == nil {
-				t.Errorf("ParseInput(%q) accepted", tt.in)
+			_, err := ParseInput(strings.NewReader(tt.in))
+			if err == nil {
+				t.Fatalf("ParseInput(%q) accepted", tt.in)
+			}
+			if !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("ParseInput(%q) = %v, want a message containing %q", tt.in, err, tt.want)
 			}
 		})
 	}

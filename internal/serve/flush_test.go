@@ -293,13 +293,7 @@ func TestFlushClientAbuse(t *testing.T) {
 				// the guard catches it touching the writer.
 				time.Sleep(5 * flushDelay)
 				ts.Client().CloseIdleConnections()
-				deadline := time.Now().Add(5 * time.Second)
-				for runtime.NumGoroutine() > before {
-					if time.Now().After(deadline) {
-						t.Fatalf("%d goroutines after the request, %d before it", runtime.NumGoroutine(), before)
-					}
-					time.Sleep(5 * time.Millisecond)
-				}
+				awaitGoroutines(t, before)
 			})
 		}
 	}

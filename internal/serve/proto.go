@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strings"
 
 	"casoffinder/internal/fault"
@@ -136,10 +137,8 @@ func DecodeRequest(r io.Reader, lim Limits) (*SearchRequest, *pipeline.Request, 
 	dec.DisallowUnknownFields()
 	var sreq SearchRequest
 	if err := dec.Decode(&sreq); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return nil, nil, cr.n, apiErrorf(http.StatusRequestEntityTooLarge, "too-large",
-				"request body exceeds %d bytes", mbe.Limit)
+		if ae := bodyError(err); ae != nil {
+			return nil, nil, cr.n, ae
 		}
 		return nil, nil, cr.n, apiErrorf(http.StatusBadRequest, "bad-json", "decoding request: %v", err)
 	}
@@ -177,7 +176,23 @@ func DecodeRequest(r io.Reader, lim Limits) (*SearchRequest, *pipeline.Request, 
 // ensureEOF rejects trailing content after the decoded document.
 func ensureEOF(dec *json.Decoder) *APIError {
 	if _, err := dec.Token(); err != io.EOF {
+		if ae := bodyError(err); ae != nil {
+			return ae
+		}
 		return apiErrorf(http.StatusBadRequest, "bad-json", "trailing data after request object")
+	}
+	return nil
+}
+
+// bodyError types a body read that failed on size (413) or on the read
+// deadline (408) rather than on content; nil for any other error.
+func bodyError(err error) *APIError {
+	var mbe *http.MaxBytesError
+	switch {
+	case errors.As(err, &mbe):
+		return apiErrorf(http.StatusRequestEntityTooLarge, "too-large", "request body exceeds %d bytes", mbe.Limit)
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		return apiErrorf(http.StatusRequestTimeout, "body-timeout", "request body not received within %v", bodyReadTimeout)
 	}
 	return nil
 }

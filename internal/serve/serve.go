@@ -298,6 +298,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	s.drainMu.Unlock()
 	defer s.inflight.Done()
 
+	// Bound the body read, not the stream (a writer without deadline support
+	// reads unbounded). A rejected body keeps the deadline, so the server's
+	// discard of the unread rest cannot block on a stalled client.
+	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
 	body := http.MaxBytesReader(w, r.Body, s.lim.MaxBodyBytes)
 	sreq, preq, cost, apiErr := DecodeRequest(body, s.lim)
 	if apiErr != nil {
@@ -305,6 +310,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, apiErr, 0)
 		return
 	}
+	_ = rc.SetReadDeadline(time.Time{})
 	genomeName := sreq.Genome
 	if genomeName == "" {
 		genomeName = s.cfg.DefaultGenome
@@ -405,6 +411,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.writeOutcome(out, rep, firstErr(emitErr, passErr))
 }
+
+// bodyReadTimeout bounds the delivery of a search body (408 body-timeout
+// past it). A variable so tests can shorten it.
+var bodyReadTimeout = 10 * time.Second
 
 // flushDelay bounds how long a hit after the first may sit in the response
 // buffer before it is pushed to the client.
