@@ -46,7 +46,8 @@ race:
 # or stalls mid-stream), the CPU scan's equivalence suite (the SWAR
 # compare against the byte and scalar references, patterns of one to five
 # words, the batched-vs-per-guide merge and the zero-allocation pin, whose
-# pooled planes are per-goroutine buffers), and the simulator engines'
+# pooled planes are per-goroutine buffers), the NDJSON encoder's
+# zero-allocation pin, and the simulator engines'
 # whole-Profile equality on one device and a three-device fleet (arena
 # relaunches included) with the dense region matrix, at the same count.
 # The group-kernel vs per-access-reference differential
@@ -61,7 +62,7 @@ stress:
 	$(GO) test -race -count 1 -cpu 1,2,8 ./internal/kernels -run '^TestGroupMatchesReference$$'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./cmd/benchtab -run 'TestRunCSV'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/serve/ -run 'TestFlush'
-	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/search/ -run 'TestSWAR|TestScanChunkMatchesSeed|TestScanInnerLoopZeroAllocs|TestBatchedMatchesPerPattern|TestCompareMultiWordPatterns'
+	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/search/ -run 'TestSWAR|TestScanChunkMatchesSeed|TestScanInnerLoopZeroAllocs|TestWriteHitJSONZeroAllocs|TestBatchedMatchesPerPattern|TestCompareMultiWordPatterns'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/search/ -run 'TestSimProfileSchedule|TestDenseCandidateRegionMatrix'
 	$(GO) test -race -count 1 -cpu 1,2,8 ./internal/search/ -run 'TestFaultDeterminism|TestFaultMatrix|TestMetricsAgreeWithProfile|TestMultiSYCLSchedMetricsParity|TestMultiSYCLMergeParity|TestProfileMerge'
 
@@ -77,6 +78,7 @@ FUZZTIME ?= 10s
 fuzz-regress:
 	$(GO) test ./internal/search/ -run '^$$' -fuzz '^FuzzSWARMismatch$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/search/ -run '^$$' -fuzz '^FuzzParseInput$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/search/ -run '^$$' -fuzz '^FuzzHitJSON$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/genome/ -run '^$$' -fuzz '^FuzzReadFASTA$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/genome/ -run '^$$' -fuzz '^FuzzWordView$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/genome/ -run '^$$' -fuzz '^FuzzPack$$' -fuzztime $(FUZZTIME)

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -39,53 +38,23 @@ const DefaultChunkBytes = 1 << 20
 // bits.
 const MaxChunkBytes = 1 << 30
 
-// Hit is one reported off-target site. The JSON field names are the stable
-// NDJSON wire contract shared by the server's hit stream and the CLI's
-// -format json output; Dir is excluded from the default encoding and
-// rendered as a one-character strand string by MarshalJSON instead (a bare
-// byte would encode as its code point).
+// Hit is one reported off-target site. It carries no encoding of its own:
+// the one NDJSON wire contract, shared by the server's hit stream and the
+// CLI's -format json output, is search.AppendHitJSON.
 type Hit struct {
 	// QueryIndex identifies the guide in the request.
-	QueryIndex int `json:"query"`
+	QueryIndex int
 	// SeqName is the chromosome/record name.
-	SeqName string `json:"seq"`
+	SeqName string
 	// Pos is the 0-based site start within the record.
-	Pos int `json:"pos"`
+	Pos int
 	// Dir is '+' or '-'.
-	Dir byte `json:"-"`
+	Dir byte
 	// Mismatches is the number of mismatched guide bases.
-	Mismatches int `json:"mismatches"`
+	Mismatches int
 	// Site is the genomic sequence at the site, with mismatched positions
 	// in lower case (the upstream output convention).
-	Site string `json:"site"`
-}
-
-// MarshalJSON encodes the hit with its strand as the string "+" or "-".
-func (h Hit) MarshalJSON() ([]byte, error) {
-	type bare Hit
-	return json.Marshal(struct {
-		bare
-		Dir string `json:"dir"`
-	}{bare(h), string(h.Dir)})
-}
-
-// UnmarshalJSON is the inverse of MarshalJSON. A strand string that is not
-// exactly one character is rejected.
-func (h *Hit) UnmarshalJSON(data []byte) error {
-	type bare Hit
-	var aux struct {
-		bare
-		Dir string `json:"dir"`
-	}
-	if err := json.Unmarshal(data, &aux); err != nil {
-		return err
-	}
-	if len(aux.Dir) != 1 {
-		return fmt.Errorf("search: hit dir %q is not a single strand character", aux.Dir)
-	}
-	*h = Hit(aux.bare)
-	h.Dir = aux.Dir[0]
-	return nil
+	Site string
 }
 
 // String formats a hit like a Cas-OFFinder output line:
