@@ -20,9 +20,8 @@
 //     (ready only once genomes are resident and engines warmed), and a
 //     span per request phase on the shared obs.Tracer.
 //
-// Responses stream as NDJSON: one hit object per line (the stable
-// pipeline.Hit field set plus the resolved guide) terminated by exactly one
-// Trailer object.
+// Responses stream as NDJSON: one hit object per line (search.AppendHitJSON)
+// terminated by exactly one Trailer object.
 package serve
 
 import (
