@@ -51,8 +51,9 @@
 //
 // The fault flags drive the simulator engines through seeded deterministic
 // fault injection with a resilience policy set: transient failures
-// retry with backoff, hung kernels are reaped by -watchdog, and chunks the
-// simulated device cannot complete fail over to the CPU engine, preserving
+// retry with backoff, hung kernels are reaped by -watchdog (without it an
+// injected hang fails its launch at once), and chunks the simulated device
+// cannot complete fail over to the CPU engine, preserving
 // the output byte-for-byte. A degradation summary goes to stderr.
 //
 // -trace records every pipeline stage, kernel launch and resilience event
@@ -183,12 +184,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		faultPlan.Site = site
 	}
 	var res *pipeline.Resilience
-	// relaunches is the one recovery count the profile does not show on its
-	// own (it folds relaunches into OverflowRetries).
-	var relaunches int64
 	if *faultRate > 0 || *watchdog > 0 {
-		res = &pipeline.Resilience{MaxRetries: *maxRetries, Watchdog: *watchdog, Seed: *faultSeed,
-			OnReport: func(rep *pipeline.Report) { relaunches = rep.OverflowRelaunches }}
+		res = &pipeline.Resilience{MaxRetries: *maxRetries, Watchdog: *watchdog, Seed: *faultSeed}
 	}
 
 	if *cpuProfile != "" {
@@ -305,7 +302,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 				fmt.Fprintf(stderr, "  kernel %-14s launches=%-4d %s\n", name, p.Launches[name], s.String())
 			}
 			printAutotune(stderr, p)
-			printDegradation(stderr, p, relaunches)
+			printDegradation(stderr, p)
 		}
 	}
 
@@ -392,14 +389,10 @@ func writeFile(path string, write func(io.Writer) error) error {
 // printDegradation reports how far the run strayed from the clean path: the
 // resilience counters, the asynchronous exceptions the SYCL handler saw and
 // the injected fault events by site. Silent on a clean run.
-func printDegradation(stderr io.Writer, p *search.Profile, relaunches int64) {
+func printDegradation(stderr io.Writer, p *search.Profile) {
 	if p.Degraded() || p.AsyncExceptions > 0 {
-		fmt.Fprintf(stderr, "degraded: retries=%d failovers=%d watchdog-kills=%d quarantined=%d async-exceptions=%d",
+		fmt.Fprintf(stderr, "degraded: retries=%d failovers=%d watchdog-kills=%d quarantined=%d async-exceptions=%d\n",
 			p.Retries, p.Failovers, p.WatchdogKills, p.QuarantinedChunks, p.AsyncExceptions)
-		if relaunches > 0 {
-			fmt.Fprintf(stderr, " overflow-relaunches=%d", relaunches)
-		}
-		fmt.Fprintln(stderr)
 	}
 	if len(p.DeviceChunks) > 0 {
 		fmt.Fprintf(stderr, "scheduler: evictions=%d\n", p.Evictions)

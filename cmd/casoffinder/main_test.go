@@ -225,6 +225,9 @@ func TestRunFaultRecovery(t *testing.T) {
 		{"opencl", "opencl.enqueue"},
 		{"opencl", "gpu.readback"},
 		{"sycl", "sycl.async"},
+		// No -watchdog: a hang with no deadline to reap it fails the launch
+		// at once instead of wedging the run.
+		{"sycl", "gpu.hang"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.engine+"/"+tt.site, func(t *testing.T) {
@@ -264,8 +267,9 @@ func TestRunFaultDeterminism(t *testing.T) {
 		return ""
 	}
 	var out1, out2, err1, err2 bytes.Buffer
-	// The watchdog keeps an injected gpu.hang from stalling the run; an
-	// actual hang always overruns it, so the kill count stays deterministic.
+	// Under the watchdog an injected gpu.hang parks until the deadline reaps
+	// it; an actual hang always overruns it, so the kill count stays
+	// deterministic.
 	args := []string{"-engine", "sycl", "-fault-rate", "0.3", "-fault-seed", "7", "-watchdog", "2s", input}
 	if err := run(args, &out1, &err1); err != nil {
 		t.Fatalf("first run: %v (stderr: %s)", err, err1.String())

@@ -32,9 +32,10 @@ const (
 	// SiteLaunch fails a kernel launch outright (gpu.Device.Launch returns
 	// an error before any work-group runs).
 	SiteLaunch Site = "gpu.launch"
-	// SiteHang makes a kernel launch hang — the launch blocks until its
-	// context is cancelled, modelling a wedged work-group that only a
-	// watchdog deadline can reap.
+	// SiteHang makes a kernel launch hang — on a context with a deadline
+	// the launch blocks until the context ends, modelling a wedged
+	// work-group that only a deadline can reap; with no deadline to reap
+	// it, the launch fails at once.
 	SiteHang Site = "gpu.hang"
 	// SiteReadback corrupts a device-to-host readback (MSB flips in the
 	// returned elements), modelling corrupted global memory.
@@ -66,12 +67,12 @@ const (
 	// run's point of view: the caller chose the budget, retrying inside it
 	// cannot help.
 	SiteDeadline Site = "client.deadline"
-	// SiteArena is not injected: it labels the hit-buffer arena. Class
-	// Overflow marks an under-provisioned arena whose launch dropped
-	// entries (the host refits the arena and relaunches); class Corruption
-	// marks arena geometry that came back from the device impossible
-	// (page cursor past the provisioned pages, page fills beyond any
-	// legal overshoot) even at worst-case provisioning.
+	// SiteArena is not injected: it labels hit-buffer arena geometry that
+	// came back from the device impossible (page cursor past the
+	// provisioned pages, page fills beyond any legal overshoot, an
+	// overflow the launch's own emission counters cannot explain). Its
+	// class is always Corruption. An arena that is merely too small is no
+	// error: the backend refits it and relaunches.
 	SiteArena Site = "gpu.arena"
 )
 
@@ -111,11 +112,6 @@ const (
 	// Fatal faults take the backend down for good (device lost, poisoned
 	// context); the only recovery is failover.
 	Fatal
-	// Overflow marks a launch whose output arena was too small for its
-	// hits: no data is damaged and the device is healthy — the recovery is
-	// deterministic (refit the arena, relaunch) and must
-	// not consume the transient-retry budget or trigger failover.
-	Overflow
 )
 
 func (c Class) String() string {
@@ -126,8 +122,6 @@ func (c Class) String() string {
 		return "data-corruption"
 	case Fatal:
 		return "fatal"
-	case Overflow:
-		return "arena-overflow"
 	default:
 		return fmt.Sprintf("Class(%d)", int(c))
 	}

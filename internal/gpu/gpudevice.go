@@ -10,10 +10,9 @@ import (
 )
 
 // Device is one simulated GPU: a spec from the Table VII registry, a
-// global-memory budget, a host worker pool that stands in for the compute
-// units, and a log of every kernel launch with its access statistics (the
-// simulator's equivalent of a profiler, used to identify the hotspot kernel
-// as the paper does in §IV.B).
+// global-memory budget and a host worker pool that stands in for the compute
+// units. Each launch returns its access statistics; the search layer's
+// Profile is the ledger they are folded into.
 type Device struct {
 	spec    device.Spec
 	workers int
@@ -28,13 +27,6 @@ type Device struct {
 
 	mu        sync.Mutex
 	allocated int64
-	launches  []LaunchRecord
-}
-
-// LaunchRecord is one entry of the device's launch log.
-type LaunchRecord struct {
-	Name  string
-	Stats Stats
 }
 
 // Option configures a Device.
@@ -97,39 +89,3 @@ func (d *Device) Instant(name string, attrs ...obs.Attr) {
 
 // Metrics returns the attached metrics registry; nil means unmetered.
 func (d *Device) Metrics() *obs.Metrics { return d.obsMetrics }
-
-func (d *Device) recordLaunch(name string, s *Stats) {
-	d.mu.Lock()
-	d.launches = append(d.launches, LaunchRecord{Name: name, Stats: *s})
-	d.mu.Unlock()
-}
-
-// LaunchLog returns a copy of the launch history.
-func (d *Device) LaunchLog() []LaunchRecord {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]LaunchRecord, len(d.launches))
-	copy(out, d.launches)
-	return out
-}
-
-// ResetLaunchLog clears the launch history.
-func (d *Device) ResetLaunchLog() {
-	d.mu.Lock()
-	d.launches = nil
-	d.mu.Unlock()
-}
-
-// ProfileByKernel aggregates the launch log per kernel name, the simulator's
-// stand-in for a profiler run.
-func (d *Device) ProfileByKernel() map[string]Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make(map[string]Stats)
-	for _, rec := range d.launches {
-		agg := out[rec.Name]
-		agg.Add(&rec.Stats)
-		out[rec.Name] = agg
-	}
-	return out
-}

@@ -31,13 +31,12 @@ type LaunchSpec struct {
 	// barrier is a single phase.
 	Phases PhaseKernel
 	// LDSBytesPerWG declares how much shared local memory each work-group
-	// uses; it is carried into the launch record for the occupancy model
-	// and validated against the device limit.
+	// uses; it is validated against the device limit.
 	LDSBytesPerWG int
-	// Ctx, when set, bounds the launch: an injected hang blocks on it until
-	// the caller's watchdog cancels, instead of wedging the process. A nil
-	// Ctx keeps the historical synchronous contract (and converts injected
-	// hangs into immediate launch failures, so nothing can block forever).
+	// Ctx, when it carries a deadline, bounds the launch: an injected hang
+	// blocks on it until the deadline (the caller's watchdog or request
+	// timeout) ends it. A nil Ctx, or one with no deadline, turns injected
+	// hangs into immediate launch failures, so nothing can block forever.
 	Ctx context.Context
 }
 
@@ -121,16 +120,16 @@ func (d *Device) launch(spec *LaunchSpec) (*Stats, error) {
 		return nil, fmt.Errorf("gpu: launch %q: %w", spec.Name, err)
 	}
 	total.WorkItems = int64(spec.Global.Total())
-	d.recordLaunch(spec.Name, &total)
 	return &total, nil
 }
 
 // injectLaunchFault samples the device's fault injector at the two kernel
 // fault sites. A launch fault fails fast, before any work-group runs. A
-// hang fault parks the launch on the spec's context — the simulated kernel
-// is wedged and only the caller's watchdog deadline can reap it; launches
-// submitted without a context degrade the hang to an immediate failure so
-// an unwatched launch can never block forever.
+// hang fault parks the launch on the spec's context when that context
+// carries a deadline — the simulated kernel is wedged and only the deadline
+// (the caller's watchdog or request timeout) can reap it. With no deadline
+// the hang fails the launch at once, as the same transient fault, so an
+// unwatched launch can never block forever.
 func (d *Device) injectLaunchFault(spec *LaunchSpec) error {
 	in := d.faults
 	if in == nil {
@@ -141,9 +140,13 @@ func (d *Device) injectLaunchFault(spec *LaunchSpec) error {
 			"gpu: launch %q: injected launch failure", spec.Name)
 	}
 	if in.Fire(fault.SiteHang) {
-		if spec.Ctx == nil {
+		var reapable bool
+		if spec.Ctx != nil {
+			_, reapable = spec.Ctx.Deadline()
+		}
+		if !reapable {
 			return fault.Errorf(fault.SiteHang, fault.Transient,
-				"gpu: launch %q: injected hang with no launch context", spec.Name)
+				"gpu: launch %q: injected hang with no launch deadline", spec.Name)
 		}
 		<-spec.Ctx.Done()
 		return fault.Errorf(fault.SiteHang, fault.Transient,

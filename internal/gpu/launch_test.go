@@ -1,11 +1,14 @@
 package gpu
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"casoffinder/internal/fault"
 	"casoffinder/internal/gpu/device"
 )
 
@@ -314,40 +317,6 @@ func TestLaunchErrors(t *testing.T) {
 	}
 }
 
-func TestLaunchLogAndProfile(t *testing.T) {
-	d := testDevice(t)
-	kernel := func(loads int) PhaseKernel {
-		return perItem(func(it *Item) {
-			for i := 0; i < loads; i++ {
-				it.LoadGlobal(4)
-			}
-		})
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := d.Launch(LaunchSpec{Name: "finder", Global: R1(64), Local: R1(64), Phases: kernel(1)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := d.Launch(LaunchSpec{Name: "comparer", Global: R1(64), Local: R1(64), Phases: kernel(10)}); err != nil {
-		t.Fatal(err)
-	}
-	log := d.LaunchLog()
-	if len(log) != 4 {
-		t.Fatalf("launch log has %d entries, want 4", len(log))
-	}
-	prof := d.ProfileByKernel()
-	if got := prof["finder"].GlobalLoadOps; got != 3*64 {
-		t.Errorf("finder loads = %d, want %d", got, 3*64)
-	}
-	if got := prof["comparer"].GlobalLoadOps; got != 10*64 {
-		t.Errorf("comparer loads = %d, want %d", got, 10*64)
-	}
-	d.ResetLaunchLog()
-	if len(d.LaunchLog()) != 0 {
-		t.Error("ResetLaunchLog did not clear the log")
-	}
-}
-
 func TestGroupContext(t *testing.T) {
 	d := testDevice(t)
 	const groups = 8
@@ -436,9 +405,6 @@ func TestConcurrentLaunches(t *testing.T) {
 			}
 		}
 	}
-	if got := len(d.LaunchLog()); got != launchers {
-		t.Errorf("launch log has %d entries, want %d", got, launchers)
-	}
 }
 
 // TestConcurrentAlloc stresses the memory accounting with parallel
@@ -466,5 +432,36 @@ func TestConcurrentAlloc(t *testing.T) {
 	wg.Wait()
 	if d.AllocatedBytes() != 0 {
 		t.Errorf("leaked %d bytes", d.AllocatedBytes())
+	}
+}
+
+// TestInjectedHangNeedsDeadline: an injected hang parks only on a launch
+// context that carries a deadline. Under a cancellable context with no
+// deadline nothing could ever reap it, so the launch fails at once with the
+// transient SiteHang fault; under a deadline it blocks until the deadline.
+func TestInjectedHangNeedsDeadline(t *testing.T) {
+	hang := func(ctx context.Context) error {
+		d := testDevice(t)
+		d.SetFaults(fault.NewInjector(fault.Plan{Rate: 1, Site: fault.SiteHang}))
+		_, err := d.Launch(LaunchSpec{Name: "k", Global: R1(64), Local: R1(64), Phases: perItem(func(*Item) {}), Ctx: ctx})
+		var fe *fault.Error
+		if !errors.As(err, &fe) || fe.Site != fault.SiteHang || fe.Class != fault.Transient {
+			t.Fatalf("err = %v, want a transient %s fault", err, fault.SiteHang)
+		}
+		return err
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	start := time.Now()
+	hang(ctx)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("deadline-free hang took %v, want an immediate failure", elapsed)
+	}
+
+	dctx, dcancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer dcancel()
+	if err := hang(dctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("hang under a deadline: err = %v, want it parked until the deadline", err)
 	}
 }

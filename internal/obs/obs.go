@@ -48,8 +48,7 @@ const (
 	// Hit-buffer arena counters (internal/gpu/alloc), published from the
 	// profile too: bytes of arena entry storage provisioned, pages claimed
 	// by kernels, and launches repeated after an arena overflow (the
-	// backend's refit-and-relaunch, plus the executor's relaunch when an
-	// overflow escapes a backend).
+	// backend's refit-and-relaunch).
 	MetricArenaBytes     = "casoffinder_arena_bytes_total"
 	MetricArenaPages     = "casoffinder_arena_page_claims_total"
 	MetricArenaOverflows = "casoffinder_arena_overflow_retries_total"

@@ -118,9 +118,9 @@ func (q *CommandQueue) EnqueueNDRangeKernel(k *Kernel, gws, lws int) (*Event, er
 }
 
 // EnqueueNDRangeKernelCtx is EnqueueNDRangeKernel with a launch-bounding
-// context: an injected kernel hang blocks on ctx until the caller's
-// watchdog cancels it, instead of wedging the queue. A nil ctx keeps the
-// plain synchronous contract.
+// context: an injected kernel hang blocks on ctx until its deadline (the
+// caller's watchdog) ends it. A nil ctx keeps the plain synchronous
+// contract.
 func (q *CommandQueue) EnqueueNDRangeKernelCtx(ctx context.Context, k *Kernel, gws, lws int) (*Event, error) {
 	if err := q.use(); err != nil {
 		return nil, err

@@ -10,14 +10,13 @@
 //
 // Recovery is one rule, chosen from what the run can observe. With a Policy
 // set, a transient failure retries on the same slot with the policy's seeded
-// backoff; a fault.Overflow relaunches at once on its own small budget; any
-// other failure — or an exhausted budget — means the chunk has exhausted its
-// slot. If another live slot exists, the slot is evicted and the chunk goes
-// back to the queue at its index. The last live slot (always, in a one-slot
-// fleet) is never evicted: the chunk alone fails over to the policy's lazily
-// opened fallback backend, is quarantined if that fails too, and the slot
-// keeps serving the queue. A nil Policy is fail-fast: the first chunk error
-// aborts the run.
+// backoff; any other failure — or an exhausted budget — means the chunk has
+// exhausted its slot. If another live slot exists, the slot is evicted and
+// the chunk goes back to the queue at its index. The last live slot (always,
+// in a one-slot fleet) is never evicted: the chunk alone fails over to the
+// policy's lazily opened fallback backend, is quarantined if that fails too,
+// and the slot keeps serving the queue. A nil Policy is fail-fast: the first
+// chunk error aborts the run.
 //
 // Determinism contract. Chunk indices are assigned at plan time and the
 // collector emits settled chunks in plan order, so the hit stream does not
@@ -60,9 +59,6 @@ type SlotReport struct {
 	// Chunks counts the chunks this slot settled (on its own backend or,
 	// as the last live slot, on the fallback).
 	Chunks int
-	// Evicted reports whether the slot was evicted, and EvictErr why.
-	Evicted  bool
-	EvictErr string
 }
 
 // Executor runs requests across a fleet of slots.
@@ -73,12 +69,12 @@ type Executor struct {
 	// Its OnReport, when set, receives the run's report too.
 	Policy *Resilience
 	// Trace and Metrics observe the run: scan and phase spans land on each
-	// slot's track with its recovery events (retry, overflow-relaunch,
-	// watchdog-kill, evict, failover, quarantine) as instants, emit spans on
-	// "<track>/collect", fallback attempts on "<track>/fallback". The
-	// registry gets the queue-depth gauge, the hit and emitted-chunk counters
-	// and the stage/scan histograms live; recovery events are counted in
-	// the Report only, for whoever owns the run's ledger to publish.
+	// slot's track with its recovery events (retry, watchdog-kill, evict,
+	// failover, quarantine) as instants, emit spans on "<track>/collect",
+	// fallback attempts on "<track>/fallback". The registry gets the
+	// queue-depth gauge, the hit and emitted-chunk counters and the
+	// stage/scan histograms live; recovery events are counted in the Report
+	// only, for whoever owns the run's ledger to publish.
 	Trace   *obs.Tracer
 	Metrics *obs.Metrics
 	// Track prefixes the trace rows; empty means "pipeline".
@@ -363,13 +359,11 @@ func (r *run) claim() (int, bool) {
 }
 
 // scan settles one chunk on the slot's own backend as far as the policy's
-// same-slot budgets go: transient failures retry with the seeded backoff,
-// an overflow relaunches at once on its own budget (the arena is rebuilt
-// from scratch each attempt, so there is nothing to wait out, and a flaky
-// device keeps its retries). Any error it returns has exhausted the slot.
+// retry budget goes: transient failures retry with the seeded backoff. Any
+// error it returns has exhausted the slot.
 func (r *run) scan(be Backend, index int, sr *SiteRenderer, track string) ([]Hit, error) {
 	res := r.x.Policy
-	retries, overflows := 0, 0
+	retries := 0
 	for {
 		hits, err := r.attempt(be, index, sr, track)
 		if err == nil || res == nil {
@@ -378,26 +372,19 @@ func (r *run) scan(be Backend, index int, sr *SiteRenderer, track string) ([]Hit
 		if r.ctx.Err() != nil {
 			return nil, r.ctx.Err()
 		}
-		switch class := fault.ClassOf(err); {
-		case class == fault.Overflow && overflows < maxOverflowRelaunches:
-			overflows++
-			r.count(&r.rep.OverflowRelaunches)
-			r.x.Trace.Instant(track, "overflow-relaunch", index,
-				obs.Attr{Key: "error", Value: err.Error()})
-		case class == fault.Transient && retries < res.retryBudget():
-			retries++
-			r.count(&r.rep.Retries)
-			r.x.Trace.Instant(track, "retry", index,
-				obs.Attr{Key: "try", Value: strconv.Itoa(retries)},
-				obs.Attr{Key: "error", Value: err.Error()})
-			t0 := time.Now()
-			serr := sleepCtx(r.ctx, res.retryBackoff(index, retries))
-			r.x.Trace.Complete(track, "backoff", index, t0, time.Since(t0))
-			if serr != nil {
-				return nil, serr
-			}
-		default:
+		if fault.ClassOf(err) != fault.Transient || retries >= res.retryBudget() {
 			return nil, err
+		}
+		retries++
+		r.count(&r.rep.Retries)
+		r.x.Trace.Instant(track, "retry", index,
+			obs.Attr{Key: "try", Value: strconv.Itoa(retries)},
+			obs.Attr{Key: "error", Value: err.Error()})
+		t0 := time.Now()
+		serr := sleepCtx(r.ctx, res.retryBackoff(index, retries))
+		r.x.Trace.Complete(track, "backoff", index, t0, time.Since(t0))
+		if serr != nil {
+			return nil, serr
 		}
 	}
 }
@@ -407,10 +394,9 @@ func (r *run) scan(be Backend, index int, sr *SiteRenderer, track string) ([]Hit
 // inside it. Each phase is bounded by the watchdog deadline: a phase that
 // exceeds it — a hung simulated kernel — is cancelled through its context,
 // counted with a "watchdog-kill" instant, and comes back as a transient
-// SiteWatchdog fault for scan to retry. The staged handle is released (when
-// the backend implements Releaser) if any later phase fails, so a retried
-// chunk always re-stages fresh. Cancellation of the run passes through
-// untouched.
+// SiteWatchdog fault for scan to retry. The staged handle is released if any
+// later phase fails, so a retried chunk always re-stages fresh. Cancellation
+// of the run passes through untouched.
 func (r *run) attempt(be Backend, index int, sr *SiteRenderer, track string) (hits []Hit, err error) {
 	x, ctx := r.x, r.ctx
 	r.attempts[index]++
@@ -462,9 +448,7 @@ func (r *run) attempt(be Backend, index int, sr *SiteRenderer, track string) (hi
 	}
 	defer func() {
 		if err != nil {
-			if rel, ok := be.(Releaser); ok {
-				rel.Release(st)
-			}
+			be.Release(st)
 		}
 	}()
 
@@ -517,8 +501,6 @@ func (r *run) evict(i, index int, cause error) bool {
 		return false
 	}
 	r.live--
-	row := &r.rep.Slots[i]
-	row.Evicted, row.EvictErr = true, cause.Error()
 	r.rep.Evictions++
 	if index >= 0 {
 		at := sort.SearchInts(r.requeued, index)
@@ -528,7 +510,7 @@ func (r *run) evict(i, index int, cause error) bool {
 	}
 	r.mu.Unlock()
 	r.cond.Broadcast()
-	r.x.Trace.Instant(row.Name, "evict", index,
+	r.x.Trace.Instant(r.rep.Slots[i].Name, "evict", index,
 		obs.Attr{Key: "error", Value: cause.Error()})
 	return true
 }
@@ -545,9 +527,6 @@ func (r *run) failover(i, index int, sr *SiteRenderer, track string, cause error
 				r.fbErr = fmt.Errorf("pipeline: opening fallback backend: %w", err)
 			} else {
 				r.fb = fb
-				r.mu.Lock()
-				r.rep.FallbackUsed = true
-				r.mu.Unlock()
 			}
 		}
 	}

@@ -13,6 +13,7 @@ import (
 
 	"casoffinder/internal/fault"
 	"casoffinder/internal/genome"
+	"casoffinder/internal/obs"
 )
 
 // runChunks streams testReq over an n-chunk sequence on x. A run that
@@ -240,25 +241,29 @@ func TestExecutorEvictionRedistributes(t *testing.T) {
 	x := &Executor{
 		Slots:  fleet(&fakeBackend{find: fatal, stage: open}, &fakeBackend{stage: wait}),
 		Policy: &Resilience{MaxRetries: -1},
+		Trace:  obs.NewTracer(),
 	}
 	_, rep, err := runChunks(t, x, 10)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if rep.Evictions != 1 || !rep.Slots[0].Evicted {
-		t.Fatalf("evictions = %d, dev0 evicted = %v; want 1/true", rep.Evictions, rep.Slots[0].Evicted)
+	if rep.Evictions != 1 {
+		t.Fatalf("evictions = %d, want 1", rep.Evictions)
 	}
-	if rep.Slots[1].Evicted {
-		t.Error("survivor marked evicted")
-	}
-	if rep.Slots[1].Chunks != 10 {
-		t.Errorf("survivor settled %d chunks, want all 10", rep.Slots[1].Chunks)
+	if rep.Slots[0].Chunks != 0 || rep.Slots[1].Chunks != 10 {
+		t.Errorf("slots settled %d/%d chunks, want 0/10: the survivor settles all", rep.Slots[0].Chunks, rep.Slots[1].Chunks)
 	}
 	if rep.Failovers != 0 {
 		t.Errorf("failovers = %d, want 0 (the survivor absorbed the chunk)", rep.Failovers)
 	}
-	if !strings.Contains(rep.Slots[0].EvictErr, "injected fatal") {
-		t.Errorf("eviction cause %q does not carry the fault", rep.Slots[0].EvictErr)
+	var causes []string
+	for _, sp := range x.Trace.Spans() {
+		if sp.Name == "evict" {
+			causes = append(causes, sp.Track+": "+fmt.Sprint(sp.Attrs))
+		}
+	}
+	if len(causes) != 1 || !strings.HasPrefix(causes[0], "dev0: ") || !strings.Contains(causes[0], "injected fatal") {
+		t.Errorf("evict instants %q, want one on dev0 carrying the fault", causes)
 	}
 }
 
@@ -276,11 +281,11 @@ func TestExecutorAllEvictedFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if rep.Evictions != 1 || rep.Slots[0].Evicted == rep.Slots[1].Evicted {
-		t.Errorf("evictions = %d (%+v), want all but the last live slot", rep.Evictions, rep.Slots)
+	if c0, c1 := rep.Slots[0].Chunks, rep.Slots[1].Chunks; rep.Evictions != 1 || min(c0, c1) != 0 || max(c0, c1) != 8 {
+		t.Errorf("evictions = %d (%+v), want all but the last live slot, which settles every chunk", rep.Evictions, rep.Slots)
 	}
-	if !rep.FallbackUsed || rep.Failovers != 8 || fb.finds != 8 {
-		t.Errorf("fallback used=%v failovers=%d finds=%d, want one failover per chunk (8)", rep.FallbackUsed, rep.Failovers, fb.finds)
+	if rep.Failovers != 8 || fb.finds != 8 {
+		t.Errorf("failovers=%d fallback finds=%d, want one failover per chunk (8)", rep.Failovers, fb.finds)
 	}
 	if b0.finds+b1.finds != 9 {
 		t.Errorf("the fleet tried %d scans, want 9: every chunk on the last slot, one on the evicted", b0.finds+b1.finds)
@@ -396,11 +401,11 @@ func TestExecutorOpenFailure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if rep.Evictions != 1 || !rep.Slots[0].Evicted {
+	if rep.Evictions != 1 {
 		t.Errorf("open failure did not evict: evictions=%d", rep.Evictions)
 	}
-	if rep.Slots[1].Chunks != 10 {
-		t.Errorf("survivor settled %d chunks, want 10 (got: %+v)", rep.Slots[1].Chunks, rep.Slots)
+	if rep.Slots[0].Chunks != 0 || rep.Slots[1].Chunks != 10 {
+		t.Errorf("slots settled %+v, want 0 chunks on the broken slot and 10 on the survivor", rep.Slots)
 	}
 	// The last live slot has nothing to serve the queue with: the run fails.
 	x = &Executor{Slots: devs[:1], Policy: x.Policy}

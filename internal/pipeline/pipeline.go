@@ -94,6 +94,10 @@ type Backend interface {
 	// Drain renders the accumulated entries into hits using the worker's
 	// pooled renderer and releases the chunk's per-chunk resources.
 	Drain(ctx context.Context, st Staged, r *SiteRenderer) ([]Hit, error)
+	// Release frees the per-chunk resources of a handle whose attempt failed
+	// after Stage, so a retried chunk does not hold device memory until
+	// Close.
+	Release(st Staged)
 	// Close releases everything the backend still holds: run-wide state
 	// and any staged handles that never reached Drain. It is called
 	// exactly once, by the goroutine that drove the backend.
@@ -110,12 +114,4 @@ type Backend interface {
 // hits are sorted afterwards, so entry order within the chunk is free.
 type BatchComparer interface {
 	CompareAll(ctx context.Context, st Staged) error
-}
-
-// Releaser is an optional Backend capability: backends that can release the
-// per-chunk resources of an abandoned staged handle implement it, so a failed
-// scan attempt returns device memory at once instead of holding every
-// orphaned handle until Close.
-type Releaser interface {
-	Release(st Staged)
 }

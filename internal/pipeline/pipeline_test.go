@@ -1,8 +1,8 @@
 // The executor over one fake backend. This file holds the fake and what a
 // single engine sees: ordered emit, abort paths, handle accounting, and the
-// recovery rule on one slot (retry, overflow relaunch, per-chunk failover,
-// quarantine). executor_test.go pins the fleet: several slots, the pull
-// order and reorder window, eviction.
+// recovery rule on one slot (retry, per-chunk failover, quarantine).
+// executor_test.go pins the fleet: several slots, the pull order and reorder
+// window, eviction.
 package pipeline
 
 import (
@@ -138,6 +138,8 @@ func (b *fakeBackend) Drain(ctx context.Context, st Staged, r *SiteRenderer) ([]
 	return []Hit{{SeqName: ch.SeqName, Pos: ch.Start, Dir: '+', Site: "AAA"}}, nil
 }
 
+func (b *fakeBackend) Release(st Staged) { b.settle(st.(*genome.Chunk), &b.released) }
+
 // settle takes a handle out of the live set and counts it in n, unless a
 // Close already swept (and counted) it.
 func (b *fakeBackend) settle(ch *genome.Chunk, n *int) {
@@ -167,11 +169,6 @@ func (b *fakeBackend) attemptsFor(key string) int {
 	defer b.mu.Unlock()
 	return b.attempts[key]
 }
-
-// releasingBackend adds the Releaser capability.
-type releasingBackend struct{ *fakeBackend }
-
-func (b releasingBackend) Release(st Staged) { b.settle(st.(*genome.Chunk), &b.released) }
 
 // checkAccounting asserts the backend was closed once per slot that opened
 // it and no staged handle escaped Drain, Release and Close.
@@ -213,10 +210,7 @@ func fatal(_ context.Context, ch *genome.Chunk, _ int) error {
 	return fault.Errorf(fault.SiteLaunch, fault.Fatal, "injected fatal at %d", ch.Start)
 }
 
-var (
-	errTransient = fault.Errorf(fault.SiteCLEnqueue, fault.Transient, "scripted transient")
-	errOverflow  = fault.Errorf(fault.SiteArena, fault.Overflow, "scripted arena exhaustion")
-)
+var errTransient = fault.Errorf(fault.SiteCLEnqueue, fault.Transient, "scripted transient")
 
 // opener is a slot's (or a policy's fallback) opener that returns be.
 func opener(be Backend) func(*Plan) (Backend, error) {
@@ -349,8 +343,9 @@ func TestCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if b.liveAtClose != 1 {
-		t.Errorf("Close swept %d handles, want the one abandoned mid-scan", b.liveAtClose)
+	if b.released != 1 || b.liveAtClose != 0 {
+		t.Errorf("released %d and Close swept %d handles, want the one abandoned mid-scan released",
+			b.released, b.liveAtClose)
 	}
 	checkAccounting(t, b, 1)
 }
@@ -421,7 +416,7 @@ type recoveryCase struct {
 	res      Resilience
 	fail     func(ctx context.Context, attempt int) error
 	fallback bool
-	want     Report // Chunks, FallbackUsed and Slots are derived
+	want     Report // Chunks and Slots are derived
 	attempts int
 }
 
@@ -429,12 +424,12 @@ func (tc recoveryCase) run(t *testing.T) {
 	t.Helper()
 	asm := testAsm(500)
 	want := golden(t, asm)
-	b := releasingBackend{&fakeBackend{find: func(ctx context.Context, ch *genome.Chunk, attempt int) error {
+	b := &fakeBackend{find: func(ctx context.Context, ch *genome.Chunk, attempt int) error {
 		if chunkKey(ch) == "seq0:12" {
 			return tc.fail(ctx, attempt)
 		}
 		return nil
-	}}}
+	}}
 	if tc.fallback {
 		tc.res.Fallback = opener(&fakeBackend{})
 	}
@@ -443,7 +438,7 @@ func (tc recoveryCase) run(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameStream(t, got, want)
-	tc.want.Chunks, tc.want.FallbackUsed = len(want), tc.fallback
+	tc.want.Chunks = len(want)
 	tc.want.Slots = []SlotReport{{Name: "dev0", Chunks: len(want)}}
 	if fmt.Sprint(*rep) != fmt.Sprint(tc.want) {
 		t.Errorf("report = %+v, want %+v", *rep, tc.want)
@@ -454,7 +449,7 @@ func (tc recoveryCase) run(t *testing.T) {
 	if n := b.attemptsFor("seq0:12"); n != tc.attempts {
 		t.Errorf("primary attempts = %d, want %d", n, tc.attempts)
 	}
-	checkAccounting(t, b.fakeBackend, 1)
+	checkAccounting(t, b, 1)
 }
 
 // TestResilientRetryRecovers: a transient failure on a chunk's first attempt
@@ -479,34 +474,6 @@ func TestResilientFailover(t *testing.T) {
 		res:  Resilience{MaxRetries: 2},
 		fail: func(context.Context, int) error { return errTransient }, fallback: true,
 		want: Report{Retries: 2, Failovers: 1}, attempts: 3,
-	}.run(t)
-}
-
-// TestOverflowRelaunches: an overflow-classed failure relaunches on the
-// primary under its own budget — no backoff, no failover, and no transient
-// retry consumed (there are none to consume here).
-func TestOverflowRelaunches(t *testing.T) {
-	recoveryCase{
-		res: Resilience{MaxRetries: -1},
-		fail: func(_ context.Context, attempt int) error {
-			if attempt < maxOverflowRelaunches {
-				return errOverflow
-			}
-			return nil
-		},
-		want: Report{OverflowRelaunches: maxOverflowRelaunches}, attempts: maxOverflowRelaunches + 1,
-	}.run(t)
-}
-
-// TestOverflowBudgetExhausted: overflow past the relaunch budget fails over
-// like any other persistent failure, so a livelocked allocator cannot wedge
-// a chunk.
-func TestOverflowBudgetExhausted(t *testing.T) {
-	recoveryCase{
-		res:  Resilience{MaxRetries: -1},
-		fail: func(context.Context, int) error { return errOverflow }, fallback: true,
-		want:     Report{OverflowRelaunches: maxOverflowRelaunches, Failovers: 1},
-		attempts: maxOverflowRelaunches + 1,
 	}.run(t)
 }
 
@@ -548,19 +515,19 @@ func quarantineRun(t *testing.T) (got, want []string, rep *Report, err error) {
 	t.Helper()
 	asm := testAsm(500)
 	want = golden(t, asm)
-	b := releasingBackend{&fakeBackend{find: func(_ context.Context, ch *genome.Chunk, _ int) error {
+	b := &fakeBackend{find: func(_ context.Context, ch *genome.Chunk, _ int) error {
 		if chunkKey(ch) == "seq0:12" {
 			return fault.Errorf(fault.SiteCLDeviceLost, fault.Fatal, "scripted fatal")
 		}
 		return nil
-	}}}
+	}}
 	var policyRep *Report
 	res := &Resilience{OnReport: func(r *Report) { policyRep = r }}
 	got, rep, err = stream(context.Background(), t, &Executor{Slots: fleet(b), Policy: res}, asm)
 	if policyRep != rep {
 		t.Error("the policy's OnReport and the executor's saw different reports")
 	}
-	checkAccounting(t, b.fakeBackend, 1)
+	checkAccounting(t, b, 1)
 	return got, want, rep, err
 }
 

@@ -3,8 +3,7 @@
 // with capped exponential backoff, hung kernels are reaped by a per-phase
 // watchdog deadline, and chunks that keep failing — or fail fatally, or
 // return corrupted data — go to another backend. The recovery rule itself
-// (retry, overflow relaunch, eviction, failover, quarantine) is the
-// executor's (executor.go).
+// (retry, eviction, failover, quarantine) is the executor's (executor.go).
 
 package pipeline
 
@@ -26,16 +25,6 @@ const (
 	// DefaultBackoffMax caps the exponential backoff growth.
 	DefaultBackoffMax = 50 * time.Millisecond
 )
-
-// maxOverflowRelaunches is the per-chunk budget for relaunching after a
-// fault.Overflow error escapes a backend. Backends refit their hit-buffer
-// arena to the launch's own emission counters and relaunch once internally,
-// so an escaped overflow is one those counters cannot explain — possible
-// only under corrupted arena readback, which a fresh attempt usually
-// clears. The budget is separate
-// from the transient retry budget: an overflow relaunch must not starve the
-// retries a genuinely flaky device needs.
-const maxOverflowRelaunches = 2
 
 // Resilience is the recovery policy of a run. Without one the first backend
 // error aborts the run.
@@ -110,16 +99,10 @@ type Report struct {
 	Chunks int
 	// Retries counts transient retry attempts across all chunks.
 	Retries int64
-	// OverflowRelaunches counts chunks relaunched on the same backend after a
-	// fault.Overflow error escaped the backend (an arena exhausted at its
-	// worst-case layout, i.e. corrupted arena readback).
-	OverflowRelaunches int64
 	// Failovers counts chunks re-staged on the fallback backend.
 	Failovers int64
 	// WatchdogKills counts phases cancelled by the watchdog deadline.
 	WatchdogKills int64
-	// FallbackUsed reports whether the fallback backend was opened.
-	FallbackUsed bool
 	// Quarantined lists the chunks that failed on every arm, in chunk
 	// order. Their hits are missing from the emitted stream.
 	Quarantined []ChunkFailure
@@ -132,7 +115,7 @@ type Report struct {
 
 // Degraded reports whether the run deviated from the clean path at all.
 func (r *Report) Degraded() bool {
-	return r.Retries > 0 || r.OverflowRelaunches > 0 || r.Failovers > 0 ||
+	return r.Retries > 0 || r.Failovers > 0 ||
 		r.WatchdogKills > 0 || len(r.Quarantined) > 0 || r.Evictions > 0
 }
 

@@ -212,8 +212,8 @@ func TestArtifactFaultFailover(t *testing.T) {
 	dev.SetFaults(fault.NewInjector(fault.Plan{Seed: 3, Rate: 0.2}))
 	eng := &SimSYCL{
 		Device: dev, Variant: kernels.Base, WorkGroupSize: 64,
-		// The watchdog is part of the policy: an injected gpu.hang would
-		// otherwise block the run forever.
+		// The watchdog is part of the policy, so an injected gpu.hang
+		// parks until the watchdog reaps it.
 		Resilience: &pipeline.Resilience{Seed: 3, Watchdog: 500 * time.Millisecond},
 	}
 	got, err := eng.Run(artifactAssembly(t, asm, req.Pattern), req)

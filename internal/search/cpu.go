@@ -244,8 +244,8 @@ func (b *cpuBackend) Drain(ctx context.Context, st pipeline.Staged, r *pipeline.
 	return hits, err
 }
 
-// Release implements pipeline.Releaser: return an abandoned handle's
-// scratch to the pool so a retried or failed-over chunk does not strand it.
+// Release returns an abandoned handle's scratch to the pool so a retried or
+// failed-over chunk does not strand it.
 func (b *cpuBackend) Release(st pipeline.Staged) {
 	if s, ok := st.(*cpuStaged); ok && s != nil && s.sc != nil {
 		s.release()

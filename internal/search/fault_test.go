@@ -61,8 +61,9 @@ func TestFaultMatrix(t *testing.T) {
 			}
 			t.Run(se.name+"/"+label, func(t *testing.T) {
 				plan := fault.Plan{Seed: 42, Rate: 0.05, Site: site}
-				// The watchdog is part of the policy: without it an
-				// injected gpu.hang would block the run forever.
+				// The watchdog is part of the policy, so an injected
+				// gpu.hang parks until the watchdog reaps it; without a
+				// deadline the hang would fail its launch at once.
 				eng := se.build(plan, &pipeline.Resilience{Seed: plan.Seed, Watchdog: 500 * time.Millisecond})
 				got, err := eng.Run(asm, req)
 				if err != nil {

@@ -260,8 +260,8 @@ var errCounterRead = errors.New("injected emission-counter read failure")
 // cannot explain, through both veneers: a finder overflow at the worst case,
 // a comparer overflow whose counters are all zero, and a comparer whose
 // counters call for one more group on every read, so that each relaunch
-// overflows again with room left to grow. Each must come back as the typed
-// fault.Overflow error after at most one relaunch — never a loop — with
+// overflows again with room left to grow. Each must come back as a typed
+// fault.SiteArena corruption after at most one relaunch — never a loop — with
 // every buffer of the failed launches freed before the error returns. A
 // failed counter read after an overflow returns that error instead. No
 // overflowed launch may reach the profile's kernel statistics.
@@ -313,8 +313,8 @@ func TestArenaOverflowBounded(t *testing.T) {
 					if !errors.Is(err, errCounterRead) {
 						t.Errorf("err = %v, want the injected counter read failure", err)
 					}
-				} else if !errors.As(err, &fe) || fe.Site != fault.SiteArena || fe.Class != fault.Overflow {
-					t.Errorf("err = %v, want a typed SiteArena overflow", err)
+				} else if !errors.As(err, &fe) || fe.Site != fault.SiteArena || fe.Class != fault.Corruption {
+					t.Errorf("err = %v, want a typed SiteArena corruption", err)
 				} else if n := len(b.live); n != live {
 					t.Errorf("%d live handles after the failed launch, %d before it", n, live)
 				}

@@ -50,8 +50,7 @@ type Profile struct {
 	// ArenaPageClaims is the number of arena pages kernels claimed.
 	ArenaPageClaims int64
 	// OverflowRetries counts launches repeated after the arena overflowed
-	// and was refitted (at most one per launch), plus the executor's
-	// relaunches of a chunk whose overflow escaped the backend.
+	// and was refitted (at most one per launch).
 	OverflowRetries int64
 
 	// Recovery counters, folded from the executor's run report when the
@@ -190,7 +189,6 @@ func (p *Profile) addReport(rep *pipeline.Report, fleet bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.Retries += rep.Retries
-	p.OverflowRetries += rep.OverflowRelaunches
 	p.Failovers += rep.Failovers
 	p.WatchdogKills += rep.WatchdogKills
 	p.QuarantinedChunks += len(rep.Quarantined)

@@ -136,8 +136,7 @@ func TestProfileMergeFaultLogSorted(t *testing.T) {
 }
 
 // TestProfileDegraded pins the one definition of "degraded": whatever the
-// executor's report calls degraded — an overflow relaunch included, though
-// no counter of its own shows it — or an eviction.
+// executor's report calls degraded, an eviction included.
 func TestProfileDegraded(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -145,7 +144,6 @@ func TestProfileDegraded(t *testing.T) {
 		want bool
 	}{
 		{"clean", pipeline.Report{}, false},
-		{"relaunch only", pipeline.Report{OverflowRelaunches: 1}, true},
 		{"retry", pipeline.Report{Retries: 1}, true},
 		{"eviction only", pipeline.Report{Evictions: 1}, true},
 	} {

@@ -101,6 +101,8 @@ func (b *refBackend) Drain(ctx context.Context, st pipeline.Staged, r *pipeline.
 	return drainEntries(r, s.ch, b.plan.Guides, s.sc.entries)
 }
 
+func (b *refBackend) Release(pipeline.Staged) {}
+
 func (b *refBackend) Close() error { return nil }
 
 // windowMatches tests the PAM scaffold at the given strand offset.

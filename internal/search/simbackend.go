@@ -276,9 +276,9 @@ type arenaPass struct {
 // the clean launch's geometry to the pass. A launch that overflows is
 // relaunched once, at the layout its own emission counters call for
 // (alloc.Refit); a second overflow, or counters that call for no more pages
-// than the launch had, can only be corrupted state and return the typed
-// fault.Overflow error. Only the arena's claim state crosses back to the
-// host here. An error leaves the attempt's buffers to Close.
+// than the launch had, can only be corrupted state and return a typed
+// fault.SiteArena corruption, like every other impossible arena shape.
+// Only the arena's claim state crosses back to the host here. An error leaves the attempt's buffers to Close.
 func (b *simBackend) runArena(layout alloc.Layout, p *arenaPass) error {
 	for relaunched := false; ; relaunched = true {
 		out := make([]devBuf, len(p.outElems))
@@ -327,7 +327,7 @@ func (b *simBackend) runArena(layout alloc.Layout, p *arenaPass) error {
 			}
 			refit, ok := alloc.Refit(layout, overflowed)
 			if relaunched || !ok {
-				return fault.Errorf(fault.SiteArena, fault.Overflow,
+				return fault.Errorf(fault.SiteArena, fault.Corruption,
 					"search: %s: %s arena overflowed at %v, more than its emission counters allow", b.e.name, p.kernel, layout)
 			}
 			layout = refit
@@ -557,9 +557,9 @@ func (b *simBackend) Drain(ctx context.Context, st pipeline.Staged, r *pipeline.
 	return hits, nil
 }
 
-// Release implements pipeline.Releaser: free an abandoned staged handle's
-// buffers as soon as an attempt is abandoned, rather
-// than holding them (against the device memory budget) until Close.
+// Release frees an abandoned staged handle's buffers as soon as an attempt
+// is abandoned, rather than holding them (against the device memory budget)
+// until Close.
 func (b *simBackend) Release(st pipeline.Staged) {
 	if s, ok := st.(*simStaged); ok && s != nil {
 		_ = b.freeStaged(s) // a lost context fails the frees; the handles are spent either way

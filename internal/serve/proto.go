@@ -60,19 +60,18 @@ type Guide struct {
 
 // Trailer is the final NDJSON object of every streamed response. Done
 // reports whether the search ran to completion; Degraded whether it strayed
-// from the clean path (retries, overflow relaunches, failovers, watchdog
-// kills or quarantined chunks — the counts follow). A response is only ever
+// from the clean path (retries, failovers, watchdog kills or quarantined
+// chunks — the counts follow). A response is only ever
 // missing its trailer when the client went away first.
 type Trailer struct {
-	Done               bool       `json:"done"`
-	Hits               int64      `json:"hits"`
-	Degraded           bool       `json:"degraded"`
-	Retries            int64      `json:"retries,omitempty"`
-	OverflowRelaunches int64      `json:"overflow_relaunches,omitempty"`
-	Failovers          int64      `json:"failovers,omitempty"`
-	WatchdogKills      int64      `json:"watchdog_kills,omitempty"`
-	Quarantined        int        `json:"quarantined,omitempty"`
-	Error              *ErrorBody `json:"error,omitempty"`
+	Done          bool       `json:"done"`
+	Hits          int64      `json:"hits"`
+	Degraded      bool       `json:"degraded"`
+	Retries       int64      `json:"retries,omitempty"`
+	Failovers     int64      `json:"failovers,omitempty"`
+	WatchdogKills int64      `json:"watchdog_kills,omitempty"`
+	Quarantined   int        `json:"quarantined,omitempty"`
+	Error         *ErrorBody `json:"error,omitempty"`
 }
 
 // ErrorBody is the machine-readable error payload, both in the error

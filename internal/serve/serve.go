@@ -539,7 +539,6 @@ func (s *Server) writeOutcome(out *hitStream, rep *pipeline.Report, passErr erro
 		tr := Trailer{Done: true, Hits: out.hits, Degraded: degraded || partial}
 		if rep != nil {
 			tr.Retries, tr.Failovers, tr.WatchdogKills = rep.Retries, rep.Failovers, rep.WatchdogKills
-			tr.OverflowRelaunches = rep.OverflowRelaunches
 			tr.Quarantined = len(rep.Quarantined)
 		}
 		if tr.Degraded {

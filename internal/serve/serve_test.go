@@ -406,14 +406,14 @@ func TestBurstSheds(t *testing.T) {
 // seeded device loss mid-request fails over to the CPU; the response
 // completes with every hit and a degraded trailer — never a dropped
 // connection or a 5xx. The second row is a pass whose only recovery event is
-// an executor overflow relaunch: degraded too, and the trailer says why.
+// one transient retry: degraded too, and the trailer says why.
 func TestDegradedDeviceLossCompletes(t *testing.T) {
 	dev := gpu.New(device.MI100())
 	dev.SetFaults(fault.NewInjector(fault.Plan{Seed: 42, Rate: 1, Site: fault.SiteCLDeviceLost}))
 	res := &pipeline.Resilience{Seed: 42}
-	relaunched := &stubEngine{
+	retried := &stubEngine{
 		hits:   []pipeline.Hit{{SeqName: "chr1", Pos: 4, Dir: '+', Site: "GATTACAGTAGG"}},
-		report: &pipeline.Report{OverflowRelaunches: 1},
+		report: &pipeline.Report{Retries: 1},
 	}
 	for _, tc := range []struct {
 		name   string
@@ -423,9 +423,9 @@ func TestDegradedDeviceLossCompletes(t *testing.T) {
 	}{
 		{"device loss", &search.SimCL{Device: dev, Resilience: res}, &res.OnReport,
 			func(tr Trailer) bool { return tr.Failovers > 0 }},
-		{"relaunch only", relaunched, &relaunched.onReport,
+		{"retry only", retried, &retried.onReport,
 			func(tr Trailer) bool {
-				return tr == Trailer{Done: true, Hits: 1, Degraded: true, OverflowRelaunches: 1}
+				return tr == Trailer{Done: true, Hits: 1, Degraded: true, Retries: 1}
 			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

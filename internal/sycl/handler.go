@@ -200,8 +200,8 @@ func (q *Queue) Submit(cg func(h *Handler) error) *Event {
 
 // SubmitCtx is Submit with a launch-bounding context: kernels launched by
 // the command group carry ctx into the simulator, so an injected hang
-// blocks on it until the caller's watchdog cancels instead of wedging the
-// queue. A nil ctx keeps the plain Submit contract.
+// blocks on it until its deadline (the caller's watchdog) ends it. A nil
+// ctx keeps the plain Submit contract.
 func (q *Queue) SubmitCtx(ctx context.Context, cg func(h *Handler) error) *Event {
 	ev := newEvent()
 	q.mu.Lock()
