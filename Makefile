@@ -43,7 +43,9 @@ race:
 # input, whatever the interleaving — with Tables VIII and IX and Fig. 2
 # rendered against their golden CSVs and the daemon's response flush tests (a timer, the pass
 # goroutine and the handler share one ResponseWriter; the client disconnects
-# or stalls mid-stream), the CPU scan's equivalence suite (the SWAR
+# or stalls mid-stream), the coalescer's byte-identity pins (coalescing is the
+# daemon's only serving path: merged streams against solo goldens over the
+# coalescer and over HTTP, member departure, a panicking merged pass), the CPU scan's equivalence suite (the SWAR
 # compare against the byte and scalar references, patterns of one to five
 # words, the batched-vs-per-guide merge and the zero-allocation pin, whose
 # pooled planes are per-goroutine buffers), the NDJSON encoder's
@@ -62,6 +64,7 @@ stress:
 	$(GO) test -race -count 1 -cpu 1,2,8 ./internal/kernels -run '^TestGroupMatchesReference$$'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./cmd/benchtab -run 'TestRunCSV'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/serve/ -run 'TestFlush'
+	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/serve -run 'TestCoalesce|TestCoalescedRequestsOverHTTP|TestPanicIsolation'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/search/ -run 'TestSWAR|TestScanChunkMatchesSeed|TestScanInnerLoopZeroAllocs|TestWriteHitJSONZeroAllocs|TestBatchedMatchesPerPattern|TestCompareMultiWordPatterns'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/search/ -run 'TestSimProfileSchedule|TestDenseCandidateRegionMatrix'
 	$(GO) test -race -count 1 -cpu 1,2,8 ./internal/search/ -run 'TestFaultDeterminism|TestFaultMatrix|TestMetricsAgreeWithProfile|TestMultiSYCLSchedMetricsParity|TestMultiSYCLMergeParity|TestProfileMerge'

@@ -8,14 +8,13 @@
 //
 //	casoffinderd [-listen 127.0.0.1:8077]
 //	             -genome [name=]path | -artifact [name=]genome.cart  (repeatable)
-//	             [-engine cpu|opencl|sycl] [-device MI100] [-variant auto]
+//	             [-engine cpu|opencl|sycl] [-device MI100]
 //	             [-workers N]
 //	             [-fault-rate 0.05 -fault-seed 42 -fault-site S -fault-after N]
 //	             [-watchdog 5s] [-max-retries N]
 //	             [-max-inflight 4] [-max-queue 64] [-max-inflight-bytes N]
 //	             [-max-body-bytes N] [-max-guides N]
 //	             [-quota-rate R] [-quota-burst B]
-//	             [-coalesce-window 2ms] [-coalesce-max-guides 512]
 //	             [-drain-timeout 30s] [-trace trace.json]
 //
 // Endpoints:
@@ -29,9 +28,12 @@
 // Admission control bounds the intake: requests beyond the queue and byte
 // budgets shed with 429 + Retry-After (newest lowest-priority first), and
 // -quota-rate enforces a per-tenant token bucket keyed by the X-API-Key
-// header. Concurrent requests that share (genome, pattern, chunk budget)
-// coalesce into one genome pass inside -coalesce-window; per-request output
-// is byte-identical to an uncoalesced run.
+// header. Every admitted request joins a coalescing batch: requests that
+// share (genome, pattern) and arrive within 2 ms of each other run as one
+// genome pass, and per-request output is byte-identical to an uncoalesced
+// run. No flag or request field changes that path. The simulator engines
+// pick their comparer kernel with the occupancy autotuner; the daemon prints
+// no kernel profile, so the CLI's -variant has no counterpart here.
 //
 // The fault flags drive the simulator engines exactly as in the CLI; a
 // degraded pass (retries, failovers, quarantined chunks) completes its
@@ -62,7 +64,6 @@ import (
 	"casoffinder/internal/genome"
 	"casoffinder/internal/gpu"
 	"casoffinder/internal/gpu/device"
-	"casoffinder/internal/kernels"
 	"casoffinder/internal/obs"
 	"casoffinder/internal/pipeline"
 	"casoffinder/internal/search"
@@ -152,7 +153,6 @@ func setup(args []string, stderr io.Writer) (*daemon, error) {
 	fs.Var(&artifacts, "artifact", ".cart genome artifact to mmap resident, optionally name=path (repeatable)")
 	engineName := fs.String("engine", "cpu", "search engine: cpu, opencl or sycl")
 	deviceName := fs.String("device", "MI100", "simulated device for the opencl/sycl engines")
-	variantName := fs.String("variant", "auto", "comparer kernel variant: auto, base or opt1..opt4")
 	workers := fs.Int("workers", 0, "cpu engine workers (0 = all cores)")
 	faultRate := fs.Float64("fault-rate", 0, "simulator fault injection probability in [0, 1] (0 = off)")
 	faultSeed := fs.Uint64("fault-seed", 1, "seed for the deterministic fault schedule and retry jitter")
@@ -167,8 +167,6 @@ func setup(args []string, stderr io.Writer) (*daemon, error) {
 	maxGuides := fs.Int("max-guides", 0, "most guides in one request (0 = default)")
 	quotaRate := fs.Float64("quota-rate", 0, "per-tenant requests per second, keyed by X-API-Key (0 = quotas off)")
 	quotaBurst := fs.Float64("quota-burst", 0, "per-tenant burst size (0 = default)")
-	coalesceWindow := fs.Duration("coalesce-window", 0, "guide-coalescing batching window (0 = default, negative = off)")
-	coalesceMaxGuides := fs.Int("coalesce-max-guides", 0, "seal a coalesced batch early at this many guides (0 = default)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight streams")
 	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON of the daemon's request spans on exit")
 	if err := fs.Parse(args); err != nil {
@@ -206,8 +204,7 @@ func setup(args []string, stderr io.Writer) (*daemon, error) {
 		tracer = obs.NewTracer()
 	}
 
-	eng, res, serialize, err := buildEngine(*engineName, *deviceName, *variantName,
-		*workers, faultPlan, *watchdog, *maxRetries, *faultSeed, tracer, metrics)
+	eng, res, serialize, err := buildEngine(*engineName, *deviceName, *workers, faultPlan, *watchdog, *maxRetries, *faultSeed, tracer, metrics)
 	if err != nil {
 		return nil, err
 	}
@@ -225,10 +222,8 @@ func setup(args []string, stderr io.Writer) (*daemon, error) {
 			QuotaRate:        *quotaRate,
 			QuotaBurst:       *quotaBurst,
 		},
-		CoalesceWindow:    *coalesceWindow,
-		CoalesceMaxGuides: *coalesceMaxGuides,
-		Metrics:           metrics,
-		Trace:             tracer,
+		Metrics: metrics,
+		Trace:   tracer,
 	})
 	if err != nil {
 		return nil, err
@@ -355,14 +350,10 @@ func splitSpec(spec string) (name, path string) {
 // buildEngine mirrors the CLI's engine construction for the daemon's subset:
 // the CPU engine runs passes concurrently; the simulator engines carry
 // mutable device state, so they run with a resilience policy (for trailer
-// reports and CPU failover) and serialized passes.
-func buildEngine(engineName, deviceName, variantName string, workers int,
+// reports and CPU failover) and serialized passes, and always autotuned.
+func buildEngine(engineName, deviceName string, workers int,
 	faultPlan fault.Plan, watchdog time.Duration, maxRetries int, seed uint64,
 	tracer *obs.Tracer, metrics *obs.Metrics) (search.Engine, *pipeline.Resilience, bool, error) {
-	variant, auto, err := kernels.ParseVariant(variantName)
-	if err != nil {
-		return nil, nil, false, usageError{err}
-	}
 	switch engineName {
 	case "cpu":
 		if faultPlan.Rate > 0 || watchdog > 0 {
@@ -382,9 +373,9 @@ func buildEngine(engineName, deviceName, variantName string, workers int,
 		// response, never fail it, and the report sink feeds the trailers.
 		res := &pipeline.Resilience{MaxRetries: maxRetries, Watchdog: watchdog, Seed: seed}
 		if engineName == "opencl" {
-			return &search.SimCL{Device: dev, Variant: variant, Auto: auto, Resilience: res, Trace: tracer, Metrics: metrics}, res, true, nil
+			return &search.SimCL{Device: dev, Auto: true, Resilience: res, Trace: tracer, Metrics: metrics}, res, true, nil
 		}
-		return &search.SimSYCL{Device: dev, Variant: variant, Auto: auto, Resilience: res, Trace: tracer, Metrics: metrics}, res, true, nil
+		return &search.SimSYCL{Device: dev, Auto: true, Resilience: res, Trace: tracer, Metrics: metrics}, res, true, nil
 	default:
 		return nil, nil, false, usageError{fmt.Errorf("unknown engine %q (want cpu, opencl or sycl)", engineName)}
 	}

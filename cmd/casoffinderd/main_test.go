@@ -248,7 +248,7 @@ func TestDaemonServesArtifact(t *testing.T) {
 func TestDaemonSimEngineDegraded(t *testing.T) {
 	base, stop := startDaemon(t,
 		"-genome", writeGenomeDir(t),
-		"-engine", "opencl", "-variant", "base",
+		"-engine", "opencl",
 		"-fault-rate", "1", "-fault-seed", "42", "-fault-site", "opencl.device-lost")
 	resp, err := http.Post(base+"/search", "application/json", strings.NewReader(daemonSearchBody))
 	if err != nil {
@@ -283,8 +283,11 @@ func TestSetupUsageErrors(t *testing.T) {
 		{"bad engine", []string{"-genome", dir, "-engine", "cuda"}},
 		{"retired engine", []string{"-genome", dir, "-engine", "indexed"}},
 		{"bad device", []string{"-genome", dir, "-engine", "sycl", "-device", "H100"}},
+		// The daemon always autotunes: -variant is an unknown flag, whatever
+		// its value.
 		{"bad variant", []string{"-genome", dir, "-variant", "opt9"}},
 		{"retired variant", []string{"-genome", dir, "-variant", "bitparallel"}},
+		{"retired -variant", []string{"-genome", dir, "-engine", "sycl", "-variant", "auto"}},
 		{"fault flags on cpu", []string{"-genome", dir, "-fault-rate", "0.5"}},
 		{"fault rate out of range", []string{"-genome", dir, "-engine", "opencl", "-fault-rate", "2"}},
 		{"bad fault site", []string{"-genome", dir, "-engine", "opencl", "-fault-rate", "1", "-fault-site", "gpu.meltdown"}},

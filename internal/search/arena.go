@@ -51,20 +51,19 @@ func comparerLayout(groups, pageSlots int, worstCase bool) alloc.Layout {
 const arenaAdmissionCandRate = 0.05
 
 // ArenaCostEstimate bounds the device-side hit-arena entry bytes one staged
-// chunk of a request can pin: the finder arena at its worst case (one entry
-// per site) plus one comparer arena per guide at its worst case (two entries
-// per candidate) for the assumed candidate-survival rate. The daemon's
-// admission controller adds it to a request's byte cost so a many-guide
-// search charges the inflight-bytes budget for the device memory its pass
-// will pin, not just for its body bytes.
-func ArenaCostEstimate(chunkBytes, guides int) int64 {
-	if chunkBytes <= 0 {
-		chunkBytes = pipeline.DefaultChunkBytes
-	}
+// chunk of the default size (pipeline.DefaultChunkBytes, what every daemon
+// pass stages) can pin for a request of guides guides: the finder arena at
+// its worst case (one entry per site) plus one comparer arena per guide at
+// its worst case (two entries per candidate) for the assumed
+// candidate-survival rate. The daemon's admission controller adds it to a
+// request's byte cost so a many-guide search charges the inflight-bytes
+// budget for the device memory its pass will pin, not just for its body
+// bytes.
+func ArenaCostEstimate(guides int) int64 {
 	if guides < 1 {
 		guides = 1
 	}
-	sites := float64(chunkBytes)
+	sites := float64(pipeline.DefaultChunkBytes)
 	finder := sites * finderEntryBytes
 	perGuide := 2 * sites * arenaAdmissionCandRate * comparerEntryBytes
 	return int64(finder + float64(guides)*perGuide)

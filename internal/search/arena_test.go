@@ -236,32 +236,29 @@ func TestArenaProvisioningRatio(t *testing.T) {
 
 // TestArenaCostEstimate pins the daemon's admission charge for two request
 // shapes and requires it never to exceed what the layouts it stands for can
-// pin: the worst-case finder arena plus, per guide, the worst-case comparer
-// arena for the assumed candidate rate.
+// pin: the worst-case finder arena of one default chunk plus, per guide, the
+// worst-case comparer arena for the assumed candidate rate.
 func TestArenaCostEstimate(t *testing.T) {
 	const pad = 64
 	for _, tt := range []struct {
-		chunkBytes, guides int
-		want               int64
+		guides int
+		want   int64
 	}{
-		{0, 1, 5976883},    // the default 1 MiB chunk: 5 + 0.7 bytes per site
-		{4096, 64, 203980}, // a small chunk, many guides
+		{1, 5976883},   // 5 + 0.7 bytes per site of the default 1 MiB chunk
+		{64, 52219084}, // many guides: the comparer arenas dominate
 	} {
-		got := ArenaCostEstimate(tt.chunkBytes, tt.guides)
+		got := ArenaCostEstimate(tt.guides)
 		if got != tt.want {
-			t.Errorf("ArenaCostEstimate(%d, %d) = %d, want %d", tt.chunkBytes, tt.guides, got, tt.want)
+			t.Errorf("ArenaCostEstimate(%d) = %d, want %d", tt.guides, got, tt.want)
 		}
-		sites := tt.chunkBytes
-		if sites == 0 {
-			sites = pipeline.DefaultChunkBytes
-		}
+		sites := pipeline.DefaultChunkBytes
 		cands := int(math.Ceil(float64(sites) * arenaAdmissionCandRate))
 		finder := alloc.WorstCase((sites+pad-1)/pad, pad)
 		comparer := alloc.WorstCase((cands+pad-1)/pad, 2*pad)
 		bound := finder.DataBytes(finderEntryBytes) + int64(tt.guides)*comparer.DataBytes(comparerEntryBytes)
 		if got > bound {
-			t.Errorf("ArenaCostEstimate(%d, %d) = %d exceeds the worst-case layouts' %d bytes",
-				tt.chunkBytes, tt.guides, got, bound)
+			t.Errorf("ArenaCostEstimate(%d) = %d exceeds the worst-case layouts' %d bytes",
+				tt.guides, got, bound)
 		}
 	}
 }

@@ -8,11 +8,10 @@ package search
 // selected and why-shaped evidence (the candidate count) reaches the metrics
 // registry with the rest of the profile.
 //
-// A forced WorkGroupSize does not bypass the tuner: it narrows the candidate
-// field to that one size, so the tuner still picks the best variant at the
-// forced local size. A forced Variant (Auto unset) bypasses the tuner
-// entirely — the pre-autotuner behaviour, byte-identical output either way
-// because every comparer variant computes the same hits.
+// Under Auto the configured Variant and WorkGroupSize are both ignored. A
+// forced Variant (Auto unset) bypasses the tuner entirely — the
+// pre-autotuner behaviour, byte-identical output either way because every
+// comparer variant computes the same hits.
 
 import (
 	"casoffinder/internal/gpu"
@@ -20,17 +19,12 @@ import (
 )
 
 // autotuneDecision resolves the tuner's choice for one device and one search
-// shape. forceWG > 0 narrows the scored work-group sizes to exactly that
-// size.
-func autotuneDecision(dev *gpu.Device, req *Request, forceWG int) (*tune.Decision, error) {
-	cfg := tune.Config{
+// shape.
+func autotuneDecision(dev *gpu.Device, req *Request) (*tune.Decision, error) {
+	return tune.Select(tune.Config{
 		Spec:       dev.Spec(),
 		PatternLen: len(req.Pattern),
 		Queries:    len(req.Queries),
 		ChunkBytes: req.ChunkBytes,
-	}
-	if forceWG > 0 {
-		cfg.WGSizes = []int{forceWG}
-	}
-	return tune.Select(cfg)
+	})
 }

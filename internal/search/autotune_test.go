@@ -24,7 +24,8 @@ func tuneConfigFor(spec device.Spec, req *Request) tune.Config {
 // TestAutoMatchesFixedVariantHits: engines under -variant auto emit exactly
 // the reference hit stream — the tuner changes which kernel runs, never what
 // it computes — and the profile records the decision the tune package made
-// for the device.
+// for the device. A configured Variant or WorkGroupSize is ignored under
+// Auto: the launch runs at the tuner's size.
 func TestAutoMatchesFixedVariantHits(t *testing.T) {
 	asm := testAssembly(t, 11, []int{700, 450, 90, 5}, testSite)
 	req := testRequest(2)
@@ -34,7 +35,7 @@ func TestAutoMatchesFixedVariantHits(t *testing.T) {
 	}
 	for _, eng := range []Engine{
 		&SimCL{Device: gpu.New(device.MI60(), gpu.WithWorkers(4)), Auto: true},
-		&SimSYCL{Device: gpu.New(device.RadeonVII(), gpu.WithWorkers(4)), Auto: true},
+		&SimSYCL{Device: gpu.New(device.RadeonVII(), gpu.WithWorkers(4)), Auto: true, Variant: kernels.Opt4, WorkGroupSize: 64},
 	} {
 		got, err := eng.Run(asm, req)
 		if err != nil {
@@ -96,26 +97,6 @@ func TestForcedVariantBypassesTuner(t *testing.T) {
 	}
 	if p.Launches["comparer_opt1"] == 0 {
 		t.Errorf("forced opt1 not launched; profiled %v", p.KernelNames())
-	}
-}
-
-// TestAutoForcedWGNarrowsTuner: an explicit WorkGroupSize under Auto narrows
-// the candidate field instead of being overridden — the tuner still picks
-// the variant, at exactly the forced local size.
-func TestAutoForcedWGNarrowsTuner(t *testing.T) {
-	asm := testAssembly(t, 11, []int{700, 450}, testSite)
-	req := testRequest(2)
-	eng := &SimSYCL{Device: gpu.New(device.MI60(), gpu.WithWorkers(4)), Auto: true, WorkGroupSize: 128}
-	if _, err := eng.Run(asm, req); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	p := eng.LastProfile()
-	if got := p.TunedWGSize[eng.Name()]; got != 128 {
-		t.Errorf("tuned wg = %d, want the forced 128", got)
-	}
-	name := "comparer_" + p.TunedVariant[eng.Name()]
-	if got := p.WorkGroupSizes[name]; got != 128 {
-		t.Errorf("%q ran at wg=%d, want 128", name, got)
 	}
 }
 

@@ -26,8 +26,6 @@ type CPU struct {
 	// the run; nil leaves the hot path untouched.
 	Trace   *obs.Tracer
 	Metrics *obs.Metrics
-	// Track overrides the trace track prefix (default the engine name).
-	Track string
 }
 
 // Name implements Engine.
@@ -57,10 +55,7 @@ func (c *CPU) Stream(ctx context.Context, asm *genome.Assembly, req *Request, em
 		Slots:   make([]pipeline.Slot, c.workers()),
 		Trace:   c.Trace,
 		Metrics: c.Metrics,
-		Track:   c.Track,
-	}
-	if x.Track == "" {
-		x.Track = c.Name()
+		Track:   c.Name(),
 	}
 	for i := range x.Slots {
 		x.Slots[i].Open = openCPUBackend

@@ -35,8 +35,7 @@ type MultiSYCL struct {
 	// Auto resolves the comparer variant and work-group size per device
 	// through the occupancy autotuner (internal/tune) at Stream start: a
 	// heterogeneous fleet can run a different kernel on each member.
-	// Variant is ignored; WorkGroupSize (when set) narrows the tuner to
-	// that local size. Output stays byte-identical.
+	// Variant and WorkGroupSize are ignored. Output stays byte-identical.
 	Auto bool
 	// Resilience, when set, is the fleet's recovery policy: per-chunk
 	// transient retries on the device that holds the chunk, then eviction;
@@ -86,7 +85,7 @@ func (e *MultiSYCL) Stream(ctx context.Context, asm *genome.Assembly, req *Reque
 		cores[i] = (&SimSYCL{
 			Device: dev, Variant: e.Variant, WorkGroupSize: e.WorkGroupSize,
 			Auto: e.Auto, Resilience: e.Resilience,
-			Trace: e.Trace, Metrics: e.Metrics, Track: fmt.Sprintf("sycl-sim[%d]", i),
+			Trace: e.Trace, Metrics: e.Metrics, trackName: fmt.Sprintf("sycl-sim[%d]", i),
 			worstCaseArena: e.worstCaseArena, profile: e.profile,
 		}).core()
 	}

@@ -421,28 +421,31 @@ func TestLastProfileNeverStale(t *testing.T) {
 	asm := testAssembly(t, 7, []int{1500, 900, 600}, testSite)
 	req := testRequest(2)
 	newDev := func() *gpu.Device { return gpu.New(device.MI100(), gpu.WithWorkers(2)) }
+	// A device that fits none of the tuner's work-group sizes fails the
+	// autotune step.
+	untunable := device.MI100()
+	untunable.MaxWorkGroupSize = 32
 	for _, tc := range []struct {
 		name string
-		// build returns the engine and the knobs the failures turn: the
-		// device slot and the forced work-group size.
-		build func(m *obs.Metrics) (eng arenaProfiler, dev **gpu.Device, wg *int)
+		// build returns the engine and the device slot the failures turn.
+		build func(m *obs.Metrics) (eng arenaProfiler, dev **gpu.Device)
 	}{
-		{"opencl", func(m *obs.Metrics) (arenaProfiler, **gpu.Device, *int) {
+		{"opencl", func(m *obs.Metrics) (arenaProfiler, **gpu.Device) {
 			e := &SimCL{Device: newDev(), Auto: true, Metrics: m}
-			return e, &e.Device, &e.WorkGroupSize
+			return e, &e.Device
 		}},
-		{"sycl", func(m *obs.Metrics) (arenaProfiler, **gpu.Device, *int) {
+		{"sycl", func(m *obs.Metrics) (arenaProfiler, **gpu.Device) {
 			e := &SimSYCL{Device: newDev(), Auto: true, Metrics: m}
-			return e, &e.Device, &e.WorkGroupSize
+			return e, &e.Device
 		}},
-		{"sycl-multi", func(m *obs.Metrics) (arenaProfiler, **gpu.Device, *int) {
+		{"sycl-multi", func(m *obs.Metrics) (arenaProfiler, **gpu.Device) {
 			e := &MultiSYCL{Devices: []*gpu.Device{newDev(), newDev()}, Auto: true, Metrics: m}
-			return e, &e.Devices[1], &e.WorkGroupSize
+			return e, &e.Devices[1]
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := obs.NewMetrics()
-			eng, dev, wg := tc.build(m)
+			eng, dev := tc.build(m)
 			good := *dev
 			var shown []*Profile
 			for _, run := range []struct {
@@ -454,12 +457,12 @@ func TestLastProfileNeverStale(t *testing.T) {
 			}{
 				{name: "good", req: req},
 				{name: "nil device", before: func() { *dev = nil }, req: req, early: true},
-				{name: "autotune error", before: func() { *wg = 1 << 20 }, req: req, early: true},
+				{name: "autotune error", before: func() { *dev = gpu.New(untunable, gpu.WithWorkers(2)) }, req: req, early: true},
 				{name: "invalid request", req: &Request{Pattern: "NGG"}, early: true},
 				{name: "cancelled", req: req, cancel: true},
 				{name: "good again", req: req},
 			} {
-				*dev, *wg = good, 0
+				*dev = good
 				if run.before != nil {
 					run.before()
 				}

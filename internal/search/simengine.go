@@ -25,11 +25,10 @@ type simConfig struct {
 	// runtime's choice for SimCL, as the upstream OpenCL host program leaves
 	// it, and DefaultSYCLWorkGroup for SimSYCL.
 	WorkGroupSize int
-	// Auto resolves Variant and WorkGroupSize through the occupancy
-	// autotuner (internal/tune) for this device at Stream start: Variant is
-	// ignored, and WorkGroupSize (when set) narrows the tuner to that local
-	// size instead of overriding its choice. Output is byte-identical to
-	// any fixed-variant run.
+	// Auto resolves the variant and the local size through the occupancy
+	// autotuner (internal/tune) for this device at Stream start: Variant and
+	// WorkGroupSize are both ignored. Output is byte-identical to any
+	// fixed-variant run.
 	Auto bool
 	// Resilience, when set, is the run's recovery policy (pipeline.Executor):
 	// transient errors (including SYCL asynchronous exceptions) retry with
@@ -40,11 +39,13 @@ type simConfig struct {
 	Resilience *pipeline.Resilience
 	// Trace and Metrics, when set, observe the run: pipeline-stage and
 	// kernel-launch spans and latency histograms live, the profile's totals
-	// when the run returns. Track overrides the trace row prefix (the engine
-	// name by default); MultiSYCL sets it to tell its devices apart.
+	// when the run returns.
 	Trace   *obs.Tracer
 	Metrics *obs.Metrics
-	Track   string
+
+	// trackName overrides the trace row prefix (the engine name by
+	// default); MultiSYCL sets it to tell its devices apart.
+	trackName string
 
 	// worstCaseArena pins every launch's hit-buffer arena to the worst-case
 	// layout (one page per work-group) instead of the comparer's small first
@@ -72,8 +73,8 @@ type simCore struct {
 }
 
 func (e *simCore) track() string {
-	if e.Track != "" {
-		return e.Track
+	if e.trackName != "" {
+		return e.trackName
 	}
 	return e.name
 }
@@ -125,7 +126,7 @@ func streamCores(ctx context.Context, track string, fleet bool, cores []*simCore
 		}
 		c.tuned = nil
 		if c.Auto {
-			d, err := autotuneDecision(c.Device, req, c.WorkGroupSize)
+			d, err := autotuneDecision(c.Device, req)
 			if err != nil {
 				return fmt.Errorf("search: %s: autotune device %d: %w", track, i, err)
 			}

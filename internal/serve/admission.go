@@ -38,9 +38,6 @@ type Limits struct {
 	// request. QuotaRate 0 disables quotas.
 	QuotaRate  float64
 	QuotaBurst float64
-	// RetryAfter is the hint attached to queue-pressure rejections (quota
-	// rejections compute the exact refill wait instead).
-	RetryAfter time.Duration
 }
 
 // Default limits.
@@ -51,7 +48,9 @@ const (
 	DefaultMaxBodyBytes     = 1 << 20
 	DefaultMaxGuides        = 256
 	DefaultQuotaBurst       = 8
-	DefaultRetryAfter       = time.Second
+	// DefaultRetryAfter is the hint on every queue-pressure and drain
+	// rejection; quota rejections compute the exact refill wait instead.
+	DefaultRetryAfter = time.Second
 )
 
 // withDefaults resolves zero fields to the package defaults.
@@ -73,9 +72,6 @@ func (l Limits) withDefaults() Limits {
 	}
 	if l.QuotaRate > 0 && l.QuotaBurst <= 0 {
 		l.QuotaBurst = DefaultQuotaBurst
-	}
-	if l.RetryAfter <= 0 {
-		l.RetryAfter = DefaultRetryAfter
 	}
 	return l
 }
@@ -193,7 +189,7 @@ func (a *admission) Admit(ctx context.Context, tk *ticket) error {
 	a.mu.Lock()
 	if a.draining {
 		defer a.mu.Unlock()
-		return a.reject(http.StatusServiceUnavailable, "draining", a.lim.RetryAfter)
+		return a.reject(http.StatusServiceUnavailable, "draining", DefaultRetryAfter)
 	}
 	now := a.now()
 	// Gate 1: per-tenant quota.
@@ -212,7 +208,7 @@ func (a *admission) Admit(ctx context.Context, tk *ticket) error {
 	// before it costs a queue slot.
 	if !tk.deadline.IsZero() && !now.Before(tk.deadline) {
 		defer a.mu.Unlock()
-		return a.reject(http.StatusTooManyRequests, "deadline", a.lim.RetryAfter)
+		return a.reject(http.StatusTooManyRequests, "deadline", DefaultRetryAfter)
 	}
 	// Fast path: an idle slot with no queue ahead of us.
 	if a.inflight < a.lim.MaxInflight && len(a.queue) == 0 &&
@@ -239,7 +235,7 @@ func (a *admission) Admit(ctx context.Context, tk *ticket) error {
 			if !overQueue {
 				reason = "bytes"
 			}
-			return a.reject(http.StatusTooManyRequests, reason, a.lim.RetryAfter)
+			return a.reject(http.StatusTooManyRequests, reason, DefaultRetryAfter)
 		}
 		a.evictLocked(vi)
 	}
@@ -273,7 +269,7 @@ func (a *admission) Admit(ctx context.Context, tk *ticket) error {
 			}
 			return nil
 		}
-		return a.reject(http.StatusTooManyRequests, "deadline", a.lim.RetryAfter)
+		return a.reject(http.StatusTooManyRequests, "deadline", DefaultRetryAfter)
 	case <-ctx.Done():
 		if withdrawn, rej := a.withdraw(tk); !withdrawn {
 			if rej != nil {
@@ -339,7 +335,7 @@ func (a *admission) evictLocked(i int) {
 	a.queue = append(a.queue[:i], a.queue[i+1:]...)
 	tk.queued = false
 	a.qBytes -= tk.cost
-	tk.shed <- a.reject(http.StatusTooManyRequests, "shed", a.lim.RetryAfter)
+	tk.shed <- a.reject(http.StatusTooManyRequests, "shed", DefaultRetryAfter)
 }
 
 // Release frees a held slot and dispatches as many waiters as now fit.
@@ -383,7 +379,7 @@ func (a *admission) Drain() {
 	for _, tk := range a.queue {
 		tk.queued = false
 		a.qBytes -= tk.cost
-		tk.shed <- a.reject(http.StatusServiceUnavailable, "draining", a.lim.RetryAfter)
+		tk.shed <- a.reject(http.StatusServiceUnavailable, "draining", DefaultRetryAfter)
 	}
 	a.queue = nil
 	a.gaugesLocked()

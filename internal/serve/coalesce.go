@@ -1,8 +1,8 @@
 // Cross-request guide coalescing: the production form of the pipeline's
 // multi-pattern batching (pipeline.BatchComparer, ~3.2x over independent
-// passes). Concurrent requests that share a coalescing key — (genome,
-// PAM pattern, chunk budget) — are merged during a short batching window
-// into one genome pass whose request carries every member's guides
+// passes). Every request joins a batch: requests that share a coalescing
+// key — (genome, PAM pattern) — and arrive within a fixed 2 ms window are
+// merged into one genome pass whose request carries every member's guides
 // back-to-back; the demultiplexer routes each hit to its owner, rewriting
 // the merged query index back into the member's own index space.
 //
@@ -12,8 +12,10 @@
 // hits out of the merged stream preserves exactly the order the member
 // would have seen running alone. Per-request output is therefore
 // byte-identical to an uncoalesced run (coalesce_test.go pins this under
-// -race); a batching window only ever trades a bounded latency delay for
-// fewer genome passes.
+// -race); the window only ever trades a bounded latency delay for fewer
+// genome passes. The window and the early seal are constants: a group-commit
+// policy (seal at once while the key's engine is idle) measured worse on two
+// of the three daemon workloads (EXPERIMENTS.md).
 //
 // Failure attribution: one merged pass serves several requests, so a
 // degraded pass (retries, failovers, quarantined chunks) degrades every
@@ -36,14 +38,13 @@ import (
 	"casoffinder/internal/pipeline"
 )
 
-// DefaultCoalesceWindow is the batching window when the server config does
-// not choose one: long enough for concurrent arrivals to meet, short
-// enough to be invisible next to a genome pass.
-const DefaultCoalesceWindow = 2 * time.Millisecond
+// coalesceWindow is the batching window: long enough for concurrent
+// arrivals to meet. A request waits it out before its pass starts.
+const coalesceWindow = 2 * time.Millisecond
 
-// DefaultCoalesceMaxGuides seals a batch early once the merged request
-// carries this many guides.
-const DefaultCoalesceMaxGuides = 512
+// coalesceMaxGuides seals a batch early once the merged request carries
+// this many guides.
+const coalesceMaxGuides = 512
 
 // errAllMembersGone aborts a pass whose every member has departed.
 var errAllMembersGone = errors.New("serve: every coalesced member left")
@@ -54,12 +55,12 @@ var errAllMembersGone = errors.New("serve: every coalesced member left")
 type passFunc func(ctx context.Context, genome string, req *pipeline.Request, emit func(pipeline.Hit) error) (*pipeline.Report, error)
 
 // coalKey identifies requests that may share one genome pass. Mismatch
-// budgets are per-guide and ride along inside the merged request, so they
-// do not partition batches.
+// budgets are per-guide and ride along inside the merged request, and every
+// pass stages chunks of the pipeline's default size, so neither partitions
+// batches.
 type coalKey struct {
-	genome     string
-	pattern    string
-	chunkBytes int
+	genome  string
+	pattern string
 }
 
 // coalMember is one request's seat in a batch.
@@ -97,27 +98,23 @@ type coalBatch struct {
 
 // coalescer groups concurrent joins into batches per key.
 type coalescer struct {
-	window    time.Duration
-	maxGuides int
-	run       passFunc
-	metrics   *obs.Metrics
+	window  time.Duration
+	run     passFunc
+	metrics *obs.Metrics
 
 	mu      sync.Mutex
 	pending map[coalKey]*coalBatch
 }
 
-// newCoalescer builds a coalescer; window <= 0 disables batching entirely
-// (every Join runs its own pass).
-func newCoalescer(window time.Duration, maxGuides int, run passFunc, m *obs.Metrics) *coalescer {
-	if maxGuides <= 0 {
-		maxGuides = DefaultCoalesceMaxGuides
-	}
+// newCoalescer builds a coalescer whose batches seal window after their
+// first member joins. The server passes coalesceWindow; tests in this
+// package pass longer windows to make batch membership certain.
+func newCoalescer(window time.Duration, run passFunc, m *obs.Metrics) *coalescer {
 	return &coalescer{
-		window:    window,
-		maxGuides: maxGuides,
-		run:       run,
-		metrics:   m,
-		pending:   make(map[coalKey]*coalBatch),
+		window:  window,
+		run:     run,
+		metrics: m,
+		pending: make(map[coalKey]*coalBatch),
 	}
 }
 
@@ -125,12 +122,7 @@ func newCoalescer(window time.Duration, maxGuides int, run passFunc, m *obs.Metr
 // until the request's pass completes (or ctx ends) and returns the pass's
 // resilience report, the pass error, and the member's own emit error.
 func (c *coalescer) Join(ctx context.Context, genomeName string, req *pipeline.Request, emit func(pipeline.Hit) error) (*pipeline.Report, error, error) {
-	if c.window <= 0 {
-		rep, err := c.run(ctx, genomeName, req, emit)
-		c.metrics.Count(obs.MetricServeBatches, 1)
-		return rep, err, nil
-	}
-	key := coalKey{genome: genomeName, pattern: req.Pattern, chunkBytes: req.ChunkBytes}
+	key := coalKey{genome: genomeName, pattern: req.Pattern}
 	m := &coalMember{queries: req.Queries, emit: emit}
 
 	c.mu.Lock()
@@ -145,7 +137,7 @@ func (c *coalescer) Join(ctx context.Context, genomeName string, req *pipeline.R
 	b.mu.Lock()
 	b.live++
 	b.mu.Unlock()
-	full := b.guides >= c.maxGuides
+	full := b.guides >= coalesceMaxGuides
 	c.mu.Unlock()
 	if full {
 		c.seal(b)
@@ -185,10 +177,8 @@ func (c *coalescer) seal(b *coalBatch) {
 	if c.pending[b.key] == b {
 		delete(c.pending, b.key)
 	}
-	if b.timer != nil {
-		b.timer.Stop()
-	}
-	merged := &pipeline.Request{Pattern: b.key.pattern, ChunkBytes: b.key.chunkBytes}
+	b.timer.Stop()
+	merged := &pipeline.Request{Pattern: b.key.pattern}
 	offs := make([]int, len(b.members))
 	for i, m := range b.members {
 		m.off = len(merged.Queries)

@@ -90,7 +90,7 @@ func TestCoalescedByteIdentical(t *testing.T) {
 		passes.Store(req, true)
 		return run(ctx, g, req, emit)
 	}
-	c := newCoalescer(200*time.Millisecond, 0, counted, m)
+	c := newCoalescer(200*time.Millisecond, counted, m)
 
 	bufs := make([]bytes.Buffer, len(members))
 	var wg sync.WaitGroup
@@ -167,7 +167,7 @@ func TestCoalescedDegradedPass(t *testing.T) {
 		defer mu.Unlock()
 		return slot, err
 	}
-	c := newCoalescer(200*time.Millisecond, 0, run, nil)
+	c := newCoalescer(200*time.Millisecond, run, nil)
 
 	bufs := make([]bytes.Buffer, len(members))
 	reps := make([]*pipeline.Report, len(members))
@@ -198,12 +198,11 @@ func TestCoalescedDegradedPass(t *testing.T) {
 	}
 }
 
-// TestCoalesceKeyPartitioning: different patterns (or chunk budgets) must
-// not merge — a batch may only carry requests one pass can serve.
+// TestCoalesceKeyPartitioning: different patterns must not merge — a batch may only carry requests one pass can serve.
 func TestCoalesceKeyPartitioning(t *testing.T) {
 	asm := testAssembly()
 	m := obs.NewMetrics()
-	c := newCoalescer(100*time.Millisecond, 0, cpuPass(asm), m)
+	c := newCoalescer(100*time.Millisecond, cpuPass(asm), m)
 	reqA := memberRequest(pipeline.Query{Guide: "GATTACAGTANNN", MaxMismatches: 1})
 	reqB := &pipeline.Request{Pattern: "NNNNNNNNNNNRG", Queries: []pipeline.Query{{Guide: "GATTACAGTANNN", MaxMismatches: 1}}}
 	var wg sync.WaitGroup
@@ -246,7 +245,7 @@ func TestCoalesceMemberDeparture(t *testing.T) {
 	}
 	// The window never expires on its own: the test seals the batch once both
 	// members are in it and one has left.
-	c := newCoalescer(time.Hour, 0, gated, nil)
+	c := newCoalescer(time.Hour, gated, nil)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
@@ -269,7 +268,7 @@ func TestCoalesceMemberDeparture(t *testing.T) {
 	}()
 	// Wait until both members have joined the batch, then kill one before
 	// the pass runs.
-	b := openBatch(c, coalKey{genome: "test", pattern: stay.Pattern, chunkBytes: stay.ChunkBytes}, 2)
+	b := openBatch(c, coalKey{genome: "test", pattern: stay.Pattern}, 2)
 	cancel()
 	c.seal(b)
 	wg.Wait()
@@ -311,7 +310,7 @@ func TestCoalesceAllGoneCancelsPass(t *testing.T) {
 		close(canceled)
 		return nil, ctx.Err()
 	}
-	c := newCoalescer(10*time.Millisecond, 0, run, nil)
+	c := newCoalescer(10*time.Millisecond, run, nil)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -328,23 +327,4 @@ func TestCoalesceAllGoneCancelsPass(t *testing.T) {
 		t.Fatal("pass context never cancelled after the last member left")
 	}
 	<-done
-}
-
-// TestCoalesceWindowDisabled: a non-positive window degenerates to one pass
-// per request with no batching machinery in the path.
-func TestCoalesceWindowDisabled(t *testing.T) {
-	asm := testAssembly()
-	m := obs.NewMetrics()
-	c := newCoalescer(-1, 0, cpuPass(asm), m)
-	req := memberRequest(pipeline.Query{Guide: "GATTACAGTANNN", MaxMismatches: 1})
-	var buf bytes.Buffer
-	if _, perr, merr := c.Join(context.Background(), "test", req, jsonEmit(&buf, req)); perr != nil || merr != nil {
-		t.Fatalf("join: %v / %v", perr, merr)
-	}
-	if golden := soloNDJSON(t, &search.CPU{}, asm, req); buf.String() != golden {
-		t.Errorf("solo-path stream differs:\n%s\nvs\n%s", buf.String(), golden)
-	}
-	if got := m.Counter(obs.MetricServeBatches); got != 1 {
-		t.Errorf("batches = %d, want 1", got)
-	}
 }

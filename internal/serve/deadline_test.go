@@ -151,7 +151,7 @@ func TestStreamOutlivesBodyDeadline(t *testing.T) {
 	done := make(chan result, 1)
 	go func() {
 		resp, err := ts.Client().Post(ts.URL+"/search", "application/json",
-			strings.NewReader(`{"no_coalesce":true,`+searchBody[1:]))
+			strings.NewReader(searchBody))
 		if err != nil {
 			t.Errorf("search: %v", err)
 			done <- result{}

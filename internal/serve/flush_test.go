@@ -118,11 +118,9 @@ func newGuardedServer(t *testing.T, eng search.Engine, mut func(*Config)) (s *Se
 	return s, ts, returned
 }
 
-// flushModes runs a flush test through both routes to the one writer.
-var flushModes = []struct{ name, prefix string }{
-	{"solo", `{"no_coalesce":true,`},
-	{"coalesced", `{`},
-}
+// flushModes names the routes to the one writer. Every request joins a
+// coalescing batch, so there is one.
+var flushModes = []string{"coalesced"}
 
 // awaitLine returns the next response line, failing the test when it does
 // not arrive within flushSlack.
@@ -164,10 +162,10 @@ func pumpLines(body io.Reader) <-chan string {
 // the bound.
 func TestFlushFirstHitAtOnceThenBounded(t *testing.T) {
 	for _, mode := range flushModes {
-		t.Run(mode.name, func(t *testing.T) {
+		t.Run(mode, func(t *testing.T) {
 			eng := &scriptEngine{rounds: 2, stops: []int{1, 2}, at: make(chan int), resume: make(chan struct{})}
 			_, ts, _ := newGuardedServer(t, eng, nil)
-			resp := postSearch(t, ts, mode.prefix+searchBody[1:], nil)
+			resp := postSearch(t, ts, searchBody, nil)
 			lines := pumpLines(resp.Body)
 
 			<-eng.at
@@ -192,8 +190,8 @@ func TestFlushFirstHitAtOnceThenBounded(t *testing.T) {
 	}
 }
 
-// TestFlushResponseBytes: batching the flush changes no byte. Solo and
-// coalesced responses equal the member's soloNDJSON golden plus its trailer
+// TestFlushResponseBytes: batching the flush changes no byte. Coalesced
+// responses equal the member's soloNDJSON golden plus its trailer
 // at one hit (flushed at once), two (one delayed flush) and ten thousand
 // (the buffer fills and delayed flushes interleave).
 func TestFlushResponseBytes(t *testing.T) {
@@ -204,10 +202,8 @@ func TestFlushResponseBytes(t *testing.T) {
 	for _, rounds := range []int{1, 2, 10000} {
 		eng := &scriptEngine{rounds: rounds}
 		m := obs.NewMetrics()
-		_, ts, _ := newGuardedServer(t, eng, func(c *Config) {
-			c.Metrics = m
-			c.CoalesceWindow = 100 * time.Millisecond
-		})
+		s, ts, _ := newGuardedServer(t, eng, func(c *Config) { c.Metrics = m })
+		setWindow(s, 100*time.Millisecond)
 		golden := make([]string, len(bodies))
 		for i, body := range bodies {
 			_, preq, _, apiErr := DecodeRequest(strings.NewReader(body), Limits{})
@@ -224,7 +220,7 @@ func TestFlushResponseBytes(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					data, err := io.ReadAll(postSearch(t, ts, mode.prefix+body[1:], nil).Body)
+					data, err := io.ReadAll(postSearch(t, ts, body, nil).Body)
 					if err != nil {
 						t.Errorf("read: %v", err)
 					}
@@ -235,7 +231,7 @@ func TestFlushResponseBytes(t *testing.T) {
 			for i := range bodies {
 				if got[i] != golden[i] {
 					t.Errorf("%d rounds, %s request %d: response differs from the golden (%d vs %d bytes)",
-						rounds, mode.name, i, len(got[i]), len(golden[i]))
+						rounds, mode, i, len(got[i]), len(golden[i]))
 				}
 			}
 		}
@@ -257,12 +253,12 @@ func TestFlushClientAbuse(t *testing.T) {
 	}{{"disconnect", false}, {"stops-reading", true}}
 	for _, mode := range flushModes {
 		for _, abuse := range abuses {
-			t.Run(mode.name+"/"+abuse.name, func(t *testing.T) {
+			t.Run(mode+"/"+abuse.name, func(t *testing.T) {
 				eng := &scriptEngine{rounds: math.MaxInt}
 				s, ts, returned := newGuardedServer(t, eng, nil)
 				before := runtime.NumGoroutine()
 
-				resp := postSearch(t, ts, mode.prefix+searchBody[1:], nil)
+				resp := postSearch(t, ts, searchBody, nil)
 				if _, err := bufio.NewReader(resp.Body).ReadString('\n'); err != nil {
 					t.Fatalf("first line: %v", err)
 				}

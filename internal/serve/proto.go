@@ -38,18 +38,12 @@ type SearchRequest struct {
 	Pattern string `json:"pattern"`
 	// Guides are the queries to compare at every PAM-compatible site.
 	Guides []Guide `json:"guides"`
-	// ChunkBytes optionally bounds one staged chunk (0 = server default).
-	ChunkBytes int `json:"chunk_bytes,omitempty"`
 	// Priority is "high", "normal" (default) or "low"; under overload the
 	// admission controller sheds the newest lowest-priority work first.
 	Priority string `json:"priority,omitempty"`
 	// TimeoutMs is the per-request deadline in milliseconds (0 = none);
 	// expiry while queued is a 429, expiry mid-stream a deadline trailer.
 	TimeoutMs int `json:"timeout_ms,omitempty"`
-	// NoCoalesce opts this request out of cross-request guide coalescing;
-	// its output is byte-identical either way, so the knob exists for
-	// latency isolation, not correctness.
-	NoCoalesce bool `json:"no_coalesce,omitempty"`
 }
 
 // Guide is one query guide with its mismatch budget.
@@ -156,10 +150,7 @@ func DecodeRequest(r io.Reader, lim Limits) (*SearchRequest, *pipeline.Request, 
 		return nil, nil, cr.n, apiErrorf(http.StatusBadRequest, "too-many-guides",
 			"%d guides exceed the per-request limit of %d", len(sreq.Guides), lim.MaxGuides)
 	}
-	preq := &pipeline.Request{
-		Pattern:    strings.ToUpper(sreq.Pattern),
-		ChunkBytes: sreq.ChunkBytes,
-	}
+	preq := &pipeline.Request{Pattern: strings.ToUpper(sreq.Pattern)}
 	for _, g := range sreq.Guides {
 		preq.Queries = append(preq.Queries, pipeline.Query{
 			Guide:         strings.ToUpper(g.Guide),

@@ -8,9 +8,11 @@
 //     quotas, an admitted-bytes budget and deadline-aware rejection; under
 //     overload the newest lowest-priority work sheds with 429 + Retry-After
 //     instead of queueing unboundedly (admission.go);
-//   - cross-request guide coalescing: concurrent requests sharing (genome,
-//     pattern, chunk budget) merge into one genome pass and demultiplex
-//     back to byte-identical per-request streams (coalesce.go);
+//   - cross-request guide coalescing: every request takes one path —
+//     decode, admit, coalesce, pass, demux — and concurrent requests sharing
+//     (genome, pattern) merge into one genome pass and demultiplex back to
+//     byte-identical per-request streams (coalesce.go). No config or
+//     request field opts a request out of that path or reshapes its pass;
 //   - per-request lifecycle robustness: context deadlines threaded into
 //     Engine.Stream, panic isolation per request, graceful degradation —
 //     a pass that retried, failed over or quarantined chunks completes
@@ -52,18 +54,12 @@ type Config struct {
 	// SerializePasses runs at most one genome pass at a time. Required for
 	// the simulator engines and for resilience-report capture.
 	SerializePasses bool
-	// Genomes are the resident assemblies, by request name.
+	// Genomes are the resident assemblies, by request name. A request that
+	// omits the genome field gets the one resident genome, and a 400 when
+	// several are resident.
 	Genomes map[string]*genome.Assembly
-	// DefaultGenome resolves requests that omit the genome field; empty
-	// with a single genome means that genome.
-	DefaultGenome string
 	// Limits bounds admission; zero fields take the package defaults.
 	Limits Limits
-	// CoalesceWindow is the guide-coalescing batching window; 0 means
-	// DefaultCoalesceWindow, negative disables coalescing.
-	CoalesceWindow time.Duration
-	// CoalesceMaxGuides seals a batch early (0 = default).
-	CoalesceMaxGuides int
 	// Metrics and Trace receive the service's counters and request spans;
 	// nil disables each at zero cost.
 	Metrics *obs.Metrics
@@ -80,6 +76,9 @@ type Server struct {
 	adm     *admission
 	coal    *coalescer
 	metrics *obs.Metrics
+	// defaultGenome names the genome of requests that omit one: the only
+	// resident genome, or empty when several are resident.
+	defaultGenome string
 
 	// engineMu serializes passes when the engine demands it and makes the
 	// resilience-report slot race-free.
@@ -106,20 +105,14 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.Genomes) == 0 {
 		return nil, errors.New("serve: config needs at least one genome")
 	}
-	if cfg.DefaultGenome == "" && len(cfg.Genomes) == 1 {
+	s := &Server{cfg: cfg, lim: cfg.Limits.withDefaults(), metrics: cfg.Metrics}
+	if len(cfg.Genomes) == 1 {
 		for name := range cfg.Genomes {
-			cfg.DefaultGenome = name
+			s.defaultGenome = name
 		}
 	}
-	if cfg.DefaultGenome != "" && cfg.Genomes[cfg.DefaultGenome] == nil {
-		return nil, fmt.Errorf("serve: default genome %q is not loaded", cfg.DefaultGenome)
-	}
-	if cfg.CoalesceWindow == 0 {
-		cfg.CoalesceWindow = DefaultCoalesceWindow
-	}
-	s := &Server{cfg: cfg, lim: cfg.Limits.withDefaults(), metrics: cfg.Metrics}
 	s.adm = newAdmission(s.lim, cfg.now, cfg.Metrics)
-	s.coal = newCoalescer(cfg.CoalesceWindow, cfg.CoalesceMaxGuides, s.runPass, cfg.Metrics)
+	s.coal = newCoalescer(coalesceWindow, s.runPass, cfg.Metrics)
 	return s, nil
 }
 
@@ -258,7 +251,7 @@ func (s *Server) finish(status string) {
 	s.metrics.Count(obs.L(obs.MetricServeRequests, "status", status), 1)
 }
 
-// handleSearch is POST /search: decode → admit → (coalesce →) pass → demux
+// handleSearch is POST /search: decode → admit → coalesce → pass → demux
 // → trailer. Every exit path either writes a typed error envelope (before
 // streaming) or a trailer object (after), and a per-request panic is
 // isolated to a 500 for that request alone.
@@ -312,7 +305,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	_ = rc.SetReadDeadline(time.Time{})
 	genomeName := sreq.Genome
 	if genomeName == "" {
-		genomeName = s.cfg.DefaultGenome
+		genomeName = s.defaultGenome
 	}
 	if genomeName == "" {
 		s.finish(statusRejected)
@@ -349,7 +342,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// its chunks claim on the device. A 200-byte request carrying 100
 	// guides is device-expensive; body bytes alone would let a burst of
 	// them sail under MaxInflightBytes.
-	cost += search.ArenaCostEstimate(preq.ChunkBytes, len(preq.Queries))
+	cost += search.ArenaCostEstimate(len(preq.Queries))
 
 	// Admission: quota, byte budget, bounded queue with shedding.
 	tk := newTicket(tenant, priority, cost, deadline)
@@ -386,13 +379,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	tRun := time.Now()
-	var rep *pipeline.Report
-	var passErr, emitErr error
-	if sreq.NoCoalesce {
-		rep, passErr = s.runPass(ctx, genomeName, preq, emit)
-	} else {
-		rep, passErr, emitErr = s.coal.Join(ctx, genomeName, preq, emit)
-	}
+	rep, passErr, emitErr := s.coal.Join(ctx, genomeName, preq, emit)
 	// No emit runs past this point (a pass never emits after it returns,
 	// and a departed member is fenced off by the batch mutex); stopping the
 	// delayed flush leaves the handler the response's only writer.
@@ -419,8 +406,8 @@ var bodyReadTimeout = 10 * time.Second
 // buffer before it is pushed to the client.
 const flushDelay = time.Millisecond
 
-// hitStream is a response's NDJSON writer and its one flush policy, shared
-// by solo and coalesced requests: the first hit is pushed to the client at
+// hitStream is a response's NDJSON writer and its one flush policy: the
+// first hit is pushed to the client at
 // once (time-to-first-hit is a hit's encode plus one flush), every later hit
 // within flushDelay of being written even if no further hit ever follows.
 // Flushing per hit instead costs two syscall-bound flushes a line and, on an

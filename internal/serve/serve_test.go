@@ -89,6 +89,13 @@ func newTestServer(t *testing.T, mut func(*Config)) (*Server, *httptest.Server) 
 	return s, ts
 }
 
+// setWindow replaces s's coalescer with one whose batches stay open for
+// window, so requests sent together certainly share a pass. Call it before
+// the first request.
+func setWindow(s *Server, window time.Duration) {
+	s.coal = newCoalescer(window, s.runPass, s.metrics)
+}
+
 // postSearch sends one search request and returns the response.
 func postSearch(t *testing.T, ts *httptest.Server, body string, header map[string]string) *http.Response {
 	t.Helper()
@@ -180,7 +187,8 @@ func TestSearchRequestErrors(t *testing.T) {
 		{"bad pam code", `{"pattern":"NNNNNNNNNNNG!","guides":[{"guide":"GATTACAGTANNN","max_mismatches":1}]}`, 400, "bad-request"},
 		{"guide length mismatch", `{"pattern":"NNNNNNNNNNNGG","guides":[{"guide":"GAT","max_mismatches":1}]}`, 400, "bad-request"},
 		{"negative mismatches", `{"pattern":"NNNNNNNNNNNGG","guides":[{"guide":"GATTACAGTANNN","max_mismatches":-1}]}`, 400, "bad-request"},
-		{"chunk budget over the limit", `{"pattern":"NNNNNNNNNNNGG","guides":[{"guide":"GATTACAGTANNN","max_mismatches":1}],"chunk_bytes":1073741825}`, 400, "bad-request"},
+		// chunk_bytes is no longer a request field: any value is an unknown field.
+		{"chunk budget over the limit", `{"pattern":"NNNNNNNNNNNGG","guides":[{"guide":"GATTACAGTANNN","max_mismatches":1}],"chunk_bytes":1073741825}`, 400, "bad-json"},
 		{"bad priority", `{"pattern":"NNNNNNNNNNNGG","guides":[{"guide":"GATTACAGTANNN","max_mismatches":1}],"priority":"urgent"}`, 400, "bad-priority"},
 		{"negative timeout", `{"pattern":"NNNNNNNNNNNGG","guides":[{"guide":"GATTACAGTANNN","max_mismatches":1}],"timeout_ms":-5}`, 400, "bad-timeout"},
 		{"too many guides", `{"pattern":"NNNNNNNNNNNGG","guides":[` +
@@ -200,6 +208,52 @@ func TestSearchRequestErrors(t *testing.T) {
 				t.Errorf("code = %q, want %q", code, tt.code)
 			}
 		})
+	}
+}
+
+// retiredFieldBodies are valid search bodies plus one field the wire format
+// no longer has: each chose only how a request ran, never what it returned.
+var retiredFieldBodies = map[string]string{
+	"chunk_bytes": `{"chunk_bytes":4096,` + searchBody[1:],
+	"no_coalesce": `{"no_coalesce":true,` + searchBody[1:],
+}
+
+// TestDecodeRequestRejectsRetiredFields: the strict decoder refuses a
+// retired field as it does any unknown one, naming it.
+func TestDecodeRequestRejectsRetiredFields(t *testing.T) {
+	for field, body := range retiredFieldBodies {
+		sreq, preq, _, apiErr := DecodeRequest(strings.NewReader(body), Limits{})
+		if apiErr == nil || sreq != nil || preq != nil {
+			t.Fatalf("%s: decoded to %+v, %+v; want a rejection", field, sreq, preq)
+		}
+		if apiErr.Status != http.StatusBadRequest || apiErr.Code != "bad-json" || !strings.Contains(apiErr.Message, `"`+field+`"`) {
+			t.Errorf("%s: rejection %+v, want a 400 bad-json naming the field", field, apiErr)
+		}
+	}
+}
+
+// TestRetiredFieldsOverHTTP: a body carrying a retired field is a 400 whose
+// message names the field, and nothing runs.
+func TestRetiredFieldsOverHTTP(t *testing.T) {
+	m := obs.NewMetrics()
+	_, ts := newTestServer(t, func(c *Config) { c.Metrics = m })
+	for field, body := range retiredFieldBodies {
+		resp := postSearch(t, ts, body, nil)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400", field, resp.StatusCode)
+		}
+		var env struct {
+			Error ErrorBody `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+			t.Fatalf("%s: response is not an error envelope: %v", field, err)
+		}
+		if env.Error.Code != "bad-json" || !strings.Contains(env.Error.Message, `"`+field+`"`) {
+			t.Errorf("%s: error %+v, want bad-json naming the field", field, env.Error)
+		}
+	}
+	if n := m.Counter(obs.MetricServeBatches); n != 0 {
+		t.Errorf("batches = %d, want 0 (a rejected request must not reach a pass)", n)
 	}
 }
 
@@ -288,7 +342,6 @@ func TestRejectionAdvertisesExactRetryAfter(t *testing.T) {
 		c.Engine = eng
 		c.Limits.MaxInflight = 1
 		c.Limits.MaxQueue = 1
-		c.Limits.RetryAfter = time.Second
 	})
 
 	done := make(chan struct{}, 2)
@@ -332,9 +385,9 @@ func TestBurstSheds(t *testing.T) {
 	const capacity = 3 // 1 running + 2 queued
 	const burst = 3 * capacity
 
-	// NoCoalesce keeps each request on its own pass so the burst really
-	// contends for slots.
-	body := `{"no_coalesce":true,` + searchBody[1:]
+	// Admission runs before coalescing and admits one request at a time, so
+	// nothing merges and the burst really contends for slots.
+	body := searchBody
 	type outcome struct {
 		status int
 		retry  string
@@ -456,20 +509,19 @@ func TestDegradedDeviceLossCompletes(t *testing.T) {
 
 // TestCoalescedRequestsOverHTTP drives coalescing through the full HTTP
 // path: concurrent identical-key requests share a pass and each response is
-// byte-identical to its uncoalesced twin.
+// byte-identical to its uncoalesced twin, the same request sent alone.
 func TestCoalescedRequestsOverHTTP(t *testing.T) {
 	m := obs.NewMetrics()
-	_, ts := newTestServer(t, func(c *Config) {
-		c.Metrics = m
-		c.CoalesceWindow = 100 * time.Millisecond
-	})
+	s, ts := newTestServer(t, func(c *Config) { c.Metrics = m })
+	setWindow(s, 100*time.Millisecond)
 	bodies := []string{
 		`{"pattern":"NNNNNNNNNNNGG","guides":[{"guide":"GATTACAGTANNN","max_mismatches":1}]}`,
 		`{"pattern":"NNNNNNNNNNNGG","guides":[{"guide":"ACGTACGTACNNN","max_mismatches":1}]}`,
 	}
+	// One after another, each request is alone in its batch.
 	solo := make([]string, len(bodies))
 	for i, body := range bodies {
-		resp := postSearch(t, ts, `{"no_coalesce":true,`+body[1:], nil)
+		resp := postSearch(t, ts, body, nil)
 		data, err := io.ReadAll(resp.Body)
 		if err != nil {
 			t.Fatal(err)
@@ -477,7 +529,7 @@ func TestCoalescedRequestsOverHTTP(t *testing.T) {
 		solo[i] = string(data)
 	}
 	if m.Counter(obs.MetricServeCoalesced) != 0 {
-		t.Fatal("no_coalesce requests still coalesced")
+		t.Fatal("requests sent one after another coalesced")
 	}
 
 	got := make([]string, len(bodies))
@@ -515,7 +567,7 @@ func TestPanicIsolation(t *testing.T) {
 		c.Engine = eng
 		c.Metrics = obs.NewMetrics()
 	})
-	resp := postSearch(t, ts, `{"no_coalesce":true,`+searchBody[1:], nil)
+	resp := postSearch(t, ts, searchBody, nil)
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500", resp.StatusCode)
 	}
@@ -530,7 +582,7 @@ func TestPanicIsolation(t *testing.T) {
 		t.Fatalf("healthz after panic: %v / %v", resp, err)
 	}
 	eng.panicMsg = ""
-	if resp := postSearch(t, ts, `{"no_coalesce":true,`+searchBody[1:], nil); resp.StatusCode != http.StatusOK {
+	if resp := postSearch(t, ts, searchBody, nil); resp.StatusCode != http.StatusOK {
 		t.Errorf("request after panic = %d, want 200", resp.StatusCode)
 	}
 }
@@ -544,8 +596,8 @@ func TestPanicIsolationCoalesced(t *testing.T) {
 	s, ts := newTestServer(t, func(c *Config) {
 		c.Engine = eng
 		c.Metrics = obs.NewMetrics()
-		c.CoalesceWindow = 50 * time.Millisecond
 	})
+	setWindow(s, 50*time.Millisecond)
 
 	const members = 2
 	statuses := make([]int, members)
@@ -598,7 +650,7 @@ func TestAdmitCancellationCountsCanceled(t *testing.T) {
 		c.Metrics = obs.NewMetrics()
 		c.Limits.MaxInflight = 1
 	})
-	body := `{"no_coalesce":true,` + searchBody[1:]
+	body := searchBody
 
 	// Occupy the only slot.
 	first := make(chan struct{})
@@ -685,7 +737,7 @@ func TestGracefulDrain(t *testing.T) {
 	inflight := make(chan result, 1)
 	go func() {
 		resp, err := ts.Client().Post(ts.URL+"/search", "application/json",
-			strings.NewReader(`{"no_coalesce":true,`+searchBody[1:]))
+			strings.NewReader(searchBody))
 		if err != nil {
 			t.Errorf("in-flight request: %v", err)
 			inflight <- result{}
@@ -757,7 +809,7 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestRequestTimeoutTrailer(t *testing.T) {
 	eng := &stubEngine{block: make(chan struct{})} // blocks until ctx expires
 	_, ts := newTestServer(t, func(c *Config) { c.Engine = eng })
-	resp := postSearch(t, ts, `{"timeout_ms":50,"no_coalesce":true,`+searchBody[1:], nil)
+	resp := postSearch(t, ts, `{"timeout_ms":50,`+searchBody[1:], nil)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504 (deadline before any hit streamed)", resp.StatusCode)
 	}
@@ -773,13 +825,6 @@ func TestNewConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Engine: &search.CPU{}}); err == nil {
 		t.Error("New accepted a config without genomes")
-	}
-	if _, err := New(Config{
-		Engine:        &search.CPU{},
-		Genomes:       map[string]*genome.Assembly{"a": testAssembly()},
-		DefaultGenome: "missing",
-	}); err == nil {
-		t.Error("New accepted a default genome that is not resident")
 	}
 }
 

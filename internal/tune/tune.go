@@ -12,8 +12,8 @@
 // separates candidates by is occupancy, register pressure and the staging
 // mode — not the traffic a variant saves (ROADMAP item 4(a) puts that inside
 // the model). A pass is a few dozen occupancy evaluations over the kernels
-// internal/isa compiled once, so nothing is memoized: every field of a
-// Config but the spec can come from a daemon request, and a decision cache
+// internal/isa compiled once, so nothing is memoized: a Config's pattern
+// length and guide count come from a daemon request, and a decision cache
 // keyed by them would grow with whatever clients send.
 package tune
 
@@ -27,9 +27,10 @@ import (
 	"casoffinder/internal/timing"
 )
 
-// DefaultWGSizes are the work-group sizes the tuner scores when the caller
-// does not restrict them: the OpenCL runtime's 64, the SYCL program's 256
-// (§IV.A), and the neighbours that bracket the granularity trade-off.
+// DefaultWGSizes are the work-group sizes the tuner scores: the OpenCL
+// runtime's 64, the SYCL program's 256 (§IV.A), and the neighbours that
+// bracket the granularity trade-off. Sizes beyond the device's
+// MaxWorkGroupSize are skipped.
 func DefaultWGSizes() []int { return []int{64, 128, 256, 512} }
 
 // defaultChunkBytes matches the pipeline's default staging budget.
@@ -46,10 +47,6 @@ type Config struct {
 	// ChunkBytes is the staged chunk size the scores are evaluated at;
 	// non-positive means the pipeline default (1 MiB).
 	ChunkBytes int
-	// WGSizes restricts the scored work-group sizes; nil means
-	// DefaultWGSizes. Sizes beyond the device's MaxWorkGroupSize are
-	// skipped.
-	WGSizes []int
 }
 
 // Candidate is one scored (variant, work-group size) pair.
@@ -108,15 +105,7 @@ func normalize(cfg Config) (normConfig, error) {
 	if n.chunkBytes <= 0 {
 		n.chunkBytes = defaultChunkBytes
 	}
-	wgs := cfg.WGSizes
-	if wgs == nil {
-		wgs = DefaultWGSizes()
-	}
-	n.wgSizes = make([]int, 0, len(wgs))
-	for _, wg := range wgs {
-		if wg <= 0 {
-			return normConfig{}, fmt.Errorf("tune: invalid work-group size %d", wg)
-		}
+	for _, wg := range DefaultWGSizes() {
 		if cfg.Spec.MaxWorkGroupSize > 0 && wg > cfg.Spec.MaxWorkGroupSize {
 			continue
 		}
