@@ -58,7 +58,10 @@ race:
 # with its replay check and the ledger tests: a run has one search.Profile,
 # a fleet's slots all write it, and it is published into the registry
 # once — the race detector over those concurrent writers, and the
-# metrics/profile agreement after them, are the check.
+# metrics/profile agreement after them, are the check. Two are fleet runs
+# that fail chunks over: TestMultiSYCLSchedMetricsParity (one dead device
+# beside a flaky one) and TestMultiSYCLSchedFailsOverPerDevice (every device
+# dead, each slot failing over on its own fallback).
 stress:
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/kernels ./internal/isa ./internal/tune ./internal/gpu ./internal/gpu/alloc ./internal/pipeline -skip '^TestGroupMatchesReference$$'
 	$(GO) test -race -count 1 -cpu 1,2,8 ./internal/kernels -run '^TestGroupMatchesReference$$'
@@ -67,7 +70,7 @@ stress:
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/serve -run 'TestCoalesce|TestCoalescedRequestsOverHTTP|TestPanicIsolation'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/search/ -run 'TestSWAR|TestScanChunkMatchesSeed|TestScanInnerLoopZeroAllocs|TestWriteHitJSONZeroAllocs|TestBatchedMatchesPerPattern|TestCompareMultiWordPatterns'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/search/ -run 'TestSimProfileSchedule|TestDenseCandidateRegionMatrix'
-	$(GO) test -race -count 1 -cpu 1,2,8 ./internal/search/ -run 'TestFaultDeterminism|TestFaultMatrix|TestMetricsAgreeWithProfile|TestMultiSYCLSchedMetricsParity|TestMultiSYCLMergeParity|TestProfileMerge'
+	$(GO) test -race -count 1 -cpu 1,2,8 ./internal/search/ -run 'TestFaultDeterminism|TestFaultMatrix|TestMetricsAgreeWithProfile|TestMultiSYCLSchedMetricsParity|TestMultiSYCLSchedFailsOverPerDevice|TestMultiSYCLMergeParity|TestProfileMerge'
 
 # Fuzz regression mode: the seed corpora (f.Add entries) replay on every
 # plain `go test`; this target additionally fuzzes each target briefly to

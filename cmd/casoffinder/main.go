@@ -45,9 +45,9 @@
 // allowed), one executor slot each, every device pulling the next chunk of
 // the plan when it is free. Output stays byte-identical to a single-device
 // run. With fault injection, each slot gets its own schedule (seeded
-// -fault-seed + slot index) and a device that exhausts its retries on a
-// chunk is evicted, the chunk going back to the queue for the survivors; the
-// last device left fails such chunks over to the CPU engine instead.
+// -fault-seed + slot index), and a chunk that exhausts its retries on a
+// device fails over to the CPU engine on that device's slot, which goes on
+// pulling chunks — the same per-chunk recovery as a single device.
 //
 // The fault flags drive the simulator engines through seeded deterministic
 // fault injection with a resilience policy set: transient failures
@@ -395,7 +395,7 @@ func printDegradation(stderr io.Writer, p *search.Profile) {
 			p.Retries, p.Failovers, p.WatchdogKills, p.QuarantinedChunks, p.AsyncExceptions)
 	}
 	if len(p.DeviceChunks) > 0 {
-		fmt.Fprintf(stderr, "scheduler: evictions=%d\n", p.Evictions)
+		fmt.Fprintln(stderr, "scheduler:")
 		names := make([]string, 0, len(p.DeviceChunks))
 		for name := range p.DeviceChunks {
 			names = append(names, name)
@@ -428,8 +428,8 @@ func writeHeapProfile(path string) error {
 	})
 }
 
-// parseFleet maps the -devices list to simulated device specs. Names are
-// case-insensitive; the empty flag means "no fleet" (single-device path).
+// parseFleet maps the -devices list to simulated device specs through
+// device.ByName; the empty flag means "no fleet" (single-device path).
 func parseFleet(list string) ([]device.Spec, error) {
 	if list == "" {
 		return nil, nil
@@ -437,16 +437,11 @@ func parseFleet(list string) ([]device.Spec, error) {
 	names := strings.Split(list, ",")
 	fleet := make([]device.Spec, 0, len(names))
 	for _, name := range names {
-		switch strings.ToLower(strings.TrimSpace(name)) {
-		case "radeonvii", "rvii":
-			fleet = append(fleet, device.RadeonVII())
-		case "mi60":
-			fleet = append(fleet, device.MI60())
-		case "mi100":
-			fleet = append(fleet, device.MI100())
-		default:
-			return nil, usageError{fmt.Errorf("unknown device %q in -devices (want radeonvii, mi60 or mi100)", strings.TrimSpace(name))}
+		spec, err := device.ByName(strings.TrimSpace(name))
+		if err != nil {
+			return nil, usageError{fmt.Errorf("-devices: %w", err)}
 		}
+		fleet = append(fleet, spec)
 	}
 	return fleet, nil
 }

@@ -287,33 +287,10 @@ func TestRunFaultDeterminism(t *testing.T) {
 
 // TestRunFleet drives the -devices flag: a heterogeneous fleet must print
 // the same hits as a single-device run and report the per-device breakdown
-// on stderr.
+// on stderr. When every device fails every launch, each fails its own
+// chunks over to the CPU — one failover per chunk, whichever device held it
+// — and the hits still match.
 func TestRunFleet(t *testing.T) {
-	input := writeTestData(t, "NNNNNNNNNNNGG")
-	var golden, out, errOut bytes.Buffer
-	if err := run([]string{"-engine", "sycl", "-device", "MI60", "-variant", "base", input}, &golden, &errOut); err != nil {
-		t.Fatal(err)
-	}
-	errOut.Reset()
-	err := run([]string{"-engine", "sycl", "-devices", "RadeonVII,mi60,MI100", "-variant", "base", input}, &out, &errOut)
-	if err != nil {
-		t.Fatalf("fleet run: %v (stderr: %s)", err, errOut.String())
-	}
-	if out.String() != golden.String() {
-		t.Errorf("fleet output differs from single device:\n%s\nvs\n%s", out.String(), golden.String())
-	}
-	if !strings.Contains(errOut.String(), "scheduler: evictions=0") {
-		t.Errorf("stderr missing scheduler summary: %s", errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "device sycl-sim[0]") {
-		t.Errorf("stderr missing per-device breakdown: %s", errOut.String())
-	}
-}
-
-// TestRunFleetEviction kills every fleet device with rate-1 launch faults:
-// all but the last device evict, the last fails every chunk over to the CPU
-// fallback, and the hits still match the clean run.
-func TestRunFleetEviction(t *testing.T) {
 	input := writeTestData(t, "NNNNNNNNNNNGG")
 	// A second sequence is a second chunk: only as many devices as the plan
 	// has chunks ever open.
@@ -321,27 +298,34 @@ func TestRunFleetEviction(t *testing.T) {
 	if err := os.WriteFile(chr2, []byte(">chr2\nAAAAGATTACAGTACGGAAAAAAAAAAAAAAA\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var golden, out, errOut bytes.Buffer
-	if err := run([]string{"-engine", "sycl", "-variant", "base", input}, &golden, &errOut); err != nil {
-		t.Fatal(err)
+	var golden, errOut bytes.Buffer
+	if err := run([]string{"-engine", "sycl", "-device", "mi100", "-variant", "base", input}, &golden, &errOut); err != nil {
+		t.Fatalf("-device mi100: %v (stderr: %s)", err, errOut.String())
 	}
-	errOut.Reset()
-	err := run([]string{"-engine", "sycl", "-devices", "mi60,mi100", "-variant", "base",
-		"-fault-rate", "1", "-fault-seed", "9", "-fault-site", "gpu.launch", "-max-retries", "-1", input}, &out, &errOut)
-	if err != nil {
-		t.Fatalf("eviction run: %v (stderr: %s)", err, errOut.String())
-	}
-	if out.String() != golden.String() {
-		t.Errorf("eviction output differs from golden:\n%s\nvs\n%s", out.String(), golden.String())
-	}
-	if !strings.Contains(errOut.String(), "evictions=1") {
-		t.Errorf("stderr missing eviction count: %s", errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "degraded:") {
-		t.Errorf("stderr missing degradation summary: %s", errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "faults: gpu.launch=") {
-		t.Errorf("stderr missing fault counts: %s", errOut.String())
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		stderr []string
+	}{
+		{"clean", []string{"-devices", "RadeonVII,mi60,MI100"}, []string{"scheduler:\n", "device sycl-sim[0]"}},
+		{"aliases", []string{"-devices", "RVII,radeonvii"}, []string{"device sycl-sim[1]"}},
+		{"every launch fails", []string{"-devices", "mi60,mi100", "-fault-rate", "1", "-fault-seed", "9",
+			"-fault-site", "gpu.launch", "-max-retries", "-1"}, []string{"degraded: retries=0 failovers=2 ", "faults: gpu.launch=2\n"}},
+	} {
+		var out bytes.Buffer
+		errOut.Reset()
+		args := append([]string{"-engine", "sycl", "-variant", "base"}, append(tc.args, input)...)
+		if err := run(args, &out, &errOut); err != nil {
+			t.Fatalf("%s: %v (stderr: %s)", tc.name, err, errOut.String())
+		}
+		if out.String() != golden.String() {
+			t.Errorf("%s: fleet output differs from single device:\n%s\nvs\n%s", tc.name, out.String(), golden.String())
+		}
+		for _, want := range tc.stderr {
+			if !strings.Contains(errOut.String(), want) {
+				t.Errorf("%s: stderr missing %q: %s", tc.name, want, errOut.String())
+			}
+		}
 	}
 }
 
@@ -358,6 +342,9 @@ func TestParseFleet(t *testing.T) {
 	}
 	if fleet, err := parseFleet(""); fleet != nil || err != nil {
 		t.Errorf("empty flag = %v, %v; want nil, nil", fleet, err)
+	}
+	if fleet, err := parseFleet("RVII,radeonvii"); err != nil || len(fleet) != 2 || fleet[0].Name != "RVII" || fleet[1].Name != "RVII" {
+		t.Errorf("RVII,radeonvii = %v, %v; want two RVII specs", fleet, err)
 	}
 	if _, err := parseFleet("mi60,vega64"); err == nil {
 		t.Error("unknown device accepted")

@@ -8,6 +8,7 @@ package device
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Spec describes one simulated GPU. The first block of fields reproduces
@@ -96,10 +97,14 @@ func MI100() Spec {
 // All returns the evaluated devices in the paper's presentation order.
 func All() []Spec { return []Spec{RadeonVII(), MI60(), MI100()} }
 
-// ByName looks a device up by its short name, case-sensitively.
+// ByName looks a device up by its short name (or "radeonvii" for RVII),
+// case-insensitively.
 func ByName(name string) (Spec, error) {
+	if strings.EqualFold(name, "radeonvii") {
+		return RadeonVII(), nil
+	}
 	for _, s := range All() {
-		if s.Name == name {
+		if strings.EqualFold(s.Name, name) {
 			return s, nil
 		}
 	}

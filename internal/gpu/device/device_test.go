@@ -62,6 +62,11 @@ func TestByName(t *testing.T) {
 			t.Errorf("ByName(%q) returned wrong spec", want.Name)
 		}
 	}
+	for name, want := range map[string]string{"mi100": "MI100", "Mi60": "MI60", "rvii": "RVII", "RadeonVII": "RVII"} {
+		if got, err := ByName(name); err != nil || got.Name != want {
+			t.Errorf("ByName(%q) = %q, %v; want %s", name, got.Name, err, want)
+		}
+	}
 	if _, err := ByName("H100"); err == nil {
 		t.Error("ByName(unknown) = nil error")
 	}

@@ -69,7 +69,6 @@ const (
 	MetricFailovers     = "casoffinder_failovers_total"
 	MetricWatchdogKills = "casoffinder_watchdog_kills_total"
 	MetricQuarantined   = "casoffinder_quarantined_chunks_total"
-	MetricEvictions     = "casoffinder_evictions_total"
 
 	// Emitted by the gpu simulator's launch hook, labelled kernel="...".
 	// Counted per attempted launch, failed and voided ones included, so under

@@ -8,15 +8,14 @@
 // fleet, so a stalled head chunk holds the fleet back instead of letting it
 // scan, and buffer, the rest of the plan.
 //
-// Recovery is one rule, chosen from what the run can observe. With a Policy
-// set, a transient failure retries on the same slot with the policy's seeded
-// backoff; any other failure — or an exhausted budget — means the chunk has
-// exhausted its slot. If another live slot exists, the slot is evicted and
-// the chunk goes back to the queue at its index. The last live slot (always,
-// in a one-slot fleet) is never evicted: the chunk alone fails over to the
-// policy's lazily opened fallback backend, is quarantined if that fails too,
-// and the slot keeps serving the queue. A nil Policy is fail-fast: the first
-// chunk error aborts the run.
+// Recovery is one rule, at every fleet size. With a Policy set, a transient
+// failure retries on the same slot with the policy's seeded backoff; any
+// other failure — or an exhausted budget — means the chunk has exhausted its
+// slot. The chunk then fails over on that slot: one attempt on the slot's
+// own fallback backend (the policy's Fallback, opened the first time the slot
+// needs it), quarantine if that fails too, and the slot keeps serving the
+// queue. A slot that cannot open its backend fails the run. A nil Policy is
+// fail-fast: the first chunk error aborts the run.
 //
 // Determinism contract. Chunk indices are assigned at plan time and the
 // collector emits settled chunks in plan order, so the hit stream does not
@@ -25,7 +24,7 @@
 // the plan. Each backend is driven by exactly one goroutine, so a one-slot
 // run's backend calls — and with them a seeded fault schedule, the report
 // and the fault log — replay exactly; in a fleet, which device meets which
-// chunk (and so eviction counts under faults) is scheduling.
+// chunk (and so which slot fails it over) is scheduling.
 
 package pipeline
 
@@ -56,8 +55,8 @@ type Slot struct {
 // SlotReport is the per-slot accounting of one run.
 type SlotReport struct {
 	Name string
-	// Chunks counts the chunks this slot settled (on its own backend or,
-	// as the last live slot, on the fallback).
+	// Chunks counts the chunks this slot settled, on its own backend or on
+	// its fallback.
 	Chunks int
 }
 
@@ -69,9 +68,9 @@ type Executor struct {
 	// Its OnReport, when set, receives the run's report too.
 	Policy *Resilience
 	// Trace and Metrics observe the run: scan and phase spans land on each
-	// slot's track with its recovery events (retry, watchdog-kill, evict,
+	// slot's track with its recovery events (retry, watchdog-kill,
 	// failover, quarantine) as instants, emit spans on "<track>/collect",
-	// fallback attempts on "<track>/fallback". The registry gets the
+	// a slot's fallback attempts on "<slot>/fallback". The registry gets the
 	// queue-depth gauge, the hit and emitted-chunk counters and the
 	// stage/scan histograms live; recovery events are counted in the Report
 	// only, for whoever owns the run's ledger to publish.
@@ -133,26 +132,16 @@ type run struct {
 	attempts []int
 
 	mu   sync.Mutex
-	cond *sync.Cond // signalled when a claim may succeed or the run may be over
-	// The queue: next is the lowest index never claimed, requeued holds the
-	// indices evicted slots handed back (ascending, all below next). cursor
-	// is the collector's: every chunk below it has been emitted, and no index
-	// at or past cursor+window is claimed.
-	next      int
-	requeued  []int
-	cursor    int
-	window    int
-	unsettled int
-	live      int // slots neither evicted nor failed to open
-	firstErr  error
-	closeErr  error
-	rep       *Report
-
-	// The fallback arm. Only the last live slot ever fails over, so one
-	// goroutine touches these.
-	fbOpened bool
-	fb       Backend
-	fbErr    error
+	cond *sync.Cond // signalled when the window moves or the run may be over
+	// The queue: next is the lowest index never claimed. cursor is the
+	// collector's: every chunk below it has been emitted, and no index at or
+	// past cursor+window is claimed.
+	next     int
+	cursor   int
+	window   int
+	firstErr error
+	closeErr error
+	rep      *Report
 
 	results chan settled
 }
@@ -170,17 +159,15 @@ func (x *Executor) execute(ctx context.Context, plan *Plan, asm *genome.Assembly
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	r := &run{
-		x:         x,
-		plan:      plan,
-		chunks:    chunks,
-		ctx:       rctx,
-		cancel:    cancel,
-		observed:  x.Trace != nil || x.Metrics != nil,
-		attempts:  make([]int, len(chunks)),
-		window:    2 * slots,
-		unsettled: len(chunks),
-		live:      slots,
-		rep:       &Report{Slots: make([]SlotReport, slots)},
+		x:        x,
+		plan:     plan,
+		chunks:   chunks,
+		ctx:      rctx,
+		cancel:   cancel,
+		observed: x.Trace != nil || x.Metrics != nil,
+		attempts: make([]int, len(chunks)),
+		window:   2 * slots,
+		rep:      &Report{Slots: make([]SlotReport, slots)},
 		// One result per slot: a collector that lags (a slow emit) blocks
 		// the slots instead of letting the whole genome's hits pile up.
 		results: make(chan settled, slots),
@@ -214,9 +201,6 @@ func (x *Executor) execute(ctx context.Context, plan *Plan, asm *genome.Assembly
 	}
 	go func() {
 		wg.Wait()
-		if r.fb != nil {
-			r.foldClose(r.fb.Close())
-		}
 		close(r.results)
 	}()
 
@@ -290,19 +274,22 @@ func (r *run) collect(emit func(Hit) error) {
 }
 
 // worker drives slot i: open its backend, then settle claims until the run
-// is over or the slot is evicted.
+// is over. A chunk that exhausts the backend fails over on the slot.
 func (r *run) worker(i int) {
 	track := r.rep.Slots[i].Name
 	be, err := r.x.Slots[i].Open(r.plan)
 	if err != nil {
-		// A slot that cannot open has nothing to serve the queue with: it
-		// is evicted like any other, and as the last one fails the run.
-		if r.x.Policy == nil || !r.evict(i, -1, fmt.Errorf("pipeline: opening %s: %w", track, err)) {
-			r.fail(err)
-		}
+		// A slot that cannot open has nothing to serve the queue with.
+		r.fail(err)
 		return
 	}
-	defer func() { r.foldClose(be.Close()) }()
+	var fb fallback
+	defer func() {
+		r.foldClose(be.Close())
+		if fb.be != nil {
+			r.foldClose(fb.be.Close())
+		}
+	}()
 	sr := &SiteRenderer{}
 	for {
 		index, ok := r.claim()
@@ -318,44 +305,29 @@ func (r *run) worker(i int) {
 		case r.x.Policy == nil:
 			r.fail(err)
 			return
-		case r.evict(i, index, err):
-			return
 		default:
-			r.failover(i, index, sr, track, err)
+			r.failover(i, index, sr, track, &fb, err)
 		}
 	}
 }
 
-// claim blocks until there is a chunk to scan and returns the lowest
-// unclaimed index; it reports false when the run is over: every chunk
-// settled, the run failed, or the context was cancelled. A slot facing an
-// empty queue, or a next index outside the reorder window, waits while
-// chunks are still in flight elsewhere: an eviction may hand one back and
-// the collector may advance. A requeued index was claimed once, so it is
-// always inside the window.
+// claim returns the lowest unclaimed index, waiting while it lies outside
+// the reorder window for the collector to advance; it reports false when the
+// run is over: every chunk claimed, the run failed, or the context was
+// cancelled.
 func (r *run) claim() (int, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for {
-		if r.firstErr != nil || r.ctx.Err() != nil {
-			return 0, false
-		}
-		index := -1
-		if len(r.requeued) > 0 {
-			index, r.requeued = r.requeued[0], r.requeued[1:]
-		} else if r.next < len(r.chunks) && r.next < r.cursor+r.window {
-			index = r.next
+	for r.firstErr == nil && r.ctx.Err() == nil && r.next < len(r.chunks) {
+		if r.next < r.cursor+r.window {
+			index := r.next
 			r.next++
-		}
-		if index >= 0 {
-			r.x.Metrics.Gauge(obs.MetricQueueDepth, float64(len(r.chunks)-r.next+len(r.requeued)))
+			r.x.Metrics.Gauge(obs.MetricQueueDepth, float64(len(r.chunks)-r.next))
 			return index, true
-		}
-		if r.unsettled == 0 {
-			return 0, false
 		}
 		r.cond.Wait()
 	}
+	return 0, false
 }
 
 // scan settles one chunk on the slot's own backend as far as the policy's
@@ -491,54 +463,39 @@ func (r *run) attempt(be Backend, index int, sr *SiteRenderer, track string) (hi
 	return hits, nil
 }
 
-// evict removes slot i from the fleet after cause exhausted it, handing its
-// chunk (index >= 0) back to the queue, and reports true — unless i is the
-// last live slot, which is never evicted.
-func (r *run) evict(i, index int, cause error) bool {
-	r.mu.Lock()
-	if r.live == 1 {
-		r.mu.Unlock()
-		return false
-	}
-	r.live--
-	r.rep.Evictions++
-	if index >= 0 {
-		at := sort.SearchInts(r.requeued, index)
-		r.requeued = append(r.requeued, 0)
-		copy(r.requeued[at+1:], r.requeued[at:])
-		r.requeued[at] = index
-	}
-	r.mu.Unlock()
-	r.cond.Broadcast()
-	r.x.Trace.Instant(r.rep.Slots[i].Name, "evict", index,
-		obs.Attr{Key: "error", Value: cause.Error()})
-	return true
+// fallback is one slot's failover arm: the policy's Fallback backend, opened
+// the first time a chunk exhausts the slot and closed with the slot, or the
+// error that kept it from opening.
+type fallback struct {
+	opened bool
+	be     Backend
+	err    error
 }
 
-// failover is the last live slot's recourse for a chunk that exhausted it:
-// one attempt on the policy's fallback backend, opened on first use, then
-// quarantine. The slot goes on serving the queue either way.
-func (r *run) failover(i, index int, sr *SiteRenderer, track string, cause error) {
-	if !r.fbOpened {
-		r.fbOpened = true
+// failover is slot i's recourse for a chunk that exhausted it: one attempt
+// on the slot's fallback, opened on first use, then quarantine. The slot goes
+// on serving the queue either way.
+func (r *run) failover(i, index int, sr *SiteRenderer, track string, fb *fallback, cause error) {
+	if !fb.opened {
+		fb.opened = true
 		if open := r.x.Policy.Fallback; open != nil {
-			fb, err := open(r.plan)
+			be, err := open(r.plan)
 			if err != nil {
-				r.fbErr = fmt.Errorf("pipeline: opening fallback backend: %w", err)
+				fb.err = fmt.Errorf("pipeline: opening fallback backend: %w", err)
 			} else {
-				r.fb = fb
+				fb.be = be
 			}
 		}
 	}
-	if r.fb == nil {
-		if r.fbErr != nil {
-			cause = r.fbErr
+	if fb.be == nil {
+		if fb.err != nil {
+			cause = fb.err
 		}
 	} else {
 		r.count(&r.rep.Failovers)
 		r.x.Trace.Instant(track, "failover", index,
 			obs.Attr{Key: "error", Value: cause.Error()})
-		hits, err := r.attempt(r.fb, index, sr, r.x.track()+"/fallback")
+		hits, err := r.attempt(fb.be, index, sr, track+"/fallback")
 		if err == nil {
 			r.settle(i, settled{index: index, hits: hits})
 			return
@@ -567,9 +524,7 @@ func (r *run) settle(i int, s settled) {
 	if !s.quarantined {
 		r.rep.Slots[i].Chunks++
 	}
-	r.unsettled--
 	r.mu.Unlock()
-	r.cond.Broadcast()
 	select {
 	case r.results <- s:
 		// Yield so the collector runs now. The send made it runnable on this

@@ -13,7 +13,6 @@ import (
 
 	"casoffinder/internal/fault"
 	"casoffinder/internal/genome"
-	"casoffinder/internal/obs"
 )
 
 // runChunks streams testReq over an n-chunk sequence on x. A run that
@@ -31,12 +30,20 @@ func runChunks(t *testing.T, x *Executor, n int) ([]string, *Report, error) {
 
 // gate returns a Stage hook that opens the gate on its first call, and one
 // that waits for the gate: the second slot cannot start before the first
-// has a chunk in flight.
+// has a chunk in flight. A gate that stays shut fails the waiting Stage
+// after five seconds instead of hanging the test.
 func gate() (open, wait func(int) error) {
 	var once sync.Once
 	ch := make(chan struct{})
 	return func(int) error { once.Do(func() { close(ch) }); return nil },
-		func(int) error { <-ch; return nil }
+		func(int) error {
+			select {
+			case <-ch:
+				return nil
+			case <-time.After(5 * time.Second):
+				return errors.New("the gate never opened")
+			}
+		}
 }
 
 func TestExecutorOrderedEmit(t *testing.T) {
@@ -226,79 +233,94 @@ func TestExecutorTransientRetries(t *testing.T) {
 	if rep.Retries != 2 {
 		t.Errorf("retries = %d, want 2", rep.Retries)
 	}
-	if rep.Evictions != 0 || rep.Failovers != 0 {
-		t.Errorf("clean retry run reports evictions=%d failovers=%d", rep.Evictions, rep.Failovers)
-	}
-}
-
-func TestExecutorEvictionRedistributes(t *testing.T) {
-	// Slot 0 fails fatally on first touch: it must be evicted and every
-	// chunk — the failed one included, back in the queue at its index —
-	// must finish on slot 1. The survivor waits at the gate until slot 0
-	// has a chunk in flight, so it cannot drain the queue before the
-	// failure happens.
-	open, wait := gate()
-	x := &Executor{
-		Slots:  fleet(&fakeBackend{find: fatal, stage: open}, &fakeBackend{stage: wait}),
-		Policy: &Resilience{MaxRetries: -1},
-		Trace:  obs.NewTracer(),
-	}
-	_, rep, err := runChunks(t, x, 10)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if rep.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", rep.Evictions)
-	}
-	if rep.Slots[0].Chunks != 0 || rep.Slots[1].Chunks != 10 {
-		t.Errorf("slots settled %d/%d chunks, want 0/10: the survivor settles all", rep.Slots[0].Chunks, rep.Slots[1].Chunks)
-	}
 	if rep.Failovers != 0 {
-		t.Errorf("failovers = %d, want 0 (the survivor absorbed the chunk)", rep.Failovers)
-	}
-	var causes []string
-	for _, sp := range x.Trace.Spans() {
-		if sp.Name == "evict" {
-			causes = append(causes, sp.Track+": "+fmt.Sprint(sp.Attrs))
-		}
-	}
-	if len(causes) != 1 || !strings.HasPrefix(causes[0], "dev0: ") || !strings.Contains(causes[0], "injected fatal") {
-		t.Errorf("evict instants %q, want one on dev0 carrying the fault", causes)
+		t.Errorf("clean retry run reports failovers=%d", rep.Failovers)
 	}
 }
 
-func TestExecutorAllEvictedFallsBack(t *testing.T) {
-	// Both slots die on every chunk: the first to exhaust a chunk is
-	// evicted, the last live slot is not — it fails every chunk over to the
-	// policy's fallback, one at a time, and keeps serving the queue.
-	fb := &fakeBackend{}
-	b0, b1 := &fakeBackend{find: fatal}, &fakeBackend{find: fatal}
+func TestExecutorFleetFailsOverPerSlot(t *testing.T) {
+	// Both slots die on every chunk: each fails its own chunks over to its
+	// own fallback, opened the first time the slot needs it and closed with
+	// the slot, and both keep serving the queue. The second slot waits at the
+	// gate until the first has a chunk in flight, so both settle chunks.
+	var (
+		mu  sync.Mutex
+		fbs []*fakeBackend
+	)
+	open, wait := gate()
+	b0, b1 := &fakeBackend{find: fatal, stage: open}, &fakeBackend{find: fatal, stage: wait}
 	x := &Executor{
-		Slots:  fleet(b0, b1),
-		Policy: &Resilience{MaxRetries: -1, Fallback: opener(fb)},
+		Slots: fleet(b0, b1),
+		Policy: &Resilience{MaxRetries: -1, Fallback: func(*Plan) (Backend, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			fb := &fakeBackend{}
+			fbs = append(fbs, fb)
+			return fb, nil
+		}},
 	}
 	_, rep, err := runChunks(t, x, 8)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if c0, c1 := rep.Slots[0].Chunks, rep.Slots[1].Chunks; rep.Evictions != 1 || min(c0, c1) != 0 || max(c0, c1) != 8 {
-		t.Errorf("evictions = %d (%+v), want all but the last live slot, which settles every chunk", rep.Evictions, rep.Slots)
+	if c0, c1 := rep.Slots[0].Chunks, rep.Slots[1].Chunks; c0 == 0 || c1 == 0 || c0+c1 != 8 {
+		t.Errorf("slots settled %d/%d chunks, want both some of the 8", c0, c1)
 	}
-	if rep.Failovers != 8 || fb.finds != 8 {
-		t.Errorf("failovers=%d fallback finds=%d, want one failover per chunk (8)", rep.Failovers, fb.finds)
+	if rep.Failovers != 8 || b0.finds+b1.finds != 8 {
+		t.Errorf("failovers=%d over %d scans, want every one of the 8 chunks scanned once and failed over", rep.Failovers, b0.finds+b1.finds)
 	}
-	if b0.finds+b1.finds != 9 {
-		t.Errorf("the fleet tried %d scans, want 9: every chunk on the last slot, one on the evicted", b0.finds+b1.finds)
+	if len(fbs) != 2 {
+		t.Fatalf("fallback opened %d times, want once per slot", len(fbs))
 	}
-	if fb.closed != 1 || b0.closed != 1 || b1.closed != 1 {
-		t.Errorf("backends closed %d/%d, fallback %d times, want 1 each", b0.closed, b1.closed, fb.closed)
+	// Which slot opened which fallback is scheduling; each scanned exactly
+	// its own slot's chunks.
+	got, want := []int{fbs[0].finds, fbs[1].finds}, []int{rep.Slots[0].Chunks, rep.Slots[1].Chunks}
+	sort.Ints(got)
+	sort.Ints(want)
+	if fmt.Sprint(got) != fmt.Sprint(want) || fbs[0].closed != 1 || fbs[1].closed != 1 {
+		t.Errorf("fallbacks scanned %v chunks and closed %d/%d times, want the slots' own %v and once each",
+			got, fbs[0].closed, fbs[1].closed, want)
+	}
+}
+
+func TestExecutorFailingSlotKeepsClaiming(t *testing.T) {
+	// A hung slot beside a healthy one: with no retry budget each watchdog
+	// kill exhausts the slot, the chunk fails over on that slot, and the
+	// slot claims the next chunk. The healthy slot waits at the gate until
+	// the hung slot stages its second chunk, which it only does if it went
+	// on claiming after the first failover.
+	open, wait := gate()
+	hung := &fakeBackend{find: hang, stage: func(call int) error {
+		if call == 1 {
+			return open(call)
+		}
+		return nil
+	}}
+	fb := &fakeBackend{}
+	x := &Executor{
+		Slots:  fleet(hung, &fakeBackend{stage: wait}),
+		Policy: &Resilience{MaxRetries: -1, Watchdog: 5 * time.Millisecond, Fallback: opener(fb)},
+	}
+	_, rep, err := runChunks(t, x, 8)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if rep.Slots[0].Chunks < 2 || rep.Slots[0].Chunks+rep.Slots[1].Chunks != 8 {
+		t.Errorf("slots settled %+v, want at least 2 of the 8 chunks on the hung slot", rep.Slots)
+	}
+	if n := int64(rep.Slots[0].Chunks); rep.WatchdogKills != n || rep.Failovers != n || fb.finds != rep.Slots[0].Chunks {
+		t.Errorf("watchdog kills=%d failovers=%d fallback scans=%d, want one each per chunk the hung slot settled (%d)",
+			rep.WatchdogKills, rep.Failovers, fb.finds, n)
+	}
+	if fb.closed != 1 {
+		t.Errorf("fallback closed %d times, want 1", fb.closed)
 	}
 }
 
 func TestExecutorLastSlotFailsOver(t *testing.T) {
-	// A one-slot fleet is its own last live slot: a chunk that exhausts it
-	// fails over alone, nothing is evicted, and the chunks after it run on
-	// the slot's own backend again — a single engine's per-chunk failover.
+	// A one-slot fleet follows the fleet's rule: a chunk that exhausts the
+	// slot fails over alone, and the chunks after it run on the slot's own
+	// backend again — a single engine's per-chunk failover.
 	fb := &fakeBackend{}
 	be := &fakeBackend{find: func(ctx context.Context, ch *genome.Chunk, attempt int) error {
 		if ch.Start == 24 {
@@ -314,8 +336,8 @@ func TestExecutorLastSlotFailsOver(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if rep.Evictions != 0 || rep.Failovers != 1 || rep.Slots[0].Chunks != 6 {
-		t.Errorf("report = %+v, want no eviction, one failover, all 6 chunks settled by the slot", rep)
+	if rep.Failovers != 1 || rep.Slots[0].Chunks != 6 {
+		t.Errorf("report = %+v, want one failover, all 6 chunks settled by the slot", rep)
 	}
 	if be.finds != 6 || fb.finds != 1 {
 		t.Errorf("primary scanned %d chunks and the fallback %d, want 6 and 1", be.finds, fb.finds)
@@ -348,28 +370,6 @@ func TestExecutorQuarantineWithoutFallback(t *testing.T) {
 	}
 }
 
-func TestExecutorWatchdogEvicts(t *testing.T) {
-	// A hung slot is reaped by the watchdog; with no retry budget the kill
-	// evicts it and the survivor finishes the run. The survivor is held at
-	// the gate until the hung slot has a chunk in flight, so it cannot
-	// drain the queue before the hang happens.
-	open, wait := gate()
-	x := &Executor{
-		Slots:  fleet(&fakeBackend{find: hang, stage: open}, &fakeBackend{stage: wait}),
-		Policy: &Resilience{MaxRetries: -1, Watchdog: 5 * time.Millisecond},
-	}
-	_, rep, err := runChunks(t, x, 8)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if rep.WatchdogKills == 0 {
-		t.Error("hung device never watchdog-killed")
-	}
-	if rep.Evictions != 1 {
-		t.Errorf("evictions = %d, want 1", rep.Evictions)
-	}
-}
-
 func TestExecutorFailFastWithoutPolicy(t *testing.T) {
 	// Hold the healthy slot at the gate until the failing one has a chunk
 	// in flight, so it cannot drain the queue first.
@@ -388,29 +388,20 @@ func TestExecutorFailFastWithoutPolicy(t *testing.T) {
 }
 
 func TestExecutorOpenFailure(t *testing.T) {
-	// A slot whose backend cannot open is evicted like any other failure;
-	// the survivor serves the whole queue.
-	devs := []Slot{
-		{Name: "broken", Open: func(*Plan) (Backend, error) {
-			return nil, errors.New("no such device")
-		}},
-		{Name: "ok", Open: opener(&fakeBackend{})},
-	}
-	x := &Executor{Slots: devs, Policy: &Resilience{MaxRetries: -1}}
-	_, rep, err := runChunks(t, x, 10)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if rep.Evictions != 1 {
-		t.Errorf("open failure did not evict: evictions=%d", rep.Evictions)
-	}
-	if rep.Slots[0].Chunks != 0 || rep.Slots[1].Chunks != 10 {
-		t.Errorf("slots settled %+v, want 0 chunks on the broken slot and 10 on the survivor", rep.Slots)
-	}
-	// The last live slot has nothing to serve the queue with: the run fails.
-	x = &Executor{Slots: devs[:1], Policy: x.Policy}
-	if _, _, err := runChunks(t, x, 10); err == nil || !strings.Contains(err.Error(), "no such device") {
-		t.Errorf("run over a fleet that cannot open: %v, want the open error", err)
+	// A slot whose backend cannot open has nothing to serve the queue with:
+	// the run fails with the open error, at any fleet size and under any
+	// policy. Every slot that runs opens before the run can end, so a healthy
+	// slot that drains the queue first does not rescue it.
+	broken := Slot{Name: "broken", Open: func(*Plan) (Backend, error) {
+		return nil, errors.New("no such device")
+	}}
+	for _, slots := range [][]Slot{{broken}, {broken, {Name: "ok", Open: opener(&fakeBackend{})}}} {
+		for _, policy := range []*Resilience{nil, {MaxRetries: -1, Fallback: opener(&fakeBackend{})}} {
+			x := &Executor{Slots: slots, Policy: policy}
+			if _, _, err := runChunks(t, x, 10); err == nil || !strings.Contains(err.Error(), "no such device") {
+				t.Errorf("%d slots, policy %v: run %v, want the open error", len(slots), policy != nil, err)
+			}
+		}
 	}
 }
 

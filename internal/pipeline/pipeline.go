@@ -3,7 +3,7 @@
 // the genome.Chunker), the Backend contract the CPU scan and the two
 // simulator host programs implement as thin adapters over their kernel
 // launches, the one Executor that runs a plan's chunks over a fleet of
-// backend slots with retry, eviction, failover and ordered emission, the
+// backend slots with retry, failover and ordered emission, the
 // Resilience policy with the run's Report, and hit rendering and the
 // deterministic output order. The paper's central artifact is one
 // application expressed against two programming models with identical

@@ -2,7 +2,7 @@
 // single engine sees: ordered emit, abort paths, handle accounting, and the
 // recovery rule on one slot (retry, per-chunk failover, quarantine).
 // executor_test.go pins the fleet: several slots, the pull order and reorder
-// window, eviction.
+// window, per-slot failover.
 package pipeline
 
 import (

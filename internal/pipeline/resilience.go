@@ -3,7 +3,7 @@
 // with capped exponential backoff, hung kernels are reaped by a per-phase
 // watchdog deadline, and chunks that keep failing — or fail fatally, or
 // return corrupted data — go to another backend. The recovery rule itself
-// (retry, eviction, failover, quarantine) is the executor's (executor.go).
+// (retry, failover, quarantine) is the executor's (executor.go).
 
 package pipeline
 
@@ -46,9 +46,9 @@ type Resilience struct {
 	BackoffMax  time.Duration
 	// Seed feeds the backoff jitter so retry timing is reproducible.
 	Seed uint64
-	// Fallback opens the failover backend for a plan. It is called at
-	// most once per run, lazily, the first time a chunk exhausts the last
-	// live slot; the backend is closed with the run. A nil Fallback
+	// Fallback opens a slot's failover backend for a plan. It is called
+	// at most once per slot, lazily, the first time a chunk exhausts that
+	// slot; the backend is closed with the slot. A nil Fallback
 	// disables failover: such chunks are quarantined directly.
 	Fallback func(plan *Plan) (Backend, error)
 	// OnReport, when set, receives the run's report exactly once, after the
@@ -106,8 +106,6 @@ type Report struct {
 	// Quarantined lists the chunks that failed on every arm, in chunk
 	// order. Their hits are missing from the emitted stream.
 	Quarantined []ChunkFailure
-	// Evictions counts slots evicted from the fleet.
-	Evictions int64
 	// Slots holds one row per slot that ran, in slot order. Which slot
 	// settled which chunk is scheduling, so the rows' Chunks are too.
 	Slots []SlotReport
@@ -116,7 +114,7 @@ type Report struct {
 // Degraded reports whether the run deviated from the clean path at all.
 func (r *Report) Degraded() bool {
 	return r.Retries > 0 || r.Failovers > 0 ||
-		r.WatchdogKills > 0 || len(r.Quarantined) > 0 || r.Evictions > 0
+		r.WatchdogKills > 0 || len(r.Quarantined) > 0
 }
 
 // ChunkFailure records one quarantined chunk: which part of the assembly is

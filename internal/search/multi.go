@@ -20,11 +20,11 @@ import (
 // to end instead of waiting on its slowest member.
 //
 // With a policy set, a chunk that exhausts its retries (or trips the
-// watchdog, or returns corrupted data) evicts its device and goes back to
-// the queue for the survivors; the last device left is never evicted and
-// fails such chunks over to the CPU SWAR engine one by one. Hits flow through
-// the ordered-emit contract, so the stream is byte-identical to a
-// single-device run regardless of which device ran which chunk.
+// watchdog, or returns corrupted data) fails over to the CPU SWAR engine on
+// the device's own slot, and the device goes on pulling the queue — the
+// single-device rule, per device. Hits flow through the ordered-emit
+// contract, so the stream is byte-identical to a single-device run
+// regardless of which device ran which chunk.
 type MultiSYCL struct {
 	// Devices are the simulated GPUs to spread the search over.
 	Devices []*gpu.Device
@@ -38,13 +38,12 @@ type MultiSYCL struct {
 	// Variant and WorkGroupSize are ignored. Output stays byte-identical.
 	Auto bool
 	// Resilience, when set, is the fleet's recovery policy: per-chunk
-	// transient retries on the device that holds the chunk, then eviction;
-	// the last live device fails chunks over to the CPU engine (unless a
-	// custom Fallback is configured).
+	// transient retries on the device that holds the chunk, then failover to
+	// that device's own CPU engine (unless a custom Fallback is configured).
 	Resilience *pipeline.Resilience
 	// Trace and Metrics, when set, observe the whole fleet: each device's
-	// spans land on its own "sycl-sim[i]" track, recovery events (evict,
-	// failover) on the same tracks, and the run's one profile is published
+	// spans land on its own "sycl-sim[i]" track, recovery events (failover,
+	// quarantine) on the same tracks, and the run's one profile is published
 	// into the registry when the run returns.
 	Trace   *obs.Tracer
 	Metrics *obs.Metrics
@@ -60,7 +59,7 @@ type MultiSYCL struct {
 func (e *MultiSYCL) Name() string { return "sycl-multi" }
 
 // LastProfile implements Profiler: the one profile every device of the last
-// run wrote, with the executor's eviction and per-device accounting folded
+// run wrote, with the executor's recovery and per-device accounting folded
 // in.
 func (e *MultiSYCL) LastProfile() *Profile { return e.profile }
 

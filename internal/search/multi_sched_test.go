@@ -54,8 +54,8 @@ func TestMultiSYCLSchedStealsOnHeterogeneousFleet(t *testing.T) {
 		t.Fatalf("scheduler fleet: %d hits != single %d", len(got), len(want))
 	}
 	p := multi.LastProfile()
-	if p.Evictions != 0 {
-		t.Errorf("clean run evicted %d devices", p.Evictions)
+	if p.Degraded() {
+		t.Errorf("clean run degraded: failovers=%d", p.Failovers)
 	}
 	total := 0
 	for _, n := range p.DeviceChunks {
@@ -66,55 +66,17 @@ func TestMultiSYCLSchedStealsOnHeterogeneousFleet(t *testing.T) {
 	}
 }
 
-// TestMultiSYCLSchedEvictionKeepsHits: a device whose every launch fails is
-// evicted; the survivors absorb its chunk and the hit stream stays
-// byte-identical to the clean single-device run.
-func TestMultiSYCLSchedEvictionKeepsHits(t *testing.T) {
-	asm := testAssembly(t, 23, []int{900, 600, 300}, testSite)
+// TestMultiSYCLSchedFailsOverPerDevice: when every device fails every
+// launch, each fails its own chunks over to its own CPU fallback and goes on
+// pulling the queue: every chunk is failed over once, on the device that
+// claimed it, and the output is still byte-identical.
+func TestMultiSYCLSchedFailsOverPerDevice(t *testing.T) {
+	asm := testAssembly(t, 24, []int{900, 700, 400}, testSite)
 	req := testRequest(2)
 	req.ChunkBytes = 256
 	want := schedGolden(t, asm, req)
 
 	devs := hetFleet()
-	// Device 0 fails every kernel launch; retries are disabled so the
-	// first failure evicts it.
-	devs[0].SetFaults(fault.NewInjector(fault.Plan{Seed: 7, Rate: 1, Site: fault.SiteLaunch}))
-	multi := &MultiSYCL{
-		Devices: devs, Variant: kernels.Base, WorkGroupSize: 64,
-		Resilience: &pipeline.Resilience{MaxRetries: -1, Seed: 7},
-	}
-	got, err := multi.Run(asm, req)
-	if err != nil {
-		t.Fatalf("eviction run: %v", err)
-	}
-	if !equalHits(got, want) {
-		t.Fatalf("eviction run: %d hits != single %d", len(got), len(want))
-	}
-	p := multi.LastProfile()
-	if p.Evictions != 1 {
-		t.Errorf("evictions = %d, want 1", p.Evictions)
-	}
-	if !p.Degraded() {
-		t.Error("eviction run not marked degraded")
-	}
-	if p.Failovers != 0 {
-		t.Errorf("failovers = %d, want 0 (survivors absorbed the chunk)", p.Failovers)
-	}
-	if len(p.FaultLog) == 0 {
-		t.Error("evicted device's fault events missing from the merged log")
-	}
-}
-
-// TestMultiSYCLSchedAllEvictedFallsBack: when every device dies, all but
-// the last are evicted, the last fails every chunk over to the CPU SWAR
-// fallback and the output is still byte-identical.
-func TestMultiSYCLSchedAllEvictedFallsBack(t *testing.T) {
-	asm := testAssembly(t, 24, []int{700, 400}, testSite)
-	req := testRequest(2)
-	req.ChunkBytes = 256
-	want := schedGolden(t, asm, req)
-
-	devs := multiDevices(2)
 	for i, d := range devs {
 		d.SetFaults(fault.NewInjector(fault.Plan{Seed: uint64(40 + i), Rate: 1, Site: fault.SiteLaunch}))
 	}
@@ -124,23 +86,32 @@ func TestMultiSYCLSchedAllEvictedFallsBack(t *testing.T) {
 	}
 	got, err := multi.Run(asm, req)
 	if err != nil {
-		t.Fatalf("all-evicted run: %v", err)
+		t.Fatalf("failover run: %v", err)
 	}
 	if !equalHits(got, want) {
-		t.Fatalf("all-evicted run: %d hits != single %d", len(got), len(want))
+		t.Fatalf("failover run: %d hits != single %d", len(got), len(want))
 	}
 	p := multi.LastProfile()
-	if p.Evictions != int64(len(devs))-1 {
-		t.Errorf("evictions = %d, want %d (all but the last live device)", p.Evictions, len(devs)-1)
+	settled := 0
+	for _, n := range p.DeviceChunks {
+		settled += n
 	}
-	if p.Failovers == 0 {
-		t.Error("no failovers counted though every chunk went through the fallback")
+	if len(p.DeviceChunks) != len(devs) || settled == 0 {
+		t.Fatalf("per-device rows %v, want one per device covering the plan", p.DeviceChunks)
+	}
+	if p.Failovers != int64(settled) || p.Faults[fault.SiteLaunch] != int64(settled) || p.QuarantinedChunks != 0 {
+		t.Errorf("failovers=%d launch faults=%d quarantined=%d, want one failed launch and one failover per chunk (%d)",
+			p.Failovers, p.Faults[fault.SiteLaunch], p.QuarantinedChunks, settled)
+	}
+	if !p.Degraded() {
+		t.Error("failover run not marked degraded")
 	}
 }
 
 // TestMultiSYCLSchedMetricsParity extends the metrics-profile agreement
-// check to the fleet: on a seeded fault run the -metrics counters —
-// including the eviction series — must equal the merged profile's totals.
+// check to the fleet: on a seeded fault run the hits must match a clean
+// single device and the -metrics counters — including the failover series —
+// must equal the merged profile's totals.
 func TestMultiSYCLSchedMetricsParity(t *testing.T) {
 	asm := testAssembly(t, 25, []int{900, 600, 400}, testSite)
 	req := testRequest(2)
@@ -148,7 +119,7 @@ func TestMultiSYCLSchedMetricsParity(t *testing.T) {
 
 	m := obs.NewMetrics()
 	devs := hetFleet()
-	// One device fails every launch (guaranteed eviction), another is
+	// One device fails every launch (its chunks fail over), another is
 	// moderately flaky (retries), so every recovery counter moves.
 	devs[0].SetFaults(fault.NewInjector(fault.Plan{Seed: 50, Rate: 1, Site: fault.SiteLaunch}))
 	devs[1].SetFaults(fault.NewInjector(fault.Plan{Seed: 51, Rate: 0.2, Site: fault.SiteSYCLAsync}))
@@ -161,12 +132,16 @@ func TestMultiSYCLSchedMetricsParity(t *testing.T) {
 		},
 		Metrics: m,
 	}
-	if _, err := multi.Run(asm, req); err != nil {
+	got, err := multi.Run(asm, req)
+	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
+	if want := schedGolden(t, asm, req); !equalHits(got, want) {
+		t.Fatalf("degraded fleet: %d hits != single %d", len(got), len(want))
+	}
 	p := multi.LastProfile()
-	if p.Evictions == 0 {
-		t.Fatal("run evicted nothing; the parity check needs a degraded run")
+	if p.Failovers == 0 {
+		t.Fatal("run failed nothing over; the parity check needs a degraded run")
 	}
 	requireMetricsAgree(t, m, p)
 }

@@ -68,11 +68,6 @@ type Profile struct {
 	// asynchronous exception handler.
 	AsyncExceptions int64
 
-	// Fleet counters, folded from the executor's run report when the
-	// engine runs several devices.
-
-	// Evictions counts devices evicted from the fleet.
-	Evictions int64
 	// DeviceChunks breaks chunk settles down by device slot name, from the
 	// report's Slots; nil outside fleet runs. It depends on the schedule by
 	// definition — a pull queue hands each chunk to whichever device is free
@@ -99,9 +94,6 @@ type Profile struct {
 	// the replay evidence: two runs with the same plan produce identical
 	// logs.
 	FaultLog []fault.Event
-
-	// degraded is Degraded's answer, recorded from the executor's report.
-	degraded bool
 
 	mu sync.Mutex
 }
@@ -183,8 +175,7 @@ func (p *Profile) addOverflowRetry() {
 }
 
 // addReport folds the executor's report — a run has one — into the profile:
-// the recovery counters and evictions, whether the run counts as degraded,
-// and — for a fleet — the per-device chunk counts.
+// the recovery counters and, for a fleet, the per-device chunk counts.
 func (p *Profile) addReport(rep *pipeline.Report, fleet bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -192,8 +183,6 @@ func (p *Profile) addReport(rep *pipeline.Report, fleet bool) {
 	p.Failovers += rep.Failovers
 	p.WatchdogKills += rep.WatchdogKills
 	p.QuarantinedChunks += len(rep.Quarantined)
-	p.Evictions += rep.Evictions
-	p.degraded = rep.Degraded()
 	if fleet {
 		p.DeviceChunks = make(map[string]int, len(rep.Slots))
 		for _, d := range rep.Slots {
@@ -269,7 +258,6 @@ func (p *Profile) publish(m *obs.Metrics) {
 		{obs.MetricFailovers, p.Failovers},
 		{obs.MetricWatchdogKills, p.WatchdogKills},
 		{obs.MetricQuarantined, int64(p.QuarantinedChunks)},
-		{obs.MetricEvictions, p.Evictions},
 		{obs.MetricAsyncExceptions, p.AsyncExceptions},
 		{obs.MetricTuneDecisions, p.TuneDecisions},
 		{obs.MetricTuneCandidates, p.TuneCandidates},
@@ -287,12 +275,11 @@ func (p *Profile) publish(m *obs.Metrics) {
 }
 
 // Degraded reports whether the run deviated from the clean path: any
-// recovery event in the executor's report, an evicted device included
-// (pipeline.Report.Degraded).
+// recovery event the executor counted (pipeline.Report.Degraded).
 func (p *Profile) Degraded() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.degraded
+	return p.Retries > 0 || p.Failovers > 0 || p.WatchdogKills > 0 || p.QuarantinedChunks > 0
 }
 
 // KernelNames returns the profiled kernel names ("finder" plus the comparer

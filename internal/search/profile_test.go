@@ -136,7 +136,7 @@ func TestProfileMergeFaultLogSorted(t *testing.T) {
 }
 
 // TestProfileDegraded pins the one definition of "degraded": whatever the
-// executor's report calls degraded, an eviction included.
+// executor's report calls degraded.
 func TestProfileDegraded(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -145,7 +145,7 @@ func TestProfileDegraded(t *testing.T) {
 	}{
 		{"clean", pipeline.Report{}, false},
 		{"retry", pipeline.Report{Retries: 1}, true},
-		{"eviction only", pipeline.Report{Evictions: 1}, true},
+		{"quarantine only", pipeline.Report{Quarantined: []pipeline.ChunkFailure{{}}}, true},
 	} {
 		p := newProfile()
 		p.addReport(&tc.rep, false)
@@ -330,7 +330,6 @@ func requireMetricsAgree(t *testing.T, m *obs.Metrics, runs ...*Profile) {
 			obs.MetricFailovers:       p.Failovers,
 			obs.MetricWatchdogKills:   p.WatchdogKills,
 			obs.MetricQuarantined:     int64(p.QuarantinedChunks),
-			obs.MetricEvictions:       p.Evictions,
 			obs.MetricAsyncExceptions: p.AsyncExceptions,
 			obs.MetricTuneDecisions:   p.TuneDecisions,
 			obs.MetricTuneCandidates:  p.TuneCandidates,

@@ -118,8 +118,7 @@ func comparerStats() *gpu.Stats {
 // TestKernelSecondsDeviceMonotonic pins the Table VII ordering on the
 // scattered comparer workload: the Radeon VII (60 CUs) is slower than the
 // MI60 (64 CUs, same clock and latency), which is slower than the MI100
-// (120 CUs at a lower latency) — the ordering the scheduler's shard weights
-// are derived from.
+// (120 CUs at a lower latency).
 func TestKernelSecondsDeviceMonotonic(t *testing.T) {
 	stats := comparerStats()
 	rvii := KernelSeconds(comparerConfig(device.RadeonVII()), stats)

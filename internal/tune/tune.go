@@ -118,10 +118,10 @@ func normalize(cfg Config) (normConfig, error) {
 	return n, nil
 }
 
-// Estimate builds the per-chunk cost model for one fixed (variant, WG size)
-// on a device — the same launch-context shape the MultiSYCL scheduler seeds
-// its shard weights from, with the finder/comparer occupancy and register
-// pressure compiled by internal/isa at the candidate work-group size.
+// Estimate builds the per-chunk cost model the tuner scores for one fixed
+// (variant, WG size) on a device, with the finder/comparer occupancy and
+// register pressure compiled by internal/isa at the candidate work-group
+// size.
 func Estimate(spec device.Spec, v kernels.ComparerVariant, wg, plen, queries int) timing.ChunkEstimate {
 	if plen <= 0 {
 		plen = 23
