@@ -92,6 +92,7 @@ fuzz-regress:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/gpu/alloc/ -run '^$$' -fuzz '^FuzzArenaDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kernels/ -run '^$$' -fuzz '^FuzzGroupKernels$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/kernels/ -run '^$$' -fuzz '^FuzzGather$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/search/ -run '^$$' -fuzz '^FuzzEngines$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0
 
 # The six workloads of BENCHMARK.json through the real binaries; everything

@@ -348,6 +348,29 @@ func TestArgsValidate(t *testing.T) {
 	if err := badC.validate(); err == nil {
 		t.Error("nil guide accepted")
 	}
+
+	okG := func() *GatherArgs {
+		return &GatherArgs{Count: make([]uint32, 2), PageOf: alloc.UnsetPages(2), PageSlots: 4, Pages: 2,
+			Loci: make([]uint32, 8), Flags: make([]byte, 8), N: 3, OutLoci: make([]uint32, 3), OutFlags: make([]byte, 3)}
+	}
+	if err := okG().validate(); err != nil {
+		t.Errorf("valid gather args rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(a *GatherArgs){
+		"no groups":      func(a *GatherArgs) { a.Count, a.PageOf = nil, nil },
+		"uneven tables":  func(a *GatherArgs) { a.PageOf = a.PageOf[:1] },
+		"empty pages":    func(a *GatherArgs) { a.PageSlots = 0 },
+		"no pages":       func(a *GatherArgs) { a.Pages = 0 },
+		"short input":    func(a *GatherArgs) { a.Flags = a.Flags[:7] },
+		"short output":   func(a *GatherArgs) { a.OutLoci = a.OutLoci[:2] },
+		"negative count": func(a *GatherArgs) { a.N = -1 },
+	} {
+		badG := okG()
+		mutate(badG)
+		if err := badG.validate(); err == nil {
+			t.Errorf("gather with %s accepted", name)
+		}
+	}
 }
 
 func TestLadderPos(t *testing.T) {

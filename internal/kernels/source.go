@@ -91,6 +91,23 @@ const (
 	comparerNumArgs
 )
 
+// Gather argument-slot order for the OpenCL frontend: the entry count, the
+// finder arena's geometry scalars and group tables, the page-strided finder
+// outputs, the dense outputs and the __local offsets array.
+const (
+	GatherArgLociCount = iota
+	GatherArgPageSlots
+	GatherArgPages
+	GatherArgGroupCount
+	GatherArgGroupPage
+	GatherArgLoci
+	GatherArgFlags
+	GatherArgOutLoci
+	GatherArgOutFlags
+	GatherArgLocalSums
+	gatherNumArgs
+)
+
 // arenaSlots parses the six arena argument slots starting at base: the
 // page-size and page-count scalars, then the cursor, group-counter,
 // group-page and overflow buffers.
@@ -141,13 +158,14 @@ func ComparerKernelName(v ComparerVariant) string {
 	return "comparer_" + v.String()
 }
 
-// CLSource returns the OpenCL program source registry holding the finder
-// and every comparer variant, keyed by kernel name. It is the argument to
+// CLSource returns the OpenCL program source registry holding the finder,
+// every comparer variant and the gather, keyed by kernel name. It is the argument to
 // Context.CreateProgramWithSource, standing in for the application's
 // OpenCL C source string.
 func CLSource() opencl.Source {
 	src := opencl.Source{
-		"finder": {NumArgs: finderNumArgs, BuildPhases: buildFinderPhases},
+		"finder":         {NumArgs: finderNumArgs, BuildPhases: buildFinderPhases},
+		GatherKernelName: {NumArgs: gatherNumArgs, BuildPhases: buildGatherPhases},
 	}
 	for _, v := range Variants() {
 		src[ComparerKernelName(v)] = opencl.KernelBuilder{NumArgs: comparerNumArgs, BuildPhases: buildComparerPhases(v)}
@@ -321,4 +339,52 @@ func buildComparerPhases(v ComparerVariant) func(args []any) (gpu.PhaseKernel, e
 			return k.Phases(make([]byte, lCompN), make([]int32, lIdxN))
 		}, nil
 	}
+}
+
+// gatherSlots parses the gather's bound argument slots, returning the
+// kernel arguments and the element count of the local offsets array.
+func gatherSlots(args []any) (ga *GatherArgs, lSumsN int, err error) {
+	n, err := scalar[uint32](args, GatherArgLociCount)
+	if err != nil {
+		return nil, 0, err
+	}
+	pageSlots, err := scalar[int32](args, GatherArgPageSlots)
+	if err != nil {
+		return nil, 0, err
+	}
+	pages, err := scalar[int32](args, GatherArgPages)
+	if err != nil {
+		return nil, 0, err
+	}
+	ga = &GatherArgs{N: int(n), PageSlots: int(pageSlots), Pages: int(pages)}
+	for _, s := range []struct {
+		dst *[]uint32
+		i   int
+	}{{&ga.Count, GatherArgGroupCount}, {&ga.PageOf, GatherArgGroupPage}, {&ga.Loci, GatherArgLoci}, {&ga.OutLoci, GatherArgOutLoci}} {
+		if *s.dst, err = memSlice[uint32](args, s.i); err != nil {
+			return nil, 0, err
+		}
+	}
+	if ga.Flags, err = memSlice[byte](args, GatherArgFlags); err != nil {
+		return nil, 0, err
+	}
+	if ga.OutFlags, err = memSlice[byte](args, GatherArgOutFlags); err != nil {
+		return nil, 0, err
+	}
+	if lSumsN, err = localSlots(args, GatherArgLocalSums, 4); err != nil {
+		return nil, 0, err
+	}
+	return ga, lSumsN, nil
+}
+
+func buildGatherPhases(args []any) (gpu.PhaseKernel, error) {
+	ga, lSumsN, err := gatherSlots(args)
+	if err != nil {
+		return nil, err
+	}
+	k, err := NewGather(ga)
+	if err != nil {
+		return nil, err
+	}
+	return func() []gpu.Phase { return k.Phases(make([]uint32, lSumsN)) }, nil
 }

@@ -13,9 +13,9 @@ import (
 )
 
 // clEnv builds the OpenCL object stack over one simulated device.
-func clEnv(t *testing.T) (*opencl.Context, *opencl.CommandQueue, *opencl.Program) {
+func clEnv(t testing.TB, dev *gpu.Device) (*opencl.Context, *opencl.CommandQueue, *opencl.Program) {
 	t.Helper()
-	p := opencl.NewPlatform("ROCm", "AMD", gpu.New(device.MI60(), gpu.WithWorkers(4)))
+	p := opencl.NewPlatform("ROCm", "AMD", dev)
 	devs, err := p.GetDevices(opencl.DeviceTypeGPU)
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +42,7 @@ func clEnv(t *testing.T) (*opencl.Context, *opencl.CommandQueue, *opencl.Program
 // host path (buffers, SetArg, enqueue, read back) and checks the hits
 // against the reference.
 func TestCLSourceEndToEnd(t *testing.T) {
-	ctx, q, prog := clEnv(t)
+	ctx, q, prog := clEnv(t, gpu.New(device.MI60(), gpu.WithWorkers(4)))
 	seq := genome.Upper([]byte("ACCGATTACAGGTTTGATTACAAGCCGATTACAGGACGTCCTGTAATCGG"))
 	const patternStr, guideStr = "NNNNNNNGG", "GATTACANN"
 	const maxMM = 1
@@ -285,7 +285,7 @@ func TestCLSourceEndToEnd(t *testing.T) {
 
 // TestCLSourceArgTypeErrors checks the builders reject mistyped arguments.
 func TestCLSourceArgTypeErrors(t *testing.T) {
-	ctx, q, prog := clEnv(t)
+	ctx, q, prog := clEnv(t, gpu.New(device.MI60(), gpu.WithWorkers(4)))
 	finder, err := prog.CreateKernel("finder")
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"casoffinder/internal/gpu"
 	"casoffinder/internal/gpu/device"
 	"casoffinder/internal/kernels"
+	"casoffinder/internal/obs"
 	"casoffinder/internal/pipeline"
 )
 
@@ -159,6 +161,60 @@ func TestWatchdogReapsHungKernel(t *testing.T) {
 			}
 			if p.Failovers == 0 {
 				t.Error("no failovers recorded")
+			}
+		})
+	}
+}
+
+// TestWatchdogReapsHungGather aims a gpu.hang at the gather launch: the
+// run's second launch, after the first chunk's finder. Under a watchdog the
+// hung gather is reaped through the chunk's context and the chunk retried;
+// every later launch hangs as well, so the retry is reaped in turn and the
+// chunk completes on the CPU failover, keeping the clean hit stream.
+func TestWatchdogReapsHungGather(t *testing.T) {
+	asm := testAssembly(t, 3, []int{500}, testSite)
+	req := testRequest(1)
+	for _, se := range simEngines() {
+		t.Run(se.name, func(t *testing.T) {
+			golden, err := se.build(fault.Plan{}, nil).Run(asm, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan := fault.Plan{Seed: 9, Rate: 1, Site: fault.SiteHang, After: 1}
+			eng := se.build(plan, &pipeline.Resilience{Seed: plan.Seed, MaxRetries: 1, Watchdog: 50 * time.Millisecond})
+			tr := obs.NewTracer()
+			switch e := eng.(type) {
+			case *SimCL:
+				e.Trace = tr
+			case *SimSYCL:
+				e.Trace = tr
+			}
+			got, err := eng.Run(asm, req)
+			if err != nil {
+				t.Fatalf("hung run: %v", err)
+			}
+			if !equalHits(got, golden) {
+				t.Errorf("hits diverged after the hung gather (%d vs %d)", len(got), len(golden))
+			}
+			reaped := false
+			for _, s := range tr.Spans() {
+				if s.Name != "launch:"+kernels.GatherKernelName {
+					continue
+				}
+				for _, a := range s.Attrs {
+					reaped = reaped || a.Key == "error" && strings.Contains(a.Value, "hung work-group cancelled")
+				}
+			}
+			if !reaped {
+				t.Error("no gather launch was reaped by the watchdog")
+			}
+			p := eng.(Profiler).LastProfile()
+			if len(p.FaultLog) == 0 || p.FaultLog[0] != (fault.Event{Site: fault.SiteHang, Seq: 1}) {
+				t.Errorf("first fault %v, want the second launch's hang", p.FaultLog)
+			}
+			if p.WatchdogKills == 0 || p.Retries == 0 || p.Failovers == 0 {
+				t.Errorf("watchdog kills %d, retries %d, failovers %d: want each at least one",
+					p.WatchdogKills, p.Retries, p.Failovers)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -75,11 +76,11 @@ func (f *faultyOps) launchComparer(ctx context.Context, l *comparerLaunch) (*gpu
 	return f.hostOps.launchComparer(ctx, l)
 }
 
-func (f *faultyOps) copyRange(src, dst devBuf, srcOff, dstOff, n int) error {
-	if err := f.step("copyRange"); err != nil {
+func (f *faultyOps) gather(ctx context.Context, l *gatherLaunch) error {
+	if err := f.step("gather"); err != nil {
 		return err
 	}
-	return f.hostOps.copyRange(src, dst, srcOff, dstOff, n)
+	return f.hostOps.gather(ctx, l)
 }
 
 func (f *faultyOps) readRange(src devBuf, off, n int, dst any) error {
@@ -172,6 +173,69 @@ func TestHostOpsFailureSweep(t *testing.T) {
 				if t.Failed() {
 					return
 				}
+			}
+		})
+	}
+}
+
+// TestFindAllocsFlatInPages pins the cost of one Find to the chunk, not to
+// what the finder claims: a chunk whose candidates fill four times the
+// finder pages of a sparse chunk of the same length must cost the same
+// allocations, on both veneers, because the claimed pages are compacted by
+// one gather launch rather than by host calls per page.
+func TestFindAllocsFlatInPages(t *testing.T) {
+	const groups, wg = 64, 64
+	req := denseRequest()
+	req.ChunkBytes = 0
+	plan, err := pipeline.Compile(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plen := plan.Pattern.PatternLen
+	// chunk plants one forward PAM ("GG" closing the site) in every every-th
+	// finder group of an all-A sequence.
+	chunk := func(every int) *genome.Chunk {
+		data := bytes.Repeat([]byte("A"), groups*wg+plen-1)
+		for g := 0; g < groups; g += every {
+			copy(data[g*wg+plen-2:], "GG")
+		}
+		return &genome.Chunk{SeqName: "chr1", Data: data, Body: groups * wg, Overlap: plen - 1}
+	}
+	ctx := context.Background()
+	for _, core := range sweepCores() {
+		t.Run(core.name, func(t *testing.T) {
+			core.profile = newProfile()
+			b, err := newSimBackend(core, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			allocs := func(ch *genome.Chunk, wantN int) float64 {
+				st, err := b.Stage(ctx, ch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer b.Release(st)
+				s := st.(*simStaged)
+				return testing.AllocsPerRun(20, func() {
+					n, err := b.Find(ctx, st)
+					if err != nil || n != wantN {
+						t.Fatalf("Find = %d, %v; want %d candidates", n, err, wantN)
+					}
+					if err := errors.Join(b.free(s.cLoci), b.free(s.cFlags)); err != nil {
+						t.Fatal(err)
+					}
+					s.cLoci, s.cFlags = nil, nil
+				})
+			}
+			sparse, dense := allocs(chunk(8), groups/8), allocs(chunk(2), groups/2)
+			t.Logf("allocations per Find: %.0f over %d claimed pages, %.0f over %d", sparse, groups/8, dense, groups/2)
+			// A few allocations of slack absorb the runtime's own (goroutine
+			// descriptors the SYCL queue's completions may need); a cost per
+			// page would be at least one per each of the 24 extra pages.
+			if dense > sparse+4 {
+				t.Errorf("Find over %d claimed pages made %.0f allocations, over %d pages %.0f: the cost grows with the pages",
+					groups/2, dense, groups/8, sparse)
 			}
 		})
 	}

@@ -54,8 +54,10 @@ type hostOps interface {
 	// return its statistics.
 	launchFinder(ctx context.Context, l *finderLaunch) (*gpu.Stats, error)
 	launchComparer(ctx context.Context, l *comparerLaunch) (*gpu.Stats, error)
-	// copyRange copies n elements device to device, complete on return.
-	copyRange(src, dst devBuf, srcOff, dstOff, n int) error
+	// gather compacts a clean finder launch's claimed pages into dense
+	// buffers with one kernel launch, complete on return. The launch is
+	// not the paper's, so its statistics are not returned.
+	gather(ctx context.Context, l *gatherLaunch) error
 	// readRange reads n elements starting at off into the host slice dst.
 	readRange(src devBuf, off, n int, dst any) error
 	// close tears down the run-wide API objects.
@@ -107,11 +109,23 @@ type comparerLaunch struct {
 	gws, wg            int
 }
 
+// gatherLaunch is one chunk's gather launch: the finder's page-strided
+// outputs and arena, and the n-entry dense buffers they compact into, by
+// one work-group of wg items.
+type gatherLaunch struct {
+	loci, flags       devBuf
+	arena             *simArena
+	n                 int
+	outLoci, outFlags devBuf
+	wg                int
+}
+
 // simBackend adapts a host program to the pipeline Backend contract. It owns
 // everything that is not an API call: which buffers exist and when they die,
-// arena provisioning and the overflow relaunch, the page walks, readback
-// validation and all profile accounting. Every buffer is tracked in the live
-// set so Close can free whatever an aborted run left behind.
+// arena provisioning and the overflow relaunch, the gather and the entry page
+// walk, readback validation and all profile accounting. Every buffer is
+// tracked in the live set so Close can free whatever an aborted run left
+// behind.
 type simBackend struct {
 	e    *simCore
 	plan *pipeline.Plan
@@ -267,9 +281,9 @@ type arenaPass struct {
 	// limit is the most entries an intact launch can emit.
 	limit int
 	// launch runs the kernel into the outputs; consume takes the decoded
-	// geometry of a clean launch before the outputs are freed.
+	// geometry of a clean launch before the outputs and arena are freed.
 	launch  func(a *simArena, out []devBuf) (*gpu.Stats, error)
-	consume func(geo *alloc.Geometry, out []devBuf) error
+	consume func(geo *alloc.Geometry, a *simArena, out []devBuf) error
 }
 
 // runArena launches a kernel into an arena provisioned at layout and hands
@@ -344,7 +358,7 @@ func (b *simBackend) runArena(layout alloc.Layout, p *arenaPass) error {
 			return fault.Errorf(fault.SiteReadback, fault.Corruption,
 				"search: %s: %s count %d exceeds the %d possible entries", b.e.name, p.kernel, geo.Total, p.limit)
 		}
-		if err := p.consume(geo, out); err != nil {
+		if err := p.consume(geo, arena, out); err != nil {
 			return err
 		}
 		return release()
@@ -412,9 +426,11 @@ var (
 
 // Find implements pipeline.Backend: launch the finder over the padded site
 // range, then compact the claimed pages into the comparer's exact-size input
-// with device-to-device copies — the comparer indexes loci/flags densely in
+// with one gather launch — the comparer indexes loci/flags densely in
 // [0, n), so a page-strided view would not do, and compacting on the device
-// keeps the candidates off the bus entirely.
+// keeps the candidates off the bus entirely. The gather reads the page
+// order and offsets from the arena tables still on the device; the host's
+// decoded geometry only sizes the dense buffers.
 func (b *simBackend) Find(ctx context.Context, st pipeline.Staged) (int, error) {
 	s := st.(*simStaged)
 	sites := s.ch.Body
@@ -438,7 +454,7 @@ func (b *simBackend) Find(ctx context.Context, st pipeline.Staged) (int, error) 
 				loci: out[0], flags: out[1], arena: a, gws: gws, wg: b.e.wgSize(),
 			})
 		},
-		consume: func(geo *alloc.Geometry, out []devBuf) (err error) {
+		consume: func(geo *alloc.Geometry, a *simArena, out []devBuf) (err error) {
 			s.n = geo.Total
 			b.prof.addCandidates(int64(s.n))
 			if s.n == 0 {
@@ -450,15 +466,10 @@ func (b *simBackend) Find(ctx context.Context, st pipeline.Staged) (int, error) 
 			if s.cFlags, err = b.alloc(bufState, s.n, []byte(nil)); err != nil {
 				return err
 			}
-			for i, dst := range []devBuf{s.cLoci, s.cFlags} {
-				src := out[i]
-				if err := walkPages(geo, func(base, pos, n int) error {
-					return b.ops.copyRange(src, dst, base, pos, n)
-				}); err != nil {
-					return err
-				}
-			}
-			return nil
+			return b.ops.gather(ctx, &gatherLaunch{
+				loci: out[0], flags: out[1], arena: a, n: s.n,
+				outLoci: s.cLoci, outFlags: s.cFlags, wg: pad,
+			})
 		},
 	})
 	if err != nil {
@@ -504,7 +515,7 @@ func (b *simBackend) Compare(ctx context.Context, st pipeline.Staged, qi int) (e
 				mmLoci: out[0], mmCnt: out[1], dir: out[2], arena: a, gws: cgws, wg: b.e.wgSize(),
 			})
 		},
-		consume: func(geo *alloc.Geometry, out []devBuf) error {
+		consume: func(geo *alloc.Geometry, _ *simArena, out []devBuf) error {
 			cnt := geo.Total
 			b.prof.addEntries(int64(cnt))
 			if cnt == 0 {

@@ -43,11 +43,12 @@ func (e *SimCL) Stream(ctx context.Context, asm *genome.Assembly, req *Request, 
 // program, build, kernels), with every buffer an explicitly released memory
 // object and every kernel argument set by index.
 type clOps struct {
-	ctx      *opencl.Context
-	queue    *opencl.CommandQueue
-	prog     *opencl.Program
-	finder   *opencl.Kernel
-	comparer *opencl.Kernel
+	ctx          *opencl.Context
+	queue        *opencl.CommandQueue
+	prog         *opencl.Program
+	finder       *opencl.Kernel
+	comparer     *opencl.Kernel
+	gatherKernel *opencl.Kernel
 }
 
 // openCL performs steps 1-8 of the host lifecycle. OpenCL reports every
@@ -87,6 +88,9 @@ func openCL(dev *gpu.Device, v kernels.ComparerVariant, _ func()) (_ hostOps, er
 	if o.comparer, err = o.prog.CreateKernel(kernels.ComparerKernelName(v)); err != nil {
 		return nil, err
 	}
+	if o.gatherKernel, err = o.prog.CreateKernel(kernels.GatherKernelName); err != nil {
+		return nil, err
+	}
 	return o, nil
 }
 
@@ -99,6 +103,9 @@ func (o *clOps) close() (err error) {
 	}
 	if o.comparer != nil {
 		closeErr(o.comparer.Release(), &err)
+	}
+	if o.gatherKernel != nil {
+		closeErr(o.gatherKernel.Release(), &err)
 	}
 	if o.prog != nil {
 		closeErr(o.prog.Release(), &err)
@@ -115,7 +122,6 @@ func (o *clOps) close() (err error) {
 // clBuffer is the element-type-erased face of clMem[T].
 type clBuffer interface {
 	mem() *opencl.Mem
-	copyTo(q *opencl.CommandQueue, dst clBuffer, srcOff, dstOff, n int) error
 	read(q *opencl.CommandQueue, off, n int, dst any) error
 }
 
@@ -124,11 +130,6 @@ type clBuffer interface {
 type clMem[T any] struct{ m *opencl.Mem }
 
 func (b clMem[T]) mem() *opencl.Mem { return b.m }
-
-func (b clMem[T]) copyTo(q *opencl.CommandQueue, dst clBuffer, srcOff, dstOff, n int) error {
-	_, err := opencl.EnqueueCopyBuffer[T](q, b.m, dst.mem(), srcOff, dstOff, n)
-	return err
-}
 
 func (b clMem[T]) read(q *opencl.CommandQueue, off, n int, dst any) error {
 	host, err := hostSlice[T](dst)
@@ -175,17 +176,14 @@ func (o *clOps) alloc(kind bufKind, n int, host any) (devBuf, error) {
 
 func (o *clOps) free(b devBuf) error { return b.(clBuffer).mem().Release() }
 
-func (o *clOps) copyRange(src, dst devBuf, srcOff, dstOff, n int) error {
-	return src.(clBuffer).copyTo(o.queue, dst.(clBuffer), srcOff, dstOff, n)
-}
-
 func (o *clOps) readRange(src devBuf, off, n int, dst any) error {
 	return src.(clBuffer).read(o.queue, off, n, dst)
 }
 
 // launch is steps 9-11 for one kernel: set every argument by index, size the
-// two __local staging arrays, enqueue the ND-range and wait on its event.
-func (o *clOps) launch(ctx context.Context, k *opencl.Kernel, args []any, local [2][2]int, gws, wg int) (*gpu.Stats, error) {
+// __local arrays (argument slot, bytes), enqueue the ND-range and wait on its
+// event.
+func (o *clOps) launch(ctx context.Context, k *opencl.Kernel, args []any, local [][2]int, gws, wg int) (*gpu.Stats, error) {
 	for i, a := range args {
 		if buf, ok := a.(clBuffer); ok {
 			a = buf.mem()
@@ -217,7 +215,7 @@ func (o *clOps) launchFinder(ctx context.Context, l *finderLaunch) (*gpu.Stats, 
 		l.loci, l.flags,
 		int32(a.layout.PageSlots), int32(a.layout.Pages),
 		a.cursor, a.count, a.page, a.ovf,
-	}, [2][2]int{
+	}, [][2]int{
 		{kernels.FinderArgLocalPat, 2 * l.plen},
 		{kernels.FinderArgLocalPatIndex, 4 * 2 * l.plen},
 	}, l.gws, l.wg)
@@ -232,8 +230,22 @@ func (o *clOps) launchComparer(ctx context.Context, l *comparerLaunch) (*gpu.Sta
 		l.flags, l.mmCnt, l.dir,
 		int32(a.layout.PageSlots), int32(a.layout.Pages),
 		a.cursor, a.count, a.page, a.ovf,
-	}, [2][2]int{
+	}, [][2]int{
 		{kernels.ComparerArgLocalComp, 2 * l.plen},
 		{kernels.ComparerArgLocalCompIndex, 4 * 2 * l.plen},
 	}, l.gws, l.wg)
+}
+
+// gather launches the gather kernel as one work-group of wg items.
+func (o *clOps) gather(ctx context.Context, l *gatherLaunch) error {
+	a := l.arena
+	_, err := o.launch(ctx, o.gatherKernel, []any{
+		uint32(l.n), int32(a.layout.PageSlots), int32(a.layout.Pages),
+		a.count, a.page,
+		l.loci, l.flags,
+		l.outLoci, l.outFlags,
+	}, [][2]int{
+		{kernels.GatherArgLocalSums, 4 * l.wg},
+	}, l.wg, l.wg)
+	return err
 }

@@ -72,32 +72,11 @@ func (o *syclOps) close() error { return nil }
 // syclBuffer is the element-type-erased face of syclMem[T].
 type syclBuffer interface {
 	Destroy() error
-	copyTo(q *sycl.Queue, dst syclBuffer, srcOff, dstOff, n int) error
 	read(off, n int, dst any) error
 }
 
 // syclMem gives sycl.Buffer[T] the untyped methods the seam calls.
 type syclMem[T any] struct{ *sycl.Buffer[T] }
-
-// copyTo is cgh.copy(srcAccessor, dstAccessor) over ranged accessors, waited
-// on so the caller may destroy the source afterwards.
-func (b syclMem[T]) copyTo(q *sycl.Queue, dst syclBuffer, srcOff, dstOff, n int) error {
-	to, ok := dst.(syclMem[T])
-	if !ok {
-		return fmt.Errorf("search: sycl-sim: copy from %T to %T", b, dst)
-	}
-	return q.Submit(func(h *sycl.Handler) error {
-		srcAcc, err := sycl.AccessRange(h, b.Buffer, sycl.Read, n, srcOff)
-		if err != nil {
-			return err
-		}
-		dstAcc, err := sycl.AccessRange(h, to.Buffer, sycl.Write, n, dstOff)
-		if err != nil {
-			return err
-		}
-		return sycl.Copy(h, dstAcc, srcAcc)
-	}).Wait()
-}
 
 // read is a ranged host accessor.
 func (b syclMem[T]) read(off, n int, dst any) error {
@@ -146,10 +125,6 @@ func (o *syclOps) alloc(kind bufKind, n int, host any) (devBuf, error) {
 
 func (o *syclOps) free(b devBuf) error { return b.(syclBuffer).Destroy() }
 
-func (o *syclOps) copyRange(src, dst devBuf, srcOff, dstOff, n int) error {
-	return src.(syclBuffer).copyTo(o.queue, dst.(syclBuffer), srcOff, dstOff, n)
-}
-
 func (o *syclOps) readRange(src devBuf, off, n int, dst any) error {
 	return src.(syclBuffer).read(off, n, dst)
 }
@@ -169,13 +144,13 @@ func syclAccess[T any](h *sycl.Handler, b devBuf, mode sycl.AccessMode, err *err
 	return acc.Slice()
 }
 
-// syclLocal declares 2×plen elements of work-group-local staging, folding the
+// syclLocal declares n elements of work-group-local storage, folding the
 // error like syclAccess.
-func syclLocal[T any](h *sycl.Handler, plen int, err *error) *sycl.LocalAccessor[T] {
+func syclLocal[T any](h *sycl.Handler, n int, err *error) *sycl.LocalAccessor[T] {
 	if *err != nil {
 		return nil
 	}
-	acc, lerr := sycl.NewLocalAccessor[T](h, 2*plen)
+	acc, lerr := sycl.NewLocalAccessor[T](h, n)
 	if lerr != nil {
 		*err = lerr
 	}
@@ -228,8 +203,8 @@ func (o *syclOps) launchFinder(ctx context.Context, l *finderLaunch) (*gpu.Stats
 			Flags: syclAccess[byte](h, l.flags, sycl.Write, &err),
 			Arena: syclAccessArena(h, l.arena, &err),
 		}
-		lPat := syclLocal[byte](h, l.plen, &err)
-		lPatIdx := syclLocal[int32](h, l.plen, &err)
+		lPat := syclLocal[byte](h, 2*l.plen, &err)
+		lPatIdx := syclLocal[int32](h, 2*l.plen, &err)
 		if err != nil {
 			return err
 		}
@@ -264,8 +239,8 @@ func (o *syclOps) launchComparer(ctx context.Context, l *comparerLaunch) (*gpu.S
 			Direction: syclAccess[byte](h, l.dir, sycl.Write, &err),
 			Arena:     syclAccessArena(h, l.arena, &err),
 		}
-		lComp := syclLocal[byte](h, l.plen, &err)
-		lCompIdx := syclLocal[int32](h, l.plen, &err)
+		lComp := syclLocal[byte](h, 2*l.plen, &err)
+		lCompIdx := syclLocal[int32](h, 2*l.plen, &err)
 		if err != nil {
 			return err
 		}
@@ -277,4 +252,34 @@ func (o *syclOps) launchComparer(ctx context.Context, l *comparerLaunch) (*gpu.S
 			return k.Phases(lComp.Slice(m), lCompIdx.Slice(m))
 		})
 	}))
+}
+
+// gather submits the gather command group — one work-group over the finder
+// arena's tables — and waits on its event.
+func (o *syclOps) gather(ctx context.Context, l *gatherLaunch) error {
+	return o.queue.SubmitCtx(ctx, func(h *sycl.Handler) error {
+		var err error
+		ga := &kernels.GatherArgs{
+			Count:     syclAccess[uint32](h, l.arena.count, sycl.Read, &err),
+			PageOf:    syclAccess[uint32](h, l.arena.page, sycl.Read, &err),
+			PageSlots: l.arena.layout.PageSlots,
+			Pages:     l.arena.layout.Pages,
+			Loci:      syclAccess[uint32](h, l.loci, sycl.Read, &err),
+			Flags:     syclAccess[byte](h, l.flags, sycl.Read, &err),
+			N:         l.n,
+			OutLoci:   syclAccess[uint32](h, l.outLoci, sycl.Write, &err),
+			OutFlags:  syclAccess[byte](h, l.outFlags, sycl.Write, &err),
+		}
+		lSums := syclLocal[uint32](h, l.wg, &err)
+		if err != nil {
+			return err
+		}
+		k, err := kernels.NewGather(ga)
+		if err != nil {
+			return err
+		}
+		return h.ParallelForPhases(kernels.GatherKernelName, gpu.R1(l.wg), gpu.R1(l.wg), func(m *sycl.LocalMem) []gpu.Phase {
+			return k.Phases(lSums.Slice(m))
+		})
+	}).Wait()
 }
