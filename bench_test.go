@@ -53,7 +53,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	req.ChunkBytes = 1 << 16
 	stream := func(b *testing.B, eng *search.CPU) {
 		b.Helper()
-		b.SetBytes(asm.TotalLen())
+		b.SetBytes(genome.Compose(asm).TotalBases)
 		var sink int
 		for i := 0; i < b.N; i++ {
 			err := eng.Stream(context.Background(), asm, req, func(search.Hit) error {
@@ -116,7 +116,7 @@ func BenchmarkAutotune(b *testing.B) {
 	req := benchRequest()
 	req.ChunkBytes = 1 << 15
 	run := func(b *testing.B, eng *search.SimSYCL) {
-		b.SetBytes(asm.TotalLen())
+		b.SetBytes(genome.Compose(asm).TotalBases)
 		for i := 0; i < b.N; i++ {
 			if _, err := eng.Run(asm, req); err != nil {
 				b.Fatal(err)

@@ -52,6 +52,33 @@ func TestRunCPUEngine(t *testing.T) {
 	}
 }
 
+// TestRunTabbedHeader: a FASTA header whose description follows a tab names
+// the sequence by its first word, so every text hit line keeps its 6 columns.
+func TestRunTabbedHeader(t *testing.T) {
+	dir := t.TempDir()
+	fasta := ">chr1\tsome description\nTTTTGATTACAGTACGGTTTTTTTTTTTTTTT\n"
+	if err := os.WriteFile(filepath.Join(dir, "chr1.fa"), []byte(fasta), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	input := filepath.Join(dir, "input.txt")
+	if err := os.WriteFile(input, []byte(dir+"\nNNNNNNNNNNNGG\nGATTACAGTANNN 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut bytes.Buffer
+	if err := run([]string{input}, &out, &errOut); err != nil {
+		t.Fatalf("run: %v (stderr: %s)", err, errOut.String())
+	}
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	if len(lines) == 0 || lines[0] == "" {
+		t.Fatal("no hits")
+	}
+	for _, line := range lines {
+		if f := strings.Split(line, "\t"); len(f) != 6 || f[1] != "chr1" {
+			t.Errorf("hit line has %d fields, sequence %q: %q", len(f), f[1], line)
+		}
+	}
+}
+
 func TestRunSimEnginesWithProfile(t *testing.T) {
 	input := writeTestData(t, "NNNNNNNNNNNGG")
 	for _, engine := range []string{"opencl", "sycl"} {

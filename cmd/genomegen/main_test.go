@@ -45,8 +45,8 @@ func TestRunDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if asm.TotalLen() != 30000 {
-		t.Errorf("TotalLen = %d", asm.TotalLen())
+	if n := genome.Compose(asm).TotalBases; n != 30000 {
+		t.Errorf("TotalBases = %d", n)
 	}
 }
 

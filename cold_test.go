@@ -67,9 +67,13 @@ func coldFirstHit(tb testing.TB, asm *genome.Assembly, req *search.Request) {
 
 // TestColdStartRatio is the gate for the artifact's acceptance number:
 // time-to-first-hit from the warm artifact must be at least 10x faster than
-// from FASTA parse+pack. Each side takes the best of a few runs so scheduler
-// noise cannot fail the gate; the measured ratio sits well above 10x (the
-// FASTA side pays an O(genome) parse, the artifact side an O(header) mmap).
+// from FASTA parse+pack. Each side takes the best of coldSamples runs so
+// scheduler noise cannot fail the gate; the measured ratio sits well above
+// 10x (the FASTA side pays an O(genome) read and parse, the artifact side an
+// O(header) mmap). The artifact side is a fraction of a millisecond, so one
+// preemption inside a run costs it several times its own length: under a
+// loaded machine — go test ./... runs the other packages' tests beside this
+// one — three runs were too few to be sure of one clean sample.
 func TestColdStartRatio(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive ratio gate")
@@ -78,7 +82,7 @@ func TestColdStartRatio(t *testing.T) {
 
 	best := func(run func()) time.Duration {
 		min := time.Duration(1<<63 - 1)
-		for i := 0; i < 3; i++ {
+		for i := 0; i < coldSamples; i++ {
 			start := time.Now()
 			run()
 			if d := time.Since(start); d < min {
@@ -110,3 +114,7 @@ func TestColdStartRatio(t *testing.T) {
 		t.Errorf("warm artifact cold start only %.1fx faster than FASTA (want >= 10x)", ratio)
 	}
 }
+
+// coldSamples is how many runs of each side TestColdStartRatio takes the
+// best of.
+const coldSamples = 10

@@ -209,15 +209,6 @@ func (a *Artifact) SeqName(si int) string { return a.seqs[si].name }
 // SeqLen returns the base count of sequence si.
 func (a *Artifact) SeqLen(si int) int { return a.seqs[si].view.n }
 
-// TotalLen returns the summed length of all sequences.
-func (a *Artifact) TotalLen() int64 {
-	var n int64
-	for i := range a.seqs {
-		n += int64(a.seqs[i].view.n)
-	}
-	return n
-}
-
 // View returns the resident whole-sequence word view of sequence si. The
 // view is shared and read-only; Window positions are absolute sequence
 // coordinates.

@@ -83,8 +83,8 @@ func TestArtifactRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		have := got.View(si)
-		if have.Len() != want.Len() || have.Words() != want.Words() {
-			t.Fatalf("seq %d: view geometry %d/%d, want %d/%d", si, have.Len(), have.Words(), want.Len(), want.Words())
+		if have.Len() != want.Len() || len(have.codes) != len(want.codes) {
+			t.Fatalf("seq %d: view geometry %d/%d, want %d/%d", si, have.Len(), len(have.codes), want.Len(), len(want.codes))
 		}
 		for pos := 0; pos < want.Len(); pos++ {
 			hc, hu := have.Window(pos)

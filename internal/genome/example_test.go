@@ -3,7 +3,8 @@ package genome_test
 import (
 	"fmt"
 	"log"
-	"strings"
+	"os"
+	"path/filepath"
 
 	"casoffinder/internal/genome"
 )
@@ -29,10 +30,18 @@ func ExampleReverseComplemented() {
 	// CCTGTAATC
 }
 
-// ExampleReadFASTA parses a multi-record FASTA stream.
-func ExampleReadFASTA() {
-	in := ">chr1 demo\nACGT\nACGT\n>chr2\nNNNN\n"
-	seqs, err := genome.ReadFASTA(strings.NewReader(in))
+// ExampleReadFASTAFile parses a multi-record FASTA file.
+func ExampleReadFASTAFile() {
+	dir, err := os.MkdirTemp("", "fasta")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "demo.fa")
+	if err := os.WriteFile(path, []byte(">chr1 demo\nACGT\nACGT\n>chr2\nNNNN\n"), 0o644); err != nil {
+		log.Fatal(err)
+	}
+	seqs, err := genome.ReadFASTAFile(path)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +59,7 @@ func ExampleGenerate() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%s: %d chromosomes, %d bases\n", asm.Name, len(asm.Sequences), asm.TotalLen())
+	fmt.Printf("%s: %d chromosomes, %d bases\n", asm.Name, len(asm.Sequences), genome.Compose(asm).TotalBases)
 	// Output:
 	// hg19-like: 24 chromosomes, 100000 bases
 }

@@ -1,19 +1,88 @@
 package genome
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"unicode"
 )
+
+// readFASTARef is the reference parser FuzzReadFASTA holds parseFASTA to: a
+// buffered line loop that copies each line and each record. It must accept
+// the same inputs, build the same records and fail with the same text.
+func readFASTARef(r io.Reader) ([]*Sequence, error) {
+	br := bufio.NewReaderSize(r, 1<<16)
+	var (
+		seqs []*Sequence
+		cur  *Sequence
+		buf  bytes.Buffer
+		line int
+	)
+	flush := func() {
+		if cur != nil {
+			cur.Data = append([]byte(nil), buf.Bytes()...)
+			seqs = append(seqs, cur)
+			buf.Reset()
+		}
+	}
+	for {
+		raw, err := br.ReadBytes('\n')
+		line++
+		if len(raw) > 0 {
+			text := bytes.TrimRight(raw, "\r\n")
+			switch {
+			case len(text) == 0:
+				// blank line, skip
+			case text[0] == '>':
+				flush()
+				header := strings.TrimSpace(string(text[1:]))
+				if header == "" {
+					return nil, fmt.Errorf("genome: line %d: empty FASTA header", line)
+				}
+				name, desc := header, ""
+				if i := strings.IndexFunc(header, unicode.IsSpace); i >= 0 {
+					name, desc = header[:i], strings.TrimSpace(header[i:])
+				}
+				cur = &Sequence{Name: name, Description: desc}
+			case text[0] == ';':
+				// old-style comment line, skip
+			default:
+				if cur == nil {
+					return nil, fmt.Errorf("genome: line %d: sequence data before first header", line)
+				}
+				for i, b := range text {
+					if !IsCode(b) {
+						return nil, fmt.Errorf("genome: line %d: invalid nucleotide code %q at column %d", line, b, i+1)
+					}
+				}
+				buf.Write(text)
+			}
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("genome: reading FASTA: %w", err)
+		}
+	}
+	flush()
+	if len(seqs) == 0 {
+		return nil, ErrEmptyFASTA
+	}
+	return seqs, nil
+}
 
 func TestReadFASTASingle(t *testing.T) {
 	in := ">chr1 test sequence\nACGT\nACGT\n"
-	seqs, err := ReadFASTA(strings.NewReader(in))
+	seqs, err := parseFASTA([]byte(in))
 	if err != nil {
-		t.Fatalf("ReadFASTA: %v", err)
+		t.Fatalf("parseFASTA: %v", err)
 	}
 	if len(seqs) != 1 {
 		t.Fatalf("got %d sequences, want 1", len(seqs))
@@ -32,9 +101,9 @@ func TestReadFASTASingle(t *testing.T) {
 
 func TestReadFASTAMulti(t *testing.T) {
 	in := ">a\nAC\nGT\n\n>b second\nNNNN\n;comment\n>c\nacgt"
-	seqs, err := ReadFASTA(strings.NewReader(in))
+	seqs, err := parseFASTA([]byte(in))
 	if err != nil {
-		t.Fatalf("ReadFASTA: %v", err)
+		t.Fatalf("parseFASTA: %v", err)
 	}
 	if len(seqs) != 3 {
 		t.Fatalf("got %d sequences, want 3", len(seqs))
@@ -47,11 +116,31 @@ func TestReadFASTAMulti(t *testing.T) {
 	}
 }
 
+// TestReadFASTAHeaderWhitespace: the name ends at the first whitespace of
+// any kind, so a tab-separated description cannot leak into it (and from
+// there into the tab-separated hit columns).
+func TestReadFASTAHeaderWhitespace(t *testing.T) {
+	in := ">chr1\tsome description\nACGT\n>chr2 \t spaced  out \nAC\n>chr3\t\nGT\n"
+	seqs, err := parseFASTA([]byte(in))
+	if err != nil {
+		t.Fatalf("parseFASTA: %v", err)
+	}
+	want := []struct{ name, desc string }{{"chr1", "some description"}, {"chr2", "spaced  out"}, {"chr3", ""}}
+	if len(seqs) != len(want) {
+		t.Fatalf("got %d sequences, want %d", len(seqs), len(want))
+	}
+	for i, w := range want {
+		if seqs[i].Name != w.name || seqs[i].Description != w.desc {
+			t.Errorf("seq %d header parsed as (%q, %q), want (%q, %q)", i, seqs[i].Name, seqs[i].Description, w.name, w.desc)
+		}
+	}
+}
+
 func TestReadFASTACRLF(t *testing.T) {
 	in := ">x\r\nACGT\r\nTTTT\r\n"
-	seqs, err := ReadFASTA(strings.NewReader(in))
+	seqs, err := parseFASTA([]byte(in))
 	if err != nil {
-		t.Fatalf("ReadFASTA: %v", err)
+		t.Fatalf("parseFASTA: %v", err)
 	}
 	if string(seqs[0].Data) != "ACGTTTTT" {
 		t.Errorf("Data = %q", seqs[0].Data)
@@ -72,13 +161,24 @@ func TestReadFASTAErrors(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := ReadFASTA(strings.NewReader(tt.in)); err == nil {
-				t.Errorf("ReadFASTA(%q) = nil error, want failure", tt.in)
+			if _, err := parseFASTA([]byte(tt.in)); err == nil {
+				t.Errorf("parseFASTA(%q) = nil error, want failure", tt.in)
 			}
 		})
 	}
-	if _, err := ReadFASTA(strings.NewReader("")); !errors.Is(err, ErrEmptyFASTA) {
+	if _, err := parseFASTA([]byte("")); !errors.Is(err, ErrEmptyFASTA) {
 		t.Errorf("empty input error = %v, want ErrEmptyFASTA", err)
+	}
+}
+
+// TestReadFASTAInvalidCodePosition: a bad byte found by the table scan is
+// reported at its own line and column, past the blank line and the first
+// eight-byte step alike.
+func TestReadFASTAInvalidCodePosition(t *testing.T) {
+	_, err := parseFASTA([]byte(">x\nACGT\n\nACGTACGTACGTAC#T\n"))
+	want := `genome: line 4: invalid nucleotide code '#' at column 15`
+	if err == nil || err.Error() != want {
+		t.Errorf("error = %v, want %s", err, want)
 	}
 }
 
@@ -92,9 +192,9 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err := WriteFASTA(&buf, seqs, 10); err != nil {
 		t.Fatalf("WriteFASTA: %v", err)
 	}
-	got, err := ReadFASTA(&buf)
+	got, err := parseFASTA(buf.Bytes())
 	if err != nil {
-		t.Fatalf("ReadFASTA: %v", err)
+		t.Fatalf("parseFASTA: %v", err)
 	}
 	if len(got) != len(seqs) {
 		t.Fatalf("round trip lost sequences: %d != %d", len(got), len(seqs))
@@ -133,8 +233,8 @@ func TestLoadDir(t *testing.T) {
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Errorf("sequence order = %v, want %v", names, want)
 	}
-	if asm.TotalLen() != 12 {
-		t.Errorf("TotalLen = %d, want 12", asm.TotalLen())
+	if n := Compose(asm).TotalBases; n != 12 {
+		t.Errorf("TotalBases = %d, want 12", n)
 	}
 	if asm.Sequence("chrB") == nil || asm.Sequence("nope") != nil {
 		t.Error("Sequence lookup misbehaved")
@@ -225,5 +325,103 @@ func TestWriteFASTAFile(t *testing.T) {
 	}
 	if string(got[0].Data) != "ACGT" {
 		t.Errorf("Data = %q", got[0].Data)
+	}
+}
+
+// TestReadFASTAFileDataAliasing pins the layout of a parsed file: records
+// share one buffer, each capped at its own length, so growing one record
+// moves it and leaves its neighbours' bytes alone.
+func TestReadFASTAFileDataAliasing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.fa")
+	in := ">a\nACGT\nAC\n>b desc\nGGGG\n>c\n>d\nTT\nNN\n"
+	if err := os.WriteFile(path, []byte(in), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	seqs, err := ReadFASTAFile(path)
+	if err != nil {
+		t.Fatalf("ReadFASTAFile: %v", err)
+	}
+	want := []string{"ACGTAC", "GGGG", "", "TTNN"}
+	if len(seqs) != len(want) {
+		t.Fatalf("got %d sequences, want %d", len(seqs), len(want))
+	}
+	for _, s := range seqs {
+		if cap(s.Data) != len(s.Data) {
+			t.Errorf("seq %s: cap(Data) = %d, len %d", s.Name, cap(s.Data), len(s.Data))
+		}
+	}
+	for i := range seqs[:len(seqs)-1] {
+		grown := append(seqs[i].Data, "TTTTTTTT"...)
+		if string(grown) != want[i]+"TTTTTTTT" {
+			t.Errorf("append to seq %s gave %q", seqs[i].Name, grown)
+		}
+		for j, s := range seqs {
+			if string(s.Data) != want[j] {
+				t.Fatalf("after appending to seq %s, seq %s = %q, want %q", seqs[i].Name, s.Name, s.Data, want[j])
+			}
+		}
+	}
+}
+
+// writeGenerated writes asm as a FASTA file wrapped at width bases.
+func writeGenerated(tb testing.TB, asm *Assembly, width int) string {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), fmt.Sprintf("w%d.fa", width))
+	if err := WriteFASTAFile(path, asm.Sequences, width); err != nil {
+		tb.Fatal(err)
+	}
+	return path
+}
+
+// TestReadFASTAFileAllocsFlat: the parse allocates per record, never per
+// line, so the same records wrapped six times as often cost no more
+// allocations.
+func TestReadFASTAFileAllocsFlat(t *testing.T) {
+	asm, err := Generate(HG38Like(1 << 15))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := map[int]float64{}
+	for _, width := range []int{10, 60} {
+		path := writeGenerated(t, asm, width)
+		allocs[width] = testing.AllocsPerRun(5, func() {
+			if _, err := ReadFASTAFile(path); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[10] != allocs[60] {
+		t.Errorf("ReadFASTAFile allocations: %v at 10 bases per line, %v at 60", allocs[10], allocs[60])
+	}
+}
+
+var benchSeqs []*Sequence
+
+// BenchmarkReadFASTAFile is the FASTA parse alone: MB/s of file read and
+// parsed, and allocations per parse, over a generated 16 Mbase assembly at
+// two line widths. Allocations stay a few per record at either width.
+func BenchmarkReadFASTAFile(b *testing.B) {
+	asm, err := Generate(HG38Like(1 << 24))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, width := range []int{10, 60} {
+		path := writeGenerated(b, asm, width)
+		info, err := os.Stat(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			b.SetBytes(info.Size())
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				seqs, err := ReadFASTAFile(path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSeqs = seqs
+			}
+			b.ReportMetric(float64(len(benchSeqs)), "records")
+		})
 	}
 }

@@ -2,13 +2,15 @@ package genome
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
 )
 
-// FuzzReadFASTA checks the parser never panics and that everything it
-// accepts round-trips through the writer.
+// FuzzReadFASTA checks the parser never panics, that it agrees with the
+// reference line loop record for record and error for error, and that
+// everything it accepts round-trips through the writer.
 func FuzzReadFASTA(f *testing.F) {
 	f.Add(">chr1\nACGT\n")
 	f.Add(">a desc\nACGT\nNNNN\n>b\nacgt\n")
@@ -16,16 +18,38 @@ func FuzzReadFASTA(f *testing.F) {
 	f.Add(">\n")
 	f.Add("ACGT\n")
 	f.Add(">x\r\nAC\r\n")
+	f.Add(">x\r\r\nAC\r\r\nGT\r\n")
+	f.Add(">x\nACGT\nAC")
+	f.Add("\n;c\n>x\n\nAC\n;mid\n\nGT\n\n")
+	f.Add(">a\n>b\nAC\n>c\n")
+	f.Add("\n;c\nAC\n>x\nA\n")
+	f.Add(">x\nACGT\nAC!GT\nAC\n")
+	f.Add(">x\nACGT\nACG*")
+	f.Add(">chr1\tsome description\nACGT\n")
+	f.Add(">x\nACGTACGTACGTAC#TACGT\nAC\n")
 	f.Fuzz(func(t *testing.T, in string) {
-		seqs, err := ReadFASTA(strings.NewReader(in))
+		seqs, err := parseFASTA([]byte(in))
+		want, wantErr := readFASTARef(strings.NewReader(in))
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("error %v, reference %v", err, wantErr)
+		}
 		if err != nil {
 			return
+		}
+		if len(seqs) != len(want) {
+			t.Fatalf("%d records, reference %d", len(seqs), len(want))
+		}
+		for i := range seqs {
+			if seqs[i].Name != want[i].Name || seqs[i].Description != want[i].Description || !bytes.Equal(seqs[i].Data, want[i].Data) {
+				t.Fatalf("record %d = (%q, %q, %q), reference (%q, %q, %q)", i,
+					seqs[i].Name, seqs[i].Description, seqs[i].Data, want[i].Name, want[i].Description, want[i].Data)
+			}
 		}
 		var buf bytes.Buffer
 		if err := WriteFASTA(&buf, seqs, 60); err != nil {
 			t.Fatalf("accepted input failed to write: %v", err)
 		}
-		again, err := ReadFASTA(&buf)
+		again, err := parseFASTA(buf.Bytes())
 		if err != nil {
 			t.Fatalf("written FASTA failed to parse: %v", err)
 		}

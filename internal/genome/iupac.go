@@ -128,10 +128,6 @@ var complementTable = func() [256]byte {
 	return t
 }()
 
-// Complement returns the IUPAC complement of code b. Bytes that are not
-// nucleotide codes are returned unchanged; case is preserved.
-func Complement(b byte) byte { return complementTable[b] }
-
 // ReverseComplement reverses seq in place and complements every code.
 func ReverseComplement(seq []byte) {
 	for i, j := 0, len(seq)-1; i < j; i, j = i+1, j-1 {

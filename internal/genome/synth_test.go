@@ -31,8 +31,8 @@ func TestGenerateSize(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Generate(%d): %v", total, err)
 		}
-		if got := asm.TotalLen(); got != int64(total) {
-			t.Errorf("TotalLen = %d, want %d", got, total)
+		if got := Compose(asm).TotalBases; got != int64(total) {
+			t.Errorf("TotalBases = %d, want %d", got, total)
 		}
 	}
 }

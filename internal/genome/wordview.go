@@ -87,9 +87,6 @@ func NewWordView(seq []byte, reuse *WordView) (*WordView, error) {
 // Len returns the number of bases the view covers.
 func (v *WordView) Len() int { return v.n }
 
-// Words returns the number of data words (excluding the padding word).
-func (v *WordView) Words() int { return len(v.codes) - 1 }
-
 // Window returns the 32-base window starting at pos as a code word and an
 // unknown-lane word: lane i holds base pos+i. pos must be in [0, Len);
 // lanes that fall at or past Len come back marked unknown.

@@ -51,8 +51,8 @@ func checkView(t *testing.T, seq []byte, v *WordView) {
 	if v.Len() != n {
 		t.Fatalf("view Len = %d, want %d", v.Len(), n)
 	}
-	if want := (n + 31) / 32; v.Words() != want {
-		t.Fatalf("view Words = %d, want %d", v.Words(), want)
+	if want := (n + 31) / 32; len(v.codes)-1 != want {
+		t.Fatalf("view has %d data words, want %d", len(v.codes)-1, want)
 	}
 	for pos := 0; pos < n; pos++ {
 		code, unk := v.Window(pos)
@@ -197,7 +197,7 @@ func TestPackEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewWordView(nil): %v", err)
 	}
-	if v.Len() != 0 || v.Words() != 0 || len(unpack(v)) != 0 {
+	if v.Len() != 0 || len(v.codes) != 1 || len(unpack(v)) != 0 {
 		t.Error("empty view not empty")
 	}
 }

@@ -25,7 +25,7 @@ func benchAssembly(b *testing.B, bases int) *genome.Assembly {
 }
 
 func benchRun(b *testing.B, eng Engine, asm *genome.Assembly, req *Request) {
-	b.SetBytes(asm.TotalLen())
+	b.SetBytes(genome.Compose(asm).TotalBases)
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Run(asm, req); err != nil {
 			b.Fatal(err)
@@ -112,7 +112,7 @@ func BenchmarkMultiPatternBatch(b *testing.B) {
 	b.Run("unbatched", func(b *testing.B) { benchRun(b, &refCPU{Arm: refNoBatch}, asm, req) })
 	b.Run("independent", func(b *testing.B) {
 		eng := &CPU{}
-		b.SetBytes(asm.TotalLen())
+		b.SetBytes(genome.Compose(asm).TotalBases)
 		for i := 0; i < b.N; i++ {
 			for _, q := range req.Queries {
 				sub := &Request{Pattern: req.Pattern, Queries: []Query{q}}

@@ -71,7 +71,7 @@ func ExampleCPU_Run_quickstart() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("generated %s: %d sequences, %d bases\n", asm.Name, len(asm.Sequences), asm.TotalLen())
+	fmt.Printf("generated %s: %d sequences, %d bases\n", asm.Name, len(asm.Sequences), genome.Compose(asm).TotalBases)
 	guide := candidateGuides(genome.Upper(asm.Sequence("chr1").Data), 1)[0]
 	req := &search.Request{
 		Pattern: strings.Repeat("N", 20) + "NGG", // SpCas9: 20-nt guide, NGG PAM
@@ -128,7 +128,7 @@ func ExampleCPU_Run_guideScreen() {
 		s.burden += 1 << (2 * (maxMM - h.Mismatches))
 	}
 	sort.SliceStable(scores, func(i, j int) bool { return scores[i].burden < scores[j].burden })
-	fmt.Printf("%d candidate guides against %d bases\n", len(guides), asm.TotalLen())
+	fmt.Printf("%d candidate guides against %d bases\n", len(guides), genome.Compose(asm).TotalBases)
 	for _, s := range scores {
 		fmt.Printf("%s  sites by mismatches %v  burden %d\n", s.guide, s.byMM, s.burden)
 	}

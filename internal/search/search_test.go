@@ -454,7 +454,7 @@ func TestProfileCollection(t *testing.T) {
 	if p.Launches["finder"] != p.Chunks {
 		t.Errorf("finder launches %d != chunks %d", p.Launches["finder"], p.Chunks)
 	}
-	if p.BytesStaged <= int64(asm.TotalLen()) {
+	if p.BytesStaged <= genome.Compose(asm).TotalBases {
 		t.Errorf("BytesStaged = %d, should exceed genome size", p.BytesStaged)
 	}
 	if p.CandidateSites == 0 || p.Entries == 0 {
