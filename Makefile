@@ -36,9 +36,13 @@ race:
 # and the tuner over it (internal/isa's one mutex is all that guards a first
 # compile raced by a fleet's slots, and tune.Select keeps no state of its
 # own: TestCompileMemoized and TestSelectDeterministic call both from
-# several goroutines), the simulator core, the arena suite and the executor
-# (internal/pipeline: the one-slot contract, the fleet and its reorder
-# window) twenty times each under the race detector at
+# several goroutines), the simulator core, the arena suite, the two host
+# APIs (internal/sycl's dependency tests are the only concurrency tests of
+# SYCL's asynchronous submission: command groups ordered by their buffer
+# accesses, within a queue and across two, and the async handler told before
+# the event completes) and the executor (internal/pipeline: the one-slot
+# contract, the fleet and its reorder window) twenty times each under the
+# race detector at
 # one, two and eight Ps — every reported counter must be a function of the
 # input, whatever the interleaving — with Tables VIII and IX and Fig. 2
 # rendered against their golden CSVs and the daemon's response flush tests (a timer, the pass
@@ -63,7 +67,7 @@ race:
 # beside a flaky one) and TestMultiSYCLSchedFailsOverPerDevice (every device
 # dead, each slot failing over on its own fallback).
 stress:
-	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/kernels ./internal/isa ./internal/tune ./internal/gpu ./internal/gpu/alloc ./internal/pipeline -skip '^TestGroupMatchesReference$$'
+	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/kernels ./internal/isa ./internal/tune ./internal/gpu ./internal/gpu/alloc ./internal/sycl ./internal/opencl ./internal/pipeline -skip '^TestGroupMatchesReference$$'
 	$(GO) test -race -count 1 -cpu 1,2,8 ./internal/kernels -run '^TestGroupMatchesReference$$'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./cmd/benchtab -run 'TestRunCSV'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/serve/ -run 'TestFlush'

@@ -11,10 +11,28 @@ import (
 
 const tinyScale = 1 << 15
 
+// TestRunStaticTables renders the static artifacts; Table I and the
+// migration tables (II-VI) must match their goldens byte for byte.
 func TestRunStaticTables(t *testing.T) {
 	for _, table := range []string{"1", "7", "10", "migration", "listing"} {
 		if err := run(io.Discard, table, tinyScale, "MI100"); err != nil {
 			t.Errorf("run(%s): %v", table, err)
+		}
+	}
+	for table, golden := range map[string]string{
+		"1":         "testdata/table1.txt",
+		"migration": "testdata/migration.txt",
+	} {
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := run(&b, table, tinyScale, "MI100"); err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != string(want) {
+			t.Errorf("-table %s:\n%s\nwant %s:\n%s", table, b.String(), golden, want)
 		}
 	}
 	// The listing leads with the finder's footprint, the one kernel Table X

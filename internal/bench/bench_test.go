@@ -354,15 +354,43 @@ func TestChunkSweepShape(t *testing.T) {
 	}
 }
 
+// TestRenderMigrationTables: every name the rendered tables print is one a
+// migration row gives — so one the type-checked check verified — and every
+// name a row gives is printed.
 func TestRenderMigrationTables(t *testing.T) {
-	s := RenderMigrationTables()
-	for _, part := range []string{
-		"Table II", "Table III", "Table IV", "Table V", "Table VI",
-		"clCreateBuffer", "NewBufferFrom", "atomic_ref", "parallel_for",
-		"Kernel.SetArg", "Handler.ParallelFor",
-	} {
-		if !strings.Contains(s, part) {
-			t.Errorf("migration tables missing %q", part)
+	given := map[string]int{}
+	for _, r := range migrationRows {
+		for _, api := range [][]string{r.opencl.api, r.sycl.api, r.kernel} {
+			for _, name := range api {
+				given[name]++
+			}
+		}
+	}
+	printed := map[string]int{}
+	for _, line := range strings.Split(RenderMigrationTables(), "\n") {
+		if _, names, ok := strings.Cut(line, "-> "); ok {
+			for _, name := range strings.Split(names, ", ") {
+				printed[name]++
+			}
+		}
+	}
+	for _, line := range strings.Split(RenderTable1(), "\n")[1:] {
+		for _, col := range strings.Split(line, " | ") {
+			if _, names, ok := strings.Cut(col, " ("); ok {
+				for _, name := range strings.Split(strings.TrimSuffix(strings.TrimSpace(names), ")"), ", ") {
+					printed[name]++
+				}
+			}
+		}
+	}
+	for name, n := range printed {
+		if given[name] != n {
+			t.Errorf("%s printed %d times, named %d times by the rows", name, n, given[name])
+		}
+	}
+	for name := range given {
+		if printed[name] == 0 {
+			t.Errorf("%s named by a row but never printed", name)
 		}
 	}
 }

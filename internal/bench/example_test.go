@@ -9,9 +9,7 @@ import (
 	"casoffinder/internal/gpu"
 	"casoffinder/internal/gpu/device"
 	"casoffinder/internal/kernels"
-	"casoffinder/internal/opencl"
 	"casoffinder/internal/search"
-	"casoffinder/internal/sycl"
 )
 
 // Example_migration runs the identical off-target search through the
@@ -23,14 +21,7 @@ import (
 // 256-item groups (§IV.A); fewer groups mean fewer serialised leader
 // prefetches, part of the Table VIII gap.
 func Example_migration() {
-	oclSteps, syclSteps := opencl.ProgrammingSteps(), sycl.ProgrammingSteps()
-	fmt.Printf("OpenCL needs %d logical steps, SYCL %d:\n", len(oclSteps), len(syclSteps))
-	for i, s := range oclSteps {
-		fmt.Printf("  OpenCL %2d. %s\n", i+1, s)
-	}
-	for i, s := range syclSteps {
-		fmt.Printf("  SYCL   %2d. %s\n", i+1, s)
-	}
+	fmt.Print(bench.RenderTable1())
 
 	asm, err := genome.Generate(genome.HG19Like(1 << 20))
 	if err != nil {
@@ -72,28 +63,20 @@ func Example_migration() {
 		}
 	}
 	// Output:
-	// OpenCL needs 13 logical steps, SYCL 8:
-	//   OpenCL  1. Platform query (NewPlatform)
-	//   OpenCL  2. Device query of a platform (Platform.GetDevices)
-	//   OpenCL  3. Create context for devices (CreateContext)
-	//   OpenCL  4. Create command queue for context (Context.CreateCommandQueue)
-	//   OpenCL  5. Create memory objects (CreateBuffer)
-	//   OpenCL  6. Create program object (Context.CreateProgramWithSource)
-	//   OpenCL  7. Build a program (Program.Build)
-	//   OpenCL  8. Create kernel(s) (Program.CreateKernel)
-	//   OpenCL  9. Set kernel arguments (Kernel.SetArg)
-	//   OpenCL 10. Enqueue a kernel object for execution (CommandQueue.EnqueueNDRangeKernel)
-	//   OpenCL 11. Transfer data from device to host (EnqueueReadBuffer)
-	//   OpenCL 12. Event handling (Event.Wait / CommandQueue.Finish)
-	//   OpenCL 13. Release resources (Release on every object)
-	//   SYCL    1. Device selector class (DeviceSelector)
-	//   SYCL    2. Queue class (NewQueue)
-	//   SYCL    3. Buffer class (NewBuffer / NewBufferFrom)
-	//   SYCL    4. Lambda expressions (command-group function with kernel body)
-	//   SYCL    5. Submit a SYCL kernel to a queue (Queue.Submit + Handler.ParallelFor)
-	//   SYCL    6. Implicit transfers via accessors (Access / AccessRange / Copy*)
-	//   SYCL    7. Event class (Event.Wait / Queue.Wait)
-	//   SYCL    8. Implicit release via destructors (Buffer.Destroy write-back)
+	// Table I: programming steps — OpenCL (13) vs SYCL (8)
+	//  1  Platform query (opencl.NewPlatform)                                           | Device selector class (sycl.GPUSelector)
+	//  2  Device query of a platform (opencl.Platform.GetDevices, opencl.DeviceTypeGPU) | Queue class (sycl.NewQueue, sycl.Queue.SetAsyncHandler)
+	//  3  Create context for devices (opencl.CreateContext)                             | Buffer class (sycl.NewBuffer, sycl.NewBufferFrom, sycl.NewConstantBuffer)
+	//  4  Create command queue for context (opencl.Context.CreateCommandQueue)          | Lambda expressions (sycl.Handler, sycl.NewLocalAccessor, sycl.LocalAccessor.Slice)
+	//  5  Create memory objects (opencl.CreateBuffer)                                   | Submit a SYCL kernel to a queue (sycl.Queue.Submit, sycl.Handler.ParallelForPhases)
+	//  6  Create program object (opencl.Context.CreateProgramWithSource)                | Implicit transfers via accessors (sycl.Access, sycl.Accessor.Slice, sycl.Buffer.SnapshotRange)
+	//  7  Build a program (opencl.Program.Build)                                        | Event class (sycl.Event.Wait, sycl.Event.Stats)
+	//  8  Create kernel(s) (opencl.Program.CreateKernel)                                | Implicit release via destructors (sycl.Buffer.Destroy)
+	//  9  Set kernel arguments (opencl.Kernel.SetArg, opencl.Kernel.SetArgLocal)
+	// 10  Enqueue a kernel object for execution (opencl.CommandQueue.EnqueueNDRangeKernel)
+	// 11  Transfer data from device to host (opencl.EnqueueReadBuffer)
+	// 12  Event handling (opencl.Event.Wait, opencl.Event.Stats)
+	// 13  Release resources (opencl.Mem.Release, opencl.Kernel.Release, opencl.Program.Release, opencl.CommandQueue.Release, opencl.Context.Release)
 	// on MI100: OpenCL 6 hits, SYCL 6 hits, identical: true
 	// OpenCL:
 	//   comparer wg=64  launches=48  items=380288 groups=5942 gld=9287340(20945091B) gst=18(42B) cld=0 lld=48612167 lst=546664 atom=18 barrier=380288 alu=97984898 br=4412319/4412325

@@ -7,8 +7,6 @@ import (
 	"casoffinder/internal/gpu/device"
 	"casoffinder/internal/isa"
 	"casoffinder/internal/kernels"
-	"casoffinder/internal/opencl"
-	"casoffinder/internal/sycl"
 )
 
 // Table8Row is one device row of Table VIII: elapsed OpenCL vs SYCL time
@@ -143,30 +141,6 @@ func Fig2(scaleBases int) ([]Fig2Point, error) {
 		}
 	}
 	return points, nil
-}
-
-// RenderTable1 renders the Table I programming-step contrast from the two
-// live frontends.
-func RenderTable1() string {
-	var b strings.Builder
-	ocl := opencl.ProgrammingSteps()
-	syc := sycl.ProgrammingSteps()
-	fmt.Fprintf(&b, "Table I: programming steps — OpenCL (%d) vs SYCL (%d)\n", len(ocl), len(syc))
-	n := len(ocl)
-	if len(syc) > n {
-		n = len(syc)
-	}
-	for i := 0; i < n; i++ {
-		var l, r string
-		if i < len(ocl) {
-			l = ocl[i]
-		}
-		if i < len(syc) {
-			r = syc[i]
-		}
-		fmt.Fprintf(&b, "%2d  %-72s | %s\n", i+1, l, r)
-	}
-	return b.String()
 }
 
 // RenderTable7 renders the device registry as Table VII.

@@ -152,7 +152,7 @@ type Device struct {
 // of the published page, so the accounted traffic of a launch that fits its
 // arena is a function of what each group emits.
 func (d *Device) Claim(g *gpu.Group) int {
-	grp, st := g.ID(0), g.Stats()
+	grp, st := g.ID(), g.Stats()
 	off := st.AtomicIncUint32(&d.Count[grp])
 	if int(off) >= d.PageSlots {
 		// Only reachable when the host sized pages below the group's
@@ -192,7 +192,7 @@ func (d *Device) ClaimN(g *gpu.Group, k int) (first, got int) {
 	if k <= 0 {
 		return -1, 0
 	}
-	grp, st := g.ID(0), g.Stats()
+	grp, st := g.ID(), g.Stats()
 	// One emission-counter add per claim; the claims at offsets inside the
 	// page each read the published page, except a leader's, which takes a
 	// page from the cursor and publishes it (two operations).

@@ -18,9 +18,9 @@ func testDevice() *gpu.Device {
 
 // perItem is a barrier-free kernel: one phase that runs body for every
 // work-item of the group.
-func perItem(body func(it *gpu.Item)) gpu.PhaseKernel {
+func perItem(body func(g *gpu.Group, it *gpu.Item)) gpu.PhaseKernel {
 	return func() []gpu.Phase {
-		return []gpu.Phase{func(g *gpu.Group) { g.Each(body) }}
+		return []gpu.Phase{func(g *gpu.Group) { g.Each(func(it *gpu.Item) { body(g, it) }) }}
 	}
 }
 
@@ -106,17 +106,17 @@ func TestClaimCompactsSparseEmissions(t *testing.T) {
 	dev := h.Device()
 	if _, err := testDevice().Launch(gpu.LaunchSpec{
 		Name:   "emit",
-		Global: gpu.R1(groups * wg),
-		Local:  gpu.R1(wg),
-		Phases: perItem(func(it *gpu.Item) {
-			if !emits(it.GroupID(0), it.LocalID(0)) {
+		Global: groups * wg,
+		Local:  wg,
+		Phases: perItem(func(g *gpu.Group, it *gpu.Item) {
+			if !emits(it.GroupID(), it.LocalID()) {
 				return
 			}
-			slot := dev.Claim(it.Group())
+			slot := dev.Claim(g)
 			if slot < 0 {
 				return
 			}
-			data[slot] = uint32(it.GlobalID(0))
+			data[slot] = uint32(it.GlobalID())
 		}),
 	}); err != nil {
 		t.Fatal(err)
@@ -207,14 +207,14 @@ func TestClaimOverflowRefitRetry(t *testing.T) {
 		dev := h.Device()
 		if _, err := d.Launch(gpu.LaunchSpec{
 			Name:   "emit-some",
-			Global: gpu.R1(groups * wg),
-			Local:  gpu.R1(wg),
-			Phases: perItem(func(it *gpu.Item) {
-				if !emits(it.GroupID(0)) {
+			Global: groups * wg,
+			Local:  wg,
+			Phases: perItem(func(g *gpu.Group, it *gpu.Item) {
+				if !emits(it.GroupID()) {
 					return
 				}
-				if slot := dev.Claim(it.Group()); slot >= 0 {
-					data[slot] = uint32(it.GlobalID(0)) + 1
+				if slot := dev.Claim(g); slot >= 0 {
+					data[slot] = uint32(it.GlobalID()) + 1
 				}
 			}),
 		}); err != nil {
@@ -261,11 +261,11 @@ func TestClaimDeterministicTotals(t *testing.T) {
 		dev := h.Device()
 		stats, err := testDevice().Launch(gpu.LaunchSpec{
 			Name:   "emit",
-			Global: gpu.R1(groups * wg),
-			Local:  gpu.R1(wg),
-			Phases: perItem(func(it *gpu.Item) {
-				if it.GlobalID(0)%3 == 0 {
-					dev.Claim(it.Group())
+			Global: groups * wg,
+			Local:  wg,
+			Phases: perItem(func(g *gpu.Group, it *gpu.Item) {
+				if it.GlobalID()%3 == 0 {
+					dev.Claim(g)
 				}
 			}),
 		})
@@ -302,11 +302,11 @@ func TestClaimNMatchesClaims(t *testing.T) {
 		d := h.Device()
 		st, err := dev.Launch(gpu.LaunchSpec{
 			Name:   "claim",
-			Global: gpu.R1(groups),
-			Local:  gpu.R1(1),
+			Global: groups,
+			Local:  1,
 			Phases: func() []gpu.Phase {
 				return []gpu.Phase{func(g *gpu.Group) {
-					if g.ID(0) == grp {
+					if g.ID() == grp {
 						body(d, g)
 					}
 				}}

@@ -20,14 +20,14 @@ func TestPhasesLeaderPrefetch(t *testing.T) {
 	results := make([]int32, groups*local)
 	_, err := d.Launch(LaunchSpec{
 		Name:   "prefetch_phases",
-		Global: R1(groups * local),
-		Local:  R1(local),
+		Global: groups * local,
+		Local:  local,
 		Phases: func() []Phase {
 			shared := make([]int32, local) // reused across the worker's groups
 			return []Phase{
 				func(g *Group) {
 					for k := range shared {
-						shared[k] = int32(g.ID(0)*1000 + k)
+						shared[k] = int32(g.ID()*1000 + k)
 					}
 				},
 				func(g *Group) {
@@ -55,15 +55,19 @@ func TestBarrierFreeCoverage(t *testing.T) {
 	seen := make([]int32, global)
 	_, err := d.Launch(LaunchSpec{
 		Name:   "cover_coop",
-		Global: R1(global),
-		Local:  R1(local),
-		Phases: perItem(func(it *Item) {
-			gid := it.GlobalID(0)
-			if gid != it.GroupID(0)*it.LocalRange(0)+it.LocalID(0) || gid != it.Group().Base()+it.LocalID(0) {
-				t.Errorf("item %d: coordinate mismatch", gid)
-			}
-			seen[gid]++ // unique index per item: no race
-		}),
+		Global: global,
+		Local:  local,
+		Phases: func() []Phase {
+			return []Phase{func(g *Group) {
+				g.Each(func(it *Item) {
+					gid := it.GlobalID()
+					if gid != it.GroupID()*it.LocalRange()+it.LocalID() || gid != g.Base()+it.LocalID() {
+						t.Errorf("item %d: coordinate mismatch", gid)
+					}
+					seen[gid]++ // unique index per item: no race
+				})
+			}}
+		},
 	})
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
@@ -94,11 +98,11 @@ func TestPhasesStatsParity(t *testing.T) {
 		s.StoreGlobal(4)
 	}
 	perAccess, err := d.Launch(LaunchSpec{
-		Name: "parity_items", Global: R1(global), Local: R1(local),
+		Name: "parity_items", Global: global, Local: local,
 		Phases: func() []Phase {
 			return []Phase{
 				func(g *Group) { g.Each(func(it *Item) { stage(it.Stats) }) },
-				func(g *Group) { g.Each(func(it *Item) { scan(it.Stats, it.GlobalID(0)%2 == 0) }) },
+				func(g *Group) { g.Each(func(it *Item) { scan(it.Stats, it.GlobalID()%2 == 0) }) },
 			}
 		},
 	})
@@ -110,7 +114,7 @@ func TestPhasesStatsParity(t *testing.T) {
 	scan(&even, true)
 	scan(&odd, false)
 	perGroup, err := d.Launch(LaunchSpec{
-		Name: "parity_groups", Global: R1(global), Local: R1(local),
+		Name: "parity_groups", Global: global, Local: local,
 		Phases: func() []Phase {
 			return []Phase{
 				func(g *Group) { g.Stats().AddScaled(&stageCost, int64(g.Size())) },
@@ -142,8 +146,8 @@ func TestPhaseFactoryPerWorker(t *testing.T) {
 	var calls atomic.Int32
 	_, err := d.Launch(LaunchSpec{
 		Name:   "factory_count",
-		Global: R1(groups * local),
-		Local:  R1(local),
+		Global: groups * local,
+		Local:  local,
 		Phases: func() []Phase {
 			calls.Add(1)
 			return []Phase{func(g *Group) {}}
@@ -166,12 +170,12 @@ func TestPhasesAtomicCompaction(t *testing.T) {
 	slots := make([]int32, n)
 	_, err := d.Launch(LaunchSpec{
 		Name:   "compact_coop",
-		Global: R1(n),
-		Local:  R1(128),
+		Global: n,
+		Local:  128,
 		Phases: perItem(func(it *Item) {
-			if it.GlobalID(0)%3 == 0 {
+			if it.GlobalID()%3 == 0 {
 				old := it.AtomicIncUint32(&count)
-				slots[old] = int32(it.GlobalID(0))
+				slots[old] = int32(it.GlobalID())
 			}
 		}),
 	})
@@ -205,7 +209,7 @@ func TestLaunchSpecValidation(t *testing.T) {
 		{"nil phase", "nil phase 1", func() []Phase { return []Phase{nop, nil} }},
 		{"panicking phase", "panicked: boom", func() []Phase {
 			return []Phase{nop, func(g *Group) {
-				if g.Linear()%7 == 3 {
+				if g.ID()%7 == 3 {
 					panic("boom")
 				}
 			}}
@@ -221,7 +225,7 @@ func TestLaunchSpecValidation(t *testing.T) {
 			for _, sh := range shapes {
 				before := runtime.NumGoroutine()
 				d := New(device.MI100(), WithWorkers(sh.workers))
-				stats, err := d.Launch(LaunchSpec{Name: "k", Global: R1(sh.groups * 64), Local: R1(64), Phases: tc.kernel})
+				stats, err := d.Launch(LaunchSpec{Name: "k", Global: sh.groups * 64, Local: 64, Phases: tc.kernel})
 				if err == nil || stats != nil {
 					t.Fatalf("%s: Launch = %v, %v; want a launch error", sh.name, stats, err)
 				}
@@ -257,8 +261,8 @@ func TestConcurrentCooperativeLaunches(t *testing.T) {
 			out := make([]int32, 4096)
 			_, err := d.Launch(LaunchSpec{
 				Name:   "stress_coop",
-				Global: R1(4096),
-				Local:  R1(64),
+				Global: 4096,
+				Local:  64,
 				Phases: func() []Phase {
 					shared := make([]int32, 64)
 					return []Phase{
@@ -269,7 +273,7 @@ func TestConcurrentCooperativeLaunches(t *testing.T) {
 						},
 						func(g *Group) {
 							g.Each(func(it *Item) {
-								out[it.GlobalID(0)] = shared[it.LocalID(0)] + int32(it.GlobalID(0))
+								out[it.GlobalID()] = shared[it.LocalID()] + int32(it.GlobalID())
 							})
 						},
 					}

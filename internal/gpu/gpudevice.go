@@ -77,9 +77,6 @@ func (d *Device) SetObs(t *obs.Tracer, m *obs.Metrics, track string) {
 	d.obsTrace, d.obsMetrics, d.obsTrack = t, m, track
 }
 
-// Trace returns the attached tracer; nil means launches are untraced.
-func (d *Device) Trace() *obs.Tracer { return d.obsTrace }
-
 // Instant records a run-scoped instant marker on the device's trace track;
 // the frontends use it for events without a duration (a lost device, an
 // async exception). No-op when no tracer is attached.

@@ -20,12 +20,14 @@ type LocalArg struct {
 }
 
 // LaunchSpec describes one kernel launch: the kernel name (for the launch
-// log), the ND-range decomposition, and the kernel as a PhaseKernel — the
-// one launch contract.
+// log), the one-dimensional ND-range decomposition, and the kernel as a
+// PhaseKernel — the one launch contract.
 type LaunchSpec struct {
-	Name   string
-	Global Range
-	Local  Range
+	Name string
+	// Global is the ND-range's work-item count and Local the work-group's;
+	// Local must divide Global.
+	Global int
+	Local  int
 	// Phases is the kernel body split at its barrier points, built once per
 	// executing worker and run once per work-group. A kernel without a
 	// barrier is a single phase.
@@ -38,15 +40,6 @@ type LaunchSpec struct {
 	// timeout) ends it. A nil Ctx, or one with no deadline, turns injected
 	// hangs into immediate launch failures, so nothing can block forever.
 	Ctx context.Context
-}
-
-// launchState is the per-launch context shared by all groups.
-type launchState struct {
-	dev       *Device
-	global    Range
-	local     Range
-	gridDim   [MaxDims]int // work-groups per dimension
-	groupSize int          // work-items per group
 }
 
 // inlineLaunchItems bounds the launches that run entirely on
@@ -100,26 +93,21 @@ func (d *Device) launch(spec *LaunchSpec) (*Stats, error) {
 			spec.Name, spec.LDSBytesPerWG, d.spec.LDSPerCUBytes)
 	}
 
-	ls := &launchState{dev: d, global: spec.Global, local: spec.Local, groupSize: spec.Local.Total()}
-	numGroups := 1
-	for dim := 0; dim < MaxDims; dim++ {
-		ls.gridDim[dim] = spec.Global.Size(dim) / spec.Local.Size(dim)
-		numGroups *= ls.gridDim[dim]
-	}
+	numGroups := spec.Global / spec.Local
 
 	workers := d.workers
 	if workers > numGroups {
 		workers = numGroups
 	}
-	if workers < 1 || numGroups*ls.groupSize <= inlineLaunchItems {
+	if workers < 1 || spec.Global <= inlineLaunchItems {
 		workers = 1
 	}
 
 	var total Stats
-	if err := runGroups(spec.Phases, ls, numGroups, workers, &total); err != nil {
+	if err := runGroups(spec.Phases, spec.Local, numGroups, workers, &total); err != nil {
 		return nil, fmt.Errorf("gpu: launch %q: %w", spec.Name, err)
 	}
-	total.WorkItems = int64(spec.Global.Total())
+	total.WorkItems = int64(spec.Global)
 	return &total, nil
 }
 
@@ -159,7 +147,7 @@ func (d *Device) injectLaunchFault(spec *LaunchSpec) error {
 // workers and sums their shards into total. A worker that panics, or whose
 // kernel factory returns no phase or a nil one, fails the launch; the others
 // drain the cursor and every goroutine has exited on return.
-func runGroups(kernel PhaseKernel, ls *launchState, numGroups, workers int, total *Stats) error {
+func runGroups(kernel PhaseKernel, local, numGroups, workers int, total *Stats) error {
 	var next atomic.Int64
 	state := make([]struct {
 		stats Stats
@@ -175,7 +163,7 @@ func runGroups(kernel PhaseKernel, ls *launchState, numGroups, workers int, tota
 			}
 		}()
 		g := &w.group
-		g.launch, g.stats = ls, &w.stats
+		g.local, g.stats = local, &w.stats
 		phases := kernel()
 		if len(phases) == 0 {
 			w.err = fmt.Errorf("phase kernel returned no phases")
@@ -188,13 +176,13 @@ func runGroups(kernel PhaseKernel, ls *launchState, numGroups, workers int, tota
 			}
 		}
 		// Every work-item executes the barrier at each phase boundary.
-		barriers := int64(len(phases)-1) * int64(ls.groupSize)
+		barriers := int64(len(phases)-1) * int64(local)
 		for {
 			linear := int(next.Add(1)) - 1
 			if linear >= numGroups {
 				return
 			}
-			g.target(linear)
+			g.id = linear
 			for _, phase := range phases {
 				phase(g)
 			}

@@ -34,18 +34,15 @@ func TestLaunchCoversGlobalIDs(t *testing.T) {
 	var bad sync.Map
 	_, err := d.Launch(LaunchSpec{
 		Name:   "cover",
-		Global: R1(global),
-		Local:  R1(local),
+		Global: global,
+		Local:  local,
 		Phases: perItem(func(it *Item) {
-			gid := it.GlobalID(0)
-			if gid != it.GroupID(0)*it.LocalRange(0)+it.LocalID(0) {
+			gid := it.GlobalID()
+			if gid != it.GroupID()*it.LocalRange()+it.LocalID() {
 				bad.Store(gid, "coordinate mismatch")
 			}
-			if it.GlobalRange(0) != global || it.LocalRange(0) != local {
+			if it.LocalRange() != local {
 				bad.Store(gid, "range mismatch")
-			}
-			if it.GroupRange(0) != global/local {
-				bad.Store(gid, "group range mismatch")
 			}
 			seen[gid]++ // unique index per item: no race
 		}),
@@ -64,29 +61,6 @@ func TestLaunchCoversGlobalIDs(t *testing.T) {
 	}
 }
 
-func TestLaunch3D(t *testing.T) {
-	d := testDevice(t)
-	const x, y, z = 8, 6, 4
-	seen := make([]int32, x*y*z)
-	_, err := d.Launch(LaunchSpec{
-		Name:   "cover3d",
-		Global: R3(x, y, z),
-		Local:  R3(4, 3, 2),
-		Phases: perItem(func(it *Item) {
-			idx := it.GlobalID(0) + x*(it.GlobalID(1)+y*it.GlobalID(2))
-			seen[idx]++
-		}),
-	})
-	if err != nil {
-		t.Fatalf("Launch: %v", err)
-	}
-	for i, n := range seen {
-		if n != 1 {
-			t.Fatalf("linear ID %d visited %d times", i, n)
-		}
-	}
-}
-
 // TestBarrierLeaderPrefetch reproduces the exact pattern of the paper's
 // kernels on a launch small enough to run inline on the calling goroutine:
 // the first work-item of each group fills shared local memory, a barrier —
@@ -98,22 +72,22 @@ func TestBarrierLeaderPrefetch(t *testing.T) {
 	results := make([]int32, groups*local)
 	stats, err := d.Launch(LaunchSpec{
 		Name:   "prefetch",
-		Global: R1(groups * local),
-		Local:  R1(local),
+		Global: groups * local,
+		Local:  local,
 		Phases: func() []Phase {
 			shared := make([]int32, local) // work-group local memory
 			return []Phase{
 				func(g *Group) {
 					g.Each(func(it *Item) {
-						if it.GlobalID(0)-it.GroupID(0)*it.LocalRange(0) == 0 {
+						if it.GlobalID()-it.GroupID()*it.LocalRange() == 0 {
 							for k := range shared {
-								shared[k] = int32(100*it.GroupID(0) + k)
+								shared[k] = int32(100*it.GroupID() + k)
 							}
 						}
 					})
 				},
 				func(g *Group) {
-					g.Each(func(it *Item) { results[it.GlobalID(0)] = shared[it.LocalID(0)] })
+					g.Each(func(it *Item) { results[it.GlobalID()] = shared[it.LocalID()] })
 				},
 			}
 		},
@@ -140,8 +114,8 @@ func TestBarrierMultiplePhases(t *testing.T) {
 	var bad atomic.Int32
 	stats, err := d.Launch(LaunchSpec{
 		Name:   "phases",
-		Global: R1(groups * local),
-		Local:  R1(local),
+		Global: groups * local,
+		Local:  local,
 		Phases: func() []Phase {
 			progress := make([]int32, barriers+1)
 			phases := make([]Phase, barriers+1)
@@ -184,12 +158,12 @@ func TestAtomicCompaction(t *testing.T) {
 	slots := make([]int32, n)
 	_, err := d.Launch(LaunchSpec{
 		Name:   "compact",
-		Global: R1(n),
-		Local:  R1(128),
+		Global: n,
+		Local:  128,
 		Phases: perItem(func(it *Item) {
-			if it.GlobalID(0)%3 == 0 { // a third of the items "match"
+			if it.GlobalID()%3 == 0 { // a third of the items "match"
 				old := it.AtomicIncUint32(&count)
-				slots[old] = int32(it.GlobalID(0))
+				slots[old] = int32(it.GlobalID())
 			}
 		}),
 	})
@@ -218,8 +192,8 @@ func TestAtomicAdd(t *testing.T) {
 	var sum uint32
 	_, err := d.Launch(LaunchSpec{
 		Name:   "add",
-		Global: R1(256),
-		Local:  R1(64),
+		Global: 256,
+		Local:  64,
 		Phases: perItem(func(it *Item) { it.AtomicAddUint32(&sum, 2) }),
 	})
 	if err != nil {
@@ -235,8 +209,8 @@ func TestLaunchStats(t *testing.T) {
 	const global, local = 512, 64
 	stats, err := d.Launch(LaunchSpec{
 		Name:   "stats",
-		Global: R1(global),
-		Local:  R1(local),
+		Global: global,
+		Local:  local,
 		Phases: func() []Phase {
 			return []Phase{
 				func(g *Group) {
@@ -278,7 +252,6 @@ func TestLaunchStats(t *testing.T) {
 		{"Branches", stats.Branches, 2 * n},
 		{"DivergentBranches", stats.DivergentBranches, n},
 		{"Barriers", stats.Barriers, n},
-		{"GlobalBytes", stats.GlobalBytes(), 9 * n},
 	}
 	for _, c := range checks {
 		if c.got != c.want {
@@ -298,11 +271,11 @@ func TestLaunchErrors(t *testing.T) {
 		spec    LaunchSpec
 		wantErr error
 	}{
-		{"nil kernel", LaunchSpec{Name: "k", Global: R1(64), Local: R1(64)}, nil},
-		{"bad divide", LaunchSpec{Name: "k", Global: R1(100), Local: R1(64), Phases: nop}, ErrLocalSize},
-		{"oversized group", LaunchSpec{Name: "k", Global: R1(4096), Local: R1(4096), Phases: nop}, ErrWorkGroupTooLarge},
+		{"nil kernel", LaunchSpec{Name: "k", Global: 64, Local: 64}, nil},
+		{"bad divide", LaunchSpec{Name: "k", Global: 100, Local: 64, Phases: nop}, ErrLocalSize},
+		{"oversized group", LaunchSpec{Name: "k", Global: 4096, Local: 4096, Phases: nop}, ErrWorkGroupTooLarge},
 		{"zero range", LaunchSpec{Name: "k", Phases: nop}, ErrInvalidRange},
-		{"huge lds", LaunchSpec{Name: "k", Global: R1(64), Local: R1(64), Phases: nop, LDSBytesPerWG: 1 << 20}, nil},
+		{"huge lds", LaunchSpec{Name: "k", Global: 64, Local: 64, Phases: nop, LDSBytesPerWG: 1 << 20}, nil},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -320,53 +293,27 @@ func TestLaunchErrors(t *testing.T) {
 func TestGroupContext(t *testing.T) {
 	d := testDevice(t)
 	const groups = 8
-	linears := make([]int32, groups)
+	ran := make([]int32, groups)
 	_, err := d.Launch(LaunchSpec{
 		Name:   "groups",
-		Global: R1(groups * 16),
-		Local:  R1(16),
+		Global: groups * 16,
+		Local:  16,
 		Phases: func() []Phase {
 			return []Phase{func(g *Group) {
-				if g.Device() != d {
-					t.Error("Group.Device mismatch")
+				if g.Size() != 16 || g.Base() != 16*g.ID() {
+					t.Errorf("group %d: Size = %d, Base = %d", g.ID(), g.Size(), g.Base())
 				}
-				if g.LocalRange(0) != 16 || g.Size() != 16 {
-					t.Errorf("Group.LocalRange = %d, Size = %d", g.LocalRange(0), g.Size())
-				}
-				if g.ID(0) != g.Linear() || g.Base() != 16*g.Linear() {
-					t.Errorf("1-D group: ID(0)=%d, Linear()=%d, Base()=%d", g.ID(0), g.Linear(), g.Base())
-				}
-				linears[g.Linear()]++ // unique index per group: no race
+				ran[g.ID()]++ // unique index per group: no race
 			}}
 		},
 	})
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	for i, n := range linears {
+	for i, n := range ran {
 		if n != 1 {
 			t.Errorf("group %d ran %d times", i, n)
 		}
-	}
-}
-
-func TestItemOutOfRangeDims(t *testing.T) {
-	d := testDevice(t)
-	_, err := d.Launch(LaunchSpec{
-		Name:   "dims",
-		Global: R1(4),
-		Local:  R1(4),
-		Phases: perItem(func(it *Item) {
-			if it.GlobalID(5) != 0 || it.LocalID(-1) != 0 || it.GroupID(7) != 0 {
-				t.Error("out-of-range dims should be 0")
-			}
-			if it.GlobalRange(2) != 1 || it.GroupRange(2) != 1 || it.GroupRange(-1) != 1 {
-				t.Error("out-of-range range dims should be 1")
-			}
-		}),
-	})
-	if err != nil {
-		t.Fatalf("Launch: %v", err)
 	}
 }
 
@@ -384,10 +331,10 @@ func TestConcurrentLaunches(t *testing.T) {
 			out := make([]int32, 512)
 			_, err := d.Launch(LaunchSpec{
 				Name:   "stress",
-				Global: R1(512),
-				Local:  R1(64),
+				Global: 512,
+				Local:  64,
 				Phases: perItem(func(it *Item) {
-					out[it.GlobalID(0)] = int32(l*1000 + it.GlobalID(0))
+					out[it.GlobalID()] = int32(l*1000 + it.GlobalID())
 				}),
 			})
 			if err != nil {
@@ -443,7 +390,7 @@ func TestInjectedHangNeedsDeadline(t *testing.T) {
 	hang := func(ctx context.Context) error {
 		d := testDevice(t)
 		d.SetFaults(fault.NewInjector(fault.Plan{Rate: 1, Site: fault.SiteHang}))
-		_, err := d.Launch(LaunchSpec{Name: "k", Global: R1(64), Local: R1(64), Phases: perItem(func(*Item) {}), Ctx: ctx})
+		_, err := d.Launch(LaunchSpec{Name: "k", Global: 64, Local: 64, Phases: perItem(func(*Item) {}), Ctx: ctx})
 		var fe *fault.Error
 		if !errors.As(err, &fe) || fe.Site != fault.SiteHang || fe.Class != fault.Transient {
 			t.Fatalf("err = %v, want a transient %s fault", err, fault.SiteHang)

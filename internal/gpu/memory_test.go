@@ -103,14 +103,16 @@ func TestStatsAdd(t *testing.T) {
 func TestItemCounterHelpers(t *testing.T) {
 	d := New(device.MI60(), WithWorkers(1))
 	stats, err := d.Launch(LaunchSpec{
-		Name: "counters", Global: R1(4), Local: R1(4),
+		Name: "counters", Global: 4, Local: 4,
 		Phases: func() []Phase {
 			return []Phase{func(g *Group) {
 				g.Each(func(it *Item) {
-					if it.Group() != g || it.Stats != g.Stats() {
-						t.Error("Item.Group or its Stats shard mismatch")
+					if it.Stats != g.Stats() {
+						t.Error("Item's Stats shard is not its group's")
 					}
-					it.LoadGlobalN(3, 4)
+					for range 3 {
+						it.LoadGlobal(4)
+					}
 					it.LoadGlobalRedundant(4)
 					it.LoadLocalN(5)
 					it.StoreLocalN(2)

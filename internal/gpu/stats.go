@@ -91,9 +91,6 @@ func (s *Stats) AddScaled(o *Stats, n int64) {
 	s.DivergentBranches += n * o.DivergentBranches
 }
 
-// GlobalBytes returns total global-memory bytes moved.
-func (s *Stats) GlobalBytes() int64 { return s.GlobalLoadBytes + s.GlobalStoreBytes }
-
 func (s *Stats) String() string {
 	return fmt.Sprintf(
 		"items=%d groups=%d gld=%d(%dB) gst=%d(%dB) cld=%d lld=%d lst=%d atom=%d barrier=%d alu=%d br=%d/%d",
@@ -125,12 +122,6 @@ func (s *Stats) StoreGlobal(n int) {
 func (s *Stats) LoadGlobalRedundant(n int) {
 	s.LoadGlobal(n)
 	s.RedundantLoadOps++
-}
-
-// LoadGlobalN accounts ops global-memory reads of elemBytes each.
-func (s *Stats) LoadGlobalN(ops, elemBytes int) {
-	s.GlobalLoadOps += int64(ops)
-	s.GlobalLoadBytes += int64(ops) * int64(elemBytes)
 }
 
 // LoadLocalN accounts n shared-local-memory reads.

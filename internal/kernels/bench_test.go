@@ -42,8 +42,8 @@ func BenchmarkGroupKernels(b *testing.B) {
 		b.Helper()
 		_, err := dev.Launch(gpu.LaunchSpec{
 			Name:   name,
-			Global: gpu.R1(max((items+wg-1)/wg*wg, wg)),
-			Local:  gpu.R1(wg),
+			Global: max((items+wg-1)/wg*wg, wg),
+			Local:  wg,
 			Phases: func() []gpu.Phase {
 				return phases(make([]byte, 2*plen), make([]int32, 2*plen))
 			},

@@ -125,7 +125,7 @@ func gatherCL(t testing.TB, dev *gpu.Device, s *gatherState, n, wg int) ([]uint3
 	if err := k.SetArgLocal(GatherArgLocalSums, 4*wg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.EnqueueNDRangeKernel(k, wg, wg); err != nil {
+	if _, err := q.EnqueueNDRangeKernel(nil, k, wg, wg); err != nil {
 		return nil, nil, err
 	}
 	if _, err := opencl.EnqueueReadBuffer(q, lociOut, true, 0, len(outLoci), outLoci); err != nil {
@@ -150,7 +150,7 @@ func gatherSYCL(t testing.TB, dev *gpu.Device, s *gatherState, n, wg int) ([]uin
 	flags, _ := sycl.NewBufferFrom(s.flags)
 	lociOut, _ := sycl.NewBufferFrom(outLoci)
 	flagsOut, _ := sycl.NewBufferFrom(outFlags)
-	err = q.Submit(func(h *sycl.Handler) error {
+	err = q.Submit(nil, func(h *sycl.Handler) error {
 		acc := func(b *sycl.Buffer[uint32], mode sycl.AccessMode) []uint32 {
 			a, err := sycl.Access(h, b, mode)
 			if err != nil {
@@ -178,7 +178,7 @@ func gatherSYCL(t testing.TB, dev *gpu.Device, s *gatherState, n, wg int) ([]uin
 		if err != nil {
 			return err
 		}
-		return h.ParallelForPhases(GatherKernelName, gpu.R1(wg), gpu.R1(wg), func(m *sycl.LocalMem) []gpu.Phase {
+		return h.ParallelForPhases(GatherKernelName, wg, wg, func(m *sycl.LocalMem) []gpu.Phase {
 			return k.Phases(lSums.Slice(m))
 		})
 	}).Wait()

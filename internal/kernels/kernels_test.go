@@ -261,7 +261,7 @@ func TestFinderFlagsBothStrands(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = dev.Launch(gpu.LaunchSpec{
-		Name: "finder", Global: gpu.R1(4), Local: gpu.R1(4),
+		Name: "finder", Global: 4, Local: 4,
 		Phases: func() []gpu.Phase { return finder.Phases(make([]byte, 6), make([]int32, 6)) },
 	})
 	if err != nil {

@@ -24,7 +24,7 @@ func mismatch(patternCode, base byte) bool { return !genome.Matches(patternCode,
 func refFinderPhases(a *FinderArgs, lPat []byte, lPatIndex []int32) []gpu.Phase {
 	return []gpu.Phase{
 		func(g *gpu.Group) { g.Each(func(it *gpu.Item) { FinderStage(it, a, lPat, lPatIndex) }) },
-		func(g *gpu.Group) { g.Each(func(it *gpu.Item) { FinderScan(it, a, lPat, lPatIndex) }) },
+		func(g *gpu.Group) { g.Each(func(it *gpu.Item) { FinderScan(g, it, a, lPat, lPatIndex) }) },
 	}
 }
 
@@ -34,7 +34,7 @@ func refComparerPhases(v ComparerVariant, a *ComparerArgs, lComp []byte, lCompIn
 	c := v.costs()
 	return []gpu.Phase{
 		func(g *gpu.Group) { g.Each(func(it *gpu.Item) { comparerStage(it, a, lComp, lCompIndex, c) }) },
-		func(g *gpu.Group) { g.Each(func(it *gpu.Item) { comparerCompare(it, a, lComp, lCompIndex, c) }) },
+		func(g *gpu.Group) { g.Each(func(it *gpu.Item) { comparerCompare(g, it, a, lComp, lCompIndex, c) }) },
 	}
 }
 
@@ -42,8 +42,8 @@ func refComparerPhases(v ComparerVariant, a *ComparerArgs, lComp []byte, lCompIn
 // stages the pattern pair and index arrays into shared local memory.
 func FinderStage(it *gpu.Item, a *FinderArgs, lPat []byte, lPatIndex []int32) {
 	plen := a.Pattern.PatternLen
-	i := it.GlobalID(0)
-	li := i - it.GroupID(0)*it.LocalRange(0)
+	i := it.GlobalID()
+	li := i - it.GroupID()*it.LocalRange()
 	it.ALU(2)
 
 	if li == 0 {
@@ -59,9 +59,9 @@ func FinderStage(it *gpu.Item, a *FinderArgs, lPat []byte, lPatIndex []int32) {
 
 // FinderScan is the finder body after its barrier: test the item's site on
 // both strands and compact matches through the atomic cursor.
-func FinderScan(it *gpu.Item, a *FinderArgs, lPat []byte, lPatIndex []int32) {
+func FinderScan(g *gpu.Group, it *gpu.Item, a *FinderArgs, lPat []byte, lPatIndex []int32) {
 	plen := a.Pattern.PatternLen
-	i := it.GlobalID(0)
+	i := it.GlobalID()
 
 	if i >= a.Sites {
 		it.Branch(true)
@@ -103,7 +103,7 @@ func FinderScan(it *gpu.Item, a *FinderArgs, lPat []byte, lPatIndex []int32) {
 		it.Branch(true)
 		return
 	}
-	slot := a.Arena.Claim(it.Group())
+	slot := a.Arena.Claim(g)
 	if slot < 0 {
 		it.Branch(true)
 		return
@@ -119,13 +119,13 @@ func FinderScan(it *gpu.Item, a *FinderArgs, lPat []byte, lPatIndex []int32) {
 // shared local memory (cooperatively for opt3+, leader-only before).
 func comparerStage(it *gpu.Item, a *ComparerArgs, lComp []byte, lCompIndex []int32, c comparerCosts) {
 	plen := a.Guide.PatternLen
-	i := it.GlobalID(0)
-	li := i - it.GroupID(0)*it.LocalRange(0) // L1 of Listing 1
+	i := it.GlobalID()
+	li := i - it.GroupID()*it.LocalRange() // L1 of Listing 1
 	it.ALU(2)
 
 	// L2-L8: stage comp and comp_index into shared local memory.
 	if c.coopPrefetch {
-		wg := it.LocalRange(0)
+		wg := it.LocalRange()
 		for k := li; k < plen*2; k += wg {
 			lComp[k] = a.Guide.Codes[k]
 			lCompIndex[k] = a.Guide.Index[k]
@@ -148,9 +148,9 @@ func comparerStage(it *gpu.Item, a *ComparerArgs, lComp []byte, lCompIndex []int
 // flagged strand walk the guide's index array, counting mismatches with
 // early exit past the threshold, and compact passing entries through the
 // atomic entry counter.
-func comparerCompare(it *gpu.Item, a *ComparerArgs, lComp []byte, lCompIndex []int32, c comparerCosts) {
+func comparerCompare(g *gpu.Group, it *gpu.Item, a *ComparerArgs, lComp []byte, lCompIndex []int32, c comparerCosts) {
 	plen := a.Guide.PatternLen
-	i := it.GlobalID(0)
+	i := it.GlobalID()
 
 	if uint32(i) >= a.LociCount {
 		it.Branch(true)
@@ -219,7 +219,7 @@ func comparerCompare(it *gpu.Item, a *ComparerArgs, lComp []byte, lCompIndex []i
 	// store compacts one passing entry (L19-L23 / L36-L40) through the
 	// output arena.
 	store := func(mm uint16, dir byte) {
-		slot := a.Arena.Claim(it.Group())
+		slot := a.Arena.Claim(g)
 		if slot < 0 {
 			it.Branch(true)
 			return
@@ -326,8 +326,8 @@ func (p pipelineRun) run(t testing.TB, dev *gpu.Device) (*pipelineResult, error)
 	}
 	res.finder, err = dev.Launch(gpu.LaunchSpec{
 		Name:   "finder",
-		Global: gpu.R1(gws),
-		Local:  gpu.R1(wg),
+		Global: gws,
+		Local:  wg,
 		Phases: func() []gpu.Phase {
 			lPat, lIdx := make([]byte, 2*pat.PatternLen), make([]int32, 2*pat.PatternLen)
 			if p.ref {
@@ -367,8 +367,8 @@ func (p pipelineRun) run(t testing.TB, dev *gpu.Device) (*pipelineResult, error)
 	}
 	res.comparer, err = dev.Launch(gpu.LaunchSpec{
 		Name:   ComparerKernelName(p.variant),
-		Global: gpu.R1(cgws),
-		Local:  gpu.R1(wg),
+		Global: cgws,
+		Local:  wg,
 		Phases: func() []gpu.Phase {
 			lComp, lIdx := make([]byte, 2*gd.PatternLen), make([]int32, 2*gd.PatternLen)
 			if p.ref {

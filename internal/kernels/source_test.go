@@ -15,7 +15,7 @@ import (
 // clEnv builds the OpenCL object stack over one simulated device.
 func clEnv(t testing.TB, dev *gpu.Device) (*opencl.Context, *opencl.CommandQueue, *opencl.Program) {
 	t.Helper()
-	p := opencl.NewPlatform("ROCm", "AMD", dev)
+	p := opencl.NewPlatform("ROCm", dev)
 	devs, err := p.GetDevices(opencl.DeviceTypeGPU)
 	if err != nil {
 		t.Fatal(err)
@@ -80,58 +80,48 @@ func TestCLSourceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One arena state stack, reused by the finder and the comparer: the
-	// comparer's group tables are never larger here.
-	cursorBuf, err := opencl.CreateBuffer[uint32](ctx, opencl.MemReadWrite, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	countBuf, err := opencl.CreateBuffer[uint32](ctx, opencl.MemReadWrite, fLayout.Groups, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pageBuf, err := opencl.CreateBuffer(ctx, opencl.MemReadWrite|opencl.MemCopyHostPtr, fLayout.Groups, alloc.UnsetPages(fLayout.Groups))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ovfBuf, err := opencl.CreateBuffer[uint32](ctx, opencl.MemReadWrite, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resetArena := func(groups int) {
+	// Each launch gets a fresh arena state stack: host data enters an
+	// OpenCL buffer only at creation, so the zeroed cursor, counters and
+	// overflow and the unset pages are written there.
+	type arenaBufs struct{ cursor, count, page, ovf *opencl.Mem }
+	newArena := func(groups int) arenaBufs {
 		t.Helper()
-		if _, err := opencl.EnqueueWriteBuffer(q, cursorBuf, true, 0, 1, []uint32{0}); err != nil {
-			t.Fatal(err)
+		var a arenaBufs
+		var err error
+		for _, b := range []struct {
+			dst  **opencl.Mem
+			host []uint32
+		}{
+			{&a.cursor, []uint32{0}},
+			{&a.count, make([]uint32, groups)},
+			{&a.page, alloc.UnsetPages(groups)},
+			{&a.ovf, []uint32{0}},
+		} {
+			if *b.dst, err = opencl.CreateBuffer(ctx, opencl.MemReadWrite|opencl.MemCopyHostPtr, len(b.host), b.host); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if _, err := opencl.EnqueueWriteBuffer(q, ovfBuf, true, 0, 1, []uint32{0}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := opencl.EnqueueWriteBuffer(q, countBuf, true, 0, groups, make([]uint32, groups)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := opencl.EnqueueWriteBuffer(q, pageBuf, true, 0, groups, alloc.UnsetPages(groups)); err != nil {
-			t.Fatal(err)
-		}
+		return a
 	}
-	readArena := func(groups, pageSlots, pages int) *alloc.Geometry {
+	readArena := func(a arenaBufs, groups, pageSlots, pages int) *alloc.Geometry {
 		t.Helper()
 		ovf := make([]uint32, 1)
-		if _, err := opencl.EnqueueReadBuffer(q, ovfBuf, true, 0, 1, ovf); err != nil {
+		if _, err := opencl.EnqueueReadBuffer(q, a.ovf, true, 0, 1, ovf); err != nil {
 			t.Fatal(err)
 		}
 		if ovf[0] != 0 {
 			t.Fatalf("worst-case arena overflowed %d entries", ovf[0])
 		}
 		cursor := make([]uint32, 1)
-		if _, err := opencl.EnqueueReadBuffer(q, cursorBuf, true, 0, 1, cursor); err != nil {
+		if _, err := opencl.EnqueueReadBuffer(q, a.cursor, true, 0, 1, cursor); err != nil {
 			t.Fatal(err)
 		}
 		count := make([]uint32, groups)
-		if _, err := opencl.EnqueueReadBuffer(q, countBuf, true, 0, groups, count); err != nil {
+		if _, err := opencl.EnqueueReadBuffer(q, a.count, true, 0, groups, count); err != nil {
 			t.Fatal(err)
 		}
 		pageOf := make([]uint32, groups)
-		if _, err := opencl.EnqueueReadBuffer(q, pageBuf, true, 0, groups, pageOf); err != nil {
+		if _, err := opencl.EnqueueReadBuffer(q, a.page, true, 0, groups, pageOf); err != nil {
 			t.Fatal(err)
 		}
 		geo, err := alloc.Decode(cursor[0], count, pageOf, pageSlots, pages)
@@ -145,12 +135,13 @@ func TestCLSourceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fArena := newArena(fLayout.Groups)
 	finderArgs := []any{
 		chrBuf, patBuf, patIdxBuf,
 		int32(pat.PatternLen), uint32(sites),
 		lociBuf, flagsBuf,
 		int32(fLayout.PageSlots), int32(fLayout.Pages),
-		cursorBuf, countBuf, pageBuf, ovfBuf,
+		fArena.cursor, fArena.count, fArena.page, fArena.ovf,
 	}
 	for i, a := range finderArgs {
 		if err := finder.SetArg(i, a); err != nil {
@@ -163,11 +154,11 @@ func TestCLSourceEndToEnd(t *testing.T) {
 	if err := finder.SetArgLocal(FinderArgLocalPatIndex, 4*2*pat.PatternLen); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.EnqueueNDRangeKernel(finder, gws, 0); err != nil {
+	if _, err := q.EnqueueNDRangeKernel(nil, finder, gws, 0); err != nil {
 		t.Fatalf("finder enqueue: %v", err)
 	}
 
-	fgeo := readArena(fLayout.Groups, fLayout.PageSlots, fLayout.Pages)
+	fgeo := readArena(fArena, fLayout.Groups, fLayout.PageSlots, fLayout.Pages)
 	n := fgeo.Total
 	if n == 0 {
 		t.Fatal("finder found no candidate sites")
@@ -215,8 +206,7 @@ func TestCLSourceEndToEnd(t *testing.T) {
 	}
 
 	for _, variant := range Variants() {
-		// Reset the arena between variants.
-		resetArena(cLayout.Groups)
+		cArena := newArena(cLayout.Groups)
 		comparer, err := prog.CreateKernel(ComparerKernelName(variant))
 		if err != nil {
 			t.Fatal(err)
@@ -227,7 +217,7 @@ func TestCLSourceEndToEnd(t *testing.T) {
 			int32(gd.PatternLen), uint16(maxMM),
 			cFlagsBuf, mmCountBuf, dirBuf,
 			int32(cLayout.PageSlots), int32(cLayout.Pages),
-			cursorBuf, countBuf, pageBuf, ovfBuf,
+			cArena.cursor, cArena.count, cArena.page, cArena.ovf,
 		}
 		for i, a := range comparerArgs {
 			if err := comparer.SetArg(i, a); err != nil {
@@ -240,11 +230,11 @@ func TestCLSourceEndToEnd(t *testing.T) {
 		if err := comparer.SetArgLocal(ComparerArgLocalCompIndex, 4*2*gd.PatternLen); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := q.EnqueueNDRangeKernel(comparer, cgws, wg); err != nil {
+		if _, err := q.EnqueueNDRangeKernel(nil, comparer, cgws, wg); err != nil {
 			t.Fatalf("%s enqueue: %v", variant, err)
 		}
 
-		cgeo := readArena(cLayout.Groups, cLayout.PageSlots, cLayout.Pages)
+		cgeo := readArena(cArena, cLayout.Groups, cLayout.PageSlots, cLayout.Pages)
 		mmStrided := make([]uint32, cLayout.Slots())
 		if _, err := opencl.EnqueueReadBuffer(q, mmLociBuf, true, 0, len(mmStrided), mmStrided); err != nil {
 			t.Fatal(err)
@@ -311,7 +301,7 @@ func TestCLSourceArgTypeErrors(t *testing.T) {
 	if err := finder.SetArgLocal(FinderArgLocalPatIndex, 24); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.EnqueueNDRangeKernel(finder, 64, 64); err == nil {
+	if _, err := q.EnqueueNDRangeKernel(nil, finder, 64, 64); err == nil {
 		t.Error("mistyped kernel arguments accepted")
 	}
 }

@@ -76,7 +76,8 @@ const (
 	MetricKernelLaunchSeconds = "casoffinder_kernel_launch_seconds"
 	MetricKernelLaunches      = "casoffinder_kernel_launches_total"
 
-	// Emitted by the opencl frontend, labelled dir="read"|"write".
+	// Emitted by the opencl frontend per read-back, labelled dir="read"
+	// (host data enters at buffer creation, which is not a transfer command).
 	MetricCLTransfers = "casoffinder_cl_transfers_total"
 
 	// The occupancy autotuner's (internal/tune) kernel selections, one per

@@ -26,12 +26,9 @@ const (
 // released explicitly with Release (Table II: clReleaseMemObject), unlike a
 // SYCL buffer whose storage the runtime reclaims.
 type Mem struct {
-	ctx      *Context
-	alloc    *gpu.Allocation
-	flags    MemFlags
-	elemSize int
-	length   int
-	data     any // []T device-side storage
+	ctx   *Context
+	alloc *gpu.Allocation
+	data  any // []T device-side storage
 
 	mu       sync.Mutex
 	released bool
@@ -67,24 +64,8 @@ func CreateBuffer[T any](ctx *Context, flags MemFlags, n int, host []T) (*Mem, e
 		}
 		copy(data, host[:n])
 	}
-	return &Mem{
-		ctx:      ctx,
-		alloc:    alloc,
-		flags:    flags,
-		elemSize: elemSize,
-		length:   n,
-		data:     data,
-	}, nil
+	return &Mem{ctx: ctx, alloc: alloc, data: data}, nil
 }
-
-// Len returns the buffer length in elements.
-func (m *Mem) Len() int { return m.length }
-
-// SizeBytes returns the buffer size in bytes.
-func (m *Mem) SizeBytes() int64 { return int64(m.length) * int64(m.elemSize) }
-
-// Flags returns the creation flags.
-func (m *Mem) Flags() MemFlags { return m.flags }
 
 func (m *Mem) use() error {
 	m.mu.Lock()

@@ -3,9 +3,13 @@
 // steps the paper's Table I attributes to an OpenCL program — platform
 // query, device query, context and command-queue creation, memory objects,
 // program build, kernel creation, argument binding, ND-range enqueue,
-// host/device transfers, event handling, and explicit resource release —
-// so that the migration paths of Tables II–VI can be exercised and tested
-// against the SYCL frontend (internal/sycl) on identical kernels.
+// device-to-host transfer, event handling, and explicit resource release —
+// as the original application (internal/search's OpenCL engine) calls them,
+// and nothing more. internal/bench's migration tables name, per Table I step
+// and per row of Tables II–VI, the calls that implement it, and a
+// type-checked test holds the two to each other. Host data reaches the
+// device when a buffer is created (CreateBuffer with MemCopyHostPtr) and
+// comes back through EnqueueReadBuffer.
 //
 // Kernels are not OpenCL C: a Program is built from a Source registry
 // mapping kernel names to Go builder functions (see internal/kernels).
@@ -43,7 +47,7 @@ var (
 	// from clEnqueueNDRangeKernel; injected by the fault layer.
 	ErrEnqueueFailed = errors.New("opencl: enqueue failed")
 	// ErrTransferFailed mirrors a transient error status from
-	// clEnqueueReadBuffer/clEnqueueWriteBuffer; injected by the fault layer.
+	// clEnqueueReadBuffer; injected by the fault layer.
 	ErrTransferFailed = errors.New("opencl: buffer transfer failed")
 	// ErrDeviceLost mirrors CL_DEVICE_NOT_AVAILABLE after a device loss: the
 	// first occurrence poisons the owning context and every later call on it
@@ -52,37 +56,27 @@ var (
 )
 
 // DeviceType selects devices in a platform query, as in clGetDeviceIDs.
+// A simulated platform holds GPUs only.
 type DeviceType int
 
-// Device type flags.
-const (
-	DeviceTypeGPU DeviceType = 1 << iota
-	DeviceTypeCPU
-	DeviceTypeAll DeviceType = DeviceTypeGPU | DeviceTypeCPU
-)
+// DeviceTypeGPU selects GPU devices (CL_DEVICE_TYPE_GPU).
+const DeviceTypeGPU DeviceType = 1
 
 // Platform is the root of the OpenCL object hierarchy — step 1 of Table I.
 type Platform struct {
 	name    string
-	vendor  string
 	devices []*Device
 }
 
 // NewPlatform registers simulated devices under a platform, standing in for
 // an installed OpenCL driver (the paper uses the ROCm 4.5.2 platform).
-func NewPlatform(name, vendor string, sims ...*gpu.Device) *Platform {
-	p := &Platform{name: name, vendor: vendor}
+func NewPlatform(name string, sims ...*gpu.Device) *Platform {
+	p := &Platform{name: name}
 	for _, s := range sims {
 		p.devices = append(p.devices, &Device{sim: s, typ: DeviceTypeGPU})
 	}
 	return p
 }
-
-// Name returns the platform name.
-func (p *Platform) Name() string { return p.name }
-
-// Vendor returns the platform vendor.
-func (p *Platform) Vendor() string { return p.vendor }
 
 // GetDevices returns the platform's devices of the requested type — step 2
 // of Table I (clGetDeviceIDs).
@@ -108,9 +102,6 @@ type Device struct {
 // Name returns the device name.
 func (d *Device) Name() string { return d.sim.Spec().Name }
 
-// Sim exposes the underlying simulator device.
-func (d *Device) Sim() *gpu.Device { return d.sim }
-
 // Context owns memory objects, programs and queues — step 3 of Table I.
 type Context struct {
 	devices []*Device
@@ -127,9 +118,6 @@ func CreateContext(devices ...*Device) (*Context, error) {
 	}
 	return &Context{devices: devices}, nil
 }
-
-// Devices returns the context's devices.
-func (c *Context) Devices() []*Device { return c.devices }
 
 func (c *Context) use() error {
 	c.mu.Lock()
@@ -150,13 +138,6 @@ func (c *Context) markLost() {
 	c.mu.Lock()
 	c.lost = true
 	c.mu.Unlock()
-}
-
-// Lost reports whether the context has been poisoned by a device loss.
-func (c *Context) Lost() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lost
 }
 
 // faults returns the fault injector of the context's first device.

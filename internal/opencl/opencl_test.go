@@ -36,15 +36,15 @@ func vecScaleSource() Source {
 				return func() []gpu.Phase {
 					staging := make([]int32, local.Bytes/4)
 					stage := func(it *gpu.Item) {
-						if gid := it.GlobalID(0); gid < len(in) {
-							staging[it.LocalID(0)] = in[gid]
+						if gid := it.GlobalID(); gid < len(in) {
+							staging[it.LocalID()] = in[gid]
 							it.LoadGlobal(4)
 							it.StoreLocal()
 						}
 					}
 					scaleOut := func(it *gpu.Item) {
-						if gid := it.GlobalID(0); gid < len(out) {
-							out[gid] = staging[it.LocalID(0)] * scale
+						if gid := it.GlobalID(); gid < len(out) {
+							out[gid] = staging[it.LocalID()] * scale
 							it.LoadLocal()
 							it.StoreGlobal(4)
 						}
@@ -62,7 +62,7 @@ func vecScaleSource() Source {
 // setup runs Table I steps 1-8 and returns the live objects.
 func setup(t *testing.T) (*Context, *CommandQueue, *Kernel) {
 	t.Helper()
-	platform := NewPlatform("ROCm", "AMD", gpu.New(device.MI60(), gpu.WithWorkers(4)))
+	platform := NewPlatform("ROCm", gpu.New(device.MI60(), gpu.WithWorkers(4)))
 	devs, err := platform.GetDevices(DeviceTypeGPU)
 	if err != nil {
 		t.Fatalf("GetDevices: %v", err)
@@ -81,9 +81,6 @@ func setup(t *testing.T) (*Context, *CommandQueue, *Kernel) {
 	}
 	if err := prog.Build("-O3"); err != nil {
 		t.Fatalf("Build: %v", err)
-	}
-	if got := prog.BuildOptions(); got != "-O3" {
-		t.Errorf("BuildOptions = %q", got)
 	}
 	k, err := prog.CreateKernel("vec_scale")
 	if err != nil {
@@ -130,15 +127,12 @@ func TestThirteenStepLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ev, err := q.EnqueueNDRangeKernel(k, n, 256)
+	ev, err := q.EnqueueNDRangeKernel(nil, k, n, 256)
 	if err != nil {
 		t.Fatalf("EnqueueNDRangeKernel: %v", err)
 	}
 	if err := ev.Wait(); err != nil {
 		t.Fatalf("Event.Wait: %v", err)
-	}
-	if ev.KernelName() != "vec_scale" {
-		t.Errorf("KernelName = %q", ev.KernelName())
 	}
 	if ev.Stats() == nil || ev.Stats().WorkItems != n {
 		t.Errorf("kernel event stats = %+v", ev.Stats())
@@ -147,9 +141,6 @@ func TestThirteenStepLifecycle(t *testing.T) {
 	got := make([]int32, n)
 	if _, err := EnqueueReadBuffer(q, out, true, 0, n, got); err != nil {
 		t.Fatalf("EnqueueReadBuffer: %v", err)
-	}
-	if err := q.Finish(); err != nil {
-		t.Fatalf("Finish: %v", err)
 	}
 	for i, v := range got {
 		if v != int32(i*3) {
@@ -194,7 +185,7 @@ func TestEnqueueWithRuntimeLocalSize(t *testing.T) {
 	if err := k.SetArgLocal(3, 64*4); err != nil {
 		t.Fatal(err)
 	}
-	ev, err := q.EnqueueNDRangeKernel(k, n, 0) // runtime picks
+	ev, err := q.EnqueueNDRangeKernel(nil, k, n, 0) // runtime picks
 	if err != nil {
 		t.Fatalf("EnqueueNDRangeKernel: %v", err)
 	}
@@ -203,15 +194,13 @@ func TestEnqueueWithRuntimeLocalSize(t *testing.T) {
 	}
 }
 
+// TestWriteBufferRoundTrip: host data written into a buffer at creation
+// (MemCopyHostPtr) reads back through a ranged EnqueueReadBuffer.
 func TestWriteBufferRoundTrip(t *testing.T) {
 	ctx, q, _ := setup(t)
-	buf, err := CreateBuffer[uint16](ctx, MemReadWrite, 10, nil)
+	buf, err := CreateBuffer(ctx, MemReadWrite|MemCopyHostPtr, 10, []uint16{0, 0, 0, 0, 7, 8, 9, 0, 0, 0})
 	if err != nil {
 		t.Fatal(err)
-	}
-	src := []uint16{7, 8, 9}
-	if _, err := EnqueueWriteBuffer(q, buf, true, 4, 3, src); err != nil {
-		t.Fatalf("EnqueueWriteBuffer: %v", err)
 	}
 	dst := make([]uint16, 5)
 	if _, err := EnqueueReadBuffer(q, buf, true, 3, 5, dst); err != nil {
@@ -235,11 +224,8 @@ func TestTransferRangeErrors(t *testing.T) {
 	if _, err := EnqueueReadBuffer(q, buf, true, 0, 8, dst[:2]); !errors.Is(err, ErrInvalidBufferRange) {
 		t.Errorf("short-destination read error = %v", err)
 	}
-	if _, err := EnqueueWriteBuffer(q, buf, true, -1, 2, dst); !errors.Is(err, ErrInvalidBufferRange) {
-		t.Errorf("negative-offset write error = %v", err)
-	}
-	if _, err := EnqueueWriteBuffer(q, buf, true, 0, 5, dst[:1]); !errors.Is(err, ErrInvalidBufferRange) {
-		t.Errorf("short-source write error = %v", err)
+	if _, err := EnqueueReadBuffer(q, buf, true, -1, 2, dst); !errors.Is(err, ErrInvalidBufferRange) {
+		t.Errorf("negative-offset read error = %v", err)
 	}
 }
 
@@ -286,14 +272,14 @@ func TestKernelArgErrors(t *testing.T) {
 	if err := k.SetArg(0, buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.EnqueueNDRangeKernel(k, 64, 64); !errors.Is(err, ErrArgNotSet) {
+	if _, err := q.EnqueueNDRangeKernel(nil, k, 64, 64); !errors.Is(err, ErrArgNotSet) {
 		t.Errorf("enqueue with unset args = %v, want ErrArgNotSet", err)
 	}
 }
 
 func TestProgramLifecycleErrors(t *testing.T) {
-	platform := NewPlatform("ROCm", "AMD", gpu.New(device.MI60()))
-	devs, _ := platform.GetDevices(DeviceTypeAll)
+	platform := NewPlatform("ROCm", gpu.New(device.MI60()))
+	devs, _ := platform.GetDevices(DeviceTypeGPU)
 	ctx, _ := CreateContext(devs...)
 
 	if _, err := ctx.CreateProgramWithSource(nil); err == nil {
@@ -315,12 +301,9 @@ func TestProgramLifecycleErrors(t *testing.T) {
 }
 
 func TestPlatformQueries(t *testing.T) {
-	p := NewPlatform("ROCm", "AMD", gpu.New(device.RadeonVII()))
-	if p.Name() != "ROCm" || p.Vendor() != "AMD" {
-		t.Error("platform identity wrong")
-	}
-	if _, err := p.GetDevices(DeviceTypeCPU); !errors.Is(err, ErrDeviceNotFound) {
-		t.Errorf("GetDevices(CPU) = %v, want ErrDeviceNotFound", err)
+	p := NewPlatform("ROCm", gpu.New(device.RadeonVII()))
+	if _, err := p.GetDevices(DeviceTypeGPU << 1); !errors.Is(err, ErrDeviceNotFound) {
+		t.Errorf("GetDevices(non-GPU type) = %v, want ErrDeviceNotFound", err)
 	}
 	devs, err := p.GetDevices(DeviceTypeGPU)
 	if err != nil || len(devs) != 1 {
@@ -335,7 +318,7 @@ func TestContextErrors(t *testing.T) {
 	if _, err := CreateContext(); !errors.Is(err, ErrDeviceNotFound) {
 		t.Errorf("CreateContext() = %v, want ErrDeviceNotFound", err)
 	}
-	p := NewPlatform("ROCm", "AMD", gpu.New(device.MI100()), gpu.New(device.MI60()))
+	p := NewPlatform("ROCm", gpu.New(device.MI100()), gpu.New(device.MI60()))
 	devs, _ := p.GetDevices(DeviceTypeGPU)
 	ctx, _ := CreateContext(devs[0])
 	if _, err := ctx.CreateCommandQueue(devs[1]); !errors.Is(err, ErrDeviceNotFound) {
@@ -360,10 +343,10 @@ func TestQueueRelease(t *testing.T) {
 	if err := q.Release(); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Finish(); !errors.Is(err, ErrReleased) {
-		t.Errorf("Finish on released queue = %v, want ErrReleased", err)
+	if err := q.Release(); !errors.Is(err, ErrReleased) {
+		t.Errorf("double queue release = %v, want ErrReleased", err)
 	}
-	if _, err := q.EnqueueNDRangeKernel(k, 64, 64); !errors.Is(err, ErrReleased) {
+	if _, err := q.EnqueueNDRangeKernel(nil, k, 64, 64); !errors.Is(err, ErrReleased) {
 		t.Errorf("enqueue on released queue = %v, want ErrReleased", err)
 	}
 }
@@ -388,8 +371,8 @@ func TestConstantBufferKind(t *testing.T) {
 	if string(data) != "ACGT" {
 		t.Errorf("constant buffer content = %q", data)
 	}
-	if buf.Flags()&MemUseConstant == 0 {
-		t.Error("flags lost")
+	if kind := buf.alloc.Kind(); kind != gpu.ConstantMem {
+		t.Errorf("allocation kind = %v, want ConstantMem", kind)
 	}
 }
 
@@ -400,85 +383,6 @@ func TestCreateBufferHostTooShort(t *testing.T) {
 	}
 	if _, err := CreateBuffer[int32](ctx, MemReadWrite, -1, nil); err == nil {
 		t.Error("negative length = nil error")
-	}
-}
-
-func TestProgrammingStepCounts(t *testing.T) {
-	if got := len(ProgrammingSteps()); got != 13 {
-		t.Errorf("OpenCL steps = %d, want 13 (Table I)", got)
-	}
-}
-
-func TestEnqueueCopyBuffer(t *testing.T) {
-	ctx, q, _ := setup(t)
-	src, _ := CreateBuffer(ctx, MemCopyHostPtr, 6, []int32{1, 2, 3, 4, 5, 6})
-	dst, _ := CreateBuffer[int32](ctx, MemReadWrite, 6, nil)
-	if _, err := EnqueueCopyBuffer[int32](q, src, dst, 2, 1, 3); err != nil {
-		t.Fatalf("EnqueueCopyBuffer: %v", err)
-	}
-	got := make([]int32, 6)
-	if _, err := EnqueueReadBuffer(q, dst, true, 0, 6, got); err != nil {
-		t.Fatal(err)
-	}
-	want := []int32{0, 3, 4, 5, 0, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("dst[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-	// Range errors.
-	if _, err := EnqueueCopyBuffer[int32](q, src, dst, 5, 0, 3); !errors.Is(err, ErrInvalidBufferRange) {
-		t.Errorf("source overflow = %v", err)
-	}
-	if _, err := EnqueueCopyBuffer[int32](q, src, dst, 0, 5, 3); !errors.Is(err, ErrInvalidBufferRange) {
-		t.Errorf("destination overflow = %v", err)
-	}
-}
-
-func TestEnqueueFillBuffer(t *testing.T) {
-	ctx, q, _ := setup(t)
-	buf, _ := CreateBuffer[uint16](ctx, MemReadWrite, 8, nil)
-	if _, err := EnqueueFillBuffer(q, buf, uint16(9), 2, 4); err != nil {
-		t.Fatalf("EnqueueFillBuffer: %v", err)
-	}
-	got := make([]uint16, 8)
-	if _, err := EnqueueReadBuffer(q, buf, true, 0, 8, got); err != nil {
-		t.Fatal(err)
-	}
-	want := []uint16{0, 0, 9, 9, 9, 9, 0, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("buf[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-	if _, err := EnqueueFillBuffer(q, buf, uint16(1), 6, 4); !errors.Is(err, ErrInvalidBufferRange) {
-		t.Errorf("fill overflow = %v", err)
-	}
-}
-
-func TestAccessors(t *testing.T) {
-	p := NewPlatform("ROCm", "AMD", gpu.New(device.MI60()))
-	devs, _ := p.GetDevices(DeviceTypeGPU)
-	if devs[0].Sim() == nil {
-		t.Error("Device.Sim nil")
-	}
-	ctx, _ := CreateContext(devs...)
-	if len(ctx.Devices()) != 1 {
-		t.Error("Context.Devices")
-	}
-	q, _ := ctx.CreateCommandQueue(devs[0])
-	if q.Device() != devs[0] {
-		t.Error("CommandQueue.Device")
-	}
-	buf, _ := CreateBuffer[int32](ctx, MemReadWrite, 8, nil)
-	if buf.Len() != 8 || buf.SizeBytes() != 32 {
-		t.Errorf("buffer size accessors: %d / %d", buf.Len(), buf.SizeBytes())
-	}
-	prog, _ := ctx.CreateProgramWithSource(vecScaleSource())
-	_ = prog.Build("")
-	k, _ := prog.CreateKernel("vec_scale")
-	if k.Name() != "vec_scale" {
-		t.Error("Kernel.Name")
 	}
 }
 
@@ -516,7 +420,7 @@ func TestPhaseKernelErrorsSurfaceOnEnqueue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = q.EnqueueNDRangeKernel(k, 64*64, 64)
+		_, err = q.EnqueueNDRangeKernel(nil, k, 64*64, 64)
 		if err == nil || !strings.Contains(err.Error(), want[name]) || !strings.Contains(err.Error(), name) {
 			t.Errorf("%s: enqueue = %v, want an error naming the kernel and %q", name, err, want[name])
 		}

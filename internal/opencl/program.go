@@ -35,7 +35,6 @@ type Program struct {
 
 	mu       sync.Mutex
 	built    bool
-	options  string
 	released bool
 }
 
@@ -51,8 +50,8 @@ func (c *Context) CreateProgramWithSource(source Source) (*Program, error) {
 	return &Program{ctx: c, source: source}, nil
 }
 
-// Build compiles the program (clBuildProgram). The options string is
-// recorded for inspection; the paper builds with "-O3".
+// Build compiles the program (clBuildProgram). The simulator has no
+// compiler to pass options to; the paper builds with "-O3".
 func (p *Program) Build(options string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -60,15 +59,7 @@ func (p *Program) Build(options string) error {
 		return fmt.Errorf("program: %w", ErrReleased)
 	}
 	p.built = true
-	p.options = options
 	return nil
-}
-
-// BuildOptions returns the options passed to Build.
-func (p *Program) BuildOptions() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.options
 }
 
 // Release releases the program object.
@@ -117,9 +108,6 @@ type Kernel struct {
 	argSet   []bool
 	released bool
 }
-
-// Name returns the kernel name.
-func (k *Kernel) Name() string { return k.name }
 
 // SetArg binds a buffer or scalar value to an argument slot
 // (clSetKernelArg). Buffers are passed as *Mem; scalars by value.
@@ -173,8 +161,8 @@ func (k *Kernel) launchSpec(ctx context.Context, args []any, gws, lws, lds int) 
 	}
 	return gpu.LaunchSpec{
 		Name:          k.name,
-		Global:        gpu.R1(gws),
-		Local:         gpu.R1(lws),
+		Global:        gws,
+		Local:         lws,
 		Phases:        phases,
 		LDSBytesPerWG: lds,
 		Ctx:           ctx,

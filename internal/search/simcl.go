@@ -63,7 +63,7 @@ func openCL(dev *gpu.Device, v kernels.ComparerVariant, _ func()) (_ hostOps, er
 	}()
 
 	// Steps 1-4: platform, device, context, queue.
-	platform := opencl.NewPlatform("ROCm", "AMD", dev)
+	platform := opencl.NewPlatform("ROCm", dev)
 	devs, err := platform.GetDevices(opencl.DeviceTypeGPU)
 	if err != nil {
 		return nil, err
@@ -197,7 +197,7 @@ func (o *clOps) launch(ctx context.Context, k *opencl.Kernel, args []any, local 
 			return nil, err
 		}
 	}
-	ev, err := o.queue.EnqueueNDRangeKernelCtx(ctx, k, gws, wg)
+	ev, err := o.queue.EnqueueNDRangeKernel(ctx, k, gws, wg)
 	if err != nil {
 		return nil, err
 	}

@@ -71,12 +71,15 @@ func (o *syclOps) close() error { return nil }
 
 // syclBuffer is the element-type-erased face of syclMem[T].
 type syclBuffer interface {
-	Destroy() error
+	free() error
 	read(off, n int, dst any) error
 }
 
 // syclMem gives sycl.Buffer[T] the untyped methods the seam calls.
 type syclMem[T any] struct{ *sycl.Buffer[T] }
+
+// free ends the buffer's lifetime — the scope exit of Table II.
+func (b syclMem[T]) free() error { return b.Destroy() }
 
 // read is a ranged host accessor.
 func (b syclMem[T]) read(off, n int, dst any) error {
@@ -123,7 +126,7 @@ func (o *syclOps) alloc(kind bufKind, n int, host any) (devBuf, error) {
 	return nil, fmt.Errorf("search: sycl-sim: no buffer of %T", host)
 }
 
-func (o *syclOps) free(b devBuf) error { return b.(syclBuffer).Destroy() }
+func (o *syclOps) free(b devBuf) error { return b.(syclBuffer).free() }
 
 func (o *syclOps) readRange(src devBuf, off, n int, dst any) error {
 	return src.(syclBuffer).read(off, n, dst)
@@ -189,7 +192,7 @@ func syclWait(ev *sycl.Event) (*gpu.Stats, error) {
 // launchFinder submits the finder command group (accessors, local
 // accessors, two phases) and waits on its event.
 func (o *syclOps) launchFinder(ctx context.Context, l *finderLaunch) (*gpu.Stats, error) {
-	return syclWait(o.queue.SubmitCtx(ctx, func(h *sycl.Handler) error {
+	return syclWait(o.queue.Submit(ctx, func(h *sycl.Handler) error {
 		var err error
 		fa := &kernels.FinderArgs{
 			Chr: syclAccess[byte](h, l.chr, sycl.Read, &err),
@@ -212,7 +215,7 @@ func (o *syclOps) launchFinder(ctx context.Context, l *finderLaunch) (*gpu.Stats
 		if err != nil {
 			return err
 		}
-		return h.ParallelForPhases("finder", gpu.R1(l.gws), gpu.R1(l.wg), func(m *sycl.LocalMem) []gpu.Phase {
+		return h.ParallelForPhases("finder", l.gws, l.wg, func(m *sycl.LocalMem) []gpu.Phase {
 			return k.Phases(lPat.Slice(m), lPatIdx.Slice(m))
 		})
 	}))
@@ -221,7 +224,7 @@ func (o *syclOps) launchFinder(ctx context.Context, l *finderLaunch) (*gpu.Stats
 // launchComparer submits one guide's comparer command group and waits on
 // its event.
 func (o *syclOps) launchComparer(ctx context.Context, l *comparerLaunch) (*gpu.Stats, error) {
-	return syclWait(o.queue.SubmitCtx(ctx, func(h *sycl.Handler) error {
+	return syclWait(o.queue.Submit(ctx, func(h *sycl.Handler) error {
 		var err error
 		ca := &kernels.ComparerArgs{
 			Chr:       syclAccess[byte](h, l.chr, sycl.Read, &err),
@@ -248,7 +251,7 @@ func (o *syclOps) launchComparer(ctx context.Context, l *comparerLaunch) (*gpu.S
 		if err != nil {
 			return err
 		}
-		return h.ParallelForPhases(kernels.ComparerKernelName(o.variant), gpu.R1(l.gws), gpu.R1(l.wg), func(m *sycl.LocalMem) []gpu.Phase {
+		return h.ParallelForPhases(kernels.ComparerKernelName(o.variant), l.gws, l.wg, func(m *sycl.LocalMem) []gpu.Phase {
 			return k.Phases(lComp.Slice(m), lCompIdx.Slice(m))
 		})
 	}))
@@ -257,7 +260,7 @@ func (o *syclOps) launchComparer(ctx context.Context, l *comparerLaunch) (*gpu.S
 // gather submits the gather command group — one work-group over the finder
 // arena's tables — and waits on its event.
 func (o *syclOps) gather(ctx context.Context, l *gatherLaunch) error {
-	return o.queue.SubmitCtx(ctx, func(h *sycl.Handler) error {
+	return o.queue.Submit(ctx, func(h *sycl.Handler) error {
 		var err error
 		ga := &kernels.GatherArgs{
 			Count:     syclAccess[uint32](h, l.arena.count, sycl.Read, &err),
@@ -278,7 +281,7 @@ func (o *syclOps) gather(ctx context.Context, l *gatherLaunch) error {
 		if err != nil {
 			return err
 		}
-		return h.ParallelForPhases(kernels.GatherKernelName, gpu.R1(l.wg), gpu.R1(l.wg), func(m *sycl.LocalMem) []gpu.Phase {
+		return h.ParallelForPhases(kernels.GatherKernelName, l.wg, l.wg, func(m *sycl.LocalMem) []gpu.Phase {
 			return k.Phases(lSums.Slice(m))
 		})
 	}).Wait()

@@ -109,9 +109,6 @@ func NewConstantBuffer[T any](host []T) (*Buffer[T], error) {
 	return b, nil
 }
 
-// Len returns the buffer length in elements.
-func (b *Buffer[T]) Len() int { return b.length }
-
 func (b *Buffer[T]) state() *depState { return &b.deps }
 
 func (b *Buffer[T]) live() error {
@@ -192,12 +189,6 @@ func (b *Buffer[T]) Destroy() error {
 	return nil
 }
 
-// Snapshot waits for all outstanding work on the buffer and returns a copy
-// of its contents — a host accessor in SYCL terms.
-func (b *Buffer[T]) Snapshot() ([]T, error) {
-	return b.SnapshotRange(0, b.length)
-}
-
 // SnapshotRange waits for all outstanding work on the buffer and returns a
 // copy of n elements starting at element offset — a ranged host accessor,
 // reading back only the window the host needs.
@@ -232,7 +223,7 @@ func (b *Buffer[T]) SnapshotRange(offset, n int) ([]T, error) {
 	return out, nil
 }
 
-// AccessMode says how a kernel or copy uses an accessor (read, write or
+// AccessMode says how a kernel uses an accessor (read, write or
 // both) — the sycl_read / sycl_write / sycl_read_write short names the
 // paper uses.
 type AccessMode int
@@ -244,60 +235,36 @@ const (
 	ReadWrite AccessMode = Read | Write
 )
 
-func (m AccessMode) reads() bool  { return m&Read != 0 }
 func (m AccessMode) writes() bool { return m&Write != 0 }
 
 // Accessor indicates where and how buffer data is accessed (§III.A). It is
-// created inside a command group via Access or AccessRange and hands the
-// kernel a typed window onto the buffer.
+// created inside a command group via Access and hands the kernel a typed
+// window onto the whole buffer.
 type Accessor[T any] struct {
-	buf    *Buffer[T]
-	mode   AccessMode
-	offset int
-	length int
+	buf *Buffer[T]
 }
 
-// Slice returns the accessor's window of the buffer data, materialising the
-// host-side storage of a sized buffer on first access (the device-side
-// budget is still charged when the owning command group runs).
+// Slice returns the buffer data, materialising the host-side storage of a
+// sized buffer on first access (the device-side budget is still charged
+// when the owning command group runs).
 func (a *Accessor[T]) Slice() []T {
 	a.buf.materialize()
-	return a.buf.data[a.offset : a.offset+a.length]
+	return a.buf.data
 }
-
-// Len returns the accessor range length.
-func (a *Accessor[T]) Len() int { return a.length }
-
-// Offset returns the accessor offset within the buffer.
-func (a *Accessor[T]) Offset() int { return a.offset }
-
-// Mode returns the access mode.
-func (a *Accessor[T]) Mode() AccessMode { return a.mode }
-
-// Constant reports whether the accessor targets the constant address space.
-func (a *Accessor[T]) Constant() bool { return a.buf.kind == gpu.ConstantMem }
 
 // Access creates an accessor covering the whole buffer —
-// buf.get_access<mode>(cgh) in SYCL.
+// buf.get_access<mode>(cgh) in SYCL — and registers the access with the
+// command group, so mode orders it against other groups on the buffer.
 func Access[T any](h *Handler, buf *Buffer[T], mode AccessMode) (*Accessor[T], error) {
-	return AccessRange(h, buf, mode, buf.Len(), 0)
-}
-
-// AccessRange creates a ranged accessor of count elements starting at
-// offset — the ranged accessors of Table III.
-func AccessRange[T any](h *Handler, buf *Buffer[T], mode AccessMode, count, offset int) (*Accessor[T], error) {
 	if err := h.useable(); err != nil {
 		return nil, err
 	}
 	if err := buf.live(); err != nil {
 		return nil, err
 	}
-	if offset < 0 || count < 0 || offset+count > buf.Len() {
-		return nil, fmt.Errorf("%w: [%d, %d) of %d", ErrInvalidAccessRange, offset, offset+count, buf.Len())
-	}
 	if buf.kind == gpu.ConstantMem && mode.writes() {
 		return nil, fmt.Errorf("sycl: constant buffer cannot be written")
 	}
 	h.registerAccess(buf, mode)
-	return &Accessor[T]{buf: buf, mode: mode, offset: offset, length: count}, nil
+	return &Accessor[T]{buf: buf}, nil
 }

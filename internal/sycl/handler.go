@@ -17,10 +17,9 @@ type bufAccess struct {
 
 // Handler is the SYCL command-group handler (cgh). A command group function
 // receives it, creates accessors, and sets exactly one action: a kernel
-// launch (ParallelFor, Table VI) or a copy (CopyToDevice / CopyFromDevice,
-// Table III). The handler is only valid during its Submit call.
+// launch (ParallelForPhases, Table VI). The handler is only valid during its
+// Submit call.
 type Handler struct {
-	q      *Queue
 	ctx    context.Context
 	usable bool
 
@@ -54,34 +53,18 @@ func (h *Handler) setAction(a func(dev *gpu.Device) (*gpu.Stats, error)) error {
 	return nil
 }
 
-// ParallelFor launches a barrier-free kernel over an nd_range — the SYCL
-// side of Table VI: h.parallel_for(nd_range<1>(gws, lws), [=](nd_item<1> it)
-// { ... }). The body runs once per work-item, as the single phase of a
-// ParallelForPhases kernel; the name labels the launch in the device log.
-func (h *Handler) ParallelFor(name string, global, local gpu.Range, body func(it *NDItem)) error {
-	if body == nil {
-		return fmt.Errorf("sycl: nil kernel body")
-	}
-	return h.ParallelForPhases(name, global, local, func(*LocalMem) []gpu.Phase {
-		// One NDItem per worker: its items run one after another.
-		nd := new(NDItem)
-		each := func(it *gpu.Item) {
-			nd.it = it
-			body(nd)
-		}
-		return []gpu.Phase{func(g *gpu.Group) { g.Each(each) }}
-	})
-}
-
-// ParallelForPhases launches a kernel whose body is split at its barrier
-// points into phases, each called once per work-group (gpu.PhaseKernel) —
-// the SYCL frontend's counterpart of a compiler that statically resolves
-// the kernel's barrier structure. The simulator calls kernel once per
-// executing worker with that worker's local-accessor storage, which is
-// reused across the worker's groups, so phases must write local memory
-// before reading it, exactly as on a real device. A kernel that returns no
-// phase, or a nil one, fails the launch on its event.
-func (h *Handler) ParallelForPhases(name string, global, local gpu.Range, kernel func(m *LocalMem) []gpu.Phase) error {
+// ParallelForPhases launches a kernel over an nd_range<1> of global
+// work-items in work-groups of local — the SYCL side of Table VI:
+// h.parallel_for(nd_range<1>(gws, lws), [=](nd_item<1> it) { ... }). The
+// body is split at its barrier points into phases, each called once per
+// work-group (gpu.PhaseKernel): the SYCL frontend's counterpart of a
+// compiler that statically resolves the kernel's barrier structure. The
+// simulator calls kernel once per executing worker with that worker's
+// local-accessor storage, which is reused across the worker's groups, so
+// phases must write local memory before reading it, exactly as on a real
+// device. A kernel that returns no phase, or a nil one, fails the launch on
+// its event.
+func (h *Handler) ParallelForPhases(name string, global, local int, kernel func(m *LocalMem) []gpu.Phase) error {
 	if kernel == nil {
 		return fmt.Errorf("sycl: nil phase kernel")
 	}
@@ -104,53 +87,6 @@ func (h *Handler) ParallelForPhases(name string, global, local gpu.Range, kernel
 			LDSBytesPerWG: lds,
 			Ctx:           lctx,
 		})
-	})
-}
-
-// CopyFromDevice copies an accessor's range into host memory — the first
-// row of Table III (cgh.copy(deviceAccessor, hostPtr)).
-func CopyFromDevice[T any](h *Handler, dst []T, src *Accessor[T]) error {
-	if len(dst) < src.Len() {
-		return fmt.Errorf("%w: host destination holds %d of %d elements",
-			ErrInvalidAccessRange, len(dst), src.Len())
-	}
-	return h.setAction(func(dev *gpu.Device) (*gpu.Stats, error) {
-		copy(dst[:src.Len()], src.Slice())
-		return nil, nil
-	})
-}
-
-// CopyToDevice copies host memory into an accessor's range — the second row
-// of Table III (cgh.copy(hostPtr, deviceAccessor)).
-func CopyToDevice[T any](h *Handler, dst *Accessor[T], src []T) error {
-	if !dst.Mode().writes() {
-		return fmt.Errorf("sycl: copy destination accessor is read-only")
-	}
-	if len(src) < dst.Len() {
-		return fmt.Errorf("%w: host source holds %d of %d elements",
-			ErrInvalidAccessRange, len(src), dst.Len())
-	}
-	return h.setAction(func(dev *gpu.Device) (*gpu.Stats, error) {
-		copy(dst.Slice(), src[:dst.Len()])
-		return nil, nil
-	})
-}
-
-// Copy copies one device accessor's range into another — the
-// buffer-to-buffer form of Table III (cgh.copy(srcAccessor, dstAccessor)).
-// The copy stays on the device: it crosses no host boundary, so it has no
-// readback fault surface and costs no PCIe traffic.
-func Copy[T any](h *Handler, dst, src *Accessor[T]) error {
-	if !dst.Mode().writes() {
-		return fmt.Errorf("sycl: copy destination accessor is read-only")
-	}
-	if dst.Len() < src.Len() {
-		return fmt.Errorf("%w: copy destination holds %d of %d elements",
-			ErrInvalidAccessRange, dst.Len(), src.Len())
-	}
-	return h.setAction(func(dev *gpu.Device) (*gpu.Stats, error) {
-		copy(dst.Slice(), src.Slice())
-		return nil, nil
 	})
 }
 
@@ -188,27 +124,22 @@ func (la *LocalAccessor[T]) Slice(m *LocalMem) []T {
 }
 
 // Submit runs a command-group function and schedules its action — the SYCL
-// queue submit of Tables III and VI. The returned event completes when the
-// action has run; buffer-access dependencies order it against previously
-// submitted groups. Errors returned by the command-group function, or
-// raised asynchronously by the action, surface on the event (and on
-// Queue.Wait) and are delivered to the queue's async handler, mirroring
-// SYCL's async exception machinery.
-func (q *Queue) Submit(cg func(h *Handler) error) *Event {
-	return q.SubmitCtx(nil, cg)
-}
-
-// SubmitCtx is Submit with a launch-bounding context: kernels launched by
-// the command group carry ctx into the simulator, so an injected hang
-// blocks on it until its deadline (the caller's watchdog) ends it. A nil
-// ctx keeps the plain Submit contract.
-func (q *Queue) SubmitCtx(ctx context.Context, cg func(h *Handler) error) *Event {
+// queue submit of Table VI. The returned event completes when the action
+// has run; buffer-access dependencies order it against previously
+// submitted groups. Kernels the command group launches carry ctx into the
+// simulator, so an injected hang blocks on it until its deadline (the
+// caller's watchdog) ends it; a nil ctx bounds nothing.
+//
+// Errors are delivered the way SYCL delivers them. An error returned by the
+// command-group function, or ErrNoAction for a group that launches
+// nothing, is synchronous: it completes the event at once and never reaches
+// the async handler. An error raised by the action once it is scheduled —
+// a failed launch or dependency, a device allocation, an injected
+// asynchronous exception — is asynchronous: it surfaces on the event and is
+// delivered to the queue's async handler before the event completes.
+func (q *Queue) Submit(ctx context.Context, cg func(h *Handler) error) *Event {
 	ev := newEvent()
-	q.mu.Lock()
-	q.events = append(q.events, ev)
-	q.mu.Unlock()
-
-	h := &Handler{q: q, ctx: ctx, usable: true}
+	h := &Handler{ctx: ctx, usable: true}
 	if err := cg(h); err != nil {
 		ev.complete(nil, err)
 		return ev

@@ -4,17 +4,20 @@
 // submitted through a queue, host/device data movement happens through
 // buffers and accessors, and resource lifetimes are managed by the runtime
 // (buffer destruction writes data back to the host) instead of explicit
-// releases. The eight logical programming steps of Table I, and the SYCL
-// sides of the migration-path Tables II–VI, map one-to-one onto this API:
+// releases. The API is what the migrated application (internal/search's
+// SYCL engine) calls, and nothing more; internal/bench's migration tables
+// name, per Table I step and per row of Tables II–VI, the calls that
+// implement it, and a type-checked test holds the two to each other:
 //
-//	Table I   — Selector / NewQueue / NewBufferFrom / Submit+ParallelFor /
-//	            accessors / Event / implicit destruction
+//	Table I   — GPUSelector / NewQueue / NewBuffer, NewBufferFrom /
+//	            command-group function / Submit + ParallelForPhases /
+//	            Access, SnapshotRange / Event / Buffer.Destroy
 //	Table II  — NewBuffer[T](ws), NewBufferFrom(host), Buffer.Destroy
-//	Table III — AccessRange + CopyFromDevice / CopyToDevice with offsets
-//	Table IV  — NDItem.GetGlobalID / GetGroup / GetLocalRange; the barrier
-//	            is the boundary between two ParallelForPhases phases
-//	Table V   — AtomicRef.FetchAdd via AtomicInc
-//	Table VI  — Queue.Submit(func(h)) { h.ParallelFor(NDRange, body) }
+//	Table III — host data in at NewBufferFrom, out through SnapshotRange
+//	Table IV  — the kernel bodies' gpu.Group index methods; the barrier is
+//	            the boundary between two ParallelForPhases phases
+//	Table V   — Stats.AtomicIncUint32 in the shared kernel bodies
+//	Table VI  — Queue.Submit(ctx, func(h)) { h.ParallelForPhases(...) }
 //
 // Submission is genuinely asynchronous: each command group runs on its own
 // goroutine once the accessor-declared dependencies (read-after-write,
@@ -38,9 +41,9 @@ var (
 	// ErrBufferDestroyed marks accessor creation or data access after
 	// Buffer.Destroy.
 	ErrBufferDestroyed = errors.New("sycl: buffer has been destroyed")
-	// ErrInvalidAccessRange marks a ranged accessor outside the buffer.
+	// ErrInvalidAccessRange marks a host read outside the buffer.
 	ErrInvalidAccessRange = errors.New("sycl: accessor range out of bounds")
-	// ErrNoAction marks a command group that neither copies nor launches.
+	// ErrNoAction marks a command group that launches no kernel.
 	ErrNoAction = errors.New("sycl: command group defines no action")
 	// ErrHandlerReuse marks use of a handler outside its Submit call.
 	ErrHandlerReuse = errors.New("sycl: handler used outside its command group")
@@ -71,41 +74,13 @@ func (GPUSelector) Select(candidates []*gpu.Device) (*gpu.Device, error) {
 	return best, nil
 }
 
-// NameSelector picks the device with the given short name.
-type NameSelector struct {
-	Name string
-}
-
-// Select returns the candidate whose spec name equals Name.
-func (s NameSelector) Select(candidates []*gpu.Device) (*gpu.Device, error) {
-	for _, d := range candidates {
-		if d.Spec().Name == s.Name {
-			return d, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: name %q", ErrNoDevice, s.Name)
-}
-
-// DefaultSelector picks the first available device, like
-// sycl::default_selector_v.
-type DefaultSelector struct{}
-
-// Select returns the first candidate.
-func (DefaultSelector) Select(candidates []*gpu.Device) (*gpu.Device, error) {
-	if len(candidates) == 0 {
-		return nil, fmt.Errorf("%w: default_selector with no devices", ErrNoDevice)
-	}
-	return candidates[0], nil
-}
-
 // AsyncError is an asynchronous SYCL exception: an error raised by a
-// command group after Submit returned, surfaced on the event, on
-// Queue.Wait, and — when one is installed — through the queue's async
-// handler. It is the simulator's sycl::exception for the async_handler
-// path the paper contrasts with OpenCL's per-call error codes.
+// command group after Submit returned, surfaced on the event and — when one
+// is installed — through the queue's async handler. It is the simulator's
+// sycl::exception for the async_handler path the paper contrasts with
+// OpenCL's per-call error codes.
 type AsyncError struct {
-	// Op names the command group that failed (the kernel name, or the
-	// copy/alloc operation).
+	// Op names the command group that failed (its kernel name).
 	Op string
 	// Err is the underlying failure.
 	Err error
@@ -132,14 +107,13 @@ type Queue struct {
 	dev *gpu.Device
 
 	mu      sync.Mutex
-	events  []*Event
 	handler AsyncHandler
 }
 
 // SetAsyncHandler installs the queue's asynchronous exception handler.
 // Every command-group error raised after Submit returns is delivered to it
-// (in addition to surfacing on the event and Queue.Wait), the way a SYCL
-// runtime invokes the async_handler at wait_and_throw points.
+// (in addition to surfacing on the event), the way a SYCL runtime invokes
+// the async_handler at wait_and_throw points.
 func (q *Queue) SetAsyncHandler(h AsyncHandler) {
 	q.mu.Lock()
 	q.handler = h
@@ -165,33 +139,11 @@ func (q *Queue) deliverAsync(op string, err error) {
 
 // NewQueue selects a device from the candidates and builds a queue for it.
 func NewQueue(sel DeviceSelector, candidates ...*gpu.Device) (*Queue, error) {
-	if sel == nil {
-		sel = DefaultSelector{}
-	}
 	dev, err := sel.Select(candidates)
 	if err != nil {
 		return nil, err
 	}
 	return &Queue{dev: dev}, nil
-}
-
-// Device returns the queue's device.
-func (q *Queue) Device() *gpu.Device { return q.dev }
-
-// Wait blocks until every command group submitted so far has completed,
-// returning the first error encountered (queue::wait_and_throw).
-func (q *Queue) Wait() error {
-	q.mu.Lock()
-	events := make([]*Event, len(q.events))
-	copy(events, q.events)
-	q.mu.Unlock()
-	var first error
-	for _, e := range events {
-		if err := e.Wait(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }
 
 // Event tracks the completion of one command group — the SYCL event class
@@ -211,14 +163,14 @@ func (e *Event) complete(stats *gpu.Stats, err error) {
 }
 
 // Wait blocks until the command group completes and returns its error.
-// Asynchronous errors surface here, modelling SYCL's async handler.
+// Asynchronous errors surface here as well as through the async handler.
 func (e *Event) Wait() error {
 	<-e.done
 	return e.err
 }
 
-// Stats returns the launch statistics of a kernel command group (nil for
-// copies), after the event completes.
+// Stats returns the launch statistics of the command group's kernel (nil if
+// it failed), after the event completes.
 func (e *Event) Stats() *gpu.Stats {
 	<-e.done
 	return e.stats

@@ -12,11 +12,29 @@ import (
 
 func newTestQueue(t *testing.T) *Queue {
 	t.Helper()
-	q, err := NewQueue(DefaultSelector{}, gpu.New(device.MI100(), gpu.WithWorkers(4)))
+	q, err := NewQueue(GPUSelector{}, gpu.New(device.MI100(), gpu.WithWorkers(4)))
 	if err != nil {
 		t.Fatalf("NewQueue: %v", err)
 	}
 	return q
+}
+
+// perItem is a barrier-free kernel: one phase running body for every
+// work-item of each group.
+func perItem(body func(it *gpu.Item)) func(*LocalMem) []gpu.Phase {
+	return func(*LocalMem) []gpu.Phase {
+		return []gpu.Phase{func(g *gpu.Group) { g.Each(body) }}
+	}
+}
+
+// snapshot reads a whole buffer back through a host accessor.
+func snapshot[T any](t *testing.T, b *Buffer[T], n int) []T {
+	t.Helper()
+	got, err := b.SnapshotRange(0, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
 }
 
 func TestSelectors(t *testing.T) {
@@ -28,21 +46,13 @@ func TestSelectors(t *testing.T) {
 	if err != nil || got != mi100 {
 		t.Errorf("GPUSelector picked %v, %v; want MI100 (most CUs)", got, err)
 	}
-	got, err = (DefaultSelector{}).Select(devs)
-	if err != nil || got != rvii {
-		t.Errorf("DefaultSelector picked %v, %v; want first", got, err)
-	}
-	got, err = (NameSelector{Name: "RVII"}).Select(devs)
-	if err != nil || got != rvii {
-		t.Errorf("NameSelector picked %v, %v", got, err)
-	}
-	if _, err := (NameSelector{Name: "H100"}).Select(devs); !errors.Is(err, ErrNoDevice) {
-		t.Errorf("NameSelector(unknown) = %v, want ErrNoDevice", err)
+	if q, err := NewQueue(GPUSelector{}, devs...); err != nil || q.dev != mi100 {
+		t.Errorf("NewQueue(GPUSelector) = %v; want a queue on MI100", err)
 	}
 	if _, err := (GPUSelector{}).Select(nil); !errors.Is(err, ErrNoDevice) {
 		t.Errorf("GPUSelector(none) = %v, want ErrNoDevice", err)
 	}
-	if _, err := NewQueue(nil); !errors.Is(err, ErrNoDevice) {
+	if _, err := NewQueue(GPUSelector{}); !errors.Is(err, ErrNoDevice) {
 		t.Errorf("NewQueue(no devices) = %v, want ErrNoDevice", err)
 	}
 }
@@ -66,7 +76,7 @@ func TestSubmitParallelFor(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ev := q.Submit(func(h *Handler) error {
+	ev := q.Submit(nil, func(h *Handler) error {
 		inAcc, err := Access(h, in, Read)
 		if err != nil {
 			return err
@@ -79,14 +89,14 @@ func TestSubmitParallelFor(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		return h.ParallelForPhases("scale", gpu.R1(n), gpu.R1(256), func(m *LocalMem) []gpu.Phase {
+		return h.ParallelForPhases("scale", n, 256, func(m *LocalMem) []gpu.Phase {
 			s := staging.Slice(m)
 			return []gpu.Phase{
 				func(g *gpu.Group) {
-					g.Each(func(it *gpu.Item) { s[it.LocalID(0)] = inAcc.Slice()[it.GlobalID(0)] })
+					g.Each(func(it *gpu.Item) { s[it.LocalID()] = inAcc.Slice()[it.GlobalID()] })
 				},
 				func(g *gpu.Group) { // after item.barrier(local_space)
-					g.Each(func(it *gpu.Item) { outAcc.Slice()[it.GlobalID(0)] = s[it.LocalID(0)] * 2 })
+					g.Each(func(it *gpu.Item) { outAcc.Slice()[it.GlobalID()] = s[it.LocalID()] * 2 })
 				},
 			}
 		})
@@ -97,11 +107,7 @@ func TestSubmitParallelFor(t *testing.T) {
 	if ev.Stats() == nil || ev.Stats().WorkItems != n || ev.Stats().Barriers != n {
 		t.Errorf("stats = %+v", ev.Stats())
 	}
-	got, err := out.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
+	for i, v := range snapshot(t, out, n) {
 		if v != int32(i*2) {
 			t.Fatalf("out[%d] = %d, want %d", i, v, i*2)
 		}
@@ -118,17 +124,17 @@ func TestImplicitDependencies(t *testing.T) {
 	b, _ := NewBuffer[int32](n)
 
 	// Group 1: a[i] = i.
-	q.Submit(func(h *Handler) error {
+	ev1 := q.Submit(nil, func(h *Handler) error {
 		acc, err := Access(h, a, Write)
 		if err != nil {
 			return err
 		}
-		return h.ParallelFor("fill", gpu.R1(n), gpu.R1(64), func(it *NDItem) {
-			acc.Slice()[it.GetGlobalID(0)] = int32(it.GetGlobalID(0))
-		})
+		return h.ParallelForPhases("fill", n, 64, perItem(func(it *gpu.Item) {
+			acc.Slice()[it.GlobalID()] = int32(it.GlobalID())
+		}))
 	})
 	// Group 2: b[i] = a[i] + 1 (depends on group 1 through buffer a).
-	q.Submit(func(h *Handler) error {
+	ev2 := q.Submit(nil, func(h *Handler) error {
 		ra, err := Access(h, a, Read)
 		if err != nil {
 			return err
@@ -137,74 +143,34 @@ func TestImplicitDependencies(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		return h.ParallelFor("inc", gpu.R1(n), gpu.R1(64), func(it *NDItem) {
-			gid := it.GetGlobalID(0)
+		return h.ParallelForPhases("inc", n, 64, perItem(func(it *gpu.Item) {
+			gid := it.GlobalID()
 			wb.Slice()[gid] = ra.Slice()[gid] + 1
-		})
+		}))
 	})
 	// Group 3: a[i] = 0 (WAR against group 2's read of a).
-	q.Submit(func(h *Handler) error {
+	ev3 := q.Submit(nil, func(h *Handler) error {
 		acc, err := Access(h, a, Write)
 		if err != nil {
 			return err
 		}
-		return h.ParallelFor("clear", gpu.R1(n), gpu.R1(64), func(it *NDItem) {
-			acc.Slice()[it.GetGlobalID(0)] = 0
-		})
+		return h.ParallelForPhases("clear", n, 64, perItem(func(it *gpu.Item) {
+			acc.Slice()[it.GlobalID()] = 0
+		}))
 	})
-	if err := q.Wait(); err != nil {
-		t.Fatalf("queue wait: %v", err)
+	for _, ev := range []*Event{ev1, ev2, ev3} {
+		if err := ev.Wait(); err != nil {
+			t.Fatalf("event: %v", err)
+		}
 	}
-	gotB, err := b.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range gotB {
+	for i, v := range snapshot(t, b, n) {
 		if v != int32(i+1) {
 			t.Fatalf("b[%d] = %d, want %d (RAW/WAR ordering broken)", i, v, i+1)
 		}
 	}
-	gotA, _ := a.Snapshot()
-	for i, v := range gotA {
+	for i, v := range snapshot(t, a, n) {
 		if v != 0 {
 			t.Fatalf("a[%d] = %d, want 0", i, v)
-		}
-	}
-}
-
-// TestTableIIICopies exercises the ranged-accessor copy commands of
-// Table III in both directions.
-func TestTableIIICopies(t *testing.T) {
-	q := newTestQueue(t)
-	buf, _ := NewBuffer[uint32](16)
-
-	src := []uint32{10, 11, 12, 13}
-	ev := q.Submit(func(h *Handler) error {
-		acc, err := AccessRange(h, buf, Write, 4, 8)
-		if err != nil {
-			return err
-		}
-		return CopyToDevice(h, acc, src)
-	})
-	if err := ev.Wait(); err != nil {
-		t.Fatalf("write copy: %v", err)
-	}
-
-	dst := make([]uint32, 6)
-	ev = q.Submit(func(h *Handler) error {
-		acc, err := AccessRange(h, buf, Read, 6, 7)
-		if err != nil {
-			return err
-		}
-		return CopyFromDevice(h, dst, acc)
-	})
-	if err := ev.Wait(); err != nil {
-		t.Fatalf("read copy: %v", err)
-	}
-	want := []uint32{0, 10, 11, 12, 13, 0}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Errorf("dst[%d] = %d, want %d", i, dst[i], want[i])
 		}
 	}
 }
@@ -215,15 +181,15 @@ func TestBufferWriteBack(t *testing.T) {
 	q := newTestQueue(t)
 	host := []int32{1, 2, 3, 4}
 	buf, _ := NewBufferFrom(host)
-	q.Submit(func(h *Handler) error {
+	q.Submit(nil, func(h *Handler) error {
 		acc, err := Access(h, buf, ReadWrite)
 		if err != nil {
 			return err
 		}
-		return h.ParallelFor("square", gpu.R1(4), gpu.R1(4), func(it *NDItem) {
-			v := acc.Slice()[it.GetGlobalID(0)]
-			acc.Slice()[it.GetGlobalID(0)] = v * v
-		})
+		return h.ParallelForPhases("square", 4, 4, perItem(func(it *gpu.Item) {
+			v := acc.Slice()[it.GlobalID()]
+			acc.Slice()[it.GlobalID()] = v * v
+		}))
 	})
 	// No explicit wait: Destroy must wait for the kernel itself.
 	if err := buf.Destroy(); err != nil {
@@ -246,15 +212,20 @@ func TestBufferNoWriteBackWhenUnwritten(t *testing.T) {
 	host := []int32{5, 6}
 	buf, _ := NewBufferFrom(host)
 	dst := make([]int32, 2)
-	ev := q.Submit(func(h *Handler) error {
+	ev := q.Submit(nil, func(h *Handler) error {
 		acc, err := Access(h, buf, Read)
 		if err != nil {
 			return err
 		}
-		return CopyFromDevice(h, dst, acc)
+		return h.ParallelForPhases("copy", 2, 2, perItem(func(it *gpu.Item) {
+			dst[it.GlobalID()] = acc.Slice()[it.GlobalID()]
+		}))
 	})
 	if err := ev.Wait(); err != nil {
 		t.Fatal(err)
+	}
+	if dst[0] != 5 || dst[1] != 6 {
+		t.Fatalf("kernel read %v, want [5 6]", dst)
 	}
 	host[0] = 99 // host mutation after construction
 	if err := buf.Destroy(); err != nil {
@@ -271,85 +242,110 @@ func TestUseAfterDestroy(t *testing.T) {
 	if err := buf.Destroy(); err != nil {
 		t.Fatal(err)
 	}
-	ev := q.Submit(func(h *Handler) error {
+	ev := q.Submit(nil, func(h *Handler) error {
 		_, err := Access(h, buf, Read)
 		return err
 	})
 	if err := ev.Wait(); !errors.Is(err, ErrBufferDestroyed) {
 		t.Errorf("access after destroy = %v, want ErrBufferDestroyed", err)
 	}
-	if _, err := buf.Snapshot(); !errors.Is(err, ErrBufferDestroyed) {
+	if _, err := buf.SnapshotRange(0, 8); !errors.Is(err, ErrBufferDestroyed) {
 		t.Errorf("snapshot after destroy = %v, want ErrBufferDestroyed", err)
 	}
 }
 
+// TestAccessRangeErrors: a ranged host accessor outside the buffer is
+// refused, and one inside it reads just its window.
 func TestAccessRangeErrors(t *testing.T) {
-	q := newTestQueue(t)
-	buf, _ := NewBuffer[int32](8)
-	ev := q.Submit(func(h *Handler) error {
-		_, err := AccessRange(h, buf, Read, 6, 4)
-		if !errors.Is(err, ErrInvalidAccessRange) {
-			t.Errorf("overlong range = %v", err)
+	buf, _ := NewBufferFrom([]int32{0, 1, 2, 3, 4, 5, 6, 7})
+	for _, r := range [][2]int{{6, 4}, {-1, 2}, {0, -1}, {0, 9}} {
+		if _, err := buf.SnapshotRange(r[0], r[1]); !errors.Is(err, ErrInvalidAccessRange) {
+			t.Errorf("SnapshotRange(%d, %d) = %v, want ErrInvalidAccessRange", r[0], r[1], err)
 		}
-		_, err = AccessRange(h, buf, Read, -1, 0)
-		if !errors.Is(err, ErrInvalidAccessRange) {
-			t.Errorf("negative count = %v", err)
-		}
-		acc, err := Access(h, buf, Read)
-		if err != nil {
-			return err
-		}
-		return CopyFromDevice(h, make([]int32, 8), acc)
-	})
-	if err := ev.Wait(); err != nil {
+	}
+	got, err := buf.SnapshotRange(3, 4)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(got) != 4 || got[0] != 3 || got[3] != 6 {
+		t.Errorf("SnapshotRange(3, 4) = %v, want [3 4 5 6]", got)
 	}
 }
 
+// TestCommandGroupErrors: an error of the command-group function — its
+// own, a second action, or ErrNoAction for a group that launches nothing —
+// is synchronous, completing the event without reaching the async handler;
+// a launch error is asynchronous, surfacing on the event and delivered to
+// the handler once.
 func TestCommandGroupErrors(t *testing.T) {
 	q := newTestQueue(t)
+	var delivered atomic.Int32
+	q.SetAsyncHandler(func(*AsyncError) { delivered.Add(1) })
+	deliveries := func(what string, want int32) {
+		t.Helper()
+		if got := delivered.Swap(0); got != want {
+			t.Errorf("%s: async handler saw %d deliveries, want %d", what, got, want)
+		}
+	}
+	nop := perItem(func(*gpu.Item) {})
+
 	// No action.
-	ev := q.Submit(func(h *Handler) error { return nil })
+	ev := q.Submit(nil, func(h *Handler) error { return nil })
 	if err := ev.Wait(); !errors.Is(err, ErrNoAction) {
 		t.Errorf("empty group = %v, want ErrNoAction", err)
 	}
+	deliveries("ErrNoAction", 0)
 	// Two actions.
-	buf, _ := NewBuffer[int32](4)
-	ev = q.Submit(func(h *Handler) error {
-		acc, err := Access(h, buf, Write)
-		if err != nil {
+	ev = q.Submit(nil, func(h *Handler) error {
+		if err := h.ParallelForPhases("first", 4, 4, nop); err != nil {
 			return err
 		}
-		if err := CopyToDevice(h, acc, make([]int32, 4)); err != nil {
-			return err
-		}
-		return h.ParallelFor("extra", gpu.R1(4), gpu.R1(4), func(it *NDItem) {})
+		return h.ParallelForPhases("extra", 4, 4, nop)
 	})
 	if err := ev.Wait(); err == nil {
 		t.Error("double action = nil error")
 	}
+	deliveries("double action", 0)
 	// Command-group function error propagates to the event.
 	wantErr := errors.New("boom")
-	ev = q.Submit(func(h *Handler) error { return wantErr })
+	ev = q.Submit(nil, func(h *Handler) error { return wantErr })
 	if err := ev.Wait(); !errors.Is(err, wantErr) {
 		t.Errorf("cg error = %v, want boom", err)
 	}
-	// Handler escaping its command group is rejected.
-	var escaped *Handler
-	ev = q.Submit(func(h *Handler) error {
-		escaped = h
+	deliveries("command-group function error", 0)
+	// A launch error: 100 % 64 != 0, an invalid nd_range, surfaces
+	// asynchronously.
+	buf, _ := NewBuffer[int32](100)
+	ev = q.Submit(nil, func(h *Handler) error {
 		acc, err := Access(h, buf, Write)
 		if err != nil {
 			return err
 		}
-		return CopyToDevice(h, acc, make([]int32, 4))
+		return h.ParallelForPhases("bad", 100, 64, perItem(func(it *gpu.Item) {
+			acc.Slice()[it.GlobalID()] = 1
+		}))
+	})
+	if err := ev.Wait(); !errors.Is(err, gpu.ErrLocalSize) {
+		t.Errorf("invalid nd_range = %v, want ErrLocalSize", err)
+	}
+	deliveries("launch error", 1)
+	// Handler escaping its command group is rejected.
+	var escaped *Handler
+	clean, _ := NewBuffer[int32](4)
+	ev = q.Submit(nil, func(h *Handler) error {
+		escaped = h
+		if _, err := Access(h, clean, Write); err != nil {
+			return err
+		}
+		return h.ParallelForPhases("escape", 4, 4, nop)
 	})
 	if err := ev.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Access(escaped, buf, Read); !errors.Is(err, ErrHandlerReuse) {
+	if _, err := Access(escaped, clean, Read); !errors.Is(err, ErrHandlerReuse) {
 		t.Errorf("escaped handler = %v, want ErrHandlerReuse", err)
 	}
+	deliveries("clean launch", 0)
 }
 
 // TestPhaseKernelErrorsSurfaceOnEvent: a phase kernel that is mis-shaped —
@@ -373,8 +369,8 @@ func TestPhaseKernelErrorsSurfaceOnEvent(t *testing.T) {
 		{"panicking factory", "panicked: no kernel", func(*LocalMem) []gpu.Phase { panic("no kernel") }},
 	}
 	for i, tc := range cases {
-		ev := q.Submit(func(h *Handler) error {
-			return h.ParallelForPhases(tc.name, gpu.R1(64*64), gpu.R1(64), tc.kernel)
+		ev := q.Submit(nil, func(h *Handler) error {
+			return h.ParallelForPhases(tc.name, 64*64, 64, tc.kernel)
 		})
 		err := ev.Wait()
 		if err == nil || !strings.Contains(err.Error(), tc.want) || ev.Stats() != nil {
@@ -385,66 +381,42 @@ func TestPhaseKernelErrorsSurfaceOnEvent(t *testing.T) {
 			t.Errorf("%s: async handler saw %d deliveries, want %d", tc.name, got, i+1)
 		}
 	}
-	ev := q.Submit(func(h *Handler) error {
-		return h.ParallelForPhases("nil", gpu.R1(64), gpu.R1(64), nil)
+	ev := q.Submit(nil, func(h *Handler) error {
+		return h.ParallelForPhases("nil", 64, 64, nil)
 	})
 	if err := ev.Wait(); err == nil {
 		t.Error("nil phase kernel accepted")
 	}
 }
 
-// TestAsyncErrorOnQueueWait verifies launch-time errors surface on
-// Queue.Wait, like SYCL's async handler.
+// TestAsyncErrorOnQueueWait verifies a launch-time error surfaces
+// asynchronously, like SYCL's async handler at a wait: Submit accepts the
+// group, and waiting on its event yields the error after the queue's
+// handler has received it as an AsyncError naming the kernel.
 func TestAsyncErrorOnQueueWait(t *testing.T) {
 	q := newTestQueue(t)
+	var got atomic.Pointer[AsyncError]
+	q.SetAsyncHandler(func(ae *AsyncError) { got.Store(ae) })
 	buf, _ := NewBuffer[int32](100)
-	q.Submit(func(h *Handler) error {
+	ev := q.Submit(nil, func(h *Handler) error {
 		acc, err := Access(h, buf, Write)
 		if err != nil {
 			return err
 		}
 		// 100 % 64 != 0: invalid nd_range surfaces asynchronously.
-		return h.ParallelFor("bad", gpu.R1(100), gpu.R1(64), func(it *NDItem) {
-			acc.Slice()[it.GetGlobalID(0)] = 1
-		})
+		return h.ParallelForPhases("bad", 100, 64, perItem(func(it *gpu.Item) {
+			acc.Slice()[it.GlobalID()] = 1
+		}))
 	})
-	if err := q.Wait(); !errors.Is(err, gpu.ErrLocalSize) {
-		t.Errorf("Queue.Wait = %v, want ErrLocalSize", err)
+	if err := ev.Wait(); !errors.Is(err, gpu.ErrLocalSize) {
+		t.Errorf("Event.Wait = %v, want ErrLocalSize", err)
 	}
-}
-
-func TestAtomicRefTableV(t *testing.T) {
-	q := newTestQueue(t)
-	var counter uint32
-	cbuf, _ := NewBufferFrom([]uint32{0}) // slot store
-	out, _ := NewBuffer[uint32](512)
-	_ = cbuf
-	ev := q.Submit(func(h *Handler) error {
-		acc, err := Access(h, out, Write)
-		if err != nil {
-			return err
-		}
-		return h.ParallelFor("atomics", gpu.R1(512), gpu.R1(64), func(it *NDItem) {
-			old := AtomicInc(it, &counter)
-			acc.Slice()[old] = uint32(it.GetGlobalID(0))
-		})
-	})
-	if err := ev.Wait(); err != nil {
-		t.Fatal(err)
+	ae := got.Load()
+	if ae == nil {
+		t.Fatal("async handler not called before the event completed")
 	}
-	if counter != 512 {
-		t.Fatalf("counter = %d, want 512", counter)
-	}
-	got, _ := out.Snapshot()
-	seen := make(map[uint32]bool)
-	for _, v := range got {
-		if seen[v] {
-			t.Fatalf("value %d stored twice: atomic slots not unique", v)
-		}
-		seen[v] = true
-	}
-	if ev.Stats().AtomicOps != 512 {
-		t.Errorf("AtomicOps = %d, want 512", ev.Stats().AtomicOps)
+	if ae.Op != "bad" || !errors.Is(ae, gpu.ErrLocalSize) {
+		t.Errorf("async error = %v (op %q), want ErrLocalSize in \"bad\"", ae, ae.Op)
 	}
 }
 
@@ -454,18 +426,15 @@ func TestConstantBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := q.Submit(func(h *Handler) error {
+	ev := q.Submit(nil, func(h *Handler) error {
 		acc, err := Access(h, pat, Read)
 		if err != nil {
 			return err
 		}
-		if !acc.Constant() {
-			t.Error("accessor should report constant target")
-		}
-		return h.ParallelFor("touch", gpu.R1(4), gpu.R1(4), func(it *NDItem) {
-			it.Item().LoadConstant()
+		return h.ParallelForPhases("touch", 4, 4, perItem(func(it *gpu.Item) {
+			it.LoadConstant()
 			_ = acc.Slice()[0]
-		})
+		}))
 	})
 	if err := ev.Wait(); err != nil {
 		t.Fatal(err)
@@ -474,36 +443,12 @@ func TestConstantBuffer(t *testing.T) {
 		t.Errorf("ConstantLoadOps = %d", ev.Stats().ConstantLoadOps)
 	}
 	// Writing a constant buffer is rejected.
-	ev = q.Submit(func(h *Handler) error {
+	ev = q.Submit(nil, func(h *Handler) error {
 		_, err := Access(h, pat, Write)
 		return err
 	})
 	if err := ev.Wait(); err == nil {
 		t.Error("write access to constant buffer = nil error")
-	}
-}
-
-func TestNDItemNames(t *testing.T) {
-	q := newTestQueue(t)
-	buf, _ := NewBuffer[int32](128)
-	ev := q.Submit(func(h *Handler) error {
-		acc, err := Access(h, buf, Write)
-		if err != nil {
-			return err
-		}
-		return h.ParallelFor("names", gpu.R1(128), gpu.R1(32), func(it *NDItem) {
-			// Table IV: group*localRange + localID == globalID.
-			if it.GetGroup(0)*it.GetLocalRange(0)+it.GetLocalID(0) != it.GetGlobalID(0) {
-				t.Error("nd_item coordinate identity broken")
-			}
-			if it.GetGlobalRange(0) != 128 || it.GetGroupRange(0) != 4 {
-				t.Error("nd_item ranges wrong")
-			}
-			acc.Slice()[it.GetGlobalID(0)] = 1
-		})
-	})
-	if err := ev.Wait(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -513,14 +458,12 @@ func TestDeviceOOMSurfacesOnEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := q.Submit(func(h *Handler) error {
+	ev := q.Submit(nil, func(h *Handler) error {
 		acc, err := Access(h, big, Write)
 		if err != nil {
 			return err
 		}
-		return h.ParallelFor("oom", gpu.R1(64), gpu.R1(64), func(it *NDItem) {
-			_ = acc
-		})
+		return h.ParallelForPhases("oom", 64, 64, perItem(func(*gpu.Item) { _ = acc }))
 	})
 	if err := ev.Wait(); !errors.Is(err, gpu.ErrOutOfMemory) {
 		t.Errorf("oversized buffer = %v, want ErrOutOfMemory", err)
@@ -533,74 +476,43 @@ func TestNewBufferErrors(t *testing.T) {
 	}
 }
 
-func TestProgrammingStepCounts(t *testing.T) {
-	if got := len(ProgrammingSteps()); got != 8 {
-		t.Errorf("SYCL steps = %d, want 8 (Table I)", got)
-	}
-}
-
 // TestCrossQueueBufferDependencies: two queues on the same device sharing a
 // buffer are still ordered by the buffer's dependency state.
 func TestCrossQueueBufferDependencies(t *testing.T) {
 	dev := gpu.New(device.MI60(), gpu.WithWorkers(4))
-	q1, err := NewQueue(DefaultSelector{}, dev)
+	q1, err := NewQueue(GPUSelector{}, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q2, err := NewQueue(DefaultSelector{}, dev)
+	q2, err := NewQueue(GPUSelector{}, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf, _ := NewBuffer[int32](256)
-	q1.Submit(func(h *Handler) error {
+	q1.Submit(nil, func(h *Handler) error {
 		acc, err := Access(h, buf, Write)
 		if err != nil {
 			return err
 		}
-		return h.ParallelFor("fill", gpu.R1(256), gpu.R1(64), func(it *NDItem) {
-			acc.Slice()[it.GetGlobalID(0)] = 7
-		})
+		return h.ParallelForPhases("fill", 256, 64, perItem(func(it *gpu.Item) {
+			acc.Slice()[it.GlobalID()] = 7
+		}))
 	})
-	ev := q2.Submit(func(h *Handler) error {
+	ev := q2.Submit(nil, func(h *Handler) error {
 		acc, err := Access(h, buf, ReadWrite)
 		if err != nil {
 			return err
 		}
-		return h.ParallelFor("inc", gpu.R1(256), gpu.R1(64), func(it *NDItem) {
-			acc.Slice()[it.GetGlobalID(0)]++
-		})
+		return h.ParallelForPhases("inc", 256, 64, perItem(func(it *gpu.Item) {
+			acc.Slice()[it.GlobalID()]++
+		}))
 	})
 	if err := ev.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := buf.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
+	for i, v := range snapshot(t, buf, 256) {
 		if v != 8 {
 			t.Fatalf("buf[%d] = %d, want 8 (cross-queue ordering broken)", i, v)
 		}
-	}
-}
-
-func TestAccessorMetadata(t *testing.T) {
-	q := newTestQueue(t)
-	buf, _ := NewBuffer[int32](16)
-	ev := q.Submit(func(h *Handler) error {
-		acc, err := AccessRange(h, buf, ReadWrite, 4, 8)
-		if err != nil {
-			return err
-		}
-		if acc.Len() != 4 || acc.Offset() != 8 || acc.Mode() != ReadWrite {
-			t.Errorf("accessor metadata: len=%d off=%d mode=%v", acc.Len(), acc.Offset(), acc.Mode())
-		}
-		if acc.Constant() {
-			t.Error("plain buffer reported constant")
-		}
-		return CopyToDevice(h, acc, make([]int32, 4))
-	})
-	if err := ev.Wait(); err != nil {
-		t.Fatal(err)
 	}
 }
