@@ -52,7 +52,9 @@ race:
 # coalescer and over HTTP, member departure, a panicking merged pass), the CPU scan's equivalence suite (the SWAR
 # compare against the byte and scalar references, patterns of one to five
 # words, the batched-vs-per-guide merge and the zero-allocation pin, whose
-# pooled planes are per-goroutine buffers), the NDJSON encoder's
+# pooled planes are per-goroutine buffers; and the artifact equivalence
+# and corrupt-shard tests, since every slot scans one shared mapped PAM
+# shard in place), the NDJSON encoder's
 # zero-allocation pin, and the simulator engines'
 # whole-Profile equality on one device and a three-device fleet (arena
 # relaunches included) with the dense region matrix, at the same count.
@@ -72,7 +74,7 @@ stress:
 	$(GO) test -race -count 20 -cpu 1,2,8 ./cmd/benchtab -run 'TestRunCSV'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/serve/ -run 'TestFlush'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/serve -run 'TestCoalesce|TestCoalescedRequestsOverHTTP|TestPanicIsolation'
-	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/search/ -run 'TestSWAR|TestScanChunkMatchesSeed|TestScanInnerLoopZeroAllocs|TestWriteHitJSONZeroAllocs|TestBatchedMatchesPerPattern|TestCompareMultiWordPatterns'
+	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/search/ -run 'TestSWAR|TestScanChunkMatchesSeed|TestScanInnerLoopZeroAllocs|TestWriteHitJSONZeroAllocs|TestBatchedMatchesPerPattern|TestCompareMultiWordPatterns|TestArtifactEquivalenceAllEngines|TestArtifactShardMatchesScan|TestArtifactCorruptShardRejected'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/search/ -run 'TestSimProfileSchedule|TestDenseCandidateRegionMatrix'
 	$(GO) test -race -count 1 -cpu 1,2,8 ./internal/search/ -run 'TestFaultDeterminism|TestFaultMatrix|TestMetricsAgreeWithProfile|TestMultiSYCLSchedMetricsParity|TestMultiSYCLSchedFailsOverPerDevice|TestMultiSYCLMergeParity|TestProfileMerge'
 

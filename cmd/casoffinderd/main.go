@@ -1,8 +1,9 @@
 // Command casoffinderd serves off-target searches over HTTP. Where the
 // casoffinder CLI pays genome loading and engine tuning on every invocation,
-// the daemon loads its genomes once — artifacts are mmapped zero-copy — warms
-// the engine once, and then answers searches from resident state, streaming
-// hits as NDJSON.
+// the daemon loads its genomes once — artifacts are mmapped zero-copy and
+// checked against their checksums before it listens — warms the engine
+// once, and then answers searches from resident state, streaming hits as
+// NDJSON.
 //
 // Usage:
 //
@@ -302,8 +303,9 @@ func writeTrace(path string, t *obs.Tracer) error {
 }
 
 // loadGenomes resolves every -genome (FASTA parse) and -artifact (zero-copy
-// mmap) into the resident set. A spec is either a bare path — the resident
-// name is the base name without extension — or name=path.
+// mmap, verified against its checksums) into the resident set. A spec is
+// either a bare path — the resident name is the base name without
+// extension — or name=path.
 func loadGenomes(genomes, artifacts []string, stderr io.Writer) (map[string]*genome.Assembly, error) {
 	resident := make(map[string]*genome.Assembly)
 	add := func(name string, asm *genome.Assembly) error {
@@ -329,6 +331,12 @@ func loadGenomes(genomes, artifacts []string, stderr io.Writer) (map[string]*gen
 		art, err := genome.LoadArtifact(path)
 		if err != nil {
 			return nil, err
+		}
+		// A resident genome serves every request until exit: check each
+		// section's checksum once, before the daemon listens.
+		if err := art.Verify(); err != nil {
+			art.Close()
+			return nil, fmt.Errorf("artifact %s: %w", path, err)
 		}
 		if err := add(name, art.Assembly()); err != nil {
 			return nil, err

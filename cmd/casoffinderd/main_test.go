@@ -242,6 +242,43 @@ func TestDaemonServesArtifact(t *testing.T) {
 	}
 }
 
+// TestDaemonRefusesCorruptArtifact: an artifact with one flipped payload
+// byte loads (the load reads only the header) but fails the start-up
+// verify, so the daemon exits non-zero without ever printing its listen
+// line.
+func TestDaemonRefusesCorruptArtifact(t *testing.T) {
+	asm, err := genome.LoadDir(writeGenomeDir(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := search.BuildArtifact(asm, "NNNNNNNNNNNGG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := art.Encode()
+	img[len(img)-1] ^= 0x80 // the last PAM shard entry
+	cart := filepath.Join(t.TempDir(), "toy.cart")
+	if err := os.WriteFile(cart, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := genome.LoadArtifact(cart); err != nil {
+		t.Fatalf("LoadArtifact: %v (a payload flip must pass the header-only load)", err)
+	}
+	// A daemon that wrongly starts serves until ctx ends; the deadline turns
+	// that into a failure here instead of a hang.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var errOut bytes.Buffer
+	err = run(ctx, []string{"-listen", "127.0.0.1:0", "-artifact", "toy=" + cart}, &errOut)
+	var ce *genome.ArtifactCorruptError
+	if !errors.As(err, &ce) || exitCode(err) == exitOK {
+		t.Fatalf("run = %v (exit %d), want an ArtifactCorruptError and a non-zero exit", err, exitCode(err))
+	}
+	if strings.Contains(errOut.String(), "listening on") {
+		t.Errorf("daemon printed its listen line before refusing the artifact:\n%s", errOut.String())
+	}
+}
+
 // TestDaemonSimEngineDegraded boots the daemon on the OpenCL simulator with
 // a certain device-lost fault: the request must still complete with the
 // planted hit and a degraded trailer.

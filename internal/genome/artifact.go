@@ -5,10 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"math"
+	"hash/crc32"
+	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"unsafe"
@@ -25,27 +26,28 @@ import (
 //   - the 32-bases-per-uint64 code words and unknown-lane words in
 //     WordView layout, padding word included, so a word view over any
 //     chunk window is a slice header away;
-//   - optionally a sorted shard of PAM-candidate positions precomputed for
+//   - optionally a sorted shard of PAM-candidate entries precomputed for
 //     one scaffold pattern with the SWAR 32-wide prefilter, letting the
 //     scan engines skip candidate finding entirely.
 //
 // The on-disk encoding is designed for O(header) loads: a fixed-width,
 // checksummed, endianness-tagged header names absolute section offsets and
-// the payload is reinterpreted in place as []byte / []uint64 slices — no
-// per-base work happens between mapping the file and the first kernel
-// launch (LoadArtifact memory-maps on unix, so the payload is not even
-// read until the engines walk it).
-// The payload carries its own checksum, verified on demand by Verify rather
-// than at load (a load-time payload sweep would reintroduce the O(genome)
-// cost the artifact exists to remove).
+// the payload is reinterpreted in place as []byte / []uint64 / []PAMEntry
+// slices — no per-base work happens between mapping the file and the first
+// kernel launch (LoadArtifact memory-maps on unix, so the payload is not
+// even read until the engines walk it).
+// Every payload section carries its own CRC-32C, checked on demand by Verify
+// rather than at load (a load-time payload sweep would reintroduce the
+// O(genome) cost the artifact exists to remove).
 type Artifact struct {
 	name       string
 	pattern    string // upper-cased scaffold the PAM shards index; "" = none
 	patternLen int
 	seqs       []artifactSeq
 	data       []byte // backing file image for loaded artifacts (nil when built in memory)
+	path       string // the file data was loaded from; "" for byte-slice images
 	headerLen  int
-	payloadSum uint64
+	headerSum  uint32
 	asm        *Assembly    // lazily built, aliasing the payload
 	close      func() error // unmaps a LoadArtifact mapping; nil otherwise
 }
@@ -58,10 +60,39 @@ type artifactSeq struct {
 	desc string
 	raw  []byte
 	view WordView
-	pam  []uint64
+	pam  []PAMEntry
+	// off and sum are each section's file offset and recorded CRC-32C, in
+	// sectionNames order (set by ReadArtifact).
+	off [numSections]int64
+	sum [numSections]uint32
 }
 
-// PAM shard entries pack one candidate as position<<2 | strand bits.
+// The payload sections of one sequence, in file order.
+const (
+	secRaw = iota
+	secCodes
+	secUnknown
+	secPAM
+	numSections
+)
+
+// sectionNames names each section in errors.
+var sectionNames = [numSections]string{"raw", "codes", "unknown", "pam"}
+
+// section returns the bytes of section k of s.
+func (s *artifactSeq) section(k int) []byte {
+	switch k {
+	case secRaw:
+		return s.raw
+	case secCodes:
+		return asBytes(s.view.codes)
+	case secUnknown:
+		return asBytes(s.view.unknown)
+	}
+	return asBytes(s.pam)
+}
+
+// PAM shard entries pack one candidate's strand bits below its position.
 const (
 	// PAMFwd marks a candidate whose forward-strand scaffold matched.
 	PAMFwd = 1 << 0
@@ -69,11 +100,40 @@ const (
 	PAMRev = 1 << 1
 )
 
+// A PAMEntry is one PAM-candidate: pos<<2 | PAMFwd/PAMRev. In a shard the
+// position is sequence-local; MaxArtifactSeqLen keeps it in 30 bits.
+type PAMEntry uint32
+
+// NewPAMEntry packs a candidate position and its strand bits.
+func NewPAMEntry(pos int, strand uint8) PAMEntry { return PAMEntry(pos)<<2 | PAMEntry(strand) }
+
+// Pos returns the entry's position.
+func (e PAMEntry) Pos() int { return int(e >> 2) }
+
+// Strand returns the entry's PAMFwd/PAMRev bits.
+func (e PAMEntry) Strand() uint8 { return uint8(e & 3) }
+
+// MaxArtifactSeqLen is the first sequence length an artifact cannot hold: a
+// PAMEntry keeps its position in 30 bits.
+const MaxArtifactSeqLen = 1 << 30
+
+// SequenceTooLongError reports a sequence of MaxArtifactSeqLen bases or
+// more, which BuildArtifact cannot index.
+type SequenceTooLongError struct {
+	Name string
+	Len  int
+}
+
+// Error implements error.
+func (e *SequenceTooLongError) Error() string {
+	return fmt.Sprintf("genome: artifact: sequence %s has %d bases; an artifact holds fewer than %d", e.Name, e.Len, MaxArtifactSeqLen)
+}
+
 // artifactMagic opens every artifact file.
 const artifactMagic = "CASOFART"
 
 // ArtifactVersion is the current format version. Readers refuse any other.
-const ArtifactVersion = 1
+const ArtifactVersion = 2
 
 // artifactEndianTag is written in the builder's native byte order; a reader
 // whose native order decodes it differently must not reinterpret the
@@ -81,9 +141,15 @@ const ArtifactVersion = 1
 const artifactEndianTag uint32 = 0x01020304
 
 // fixedHeaderLen is the byte length of the fixed header prefix (magic,
-// version, endian tag, header length, header checksum, payload checksum,
-// pattern length, sequence count).
-const fixedHeaderLen = 8 + 4 + 4 + 8 + 8 + 8 + 4 + 4
+// version, endian tag, header length, header checksum, pattern length,
+// sequence count).
+const fixedHeaderLen = 8 + 4 + 4 + 8 + 4 + 4 + 4
+
+// headerSumOff is the offset of the header's own CRC-32C.
+const headerSumOff = 24
+
+// castagnoli is the CRC-32C table every artifact checksum uses.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrArtifactMagic is returned when the input does not start with the
 // artifact magic — it is not an artifact file at all.
@@ -148,18 +214,24 @@ func checkUniqueNames(seqs []*Sequence) error {
 }
 
 // PAMFunc computes one sequence's sorted PAM-candidate shard from its word
-// view: entries are pos<<2 | PAMFwd/PAMRev bits in ascending position
-// order. The search layer supplies the SWAR prefilter as the
-// implementation; the genome layer stays ignorant of pattern compilation.
-type PAMFunc func(seqIndex int, v *WordView) []uint64
+// view, in ascending position order. The search layer supplies the SWAR
+// prefilter as the implementation; the genome layer stays ignorant of
+// pattern compilation.
+type PAMFunc func(seqIndex int, v *WordView) []PAMEntry
 
 // BuildArtifact packs every sequence of asm into artifact form. pattern and
 // patternLen describe the scaffold the optional PAM shards index (empty
 // pattern: no shards, pamFor may be nil); pamFor is invoked once per
-// sequence with its freshly built word view.
+// sequence with its freshly built word view. A sequence of
+// MaxArtifactSeqLen bases or more is a *SequenceTooLongError.
 func BuildArtifact(asm *Assembly, pattern string, patternLen int, pamFor PAMFunc) (*Artifact, error) {
 	if err := checkUniqueNames(asm.Sequences); err != nil {
 		return nil, err
+	}
+	for _, seq := range asm.Sequences {
+		if len(seq.Data) >= MaxArtifactSeqLen {
+			return nil, &SequenceTooLongError{Name: seq.Name, Len: len(seq.Data)}
+		}
 	}
 	if pattern == "" {
 		patternLen, pamFor = 0, nil
@@ -224,16 +296,13 @@ func (a *Artifact) PAMCount() int64 {
 }
 
 // PAMRange returns the PAM shard entries of sequence si whose positions lie
-// in [lo, hi), in ascending position order. Entries are pos<<2 | PAMFwd /
-// PAMRev. The slice aliases the resident shard — callers must not mutate it.
-func (a *Artifact) PAMRange(si, lo, hi int) []uint64 {
+// in [lo, hi), in ascending position order: two binary searches, no copy.
+// The slice aliases the resident shard — callers must not mutate it.
+func (a *Artifact) PAMRange(si, lo, hi int) []PAMEntry {
 	pam := a.seqs[si].pam
-	from := sort.Search(len(pam), func(i int) bool { return int(pam[i]>>2) >= lo })
-	to := from
-	for to < len(pam) && int(pam[to]>>2) < hi {
-		to++
-	}
-	return pam[from:to]
+	from := sort.Search(len(pam), func(i int) bool { return pam[i].Pos() >= lo })
+	pam = pam[from:]
+	return pam[:sort.Search(len(pam), func(i int) bool { return pam[i].Pos() >= hi })]
 }
 
 // Prefault makes the sections a word-parallel scan walks end to end — the
@@ -248,22 +317,25 @@ func (a *Artifact) Prefault(pam bool) {
 	if a.close == nil {
 		return
 	}
-	stride := os.Getpagesize() / 8
 	var sum uint64
-	touch := func(w []uint64) {
-		for i := 0; i < len(w); i += stride {
-			sum += w[i]
-		}
-	}
 	for i := range a.seqs {
 		s := &a.seqs[i]
-		touch(s.view.codes)
-		touch(s.view.unknown)
+		sum += touchPages(s.view.codes) + touchPages(s.view.unknown)
 		if pam {
-			touch(s.pam)
+			sum += touchPages(s.pam)
 		}
 	}
 	runtime.KeepAlive(sum)
+}
+
+// touchPages reads one element of w per page.
+func touchPages[T uint64 | PAMEntry](w []T) uint64 {
+	var sum uint64
+	stride := os.Getpagesize() / int(unsafe.Sizeof(T(0)))
+	for i := 0; i < len(w); i += stride {
+		sum += uint64(w[i])
+	}
+	return sum
 }
 
 // Assembly returns the assembly view of the artifact: sequence Data aliases
@@ -288,35 +360,28 @@ func (a *Artifact) Assembly() *Assembly {
 // 8-byte aligned relative to the file start.
 func pad8(n int) int { return (n + 7) &^ 7 }
 
-// u64Bytes reinterprets a word slice as its backing bytes (native order).
-func u64Bytes(w []uint64) []byte {
+// asBytes reinterprets a word slice as its backing bytes (native order).
+func asBytes[T uint64 | PAMEntry](w []T) []byte {
 	if len(w) == 0 {
 		return nil
 	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&w[0])), 8*len(w))
+	return unsafe.Slice((*byte)(unsafe.Pointer(&w[0])), len(w)*int(unsafe.Sizeof(w[0])))
 }
 
-// bytesU64 reinterprets b as n native-order words. When b is not 8-byte
-// aligned (possible only if the backing buffer itself is misaligned, which
-// the Go allocator never produces for os.ReadFile) the words are copied —
+// fromBytes reinterprets b as n native-order words. When b is not aligned
+// for T (possible only if the backing buffer itself is misaligned, which the
+// Go allocator never produces for os.ReadFile) the words are copied —
 // correctness never depends on the zero-copy fast path.
-func bytesU64(b []byte, n int) []uint64 {
+func fromBytes[T uint64 | PAMEntry](b []byte, n int) []T {
 	if n == 0 {
 		return nil
 	}
-	if uintptr(unsafe.Pointer(&b[0]))%8 == 0 {
-		return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), n)
+	if uintptr(unsafe.Pointer(&b[0]))%unsafe.Sizeof(T(0)) == 0 {
+		return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
 	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.NativeEndian.Uint64(b[8*i:])
-	}
+	out := make([]T, n)
+	copy(asBytes(out), b)
 	return out
-}
-
-// seqLayout is the encoder's per-sequence section plan.
-type seqLayout struct {
-	rawOff, wordsOff, unkOff, pamOff int
 }
 
 // appendStr appends a u32 length-prefixed string.
@@ -325,17 +390,16 @@ func appendStr(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// encodeHeader serializes the header with the given section layout. The
-// checksum fields are left zero; the caller patches them after the full
-// image exists.
-func (a *Artifact) encodeHeader(headerLen int, layout []seqLayout) []byte {
+// encodeHeader serializes the header with each sequence's section offsets
+// and checksums (zero when off is nil, for sizing). The header's own
+// checksum is left zero; Encode patches it once the header is complete.
+func (a *Artifact) encodeHeader(headerLen int, off [][numSections]int, sum [][numSections]uint32) []byte {
 	h := make([]byte, 0, headerLen)
 	h = append(h, artifactMagic...)
 	h = binary.LittleEndian.AppendUint32(h, ArtifactVersion)
 	h = binary.NativeEndian.AppendUint32(h, artifactEndianTag)
 	h = binary.LittleEndian.AppendUint64(h, uint64(headerLen))
-	h = binary.LittleEndian.AppendUint64(h, 0) // headerSum, patched
-	h = binary.LittleEndian.AppendUint64(h, 0) // payloadSum, patched
+	h = binary.LittleEndian.AppendUint32(h, 0) // headerSum, patched
 	h = binary.LittleEndian.AppendUint32(h, uint32(a.patternLen))
 	h = binary.LittleEndian.AppendUint32(h, uint32(len(a.seqs)))
 	h = appendStr(h, a.name)
@@ -345,66 +409,54 @@ func (a *Artifact) encodeHeader(headerLen int, layout []seqLayout) []byte {
 		h = appendStr(h, s.name)
 		h = appendStr(h, s.desc)
 		h = binary.LittleEndian.AppendUint64(h, uint64(s.view.n))
-		var l seqLayout
-		if layout != nil {
-			l = layout[i]
+		var o [numSections]int
+		var c [numSections]uint32
+		if off != nil {
+			o, c = off[i], sum[i]
 		}
-		h = binary.LittleEndian.AppendUint64(h, uint64(l.rawOff))
-		h = binary.LittleEndian.AppendUint64(h, uint64(l.wordsOff))
-		h = binary.LittleEndian.AppendUint64(h, uint64(l.unkOff))
-		h = binary.LittleEndian.AppendUint64(h, uint64(l.pamOff))
+		for _, v := range o {
+			h = binary.LittleEndian.AppendUint64(h, uint64(v))
+		}
 		h = binary.LittleEndian.AppendUint64(h, uint64(len(s.pam)))
+		for _, v := range c {
+			h = binary.LittleEndian.AppendUint32(h, v)
+		}
 	}
 	return h
 }
 
-// fnvSum hashes b with FNV-1a 64.
-func fnvSum(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
-}
-
-// headerSumOf hashes the header region with its own checksum field zeroed.
-func headerSumOf(header []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(header[:24])
-	h.Write(make([]byte, 8))
-	h.Write(header[32:])
-	return h.Sum64()
+// headerSumOf is the CRC-32C of the header region with its own checksum
+// field read as zero.
+func headerSumOf(header []byte) uint32 {
+	var zero [4]byte
+	sum := crc32.Update(0, castagnoli, header[:headerSumOff])
+	sum = crc32.Update(sum, castagnoli, zero[:])
+	return crc32.Update(sum, castagnoli, header[headerSumOff+4:])
 }
 
 // Encode serializes the artifact into one file image.
 func (a *Artifact) Encode() []byte {
-	// First pass sizes the header (offsets are fixed-width, so patching
-	// real values later cannot change its length).
-	headerLen := pad8(len(a.encodeHeader(0, nil)))
-	layout := make([]seqLayout, len(a.seqs))
-	off := headerLen
+	// First pass sizes the header (offsets and sums are fixed-width, so
+	// patching real values later cannot change its length).
+	headerLen := pad8(len(a.encodeHeader(0, nil, nil)))
+	off := make([][numSections]int, len(a.seqs))
+	sum := make([][numSections]uint32, len(a.seqs))
+	end := headerLen
 	for i := range a.seqs {
-		s := &a.seqs[i]
-		l := &layout[i]
-		l.rawOff = off
-		off = pad8(off + len(s.raw))
-		l.wordsOff = off
-		off += 8 * len(s.view.codes)
-		l.unkOff = off
-		off += 8 * len(s.view.unknown)
-		l.pamOff = off
-		off += 8 * len(s.pam)
+		for k := range sectionNames {
+			b := a.seqs[i].section(k)
+			off[i][k], sum[i][k] = pad8(end), crc32.Checksum(b, castagnoli)
+			end = off[i][k] + len(b)
+		}
 	}
-	img := make([]byte, off)
-	copy(img, a.encodeHeader(headerLen, layout))
+	img := make([]byte, end)
+	copy(img, a.encodeHeader(headerLen, off, sum))
 	for i := range a.seqs {
-		s := &a.seqs[i]
-		l := &layout[i]
-		copy(img[l.rawOff:], s.raw)
-		copy(img[l.wordsOff:], u64Bytes(s.view.codes))
-		copy(img[l.unkOff:], u64Bytes(s.view.unknown))
-		copy(img[l.pamOff:], u64Bytes(s.pam))
+		for k := range sectionNames {
+			copy(img[off[i][k]:], a.seqs[i].section(k))
+		}
 	}
-	binary.LittleEndian.PutUint64(img[32:], fnvSum(img[headerLen:]))
-	binary.LittleEndian.PutUint64(img[24:], headerSumOf(img[:headerLen]))
+	binary.LittleEndian.PutUint32(img[headerSumOff:], headerSumOf(img[:headerLen]))
 	return img
 }
 
@@ -457,7 +509,7 @@ func (r *headerReader) str() (string, error) {
 // artifact's raw bytes, word views and PAM shards alias data, so the caller
 // must not mutate it. Only the header is validated (magic, version,
 // endianness, checksum, section bounds) — the load stays O(header) +
-// O(sequences); run Verify to sweep the payload checksum.
+// O(sequences); run Verify to check the section checksums.
 func ReadArtifact(data []byte) (*Artifact, error) {
 	if len(data) < fixedHeaderLen {
 		return nil, corruptf("%d bytes is shorter than the %d-byte fixed header", len(data), fixedHeaderLen)
@@ -481,20 +533,21 @@ func ReadArtifact(data []byte) (*Artifact, error) {
 	}
 	headerLen := int(headerLen64)
 	header := data[:headerLen]
-	if got, want := binary.LittleEndian.Uint64(data[24:]), headerSumOf(header); got != want {
-		return nil, corruptf("header checksum %#x does not match computed %#x", got, want)
-	}
 	a := &Artifact{
 		data:       data,
 		headerLen:  headerLen,
-		payloadSum: binary.LittleEndian.Uint64(data[32:]),
-		patternLen: int(binary.LittleEndian.Uint32(data[40:])),
+		headerSum:  binary.LittleEndian.Uint32(data[headerSumOff:]),
+		patternLen: int(binary.LittleEndian.Uint32(data[28:])),
 	}
-	nseq := int(binary.LittleEndian.Uint32(data[44:]))
-	// Each sequence record occupies at least 56 header bytes (two empty
-	// length-prefixed strings plus six fixed words), bounding nseq by the
-	// header length before any allocation sized from it.
-	const minSeqRecord = 4 + 4 + 6*8
+	if want := headerSumOf(header); a.headerSum != want {
+		return nil, corruptf("header checksum %#x does not match computed %#x", a.headerSum, want)
+	}
+	nseq := int(binary.LittleEndian.Uint32(data[32:]))
+	// Each sequence record occupies at least 72 header bytes (two empty
+	// length-prefixed strings, six fixed words and four checksums),
+	// bounding nseq by the header length before any allocation sized from
+	// it.
+	const minSeqRecord = 4 + 4 + 6*8 + numSections*4
 	if nseq < 0 || nseq > (headerLen-fixedHeaderLen)/minSeqRecord {
 		return nil, corruptf("sequence count %d cannot fit the %d-byte header", nseq, headerLen)
 	}
@@ -507,15 +560,6 @@ func ReadArtifact(data []byte) (*Artifact, error) {
 		return nil, err
 	}
 	a.seqs = make([]artifactSeq, nseq)
-	// section re-slices [off, off+size) after validating it sits inside the
-	// payload region on an 8-byte boundary.
-	section := func(what string, si int, off, size uint64) ([]byte, error) {
-		end := off + size
-		if off < headerLen64 || end < off || end > uint64(len(data)) || off%8 != 0 {
-			return nil, corruptf("sequence %d %s section [%d, %d) outside the %d-byte payload", si, what, off, end, len(data))
-		}
-		return data[off:end:end], nil
-	}
 	for si := 0; si < nseq; si++ {
 		s := &a.seqs[si]
 		if s.name, err = r.str(); err != nil {
@@ -528,57 +572,50 @@ func ReadArtifact(data []byte) (*Artifact, error) {
 		if err != nil {
 			return nil, err
 		}
-		if seqLen > math.MaxInt-64 {
-			return nil, corruptf("sequence %d length %d is not addressable", si, seqLen)
+		if seqLen >= MaxArtifactSeqLen {
+			return nil, corruptf("sequence %d length %d is not below the %d-base limit", si, seqLen, MaxArtifactSeqLen)
 		}
-		rawOff, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		wordsOff, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		unkOff, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		pamOff, err := r.u64()
-		if err != nil {
-			return nil, err
+		var off [numSections]uint64
+		for k := range off {
+			if off[k], err = r.u64(); err != nil {
+				return nil, err
+			}
 		}
 		pamCount, err := r.u64()
 		if err != nil {
 			return nil, err
 		}
+		for k := range s.sum {
+			if s.sum[k], err = r.u32(); err != nil {
+				return nil, err
+			}
+		}
+		if pamCount > uint64(len(data))/4 {
+			return nil, corruptf("sequence %d PAM shard count %d exceeds the file size", si, pamCount)
+		}
 		words := seqLen/32 + 1
 		if seqLen%32 != 0 {
 			words++
 		}
-		if s.raw, err = section("raw", si, rawOff, seqLen); err != nil {
-			return nil, err
+		size := [numSections]uint64{seqLen, 8 * words, 8 * words, 4 * pamCount}
+		var sec [numSections][]byte
+		for k := range sec {
+			// Each section must sit inside the payload region on an
+			// 8-byte boundary.
+			end := off[k] + size[k]
+			if off[k] < headerLen64 || end < off[k] || end > uint64(len(data)) || off[k]%8 != 0 {
+				return nil, corruptf("sequence %d %s section [%d, %d) outside the %d-byte payload", si, sectionNames[k], off[k], end, len(data))
+			}
+			sec[k] = data[off[k]:end:end]
+			s.off[k] = int64(off[k])
 		}
-		wordBytes, err := section("codes", si, wordsOff, 8*words)
-		if err != nil {
-			return nil, err
-		}
-		unkBytes, err := section("unknown", si, unkOff, 8*words)
-		if err != nil {
-			return nil, err
-		}
-		if pamCount > uint64(len(data))/8 {
-			return nil, corruptf("sequence %d PAM shard count %d exceeds the file size", si, pamCount)
-		}
-		pamBytes, err := section("pam", si, pamOff, 8*pamCount)
-		if err != nil {
-			return nil, err
-		}
+		s.raw = sec[secRaw]
 		s.view = WordView{
 			n:       int(seqLen),
-			codes:   bytesU64(wordBytes, int(words)),
-			unknown: bytesU64(unkBytes, int(words)),
+			codes:   fromBytes[uint64](sec[secCodes], int(words)),
+			unknown: fromBytes[uint64](sec[secUnknown], int(words)),
 		}
-		s.pam = bytesU64(pamBytes, int(pamCount))
+		s.pam = fromBytes[PAMEntry](sec[secPAM], int(pamCount))
 	}
 	return a, nil
 }
@@ -603,7 +640,7 @@ func LoadArtifact(path string) (*Artifact, error) {
 		}
 		return nil, fmt.Errorf("genome: artifact %s: %w", path, err)
 	}
-	a.close = unmap
+	a.path, a.close = path, unmap
 	return a, nil
 }
 
@@ -619,15 +656,65 @@ func (a *Artifact) Close() error {
 	return unmap()
 }
 
-// Verify sweeps the payload checksum — the O(genome) integrity check that
-// load deliberately skips. Freshly built (never encoded) artifacts verify
-// trivially.
+// verifyBufLen is the read buffer Verify streams a file through.
+const verifyBufLen = 64 << 10
+
+// Verify checks the header and every section against their CRC-32C sums —
+// the O(genome) integrity check that load deliberately skips — and returns
+// an *ArtifactCorruptError naming the first region that fails. A loaded
+// artifact's file is read again through one fixed buffer rather than
+// through the mapping, so verifying faults no payload page into the
+// process. Freshly built (never encoded) artifacts verify trivially.
 func (a *Artifact) Verify() error {
 	if a.data == nil {
 		return nil
 	}
-	if got := fnvSum(a.data[a.headerLen:]); got != a.payloadSum {
-		return corruptf("payload checksum %#x does not match recorded %#x", got, a.payloadSum)
+	var src io.ReaderAt = bytes.NewReader(a.data)
+	if a.path != "" {
+		f, err := os.Open(a.path)
+		if err != nil {
+			return fmt.Errorf("genome: artifact: %w", err)
+		}
+		defer f.Close()
+		src = f
+	}
+	buf := make([]byte, verifyBufLen)
+	h := crc32.New(castagnoli)
+	// feed adds the n bytes of the file at off to h; a range the file no
+	// longer holds is corruption.
+	feed := func(what string, off, n int64) error {
+		got, err := io.CopyBuffer(h, io.NewSectionReader(src, off, n), buf)
+		if err != nil {
+			return fmt.Errorf("genome: artifact: %s: %w", what, err)
+		}
+		if got != n {
+			return corruptf("%s: the file ends %d bytes into its %d", what, got, n)
+		}
+		return nil
+	}
+	var zero [4]byte
+	if err := feed("header", 0, headerSumOff); err != nil {
+		return err
+	}
+	h.Write(zero[:])
+	if err := feed("header", headerSumOff+4, int64(a.headerLen-headerSumOff-4)); err != nil {
+		return err
+	}
+	if got := h.Sum32(); got != a.headerSum {
+		return corruptf("header checksum %#x does not match recorded %#x", got, a.headerSum)
+	}
+	for si := range a.seqs {
+		s := &a.seqs[si]
+		for k, name := range sectionNames {
+			what := fmt.Sprintf("sequence %d (%s) %s section", si, s.name, name)
+			h.Reset()
+			if err := feed(what, s.off[k], int64(len(s.section(k)))); err != nil {
+				return err
+			}
+			if got := h.Sum32(); got != s.sum[k] {
+				return corruptf("%s checksum %#x does not match recorded %#x", what, got, s.sum[k])
+			}
+		}
 	}
 	return nil
 }
@@ -643,20 +730,8 @@ func (a *Artifact) Equal(b *Artifact) bool {
 		if x.name != y.name || x.desc != y.desc || !bytes.Equal(x.raw, y.raw) {
 			return false
 		}
-		if x.view.n != y.view.n || !slicesEqualU64(x.view.codes, y.view.codes) ||
-			!slicesEqualU64(x.view.unknown, y.view.unknown) || !slicesEqualU64(x.pam, y.pam) {
-			return false
-		}
-	}
-	return true
-}
-
-func slicesEqualU64(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
+		if x.view.n != y.view.n || !slices.Equal(x.view.codes, y.view.codes) ||
+			!slices.Equal(x.view.unknown, y.view.unknown) || !slices.Equal(x.pam, y.pam) {
 			return false
 		}
 	}

@@ -35,17 +35,17 @@ func artifactFixture() *Assembly {
 // queries have non-trivial data without depending on the search layer.
 func buildFixtureArtifact(t *testing.T) *Artifact {
 	t.Helper()
-	art, err := BuildArtifact(artifactFixture(), "NNNNNNNNNNNNNNNNNNNNNRG", 23, func(si int, v *WordView) []uint64 {
-		var pam []uint64
+	art, err := BuildArtifact(artifactFixture(), "NNNNNNNNNNNNNNNNNNNNNRG", 23, func(si int, v *WordView) []PAMEntry {
+		var pam []PAMEntry
 		for pos := 0; pos+23 <= v.Len(); pos += 7 {
-			strand := uint64(PAMFwd)
+			var strand uint8 = PAMFwd
 			if pos%14 == 0 {
 				strand = PAMRev
 			}
 			if pos%21 == 0 {
 				strand = PAMFwd | PAMRev
 			}
-			pam = append(pam, uint64(pos)<<2|strand)
+			pam = append(pam, NewPAMEntry(pos, strand))
 		}
 		return pam
 	})
@@ -160,18 +160,17 @@ func residentFileMB(t *testing.T) float64 {
 	return 0
 }
 
-// TestArtifactPrefault pins that after Prefault a walk over a mapped
-// artifact's scan sections faults nothing more in (without it the 3.5 MB
-// file gains 1.5 MB here), and that Prefault is harmless where there is no
-// mapping: built artifacts and closed ones.
-func TestArtifactPrefault(t *testing.T) {
+// bigArtifactFile writes a 1 Mbase artifact with a PAM entry every fourth
+// position (a 3 MB file) and loads it back mapped.
+func bigArtifactFile(t *testing.T) *Artifact {
+	t.Helper()
 	asm := &Assembly{Name: "big", Sequences: []*Sequence{
 		{Name: "chr1", Data: bytes.Repeat([]byte("ACGTTGCAGATTACAG"), 1<<16)}, // 1 Mbase
 	}}
-	art, err := BuildArtifact(asm, "NNNNNNNNNNNNNNNNNNNNNRG", 23, func(si int, v *WordView) []uint64 {
-		pam := make([]uint64, 0, v.Len()/4)
+	art, err := BuildArtifact(asm, "NNNNNNNNNNNNNNNNNNNNNRG", 23, func(si int, v *WordView) []PAMEntry {
+		pam := make([]PAMEntry, 0, v.Len()/4)
 		for pos := 0; pos+23 <= v.Len(); pos += 4 {
-			pam = append(pam, uint64(pos)<<2|PAMFwd)
+			pam = append(pam, NewPAMEntry(pos, PAMFwd))
 		}
 		return pam
 	})
@@ -187,14 +186,28 @@ func TestArtifactPrefault(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadArtifact: %v", err)
 	}
+	t.Cleanup(func() { got.Close() })
+	return got
+}
+
+// TestArtifactPrefault pins that after Prefault a walk over a mapped
+// artifact's scan sections faults nothing more in (without it the 3 MB
+// file gains 1 MB here), and that Prefault is harmless where there is no
+// mapping: built artifacts and closed ones.
+func TestArtifactPrefault(t *testing.T) {
+	got := bigArtifactFile(t)
 	got.Prefault(true)
 	before := residentFileMB(t)
 	var sum uint64
 	s := &got.seqs[0]
-	for _, words := range [][]uint64{s.view.codes, s.view.unknown, s.pam} {
-		for _, w := range words {
-			sum += w
-		}
+	for _, w := range s.view.codes {
+		sum += w
+	}
+	for _, w := range s.view.unknown {
+		sum += w
+	}
+	for _, e := range s.pam {
+		sum += uint64(e)
 	}
 	// RssFile is process-wide: the test binary's own text pages fault in
 	// too (seen: 0.07 MB once in ~60 processes), so the bound sits between
@@ -208,18 +221,89 @@ func TestArtifactPrefault(t *testing.T) {
 	got.Prefault(true) // the mapping is gone: must not touch it
 }
 
+// TestArtifactVerifyReadsFile pins that Verify reads the file, not the
+// mapping: checking all 3 MB of a loaded artifact maps no payload page into
+// the process.
+func TestArtifactVerifyReadsFile(t *testing.T) {
+	got := bigArtifactFile(t)
+	before := residentFileMB(t)
+	if err := got.Verify(); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	// The same 0.15 MB allowance for the test binary's own text pages as
+	// TestArtifactPrefault; the payload is 20 times that.
+	if grew := residentFileMB(t) - before; grew > 0.15 {
+		t.Errorf("Verify faulted %.2f MB of the mapping in", grew)
+	}
+}
+
+// TestArtifactVerifyNamesRegion: one flipped byte in the header or in any
+// section kind of a written artifact makes Verify fail with an
+// ArtifactCorruptError that names the region, and the file verifies clean
+// again once the byte is restored.
+func TestArtifactVerifyNamesRegion(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fixture.cart")
+	if err := buildFixtureArtifact(t).WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadArtifact(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer got.Close()
+	if err := got.Verify(); err != nil {
+		t.Fatalf("Verify on the intact file: %v", err)
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	flip := func(off int64) {
+		var b [1]byte
+		if _, err := f.ReadAt(b[:], off); err != nil {
+			t.Fatal(err)
+		}
+		b[0] ^= 0x80
+		if _, err := f.WriteAt(b[:], off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := &got.seqs[3] // chr96: every section non-empty
+	for _, r := range []struct {
+		name string
+		off  int64
+	}{
+		{"header", fixedHeaderLen + 5}, // the assembly name
+		{"raw section", s.off[secRaw] + 50},
+		{"codes section", s.off[secCodes] + 9},
+		{"unknown section", s.off[secUnknown] + 9},
+		{"pam section", s.off[secPAM] + 5},
+	} {
+		flip(r.off)
+		var ce *ArtifactCorruptError
+		if err := got.Verify(); !errors.As(err, &ce) || !strings.Contains(ce.Reason, r.name) {
+			t.Errorf("flip in the %s: Verify = %v, want an ArtifactCorruptError naming it", r.name, err)
+		}
+		flip(r.off)
+		if err := got.Verify(); err != nil {
+			t.Fatalf("after restoring the %s: %v", r.name, err)
+		}
+	}
+}
+
 func TestArtifactPAMRange(t *testing.T) {
 	art := buildFixtureArtifact(t)
 	for si := 0; si < art.SeqCount(); si++ {
 		full := art.PAMRange(si, 0, art.SeqLen(si))
 		for i := 1; i < len(full); i++ {
-			if full[i]>>2 <= full[i-1]>>2 {
+			if full[i].Pos() <= full[i-1].Pos() {
 				t.Fatalf("seq %d: shard not strictly ascending at %d", si, i)
 			}
 		}
 		// Adjacent windows must partition the full shard, mirroring how
 		// chunk bodies tile a sequence.
-		var joined []uint64
+		var joined []PAMEntry
 		for lo := 0; lo < art.SeqLen(si); lo += 10 {
 			hi := lo + 10
 			if hi > art.SeqLen(si) {
@@ -265,12 +349,32 @@ func TestArtifactCorruption(t *testing.T) {
 	t.Run("version", func(t *testing.T) {
 		bad := append([]byte(nil), img...)
 		binary.LittleEndian.PutUint32(bad[8:], ArtifactVersion+1)
-		binary.LittleEndian.PutUint64(bad[24:], headerSumOf(bad[:binary.LittleEndian.Uint64(bad[16:])]))
+		binary.LittleEndian.PutUint32(bad[headerSumOff:], headerSumOf(bad[:binary.LittleEndian.Uint64(bad[16:])]))
 		var ve *ArtifactVersionError
 		if _, err := ReadArtifact(bad); !errors.As(err, &ve) {
 			t.Fatalf("err = %v, want ArtifactVersionError", err)
 		} else if ve.Got != ArtifactVersion+1 || ve.Want != ArtifactVersion {
 			t.Fatalf("version error %+v", ve)
+		}
+	})
+	t.Run("v1", func(t *testing.T) {
+		// A version-1 fixed header: magic, version, endian tag, header
+		// length, two 64-bit FNV-1a sums (header, payload), pattern length
+		// and sequence count, then the name and pattern strings. The
+		// version word alone turns it away, before any v1 field is read.
+		v1 := []byte(artifactMagic)
+		v1 = binary.LittleEndian.AppendUint32(v1, 1)
+		v1 = binary.NativeEndian.AppendUint32(v1, artifactEndianTag)
+		v1 = binary.LittleEndian.AppendUint64(v1, 64)
+		v1 = binary.LittleEndian.AppendUint64(v1, 0)
+		v1 = binary.LittleEndian.AppendUint64(v1, 0)
+		v1 = binary.LittleEndian.AppendUint32(v1, 0)
+		v1 = binary.LittleEndian.AppendUint32(v1, 0)
+		v1 = appendStr(appendStr(v1, "v1"), "")
+		v1 = append(v1, make([]byte, 64-len(v1))...)
+		var ve *ArtifactVersionError
+		if _, err := ReadArtifact(v1); !errors.As(err, &ve) || ve.Got != 1 || ve.Want != ArtifactVersion {
+			t.Fatalf("ReadArtifact(v1 image) = %v, want ArtifactVersionError{1, %d}", err, ArtifactVersion)
 		}
 	})
 	t.Run("endian", func(t *testing.T) {
@@ -319,10 +423,29 @@ func TestArtifactCorruption(t *testing.T) {
 			r.str() // seq desc
 			r.u64() // seqLen
 			tamper(bad, r.pos)
-			binary.LittleEndian.PutUint64(bad[24:], headerSumOf(bad[:headerLen]))
+			binary.LittleEndian.PutUint32(bad[headerSumOff:], headerSumOf(bad[:headerLen]))
 			var ce *ArtifactCorruptError
 			if _, err := ReadArtifact(bad); !errors.As(err, &ce) {
 				t.Fatalf("tampered offset: err = %v, want ArtifactCorruptError", err)
+			}
+		}
+	})
+	t.Run("sequence length limit", func(t *testing.T) {
+		// A re-checksummed header claiming a sequence of 2^30 bases or more
+		// is corrupt before any section bound is checked.
+		headerLen := binary.LittleEndian.Uint64(img[16:])
+		for _, n := range []uint64{MaxArtifactSeqLen, MaxArtifactSeqLen + 1, 1 << 62} {
+			bad := append([]byte(nil), img...)
+			r := &headerReader{b: bad[:headerLen], pos: fixedHeaderLen}
+			r.str() // assembly name
+			r.str() // pattern
+			r.str() // seq name
+			r.str() // seq desc
+			binary.LittleEndian.PutUint64(bad[r.pos:], n)
+			binary.LittleEndian.PutUint32(bad[headerSumOff:], headerSumOf(bad[:headerLen]))
+			var ce *ArtifactCorruptError
+			if _, err := ReadArtifact(bad); !errors.As(err, &ce) || !strings.Contains(ce.Reason, "limit") {
+				t.Fatalf("sequence length %d: err = %v, want an ArtifactCorruptError naming the limit", n, err)
 			}
 		}
 	})
@@ -337,18 +460,25 @@ func TestArtifactCorruption(t *testing.T) {
 		}
 	})
 	t.Run("payload flip", func(t *testing.T) {
-		headerLen := int(binary.LittleEndian.Uint64(img[16:]))
-		bad := append([]byte(nil), img...)
-		fault.CorruptBytes(bad[headerLen : headerLen+8])
-		a, err := ReadArtifact(bad)
+		// One flipped byte in each section kind of a multi-word sequence.
+		clean, err := ReadArtifact(img)
 		if err != nil {
-			// Load is O(header) by design: payload damage is invisible until
-			// Verify sweeps it.
-			t.Fatalf("ReadArtifact after payload flip: %v (payload must not be scanned at load)", err)
+			t.Fatal(err)
 		}
-		var ce *ArtifactCorruptError
-		if err := a.Verify(); !errors.As(err, &ce) {
-			t.Fatalf("Verify = %v, want ArtifactCorruptError", err)
+		s := &clean.seqs[3]
+		for k, name := range sectionNames {
+			bad := append([]byte(nil), img...)
+			fault.CorruptBytes(bad[s.off[k] : s.off[k]+1])
+			a, err := ReadArtifact(bad)
+			if err != nil {
+				// Load is O(header) by design: payload damage is invisible
+				// until Verify sweeps it.
+				t.Fatalf("ReadArtifact after a %s flip: %v (payload must not be scanned at load)", name, err)
+			}
+			var ce *ArtifactCorruptError
+			if err := a.Verify(); !errors.As(err, &ce) || !strings.Contains(ce.Reason, name+" section") {
+				t.Fatalf("%s flip: Verify = %v, want an ArtifactCorruptError naming the section", name, err)
+			}
 		}
 	})
 }
@@ -359,8 +489,8 @@ func FuzzArtifact(f *testing.F) {
 			{Name: "a", Data: []byte("ACGTACGTacgtNNNNACGTACGTACGTACGTA")},
 			{Name: "b", Data: []byte("GGGG")},
 		}}
-		art, err := BuildArtifact(asm, "NNGG", 4, func(si int, v *WordView) []uint64 {
-			return []uint64{0<<2 | PAMFwd, 3<<2 | PAMRev}
+		art, err := BuildArtifact(asm, "NNGG", 4, func(si int, v *WordView) []PAMEntry {
+			return []PAMEntry{NewPAMEntry(0, PAMFwd), NewPAMEntry(3, PAMRev)}
 		})
 		if err != nil {
 			f.Fatal(err)

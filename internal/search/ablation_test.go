@@ -156,8 +156,9 @@ func BenchmarkCompareGuides(b *testing.B) {
 					b.Fatal(err)
 				}
 				staged[i].view = v
-				staged[i].sc.findSWARCandidates(ch, staged[i].view, be.pattern, 0)
-				cands += len(staged[i].sc.cand)
+				staged[i].sc.findSWARCandidates(staged[i].view, be.pattern, 0, ch.Body)
+				staged[i].cand = staged[i].sc.cand
+				cands += len(staged[i].cand)
 			}
 			ctx := context.Background()
 			b.ResetTimer()

@@ -90,7 +90,9 @@ func TestArtifactEquivalenceAllEngines(t *testing.T) {
 
 // TestArtifactShardMatchesScan pins the per-chunk identity the shard fast
 // path rests on: the precomputed shard sliced to a chunk window equals a
-// fresh SWAR prefilter over that chunk, candidate for candidate.
+// fresh SWAR prefilter over that chunk, candidate for candidate — against
+// the chunk's own repacked view once each shard position is made
+// chunk-local, and against the artifact's whole-sequence view as is.
 func TestArtifactShardMatchesScan(t *testing.T) {
 	for _, seed := range []int64{5, 21} {
 		asm := testAssembly(t, seed, []int{2000, 1100}, testSite)
@@ -107,21 +109,20 @@ func TestArtifactShardMatchesScan(t *testing.T) {
 		chunks := 0
 		err = chunker.Each(asm, func(ch *genome.Chunk) error {
 			chunks++
-			var scan, shard scanScratch
+			var local, resident scanScratch
 			v, err := genome.NewWordView(ch.Data, nil)
 			if err != nil {
 				return err
 			}
-			scan.findSWARCandidates(ch, v, bp, 0)
-			if err := shard.candidatesFromShard(ch, art.PAMRange(ch.SeqIndex, ch.Start, ch.Start+ch.Body)); err != nil {
-				return err
+			local.findSWARCandidates(v, bp, 0, ch.Body)
+			resident.findSWARCandidates(art.View(ch.SeqIndex), bp, ch.Start, ch.Body)
+			shard := art.PAMRange(ch.SeqIndex, ch.Start, ch.Start+ch.Body)
+			if len(local.cand) != len(shard) || len(resident.cand) != len(shard) {
+				t.Fatalf("seed %d chunk %s:%d: scans found %d and %d candidates, shard %d", seed, ch.SeqName, ch.Start, len(local.cand), len(resident.cand), len(shard))
 			}
-			if len(scan.cand) != len(shard.cand) {
-				t.Fatalf("seed %d chunk %s:%d: scan %d candidates, shard %d", seed, ch.SeqName, ch.Start, len(scan.cand), len(shard.cand))
-			}
-			for i := range scan.cand {
-				if scan.cand[i] != shard.cand[i] {
-					t.Fatalf("seed %d chunk %s:%d candidate %d: scan %+v, shard %+v", seed, ch.SeqName, ch.Start, i, scan.cand[i], shard.cand[i])
+			for i, e := range shard {
+				if got := genome.NewPAMEntry(local.cand[i].Pos()+ch.Start, local.cand[i].Strand()); got != e || resident.cand[i] != e {
+					t.Fatalf("seed %d chunk %s:%d candidate %d: scans %#x (chunk-local) and %#x, shard %#x", seed, ch.SeqName, ch.Start, i, local.cand[i], resident.cand[i], e)
 				}
 			}
 			return nil
@@ -135,13 +136,14 @@ func TestArtifactShardMatchesScan(t *testing.T) {
 	}
 }
 
-// badShardAssembly builds an artifact whose shard carries one hostile entry
-// (the codec cannot produce it; a bit flip in a stored shard can).
-func badShardAssembly(t *testing.T, asm *genome.Assembly, pattern string, plen int, entry uint64) *genome.Assembly {
+// badShardAssembly builds an artifact whose first shard is the given
+// hostile entries (the codec cannot produce them; a bit flip in a stored
+// shard can).
+func badShardAssembly(t *testing.T, asm *genome.Assembly, pattern string, plen int, entries ...genome.PAMEntry) *genome.Assembly {
 	t.Helper()
-	art, err := genome.BuildArtifact(asm, pattern, plen, func(si int, v *genome.WordView) []uint64 {
+	art, err := genome.BuildArtifact(asm, pattern, plen, func(si int, v *genome.WordView) []genome.PAMEntry {
 		if si == 0 {
-			return []uint64{entry}
+			return entries
 		}
 		return nil
 	})
@@ -172,6 +174,14 @@ func TestArtifactCorruptShardRejected(t *testing.T) {
 		t.Errorf("CPU on zero-strand shard: err = %v, want artifact corruption", err)
 	}
 
+	// Out of order: the second chunk's binary searches select [500, 10],
+	// and position 10 lies in the first chunk's body.
+	unsorted := badShardAssembly(t, asm, req.Pattern, plen,
+		genome.NewPAMEntry(5, genome.PAMFwd), genome.NewPAMEntry(500, genome.PAMFwd), genome.NewPAMEntry(10, genome.PAMFwd))
+	if _, err := (&CPU{}).Run(unsorted, req); !isCorruption(err) {
+		t.Errorf("CPU on an unsorted shard: err = %v, want artifact corruption", err)
+	}
+
 	// A position whose window overruns the sequence end lies in no chunk
 	// body, so no chunk's shard slice selects it: the run must not slice
 	// past the sequence, and may report only sites the FASTA run reports.
@@ -179,7 +189,7 @@ func TestArtifactCorruptShardRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	overrun := badShardAssembly(t, asm, req.Pattern, plen, uint64(900-1)<<2|genome.PAMFwd)
+	overrun := badShardAssembly(t, asm, req.Pattern, plen, genome.NewPAMEntry(900-1, genome.PAMFwd))
 	got, err := (&CPU{}).Run(overrun, req)
 	if err != nil {
 		t.Fatalf("CPU on overrun shard: %v", err)

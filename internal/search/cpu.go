@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 
+	"casoffinder/internal/fault"
 	"casoffinder/internal/genome"
 	"casoffinder/internal/kernels"
 	"casoffinder/internal/obs"
@@ -106,6 +107,16 @@ type cpuStaged struct {
 	ch   *genome.Chunk
 	sc   *scanScratch
 	view *genome.WordView
+	// cand is the chunk's candidates, each a position that survived the PAM
+	// prefilter tagged with the strands on which the scaffold matched, in
+	// view's coordinates: the pooled sc.cand after a prefilter scan, or the
+	// artifact's mapped PAM shard window itself, read in place. A repacked
+	// chunk owns at most pipeline.MaxChunkBytes positions and an artifact
+	// sequence fewer than genome.MaxArtifactSeqLen, so either fits a
+	// PAMEntry's 30 bits; four bytes a candidate is what keeps a dense
+	// scaffold's buffer (~250k survivors of a 1 MiB chunk under NRG) and an
+	// artifact's shards small.
+	cand []genome.PAMEntry
 	// base maps chunk-local positions into view's coordinates: ch.Start
 	// when view is an artifact's resident whole-sequence view, 0 when it
 	// was repacked from the chunk bytes.
@@ -133,23 +144,21 @@ func (b *cpuBackend) Stage(ctx context.Context, ch *genome.Chunk) (pipeline.Stag
 	return &cpuStaged{ch: ch}, nil
 }
 
-// Find implements pipeline.Backend: the PAM prefilter into the pooled
-// candidate buffer (the finder kernel's role). It prefers the artifact's
-// resident whole-sequence view — no per-chunk word-view build, and with
-// matching PAM shards no prefilter scan at all; otherwise the chunk's view
-// is built here, in the scan worker, so the build parallelizes across
-// chunks.
+// Find implements pipeline.Backend: the chunk's PAM candidates (the finder
+// kernel's role). It prefers the artifact's resident whole-sequence view —
+// no per-chunk word-view build, and with matching PAM shards no prefilter
+// scan and no copy: the candidates are the shard's window of the chunk
+// body, two binary searches away, checked in place. Otherwise the chunk's
+// view is built here, in the scan worker, so the build parallelizes across
+// chunks, and the prefilter fills the pooled candidate buffer.
 func (b *cpuBackend) Find(ctx context.Context, st pipeline.Staged) (int, error) {
 	s := st.(*cpuStaged)
 	s.sc = scratchPool.Get().(*scanScratch)
 	if av := b.artifactView(s.ch); av != nil {
 		s.view, s.base = av, s.ch.Start
 		if b.shards {
-			shard := b.plan.Artifact.PAMRange(s.ch.SeqIndex, s.ch.Start, s.ch.Start+s.ch.Body)
-			if err := s.sc.candidatesFromShard(s.ch, shard); err != nil {
-				return 0, err
-			}
-			return len(s.sc.cand), nil
+			s.cand = b.plan.Artifact.PAMRange(s.ch.SeqIndex, s.ch.Start, s.ch.Start+s.ch.Body)
+			return len(s.cand), checkShard(s.ch, s.cand)
 		}
 	} else {
 		v, err := genome.NewWordView(s.ch.Data, s.sc.view)
@@ -158,8 +167,9 @@ func (b *cpuBackend) Find(ctx context.Context, st pipeline.Staged) (int, error) 
 		}
 		s.sc.view, s.view, s.base = v, v, 0
 	}
-	s.sc.findSWARCandidates(s.ch, s.view, b.pattern, s.base)
-	return len(s.sc.cand), nil
+	s.sc.findSWARCandidates(s.view, b.pattern, s.base, s.ch.Body)
+	s.cand = s.sc.cand
+	return len(s.cand), nil
 }
 
 // Compare implements pipeline.Backend: one guide over the surviving
@@ -192,7 +202,8 @@ var strandDir = [2]byte{kernels.DirForward, kernels.DirReverse}
 // goroutine's stack — as small heap objects they shared cache lines with the
 // pattern tables every worker reads (EXPERIMENTS.md, "False sharing in
 // compareGuides"); only patterns over inlineWindowWords words use the pooled
-// slice.
+// slice. Windows are read at the candidates' view coordinates; only a hit
+// pays the subtraction that makes its position chunk-local.
 func (b *cpuBackend) compareGuides(s *cpuStaged, lo, hi int) {
 	sc := s.sc
 	tab := &b.guides
@@ -206,10 +217,10 @@ func (b *cpuBackend) compareGuides(s *cpuStaged, lo, hi int) {
 	}
 	planes = planes[:tab.words]
 	queries := b.plan.Request.Queries
-	for _, cd := range sc.cand {
-		pos, strand := cd.pos(), cd.strand()
+	for _, cd := range s.cand {
+		pos, strand := cd.Pos(), cd.Strand()
 		for w := range planes {
-			text, unk := s.view.Window(s.base + pos + 32*w)
+			text, unk := s.view.Window(pos + 32*w)
 			a, c, g, t := eqPlanes(text)
 			planes[w] = windowPlanes{a &^ unk, c &^ unk, g &^ unk, t &^ unk}
 		}
@@ -223,11 +234,27 @@ func (b *cpuBackend) compareGuides(s *cpuStaged, lo, hi int) {
 					mm = tab.scoreTail(planes, r, mm, limit)
 				}
 				if mm <= limit {
-					sc.entries = append(sc.entries, rawHit{qi: qi, pos: pos, dir: strandDir[h], mm: mm})
+					sc.entries = append(sc.entries, rawHit{qi: qi, pos: pos - s.base, dir: strandDir[h], mm: mm})
 				}
 			}
 		}
 	}
+}
+
+// checkShard rejects a chunk whose PAM shard window holds an entry outside
+// the chunk body or with no strand bit with a corruption-classed error,
+// mirroring drainEntries. The prefilter cannot produce such an entry, so
+// only a damaged artifact has one; it is caught before the compare reads a
+// window at its position. A read-only pass: the window is not copied.
+func checkShard(ch *genome.Chunk, shard []genome.PAMEntry) error {
+	lo, n := uint64(ch.Start)<<2, uint64(ch.Body)<<2
+	for _, e := range shard {
+		if uint64(e)-lo >= n || e.Strand() == 0 {
+			return fault.Errorf(fault.SiteArtifact, fault.Corruption,
+				"search: chunk %s:%d: PAM shard entry %#x outside the %d-position chunk body", ch.SeqName, ch.Start, uint32(e), ch.Body)
+		}
+	}
+	return nil
 }
 
 // Drain implements pipeline.Backend: render the accumulated entries and
@@ -251,31 +278,18 @@ func (b *cpuBackend) Release(st pipeline.Staged) {
 func (s *cpuStaged) release() {
 	s.sc.entries = s.sc.entries[:0]
 	scratchPool.Put(s.sc)
-	s.sc, s.view = nil, nil
+	s.sc, s.view, s.cand = nil, nil, nil
 }
 
 // Close implements pipeline.Backend; the CPU holds no run-wide resources.
 func (b *cpuBackend) Close() error { return nil }
-
-// candidate is a position that survived the PAM prefilter, tagged with the
-// strands on which the scaffold matched: pos<<2 | genome.PAMFwd/PAMRev, the
-// artifact PAM shard's entry layout with a chunk-local position. A chunk
-// owns at most pipeline.MaxChunkBytes positions, so the position fits the
-// upper 30 bits; four bytes a candidate is what keeps a dense scaffold's
-// buffer (~250k survivors of a 1 MiB chunk under NRG) small.
-type candidate uint32
-
-func newCandidate(pos int, strand uint8) candidate { return candidate(pos)<<2 | candidate(strand) }
-
-func (c candidate) pos() int      { return int(c >> 2) }
-func (c candidate) strand() uint8 { return uint8(c & 3) }
 
 // scanScratch holds per-worker buffers reused across chunks so the scan
 // allocates nothing per position: candidate and entry accumulators, the
 // chunk's word view (rebuilt in place each chunk), and the
 // batched compare's window planes for patterns too long for its stack.
 type scanScratch struct {
-	cand    []candidate
+	cand    []genome.PAMEntry
 	entries []rawHit
 	view    *genome.WordView
 	planes  []windowPlanes

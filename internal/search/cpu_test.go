@@ -206,8 +206,9 @@ func TestScanInnerLoopZeroAllocs(t *testing.T) {
 			}
 			s.sc.view = v
 			s.ch, s.view = ch, v
-			s.sc.findSWARCandidates(ch, s.view, b.pattern, 0)
-			candidates += len(s.sc.cand)
+			s.sc.findSWARCandidates(s.view, b.pattern, 0, ch.Body)
+			s.cand = s.sc.cand
+			candidates += len(s.cand)
 			b.compareGuides(s, 0, len(plan.Guides))
 		}
 	}
@@ -224,7 +225,7 @@ func TestScanInnerLoopZeroAllocs(t *testing.T) {
 	// The compare itself needs no scratch for a pattern this short: its
 	// window planes live on its own stack, not in heap objects that could
 	// share a cache line with the guide table.
-	cold := &cpuStaged{ch: s.ch, view: s.view, sc: &scanScratch{cand: s.sc.cand}}
+	cold := &cpuStaged{ch: s.ch, view: s.view, cand: s.cand, sc: new(scanScratch)}
 	if allocs := testing.AllocsPerRun(50, func() { b.compareGuides(cold, 0, len(plan.Guides)) }); allocs != 0 || cold.sc.planes != nil {
 		t.Errorf("compareGuides allocated %.1f times per call (pooled planes %v), want 0 and none", allocs, cold.sc.planes)
 	}
@@ -250,15 +251,15 @@ func TestScanInnerLoopZeroAllocs(t *testing.T) {
 }
 
 // TestCandidateEncoding: a candidate round-trips its position and strand
-// bits at the edges of the 30-bit position range pipeline.MaxChunkBytes
-// guarantees.
+// bits at the edges of the 30-bit position range: pipeline.MaxChunkBytes
+// for a repacked chunk, genome.MaxArtifactSeqLen for an artifact sequence.
 func TestCandidateEncoding(t *testing.T) {
 	const body = 1 << 20
-	for _, pos := range []int{0, 1, body - 1, pipeline.MaxChunkBytes - 1} {
+	for _, pos := range []int{0, 1, body - 1, pipeline.MaxChunkBytes - 1, genome.MaxArtifactSeqLen - 1} {
 		for strand := uint8(1); strand <= 3; strand++ {
-			c := newCandidate(pos, strand)
-			if c.pos() != pos || c.strand() != strand {
-				t.Errorf("candidate(%d, %d) decodes to (%d, %d)", pos, strand, c.pos(), c.strand())
+			c := genome.NewPAMEntry(pos, strand)
+			if c.Pos() != pos || c.Strand() != strand {
+				t.Errorf("candidate(%d, %d) decodes to (%d, %d)", pos, strand, c.Pos(), c.Strand())
 			}
 		}
 	}

@@ -44,7 +44,7 @@ GATTACANN	chr2	2	GATTACAGG	+	0
 			t.Fatalf("%s: %v", eng.Name(), err)
 		}
 		var buf bytes.Buffer
-		if err := WriteHits(&buf, req, hits); err != nil {
+		if err := writeHits(&buf, req, hits); err != nil {
 			t.Fatal(err)
 		}
 		if buf.String() != want {

@@ -151,14 +151,3 @@ func appendJSONString(dst []byte, s string) []byte {
 func jsonVerbatim(c byte) bool {
 	return c >= 0x20 && c <= 0x7e && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
 }
-
-// WriteHits writes hits in the upstream output format, one line per hit.
-func WriteHits(w io.Writer, req *Request, hits []Hit) error {
-	bw := bufio.NewWriter(w)
-	for _, h := range hits {
-		if err := WriteHit(bw, req, h); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}

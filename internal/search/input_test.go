@@ -1,7 +1,9 @@
 package search
 
 import (
+	"bufio"
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
@@ -74,6 +76,17 @@ func TestParseInputErrors(t *testing.T) {
 	}
 }
 
+// writeHits writes hits in the upstream output format, one line per hit.
+func writeHits(w io.Writer, req *Request, hits []Hit) error {
+	bw := bufio.NewWriter(w)
+	for _, h := range hits {
+		if err := WriteHit(bw, req, h); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
 func TestWriteHits(t *testing.T) {
 	req := &Request{
 		Pattern: "NNNNNNNGG",
@@ -84,7 +97,7 @@ func TestWriteHits(t *testing.T) {
 		Mismatches: 1, Site: "GATtACAGG",
 	}}
 	var buf bytes.Buffer
-	if err := WriteHits(&buf, req, hits); err != nil {
+	if err := writeHits(&buf, req, hits); err != nil {
 		t.Fatal(err)
 	}
 	want := "GATTACANN\tchr1\t42\tGATtACAGG\t+\t1\n"

@@ -161,7 +161,7 @@ func (sc *scanScratch) findCandidates(ch *genome.Chunk, pattern *kernels.Pattern
 			strand |= genome.PAMRev
 		}
 		if strand != 0 {
-			cand = append(cand, newCandidate(pos, strand))
+			cand = append(cand, genome.NewPAMEntry(pos, strand))
 		}
 	}
 	sc.cand = cand
@@ -171,14 +171,14 @@ func (sc *scanScratch) findCandidates(ch *genome.Chunk, pattern *kernels.Pattern
 func (sc *scanScratch) compare(data []byte, g *kernels.PatternPair, qi, limit int) {
 	plen := g.PatternLen
 	for _, cd := range sc.cand {
-		pos := cd.pos()
+		pos := cd.Pos()
 		window := data[pos : pos+plen]
-		if cd.strand()&genome.PAMFwd != 0 {
+		if cd.Strand()&genome.PAMFwd != 0 {
 			if mm, ok := countMismatches(window, g, 0, limit); ok {
 				sc.entries = append(sc.entries, rawHit{qi: qi, pos: pos, dir: kernels.DirForward, mm: mm})
 			}
 		}
-		if cd.strand()&genome.PAMRev != 0 {
+		if cd.Strand()&genome.PAMRev != 0 {
 			if mm, ok := countMismatches(window, g, plen, limit); ok {
 				sc.entries = append(sc.entries, rawHit{qi: qi, pos: pos, dir: kernels.DirReverse, mm: mm})
 			}
@@ -194,11 +194,11 @@ func (sc *scanScratch) scanChunk(ch *genome.Chunk, pattern *kernels.PatternPair,
 	plen := pattern.PatternLen
 	var hits []Hit
 	for _, cd := range sc.cand {
-		pos := cd.pos()
+		pos := cd.Pos()
 		window := ch.Data[pos : pos+plen]
 		for qi, g := range guides {
 			limit := queries[qi].MaxMismatches
-			if cd.strand()&genome.PAMFwd != 0 {
+			if cd.Strand()&genome.PAMFwd != 0 {
 				if mm, ok := countMismatches(window, g, 0, limit); ok {
 					hits = append(hits, Hit{
 						QueryIndex: qi,
@@ -210,7 +210,7 @@ func (sc *scanScratch) scanChunk(ch *genome.Chunk, pattern *kernels.PatternPair,
 					})
 				}
 			}
-			if cd.strand()&genome.PAMRev != 0 {
+			if cd.Strand()&genome.PAMRev != 0 {
 				if mm, ok := countMismatches(window, g, plen, limit); ok {
 					hits = append(hits, Hit{
 						QueryIndex: qi,
@@ -271,7 +271,7 @@ func (sc *scanScratch) findPackedCandidates(ch *genome.Chunk, pattern *kernels.P
 			strand |= genome.PAMRev
 		}
 		if strand != 0 {
-			cand = append(cand, newCandidate(pos, strand))
+			cand = append(cand, genome.NewPAMEntry(pos, strand))
 		}
 	}
 	sc.cand = cand
@@ -281,13 +281,13 @@ func (sc *scanScratch) findPackedCandidates(ch *genome.Chunk, pattern *kernels.P
 func (sc *scanScratch) comparePacked(seq []byte, g *kernels.PatternPair, qi, limit int) {
 	plen := g.PatternLen
 	for _, cd := range sc.cand {
-		pos := cd.pos()
-		if cd.strand()&genome.PAMFwd != 0 {
+		pos := cd.Pos()
+		if cd.Strand()&genome.PAMFwd != 0 {
 			if mm, ok := packedMismatches(g, seq, pos, 0, limit); ok {
 				sc.entries = append(sc.entries, rawHit{qi: qi, pos: pos, dir: kernels.DirForward, mm: mm})
 			}
 		}
-		if cd.strand()&genome.PAMRev != 0 {
+		if cd.Strand()&genome.PAMRev != 0 {
 			if mm, ok := packedMismatches(g, seq, pos, plen, limit); ok {
 				sc.entries = append(sc.entries, rawHit{qi: qi, pos: pos, dir: kernels.DirReverse, mm: mm})
 			}

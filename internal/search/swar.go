@@ -3,7 +3,6 @@ package search
 import (
 	"math/bits"
 
-	"casoffinder/internal/fault"
 	"casoffinder/internal/genome"
 	"casoffinder/internal/kernels"
 )
@@ -155,24 +154,24 @@ func (b *bitPattern) matchLanes(v *genome.WordView, pos0, h int) uint64 {
 	return lanes
 }
 
-// findSWARCandidates is the word-parallel PAM prefilter: 32 candidate
-// positions per iteration, both strands, with the tail past the chunk body
-// clamped off. Candidates come out in ascending position, the order of an
-// artifact PAM shard, so downstream phases cannot tell which ran. base maps
-// chunk-local positions into v's coordinates: 0 when v is the chunk's own
-// word view, ch.Start when v is a whole-sequence view resident in a genome
-// artifact (the chunk aliases sequence bytes, so the windows are the same
-// bases either way); candidate positions stay chunk-local.
-func (sc *scanScratch) findSWARCandidates(ch *genome.Chunk, v *genome.WordView, b *bitPattern, base int) {
+// findSWARCandidates is the word-parallel PAM prefilter over the body
+// positions base..base+body-1 of v: 32 candidate positions per iteration,
+// both strands, with the tail past the body clamped off. Candidates come
+// out in ascending position and in v's coordinates, the layout and order of
+// an artifact PAM shard, so downstream phases cannot tell which ran: base is
+// 0 when v is the chunk's own word view, ch.Start when v is a
+// whole-sequence view resident in a genome artifact (the chunk aliases
+// sequence bytes, so the windows are the same bases either way).
+func (sc *scanScratch) findSWARCandidates(v *genome.WordView, b *bitPattern, base, body int) {
 	cand := sc.cand[:0]
-	for pos0 := 0; pos0 < ch.Body; pos0 += 32 {
+	for pos0 := 0; pos0 < body; pos0 += 32 {
 		fw := b.matchLanes(v, base+pos0, 0)
 		rv := b.matchLanes(v, base+pos0, 1)
 		union := fw | rv
 		if union == 0 {
 			continue
 		}
-		if rem := ch.Body - pos0; rem < 32 {
+		if rem := body - pos0; rem < 32 {
 			union &= 1<<(uint(rem)*2) - 1
 		}
 		for u := union; u != 0; u &= u - 1 {
@@ -184,34 +183,8 @@ func (sc *scanScratch) findSWARCandidates(ch *genome.Chunk, v *genome.WordView, 
 			if rv&(1<<bit) != 0 {
 				strand |= genome.PAMRev
 			}
-			cand = append(cand, newCandidate(pos0+int(bit>>1), strand))
+			cand = append(cand, genome.NewPAMEntry(base+pos0+int(bit>>1), strand))
 		}
 	}
 	sc.cand = cand
-}
-
-// candidatesFromShard loads the chunk's candidates from a genome artifact's
-// precomputed PAM shard instead of scanning: entries carry absolute
-// positions, which become chunk-local here. The shard was built by the same
-// matchLanes prefilter over the whole sequence, and chunk bodies tile the
-// sequence's candidate range exactly, so the resulting candidate set (and
-// its ascending order) is identical to a fresh scan. Entries that violate
-// the chunk geometry can only come from artifact damage and reject the
-// chunk with a corruption-classed error, mirroring drainEntries.
-func (sc *scanScratch) candidatesFromShard(ch *genome.Chunk, shard []uint64) error {
-	if cap(sc.cand) < len(shard) {
-		sc.cand = make([]candidate, 0, len(shard))
-	}
-	cand := sc.cand[:0]
-	for _, e := range shard {
-		pos := int(e>>2) - ch.Start
-		strand := uint8(e & 3)
-		if pos < 0 || pos >= ch.Body || strand == 0 {
-			return fault.Errorf(fault.SiteArtifact, fault.Corruption,
-				"search: chunk %s:%d: PAM shard entry %#x outside the %d-position chunk body", ch.SeqName, ch.Start, e, ch.Body)
-		}
-		cand = append(cand, newCandidate(pos, strand))
-	}
-	sc.cand = cand
-	return nil
 }

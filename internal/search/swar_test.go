@@ -88,7 +88,7 @@ func TestSWARFinderMatchesScalar(t *testing.T) {
 		}
 		var a, b scanScratch
 		a.findPackedCandidates(ch, pair)
-		b.findSWARCandidates(ch, v, bp, 0)
+		b.findSWARCandidates(v, bp, 0, ch.Body)
 		if len(a.cand) != len(b.cand) {
 			t.Fatalf("n=%d: scalar found %d candidates, SWAR %d", n, len(a.cand), len(b.cand))
 		}
@@ -215,7 +215,7 @@ func everyWindow(pair *kernels.PatternPair, v *genome.WordView, n int, strand ui
 	}).(*cpuBackend)
 	s := &cpuStaged{sc: new(scanScratch), view: v}
 	for pos := 0; pos+pair.PatternLen <= n; pos++ {
-		s.sc.cand = append(s.sc.cand, newCandidate(pos, strand))
+		s.cand = append(s.cand, genome.NewPAMEntry(pos, strand))
 	}
 	return b, s
 }

@@ -29,8 +29,6 @@
 package timing
 
 import (
-	"time"
-
 	"casoffinder/internal/gpu"
 	"casoffinder/internal/gpu/device"
 )
@@ -239,11 +237,6 @@ func KernelBreakdown(cfg KernelConfig, s *gpu.Stats) Breakdown {
 		Leader:    tLeader,
 		Group:     tGroup,
 	}
-}
-
-// KernelTime is KernelSeconds as a duration.
-func KernelTime(cfg KernelConfig, s *gpu.Stats) time.Duration {
-	return time.Duration(KernelSeconds(cfg, s) * float64(time.Second))
 }
 
 // Host-side model constants.

@@ -139,13 +139,6 @@ func TestBreakdownTotalComposition(t *testing.T) {
 	}
 }
 
-func TestKernelTimeDuration(t *testing.T) {
-	s := comparerish(1 << 16)
-	if KernelTime(baseCfg(), &s) <= 0 {
-		t.Error("KernelTime should be positive")
-	}
-}
-
 func TestDefaultOccupancy(t *testing.T) {
 	cfg := baseCfg()
 	cfg.OccupancyWaves = 0 // defaults to the device maximum
