@@ -95,6 +95,7 @@ fuzz-regress:
 	$(GO) test ./internal/genome/ -run '^$$' -fuzz '^FuzzWordView$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/genome/ -run '^$$' -fuzz '^FuzzPack$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/genome/ -run '^$$' -fuzz '^FuzzArtifact$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/genome/ -run '^$$' -fuzz '^FuzzGenerate$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/gpu/alloc/ -run '^$$' -fuzz '^FuzzArenaDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kernels/ -run '^$$' -fuzz '^FuzzGroupKernels$$' -fuzztime $(FUZZTIME)

@@ -107,7 +107,7 @@ func BenchmarkColdStart(b *testing.B) {
 
 // BenchmarkAutotune runs the SYCL engine at the tuner's per-device selection
 // against the best and worst fixed (variant, work-group size) pairs the cost
-// model can name (via tune.Predict): the tuned row must track the best-fixed
+// model can name (via predict): the tuned row must track the best-fixed
 // row — it launches the same kernel plus one Select — and the
 // worst-fixed row documents what a bad hand pick costs. The model's own
 // ms/chunk prediction rides along as a custom metric.
@@ -135,7 +135,7 @@ func BenchmarkAutotune(b *testing.B) {
 			run(b, &search.SimSYCL{Device: gpu.New(spec, gpu.WithWorkers(2)), Auto: true})
 		})
 		b.Run(spec.Name+"/best-fixed", func(b *testing.B) {
-			b.ReportMetric(tune.Predict(cfg, d.Variant, d.WGSize)*1e3, "pred-ms/chunk")
+			b.ReportMetric(predict(cfg, d.Variant, d.WGSize)*1e3, "pred-ms/chunk")
 			run(b, &search.SimSYCL{Device: gpu.New(spec, gpu.WithWorkers(2)), Variant: d.Variant, WorkGroupSize: d.WGSize})
 		})
 		b.Run(spec.Name+"/worst-fixed", func(b *testing.B) {
@@ -143,6 +143,16 @@ func BenchmarkAutotune(b *testing.B) {
 			run(b, &search.SimSYCL{Device: gpu.New(spec, gpu.WithWorkers(2)), Variant: worst.Variant, WorkGroupSize: worst.WGSize})
 		})
 	}
+}
+
+// predict is the tuner's score for one fixed (variant, work-group size):
+// the model's seconds per chunk at cfg's chunk size, 1 MiB if unset.
+func predict(cfg tune.Config, v kernels.ComparerVariant, wg int) float64 {
+	chunk := cfg.ChunkBytes
+	if chunk <= 0 {
+		chunk = 1 << 20
+	}
+	return tune.Estimate(cfg.Spec, v, wg, cfg.PatternLen, cfg.Queries).Seconds(chunk)
 }
 
 // TestAutotuneWithinBestFixed is the autotuner's acceptance gate at the
@@ -162,12 +172,12 @@ func TestAutotuneWithinBestFixed(t *testing.T) {
 		var bestWG int
 		for _, v := range kernels.Variants() {
 			for _, wg := range tune.DefaultWGSizes() {
-				if p := tune.Predict(cfg, v, wg); p > 0 && p < best {
+				if p := predict(cfg, v, wg); p > 0 && p < best {
 					best, bestV, bestWG = p, v, wg
 				}
 			}
 		}
-		got := tune.Predict(cfg, d.Variant, d.WGSize)
+		got := predict(cfg, d.Variant, d.WGSize)
 		if got > best*1.05 {
 			t.Errorf("%s: tuned (%s, %d) predicts %.6gs, best fixed (%s, %d) %.6gs — beyond the 5%% gate",
 				spec.Name, d.Variant, d.WGSize, got, bestV, bestWG, best)

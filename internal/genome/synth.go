@@ -2,6 +2,7 @@ package genome
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -91,7 +92,8 @@ func HG38Like(totalBases int) Profile {
 }
 
 // Generate builds the synthetic assembly described by the profile. The same
-// profile always yields the same bytes.
+// profile always yields the same bytes: those math/rand's source seeded with
+// p.Seed has always produced (see stream and generateSeq).
 func Generate(p Profile) (*Assembly, error) {
 	if p.TotalBases <= 0 {
 		return nil, fmt.Errorf("genome: profile %q: TotalBases must be positive", p.Name)
@@ -99,8 +101,8 @@ func Generate(p Profile) (*Assembly, error) {
 	if len(p.Chromosomes) == 0 {
 		return nil, fmt.Errorf("genome: profile %q: no chromosomes", p.Name)
 	}
-	if p.GC < 0 || p.GC > 1 || p.NFraction < 0 || p.NFraction >= 1 {
-		return nil, fmt.Errorf("genome: profile %q: GC/NFraction out of range", p.Name)
+	if !probability(p.GC) || !probability(p.SoftMask) || !probability(p.NFraction) || p.NFraction == 1 {
+		return nil, fmt.Errorf("genome: profile %q: GC/NFraction/SoftMask out of range", p.Name)
 	}
 	var totalW float64
 	for _, c := range p.Chromosomes {
@@ -109,7 +111,8 @@ func Generate(p Profile) (*Assembly, error) {
 		}
 		totalW += c.Weight
 	}
-	rng := rand.New(rand.NewSource(p.Seed))
+	s := newStream(p.Seed)
+	rng := rand.New(s)
 	asm := &Assembly{Name: p.Name}
 	remaining := p.TotalBases
 	for i, c := range p.Chromosomes {
@@ -129,16 +132,25 @@ func Generate(p Profile) (*Assembly, error) {
 		asm.Sequences = append(asm.Sequences, &Sequence{
 			Name:        c.Name,
 			Description: fmt.Sprintf("%s synthetic", p.Name),
-			Data:        generateSeq(rng, n, p),
+			Data:        generateSeq(s, rng, n, p),
 		})
 	}
 	return asm, nil
 }
 
+// probability reports whether x is in [0, 1]; NaN is not.
+func probability(x float64) bool { return x >= 0 && x <= 1 }
+
 // generateSeq emits n bases: alternating runs of resolved sequence and N
-// gaps sized so the expected gap fraction is p.NFraction.
-func generateSeq(rng *rand.Rand, n int, p Profile) []byte {
-	out := make([]byte, 0, n)
+// gaps sized so the expected gap fraction is p.NFraction. rng wraps s.
+//
+// It makes the draws rand.Rand would make, in the same order: per resolved
+// run, ExpFloat64 for its length and Float64 < p.SoftMask; per base,
+// Float64 < p.GC, Intn(2) and Float64 < 0.001 (the soft-mask toggle). A
+// Float64 compare is an Int63 compare against below(p), and Intn(2) is bit
+// 32 of an Int63, as Int31n takes it for a power of two.
+func generateSeq(s *stream, rng *rand.Rand, n int, p Profile) []byte {
+	out := make([]byte, n)
 	meanGap := p.MeanGapLen
 	if meanGap <= 0 {
 		meanGap = 1000
@@ -162,49 +174,132 @@ func generateSeq(rng *rand.Rand, n int, p Profile) []byte {
 			meanGap = 1
 		}
 	}
+	gc, softMask := below(p.GC), below(p.SoftMask)
 	inGap := false
-	for len(out) < n {
+	for w := 0; w < n; inGap = !inGap {
 		var runLen int
 		if inGap {
 			runLen = 1 + int(rng.ExpFloat64()*float64(meanGap))
 		} else {
 			runLen = 1 + int(rng.ExpFloat64()*float64(meanRun))
 		}
-		if runLen > n-len(out) {
-			runLen = n - len(out)
-		}
+		run := out[w:min(w+runLen, n)]
+		w += len(run)
 		if inGap {
-			for i := 0; i < runLen; i++ {
-				out = append(out, 'N')
+			for i := range run {
+				run[i] = 'N'
 			}
-		} else {
-			soft := rng.Float64() < p.SoftMask
-			for i := 0; i < runLen; i++ {
-				b := randomBase(rng, p.GC)
-				if soft {
-					b |= 0x20
-				}
-				out = append(out, b)
-				// Toggle soft-masking in sub-runs for realism.
-				if rng.Float64() < 0.001 {
-					soft = !soft
-				}
+			continue
+		}
+		var soft byte
+		if s.float() < softMask {
+			soft = 0x20
+		}
+		for i := range run {
+			isGC := lessBit(s.float(), gc)
+			coin := uint64(s.Int63()) >> 32 & 1
+			run[i] = "ATGC"[isGC<<1|coin] | soft
+			// Toggle soft-masking in sub-runs for realism.
+			if s.float() < toggleBelow {
+				soft ^= 0x20
 			}
 		}
-		inGap = !inGap
 	}
 	return out
 }
 
-func randomBase(rng *rand.Rand, gc float64) byte {
-	if rng.Float64() < gc {
-		if rng.Intn(2) == 0 {
-			return 'G'
+// below returns the least x in [0, 2⁶³) with float64(x)/(1<<63) >= p, so
+// that for every Int63 draw x, rand.Float64's float64(x)/(1<<63) < p exactly
+// when x < below(p). It is 2⁶³−1 for a NaN p or one above 1.
+func below(p float64) int64 {
+	lo, hi := int64(0), int64(math.MaxInt64)
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if float64(mid)/(1<<63) >= p {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
-		return 'C'
 	}
-	if rng.Intn(2) == 0 {
-		return 'A'
+	return lo
+}
+
+// lessBit is 1 if x < y and 0 if not, without a branch: the GC test is
+// taken about as often as not. Draws and thresholds are in [0, 2⁶³), so x−y
+// does not overflow.
+func lessBit(x, y int64) uint64 { return uint64(x-y) >> 63 }
+
+var (
+	// oneBelow is the least Int63 draw rand.Float64 rounds to 1 and redraws.
+	oneBelow = below(1)
+	// toggleBelow is the soft-mask toggle's Float64 < 0.001.
+	toggleBelow = below(0.001)
+)
+
+// math/rand's seeded source is an additive lagged Fibonacci generator:
+// output n is output n−streamLen plus output n−streamTap, mod 2⁶⁴.
+const (
+	streamLen = 607
+	streamTap = 273
+	// ringLen is the power of two above streamLen that stream's ring of
+	// recent outputs is indexed modulo.
+	ringLen = 1024
+)
+
+// stream is math/rand's seeded source, continued by a concrete type so that
+// a draw is two loads, an add and a store the compiler inlines, not an
+// interface call. It returns the values rand.NewSource(seed) returns, in the
+// same order (TestStreamMatchesMathRand). It implements rand.Source64, and
+// rand.New(s) draws from the same sequence as s's own methods.
+type stream struct {
+	ring [ringLen]uint64 // output n at ring[n%ringLen], for the last ringLen n
+	n    uint            // index of the next output
+}
+
+func newStream(seed int64) *stream {
+	s := new(stream)
+	s.Seed(seed)
+	return s
+}
+
+// Seed restarts s at rand.NewSource(seed)'s first output. It draws the
+// source's first streamLen outputs and runs the recurrence backwards from
+// them, out[n−streamLen] = out[n] − out[n−streamTap] for n from
+// streamLen−1 down to 0, to find the streamLen terms before output 0.
+func (s *stream) Seed(seed int64) {
+	src := rand.NewSource(seed).(rand.Source64)
+	var first [streamLen]uint64
+	for n := range first {
+		first[n] = src.Uint64()
 	}
-	return 'T'
+	for n := streamLen - 1; n >= 0; n-- {
+		var tap uint64
+		if n >= streamTap {
+			tap = first[n-streamTap]
+		} else {
+			tap = s.ring[uint(n-streamTap)%ringLen] // a term before output 0, found already
+		}
+		s.ring[uint(n-streamLen)%ringLen] = first[n] - tap
+	}
+	s.n = 0
+}
+
+func (s *stream) Uint64() uint64 {
+	n := s.n
+	x := s.ring[(n-streamLen)%ringLen] + s.ring[(n-streamTap)%ringLen]
+	s.ring[n%ringLen] = x
+	s.n = n + 1
+	return x
+}
+
+func (s *stream) Int63() int64 { return int64(s.Uint64() & math.MaxInt64) }
+
+// float returns the Int63 draw behind one rand.Float64: it redraws a value
+// that rounds to 1, as Float64 does.
+func (s *stream) float() int64 {
+	for {
+		if x := s.Int63(); x < oneBelow {
+			return x
+		}
+	}
 }

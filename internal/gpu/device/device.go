@@ -50,9 +50,6 @@ func (s Spec) ComputeUnits() int { return s.Cores / s.WavefrontSize }
 // ClockHz returns the shader clock in Hz.
 func (s Spec) ClockHz() float64 { return float64(s.GPUClockMHz) * 1e6 }
 
-// MaxWavesPerCU returns the hardware wave-slot limit per compute unit.
-func (s Spec) MaxWavesPerCU() int { return s.MaxWavesPerSIMD * s.SIMDsPerCU }
-
 func (s Spec) String() string {
 	return fmt.Sprintf("%s (%d CUs @ %d MHz, %d GiB, %.0f GB/s)",
 		s.Name, s.ComputeUnits(), s.GPUClockMHz, s.GlobalMemBytes>>30, s.PeakBWGBs)

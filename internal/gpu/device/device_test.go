@@ -149,8 +149,12 @@ func TestOccupancyHugeLDS(t *testing.T) {
 	}
 }
 
+// TestMaxWavesPerCU: every modelled part is GCN-style, 4 SIMDs of 10 wave
+// slots, 40 waves per compute unit; occupancy is counted per SIMD.
 func TestMaxWavesPerCU(t *testing.T) {
-	if got := MI60().MaxWavesPerCU(); got != 40 {
-		t.Errorf("MaxWavesPerCU = %d, want 40", got)
+	for _, s := range All() {
+		if got := s.MaxWavesPerSIMD * s.SIMDsPerCU; got != 40 {
+			t.Errorf("%s: %d SIMDs × %d wave slots = %d per CU, want 40", s.Name, s.SIMDsPerCU, s.MaxWavesPerSIMD, got)
+		}
 	}
 }

@@ -46,14 +46,10 @@ var cache = struct {
 
 // compileCount counts actual compiler invocations — cache misses, not
 // CompileComparer/CompileFinder calls — for the recompilation regression
-// test.
+// test. Memoization keeps it bounded by the number of distinct kernels (the
+// comparer variants plus the finder), however many engines, fleet slots or
+// tuner passes have been constructed.
 var compileCount atomic.Int64
-
-// CompileCount returns the number of kernel compilations performed so far
-// in this process. Memoization keeps it bounded by the number of distinct
-// kernels (the comparer variants plus the finder), however many engines,
-// fleet slots or tuner passes have been constructed.
-func CompileCount() int64 { return compileCount.Load() }
 
 // analyze records a freshly emitted program as a cache entry.
 func analyze(v kernels.ComparerVariant, p *Program) *compiled {

@@ -48,22 +48,27 @@ func TestCompileMemoized(t *testing.T) {
 	for _, v := range kernels.Variants() {
 		CompileComparer(v)
 	}
-	warm := CompileCount()
+	warm := compileCount.Load()
 	if limit := int64(len(kernels.Variants()) + 1); warm > limit {
 		t.Errorf("compile count %d exceeds the %d distinct kernels", warm, limit)
 	}
 
-	// Every metrics row at every (device, wg) must come from the cached
-	// programs: zero additional compilations.
+	// Every metrics row at every (device, wg, pattern length) must come from
+	// the cached programs: zero additional compilations. These are the
+	// entry points the tuner calls for each request shape.
 	for _, spec := range device.All() {
 		for _, wg := range []int{64, 128, 256, 512} {
-			FinderMetricsAt(spec, 23, wg)
-			for _, v := range kernels.Variants() {
-				ComparerMetricsAt(v, spec, 23, wg)
+			for _, plen := range []int{1, 20, 23, 64, 2000} {
+				FinderMetricsAt(spec, plen, wg)
+				FinderMetricsArenaAt(spec, plen, wg)
+				for _, v := range kernels.Variants() {
+					ComparerMetricsAt(v, spec, plen, wg)
+					ComparerMetricsArenaAt(v, spec, plen, wg)
+				}
 			}
 		}
 	}
-	if got := CompileCount(); got != warm {
+	if got := compileCount.Load(); got != warm {
 		t.Errorf("metrics queries recompiled kernels: compile count %d -> %d", warm, got)
 	}
 }

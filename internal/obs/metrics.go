@@ -96,27 +96,6 @@ func (m *Metrics) Gauge(name string, v float64) {
 	m.mu.Unlock()
 }
 
-// GaugeAdd moves a gauge by delta (queue occupancy up on stage, down on
-// drain).
-func (m *Metrics) GaugeAdd(name string, delta float64) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.gauges[name] += delta
-	m.mu.Unlock()
-}
-
-// GaugeValue returns a gauge's current value (0 if never set).
-func (m *Metrics) GaugeValue(name string) float64 {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.gauges[name]
-}
-
 // Observe records one observation into a histogram with the default
 // bucket bounds.
 func (m *Metrics) Observe(name string, v float64) {

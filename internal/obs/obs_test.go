@@ -19,10 +19,8 @@ func TestNilDisabledPathAllocatesNothing(t *testing.T) {
 		_ = tr.Spans()
 		m.Count(MetricChunks, 1)
 		m.Gauge(MetricQueueDepth, 2)
-		m.GaugeAdd(MetricQueueDepth, 1)
 		m.Observe(MetricStageSeconds, 1e-4)
 		_ = m.Counter(MetricChunks)
-		_ = m.GaugeValue(MetricQueueDepth)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil obs disabled path allocated %v times per run, want 0", allocs)
@@ -158,7 +156,7 @@ func TestMetricsRegistry(t *testing.T) {
 	m.Count(MetricChunks, 2)
 	m.Count(L(MetricFaults, "site", "launch"), 1)
 	m.Gauge(MetricQueueDepth, 2)
-	m.GaugeAdd(MetricQueueDepth, -1)
+	m.Gauge(MetricQueueDepth, 1)
 	m.Observe(MetricStageSeconds, 5e-5) // le="0.0001" bucket
 	m.Observe(MetricStageSeconds, 0.5)  // le="1" bucket
 	m.Observe(MetricStageSeconds, 99)   // +Inf overflow
@@ -166,11 +164,10 @@ func TestMetricsRegistry(t *testing.T) {
 	if got := m.Counter(MetricChunks); got != 5 {
 		t.Fatalf("Counter(chunks) = %d, want 5", got)
 	}
-	if got := m.GaugeValue(MetricQueueDepth); got != 1 {
-		t.Fatalf("GaugeValue = %v, want 1", got)
-	}
-
 	snap := m.Snapshot()
+	if got := snap.Gauges[MetricQueueDepth]; got != 1 {
+		t.Fatalf("gauge = %v, want the last value set, 1", got)
+	}
 	if snap.Counters[L(MetricFaults, "site", "launch")] != 1 {
 		t.Fatalf("snapshot missing labelled counter: %+v", snap.Counters)
 	}

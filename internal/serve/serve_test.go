@@ -450,7 +450,7 @@ func TestBurstSheds(t *testing.T) {
 	if ok != capacity || shed != burst-capacity {
 		t.Errorf("burst: %d ok, %d shed; want %d ok, %d shed", ok, shed, capacity, burst-capacity)
 	}
-	if depth := s.cfg.Metrics.GaugeValue(obs.MetricServeQueueDepth); depth != 0 {
+	if depth := s.cfg.Metrics.Snapshot().Gauges[obs.MetricServeQueueDepth]; depth != 0 {
 		t.Errorf("queue depth %v after drain, want 0", depth)
 	}
 }

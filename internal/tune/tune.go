@@ -144,17 +144,6 @@ func Estimate(spec device.Spec, v kernels.ComparerVariant, wg, plen, queries int
 	}
 }
 
-// Predict returns the model-predicted seconds per chunk for one fixed
-// (variant, WG size) under cfg — the tuner's scoring function, exposed for
-// fixed-variant baselines in benchmarks and ablations.
-func Predict(cfg Config, v kernels.ComparerVariant, wg int) float64 {
-	n, err := normalize(cfg)
-	if err != nil {
-		return 0
-	}
-	return Estimate(n.spec, v, wg, n.plen, n.queries).Seconds(n.chunkBytes)
-}
-
 // Select scores every (variant, work-group size) candidate for cfg and
 // returns the ranked decision.
 func Select(cfg Config) (*Decision, error) {
