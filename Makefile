@@ -34,14 +34,14 @@ race:
 
 # Schedule-independence stress: the kernel suite, the compiled-kernel cache
 # and the tuner over it (internal/isa's one mutex is all that guards a first
-# compile raced by a fleet's slots, and tune.Select keeps no state of its
-# own: TestCompileMemoized and TestSelectDeterministic call both from
+# compile raced by engines opening at once, and tune.Select keeps no state
+# of its own: TestCompileMemoized and TestSelectDeterministic call both from
 # several goroutines), the simulator core, the arena suite, the two host
 # APIs (internal/sycl's dependency tests are the only concurrency tests of
 # SYCL's asynchronous submission: command groups ordered by their buffer
 # accesses, within a queue and across two, and the async handler told before
 # the event completes) and the executor (internal/pipeline: the one-slot
-# contract, the fleet and its reorder window) twenty times each under the
+# contract, several slots and their reorder window) twenty times each under the
 # race detector at
 # one, two and eight Ps — every reported counter must be a function of the
 # input, whatever the interleaving — with Tables VIII and IX and Fig. 2
@@ -56,18 +56,15 @@ race:
 # and corrupt-shard tests, since every slot scans one shared mapped PAM
 # shard in place), the NDJSON encoder's
 # zero-allocation pin, and the simulator engines'
-# whole-Profile equality on one device and a three-device fleet (arena
-# relaunches included) with the dense region matrix, at the same count.
+# whole-Profile equality, no field excluded (arena relaunches included),
+# with the dense region matrix, at the same count.
 # The group-kernel vs per-access-reference differential
 # (TestGroupMatchesReference, 40 randomized trials that FuzzGroupKernels'
 # corpus also covers) runs once per P count, as do the seeded fault matrix
 # with its replay check and the ledger tests: a run has one search.Profile,
-# a fleet's slots all write it, and it is published into the registry
-# once — the race detector over those concurrent writers, and the
-# metrics/profile agreement after them, are the check. Two are fleet runs
-# that fail chunks over: TestMultiSYCLSchedMetricsParity (one dead device
-# beside a flaky one) and TestMultiSYCLSchedFailsOverPerDevice (every device
-# dead, each slot failing over on its own fallback).
+# its backend and the executor's report both write it, and it is published
+# into the registry once — the race detector over those writers, and the
+# metrics/profile agreement after them, are the check.
 stress:
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/kernels ./internal/isa ./internal/tune ./internal/gpu ./internal/gpu/alloc ./internal/sycl ./internal/opencl ./internal/pipeline -skip '^TestGroupMatchesReference$$'
 	$(GO) test -race -count 1 -cpu 1,2,8 ./internal/kernels -run '^TestGroupMatchesReference$$'
@@ -76,7 +73,7 @@ stress:
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/serve -run 'TestCoalesce|TestCoalescedRequestsOverHTTP|TestPanicIsolation'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/search/ -run 'TestSWAR|TestScanChunkMatchesSeed|TestScanInnerLoopZeroAllocs|TestWriteHitJSONZeroAllocs|TestBatchedMatchesPerPattern|TestCompareMultiWordPatterns|TestArtifactEquivalenceAllEngines|TestArtifactShardMatchesScan|TestArtifactCorruptShardRejected'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/search/ -run 'TestSimProfileSchedule|TestDenseCandidateRegionMatrix'
-	$(GO) test -race -count 1 -cpu 1,2,8 ./internal/search/ -run 'TestFaultDeterminism|TestFaultMatrix|TestMetricsAgreeWithProfile|TestMultiSYCLSchedMetricsParity|TestMultiSYCLSchedFailsOverPerDevice|TestMultiSYCLMergeParity|TestProfileMerge'
+	$(GO) test -race -count 1 -cpu 1,2,8 ./internal/search/ -run 'TestFaultDeterminism|TestFaultMatrix|TestMetricsAgreeWithProfile|TestProfileMerge'
 
 # Fuzz regression mode: the seed corpora (f.Add entries) replay on every
 # plain `go test`; this target additionally fuzzes each target briefly to

@@ -10,7 +10,6 @@
 // Usage:
 //
 //	casoffinder [-engine cpu|opencl|sycl] [-device MI100] [-variant auto]
-//	            [-devices radeonvii,mi60,mi100]
 //	            [-index build|use] [-index-file genome.cart]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	            [-fault-rate 0.05 -fault-seed 42] [-watchdog 5s]
@@ -34,20 +33,10 @@
 // -variant defaults to "auto": the occupancy autotuner (internal/tune)
 // compiles every comparer variant for the target device, scores each
 // (variant, work-group size) pair with the per-chunk cost model at the
-// occupancy the variant achieves, and launches the argmin — per device, so a
-// heterogeneous -devices fleet can run a different kernel on each member. A
-// named -variant (base or opt1..opt4) forces that kernel and bypasses the
-// tuner. The selected kernel per device is reported on stderr with the
-// profile; output is byte-identical across all variants.
-//
-// -devices runs the sycl engine across a simulated multi-GPU fleet: a
-// comma-separated list of device names (radeonvii, mi60, mi100 — repeats
-// allowed), one executor slot each, every device pulling the next chunk of
-// the plan when it is free. Output stays byte-identical to a single-device
-// run. With fault injection, each slot gets its own schedule (seeded
-// -fault-seed + slot index), and a chunk that exhausts its retries on a
-// device fails over to the CPU engine on that device's slot, which goes on
-// pulling chunks — the same per-chunk recovery as a single device.
+// occupancy the variant achieves, and launches the argmin. A named -variant
+// (base or opt1..opt4) forces that kernel and bypasses the tuner. The
+// selected kernel is reported on stderr with the profile; output is
+// byte-identical across all variants.
 //
 // The fault flags drive the simulator engines through seeded deterministic
 // fault injection with a resilience policy set: transient failures
@@ -137,7 +126,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs.SetOutput(stderr)
 	engineName := fs.String("engine", "cpu", "search engine: cpu, opencl or sycl")
 	deviceName := fs.String("device", "MI100", "simulated device for the opencl/sycl engines")
-	devicesFlag := fs.String("devices", "", "comma-separated device fleet for the sycl engine (radeonvii, mi60, mi100; repeats allowed), one executor slot each")
 	variantName := fs.String("variant", "auto", "comparer kernel variant: auto (per-device occupancy autotuner), base or opt1..opt4")
 	outPath := fs.String("o", "", "output file (default stdout)")
 	format := fs.String("format", "text", "hit output format: text (tab-separated) or json (NDJSON, one hit object per line)")
@@ -172,8 +160,12 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	default:
 		return usageError{fmt.Errorf("unknown -format %q (want text or json)", *format)}
 	}
-	if *timeout < 0 {
-		return usageError{fmt.Errorf("-timeout %v is negative", *timeout)}
+	// A negative deadline, skip count or worker count would silently read
+	// as "off" or "all cores".
+	for _, name := range []string{"timeout", "watchdog", "fault-after", "workers"} {
+		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
+			return usageError{fmt.Errorf("-%s %s is negative", name, v)}
+		}
 	}
 	faultPlan := fault.Plan{Seed: *faultSeed, Rate: *faultRate, After: *faultAfter}
 	if *faultSite != "" {
@@ -236,12 +228,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		metrics = obs.NewMetrics()
 	}
 
-	fleet, err := parseFleet(*devicesFlag)
-	if err != nil {
-		return err
-	}
-
-	eng, profiler, err := buildEngine(*engineName, *deviceName, fleet, variant, auto, *workers, faultPlan, res, tracer, metrics)
+	eng, profiler, err := buildEngine(*engineName, *deviceName, variant, auto, *workers, faultPlan, res, tracer, metrics)
 	if err != nil {
 		return err
 	}
@@ -301,7 +288,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 				s := p.Kernels[name]
 				fmt.Fprintf(stderr, "  kernel %-14s launches=%-4d %s\n", name, p.Launches[name], s.String())
 			}
-			printAutotune(stderr, p)
+			printAutotune(stderr, eng.Name(), p)
 			printDegradation(stderr, p)
 		}
 	}
@@ -394,17 +381,6 @@ func printDegradation(stderr io.Writer, p *search.Profile) {
 		fmt.Fprintf(stderr, "degraded: retries=%d failovers=%d watchdog-kills=%d quarantined=%d async-exceptions=%d\n",
 			p.Retries, p.Failovers, p.WatchdogKills, p.QuarantinedChunks, p.AsyncExceptions)
 	}
-	if len(p.DeviceChunks) > 0 {
-		fmt.Fprintln(stderr, "scheduler:")
-		names := make([]string, 0, len(p.DeviceChunks))
-		for name := range p.DeviceChunks {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Fprintf(stderr, "  device %-14s chunks=%d\n", name, p.DeviceChunks[name])
-		}
-	}
 	if len(p.Faults) > 0 {
 		sites := make([]string, 0, len(p.Faults))
 		for site := range p.Faults {
@@ -428,46 +404,18 @@ func writeHeapProfile(path string) error {
 	})
 }
 
-// parseFleet maps the -devices list to simulated device specs through
-// device.ByName; the empty flag means "no fleet" (single-device path).
-func parseFleet(list string) ([]device.Spec, error) {
-	if list == "" {
-		return nil, nil
-	}
-	names := strings.Split(list, ",")
-	fleet := make([]device.Spec, 0, len(names))
-	for _, name := range names {
-		spec, err := device.ByName(strings.TrimSpace(name))
-		if err != nil {
-			return nil, usageError{fmt.Errorf("-devices: %w", err)}
-		}
-		fleet = append(fleet, spec)
-	}
-	return fleet, nil
-}
-
-// printAutotune reports the tuner's kernel selection per engine track,
-// sorted for a deterministic summary. Silent when no tuner ran.
-func printAutotune(stderr io.Writer, p *search.Profile) {
-	if len(p.TunedVariant) == 0 {
+// printAutotune reports the tuner's kernel selection for the named engine.
+// Silent when no tuner ran.
+func printAutotune(stderr io.Writer, engine string, p *search.Profile) {
+	if p.TuneDecisions == 0 {
 		return
 	}
-	tracks := make([]string, 0, len(p.TunedVariant))
-	for track := range p.TunedVariant {
-		tracks = append(tracks, track)
-	}
-	sort.Strings(tracks)
-	for _, track := range tracks {
-		fmt.Fprintf(stderr, "autotune: %-14s variant=%s wg=%d (model, %d candidates scored)\n",
-			track, p.TunedVariant[track], p.TunedWGSize[track], p.TuneCandidates/p.TuneDecisions)
-	}
+	fmt.Fprintf(stderr, "autotune: %-14s variant=%s wg=%d (model, %d candidates scored)\n",
+		engine, p.TunedVariant, p.TunedWGSize, p.TuneCandidates/p.TuneDecisions)
 }
 
-func buildEngine(engine, deviceName string, fleet []device.Spec, variant kernels.ComparerVariant, auto bool, workers int,
+func buildEngine(engine, deviceName string, variant kernels.ComparerVariant, auto bool, workers int,
 	faultPlan fault.Plan, res *pipeline.Resilience, tracer *obs.Tracer, metrics *obs.Metrics) (search.Engine, search.Profiler, error) {
-	if len(fleet) > 0 && engine != "sycl" {
-		return nil, nil, usageError{fmt.Errorf("-devices runs the multi-device scheduler, which needs -engine sycl, not %q", engine)}
-	}
 	switch engine {
 	case "cpu":
 		// The fault sites all live in the simulated runtimes; a silent
@@ -478,23 +426,6 @@ func buildEngine(engine, deviceName string, fleet []device.Spec, variant kernels
 		}
 		return &search.CPU{Workers: workers, Trace: tracer, Metrics: metrics}, nil, nil
 	case "opencl", "sycl":
-		if len(fleet) > 0 {
-			devs := make([]*gpu.Device, len(fleet))
-			for i, spec := range fleet {
-				devs[i] = gpu.New(spec)
-				if faultPlan.Rate > 0 {
-					// Each fleet slot gets its own deterministic schedule:
-					// same plan, seed offset by the slot index.
-					plan := faultPlan
-					plan.Seed += uint64(i)
-					if in := fault.NewInjector(plan); in != nil {
-						devs[i].SetFaults(in)
-					}
-				}
-			}
-			e := &search.MultiSYCL{Devices: devs, Variant: variant, Auto: auto, Resilience: res, Trace: tracer, Metrics: metrics}
-			return e, e, nil
-		}
 		spec, err := device.ByName(deviceName)
 		if err != nil {
 			return nil, nil, usageError{err}

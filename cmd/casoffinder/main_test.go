@@ -221,10 +221,6 @@ func TestRunUsageErrorsExitUsage(t *testing.T) {
 		{"fault rate out of range", []string{"-engine", "opencl", "-fault-rate", "1.5", input}},
 		{"fault flags on cpu engine", []string{"-engine", "cpu", "-fault-rate", "0.5", input}},
 		{"watchdog on cpu engine", []string{"-engine", "cpu", "-watchdog", "1s", input}},
-		{"unknown fleet device", []string{"-engine", "sycl", "-devices", "mi60,h100", input}},
-		{"empty fleet device", []string{"-engine", "sycl", "-devices", "mi60,,mi100", input}},
-		{"fleet on cpu engine", []string{"-engine", "cpu", "-devices", "mi60", input}},
-		{"fleet on opencl engine", []string{"-engine", "opencl", "-devices", "mi60,mi100", input}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -312,72 +308,6 @@ func TestRunFaultDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunFleet drives the -devices flag: a heterogeneous fleet must print
-// the same hits as a single-device run and report the per-device breakdown
-// on stderr. When every device fails every launch, each fails its own
-// chunks over to the CPU — one failover per chunk, whichever device held it
-// — and the hits still match.
-func TestRunFleet(t *testing.T) {
-	input := writeTestData(t, "NNNNNNNNNNNGG")
-	// A second sequence is a second chunk: only as many devices as the plan
-	// has chunks ever open.
-	chr2 := filepath.Join(filepath.Dir(input), "chrs", "chr2.fa")
-	if err := os.WriteFile(chr2, []byte(">chr2\nAAAAGATTACAGTACGGAAAAAAAAAAAAAAA\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var golden, errOut bytes.Buffer
-	if err := run([]string{"-engine", "sycl", "-device", "mi100", "-variant", "base", input}, &golden, &errOut); err != nil {
-		t.Fatalf("-device mi100: %v (stderr: %s)", err, errOut.String())
-	}
-	for _, tc := range []struct {
-		name   string
-		args   []string
-		stderr []string
-	}{
-		{"clean", []string{"-devices", "RadeonVII,mi60,MI100"}, []string{"scheduler:\n", "device sycl-sim[0]"}},
-		{"aliases", []string{"-devices", "RVII,radeonvii"}, []string{"device sycl-sim[1]"}},
-		{"every launch fails", []string{"-devices", "mi60,mi100", "-fault-rate", "1", "-fault-seed", "9",
-			"-fault-site", "gpu.launch", "-max-retries", "-1"}, []string{"degraded: retries=0 failovers=2 ", "faults: gpu.launch=2\n"}},
-	} {
-		var out bytes.Buffer
-		errOut.Reset()
-		args := append([]string{"-engine", "sycl", "-variant", "base"}, append(tc.args, input)...)
-		if err := run(args, &out, &errOut); err != nil {
-			t.Fatalf("%s: %v (stderr: %s)", tc.name, err, errOut.String())
-		}
-		if out.String() != golden.String() {
-			t.Errorf("%s: fleet output differs from single device:\n%s\nvs\n%s", tc.name, out.String(), golden.String())
-		}
-		for _, want := range tc.stderr {
-			if !strings.Contains(errOut.String(), want) {
-				t.Errorf("%s: stderr missing %q: %s", tc.name, want, errOut.String())
-			}
-		}
-	}
-}
-
-func TestParseFleet(t *testing.T) {
-	fleet, err := parseFleet("radeonvii, MI60 ,rvii,mi100")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fleet) != 4 {
-		t.Fatalf("parseFleet returned %d specs, want 4", len(fleet))
-	}
-	if fleet[0].Name != fleet[2].Name {
-		t.Errorf("radeonvii and rvii aliases disagree: %q vs %q", fleet[0].Name, fleet[2].Name)
-	}
-	if fleet, err := parseFleet(""); fleet != nil || err != nil {
-		t.Errorf("empty flag = %v, %v; want nil, nil", fleet, err)
-	}
-	if fleet, err := parseFleet("RVII,radeonvii"); err != nil || len(fleet) != 2 || fleet[0].Name != "RVII" || fleet[1].Name != "RVII" {
-		t.Errorf("RVII,radeonvii = %v, %v; want two RVII specs", fleet, err)
-	}
-	if _, err := parseFleet("mi60,vega64"); err == nil {
-		t.Error("unknown device accepted")
-	}
-}
-
 // TestRunPackedEngine: the SWAR scan over the packed genome is the cpu
 // engine, not an option of it — the -packed flag that used to select it is
 // gone, and the default run finds the planted site.
@@ -421,29 +351,9 @@ func TestRunAutoVariant(t *testing.T) {
 	}
 }
 
-// TestRunAutoVariantFleet: the multi-device scheduler under -variant auto
-// reports one selection per fleet slot and keeps the golden stream.
-func TestRunAutoVariantFleet(t *testing.T) {
-	input := writeTestData(t, "NNNNNNNNNNNGG")
-	var golden, out, errOut bytes.Buffer
-	if err := run([]string{"-engine", "sycl", "-variant", "base", input}, &golden, &errOut); err != nil {
-		t.Fatal(err)
-	}
-	errOut.Reset()
-	if err := run([]string{"-engine", "sycl", "-devices", "radeonvii,mi100", input}, &out, &errOut); err != nil {
-		t.Fatalf("run: %v (stderr: %s)", err, errOut.String())
-	}
-	if out.String() != golden.String() {
-		t.Errorf("tuned fleet output differs from single-device golden:\n%s\nvs\n%s", out.String(), golden.String())
-	}
-	if !strings.Contains(errOut.String(), "autotune: sycl-sim[") {
-		t.Errorf("stderr missing per-slot autotune summaries: %s", errOut.String())
-	}
-}
-
-// TestRunRetiredFlags: the second tuner pass and the sixth comparer are
-// gone, so naming them is a usage mistake (exit 2), and what the command
-// says it accepts is what is left.
+// TestRunRetiredFlags: the second tuner pass, the sixth comparer and the
+// multi-device fleet are gone, so naming them is a usage mistake (exit 2),
+// and what the command says it accepts is what is left.
 func TestRunRetiredFlags(t *testing.T) {
 	input := writeTestData(t, "NNNNNNNNNNNGG")
 	for _, tt := range []struct {
@@ -454,6 +364,7 @@ func TestRunRetiredFlags(t *testing.T) {
 		{[]string{"-engine", "sycl", "-variant", "base", "-autotune", "calibrate"}, "flag provided but not defined"},
 		{[]string{"-engine", "sycl", "-autotune", "turbo"}, "flag provided but not defined"},
 		{[]string{"-engine", "opencl", "-variant", "bitparallel"}, "want auto, base or opt1..opt4"},
+		{[]string{"-engine", "sycl", "-devices", "mi60,mi100"}, "flag provided but not defined"},
 	} {
 		var out, errOut bytes.Buffer
 		err := run(append(tt.args, input), &out, &errOut)
@@ -609,7 +520,8 @@ func TestRunFormatJSON(t *testing.T) {
 	}
 }
 
-// TestRunFormatTimeoutUsageErrors: the new flags validate like every other.
+// TestRunFormatTimeoutUsageErrors: the format, deadline and count flags
+// validate like every other; none of them may be negative.
 func TestRunFormatTimeoutUsageErrors(t *testing.T) {
 	plain := writeTestData(t, "NNNNNNNNNNNGG")
 	tests := []struct {
@@ -618,6 +530,9 @@ func TestRunFormatTimeoutUsageErrors(t *testing.T) {
 	}{
 		{"unknown format", []string{"-format", "xml", plain}},
 		{"negative timeout", []string{"-timeout", "-1s", plain}},
+		{"negative watchdog", []string{"-engine", "sycl", "-watchdog", "-1s", plain}},
+		{"negative fault-after", []string{"-engine", "sycl", "-fault-rate", "0.2", "-fault-after", "-5", plain}},
+		{"negative workers", []string{"-workers", "-3", plain}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -185,6 +185,13 @@ func setup(args []string, stderr io.Writer) (*daemon, error) {
 	if *faultRate < 0 || *faultRate > 1 {
 		return nil, usageError{fmt.Errorf("-fault-rate %v outside [0, 1]", *faultRate)}
 	}
+	// A negative deadline, skip count or worker count would silently read
+	// as "off" or "all cores".
+	for _, name := range []string{"watchdog", "fault-after", "workers"} {
+		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
+			return nil, usageError{fmt.Errorf("-%s %s is negative", name, v)}
+		}
+	}
 	faultPlan := fault.Plan{Seed: *faultSeed, Rate: *faultRate, After: *faultAfter}
 	if *faultSite != "" {
 		site, serr := fault.ParseSite(*faultSite)

@@ -330,6 +330,9 @@ func TestSetupUsageErrors(t *testing.T) {
 		{"bad fault site", []string{"-genome", dir, "-engine", "opencl", "-fault-rate", "1", "-fault-site", "gpu.meltdown"}},
 		{"retired fault site", []string{"-genome", dir, "-engine", "sycl", "-fault-site", "sycl.usm"}},
 		{"duplicate genome name", []string{"-genome", dir, "-genome", dir}},
+		{"negative watchdog", []string{"-genome", dir, "-engine", "sycl", "-watchdog", "-1s"}},
+		{"negative fault-after", []string{"-genome", dir, "-engine", "opencl", "-fault-rate", "0.2", "-fault-after", "-5"}},
+		{"negative workers", []string{"-genome", dir, "-workers", "-3"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -11,8 +11,8 @@ func newBuilder(name string) *builder {
 	return &builder{p: NewProgram(name)}
 }
 
-func (b *builder) s() Reg { return b.p.NewReg(Scalar) }
-func (b *builder) v() Reg { return b.p.NewReg(Vector) }
+func (b *builder) s() Reg { return b.p.newReg(Scalar) }
+func (b *builder) v() Reg { return b.p.newReg(Vector) }
 
 func (b *builder) emit(i *Inst) { b.p.Append(i) }
 

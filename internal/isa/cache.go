@@ -47,8 +47,8 @@ var cache = struct {
 // compileCount counts actual compiler invocations — cache misses, not
 // CompileComparer/CompileFinder calls — for the recompilation regression
 // test. Memoization keeps it bounded by the number of distinct kernels (the
-// comparer variants plus the finder), however many engines, fleet slots or
-// tuner passes have been constructed.
+// comparer variants plus the finder), however many engines or tuner passes
+// have been constructed.
 var compileCount atomic.Int64
 
 // analyze records a freshly emitted program as a cache entry.

@@ -15,8 +15,8 @@ import (
 // comparer variants plus the finder) no matter how many engines or tuner
 // passes preceded this test.
 func TestCompileMemoized(t *testing.T) {
-	// A fleet opens its devices at once: the first compile of each kernel
-	// may be raced from several goroutines, and all must get the one program.
+	// Engines opening at once may race the first compile of each kernel
+	// from several goroutines, and all must get the one program.
 	var wg sync.WaitGroup
 	progs := make([][]*Program, 4)
 	for g := range progs {

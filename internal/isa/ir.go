@@ -126,8 +126,8 @@ func NewProgram(name string) *Program {
 	return &Program{Name: name, nextID: map[RegClass]int{Scalar: 0, Vector: 0}}
 }
 
-// NewReg allocates a fresh virtual register.
-func (p *Program) NewReg(c RegClass) Reg {
+// newReg allocates a fresh virtual register.
+func (p *Program) newReg(c RegClass) Reg {
 	id := p.nextID[c]
 	p.nextID[c]++
 	return Reg{Class: c, ID: id}

@@ -25,11 +25,11 @@ func TestEncodingSizes(t *testing.T) {
 
 func TestProgramBasics(t *testing.T) {
 	p := NewProgram("t")
-	r1 := p.NewReg(Vector)
-	r2 := p.NewReg(Vector)
-	s1 := p.NewReg(Scalar)
+	r1 := p.newReg(Vector)
+	r2 := p.newReg(Vector)
+	s1 := p.newReg(Scalar)
 	if r1 == r2 {
-		t.Error("NewReg returned duplicate registers")
+		t.Error("newReg returned duplicate registers")
 	}
 	if r1.Class != Vector || s1.Class != Scalar {
 		t.Error("register classes wrong")
@@ -49,9 +49,9 @@ func TestProgramBasics(t *testing.T) {
 
 func TestAllocateStraightLine(t *testing.T) {
 	p := NewProgram("t")
-	a := p.NewReg(Vector)
-	bReg := p.NewReg(Vector)
-	c := p.NewReg(Vector)
+	a := p.newReg(Vector)
+	bReg := p.newReg(Vector)
+	c := p.newReg(Vector)
 	// a and b live simultaneously; c reuses a dead slot.
 	p.Append(&Inst{Name: "def_a", Unit: VALU, Defs: []Reg{a}})
 	p.Append(&Inst{Name: "def_b", Unit: VALU, Defs: []Reg{bReg}})
@@ -69,13 +69,13 @@ func TestAllocateStraightLine(t *testing.T) {
 
 func TestAllocateLoopExtension(t *testing.T) {
 	p := NewProgram("t")
-	pre := p.NewReg(Vector) // defined before the loop, used inside
-	tmp := p.NewReg(Vector) // transient inside the loop
+	pre := p.newReg(Vector) // defined before the loop, used inside
+	tmp := p.newReg(Vector) // transient inside the loop
 	p.Append(&Inst{Name: "def_pre", Unit: VALU, Defs: []Reg{pre}})
 	begin := len(p.Insts)
 	p.Append(&Inst{Name: "use_pre", Unit: VALU, Defs: []Reg{tmp}, Uses: []Reg{pre}})
 	p.Append(&Inst{Name: "use_tmp", Unit: VALU, Uses: []Reg{tmp}})
-	p.Append(&Inst{Name: "tail", Unit: SALU, Defs: []Reg{p.NewReg(Scalar)}})
+	p.Append(&Inst{Name: "tail", Unit: SALU, Defs: []Reg{p.newReg(Scalar)}})
 	p.Append(&Inst{Name: "backedge", Unit: BRANCH})
 	p.Loops = append(p.Loops, [2]int{begin, len(p.Insts)})
 
@@ -89,9 +89,9 @@ func TestAllocateLoopExtension(t *testing.T) {
 
 func TestEliminateGuardedReloads(t *testing.T) {
 	p := NewProgram("t")
-	addr := p.NewReg(Vector)
-	v1 := p.NewReg(Vector)
-	v2 := p.NewReg(Vector)
+	addr := p.newReg(Vector)
+	v1 := p.newReg(Vector)
+	v2 := p.newReg(Vector)
 	p.Append(&Inst{Name: "addr", Unit: VALU, Defs: []Reg{addr}})
 	p.Append(&Inst{Name: "load", Unit: VMEM, Defs: []Reg{v1}, Uses: []Reg{addr}, Space: GlobalSpace, Addr: addr})
 	p.Append(&Inst{Name: "reload", Unit: VMEM, Defs: []Reg{v2}, Uses: []Reg{addr}, Space: GlobalSpace, Addr: addr, AliasGuarded: true})
@@ -109,10 +109,10 @@ func TestEliminateGuardedReloads(t *testing.T) {
 
 func TestEliminateGuardedReloadsKeptAfterStore(t *testing.T) {
 	p := NewProgram("t")
-	addr := p.NewReg(Vector)
-	val := p.NewReg(Vector)
-	v1 := p.NewReg(Vector)
-	v2 := p.NewReg(Vector)
+	addr := p.newReg(Vector)
+	val := p.newReg(Vector)
+	v1 := p.newReg(Vector)
+	v2 := p.newReg(Vector)
 	p.Append(&Inst{Name: "addr", Unit: VALU, Defs: []Reg{addr}})
 	p.Append(&Inst{Name: "val", Unit: VALU, Defs: []Reg{val}})
 	p.Append(&Inst{Name: "load", Unit: VMEM, Defs: []Reg{v1}, Uses: []Reg{addr}, Space: GlobalSpace, Addr: addr})

@@ -81,12 +81,6 @@ func NewPatternPair(pattern []byte) (*PatternPair, error) {
 	return p, nil
 }
 
-// LocalBytes returns the shared-local-memory footprint of staging the codes
-// and index arrays per work-group, for occupancy accounting.
-func (p *PatternPair) LocalBytes() int {
-	return len(p.Codes) + 4*len(p.Index)
-}
-
 // validateArena checks the output arena bound into a kernel launch against
 // the data arrays it indexes: outs holds the length of every page-strided
 // entry array, which must cover every provisioned slot.

@@ -40,9 +40,6 @@ func TestNewPatternPair(t *testing.T) {
 			t.Errorf("rev index[%d] = %d, want %d", i, p.Index[6+i], w)
 		}
 	}
-	if p.LocalBytes() != 12+4*12 {
-		t.Errorf("LocalBytes = %d", p.LocalBytes())
-	}
 }
 
 func TestNewPatternPairAllN(t *testing.T) {

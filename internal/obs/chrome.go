@@ -36,7 +36,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	spans := t.Spans()
 	// Deterministic track → tid assignment: first-appearance order in the
 	// span log, which is itself deterministic for a one-slot run and stable
-	// enough for a fleet.
+	// enough for several.
 	tids := make(map[string]int)
 	var tracks []string
 	for _, s := range spans {

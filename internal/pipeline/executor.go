@@ -1,14 +1,14 @@
 // The one chunk executor every engine runs on: one queue of the plan's chunks
-// in plan order under one mutex, and a fleet of slots — each a backend opened
+// in plan order under one mutex, and a set of slots — each a backend opened
 // once and driven by one goroutine — that pull the lowest unclaimed index,
 // scan it (attempt) and hand the result to the ordered-emit collector on the
-// caller's goroutine. A single simulator engine is a one-slot fleet, the CPU
-// engine is one slot per worker, MultiSYCL one slot per device (DESIGN.md §7).
-// No slot claims an index at or past the collector's cursor plus twice the
-// fleet, so a stalled head chunk holds the fleet back instead of letting it
-// scan, and buffer, the rest of the plan.
+// caller's goroutine. A simulator engine is one slot on its device, the CPU
+// engine one slot per worker (DESIGN.md §7). No slot claims an index at or
+// past the collector's cursor plus twice the slot count, so a stalled head
+// chunk holds the slots back instead of letting them scan, and buffer, the
+// rest of the plan.
 //
-// Recovery is one rule, at every fleet size. With a Policy set, a transient
+// Recovery is one rule, at every slot count. With a Policy set, a transient
 // failure retries on the same slot with the policy's seeded backoff; any
 // other failure — or an exhausted budget — means the chunk has exhausted its
 // slot. The chunk then fails over on that slot: one attempt on the slot's
@@ -23,8 +23,8 @@
 // open, eagerly, and only they run, so which backends exist is a function of
 // the plan. Each backend is driven by exactly one goroutine, so a one-slot
 // run's backend calls — and with them a seeded fault schedule, the report
-// and the fault log — replay exactly; in a fleet, which device meets which
-// chunk (and so which slot fails it over) is scheduling.
+// and the fault log — replay exactly; with several slots, which slot meets
+// which chunk (and so which slot fails it over) is scheduling.
 
 package pipeline
 
@@ -43,26 +43,17 @@ import (
 	"casoffinder/internal/obs"
 )
 
-// Slot is one fleet member: a backend factory and the name of its trace
-// track and report row (empty means "<track>/worker<i>").
+// Slot is one backend factory, driven by one goroutine whose trace track is
+// "<track>/worker<i>".
 type Slot struct {
-	Name string
 	// Open builds the slot's backend for the compiled plan. It is called at
 	// most once per run, on the slot's own goroutine.
 	Open func(plan *Plan) (Backend, error)
 }
 
-// SlotReport is the per-slot accounting of one run.
-type SlotReport struct {
-	Name string
-	// Chunks counts the chunks this slot settled, on its own backend or on
-	// its fallback.
-	Chunks int
-}
-
-// Executor runs requests across a fleet of slots.
+// Executor runs requests across a set of slots.
 type Executor struct {
-	// Slots is the fleet; at least one is required.
+	// Slots are the backends that pull chunks; at least one is required.
 	Slots []Slot
 	// Policy enables recovery (see the file comment). Nil means fail-fast.
 	// Its OnReport, when set, receives the run's report too.
@@ -167,7 +158,7 @@ func (x *Executor) execute(ctx context.Context, plan *Plan, asm *genome.Assembly
 		observed: x.Trace != nil || x.Metrics != nil,
 		attempts: make([]int, len(chunks)),
 		window:   2 * slots,
-		rep:      &Report{Slots: make([]SlotReport, slots)},
+		rep:      &Report{},
 		// One result per slot: a collector that lags (a slow emit) blocks
 		// the slots instead of letting the whole genome's hits pile up.
 		results: make(chan settled, slots),
@@ -189,10 +180,6 @@ func (x *Executor) execute(ctx context.Context, plan *Plan, asm *genome.Assembly
 
 	var wg sync.WaitGroup
 	for i := 0; i < slots; i++ {
-		// The row's name doubles as the slot's trace track.
-		if r.rep.Slots[i].Name = x.Slots[i].Name; x.Slots[i].Name == "" {
-			r.rep.Slots[i].Name = x.track() + "/worker" + strconv.Itoa(i)
-		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -276,7 +263,7 @@ func (r *run) collect(emit func(Hit) error) {
 // worker drives slot i: open its backend, then settle claims until the run
 // is over. A chunk that exhausts the backend fails over on the slot.
 func (r *run) worker(i int) {
-	track := r.rep.Slots[i].Name
+	track := r.x.track() + "/worker" + strconv.Itoa(i)
 	be, err := r.x.Slots[i].Open(r.plan)
 	if err != nil {
 		// A slot that cannot open has nothing to serve the queue with.
@@ -299,14 +286,14 @@ func (r *run) worker(i int) {
 		hits, err := r.scan(be, index, sr, track)
 		switch {
 		case err == nil:
-			r.settle(i, settled{index: index, hits: hits})
+			r.settle(settled{index: index, hits: hits})
 		case r.ctx.Err() != nil:
 			return
 		case r.x.Policy == nil:
 			r.fail(err)
 			return
 		default:
-			r.failover(i, index, sr, track, &fb, err)
+			r.failover(index, sr, track, &fb, err)
 		}
 	}
 }
@@ -472,10 +459,10 @@ type fallback struct {
 	err    error
 }
 
-// failover is slot i's recourse for a chunk that exhausted it: one attempt
+// failover is a slot's recourse for a chunk that exhausted it: one attempt
 // on the slot's fallback, opened on first use, then quarantine. The slot goes
 // on serving the queue either way.
-func (r *run) failover(i, index int, sr *SiteRenderer, track string, fb *fallback, cause error) {
+func (r *run) failover(index int, sr *SiteRenderer, track string, fb *fallback, cause error) {
 	if !fb.opened {
 		fb.opened = true
 		if open := r.x.Policy.Fallback; open != nil {
@@ -497,7 +484,7 @@ func (r *run) failover(i, index int, sr *SiteRenderer, track string, fb *fallbac
 			obs.Attr{Key: "error", Value: cause.Error()})
 		hits, err := r.attempt(fb.be, index, sr, track+"/fallback")
 		if err == nil {
-			r.settle(i, settled{index: index, hits: hits})
+			r.settle(settled{index: index, hits: hits})
 			return
 		}
 		if r.ctx.Err() != nil {
@@ -514,16 +501,13 @@ func (r *run) failover(i, index int, sr *SiteRenderer, track string, fb *fallbac
 	r.mu.Unlock()
 	r.x.Trace.Instant(track, "quarantine", index,
 		obs.Attr{Key: "error", Value: cause.Error()})
-	r.settle(i, settled{index: index, quarantined: true})
+	r.settle(settled{index: index, quarantined: true})
 }
 
-// settle hands slot i's terminal result for a chunk to the collector.
-func (r *run) settle(i int, s settled) {
+// settle hands a slot's terminal result for a chunk to the collector.
+func (r *run) settle(s settled) {
 	r.mu.Lock()
 	r.rep.Chunks++
-	if !s.quarantined {
-		r.rep.Slots[i].Chunks++
-	}
 	r.mu.Unlock()
 	select {
 	case r.results <- s:

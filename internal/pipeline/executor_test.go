@@ -52,19 +52,15 @@ func TestExecutorOrderedEmit(t *testing.T) {
 	b0 := &fakeBackend{}
 	b1 := &fakeBackend{find: delay(200 * time.Microsecond)}
 	b2 := &fakeBackend{find: delay(500 * time.Microsecond)}
-	_, rep, err := runChunks(t, &Executor{Slots: fleet(b0, b1, b2)}, 12)
+	_, rep, err := runChunks(t, &Executor{Slots: slotsFor(b0, b1, b2)}, 12)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if rep.Chunks != 12 {
 		t.Errorf("report chunks = %d, want 12", rep.Chunks)
 	}
-	settled := 0
-	for _, d := range rep.Slots {
-		settled += d.Chunks
-	}
-	if settled != 12 {
-		t.Errorf("per-device chunks sum to %d, want 12", settled)
+	if settled := b0.drained + b1.drained + b2.drained; settled != 12 {
+		t.Errorf("slots drained %d chunks between them, want 12", settled)
 	}
 	if b0.closed != 1 || b1.closed != 1 || b2.closed != 1 {
 		t.Errorf("backends closed %d/%d/%d times, want 1 each", b0.closed, b1.closed, b2.closed)
@@ -76,9 +72,9 @@ func TestExecutorSlotsPullInPlanOrder(t *testing.T) {
 	// dispatcher that serialised chunks would never get there. Because each
 	// slot pulls the lowest unclaimed index, the chunks that meet at the
 	// barrier are always the next three of the plan. Emitting chunk e waits
-	// until the fleet has scanned every wave the reorder window lets it
+	// until the slots have scanned every wave the reorder window lets them
 	// reach (indices below e+2·slots), and no more: a slow emit holds the
-	// fleet back instead of letting scanned chunks pile up.
+	// slots back instead of letting scanned chunks pile up.
 	const slots, chunks = 3, 12
 	var (
 		mu      sync.Mutex
@@ -103,10 +99,10 @@ func TestExecutorSlotsPullInPlanOrder(t *testing.T) {
 			scanned <- struct{}{}
 			return nil
 		case <-time.After(5 * time.Second):
-			return errors.New("the fleet never had all its slots scanning at once")
+			return errors.New("the slots were never all scanning at once")
 		}
 	}
-	x := &Executor{Slots: fleet(&fakeBackend{find: barrier}, &fakeBackend{find: barrier}, &fakeBackend{find: barrier})}
+	x := &Executor{Slots: slotsFor(&fakeBackend{find: barrier}, &fakeBackend{find: barrier}, &fakeBackend{find: barrier})}
 	emitted, seen := 0, 0
 	err := x.Stream(context.Background(), chunked(chunks), testReq(), func(Hit) error {
 		// Wave w is scannable once its last index, 3w+2, is inside the window.
@@ -115,7 +111,7 @@ func TestExecutorSlotsPullInPlanOrder(t *testing.T) {
 			select {
 			case <-scanned:
 			case <-time.After(5 * time.Second):
-				return fmt.Errorf("emitting chunk %d: the fleet scanned %d chunks, want the window's %d", emitted, seen, reach)
+				return fmt.Errorf("emitting chunk %d: the slots scanned %d chunks, want the window's %d", emitted, seen, reach)
 			}
 		}
 		if n := len(scanned); n > 0 {
@@ -179,7 +175,7 @@ func TestExecutorReorderWindow(t *testing.T) {
 		}
 	}
 	b := &fakeBackend{find: find}
-	if _, _, err := runChunks(t, &Executor{Slots: fleet(b, b, b)}, chunks); err != nil {
+	if _, _, err := runChunks(t, &Executor{Slots: slotsFor(b, b, b)}, chunks); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 }
@@ -195,8 +191,7 @@ func TestExecutorOpensOnlyNeededSlots(t *testing.T) {
 			return &fakeBackend{}, nil
 		}
 	}
-	_, rep, err := runChunks(t, &Executor{Slots: slots}, 2)
-	if err != nil {
+	if _, _, err := runChunks(t, &Executor{Slots: slots}, 2); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	for i := range opened {
@@ -207,9 +202,6 @@ func TestExecutorOpensOnlyNeededSlots(t *testing.T) {
 		if got := opened[i].Load(); got != want {
 			t.Errorf("slot %d opened %d times, want %d", i, got, want)
 		}
-	}
-	if len(rep.Slots) != 2 || rep.Slots[1].Name != "pipeline/worker1" {
-		t.Errorf("report rows = %+v, want the two slots that ran", rep.Slots)
 	}
 }
 
@@ -223,7 +215,7 @@ func TestExecutorTransientRetries(t *testing.T) {
 		return nil
 	}}
 	x := &Executor{
-		Slots:  fleet(be),
+		Slots:  slotsFor(be),
 		Policy: &Resilience{MaxRetries: 3, BackoffBase: time.Microsecond, BackoffMax: time.Microsecond},
 	}
 	_, rep, err := runChunks(t, x, 6)
@@ -250,7 +242,7 @@ func TestExecutorFleetFailsOverPerSlot(t *testing.T) {
 	open, wait := gate()
 	b0, b1 := &fakeBackend{find: fatal, stage: open}, &fakeBackend{find: fatal, stage: wait}
 	x := &Executor{
-		Slots: fleet(b0, b1),
+		Slots: slotsFor(b0, b1),
 		Policy: &Resilience{MaxRetries: -1, Fallback: func(*Plan) (Backend, error) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -263,8 +255,8 @@ func TestExecutorFleetFailsOverPerSlot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if c0, c1 := rep.Slots[0].Chunks, rep.Slots[1].Chunks; c0 == 0 || c1 == 0 || c0+c1 != 8 {
-		t.Errorf("slots settled %d/%d chunks, want both some of the 8", c0, c1)
+	if b0.finds == 0 || b1.finds == 0 {
+		t.Errorf("slots scanned %d/%d chunks, want both some of the 8", b0.finds, b1.finds)
 	}
 	if rep.Failovers != 8 || b0.finds+b1.finds != 8 {
 		t.Errorf("failovers=%d over %d scans, want every one of the 8 chunks scanned once and failed over", rep.Failovers, b0.finds+b1.finds)
@@ -274,7 +266,7 @@ func TestExecutorFleetFailsOverPerSlot(t *testing.T) {
 	}
 	// Which slot opened which fallback is scheduling; each scanned exactly
 	// its own slot's chunks.
-	got, want := []int{fbs[0].finds, fbs[1].finds}, []int{rep.Slots[0].Chunks, rep.Slots[1].Chunks}
+	got, want := []int{fbs[0].finds, fbs[1].finds}, []int{b0.finds, b1.finds}
 	sort.Ints(got)
 	sort.Ints(want)
 	if fmt.Sprint(got) != fmt.Sprint(want) || fbs[0].closed != 1 || fbs[1].closed != 1 {
@@ -296,19 +288,19 @@ func TestExecutorFailingSlotKeepsClaiming(t *testing.T) {
 		}
 		return nil
 	}}
-	fb := &fakeBackend{}
+	healthy, fb := &fakeBackend{stage: wait}, &fakeBackend{}
 	x := &Executor{
-		Slots:  fleet(hung, &fakeBackend{stage: wait}),
+		Slots:  slotsFor(hung, healthy),
 		Policy: &Resilience{MaxRetries: -1, Watchdog: 5 * time.Millisecond, Fallback: opener(fb)},
 	}
 	_, rep, err := runChunks(t, x, 8)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if rep.Slots[0].Chunks < 2 || rep.Slots[0].Chunks+rep.Slots[1].Chunks != 8 {
-		t.Errorf("slots settled %+v, want at least 2 of the 8 chunks on the hung slot", rep.Slots)
+	if hung.finds < 2 || hung.finds+healthy.drained != 8 {
+		t.Errorf("slots settled %d/%d chunks, want at least 2 of the 8 on the hung slot", hung.finds, healthy.drained)
 	}
-	if n := int64(rep.Slots[0].Chunks); rep.WatchdogKills != n || rep.Failovers != n || fb.finds != rep.Slots[0].Chunks {
+	if n := int64(hung.finds); rep.WatchdogKills != n || rep.Failovers != n || fb.finds != hung.finds {
 		t.Errorf("watchdog kills=%d failovers=%d fallback scans=%d, want one each per chunk the hung slot settled (%d)",
 			rep.WatchdogKills, rep.Failovers, fb.finds, n)
 	}
@@ -318,7 +310,7 @@ func TestExecutorFailingSlotKeepsClaiming(t *testing.T) {
 }
 
 func TestExecutorLastSlotFailsOver(t *testing.T) {
-	// A one-slot fleet follows the fleet's rule: a chunk that exhausts the
+	// One slot follows the several-slot rule: a chunk that exhausts the
 	// slot fails over alone, and the chunks after it run on the slot's own
 	// backend again — a single engine's per-chunk failover.
 	fb := &fakeBackend{}
@@ -329,14 +321,14 @@ func TestExecutorLastSlotFailsOver(t *testing.T) {
 		return nil
 	}}
 	x := &Executor{
-		Slots:  fleet(be),
+		Slots:  slotsFor(be),
 		Policy: &Resilience{MaxRetries: -1, Fallback: opener(fb)},
 	}
 	_, rep, err := runChunks(t, x, 6)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if rep.Failovers != 1 || rep.Slots[0].Chunks != 6 {
+	if rep.Failovers != 1 || rep.Chunks != 6 {
 		t.Errorf("report = %+v, want one failover, all 6 chunks settled by the slot", rep)
 	}
 	if be.finds != 6 || fb.finds != 1 {
@@ -345,11 +337,11 @@ func TestExecutorLastSlotFailsOver(t *testing.T) {
 }
 
 func TestExecutorQuarantineWithoutFallback(t *testing.T) {
-	// A dead fleet and no fallback: the run completes with every chunk
+	// A dead slot and no fallback: the run completes with every chunk
 	// quarantined under the fault that failed it and a PartialError, not a
 	// hard failure.
 	x := &Executor{
-		Slots:  fleet(&fakeBackend{find: fatal}),
+		Slots:  slotsFor(&fakeBackend{find: fatal}),
 		Policy: &Resilience{MaxRetries: -1},
 	}
 	hits, rep, err := runChunks(t, x, 5)
@@ -374,7 +366,7 @@ func TestExecutorFailFastWithoutPolicy(t *testing.T) {
 	// Hold the healthy slot at the gate until the failing one has a chunk
 	// in flight, so it cannot drain the queue first.
 	open, wait := gate()
-	x := &Executor{Slots: fleet(&fakeBackend{find: fatal, stage: open}, &fakeBackend{stage: wait})}
+	x := &Executor{Slots: slotsFor(&fakeBackend{find: fatal, stage: open}, &fakeBackend{stage: wait})}
 	_, rep, err := runChunks(t, x, 8)
 	if err == nil {
 		t.Fatal("run succeeded, want fail-fast error")
@@ -389,13 +381,13 @@ func TestExecutorFailFastWithoutPolicy(t *testing.T) {
 
 func TestExecutorOpenFailure(t *testing.T) {
 	// A slot whose backend cannot open has nothing to serve the queue with:
-	// the run fails with the open error, at any fleet size and under any
+	// the run fails with the open error, at any slot count and under any
 	// policy. Every slot that runs opens before the run can end, so a healthy
 	// slot that drains the queue first does not rescue it.
-	broken := Slot{Name: "broken", Open: func(*Plan) (Backend, error) {
+	broken := Slot{Open: func(*Plan) (Backend, error) {
 		return nil, errors.New("no such device")
 	}}
-	for _, slots := range [][]Slot{{broken}, {broken, {Name: "ok", Open: opener(&fakeBackend{})}}} {
+	for _, slots := range [][]Slot{{broken}, {broken, {Open: opener(&fakeBackend{})}}} {
 		for _, policy := range []*Resilience{nil, {MaxRetries: -1, Fallback: opener(&fakeBackend{})}} {
 			x := &Executor{Slots: slots, Policy: policy}
 			if _, _, err := runChunks(t, x, 10); err == nil || !strings.Contains(err.Error(), "no such device") {
@@ -415,7 +407,7 @@ func TestExecutorNoDevices(t *testing.T) {
 func TestExecutorEmitError(t *testing.T) {
 	sentinel := errors.New("sink full")
 	n := 0
-	err := (&Executor{Slots: fleet(&fakeBackend{})}).Stream(context.Background(), chunked(6), testReq(), func(Hit) error {
+	err := (&Executor{Slots: slotsFor(&fakeBackend{})}).Stream(context.Background(), chunked(6), testReq(), func(Hit) error {
 		n++
 		if n == 2 {
 			return sentinel
@@ -433,7 +425,7 @@ func TestExecutorContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
 	inFind := make(chan struct{})
-	x := &Executor{Slots: fleet(&fakeBackend{find: func(ctx context.Context, ch *genome.Chunk, attempt int) error {
+	x := &Executor{Slots: slotsFor(&fakeBackend{find: func(ctx context.Context, ch *genome.Chunk, attempt int) error {
 		once.Do(func() { close(inFind) })
 		return hang(ctx, ch, attempt)
 	}})}

@@ -2,7 +2,7 @@
 // lifecycle up to a compiled Plan (validate, compile the PatternPairs, fix
 // the genome.Chunker), the Backend contract the CPU scan and the two
 // simulator host programs implement as thin adapters over their kernel
-// launches, the one Executor that runs a plan's chunks over a fleet of
+// launches, the one Executor that runs a plan's chunks over a set of
 // backend slots with retry, failover and ordered emission, the
 // Resilience policy with the run's Report, and hit rendering and the
 // deterministic output order. The paper's central artifact is one

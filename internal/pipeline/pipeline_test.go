@@ -1,8 +1,8 @@
 // The executor over one fake backend. This file holds the fake and what a
 // single engine sees: ordered emit, abort paths, handle accounting, and the
 // recovery rule on one slot (retry, per-chunk failover, quarantine).
-// executor_test.go pins the fleet: several slots, the pull order and reorder
-// window, per-slot failover.
+// executor_test.go pins several slots: the pull order and reorder window,
+// per-slot failover.
 package pipeline
 
 import (
@@ -217,12 +217,12 @@ func opener(be Backend) func(*Plan) (Backend, error) {
 	return func(*Plan) (Backend, error) { return be, nil }
 }
 
-// fleet is one slot per backend, named dev0, dev1, …; passing one backend
-// several times shares it between slots.
-func fleet(bes ...Backend) []Slot {
+// slotsFor is one slot per backend; passing one backend several times
+// shares it between slots.
+func slotsFor(bes ...Backend) []Slot {
 	slots := make([]Slot, len(bes))
 	for i, be := range bes {
-		slots[i] = Slot{Name: fmt.Sprintf("dev%d", i), Open: opener(be)}
+		slots[i] = Slot{Open: opener(be)}
 	}
 	return slots
 }
@@ -278,7 +278,7 @@ func TestStreamEmitsInChunkOrder(t *testing.T) {
 		close(done[chunkKey(ch)])
 		return nil
 	}}
-	got, _, err := stream(context.Background(), t, &Executor{Slots: fleet(b, b, b, b)}, asm)
+	got, _, err := stream(context.Background(), t, &Executor{Slots: slotsFor(b, b, b, b)}, asm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestEmitErrorAborts(t *testing.T) {
 	b := &fakeBackend{}
 	asm := testAsm(2000)
 	sentinel := errors.New("emit failed")
-	err := (&Executor{Slots: fleet(b)}).Stream(context.Background(), asm, testReq(), func(Hit) error { return sentinel })
+	err := (&Executor{Slots: slotsFor(b)}).Stream(context.Background(), asm, testReq(), func(Hit) error { return sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want the emit error", err)
 	}
@@ -307,7 +307,7 @@ func TestEmitErrorAborts(t *testing.T) {
 // aborts the run under a policy too.
 func TestResilientEmitErrorAborts(t *testing.T) {
 	sentinel := errors.New("emit failed")
-	x := &Executor{Slots: fleet(&fakeBackend{}), Policy: &Resilience{}}
+	x := &Executor{Slots: slotsFor(&fakeBackend{}), Policy: &Resilience{}}
 	err := x.Stream(context.Background(), testAsm(500), testReq(), func(Hit) error { return sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want the emit error", err)
@@ -324,7 +324,7 @@ func TestStageErrorReleasesHandles(t *testing.T) {
 		}
 		return nil
 	}}
-	_, _, err := stream(context.Background(), t, &Executor{Slots: fleet(b, b)}, testAsm(2000))
+	_, _, err := stream(context.Background(), t, &Executor{Slots: slotsFor(b, b)}, testAsm(2000))
 	if err == nil || !strings.Contains(err.Error(), "stage boom") {
 		t.Fatalf("err = %v, want the stage error", err)
 	}
@@ -339,7 +339,7 @@ func TestCancellation(t *testing.T) {
 		cancel()
 		return hang(ctx, ch, attempt)
 	}}
-	_, _, err := stream(ctx, t, &Executor{Slots: fleet(b)}, testAsm(2000))
+	_, _, err := stream(ctx, t, &Executor{Slots: slotsFor(b)}, testAsm(2000))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -398,7 +398,7 @@ func TestBatchComparerPreferred(t *testing.T) {
 	b := &batchBackend{fakeBackend: &fakeBackend{}}
 	req := testReq()
 	req.Queries = append(req.Queries, Query{Guide: "TTANN", MaxMismatches: 0})
-	if err := (&Executor{Slots: fleet(b)}).Stream(context.Background(), testAsm(500), req, func(Hit) error { return nil }); err != nil {
+	if err := (&Executor{Slots: slotsFor(b)}).Stream(context.Background(), testAsm(500), req, func(Hit) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if b.staged == 0 || b.batchCalls != b.staged || b.singleCalls != 0 {
@@ -409,14 +409,14 @@ func TestBatchComparerPreferred(t *testing.T) {
 }
 
 // recoveryCase scripts the primary's Find for chunk seq0:12 of a one-slot
-// fleet and pins the report and how often the primary saw the chunk. The
+// run and pins the report and how often the primary saw the chunk. The
 // stream must be the golden one whatever happens: the fallback re-verifies
 // what the primary could not.
 type recoveryCase struct {
 	res      Resilience
 	fail     func(ctx context.Context, attempt int) error
 	fallback bool
-	want     Report // Chunks and Slots are derived
+	want     Report // Chunks is derived
 	attempts int
 }
 
@@ -433,13 +433,12 @@ func (tc recoveryCase) run(t *testing.T) {
 	if tc.fallback {
 		tc.res.Fallback = opener(&fakeBackend{})
 	}
-	got, rep, err := stream(context.Background(), t, &Executor{Slots: fleet(b), Policy: &tc.res}, asm)
+	got, rep, err := stream(context.Background(), t, &Executor{Slots: slotsFor(b), Policy: &tc.res}, asm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameStream(t, got, want)
 	tc.want.Chunks = len(want)
-	tc.want.Slots = []SlotReport{{Name: "dev0", Chunks: len(want)}}
 	if fmt.Sprint(*rep) != fmt.Sprint(tc.want) {
 		t.Errorf("report = %+v, want %+v", *rep, tc.want)
 	}
@@ -523,7 +522,7 @@ func quarantineRun(t *testing.T) (got, want []string, rep *Report, err error) {
 	}}
 	var policyRep *Report
 	res := &Resilience{OnReport: func(r *Report) { policyRep = r }}
-	got, rep, err = stream(context.Background(), t, &Executor{Slots: fleet(b), Policy: res}, asm)
+	got, rep, err = stream(context.Background(), t, &Executor{Slots: slotsFor(b), Policy: res}, asm)
 	if policyRep != rep {
 		t.Error("the policy's OnReport and the executor's saw different reports")
 	}

@@ -90,10 +90,9 @@ func (r *Resilience) retryBackoff(chunk, attempt int) time.Duration {
 	return time.Duration(float64(d) * j)
 }
 
-// Report summarises one run: its recovery events and the fleet's
-// accounting. It is attached to a PartialError when chunks were quarantined
-// and delivered through Executor.OnReport and Resilience.OnReport in every
-// case.
+// Report summarises one run: its settled chunks and its recovery events. It
+// is attached to a PartialError when chunks were quarantined and delivered
+// through Executor.OnReport and Resilience.OnReport in every case.
 type Report struct {
 	// Chunks is the number of chunks that settled (emitted or quarantined).
 	Chunks int
@@ -106,9 +105,6 @@ type Report struct {
 	// Quarantined lists the chunks that failed on every arm, in chunk
 	// order. Their hits are missing from the emitted stream.
 	Quarantined []ChunkFailure
-	// Slots holds one row per slot that ran, in slot order. Which slot
-	// settled which chunk is scheduling, so the rows' Chunks are too.
-	Slots []SlotReport
 }
 
 // Degraded reports whether the run deviated from the clean path at all.

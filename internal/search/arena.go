@@ -1,13 +1,12 @@
 package search
 
-// Arena provisioning for the simulator backend (simBackend, behind SimCL,
-// SimSYCL and MultiSYCL): how many pages each launch's hit-buffer arena
-// gets. Provisioning is page-granular — every emitting work-group claims
-// exactly one page however few entries it writes — so a layout counts
-// emitting groups, not entries. Every layout is a function of its own launch
-// alone, never of the launches before it, so the arena counters a run
-// reports depend on the input and not on which device met which chunk
-// first.
+// Arena provisioning for the simulator backend (simBackend, behind SimCL
+// and SimSYCL): how many pages each launch's hit-buffer arena gets.
+// Provisioning is page-granular — every emitting work-group claims exactly
+// one page however few entries it writes — so a layout counts emitting
+// groups, not entries. Every layout is a function of its own launch alone,
+// never of the launches before it, so the arena counters a run reports
+// depend on the input and not on the schedule.
 //
 // The finder is provisioned at the worst case (one page per group): PAM
 // candidates are spread near-uniformly across real genomes, so nearly every

@@ -89,12 +89,6 @@ func TestDenseCandidateRegionMatrix(t *testing.T) {
 			return &SimSYCL{Device: gpu.New(device.MI100(), gpu.WithWorkers(4)),
 				Variant: kernels.Opt3, WorkGroupSize: 64, worstCaseArena: worst}
 		}},
-		{"sycl-multi", func(worst bool) arenaProfiler {
-			return &MultiSYCL{Devices: []*gpu.Device{
-				gpu.New(device.MI100(), gpu.WithWorkers(4)),
-				gpu.New(device.MI60(), gpu.WithWorkers(4)),
-			}, Variant: kernels.Base, WorkGroupSize: 64, worstCaseArena: worst}
-		}},
 	}
 	// A voided first attempt costs at most the comparer's first-attempt
 	// layout over the most groups a chunk's candidates can fill (one
@@ -181,10 +175,8 @@ func arenaFixture(sparse, dense int) (*genome.Assembly, *Request) {
 
 // TestArenaProvisioningRatio pins the allocator's accounting exactly on the
 // arenaFixture genome: arena bytes of the pinned worst-case and the dynamic
-// run, and the dynamic run's relaunch count, on both single-device
-// simulators and on a three-device fleet, with the hit stream equal to the
-// worst-case run and to the CPU reference. Every layout is a function of its
-// own launch, so the fleet reports what one device does.
+// run, and the dynamic run's relaunch count, on both simulators, with the
+// hit stream equal to the worst-case run and to the CPU reference.
 //
 // The old 2.56x headline (145 128 bytes) came from the finder predictor
 // learning the T desert's one-group-in-eight PAM density; the finder is now
@@ -211,13 +203,6 @@ func TestArenaProvisioningRatio(t *testing.T) {
 		{"sycl-sim", func(worst bool) arenaProfiler {
 			return &SimSYCL{Device: gpu.New(device.MI100(), gpu.WithWorkers(2)),
 				Variant: kernels.Base, WorkGroupSize: 64, worstCaseArena: worst}
-		}},
-		{"sycl-multi", func(worst bool) arenaProfiler {
-			return &MultiSYCL{Devices: []*gpu.Device{
-				gpu.New(device.RadeonVII(), gpu.WithWorkers(2)),
-				gpu.New(device.MI60(), gpu.WithWorkers(2)),
-				gpu.New(device.MI100(), gpu.WithWorkers(2)),
-			}, Variant: kernels.Base, WorkGroupSize: 64, worstCaseArena: worst}
 		}},
 	}
 	for _, b := range builds {

@@ -58,7 +58,6 @@ func TestArtifactEquivalenceAllEngines(t *testing.T) {
 		{"cpu-scalar", &refCPU{Workers: 2, Arm: refScalar}},
 		{"opencl", &SimCL{Device: gpu.New(device.MI60(), gpu.WithWorkers(2)), Variant: kernels.Base}},
 		{"sycl", &SimSYCL{Device: gpu.New(device.MI100(), gpu.WithWorkers(2)), Variant: kernels.Opt3, WorkGroupSize: 64}},
-		{"multisycl", &MultiSYCL{Devices: []*gpu.Device{gpu.New(device.MI60()), gpu.New(device.MI100())}, Variant: kernels.Base, WorkGroupSize: 64}},
 	}
 	arts := []struct {
 		name string

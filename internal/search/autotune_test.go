@@ -1,7 +1,6 @@
 package search
 
 import (
-	"fmt"
 	"testing"
 
 	"casoffinder/internal/gpu"
@@ -48,8 +47,7 @@ func TestAutoMatchesFixedVariantHits(t *testing.T) {
 		if p == nil {
 			t.Fatalf("%s: no profile", eng.Name())
 		}
-		track := eng.Name()
-		if p.TunedVariant[track] == "" || p.TunedWGSize[track] == 0 {
+		if p.TunedVariant == "" || p.TunedWGSize == 0 {
 			t.Fatalf("%s: tuned decision not recorded: %+v / %+v", eng.Name(), p.TunedVariant, p.TunedWGSize)
 		}
 		if p.TuneDecisions != 1 || p.TuneCandidates == 0 {
@@ -66,13 +64,13 @@ func TestAutoMatchesFixedVariantHits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.TunedVariant[track] != d.Variant.String() || p.TunedWGSize[track] != d.WGSize {
+		if p.TunedVariant != d.Variant.String() || p.TunedWGSize != d.WGSize {
 			t.Errorf("%s: profile records (%s, %d), tuner decides (%s, %d)",
-				eng.Name(), p.TunedVariant[track], p.TunedWGSize[track], d.Variant, d.WGSize)
+				eng.Name(), p.TunedVariant, p.TunedWGSize, d.Variant, d.WGSize)
 		}
 		// The launched comparer really is the tuned one: its kernel name is
 		// profiled at the tuned local size.
-		name := "comparer_" + p.TunedVariant[track]
+		name := "comparer_" + p.TunedVariant
 		if p.Launches[name] == 0 {
 			t.Errorf("%s: no launches of tuned kernel %q; profiled %v", eng.Name(), name, p.KernelNames())
 		}
@@ -92,55 +90,10 @@ func TestForcedVariantBypassesTuner(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 	p := eng.LastProfile()
-	if p.TunedVariant != nil || p.TuneDecisions != 0 {
-		t.Errorf("forced-variant run recorded tuner state: %+v, %d decisions", p.TunedVariant, p.TuneDecisions)
+	if p.TunedVariant != "" || p.TunedWGSize != 0 || p.TuneDecisions != 0 {
+		t.Errorf("forced-variant run recorded tuner state: (%q, %d), %d decisions", p.TunedVariant, p.TunedWGSize, p.TuneDecisions)
 	}
 	if p.Launches["comparer_opt1"] == 0 {
 		t.Errorf("forced opt1 not launched; profiled %v", p.KernelNames())
-	}
-}
-
-// TestMultiAutoPerDeviceDecisions: a heterogeneous auto fleet records one
-// decision per opened device slot, each matching the tune package's choice
-// for that slot's spec, and the merged stream still matches the reference.
-func TestMultiAutoPerDeviceDecisions(t *testing.T) {
-	asm := testAssembly(t, 11, []int{700, 450, 90, 5}, testSite)
-	req := testRequest(2)
-	want := baselineHits(t, asm, req)
-	specs := []device.Spec{device.RadeonVII(), device.MI60(), device.MI100()}
-	devs := make([]*gpu.Device, len(specs))
-	for i, s := range specs {
-		devs[i] = gpu.New(s, gpu.WithWorkers(2))
-	}
-	eng := &MultiSYCL{Devices: devs, Auto: true}
-	got, err := eng.Run(asm, req)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if !equalHits(got, want) {
-		t.Errorf("multi auto run diverged from reference (%d hits != %d)", len(got), len(want))
-	}
-	p := eng.LastProfile()
-	if len(p.TunedVariant) == 0 {
-		t.Fatal("no tuned decisions in the merged profile")
-	}
-	if p.TuneDecisions != int64(len(p.TunedVariant)) {
-		t.Errorf("TuneDecisions %d != %d recorded tracks", p.TuneDecisions, len(p.TunedVariant))
-	}
-	for i, s := range specs {
-		key := fmt.Sprintf("sycl-sim[%d]", i)
-		v, ok := p.TunedVariant[key]
-		if !ok {
-			// The scheduler may not have opened an idle device; skip it.
-			continue
-		}
-		d, err := tune.Select(tuneConfigFor(s, req))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v != d.Variant.String() || p.TunedWGSize[key] != d.WGSize {
-			t.Errorf("%s (%s): profile records (%s, %d), tuner decides (%s, %d)",
-				key, s.Name, v, p.TunedWGSize[key], d.Variant, d.WGSize)
-		}
 	}
 }

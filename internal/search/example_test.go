@@ -159,38 +159,3 @@ func candidateGuides(locus []byte, max int) []string {
 	}
 	return out
 }
-
-// ExampleMultiSYCL_Run spreads the SYCL application over the paper's three
-// devices — its stated single-device limitation (§IV.A) turned future work —
-// and checks the hits against one MI100. Which device ran which chunk is the
-// pull queue's choice, so only schedule-independent facts are printed.
-func ExampleMultiSYCL_Run() {
-	asm, err := genome.Generate(genome.HG38Like(256 << 10))
-	if err != nil {
-		log.Fatal(err)
-	}
-	req := &search.Request{
-		Pattern: "NNNNNNNNNNNNNNNNNNNNNRG",
-		Queries: []search.Query{{Guide: "GGCCGACCTGTCGCTGACGCNNN", MaxMismatches: 8}},
-	}
-	single := &search.SimSYCL{Device: gpu.New(device.MI100()), Variant: kernels.Opt3}
-	want, err := single.Run(asm, req)
-	if err != nil {
-		log.Fatal(err)
-	}
-	multi := &search.MultiSYCL{
-		Devices: []*gpu.Device{gpu.New(device.RadeonVII()), gpu.New(device.MI60()), gpu.New(device.MI100())},
-		Variant: kernels.Opt3,
-	}
-	got, err := multi.Run(asm, req)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("one MI100: %d hits from %d chunks\n", len(want), single.LastProfile().Chunks)
-	fmt.Printf("three devices: %d hits from %d chunks\n", len(got), multi.LastProfile().Chunks)
-	fmt.Println("identical:", slices.Equal(got, want))
-	// Output:
-	// one MI100: 13 hits from 24 chunks
-	// three devices: 13 hits from 24 chunks
-	// identical: true
-}

@@ -258,50 +258,6 @@ func TestCorruptionReverification(t *testing.T) {
 	}
 }
 
-// TestMultiDeviceFaultRecovery drives the multi-device engine with an
-// independent injector per device: every device recovers on its own and the
-// merged stream matches the fault-free run.
-func TestMultiDeviceFaultRecovery(t *testing.T) {
-	asm := testAssembly(t, 13, []int{500, 400, 300}, testSite)
-	req := testRequest(2)
-	build := func(plans ...fault.Plan) *MultiSYCL {
-		devs := make([]*gpu.Device, len(plans))
-		for i, plan := range plans {
-			devs[i] = gpu.New(device.MI100(), gpu.WithWorkers(4))
-			if in := fault.NewInjector(plan); in != nil {
-				devs[i].SetFaults(in)
-			}
-		}
-		return &MultiSYCL{Devices: devs, Variant: kernels.Base, WorkGroupSize: 64}
-	}
-	golden, err := build(fault.Plan{}, fault.Plan{}).Run(asm, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(golden) == 0 {
-		t.Fatal("golden produced no hits")
-	}
-	eng := build(
-		fault.Plan{Seed: 42, Rate: 1, Site: fault.SiteSYCLAsync},
-		fault.Plan{Seed: 42, Rate: 1, Site: fault.SiteReadback},
-	)
-	eng.Resilience = &pipeline.Resilience{Seed: 42}
-	got, err := eng.Run(asm, req)
-	if err != nil {
-		t.Fatalf("faulted run: %v", err)
-	}
-	if !equalHits(got, golden) {
-		t.Errorf("merged hits diverged under faults (%d vs %d)", len(got), len(golden))
-	}
-	p := eng.LastProfile()
-	if p.Failovers == 0 {
-		t.Error("no failovers in the merged profile")
-	}
-	if p.Faults[fault.SiteSYCLAsync] == 0 || p.Faults[fault.SiteReadback] == 0 {
-		t.Errorf("merged fault counts missing a device's site: %v", p.Faults)
-	}
-}
-
 // TestQuarantineReportsPartial removes the failover arm and makes the
 // primary fail fatally on every chunk: the engine must return a
 // PartialError naming every chunk, with no hits emitted.

@@ -16,11 +16,10 @@ import (
 // used to identify the comparer as the hotspot, §IV.B) and the host-side
 // pipeline counters the timing model needs to cost staging and transfers.
 //
-// A run has exactly one Profile, created before any slot opens: every
-// slot's backend (one per device in a fleet) and the executor's report write
-// it through the locked mutators below, and it is published into the run's
-// metrics registry once, when the run returns. The exported fields are safe
-// to read from then on.
+// A run has exactly one Profile, created before any slot opens: the
+// backend and the executor's report write it through the locked mutators
+// below, and it is published into the run's metrics registry once, when the
+// run returns. The exported fields are safe to read from then on.
 type Profile struct {
 	// Kernels aggregates launch statistics by kernel name.
 	Kernels map[string]gpu.Stats
@@ -68,20 +67,13 @@ type Profile struct {
 	// asynchronous exception handler.
 	AsyncExceptions int64
 
-	// DeviceChunks breaks chunk settles down by device slot name, from the
-	// report's Slots; nil outside fleet runs. It depends on the schedule by
-	// definition — a pull queue hands each chunk to whichever device is free
-	// first — and is the one field meant to (DESIGN.md §7).
-	DeviceChunks map[string]int
-
 	// Autotuner records, filled when the engine resolved its kernel
 	// selection through the occupancy autotuner (internal/tune).
 
 	// TunedVariant and TunedWGSize record the selected comparer variant
-	// and work-group size per engine track ("sycl-sim", "sycl-sim[0]", …);
-	// nil when no tuner ran.
-	TunedVariant map[string]string
-	TunedWGSize  map[string]int
+	// and work-group size; empty and 0 when no tuner ran.
+	TunedVariant string
+	TunedWGSize  int
 	// TuneDecisions counts tuner decisions folded into this profile and
 	// TuneCandidates the (variant, work-group size) pairs they scored.
 	TuneDecisions  int64
@@ -106,9 +98,7 @@ func newProfile() *Profile {
 	}
 }
 
-// addKernel merges one launch into the profile. A kernel keeps its
-// work-group size only while every launch agrees on it; a fleet whose devices
-// disagree records 0 ("mixed") rather than whichever device launched last.
+// addKernel merges one launch, run at local size wgSize, into the profile.
 func (p *Profile) addKernel(name string, s *gpu.Stats, wgSize int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -116,9 +106,6 @@ func (p *Profile) addKernel(name string, s *gpu.Stats, wgSize int) {
 	agg.Add(s)
 	p.Kernels[name] = agg
 	p.Launches[name]++
-	if prev, ok := p.WorkGroupSizes[name]; ok && prev != wgSize {
-		wgSize = 0
-	}
 	p.WorkGroupSizes[name] = wgSize
 }
 
@@ -174,33 +161,23 @@ func (p *Profile) addOverflowRetry() {
 	p.mu.Unlock()
 }
 
-// addReport folds the executor's report — a run has one — into the profile:
-// the recovery counters and, for a fleet, the per-device chunk counts.
-func (p *Profile) addReport(rep *pipeline.Report, fleet bool) {
+// addReport folds the executor's report — a run has one — into the
+// profile's recovery counters.
+func (p *Profile) addReport(rep *pipeline.Report) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.Retries += rep.Retries
 	p.Failovers += rep.Failovers
 	p.WatchdogKills += rep.WatchdogKills
 	p.QuarantinedChunks += len(rep.Quarantined)
-	if fleet {
-		p.DeviceChunks = make(map[string]int, len(rep.Slots))
-		for _, d := range rep.Slots {
-			p.DeviceChunks[d.Name] = d.Chunks
-		}
-	}
 }
 
-// addTune records one autotuner decision under the engine's track name.
-func (p *Profile) addTune(track string, d *tune.Decision) {
+// addTune records one autotuner decision.
+func (p *Profile) addTune(d *tune.Decision) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.TunedVariant == nil {
-		p.TunedVariant = make(map[string]string)
-		p.TunedWGSize = make(map[string]int)
-	}
-	p.TunedVariant[track] = d.Variant.String()
-	p.TunedWGSize[track] = d.WGSize
+	p.TunedVariant = d.Variant.String()
+	p.TunedWGSize = d.WGSize
 	p.TuneDecisions++
 	p.TuneCandidates += int64(len(d.Candidates))
 }
@@ -212,10 +189,10 @@ func (p *Profile) addAsync() {
 	p.mu.Unlock()
 }
 
-// addFaults folds the fault events one device fired during the run — the
+// addFaults folds the fault events the device fired during the run — the
 // delta the engine read with Injector.Mark/LogSince, not the injector's
 // cumulative log — into the profile, keeping FaultLog in its documented
-// (site, seq) order however many devices fold theirs.
+// (site, seq) order.
 func (p *Profile) addFaults(events []fault.Event) {
 	if len(events) == 0 {
 		return
@@ -269,8 +246,8 @@ func (p *Profile) publish(m *obs.Metrics) {
 	for site, n := range p.Faults {
 		m.Count(obs.L(obs.MetricFaults, "site", string(site)), n)
 	}
-	for _, variant := range p.TunedVariant {
-		m.Count(obs.L(obs.MetricTuneSelected, "variant", variant), 1)
+	if p.TunedVariant != "" {
+		m.Count(obs.L(obs.MetricTuneSelected, "variant", p.TunedVariant), 1)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"casoffinder/internal/fault"
-	"casoffinder/internal/genome"
 	"casoffinder/internal/gpu"
 	"casoffinder/internal/gpu/device"
 	"casoffinder/internal/kernels"
@@ -47,8 +46,8 @@ func TestKernelNamesSorted(t *testing.T) {
 	}
 }
 
-// twoWriters runs a and b concurrently against one profile, as two fleet
-// slots do, and returns it once both are done.
+// twoWriters runs a and b concurrently against one profile, as a run's
+// backend and its executor's report do, and returns it once both are done.
 func twoWriters(a, b func(p *Profile)) *Profile {
 	p := newProfile()
 	var wg sync.WaitGroup
@@ -63,8 +62,8 @@ func twoWriters(a, b func(p *Profile)) *Profile {
 	return p
 }
 
-// TestProfileMergeAggregates pins the summing behaviour of two devices
-// writing one profile for kernel stats, launch counts, pipeline counters and
+// TestProfileMergeAggregates pins the summing behaviour of two writers
+// sharing one profile for kernel stats, launch counts, pipeline counters and
 // the fault map.
 func TestProfileMergeAggregates(t *testing.T) {
 	m := twoWriters(func(a *Profile) {
@@ -103,29 +102,9 @@ func TestProfileMergeAggregates(t *testing.T) {
 	}
 }
 
-// TestProfileMergeWorkGroupSizes pins the multi-device work-group-size rule:
-// agreement keeps the size, disagreement records 0 ("mixed") instead of
-// whichever device launched last.
-func TestProfileMergeWorkGroupSizes(t *testing.T) {
-	m := twoWriters(func(a *Profile) {
-		a.addKernel("finder", &gpu.Stats{}, 64)
-		a.addKernel("comparer.base", &gpu.Stats{}, 256)
-	}, func(b *Profile) {
-		b.addKernel("finder", &gpu.Stats{}, 64)
-		b.addKernel("comparer.base", &gpu.Stats{}, 128)
-		b.addKernel("comparer.base", &gpu.Stats{}, 128)
-	})
-	if m.WorkGroupSizes["finder"] != 64 {
-		t.Errorf("agreeing kernel: WorkGroupSizes[finder] = %d, want 64", m.WorkGroupSizes["finder"])
-	}
-	if m.WorkGroupSizes["comparer.base"] != 0 {
-		t.Errorf("conflicting kernel: WorkGroupSizes[comparer.base] = %d, want 0 (mixed)", m.WorkGroupSizes["comparer.base"])
-	}
-}
-
-// TestProfileMergeFaultLogSorted pins the fix for the fold ordering bug:
-// per-device logs arrive individually sorted, but their concatenation is
-// not — each fold must restore the (site, seq) invariant.
+// TestProfileMergeFaultLogSorted pins the fold ordering: each folded log
+// arrives sorted, but their concatenation is not — each fold must restore
+// the (site, seq) invariant.
 func TestProfileMergeFaultLogSorted(t *testing.T) {
 	m := newProfile()
 	m.addFaults([]fault.Event{{Site: fault.SiteSYCLAsync, Seq: 0}, {Site: fault.SiteSYCLAsync, Seq: 1}}) // sycl.async events first...
@@ -148,50 +127,10 @@ func TestProfileDegraded(t *testing.T) {
 		{"quarantine only", pipeline.Report{Quarantined: []pipeline.ChunkFailure{{}}}, true},
 	} {
 		p := newProfile()
-		p.addReport(&tc.rep, false)
+		p.addReport(&tc.rep)
 		if p.Degraded() != tc.want {
 			t.Errorf("%s: Degraded() = %v, want %v", tc.name, p.Degraded(), tc.want)
 		}
-		if p.DeviceChunks != nil {
-			t.Errorf("%s: DeviceChunks = %v outside a fleet, want nil", tc.name, p.DeviceChunks)
-		}
-	}
-}
-
-// TestMultiSYCLFaultLogSorted is the end-to-end pin for the merge ordering
-// fix: a multi-device run where each device fires a different fault site
-// must still hand back a (site, seq)-sorted merged FaultLog.
-func TestMultiSYCLFaultLogSorted(t *testing.T) {
-	asm := testAssembly(t, 13, []int{500, 400, 300}, testSite)
-	req := testRequest(2)
-	devs := make([]*gpu.Device, 2)
-	for i, plan := range []fault.Plan{
-		{Seed: 42, Rate: 1, Site: fault.SiteSYCLAsync},
-		{Seed: 42, Rate: 1, Site: fault.SiteReadback},
-	} {
-		devs[i] = gpu.New(device.MI100(), gpu.WithWorkers(4))
-		devs[i].SetFaults(fault.NewInjector(plan))
-	}
-	eng := &MultiSYCL{
-		Devices: devs, Variant: kernels.Base, WorkGroupSize: 64,
-		Resilience: &pipeline.Resilience{Seed: 42},
-	}
-	if _, err := eng.Run(asm, req); err != nil {
-		t.Fatalf("faulted run: %v", err)
-	}
-	p := eng.LastProfile()
-	if len(p.FaultLog) < 2 {
-		t.Fatalf("only %d fault events; test needs both devices to fire", len(p.FaultLog))
-	}
-	if !faultLogSorted(p.FaultLog) {
-		t.Errorf("merged FaultLog out of order: %v", p.FaultLog)
-	}
-	var sum int64
-	for _, n := range p.Faults {
-		sum += n
-	}
-	if int(sum) != len(p.FaultLog) {
-		t.Errorf("fault map total %d != log length %d", sum, len(p.FaultLog))
 	}
 }
 
@@ -242,76 +181,6 @@ func TestReusedEngineFaultDelta(t *testing.T) {
 	}
 }
 
-// TestMultiSYCLMergeParity checks the merged profile against the sum of
-// independent single-device runs over the same partition: every additive
-// field must agree, device by device.
-func TestMultiSYCLMergeParity(t *testing.T) {
-	asm := testAssembly(t, 11, []int{600, 300}, testSite)
-	req := testRequest(2)
-	newDev := func() *gpu.Device { return gpu.New(device.MI100(), gpu.WithWorkers(4)) }
-
-	multi := &MultiSYCL{Devices: []*gpu.Device{newDev(), newDev()}, Variant: kernels.Opt3, WorkGroupSize: 64}
-	if _, err := multi.Run(asm, req); err != nil {
-		t.Fatal(err)
-	}
-	merged := multi.LastProfile()
-
-	// Replicate the engine's partition: round-robin by descending length.
-	// With two sequences and two devices, device 0 gets the longer one.
-	seqs := append([]*genome.Sequence(nil), asm.Sequences...)
-	sort.Slice(seqs, func(i, j int) bool { return len(seqs[i].Data) > len(seqs[j].Data) })
-	subProfiles := make([]*Profile, len(seqs))
-	for i, seq := range seqs {
-		sub := &SimSYCL{Device: newDev(), Variant: kernels.Opt3, WorkGroupSize: 64}
-		part := &genome.Assembly{Name: asm.Name, Sequences: []*genome.Sequence{seq}}
-		if _, err := sub.Run(part, req); err != nil {
-			t.Fatalf("device %d: %v", i, err)
-		}
-		subProfiles[i] = sub.LastProfile()
-	}
-
-	var chunks, quarantined int
-	var staged, read, candidates, entries int64
-	wantKernels := map[string]gpu.Stats{}
-	wantLaunches := map[string]int{}
-	for _, p := range subProfiles {
-		chunks += p.Chunks
-		quarantined += p.QuarantinedChunks
-		staged += p.BytesStaged
-		read += p.BytesRead
-		candidates += p.CandidateSites
-		entries += p.Entries
-		for name, s := range p.Kernels {
-			agg := wantKernels[name]
-			agg.Add(&s)
-			wantKernels[name] = agg
-			wantLaunches[name] += p.Launches[name]
-		}
-	}
-	if merged.Chunks != chunks || merged.QuarantinedChunks != quarantined {
-		t.Errorf("chunks: merged %d/%d, sum %d/%d", merged.Chunks, merged.QuarantinedChunks, chunks, quarantined)
-	}
-	if merged.BytesStaged != staged || merged.BytesRead != read {
-		t.Errorf("traffic: merged %d/%d, sum %d/%d", merged.BytesStaged, merged.BytesRead, staged, read)
-	}
-	if merged.CandidateSites != candidates || merged.Entries != entries {
-		t.Errorf("counters: merged %d/%d, sum %d/%d", merged.CandidateSites, merged.Entries, candidates, entries)
-	}
-	for name, want := range wantKernels {
-		if got := merged.Kernels[name]; got != want {
-			t.Errorf("kernel %s: merged %+v, sum %+v", name, got, want)
-		}
-		if merged.Launches[name] != wantLaunches[name] {
-			t.Errorf("kernel %s: merged %d launches, sum %d", name, merged.Launches[name], wantLaunches[name])
-		}
-	}
-	for name, size := range merged.WorkGroupSizes {
-		if size == 0 {
-			t.Errorf("kernel %s: merged work-group size 0 though every device used the same size", name)
-		}
-	}
-}
-
 // requireMetricsAgree asserts the registry holds exactly the sum of what the
 // runs' profiles show — every twin series, the fault sites and the selected
 // variants. Profile.publish is the only writer of these series, so a run that
@@ -345,8 +214,8 @@ func requireMetricsAgree(t *testing.T, m *obs.Metrics, runs ...*Profile) {
 		for site, n := range p.Faults {
 			want[obs.L(obs.MetricFaults, "site", string(site))] += n
 		}
-		for _, variant := range p.TunedVariant {
-			want[obs.L(obs.MetricTuneSelected, "variant", variant)]++
+		if p.TunedVariant != "" {
+			want[obs.L(obs.MetricTuneSelected, "variant", p.TunedVariant)]++
 		}
 	}
 	snap := m.Snapshot()
@@ -383,10 +252,6 @@ func TestMetricsAgreeWithProfile(t *testing.T) {
 		},
 		func(m *obs.Metrics) Engine {
 			return &SimSYCL{Device: faulty(plan.Seed), Variant: kernels.Base, WorkGroupSize: 64, Resilience: res, Metrics: m}
-		},
-		func(m *obs.Metrics) Engine {
-			return &MultiSYCL{Devices: []*gpu.Device{faulty(plan.Seed), faulty(plan.Seed + 1)},
-				Variant: kernels.Base, WorkGroupSize: 64, Resilience: res, Metrics: m}
 		},
 	} {
 		m := obs.NewMetrics()
@@ -436,10 +301,6 @@ func TestLastProfileNeverStale(t *testing.T) {
 		{"sycl", func(m *obs.Metrics) (arenaProfiler, **gpu.Device) {
 			e := &SimSYCL{Device: newDev(), Auto: true, Metrics: m}
 			return e, &e.Device
-		}},
-		{"sycl-multi", func(m *obs.Metrics) (arenaProfiler, **gpu.Device) {
-			e := &MultiSYCL{Devices: []*gpu.Device{newDev(), newDev()}, Auto: true, Metrics: m}
-			return e, &e.Devices[1]
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

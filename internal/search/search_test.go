@@ -206,9 +206,8 @@ func fuzzCase(bases, pattern, guides []byte, budget uint8, chunk uint16) (*genom
 // fuzzFaultArm is FuzzEngines' second arm: the simulator engines under a
 // seeded fault plan and a resilience policy must still return the baseline's
 // hits, publish exactly what LastProfile shows into a fresh registry, and —
-// on the one-slot engines, whose backend calls replay exactly — fire the same
-// faults when the seed is replayed. In a fleet, which device meets which
-// chunk is scheduling, so MultiSYCL runs once. The chunk size is floored so
+// their one slot's backend calls replay exactly — fire the same faults when
+// the seed is replayed. The chunk size is floored so
 // that a plan of a thousand one-base chunks does not wait out a watchdog
 // deadline per injected hang.
 func fuzzFaultArm(t *testing.T, asm *genome.Assembly, req *Request, want []Hit, plan fault.Plan, v kernels.ComparerVariant) {
@@ -218,29 +217,23 @@ func fuzzFaultArm(t *testing.T, asm *genome.Assembly, req *Request, want []Hit, 
 		Seed: plan.Seed, Watchdog: 20 * time.Millisecond,
 		BackoffBase: time.Microsecond, BackoffMax: time.Microsecond,
 	}
-	dev := func(slot uint64) *gpu.Device {
+	dev := func() *gpu.Device {
 		d := gpu.New(device.MI100(), gpu.WithWorkers(2))
-		d.SetFaults(fault.NewInjector(fault.Plan{Seed: plan.Seed + slot, Rate: plan.Rate}))
+		d.SetFaults(fault.NewInjector(fault.Plan{Seed: plan.Seed, Rate: plan.Rate}))
 		return d
 	}
-	for _, tc := range []struct {
-		build func(m *obs.Metrics) arenaProfiler
-		runs  int
-	}{
-		{func(m *obs.Metrics) arenaProfiler {
-			return &SimCL{Device: dev(0), Variant: v, Resilience: res, Metrics: m}
-		}, 2},
-		{func(m *obs.Metrics) arenaProfiler {
-			return &SimSYCL{Device: dev(0), Variant: v, WorkGroupSize: 64, Resilience: res, Metrics: m}
-		}, 2},
-		{func(m *obs.Metrics) arenaProfiler {
-			return &MultiSYCL{Devices: []*gpu.Device{dev(0), dev(1)}, Variant: v, WorkGroupSize: 64, Resilience: res, Metrics: m}
-		}, 1},
+	for _, build := range []func(m *obs.Metrics) arenaProfiler{
+		func(m *obs.Metrics) arenaProfiler {
+			return &SimCL{Device: dev(), Variant: v, Resilience: res, Metrics: m}
+		},
+		func(m *obs.Metrics) arenaProfiler {
+			return &SimSYCL{Device: dev(), Variant: v, WorkGroupSize: 64, Resilience: res, Metrics: m}
+		},
 	} {
 		var first *Profile
-		for run := 0; run < tc.runs; run++ {
+		for run := 0; run < 2; run++ {
 			m := obs.NewMetrics()
-			eng := tc.build(m)
+			eng := build(m)
 			got, err := eng.Run(asm, &faulted)
 			if err != nil {
 				t.Fatalf("%s under %+v: %v", eng.Name(), plan, err)
@@ -289,9 +282,9 @@ func FuzzEngines(f *testing.F) {
 		[]byte("NNNNNNNNNNNNNNNNNNNNNGG"), []byte("GATTACAGTACGATTACAGTANN"), uint8(2), uint16(1000))
 	f.Add([]byte("NNNNNNNNTTTAGATTACAnnnnnnnnacgtacgtTGTAATCTAAANNNN>ttttgattacaTTTCGATTRCA"),
 		[]byte("TTTVNNNNNNN"), []byte("NNNNGATTACANNNNGRTYACWNNNNSATKMCA"), uint8(1), uint16(5))
-	// The plans of TestMetricsAgreeWithProfile (seed 1234, rate 0.3) and
-	// TestMultiSYCLSchedMetricsParity (seed 50, rate 0.2) over their
-	// assemblies, two mismatches each.
+	// The plans (seed 1234, rate 0.3) and (seed 50, rate 0.2) over their
+	// assemblies, two mismatches each; the first is
+	// TestMetricsAgreeWithProfile's.
 	f.Add(join(testAssemblyTB(f, 7, []int{600, 300}, testSite)), []byte(testPattern), []byte(testGuide), uint8(36*7+2), uint16(1234))
 	f.Add(join(testAssemblyTB(f, 25, []int{900, 600, 400}, testSite)), []byte(testPattern), []byte(testGuide), uint8(24*7+2), uint16(50))
 	f.Fuzz(func(t *testing.T, bases, pattern, guides []byte, budget uint8, chunk uint16) {
@@ -320,10 +313,6 @@ func FuzzEngines(f *testing.F) {
 			{&CPU{Workers: 4}, both},
 			{&SimCL{Device: gpu.New(device.MI60(), gpu.WithWorkers(4)), Variant: v}, both},
 			{&SimSYCL{Device: gpu.New(device.MI100(), gpu.WithWorkers(4)), Variant: v, WorkGroupSize: 64}, both},
-			{&MultiSYCL{Devices: []*gpu.Device{
-				gpu.New(device.MI60(), gpu.WithWorkers(2)),
-				gpu.New(device.MI100(), gpu.WithWorkers(2)),
-			}, Variant: v, WorkGroupSize: 64}, both},
 			{&refCPU{Workers: 2, Arm: refBytes}, both[:1]},
 			{&refCPU{Workers: 2, Arm: refScalar}, both[:1]},
 			{&refCPU{Workers: 2, Arm: refNoBatch}, both[:1]},

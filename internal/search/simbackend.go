@@ -145,7 +145,7 @@ type simBackend struct {
 func newSimBackend(e *simCore, plan *pipeline.Plan) (_ *simBackend, err error) {
 	b := &simBackend{e: e, plan: plan, prof: e.profile, live: make(map[devBuf]struct{})}
 	if e.tuned != nil {
-		b.prof.addTune(e.track(), e.tuned)
+		b.prof.addTune(e.tuned)
 	}
 	defer func() {
 		if err != nil {

@@ -43,10 +43,6 @@ type simConfig struct {
 	Trace   *obs.Tracer
 	Metrics *obs.Metrics
 
-	// trackName overrides the trace row prefix (the engine name by
-	// default); MultiSYCL sets it to tell its devices apart.
-	trackName string
-
 	// worstCaseArena pins every launch's hit-buffer arena to the worst-case
 	// layout (one page per work-group) instead of the comparer's small first
 	// attempt. Only this package's tests set it: it is the reference the
@@ -54,10 +50,10 @@ type simConfig struct {
 	worstCaseArena bool
 
 	// profile is the current run's one ledger: set before anything that can
-	// fail, written by every backend of the run, and what LastProfile returns.
+	// fail, written by the run's backend, and what LastProfile returns.
 	profile *Profile
 	// tuned is the resolved autotuner decision for the current run; set by
-	// streamCores before any backend opens, read-only while the run is live.
+	// stream before the backend opens, read-only while the run is live.
 	tuned *tune.Decision
 }
 
@@ -70,13 +66,6 @@ type simCore struct {
 	name      string
 	open      openOps
 	defaultWG int
-}
-
-func (e *simCore) track() string {
-	if e.trackName != "" {
-		return e.trackName
-	}
-	return e.name
 }
 
 // comparer is the variant the run actually launches: the tuner's selection
@@ -100,65 +89,45 @@ func (e *simCore) wgSize() int {
 	return e.defaultWG
 }
 
-// stream runs the engine as a one-element fleet.
+// stream runs one request on the engine's device behind one executor slot,
+// whose goroutine stages every chunk and issues its launches. The run's one
+// profile is created first: a failure before the executor starts leaves it
+// empty, and every exit publishes what it holds.
 func (e *simCore) stream(ctx context.Context, asm *genome.Assembly, req *Request, emit func(Hit) error) error {
 	e.profile = newProfile()
-	return streamCores(ctx, e.track(), false, []*simCore{e}, asm, req, emit)
-}
-
-// streamCores runs one request over the cores, one executor slot each; every
-// slot's goroutine stages its chunks and issues their launches. The cores
-// share the run's settings (Resilience, Trace, Metrics) and its one profile,
-// which the caller created: a failure before the executor starts leaves it
-// empty, and every exit publishes what it holds. A fleet names its slots
-// after their cores' tracks and reports chunks by device.
-func streamCores(ctx context.Context, track string, fleet bool, cores []*simCore, asm *genome.Assembly, req *Request, emit func(Hit) error) error {
-	run := cores[0].simConfig
-	defer run.profile.publish(run.Metrics)
+	defer e.profile.publish(e.Metrics)
 	if err := req.Validate(); err != nil {
 		return err
 	}
-	// Resolve the tuner per device before any slot opens its backend; the
-	// decision is read-only for the rest of the run.
-	for i, c := range cores {
-		if c.Device == nil {
-			return fmt.Errorf("search: %s: device %d is nil", track, i)
-		}
-		c.tuned = nil
-		if c.Auto {
-			d, err := autotuneDecision(c.Device, req)
-			if err != nil {
-				return fmt.Errorf("search: %s: autotune device %d: %w", track, i, err)
-			}
-			c.tuned = d
-		}
+	if e.Device == nil {
+		return fmt.Errorf("search: %s: device is nil", e.name)
 	}
-	slots := make([]pipeline.Slot, len(cores))
-	marks := make([]int, len(cores))
-	for i, c := range cores {
-		slots[i].Open = func(plan *pipeline.Plan) (pipeline.Backend, error) {
-			return newSimBackend(c, plan)
+	// Resolve the tuner before the slot opens its backend; the decision is
+	// read-only for the rest of the run.
+	e.tuned = nil
+	if e.Auto {
+		d, err := autotuneDecision(e.Device, req)
+		if err != nil {
+			return fmt.Errorf("search: %s: autotune: %w", e.name, err)
 		}
-		if fleet {
-			slots[i].Name = c.track()
-		}
-		c.Device.SetObs(run.Trace, run.Metrics, c.track()+"/gpu")
-		// Mark the injector before the run so only this run's fault delta is
-		// folded into the profile — a reused engine must not re-count earlier
-		// runs' faults.
-		marks[i] = c.Device.Faults().Mark()
+		e.tuned = d
 	}
+	e.Device.SetObs(e.Trace, e.Metrics, e.name+"/gpu")
+	// Mark the injector before the run so only this run's fault delta is
+	// folded into the profile — a reused engine must not re-count earlier
+	// runs' faults.
+	mark := e.Device.Faults().Mark()
 	x := &pipeline.Executor{
-		Slots:    slots,
-		Policy:   policyFor(run.Resilience),
-		Trace:    run.Trace,
-		Metrics:  run.Metrics,
-		Track:    track,
-		OnReport: func(rep *pipeline.Report) { run.profile.addReport(rep, fleet) },
+		Slots: []pipeline.Slot{{Open: func(plan *pipeline.Plan) (pipeline.Backend, error) {
+			return newSimBackend(e, plan)
+		}}},
+		Policy:   policyFor(e.Resilience),
+		Trace:    e.Trace,
+		Metrics:  e.Metrics,
+		Track:    e.name,
+		OnReport: e.profile.addReport,
 	}
 	err := x.Stream(ctx, asm, req, emit)
-	for i, c := range cores {
-		run.profile.addFaults(c.Device.Faults().LogSince(marks[i]))
-	}
+	e.profile.addFaults(e.Device.Faults().LogSince(mark))
 	return err
 }

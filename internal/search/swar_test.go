@@ -9,8 +9,6 @@ import (
 	"testing/quick"
 
 	"casoffinder/internal/genome"
-	"casoffinder/internal/gpu"
-	"casoffinder/internal/gpu/device"
 	"casoffinder/internal/kernels"
 	"casoffinder/internal/pipeline"
 )
@@ -115,13 +113,7 @@ func TestBatchedMatchesPerPattern(t *testing.T) {
 		},
 		ChunkBytes: 300,
 	}
-	allEngines := append(streamEngines(t),
-		&MultiSYCL{
-			Devices: []*gpu.Device{gpu.New(device.MI60(), gpu.WithWorkers(2)), gpu.New(device.MI100(), gpu.WithWorkers(2))},
-			Variant: kernels.Opt2,
-		},
-	)
-	for _, eng := range allEngines {
+	for _, eng := range streamEngines(t) {
 		t.Run(eng.Name(), func(t *testing.T) {
 			batched, err := eng.Run(asm, req)
 			if err != nil {

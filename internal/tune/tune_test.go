@@ -14,7 +14,7 @@ import (
 
 // TestSelectDeterministic: same spec and shape, same decision — from
 // repeated calls and from goroutines scoring at once over the shared kernel
-// cache (a fleet opens its devices concurrently).
+// cache (engines may open concurrently).
 func TestSelectDeterministic(t *testing.T) {
 	for _, spec := range device.All() {
 		cfg := Config{Spec: spec}
