@@ -51,7 +51,8 @@ race:
 # daemon's only serving path: merged streams against solo goldens over the
 # coalescer and over HTTP, member departure, a panicking merged pass), the CPU scan's equivalence suite (the SWAR
 # compare against the byte and scalar references, patterns of one to five
-# words, the batched-vs-per-guide merge and the zero-allocation pin, whose
+# words, a multi-guide run against the merge of one-guide runs and the
+# zero-allocation pin, whose
 # pooled planes are per-goroutine buffers; and the artifact equivalence
 # and corrupt-shard tests, since every slot scans one shared mapped PAM
 # shard in place), the NDJSON encoder's

@@ -407,11 +407,11 @@ func writeHeapProfile(path string) error {
 // printAutotune reports the tuner's kernel selection for the named engine.
 // Silent when no tuner ran.
 func printAutotune(stderr io.Writer, engine string, p *search.Profile) {
-	if p.TuneDecisions == 0 {
+	if p.Tune == nil {
 		return
 	}
 	fmt.Fprintf(stderr, "autotune: %-14s variant=%s wg=%d (model, %d candidates scored)\n",
-		engine, p.TunedVariant, p.TunedWGSize, p.TuneCandidates/p.TuneDecisions)
+		engine, p.Tune.Variant, p.Tune.WGSize, len(p.Tune.Candidates))
 }
 
 func buildEngine(engine, deviceName string, variant kernels.ComparerVariant, auto bool, workers int,

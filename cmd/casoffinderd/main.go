@@ -185,9 +185,11 @@ func setup(args []string, stderr io.Writer) (*daemon, error) {
 	if *faultRate < 0 || *faultRate > 1 {
 		return nil, usageError{fmt.Errorf("-fault-rate %v outside [0, 1]", *faultRate)}
 	}
-	// A negative deadline, skip count or worker count would silently read
-	// as "off" or "all cores".
-	for _, name := range []string{"watchdog", "fault-after", "workers"} {
+	// A negative deadline, skip count, worker count or limit would silently
+	// read as "off", "all cores" or "default".
+	for _, name := range []string{"watchdog", "fault-after", "workers",
+		"max-inflight", "max-queue", "max-inflight-bytes", "max-body-bytes", "max-guides",
+		"quota-rate", "quota-burst", "drain-timeout"} {
 		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
 			return nil, usageError{fmt.Errorf("-%s %s is negative", name, v)}
 		}

@@ -333,6 +333,14 @@ func TestSetupUsageErrors(t *testing.T) {
 		{"negative watchdog", []string{"-genome", dir, "-engine", "sycl", "-watchdog", "-1s"}},
 		{"negative fault-after", []string{"-genome", dir, "-engine", "opencl", "-fault-rate", "0.2", "-fault-after", "-5"}},
 		{"negative workers", []string{"-genome", dir, "-workers", "-3"}},
+		{"negative max-inflight", []string{"-genome", dir, "-max-inflight", "-1"}},
+		{"negative max-queue", []string{"-genome", dir, "-max-queue", "-1"}},
+		{"negative max-inflight-bytes", []string{"-genome", dir, "-max-inflight-bytes", "-1"}},
+		{"negative max-body-bytes", []string{"-genome", dir, "-max-body-bytes", "-1"}},
+		{"negative max-guides", []string{"-genome", dir, "-max-guides", "-1"}},
+		{"negative quota-rate", []string{"-genome", dir, "-quota-rate", "-0.5"}},
+		{"negative quota-burst", []string{"-genome", dir, "-quota-burst", "-2"}},
+		{"negative drain-timeout", []string{"-genome", dir, "-drain-timeout", "-1s"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -287,13 +287,13 @@ func (in *Injector) LogSince(mark int) []Event {
 	out := make([]Event, len(in.log)-mark)
 	copy(out, in.log[mark:])
 	in.mu.Unlock()
-	SortEvents(out)
+	sortEvents(out)
 	return out
 }
 
-// SortEvents sorts a fault-event slice by (site, seq), the canonical order of
+// sortEvents sorts a fault-event slice by (site, seq), the canonical order of
 // Log and of Profile.FaultLog.
-func SortEvents(events []Event) {
+func sortEvents(events []Event) {
 	sort.Slice(events, func(i, j int) bool {
 		if events[i].Site != events[j].Site {
 			return events[i].Site < events[j].Site

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -41,6 +42,15 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same plan produced different logs:\n%v\nvs\n%v", a, b)
+	}
+	// The sites fired interleaved; the log comes back in (site, seq) order.
+	if !sort.SliceIsSorted(a, func(i, j int) bool {
+		if a[i].Site != a[j].Site {
+			return a[i].Site < a[j].Site
+		}
+		return a[i].Seq < a[j].Seq
+	}) {
+		t.Error("log not sorted by (site, seq)")
 	}
 }
 

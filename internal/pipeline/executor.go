@@ -348,14 +348,15 @@ func (r *run) scan(be Backend, index int, sr *SiteRenderer, track string) ([]Hit
 	}
 }
 
-// attempt runs one full scan attempt — Stage through Drain — of a chunk on
-// be: a "scan" span and a scan-latency sample on the track, its phases spans
-// inside it. Each phase is bounded by the watchdog deadline: a phase that
-// exceeds it — a hung simulated kernel — is cancelled through its context,
-// counted with a "watchdog-kill" instant, and comes back as a transient
-// SiteWatchdog fault for scan to retry. The staged handle is released if any
-// later phase fails, so a retried chunk always re-stages fresh. Cancellation
-// of the run passes through untouched.
+// attempt runs one full scan attempt of a chunk on be — four phases, one
+// backend call each: Stage, Find, Compare, Drain — as a "scan" span and a
+// scan-latency sample on the track, its phases spans inside it. Each phase
+// is bounded by the watchdog deadline: a phase that exceeds it — a hung
+// simulated kernel — is cancelled through its context, counted with a
+// "watchdog-kill" instant, and comes back as a transient SiteWatchdog fault
+// for scan to retry. The staged handle is released if any later phase
+// fails, so a retried chunk always re-stages fresh. Cancellation of the run
+// passes through untouched.
 func (r *run) attempt(be Backend, index int, sr *SiteRenderer, track string) (hits []Hit, err error) {
 	x, ctx := r.x, r.ctx
 	r.attempts[index]++
@@ -411,32 +412,11 @@ func (r *run) attempt(be Backend, index int, sr *SiteRenderer, track string) (hi
 		}
 	}()
 
-	var n int
-	err = guard("find", func(pctx context.Context) error {
-		var ferr error
-		n, ferr = be.Find(pctx, st)
-		return ferr
-	})
-	if err != nil {
+	if err = guard("find", func(pctx context.Context) error { return be.Find(pctx, st) }); err != nil {
 		return nil, err
 	}
-	if n > 0 {
-		if bc, ok := be.(BatchComparer); ok {
-			err = guard("compare", func(pctx context.Context) error {
-				return bc.CompareAll(pctx, st)
-			})
-		} else {
-			for qi := range r.plan.Guides {
-				if err = guard("compare", func(pctx context.Context) error {
-					return be.Compare(pctx, st, qi)
-				}); err != nil {
-					break
-				}
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
+	if err = guard("compare", func(pctx context.Context) error { return be.Compare(pctx, st) }); err != nil {
+		return nil, err
 	}
 	err = guard("drain", func(pctx context.Context) error {
 		var derr error

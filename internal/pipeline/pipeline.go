@@ -77,20 +77,23 @@ type Staged any
 // is opened once per executor slot and driven by that slot's goroutine only,
 // one chunk at a time.
 //
-// On the success path every staged chunk flows Stage → Find → Compare (per
-// query, only when Find reported candidates) → Drain. On error or
-// cancellation the attempt stops calling scan methods; Close must then
-// release whatever staged handles never reached Drain (and were not handed
-// to Release), so an aborted run cannot leak device buffers.
+// On the success path every staged chunk flows Stage → Find → Compare →
+// Drain, one call each; how many kernel launches a phase makes (one comparer
+// per query, none for a chunk without candidates) is the backend's business.
+// On error or cancellation the attempt stops calling scan methods and hands
+// the handle to Release; Close must then release whatever staged handles
+// never reached Drain or Release, so an aborted run cannot leak device
+// buffers.
 type Backend interface {
 	// Stage uploads one chunk and returns the backend's handle for it.
 	Stage(ctx context.Context, ch *genome.Chunk) (Staged, error)
 	// Find runs the PAM prefilter (the finder kernel) over the staged
-	// chunk and returns the number of surviving candidate sites.
-	Find(ctx context.Context, st Staged) (int, error)
-	// Compare runs the comparer kernel for query qi over the candidates,
-	// accumulating raw entries in the handle.
-	Compare(ctx context.Context, st Staged, qi int) error
+	// chunk, keeping the surviving candidate sites in the handle.
+	Find(ctx context.Context, st Staged) error
+	// Compare runs the comparer for every query over the candidates,
+	// accumulating raw entries in the handle. Per-chunk hits are sorted
+	// afterwards, so entry order within the chunk is free.
+	Compare(ctx context.Context, st Staged) error
 	// Drain renders the accumulated entries into hits using the worker's
 	// pooled renderer and releases the chunk's per-chunk resources.
 	Drain(ctx context.Context, st Staged, r *SiteRenderer) ([]Hit, error)
@@ -102,16 +105,4 @@ type Backend interface {
 	// and any staged handles that never reached Drain. It is called
 	// exactly once, by the goroutine that drove the backend.
 	Close() error
-}
-
-// BatchComparer is an optional Backend capability: a backend that can run
-// every query's comparer over a staged chunk in a single fused pass.
-// When the backend implements it, an attempt calls CompareAll once per
-// chunk instead of looping Compare per query, letting the backend stage
-// each candidate window once and evaluate all compiled patterns against it
-// (the CPU SWAR path's multi-pattern batching). CompareAll must accumulate
-// exactly the entries the per-query Compare loop would have; per-chunk
-// hits are sorted afterwards, so entry order within the chunk is free.
-type BatchComparer interface {
-	CompareAll(ctx context.Context, st Staged) error
 }

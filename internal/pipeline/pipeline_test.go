@@ -112,7 +112,7 @@ func (b *fakeBackend) Stage(ctx context.Context, ch *genome.Chunk) (Staged, erro
 	return &st, nil
 }
 
-func (b *fakeBackend) Find(ctx context.Context, st Staged) (int, error) {
+func (b *fakeBackend) Find(ctx context.Context, st Staged) error {
 	ch := st.(*genome.Chunk)
 	b.mu.Lock()
 	if b.attempts == nil {
@@ -123,14 +123,12 @@ func (b *fakeBackend) Find(ctx context.Context, st Staged) (int, error) {
 	b.finds++
 	b.mu.Unlock()
 	if b.find != nil {
-		if err := b.find(ctx, ch, attempt); err != nil {
-			return 0, err
-		}
+		return b.find(ctx, ch, attempt)
 	}
-	return 1, nil
+	return nil
 }
 
-func (b *fakeBackend) Compare(ctx context.Context, st Staged, qi int) error { return nil }
+func (b *fakeBackend) Compare(ctx context.Context, st Staged) error { return nil }
 
 func (b *fakeBackend) Drain(ctx context.Context, st Staged, r *SiteRenderer) ([]Hit, error) {
 	ch := st.(*genome.Chunk)
@@ -371,41 +369,6 @@ func TestCompileErrors(t *testing.T) {
 	if opened != 0 {
 		t.Errorf("backend opened %d times for invalid requests", opened)
 	}
-}
-
-// batchBackend layers the BatchComparer capability over fakeBackend,
-// counting the fused calls and any per-query Compare call, which an attempt
-// must never make once the capability is present.
-type batchBackend struct {
-	*fakeBackend
-	batchCalls, singleCalls int
-}
-
-func (b *batchBackend) Compare(ctx context.Context, st Staged, qi int) error {
-	b.singleCalls++
-	return nil
-}
-
-func (b *batchBackend) CompareAll(ctx context.Context, st Staged) error {
-	b.batchCalls++
-	return nil
-}
-
-// TestBatchComparerPreferred: a backend advertising CompareAll gets exactly
-// one fused compare per chunk, even with several queries, and the per-query
-// entry point is never used.
-func TestBatchComparerPreferred(t *testing.T) {
-	b := &batchBackend{fakeBackend: &fakeBackend{}}
-	req := testReq()
-	req.Queries = append(req.Queries, Query{Guide: "TTANN", MaxMismatches: 0})
-	if err := (&Executor{Slots: slotsFor(b)}).Stream(context.Background(), testAsm(500), req, func(Hit) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if b.staged == 0 || b.batchCalls != b.staged || b.singleCalls != 0 {
-		t.Errorf("%d chunks: %d CompareAll and %d Compare calls, want one fused call per chunk and no other",
-			b.staged, b.batchCalls, b.singleCalls)
-	}
-	checkAccounting(t, b.fakeBackend, 1)
 }
 
 // recoveryCase scripts the primary's Find for chunk seq0:12 of a one-slot

@@ -81,7 +81,7 @@ func BenchmarkSWARVsScalar(b *testing.B) {
 		b.SetBytes(positions)
 		for i := 0; i < b.N; i++ {
 			s.sc.entries = s.sc.entries[:0]
-			be.compareGuides(s, 0, 1)
+			be.compareGuides(s)
 			sink += len(s.sc.entries)
 		}
 	})
@@ -90,9 +90,8 @@ func BenchmarkSWARVsScalar(b *testing.B) {
 
 // BenchmarkMultiPatternBatch measures the batched multi-pattern scan: one
 // genome pass testing all eight guides at each staged candidate window
-// against eight independent single-guide passes (and the unbatched
-// reference arm as the middle ablation). The batch amortises chunk staging,
-// packing and candidate finding across the guide set.
+// against eight independent single-guide passes. The batch amortises chunk
+// staging, packing and candidate finding across the guide set.
 func BenchmarkMultiPatternBatch(b *testing.B) {
 	asm := benchAssembly(b, 1<<20)
 	req := &Request{Pattern: benchPattern}
@@ -109,7 +108,6 @@ func BenchmarkMultiPatternBatch(b *testing.B) {
 		req.Queries = append(req.Queries, Query{Guide: g, MaxMismatches: 4})
 	}
 	b.Run("batched", func(b *testing.B) { benchRun(b, &CPU{}, asm, req) })
-	b.Run("unbatched", func(b *testing.B) { benchRun(b, &refCPU{Arm: refNoBatch}, asm, req) })
 	b.Run("independent", func(b *testing.B) {
 		eng := &CPU{}
 		b.SetBytes(genome.Compose(asm).TotalBases)
@@ -165,7 +163,7 @@ func BenchmarkCompareGuides(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, s := range staged {
 					s.sc.entries = s.sc.entries[:0]
-					if err := be.CompareAll(ctx, s); err != nil {
+					if err := be.Compare(ctx, s); err != nil {
 						b.Fatal(err)
 					}
 				}

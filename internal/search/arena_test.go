@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -277,7 +278,9 @@ func TestDenseRegionSeededFaults(t *testing.T) {
 // crash: a chunk with Body == 0 (representable — a tail that only carries
 // overlap bases) used to reach the finder enqueue, whose zero-size launch
 // reported zero work-groups and crashed the pad recovery with a division by
-// zero. Find must skip the launch and report zero candidates.
+// zero. Find must skip the launch and leave zero candidates, and Compare on
+// a chunk with no candidates must launch nothing: the profile is the one a
+// run that never called it has.
 func TestZeroBodyChunkFind(t *testing.T) {
 	req := denseRequest()
 	plan, err := pipeline.Compile(req)
@@ -299,21 +302,32 @@ func TestZeroBodyChunkFind(t *testing.T) {
 		(&SimSYCL{Device: gpu.New(device.MI100(), gpu.WithWorkers(4)), Variant: kernels.Base, WorkGroupSize: 64}).core(),
 	}
 	for _, core := range cores {
-		core.profile = newProfile()
-		b, err := newSimBackend(core, plan)
-		if err != nil {
-			t.Fatal(err)
+		run := func(compare bool) *Profile {
+			core.profile = newProfile()
+			b, err := newSimBackend(core, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := b.Stage(ctx, ch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Find(ctx, st); err != nil || st.(*simStaged).n != 0 {
+				t.Errorf("%s Find on zero-body chunk = (%d candidates, %v), want (0, nil)", core.name, st.(*simStaged).n, err)
+			}
+			if compare {
+				if err := b.Compare(ctx, st); err != nil {
+					t.Errorf("%s Compare on a chunk without candidates: %v", core.name, err)
+				}
+			}
+			b.Release(st)
+			if err := b.Close(); err != nil {
+				t.Errorf("%s Close: %v", core.name, err)
+			}
+			return core.profile
 		}
-		st, err := b.Stage(ctx, ch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n, err := b.Find(ctx, st); err != nil || n != 0 {
-			t.Errorf("%s Find on zero-body chunk = (%d, %v), want (0, nil)", core.name, n, err)
-		}
-		b.Release(st)
-		if err := b.Close(); err != nil {
-			t.Errorf("%s Close: %v", core.name, err)
+		if want, got := run(false), run(true); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s Compare on a chunk without candidates moved the profile:\n got %+v\nwant %+v", core.name, got, want)
 		}
 	}
 }

@@ -54,7 +54,6 @@ func TestArtifactEquivalenceAllEngines(t *testing.T) {
 	}{
 		{"cpu", &CPU{Workers: 2}},
 		{"cpu-bytes", &refCPU{Workers: 2, Arm: refBytes}},
-		{"cpu-nobatch", &refCPU{Workers: 2, Arm: refNoBatch}},
 		{"cpu-scalar", &refCPU{Workers: 2, Arm: refScalar}},
 		{"opencl", &SimCL{Device: gpu.New(device.MI60(), gpu.WithWorkers(2)), Variant: kernels.Base}},
 		{"sycl", &SimSYCL{Device: gpu.New(device.MI100(), gpu.WithWorkers(2)), Variant: kernels.Opt3, WorkGroupSize: 64}},

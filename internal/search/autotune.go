@@ -3,10 +3,10 @@ package search
 // The engines' bridge to the occupancy autotuner (internal/tune). An engine
 // with Auto set resolves its comparer variant and work-group size here at
 // Stream start, once per run, instead of trusting the caller's fixed
-// Variant/WorkGroupSize pair. The decision is recorded in the run's Profile
-// (addTune) when the backend opens, so every tuned run reports what it
-// selected and why-shaped evidence (the candidate count) reaches the metrics
-// registry with the rest of the profile.
+// Variant/WorkGroupSize pair. The decision is the run's Profile.Tune, set
+// once before the backend opens, so every tuned run reports what it selected
+// and why-shaped evidence (the candidate count) reaches the metrics registry
+// with the rest of the profile.
 //
 // Under Auto the configured Variant and WorkGroupSize are both ignored. A
 // forced Variant (Auto unset) bypasses the tuner entirely — the

@@ -47,11 +47,8 @@ func TestAutoMatchesFixedVariantHits(t *testing.T) {
 		if p == nil {
 			t.Fatalf("%s: no profile", eng.Name())
 		}
-		if p.TunedVariant == "" || p.TunedWGSize == 0 {
-			t.Fatalf("%s: tuned decision not recorded: %+v / %+v", eng.Name(), p.TunedVariant, p.TunedWGSize)
-		}
-		if p.TuneDecisions != 1 || p.TuneCandidates == 0 {
-			t.Errorf("%s: tuner counters = decisions %d, candidates %d", eng.Name(), p.TuneDecisions, p.TuneCandidates)
+		if p.Tune == nil || p.Tune.WGSize == 0 || len(p.Tune.Candidates) == 0 {
+			t.Fatalf("%s: tuned decision not recorded: %+v", eng.Name(), p.Tune)
 		}
 		var spec device.Spec
 		switch e := eng.(type) {
@@ -64,13 +61,13 @@ func TestAutoMatchesFixedVariantHits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.TunedVariant != d.Variant.String() || p.TunedWGSize != d.WGSize {
+		if p.Tune.Variant != d.Variant || p.Tune.WGSize != d.WGSize {
 			t.Errorf("%s: profile records (%s, %d), tuner decides (%s, %d)",
-				eng.Name(), p.TunedVariant, p.TunedWGSize, d.Variant, d.WGSize)
+				eng.Name(), p.Tune.Variant, p.Tune.WGSize, d.Variant, d.WGSize)
 		}
 		// The launched comparer really is the tuned one: its kernel name is
 		// profiled at the tuned local size.
-		name := "comparer_" + p.TunedVariant
+		name := "comparer_" + p.Tune.Variant.String()
 		if p.Launches[name] == 0 {
 			t.Errorf("%s: no launches of tuned kernel %q; profiled %v", eng.Name(), name, p.KernelNames())
 		}
@@ -90,8 +87,8 @@ func TestForcedVariantBypassesTuner(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 	p := eng.LastProfile()
-	if p.TunedVariant != "" || p.TunedWGSize != 0 || p.TuneDecisions != 0 {
-		t.Errorf("forced-variant run recorded tuner state: (%q, %d), %d decisions", p.TunedVariant, p.TunedWGSize, p.TuneDecisions)
+	if p.Tune != nil {
+		t.Errorf("forced-variant run recorded tuner state: %v", p.Tune)
 	}
 	if p.Launches["comparer_opt1"] == 0 {
 		t.Errorf("forced opt1 not launched; profiled %v", p.KernelNames())

@@ -66,9 +66,8 @@ func (c *CPU) Stream(ctx context.Context, asm *genome.Assembly, req *Request, em
 
 // cpuBackend adapts the goroutine scan to the pipeline Backend contract.
 // Staging is free (chunks are scanned in place), so the executor's slots
-// carry all the parallelism. It implements pipeline.BatchComparer, so an
-// attempt fuses all guides into one pass over each chunk's cached window
-// words.
+// carry all the parallelism. Its Compare fuses all guides into one pass over
+// each chunk's cached window words.
 type cpuBackend struct {
 	plan *pipeline.Plan
 	// shards is set when the plan's artifact carries PAM shards built for
@@ -151,39 +150,32 @@ func (b *cpuBackend) Stage(ctx context.Context, ch *genome.Chunk) (pipeline.Stag
 // body, two binary searches away, checked in place. Otherwise the chunk's
 // view is built here, in the scan worker, so the build parallelizes across
 // chunks, and the prefilter fills the pooled candidate buffer.
-func (b *cpuBackend) Find(ctx context.Context, st pipeline.Staged) (int, error) {
+func (b *cpuBackend) Find(ctx context.Context, st pipeline.Staged) error {
 	s := st.(*cpuStaged)
 	s.sc = scratchPool.Get().(*scanScratch)
 	if av := b.artifactView(s.ch); av != nil {
 		s.view, s.base = av, s.ch.Start
 		if b.shards {
 			s.cand = b.plan.Artifact.PAMRange(s.ch.SeqIndex, s.ch.Start, s.ch.Start+s.ch.Body)
-			return len(s.cand), checkShard(s.ch, s.cand)
+			return checkShard(s.ch, s.cand)
 		}
 	} else {
 		v, err := genome.NewWordView(s.ch.Data, s.sc.view)
 		if err != nil {
-			return 0, fmt.Errorf("search: packing chunk at %s:%d: %w", s.ch.SeqName, s.ch.Start, err)
+			return fmt.Errorf("search: packing chunk at %s:%d: %w", s.ch.SeqName, s.ch.Start, err)
 		}
 		s.sc.view, s.view, s.base = v, v, 0
 	}
 	s.sc.findSWARCandidates(s.view, b.pattern, s.base, s.ch.Body)
 	s.cand = s.sc.cand
-	return len(s.cand), nil
-}
-
-// Compare implements pipeline.Backend: one guide over the surviving
-// candidates (the comparer kernel's role). An attempt calls CompareAll
-// instead.
-func (b *cpuBackend) Compare(ctx context.Context, st pipeline.Staged, qi int) error {
-	b.compareGuides(st.(*cpuStaged), qi, qi+1)
 	return nil
 }
 
-// CompareAll implements pipeline.BatchComparer: one genome pass per chunk
+// Compare implements pipeline.Backend: every guide over the surviving
+// candidates (the comparer kernel's role) in one genome pass per chunk
 // instead of one per guide.
-func (b *cpuBackend) CompareAll(ctx context.Context, st pipeline.Staged) error {
-	b.compareGuides(st.(*cpuStaged), 0, len(b.plan.Guides))
+func (b *cpuBackend) Compare(ctx context.Context, st pipeline.Staged) error {
+	b.compareGuides(st.(*cpuStaged))
 	return nil
 }
 
@@ -194,7 +186,7 @@ const inlineWindowWords = 4
 // strandDir maps a strand half to its hit direction.
 var strandDir = [2]byte{kernels.DirForward, kernels.DirReverse}
 
-// compareGuides tests guides lo..hi-1 at every surviving candidate. Each
+// compareGuides tests every guide at every surviving candidate. Each
 // candidate's window words are decoded into equality planes once, then every
 // guide's rows of the flat table are scored against them (pattern-major
 // inner loop); entries come out candidate, then guide, then forward before
@@ -204,7 +196,7 @@ var strandDir = [2]byte{kernels.DirForward, kernels.DirReverse}
 // compareGuides"); only patterns over inlineWindowWords words use the pooled
 // slice. Windows are read at the candidates' view coordinates; only a hit
 // pays the subtraction that makes its position chunk-local.
-func (b *cpuBackend) compareGuides(s *cpuStaged, lo, hi int) {
+func (b *cpuBackend) compareGuides(s *cpuStaged) {
 	sc := s.sc
 	tab := &b.guides
 	var buf [inlineWindowWords]windowPlanes
@@ -224,7 +216,7 @@ func (b *cpuBackend) compareGuides(s *cpuStaged, lo, hi int) {
 			a, c, g, t := eqPlanes(text)
 			planes[w] = windowPlanes{a &^ unk, c &^ unk, g &^ unk, t &^ unk}
 		}
-		for qi := lo; qi < hi; qi++ {
+		for qi := range queries {
 			limit := queries[qi].MaxMismatches
 			for st := strand; st != 0; st &= st - 1 {
 				h := bits.TrailingZeros8(st)

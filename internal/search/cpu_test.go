@@ -119,14 +119,11 @@ func backendScanChunk(t testing.TB, be pipeline.Backend, ch *genome.Chunk) []Hit
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := be.Find(ctx, st)
-	if err != nil {
+	if err := be.Find(ctx, st); err != nil {
 		t.Fatal(err)
 	}
-	if n > 0 {
-		if err := be.(pipeline.BatchComparer).CompareAll(ctx, st); err != nil {
-			t.Fatal(err)
-		}
+	if err := be.Compare(ctx, st); err != nil {
+		t.Fatal(err)
 	}
 	hits, err := be.Drain(ctx, st, new(pipeline.SiteRenderer))
 	if err != nil {
@@ -209,7 +206,7 @@ func TestScanInnerLoopZeroAllocs(t *testing.T) {
 			s.sc.findSWARCandidates(s.view, b.pattern, 0, ch.Body)
 			s.cand = s.sc.cand
 			candidates += len(s.cand)
-			b.compareGuides(s, 0, len(plan.Guides))
+			b.compareGuides(s)
 		}
 	}
 	scan() // warm the scratch on every chunk first
@@ -226,7 +223,7 @@ func TestScanInnerLoopZeroAllocs(t *testing.T) {
 	// window planes live on its own stack, not in heap objects that could
 	// share a cache line with the guide table.
 	cold := &cpuStaged{ch: s.ch, view: s.view, cand: s.cand, sc: new(scanScratch)}
-	if allocs := testing.AllocsPerRun(50, func() { b.compareGuides(cold, 0, len(plan.Guides)) }); allocs != 0 || cold.sc.planes != nil {
+	if allocs := testing.AllocsPerRun(50, func() { b.compareGuides(cold) }); allocs != 0 || cold.sc.planes != nil {
 		t.Errorf("compareGuides allocated %.1f times per call (pooled planes %v), want 0 and none", allocs, cold.sc.planes)
 	}
 
@@ -241,11 +238,11 @@ func TestScanInnerLoopZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	lb, ls := everyWindow(long, v, len(data), genome.PAMFwd|genome.PAMRev, 0)
-	lb.compareGuides(ls, 0, 1)
+	lb.compareGuides(ls)
 	if len(ls.sc.planes) <= inlineWindowWords || len(ls.sc.entries) != 0 {
 		t.Fatalf("long pattern: pooled planes %d words, %d entries; want > %d and none", len(ls.sc.planes), len(ls.sc.entries), inlineWindowWords)
 	}
-	if allocs := testing.AllocsPerRun(50, func() { lb.compareGuides(ls, 0, 1) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(50, func() { lb.compareGuides(ls) }); allocs != 0 {
 		t.Errorf("warm compareGuides of a %d-base pattern allocated %.1f times per call, want 0", long.PatternLen, allocs)
 	}
 }

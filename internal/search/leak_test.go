@@ -121,17 +121,14 @@ func TestHostOpsFailureSweep(t *testing.T) {
 					return err
 				}
 				defer b.Release(st)
-				n, err := b.Find(ctx, st)
-				if err != nil {
+				if err := b.Find(ctx, st); err != nil {
 					return err
 				}
-				if n == 0 {
-					return errors.New("chunk has no candidates; the sweep would skip Compare")
+				if st.(*simStaged).n == 0 {
+					return errors.New("chunk has no candidates; the sweep would skip the comparer")
 				}
-				for qi := range plan.Guides {
-					if err := b.Compare(ctx, st, qi); err != nil {
-						return err
-					}
+				if err := b.Compare(ctx, st); err != nil {
+					return err
 				}
 				hits, err := b.Drain(ctx, st, &pipeline.SiteRenderer{})
 				if err == nil && len(hits) == 0 {
@@ -218,9 +215,8 @@ func TestFindAllocsFlatInPages(t *testing.T) {
 				defer b.Release(st)
 				s := st.(*simStaged)
 				return testing.AllocsPerRun(20, func() {
-					n, err := b.Find(ctx, st)
-					if err != nil || n != wantN {
-						t.Fatalf("Find = %d, %v; want %d candidates", n, err, wantN)
+					if err := b.Find(ctx, st); err != nil || s.n != wantN {
+						t.Fatalf("Find = %d, %v; want %d candidates", s.n, err, wantN)
 					}
 					if err := errors.Join(b.free(s.cLoci), b.free(s.cFlags)); err != nil {
 						t.Fatal(err)
@@ -362,15 +358,15 @@ func TestArenaOverflowBounded(t *testing.T) {
 					t.Fatal(err)
 				}
 				if tt.comparer {
-					if _, err = b.Find(ctx, st); err != nil {
+					if err = b.Find(ctx, st); err != nil {
 						t.Fatal(err)
 					}
 				}
 				live := len(b.live)
 				if tt.comparer {
-					err = b.Compare(ctx, st, 0)
+					err = b.Compare(ctx, st)
 				} else {
-					_, err = b.Find(ctx, st)
+					err = b.Find(ctx, st)
 				}
 				var fe *fault.Error
 				if tt.emit < 0 {

@@ -67,17 +67,10 @@ type Profile struct {
 	// asynchronous exception handler.
 	AsyncExceptions int64
 
-	// Autotuner records, filled when the engine resolved its kernel
-	// selection through the occupancy autotuner (internal/tune).
-
-	// TunedVariant and TunedWGSize record the selected comparer variant
-	// and work-group size; empty and 0 when no tuner ran.
-	TunedVariant string
-	TunedWGSize  int
-	// TuneDecisions counts tuner decisions folded into this profile and
-	// TuneCandidates the (variant, work-group size) pairs they scored.
-	TuneDecisions  int64
-	TuneCandidates int64
+	// Tune is the run's occupancy autotuner decision (internal/tune): the
+	// comparer variant and work-group size every launch used and the
+	// (variant, work-group size) pairs it scored. Nil when no tuner ran.
+	Tune *tune.Decision
 
 	// Faults counts injected fault events by site; nil when no injector
 	// was active.
@@ -172,16 +165,6 @@ func (p *Profile) addReport(rep *pipeline.Report) {
 	p.QuarantinedChunks += len(rep.Quarantined)
 }
 
-// addTune records one autotuner decision.
-func (p *Profile) addTune(d *tune.Decision) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.TunedVariant = d.Variant.String()
-	p.TunedWGSize = d.WGSize
-	p.TuneDecisions++
-	p.TuneCandidates += int64(len(d.Candidates))
-}
-
 // addAsync counts one delivery to the SYCL async exception handler.
 func (p *Profile) addAsync() {
 	p.mu.Lock()
@@ -189,10 +172,10 @@ func (p *Profile) addAsync() {
 	p.mu.Unlock()
 }
 
-// addFaults folds the fault events the device fired during the run — the
+// addFaults records the fault events the device fired during the run — the
 // delta the engine read with Injector.Mark/LogSince, not the injector's
-// cumulative log — into the profile, keeping FaultLog in its documented
-// (site, seq) order.
+// cumulative log, and already in (site, seq) order. A run calls it once,
+// after its executor returns.
 func (p *Profile) addFaults(events []fault.Event) {
 	if len(events) == 0 {
 		return
@@ -206,7 +189,6 @@ func (p *Profile) addFaults(events []fault.Event) {
 		p.Faults[e.Site]++
 	}
 	p.FaultLog = append(p.FaultLog, events...)
-	fault.SortEvents(p.FaultLog)
 }
 
 // publish adds the run's totals to the metrics registry. It is the only
@@ -219,6 +201,10 @@ func (p *Profile) publish(m *obs.Metrics) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	var tuneDecisions, tuneCandidates int64
+	if p.Tune != nil {
+		tuneDecisions, tuneCandidates = 1, int64(len(p.Tune.Candidates))
+	}
 	for _, s := range []struct {
 		series string
 		total  int64
@@ -236,8 +222,8 @@ func (p *Profile) publish(m *obs.Metrics) {
 		{obs.MetricWatchdogKills, p.WatchdogKills},
 		{obs.MetricQuarantined, int64(p.QuarantinedChunks)},
 		{obs.MetricAsyncExceptions, p.AsyncExceptions},
-		{obs.MetricTuneDecisions, p.TuneDecisions},
-		{obs.MetricTuneCandidates, p.TuneCandidates},
+		{obs.MetricTuneDecisions, tuneDecisions},
+		{obs.MetricTuneCandidates, tuneCandidates},
 	} {
 		if s.total != 0 {
 			m.Count(s.series, s.total)
@@ -246,8 +232,8 @@ func (p *Profile) publish(m *obs.Metrics) {
 	for site, n := range p.Faults {
 		m.Count(obs.L(obs.MetricFaults, "site", string(site)), n)
 	}
-	if p.TunedVariant != "" {
-		m.Count(obs.L(obs.MetricTuneSelected, "variant", p.TunedVariant), 1)
+	if p.Tune != nil {
+		m.Count(obs.L(obs.MetricTuneSelected, "variant", p.Tune.Variant.String()), 1)
 	}
 }
 

@@ -12,19 +12,18 @@ import (
 
 // The scan paths the SWAR+batch engine replaced, kept as the references the
 // equivalence tests and the ablation benchmarks run it against: the
-// one-byte-per-base scan, the per-base scan over the 2-bit packed format
+// one-byte-per-base scan and the per-base scan over the 2-bit packed format
 // (the "2-bit sequence format" of the paper's related work [21], without
-// word parallelism), and the SWAR core with multi-pattern batching switched
-// off. internal/baseline stays the independent oracle; these share the
-// engine's executor, chunking and drain so a divergence points at the scan.
+// word parallelism). internal/baseline stays the independent oracle; these
+// share the engine's executor, chunking and drain so a divergence points at
+// the scan.
 
 // refArm selects a reference scan.
 type refArm int
 
 const (
-	refBytes   refArm = iota // IUPAC byte tables, one base per load
-	refScalar                // 2-bit codes against 4-bit masks, one base per lookup
-	refNoBatch               // the production backend, one Compare call per guide
+	refBytes  refArm = iota // IUPAC byte tables, one base per load
+	refScalar               // 2-bit codes against 4-bit masks, one base per lookup
 )
 
 // refCPU is CPU with the scan swapped for a reference arm.
@@ -43,11 +42,6 @@ func (c *refCPU) Stream(ctx context.Context, asm *genome.Assembly, req *Request,
 	x := &pipeline.Executor{Slots: make([]pipeline.Slot, (&CPU{Workers: c.Workers}).workers()), Track: c.Name()}
 	for i := range x.Slots {
 		x.Slots[i].Open = func(plan *pipeline.Plan) (pipeline.Backend, error) {
-			if c.Arm == refNoBatch {
-				// Embedding the interface hides CompareAll, so the
-				// attempt loops Compare per guide.
-				return struct{ pipeline.Backend }{newCPUBackend(plan)}, nil
-			}
 			return &refBackend{plan: plan, scalar: c.Arm == refScalar}, nil
 		}
 	}
@@ -70,28 +64,31 @@ func (b *refBackend) Stage(ctx context.Context, ch *genome.Chunk) (pipeline.Stag
 	return &refStaged{ch: ch}, nil
 }
 
-func (b *refBackend) Find(ctx context.Context, st pipeline.Staged) (int, error) {
+func (b *refBackend) Find(ctx context.Context, st pipeline.Staged) error {
 	s := st.(*refStaged)
 	if !b.scalar {
 		s.sc.findCandidates(s.ch, b.plan.Pattern)
-		return len(s.sc.cand), nil
+		return nil
 	}
 	for i, c := range s.ch.Data {
 		if !genome.IsCode(c) {
-			return 0, fmt.Errorf("search: packing chunk at %s:%d: invalid code %q at offset %d", s.ch.SeqName, s.ch.Start, c, i)
+			return fmt.Errorf("search: packing chunk at %s:%d: invalid code %q at offset %d", s.ch.SeqName, s.ch.Start, c, i)
 		}
 	}
 	s.sc.findPackedCandidates(s.ch, b.plan.Pattern)
-	return len(s.sc.cand), nil
+	return nil
 }
 
-func (b *refBackend) Compare(ctx context.Context, st pipeline.Staged, qi int) error {
+// Compare runs one guide at a time over the candidates.
+func (b *refBackend) Compare(ctx context.Context, st pipeline.Staged) error {
 	s := st.(*refStaged)
-	g, limit := b.plan.Guides[qi], b.plan.Request.Queries[qi].MaxMismatches
-	if b.scalar {
-		s.sc.comparePacked(s.ch.Data, g, qi, limit)
-	} else {
-		s.sc.compare(s.ch.Data, g, qi, limit)
+	for qi, g := range b.plan.Guides {
+		limit := b.plan.Request.Queries[qi].MaxMismatches
+		if b.scalar {
+			s.sc.comparePacked(s.ch.Data, g, qi, limit)
+		} else {
+			s.sc.compare(s.ch.Data, g, qi, limit)
+		}
 	}
 	return nil
 }

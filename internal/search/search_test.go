@@ -261,7 +261,7 @@ func fuzzFaultArm(t *testing.T, asm *genome.Assembly, req *Request, want []Hit, 
 // FuzzEngines is the cross-engine differential fuzzer: every engine, over
 // the FASTA-backed assembly and over its artifact after a codec round trip,
 // must return exactly the hits of the naive internal/baseline scan, and so
-// must the three reference scans of ref_test.go over the FASTA assembly;
+// must the two reference scans of ref_test.go over the FASTA assembly;
 // then the simulator engines again under a fault plan drawn from the same
 // bytes (seed from chunk, rate up to 0.3 from budget), with the run's ledger
 // in the oracle (fuzzFaultArm). The simulator engines' comparer is drawn
@@ -315,7 +315,6 @@ func FuzzEngines(f *testing.F) {
 			{&SimSYCL{Device: gpu.New(device.MI100(), gpu.WithWorkers(4)), Variant: v, WorkGroupSize: 64}, both},
 			{&refCPU{Workers: 2, Arm: refBytes}, both[:1]},
 			{&refCPU{Workers: 2, Arm: refScalar}, both[:1]},
-			{&refCPU{Workers: 2, Arm: refNoBatch}, both[:1]},
 		} {
 			for _, in := range tc.in {
 				got, err := tc.eng.Run(in.asm, req)

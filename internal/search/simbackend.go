@@ -144,9 +144,6 @@ type simBackend struct {
 // Close.
 func newSimBackend(e *simCore, plan *pipeline.Plan) (_ *simBackend, err error) {
 	b := &simBackend{e: e, plan: plan, prof: e.profile, live: make(map[devBuf]struct{})}
-	if e.tuned != nil {
-		b.prof.addTune(e.tuned)
-	}
 	defer func() {
 		if err != nil {
 			b.Close()
@@ -390,6 +387,7 @@ type simStaged struct {
 
 	chr, cLoci, cFlags devBuf
 
+	// n is the finder's candidate count, the length of cLoci and cFlags.
 	n       int
 	entries []rawHit
 }
@@ -431,18 +429,18 @@ var (
 // keeps the candidates off the bus entirely. The gather reads the page
 // order and offsets from the arena tables still on the device; the host's
 // decoded geometry only sizes the dense buffers.
-func (b *simBackend) Find(ctx context.Context, st pipeline.Staged) (int, error) {
+func (b *simBackend) Find(ctx context.Context, st pipeline.Staged) error {
 	s := st.(*simStaged)
 	sites := s.ch.Body
 	if sites == 0 {
 		// A final chunk can own zero site starts (its body is shorter than
 		// the pattern's overlap); there is nothing to scan, and a zero-sized
 		// ND-range cannot be launched.
-		return 0, nil
+		return nil
 	}
 	pad := b.groupSize()
 	gws := (sites + pad - 1) / pad * pad
-	err := b.runArena(alloc.WorstCase(gws/pad, pad), &arenaPass{
+	return b.runArena(alloc.WorstCase(gws/pad, pad), &arenaPass{
 		kernel:  "finder",
 		outKind: bufState, outElems: finderOut, entryBytes: finderEntryBytes,
 		pad:   pad,
@@ -472,19 +470,29 @@ func (b *simBackend) Find(ctx context.Context, st pipeline.Staged) (int, error) 
 			})
 		},
 	})
-	if err != nil {
-		return 0, err
-	}
-	return s.n, nil
 }
 
-// Compare implements pipeline.Backend: upload one guide's tables, launch the
-// comparer (two slots per candidate in the worst case) and gather the
-// entries with ranged reads of each claimed page's valid prefix — the
-// readback traffic is the counted entries however sparsely the pages are
-// filled.
-func (b *simBackend) Compare(ctx context.Context, st pipeline.Staged, qi int) (err error) {
+// Compare implements pipeline.Backend: one comparer launch per guide, in
+// query order, as the paper's host programs issue them. A chunk the finder
+// left without candidates launches nothing and stages no guide tables.
+func (b *simBackend) Compare(ctx context.Context, st pipeline.Staged) error {
 	s := st.(*simStaged)
+	if s.n == 0 {
+		return nil
+	}
+	for qi := range b.plan.Guides {
+		if err := b.compareGuide(ctx, s, qi); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// compareGuide uploads one guide's tables, launches the comparer (two slots
+// per candidate in the worst case) and gathers the entries with ranged reads
+// of each claimed page's valid prefix — the readback traffic is the counted
+// entries however sparsely the pages are filled.
+func (b *simBackend) compareGuide(ctx context.Context, s *simStaged, qi int) (err error) {
 	g := b.plan.Guides[qi]
 	q := b.plan.Request.Queries[qi]
 

@@ -9,7 +9,6 @@ import (
 	"casoffinder/internal/kernels"
 	"casoffinder/internal/obs"
 	"casoffinder/internal/pipeline"
-	"casoffinder/internal/tune"
 )
 
 // simConfig is the configuration and run state of a simulator engine. SimCL
@@ -50,11 +49,10 @@ type simConfig struct {
 	worstCaseArena bool
 
 	// profile is the current run's one ledger: set before anything that can
-	// fail, written by the run's backend, and what LastProfile returns.
+	// fail, written by the run's backend, and what LastProfile returns. Its
+	// Tune is the run's autotuner decision, set by stream before the backend
+	// opens and read-only while the run is live.
 	profile *Profile
-	// tuned is the resolved autotuner decision for the current run; set by
-	// stream before the backend opens, read-only while the run is live.
-	tuned *tune.Decision
 }
 
 // simCore is the engine body SimCL and SimSYCL share: the engine's
@@ -71,8 +69,8 @@ type simCore struct {
 // comparer is the variant the run actually launches: the tuner's selection
 // when one was resolved, the configured one otherwise.
 func (e *simCore) comparer() kernels.ComparerVariant {
-	if e.tuned != nil {
-		return e.tuned.Variant
+	if d := e.profile.Tune; d != nil {
+		return d.Variant
 	}
 	return e.Variant
 }
@@ -80,8 +78,8 @@ func (e *simCore) comparer() kernels.ComparerVariant {
 // wgSize is the launch local size: the tuner's selection when one was
 // resolved, the forced size otherwise, else the engine's default.
 func (e *simCore) wgSize() int {
-	if e.tuned != nil {
-		return e.tuned.WGSize
+	if d := e.profile.Tune; d != nil {
+		return d.WGSize
 	}
 	if e.WorkGroupSize > 0 {
 		return e.WorkGroupSize
@@ -104,13 +102,12 @@ func (e *simCore) stream(ctx context.Context, asm *genome.Assembly, req *Request
 	}
 	// Resolve the tuner before the slot opens its backend; the decision is
 	// read-only for the rest of the run.
-	e.tuned = nil
 	if e.Auto {
 		d, err := autotuneDecision(e.Device, req)
 		if err != nil {
 			return fmt.Errorf("search: %s: autotune: %w", e.name, err)
 		}
-		e.tuned = d
+		e.profile.Tune = d
 	}
 	e.Device.SetObs(e.Trace, e.Metrics, e.name+"/gpu")
 	// Mark the injector before the run so only this run's fault delta is

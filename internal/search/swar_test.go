@@ -13,9 +13,9 @@ import (
 	"casoffinder/internal/pipeline"
 )
 
-// TestSWARPathsEquivalence: the engine's batched SWAR scan and the three
-// reference arms — the byte path, the unbatched SWAR path and the per-base
-// scalar packed path — all return byte-identical hits on randomized genomes.
+// TestSWARPathsEquivalence: the engine's batched SWAR scan and the two
+// reference arms — the byte path and the per-base scalar packed path — all
+// return byte-identical hits on randomized genomes.
 func TestSWARPathsEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -34,7 +34,6 @@ func TestSWARPathsEquivalence(t *testing.T) {
 		}
 		for _, eng := range []Engine{
 			&CPU{Workers: 2},
-			&refCPU{Workers: 2, Arm: refNoBatch},
 			&refCPU{Workers: 2, Arm: refScalar},
 		} {
 			got, err := eng.Run(asm, req)
@@ -262,7 +261,7 @@ func FuzzSWARMismatch(f *testing.F) {
 		}
 		limit %= plen + 2
 		b, s := everyWindow(pair, v, len(seq), genome.PAMFwd|genome.PAMRev, limit)
-		b.compareGuides(s, 0, 1)
+		b.compareGuides(s)
 		entries := s.sc.entries
 		upper := genome.Upper(seq)
 		for pos := 0; pos+plen <= len(seq); pos++ {

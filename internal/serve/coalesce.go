@@ -1,5 +1,5 @@
-// Cross-request guide coalescing: the production form of the pipeline's
-// multi-pattern batching (pipeline.BatchComparer, ~3.2x over independent
+// Cross-request guide coalescing: the production form of the CPU scan's
+// multi-pattern batching (one fused compare per chunk, ~3.2x over independent
 // passes). Every request joins a batch: requests that share a coalescing
 // key — (genome, PAM pattern) — and arrive within a fixed 2 ms window are
 // merged into one genome pass whose request carries every member's guides

@@ -14,7 +14,7 @@ import (
 )
 
 // DefaultCandidateRate is the assumed fraction of chunk positions that
-// survive the PAM prefilter when the caller has no measured rate.
+// survive the PAM prefilter.
 const DefaultCandidateRate = 0.05
 
 // estimateDefaultChunkBytes sizes the synthetic chunk when the caller
@@ -32,9 +32,6 @@ type ChunkEstimate struct {
 	// a 23-base pattern and one guide.
 	PatternLen int
 	Queries    int
-	// CandidateRate is the PAM survival fraction; non-positive means
-	// DefaultCandidateRate.
-	CandidateRate float64
 }
 
 // launchGroups is the work-group count of a launch over n items.
@@ -111,15 +108,11 @@ func (e ChunkEstimate) parts(chunkBytes int) (finderSec, comparerSec, hostSec fl
 	if q <= 0 {
 		q = 1
 	}
-	rate := e.CandidateRate
-	if rate <= 0 {
-		rate = DefaultCandidateRate
-	}
 
 	// Finder: one work-item per position, a coalesced sequential window
 	// read plus a constant-cache scaffold fetch and a few ALU ops.
 	sites := int64(chunkBytes)
-	cand := int64(rate * float64(sites))
+	cand := int64(DefaultCandidateRate * float64(sites))
 	if cand < 1 {
 		cand = 1
 	}
