@@ -12,7 +12,8 @@
 //	casoffinder [-engine cpu|opencl|sycl] [-device MI100] [-variant auto]
 //	            [-index build|use] [-index-file genome.cart]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
-//	            [-fault-rate 0.05 -fault-seed 42] [-watchdog 5s]
+//	            [-fault-rate 0.05 -fault-seed 42 -fault-site S]
+//	            [-watchdog 5s] [-max-retries N] [-workers N]
 //	            [-trace trace.json] [-metrics metrics.prom]
 //	            [-format text|json] [-timeout 30s]
 //	            [-o output.txt] input.txt
@@ -38,12 +39,15 @@
 // selected kernel is reported on stderr with the profile; output is
 // byte-identical across all variants.
 //
-// The fault flags drive the simulator engines through seeded deterministic
-// fault injection with a resilience policy set: transient failures
-// retry with backoff, hung kernels are reaped by -watchdog (without it an
+// The engine flags (-engine, -device, -workers and the fault and recovery
+// flags) are search.Options, shared with casoffinderd. A simulator engine
+// always runs under the recovery policy: transient failures retry with
+// backoff (-max-retries), hung kernels are reaped by -watchdog (without it an
 // injected hang fails its launch at once), and chunks the simulated device
-// cannot complete fail over to the CPU engine, preserving
-// the output byte-for-byte. A degradation summary goes to stderr.
+// cannot complete fail over to the CPU engine, preserving the output
+// byte-for-byte. The fault flags add seeded deterministic fault injection,
+// and a degradation summary goes to stderr. The cpu engine takes none of the
+// fault or recovery flags.
 //
 // -trace records every pipeline stage, kernel launch and resilience event
 // as Chrome trace-event JSON (load it in chrome://tracing or Perfetto);
@@ -75,9 +79,6 @@ import (
 
 	"casoffinder/internal/fault"
 	"casoffinder/internal/genome"
-	"casoffinder/internal/gpu"
-	"casoffinder/internal/gpu/device"
-	"casoffinder/internal/kernels"
 	"casoffinder/internal/obs"
 	"casoffinder/internal/pipeline"
 	"casoffinder/internal/search"
@@ -124,21 +125,14 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("casoffinder", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	engineName := fs.String("engine", "cpu", "search engine: cpu, opencl or sycl")
-	deviceName := fs.String("device", "MI100", "simulated device for the opencl/sycl engines")
-	variantName := fs.String("variant", "auto", "comparer kernel variant: auto (per-device occupancy autotuner), base or opt1..opt4")
+	var opts search.Options
+	opts.Register(fs)
+	fs.StringVar(&opts.Variant, "variant", "auto", "comparer kernel variant: auto (per-device occupancy autotuner), base or opt1..opt4")
 	outPath := fs.String("o", "", "output file (default stdout)")
 	format := fs.String("format", "text", "hit output format: text (tab-separated) or json (NDJSON, one hit object per line)")
 	timeout := fs.Duration("timeout", 0, "overall run deadline; an expired run exits 1 with a client.deadline error (0 = none)")
-	workers := fs.Int("workers", 0, "cpu engine workers (0 = all cores)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
-	faultRate := fs.Float64("fault-rate", 0, "simulator fault injection probability in [0, 1] (0 = off)")
-	faultSeed := fs.Uint64("fault-seed", 1, "seed for the deterministic fault schedule and retry jitter")
-	faultSite := fs.String("fault-site", "", "restrict injection to one fault site (default: all sites)")
-	faultAfter := fs.Int("fault-after", 0, "skip the first N eligible events per site before injecting")
-	watchdog := fs.Duration("watchdog", 0, "deadline per backend phase; a hung simulated kernel is cancelled and retried (0 = off)")
-	maxRetries := fs.Int("max-retries", 0, "chunk retries before CPU failover (0 = default 2, negative = none)")
 	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON of the run to this file (open in chrome://tracing or Perfetto)")
 	metricsPath := fs.String("metrics", "", "write run metrics to this file (Prometheus text exposition)")
 	indexMode := fs.String("index", "", "genome artifact mode: 'build' packs the genome (with a PAM-site index for this input's pattern) into the artifact file and searches from it; 'use' loads a previously built artifact instead of parsing FASTA")
@@ -152,32 +146,26 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if fs.NArg() != 1 {
 		return usageError{fmt.Errorf("usage: casoffinder [flags] input.txt")}
 	}
-	if *faultRate < 0 || *faultRate > 1 {
-		return usageError{fmt.Errorf("-fault-rate %v outside [0, 1]", *faultRate)}
-	}
 	switch *format {
 	case "text", "json":
 	default:
 		return usageError{fmt.Errorf("unknown -format %q (want text or json)", *format)}
 	}
-	// A negative deadline, skip count or worker count would silently read
-	// as "off" or "all cores".
-	for _, name := range []string{"timeout", "watchdog", "fault-after", "workers"} {
-		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
-			return usageError{fmt.Errorf("-%s %s is negative", name, v)}
-		}
+	// A negative deadline would silently read as "none".
+	if *timeout < 0 {
+		return usageError{fmt.Errorf("-timeout %v is negative", *timeout)}
 	}
-	faultPlan := fault.Plan{Seed: *faultSeed, Rate: *faultRate, After: *faultAfter}
-	if *faultSite != "" {
-		site, serr := fault.ParseSite(*faultSite)
-		if serr != nil {
-			return usageError{serr}
-		}
-		faultPlan.Site = site
+	var tracer *obs.Tracer
+	if *tracePath != "" {
+		tracer = obs.NewTracer()
 	}
-	var res *pipeline.Resilience
-	if *faultRate > 0 || *watchdog > 0 {
-		res = &pipeline.Resilience{MaxRetries: *maxRetries, Watchdog: *watchdog, Seed: *faultSeed}
+	var metrics *obs.Metrics
+	if *metricsPath != "" {
+		metrics = obs.NewMetrics()
+	}
+	eng, _, err := opts.Open(tracer, metrics)
+	if err != nil {
+		return usageError{err}
 	}
 
 	if *cpuProfile != "" {
@@ -211,24 +199,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 
 	asm, err := loadAssembly(input, *indexMode, *indexFile, stderr)
-	if err != nil {
-		return err
-	}
-
-	variant, auto, err := kernels.ParseVariant(*variantName)
-	if err != nil {
-		return usageError{err}
-	}
-	var tracer *obs.Tracer
-	if *tracePath != "" {
-		tracer = obs.NewTracer()
-	}
-	var metrics *obs.Metrics
-	if *metricsPath != "" {
-		metrics = obs.NewMetrics()
-	}
-
-	eng, profiler, err := buildEngine(*engineName, *deviceName, variant, auto, *workers, faultPlan, res, tracer, metrics)
 	if err != nil {
 		return err
 	}
@@ -280,7 +250,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		fmt.Fprintf(stderr, "%d sites reported\n", count)
 	}
 
-	if profiler != nil {
+	if profiler, ok := eng.(search.Profiler); ok {
 		if p := profiler.LastProfile(); p != nil {
 			fmt.Fprintf(stderr, "profile: %d chunks, %d candidate sites, %d entries\n",
 				p.Chunks, p.CandidateSites, p.Entries)
@@ -412,35 +382,4 @@ func printAutotune(stderr io.Writer, engine string, p *search.Profile) {
 	}
 	fmt.Fprintf(stderr, "autotune: %-14s variant=%s wg=%d (model, %d candidates scored)\n",
 		engine, p.Tune.Variant, p.Tune.WGSize, len(p.Tune.Candidates))
-}
-
-func buildEngine(engine, deviceName string, variant kernels.ComparerVariant, auto bool, workers int,
-	faultPlan fault.Plan, res *pipeline.Resilience, tracer *obs.Tracer, metrics *obs.Metrics) (search.Engine, search.Profiler, error) {
-	switch engine {
-	case "cpu":
-		// The fault sites all live in the simulated runtimes; a silent
-		// no-op here would make "-fault-rate 0.3 -engine cpu" look like a
-		// passing resilience run.
-		if faultPlan.Rate > 0 || res != nil {
-			return nil, nil, usageError{fmt.Errorf("fault injection flags need the opencl or sycl engine, not %q", engine)}
-		}
-		return &search.CPU{Workers: workers, Trace: tracer, Metrics: metrics}, nil, nil
-	case "opencl", "sycl":
-		spec, err := device.ByName(deviceName)
-		if err != nil {
-			return nil, nil, usageError{err}
-		}
-		dev := gpu.New(spec)
-		if in := fault.NewInjector(faultPlan); in != nil {
-			dev.SetFaults(in)
-		}
-		if engine == "opencl" {
-			e := &search.SimCL{Device: dev, Variant: variant, Auto: auto, Resilience: res, Trace: tracer, Metrics: metrics}
-			return e, e, nil
-		}
-		e := &search.SimSYCL{Device: dev, Variant: variant, Auto: auto, Resilience: res, Trace: tracer, Metrics: metrics}
-		return e, e, nil
-	default:
-		return nil, nil, usageError{fmt.Errorf("unknown engine %q (want cpu, opencl or sycl)", engine)}
-	}
 }

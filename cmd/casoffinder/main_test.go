@@ -219,8 +219,10 @@ func TestRunUsageErrorsExitUsage(t *testing.T) {
 		{"bad fault site", []string{"-engine", "opencl", "-fault-rate", "0.5", "-fault-site", "gpu.meltdown", input}},
 		{"retired fault site", []string{"-engine", "sycl", "-fault-site", "sycl.usm", input}},
 		{"fault rate out of range", []string{"-engine", "opencl", "-fault-rate", "1.5", input}},
+		{"fault rate NaN", []string{"-engine", "cpu", "-fault-rate", "NaN", input}},
 		{"fault flags on cpu engine", []string{"-engine", "cpu", "-fault-rate", "0.5", input}},
 		{"watchdog on cpu engine", []string{"-engine", "cpu", "-watchdog", "1s", input}},
+		{"retries on cpu engine", []string{"-engine", "cpu", "-max-retries", "3", input}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -351,9 +353,10 @@ func TestRunAutoVariant(t *testing.T) {
 	}
 }
 
-// TestRunRetiredFlags: the second tuner pass, the sixth comparer and the
-// multi-device fleet are gone, so naming them is a usage mistake (exit 2),
-// and what the command says it accepts is what is left.
+// TestRunRetiredFlags: the second tuner pass, the sixth comparer, the
+// multi-device fleet and the per-site fault skip count are gone, so naming
+// them is a usage mistake (exit 2), and what the command says it accepts is
+// what is left.
 func TestRunRetiredFlags(t *testing.T) {
 	input := writeTestData(t, "NNNNNNNNNNNGG")
 	for _, tt := range []struct {
@@ -365,6 +368,7 @@ func TestRunRetiredFlags(t *testing.T) {
 		{[]string{"-engine", "sycl", "-autotune", "turbo"}, "flag provided but not defined"},
 		{[]string{"-engine", "opencl", "-variant", "bitparallel"}, "want auto, base or opt1..opt4"},
 		{[]string{"-engine", "sycl", "-devices", "mi60,mi100"}, "flag provided but not defined"},
+		{[]string{"-engine", "sycl", "-fault-rate", "0.2", "-fault-after", "1"}, "flag provided but not defined"},
 	} {
 		var out, errOut bytes.Buffer
 		err := run(append(tt.args, input), &out, &errOut)
@@ -531,7 +535,6 @@ func TestRunFormatTimeoutUsageErrors(t *testing.T) {
 		{"unknown format", []string{"-format", "xml", plain}},
 		{"negative timeout", []string{"-timeout", "-1s", plain}},
 		{"negative watchdog", []string{"-engine", "sycl", "-watchdog", "-1s", plain}},
-		{"negative fault-after", []string{"-engine", "sycl", "-fault-rate", "0.2", "-fault-after", "-5", plain}},
 		{"negative workers", []string{"-workers", "-3", plain}},
 	}
 	for _, tt := range tests {

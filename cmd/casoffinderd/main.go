@@ -11,7 +11,7 @@
 //	             -genome [name=]path | -artifact [name=]genome.cart  (repeatable)
 //	             [-engine cpu|opencl|sycl] [-device MI100]
 //	             [-workers N]
-//	             [-fault-rate 0.05 -fault-seed 42 -fault-site S -fault-after N]
+//	             [-fault-rate 0.05 -fault-seed 42 -fault-site S]
 //	             [-watchdog 5s] [-max-retries N]
 //	             [-max-inflight 4] [-max-queue 64] [-max-inflight-bytes N]
 //	             [-max-body-bytes N] [-max-guides N]
@@ -36,12 +36,12 @@
 // pick their comparer kernel with the occupancy autotuner; the daemon prints
 // no kernel profile, so the CLI's -variant has no counterpart here.
 //
-// The fault flags drive the simulator engines exactly as in the CLI; a
-// degraded pass (retries, failovers, quarantined chunks) completes its
-// response and reports the degradation in the trailer rather than dropping
-// the connection. On SIGINT/SIGTERM the daemon stops admitting, sheds its
-// queue with 503s, drains in-flight streams up to -drain-timeout, then
-// exits.
+// The engine flags are the CLI's (search.Options). A simulator engine always
+// runs under the recovery policy, so a degraded pass (retries, failovers,
+// quarantined chunks) completes its response and reports the degradation in
+// the trailer rather than dropping the connection. On SIGINT/SIGTERM the
+// daemon stops admitting, sheds its queue with 503s, drains in-flight
+// streams up to -drain-timeout, then exits.
 //
 // Exit codes: 0 on clean shutdown, 1 on a runtime error, 2 on a usage error.
 package main
@@ -61,12 +61,8 @@ import (
 	"syscall"
 	"time"
 
-	"casoffinder/internal/fault"
 	"casoffinder/internal/genome"
-	"casoffinder/internal/gpu"
-	"casoffinder/internal/gpu/device"
 	"casoffinder/internal/obs"
-	"casoffinder/internal/pipeline"
 	"casoffinder/internal/search"
 	"casoffinder/internal/serve"
 )
@@ -152,15 +148,8 @@ func setup(args []string, stderr io.Writer) (*daemon, error) {
 	var genomes, artifacts repeatFlag
 	fs.Var(&genomes, "genome", "FASTA genome file or directory to keep resident, optionally name=path (repeatable)")
 	fs.Var(&artifacts, "artifact", ".cart genome artifact to mmap resident, optionally name=path (repeatable)")
-	engineName := fs.String("engine", "cpu", "search engine: cpu, opencl or sycl")
-	deviceName := fs.String("device", "MI100", "simulated device for the opencl/sycl engines")
-	workers := fs.Int("workers", 0, "cpu engine workers (0 = all cores)")
-	faultRate := fs.Float64("fault-rate", 0, "simulator fault injection probability in [0, 1] (0 = off)")
-	faultSeed := fs.Uint64("fault-seed", 1, "seed for the deterministic fault schedule and retry jitter")
-	faultSite := fs.String("fault-site", "", "restrict injection to one fault site (default: all sites)")
-	faultAfter := fs.Int("fault-after", 0, "skip the first N eligible events per site before injecting")
-	watchdog := fs.Duration("watchdog", 0, "deadline per backend phase for the simulator engines (0 = off)")
-	maxRetries := fs.Int("max-retries", 0, "chunk retries before CPU failover (0 = default 2, negative = none)")
+	var opts search.Options
+	opts.Register(fs)
 	maxInflight := fs.Int("max-inflight", 0, "concurrent genome passes (0 = default)")
 	maxQueue := fs.Int("max-queue", 0, "queued requests beyond the inflight slots (0 = default)")
 	maxInflightBytes := fs.Int64("max-inflight-bytes", 0, "summed body bytes admitted at once (0 = default)")
@@ -182,25 +171,26 @@ func setup(args []string, stderr io.Writer) (*daemon, error) {
 	if len(genomes)+len(artifacts) == 0 {
 		return nil, usageError{fmt.Errorf("no genomes: pass at least one -genome or -artifact")}
 	}
-	if *faultRate < 0 || *faultRate > 1 {
-		return nil, usageError{fmt.Errorf("-fault-rate %v outside [0, 1]", *faultRate)}
-	}
-	// A negative deadline, skip count, worker count or limit would silently
-	// read as "off", "all cores" or "default".
-	for _, name := range []string{"watchdog", "fault-after", "workers",
-		"max-inflight", "max-queue", "max-inflight-bytes", "max-body-bytes", "max-guides",
-		"quota-rate", "quota-burst", "drain-timeout"} {
-		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
+	// A negative limit or deadline would silently read as "default" or
+	// "off", and a NaN quota passes every comparison.
+	for _, name := range []string{"max-inflight", "max-queue", "max-inflight-bytes", "max-body-bytes",
+		"max-guides", "quota-rate", "quota-burst", "drain-timeout"} {
+		switch v := fs.Lookup(name).Value.String(); {
+		case strings.HasPrefix(v, "-"):
 			return nil, usageError{fmt.Errorf("-%s %s is negative", name, v)}
+		case v == "NaN":
+			return nil, usageError{fmt.Errorf("-%s %s is not a number", name, v)}
 		}
 	}
-	faultPlan := fault.Plan{Seed: *faultSeed, Rate: *faultRate, After: *faultAfter}
-	if *faultSite != "" {
-		site, serr := fault.ParseSite(*faultSite)
-		if serr != nil {
-			return nil, usageError{serr}
-		}
-		faultPlan.Site = site
+	metrics := obs.NewMetrics() // always on: /metrics is part of the service
+	var tracer *obs.Tracer
+	if *tracePath != "" {
+		tracer = obs.NewTracer()
+	}
+	opts.Variant = "auto" // no -variant here: the simulator engines always autotune
+	eng, res, err := opts.Open(tracer, metrics)
+	if err != nil {
+		return nil, usageError{err}
 	}
 
 	resident, err := loadGenomes(genomes, artifacts, stderr)
@@ -208,20 +198,11 @@ func setup(args []string, stderr io.Writer) (*daemon, error) {
 		return nil, err
 	}
 
-	metrics := obs.NewMetrics() // always on: /metrics is part of the service
-	var tracer *obs.Tracer
-	if *tracePath != "" {
-		tracer = obs.NewTracer()
-	}
-
-	eng, res, serialize, err := buildEngine(*engineName, *deviceName, *workers, faultPlan, *watchdog, *maxRetries, *faultSeed, tracer, metrics)
-	if err != nil {
-		return nil, err
-	}
-
+	// Only a simulator engine has a recovery policy, and its device state is
+	// mutable: its passes run one at a time.
 	srv, err := serve.New(serve.Config{
 		Engine:          eng,
-		SerializePasses: serialize,
+		SerializePasses: res != nil,
 		Genomes:         resident,
 		Limits: serve.Limits{
 			MaxInflight:      *maxInflight,
@@ -362,38 +343,4 @@ func splitSpec(spec string) (name, path string) {
 	}
 	base := filepath.Base(strings.TrimSuffix(spec, string(os.PathSeparator)))
 	return strings.TrimSuffix(base, filepath.Ext(base)), spec
-}
-
-// buildEngine mirrors the CLI's engine construction for the daemon's subset:
-// the CPU engine runs passes concurrently; the simulator engines carry
-// mutable device state, so they run with a resilience policy (for trailer
-// reports and CPU failover) and serialized passes, and always autotuned.
-func buildEngine(engineName, deviceName string, workers int,
-	faultPlan fault.Plan, watchdog time.Duration, maxRetries int, seed uint64,
-	tracer *obs.Tracer, metrics *obs.Metrics) (search.Engine, *pipeline.Resilience, bool, error) {
-	switch engineName {
-	case "cpu":
-		if faultPlan.Rate > 0 || watchdog > 0 {
-			return nil, nil, false, usageError{fmt.Errorf("fault injection flags need the opencl or sycl engine, not %q", engineName)}
-		}
-		return &search.CPU{Workers: workers, Trace: tracer, Metrics: metrics}, nil, false, nil
-	case "opencl", "sycl":
-		spec, err := device.ByName(deviceName)
-		if err != nil {
-			return nil, nil, false, usageError{err}
-		}
-		dev := gpu.New(spec)
-		if in := fault.NewInjector(faultPlan); in != nil {
-			dev.SetFaults(in)
-		}
-		// Always resilient in the daemon: a device fault must degrade a
-		// response, never fail it, and the report sink feeds the trailers.
-		res := &pipeline.Resilience{MaxRetries: maxRetries, Watchdog: watchdog, Seed: seed}
-		if engineName == "opencl" {
-			return &search.SimCL{Device: dev, Auto: true, Resilience: res, Trace: tracer, Metrics: metrics}, res, true, nil
-		}
-		return &search.SimSYCL{Device: dev, Auto: true, Resilience: res, Trace: tracer, Metrics: metrics}, res, true, nil
-	default:
-		return nil, nil, false, usageError{fmt.Errorf("unknown engine %q (want cpu, opencl or sycl)", engineName)}
-	}
 }

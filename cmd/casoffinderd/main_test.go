@@ -325,13 +325,15 @@ func TestSetupUsageErrors(t *testing.T) {
 		{"bad variant", []string{"-genome", dir, "-variant", "opt9"}},
 		{"retired variant", []string{"-genome", dir, "-variant", "bitparallel"}},
 		{"retired -variant", []string{"-genome", dir, "-engine", "sycl", "-variant", "auto"}},
+		{"retired -fault-after", []string{"-genome", dir, "-engine", "opencl", "-fault-rate", "0.2", "-fault-after", "1"}},
 		{"fault flags on cpu", []string{"-genome", dir, "-fault-rate", "0.5"}},
 		{"fault rate out of range", []string{"-genome", dir, "-engine", "opencl", "-fault-rate", "2"}},
+		{"fault rate NaN", []string{"-genome", dir, "-engine", "opencl", "-fault-rate", "NaN"}},
+		{"fault seed on cpu", []string{"-genome", dir, "-fault-seed", "9"}},
 		{"bad fault site", []string{"-genome", dir, "-engine", "opencl", "-fault-rate", "1", "-fault-site", "gpu.meltdown"}},
 		{"retired fault site", []string{"-genome", dir, "-engine", "sycl", "-fault-site", "sycl.usm"}},
 		{"duplicate genome name", []string{"-genome", dir, "-genome", dir}},
 		{"negative watchdog", []string{"-genome", dir, "-engine", "sycl", "-watchdog", "-1s"}},
-		{"negative fault-after", []string{"-genome", dir, "-engine", "opencl", "-fault-rate", "0.2", "-fault-after", "-5"}},
 		{"negative workers", []string{"-genome", dir, "-workers", "-3"}},
 		{"negative max-inflight", []string{"-genome", dir, "-max-inflight", "-1"}},
 		{"negative max-queue", []string{"-genome", dir, "-max-queue", "-1"}},
@@ -340,6 +342,8 @@ func TestSetupUsageErrors(t *testing.T) {
 		{"negative max-guides", []string{"-genome", dir, "-max-guides", "-1"}},
 		{"negative quota-rate", []string{"-genome", dir, "-quota-rate", "-0.5"}},
 		{"negative quota-burst", []string{"-genome", dir, "-quota-burst", "-2"}},
+		{"NaN quota-rate", []string{"-genome", dir, "-quota-rate", "NaN"}},
+		{"NaN quota-burst", []string{"-genome", dir, "-quota-rate", "5", "-quota-burst", "NaN"}},
 		{"negative drain-timeout", []string{"-genome", dir, "-drain-timeout", "-1s"}},
 	}
 	for _, tt := range tests {
@@ -351,6 +355,9 @@ func TestSetupUsageErrors(t *testing.T) {
 			}
 			if got := exitCode(err); got != exitUsage {
 				t.Errorf("exitCode = %d, want %d (err: %v)", got, exitUsage, err)
+			}
+			if strings.HasPrefix(tt.name, "retired -") && !strings.Contains(err.Error(), "flag provided but not defined") {
+				t.Errorf("err = %v, want an unknown flag", err)
 			}
 		})
 	}

@@ -35,13 +35,13 @@ const (
 	SYCL   API = "SYCL"
 )
 
-// ExamplePattern and ExampleQueries reproduce the upstream example input
+// ExamplePattern and exampleQueries reproduce the upstream example input
 // (cas-offinder README, reference [17]): an SpCas9 NRG PAM scaffold and two
 // 20-nt guides searched with up to 5 mismatches.
 const ExamplePattern = "NNNNNNNNNNNNNNNNNNNNNRG"
 
-// ExampleQueries returns the example guide queries.
-func ExampleQueries() []search.Query {
+// exampleQueries returns the example guide queries.
+func exampleQueries() []search.Query {
 	return []search.Query{
 		{Guide: "GGCCGACCTGTCGCTGACGCNNN", MaxMismatches: 5},
 		{Guide: "CGCCAGCGTCAGCGACAGGTNNN", MaxMismatches: 5},
@@ -74,7 +74,7 @@ func HG19Workload(scaleBases int) Workload {
 		Profile: genome.HG19Like(scaleBases),
 		Request: &search.Request{
 			Pattern:    ExamplePattern,
-			Queries:    ExampleQueries(),
+			Queries:    exampleQueries(),
 			ChunkBytes: scaleBases / 4,
 		},
 	}
@@ -87,7 +87,7 @@ func HG38Workload(scaleBases int) Workload {
 		Profile: genome.HG38Like(scaleBases),
 		Request: &search.Request{
 			Pattern:    ExamplePattern,
-			Queries:    ExampleQueries(),
+			Queries:    exampleQueries(),
 			ChunkBytes: scaleBases / 4,
 		},
 	}

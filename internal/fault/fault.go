@@ -338,15 +338,15 @@ func Jitter(seed, a, b uint64) float64 {
 // in-range corruption would need checksummed transfers; DESIGN.md §9 notes
 // the boundary.
 
-// CorruptU32 flips the MSB of every element in place.
-func CorruptU32(s []uint32) {
+// corruptU32 flips the MSB of every element in place.
+func corruptU32(s []uint32) {
 	for i := range s {
 		s[i] ^= 1 << 31
 	}
 }
 
-// CorruptU16 flips the MSB of every element in place.
-func CorruptU16(s []uint16) {
+// corruptU16 flips the MSB of every element in place.
+func corruptU16(s []uint16) {
 	for i := range s {
 		s[i] ^= 1 << 15
 	}
@@ -364,9 +364,9 @@ func CorruptBytes(s []byte) {
 func CorruptAny(data any) {
 	switch s := data.(type) {
 	case []uint32:
-		CorruptU32(s)
+		corruptU32(s)
 	case []uint16:
-		CorruptU16(s)
+		corruptU16(s)
 	case []byte:
 		CorruptBytes(s)
 	}

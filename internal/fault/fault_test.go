@@ -195,14 +195,14 @@ func TestErrorWrapping(t *testing.T) {
 
 func TestCorruptionHelpers(t *testing.T) {
 	u32 := []uint32{0, 5, 100}
-	CorruptU32(u32)
+	corruptU32(u32)
 	for i, v := range u32 {
 		if v < 1<<31 {
 			t.Errorf("u32[%d] = %d not driven out of range", i, v)
 		}
 	}
 	u16 := []uint16{1}
-	CorruptU16(u16)
+	corruptU16(u16)
 	if u16[0] != 1|1<<15 {
 		t.Errorf("u16 = %d", u16[0])
 	}

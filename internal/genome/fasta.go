@@ -238,9 +238,9 @@ func LoadDir(dir string) (*Assembly, error) {
 	return asm, nil
 }
 
-// WriteFASTA writes the sequences to w with lines wrapped at width bases
+// writeFASTA writes the sequences to w with lines wrapped at width bases
 // (60 if width <= 0).
-func WriteFASTA(w io.Writer, seqs []*Sequence, width int) error {
+func writeFASTA(w io.Writer, seqs []*Sequence, width int) error {
 	if width <= 0 {
 		width = 60
 	}
@@ -269,7 +269,7 @@ func WriteFASTAFile(path string, seqs []*Sequence, width int) error {
 	if err != nil {
 		return fmt.Errorf("genome: %w", err)
 	}
-	if err := WriteFASTA(f, seqs, width); err != nil {
+	if err := writeFASTA(f, seqs, width); err != nil {
 		f.Close()
 		return err
 	}

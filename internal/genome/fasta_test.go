@@ -189,8 +189,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		{Name: "chrM", Data: []byte("acgt")},
 	}
 	var buf bytes.Buffer
-	if err := WriteFASTA(&buf, seqs, 10); err != nil {
-		t.Fatalf("WriteFASTA: %v", err)
+	if err := writeFASTA(&buf, seqs, 10); err != nil {
+		t.Fatalf("writeFASTA: %v", err)
 	}
 	got, err := parseFASTA(buf.Bytes())
 	if err != nil {

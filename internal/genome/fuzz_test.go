@@ -46,7 +46,7 @@ func FuzzReadFASTA(f *testing.F) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := WriteFASTA(&buf, seqs, 60); err != nil {
+		if err := writeFASTA(&buf, seqs, 60); err != nil {
 			t.Fatalf("accepted input failed to write: %v", err)
 		}
 		again, err := parseFASTA(buf.Bytes())

@@ -45,8 +45,8 @@ func (c Composition) NFraction() float64 {
 	return float64(c.N) / float64(c.TotalBases)
 }
 
-// SoftMaskFraction returns the lower-case fraction of all bases.
-func (c Composition) SoftMaskFraction() float64 {
+// softMaskFraction returns the lower-case fraction of all bases.
+func (c Composition) softMaskFraction() float64 {
 	if c.TotalBases == 0 {
 		return 0
 	}
@@ -56,7 +56,7 @@ func (c Composition) SoftMaskFraction() float64 {
 func (c Composition) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d sequences, %d bases: GC %.1f%%, N %.1f%%, soft-masked %.1f%%, N50 %d",
-		c.Sequences, c.TotalBases, 100*c.GC(), 100*c.NFraction(), 100*c.SoftMaskFraction(), c.N50)
+		c.Sequences, c.TotalBases, 100*c.GC(), 100*c.NFraction(), 100*c.softMaskFraction(), c.N50)
 	return b.String()
 }
 

@@ -30,8 +30,8 @@ func TestComposeBasics(t *testing.T) {
 	if c.NFraction() != 2.0/16 {
 		t.Errorf("NFraction = %v", c.NFraction())
 	}
-	if c.SoftMaskFraction() != 4.0/16 {
-		t.Errorf("SoftMaskFraction = %v", c.SoftMaskFraction())
+	if c.softMaskFraction() != 4.0/16 {
+		t.Errorf("softMaskFraction = %v", c.softMaskFraction())
 	}
 	if !strings.Contains(c.String(), "2 sequences") {
 		t.Errorf("String = %q", c.String())
@@ -49,7 +49,7 @@ func TestComposeN50(t *testing.T) {
 
 func TestComposeEmpty(t *testing.T) {
 	c := Compose(&Assembly{})
-	if c.GC() != 0 || c.NFraction() != 0 || c.SoftMaskFraction() != 0 || c.N50 != 0 {
+	if c.GC() != 0 || c.NFraction() != 0 || c.softMaskFraction() != 0 || c.N50 != 0 {
 		t.Errorf("empty composition: %+v", c)
 	}
 }

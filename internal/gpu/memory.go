@@ -38,8 +38,8 @@ func (a *Allocation) Device() *Device { return a.dev }
 // Kind returns the address space of the allocation.
 func (a *Allocation) Kind() MemKind { return a.kind }
 
-// Released reports whether Free has been called.
-func (a *Allocation) Released() bool {
+// released reports whether Free has been called.
+func (a *Allocation) released() bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.freed

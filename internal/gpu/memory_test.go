@@ -61,14 +61,14 @@ func TestUseAfterFree(t *testing.T) {
 	if err := a.Use(); err != nil {
 		t.Errorf("Use before free: %v", err)
 	}
-	if a.Released() {
-		t.Error("Released before free")
+	if a.released() {
+		t.Error("released before free")
 	}
 	if err := a.Free(); err != nil {
 		t.Fatal(err)
 	}
-	if !a.Released() {
-		t.Error("Released after free = false")
+	if !a.released() {
+		t.Error("released after free = false")
 	}
 	if err := a.Use(); !errors.Is(err, ErrFreed) {
 		t.Errorf("Use after free = %v, want ErrFreed", err)
