@@ -49,7 +49,11 @@ race:
 # goroutine and the handler share one ResponseWriter; the client disconnects
 # or stalls mid-stream), the coalescer's byte-identity pins (coalescing is the
 # daemon's only serving path: merged streams against solo goldens over the
-# coalescer and over HTTP, member departure, a panicking merged pass), the CPU scan's equivalence suite (the SWAR
+# coalescer and over HTTP, member departure, a panicking merged pass), the
+# admission controller (Admit, withdraw, dispatch and Drain race one mutex,
+# each waiter's admit and shed channels and its deadline timer; the burst
+# tests fill the slots and the queue and shed the excess over HTTP), the CPU
+# scan's equivalence suite (the SWAR
 # compare against the byte and scalar references, patterns of one to five
 # words, a multi-guide run against the merge of one-guide runs and the
 # zero-allocation pin, whose
@@ -72,6 +76,7 @@ stress:
 	$(GO) test -race -count 20 -cpu 1,2,8 ./cmd/benchtab -run 'TestRunCSV'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/serve/ -run 'TestFlush'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/serve -run 'TestCoalesce|TestCoalescedRequestsOverHTTP|TestPanicIsolation'
+	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/serve -run 'TestQuotaTokenBucket|TestShedNewestLowestPriority|TestDeadlineAwareRejection|TestAdmitContextCancellation|TestWithdrawDistinguishesShedFromGrant|TestDrainShedsQueue|TestBurstSheds|TestRejectionAdvertisesExactRetryAfter'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/search/ -run 'TestSWAR|TestScanChunkMatchesSeed|TestScanInnerLoopZeroAllocs|TestWriteHitJSONZeroAllocs|TestBatchedMatchesPerPattern|TestCompareMultiWordPatterns|TestArtifactEquivalenceAllEngines|TestArtifactShardMatchesScan|TestArtifactCorruptShardRejected'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/search/ -run 'TestSimProfileSchedule|TestDenseCandidateRegionMatrix'
 	$(GO) test -race -count 1 -cpu 1,2,8 ./internal/search/ -run 'TestFaultDeterminism|TestFaultMatrix|TestMetricsAgreeWithProfile|TestProfileMerge'

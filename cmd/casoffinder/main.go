@@ -46,8 +46,9 @@
 // injected hang fails its launch at once), and chunks the simulated device
 // cannot complete fail over to the CPU engine, preserving the output
 // byte-for-byte. The fault flags add seeded deterministic fault injection,
-// and a degradation summary goes to stderr. The cpu engine takes none of the
-// fault or recovery flags.
+// and a degradation summary goes to stderr. The cpu engine takes neither
+// -device nor the fault and recovery flags, and the simulator engines do not
+// take -workers.
 //
 // -trace records every pipeline stage, kernel launch and resilience event
 // as Chrome trace-event JSON (load it in chrome://tracing or Perfetto);

@@ -223,6 +223,8 @@ func TestRunUsageErrorsExitUsage(t *testing.T) {
 		{"fault flags on cpu engine", []string{"-engine", "cpu", "-fault-rate", "0.5", input}},
 		{"watchdog on cpu engine", []string{"-engine", "cpu", "-watchdog", "1s", input}},
 		{"retries on cpu engine", []string{"-engine", "cpu", "-max-retries", "3", input}},
+		{"device on cpu engine", []string{"-engine", "cpu", "-device", "H100", input}},
+		{"workers on sycl engine", []string{"-engine", "sycl", "-workers", "2", input}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -13,7 +13,7 @@
 //	             [-workers N]
 //	             [-fault-rate 0.05 -fault-seed 42 -fault-site S]
 //	             [-watchdog 5s] [-max-retries N]
-//	             [-max-inflight 4] [-max-queue 64] [-max-inflight-bytes N]
+//	             [-max-inflight 4] [-max-queue 64]
 //	             [-max-body-bytes N] [-max-guides N]
 //	             [-quota-rate R] [-quota-burst B]
 //	             [-drain-timeout 30s] [-trace trace.json]
@@ -26,15 +26,15 @@
 //	               engine is warmed; 503 during startup and drain)
 //	GET  /metrics  Prometheus text exposition of the serve counters
 //
-// Admission control bounds the intake: requests beyond the queue and byte
-// budgets shed with 429 + Retry-After (newest lowest-priority first), and
-// -quota-rate enforces a per-tenant token bucket keyed by the X-API-Key
-// header. Every admitted request joins a coalescing batch: requests that
-// share (genome, pattern) and arrive within 2 ms of each other run as one
-// genome pass, and per-request output is byte-identical to an uncoalesced
-// run. No flag or request field changes that path. The simulator engines
-// pick their comparer kernel with the occupancy autotuner; the daemon prints
-// no kernel profile, so the CLI's -variant has no counterpart here.
+// Admission control bounds the intake: requests beyond the queue bound shed
+// with 429 + Retry-After (newest lowest-priority first), and -quota-rate
+// enforces a per-tenant token bucket keyed by the X-API-Key header. Every
+// admitted request joins a coalescing batch: requests that share (genome,
+// pattern) and arrive within 2 ms of each other run as one genome pass, and
+// per-request output is byte-identical to an uncoalesced run. No flag or
+// request field changes that path. The simulator engines pick their comparer
+// kernel with the occupancy autotuner; the daemon prints no kernel profile,
+// so the CLI's -variant has no counterpart here.
 //
 // The engine flags are the CLI's (search.Options). A simulator engine always
 // runs under the recovery policy, so a degraded pass (retries, failovers,
@@ -152,7 +152,6 @@ func setup(args []string, stderr io.Writer) (*daemon, error) {
 	opts.Register(fs)
 	maxInflight := fs.Int("max-inflight", 0, "concurrent genome passes (0 = default)")
 	maxQueue := fs.Int("max-queue", 0, "queued requests beyond the inflight slots (0 = default)")
-	maxInflightBytes := fs.Int64("max-inflight-bytes", 0, "summed body bytes admitted at once (0 = default)")
 	maxBodyBytes := fs.Int64("max-body-bytes", 0, "largest accepted request body (0 = default)")
 	maxGuides := fs.Int("max-guides", 0, "most guides in one request (0 = default)")
 	quotaRate := fs.Float64("quota-rate", 0, "per-tenant requests per second, keyed by X-API-Key (0 = quotas off)")
@@ -172,14 +171,17 @@ func setup(args []string, stderr io.Writer) (*daemon, error) {
 		return nil, usageError{fmt.Errorf("no genomes: pass at least one -genome or -artifact")}
 	}
 	// A negative limit or deadline would silently read as "default" or
-	// "off", and a NaN quota passes every comparison.
-	for _, name := range []string{"max-inflight", "max-queue", "max-inflight-bytes", "max-body-bytes",
+	// "off", a NaN quota passes every comparison, and a bucket that holds
+	// less than one whole token admits nothing.
+	for _, name := range []string{"max-inflight", "max-queue", "max-body-bytes",
 		"max-guides", "quota-rate", "quota-burst", "drain-timeout"} {
 		switch v := fs.Lookup(name).Value.String(); {
 		case strings.HasPrefix(v, "-"):
 			return nil, usageError{fmt.Errorf("-%s %s is negative", name, v)}
 		case v == "NaN":
 			return nil, usageError{fmt.Errorf("-%s %s is not a number", name, v)}
+		case name == "quota-burst" && *quotaBurst > 0 && *quotaBurst < 1:
+			return nil, usageError{fmt.Errorf("-%s %s is below 1: the bucket would never hold a whole token", name, v)}
 		}
 	}
 	metrics := obs.NewMetrics() // always on: /metrics is part of the service
@@ -205,13 +207,12 @@ func setup(args []string, stderr io.Writer) (*daemon, error) {
 		SerializePasses: res != nil,
 		Genomes:         resident,
 		Limits: serve.Limits{
-			MaxInflight:      *maxInflight,
-			MaxQueue:         *maxQueue,
-			MaxInflightBytes: *maxInflightBytes,
-			MaxBodyBytes:     *maxBodyBytes,
-			MaxGuides:        *maxGuides,
-			QuotaRate:        *quotaRate,
-			QuotaBurst:       *quotaBurst,
+			MaxInflight:  *maxInflight,
+			MaxQueue:     *maxQueue,
+			MaxBodyBytes: *maxBodyBytes,
+			MaxGuides:    *maxGuides,
+			QuotaRate:    *quotaRate,
+			QuotaBurst:   *quotaBurst,
 		},
 		Metrics: metrics,
 		Trace:   tracer,

@@ -330,6 +330,8 @@ func TestSetupUsageErrors(t *testing.T) {
 		{"fault rate out of range", []string{"-genome", dir, "-engine", "opencl", "-fault-rate", "2"}},
 		{"fault rate NaN", []string{"-genome", dir, "-engine", "opencl", "-fault-rate", "NaN"}},
 		{"fault seed on cpu", []string{"-genome", dir, "-fault-seed", "9"}},
+		{"device on cpu", []string{"-genome", dir, "-device", "MI60"}},
+		{"workers on opencl", []string{"-genome", dir, "-engine", "opencl", "-workers", "2"}},
 		{"bad fault site", []string{"-genome", dir, "-engine", "opencl", "-fault-rate", "1", "-fault-site", "gpu.meltdown"}},
 		{"retired fault site", []string{"-genome", dir, "-engine", "sycl", "-fault-site", "sycl.usm"}},
 		{"duplicate genome name", []string{"-genome", dir, "-genome", dir}},
@@ -337,13 +339,14 @@ func TestSetupUsageErrors(t *testing.T) {
 		{"negative workers", []string{"-genome", dir, "-workers", "-3"}},
 		{"negative max-inflight", []string{"-genome", dir, "-max-inflight", "-1"}},
 		{"negative max-queue", []string{"-genome", dir, "-max-queue", "-1"}},
-		{"negative max-inflight-bytes", []string{"-genome", dir, "-max-inflight-bytes", "-1"}},
+		{"retired -max-inflight-bytes", []string{"-genome", dir, "-max-inflight-bytes", "67108864"}},
 		{"negative max-body-bytes", []string{"-genome", dir, "-max-body-bytes", "-1"}},
 		{"negative max-guides", []string{"-genome", dir, "-max-guides", "-1"}},
 		{"negative quota-rate", []string{"-genome", dir, "-quota-rate", "-0.5"}},
 		{"negative quota-burst", []string{"-genome", dir, "-quota-burst", "-2"}},
 		{"NaN quota-rate", []string{"-genome", dir, "-quota-rate", "NaN"}},
 		{"NaN quota-burst", []string{"-genome", dir, "-quota-rate", "5", "-quota-burst", "NaN"}},
+		{"fractional quota-burst", []string{"-genome", dir, "-quota-rate", "10", "-quota-burst", "0.5"}},
 		{"negative drain-timeout", []string{"-genome", dir, "-drain-timeout", "-1s"}},
 	}
 	for _, tt := range tests {

@@ -302,8 +302,8 @@ func sortEvents(events []Event) {
 	})
 }
 
-// Counts returns the number of fired events per site.
-func (in *Injector) Counts() map[Site]int64 {
+// counts returns the number of fired events per site.
+func (in *Injector) counts() map[Site]int64 {
 	if in == nil {
 		return nil
 	}

@@ -17,7 +17,7 @@ func TestNilInjectorNeverFires(t *testing.T) {
 			t.Fatal("nil injector fired")
 		}
 	}
-	if in.Log() != nil || in.Counts() != nil {
+	if in.Log() != nil || in.counts() != nil {
 		t.Error("nil injector should have empty log and counts")
 	}
 	if NewInjector(Plan{Rate: 0}) != nil {
@@ -133,7 +133,7 @@ func TestConcurrentFiringIsSafe(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	counts := in.Counts()
+	counts := in.counts()
 	if counts[SiteLaunch] == 0 {
 		t.Error("no events recorded under concurrency")
 	}

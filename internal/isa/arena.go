@@ -26,7 +26,7 @@ const (
 // arenaDemand is the claim sequence's register overhead.
 var arenaDemand = RegDemand{VGPRs: ArenaVGPRs, SGPRs: ArenaSGPRs}
 
-// FinderMetricsArenaAt is FinderMetricsAt with the arena claim's register
+// FinderMetricsArenaAt is finderMetricsAt with the arena claim's register
 // overhead folded into the reported demand and occupancy — the launch
 // context of the finder the engines actually run.
 func FinderMetricsArenaAt(spec device.Spec, plen, wg int) Metrics {

@@ -59,7 +59,7 @@ func TestCompileMemoized(t *testing.T) {
 	for _, spec := range device.All() {
 		for _, wg := range []int{64, 128, 256, 512} {
 			for _, plen := range []int{1, 20, 23, 64, 2000} {
-				FinderMetricsAt(spec, plen, wg)
+				finderMetricsAt(spec, plen, wg)
 				FinderMetricsArenaAt(spec, plen, wg)
 				for _, v := range kernels.Variants() {
 					ComparerMetricsAt(v, spec, plen, wg)
@@ -82,8 +82,8 @@ func TestMetricsAtMatchesDefault(t *testing.T) {
 			t.Errorf("%s: ComparerMetricsAt(256) diverges from ComparerMetrics", v)
 		}
 	}
-	if FinderMetricsAt(spec, 23, DefaultWorkGroupSize) != FinderMetrics(spec, 23) {
-		t.Error("FinderMetricsAt(256) diverges from FinderMetrics")
+	if finderMetricsAt(spec, 23, DefaultWorkGroupSize) != FinderMetrics(spec, 23) {
+		t.Error("finderMetricsAt(256) diverges from FinderMetrics")
 	}
 }
 
@@ -92,15 +92,15 @@ func TestMetricsAtMatchesDefault(t *testing.T) {
 func TestMetricsAtNoAllocWhenWarm(t *testing.T) {
 	spec := device.MI100()
 	ComparerMetricsAt(kernels.Opt4, spec, 23, 128)
-	FinderMetricsAt(spec, 23, 128)
+	finderMetricsAt(spec, 23, 128)
 	if avg := testing.AllocsPerRun(100, func() {
 		ComparerMetricsAt(kernels.Opt4, spec, 23, 128)
 	}); avg != 0 {
 		t.Errorf("warm ComparerMetricsAt allocates %v per call", avg)
 	}
 	if avg := testing.AllocsPerRun(100, func() {
-		FinderMetricsAt(spec, 23, 128)
+		finderMetricsAt(spec, 23, 128)
 	}); avg != 0 {
-		t.Errorf("warm FinderMetricsAt allocates %v per call", avg)
+		t.Errorf("warm finderMetricsAt allocates %v per call", avg)
 	}
 }

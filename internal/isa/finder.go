@@ -120,10 +120,10 @@ func CompileFinder() *Program { return compiledFinder().prog }
 // occupancy for the device, with the LDS footprint of a plen-base pattern
 // and the standard 256-item work-group.
 func FinderMetrics(spec device.Spec, plen int) Metrics {
-	return FinderMetricsAt(spec, plen, DefaultWorkGroupSize)
+	return finderMetricsAt(spec, plen, DefaultWorkGroupSize)
 }
 
-// FinderMetricsAt is FinderMetrics at an explicit work-group size.
-func FinderMetricsAt(spec device.Spec, plen, wg int) Metrics {
+// finderMetricsAt is FinderMetrics at an explicit work-group size.
+func finderMetricsAt(spec device.Spec, plen, wg int) Metrics {
 	return compiledFinder().metrics(spec, kernels.FinderLocalBytes(plen), wg, RegDemand{})
 }

@@ -92,12 +92,11 @@ const (
 	// MetricServeRequests carries a status="..." label (the terminal request
 	// outcome: ok, degraded, rejected, error, canceled);
 	// MetricServeShed a reason="..." label (quota, queue-full, shed,
-	// deadline, bytes, draining).
+	// deadline, draining).
 	MetricServeRequests      = "casoffinderd_requests_total"
 	MetricServeShed          = "casoffinderd_shed_total"
 	MetricServeQueueDepth    = "casoffinderd_queue_depth"
 	MetricServeInflight      = "casoffinderd_inflight"
-	MetricServeInflightBytes = "casoffinderd_inflight_bytes"
 	MetricServeQueueSeconds  = "casoffinderd_queue_seconds"
 	MetricServeStreamSeconds = "casoffinderd_stream_seconds"
 	MetricServeBatches       = "casoffinderd_batches_total"

@@ -16,10 +16,7 @@ package search
 // pages; a launch that overflows them is relaunched once at the layout its
 // own read-back counters call for (alloc.Refit).
 
-import (
-	"casoffinder/internal/gpu/alloc"
-	"casoffinder/internal/pipeline"
-)
+import "casoffinder/internal/gpu/alloc"
 
 const (
 	// comparerFirstPages is the comparer arena's first-attempt page count.
@@ -41,29 +38,4 @@ func comparerLayout(groups, pageSlots int, worstCase bool) alloc.Layout {
 		return alloc.WorstCase(groups, pageSlots)
 	}
 	return alloc.SizedPages(comparerFirstPages, groups, pageSlots)
-}
-
-// arenaAdmissionCandRate is the assumed PAM-survival fraction behind
-// ArenaCostEstimate — the same 5% shape assumption as the timing model's
-// DefaultCandidateRate, restated here so the admission path does not pull
-// the cost model in.
-const arenaAdmissionCandRate = 0.05
-
-// ArenaCostEstimate bounds the device-side hit-arena entry bytes one staged
-// chunk of the default size (pipeline.DefaultChunkBytes, what every daemon
-// pass stages) can pin for a request of guides guides: the finder arena at
-// its worst case (one entry per site) plus one comparer arena per guide at
-// its worst case (two entries per candidate) for the assumed
-// candidate-survival rate. The daemon's admission controller adds it to a
-// request's byte cost so a many-guide search charges the inflight-bytes
-// budget for the device memory its pass will pin, not just for its body
-// bytes.
-func ArenaCostEstimate(guides int) int64 {
-	if guides < 1 {
-		guides = 1
-	}
-	sites := float64(pipeline.DefaultChunkBytes)
-	finder := sites * finderEntryBytes
-	perGuide := 2 * sites * arenaAdmissionCandRate * comparerEntryBytes
-	return int64(finder + float64(guides)*perGuide)
 }

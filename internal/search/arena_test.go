@@ -2,7 +2,6 @@ package search
 
 import (
 	"context"
-	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -10,7 +9,6 @@ import (
 	"casoffinder/internal/fault"
 	"casoffinder/internal/genome"
 	"casoffinder/internal/gpu"
-	"casoffinder/internal/gpu/alloc"
 	"casoffinder/internal/gpu/device"
 	"casoffinder/internal/kernels"
 	"casoffinder/internal/pipeline"
@@ -217,35 +215,6 @@ func TestArenaProvisioningRatio(t *testing.T) {
 				t.Errorf("dynamic run relaunched %d times, want %d", dynProf.OverflowRetries, dynRetries)
 			}
 		})
-	}
-}
-
-// TestArenaCostEstimate pins the daemon's admission charge for two request
-// shapes and requires it never to exceed what the layouts it stands for can
-// pin: the worst-case finder arena of one default chunk plus, per guide, the
-// worst-case comparer arena for the assumed candidate rate.
-func TestArenaCostEstimate(t *testing.T) {
-	const pad = 64
-	for _, tt := range []struct {
-		guides int
-		want   int64
-	}{
-		{1, 5976883},   // 5 + 0.7 bytes per site of the default 1 MiB chunk
-		{64, 52219084}, // many guides: the comparer arenas dominate
-	} {
-		got := ArenaCostEstimate(tt.guides)
-		if got != tt.want {
-			t.Errorf("ArenaCostEstimate(%d) = %d, want %d", tt.guides, got, tt.want)
-		}
-		sites := pipeline.DefaultChunkBytes
-		cands := int(math.Ceil(float64(sites) * arenaAdmissionCandRate))
-		finder := alloc.WorstCase((sites+pad-1)/pad, pad)
-		comparer := alloc.WorstCase((cands+pad-1)/pad, 2*pad)
-		bound := finder.DataBytes(finderEntryBytes) + int64(tt.guides)*comparer.DataBytes(comparerEntryBytes)
-		if got > bound {
-			t.Errorf("ArenaCostEstimate(%d) = %d exceeds the worst-case layouts' %d bytes",
-				tt.guides, got, bound)
-		}
 	}
 }
 

@@ -13,8 +13,12 @@ import (
 	"casoffinder/internal/pipeline"
 )
 
-// defaultFaultSeed is -fault-seed's default.
-const defaultFaultSeed = 1
+// defaultDevice and defaultFaultSeed are -device's and -fault-seed's
+// defaults.
+const (
+	defaultDevice    = "MI100"
+	defaultFaultSeed = 1
+)
 
 // Options is the engine surface both commands share: which engine runs on
 // which simulated device, and the fault plan and recovery policy of a
@@ -38,7 +42,7 @@ type Options struct {
 // defaults.
 func (o *Options) Register(fs *flag.FlagSet) {
 	fs.StringVar(&o.Engine, "engine", "cpu", "search engine: cpu, opencl or sycl")
-	fs.StringVar(&o.Device, "device", "MI100", "simulated device for the opencl/sycl engines")
+	fs.StringVar(&o.Device, "device", defaultDevice, "simulated device for the opencl/sycl engines")
 	fs.IntVar(&o.Workers, "workers", 0, "cpu engine workers (0 = all cores)")
 	fs.Float64Var(&o.FaultRate, "fault-rate", 0, "simulator fault injection probability in [0, 1] (0 = off)")
 	fs.Uint64Var(&o.FaultSeed, "fault-seed", defaultFaultSeed, "seed for the deterministic fault schedule and retry jitter")
@@ -51,8 +55,8 @@ func (o *Options) Register(fs *flag.FlagSet) {
 // engine always runs under a recovery policy, returned so the caller can
 // attach a report sink: transient faults retry, and chunks the device cannot
 // complete fail over to the CPU scan. The cpu engine has no policy, and any
-// fault or recovery option on it is an error. Every error Open returns is a
-// configuration mistake.
+// device, fault or recovery option on it is an error, as -workers is on a
+// simulator engine. Every error Open returns is a configuration mistake.
 func (o *Options) Open(trace *obs.Tracer, metrics *obs.Metrics) (Engine, *pipeline.Resilience, error) {
 	variant, auto, err := kernels.ParseVariant(o.Variant)
 	if err != nil {
@@ -74,14 +78,17 @@ func (o *Options) Open(trace *obs.Tracer, metrics *obs.Metrics) (Engine, *pipeli
 	}
 	switch o.Engine {
 	case "cpu":
-		// The fault sites all live in the simulated runtimes; a silent no-op
-		// here would make "-fault-rate 0.3 -engine cpu" look like a passing
-		// resilience run.
-		if plan != (fault.Plan{Seed: defaultFaultSeed}) || o.Watchdog != 0 || o.MaxRetries != 0 {
-			return nil, nil, fmt.Errorf("-fault-rate, -fault-seed, -fault-site, -watchdog and -max-retries need the opencl or sycl engine, not %q", o.Engine)
+		// The device and the fault sites all live in the simulated runtimes;
+		// a silent no-op here would make "-fault-rate 0.3 -engine cpu" look
+		// like a passing resilience run.
+		if o.Device != defaultDevice || plan != (fault.Plan{Seed: defaultFaultSeed}) || o.Watchdog != 0 || o.MaxRetries != 0 {
+			return nil, nil, fmt.Errorf("-device, -fault-rate, -fault-seed, -fault-site, -watchdog and -max-retries need the opencl or sycl engine, not %q", o.Engine)
 		}
 		return &CPU{Workers: o.Workers, Trace: trace, Metrics: metrics}, nil, nil
 	case "opencl", "sycl":
+		if o.Workers != 0 {
+			return nil, nil, fmt.Errorf("-workers needs the cpu engine, not %q", o.Engine)
+		}
 		spec, err := device.ByName(o.Device)
 		if err != nil {
 			return nil, nil, err

@@ -27,7 +27,6 @@ func TestOptionsOpen(t *testing.T) {
 		{name: "cpu default", args: nil, engine: "cpu"},
 		{name: "cpu workers", args: []string{"-workers", "3"}, engine: "cpu"},
 		{name: "cpu default seed spelled out", args: []string{"-fault-seed", "1"}, engine: "cpu"},
-		{name: "cpu ignores device", args: []string{"-device", "H100"}, engine: "cpu"},
 		{name: "opencl", args: []string{"-engine", "opencl"}, engine: "opencl-sim",
 			policy: pipeline.Resilience{Seed: 1}},
 		{name: "sycl recovery flags", args: []string{"-engine", "sycl", "-device", "radeonvii",
@@ -55,6 +54,8 @@ func TestOptionsOpen(t *testing.T) {
 		{name: "watchdog on cpu", args: []string{"-watchdog", "1s"}, wantErr: onCPU},
 		{name: "max retries on cpu", args: []string{"-max-retries", "3"}, wantErr: onCPU},
 		{name: "no retries on cpu", args: []string{"-engine", "cpu", "-max-retries", "-1"}, wantErr: onCPU},
+		{name: "device on cpu", args: []string{"-device", "H100"}, wantErr: onCPU},
+		{name: "sycl workers", args: []string{"-engine", "sycl", "-workers", "2"}, wantErr: "-workers needs the cpu engine"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

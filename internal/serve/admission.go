@@ -1,11 +1,11 @@
 // Admission control: the bounded front door of the daemon. Every request
 // passes three gates before it may touch an engine — a per-tenant token
-// bucket (keyed by API key), a byte budget over everything admitted but not
-// yet finished, and a bounded queue whose overflow policy sheds the newest
-// lowest-priority work first. Rejections are always explicit 429/503s with a
-// Retry-After hint; nothing ever queues unboundedly, so a 3x-overcapacity
-// burst costs bounded memory and the requests that are admitted keep their
-// latency.
+// bucket (keyed by API key), a deadline that must not already have passed,
+// and a bounded queue whose overflow policy sheds the newest lowest-priority
+// work first. Rejections are always explicit 429/503s with a Retry-After
+// hint; nothing ever queues unboundedly, so a 3x-overcapacity burst holds at
+// most (MaxInflight + MaxQueue) request bodies of MaxBodyBytes each, and the
+// requests that are admitted keep their latency.
 package serve
 
 import (
@@ -26,9 +26,6 @@ type Limits struct {
 	// MaxQueue bounds the requests waiting for an execution slot; arrivals
 	// beyond it shed (see Admit).
 	MaxQueue int
-	// MaxInflightBytes bounds the summed request cost (body bytes) across
-	// everything admitted — queued or running.
-	MaxInflightBytes int64
 	// MaxBodyBytes caps one request body (413 beyond it).
 	MaxBodyBytes int64
 	// MaxGuides caps the guides of one request (400 beyond it).
@@ -42,12 +39,11 @@ type Limits struct {
 
 // Default limits.
 const (
-	DefaultMaxInflight      = 4
-	DefaultMaxQueue         = 64
-	DefaultMaxInflightBytes = 64 << 20
-	DefaultMaxBodyBytes     = 1 << 20
-	DefaultMaxGuides        = 256
-	DefaultQuotaBurst       = 8
+	DefaultMaxInflight  = 4
+	DefaultMaxQueue     = 64
+	DefaultMaxBodyBytes = 1 << 20
+	DefaultMaxGuides    = 256
+	DefaultQuotaBurst   = 8
 	// DefaultRetryAfter is the hint on every queue-pressure and drain
 	// rejection; quota rejections compute the exact refill wait instead.
 	DefaultRetryAfter = time.Second
@@ -60,9 +56,6 @@ func (l Limits) withDefaults() Limits {
 	}
 	if l.MaxQueue <= 0 {
 		l.MaxQueue = DefaultMaxQueue
-	}
-	if l.MaxInflightBytes <= 0 {
-		l.MaxInflightBytes = DefaultMaxInflightBytes
 	}
 	if l.MaxBodyBytes <= 0 {
 		l.MaxBodyBytes = DefaultMaxBodyBytes
@@ -93,7 +86,6 @@ func (e *RejectError) Error() string {
 type ticket struct {
 	tenant   string
 	priority int
-	cost     int64
 	deadline time.Time // zero = none
 	enqueued time.Time
 
@@ -107,11 +99,10 @@ type ticket struct {
 }
 
 // newTicket builds a ticket for one request.
-func newTicket(tenant string, priority int, cost int64, deadline time.Time) *ticket {
+func newTicket(tenant string, priority int, deadline time.Time) *ticket {
 	return &ticket{
 		tenant:   tenant,
 		priority: priority,
-		cost:     cost,
 		deadline: deadline,
 		admit:    make(chan struct{}),
 		shed:     make(chan *RejectError, 1),
@@ -156,8 +147,6 @@ type admission struct {
 	tenants  map[string]*bucket
 	queue    []*ticket
 	inflight int
-	runBytes int64 // cost of running requests
-	qBytes   int64 // cost of queued requests
 	draining bool
 }
 
@@ -173,7 +162,6 @@ func newAdmission(lim Limits, now func() time.Time, m *obs.Metrics) *admission {
 func (a *admission) gaugesLocked() {
 	a.metrics.Gauge(obs.MetricServeQueueDepth, float64(len(a.queue)))
 	a.metrics.Gauge(obs.MetricServeInflight, float64(a.inflight))
-	a.metrics.Gauge(obs.MetricServeInflightBytes, float64(a.runBytes+a.qBytes))
 }
 
 // reject counts and builds a refusal.
@@ -211,38 +199,26 @@ func (a *admission) Admit(ctx context.Context, tk *ticket) error {
 		return a.reject(http.StatusTooManyRequests, "deadline", DefaultRetryAfter)
 	}
 	// Fast path: an idle slot with no queue ahead of us.
-	if a.inflight < a.lim.MaxInflight && len(a.queue) == 0 &&
-		a.runBytes+tk.cost <= a.lim.MaxInflightBytes {
+	if a.inflight < a.lim.MaxInflight && len(a.queue) == 0 {
 		a.inflight++
-		a.runBytes += tk.cost
 		a.gaugesLocked()
 		a.mu.Unlock()
 		return nil
 	}
-	// Gate 3: bounded queue with load shedding. Over either limit, the
+	// Gate 3: bounded queue with load shedding. With the queue full, the
 	// newest strictly-lower-priority queued request is evicted to make
-	// room; when no such victim exists (or evicting one is not enough),
-	// the arrival itself is shed.
-	overQueue := len(a.queue) >= a.lim.MaxQueue
-	overBytes := a.runBytes+a.qBytes+tk.cost > a.lim.MaxInflightBytes
-	if overQueue || overBytes {
+	// room; when no such victim exists, the arrival itself is shed.
+	if len(a.queue) >= a.lim.MaxQueue {
 		vi := a.victimLocked(tk.priority)
-		fits := vi >= 0 &&
-			a.runBytes+a.qBytes-a.queue[vi].cost+tk.cost <= a.lim.MaxInflightBytes
-		if !fits {
+		if vi < 0 {
 			defer a.mu.Unlock()
-			reason := "queue-full"
-			if !overQueue {
-				reason = "bytes"
-			}
-			return a.reject(http.StatusTooManyRequests, reason, DefaultRetryAfter)
+			return a.reject(http.StatusTooManyRequests, "queue-full", DefaultRetryAfter)
 		}
 		a.evictLocked(vi)
 	}
 	tk.enqueued = now
 	tk.queued = true
 	a.queue = append(a.queue, tk)
-	a.qBytes += tk.cost
 	a.gaugesLocked()
 	a.mu.Unlock()
 
@@ -306,7 +282,6 @@ func (a *admission) withdraw(tk *ticket) (withdrawn bool, rej *RejectError) {
 		}
 	}
 	tk.queued = false
-	a.qBytes -= tk.cost
 	a.gaugesLocked()
 	return true, nil
 }
@@ -334,23 +309,20 @@ func (a *admission) evictLocked(i int) {
 	tk := a.queue[i]
 	a.queue = append(a.queue[:i], a.queue[i+1:]...)
 	tk.queued = false
-	a.qBytes -= tk.cost
 	tk.shed <- a.reject(http.StatusTooManyRequests, "shed", DefaultRetryAfter)
 }
 
 // Release frees a held slot and dispatches as many waiters as now fit.
-func (a *admission) Release(tk *ticket) {
+func (a *admission) Release() {
 	a.mu.Lock()
 	a.inflight--
-	a.runBytes -= tk.cost
 	a.dispatchLocked()
 	a.gaugesLocked()
 	a.mu.Unlock()
 }
 
 // dispatchLocked grants slots to waiting tickets: highest priority first,
-// oldest first within a priority. Moving a ticket from queued to running
-// never changes the admitted byte total, so only the slot bound gates it.
+// oldest first within a priority.
 func (a *admission) dispatchLocked() {
 	for len(a.queue) > 0 && a.inflight < a.lim.MaxInflight {
 		best := 0
@@ -362,8 +334,6 @@ func (a *admission) dispatchLocked() {
 		tk := a.queue[best]
 		a.queue = append(a.queue[:best], a.queue[best+1:]...)
 		tk.queued = false
-		a.qBytes -= tk.cost
-		a.runBytes += tk.cost
 		a.inflight++
 		close(tk.admit)
 	}
@@ -378,7 +348,6 @@ func (a *admission) Drain() {
 	a.draining = true
 	for _, tk := range a.queue {
 		tk.queued = false
-		a.qBytes -= tk.cost
 		tk.shed <- a.reject(http.StatusServiceUnavailable, "draining", DefaultRetryAfter)
 	}
 	a.queue = nil

@@ -69,51 +69,32 @@ func TestQuotaTokenBucket(t *testing.T) {
 	// The burst admits two back to back; the third is over quota with an
 	// exact refill hint.
 	for i := 0; i < 2; i++ {
-		tk := newTicket("alice", PriorityNormal, 1, time.Time{})
+		tk := newTicket("alice", PriorityNormal, time.Time{})
 		if err := a.Admit(ctx, tk); err != nil {
 			t.Fatalf("burst request %d rejected: %v", i, err)
 		}
-		defer a.Release(tk)
+		defer a.Release()
 	}
-	rej := wantReject(t, a.Admit(ctx, newTicket("alice", PriorityNormal, 1, time.Time{})),
+	rej := wantReject(t, a.Admit(ctx, newTicket("alice", PriorityNormal, time.Time{})),
 		http.StatusTooManyRequests, "quota")
 	if rej.RetryAfter <= 0 || rej.RetryAfter > time.Second {
 		t.Errorf("quota Retry-After = %v, want a refill wait within 1s", rej.RetryAfter)
 	}
 
 	// Quotas are per tenant: bob is unaffected by alice's burst.
-	tk := newTicket("bob", PriorityNormal, 1, time.Time{})
+	tk := newTicket("bob", PriorityNormal, time.Time{})
 	if err := a.Admit(ctx, tk); err != nil {
 		t.Fatalf("other tenant rejected: %v", err)
 	}
-	a.Release(tk)
+	a.Release()
 
 	// A refill interval later, alice is welcome again.
 	clk.advance(time.Second)
-	tk = newTicket("alice", PriorityNormal, 1, time.Time{})
+	tk = newTicket("alice", PriorityNormal, time.Time{})
 	if err := a.Admit(ctx, tk); err != nil {
 		t.Fatalf("post-refill request rejected: %v", err)
 	}
-	a.Release(tk)
-}
-
-func TestByteBudgetRejection(t *testing.T) {
-	clk := newFakeClock()
-	a := newAdmission(Limits{MaxInflightBytes: 100}.withDefaults(), clk.now, nil)
-	ctx := context.Background()
-	big := newTicket("a", PriorityNormal, 60, time.Time{})
-	if err := a.Admit(ctx, big); err != nil {
-		t.Fatalf("first 60-byte request rejected: %v", err)
-	}
-	wantReject(t, a.Admit(ctx, newTicket("b", PriorityNormal, 60, time.Time{})),
-		http.StatusTooManyRequests, "bytes")
-	a.Release(big)
-	// With the budget free again the same request is admitted.
-	tk := newTicket("b", PriorityNormal, 60, time.Time{})
-	if err := a.Admit(ctx, tk); err != nil {
-		t.Fatalf("post-release request rejected: %v", err)
-	}
-	a.Release(tk)
+	a.Release()
 }
 
 // TestShedNewestLowestPriority: with the queue full, a high-priority arrival
@@ -124,14 +105,14 @@ func TestShedNewestLowestPriority(t *testing.T) {
 	a := newAdmission(Limits{MaxInflight: 1, MaxQueue: 2}.withDefaults(), clk.now, nil)
 	ctx := context.Background()
 
-	holder := newTicket("h", PriorityNormal, 1, time.Time{})
+	holder := newTicket("h", PriorityNormal, time.Time{})
 	if err := a.Admit(ctx, holder); err != nil {
 		t.Fatal(err)
 	}
 
 	// Two low-priority waiters fill the queue; lowOldErr enqueued first.
-	lowOld := newTicket("old", PriorityLow, 1, time.Time{})
-	lowNew := newTicket("new", PriorityLow, 1, time.Time{})
+	lowOld := newTicket("old", PriorityLow, time.Time{})
+	lowNew := newTicket("new", PriorityLow, time.Time{})
 	errs := make(map[*ticket]chan error)
 	for i, tk := range []*ticket{lowOld, lowNew} {
 		ch := make(chan error, 1)
@@ -142,17 +123,17 @@ func TestShedNewestLowestPriority(t *testing.T) {
 	}
 
 	// Equal priority cannot claim a victim: the arrival sheds.
-	wantReject(t, a.Admit(ctx, newTicket("eq", PriorityLow, 1, time.Time{})),
+	wantReject(t, a.Admit(ctx, newTicket("eq", PriorityLow, time.Time{})),
 		http.StatusTooManyRequests, "queue-full")
 
 	// A normal-priority arrival evicts the NEWEST low waiter.
-	norm := newTicket("n", PriorityNormal, 1, time.Time{})
+	norm := newTicket("n", PriorityNormal, time.Time{})
 	normCh := make(chan error, 1)
 	go func() { normCh <- a.Admit(ctx, norm) }()
 	wantReject(t, <-errs[lowNew], http.StatusTooManyRequests, "shed")
 
 	// Releasing the holder dispatches by priority: norm before lowOld.
-	a.Release(holder)
+	a.Release()
 	if err := <-normCh; err != nil {
 		t.Fatalf("priority waiter rejected: %v", err)
 	}
@@ -161,11 +142,11 @@ func TestShedNewestLowestPriority(t *testing.T) {
 		t.Fatalf("old low-priority waiter resolved early: %v", err)
 	default:
 	}
-	a.Release(norm)
+	a.Release()
 	if err := <-errs[lowOld]; err != nil {
 		t.Fatalf("surviving low-priority waiter rejected: %v", err)
 	}
-	a.Release(lowOld)
+	a.Release()
 }
 
 // TestDeadlineAwareRejection: a deadline that already passed refuses
@@ -176,17 +157,17 @@ func TestDeadlineAwareRejection(t *testing.T) {
 	a := newAdmission(Limits{MaxInflight: 1}.withDefaults(), clk.now, nil)
 	ctx := context.Background()
 
-	expired := newTicket("t", PriorityNormal, 1, clk.now().Add(-time.Second))
+	expired := newTicket("t", PriorityNormal, clk.now().Add(-time.Second))
 	wantReject(t, a.Admit(ctx, expired), http.StatusTooManyRequests, "deadline")
 
-	holder := newTicket("h", PriorityNormal, 1, time.Time{})
+	holder := newTicket("h", PriorityNormal, time.Time{})
 	if err := a.Admit(ctx, holder); err != nil {
 		t.Fatal(err)
 	}
-	defer a.Release(holder)
+	defer a.Release()
 	// The queued ticket's deadline timer runs on the real clock; give it a
 	// short real deadline.
-	queued := newTicket("q", PriorityNormal, 1, clk.now().Add(30*time.Millisecond))
+	queued := newTicket("q", PriorityNormal, clk.now().Add(30*time.Millisecond))
 	wantReject(t, a.Admit(ctx, queued), http.StatusTooManyRequests, "deadline")
 	if queueLen(a) != 0 {
 		t.Errorf("expired ticket still queued")
@@ -198,15 +179,15 @@ func TestDeadlineAwareRejection(t *testing.T) {
 func TestAdmitContextCancellation(t *testing.T) {
 	clk := newFakeClock()
 	a := newAdmission(Limits{MaxInflight: 1}.withDefaults(), clk.now, nil)
-	holder := newTicket("h", PriorityNormal, 1, time.Time{})
+	holder := newTicket("h", PriorityNormal, time.Time{})
 	if err := a.Admit(context.Background(), holder); err != nil {
 		t.Fatal(err)
 	}
-	defer a.Release(holder)
+	defer a.Release()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
-	go func() { errc <- a.Admit(ctx, newTicket("q", PriorityNormal, 1, time.Time{})) }()
+	go func() { errc <- a.Admit(ctx, newTicket("q", PriorityNormal, time.Time{})) }()
 	waitQueued(t, a, 1)
 	cancel()
 	if err := <-errc; !errors.Is(err, context.Canceled) {
@@ -225,7 +206,6 @@ func enqueue(a *admission, tk *ticket) {
 	tk.queued = true
 	tk.enqueued = a.now()
 	a.queue = append(a.queue, tk)
-	a.qBytes += tk.cost
 	a.mu.Unlock()
 }
 
@@ -237,13 +217,13 @@ func enqueue(a *admission, tk *ticket) {
 func TestWithdrawDistinguishesShedFromGrant(t *testing.T) {
 	clk := newFakeClock()
 	a := newAdmission(Limits{MaxInflight: 1}.withDefaults(), clk.now, nil)
-	holder := newTicket("h", PriorityNormal, 1, time.Time{})
+	holder := newTicket("h", PriorityNormal, time.Time{})
 	if err := a.Admit(context.Background(), holder); err != nil {
 		t.Fatal(err)
 	}
 
 	// Evicted ticket: withdraw reports the shed, never a grant.
-	shedTk := newTicket("shed", PriorityLow, 1, time.Time{})
+	shedTk := newTicket("shed", PriorityLow, time.Time{})
 	enqueue(a, shedTk)
 	a.mu.Lock()
 	a.evictLocked(0)
@@ -254,7 +234,7 @@ func TestWithdrawDistinguishesShedFromGrant(t *testing.T) {
 	}
 
 	// Drained ticket: same contract.
-	drainTk := newTicket("drained", PriorityNormal, 1, time.Time{})
+	drainTk := newTicket("drained", PriorityNormal, time.Time{})
 	enqueue(a, drainTk)
 	a.Drain()
 	withdrawn, rej = a.withdraw(drainTk)
@@ -266,23 +246,22 @@ func TestWithdrawDistinguishesShedFromGrant(t *testing.T) {
 	a.mu.Unlock()
 
 	// Dispatched ticket: withdraw reports a granted slot (nil rejection).
-	grantTk := newTicket("granted", PriorityNormal, 1, time.Time{})
+	grantTk := newTicket("granted", PriorityNormal, time.Time{})
 	enqueue(a, grantTk)
-	a.Release(holder) // frees the slot and dispatches grantTk
+	a.Release() // frees the slot and dispatches grantTk
 	withdrawn, rej = a.withdraw(grantTk)
 	if withdrawn || rej != nil {
 		t.Fatalf("withdraw(dispatched) = (%v, %v), want (false, nil = slot held)", withdrawn, rej)
 	}
-	a.Release(grantTk)
+	a.Release()
 
 	// The bounds survived the whole dance: everything released, nothing
 	// negative, so a fresh request is admitted on the fast path.
 	a.mu.Lock()
-	inflight, runBytes, qBytes := a.inflight, a.runBytes, a.qBytes
+	inflight, queued := a.inflight, len(a.queue)
 	a.mu.Unlock()
-	if inflight != 0 || runBytes != 0 || qBytes != 0 {
-		t.Fatalf("controller state after releases: inflight=%d runBytes=%d qBytes=%d, want all 0",
-			inflight, runBytes, qBytes)
+	if inflight != 0 || queued != 0 {
+		t.Fatalf("controller state after releases: inflight=%d queued=%d, want both 0", inflight, queued)
 	}
 }
 
@@ -291,17 +270,17 @@ func TestWithdrawDistinguishesShedFromGrant(t *testing.T) {
 func TestDrainShedsQueue(t *testing.T) {
 	clk := newFakeClock()
 	a := newAdmission(Limits{MaxInflight: 1}.withDefaults(), clk.now, nil)
-	holder := newTicket("h", PriorityNormal, 1, time.Time{})
+	holder := newTicket("h", PriorityNormal, time.Time{})
 	if err := a.Admit(context.Background(), holder); err != nil {
 		t.Fatal(err)
 	}
 	errc := make(chan error, 1)
-	go func() { errc <- a.Admit(context.Background(), newTicket("q", PriorityNormal, 1, time.Time{})) }()
+	go func() { errc <- a.Admit(context.Background(), newTicket("q", PriorityNormal, time.Time{})) }()
 	waitQueued(t, a, 1)
 
 	a.Drain()
 	wantReject(t, <-errc, http.StatusServiceUnavailable, "draining")
-	wantReject(t, a.Admit(context.Background(), newTicket("late", PriorityHigh, 1, time.Time{})),
+	wantReject(t, a.Admit(context.Background(), newTicket("late", PriorityHigh, time.Time{})),
 		http.StatusServiceUnavailable, "draining")
-	a.Release(holder)
+	a.Release()
 }

@@ -206,7 +206,7 @@ func TestFlushResponseBytes(t *testing.T) {
 		setWindow(s, 100*time.Millisecond)
 		golden := make([]string, len(bodies))
 		for i, body := range bodies {
-			_, preq, _, apiErr := DecodeRequest(strings.NewReader(body), Limits{})
+			_, preq, apiErr := DecodeRequest(strings.NewReader(body), Limits{})
 			if apiErr != nil {
 				t.Fatal(apiErr)
 			}

@@ -104,50 +104,36 @@ func writeAPIError(w http.ResponseWriter, e *APIError, retryAfter int) {
 	}{ErrorBody{Code: e.Code, Message: e.Message}})
 }
 
-// countingReader counts the bytes a decoder consumed, so admission can
-// account the request's cost without buffering the body twice.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // DecodeRequest reads and validates one search request. Every failure is an
 // *APIError: malformed JSON, unknown fields, trailing data and oversized
 // bodies map to 400/413; semantic mistakes (bad PAM codes, mismatched guide
 // lengths, negative budgets, unknown priorities) map to 400 with the
 // validation message. On success it returns the wire request, the compiled
 // pipeline request (pattern and guides upper-cased like the input-file
-// parser) and the number of body bytes consumed.
-func DecodeRequest(r io.Reader, lim Limits) (*SearchRequest, *pipeline.Request, int64, *APIError) {
-	cr := &countingReader{r: r}
-	dec := json.NewDecoder(cr)
+// parser).
+func DecodeRequest(r io.Reader, lim Limits) (*SearchRequest, *pipeline.Request, *APIError) {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var sreq SearchRequest
 	if err := dec.Decode(&sreq); err != nil {
 		if ae := bodyError(err); ae != nil {
-			return nil, nil, cr.n, ae
+			return nil, nil, ae
 		}
-		return nil, nil, cr.n, apiErrorf(http.StatusBadRequest, "bad-json", "decoding request: %v", err)
+		return nil, nil, apiErrorf(http.StatusBadRequest, "bad-json", "decoding request: %v", err)
 	}
 	// A second document (or trailing garbage) after the request object is a
 	// malformed request, not ignorable slack.
 	if err := ensureEOF(dec); err != nil {
-		return nil, nil, cr.n, err
+		return nil, nil, err
 	}
 	if _, err := ParsePriority(sreq.Priority); err != nil {
-		return nil, nil, cr.n, err
+		return nil, nil, err
 	}
 	if sreq.TimeoutMs < 0 {
-		return nil, nil, cr.n, apiErrorf(http.StatusBadRequest, "bad-timeout", "timeout_ms %d is negative", sreq.TimeoutMs)
+		return nil, nil, apiErrorf(http.StatusBadRequest, "bad-timeout", "timeout_ms %d is negative", sreq.TimeoutMs)
 	}
 	if lim.MaxGuides > 0 && len(sreq.Guides) > lim.MaxGuides {
-		return nil, nil, cr.n, apiErrorf(http.StatusBadRequest, "too-many-guides",
+		return nil, nil, apiErrorf(http.StatusBadRequest, "too-many-guides",
 			"%d guides exceed the per-request limit of %d", len(sreq.Guides), lim.MaxGuides)
 	}
 	preq := &pipeline.Request{Pattern: strings.ToUpper(sreq.Pattern)}
@@ -158,9 +144,9 @@ func DecodeRequest(r io.Reader, lim Limits) (*SearchRequest, *pipeline.Request, 
 		})
 	}
 	if err := preq.Validate(); err != nil {
-		return nil, nil, cr.n, apiErrorf(http.StatusBadRequest, "bad-request", "%v", err)
+		return nil, nil, apiErrorf(http.StatusBadRequest, "bad-request", "%v", err)
 	}
-	return &sreq, preq, cr.n, nil
+	return &sreq, preq, nil
 }
 
 // ensureEOF rejects trailing content after the decoded document.

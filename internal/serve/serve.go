@@ -5,9 +5,9 @@
 // wraps them in production-grade request robustness:
 //
 //   - admission control: a bounded queue with per-tenant token-bucket
-//     quotas, an admitted-bytes budget and deadline-aware rejection; under
-//     overload the newest lowest-priority work sheds with 429 + Retry-After
-//     instead of queueing unboundedly (admission.go);
+//     quotas and deadline-aware rejection; under overload the newest
+//     lowest-priority work sheds with 429 + Retry-After instead of
+//     queueing unboundedly (admission.go);
 //   - cross-request guide coalescing: every request takes one path —
 //     decode, admit, coalesce, pass, demux — and concurrent requests sharing
 //     (genome, pattern) merge into one genome pass and demultiplex back to
@@ -296,7 +296,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	rc := http.NewResponseController(w)
 	_ = rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
 	body := http.MaxBytesReader(w, r.Body, s.lim.MaxBodyBytes)
-	sreq, preq, cost, apiErr := DecodeRequest(body, s.lim)
+	sreq, preq, apiErr := DecodeRequest(body, s.lim)
 	if apiErr != nil {
 		s.finish(statusRejected)
 		writeAPIError(w, apiErr, 0)
@@ -334,18 +334,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithDeadline(ctx, deadline)
 		defer cancel()
 	}
-	if cost <= 0 {
-		cost = 1
-	}
-	// Charge admission for what the pass will actually pin, not just what
-	// came over the wire: the body bytes plus the hit-arena provisioning
-	// its chunks claim on the device. A 200-byte request carrying 100
-	// guides is device-expensive; body bytes alone would let a burst of
-	// them sail under MaxInflightBytes.
-	cost += search.ArenaCostEstimate(len(preq.Queries))
 
-	// Admission: quota, byte budget, bounded queue with shedding.
-	tk := newTicket(tenant, priority, cost, deadline)
+	// Admission: quota, deadline, bounded queue with shedding.
+	tk := newTicket(tenant, priority, deadline)
 	t0 := time.Now()
 	if err := s.adm.Admit(ctx, tk); err != nil {
 		var rej *RejectError
@@ -363,7 +354,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.finish(statusCanceled)
 		return
 	}
-	defer s.adm.Release(tk)
+	defer s.adm.Release()
 	s.cfg.Trace.Complete("serve", "admit", reqID, t0, time.Since(t0),
 		obs.Attr{Key: "tenant", Value: tenant})
 

@@ -222,7 +222,7 @@ var retiredFieldBodies = map[string]string{
 // retired field as it does any unknown one, naming it.
 func TestDecodeRequestRejectsRetiredFields(t *testing.T) {
 	for field, body := range retiredFieldBodies {
-		sreq, preq, _, apiErr := DecodeRequest(strings.NewReader(body), Limits{})
+		sreq, preq, apiErr := DecodeRequest(strings.NewReader(body), Limits{})
 		if apiErr == nil || sreq != nil || preq != nil {
 			t.Fatalf("%s: decoded to %+v, %+v; want a rejection", field, sreq, preq)
 		}
@@ -452,6 +452,111 @@ func TestBurstSheds(t *testing.T) {
 	}
 	if depth := s.cfg.Metrics.Snapshot().Gauges[obs.MetricServeQueueDepth]; depth != 0 {
 		t.Errorf("queue depth %v after drain, want 0", depth)
+	}
+}
+
+// TestManyGuidesServedAtDefaults: at default limits an idle server streams a
+// request of DefaultMaxGuides guides to its trailer, byte-identical to the
+// engine's own stream. The number of guides bounds a request's body, not its
+// admission.
+func TestManyGuidesServedAtDefaults(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	preq := &pipeline.Request{Pattern: testPattern}
+	var guides []string
+	for i := 0; i < DefaultMaxGuides; i++ {
+		var prefix []byte
+		for d := i; len(prefix) < 4; d /= 4 {
+			prefix = append(prefix, "ACGT"[d%4])
+		}
+		guide := string(prefix) + "ACAGTANNN" // "GATT" plants a hit
+		preq.Queries = append(preq.Queries, pipeline.Query{Guide: guide, MaxMismatches: 1})
+		guides = append(guides, fmt.Sprintf(`{"guide":%q,"max_mismatches":1}`, guide))
+	}
+	body := fmt.Sprintf(`{"pattern":%q,"guides":[%s]}`, testPattern, strings.Join(guides, ","))
+
+	resp := postSearch(t, ts, body, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d (%s), want 200", resp.StatusCode, errorCode(t, resp))
+	}
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := soloNDJSON(t, &search.CPU{}, testAssembly(), preq)
+	hits := strings.Count(want, "\n")
+	if hits == 0 {
+		t.Fatal("the planted guide found nothing")
+	}
+	want += fmt.Sprintf(`{"done":true,"hits":%d,"degraded":false}`, hits) + "\n"
+	if string(data) != want {
+		t.Errorf("response differs from the engine's own stream:\n%s\nwant:\n%s", data, want)
+	}
+}
+
+// TestBurstShedsPastQueueBound: at default limits, with every pass blocked,
+// a burst of DefaultMaxInflight + DefaultMaxQueue + k requests sheds exactly
+// k of them, each as queue-full, and every admitted request completes once
+// the engine is released.
+func TestBurstShedsPastQueueBound(t *testing.T) {
+	eng := &stubEngine{block: make(chan struct{})}
+	m := obs.NewMetrics()
+	s, ts := newTestServer(t, func(c *Config) {
+		c.Engine = eng
+		c.Metrics = m
+	})
+	release := sync.OnceFunc(func() { close(eng.block) })
+	t.Cleanup(release) // before ts.Close, which waits for the blocked passes
+	const capacity = DefaultMaxInflight + DefaultMaxQueue
+	const excess = 4
+	codes := make(chan string, capacity+excess)
+	var wg sync.WaitGroup
+	for i := 0; i < capacity+excess; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := ts.Client().Post(ts.URL+"/search", "application/json", strings.NewReader(searchBody))
+			if err != nil {
+				t.Errorf("request: %v", err)
+				return
+			}
+			defer resp.Body.Close()
+			switch resp.StatusCode {
+			case http.StatusOK:
+				io.Copy(io.Discard, resp.Body)
+				codes <- "ok"
+			case http.StatusTooManyRequests:
+				var env struct {
+					Error ErrorBody `json:"error"`
+				}
+				json.NewDecoder(resp.Body).Decode(&env)
+				codes <- env.Error.Code
+			default:
+				codes <- fmt.Sprintf("status %d", resp.StatusCode)
+			}
+		}()
+	}
+	// While every pass blocks, only refusals answer; the queue is full by the
+	// time the excess is refused.
+	got := make(map[string]int)
+	for i := 0; i < excess; i++ {
+		select {
+		case c := <-codes:
+			got[c]++
+		case <-time.After(10 * time.Second):
+			t.Fatalf("burst stalled: %d refused, %d queued", i, queueLen(s.adm))
+		}
+	}
+	release()
+	wg.Wait()
+	close(codes)
+	for c := range codes {
+		got[c]++
+	}
+	if got["ok"] != capacity || got["rejected:queue-full"] != excess || len(got) != 2 {
+		t.Errorf("outcomes %v, want %d ok and %d rejected:queue-full", got, capacity, excess)
+	}
+	if depth := m.Snapshot().Gauges[obs.MetricServeQueueDepth]; depth != 0 {
+		t.Errorf("queue depth %v after the burst, want 0", depth)
 	}
 }
 
