@@ -171,8 +171,9 @@ func setup(args []string, stderr io.Writer) (*daemon, error) {
 		return nil, usageError{fmt.Errorf("no genomes: pass at least one -genome or -artifact")}
 	}
 	// A negative limit or deadline would silently read as "default" or
-	// "off", a NaN quota passes every comparison, and a bucket that holds
-	// less than one whole token admits nothing.
+	// "off", a NaN quota passes every comparison, a bucket that holds
+	// less than one whole token admits nothing, and a burst without a rate
+	// would be ignored.
 	for _, name := range []string{"max-inflight", "max-queue", "max-body-bytes",
 		"max-guides", "quota-rate", "quota-burst", "drain-timeout"} {
 		switch v := fs.Lookup(name).Value.String(); {
@@ -182,6 +183,8 @@ func setup(args []string, stderr io.Writer) (*daemon, error) {
 			return nil, usageError{fmt.Errorf("-%s %s is not a number", name, v)}
 		case name == "quota-burst" && *quotaBurst > 0 && *quotaBurst < 1:
 			return nil, usageError{fmt.Errorf("-%s %s is below 1: the bucket would never hold a whole token", name, v)}
+		case name == "quota-burst" && *quotaBurst > 0 && *quotaRate == 0:
+			return nil, usageError{fmt.Errorf("-%s %s needs -quota-rate: quotas are off without a rate", name, v)}
 		}
 	}
 	metrics := obs.NewMetrics() // always on: /metrics is part of the service

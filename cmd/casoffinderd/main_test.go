@@ -347,6 +347,7 @@ func TestSetupUsageErrors(t *testing.T) {
 		{"NaN quota-rate", []string{"-genome", dir, "-quota-rate", "NaN"}},
 		{"NaN quota-burst", []string{"-genome", dir, "-quota-rate", "5", "-quota-burst", "NaN"}},
 		{"fractional quota-burst", []string{"-genome", dir, "-quota-rate", "10", "-quota-burst", "0.5"}},
+		{"quota-burst without quota-rate", []string{"-genome", dir, "-quota-burst", "1"}},
 		{"negative drain-timeout", []string{"-genome", dir, "-drain-timeout", "-1s"}},
 	}
 	for _, tt := range tests {

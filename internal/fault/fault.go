@@ -302,20 +302,6 @@ func sortEvents(events []Event) {
 	})
 }
 
-// counts returns the number of fired events per site.
-func (in *Injector) counts() map[Site]int64 {
-	if in == nil {
-		return nil
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make(map[Site]int64)
-	for _, e := range in.log {
-		out[e.Site]++
-	}
-	return out
-}
-
 // Jitter hashes (seed, a, b) to a deterministic value in [0.5, 1.0), the
 // scale factor the resilience policy applies to its exponential backoff:
 // reproducible like everything else in the fault schedule, but still spread

@@ -64,15 +64,22 @@ func FuzzReadFASTA(f *testing.F) {
 	})
 }
 
-// FuzzWordView checks the word view against the raw bytes for arbitrary
-// valid input: every window lane must agree with laneOf, and every lane
-// at or past the end must be unknown.
+// FuzzWordView checks the word view against the byte-at-a-time reference
+// build for arbitrary input (the same words or the same error), and for
+// valid input every window lane against laneOf, with every lane at or past
+// the end unknown.
 func FuzzWordView(f *testing.F) {
 	f.Add([]byte("ACGT"))
 	f.Add([]byte("acgtnACGTN"))
 	f.Add(bytes.Repeat([]byte("ACGTNRY"), 20))
 	f.Add([]byte{})
+	f.Add([]byte("ACGTacgtUuGgCcAaTTGGCCAAacguACGUNNNNNNNNNNNNNNNNNNNNnnnnnnnnnnnnACgtACgtNNNnNNNN"))
+	f.Add([]byte("acgtACGTNNNNNNNNNNNNnnnnnnnnNNNNACGTACGTACGTNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNACGTAC"))
+	f.Add([]byte("ACGTACGTACGTACGTACGTACGTACGTACGTACGTAC#TACGTACGTACGTACGTACGTACGTACGTACGTAC"))
 	f.Fuzz(func(t *testing.T, in []byte) {
+		if d := diffRef(in, nil); d != "" {
+			t.Fatal(d)
+		}
 		v, err := NewWordView(in, nil)
 		if err != nil {
 			return

@@ -2,6 +2,7 @@ package genome
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -16,6 +17,109 @@ func randomSeq(rng *rand.Rand, n int) []byte {
 		seq[i] = alphabet[rng.Intn(len(alphabet))]
 	}
 	return seq
+}
+
+// newWordViewRef is the byte-at-a-time build that NewWordView's 8-byte
+// groups replaced: one laneTable lookup per base. It is the oracle of
+// TestWordViewMatchesRef and FuzzWordView.
+func newWordViewRef(seq []byte) (*WordView, error) {
+	dw := (len(seq) + 31) / 32
+	v := &WordView{n: len(seq), codes: make([]uint64, dw+1), unknown: make([]uint64, dw+1)}
+	for w := 0; w < dw; w++ {
+		var code, unknown uint64
+		word := seq[32*w : min(32*w+32, len(seq))]
+		for i, b := range word {
+			switch c := laneTable[b]; c {
+			case laneInvalid:
+				return nil, fmt.Errorf("genome: cannot pack invalid code %q at offset %d", b, 32*w+i)
+			case laneUnknown:
+				unknown |= 1 << (2 * i)
+			default:
+				code |= uint64(c) << (2 * i)
+			}
+		}
+		if r := len(word); r < 32 {
+			unknown |= LaneMask << (2 * r)
+		}
+		v.codes[w], v.unknown[w] = code, unknown
+	}
+	v.codes[dw], v.unknown[dw] = 0, LaneMask
+	return v, nil
+}
+
+// diffRef builds seq with NewWordView, rebuilding into reuse, and with
+// newWordViewRef, and describes how they differ, or returns "" when they
+// agree: the same error text, or the same length and the same code and
+// unknown words, padding word included. Code bits of an unknown lane must
+// agree too (0): artifact files store the words as built.
+func diffRef(seq []byte, reuse *WordView) string {
+	v, err := NewWordView(seq, reuse)
+	ref, refErr := newWordViewRef(seq)
+	if err != nil || refErr != nil {
+		if err == nil || refErr == nil || err.Error() != refErr.Error() {
+			return fmt.Sprintf("NewWordView(%q) error %v, reference %v", seq, err, refErr)
+		}
+		return ""
+	}
+	if v.n != ref.n || !slices.Equal(v.codes, ref.codes) || !slices.Equal(v.unknown, ref.unknown) {
+		return fmt.Sprintf("NewWordView(%q) = %d %x/%x, reference %d %x/%x", seq, v.n, v.codes, v.unknown, ref.n, ref.codes, ref.unknown)
+	}
+	return ""
+}
+
+// TestWordViewMatchesRef puts every byte value at every position of every
+// length 0–72 (two full words and a partial third) of a concrete, a
+// lower-case and an N-run background, so each 8-byte group shape is met:
+// all concrete, all N, mixed, other IUPAC codes, an invalid byte, and the
+// short last group.
+func TestWordViewMatchesRef(t *testing.T) {
+	const maxLen = 72
+	backgrounds := []string{
+		strings.Repeat("ACGTUGCA", maxLen/8),
+		strings.Repeat("acgtugca", maxLen/8),
+		strings.Repeat("N", 20) + strings.Repeat("n", 20) + strings.Repeat("AcGt", 3) + strings.Repeat("Nn", 10),
+	}
+	v := new(WordView)
+	seq := make([]byte, maxLen)
+	for _, bg := range backgrounds {
+		for n := 0; n <= maxLen; n++ {
+			if d := diffRef([]byte(bg[:n]), v); d != "" {
+				t.Fatal(d)
+			}
+			for pos := 0; pos < n; pos++ {
+				copy(seq, bg[:n])
+				for b := 0; b < 256; b++ {
+					seq[pos] = byte(b)
+					if d := diffRef(seq[:n], v); d != "" {
+						t.Fatal(d)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkNewWordView is the word-view build alone, in MB/s of sequence,
+// over every sequence of a 16 Mbase hg38-like assembly.
+func BenchmarkNewWordView(b *testing.B) {
+	asm, err := Generate(HG38Like(1 << 24))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var total int64
+	for _, s := range asm.Sequences {
+		total += int64(len(s.Data))
+	}
+	b.SetBytes(total)
+	var v *WordView
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range asm.Sequences {
+			if v, err = NewWordView(s.Data, v); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 // laneOf is the oracle for one lane, taken from the raw byte: a concrete

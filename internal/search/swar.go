@@ -174,15 +174,13 @@ func (sc *scanScratch) findSWARCandidates(v *genome.WordView, b *bitPattern, bas
 		if rem := body - pos0; rem < 32 {
 			union &= 1<<(uint(rem)*2) - 1
 		}
+		// A candidate's strand bits are read, not branched on: strands are
+		// close to random, so two ifs would mispredict about once per
+		// candidate. This relies on PAMFwd == 1 and PAMRev == 2, as the
+		// compare does when it reads bit h as strand half h.
 		for u := union; u != 0; u &= u - 1 {
 			bit := uint(bits.TrailingZeros64(u))
-			var strand uint8
-			if fw&(1<<bit) != 0 {
-				strand |= genome.PAMFwd
-			}
-			if rv&(1<<bit) != 0 {
-				strand |= genome.PAMRev
-			}
+			strand := uint8(fw>>bit&1) | uint8(rv>>bit&1)<<1
 			cand = append(cand, genome.NewPAMEntry(base+pos0+int(bit>>1), strand))
 		}
 	}
