@@ -54,10 +54,10 @@ race:
 # each waiter's admit and shed channels and its deadline timer; the burst
 # tests fill the slots and the queue and shed the excess over HTTP), the CPU
 # scan's equivalence suite (the SWAR
-# compare against the byte and scalar references, patterns of one to five
-# words, a multi-guide run against the merge of one-guide runs and the
-# zero-allocation pin, whose
-# pooled planes are per-goroutine buffers; and the artifact equivalence
+# compare against the byte and scalar references, the lane-by-lane guide-word
+# oracle, patterns of one to five words, a multi-guide run against the merge
+# of one-guide runs and the zero-allocation pin, whose pooled scratch is a
+# per-goroutine buffer; and the artifact equivalence
 # and corrupt-shard tests, since every slot scans one shared mapped PAM
 # shard in place), the NDJSON encoder's
 # zero-allocation pin, and the simulator engines'
@@ -77,7 +77,7 @@ stress:
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/serve/ -run 'TestFlush'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/serve -run 'TestCoalesce|TestCoalescedRequestsOverHTTP|TestPanicIsolation'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/serve -run 'TestQuotaTokenBucket|TestShedNewestLowestPriority|TestDeadlineAwareRejection|TestAdmitContextCancellation|TestWithdrawDistinguishesShedFromGrant|TestDrainShedsQueue|TestBurstSheds|TestRejectionAdvertisesExactRetryAfter'
-	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/search/ -run 'TestSWAR|TestScanChunkMatchesSeed|TestScanInnerLoopZeroAllocs|TestWriteHitJSONZeroAllocs|TestBatchedMatchesPerPattern|TestCompareMultiWordPatterns|TestArtifactEquivalenceAllEngines|TestArtifactShardMatchesScan|TestArtifactCorruptShardRejected'
+	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/search/ -run 'TestSWAR|TestGuideWordLanes|TestScanChunkMatchesSeed|TestScanInnerLoopZeroAllocs|TestWriteHitJSONZeroAllocs|TestBatchedMatchesPerPattern|TestCompareMultiWordPatterns|TestArtifactEquivalenceAllEngines|TestArtifactShardMatchesScan|TestArtifactCorruptShardRejected'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/search/ -run 'TestSimProfileSchedule|TestDenseCandidateRegionMatrix'
 	$(GO) test -race -count 1 -cpu 1,2,8 ./internal/search/ -run 'TestFaultDeterminism|TestFaultMatrix|TestMetricsAgreeWithProfile|TestProfileMerge'
 

@@ -89,11 +89,6 @@ func Matches(pattern, base byte) bool {
 	return pm&bm != 0
 }
 
-// Mismatch reports the inverse of Matches; it mirrors the comparison ladder
-// of the paper's Listing 1, which counts a position when the genome base is
-// outside the pattern code's set.
-func Mismatch(pattern, base byte) bool { return !Matches(pattern, base) }
-
 // complementTable maps each IUPAC code to its complement (the code whose
 // mask is the base-wise complement of the original's members: A<->T, C<->G).
 var complementTable = func() [256]byte {

@@ -3,7 +3,6 @@ package search
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"runtime"
 	"sync"
 
@@ -179,57 +178,51 @@ func (b *cpuBackend) Compare(ctx context.Context, st pipeline.Staged) error {
 	return nil
 }
 
-// inlineWindowWords is how many 32-base window words compareGuides keeps on
-// its own stack: patterns up to 128 bases, every real guide+PAM.
-const inlineWindowWords = 4
-
 // strandDir maps a strand half to its hit direction.
 var strandDir = [2]byte{kernels.DirForward, kernels.DirReverse}
 
 // compareGuides tests every guide at every surviving candidate. Each
-// candidate's window words are decoded into equality planes once, then every
-// guide's rows of the flat table are scored against them (pattern-major
-// inner loop); entries come out candidate, then guide, then forward before
-// reverse. The planes are written once per candidate, so they live on this
-// goroutine's stack — as small heap objects they shared cache lines with the
-// pattern tables every worker reads (EXPERIMENTS.md, "False sharing in
-// compareGuides"); only patterns over inlineWindowWords words use the pooled
-// slice. Windows are read at the candidates' view coordinates; only a hit
+// candidate's first window word is loaded once, and every guide's two strand
+// halves are bounded against it, one XOR each, before its strand bits are
+// read; only a half whose bound passes and whose bit is set goes on to
+// scoreTail. Entries come out candidate, then guide, then forward before
+// reverse. Windows are read at the candidates' view coordinates; only a hit
 // pays the subtraction that makes its position chunk-local.
 func (b *cpuBackend) compareGuides(s *cpuStaged) {
-	sc := s.sc
-	tab := &b.guides
-	var buf [inlineWindowWords]windowPlanes
-	planes := buf[:]
-	if tab.words > inlineWindowWords {
-		if cap(sc.planes) < tab.words {
-			sc.planes = make([]windowPlanes, tab.words)
-		}
-		planes = sc.planes
-	}
-	planes = planes[:tab.words]
+	rows, words, view := b.guides.rows, b.guides.words, s.view
 	queries := b.plan.Request.Queries
 	for _, cd := range s.cand {
 		pos, strand := cd.Pos(), cd.Strand()
-		for w := range planes {
-			text, unk := s.view.Window(pos + 32*w)
-			a, c, g, t := eqPlanes(text)
-			planes[w] = windowPlanes{a &^ unk, c &^ unk, g &^ unk, t &^ unk}
-		}
+		x, unk := view.Window(pos)
 		for qi := range queries {
 			limit := queries[qi].MaxMismatches
-			for st := strand; st != 0; st &= st - 1 {
-				h := bits.TrailingZeros8(st)
-				r := 2*qi + h
-				mm := tab.rows[r*tab.words].mismatches(&planes[0])
-				if tab.words > 1 && mm <= limit {
-					mm = tab.scoreTail(planes, r, mm, limit)
-				}
-				if mm <= limit {
-					sc.entries = append(sc.entries, rawHit{qi: qi, pos: pos - s.base, dir: strandDir[h], mm: mm})
-				}
+			fw := rows[2*qi*words].bound(x, unk)
+			rv := rows[(2*qi+1)*words].bound(x, unk)
+			if fw <= limit && strand&genome.PAMFwd != 0 {
+				b.scoreTail(s, pos, x, unk, qi, 0, fw, limit)
+			}
+			if rv <= limit && strand&genome.PAMRev != 0 {
+				b.scoreTail(s, pos, x, unk, qi, 1, rv, limit)
 			}
 		}
+	}
+}
+
+// scoreTail finishes the count of guide qi's strand half h at pos from mm,
+// its bound over word 0's window x, unk: it adds word 0's degenerate lanes,
+// then words 1.., each window loaded here, while the count can still pass,
+// and records an entry if it does. Pass/fail and the recorded counts are
+// the scalar paths'; a failing count may stop past limit+1, as whole words
+// are counted at a time, but is never recorded.
+func (b *cpuBackend) scoreTail(s *cpuStaged, pos int, x, unk uint64, qi, h, mm, limit int) {
+	row := b.guides.rows[(2*qi+h)*b.guides.words:][:b.guides.words]
+	mm += row[0].degenerate(x, unk)
+	for w := 1; w < len(row) && mm <= limit; w++ {
+		x, unk := s.view.Window(pos + 32*w)
+		mm += row[w].bound(x, unk) + row[w].degenerate(x, unk)
+	}
+	if mm <= limit {
+		s.sc.entries = append(s.sc.entries, rawHit{qi: qi, pos: pos - s.base, dir: strandDir[h], mm: mm})
 	}
 }
 
@@ -277,14 +270,12 @@ func (s *cpuStaged) release() {
 func (b *cpuBackend) Close() error { return nil }
 
 // scanScratch holds per-worker buffers reused across chunks so the scan
-// allocates nothing per position: candidate and entry accumulators, the
-// chunk's word view (rebuilt in place each chunk), and the
-// batched compare's window planes for patterns too long for its stack.
+// allocates nothing per position: candidate and entry accumulators and the
+// chunk's word view (rebuilt in place each chunk).
 type scanScratch struct {
 	cand    []genome.PAMEntry
 	entries []rawHit
 	view    *genome.WordView
-	planes  []windowPlanes
 }
 
 // scratchPool keeps one scanScratch per concurrent scan. It has package

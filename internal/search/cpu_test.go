@@ -173,7 +173,8 @@ func TestScanChunkMatchesSeed(t *testing.T) {
 // TestScanInnerLoopZeroAllocs pins the zero-allocation property of the hot
 // scan: once the worker's scratch has grown, packing a chunk, finding its
 // PAM candidates and comparing a guide that yields no hits must not
-// allocate at all — a pattern too long for the compare's stack included.
+// allocate at all, and the compare alone allocates nothing at any pattern
+// length.
 func TestScanInnerLoopZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	data := make([]byte, 4096)
@@ -219,31 +220,33 @@ func TestScanInnerLoopZeroAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, scan); allocs != 0 {
 		t.Errorf("scan allocated %.1f times per pass over %d chunks, want 0", allocs, len(chunks))
 	}
-	// The compare itself needs no scratch for a pattern this short: its
-	// window planes live on its own stack, not in heap objects that could
-	// share a cache line with the guide table.
-	cold := &cpuStaged{ch: s.ch, view: s.view, cand: s.cand, sc: new(scanScratch)}
-	if allocs := testing.AllocsPerRun(50, func() { b.compareGuides(cold) }); allocs != 0 || cold.sc.planes != nil {
-		t.Errorf("compareGuides allocated %.1f times per call (pooled planes %v), want 0 and none", allocs, cold.sc.planes)
-	}
-
-	// A pattern past inlineWindowWords words takes its planes from the
-	// pooled scratch: the first compare grows it, every later one reuses it.
-	long, err := kernels.NewPatternPair([]byte(strings.Repeat("C", 137) + "NNN"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The compare keeps no buffers of its own: at a 23-base pattern (one
+	// word) and a 140-base one whose word-0 bound passes (five words, each
+	// tail word loaded on the way), it allocates nothing on a fresh scratch
+	// and grows none of it, and allocates nothing on the scan's warm one.
 	v, err := genome.NewWordView(data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb, ls := everyWindow(long, v, len(data), genome.PAMFwd|genome.PAMRev, 0)
-	lb.compareGuides(ls)
-	if len(ls.sc.planes) <= inlineWindowWords || len(ls.sc.entries) != 0 {
-		t.Fatalf("long pattern: pooled planes %d words, %d entries; want > %d and none", len(ls.sc.planes), len(ls.sc.entries), inlineWindowWords)
-	}
-	if allocs := testing.AllocsPerRun(50, func() { lb.compareGuides(ls) }); allocs != 0 {
-		t.Errorf("warm compareGuides of a %d-base pattern allocated %.1f times per call, want 0", long.PatternLen, allocs)
+	for _, c := range []struct {
+		pattern string
+		limit   int
+	}{
+		{"GGCCGACCTGTCGCTGACGCNNN", 0},
+		{strings.Repeat("C", 137) + "NNN", 40},
+	} {
+		pair, err := kernels.NewPatternPair([]byte(c.pattern))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cb, cold := everyWindow(pair, v, len(data), genome.PAMFwd|genome.PAMRev, c.limit)
+		if allocs := testing.AllocsPerRun(50, func() { cb.compareGuides(cold) }); allocs != 0 || cold.sc.entries != nil {
+			t.Errorf("%d-base pattern: compareGuides on a fresh scratch allocated %.1f times per call (entries %v), want 0 and none", pair.PatternLen, allocs, cold.sc.entries)
+		}
+		warm := &cpuStaged{view: v, cand: cold.cand, sc: s.sc}
+		if allocs := testing.AllocsPerRun(50, func() { cb.compareGuides(warm) }); allocs != 0 || len(warm.sc.entries) != 0 {
+			t.Errorf("%d-base pattern: warm compareGuides allocated %.1f times per call, %d entries; want 0 and none", pair.PatternLen, allocs, len(warm.sc.entries))
+		}
 	}
 }
 

@@ -8,14 +8,14 @@ import (
 )
 
 // The SWAR (SIMD-within-a-register) core processes 32 bases per uint64
-// instead of one base per load. A window word is split into four equality
-// planes, one per 2-bit code, with the genome's unknown lanes cleared; a
-// guide is compiled once into per-word lane masks — the set of indexed lanes
-// plus one accumulator word per nucleotide marking the lanes whose IUPAC mask
-// admits that base. Mismatch counting is then four ANDs, three ORs, one
-// AND-NOT and one OnesCount64 per pattern word, and PAM-candidate finding
-// tests 32 genome positions per iteration. The per-base scalar and byte paths
-// it replaced are the equivalence-test references in ref_test.go.
+// instead of one base per load. A guide is compiled once into per-word lane
+// masks: its single-base lanes (A, C, G, T) as a lane set and their 2-bit
+// codes, so one XOR with a window word and one OnesCount64 bound the word's
+// mismatches, and its degenerate lanes (R, Y, S, W, K, M, B, D, H, V) as one
+// accumulator per nucleotide, matched against the window's equality planes
+// only where the bound passes. PAM-candidate finding tests 32 genome
+// positions per iteration. The per-base scalar and byte paths it replaced
+// are the equivalence-test references in ref_test.go.
 
 // bitIdx is one indexed pattern position of a strand half: its offset from
 // the window start and its IUPAC mask.
@@ -58,24 +58,32 @@ func eqPlanes(x uint64) (a, c, g, t uint64) {
 	return
 }
 
-// windowPlanes are the equality planes of one 32-base window word with its
-// unknown lanes cleared: lane bit 2i of plane c is set when lane i holds a
-// known base of 2-bit code c.
-type windowPlanes [4]uint64
-
-// guideWord is one 32-base word of one strand half of a compiled guide.
-// lanes has lane bit 2·(k mod 32) set for every indexed position k in the
-// word; acc[c] has it set when the pattern mask at k admits 2-bit code c.
+// guideWord is one 32-base word of one strand half of a compiled guide. Lane
+// bit 2·(k mod 32) of lanes is set for every indexed position k in the word
+// whose pattern code names one base, and code holds that base's 2-bit code in
+// lane k; deg has the bit set for every other indexed position, and acc[c]
+// for each of those whose pattern mask admits 2-bit code c.
 type guideWord struct {
-	lanes uint64
-	acc   [4]uint64
+	lanes, code, deg uint64
+	acc              [4]uint64
 }
 
-// mismatches counts the word's indexed lanes that no plane matches: lanes
-// unknown in the genome, or whose code is outside the pattern mask. This is
-// the SWAR replacement for 32 iterations of the scalar IUPAC ladder.
-func (g *guideWord) mismatches(p *windowPlanes) int {
-	return bits.OnesCount64(g.lanes &^ (p[0]&g.acc[0] | p[1]&g.acc[1] | p[2]&g.acc[2] | p[3]&g.acc[3]))
+// bound counts the single-base lanes that the window x (code word) with
+// unknown lanes unk mismatches: lanes unknown in the genome or holding
+// another code. It never exceeds the word's mismatches and equals them when
+// the word has no degenerate lanes.
+func (g *guideWord) bound(x, unk uint64) int {
+	d := x ^ g.code
+	return bits.OnesCount64((d | d>>1 | unk) & g.lanes)
+}
+
+// degenerate counts the degenerate lanes the window mismatches: lanes
+// unknown in the genome, or whose code is outside the pattern mask. bound
+// plus degenerate is the word's mismatch count, the SWAR replacement for 32
+// iterations of the scalar IUPAC ladder.
+func (g *guideWord) degenerate(x, unk uint64) int {
+	a, c, gg, t := eqPlanes(x)
+	return bits.OnesCount64(g.deg &^ ((a&g.acc[0] | c&g.acc[1] | gg&g.acc[2] | t&g.acc[3]) &^ unk))
 }
 
 // guideTable is every guide of a request compiled into one flat slice: row
@@ -95,8 +103,14 @@ func compileGuides(guides []*kernels.PatternPair, plen int) guideTable {
 		for h, idx := range compileBitPattern(pair).idx {
 			row := t.rows[(2*qi+h)*t.words:][:t.words]
 			for _, e := range idx {
-				g, bit := &row[e.k>>5], uint64(1)<<(uint(e.k&31)*2)
-				g.lanes |= bit
+				g, sh := &row[e.k>>5], uint(e.k&31)*2
+				bit := uint64(1) << sh
+				if e.m&(e.m-1) == 0 {
+					g.lanes |= bit
+					g.code |= uint64(bits.TrailingZeros8(uint8(e.m))) << sh
+					continue
+				}
+				g.deg |= bit
 				for c := range g.acc {
 					if e.m&(1<<c) != 0 {
 						g.acc[c] |= bit
@@ -106,19 +120,6 @@ func compileGuides(guides []*kernels.PatternPair, plen int) guideTable {
 		}
 	}
 	return t
-}
-
-// scoreTail adds words 1.. of row r to mm, word 0's count, giving up as
-// soon as the count exceeds the limit: the count passes when it is <= limit.
-// The pass/fail decision and the passing counts are identical to the scalar
-// paths; a failing count may exceed the scalar's limit+1 because whole words
-// are counted at a time.
-func (t *guideTable) scoreTail(planes []windowPlanes, r, mm, limit int) int {
-	row := t.rows[r*t.words:][:len(planes)]
-	for w := 1; w < len(row) && mm <= limit; w++ {
-		mm += row[w].mismatches(&planes[w])
-	}
-	return mm
 }
 
 // matchLanes tests 32 consecutive candidate positions pos0..pos0+31 against

@@ -97,6 +97,62 @@ func TestSWARFinderMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestGuideWordLanes is the lane-by-lane oracle of a compiled guide word:
+// each of the 15 IUPAC pattern codes against A, C, G, T and an unknown (N)
+// genome lane, at every lane of word 0 and word 1 of a 64-base pattern whose
+// other lanes mix single-base, degenerate and N codes, on both strand
+// halves. Per word, bound never exceeds the byte path's count and bound plus
+// degenerate equals it; the two words add up to countMismatches.
+func TestGuideWordLanes(t *testing.T) {
+	const iupac, bases, plen = "ACGTRYSWKMBDHVN", "ACGTN", 64
+	rng := rand.New(rand.NewSource(17))
+	pattern, seq := make([]byte, plen), make([]byte, plen)
+	for k := range pattern {
+		pattern[k] = iupac[(k*7)%len(iupac)]
+		seq[k] = bases[rng.Intn(len(bases))]
+	}
+	for lane := 0; lane < plen; lane++ {
+		for _, p := range []byte(iupac) {
+			for _, b := range []byte(bases) {
+				pattern[lane], seq[lane] = p, b
+				pair, err := kernels.NewPatternPair(pattern)
+				if err != nil {
+					t.Fatal(err)
+				}
+				v, err := genome.NewWordView(seq, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tab := compileGuides([]*kernels.PatternPair{pair}, plen)
+				for h := range 2 {
+					codes := pair.Codes[h*plen:][:plen]
+					total := 0
+					for w := range tab.words {
+						want := 0
+						for k := 32 * w; k < 32*w+32; k++ {
+							if codes[k] != 'N' && !genome.Matches(codes[k], seq[k]) {
+								want++
+							}
+						}
+						total += want
+						g := &tab.rows[h*tab.words+w]
+						x, unk := v.Window(32 * w)
+						bound, deg := g.bound(x, unk), g.degenerate(x, unk)
+						if bound > want || bound+deg != want {
+							t.Fatalf("pattern %s lane %d = %c vs %c, half %d word %d: bound %d + degenerate %d, byte path %d",
+								pattern, lane, p, b, h, w, bound, deg, want)
+						}
+					}
+					if mm, _ := countMismatches(seq, pair, h*plen, plen); mm != total {
+						t.Fatalf("pattern %s lane %d, half %d: words add to %d, countMismatches %d", pattern, lane, h, total, mm)
+					}
+				}
+			}
+		}
+		pattern[lane] = iupac[(lane*7)%len(iupac)]
+	}
+}
+
 // TestBatchedMatchesPerPattern: for every engine, one multi-query run must
 // equal the merge of per-query Stream passes — the batched multi-pattern
 // scan cannot change any single pattern's hits.
@@ -142,8 +198,8 @@ func TestBatchedMatchesPerPattern(t *testing.T) {
 }
 
 // TestCompareMultiWordPatterns: the batched compare past word 0. For
-// pattern lengths on both sides of each 32-base word boundary up to the
-// pooled-planes path, IUPAC guides at limits 0, mid and PatternLen over an
+// pattern lengths on both sides of each 32-base word boundary up to five
+// words, IUPAC guides at limits 0, mid and PatternLen over an
 // N- and soft-mask-laden genome with sites planted on both strands, the CPU
 // engine returns the byte path's hits exactly, at chunk sizes that cut
 // through windows.
@@ -216,12 +272,16 @@ func everyWindow(pair *kernels.PatternPair, v *genome.WordView, n int, strand ui
 // byte-path count agree exactly, for every window, strand half and limit:
 // a window passes on one exactly when it passes on all three, with the same
 // count. The 33-, 65- and 129-base seeds run the tail words past word 0,
-// and the 129-base one the pooled planes of a pattern too long for the
-// compare's stack.
+// and the degenerate-lane seed a word-0 bound that passes on the
+// single-base lanes alone, leaving the degenerate lanes to decide.
 func FuzzSWARMismatch(f *testing.F) {
 	f.Add([]byte("NNNNNNNNNNGG"), []byte("GATTACAGTAGGACGTACGTNNRYacgt"), 0)
 	f.Add([]byte("GANNTTNRYNGG"), []byte("gattacagtaggACGTACGT"), 3)
 	f.Add([]byte("NGG"), []byte("AGGTGGNGGRGG"), 1)
+	// Word 0's only single-base lanes are the GG, so its bound never exceeds
+	// the limit and the R, Y, S, W, K, M, B, D, H, V lanes decide every
+	// window.
+	f.Add([]byte("RYSWKMBDHVNGG"), []byte("AGCTGCAGTAGGCGTACGATTAGGTTAGGNGG"), 2)
 	// Longer seeds whose first window is the pattern's own bases, every
 	// fourth position a random IUPAC code, so that window passes; its last
 	// base, alone in the last word, matches once (G) and mismatches once (C).
