@@ -1,13 +1,15 @@
 # Build and verification entry points. `make ci` is the full gate: format
-# check, vet, build, every test under the race detector, and the
-# schedule-independence stress. `make bench` is the repository's one
-# benchmark (benchmark/, see BENCHMARK.json); no target runs `go test -bench`
-# and nothing here compares wall-clock time against a threshold — such claims
-# are made from paired benchmark/run.sh runs, tabled in EXPERIMENTS.md.
+# check, vet, build, every test under the race detector, the
+# schedule-independence stress and one iteration of the layer benchmarks.
+# `make bench` is the repository's one benchmark (benchmark/, see
+# BENCHMARK.json); `bench-smoke` runs the layer benchmarks only to keep them
+# building and running, and nothing here compares wall-clock time against a
+# threshold — such claims are made from paired benchmark/run.sh runs, tabled
+# in EXPERIMENTS.md.
 
 GO ?= go
 
-.PHONY: all build fmt vet test race stress fuzz-regress bench ci
+.PHONY: all build fmt vet test race stress bench-smoke fuzz-regress bench ci
 
 all: build
 
@@ -69,9 +71,11 @@ race:
 # with its replay check and the ledger tests: a run has one search.Profile,
 # its backend and the executor's report both write it, and it is published
 # into the registry once — the race detector over those writers, and the
-# metrics/profile agreement after them, are the check.
+# metrics/profile agreement after them, are the check. The comparer's
+# exhaustive single-goroutine oracle (TestWordExitMatchesWalk, 40 s under
+# the race detector) has no schedule to vary; `race` runs it once.
 stress:
-	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/kernels ./internal/isa ./internal/tune ./internal/gpu ./internal/gpu/alloc ./internal/sycl ./internal/opencl ./internal/pipeline -skip '^TestGroupMatchesReference$$'
+	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/kernels ./internal/isa ./internal/tune ./internal/gpu ./internal/gpu/alloc ./internal/sycl ./internal/opencl ./internal/pipeline -skip '^(TestGroupMatchesReference|TestWordExitMatchesWalk)$$'
 	$(GO) test -race -count 1 -cpu 1,2,8 ./internal/kernels -run '^TestGroupMatchesReference$$'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./cmd/benchtab -run 'TestRunCSV'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/serve/ -run 'TestFlush'
@@ -80,6 +84,12 @@ stress:
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/search/ -run 'TestSWAR|TestGuideWordLanes|TestScanChunkMatchesSeed|TestScanInnerLoopZeroAllocs|TestWriteHitJSONZeroAllocs|TestBatchedMatchesPerPattern|TestCompareMultiWordPatterns|TestArtifactEquivalenceAllEngines|TestArtifactShardMatchesScan|TestArtifactCorruptShardRejected'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/search/ -run 'TestSimProfileSchedule|TestDenseCandidateRegionMatrix'
 	$(GO) test -race -count 1 -cpu 1,2,8 ./internal/search/ -run 'TestFaultDeterminism|TestFaultMatrix|TestMetricsAgreeWithProfile|TestProfileMerge'
+
+# One iteration of the layer benchmarks that performance claims rest on —
+# the simulator's group kernels and the CPU compare — so they cannot rot.
+# A smoke run: the numbers it prints are not compared with anything.
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'GroupKernels|CompareGuides' -benchtime 1x ./internal/kernels ./internal/search
 
 # Fuzz regression mode: the seed corpora (f.Add entries) replay on every
 # plain `go test`; this target additionally fuzzes each target briefly to
@@ -110,4 +120,4 @@ fuzz-regress:
 bench:
 	bash benchmark/run.sh
 
-ci: fmt vet build race stress
+ci: fmt vet build race stress bench-smoke

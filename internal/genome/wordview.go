@@ -15,10 +15,11 @@ const LaneMask = 0x5555555555555555
 // WordView is the word-parallel form of a sequence, the 2-bit format the
 // scan reads: 32 bases per uint64 (base i at bits 2·(i mod 32) and up,
 // A,C,G,T = 0..3), plus a parallel array of unknown lanes where bit
-// 2·(i mod 32) is set when base i was ambiguous. Both arrays carry one
-// padding word, and every lane at or past Len is marked unknown, so a
-// shifted window load never needs a bounds branch and out-of-range lanes
-// can never match a concrete pattern position.
+// 2·(i mod 32) is set when base i was ambiguous or no IUPAC code at all. An
+// unknown lane's code is 0 for an ambiguous base and 3 for an invalid byte.
+// Both arrays carry one padding word, and every lane at or past Len is
+// marked unknown, so a shifted window load never needs a bounds branch and
+// out-of-range lanes can never match a concrete pattern position.
 type WordView struct {
 	n       int
 	codes   []uint64
@@ -26,11 +27,11 @@ type WordView struct {
 }
 
 // Entries of laneTable: a concrete base maps to its 2-bit code, any other
-// IUPAC code to laneUnknown (code A, lane unknown), any other byte to
-// laneInvalid.
+// IUPAC code to laneUnknown, any other byte to laneInvalid. Bits 0-1 of an
+// entry are the lane's code, bit 2 its unknown flag.
 const (
-	laneUnknown = 4
-	laneInvalid = 5
+	laneUnknown = 4 // unknown, code 0
+	laneInvalid = 7 // unknown, code 3
 )
 
 var laneTable = func() [256]byte {
@@ -81,16 +82,19 @@ func gather16(c uint64) uint64 {
 
 // NewWordView builds the word view of seq (or rebuilds it into reuse's
 // buffers when reuse is non-nil) in one pass over the bytes. U counts as T,
-// case is ignored, and every other IUPAC code becomes an unknown lane; a
-// byte that is no IUPAC code is an error, after which reuse is partially
-// filled and must be rebuilt before use. Scan workers keep one view per
-// scratch, so the per-chunk rebuild allocates nothing once warm.
+// case is ignored, and every other IUPAC code becomes an unknown lane; so
+// does a byte that is no IUPAC code, and the first such byte is reported as
+// an error beside the complete view. A caller that needs a valid sequence
+// (the CPU scan, an artifact build) fails on the error; one that scores
+// windows (the simulated comparer) reads the view, where an invalid byte
+// mismatches every pattern code as Matches has it. Scan workers keep one
+// view per scratch, so the per-chunk rebuild allocates nothing once warm.
 //
-// The bytes are read 8 at a time: a group of 8 concrete bases, or of 8
-// N/n, is packed with word operations, and any other group (other IUPAC
-// codes, a mix, an invalid byte, or the short group at the end) goes
-// through laneTable byte by byte, so an error names the same byte and
-// offset either way.
+// The bytes are read 8 at a time: a word of 32 concrete bases is packed
+// from its four groups at once, and otherwise a group of 8 concrete bases,
+// or of 8 N/n, is packed with word operations, and any other group (other
+// IUPAC codes, a mix, an invalid byte, or the short group at the end) goes
+// through laneTable byte by byte.
 func NewWordView(seq []byte, reuse *WordView) (*WordView, error) {
 	v := reuse
 	if v == nil {
@@ -100,9 +104,20 @@ func NewWordView(seq []byte, reuse *WordView) (*WordView, error) {
 	v.codes = slices.Grow(v.codes[:0], dw+1)[:dw+1]
 	v.unknown = slices.Grow(v.unknown[:0], dw+1)[:dw+1]
 	v.n = len(seq)
+	var err error
 	for w := 0; w < dw; w++ {
 		var code, unknown uint64
 		word := seq[32*w : min(32*w+32, len(seq))]
+		if len(word) == 32 {
+			c0, ok0 := groupCodes(binary.LittleEndian.Uint64(word[0:8]))
+			c1, ok1 := groupCodes(binary.LittleEndian.Uint64(word[8:16]))
+			c2, ok2 := groupCodes(binary.LittleEndian.Uint64(word[16:24]))
+			c3, ok3 := groupCodes(binary.LittleEndian.Uint64(word[24:32]))
+			if ok0 && ok1 && ok2 && ok3 {
+				v.codes[w], v.unknown[w] = gather16(c0)|gather16(c1)<<16|gather16(c2)<<32|gather16(c3)<<48, 0
+				continue
+			}
+		}
 		for g := 0; g < len(word); g += 8 {
 			group := word[g:min(g+8, len(word))]
 			if len(group) == 8 {
@@ -117,13 +132,11 @@ func NewWordView(seq []byte, reuse *WordView) (*WordView, error) {
 				}
 			}
 			for i, b := range group {
-				switch c := laneTable[b]; c {
-				case laneInvalid:
-					return nil, fmt.Errorf("genome: cannot pack invalid code %q at offset %d", b, 32*w+g+i)
-				case laneUnknown:
-					unknown |= 1 << (2 * (g + i))
-				default:
-					code |= uint64(c) << (2 * (g + i))
+				c := laneTable[b]
+				code |= uint64(c&3) << (2 * (g + i))
+				unknown |= uint64(c>>2) << (2 * (g + i))
+				if c == laneInvalid && err == nil {
+					err = fmt.Errorf("genome: cannot pack invalid code %q at offset %d", b, 32*w+g+i)
 				}
 			}
 		}
@@ -133,7 +146,7 @@ func NewWordView(seq []byte, reuse *WordView) (*WordView, error) {
 		v.codes[w], v.unknown[w] = code, unknown
 	}
 	v.codes[dw], v.unknown[dw] = 0, LaneMask
-	return v, nil
+	return v, err
 }
 
 // Len returns the number of bases the view covers.

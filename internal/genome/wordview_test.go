@@ -25,13 +25,18 @@ func randomSeq(rng *rand.Rand, n int) []byte {
 func newWordViewRef(seq []byte) (*WordView, error) {
 	dw := (len(seq) + 31) / 32
 	v := &WordView{n: len(seq), codes: make([]uint64, dw+1), unknown: make([]uint64, dw+1)}
+	var err error
 	for w := 0; w < dw; w++ {
 		var code, unknown uint64
 		word := seq[32*w : min(32*w+32, len(seq))]
 		for i, b := range word {
 			switch c := laneTable[b]; c {
 			case laneInvalid:
-				return nil, fmt.Errorf("genome: cannot pack invalid code %q at offset %d", b, 32*w+i)
+				if err == nil {
+					err = fmt.Errorf("genome: cannot pack invalid code %q at offset %d", b, 32*w+i)
+				}
+				unknown |= 1 << (2 * i)
+				code |= 3 << (2 * i)
 			case laneUnknown:
 				unknown |= 1 << (2 * i)
 			default:
@@ -44,22 +49,20 @@ func newWordViewRef(seq []byte) (*WordView, error) {
 		v.codes[w], v.unknown[w] = code, unknown
 	}
 	v.codes[dw], v.unknown[dw] = 0, LaneMask
-	return v, nil
+	return v, err
 }
 
 // diffRef builds seq with NewWordView, rebuilding into reuse, and with
 // newWordViewRef, and describes how they differ, or returns "" when they
-// agree: the same error text, or the same length and the same code and
-// unknown words, padding word included. Code bits of an unknown lane must
-// agree too (0): artifact files store the words as built.
+// agree: the same error text, if any, and the same length and the same code
+// and unknown words, padding word included. Code bits of an unknown lane
+// must agree too (0 ambiguous, 3 invalid): artifact files store the words as
+// built, and the simulated comparer tells the two apart.
 func diffRef(seq []byte, reuse *WordView) string {
 	v, err := NewWordView(seq, reuse)
 	ref, refErr := newWordViewRef(seq)
-	if err != nil || refErr != nil {
-		if err == nil || refErr == nil || err.Error() != refErr.Error() {
-			return fmt.Sprintf("NewWordView(%q) error %v, reference %v", seq, err, refErr)
-		}
-		return ""
+	if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+		return fmt.Sprintf("NewWordView(%q) error %v, reference %v", seq, err, refErr)
 	}
 	if v.n != ref.n || !slices.Equal(v.codes, ref.codes) || !slices.Equal(v.unknown, ref.unknown) {
 		return fmt.Sprintf("NewWordView(%q) = %d %x/%x, reference %d %x/%x", seq, v.n, v.codes, v.unknown, ref.n, ref.codes, ref.unknown)
@@ -293,6 +296,20 @@ func TestPackInvalid(t *testing.T) {
 		if _, err := NewWordView([]byte(in), nil); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("NewWordView(%q) = %v, want an error containing %q", in, err, want)
 		}
+	}
+	// The view beside the error is complete: the invalid bytes are unknown
+	// lanes of code 3, every other byte packed as usual, and the error
+	// names the first invalid byte.
+	v, err := NewWordView([]byte("AC-GT\x00x"), nil)
+	if err == nil || !strings.Contains(err.Error(), `'-' at offset 2`) {
+		t.Fatalf("NewWordView = %v, want the error of the first invalid byte", err)
+	}
+	code, unk := v.Window(0)
+	if got, want := code&0x3fff, uint64(0|1<<2|3<<4|2<<6|3<<8|3<<10|3<<12); got != want {
+		t.Errorf("codes %#x, want %#x", got, want)
+	}
+	if got, want := unk&0x3fff, uint64(1<<4|1<<10|1<<12); got != want {
+		t.Errorf("unknown lanes %#x, want %#x", got, want)
 	}
 }
 

@@ -11,11 +11,16 @@ import (
 
 // BenchmarkGroupKernels times the two group bodies alone on the simulator,
 // one worker, over a 1 MiB hg38-like chunk: the finder with the SpCas9 PAM
-// in ns per site, then the opt3 comparer over the finder's candidates with
-// one guide at five mismatches in ns per candidate, both at a 512-item work
-// group (the tuned MI100 shape). It is the layer number beside the
-// end-to-end daemon-sycl and sim-paper workloads of benchmark/ and, like
-// the root package's benchmarks, has no Makefile target:
+// in ns per site, then the opt3 comparer over the finder's candidates in ns
+// per candidate, both at a 512-item work group (the tuned MI100 shape).
+// Each iteration builds its kernel, as a launch does, so per-launch set-up
+// is in the number. The comparer arms mirror BenchmarkCompareGuides in
+// internal/search: one concrete guide at five mismatches (comparer), the
+// guide widened by R and Y inside the 20-mer (comparer,iupac), and the
+// concrete guide at twelve (comparer,mm=12), where most candidates score
+// far into the pattern. It is the layer number beside the end-to-end
+// daemon-sycl and sim-paper workloads of benchmark/; make ci runs it once
+// as a smoke test, and by hand:
 //
 //	go test -run '^$' -bench GroupKernels -benchmem ./internal/kernels
 func BenchmarkGroupKernels(b *testing.B) {
@@ -30,10 +35,6 @@ func BenchmarkGroupKernels(b *testing.B) {
 	}
 	chr = chr[:min(len(chr), 1<<20)]
 	pat, err := NewPatternPair([]byte("NNNNNNNNNNNNNNNNNNNNNRG"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	guide, err := NewPatternPair([]byte("GGCCGACCTGTCGCTGACGCNNN"))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -62,11 +63,11 @@ func BenchmarkGroupKernels(b *testing.B) {
 		Flags: make([]byte, farena.Layout.Slots()),
 		Arena: farena.Device(),
 	}
-	finder, err := NewFinder(fa)
-	if err != nil {
-		b.Fatal(err)
-	}
 	runFinder := func(b *testing.B) {
+		finder, err := NewFinder(fa)
+		if err != nil {
+			b.Fatal(err)
+		}
 		farena.Reset()
 		launch(b, "finder", sites, pat.PatternLen, finder.Phases)
 	}
@@ -85,24 +86,37 @@ func BenchmarkGroupKernels(b *testing.B) {
 	}
 	loci, flags := alloc.Gather(geo, fa.Loci, nil), alloc.Gather(geo, fa.Flags, nil)
 	carena := alloc.NewHost(alloc.WorstCase(max((len(loci)+wg-1)/wg, 1), 2*wg))
-	ca := &ComparerArgs{
-		Chr: chr, Loci: loci, Flags: flags, LociCount: uint32(len(loci)),
-		Guide: guide, Threshold: 5,
-		MMLoci:    make([]uint32, carena.Layout.Slots()),
-		MMCount:   make([]uint16, carena.Layout.Slots()),
-		Direction: make([]byte, carena.Layout.Slots()),
-		Arena:     carena.Device(),
-	}
-	comparer, err := NewComparer(Opt3, ca)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("comparer", func(b *testing.B) {
-		b.ReportAllocs()
-		for range b.N {
-			carena.Reset()
-			launch(b, ComparerKernelName(Opt3), len(loci), guide.PatternLen, comparer.Phases)
+	for _, arm := range []struct {
+		name, guide string
+		limit       uint16
+	}{
+		{"comparer", "GGCCGACCTGTCGCTGACGCNNN", 5},
+		{"comparer,iupac", "GGCCRACCTGTCGYTGACGCNNN", 5},
+		{"comparer,mm=12", "GGCCGACCTGTCGCTGACGCNNN", 12},
+	} {
+		guide, err := NewPatternPair([]byte(arm.guide))
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(loci)), "ns/candidate")
-	})
+		ca := &ComparerArgs{
+			Chr: chr, Loci: loci, Flags: flags, LociCount: uint32(len(loci)),
+			Guide: guide, Threshold: arm.limit,
+			MMLoci:    make([]uint32, carena.Layout.Slots()),
+			MMCount:   make([]uint16, carena.Layout.Slots()),
+			Direction: make([]byte, carena.Layout.Slots()),
+			Arena:     carena.Device(),
+		}
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				comparer, err := NewComparer(Opt3, ca)
+				if err != nil {
+					b.Fatal(err)
+				}
+				carena.Reset()
+				launch(b, ComparerKernelName(Opt3), len(loci), guide.PatternLen, comparer.Phases)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(loci)), "ns/candidate")
+		})
+	}
 }

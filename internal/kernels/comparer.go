@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 
+	"casoffinder/internal/genome"
 	"casoffinder/internal/gpu"
 )
 
@@ -175,42 +176,49 @@ func NewComparer(v ComparerVariant, a *ComparerArgs) (*Comparer, error) {
 
 // Phases returns the kernel's two phases for one worker. lComp and
 // lCompIndex are the worker's local staging arrays ("l_comp",
-// "l_comp_index"), each of length 2*PatternLen.
+// "l_comp_index"), each of length 2*PatternLen. The worker's guide words
+// and its genome tile are reused by every group it runs.
 func (k *Comparer) Phases(lComp []byte, lCompIndex []int32) []gpu.Phase {
-	hist, terms := newHist(&k.strand), newTerms(&k.strand)
+	hist, words, tile := newHist(&k.strand), newWords(k.a.Guide.PatternLen), new(genome.WordView)
 	return []gpu.Phase{
 		func(g *gpu.Group) { stageGroup(g, k.a.Guide, lComp, lCompIndex, &k.stage, &k.item) },
-		func(g *gpu.Group) { k.compareGroup(g, lComp, lCompIndex, hist, terms) },
+		func(g *gpu.Group) { k.compareGroup(g, lComp, lCompIndex, hist, words, tile) },
 	}
 }
 
-// flagStrands maps a finder flag to the strands the comparer walks, as a
-// bit per strand; an unknown flag walks neither.
-var flagStrands = [256]uint8{FlagBoth: 0b11, FlagForward: 0b01, FlagReverse: 0b10}
+// flagStrands maps a finder flag to the strands the comparer scores, the
+// range [first, end): FlagBoth scores both halves, FlagForward and
+// FlagReverse one, an unknown flag neither.
+var flagStrands = [256][2]uint8{FlagBoth: {0, 2}, FlagForward: {0, 1}, FlagReverse: {1, 2}}
 
 var strandDir = [2]byte{DirForward, DirReverse}
 
-func (k *Comparer) compareGroup(g *gpu.Group, lComp []byte, lCompIndex []int32, hist [2][]int64, terms [2][]term) {
+func (k *Comparer) compareGroup(g *gpu.Group, lComp []byte, lCompIndex []int32, hist [2][]int64, words [2][]genome.GuideWord, tile *genome.WordView) {
 	a, threshold := k.a, int(k.a.Threshold)
-	restage(&k.strand, terms, lComp, lCompIndex, a.Guide.PatternLen)
+	stageWords(&k.strand, words, lComp, lCompIndex, a.Guide.PatternLen)
 	base, n := g.Base(), inRange(g, int(a.LociCount))
 	// Before opt2 loci[i] is re-read from global memory — per strand (opt1)
 	// or per iteration and per store (base). The plan prices every such
 	// read as a reload; the first one an item performs is not, and firsts
 	// counts those items.
 	reloads := k.c.lociPerIter || k.c.lociPerHalf
+	complete := [2]int{k.strand[0].n, k.strand[1].n} // each strand's last exit
+	// reads[s]: scoring strand s reads loci[i]; so does storing an entry.
+	reads := [2]bool{k.c.lociPerHalf || complete[0] > 0, k.c.lociPerHalf || complete[1] > 0}
 	stores, drops, firsts := 0, 0, 0
+	plen, loci, flags := a.Guide.PatternLen, a.Loci, a.Flags
+	lo, hi := 0, 0 // the tile holds Chr[lo:hi]
 	for i := base; i < base+n; i++ {
-		locus := int(a.Loci[i])
-		read := false
-		for s := range k.strand {
-			if flagStrands[a.Flags[i]]&(1<<s) == 0 {
-				continue
-			}
-			e, mm := walk(terms[s], a.Chr, locus, threshold)
+		locus := int(loci[i])
+		if locus < lo || locus+plen > hi {
+			lo, hi = k.packRun(tile, i, base+n)
+		}
+		r := flagStrands[flags[i]]
+		read := reloads && r[0] < r[1] && (reads[r[0]] || reads[r[1]-1])
+		for s := int(r[0]); s < int(r[1]); s++ {
+			e, mm := wordExit(words[s], tile, locus-lo, threshold)
 			hist[s][e]++
-			read = read || k.c.lociPerHalf || len(terms[s]) > 0
-			if e != len(terms[s]) {
+			if e != complete[s] {
 				continue
 			}
 			// L19-L23 / L36-L40: compact one passing entry through the
@@ -225,9 +233,9 @@ func (k *Comparer) compareGroup(g *gpu.Group, lComp []byte, lCompIndex []int32, 
 			a.Direction[slot] = strandDir[s]
 			a.MMLoci[slot] = uint32(locus)
 			stores++
-			read = true
+			read = reloads
 		}
-		if read && reloads {
+		if read {
 			firsts++
 		}
 	}
@@ -239,6 +247,33 @@ func (k *Comparer) compareGroup(g *gpu.Group, lComp []byte, lCompIndex []int32, 
 	st.AddScaled(&k.store, int64(stores))
 	diverged(st, g.Size()-n+drops) // items past LociCount, dropped entries
 	st.RedundantLoadOps -= int64(firsts)
+}
+
+// packRun packs the window of item i, and of every item after it up to end
+// whose window starts inside the span packed so far, into the tile, and
+// returns that span, Chr[lo:hi]. Loci come from the finder in ascending
+// order, a few bases apart, so a group is a few runs and each base is
+// packed once; sparse or unordered loci pack little more than their own
+// windows. An invalid byte is packed as an unknown lane, which every
+// pattern code mismatches. A window that runs past Chr fails the launch.
+func (k *Comparer) packRun(tile *genome.WordView, i, end int) (lo, hi int) {
+	a, plen := k.a, k.a.Guide.PatternLen
+	lo = int(a.Loci[i])
+	hi = lo + plen
+	for j := i + 1; j < end; j++ {
+		q := int(a.Loci[j])
+		if q < lo || q > hi {
+			break
+		}
+		hi = max(hi, q+plen)
+	}
+	if hi > len(a.Chr) {
+		panic(fmt.Sprintf("kernels: comparer: a %d-base window ending at %d runs past the %d-base chunk", plen, hi, len(a.Chr)))
+	}
+	// The error only names the first invalid byte, which the view already
+	// holds as an unknown lane.
+	_, _ = genome.NewWordView(a.Chr[lo:hi], tile)
+	return lo, hi
 }
 
 // ComparerLocalBytes returns the shared-local-memory bytes one work-group

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"casoffinder/internal/genome"
@@ -164,6 +165,10 @@ func FuzzGroupKernels(f *testing.F) {
 	f.Add([]byte("ACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT"), "NNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNRG", "ACGTACGTACGTACGTRYSWKMBDHVACGTACGTNNN", uint8(8), uint8(63), uint8(5), uint8(0))
 	f.Add([]byte("GGGGGGGGGGGGGGGGGGGGGGGGGGGGGGGG\x00\xffxxGGGG"), "GG", "GN", uint8(0), uint8(0), uint8(3), uint8(1))
 	f.Add([]byte("AC"), "ACGT", "ACGT", uint8(2), uint8(7), uint8(4), uint8(0))
+	// A 40-base IUPAC guide, two words, over invalid and soft-masked bytes:
+	// the comparer's tile packs \x00 and x as unknown lanes, which mismatch.
+	f.Add([]byte(strings.Repeat("acgTAxGG\x00cCaRtgGnAGGtacgTTaGCcaggATcCG", 8)), strings.Repeat("N", 38)+"GG",
+		"ACGTRYSWKMBDHVACGTACGTRYNNACGTACGTACGTNN", uint8(9), uint8(31), uint8(3), uint8(0))
 	// Group sizes around the finder's 64-site blocks, site counts that are
 	// no multiple of 64 and a final partial group.
 	rng := rand.New(rand.NewSource(64))

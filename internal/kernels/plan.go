@@ -22,19 +22,25 @@ import (
 // counter.
 //
 // The group bodies compute *where* items leave without a branch per pattern
-// entry: each evaluated entry j reads one byte of the process-wide
-// mismatchRows table, row code_j indexed by chr[pos+k_j]. The comparer adds
-// those bytes per item until the count passes the threshold; the finder,
-// whose threshold is zero, turns one entry's rows over a block of up to 64
+// entry. The finder, whose threshold is zero, reads for each evaluated entry
+// j one byte of the process-wide mismatchRows table per site, row code_j
+// indexed by chr[pos+k_j], turns the entry's rows over a block of up to 64
 // sites into a lane mask and retires the mismatching lanes of the block at
-// once (walkBlock).
+// once (walkBlock). The comparer scores a candidate from one mismatch mask
+// per 32-base word: each group packs the span of chr its loci cover into a
+// 2-bit genome.WordView tile (packRun), the guide's staged strands are
+// genome.GuideWords (stageWords), and a window's mask is its XOR with the
+// strand's code word plus its degenerate and unknown lanes. The index lists
+// the evaluated lanes in ascending order, so an item leaves by the entry of
+// the (threshold+1)-th set bit, its rank among the evaluated lanes
+// (wordExit).
 
 // mismatchRows returns the table whose [code][base] entry is 1 when the
 // genome base fails to match the pattern code — !genome.Matches, the
-// Listing 1 ladder's verdict — and 0 when it matches. Every launch reads its
-// rows from this one table. It is built on first use, so a program that
-// never launches a simulated kernel pays neither its 64 KiB nor the 65 536
-// Matches calls at start-up.
+// Listing 1 ladder's verdict — and 0 when it matches. Every finder launch
+// reads its rows from this one table. It is built on first use, so a
+// program that never launches the simulated finder pays neither its 64 KiB
+// nor the 65 536 Matches calls at start-up.
 var mismatchRows = sync.OnceValue(func() *[256][256]uint8 {
 	t := new([256][256]uint8)
 	for c := range t {
@@ -74,13 +80,19 @@ type walkCosts struct {
 
 // planStrand prices the walk over one strand's index array idx and pattern
 // codes (each of the pattern's length). Entries outside the pattern are
-// rejected here, once, so the group loop can index without checking.
+// rejected here, once, so the group loop can index without checking, and so
+// are entries out of ascending order: the comparer's exit is a lane's rank
+// in position order.
 func planStrand(idx []int32, codes []byte, w *walkCosts) (strandPlan, error) {
 	plen := len(idx)
 	var sp strandPlan
 	for sp.n < plen && idx[sp.n] != -1 {
-		if k := idx[sp.n]; k < 0 || int(k) >= plen {
+		k := idx[sp.n]
+		if k < 0 || int(k) >= plen {
 			return sp, fmt.Errorf("index entry %d outside the %d-base pattern", k, plen)
+		}
+		if sp.n > 0 && k <= idx[sp.n-1] {
+			return sp, fmt.Errorf("index entry %d after %d: entries must ascend", k, idx[sp.n-1])
 		}
 		sp.n++
 	}
@@ -142,20 +154,43 @@ func restage(strand *[2]strandPlan, terms [2][]term, codes []byte, idx []int32, 
 	}
 }
 
-// walk compares one strand's terms with the genome at pos. It returns the
-// exit the item left by — len(terms), the plan's last exit, when the walk
-// completed — and the mismatches counted up to it.
-func walk(terms []term, chr []byte, pos, threshold int) (exit, mm int) {
-	for j, t := range terms {
-		mm += int(t.row[chr[pos+t.k]])
-		if mm > threshold {
-			return j, mm
+// stageWords rewrites one worker's guide words for both strands from the
+// group's staged arrays, as restage does terms: strand s's evaluated
+// entries are its half of idx and index its half of codes.
+func stageWords(strand *[2]strandPlan, words [2][]genome.GuideWord, codes []byte, idx []int32, plen int) {
+	for s := range strand {
+		clear(words[s])
+		off := s * plen
+		for _, k := range idx[off : off+strand[s].n] {
+			words[s][k>>5].Add(int(k), genome.MaskOf(codes[off+int(k)]))
 		}
 	}
-	return len(terms), mm
 }
 
-// walkBlock is walk at threshold zero for the block of sites b, b+1, …
+// wordExit scores one strand's words against the tile window at off and
+// returns the exit the item leaves the walk by, and the mismatches counted
+// up to it: the evaluated-lane rank of the (threshold+1)-th mismatching lane
+// and threshold+1, or, when the window mismatches no more than threshold
+// lanes, the completed walk's exit and the count.
+func wordExit(words []genome.GuideWord, tile *genome.WordView, off, threshold int) (exit, mm int) {
+	for w := range words {
+		g := &words[w]
+		x, unk := tile.Window(off + 32*w)
+		m := g.BoundMask(x, unk) | g.DegenerateMask(x, unk)
+		c := bits.OnesCount64(m)
+		if mm+c > threshold {
+			for r := threshold - mm; r > 0; r-- {
+				m &= m - 1
+			}
+			return exit + bits.OnesCount64(g.Lanes()&((m&-m)-1)), threshold + 1
+		}
+		mm += c
+		exit += bits.OnesCount64(g.Lanes())
+	}
+	return exit, mm
+}
+
+// walkBlock is the walk at threshold zero for the block of sites b, b+1, …
 // whose lanes are set in live (bit l is site b+l; at most 64, from bit 0
 // up). Each term's mismatching live lanes leave by its exit and drop out;
 // the walk stops when no lane is left. It adds the lanes' exits to hist and
@@ -196,8 +231,16 @@ func newHist(strand *[2]strandPlan) [2][]int64 {
 	return [2][]int64{h[:n], h[n:]}
 }
 
+// newWords returns one worker's guide words, ceil(plen/32) per strand,
+// which the comparer restages after every barrier.
+func newWords(plen int) [2][]genome.GuideWord {
+	n := (plen + 31) / 32
+	w := make([]genome.GuideWord, 2*n)
+	return [2][]genome.GuideWord{w[:n], w[n:]}
+}
+
 // newTerms returns one worker's terms, one per evaluated entry of each
-// strand, which the group bodies restage after every barrier.
+// strand, which the finder restages after every barrier.
 func newTerms(strand *[2]strandPlan) [2][]term {
 	n := strand[0].n
 	t := make([]term, n+strand[1].n)

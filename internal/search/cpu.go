@@ -196,8 +196,8 @@ func (b *cpuBackend) compareGuides(s *cpuStaged) {
 		x, unk := view.Window(pos)
 		for qi := range queries {
 			limit := queries[qi].MaxMismatches
-			fw := rows[2*qi*words].bound(x, unk)
-			rv := rows[(2*qi+1)*words].bound(x, unk)
+			fw := rows[2*qi*words].Bound(x, unk)
+			rv := rows[(2*qi+1)*words].Bound(x, unk)
 			if fw <= limit && strand&genome.PAMFwd != 0 {
 				b.scoreTail(s, pos, x, unk, qi, 0, fw, limit)
 			}
@@ -216,10 +216,10 @@ func (b *cpuBackend) compareGuides(s *cpuStaged) {
 // are counted at a time, but is never recorded.
 func (b *cpuBackend) scoreTail(s *cpuStaged, pos int, x, unk uint64, qi, h, mm, limit int) {
 	row := b.guides.rows[(2*qi+h)*b.guides.words:][:b.guides.words]
-	mm += row[0].degenerate(x, unk)
+	mm += row[0].Degenerate(x, unk)
 	for w := 1; w < len(row) && mm <= limit; w++ {
 		x, unk := s.view.Window(pos + 32*w)
-		mm += row[w].bound(x, unk) + row[w].degenerate(x, unk)
+		mm += row[w].Bound(x, unk) + row[w].Degenerate(x, unk)
 	}
 	if mm <= limit {
 		s.sc.entries = append(s.sc.entries, rawHit{qi: qi, pos: pos - s.base, dir: strandDir[h], mm: mm})

@@ -47,75 +47,25 @@ func compileBitPattern(pair *kernels.PatternPair) *bitPattern {
 	return b
 }
 
-// eqPlanes splits a 32-lane code word into four equality planes: lane bit
-// 2i of plane c is set when lane i holds 2-bit code c.
-func eqPlanes(x uint64) (a, c, g, t uint64) {
-	hi := x >> 1
-	a = ^(x | hi) & genome.LaneMask
-	c = (x &^ hi) & genome.LaneMask
-	g = (hi &^ x) & genome.LaneMask
-	t = (x & hi) & genome.LaneMask
-	return
-}
-
-// guideWord is one 32-base word of one strand half of a compiled guide. Lane
-// bit 2·(k mod 32) of lanes is set for every indexed position k in the word
-// whose pattern code names one base, and code holds that base's 2-bit code in
-// lane k; deg has the bit set for every other indexed position, and acc[c]
-// for each of those whose pattern mask admits 2-bit code c.
-type guideWord struct {
-	lanes, code, deg uint64
-	acc              [4]uint64
-}
-
-// bound counts the single-base lanes that the window x (code word) with
-// unknown lanes unk mismatches: lanes unknown in the genome or holding
-// another code. It never exceeds the word's mismatches and equals them when
-// the word has no degenerate lanes.
-func (g *guideWord) bound(x, unk uint64) int {
-	d := x ^ g.code
-	return bits.OnesCount64((d | d>>1 | unk) & g.lanes)
-}
-
-// degenerate counts the degenerate lanes the window mismatches: lanes
-// unknown in the genome, or whose code is outside the pattern mask. bound
-// plus degenerate is the word's mismatch count, the SWAR replacement for 32
-// iterations of the scalar IUPAC ladder.
-func (g *guideWord) degenerate(x, unk uint64) int {
-	a, c, gg, t := eqPlanes(x)
-	return bits.OnesCount64(g.deg &^ ((a&g.acc[0] | c&g.acc[1] | gg&g.acc[2] | t&g.acc[3]) &^ unk))
-}
-
 // guideTable is every guide of a request compiled into one flat slice: row
-// 2·qi+h (guide qi, strand half h) is words guideWords long and starts at
-// (2·qi+h)·words. All guides of a request share one pattern length.
+// 2·qi+h (guide qi, strand half h) is words genome.GuideWords long and
+// starts at (2·qi+h)·words. All guides of a request share one pattern
+// length.
 type guideTable struct {
 	words int // pattern words per strand half: ceil(PatternLen/32)
-	rows  []guideWord
+	rows  []genome.GuideWord
 }
 
 // compileGuides lowers each guide's indexed positions, as compileBitPattern
 // lists them, to per-word lane masks.
 func compileGuides(guides []*kernels.PatternPair, plen int) guideTable {
 	t := guideTable{words: (plen + 31) / 32}
-	t.rows = make([]guideWord, 2*len(guides)*t.words)
+	t.rows = make([]genome.GuideWord, 2*len(guides)*t.words)
 	for qi, pair := range guides {
 		for h, idx := range compileBitPattern(pair).idx {
 			row := t.rows[(2*qi+h)*t.words:][:t.words]
 			for _, e := range idx {
-				g, sh := &row[e.k>>5], uint(e.k&31)*2
-				bit := uint64(1) << sh
-				if e.m&(e.m-1) == 0 {
-					g.lanes |= bit
-					g.code |= uint64(bits.TrailingZeros8(uint8(e.m))) << sh
-					continue
-				}
-				g.deg |= bit
-				for c := range g.acc {
-					if e.m&(1<<c) != 0 {
-						g.acc[c] |= bit
-					}
-				}
+				row[e.k>>5].Add(int(e.k), e.m)
 			}
 		}
 	}
@@ -133,7 +83,7 @@ func (b *bitPattern) matchLanes(v *genome.WordView, pos0, h int) uint64 {
 	lanes := uint64(genome.LaneMask)
 	for _, e := range b.idx[h] {
 		text, unk := v.Window(pos0 + int(e.k))
-		ea, ec, eg, et := eqPlanes(text)
+		ea, ec, eg, et := genome.EqPlanes(text)
 		var matched uint64
 		if e.m&genome.MaskA != 0 {
 			matched |= ea

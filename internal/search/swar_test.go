@@ -137,7 +137,7 @@ func TestGuideWordLanes(t *testing.T) {
 						total += want
 						g := &tab.rows[h*tab.words+w]
 						x, unk := v.Window(32 * w)
-						bound, deg := g.bound(x, unk), g.degenerate(x, unk)
+						bound, deg := g.Bound(x, unk), g.Degenerate(x, unk)
 						if bound > want || bound+deg != want {
 							t.Fatalf("pattern %s lane %d = %c vs %c, half %d word %d: bound %d + degenerate %d, byte path %d",
 								pattern, lane, p, b, h, w, bound, deg, want)
