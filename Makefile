@@ -51,10 +51,13 @@ race:
 # goroutine and the handler share one ResponseWriter; the client disconnects
 # or stalls mid-stream), the coalescer's byte-identity pins (coalescing is the
 # daemon's only serving path: merged streams against solo goldens over the
-# coalescer and over HTTP, member departure, a panicking merged pass), the
-# admission controller (Admit, withdraw, dispatch and Drain race one mutex,
-# each waiter's admit and shed channels and its deadline timer; the burst
-# tests fill the slots and the queue and shed the excess over HTTP), the CPU
+# scheduler and over HTTP, member departure, a panicking merged pass), the
+# pass scheduler (Join, leave, the batch timers, dispatch, the pass
+# goroutines and Drain race one mutex and each member's quit channel; the
+# burst tests fill the slots and the queue and shed the excess over HTTP,
+# and one pass carries every waiter once a slot frees), the write side (a
+# member stalled in a write misses its deadline and leaves its pass, while
+# the other member's stream, departure and the next pass go on), the CPU
 # scan's equivalence suite (the SWAR
 # compare against the byte and scalar references, the lane-by-lane guide-word
 # oracle, patterns of one to five words, a multi-guide run against the merge
@@ -80,7 +83,7 @@ stress:
 	$(GO) test -race -count 20 -cpu 1,2,8 ./cmd/benchtab -run 'TestRunCSV'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/serve/ -run 'TestFlush'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/serve -run 'TestCoalesce|TestCoalescedRequestsOverHTTP|TestPanicIsolation'
-	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/serve -run 'TestQuotaTokenBucket|TestShedNewestLowestPriority|TestDeadlineAwareRejection|TestAdmitContextCancellation|TestWithdrawDistinguishesShedFromGrant|TestDrainShedsQueue|TestBurstSheds|TestRejectionAdvertisesExactRetryAfter'
+	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/serve -run 'TestQuotaTokenBucket|TestShedNewestLowestPriority|TestDeadlineAwareRejection|TestAdmitContextCancellation|TestAdmitCancellationCountsCanceled|TestLeaveDistinguishesShedFromStart|TestDrainShedsQueue|TestFullBatchRunsAtOnce|TestBurstSheds|TestRejectionAdvertisesExactRetryAfter|TestOnePassCarriesEveryWaiter|TestStalledReader'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/search/ -run 'TestSWAR|TestGuideWordLanes|TestScanChunkMatchesSeed|TestScanInnerLoopZeroAllocs|TestWriteHitJSONZeroAllocs|TestBatchedMatchesPerPattern|TestCompareMultiWordPatterns|TestArtifactEquivalenceAllEngines|TestArtifactShardMatchesScan|TestArtifactCorruptShardRejected'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/search/ -run 'TestSimProfileSchedule|TestDenseCandidateRegionMatrix'
 	$(GO) test -race -count 1 -cpu 1,2,8 ./internal/search/ -run 'TestFaultDeterminism|TestFaultMatrix|TestMetricsAgreeWithProfile|TestProfileMerge'

@@ -13,7 +13,7 @@
 //	             [-workers N]
 //	             [-fault-rate 0.05 -fault-seed 42 -fault-site S]
 //	             [-watchdog 5s] [-max-retries N]
-//	             [-max-inflight 4] [-max-queue 64]
+//	             [-max-inflight 4 (cpu engine)] [-max-queue 64]
 //	             [-max-body-bytes N] [-max-guides N]
 //	             [-quota-rate R] [-quota-burst B]
 //	             [-drain-timeout 30s] [-trace trace.json]
@@ -26,13 +26,15 @@
 //	               engine is warmed; 503 during startup and drain)
 //	GET  /metrics  Prometheus text exposition of the serve counters
 //
-// Admission control bounds the intake: requests beyond the queue bound shed
-// with 429 + Retry-After (newest lowest-priority first), and -quota-rate
-// enforces a per-tenant token bucket keyed by the X-API-Key header. Every
-// admitted request joins a coalescing batch: requests that share (genome,
-// pattern) and arrive within 2 ms of each other run as one genome pass, and
-// per-request output is byte-identical to an uncoalesced run. No flag or
-// request field changes that path. The simulator engines pick their comparer
+// One queue sits in front of the engine. -quota-rate enforces a per-tenant
+// token bucket keyed by the X-API-Key header; an accepted request then waits
+// in a batch with the requests that share its (genome, pattern), and the
+// batch runs as one genome pass once its 2 ms window has passed and a pass
+// slot is free: -max-inflight slots on the cpu engine, one on a simulator
+// engine. While every slot is busy the batch keeps taking members. Requests
+// beyond -max-queue waiting shed with 429 + Retry-After (newest
+// lowest-priority first). Per-request output is byte-identical to an
+// uncoalesced run, and no flag or request field changes that path. The simulator engines pick their comparer
 // kernel with the occupancy autotuner; the daemon prints no kernel profile,
 // so the CLI's -variant has no counterpart here.
 //
@@ -150,8 +152,8 @@ func setup(args []string, stderr io.Writer) (*daemon, error) {
 	fs.Var(&artifacts, "artifact", ".cart genome artifact to mmap resident, optionally name=path (repeatable)")
 	var opts search.Options
 	opts.Register(fs)
-	maxInflight := fs.Int("max-inflight", 0, "concurrent genome passes (0 = default)")
-	maxQueue := fs.Int("max-queue", 0, "queued requests beyond the inflight slots (0 = default)")
+	maxInflight := fs.Int("max-inflight", 0, "concurrent genome passes (cpu engine; 0 = default)")
+	maxQueue := fs.Int("max-queue", 0, "requests waiting for their genome pass (0 = default)")
 	maxBodyBytes := fs.Int64("max-body-bytes", 0, "largest accepted request body (0 = default)")
 	maxGuides := fs.Int("max-guides", 0, "most guides in one request (0 = default)")
 	quotaRate := fs.Float64("quota-rate", 0, "per-tenant requests per second, keyed by X-API-Key (0 = quotas off)")
@@ -197,14 +199,17 @@ func setup(args []string, stderr io.Writer) (*daemon, error) {
 	if err != nil {
 		return nil, usageError{err}
 	}
+	// Only a simulator engine has a recovery policy, and its device state is
+	// mutable: its passes run one at a time, whatever -max-inflight says.
+	if res != nil && *maxInflight != 0 {
+		return nil, usageError{fmt.Errorf("-max-inflight needs the cpu engine, not %q: a simulator engine has one pass slot", opts.Engine)}
+	}
 
 	resident, err := loadGenomes(genomes, artifacts, stderr)
 	if err != nil {
 		return nil, err
 	}
 
-	// Only a simulator engine has a recovery policy, and its device state is
-	// mutable: its passes run one at a time.
 	srv, err := serve.New(serve.Config{
 		Engine:          eng,
 		SerializePasses: res != nil,

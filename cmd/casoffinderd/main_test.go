@@ -332,6 +332,8 @@ func TestSetupUsageErrors(t *testing.T) {
 		{"fault seed on cpu", []string{"-genome", dir, "-fault-seed", "9"}},
 		{"device on cpu", []string{"-genome", dir, "-device", "MI60"}},
 		{"workers on opencl", []string{"-genome", dir, "-engine", "opencl", "-workers", "2"}},
+		{"max-inflight on sycl", []string{"-genome", dir, "-engine", "sycl", "-max-inflight", "8"}},
+		{"max-inflight on opencl", []string{"-genome", dir, "-engine", "opencl", "-max-inflight", "1"}},
 		{"bad fault site", []string{"-genome", dir, "-engine", "opencl", "-fault-rate", "1", "-fault-site", "gpu.meltdown"}},
 		{"retired fault site", []string{"-genome", dir, "-engine", "sycl", "-fault-site", "sycl.usm"}},
 		{"duplicate genome name", []string{"-genome", dir, "-genome", dir}},

@@ -76,16 +76,6 @@ func (m *Metrics) Count(name string, delta int64) {
 	m.mu.Unlock()
 }
 
-// Counter returns a counter's current value (0 if never counted).
-func (m *Metrics) Counter(name string) int64 {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.counters[name]
-}
-
 // Gauge sets a gauge to v.
 func (m *Metrics) Gauge(name string, v float64) {
 	if m == nil {

@@ -92,7 +92,12 @@ const (
 	// MetricServeRequests carries a status="..." label (the terminal request
 	// outcome: ok, degraded, rejected, error, canceled);
 	// MetricServeShed a reason="..." label (quota, queue-full, shed,
-	// deadline, draining).
+	// deadline, draining). MetricServeQueueDepth is the requests waiting in
+	// batches, MetricServeInflight the passes running, MetricServeQueueSeconds
+	// a request's wait from acceptance to its pass start (the batching
+	// window included) and MetricServeStreamSeconds its pass start to its
+	// end. MetricServeWriteTimeouts counts members that left their pass
+	// because a write to their client missed its deadline.
 	MetricServeRequests      = "casoffinderd_requests_total"
 	MetricServeShed          = "casoffinderd_shed_total"
 	MetricServeQueueDepth    = "casoffinderd_queue_depth"
@@ -104,4 +109,5 @@ const (
 	MetricServeDegraded      = "casoffinderd_degraded_total"
 	MetricServePanics        = "casoffinderd_panics_total"
 	MetricServeHits          = "casoffinderd_hits_total"
+	MetricServeWriteTimeouts = "casoffinderd_write_timeouts_total"
 )

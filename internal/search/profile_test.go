@@ -231,7 +231,7 @@ func TestMetricsAgreeWithProfile(t *testing.T) {
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
-			if got := m.Counter(obs.MetricHits); got != int64(len(hits)) {
+			if got := m.Snapshot().Counters[obs.MetricHits]; got != int64(len(hits)) {
 				t.Errorf("hits counter = %d, run returned %d", got, len(hits))
 			}
 			p := newProfile()

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -52,6 +51,21 @@ func soloNDJSON(t *testing.T, eng search.Engine, asm *genome.Assembly, req *pipe
 	return buf.String()
 }
 
+// counter reads one counter of a registry.
+func counter(m *obs.Metrics, name string) int64 { return m.Snapshot().Counters[name] }
+
+// coalescer builds a scheduler at default limits over run, whose batches
+// are ready window after they open.
+func coalescer(window time.Duration, run passFunc, m *obs.Metrics) *scheduler {
+	return newScheduler(Limits{}.withDefaults(), window, nil, run, m)
+}
+
+// joinReq submits req to s as one member of the "test" genome's batches.
+func joinReq(ctx context.Context, s *scheduler, req *pipeline.Request, emit func(pipeline.Hit) error) (*pipeline.Report, error, error) {
+	m := &member{priority: PriorityNormal, queries: req.Queries, emit: emit}
+	return s.Join(ctx, "t", coalKey{genome: "test", pattern: req.Pattern}, m)
+}
+
 // cpuPass adapts the CPU engine to a passFunc (no resilience reports).
 func cpuPass(asm *genome.Assembly) passFunc {
 	eng := &search.CPU{}
@@ -90,7 +104,7 @@ func TestCoalescedByteIdentical(t *testing.T) {
 		passes.Store(req, true)
 		return run(ctx, g, req, emit)
 	}
-	c := newCoalescer(200*time.Millisecond, counted, m)
+	c := coalescer(200*time.Millisecond, counted, m)
 
 	bufs := make([]bytes.Buffer, len(members))
 	var wg sync.WaitGroup
@@ -98,7 +112,7 @@ func TestCoalescedByteIdentical(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rep, perr, merr := c.Join(context.Background(), "test", req, jsonEmit(&bufs[i], req))
+			rep, perr, merr := joinReq(context.Background(), c, req, jsonEmit(&bufs[i], req))
 			if perr != nil || merr != nil {
 				t.Errorf("member %d: pass err %v, member err %v", i, perr, merr)
 			}
@@ -119,7 +133,7 @@ func TestCoalescedByteIdentical(t *testing.T) {
 	if n != 1 {
 		t.Errorf("%d passes ran, want 1 (members did not coalesce)", n)
 	}
-	if got := m.Counter(obs.MetricServeCoalesced); got != int64(len(members)) {
+	if got := counter(m, obs.MetricServeCoalesced); got != int64(len(members)) {
 		t.Errorf("coalesced counter = %d, want %d", got, len(members))
 	}
 }
@@ -146,28 +160,16 @@ func TestCoalescedDegradedPass(t *testing.T) {
 	res := &pipeline.Resilience{Seed: 42}
 	eng := &search.SimCL{Device: dev, Resilience: res}
 
-	// Mirror Server.runPass: serialize passes and capture the report the
-	// resilient executor publishes through the sink.
-	var mu sync.Mutex
+	// Mirror Server.runPass: one pass slot, and the report the resilient
+	// executor publishes through the sink.
 	var slot *pipeline.Report
-	res.OnReport = func(rep *pipeline.Report) {
-		mu.Lock()
-		slot = rep
-		mu.Unlock()
-	}
-	var engineMu sync.Mutex
+	res.OnReport = func(rep *pipeline.Report) { slot = rep }
 	run := func(ctx context.Context, _ string, req *pipeline.Request, emit func(pipeline.Hit) error) (*pipeline.Report, error) {
-		engineMu.Lock()
-		defer engineMu.Unlock()
-		mu.Lock()
 		slot = nil
-		mu.Unlock()
 		err := eng.Stream(ctx, asm, req, emit)
-		mu.Lock()
-		defer mu.Unlock()
 		return slot, err
 	}
-	c := newCoalescer(200*time.Millisecond, run, nil)
+	c := newScheduler(Limits{MaxInflight: 1}.withDefaults(), 200*time.Millisecond, nil, run, nil)
 
 	bufs := make([]bytes.Buffer, len(members))
 	reps := make([]*pipeline.Report, len(members))
@@ -176,7 +178,7 @@ func TestCoalescedDegradedPass(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rep, perr, merr := c.Join(context.Background(), "test", req, jsonEmit(&bufs[i], req))
+			rep, perr, merr := joinReq(context.Background(), c, req, jsonEmit(&bufs[i], req))
 			if perr != nil || merr != nil {
 				t.Errorf("member %d: pass err %v, member err %v", i, perr, merr)
 			}
@@ -202,7 +204,7 @@ func TestCoalescedDegradedPass(t *testing.T) {
 func TestCoalesceKeyPartitioning(t *testing.T) {
 	asm := testAssembly()
 	m := obs.NewMetrics()
-	c := newCoalescer(100*time.Millisecond, cpuPass(asm), m)
+	c := coalescer(100*time.Millisecond, cpuPass(asm), m)
 	reqA := memberRequest(pipeline.Query{Guide: "GATTACAGTANNN", MaxMismatches: 1})
 	reqB := &pipeline.Request{Pattern: "NNNNNNNNNNNRG", Queries: []pipeline.Query{{Guide: "GATTACAGTANNN", MaxMismatches: 1}}}
 	var wg sync.WaitGroup
@@ -211,91 +213,92 @@ func TestCoalesceKeyPartitioning(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var buf bytes.Buffer
-			if _, perr, merr := c.Join(context.Background(), "test", req, jsonEmit(&buf, req)); perr != nil || merr != nil {
+			if _, perr, merr := joinReq(context.Background(), c, req, jsonEmit(&buf, req)); perr != nil || merr != nil {
 				t.Errorf("join: %v / %v", perr, merr)
 			}
 		}()
 	}
 	wg.Wait()
-	if got := m.Counter(obs.MetricServeBatches); got != 2 {
+	if got := counter(m, obs.MetricServeBatches); got != 2 {
 		t.Errorf("batches = %d, want 2 (distinct keys must not share a pass)", got)
 	}
-	if got := m.Counter(obs.MetricServeCoalesced); got != 0 {
+	if got := counter(m, obs.MetricServeCoalesced); got != 0 {
 		t.Errorf("coalesced = %d, want 0", got)
 	}
 }
 
-// TestCoalesceMemberDeparture: one member's client dies mid-batch; the
-// survivor still gets its full byte-identical stream, and the departed
-// member's error is the cancellation, not a pass failure.
+// TestCoalesceMemberDeparture: one member's client dies, before its batch's
+// pass starts or while it runs; the survivor still gets its full
+// byte-identical stream, the departed member's error is the cancellation,
+// not a pass failure, and it receives no hit. One that left before the pass
+// has its guides left out of it.
 func TestCoalesceMemberDeparture(t *testing.T) {
 	asm := testAssembly()
 	cpu := &search.CPU{}
 	stay := memberRequest(pipeline.Query{Guide: "GATTACAGTANNN", MaxMismatches: 1})
 	leave := memberRequest(pipeline.Query{Guide: "ACGTACGTACNNN", MaxMismatches: 1})
 	golden := soloNDJSON(t, cpu, asm, stay)
+	key := coalKey{genome: "test", pattern: stay.Pattern}
 
-	// Hold the pass at the gate until the leaving member is gone, so the
-	// departure happens deterministically mid-batch.
-	gate := make(chan struct{})
-	run := cpuPass(asm)
-	gated := func(ctx context.Context, g string, req *pipeline.Request, emit func(pipeline.Hit) error) (*pipeline.Report, error) {
-		<-gate
-		return run(ctx, g, req, emit)
-	}
-	// The window never expires on its own: the test seals the batch once both
-	// members are in it and one has left.
-	c := newCoalescer(time.Hour, gated, nil)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	var stayBuf, leaveBuf bytes.Buffer
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		rep, perr, merr := c.Join(context.Background(), "test", stay, jsonEmit(&stayBuf, stay))
-		if perr != nil || merr != nil || (rep != nil && rep.Degraded()) {
-			t.Errorf("staying member: rep %+v, pass err %v, member err %v", rep, perr, merr)
+	for _, midPass := range []bool{false, true} {
+		// Hold the pass at the gate until the leaving member is gone, so the
+		// departure happens deterministically mid-pass.
+		gate := make(chan struct{})
+		started := make(chan int, 1)
+		run := cpuPass(asm)
+		gated := func(ctx context.Context, g string, req *pipeline.Request, emit func(pipeline.Hit) error) (*pipeline.Report, error) {
+			started <- len(req.Queries)
+			<-gate
+			return run(ctx, g, req, emit)
 		}
-	}()
-	go func() {
-		defer wg.Done()
-		_, perr, _ := c.Join(ctx, "test", leave, jsonEmit(&leaveBuf, leave))
-		if !errors.Is(perr, context.Canceled) {
-			t.Errorf("departed member: err %v, want context.Canceled", perr)
+		// The window never expires on its own: the test starts the pass.
+		c := coalescer(time.Hour, gated, nil)
+
+		ctx, cancel := context.WithCancel(context.Background())
+		var wg sync.WaitGroup
+		var stayBuf, leaveBuf bytes.Buffer
+		left := make(chan struct{})
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			rep, perr, merr := joinReq(context.Background(), c, stay, jsonEmit(&stayBuf, stay))
+			if perr != nil || merr != nil || (rep != nil && rep.Degraded()) {
+				t.Errorf("staying member: rep %+v, pass err %v, member err %v", rep, perr, merr)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			_, perr, _ := joinReq(ctx, c, leave, jsonEmit(&leaveBuf, leave))
+			if !errors.Is(perr, context.Canceled) {
+				t.Errorf("departed member: err %v, want context.Canceled", perr)
+			}
+			close(left)
+		}()
+		b := openBatch(t, c, key, 2)
+		if midPass {
+			c.ripen(b)
+			if n := <-started; n != 2 {
+				t.Fatalf("the pass carries %d guides, want both members'", n)
+			}
+			cancel()
+			<-left
+		} else {
+			cancel()
+			<-left
+			c.ripen(b)
+			if n := <-started; n != 1 {
+				t.Fatalf("the pass carries %d guides, want the survivor's alone", n)
+			}
 		}
 		close(gate)
-	}()
-	// Wait until both members have joined the batch, then kill one before
-	// the pass runs.
-	b := openBatch(c, coalKey{genome: "test", pattern: stay.Pattern}, 2)
-	cancel()
-	c.seal(b)
-	wg.Wait()
+		wg.Wait()
 
-	if got := stayBuf.String(); got != golden {
-		t.Errorf("survivor stream differs from solo run:\n%s\nvs\n%s", got, golden)
-	}
-	if strings.Contains(leaveBuf.String(), "ACGTACGTAC") {
-		// Hits may or may not have flushed before departure, but none may
-		// arrive after the member was marked gone; with the gated pass none
-		// should arrive at all.
-		t.Errorf("departed member still received hits: %q", leaveBuf.String())
-	}
-}
-
-// openBatch waits, under the coalescer's lock, until the open batch for key
-// holds n members, and returns it.
-func openBatch(c *coalescer, key coalKey, n int) *coalBatch {
-	for {
-		c.mu.Lock()
-		b := c.pending[key]
-		joined := b != nil && len(b.members) == n
-		c.mu.Unlock()
-		if joined {
-			return b
+		if got := stayBuf.String(); got != golden {
+			t.Errorf("midPass=%v: survivor stream differs from solo run:\n%s\nvs\n%s", midPass, got, golden)
 		}
-		runtime.Gosched()
+		if strings.Contains(leaveBuf.String(), "ACGTACGTAC") {
+			t.Errorf("midPass=%v: departed member still received hits: %q", midPass, leaveBuf.String())
+		}
 	}
 }
 
@@ -310,14 +313,14 @@ func TestCoalesceAllGoneCancelsPass(t *testing.T) {
 		close(canceled)
 		return nil, ctx.Err()
 	}
-	c := newCoalescer(10*time.Millisecond, run, nil)
+	c := coalescer(10*time.Millisecond, run, nil)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		req := memberRequest(pipeline.Query{Guide: "GATTACAGTANNN", MaxMismatches: 1})
-		c.Join(ctx, "test", req, func(pipeline.Hit) error { return nil })
+		joinReq(ctx, c, req, func(pipeline.Hit) error { return nil })
 	}()
 	<-started
 	cancel()

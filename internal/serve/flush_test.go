@@ -93,6 +93,10 @@ func (g *guardWriter) Write(p []byte) (int, error) { g.check(); return g.Respons
 func (g *guardWriter) WriteHeader(status int)      { g.check(); g.ResponseWriter.WriteHeader(status) }
 func (g *guardWriter) Flush()                      { g.check(); g.ResponseWriter.(http.Flusher).Flush() }
 
+// Unwrap lets the handler's ResponseController reach the connection's
+// deadlines, as it does without the guard.
+func (g *guardWriter) Unwrap() http.ResponseWriter { return g.ResponseWriter }
+
 // newGuardedServer is newTestServer over eng with every handler call behind a
 // guardWriter; returned receives one token per finished handler call.
 func newGuardedServer(t *testing.T, eng search.Engine, mut func(*Config)) (s *Server, ts *httptest.Server, returned chan struct{}) {
@@ -235,7 +239,7 @@ func TestFlushResponseBytes(t *testing.T) {
 				}
 			}
 		}
-		if n := m.Counter(obs.MetricServeCoalesced); n != int64(len(bodies)) {
+		if n := counter(m, obs.MetricServeCoalesced); n != int64(len(bodies)) {
 			t.Errorf("%d rounds: coalesced counter = %d, want %d (the coalesced requests did not share a pass)", rounds, n, len(bodies))
 		}
 	}

@@ -4,20 +4,21 @@
 // time-to-first-hit, the batch comparer's ~3.2x multi-pattern pass) — and
 // wraps them in production-grade request robustness:
 //
-//   - admission control: a bounded queue with per-tenant token-bucket
-//     quotas and deadline-aware rejection; under overload the newest
-//     lowest-priority work sheds with 429 + Retry-After instead of
-//     queueing unboundedly (admission.go);
-//   - cross-request guide coalescing: every request takes one path —
-//     decode, admit, coalesce, pass, demux — and concurrent requests sharing
-//     (genome, pattern) merge into one genome pass and demultiplex back to
-//     byte-identical per-request streams (coalesce.go). No config or
-//     request field opts a request out of that path or reshapes its pass;
+//   - one queue in front of the engine: per-tenant token-bucket quotas and
+//     deadline-aware rejection at the front gates (admission.go), then a
+//     bounded wait in a batch of requests that share (genome, pattern) and
+//     run as one genome pass once a pass slot is free, demultiplexed back to
+//     byte-identical per-request streams (sched.go). Under overload the
+//     newest lowest-priority waiter sheds with 429 + Retry-After instead of
+//     queueing unboundedly. No config or request field opts a request out
+//     of that path or reshapes its pass;
 //   - per-request lifecycle robustness: context deadlines threaded into
 //     Engine.Stream, panic isolation per request, graceful degradation —
 //     a pass that retried, failed over or quarantined chunks completes
-//     with a degraded trailer rather than a dropped connection — and a
-//     drain path that finishes in-flight streams before exit;
+//     with a degraded trailer rather than a dropped connection — a write
+//     deadline per flush, so a client that stops reading leaves its pass
+//     instead of holding it, and a drain path that finishes in-flight
+//     streams before exit;
 //   - SLO observability: /metrics (Prometheus text), /healthz, /readyz
 //     (ready only once genomes are resident and engines warmed), and a
 //     span per request phase on the shared obs.Tracer.
@@ -33,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"sort"
 	"strconv"
 	"sync"
@@ -51,14 +53,15 @@ type Config struct {
 	// the simulator engines share mutable device state, so set
 	// SerializePasses with them.
 	Engine search.Engine
-	// SerializePasses runs at most one genome pass at a time. Required for
-	// the simulator engines and for resilience-report capture.
+	// SerializePasses gives the scheduler one pass slot, whatever
+	// Limits.MaxInflight says. Required for the simulator engines and for
+	// resilience-report capture.
 	SerializePasses bool
 	// Genomes are the resident assemblies, by request name. A request that
 	// omits the genome field gets the one resident genome, and a 400 when
 	// several are resident.
 	Genomes map[string]*genome.Assembly
-	// Limits bounds admission; zero fields take the package defaults.
+	// Limits bounds the scheduler; zero fields take the package defaults.
 	Limits Limits
 	// Metrics and Trace receive the service's counters and request spans;
 	// nil disables each at zero cost.
@@ -73,16 +76,14 @@ type Config struct {
 type Server struct {
 	cfg     Config
 	lim     Limits
-	adm     *admission
-	coal    *coalescer
+	sched   *scheduler
 	metrics *obs.Metrics
 	// defaultGenome names the genome of requests that omit one: the only
 	// resident genome, or empty when several are resident.
 	defaultGenome string
 
-	// engineMu serializes passes when the engine demands it and makes the
-	// resilience-report slot race-free.
-	engineMu sync.Mutex
+	// report is the resilience report of the pass that ran last; one pass
+	// slot (SerializePasses) keeps it the running pass's.
 	reportMu sync.Mutex
 	report   *pipeline.Report
 
@@ -106,13 +107,15 @@ func New(cfg Config) (*Server, error) {
 		return nil, errors.New("serve: config needs at least one genome")
 	}
 	s := &Server{cfg: cfg, lim: cfg.Limits.withDefaults(), metrics: cfg.Metrics}
+	if cfg.SerializePasses {
+		s.lim.MaxInflight = 1
+	}
 	if len(cfg.Genomes) == 1 {
 		for name := range cfg.Genomes {
 			s.defaultGenome = name
 		}
 	}
-	s.adm = newAdmission(s.lim, cfg.now, cfg.Metrics)
-	s.coal = newCoalescer(coalesceWindow, s.runPass, cfg.Metrics)
+	s.sched = newScheduler(s.lim, coalesceWindow, cfg.now, s.runPass, cfg.Metrics)
 	return s, nil
 }
 
@@ -135,15 +138,11 @@ func (s *Server) takeReport() *pipeline.Report {
 	return rep
 }
 
-// runPass executes one genome pass — the coalescer's passFunc.
+// runPass executes one genome pass — the scheduler's passFunc.
 func (s *Server) runPass(ctx context.Context, genomeName string, req *pipeline.Request, emit func(pipeline.Hit) error) (*pipeline.Report, error) {
 	asm := s.cfg.Genomes[genomeName]
 	if asm == nil {
 		return nil, apiErrorf(http.StatusNotFound, "unknown-genome", "no resident genome named %q", genomeName)
-	}
-	if s.cfg.SerializePasses {
-		s.engineMu.Lock()
-		defer s.engineMu.Unlock()
 	}
 	s.takeReport() // clear any stale slot
 	err := s.cfg.Engine.Stream(ctx, asm, req, emit)
@@ -160,7 +159,8 @@ func (s *Server) runPass(ctx context.Context, genomeName string, req *pipeline.R
 // Warmup resolves everything first-request latency would otherwise pay:
 // the engine's kernel tuning (and for the simulator engines, program
 // builds) via one tiny synthetic pass. The resident genomes were loaded —
-// and artifact payloads mapped — at construction. Call SetReady after.
+// and artifact payloads mapped — at construction. Call it before SetReady:
+// no request runs a pass until then.
 func (s *Server) Warmup(ctx context.Context) error {
 	seq := &genome.Sequence{Name: "warmup", Data: make([]byte, 64)}
 	for i := range seq.Data {
@@ -170,10 +170,6 @@ func (s *Server) Warmup(ctx context.Context) error {
 	req := &pipeline.Request{
 		Pattern: "NNNNNNNNNNNGG",
 		Queries: []pipeline.Query{{Guide: "NNNNNNNNNNNNN", MaxMismatches: 0}},
-	}
-	if s.cfg.SerializePasses {
-		s.engineMu.Lock()
-		defer s.engineMu.Unlock()
 	}
 	return s.cfg.Engine.Stream(ctx, asm, req, func(pipeline.Hit) error { return nil })
 }
@@ -223,7 +219,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.drainMu.Lock()
 	s.draining.Store(true)
 	s.drainMu.Unlock()
-	s.adm.Drain()
+	s.sched.Drain()
 	done := make(chan struct{})
 	go func() {
 		s.inflight.Wait()
@@ -251,13 +247,13 @@ func (s *Server) finish(status string) {
 	s.metrics.Count(obs.L(obs.MetricServeRequests, "status", status), 1)
 }
 
-// handleSearch is POST /search: decode → admit → coalesce → pass → demux
-// → trailer. Every exit path either writes a typed error envelope (before
+// handleSearch is POST /search: decode → gates → wait in a batch → pass →
+// demux → trailer. Every exit path either writes a typed error envelope (before
 // streaming) or a trailer object (after), and a per-request panic is
 // isolated to a 500 for that request alone.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	reqID := int(s.reqSeq.Add(1))
-	var out *hitStream // set once the request is admitted
+	var out *hitStream // set once the request is decoded
 	defer func() {
 		if rec := recover(); rec != nil {
 			s.metrics.Count(obs.MetricServePanics, 1)
@@ -326,59 +322,53 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	priority, _ := ParsePriority(sreq.Priority) // validated by DecodeRequest
 
 	ctx := r.Context()
-	var deadline time.Time
 	if sreq.TimeoutMs > 0 {
-		d := time.Duration(sreq.TimeoutMs) * time.Millisecond
-		deadline = time.Now().Add(d)
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, deadline)
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(sreq.TimeoutMs)*time.Millisecond)
 		defer cancel()
 	}
 
-	// Admission: quota, deadline, bounded queue with shedding.
-	tk := newTicket(tenant, priority, deadline)
-	t0 := time.Now()
-	if err := s.adm.Admit(ctx, tk); err != nil {
-		var rej *RejectError
-		if errors.As(err, &rej) {
-			s.finish(statusRejected)
-			s.cfg.Trace.Instant("serve", "reject", reqID,
-				obs.Attr{Key: "reason", Value: rej.Reason})
-			writeAPIError(w, apiErrorf(rej.Status, "rejected:"+rej.Reason,
-				"request rejected (%s); retry after %v", rej.Reason, rej.RetryAfter),
-				retryAfterSeconds(rej.RetryAfter))
-			return
-		}
-		// The client's context ended while queued and admission let the
-		// cancellation through: nothing useful left to write.
-		s.finish(statusCanceled)
-		return
-	}
-	defer s.adm.Release()
-	s.cfg.Trace.Complete("serve", "admit", reqID, t0, time.Since(t0),
-		obs.Attr{Key: "tenant", Value: tenant})
-
 	// Stream. From the first hit on, failures become trailers, never
 	// status rewrites or dropped connections.
-	out = newHitStream(w)
+	out = newHitStream(w, rc)
 	defer out.stop()
-	emit := func(h pipeline.Hit) error {
+	m := &member{priority: priority, queries: preq.Queries, emit: func(h pipeline.Hit) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		return out.writeHit(preq, h)
-	}
-
-	tRun := time.Now()
-	rep, passErr, emitErr := s.coal.Join(ctx, genomeName, preq, emit)
-	// No emit runs past this point (a pass never emits after it returns,
-	// and a departed member is fenced off by the batch mutex); stopping the
-	// delayed flush leaves the handler the response's only writer.
+	}}
+	rep, passErr, emitErr := s.sched.Join(ctx, tenant, coalKey{genome: genomeName, pattern: preq.Pattern}, m)
+	// The pass may still call emit for a member that left it; stop fences
+	// those writes off, leaving the handler the response's only writer.
 	out.stop()
-	s.metrics.Observe(obs.MetricServeStreamSeconds, time.Since(tRun).Seconds())
-	s.metrics.Count(obs.MetricServeHits, out.hits)
-	s.cfg.Trace.Complete("serve", "stream", reqID, tRun, time.Since(tRun),
-		obs.Attr{Key: "hits", Value: strconv.FormatInt(out.hits, 10)})
+	var rej *RejectError
+	if errors.As(passErr, &rej) {
+		s.finish(statusRejected)
+		s.cfg.Trace.Instant("serve", "reject", reqID,
+			obs.Attr{Key: "reason", Value: rej.Reason})
+		writeAPIError(w, apiErrorf(rej.Status, "rejected:"+rej.Reason,
+			"request rejected (%s); retry after %v", rej.Reason, rej.RetryAfter),
+			retryAfterSeconds(rej.RetryAfter))
+		return
+	}
+	if !m.started.IsZero() {
+		queued := m.started.Sub(m.joined)
+		s.metrics.Observe(obs.MetricServeQueueSeconds, queued.Seconds())
+		s.cfg.Trace.Complete("serve", "queue", reqID, m.joined, queued,
+			obs.Attr{Key: "tenant", Value: tenant})
+		streamed := time.Since(m.started)
+		s.metrics.Observe(obs.MetricServeStreamSeconds, streamed.Seconds())
+		s.metrics.Count(obs.MetricServeHits, out.hits)
+		s.cfg.Trace.Complete("serve", "stream", reqID, m.started, streamed,
+			obs.Attr{Key: "hits", Value: strconv.FormatInt(out.hits, 10)})
+	}
+	if errors.Is(out.err, os.ErrDeadlineExceeded) {
+		// The client stopped reading: its write missed writeTimeout and the
+		// member left its pass.
+		s.metrics.Count(obs.MetricServeWriteTimeouts, 1)
+		s.cfg.Trace.Instant("serve", "write-timeout", reqID)
+	}
 
 	if emitErr != nil && !errors.Is(emitErr, context.DeadlineExceeded) {
 		// Our own write to this client failed: the connection is gone and
@@ -393,6 +383,15 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 // past it). A variable so tests can shorten it.
 var bodyReadTimeout = 10 * time.Second
 
+// writeTimeout bounds each write of a response stream: a client that takes
+// no bytes for this long fails its member's emit, and the member leaves its
+// pass. A variable so tests can shorten it.
+var writeTimeout = 10 * time.Second
+
+// errStreamStopped is what emit returns once the handler stopped the
+// stream.
+var errStreamStopped = errors.New("serve: response stream stopped")
+
 // flushDelay bounds how long a hit after the first may sit in the response
 // buffer before it is pushed to the client.
 const flushDelay = time.Millisecond
@@ -402,13 +401,16 @@ const flushDelay = time.Millisecond
 // once (time-to-first-hit is a hit's encode plus one flush), every later hit
 // within flushDelay of being written even if no further hit ever follows.
 // Flushing per hit instead costs two syscall-bound flushes a line and, on an
-// output-heavy request, more than the scan that produced the hits.
+// output-heavy request, more than the scan that produced the hits. Each
+// flush interval arms one write deadline, writeTimeout ahead, which bounds
+// every write until that flush.
 //
 // emit calls writeHit from the pass goroutine and the delayed flush runs on
 // a timer goroutine, so mu guards every touch of the ResponseWriter from the
 // first hit until stop; after stop the handler goroutine owns it again.
 type hitStream struct {
 	w       http.ResponseWriter
+	rc      *http.ResponseController
 	flusher http.Flusher // nil when the ResponseWriter cannot flush
 	bw      *bufio.Writer
 
@@ -416,13 +418,14 @@ type hitStream struct {
 	started bool        // the 200 header is out
 	hits    int64       // lines written
 	timer   *time.Timer // the pending delayed flush, nil when none is
-	stopped bool
-	err     error // first write or flush failure, returned by every later writeHit
+	// err is the first write or flush failure, or errStreamStopped after
+	// stop; every later writeHit returns it at once.
+	err error
 }
 
-func newHitStream(w http.ResponseWriter) *hitStream {
+func newHitStream(w http.ResponseWriter, rc *http.ResponseController) *hitStream {
 	flusher, _ := w.(http.Flusher)
-	return &hitStream{w: w, flusher: flusher, bw: bufio.NewWriter(w)}
+	return &hitStream{w: w, rc: rc, flusher: flusher, bw: bufio.NewWriter(w)}
 }
 
 // writeHit appends one hit line to the response and schedules its flush.
@@ -438,6 +441,9 @@ func (o *hitStream) writeHit(req *pipeline.Request, h pipeline.Hit) error {
 		o.w.WriteHeader(http.StatusOK)
 		o.started = true
 	}
+	if first || o.timer == nil {
+		o.armDeadline()
+	}
 	if o.err = search.WriteHitJSON(o.bw, req, h); o.err != nil {
 		return o.err
 	}
@@ -451,12 +457,18 @@ func (o *hitStream) writeHit(req *pipeline.Request, h pipeline.Hit) error {
 	return o.err
 }
 
+// armDeadline sets the write deadline writeTimeout from now. A writer
+// without deadline support writes unbounded.
+func (o *hitStream) armDeadline() {
+	_ = o.rc.SetWriteDeadline(time.Now().Add(writeTimeout))
+}
+
 // delayedFlush is the timer's callback.
 func (o *hitStream) delayedFlush() {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.timer = nil
-	if !o.stopped && o.err == nil {
+	if o.err == nil {
 		o.flushLocked()
 	}
 }
@@ -468,13 +480,16 @@ func (o *hitStream) flushLocked() {
 	}
 }
 
-// stop ends the delayed flushing: once it returns no timer callback touches
-// the ResponseWriter again (one already waiting on mu finds stopped set).
-// Lines still buffered go out with the trailer. Idempotent.
+// stop ends the stream's writes from other goroutines: once it returns,
+// writeHit returns at once and no timer callback touches the ResponseWriter
+// (one already waiting on mu finds the stream stopped). Lines still
+// buffered go out with the trailer. Idempotent.
 func (o *hitStream) stop() {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.stopped = true
+	if o.err == nil {
+		o.err = errStreamStopped
+	}
 	if o.timer != nil {
 		o.timer.Stop()
 	}
@@ -547,6 +562,7 @@ func (s *Server) writeOutcome(out *hitStream, rep *pipeline.Report, passErr erro
 // only channel, so it rides on the already-open 200 stream, behind any hit
 // lines still buffered. The handler calls it after stop.
 func (o *hitStream) writeTrailer(status int, tr Trailer) {
+	o.armDeadline()
 	if !o.started {
 		if tr.Error != nil && status != http.StatusOK {
 			writeAPIError(o.w, &APIError{Status: status, Code: tr.Error.Code, Message: tr.Error.Message}, 0)

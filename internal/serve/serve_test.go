@@ -89,11 +89,10 @@ func newTestServer(t *testing.T, mut func(*Config)) (*Server, *httptest.Server) 
 	return s, ts
 }
 
-// setWindow replaces s's coalescer with one whose batches stay open for
-// window, so requests sent together certainly share a pass. Call it before
-// the first request.
+// setWindow makes s's batches wait window before their pass, so requests
+// sent together certainly share it. Call it before the first request.
 func setWindow(s *Server, window time.Duration) {
-	s.coal = newCoalescer(window, s.runPass, s.metrics)
+	s.sched.window = window
 }
 
 // postSearch sends one search request and returns the response.
@@ -252,7 +251,7 @@ func TestRetiredFieldsOverHTTP(t *testing.T) {
 			t.Errorf("%s: error %+v, want bad-json naming the field", field, env.Error)
 		}
 	}
-	if n := m.Counter(obs.MetricServeBatches); n != 0 {
+	if n := counter(m, obs.MetricServeBatches); n != 0 {
 		t.Errorf("batches = %d, want 0 (a rejected request must not reach a pass)", n)
 	}
 }
@@ -333,27 +332,82 @@ func TestRetryAfterIsCeiling(t *testing.T) {
 	}
 }
 
+// holdSlots sends n requests one after another, each once the engine holds
+// the one before, so that each runs alone in its pass and holds one slot of
+// the blocked stub engine. Their response statuses arrive on the returned
+// channel.
+func holdSlots(t *testing.T, ts *httptest.Server, eng *stubEngine, n int) <-chan int {
+	t.Helper()
+	statuses := make(chan int, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			resp, err := ts.Client().Post(ts.URL+"/search", "application/json", strings.NewReader(searchBody))
+			if err != nil {
+				t.Errorf("slot holder: %v", err)
+				statuses <- 0
+				return
+			}
+			defer resp.Body.Close()
+			io.Copy(io.Discard, resp.Body)
+			statuses <- resp.StatusCode
+		}()
+		<-eng.started
+	}
+	return statuses
+}
+
+// burstOutcome is one burst request's status, Retry-After and error code
+// (the trailer's when the stream ran).
+type burstOutcome struct {
+	status int
+	retry  string
+	code   string
+	done   bool
+}
+
+// burst sends n search requests at once; their outcomes arrive on the
+// returned channel.
+func burst(t *testing.T, ts *httptest.Server, n int) <-chan burstOutcome {
+	out := make(chan burstOutcome, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			resp, err := ts.Client().Post(ts.URL+"/search", "application/json", strings.NewReader(searchBody))
+			if err != nil {
+				t.Errorf("request: %v", err)
+				out <- burstOutcome{}
+				return
+			}
+			defer resp.Body.Close()
+			o := burstOutcome{status: resp.StatusCode, retry: resp.Header.Get("Retry-After")}
+			var env struct {
+				Error ErrorBody `json:"error"`
+			}
+			if resp.StatusCode == http.StatusOK {
+				_, tr := readStream(t, resp)
+				o.done = tr.Done
+			} else if json.NewDecoder(resp.Body).Decode(&env) == nil {
+				o.code = env.Error.Code
+			}
+			out <- o
+		}()
+	}
+	return out
+}
+
 // TestRejectionAdvertisesExactRetryAfter drives the regression end to end:
 // a shed request under the default 1s hint must see Retry-After: 1 on the
 // wire, not 2.
 func TestRejectionAdvertisesExactRetryAfter(t *testing.T) {
-	eng := &stubEngine{block: make(chan struct{}), started: make(chan struct{}, 8)}
+	eng := &stubEngine{block: make(chan struct{}), started: make(chan struct{}, 1)}
 	s, ts := newTestServer(t, func(c *Config) {
 		c.Engine = eng
 		c.Limits.MaxInflight = 1
 		c.Limits.MaxQueue = 1
 	})
 
-	done := make(chan struct{}, 2)
-	for i := 0; i < 2; i++ { // fill the running slot and the queue
-		go func() {
-			resp := postSearch(t, ts, searchBody, nil)
-			io.Copy(io.Discard, resp.Body)
-			done <- struct{}{}
-		}()
-	}
-	<-eng.started // the first request holds the engine
-	waitQueued(t, s.adm, 1)
+	running := holdSlots(t, ts, eng, 1)
+	waiting := burst(t, ts, 1) // fills the queue
+	awaitWaiting(t, s.sched, 1)
 
 	resp := postSearch(t, ts, searchBody, nil) // over capacity: shed
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -364,17 +418,18 @@ func TestRejectionAdvertisesExactRetryAfter(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp.Body)
 	close(eng.block)
-	<-done
-	<-done
+	<-running
+	<-waiting
 }
 
 // TestBurstSheds is the overload acceptance check: 3x over capacity, the
-// excess sheds with 429 + Retry-After while everything admitted completes;
+// excess sheds with 429 + Retry-After while everything accepted completes;
 // the queue never grows past its bound.
 func TestBurstSheds(t *testing.T) {
 	eng := &stubEngine{
-		block: make(chan struct{}),
-		hits:  []pipeline.Hit{{QueryIndex: 0, SeqName: "chr1", Pos: 4, Dir: '+', Site: "GATTACAGTACGG"}},
+		block:   make(chan struct{}),
+		started: make(chan struct{}, 1),
+		hits:    []pipeline.Hit{{QueryIndex: 0, SeqName: "chr1", Pos: 4, Dir: '+', Site: "GATTACAGTACGG"}},
 	}
 	s, ts := newTestServer(t, func(c *Config) {
 		c.Engine = eng
@@ -382,61 +437,33 @@ func TestBurstSheds(t *testing.T) {
 		c.Limits.MaxInflight = 1
 		c.Limits.MaxQueue = 2
 	})
-	const capacity = 3 // 1 running + 2 queued
-	const burst = 3 * capacity
+	const capacity = 3 // 1 running + 2 waiting
+	const total = 3 * capacity
 
-	// Admission runs before coalescing and admits one request at a time, so
-	// nothing merges and the burst really contends for slots.
-	body := searchBody
-	type outcome struct {
-		status int
-		retry  string
-		tr     Trailer
+	running := holdSlots(t, ts, eng, 1)
+	results := burst(t, ts, total-1)
+	// While the pass blocks, only refusals answer, and the queue holds its
+	// bound once the excess is refused.
+	var got []burstOutcome
+	for len(got) < total-capacity {
+		got = append(got, <-results)
 	}
-	results := make(chan outcome, burst)
-	var wg sync.WaitGroup
-	for i := 0; i < burst; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			req, _ := http.NewRequest(http.MethodPost, ts.URL+"/search", strings.NewReader(body))
-			resp, err := ts.Client().Do(req)
-			if err != nil {
-				t.Errorf("request: %v", err)
-				return
-			}
-			defer resp.Body.Close()
-			o := outcome{status: resp.StatusCode, retry: resp.Header.Get("Retry-After")}
-			if resp.StatusCode == http.StatusOK {
-				_, o.tr = readStream(t, resp)
-			} else {
-				io.Copy(io.Discard, resp.Body)
-			}
-			results <- o
-		}()
-	}
-	// Give the burst time to contend, then let the admitted requests run.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if v := s.cfg.Metrics.Counter(obs.L(obs.MetricServeShed, "reason", "queue-full")); v >= burst-capacity {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("burst never shed")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitWaiting(t, s.sched, capacity-1)
 	close(eng.block)
-	wg.Wait()
-	close(results)
+	if st := <-running; st != http.StatusOK {
+		t.Errorf("running request: status %d", st)
+	}
+	for len(got) < total-1 {
+		got = append(got, <-results)
+	}
 
-	ok, shed := 0, 0
-	for o := range results {
+	ok, shed := 1, 0
+	for _, o := range got {
 		switch o.status {
 		case http.StatusOK:
 			ok++
-			if !o.tr.Done {
-				t.Errorf("admitted request did not complete: %+v", o.tr)
+			if !o.done {
+				t.Errorf("accepted request did not complete: %+v", o)
 			}
 		case http.StatusTooManyRequests:
 			shed++
@@ -447,8 +474,11 @@ func TestBurstSheds(t *testing.T) {
 			t.Errorf("unexpected status %d", o.status)
 		}
 	}
-	if ok != capacity || shed != burst-capacity {
-		t.Errorf("burst: %d ok, %d shed; want %d ok, %d shed", ok, shed, capacity, burst-capacity)
+	if ok != capacity || shed != total-capacity {
+		t.Errorf("burst: %d ok, %d shed; want %d ok, %d shed", ok, shed, capacity, total-capacity)
+	}
+	if n := counter(s.cfg.Metrics, obs.L(obs.MetricServeShed, "reason", "queue-full")); n != total-capacity {
+		t.Errorf("queue-full sheds counted %d, want %d", n, total-capacity)
 	}
 	if depth := s.cfg.Metrics.Snapshot().Gauges[obs.MetricServeQueueDepth]; depth != 0 {
 		t.Errorf("queue depth %v after drain, want 0", depth)
@@ -493,12 +523,12 @@ func TestManyGuidesServedAtDefaults(t *testing.T) {
 	}
 }
 
-// TestBurstShedsPastQueueBound: at default limits, with every pass blocked,
-// a burst of DefaultMaxInflight + DefaultMaxQueue + k requests sheds exactly
-// k of them, each as queue-full, and every admitted request completes once
-// the engine is released.
+// TestBurstShedsPastQueueBound: at default limits, with every pass slot
+// held by a blocked pass, a burst of DefaultMaxQueue + k requests sheds
+// exactly k of them, each as queue-full, and once the engine is released
+// every accepted request completes, the waiting ones in one pass.
 func TestBurstShedsPastQueueBound(t *testing.T) {
-	eng := &stubEngine{block: make(chan struct{})}
+	eng := &stubEngine{block: make(chan struct{}), started: make(chan struct{}, 1)}
 	m := obs.NewMetrics()
 	s, ts := newTestServer(t, func(c *Config) {
 		c.Engine = eng
@@ -506,57 +536,74 @@ func TestBurstShedsPastQueueBound(t *testing.T) {
 	})
 	release := sync.OnceFunc(func() { close(eng.block) })
 	t.Cleanup(release) // before ts.Close, which waits for the blocked passes
-	const capacity = DefaultMaxInflight + DefaultMaxQueue
 	const excess = 4
-	codes := make(chan string, capacity+excess)
-	var wg sync.WaitGroup
-	for i := 0; i < capacity+excess; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := ts.Client().Post(ts.URL+"/search", "application/json", strings.NewReader(searchBody))
-			if err != nil {
-				t.Errorf("request: %v", err)
-				return
-			}
-			defer resp.Body.Close()
-			switch resp.StatusCode {
-			case http.StatusOK:
-				io.Copy(io.Discard, resp.Body)
-				codes <- "ok"
-			case http.StatusTooManyRequests:
-				var env struct {
-					Error ErrorBody `json:"error"`
-				}
-				json.NewDecoder(resp.Body).Decode(&env)
-				codes <- env.Error.Code
-			default:
-				codes <- fmt.Sprintf("status %d", resp.StatusCode)
-			}
-		}()
-	}
-	// While every pass blocks, only refusals answer; the queue is full by the
-	// time the excess is refused.
+	running := holdSlots(t, ts, eng, DefaultMaxInflight)
+	results := burst(t, ts, DefaultMaxQueue+excess)
 	got := make(map[string]int)
 	for i := 0; i < excess; i++ {
 		select {
-		case c := <-codes:
-			got[c]++
+		case o := <-results:
+			got[o.code]++
 		case <-time.After(10 * time.Second):
-			t.Fatalf("burst stalled: %d refused, %d queued", i, queueLen(s.adm))
+			t.Fatalf("burst stalled: %d refused", i)
 		}
 	}
+	awaitWaiting(t, s.sched, DefaultMaxQueue)
 	release()
-	wg.Wait()
-	close(codes)
-	for c := range codes {
-		got[c]++
+	for i := 0; i < DefaultMaxInflight; i++ {
+		if st := <-running; st != http.StatusOK {
+			t.Errorf("slot holder: status %d", st)
+		}
 	}
-	if got["ok"] != capacity || got["rejected:queue-full"] != excess || len(got) != 2 {
-		t.Errorf("outcomes %v, want %d ok and %d rejected:queue-full", got, capacity, excess)
+	for i := 0; i < DefaultMaxQueue; i++ {
+		if o := <-results; o.status == http.StatusOK && o.done {
+			got["ok"]++
+		} else {
+			got[fmt.Sprintf("status %d %s", o.status, o.code)]++
+		}
+	}
+	if got["ok"] != DefaultMaxQueue || got["rejected:queue-full"] != excess || len(got) != 2 {
+		t.Errorf("outcomes %v, want %d ok and %d rejected:queue-full", got, DefaultMaxQueue, excess)
+	}
+	if n := counter(m, obs.MetricServeBatches); n != DefaultMaxInflight+1 {
+		t.Errorf("%d passes ran, want %d (one per slot holder, one for every waiter)", n, DefaultMaxInflight+1)
 	}
 	if depth := m.Snapshot().Gauges[obs.MetricServeQueueDepth]; depth != 0 {
 		t.Errorf("queue depth %v after the burst, want 0", depth)
+	}
+}
+
+// TestOnePassCarriesEveryWaiter: with one pass slot, held by a blocked
+// pass, every request that arrives meanwhile waits in one batch, and one
+// pass carries them all once the slot is free.
+func TestOnePassCarriesEveryWaiter(t *testing.T) {
+	eng := &stubEngine{block: make(chan struct{}), started: make(chan struct{}, 1)}
+	m := obs.NewMetrics()
+	s, ts := newTestServer(t, func(c *Config) {
+		c.Engine = eng
+		c.Metrics = m
+		c.SerializePasses = true
+	})
+	release := sync.OnceFunc(func() { close(eng.block) })
+	t.Cleanup(release)
+	const waiters = 16
+	running := holdSlots(t, ts, eng, 1)
+	results := burst(t, ts, waiters)
+	awaitWaiting(t, s.sched, waiters)
+	release()
+	if st := <-running; st != http.StatusOK {
+		t.Errorf("slot holder: status %d", st)
+	}
+	for i := 0; i < waiters; i++ {
+		if o := <-results; o.status != http.StatusOK || !o.done {
+			t.Errorf("waiter: %+v, want a completed stream", o)
+		}
+	}
+	if n := counter(m, obs.MetricServeBatches); n != 2 {
+		t.Errorf("%d passes ran, want 2 (the blocked one, then one for every waiter)", n)
+	}
+	if n := counter(m, obs.MetricServeCoalesced); n != waiters {
+		t.Errorf("%d requests coalesced, want %d", n, waiters)
 	}
 }
 
@@ -605,7 +652,7 @@ func TestDegradedDeviceLossCompletes(t *testing.T) {
 			if !tr.Done || !tr.Degraded || !tc.want(tr) {
 				t.Errorf("trailer = %+v, want done, degraded and its cause counted", tr)
 			}
-			if got := s.cfg.Metrics.Counter(obs.L(obs.MetricServeRequests, "status", "degraded")); got != 1 {
+			if got := counter(s.cfg.Metrics, obs.L(obs.MetricServeRequests, "status", "degraded")); got != 1 {
 				t.Errorf("degraded request count = %d, want 1", got)
 			}
 		})
@@ -633,7 +680,7 @@ func TestCoalescedRequestsOverHTTP(t *testing.T) {
 		}
 		solo[i] = string(data)
 	}
-	if m.Counter(obs.MetricServeCoalesced) != 0 {
+	if counter(m, obs.MetricServeCoalesced) != 0 {
 		t.Fatal("requests sent one after another coalesced")
 	}
 
@@ -658,9 +705,9 @@ func TestCoalescedRequestsOverHTTP(t *testing.T) {
 			t.Errorf("request %d: coalesced response differs from uncoalesced:\n%q\nvs\n%q", i, got[i], solo[i])
 		}
 	}
-	if m.Counter(obs.MetricServeCoalesced) != int64(len(bodies)) {
+	if counter(m, obs.MetricServeCoalesced) != int64(len(bodies)) {
 		t.Errorf("coalesced counter = %d, want %d (requests did not share a pass)",
-			m.Counter(obs.MetricServeCoalesced), len(bodies))
+			counter(m, obs.MetricServeCoalesced), len(bodies))
 	}
 }
 
@@ -679,7 +726,7 @@ func TestPanicIsolation(t *testing.T) {
 	if code := errorCode(t, resp); code != "panic" {
 		t.Errorf("code = %q, want panic", code)
 	}
-	if got := s.cfg.Metrics.Counter(obs.MetricServePanics); got != 1 {
+	if got := counter(s.cfg.Metrics, obs.MetricServePanics); got != 1 {
 		t.Errorf("panic counter = %d, want 1", got)
 	}
 	// The server survives: health stays green and a healthy engine serves.
@@ -736,7 +783,7 @@ func TestPanicIsolationCoalesced(t *testing.T) {
 			t.Errorf("member %d: status %d code %q, want 500 panic", i, statuses[i], codes[i])
 		}
 	}
-	if got := s.cfg.Metrics.Counter(obs.MetricServePanics); got == 0 {
+	if got := counter(s.cfg.Metrics, obs.MetricServePanics); got == 0 {
 		t.Error("panic counter = 0, want > 0")
 	}
 	// The daemon survives: a healthy engine serves the next coalesced pass.
@@ -746,58 +793,41 @@ func TestPanicIsolationCoalesced(t *testing.T) {
 	}
 }
 
-// TestAdmitCancellationCountsCanceled: a client that gives up while queued is
-// a cancellation, not a rejection — the shed/reject metrics must not inflate.
+// TestAdmitCancellationCountsCanceled: a client that gives up while waiting
+// is a cancellation, not a rejection — the shed/reject metrics must not
+// inflate.
 func TestAdmitCancellationCountsCanceled(t *testing.T) {
 	eng := &stubEngine{block: make(chan struct{}), started: make(chan struct{}, 1)}
-	s, ts := newTestServer(t, func(c *Config) {
-		c.Engine = eng
+	s, ts, returned := newGuardedServer(t, eng, func(c *Config) {
 		c.Metrics = obs.NewMetrics()
 		c.Limits.MaxInflight = 1
 	})
-	body := searchBody
+	running := holdSlots(t, ts, eng, 1)
 
-	// Occupy the only slot.
-	first := make(chan struct{})
-	go func() {
-		defer close(first)
-		resp, err := ts.Client().Post(ts.URL+"/search", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Errorf("slot holder: %v", err)
-			return
-		}
-		defer resp.Body.Close()
-		io.Copy(io.Discard, resp.Body)
-	}()
-	<-eng.started
-
-	// Queue a second request and cancel its client while it waits.
+	// A second request waits; its client gives up.
 	ctx, cancel := context.WithCancel(context.Background())
 	queued := make(chan struct{})
 	go func() {
 		defer close(queued)
-		req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/search", strings.NewReader(body))
+		req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/search", strings.NewReader(searchBody))
 		if _, err := ts.Client().Do(req); err == nil {
 			t.Error("cancelled request returned without error")
 		}
 	}()
-	waitQueued(t, s.adm, 1)
+	awaitWaiting(t, s.sched, 1)
 	cancel()
 	<-queued
+	<-returned // the cancelled request's handler
 
-	deadline := time.Now().Add(5 * time.Second)
-	for s.cfg.Metrics.Counter(obs.L(obs.MetricServeRequests, "status", statusCanceled)) != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("canceled request never counted as canceled")
-		}
-		time.Sleep(time.Millisecond)
+	if got := counter(s.cfg.Metrics, obs.L(obs.MetricServeRequests, "status", statusCanceled)); got != 1 {
+		t.Errorf("canceled count = %d, want 1", got)
 	}
-	if got := s.cfg.Metrics.Counter(obs.L(obs.MetricServeRequests, "status", statusRejected)); got != 0 {
+	if got := counter(s.cfg.Metrics, obs.L(obs.MetricServeRequests, "status", statusRejected)); got != 0 {
 		t.Errorf("rejected count = %d, want 0 (cancellation is not a rejection)", got)
 	}
 
 	close(eng.block)
-	<-first
+	<-running
 }
 
 func TestReadyzGatesTraffic(t *testing.T) {
