@@ -74,11 +74,12 @@ race:
 # with its replay check and the ledger tests: a run has one search.Profile,
 # its backend and the executor's report both write it, and it is published
 # into the registry once — the race detector over those writers, and the
-# metrics/profile agreement after them, are the check. The comparer's
-# exhaustive single-goroutine oracle (TestWordExitMatchesWalk, 40 s under
-# the race detector) has no schedule to vary; `race` runs it once.
+# metrics/profile agreement after them, are the check. The comparer's and
+# the finder's exhaustive single-goroutine oracles (TestWordExitMatchesWalk,
+# TestFinderLanesMatchWalk, 30 s each under the race detector) have no
+# schedule to vary; `race` runs them once.
 stress:
-	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/kernels ./internal/isa ./internal/tune ./internal/gpu ./internal/gpu/alloc ./internal/sycl ./internal/opencl ./internal/pipeline -skip '^(TestGroupMatchesReference|TestWordExitMatchesWalk)$$'
+	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/kernels ./internal/isa ./internal/tune ./internal/gpu ./internal/gpu/alloc ./internal/sycl ./internal/opencl ./internal/pipeline -skip '^(TestGroupMatchesReference|TestWordExitMatchesWalk|TestFinderLanesMatchWalk)$$'
 	$(GO) test -race -count 1 -cpu 1,2,8 ./internal/kernels -run '^TestGroupMatchesReference$$'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./cmd/benchtab -run 'TestRunCSV'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/serve/ -run 'TestFlush'

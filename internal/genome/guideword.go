@@ -13,6 +13,23 @@ func EqPlanes(x uint64) (a, c, g, t uint64) {
 	return
 }
 
+// MatchLanes returns the lanes of a 32-lane window, code word x with
+// unknown lanes unk, whose base matches a pattern position of mask m as
+// Matches has it: lane bit 2i is set when lane i holds a known base inside
+// m, or, under an N (m == MaskAny), an ambiguous base (an unknown lane of
+// code 0). The CPU PAM prefilter and the simulated finder test each
+// indexed pattern position with it.
+func MatchLanes(m Mask, x, unk uint64) uint64 {
+	hi := x >> 1
+	if m == MaskAny {
+		return ^(unk & (x | hi)) & LaneMask
+	}
+	// The equality plane of each code in m, selected by its mask bit
+	// negated to all ones.
+	hit := ^(x|hi)&-uint64(m&MaskA) | x&^hi&-uint64(m>>1&1) | hi&^x&-uint64(m>>2&1) | x&hi&-uint64(m>>3)
+	return hit &^ unk & LaneMask
+}
+
 // GuideWord is one 32-base word of one strand of a compiled pattern, scored
 // against a WordView window: lane i of the word is pattern position 32w+i.
 // Lane bit 2i of lanes is set for every added position whose pattern code

@@ -364,3 +364,22 @@ func TestCode(t *testing.T) {
 		}
 	}
 }
+
+// TestMatchLanesIsMatches pins MatchLanes to Matches: every byte value as a
+// pattern code against every byte value filling a window's 32 lanes (an
+// ambiguous base, an invalid byte and lower case included).
+func TestMatchLanesIsMatches(t *testing.T) {
+	for b := range 256 {
+		v, _ := NewWordView(bytes.Repeat([]byte{byte(b)}, 32), nil)
+		x, unk := v.Window(0)
+		for c := range 256 {
+			want := uint64(0)
+			if Matches(byte(c), byte(b)) {
+				want = LaneMask
+			}
+			if got := MatchLanes(MaskOf(byte(c)), x, unk); got != want {
+				t.Fatalf("MatchLanes(%q) over %q lanes = %#x, want %#x", c, b, got, want)
+			}
+		}
+	}
+}

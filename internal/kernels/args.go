@@ -28,6 +28,10 @@ const (
 // ErrBadPattern marks a pattern the host-side preparation rejects.
 var ErrBadPattern = errors.New("kernels: invalid pattern")
 
+// ErrWindowPastChunk marks a comparer launch with a candidate locus whose
+// window runs past the chunk.
+var ErrWindowPastChunk = errors.New("kernels: comparer: window past the chunk")
+
 // PatternPair is the host-prepared device view of one search or comparison
 // pattern: the forward pattern and its reverse complement, each of length
 // PatternLen, concatenated ("plen × 2 ... two patterns" in §IV.B), plus the
@@ -107,6 +111,26 @@ func validateArena(kernel string, a *alloc.Device, outs ...int) error {
 	return nil
 }
 
+// ChunkView is the 2-bit form of a staged chunk the kernels read: base i of
+// Chr is base Base+i of View. It is host state, built once when the chunk is
+// staged (the chunk's own view at Base 0, or a genome artifact's resident
+// whole-sequence view at the chunk's start) and read by the finder and by
+// every comparer launch over the chunk; Chr is still the staged device
+// buffer the cost plans charge. The OpenCL frontend binds it in the
+// kernels' trailing argument slot.
+type ChunkView struct {
+	View *genome.WordView
+	Base int
+}
+
+// validate checks that the view covers a chunk of n bases.
+func (v *ChunkView) validate(kernel string, n int) error {
+	if v.View == nil || v.Base < 0 || v.Base+n > v.View.Len() {
+		return fmt.Errorf("kernels: %s: the chunk view at base %d does not cover the %d-base chunk", kernel, v.Base, n)
+	}
+	return nil
+}
+
 // FinderArgs are the arguments of the finder kernel: it scans every
 // candidate position of a chunk for the PAM pattern and compacts matching
 // loci (and their strand flags) into pages of the output arena, claimed
@@ -115,6 +139,8 @@ type FinderArgs struct {
 	// Chr is the chunk sequence, body plus overlap. Soft-masked lower-case
 	// bases are accepted; the IUPAC match tables fold case.
 	Chr []byte
+	// ChunkView is Chr's word view, which the kernel reads.
+	ChunkView
 	// Pattern is the PAM search pattern pair.
 	Pattern *PatternPair
 	// Sites is the number of candidate site starts (the chunk body).
@@ -139,6 +165,9 @@ func (a *FinderArgs) validate() error {
 		return fmt.Errorf("kernels: finder: %d sites of length %d exceed chunk of %d",
 			a.Sites, a.Pattern.PatternLen, len(a.Chr))
 	}
+	if err := a.ChunkView.validate("finder", len(a.Chr)); err != nil {
+		return err
+	}
 	return validateArena("finder", a.Arena, len(a.Loci), len(a.Flags))
 }
 
@@ -149,6 +178,8 @@ func (a *FinderArgs) validate() error {
 type ComparerArgs struct {
 	// Chr is the chunk sequence the loci index into.
 	Chr []byte
+	// ChunkView is Chr's word view, which the kernel reads.
+	ChunkView
 	// Loci are the candidate positions produced by the finder.
 	Loci []uint32
 	// Flags are the strand flags parallel to Loci.
@@ -176,6 +207,15 @@ func (a *ComparerArgs) validate() error {
 		return errors.New("kernels: comparer: nil guide")
 	case int(a.LociCount) > len(a.Loci) || int(a.LociCount) > len(a.Flags):
 		return fmt.Errorf("kernels: comparer: count %d exceeds loci arrays", a.LociCount)
+	}
+	if err := a.ChunkView.validate("comparer", len(a.Chr)); err != nil {
+		return err
+	}
+	plen := a.Guide.PatternLen
+	for _, l := range a.Loci[:a.LociCount] {
+		if int(l)+plen > len(a.Chr) {
+			return fmt.Errorf("%w: the %d-base window at locus %d runs past the %d-base chunk", ErrWindowPastChunk, plen, l, len(a.Chr))
+		}
 	}
 	return validateArena("comparer", a.Arena, len(a.MMLoci), len(a.MMCount), len(a.Direction))
 }

@@ -14,7 +14,8 @@ import (
 // in ns per site, then the opt3 comparer over the finder's candidates in ns
 // per candidate, both at a 512-item work group (the tuned MI100 shape).
 // Each iteration builds its kernel, as a launch does, so per-launch set-up
-// is in the number. The comparer arms mirror BenchmarkCompareGuides in
+// is in the number; the chunk's word view is built once, before, as a
+// staged chunk's is, and its build alone is the view arm, in ns per base. The comparer arms mirror BenchmarkCompareGuides in
 // internal/search: one concrete guide at five mismatches (comparer), the
 // guide widened by R and Y inside the 20-mer (comparer,iupac), and the
 // concrete guide at twelve (comparer,mm=12), where most candidates score
@@ -54,11 +55,23 @@ func BenchmarkGroupKernels(b *testing.B) {
 		}
 	}
 
+	var view ChunkView
+	b.Run("view", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			view.View, _ = genome.NewWordView(chr, view.View)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(chr)), "ns/base")
+	})
+	if view.View == nil { // the arm was filtered out
+		view = viewOf(chr)
+	}
+
 	sites := len(chr) - pat.PatternLen + 1
 	groups := (sites + wg - 1) / wg
 	farena := alloc.NewHost(alloc.WorstCase(groups, wg))
 	fa := &FinderArgs{
-		Chr: chr, Pattern: pat, Sites: sites,
+		Chr: chr, ChunkView: view, Pattern: pat, Sites: sites,
 		Loci:  make([]uint32, farena.Layout.Slots()),
 		Flags: make([]byte, farena.Layout.Slots()),
 		Arena: farena.Device(),
@@ -99,7 +112,7 @@ func BenchmarkGroupKernels(b *testing.B) {
 			b.Fatal(err)
 		}
 		ca := &ComparerArgs{
-			Chr: chr, Loci: loci, Flags: flags, LociCount: uint32(len(loci)),
+			Chr: chr, ChunkView: view, Loci: loci, Flags: flags, LociCount: uint32(len(loci)),
 			Guide: guide, Threshold: arm.limit,
 			MMLoci:    make([]uint32, carena.Layout.Slots()),
 			MMCount:   make([]uint16, carena.Layout.Slots()),

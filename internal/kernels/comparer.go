@@ -177,12 +177,12 @@ func NewComparer(v ComparerVariant, a *ComparerArgs) (*Comparer, error) {
 // Phases returns the kernel's two phases for one worker. lComp and
 // lCompIndex are the worker's local staging arrays ("l_comp",
 // "l_comp_index"), each of length 2*PatternLen. The worker's guide words
-// and its genome tile are reused by every group it runs.
+// are reused by every group it runs.
 func (k *Comparer) Phases(lComp []byte, lCompIndex []int32) []gpu.Phase {
-	hist, words, tile := newHist(&k.strand), newWords(k.a.Guide.PatternLen), new(genome.WordView)
+	hist, words := newHist(&k.strand), newWords(k.a.Guide.PatternLen)
 	return []gpu.Phase{
 		func(g *gpu.Group) { stageGroup(g, k.a.Guide, lComp, lCompIndex, &k.stage, &k.item) },
-		func(g *gpu.Group) { k.compareGroup(g, lComp, lCompIndex, hist, words, tile) },
+		func(g *gpu.Group) { k.compareGroup(g, lComp, lCompIndex, hist, words) },
 	}
 }
 
@@ -193,7 +193,9 @@ var flagStrands = [256][2]uint8{FlagBoth: {0, 2}, FlagForward: {0, 1}, FlagRever
 
 var strandDir = [2]byte{DirForward, DirReverse}
 
-func (k *Comparer) compareGroup(g *gpu.Group, lComp []byte, lCompIndex []int32, hist [2][]int64, words [2][]genome.GuideWord, tile *genome.WordView) {
+// compareGroup scores each of the group's candidates on its flagged strands
+// against the chunk view's window at Base plus its locus (wordExit).
+func (k *Comparer) compareGroup(g *gpu.Group, lComp []byte, lCompIndex []int32, hist [2][]int64, words [2][]genome.GuideWord) {
 	a, threshold := k.a, int(k.a.Threshold)
 	stageWords(&k.strand, words, lComp, lCompIndex, a.Guide.PatternLen)
 	base, n := g.Base(), inRange(g, int(a.LociCount))
@@ -206,17 +208,13 @@ func (k *Comparer) compareGroup(g *gpu.Group, lComp []byte, lCompIndex []int32, 
 	// reads[s]: scoring strand s reads loci[i]; so does storing an entry.
 	reads := [2]bool{k.c.lociPerHalf || complete[0] > 0, k.c.lociPerHalf || complete[1] > 0}
 	stores, drops, firsts := 0, 0, 0
-	plen, loci, flags := a.Guide.PatternLen, a.Loci, a.Flags
-	lo, hi := 0, 0 // the tile holds Chr[lo:hi]
+	loci, flags := a.Loci, a.Flags
 	for i := base; i < base+n; i++ {
 		locus := int(loci[i])
-		if locus < lo || locus+plen > hi {
-			lo, hi = k.packRun(tile, i, base+n)
-		}
 		r := flagStrands[flags[i]]
 		read := reloads && r[0] < r[1] && (reads[r[0]] || reads[r[1]-1])
 		for s := int(r[0]); s < int(r[1]); s++ {
-			e, mm := wordExit(words[s], tile, locus-lo, threshold)
+			e, mm := wordExit(words[s], a.View, a.Base+locus, threshold)
 			hist[s][e]++
 			if e != complete[s] {
 				continue
@@ -247,33 +245,6 @@ func (k *Comparer) compareGroup(g *gpu.Group, lComp []byte, lCompIndex []int32, 
 	st.AddScaled(&k.store, int64(stores))
 	diverged(st, g.Size()-n+drops) // items past LociCount, dropped entries
 	st.RedundantLoadOps -= int64(firsts)
-}
-
-// packRun packs the window of item i, and of every item after it up to end
-// whose window starts inside the span packed so far, into the tile, and
-// returns that span, Chr[lo:hi]. Loci come from the finder in ascending
-// order, a few bases apart, so a group is a few runs and each base is
-// packed once; sparse or unordered loci pack little more than their own
-// windows. An invalid byte is packed as an unknown lane, which every
-// pattern code mismatches. A window that runs past Chr fails the launch.
-func (k *Comparer) packRun(tile *genome.WordView, i, end int) (lo, hi int) {
-	a, plen := k.a, k.a.Guide.PatternLen
-	lo = int(a.Loci[i])
-	hi = lo + plen
-	for j := i + 1; j < end; j++ {
-		q := int(a.Loci[j])
-		if q < lo || q > hi {
-			break
-		}
-		hi = max(hi, q+plen)
-	}
-	if hi > len(a.Chr) {
-		panic(fmt.Sprintf("kernels: comparer: a %d-base window ending at %d runs past the %d-base chunk", plen, hi, len(a.Chr)))
-	}
-	// The error only names the first invalid byte, which the view already
-	// holds as an unknown lane.
-	_, _ = genome.NewWordView(a.Chr[lo:hi], tile)
-	return lo, hi
 }
 
 // ComparerLocalBytes returns the shared-local-memory bytes one work-group

@@ -80,6 +80,8 @@ func TestGroupMatchesReference(t *testing.T) {
 					maxMM:   rng.Intn(9),
 					variant: v,
 					wg:      32 << rng.Intn(4),
+					// Half the trials read the chunk at an offset into its view.
+					viewBase: trial % 2 * (trial + 3),
 				}
 				res := diffPipeline(t, dev, p)
 				if t.Failed() {
@@ -116,8 +118,8 @@ func TestGroupMatchesReference(t *testing.T) {
 	})
 }
 
-// TestMismatchRows checks the shared row table the group bodies read
-// against genome.Matches for every (pattern code, genome byte) pair.
+// TestMismatchRows checks the row table the byte-walk oracles read against
+// genome.Matches for every (pattern code, genome byte) pair.
 func TestMismatchRows(t *testing.T) {
 	rows := mismatchRows()
 	for c := range 256 {
@@ -166,7 +168,7 @@ func FuzzGroupKernels(f *testing.F) {
 	f.Add([]byte("GGGGGGGGGGGGGGGGGGGGGGGGGGGGGGGG\x00\xffxxGGGG"), "GG", "GN", uint8(0), uint8(0), uint8(3), uint8(1))
 	f.Add([]byte("AC"), "ACGT", "ACGT", uint8(2), uint8(7), uint8(4), uint8(0))
 	// A 40-base IUPAC guide, two words, over invalid and soft-masked bytes:
-	// the comparer's tile packs \x00 and x as unknown lanes, which mismatch.
+	// the chunk's view packs \x00 and x as unknown lanes, which mismatch.
 	f.Add([]byte(strings.Repeat("acgTAxGG\x00cCaRtgGnAGGtacgTTaGCcaggATcCG", 8)), strings.Repeat("N", 38)+"GG",
 		"ACGTRYSWKMBDHVACGTACGTRYNNACGTACGTACGTNN", uint8(9), uint8(31), uint8(3), uint8(0))
 	// Group sizes around the finder's 64-site blocks, site counts that are
@@ -177,6 +179,13 @@ func FuzzGroupKernels(f *testing.F) {
 		f.Add(seq, "NNNNNNNNRG", "ACGTACGTNN", uint8(3), uint8(wg-1), uint8(wg%5), uint8(0))
 	}
 	f.Add(randomCodes(rng, "ACGT", 203), "NNNNN", "ACNNN", uint8(2), uint8(129), uint8(3), uint8(70))
+	// An invalid byte and a genome N inside PAM windows at the finder's
+	// lane-31/32 boundary, where every other site matches: site 31 reads
+	// the invalid byte under its first G, site 32 the N under its second.
+	boundary := []byte(strings.Repeat("G", 90))
+	boundary[31+7], boundary[32+8] = '\x00', 'N'
+	f.Add(boundary, "NNNNNNNGG", "ACGTNNNNN", uint8(2), uint8(63), uint8(1), uint8(0))
+	f.Add(boundary, "NNNNNNNGG", "ACGTNNNNN", uint8(9), uint8(31), uint8(2), uint8(0))
 	dev := gpu.New(device.MI100(), gpu.WithWorkers(2))
 	f.Fuzz(func(t *testing.T, seq []byte, pattern, guide string, threshold, wg, variant, pageSlots uint8) {
 		n := min(len(pattern), len(guide), 64)
@@ -193,6 +202,7 @@ func FuzzGroupKernels(f *testing.F) {
 		diffPipeline(t, dev, pipelineRun{
 			seq: seq, pattern: pattern, guide: guide, maxMM: int(threshold),
 			variant: all[int(variant)%len(all)], wg: 1 + int(wg), pageSlots: int(pageSlots),
+			viewBase: len(seq) % 37,
 		})
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"casoffinder/internal/genome"
 	"casoffinder/internal/gpu"
 )
 
@@ -55,10 +56,10 @@ func NewFinder(a *FinderArgs) (*Finder, error) {
 // are the worker's local staging arrays ("l_pat", "l_pat_index" in
 // Table VI), each of length 2*PatternLen.
 func (f *Finder) Phases(lPat []byte, lPatIndex []int32) []gpu.Phase {
-	hist, terms := newHist(&f.strand), newTerms(&f.strand)
+	hist := newHist(&f.strand)
 	return []gpu.Phase{
 		func(g *gpu.Group) { stageGroup(g, f.a.Pattern, lPat, lPatIndex, &f.stage, &f.item) },
-		func(g *gpu.Group) { f.scanGroup(g, lPat, lPatIndex, hist, terms) },
+		func(g *gpu.Group) { f.scanGroup(g, lPat, lPatIndex, hist) },
 	}
 }
 
@@ -66,34 +67,41 @@ func (f *Finder) Phases(lPat []byte, lPatIndex []int32) []gpu.Phase {
 // bit 1, to its finder flag.
 var laneFlag = [4]byte{1: FlagForward, 2: FlagReverse, 3: FlagBoth}
 
-// scanGroup tests the group's sites in blocks of up to 64, one lane per
-// site: both strands are walked for the whole block at once (walkBlock),
-// and the block's matched sites claim their slots with one ClaimN and are
+// scanGroup tests the group's sites in blocks of up to 64, each block as two
+// halves of up to 32 lanes of view windows, lane bit 2i for site i of the
+// half: both strands are walked for the whole half at once (walkLanes), and
+// the block's matched sites claim their slots with one ClaimN and are
 // stored in ascending site order — the slots, flags and counters k Claim
 // calls, one per matched site, would have produced.
-func (f *Finder) scanGroup(g *gpu.Group, lPat []byte, lPatIndex []int32, hist [2][]int64, terms [2][]term) {
-	a := f.a
-	restage(&f.strand, terms, lPat, lPatIndex, a.Pattern.PatternLen)
+func (f *Finder) scanGroup(g *gpu.Group, lPat []byte, lPatIndex []int32, hist [2][]int64) {
+	a, plen := f.a, f.a.Pattern.PatternLen
 	base, n := g.Base(), inRange(g, a.Sites)
 	// Items past the last site, sites matching on neither strand and
 	// matches an exhausted arena drops each end on one divergent branch.
 	branches, stores := g.Size()-n, 0
 	for b := base; b < base+n; b += 64 {
 		w := min(base+n-b, 64)
-		lanes := ^uint64(0) >> (64 - w)
-		fwd := walkBlock(terms[0], a.Chr, b, lanes, hist[0])
-		rev := walkBlock(terms[1], a.Chr, b, lanes, hist[1])
-		match := fwd | rev
+		var fwd, rev [2]uint64 // per half
+		matched := 0
+		for h := 0; 32*h < w; h++ {
+			live := uint64(genome.LaneMask) >> (64 - 2*min(w-32*h, 32))
+			pos := a.Base + b + 32*h
+			fwd[h] = walkLanes(lPatIndex[:f.strand[0].n], lPat, a.View, pos, live, hist[0])
+			rev[h] = walkLanes(lPatIndex[plen:plen+f.strand[1].n], lPat[plen:], a.View, pos, live, hist[1])
+			matched += bits.OnesCount64(fwd[h] | rev[h])
+		}
 		// An exhausted arena grants a prefix of the block's matches; the
 		// drops are counted in Arena.Overflow and the host refits the arena
 		// and relaunches, so no site is ever lost.
-		slot, got := a.Arena.ClaimN(g, bits.OnesCount64(match))
-		for range got {
-			l := bits.TrailingZeros64(match)
-			match &= match - 1
-			a.Loci[slot] = uint32(b + l)
-			a.Flags[slot] = laneFlag[fwd>>l&1|rev>>l&1<<1]
-			slot++
+		slot, got := a.Arena.ClaimN(g, matched)
+		for h, left := 0, got; left > 0; h++ {
+			for m := fwd[h] | rev[h]; m != 0 && left > 0; m &= m - 1 {
+				l := bits.TrailingZeros64(m)
+				a.Loci[slot] = uint32(b + 32*h + l>>1)
+				a.Flags[slot] = laneFlag[fwd[h]>>l&1|rev[h]>>l&1<<1]
+				slot++
+				left--
+			}
 		}
 		branches += w - got
 		stores += got
@@ -103,6 +111,26 @@ func (f *Finder) scanGroup(g *gpu.Group, lPat []byte, lPatIndex []int32, hist [2
 	f.strand[1].fold(st, hist[1])
 	diverged(st, branches)
 	st.AddScaled(&f.store, int64(stores))
+}
+
+// walkLanes is one strand's walk at threshold zero over the sites whose
+// lanes are set in live, lane bit 2i for the site at view position pos+i.
+// Evaluated entry j of idx, offset k into the window, loads the view window
+// at pos+k, and its live lanes whose base is unknown or outside the IUPAC
+// mask of codes[k] mismatch (genome.MatchLanes): they leave by its exit and
+// drop out, and the walk stops when no lane is left. It adds the lanes'
+// exits to hist and returns the lanes that completed the walk.
+func walkLanes(idx []int32, codes []byte, v *genome.WordView, pos int, live uint64, hist []int64) uint64 {
+	for j, k := range idx {
+		x, unk := v.Window(pos + int(k))
+		mm := live &^ genome.MatchLanes(genome.MaskOf(codes[k]), x, unk)
+		hist[j] += int64(bits.OnesCount64(mm))
+		if live &^= mm; live == 0 {
+			return 0
+		}
+	}
+	hist[len(idx)] += int64(bits.OnesCount64(live))
+	return live
 }
 
 // FinderLocalBytes returns the shared-local-memory bytes one work-group of

@@ -246,12 +246,13 @@ func TestFinderFlagsBothStrands(t *testing.T) {
 	}
 	arena := alloc.NewHost(alloc.WorstCase(1, 4))
 	fa := &FinderArgs{
-		Chr:     seq,
-		Pattern: pat,
-		Sites:   3,
-		Loci:    make([]uint32, arena.Layout.Slots()),
-		Flags:   make([]byte, arena.Layout.Slots()),
-		Arena:   arena.Device(),
+		Chr:       seq,
+		ChunkView: viewOf(seq),
+		Pattern:   pat,
+		Sites:     3,
+		Loci:      make([]uint32, arena.Layout.Slots()),
+		Flags:     make([]byte, arena.Layout.Slots()),
+		Arena:     arena.Device(),
 	}
 	finder, err := NewFinder(fa)
 	if err != nil {
@@ -285,7 +286,7 @@ func TestFinderFlagsBothStrands(t *testing.T) {
 func TestArgsValidate(t *testing.T) {
 	pat, _ := NewPatternPair([]byte("NGG"))
 	fArena := alloc.NewHost(alloc.WorstCase(1, 6))
-	okF := FinderArgs{Chr: []byte("ACGTACGT"), Pattern: pat, Sites: 6,
+	okF := FinderArgs{Chr: []byte("ACGTACGT"), ChunkView: viewOf([]byte("ACGTACGT")), Pattern: pat, Sites: 6,
 		Loci: make([]uint32, 6), Flags: make([]byte, 6), Arena: fArena.Device()}
 	if err := okF.validate(); err != nil {
 		t.Errorf("valid finder args rejected: %v", err)
@@ -317,9 +318,19 @@ func TestArgsValidate(t *testing.T) {
 	if err := bad.validate(); err == nil {
 		t.Error("nil pattern accepted")
 	}
+	bad = okF
+	bad.View = nil
+	if err := bad.validate(); err == nil {
+		t.Error("nil chunk view accepted")
+	}
+	bad = okF
+	bad.Base = 1 // the 8-base view ends a base short of the chunk
+	if err := bad.validate(); err == nil {
+		t.Error("view short of the chunk accepted")
+	}
 
 	cArena := alloc.NewHost(alloc.WorstCase(1, 4))
-	okC := ComparerArgs{Chr: []byte("ACGT"), Loci: make([]uint32, 4), Flags: make([]byte, 4),
+	okC := ComparerArgs{Chr: []byte("ACGT"), ChunkView: viewOf([]byte("xACGT")), Loci: make([]uint32, 4), Flags: make([]byte, 4),
 		LociCount: 2, Guide: pat, MMLoci: make([]uint32, 4), MMCount: make([]uint16, 4),
 		Direction: make([]byte, 4), Arena: cArena.Device()}
 	if err := okC.validate(); err != nil {
@@ -344,6 +355,15 @@ func TestArgsValidate(t *testing.T) {
 	badC.Guide = nil
 	if err := badC.validate(); err == nil {
 		t.Error("nil guide accepted")
+	}
+	badC = okC
+	badC.Base = 1
+	if err := badC.validate(); err != nil {
+		t.Errorf("view at base 1 rejected: %v", err)
+	}
+	badC.Base = 2
+	if err := badC.validate(); err == nil {
+		t.Error("view short of the chunk accepted")
 	}
 
 	okG := func() *GatherArgs {

@@ -3,7 +3,6 @@ package kernels
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"casoffinder/internal/genome"
 	"casoffinder/internal/gpu"
@@ -22,43 +21,18 @@ import (
 // counter.
 //
 // The group bodies compute *where* items leave without a branch per pattern
-// entry. The finder, whose threshold is zero, reads for each evaluated entry
-// j one byte of the process-wide mismatchRows table per site, row code_j
-// indexed by chr[pos+k_j], turns the entry's rows over a block of up to 64
-// sites into a lane mask and retires the mismatching lanes of the block at
-// once (walkBlock). The comparer scores a candidate from one mismatch mask
-// per 32-base word: each group packs the span of chr its loci cover into a
-// 2-bit genome.WordView tile (packRun), the guide's staged strands are
-// genome.GuideWords (stageWords), and a window's mask is its XOR with the
-// strand's code word plus its degenerate and unknown lanes. The index lists
-// the evaluated lanes in ascending order, so an item leaves by the entry of
-// the (threshold+1)-th set bit, its rank among the evaluated lanes
-// (wordExit).
-
-// mismatchRows returns the table whose [code][base] entry is 1 when the
-// genome base fails to match the pattern code — !genome.Matches, the
-// Listing 1 ladder's verdict — and 0 when it matches. Every finder launch
-// reads its rows from this one table. It is built on first use, so a
-// program that never launches the simulated finder pays neither its 64 KiB
-// nor the 65 536 Matches calls at start-up.
-var mismatchRows = sync.OnceValue(func() *[256][256]uint8 {
-	t := new([256][256]uint8)
-	for c := range t {
-		for b := range t[c] {
-			if !genome.Matches(byte(c), byte(b)) {
-				t[c][b] = 1
-			}
-		}
-	}
-	return t
-})
-
-// term is one evaluated index entry of a staged strand: the entry's offset
-// into the window and the mismatch row of the pattern code there.
-type term struct {
-	k   int
-	row *[256]uint8
-}
+// entry, and both read the chunk's one 2-bit genome.WordView, built on the
+// host when the chunk is staged (ChunkView), never a per-launch copy. The
+// finder, whose threshold is zero, walks a block of up to 64 sites as two
+// halves of 32 lanes: for each evaluated entry j it loads the view window at
+// the half's first site plus k_j, and the live lanes whose base is unknown
+// or outside code_j's IUPAC mask (genome.MatchLanes) leave the walk at once
+// (walkLanes). The comparer scores a candidate from one mismatch mask per
+// 32-base word: the guide's staged strands are genome.GuideWords
+// (stageWords), and a window's mask is its XOR with the strand's code word
+// plus its degenerate and unknown lanes. The index lists the evaluated
+// lanes in ascending order, so an item leaves by the entry of the
+// (threshold+1)-th set bit, its rank among the evaluated lanes (wordExit).
 
 // strandPlan is one strand's share of a cost plan.
 type strandPlan struct {
@@ -140,23 +114,10 @@ func stageGroup(g *gpu.Group, p *PatternPair, lCodes []byte, lIndex []int32, sta
 	st.AddScaled(item, int64(g.Size()))
 }
 
-// restage rewrites one worker's terms for both strands from the group's
-// staged arrays: strand s's entries are its half of idx, plen long, and
-// index its half of codes. planStrand has checked the same entries against
-// the pattern, so they index codes safely.
-func restage(strand *[2]strandPlan, terms [2][]term, codes []byte, idx []int32, plen int) {
-	rows := mismatchRows()
-	for s := range strand {
-		off := s * plen
-		for j, k := range idx[off : off+strand[s].n] {
-			terms[s][j] = term{int(k), &rows[codes[off+int(k)]]}
-		}
-	}
-}
-
 // stageWords rewrites one worker's guide words for both strands from the
-// group's staged arrays, as restage does terms: strand s's evaluated
-// entries are its half of idx and index its half of codes.
+// group's staged arrays: strand s's evaluated entries are its half of idx
+// and index its half of codes. planStrand has checked the same entries
+// against the pattern, so they index codes safely.
 func stageWords(strand *[2]strandPlan, words [2][]genome.GuideWord, codes []byte, idx []int32, plen int) {
 	for s := range strand {
 		clear(words[s])
@@ -167,15 +128,15 @@ func stageWords(strand *[2]strandPlan, words [2][]genome.GuideWord, codes []byte
 	}
 }
 
-// wordExit scores one strand's words against the tile window at off and
+// wordExit scores one strand's words against the view window at pos and
 // returns the exit the item leaves the walk by, and the mismatches counted
 // up to it: the evaluated-lane rank of the (threshold+1)-th mismatching lane
 // and threshold+1, or, when the window mismatches no more than threshold
 // lanes, the completed walk's exit and the count.
-func wordExit(words []genome.GuideWord, tile *genome.WordView, off, threshold int) (exit, mm int) {
+func wordExit(words []genome.GuideWord, v *genome.WordView, pos, threshold int) (exit, mm int) {
 	for w := range words {
 		g := &words[w]
-		x, unk := tile.Window(off + 32*w)
+		x, unk := v.Window(pos + 32*w)
 		m := g.BoundMask(x, unk) | g.DegenerateMask(x, unk)
 		c := bits.OnesCount64(m)
 		if mm+c > threshold {
@@ -190,39 +151,6 @@ func wordExit(words []genome.GuideWord, tile *genome.WordView, off, threshold in
 	return exit, mm
 }
 
-// walkBlock is the walk at threshold zero for the block of sites b, b+1, …
-// whose lanes are set in live (bit l is site b+l; at most 64, from bit 0
-// up). Each term's mismatching live lanes leave by its exit and drop out;
-// the walk stops when no lane is left. It adds the lanes' exits to hist and
-// returns the lanes that completed the walk.
-func walkBlock(terms []term, chr []byte, b int, live uint64, hist []int64) uint64 {
-	w := bits.Len64(live)
-	for j, t := range terms {
-		mm := laneMask(t.row, chr[b+t.k:b+t.k+w]) & live
-		hist[j] += int64(bits.OnesCount64(mm))
-		if live &^= mm; live == 0 {
-			return 0
-		}
-	}
-	hist[len(terms)] += int64(bits.OnesCount64(live))
-	return live
-}
-
-// laneMask returns the bits row[win[l]] << l for the window's lanes l, eight
-// lanes per step.
-func laneMask(row *[256]uint8, win []byte) (mm uint64) {
-	l := 0
-	for ; l+8 <= len(win); l += 8 {
-		c := win[l : l+8 : l+8]
-		mm |= (uint64(row[c[0]]) | uint64(row[c[1]])<<1 | uint64(row[c[2]])<<2 | uint64(row[c[3]])<<3 |
-			uint64(row[c[4]])<<4 | uint64(row[c[5]])<<5 | uint64(row[c[6]])<<6 | uint64(row[c[7]])<<7) << l
-	}
-	for ; l < len(win); l++ {
-		mm |= uint64(row[win[l]]) << l
-	}
-	return mm
-}
-
 // newHist returns one worker's exit histograms, a counter per exit of each
 // strand.
 func newHist(strand *[2]strandPlan) [2][]int64 {
@@ -232,19 +160,11 @@ func newHist(strand *[2]strandPlan) [2][]int64 {
 }
 
 // newWords returns one worker's guide words, ceil(plen/32) per strand,
-// which the comparer restages after every barrier.
+// which the comparer rewrites after every barrier.
 func newWords(plen int) [2][]genome.GuideWord {
 	n := (plen + 31) / 32
 	w := make([]genome.GuideWord, 2*n)
 	return [2][]genome.GuideWord{w[:n], w[n:]}
-}
-
-// newTerms returns one worker's terms, one per evaluated entry of each
-// strand, which the finder restages after every barrier.
-func newTerms(strand *[2]strandPlan) [2][]term {
-	n := strand[0].n
-	t := make([]term, n+strand[1].n)
-	return [2][]term{t[:n], t[n:]}
 }
 
 // fold adds the histogram's exits to the shard and clears it for the

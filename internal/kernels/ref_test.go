@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"bytes"
 	"sort"
 	"testing"
 
@@ -263,6 +264,16 @@ type pipelineRun struct {
 	// emit more drop entries (Claim returns -1); zero provisions the worst
 	// case.
 	pageSlots int
+	// viewBase places chr at that base of the kernels' word view (ChunkView),
+	// as an artifact's resident view places a chunk.
+	viewBase int
+}
+
+// viewOf returns the word view of chr at base 0. An invalid byte is an
+// unknown lane of code 3, which every pattern code mismatches.
+func viewOf(chr []byte) ChunkView {
+	v, _ := genome.NewWordView(chr, nil)
+	return ChunkView{View: v}
 }
 
 // pipelineResult is what a pass produced: sorted hits, the launch
@@ -312,13 +323,18 @@ func (p pipelineRun) run(t testing.TB, dev *gpu.Device) (*pipelineResult, error)
 
 	gws := max((sites+wg-1)/wg*wg, wg)
 	farena := arena(gws/wg, wg)
+	// The kernels read chr's word view; a run with viewBase > 0 reads it at
+	// that offset into a view whose leading bases are no part of the chunk.
+	view := viewOf(append(bytes.Repeat([]byte("x"), p.viewBase), chr...))
+	view.Base = p.viewBase
 	fa := &FinderArgs{
-		Chr:     chr,
-		Pattern: pat,
-		Sites:   sites,
-		Loci:    make([]uint32, farena.Layout.Slots()),
-		Flags:   make([]byte, farena.Layout.Slots()),
-		Arena:   farena.Device(),
+		Chr:       chr,
+		ChunkView: view,
+		Pattern:   pat,
+		Sites:     sites,
+		Loci:      make([]uint32, farena.Layout.Slots()),
+		Flags:     make([]byte, farena.Layout.Slots()),
+		Arena:     farena.Device(),
 	}
 	finder, err := NewFinder(fa)
 	if err != nil {
@@ -351,6 +367,7 @@ func (p pipelineRun) run(t testing.TB, dev *gpu.Device) (*pipelineResult, error)
 	carena := arena(cgws/wg, 2*wg)
 	ca := &ComparerArgs{
 		Chr:       chr,
+		ChunkView: view,
 		Loci:      loci,
 		Flags:     flags,
 		LociCount: uint32(len(loci)),

@@ -45,7 +45,8 @@ func localSlots(args []any, i int, elemBytes int) (int, error) {
 // Finder argument-slot order for the OpenCL frontend, following the kernel
 // signature of Table VI with the flat count buffer replaced by the output
 // arena's state (page geometry scalars, page cursor, per-group counters and
-// page table, overflow counter).
+// page table, overflow counter), plus a trailing slot for the chunk's
+// ChunkView.
 const (
 	FinderArgChr = iota
 	FinderArgPat
@@ -62,12 +63,13 @@ const (
 	FinderArgOverflow
 	FinderArgLocalPat
 	FinderArgLocalPatIndex
+	FinderArgView
 	finderNumArgs
 )
 
 // Comparer argument-slot order for the OpenCL frontend, following the
 // signature of Listing 1 with the "entrycount" cursor replaced by the
-// output arena's state.
+// output arena's state, plus a trailing slot for the chunk's ChunkView.
 const (
 	ComparerArgLociCount = iota
 	ComparerArgChr
@@ -88,6 +90,7 @@ const (
 	ComparerArgOverflow
 	ComparerArgLocalComp
 	ComparerArgLocalCompIndex
+	ComparerArgView
 	comparerNumArgs
 )
 
@@ -216,8 +219,13 @@ func finderSlots(args []any) (fa *FinderArgs, lPatN, lIdxN int, err error) {
 	if err != nil {
 		return nil, 0, 0, err
 	}
+	view, err := scalar[ChunkView](args, FinderArgView)
+	if err != nil {
+		return nil, 0, 0, err
+	}
 	fa = &FinderArgs{
-		Chr: chr,
+		Chr:       chr,
+		ChunkView: view,
 		Pattern: &PatternPair{
 			Codes:      pat,
 			Index:      patIndex,
@@ -306,8 +314,13 @@ func comparerSlots(args []any) (ca *ComparerArgs, lCompN, lIdxN int, err error) 
 	if err != nil {
 		return nil, 0, 0, err
 	}
+	view, err := scalar[ChunkView](args, ComparerArgView)
+	if err != nil {
+		return nil, 0, 0, err
+	}
 	ca = &ComparerArgs{
 		Chr:       chr,
+		ChunkView: view,
 		Loci:      loci,
 		Flags:     flags,
 		LociCount: lociCount,

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"casoffinder/internal/baseline"
@@ -56,6 +57,11 @@ func TestCLSourceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	sites := len(seq) - pat.PatternLen + 1
+	v, err := genome.NewWordView(seq, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := ChunkView{View: v}
 
 	chrBuf, err := opencl.CreateBuffer(ctx, opencl.MemReadOnly|opencl.MemCopyHostPtr, len(seq), seq)
 	if err != nil {
@@ -154,6 +160,9 @@ func TestCLSourceEndToEnd(t *testing.T) {
 	if err := finder.SetArgLocal(FinderArgLocalPatIndex, 4*2*pat.PatternLen); err != nil {
 		t.Fatal(err)
 	}
+	if err := finder.SetArg(FinderArgView, view); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := q.EnqueueNDRangeKernel(nil, finder, gws, 0); err != nil {
 		t.Fatalf("finder enqueue: %v", err)
 	}
@@ -230,6 +239,9 @@ func TestCLSourceEndToEnd(t *testing.T) {
 		if err := comparer.SetArgLocal(ComparerArgLocalCompIndex, 4*2*gd.PatternLen); err != nil {
 			t.Fatal(err)
 		}
+		if err := comparer.SetArg(ComparerArgView, view); err != nil {
+			t.Fatal(err)
+		}
 		if _, err := q.EnqueueNDRangeKernel(nil, comparer, cgws, wg); err != nil {
 			t.Fatalf("%s enqueue: %v", variant, err)
 		}
@@ -301,7 +313,11 @@ func TestCLSourceArgTypeErrors(t *testing.T) {
 	if err := finder.SetArgLocal(FinderArgLocalPatIndex, 24); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.EnqueueNDRangeKernel(nil, finder, 64, 64); err == nil {
-		t.Error("mistyped kernel arguments accepted")
+	if err := finder.SetArg(FinderArgView, ChunkView{}); err != nil {
+		t.Fatal(err)
 	}
+	if _, err := q.EnqueueNDRangeKernel(nil, finder, 64, 64); err == nil || !strings.Contains(err.Error(), "argument 0") {
+		t.Errorf("mistyped kernel arguments: enqueue error %v, want argument 0 rejected", err)
+	}
+
 }

@@ -3,6 +3,7 @@ package search
 import (
 	"errors"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -42,7 +43,10 @@ func artifactAssembly(t *testing.T, asm *genome.Assembly, pattern string) *genom
 // artifact-backed run is byte-identical to a FASTA-backed run on every
 // engine — with PAM shards for the request's scaffold (the shard fast
 // path), with shards for a different scaffold (resident views, prefilter
-// recomputed) and with no shards at all.
+// recomputed) and with no shards at all. The request's 300-byte chunks put
+// most chunks at a non-zero base of the resident view the simulated kernels
+// read, so their Profile.Kernels and Launches must equal FASTA's too: a
+// wrong base moves a candidate, a counter or a launch.
 func TestArtifactEquivalenceAllEngines(t *testing.T) {
 	asm := testAssembly(t, 11, []int{3000, 1700, 950}, testSite)
 	req := testRequest(2)
@@ -74,6 +78,11 @@ func TestArtifactEquivalenceAllEngines(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatalf("%s: fixture produced no hits", e.name)
 		}
+		prof, _ := e.eng.(Profiler)
+		var wantProf *Profile
+		if prof != nil {
+			wantProf = prof.LastProfile()
+		}
 		for _, a := range arts {
 			got, err := e.eng.Run(a.asm, req)
 			if err != nil {
@@ -81,6 +90,13 @@ func TestArtifactEquivalenceAllEngines(t *testing.T) {
 			}
 			if !equalHits(got, want) {
 				t.Errorf("%s on %s artifact: %d hits diverge from FASTA's %d", e.name, a.name, len(got), len(want))
+			}
+			if prof == nil {
+				continue
+			}
+			if gotProf := prof.LastProfile(); !reflect.DeepEqual(gotProf.Kernels, wantProf.Kernels) || !reflect.DeepEqual(gotProf.Launches, wantProf.Launches) {
+				t.Errorf("%s on %s artifact: kernels %+v, launches %v; FASTA's %+v, %v",
+					e.name, a.name, gotProf.Kernels, gotProf.Launches, wantProf.Kernels, wantProf.Launches)
 			}
 		}
 	}

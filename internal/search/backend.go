@@ -87,3 +87,19 @@ func policyFor(res *pipeline.Resilience) *pipeline.Resilience {
 	}
 	return &r
 }
+
+// chunkView returns the word view every scan of ch reads and the base that
+// maps chunk-local positions into it: the artifact's resident view at
+// ch.Start when the chunk's sequence name and bounds match it, otherwise
+// ch.Data packed into reuse at base 0, with NewWordView's error for an
+// invalid byte (an unknown lane of code 3), which the CPU scan fails on and
+// the simulated kernels score as a mismatch. The view is reuse exactly when
+// it was repacked.
+func chunkView(art *genome.Artifact, ch *genome.Chunk, reuse *genome.WordView) (*genome.WordView, int, error) {
+	if art != nil && ch.SeqIndex >= 0 && ch.SeqIndex < art.SeqCount() &&
+		art.SeqName(ch.SeqIndex) == ch.SeqName && ch.Start+len(ch.Data) <= art.SeqLen(ch.SeqIndex) {
+		return art.View(ch.SeqIndex), ch.Start, nil
+	}
+	v, err := genome.NewWordView(ch.Data, reuse)
+	return v, 0, err
+}

@@ -121,21 +121,6 @@ type cpuStaged struct {
 	base int
 }
 
-// artifactView returns the resident whole-sequence word view covering ch
-// when the plan's artifact has one, or nil to fall back to repacking. The
-// guard re-derives the match (sequence identity and bounds) from the chunk
-// itself, so a chunk from any other assembly simply takes the repack path.
-func (b *cpuBackend) artifactView(ch *genome.Chunk) *genome.WordView {
-	art := b.plan.Artifact
-	if art == nil || ch.SeqIndex < 0 || ch.SeqIndex >= art.SeqCount() {
-		return nil
-	}
-	if art.SeqName(ch.SeqIndex) != ch.SeqName || ch.Start+len(ch.Data) > art.SeqLen(ch.SeqIndex) {
-		return nil
-	}
-	return art.View(ch.SeqIndex)
-}
-
 // Stage implements pipeline.Backend. The CPU scans chunks in place, so
 // staging only wraps the chunk.
 func (b *cpuBackend) Stage(ctx context.Context, ch *genome.Chunk) (pipeline.Staged, error) {
@@ -152,18 +137,13 @@ func (b *cpuBackend) Stage(ctx context.Context, ch *genome.Chunk) (pipeline.Stag
 func (b *cpuBackend) Find(ctx context.Context, st pipeline.Staged) error {
 	s := st.(*cpuStaged)
 	s.sc = scratchPool.Get().(*scanScratch)
-	if av := b.artifactView(s.ch); av != nil {
-		s.view, s.base = av, s.ch.Start
-		if b.shards {
-			s.cand = b.plan.Artifact.PAMRange(s.ch.SeqIndex, s.ch.Start, s.ch.Start+s.ch.Body)
-			return checkShard(s.ch, s.cand)
-		}
-	} else {
-		v, err := genome.NewWordView(s.ch.Data, s.sc.view)
-		if err != nil {
-			return fmt.Errorf("search: packing chunk at %s:%d: %w", s.ch.SeqName, s.ch.Start, err)
-		}
-		s.sc.view, s.view, s.base = v, v, 0
+	var err error
+	if s.view, s.base, err = chunkView(b.plan.Artifact, s.ch, s.sc.view); err != nil {
+		return fmt.Errorf("search: packing chunk at %s:%d: %w", s.ch.SeqName, s.ch.Start, err)
+	}
+	if b.shards && s.view != s.sc.view {
+		s.cand = b.plan.Artifact.PAMRange(s.ch.SeqIndex, s.ch.Start, s.ch.Start+s.ch.Body)
+		return checkShard(s.ch, s.cand)
 	}
 	s.sc.findSWARCandidates(s.view, b.pattern, s.base, s.ch.Body)
 	s.cand = s.sc.cand
@@ -278,7 +258,8 @@ type scanScratch struct {
 	view    *genome.WordView
 }
 
-// scratchPool keeps one scanScratch per concurrent scan. It has package
-// lifetime so a warm daemon's passes reuse the buffers of the passes before
-// them instead of growing a fresh set on every request.
-var scratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
+// scratchPool keeps one scanScratch per concurrent scan, and the word views
+// the simulator backend repacks staged chunks into. It has package lifetime
+// so a warm daemon's passes reuse the buffers of the passes before them
+// instead of growing a fresh set on every request.
+var scratchPool = sync.Pool{New: func() any { return &scanScratch{view: new(genome.WordView)} }}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"casoffinder/internal/fault"
@@ -232,6 +233,61 @@ func TestFindAllocsFlatInPages(t *testing.T) {
 			if dense > sparse+4 {
 				t.Errorf("Find over %d claimed pages made %.0f allocations, over %d pages %.0f: the cost grows with the pages",
 					groups/2, dense, groups/8, sparse)
+			}
+		})
+	}
+}
+
+// TestComparerWindowPastChunkTyped drives a comparer launch whose candidate
+// buffer holds a locus past the staged chunk through both veneers: the
+// launch must fail with kernels.ErrWindowPastChunk naming the locus, and
+// after Release and Close nothing may be live in the driver or on the
+// device.
+func TestComparerWindowPastChunkTyped(t *testing.T) {
+	plan, ch := sweepChunk(t, 300, 200)
+	ctx := context.Background()
+	for _, core := range sweepCores() {
+		t.Run(core.name, func(t *testing.T) {
+			core.profile = newProfile()
+			b, err := newSimBackend(core, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := b.Stage(ctx, ch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Find(ctx, st); err != nil {
+				t.Fatal(err)
+			}
+			s := st.(*simStaged)
+			if s.n == 0 {
+				t.Fatal("chunk has no candidates")
+			}
+			// Swap the compacted loci for a copy whose last window ends one
+			// base past the chunk.
+			loci := make([]uint32, s.n)
+			bad := len(ch.Data) - plan.Guides[0].PatternLen + 1
+			loci[s.n-1] = uint32(bad)
+			if err := b.free(s.cLoci); err != nil {
+				t.Fatal(err)
+			}
+			if s.cLoci, err = b.alloc(bufState, s.n, loci); err != nil {
+				t.Fatal(err)
+			}
+			err = b.Compare(ctx, st)
+			if !errors.Is(err, kernels.ErrWindowPastChunk) || !strings.Contains(err.Error(), fmt.Sprintf("locus %d ", bad)) {
+				t.Errorf("Compare = %v, want ErrWindowPastChunk naming locus %d", err, bad)
+			}
+			b.Release(st)
+			if err := b.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			if n := len(b.live); n != 0 {
+				t.Errorf("driver holds %d live handles after Close", n)
+			}
+			if n := core.Device.AllocatedBytes(); n != 0 {
+				t.Errorf("device holds %d bytes after Close", n)
 			}
 		})
 	}

@@ -85,11 +85,12 @@ type simArena struct {
 	cursor, count, page, ovf devBuf
 }
 
-// finderLaunch is one finder launch: the staged chunk, the run's pattern
-// tables, the page-strided outputs and their arena, over gws work-items in
-// groups of wg (0 leaves the group size to the runtime).
+// finderLaunch is one finder launch: the staged chunk and its word view, the
+// run's pattern tables, the page-strided outputs and their arena, over gws
+// work-items in groups of wg (0 leaves the group size to the runtime).
 type finderLaunch struct {
 	chr, pat, patIdx devBuf
+	view             kernels.ChunkView
 	plen, sites      int
 	loci, flags      devBuf
 	arena            *simArena
@@ -101,6 +102,7 @@ type finderLaunch struct {
 type comparerLaunch struct {
 	n                  int
 	chr, loci, flags   devBuf
+	view               kernels.ChunkView
 	comp, compIdx      devBuf
 	plen               int
 	threshold          uint16
@@ -386,15 +388,21 @@ type simStaged struct {
 	ch *genome.Chunk
 
 	chr, cLoci, cFlags devBuf
+	// view is what every launch over the chunk reads, host state; sc is the
+	// pooled scratch whose view it may be repacked into, nil once returned.
+	view kernels.ChunkView
+	sc   *scanScratch
 
 	// n is the finder's candidate count, the length of cLoci and cFlags.
 	n       int
 	entries []rawHit
 }
 
-// Stage implements pipeline.Backend: create the chunk's sequence buffer. The
-// chunk is staged as-is: the kernels' IUPAC tables accept soft-masked
-// lower-case bases (site rendering normalizes case in the reported site).
+// Stage implements pipeline.Backend: create the chunk's sequence buffer and
+// take its word view once for every launch over it (chunkView). The chunk
+// is staged as-is: the kernels accept soft-masked lower-case bases (site
+// rendering normalizes case in the reported site), and an invalid byte is
+// an unknown lane every pattern code mismatches.
 func (b *simBackend) Stage(ctx context.Context, ch *genome.Chunk) (pipeline.Staged, error) {
 	s := &simStaged{ch: ch}
 	var err error
@@ -402,6 +410,8 @@ func (b *simBackend) Stage(ctx context.Context, ch *genome.Chunk) (pipeline.Stag
 		return nil, err
 	}
 	b.prof.addStagedChunk(int64(len(ch.Data)))
+	s.sc = scratchPool.Get().(*scanScratch)
+	s.view.View, s.view.Base, _ = chunkView(b.plan.Artifact, ch, s.sc.view)
 	return s, nil
 }
 
@@ -447,7 +457,7 @@ func (b *simBackend) Find(ctx context.Context, st pipeline.Staged) error {
 		limit: sites, // at most one entry per scanned site
 		launch: func(a *simArena, out []devBuf) (*gpu.Stats, error) {
 			return b.ops.launchFinder(ctx, &finderLaunch{
-				chr: s.chr, pat: b.patBuf, patIdx: b.patIdxBuf,
+				chr: s.chr, view: s.view, pat: b.patBuf, patIdx: b.patIdxBuf,
 				plen: b.plan.Pattern.PatternLen, sites: sites,
 				loci: out[0], flags: out[1], arena: a, gws: gws, wg: b.e.wgSize(),
 			})
@@ -517,7 +527,7 @@ func (b *simBackend) compareGuide(ctx context.Context, s *simStaged, qi int) (er
 		limit: 2 * s.n, // at most one entry per strand per candidate
 		launch: func(a *simArena, out []devBuf) (*gpu.Stats, error) {
 			return b.ops.launchComparer(ctx, &comparerLaunch{
-				n: s.n, chr: s.chr, loci: s.cLoci, flags: s.cFlags,
+				n: s.n, chr: s.chr, view: s.view, loci: s.cLoci, flags: s.cFlags,
 				comp: comp, compIdx: compIdx,
 				plen: g.PatternLen, threshold: uint16(q.MaxMismatches),
 				mmLoci: out[0], mmCnt: out[1], dir: out[2], arena: a, gws: cgws, wg: b.e.wgSize(),
@@ -552,12 +562,19 @@ func (b *simBackend) compareGuide(ctx context.Context, s *simStaged, qi int) (er
 	})
 }
 
-// freeStaged frees a chunk's buffers, folding the first error.
+// freeStaged frees a chunk's buffers, folding the first error, and returns
+// its scratch to the pool. It runs after the chunk's last launch has
+// returned: every launch, a watchdog-reaped one included, runs to
+// completion inside its backend call, so no kernel still reads the view.
 func (b *simBackend) freeStaged(s *simStaged) (err error) {
 	closeErr(b.free(s.chr), &err)
 	closeErr(b.free(s.cLoci), &err)
 	closeErr(b.free(s.cFlags), &err)
 	s.chr, s.cLoci, s.cFlags = nil, nil, nil
+	if s.sc != nil {
+		scratchPool.Put(s.sc)
+		s.view, s.sc = kernels.ChunkView{}, nil
+	}
 	return err
 }
 

@@ -180,20 +180,24 @@ func (o *clOps) readRange(src devBuf, off, n int, dst any) error {
 	return src.(clBuffer).read(o.queue, off, n, dst)
 }
 
-// launch is steps 9-11 for one kernel: set every argument by index, size the
-// __local arrays (argument slot, bytes), enqueue the ND-range and wait on its
-// event.
-func (o *clOps) launch(ctx context.Context, k *opencl.Kernel, args []any, local [][2]int, gws, wg int) (*gpu.Stats, error) {
+// clLocal is a __local argument's size in bytes in a launch's argument list.
+type clLocal int
+
+// launch is steps 9-11 for one kernel: set every argument by index —
+// buffers as their memory objects, __local arrays by size — enqueue the
+// ND-range and wait on its event.
+func (o *clOps) launch(ctx context.Context, k *opencl.Kernel, args []any, gws, wg int) (*gpu.Stats, error) {
 	for i, a := range args {
-		if buf, ok := a.(clBuffer); ok {
-			a = buf.mem()
+		var err error
+		switch a := a.(type) {
+		case clBuffer:
+			err = k.SetArg(i, a.mem())
+		case clLocal:
+			err = k.SetArgLocal(i, int(a))
+		default:
+			err = k.SetArg(i, a)
 		}
-		if err := k.SetArg(i, a); err != nil {
-			return nil, err
-		}
-	}
-	for _, l := range local {
-		if err := k.SetArgLocal(l[0], l[1]); err != nil {
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -215,9 +219,8 @@ func (o *clOps) launchFinder(ctx context.Context, l *finderLaunch) (*gpu.Stats, 
 		l.loci, l.flags,
 		int32(a.layout.PageSlots), int32(a.layout.Pages),
 		a.cursor, a.count, a.page, a.ovf,
-	}, [][2]int{
-		{kernels.FinderArgLocalPat, 2 * l.plen},
-		{kernels.FinderArgLocalPatIndex, 4 * 2 * l.plen},
+		clLocal(2 * l.plen), clLocal(4 * 2 * l.plen),
+		l.view,
 	}, l.gws, l.wg)
 }
 
@@ -230,9 +233,8 @@ func (o *clOps) launchComparer(ctx context.Context, l *comparerLaunch) (*gpu.Sta
 		l.flags, l.mmCnt, l.dir,
 		int32(a.layout.PageSlots), int32(a.layout.Pages),
 		a.cursor, a.count, a.page, a.ovf,
-	}, [][2]int{
-		{kernels.ComparerArgLocalComp, 2 * l.plen},
-		{kernels.ComparerArgLocalCompIndex, 4 * 2 * l.plen},
+		clLocal(2 * l.plen), clLocal(4 * 2 * l.plen),
+		l.view,
 	}, l.gws, l.wg)
 }
 
@@ -244,8 +246,7 @@ func (o *clOps) gather(ctx context.Context, l *gatherLaunch) error {
 		a.count, a.page,
 		l.loci, l.flags,
 		l.outLoci, l.outFlags,
-	}, [][2]int{
-		{kernels.GatherArgLocalSums, 4 * l.wg},
+		clLocal(4 * l.wg),
 	}, l.wg, l.wg)
 	return err
 }

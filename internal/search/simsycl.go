@@ -195,7 +195,8 @@ func (o *syclOps) launchFinder(ctx context.Context, l *finderLaunch) (*gpu.Stats
 	return syclWait(o.queue.Submit(ctx, func(h *sycl.Handler) error {
 		var err error
 		fa := &kernels.FinderArgs{
-			Chr: syclAccess[byte](h, l.chr, sycl.Read, &err),
+			Chr:       syclAccess[byte](h, l.chr, sycl.Read, &err),
+			ChunkView: l.view,
 			Pattern: &kernels.PatternPair{
 				Codes:      syclAccess[byte](h, l.pat, sycl.Read, &err),
 				Index:      syclAccess[int32](h, l.patIdx, sycl.Read, &err),
@@ -228,6 +229,7 @@ func (o *syclOps) launchComparer(ctx context.Context, l *comparerLaunch) (*gpu.S
 		var err error
 		ca := &kernels.ComparerArgs{
 			Chr:       syclAccess[byte](h, l.chr, sycl.Read, &err),
+			ChunkView: l.view,
 			Loci:      syclAccess[uint32](h, l.loci, sycl.Read, &err),
 			Flags:     syclAccess[byte](h, l.flags, sycl.Read, &err),
 			LociCount: uint32(l.n),

@@ -83,21 +83,7 @@ func (b *bitPattern) matchLanes(v *genome.WordView, pos0, h int) uint64 {
 	lanes := uint64(genome.LaneMask)
 	for _, e := range b.idx[h] {
 		text, unk := v.Window(pos0 + int(e.k))
-		ea, ec, eg, et := genome.EqPlanes(text)
-		var matched uint64
-		if e.m&genome.MaskA != 0 {
-			matched |= ea
-		}
-		if e.m&genome.MaskC != 0 {
-			matched |= ec
-		}
-		if e.m&genome.MaskG != 0 {
-			matched |= eg
-		}
-		if e.m&genome.MaskT != 0 {
-			matched |= et
-		}
-		lanes &= matched &^ unk
+		lanes &= genome.MatchLanes(e.m, text, unk)
 		if lanes == 0 {
 			return 0
 		}
