@@ -317,8 +317,8 @@ func TestMigrationCheckFails(t *testing.T) {
 			"names opencl.Event.Release, which simcl.go does not use"},
 		{"wrong side", withRow(migrationRow{table: "VI", opencl: migrationSide{"x", []string{"sycl.Queue.Submit"}}}),
 			"names sycl.Queue.Submit, which simcl.go does not use"},
-		{"test-only kernel name", withRow(migrationRow{table: "IV", kernel: []string{"gpu.Item.GlobalID"}}),
-			"names gpu.Item.GlobalID, which internal/kernels and internal/gpu/alloc do not use"},
+		{"test-only kernel name", withRow(migrationRow{table: "IV", kernel: []string{"gpu.Device.AllocatedBytes"}}),
+			"names gpu.Device.AllocatedBytes, which internal/kernels and internal/gpu/alloc do not use"},
 		{"unnamed engine call", without("opencl.Kernel.SetArgLocal"),
 			"simcl.go calls opencl.Kernel.SetArgLocal, which no row names"},
 		{"unnamed method of a generic type", without("sycl.Buffer.SnapshotRange"),

@@ -15,6 +15,11 @@
 // to exactly the groups that emitted (Refit) and relaunches once, so no
 // entry is ever lost end to end.
 //
+// A launch's claim state is one []uint32 device buffer, as the paper's count
+// buffer is: [overflow, cursor, count[0..G), pageOf[0..G)] for G groups.
+// Only this package slices it: NewState makes it, Bind views it for a
+// kernel, the Words ranges are what the host reads back and Decode checks.
+//
 // Under the one-page-per-group invariant the worst-case layout of one page
 // per work-group can never overflow, and neither can the refitted one: a
 // group bumps its emission counter before it tries the cursor, so an
@@ -115,16 +120,49 @@ func (l Layout) DataBytes(entryBytes int) int64 {
 	return int64(l.Slots()) * int64(entryBytes)
 }
 
+// Word offsets in the claim state.
+const (
+	overflowWord = 0
+	cursorWord   = 1
+	countWord    = 2
+)
+
+// Words is a range of claim-state words: N words from word Off.
+type Words struct{ Off, N int }
+
+// Of returns the range's words of state.
+func (w Words) Of(state []uint32) []uint32 { return state[w.Off : w.Off+w.N : w.Off+w.N] }
+
+// OverflowWords, CursorWords, CountWords and PageWords are the ranges of the
+// overflow counter, the page cursor, the per-group emission counters and
+// the page table, the parts of the claim state the host reads back.
+func (l Layout) OverflowWords() Words { return Words{overflowWord, 1} }
+func (l Layout) CursorWords() Words   { return Words{cursorWord, 1} }
+func (l Layout) CountWords() Words    { return Words{countWord, l.Groups} }
+func (l Layout) PageWords() Words     { return Words{countWord + l.Groups, l.Groups} }
+
+// StateWords is the length of the layout's claim state.
+func (l Layout) StateWords() int { return countWord + 2*l.Groups }
+
 // MetaBytes is the size of the arena's bookkeeping state: the per-group
 // emission counters and page table, the page cursor and the overflow
 // counter.
-func (l Layout) MetaBytes() int64 {
-	return 8*int64(l.Groups) + 4 + 4
+func (l Layout) MetaBytes() int64 { return 4 * int64(l.StateWords()) }
+
+// NewState returns the initial claim state of a launch at the layout:
+// counters and cursor zeroed, the page table cleared to NoPage.
+func (l Layout) NewState() []uint32 {
+	state := make([]uint32, l.StateWords())
+	pageOf := l.PageWords().Of(state)
+	for i := range pageOf {
+		pageOf[i] = NoPage
+	}
+	return state
 }
 
 // Device is the device-visible arena state bound into one kernel launch.
-// Count, PageOf, Cursor and Overflow alias device buffers; kernels allocate
-// slots through Claim and never touch the state directly.
+// Count, PageOf, Cursor and Overflow alias one claim-state buffer; kernels
+// allocate slots through Claim and never touch the state directly.
 type Device struct {
 	// PageSlots is the entry capacity of one page.
 	PageSlots int
@@ -140,6 +178,25 @@ type Device struct {
 	PageOf []uint32
 	// Overflow counts entries dropped because every page was claimed.
 	Overflow *uint32
+}
+
+// Bind returns the kernel-visible view of a claim state bound into a launch
+// over pages pages of pageSlots slots. A state that is not 2+2G words long
+// for G ≥ 1 groups is an error.
+func Bind(pageSlots, pages int, state []uint32) (*Device, error) {
+	n := len(state)
+	if n < countWord+2 || (n-countWord)%2 != 0 {
+		return nil, fmt.Errorf("alloc: claim state of %d words is not 2+2G words for G ≥ 1 groups", n)
+	}
+	l := Layout{Groups: (n - countWord) / 2}
+	return &Device{
+		PageSlots: pageSlots,
+		Pages:     pages,
+		Cursor:    &state[cursorWord],
+		Count:     l.CountWords().Of(state),
+		PageOf:    l.PageWords().Of(state),
+		Overflow:  &state[overflowWord],
+	}, nil
 }
 
 // Claim allocates one output slot for a work-item of group g, returning -1
@@ -240,18 +297,19 @@ type Geometry struct {
 	Total int
 }
 
-// Decode validates the arena state read back from a completed,
-// non-overflowed launch — the page cursor and the per-group counters and
-// page table — and returns its geometry. Impossible state (a cursor past
-// the provisioned pages, a group counter beyond the page size, a page
-// claimed by two groups, or an emitting group without a page) is rejected
-// as fault.SiteArena corruption: readback bit-flips must never size the
-// entry gather.
-func Decode(cursor uint32, count, pageOf []uint32, pageSlots, pages int) (*Geometry, error) {
-	if len(count) != len(pageOf) {
-		return nil, fault.Errorf(fault.SiteArena, fault.Corruption,
-			"alloc: %d group counters but %d group pages", len(count), len(pageOf))
+// Decode validates the claim state read back from a completed,
+// non-overflowed launch over pages pages of pageSlots slots — its overflow
+// counter is not read — and returns its geometry. Impossible state (a state
+// Bind refuses, a cursor past the provisioned pages, a group counter beyond
+// the page size, a page claimed by two groups, or an emitting group without
+// a page) is rejected as fault.SiteArena corruption: readback bit-flips
+// must never size the entry gather.
+func Decode(pageSlots, pages int, state []uint32) (*Geometry, error) {
+	d, err := Bind(pageSlots, pages, state)
+	if err != nil {
+		return nil, fault.New(fault.SiteArena, fault.Corruption, err)
 	}
+	cursor, count, pageOf := *d.Cursor, d.Count, d.PageOf
 	if int64(cursor) > int64(pages) {
 		return nil, fault.Errorf(fault.SiteArena, fault.Corruption,
 			"alloc: page cursor %d exceeds %d provisioned pages", cursor, pages)
@@ -301,68 +359,6 @@ func Gather[T any](g *Geometry, src, dst []T) []T {
 		dst = append(dst, src[base:base+g.Counts[p]]...)
 	}
 	return dst
-}
-
-// Host is a host-allocated arena: the backing arrays plus the Device view
-// over them, for single-launch callers (tests, the isa model's probes) that
-// do not stage the state through a frontend's buffers.
-type Host struct {
-	Layout   Layout
-	Cursor   []uint32
-	Count    []uint32
-	PageOf   []uint32
-	Overflow []uint32
-}
-
-// NewHost allocates a zeroed arena for the layout with the page table
-// cleared to NoPage.
-func NewHost(l Layout) *Host {
-	return &Host{
-		Layout:   l,
-		Cursor:   make([]uint32, 1),
-		Count:    make([]uint32, l.Groups),
-		PageOf:   UnsetPages(l.Groups),
-		Overflow: make([]uint32, 1),
-	}
-}
-
-// Device returns the kernel-visible view of the arena.
-func (h *Host) Device() *Device {
-	return &Device{
-		PageSlots: h.Layout.PageSlots,
-		Pages:     h.Layout.Pages,
-		Cursor:    &h.Cursor[0],
-		Count:     h.Count,
-		PageOf:    h.PageOf,
-		Overflow:  &h.Overflow[0],
-	}
-}
-
-// Reset clears the arena for relaunch.
-func (h *Host) Reset() {
-	h.Cursor[0] = 0
-	h.Overflow[0] = 0
-	for i := range h.Count {
-		h.Count[i] = 0
-	}
-	for i := range h.PageOf {
-		h.PageOf[i] = NoPage
-	}
-}
-
-// Decode decodes the host arena's own state after a launch.
-func (h *Host) Decode() (*Geometry, error) {
-	return Decode(h.Cursor[0], h.Count, h.PageOf, h.Layout.PageSlots, h.Layout.Pages)
-}
-
-// UnsetPages returns a host slice of n NoPage entries, the initial contents
-// of a page-table device buffer.
-func UnsetPages(n int) []uint32 {
-	pages := make([]uint32, n)
-	for i := range pages {
-		pages[i] = NoPage
-	}
-	return pages
 }
 
 // String renders the layout for error messages and logs.

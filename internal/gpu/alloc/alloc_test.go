@@ -17,11 +17,26 @@ func testDevice() *gpu.Device {
 }
 
 // perItem is a barrier-free kernel: one phase that runs body for every
-// work-item of the group.
-func perItem(body func(g *gpu.Group, it *gpu.Item)) gpu.PhaseKernel {
+// work-item of the group, by global index.
+func perItem(body func(g *gpu.Group, gid int)) gpu.PhaseKernel {
 	return func() []gpu.Phase {
-		return []gpu.Phase{func(g *gpu.Group) { g.Each(func(it *gpu.Item) { body(g, it) }) }}
+		return []gpu.Phase{func(g *gpu.Group) {
+			for li := range g.Size() {
+				body(g, g.Base()+li)
+			}
+		}}
 	}
+}
+
+// newArena returns a fresh claim state at l and the Device bound over it.
+func newArena(t testing.TB, l Layout) ([]uint32, *Device) {
+	t.Helper()
+	state := l.NewState()
+	d, err := Bind(l.PageSlots, l.Pages, state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return state, d
 }
 
 func TestLayoutConstructors(t *testing.T) {
@@ -101,30 +116,29 @@ func TestClaimCompactsSparseEmissions(t *testing.T) {
 		return false
 	}
 	layout := SizedPages(4, groups, pageSlots)
-	h := NewHost(layout)
+	state, dev := newArena(t, layout)
 	data := make([]uint32, layout.Slots())
-	dev := h.Device()
 	if _, err := testDevice().Launch(gpu.LaunchSpec{
 		Name:   "emit",
 		Global: groups * wg,
 		Local:  wg,
-		Phases: perItem(func(g *gpu.Group, it *gpu.Item) {
-			if !emits(it.GroupID(), it.LocalID()) {
+		Phases: perItem(func(g *gpu.Group, gid int) {
+			if !emits(g.ID(), gid-g.Base()) {
 				return
 			}
 			slot := dev.Claim(g)
 			if slot < 0 {
 				return
 			}
-			data[slot] = uint32(it.GlobalID())
+			data[slot] = uint32(gid)
 		}),
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if h.Overflow[0] != 0 {
-		t.Fatalf("overflow = %d on a sufficient arena", h.Overflow[0])
+	if *dev.Overflow != 0 {
+		t.Fatalf("overflow = %d on a sufficient arena", *dev.Overflow)
 	}
-	geo, err := h.Decode()
+	geo, err := Decode(layout.PageSlots, layout.Pages, state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +178,7 @@ func TestGatherWalksGroupOrder(t *testing.T) {
 	const pageSlots = 4
 	count := []uint32{2, 1, 3}
 	pageOf := []uint32{2, 0, 1}
-	geo, err := Decode(3, count, pageOf, pageSlots, 3)
+	geo, err := Decode(pageSlots, 3, slices.Concat([]uint32{0, 3}, count, pageOf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,29 +216,28 @@ func TestClaimOverflowRefitRetry(t *testing.T) {
 	layout := SizedPages(1, groups, pageSlots)
 	d := testDevice()
 	for attempt := 0; attempt < 2; attempt++ {
-		h := NewHost(layout)
+		state, dev := newArena(t, layout)
 		data := make([]uint32, layout.Slots())
-		dev := h.Device()
 		if _, err := d.Launch(gpu.LaunchSpec{
 			Name:   "emit-some",
 			Global: groups * wg,
 			Local:  wg,
-			Phases: perItem(func(g *gpu.Group, it *gpu.Item) {
-				if !emits(it.GroupID()) {
+			Phases: perItem(func(g *gpu.Group, gid int) {
+				if !emits(g.ID()) {
 					return
 				}
 				if slot := dev.Claim(g); slot >= 0 {
-					data[slot] = uint32(it.GlobalID()) + 1
+					data[slot] = uint32(gid) + 1
 				}
 			}),
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if h.Overflow[0] == 0 {
+		if *dev.Overflow == 0 {
 			if attempt == 0 {
 				t.Fatal("one page for five emitting groups did not overflow")
 			}
-			geo, err := h.Decode()
+			geo, err := Decode(layout.PageSlots, layout.Pages, state)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -238,7 +251,7 @@ func TestClaimOverflowRefitRetry(t *testing.T) {
 			}
 			return
 		}
-		next, ok := Refit(layout, h.Count)
+		next, ok := Refit(layout, layout.CountWords().Of(state))
 		if !ok {
 			t.Fatalf("attempt %d overflowed at %v, which its counters say fits", attempt, layout)
 		}
@@ -257,14 +270,13 @@ func TestClaimDeterministicTotals(t *testing.T) {
 	const groups, wg = 8, 64
 	layout := WorstCase(groups, wg)
 	run := func() (int64, int) {
-		h := NewHost(layout)
-		dev := h.Device()
+		state, dev := newArena(t, layout)
 		stats, err := testDevice().Launch(gpu.LaunchSpec{
 			Name:   "emit",
 			Global: groups * wg,
 			Local:  wg,
-			Phases: perItem(func(g *gpu.Group, it *gpu.Item) {
-				if it.GlobalID()%3 == 0 {
+			Phases: perItem(func(g *gpu.Group, gid int) {
+				if gid%3 == 0 {
 					dev.Claim(g)
 				}
 			}),
@@ -272,7 +284,7 @@ func TestClaimDeterministicTotals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		geo, err := h.Decode()
+		geo, err := Decode(layout.PageSlots, layout.Pages, state)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,8 +310,7 @@ func TestClaimNMatchesClaims(t *testing.T) {
 	dev := testDevice()
 	paths := map[string]int{}
 	// run launches one kernel over the arena in which only group grp acts.
-	run := func(h *Host, grp int, body func(d *Device, g *gpu.Group)) int64 {
-		d := h.Device()
+	run := func(d *Device, grp int, body func(d *Device, g *gpu.Group)) int64 {
 		st, err := dev.Launch(gpu.LaunchSpec{
 			Name:   "claim",
 			Global: groups,
@@ -320,38 +331,40 @@ func TestClaimNMatchesClaims(t *testing.T) {
 	for trial := 0; trial < 400; trial++ {
 		l := Layout{PageSlots: 1 + rng.Intn(8), Pages: 1 + rng.Intn(4), Groups: groups}
 		grp, k := rng.Intn(groups), rng.Intn(12)
-		prior := NewHost(l)
-		prior.Cursor[0] = uint32(rng.Intn(l.Pages + 2))
-		prior.Overflow[0] = uint32(rng.Intn(3))
+		prior, p := newArena(t, l)
+		*p.Cursor = uint32(rng.Intn(l.Pages + 2))
+		*p.Overflow = uint32(rng.Intn(3))
 		switch rng.Intn(3) {
 		case 0: // the group has not emitted yet
 			paths["fresh"]++
 		case 1: // the group holds a page
-			prior.Cursor[0] = uint32(1 + rng.Intn(l.Pages))
-			prior.PageOf[grp] = uint32(rng.Intn(int(prior.Cursor[0])))
-			prior.Count[grp] = uint32(1 + rng.Intn(l.PageSlots+2))
+			*p.Cursor = uint32(1 + rng.Intn(l.Pages))
+			p.PageOf[grp] = uint32(rng.Intn(int(*p.Cursor)))
+			p.Count[grp] = uint32(1 + rng.Intn(l.PageSlots+2))
 			paths["follower"]++
 		default: // the group's claim found the arena exhausted
-			prior.PageOf[grp] = PageOverflow
-			prior.Count[grp] = uint32(1 + rng.Intn(l.PageSlots+2))
+			p.PageOf[grp] = PageOverflow
+			p.Count[grp] = uint32(1 + rng.Intn(l.PageSlots+2))
 			paths["published overflow"]++
 		}
 		switch {
 		case k == 0:
 			paths["k=0"]++
-		case prior.Count[grp] == 0 && int(prior.Cursor[0]) >= l.Pages:
+		case p.Count[grp] == 0 && int(*p.Cursor) >= l.Pages:
 			paths["cursor exhausted"]++
-		case prior.PageOf[grp] != PageOverflow && int(prior.Count[grp]) < l.PageSlots && int(prior.Count[grp])+k > l.PageSlots:
+		case p.PageOf[grp] != PageOverflow && int(p.Count[grp]) < l.PageSlots && int(p.Count[grp])+k > l.PageSlots:
 			paths["page fills mid-batch"]++
 		}
-		clone := func() *Host {
-			h := NewHost(l)
-			h.Cursor[0], h.Overflow[0] = prior.Cursor[0], prior.Overflow[0]
-			copy(h.Count, prior.Count)
-			copy(h.PageOf, prior.PageOf)
-			return h
+		clone := func() ([]uint32, *Device) {
+			state := slices.Clone(prior)
+			d, err := Bind(l.PageSlots, l.Pages, state)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return state, d
 		}
-		one, batch := clone(), clone()
+		oneState, one := clone()
+		batchState, batch := clone()
 		var want, got []int
 		wantOps := run(one, grp, func(d *Device, g *gpu.Group) {
 			for range k {
@@ -371,15 +384,11 @@ func TestClaimNMatchesClaims(t *testing.T) {
 				}
 			}
 		})
-		if !slices.Equal(got, want) || gotOps != wantOps ||
-			batch.Cursor[0] != one.Cursor[0] || batch.Overflow[0] != one.Overflow[0] ||
-			!slices.Equal(batch.Count, one.Count) || !slices.Equal(batch.PageOf, one.PageOf) {
-			t.Fatalf("trial %d: layout %v, group %d, prior count %d page %#x cursor %d, k %d:\n"+
-				"ClaimN slots %v, %d atomics, cursor %d, overflow %d, count %v, pages %#x\n"+
-				"Claim  slots %v, %d atomics, cursor %d, overflow %d, count %v, pages %#x",
-				trial, l, grp, prior.Count[grp], prior.PageOf[grp], prior.Cursor[0], k,
-				got, gotOps, batch.Cursor[0], batch.Overflow[0], batch.Count, batch.PageOf,
-				want, wantOps, one.Cursor[0], one.Overflow[0], one.Count, one.PageOf)
+		if !slices.Equal(got, want) || gotOps != wantOps || !slices.Equal(batchState, oneState) {
+			t.Fatalf("trial %d: layout %v, group %d, prior state %#x, k %d:\n"+
+				"ClaimN slots %v, %d atomics, state %#x\n"+
+				"Claim  slots %v, %d atomics, state %#x",
+				trial, l, grp, prior, k, got, gotOps, batchState, want, wantOps, oneState)
 		}
 	}
 	for _, p := range []string{"fresh", "follower", "published overflow", "k=0", "cursor exhausted", "page fills mid-batch"} {
@@ -396,24 +405,24 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	const pageSlots, pages = 64, 4
 	np, po := NoPage, PageOverflow
 	cases := []struct {
-		name   string
-		cursor uint32
-		count  []uint32
-		pageOf []uint32
+		name  string
+		state []uint32 // overflow, cursor, counters, page table
 	}{
-		{"mismatched tables", 0, []uint32{0}, []uint32{np, np}},
-		{"cursor past pages", 5, []uint32{0, 0}, []uint32{np, np}},
-		{"emitted without a page", 0, []uint32{3, 0}, []uint32{np, np}},
-		{"overflow page with zero counter", 1, []uint32{64, 1}, []uint32{po, 0}},
-		{"page past cursor", 1, []uint32{1, 1}, []uint32{0, 3}},
-		{"counter past page size", 1, []uint32{65, 0}, []uint32{0, np}},
-		{"claimed without emitting", 1, []uint32{0, 0}, []uint32{0, np}},
-		{"page claimed twice", 2, []uint32{1, 1}, []uint32{0, 0}},
-		{"claimed pages unowned", 2, []uint32{1, 0}, []uint32{0, np}},
+		{"mismatched tables", []uint32{0, 0, 0, np, np}},
+		{"no groups", []uint32{0, 0}},
+		{"short", []uint32{0}},
+		{"cursor past pages", []uint32{0, 5, 0, 0, np, np}},
+		{"emitted without a page", []uint32{0, 0, 3, 0, np, np}},
+		{"overflow page with zero counter", []uint32{0, 1, 64, 1, po, 0}},
+		{"page past cursor", []uint32{0, 1, 1, 1, 0, 3}},
+		{"counter past page size", []uint32{0, 1, 65, 0, 0, np}},
+		{"claimed without emitting", []uint32{0, 1, 0, 0, 0, np}},
+		{"page claimed twice", []uint32{0, 2, 1, 1, 0, 0}},
+		{"claimed pages unowned", []uint32{0, 2, 1, 0, 0, np}},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
-			_, err := Decode(tt.cursor, tt.count, tt.pageOf, pageSlots, pages)
+			_, err := Decode(pageSlots, pages, tt.state)
 			if err == nil {
 				t.Fatal("corrupt state decoded")
 			}
@@ -425,7 +434,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 
 	// The clean shape those cases mutate decodes fine.
-	geo, err := Decode(2, []uint32{5, 9, 0}, []uint32{1, 0, np}, pageSlots, pages)
+	geo, err := Decode(pageSlots, pages, []uint32{0, 2, 5, 9, 0, 1, 0, np})
 	if err != nil {
 		t.Fatalf("clean state rejected: %v", err)
 	}
@@ -434,12 +443,50 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestHostReset(t *testing.T) {
-	h := NewHost(SizedPages(2, 4, 8))
-	h.Cursor[0], h.Overflow[0] = 2, 1
-	h.Count[1], h.PageOf[1] = 3, 0
-	h.Reset()
-	if h.Cursor[0] != 0 || h.Overflow[0] != 0 || h.Count[1] != 0 || h.PageOf[1] != NoPage {
-		t.Errorf("Reset left state: %+v", h)
+// TestNewStateLayout pins the claim state's word order — overflow, cursor,
+// the G emission counters, the G-entry page table — and NewState's
+// contents, and requires Bind to view exactly those words and to refuse,
+// with an error, a state that is short, odd-length or holds no groups.
+func TestNewStateLayout(t *testing.T) {
+	l := SizedPages(2, 3, 8)
+	state := l.NewState()
+	np := NoPage
+	if want := []uint32{0, 0, 0, 0, 0, np, np, np}; !slices.Equal(state, want) {
+		t.Fatalf("NewState = %#x, want %#x", state, want)
+	}
+	if int64(4*len(state)) != l.MetaBytes() {
+		t.Errorf("state of %d words, MetaBytes %d", len(state), l.MetaBytes())
+	}
+	for _, w := range []struct {
+		got  Words
+		want Words
+	}{
+		{l.OverflowWords(), Words{0, 1}},
+		{l.CursorWords(), Words{1, 1}},
+		{l.CountWords(), Words{2, 3}},
+		{l.PageWords(), Words{5, 3}},
+	} {
+		if w.got != w.want {
+			t.Errorf("word range %+v, want %+v", w.got, w.want)
+		}
+	}
+	for i := range state {
+		state[i] = uint32(i + 1)
+	}
+	d, err := Bind(l.PageSlots, l.Pages, state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.PageSlots != 8 || d.Pages != 2 || *d.Overflow != 1 || *d.Cursor != 2 ||
+		!slices.Equal(d.Count, []uint32{3, 4, 5}) || !slices.Equal(d.PageOf, []uint32{6, 7, 8}) {
+		t.Errorf("Bind view %+v (overflow %d, cursor %d) does not match the word order", d, *d.Overflow, *d.Cursor)
+	}
+	if cap(d.Count) != 3 {
+		t.Errorf("the counter table reaches %d words into the page table", cap(d.Count)-3)
+	}
+	for _, n := range []int{0, 1, 2, 3, 5, 7} {
+		if d, err := Bind(8, 2, make([]uint32, n)); err == nil {
+			t.Errorf("Bind of a %d-word state = %+v, want an error", n, d)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package alloc
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 
 	"casoffinder/internal/fault"
@@ -19,48 +20,50 @@ import (
 // TestDecodeRejectsCorruption; `make fuzz-regress` grows it.
 func FuzzArenaDecode(f *testing.F) {
 	np, po := NoPage, PageOverflow
-	seed := func(cursor uint32, count, pageOf []uint32) {
-		raw := make([]byte, 0, 4+4*len(count)+4*len(pageOf))
-		raw = binary.LittleEndian.AppendUint32(raw, cursor)
-		for _, c := range count {
-			raw = binary.LittleEndian.AppendUint32(raw, c)
+	// seed adds a claim state of words, overflow counter first.
+	seed := func(words ...uint32) {
+		raw := make([]byte, 0, 4*len(words))
+		for _, w := range words {
+			raw = binary.LittleEndian.AppendUint32(raw, w)
 		}
-		for _, p := range pageOf {
-			raw = binary.LittleEndian.AppendUint32(raw, p)
-		}
-		f.Add(uint16(len(count)), raw)
+		f.Add(raw)
+	}
+	// clean adds a non-overflowed state of cursor, counters and page table.
+	clean := func(cursor uint32, count, pageOf []uint32) {
+		seed(slices.Concat([]uint32{0, cursor}, count, pageOf)...)
 	}
 	// Clean shapes: idle, one full page, sparse claims.
-	seed(0, []uint32{0, 0}, []uint32{np, np})
-	seed(1, []uint32{64, 0}, []uint32{0, np})
-	seed(2, []uint32{5, 9, 0}, []uint32{1, 0, np})
+	clean(0, []uint32{0, 0}, []uint32{np, np})
+	clean(1, []uint32{64, 0}, []uint32{0, np})
+	clean(2, []uint32{5, 9, 0}, []uint32{1, 0, np})
 	// Overflow shapes: a group past its page, cursor past the arena.
-	seed(1, []uint32{70, 0}, []uint32{0, np})
-	seed(4, []uint32{64, 64}, []uint32{0, po})
+	clean(1, []uint32{70, 0}, []uint32{0, np})
+	clean(4, []uint32{64, 64}, []uint32{0, po})
 	// The corruption taxonomy.
-	seed(5, []uint32{0, 0}, []uint32{np, np}) // cursor past pages
-	seed(0, []uint32{3, 0}, []uint32{np, np}) // emitted without a page
-	seed(1, []uint32{64, 1}, []uint32{po, 0}) // overflow page, zero counter
-	seed(1, []uint32{1, 1}, []uint32{0, 3})   // page past cursor
-	seed(1, []uint32{65, 0}, []uint32{0, np}) // counter past page size
-	seed(1, []uint32{0, 0}, []uint32{0, np})  // claimed without emitting
-	seed(2, []uint32{1, 1}, []uint32{0, 0})   // page claimed twice
-	seed(2, []uint32{1, 0}, []uint32{0, np})  // claimed pages unowned
+	clean(5, []uint32{0, 0}, []uint32{np, np}) // cursor past pages
+	clean(0, []uint32{3, 0}, []uint32{np, np}) // emitted without a page
+	clean(1, []uint32{64, 1}, []uint32{po, 0}) // overflow page, zero counter
+	clean(1, []uint32{1, 1}, []uint32{0, 3})   // page past cursor
+	clean(1, []uint32{65, 0}, []uint32{0, np}) // counter past page size
+	clean(1, []uint32{0, 0}, []uint32{0, np})  // claimed without emitting
+	clean(2, []uint32{1, 1}, []uint32{0, 0})   // page claimed twice
+	clean(2, []uint32{1, 0}, []uint32{0, np})  // claimed pages unowned
+	// Shapes only a single state slice has.
+	seed(0, 0)               // no groups
+	seed(0, 1, 1, 0, np)     // odd length
+	seed(3, 1, 64, 0, po, 0) // PageOverflow, the overflow counter set
+	seed(0, 0, 0, po)        // PageOverflow with the overflow counter zero
 
 	const pageSlots, maxPages = 64, 8
-	f.Fuzz(func(t *testing.T, groups uint16, raw []byte) {
-		g := int(groups%64) + 1
-		if len(raw) < 4+8*g {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) > 4*(2+2*256) {
 			return
 		}
-		cursor := binary.LittleEndian.Uint32(raw)
-		count := make([]uint32, g)
-		pageOf := make([]uint32, g)
-		for i := 0; i < g; i++ {
-			count[i] = binary.LittleEndian.Uint32(raw[4+4*i:])
-			pageOf[i] = binary.LittleEndian.Uint32(raw[4+4*g+4*i:])
+		state := make([]uint32, len(raw)/4)
+		for i := range state {
+			state[i] = binary.LittleEndian.Uint32(raw[4*i:])
 		}
-		geo, err := Decode(cursor, count, pageOf, pageSlots, maxPages)
+		geo, err := Decode(pageSlots, maxPages, state)
 		if err != nil {
 			var fe *fault.Error
 			if !errors.As(err, &fe) || fe.Site != fault.SiteArena {
@@ -71,6 +74,10 @@ func FuzzArenaDecode(f *testing.F) {
 		// Admitted geometry must be safe to gather from: pages 0..Claimed-1
 		// each carry a count inside the page, and Total is their sum — the
 		// exact size of the compacted copy the backends enqueue.
+		g := (len(state) - 2) / 2
+		if len(state) != 2+2*g {
+			t.Fatalf("decoded a %d-word state", len(state))
+		}
 		if geo.Claimed < 0 || geo.Claimed > maxPages || geo.Claimed > g {
 			t.Fatalf("claimed %d pages of %d with %d groups", geo.Claimed, maxPages, g)
 		}

@@ -59,13 +59,12 @@ func TestBarrierFreeCoverage(t *testing.T) {
 		Local:  local,
 		Phases: func() []Phase {
 			return []Phase{func(g *Group) {
-				g.Each(func(it *Item) {
-					gid := it.GlobalID()
-					if gid != it.GroupID()*it.LocalRange()+it.LocalID() || gid != g.Base()+it.LocalID() {
-						t.Errorf("item %d: coordinate mismatch", gid)
-					}
-					seen[gid]++ // unique index per item: no race
-				})
+				if g.Base() != g.ID()*g.Size() || g.Size() != local {
+					t.Errorf("group %d: coordinate mismatch", g.ID())
+				}
+				for li := range g.Size() {
+					seen[g.Base()+li]++ // unique index per item: no race
+				}
 			}}
 		},
 	})
@@ -101,8 +100,16 @@ func TestPhasesStatsParity(t *testing.T) {
 		Name: "parity_items", Global: global, Local: local,
 		Phases: func() []Phase {
 			return []Phase{
-				func(g *Group) { g.Each(func(it *Item) { stage(it.Stats) }) },
-				func(g *Group) { g.Each(func(it *Item) { scan(it.Stats, it.GlobalID()%2 == 0) }) },
+				func(g *Group) {
+					for range g.Size() {
+						stage(g.Stats())
+					}
+				},
+				func(g *Group) {
+					for li := range g.Size() {
+						scan(g.Stats(), (g.Base()+li)%2 == 0)
+					}
+				},
 			}
 		},
 	})
@@ -172,10 +179,10 @@ func TestPhasesAtomicCompaction(t *testing.T) {
 		Name:   "compact_coop",
 		Global: n,
 		Local:  128,
-		Phases: perItem(func(it *Item) {
-			if it.GlobalID()%3 == 0 {
-				old := it.AtomicIncUint32(&count)
-				slots[old] = int32(it.GlobalID())
+		Phases: perItem(func(g *Group, li int) {
+			if gid := g.Base() + li; gid%3 == 0 {
+				old := g.Stats().AtomicIncUint32(&count)
+				slots[old] = int32(gid)
 			}
 		}),
 	})
@@ -272,9 +279,9 @@ func TestConcurrentCooperativeLaunches(t *testing.T) {
 							}
 						},
 						func(g *Group) {
-							g.Each(func(it *Item) {
-								out[it.GlobalID()] = shared[it.LocalID()] + int32(it.GlobalID())
-							})
+							for li := range g.Size() {
+								out[g.Base()+li] = shared[li] + int32(g.Base()+li)
+							}
 						},
 					}
 				},

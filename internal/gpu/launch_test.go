@@ -18,10 +18,14 @@ func testDevice(t *testing.T) *Device {
 }
 
 // perItem is a barrier-free kernel: one phase that runs body for every
-// work-item of the group.
-func perItem(body func(it *Item)) PhaseKernel {
+// work-item of the group, by local index.
+func perItem(body func(g *Group, li int)) PhaseKernel {
 	return func() []Phase {
-		return []Phase{func(g *Group) { g.Each(body) }}
+		return []Phase{func(g *Group) {
+			for li := range g.Size() {
+				body(g, li)
+			}
+		}}
 	}
 }
 
@@ -36,12 +40,12 @@ func TestLaunchCoversGlobalIDs(t *testing.T) {
 		Name:   "cover",
 		Global: global,
 		Local:  local,
-		Phases: perItem(func(it *Item) {
-			gid := it.GlobalID()
-			if gid != it.GroupID()*it.LocalRange()+it.LocalID() {
+		Phases: perItem(func(g *Group, li int) {
+			gid := g.Base() + li
+			if g.Base() != g.ID()*local {
 				bad.Store(gid, "coordinate mismatch")
 			}
-			if it.LocalRange() != local {
+			if g.Size() != local {
 				bad.Store(gid, "range mismatch")
 			}
 			seen[gid]++ // unique index per item: no race
@@ -78,16 +82,14 @@ func TestBarrierLeaderPrefetch(t *testing.T) {
 			shared := make([]int32, local) // work-group local memory
 			return []Phase{
 				func(g *Group) {
-					g.Each(func(it *Item) {
-						if it.GlobalID()-it.GroupID()*it.LocalRange() == 0 {
-							for k := range shared {
-								shared[k] = int32(100*it.GroupID() + k)
-							}
-						}
-					})
+					for k := range shared { // the group's first item fills it
+						shared[k] = int32(100*g.ID() + k)
+					}
 				},
 				func(g *Group) {
-					g.Each(func(it *Item) { results[it.GlobalID()] = shared[it.LocalID()] })
+					for li := range g.Size() {
+						results[g.Base()+li] = shared[li]
+					}
 				},
 			}
 		},
@@ -121,12 +123,12 @@ func TestBarrierMultiplePhases(t *testing.T) {
 			phases := make([]Phase, barriers+1)
 			for p := range phases {
 				phases[p] = func(g *Group) {
-					g.Each(func(it *Item) {
+					for range g.Size() {
 						if p > 0 && progress[p-1] != local {
 							bad.Add(1)
 						}
 						progress[p]++
-					})
+					}
 					if p > 0 {
 						progress[p-1] = 0 // consumed: the next group starts clean
 					}
@@ -160,10 +162,10 @@ func TestAtomicCompaction(t *testing.T) {
 		Name:   "compact",
 		Global: n,
 		Local:  128,
-		Phases: perItem(func(it *Item) {
-			if it.GlobalID()%3 == 0 { // a third of the items "match"
-				old := it.AtomicIncUint32(&count)
-				slots[old] = int32(it.GlobalID())
+		Phases: perItem(func(g *Group, li int) {
+			if gid := g.Base() + li; gid%3 == 0 { // a third of the items "match"
+				old := g.Stats().AtomicIncUint32(&count)
+				slots[old] = int32(gid)
 			}
 		}),
 	})
@@ -194,7 +196,7 @@ func TestAtomicAdd(t *testing.T) {
 		Name:   "add",
 		Global: 256,
 		Local:  64,
-		Phases: perItem(func(it *Item) { it.AtomicAddUint32(&sum, 2) }),
+		Phases: perItem(func(g *Group, _ int) { g.Stats().AtomicAddUint32(&sum, 2) }),
 	})
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
@@ -214,17 +216,18 @@ func TestLaunchStats(t *testing.T) {
 		Phases: func() []Phase {
 			return []Phase{
 				func(g *Group) {
-					g.Each(func(it *Item) {
-						it.LoadGlobal(4)
-						it.LoadGlobal(1)
-						it.StoreGlobal(4)
-						it.LoadConstant()
-						it.LoadLocal()
-						it.StoreLocal()
-						it.ALU(3)
-						it.Branch(true)
-						it.Branch(false)
-					})
+					st := g.Stats()
+					for range g.Size() {
+						st.LoadGlobal(4)
+						st.LoadGlobal(1)
+						st.StoreGlobal(4)
+						st.LoadConstant()
+						st.LoadLocal()
+						st.StoreLocal()
+						st.ALU(3)
+						st.Branch(true)
+						st.Branch(false)
+					}
 				},
 				func(g *Group) {}, // a closing barrier
 			}
@@ -265,7 +268,7 @@ func TestLaunchStats(t *testing.T) {
 
 func TestLaunchErrors(t *testing.T) {
 	d := testDevice(t)
-	nop := perItem(func(it *Item) {})
+	nop := perItem(func(*Group, int) {})
 	tests := []struct {
 		name    string
 		spec    LaunchSpec
@@ -333,8 +336,8 @@ func TestConcurrentLaunches(t *testing.T) {
 				Name:   "stress",
 				Global: 512,
 				Local:  64,
-				Phases: perItem(func(it *Item) {
-					out[it.GlobalID()] = int32(l*1000 + it.GlobalID())
+				Phases: perItem(func(g *Group, li int) {
+					out[g.Base()+li] = int32(l*1000 + g.Base() + li)
 				}),
 			})
 			if err != nil {
@@ -390,7 +393,7 @@ func TestInjectedHangNeedsDeadline(t *testing.T) {
 	hang := func(ctx context.Context) error {
 		d := testDevice(t)
 		d.SetFaults(fault.NewInjector(fault.Plan{Rate: 1, Site: fault.SiteHang}))
-		_, err := d.Launch(LaunchSpec{Name: "k", Global: 64, Local: 64, Phases: perItem(func(*Item) {}), Ctx: ctx})
+		_, err := d.Launch(LaunchSpec{Name: "k", Global: 64, Local: 64, Phases: perItem(func(*Group, int) {}), Ctx: ctx})
 		var fe *fault.Error
 		if !errors.As(err, &fe) || fe.Site != fault.SiteHang || fe.Class != fault.Transient {
 			t.Fatalf("err = %v, want a transient %s fault", err, fault.SiteHang)

@@ -106,17 +106,15 @@ func TestItemCounterHelpers(t *testing.T) {
 		Name: "counters", Global: 4, Local: 4,
 		Phases: func() []Phase {
 			return []Phase{func(g *Group) {
-				g.Each(func(it *Item) {
-					if it.Stats != g.Stats() {
-						t.Error("Item's Stats shard is not its group's")
-					}
+				st := g.Stats()
+				for range g.Size() {
 					for range 3 {
-						it.LoadGlobal(4)
+						st.LoadGlobal(4)
 					}
-					it.LoadGlobalRedundant(4)
-					it.LoadLocalN(5)
-					it.StoreLocalN(2)
-				})
+					st.LoadGlobalRedundant(4)
+					st.LoadLocalN(5)
+					st.StoreLocalN(2)
+				}
 			}}
 		},
 	})

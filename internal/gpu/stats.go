@@ -7,11 +7,11 @@ import (
 
 // Stats aggregates the observable work of one kernel launch. Kernels report
 // their memory traffic and instruction mix through the counting hooks below
-// — per access on a work-item (Item embeds its worker's shard), or once per
-// work-group from a cost plan priced with the same hooks; the executor
-// merges the per-worker shards into one record per launch. The timing model
-// (internal/timing) turns a Stats record plus a device spec and an occupancy
-// into estimated kernel time.
+// — per access from a loop over a group's work-items (Group.Stats is the
+// worker's shard), or once per work-group from a cost plan priced with the
+// same hooks; the executor merges the per-worker shards into one record per
+// launch. The timing model (internal/timing) turns a Stats record plus a
+// device spec and an occupancy into estimated kernel time.
 type Stats struct {
 	// Launch shape.
 	WorkItems  int64

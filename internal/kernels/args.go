@@ -105,7 +105,7 @@ func validateArena(kernel string, a *alloc.Device, outs ...int) error {
 	slots := a.Pages * a.PageSlots
 	for _, n := range outs {
 		if n < slots {
-			return fmt.Errorf("kernels: %s: output array of %d smaller than the %d arena slots", kernel, n, slots)
+			return fmt.Errorf("kernels: %s: page-strided array of %d smaller than the %d arena slots", kernel, n, slots)
 		}
 	}
 	return nil

@@ -69,19 +69,21 @@ func BenchmarkGroupKernels(b *testing.B) {
 
 	sites := len(chr) - pat.PatternLen + 1
 	groups := (sites + wg - 1) / wg
-	farena := alloc.NewHost(alloc.WorstCase(groups, wg))
+	fl := alloc.WorstCase(groups, wg)
+	fstate, farena := newArena(fl)
+	fresh := fl.NewState()
 	fa := &FinderArgs{
 		Chr: chr, ChunkView: view, Pattern: pat, Sites: sites,
-		Loci:  make([]uint32, farena.Layout.Slots()),
-		Flags: make([]byte, farena.Layout.Slots()),
-		Arena: farena.Device(),
+		Loci:  make([]uint32, fl.Slots()),
+		Flags: make([]byte, fl.Slots()),
+		Arena: farena,
 	}
 	runFinder := func(b *testing.B) {
 		finder, err := NewFinder(fa)
 		if err != nil {
 			b.Fatal(err)
 		}
-		farena.Reset()
+		copy(fstate, fresh)
 		launch(b, "finder", sites, pat.PatternLen, finder.Phases)
 	}
 	b.Run("finder", func(b *testing.B) {
@@ -93,12 +95,14 @@ func BenchmarkGroupKernels(b *testing.B) {
 	})
 
 	runFinder(b)
-	geo, err := farena.Decode()
+	geo, err := alloc.Decode(fl.PageSlots, fl.Pages, fstate)
 	if err != nil {
 		b.Fatal(err)
 	}
 	loci, flags := alloc.Gather(geo, fa.Loci, nil), alloc.Gather(geo, fa.Flags, nil)
-	carena := alloc.NewHost(alloc.WorstCase(max((len(loci)+wg-1)/wg, 1), 2*wg))
+	cl := alloc.WorstCase(max((len(loci)+wg-1)/wg, 1), 2*wg)
+	cstate, carena := newArena(cl)
+	cfresh := cl.NewState()
 	for _, arm := range []struct {
 		name, guide string
 		limit       uint16
@@ -114,10 +118,10 @@ func BenchmarkGroupKernels(b *testing.B) {
 		ca := &ComparerArgs{
 			Chr: chr, ChunkView: view, Loci: loci, Flags: flags, LociCount: uint32(len(loci)),
 			Guide: guide, Threshold: arm.limit,
-			MMLoci:    make([]uint32, carena.Layout.Slots()),
-			MMCount:   make([]uint16, carena.Layout.Slots()),
-			Direction: make([]byte, carena.Layout.Slots()),
-			Arena:     carena.Device(),
+			MMLoci:    make([]uint32, cl.Slots()),
+			MMCount:   make([]uint16, cl.Slots()),
+			Direction: make([]byte, cl.Slots()),
+			Arena:     carena,
 		}
 		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -126,7 +130,7 @@ func BenchmarkGroupKernels(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				carena.Reset()
+				copy(cstate, cfresh)
 				launch(b, ComparerKernelName(Opt3), len(loci), guide.PatternLen, comparer.Phases)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(loci)), "ns/candidate")

@@ -2,9 +2,9 @@ package kernels
 
 import (
 	"errors"
-	"fmt"
 
 	"casoffinder/internal/gpu"
+	"casoffinder/internal/gpu/alloc"
 )
 
 // GatherKernelName is the gather kernel's name in the program source and in
@@ -12,15 +12,13 @@ import (
 const GatherKernelName = "gather"
 
 // GatherArgs are the arguments of the gather kernel: the finder's
-// page-strided output and the arena tables that say which page each
+// page-strided output and its arena, whose tables say which page each
 // work-group claimed and how much of it it filled, and the dense arrays the
 // comparer reads its candidates from.
 type GatherArgs struct {
-	// Count and PageOf are the finder arena's per-group emission counters
-	// and page table, as the finder left them on the device.
-	Count, PageOf []uint32
-	// PageSlots and Pages are the finder arena's page size and page count.
-	PageSlots, Pages int
+	// Arena is the finder's arena as the finder left it on the device; the
+	// gather reads its emission counters and page table.
+	Arena *alloc.Device
 	// Loci and Flags are the finder's page-strided outputs; their capacity
 	// must cover every provisioned arena slot.
 	Loci  []uint32
@@ -33,18 +31,10 @@ type GatherArgs struct {
 }
 
 func (a *GatherArgs) validate() error {
-	switch {
-	case len(a.Count) < 1 || len(a.PageOf) != len(a.Count):
-		return fmt.Errorf("kernels: gather: arena group tables of %d counters and %d pages", len(a.Count), len(a.PageOf))
-	case a.PageSlots < 1 || a.Pages < 1:
-		return fmt.Errorf("kernels: gather: arena of %d pages × %d slots", a.Pages, a.PageSlots)
-	case len(a.Loci) < a.Pages*a.PageSlots || len(a.Flags) < a.Pages*a.PageSlots:
-		return fmt.Errorf("kernels: gather: input arrays of %d and %d smaller than the %d arena slots",
-			len(a.Loci), len(a.Flags), a.Pages*a.PageSlots)
-	case a.N < 0 || len(a.OutLoci) < a.N || len(a.OutFlags) < a.N:
+	if a.N < 0 || len(a.OutLoci) < a.N || len(a.OutFlags) < a.N {
 		return errors.New("kernels: gather: output arrays shorter than the entry count")
 	}
-	return nil
+	return validateArena("gather", a.Arena, len(a.Loci), len(a.Flags))
 }
 
 // Gather is the compaction kernel bound to one launch's arguments. It is not
@@ -88,7 +78,7 @@ func NewGather(a *GatherArgs) (*Gather, error) {
 // entries is the number of valid entries group g holds and the slot its
 // page starts at.
 func (k *Gather) entries(g int) (n, base int) {
-	a := k.a
+	a := k.a.Arena
 	p := a.PageOf[g]
 	if int64(p) >= int64(a.Pages) {
 		return 0, 0 // NoPage, PageOverflow or a page that was never provisioned
@@ -98,7 +88,7 @@ func (k *Gather) entries(g int) (n, base int) {
 
 // run returns the arena groups work-item li of a group of size items owns.
 func (k *Gather) run(li, items int) (lo, hi int) {
-	groups := len(k.a.Count)
+	groups := len(k.a.Arena.Count)
 	per := (groups + items - 1) / items
 	return min(li*per, groups), min((li+1)*per, groups)
 }

@@ -12,13 +12,14 @@ import (
 	"casoffinder/internal/sycl"
 )
 
-// gatherState is a finder arena as the gather kernel finds it: the group
-// tables, the geometry and the page-strided outputs.
+// gatherState is a finder arena as the gather kernel finds it: the layout,
+// the claim state and the view bound over it, and the page-strided outputs.
 type gatherState struct {
-	count, pageOf    []uint32
-	pageSlots, pages int
-	loci             []uint32
-	flags            []byte
+	layout alloc.Layout
+	state  []uint32
+	arena  *alloc.Device
+	loci   []uint32
+	flags  []byte
 }
 
 // newGatherState lays counts out the way a finder launch would: the
@@ -26,14 +27,10 @@ type gatherState struct {
 // hands them out, from a worst-case arena of one page per group. Every slot
 // holds noise first, so a gather that reads past a page's fill shows.
 func newGatherState(rng *rand.Rand, counts []int, pageSlots int) *gatherState {
-	s := &gatherState{
-		count:     make([]uint32, len(counts)),
-		pageOf:    alloc.UnsetPages(len(counts)),
-		pageSlots: pageSlots,
-		pages:     max(len(counts), 1),
-	}
-	s.loci = make([]uint32, s.pages*pageSlots)
-	s.flags = make([]byte, s.pages*pageSlots)
+	s := &gatherState{layout: alloc.WorstCase(len(counts), pageSlots)}
+	s.state, s.arena = newArena(s.layout)
+	s.loci = make([]uint32, s.layout.Slots())
+	s.flags = make([]byte, s.layout.Slots())
 	for i := range s.loci {
 		s.loci[i], s.flags[i] = rng.Uint32(), byte(rng.Intn(256))
 	}
@@ -45,8 +42,9 @@ func newGatherState(rng *rand.Rand, counts []int, pageSlots int) *gatherState {
 	}
 	for page, i := range rng.Perm(len(emitting)) {
 		g := emitting[i]
-		s.count[g], s.pageOf[g] = uint32(counts[g]), uint32(page)
+		s.arena.Count[g], s.arena.PageOf[g] = uint32(counts[g]), uint32(page)
 	}
+	*s.arena.Cursor = uint32(len(emitting))
 	return s
 }
 
@@ -54,13 +52,7 @@ func newGatherState(rng *rand.Rand, counts []int, pageSlots int) *gatherState {
 // reference.
 func (s *gatherState) want(t testing.TB) ([]uint32, []byte) {
 	t.Helper()
-	claimed := 0
-	for _, p := range s.pageOf {
-		if p != alloc.NoPage {
-			claimed++
-		}
-	}
-	geo, err := alloc.Decode(uint32(claimed), s.count, s.pageOf, s.pageSlots, s.pages)
+	geo, err := alloc.Decode(s.layout.PageSlots, s.layout.Pages, s.state)
 	if err != nil {
 		t.Fatalf("arena state does not decode: %v", err)
 	}
@@ -110,9 +102,8 @@ func gatherCL(t testing.TB, dev *gpu.Device, s *gatherState, n, wg int) ([]uint3
 	lociOut := in(opencl.CreateBuffer(ctx, rw, len(outLoci), outLoci))
 	flagsOut := in(opencl.CreateBuffer(ctx, rw, len(outFlags), outFlags))
 	args := []any{
-		uint32(n), int32(s.pageSlots), int32(s.pages),
-		in(opencl.CreateBuffer(ctx, rw, len(s.count), s.count)),
-		in(opencl.CreateBuffer(ctx, rw, len(s.pageOf), s.pageOf)),
+		uint32(n), int32(s.layout.PageSlots), int32(s.layout.Pages),
+		in(opencl.CreateBuffer(ctx, rw, len(s.state), s.state)),
 		in(opencl.CreateBuffer(ctx, rw, len(s.loci), s.loci)),
 		in(opencl.CreateBuffer(ctx, rw, len(s.flags), s.flags)),
 		lociOut, flagsOut,
@@ -144,8 +135,7 @@ func gatherSYCL(t testing.TB, dev *gpu.Device, s *gatherState, n, wg int) ([]uin
 	}
 	outLoci, outFlags := sentinels(n)
 	// NewBufferFrom only copies the host slice; it has no failing path.
-	count, _ := sycl.NewBufferFrom(s.count)
-	pageOf, _ := sycl.NewBufferFrom(s.pageOf)
+	state, _ := sycl.NewBufferFrom(s.state)
 	loci, _ := sycl.NewBufferFrom(s.loci)
 	flags, _ := sycl.NewBufferFrom(s.flags)
 	lociOut, _ := sycl.NewBufferFrom(outLoci)
@@ -165,10 +155,13 @@ func gatherSYCL(t testing.TB, dev *gpu.Device, s *gatherState, n, wg int) ([]uin
 			}
 			return a.Slice()
 		}
+		arena, err := alloc.Bind(s.layout.PageSlots, s.layout.Pages, acc(state, sycl.Read))
+		if err != nil {
+			return err
+		}
 		k, err := NewGather(&GatherArgs{
-			Count: acc(count, sycl.Read), PageOf: acc(pageOf, sycl.Read),
-			PageSlots: s.pageSlots, Pages: s.pages,
-			Loci: acc(loci, sycl.Read), Flags: accB(flags, sycl.Read),
+			Arena: arena,
+			Loci:  acc(loci, sycl.Read), Flags: accB(flags, sycl.Read),
 			N: n, OutLoci: acc(lociOut, sycl.ReadWrite), OutFlags: accB(flagsOut, sycl.ReadWrite),
 		})
 		if err != nil {
@@ -183,7 +176,7 @@ func gatherSYCL(t testing.TB, dev *gpu.Device, s *gatherState, n, wg int) ([]uin
 		})
 	}).Wait()
 	// Destroy writes each buffer back to the host slice it was built from.
-	for _, b := range []interface{ Destroy() error }{count, pageOf, loci, flags, lociOut, flagsOut} {
+	for _, b := range []interface{ Destroy() error }{state, loci, flags, lociOut, flagsOut} {
 		if derr := b.Destroy(); derr != nil {
 			t.Fatal(derr)
 		}
@@ -299,9 +292,9 @@ func FuzzGather(f *testing.F) {
 		groups := (len(raw) + 1) / 2
 		s := newGatherState(rng, make([]int, groups), slots)
 		for g := range groups {
-			s.count[g] = uint32(raw[g])
+			s.arena.Count[g] = uint32(raw[g])
 			if g+groups < len(raw) {
-				s.pageOf[g] = uint32(raw[g+groups]) % uint32(2*s.pages+1)
+				s.arena.PageOf[g] = uint32(raw[g+groups]) % uint32(2*s.layout.Pages+1)
 			}
 		}
 		for _, fe := range gatherFrontends {

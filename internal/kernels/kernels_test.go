@@ -235,6 +235,17 @@ func TestVariantTrafficOrdering(t *testing.T) {
 	}
 }
 
+// newArena returns a fresh claim state at l and the arena view bound over
+// it.
+func newArena(l alloc.Layout) ([]uint32, *alloc.Device) {
+	state := l.NewState()
+	d, err := alloc.Bind(l.PageSlots, l.Pages, state)
+	if err != nil {
+		panic(err) // a NewState state always binds
+	}
+	return state, d
+}
+
 func TestFinderFlagsBothStrands(t *testing.T) {
 	dev := gpu.New(device.MI60(), gpu.WithWorkers(2))
 	// CCNGG window: pattern NGG forward matches at pos 2 (NGG); reverse
@@ -244,15 +255,16 @@ func TestFinderFlagsBothStrands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arena := alloc.NewHost(alloc.WorstCase(1, 4))
+	layout := alloc.WorstCase(1, 4)
+	state, arena := newArena(layout)
 	fa := &FinderArgs{
 		Chr:       seq,
 		ChunkView: viewOf(seq),
 		Pattern:   pat,
 		Sites:     3,
-		Loci:      make([]uint32, arena.Layout.Slots()),
-		Flags:     make([]byte, arena.Layout.Slots()),
-		Arena:     arena.Device(),
+		Loci:      make([]uint32, layout.Slots()),
+		Flags:     make([]byte, layout.Slots()),
+		Arena:     arena,
 	}
 	finder, err := NewFinder(fa)
 	if err != nil {
@@ -265,7 +277,7 @@ func TestFinderFlagsBothStrands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	geo, err := arena.Decode()
+	geo, err := alloc.Decode(layout.PageSlots, layout.Pages, state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,9 +297,9 @@ func TestFinderFlagsBothStrands(t *testing.T) {
 
 func TestArgsValidate(t *testing.T) {
 	pat, _ := NewPatternPair([]byte("NGG"))
-	fArena := alloc.NewHost(alloc.WorstCase(1, 6))
+	_, fArena := newArena(alloc.WorstCase(1, 6))
 	okF := FinderArgs{Chr: []byte("ACGTACGT"), ChunkView: viewOf([]byte("ACGTACGT")), Pattern: pat, Sites: 6,
-		Loci: make([]uint32, 6), Flags: make([]byte, 6), Arena: fArena.Device()}
+		Loci: make([]uint32, 6), Flags: make([]byte, 6), Arena: fArena}
 	if err := okF.validate(); err != nil {
 		t.Errorf("valid finder args rejected: %v", err)
 	}
@@ -307,7 +319,7 @@ func TestArgsValidate(t *testing.T) {
 		t.Error("nil arena accepted")
 	}
 	bad = okF
-	badArena := *fArena.Device()
+	badArena := *fArena
 	badArena.PageOf = badArena.PageOf[:0]
 	bad.Arena = &badArena
 	if err := bad.validate(); err == nil {
@@ -329,10 +341,10 @@ func TestArgsValidate(t *testing.T) {
 		t.Error("view short of the chunk accepted")
 	}
 
-	cArena := alloc.NewHost(alloc.WorstCase(1, 4))
+	_, cArena := newArena(alloc.WorstCase(1, 4))
 	okC := ComparerArgs{Chr: []byte("ACGT"), ChunkView: viewOf([]byte("xACGT")), Loci: make([]uint32, 4), Flags: make([]byte, 4),
 		LociCount: 2, Guide: pat, MMLoci: make([]uint32, 4), MMCount: make([]uint16, 4),
-		Direction: make([]byte, 4), Arena: cArena.Device()}
+		Direction: make([]byte, 4), Arena: cArena}
 	if err := okC.validate(); err != nil {
 		t.Errorf("valid comparer args rejected: %v", err)
 	}
@@ -367,17 +379,19 @@ func TestArgsValidate(t *testing.T) {
 	}
 
 	okG := func() *GatherArgs {
-		return &GatherArgs{Count: make([]uint32, 2), PageOf: alloc.UnsetPages(2), PageSlots: 4, Pages: 2,
+		_, arena := newArena(alloc.SizedPages(2, 2, 4))
+		return &GatherArgs{Arena: arena,
 			Loci: make([]uint32, 8), Flags: make([]byte, 8), N: 3, OutLoci: make([]uint32, 3), OutFlags: make([]byte, 3)}
 	}
 	if err := okG().validate(); err != nil {
 		t.Errorf("valid gather args rejected: %v", err)
 	}
 	for name, mutate := range map[string]func(a *GatherArgs){
-		"no groups":      func(a *GatherArgs) { a.Count, a.PageOf = nil, nil },
-		"uneven tables":  func(a *GatherArgs) { a.PageOf = a.PageOf[:1] },
-		"empty pages":    func(a *GatherArgs) { a.PageSlots = 0 },
-		"no pages":       func(a *GatherArgs) { a.Pages = 0 },
+		"nil arena":      func(a *GatherArgs) { a.Arena = nil },
+		"no groups":      func(a *GatherArgs) { a.Arena.Count, a.Arena.PageOf = nil, nil },
+		"uneven tables":  func(a *GatherArgs) { a.Arena.PageOf = a.Arena.PageOf[:1] },
+		"empty pages":    func(a *GatherArgs) { a.Arena.PageSlots = 0 },
+		"no pages":       func(a *GatherArgs) { a.Arena.Pages = 0 },
 		"short input":    func(a *GatherArgs) { a.Flags = a.Flags[:7] },
 		"short output":   func(a *GatherArgs) { a.OutLoci = a.OutLoci[:2] },
 		"negative count": func(a *GatherArgs) { a.N = -1 },

@@ -231,14 +231,15 @@ func comparerLaunch(t *testing.T, chr []byte, guide string, loci []uint32, wg in
 	view := viewOf([]byte("ACGTA" + string(chr) + strings.Repeat("A", 64)))
 	view.Base = 5
 	groups := (len(loci)+wg-1)/wg + 1
-	arena := alloc.NewHost(alloc.WorstCase(groups, 2*wg))
+	layout := alloc.WorstCase(groups, 2*wg)
+	_, arena := newArena(layout)
 	a := &ComparerArgs{
 		Chr: chr, ChunkView: view, Loci: loci, Flags: make([]byte, len(loci)), LociCount: uint32(len(loci)),
 		Guide: gd, Threshold: uint16(gd.PatternLen),
-		MMLoci:    make([]uint32, arena.Layout.Slots()),
-		MMCount:   make([]uint16, arena.Layout.Slots()),
-		Direction: make([]byte, arena.Layout.Slots()),
-		Arena:     arena.Device(),
+		MMLoci:    make([]uint32, layout.Slots()),
+		MMCount:   make([]uint16, layout.Slots()),
+		Direction: make([]byte, layout.Slots()),
+		Arena:     arena,
 	}
 	k, err := NewComparer(Opt3, a)
 	if err != nil {
@@ -291,16 +292,18 @@ func TestPlanRejectsUnorderedIndex(t *testing.T) {
 		"repeated":   {0, 1, 2, -1, 0, 1, 1, -1},
 	} {
 		p := &PatternPair{Codes: []byte("ACGTACGT"), Index: idx, PatternLen: 4}
+		_, fArena := newArena(alloc.WorstCase(1, 5))
+		_, cArena := newArena(alloc.WorstCase(1, 2))
 		for kernel, build := range map[string]func() error{
 			"finder": func() error {
 				_, err := NewFinder(&FinderArgs{Chr: []byte("ACGTACGT"), ChunkView: viewOf([]byte("ACGTACGT")), Pattern: p, Sites: 5,
-					Loci: make([]uint32, 5), Flags: make([]byte, 5), Arena: alloc.NewHost(alloc.WorstCase(1, 5)).Device()})
+					Loci: make([]uint32, 5), Flags: make([]byte, 5), Arena: fArena})
 				return err
 			},
 			"comparer": func() error {
 				_, err := NewComparer(Opt3, &ComparerArgs{Chr: []byte("ACGTACGT"), ChunkView: viewOf([]byte("ACGTACGT")), Guide: p,
 					MMLoci: make([]uint32, 2), MMCount: make([]uint16, 2), Direction: make([]byte, 2),
-					Arena: alloc.NewHost(alloc.WorstCase(1, 2)).Device()})
+					Arena: cArena})
 				return err
 			},
 		} {

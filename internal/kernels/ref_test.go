@@ -21,11 +21,21 @@ import (
 // with the semantics of the Listing 1 ladder (see genome.Matches).
 func mismatch(patternCode, base byte) bool { return !genome.Matches(patternCode, base) }
 
+// perItem is one section of a reference kernel: body for every work-item
+// of the group, in local-index order.
+func perItem(body func(g *gpu.Group, li int)) gpu.Phase {
+	return func(g *gpu.Group) {
+		for li := range g.Size() {
+			body(g, li)
+		}
+	}
+}
+
 // refFinderPhases is the finder as two per-item loops around its barrier.
 func refFinderPhases(a *FinderArgs, lPat []byte, lPatIndex []int32) []gpu.Phase {
 	return []gpu.Phase{
-		func(g *gpu.Group) { g.Each(func(it *gpu.Item) { FinderStage(it, a, lPat, lPatIndex) }) },
-		func(g *gpu.Group) { g.Each(func(it *gpu.Item) { FinderScan(g, it, a, lPat, lPatIndex) }) },
+		perItem(func(g *gpu.Group, li int) { FinderStage(g, li, a, lPat, lPatIndex) }),
+		perItem(func(g *gpu.Group, li int) { FinderScan(g, li, a, lPat, lPatIndex) }),
 	}
 }
 
@@ -34,55 +44,54 @@ func refFinderPhases(a *FinderArgs, lPat []byte, lPatIndex []int32) []gpu.Phase 
 func refComparerPhases(v ComparerVariant, a *ComparerArgs, lComp []byte, lCompIndex []int32) []gpu.Phase {
 	c := v.costs()
 	return []gpu.Phase{
-		func(g *gpu.Group) { g.Each(func(it *gpu.Item) { comparerStage(it, a, lComp, lCompIndex, c) }) },
-		func(g *gpu.Group) { g.Each(func(it *gpu.Item) { comparerCompare(g, it, a, lComp, lCompIndex, c) }) },
+		perItem(func(g *gpu.Group, li int) { comparerStage(g, li, a, lComp, lCompIndex, c) }),
+		perItem(func(g *gpu.Group, li int) { comparerCompare(g, li, a, lComp, lCompIndex, c) }),
 	}
 }
 
 // FinderStage is the finder body up to its barrier: the group leader
 // stages the pattern pair and index arrays into shared local memory.
-func FinderStage(it *gpu.Item, a *FinderArgs, lPat []byte, lPatIndex []int32) {
+func FinderStage(g *gpu.Group, li int, a *FinderArgs, lPat []byte, lPatIndex []int32) {
 	plen := a.Pattern.PatternLen
-	i := it.GlobalID()
-	li := i - it.GroupID()*it.LocalRange()
-	it.ALU(2)
+	st := g.Stats()
+	st.ALU(2) // the global and local index
 
 	if li == 0 {
 		for k := 0; k < plen*2; k++ {
 			lPat[k] = a.Pattern.Codes[k]
 			lPatIndex[k] = a.Pattern.Index[k]
-			it.LoadConstant()
-			it.LoadConstant()
-			it.StoreLocalN(2)
+			st.LoadConstant()
+			st.LoadConstant()
+			st.StoreLocalN(2)
 		}
 	}
 }
 
 // FinderScan is the finder body after its barrier: test the item's site on
 // both strands and compact matches through the atomic cursor.
-func FinderScan(g *gpu.Group, it *gpu.Item, a *FinderArgs, lPat []byte, lPatIndex []int32) {
+func FinderScan(g *gpu.Group, li int, a *FinderArgs, lPat []byte, lPatIndex []int32) {
 	plen := a.Pattern.PatternLen
-	i := it.GlobalID()
+	st, i := g.Stats(), g.Base()+li
 
 	if i >= a.Sites {
-		it.Branch(true)
+		st.Branch(true)
 		return
 	}
 
 	match := func(offset int) bool {
 		for j := 0; j < plen; j++ {
 			k := lPatIndex[offset+j]
-			it.LoadLocal()
+			st.LoadLocal()
 			if k == -1 {
-				it.Branch(false)
+				st.Branch(false)
 				break
 			}
 			code := lPat[offset+int(k)]
 			terms := ladderPos[code]
-			it.LoadLocalN(1 + terms)
-			it.LoadGlobal(1) // chr[i+k]
-			it.ALU(aluPerTerm*terms + 2)
-			it.Branch(true)
+			st.LoadLocalN(1 + terms)
+			st.LoadGlobal(1) // chr[i+k]
+			st.ALU(aluPerTerm*terms + 2)
+			st.Branch(true)
 			if mismatch(code, a.Chr[i+int(k)]) {
 				return false
 			}
@@ -101,46 +110,45 @@ func FinderScan(g *gpu.Group, it *gpu.Item, a *FinderArgs, lPat []byte, lPatInde
 	case rev:
 		flag = FlagReverse
 	default:
-		it.Branch(true)
+		st.Branch(true)
 		return
 	}
 	slot := a.Arena.Claim(g)
 	if slot < 0 {
-		it.Branch(true)
+		st.Branch(true)
 		return
 	}
 	a.Loci[slot] = uint32(i)
 	a.Flags[slot] = flag
-	it.StoreGlobal(4)
-	it.StoreGlobal(1)
+	st.StoreGlobal(4)
+	st.StoreGlobal(1)
 }
 
 // comparerStage is L1-L8 of Listing 1 with the per-variant cost model
 // applied: compute the local index and stage comp and comp_index into
 // shared local memory (cooperatively for opt3+, leader-only before).
-func comparerStage(it *gpu.Item, a *ComparerArgs, lComp []byte, lCompIndex []int32, c comparerCosts) {
+func comparerStage(g *gpu.Group, li int, a *ComparerArgs, lComp []byte, lCompIndex []int32, c comparerCosts) {
 	plen := a.Guide.PatternLen
-	i := it.GlobalID()
-	li := i - it.GroupID()*it.LocalRange() // L1 of Listing 1
-	it.ALU(2)
+	st := g.Stats()
+	st.ALU(2) // the global and local index, L1 of Listing 1
 
 	// L2-L8: stage comp and comp_index into shared local memory.
 	if c.coopPrefetch {
-		wg := it.LocalRange()
+		wg := g.Size()
 		for k := li; k < plen*2; k += wg {
 			lComp[k] = a.Guide.Codes[k]
 			lCompIndex[k] = a.Guide.Index[k]
-			it.LoadGlobal(1)
-			it.LoadGlobal(4)
-			it.StoreLocalN(2)
+			st.LoadGlobal(1)
+			st.LoadGlobal(4)
+			st.StoreLocalN(2)
 		}
 	} else if li == 0 {
 		for k := 0; k < plen*2; k++ {
 			lComp[k] = a.Guide.Codes[k]
 			lCompIndex[k] = a.Guide.Index[k]
-			it.LoadGlobal(1)
-			it.LoadGlobal(4)
-			it.StoreLocalN(2)
+			st.LoadGlobal(1)
+			st.LoadGlobal(4)
+			st.StoreLocalN(2)
 		}
 	}
 }
@@ -149,23 +157,23 @@ func comparerStage(it *gpu.Item, a *ComparerArgs, lComp []byte, lCompIndex []int
 // flagged strand walk the guide's index array, counting mismatches with
 // early exit past the threshold, and compact passing entries through the
 // atomic entry counter.
-func comparerCompare(g *gpu.Group, it *gpu.Item, a *ComparerArgs, lComp []byte, lCompIndex []int32, c comparerCosts) {
+func comparerCompare(g *gpu.Group, li int, a *ComparerArgs, lComp []byte, lCompIndex []int32, c comparerCosts) {
 	plen := a.Guide.PatternLen
-	i := it.GlobalID()
+	st, i := g.Stats(), g.Base()+li
 
 	if uint32(i) >= a.LociCount {
-		it.Branch(true)
+		st.Branch(true)
 		return
 	}
 
 	flag := a.Flags[i]
-	it.LoadGlobal(1)
+	st.LoadGlobal(1)
 	for r := 1; r < c.flagLoads; r++ {
-		it.LoadGlobalRedundant(1)
+		st.LoadGlobalRedundant(1)
 	}
 	locus := int(a.Loci[i])
 	if !c.lociPerIter && !c.lociPerHalf {
-		it.LoadGlobal(4) // opt2+: loci[i] registered once per item
+		st.LoadGlobal(4) // opt2+: loci[i] registered once per item
 	}
 
 	// compareStrand walks one half of the index array (L9-L24 forward,
@@ -174,11 +182,11 @@ func comparerCompare(g *gpu.Group, it *gpu.Item, a *ComparerArgs, lComp []byte, 
 	firstLociRead := true
 	readLocus := func() {
 		if firstLociRead {
-			it.LoadGlobal(4)
+			st.LoadGlobal(4)
 			firstLociRead = false
 			return
 		}
-		it.LoadGlobalRedundant(4)
+		st.LoadGlobalRedundant(4)
 	}
 
 	compareStrand := func(offset int) (uint16, bool) {
@@ -188,28 +196,28 @@ func comparerCompare(g *gpu.Group, it *gpu.Item, a *ComparerArgs, lComp []byte, 
 		var mm uint16
 		for j := 0; j < plen; j++ {
 			k := lCompIndex[offset+j]
-			it.LoadLocal()
+			st.LoadLocal()
 			if k == -1 {
-				it.Branch(false)
+				st.Branch(false)
 				break
 			}
 			code := lComp[offset+int(k)]
 			terms := ladderPos[code]
 			if c.ldsPerTerm {
-				it.LoadLocalN(terms)
+				st.LoadLocalN(terms)
 			} else {
-				it.LoadLocal() // opt4: one LDS read, then a register
+				st.LoadLocal() // opt4: one LDS read, then a register
 			}
 			if c.lociPerIter {
 				readLocus() // base: loci[i] reloaded per iteration
 			}
-			it.LoadGlobal(1) // chr[loci[i]+k]
-			it.ALU(aluPerTerm*terms + 2)
-			it.Branch(true)
+			st.LoadGlobal(1) // chr[loci[i]+k]
+			st.ALU(aluPerTerm*terms + 2)
+			st.Branch(true)
 			if mismatch(code, a.Chr[locus+int(k)]) {
 				mm++
 				if mm > a.Threshold {
-					it.Branch(true)
+					st.Branch(true)
 					return mm, false
 				}
 			}
@@ -222,7 +230,7 @@ func comparerCompare(g *gpu.Group, it *gpu.Item, a *ComparerArgs, lComp []byte, 
 	store := func(mm uint16, dir byte) {
 		slot := a.Arena.Claim(g)
 		if slot < 0 {
-			it.Branch(true)
+			st.Branch(true)
 			return
 		}
 		a.MMCount[slot] = mm
@@ -231,19 +239,19 @@ func comparerCompare(g *gpu.Group, it *gpu.Item, a *ComparerArgs, lComp []byte, 
 		if c.lociPerIter {
 			readLocus() // base: mm_loci[slot] = loci[i] reloads again
 		}
-		it.StoreGlobal(2)
-		it.StoreGlobal(1)
-		it.StoreGlobal(4)
+		st.StoreGlobal(2)
+		st.StoreGlobal(1)
+		st.StoreGlobal(4)
 	}
 
 	if flag == FlagBoth || flag == FlagForward {
-		it.Branch(true)
+		st.Branch(true)
 		if mm, ok := compareStrand(0); ok && mm <= a.Threshold {
 			store(mm, DirForward)
 		}
 	}
 	if flag == FlagBoth || flag == FlagReverse {
-		it.Branch(true)
+		st.Branch(true)
 		if mm, ok := compareStrand(plen); ok && mm <= a.Threshold {
 			store(mm, DirReverse)
 		}
@@ -287,14 +295,14 @@ type pipelineResult struct {
 // gatherGroups concatenates the arena's entries by owning work-group,
 // reading each group's page up to its capacity. Unlike alloc.Gather it
 // tolerates a launch that overflowed its pages.
-func gatherGroups[T any](h *alloc.Host, src []T) []T {
+func gatherGroups[T any](d *alloc.Device, src []T) []T {
 	var dst []T
-	for g, p := range h.PageOf {
+	for g, p := range d.PageOf {
 		if p == alloc.NoPage || p == alloc.PageOverflow {
 			continue
 		}
-		base := int(p) * h.Layout.PageSlots
-		dst = append(dst, src[base:base+min(int(h.Count[g]), h.Layout.PageSlots)]...)
+		base := int(p) * d.PageSlots
+		dst = append(dst, src[base:base+min(int(d.Count[g]), d.PageSlots)]...)
 	}
 	return dst
 }
@@ -313,16 +321,20 @@ func (p pipelineRun) run(t testing.TB, dev *gpu.Device) (*pipelineResult, error)
 	}
 	chr, wg := p.seq, p.wg // scanned in place; the match tables fold case
 	sites := max(len(chr)-pat.PatternLen+1, 0)
-	arena := func(groups, worst int) *alloc.Host {
+	// arena returns a fresh arena of one page per group, its claim state
+	// and the view bound over it.
+	arena := func(groups, worst int) (alloc.Layout, []uint32, *alloc.Device) {
 		if p.pageSlots > 0 {
 			worst = p.pageSlots
 		}
-		return alloc.NewHost(alloc.WorstCase(groups, worst))
+		l := alloc.WorstCase(groups, worst)
+		state, d := newArena(l)
+		return l, state, d
 	}
 	res := &pipelineResult{}
 
 	gws := max((sites+wg-1)/wg*wg, wg)
-	farena := arena(gws/wg, wg)
+	fl, fstate, farena := arena(gws/wg, wg)
 	// The kernels read chr's word view; a run with viewBase > 0 reads it at
 	// that offset into a view whose leading bases are no part of the chunk.
 	view := viewOf(append(bytes.Repeat([]byte("x"), p.viewBase), chr...))
@@ -332,9 +344,9 @@ func (p pipelineRun) run(t testing.TB, dev *gpu.Device) (*pipelineResult, error)
 		ChunkView: view,
 		Pattern:   pat,
 		Sites:     sites,
-		Loci:      make([]uint32, farena.Layout.Slots()),
-		Flags:     make([]byte, farena.Layout.Slots()),
-		Arena:     farena.Device(),
+		Loci:      make([]uint32, fl.Slots()),
+		Flags:     make([]byte, fl.Slots()),
+		Arena:     farena,
 	}
 	finder, err := NewFinder(fa)
 	if err != nil {
@@ -355,8 +367,8 @@ func (p pipelineRun) run(t testing.TB, dev *gpu.Device) (*pipelineResult, error)
 	if err != nil {
 		return nil, err
 	}
-	if res.dropped[0] = farena.Overflow[0]; res.dropped[0] == 0 {
-		if _, err := farena.Decode(); err != nil {
+	if res.dropped[0] = *farena.Overflow; res.dropped[0] == 0 {
+		if _, err := alloc.Decode(fl.PageSlots, fl.Pages, fstate); err != nil {
 			t.Fatalf("finder arena decode: %v", err)
 		}
 	}
@@ -364,7 +376,7 @@ func (p pipelineRun) run(t testing.TB, dev *gpu.Device) (*pipelineResult, error)
 	flags := gatherGroups(farena, fa.Flags)
 
 	cgws := max((len(loci)+wg-1)/wg*wg, wg)
-	carena := arena(cgws/wg, 2*wg)
+	cl, cstate, carena := arena(cgws/wg, 2*wg)
 	ca := &ComparerArgs{
 		Chr:       chr,
 		ChunkView: view,
@@ -373,10 +385,10 @@ func (p pipelineRun) run(t testing.TB, dev *gpu.Device) (*pipelineResult, error)
 		LociCount: uint32(len(loci)),
 		Guide:     gd,
 		Threshold: uint16(p.maxMM),
-		MMLoci:    make([]uint32, carena.Layout.Slots()),
-		MMCount:   make([]uint16, carena.Layout.Slots()),
-		Direction: make([]byte, carena.Layout.Slots()),
-		Arena:     carena.Device(),
+		MMLoci:    make([]uint32, cl.Slots()),
+		MMCount:   make([]uint16, cl.Slots()),
+		Direction: make([]byte, cl.Slots()),
+		Arena:     carena,
 	}
 	comparer, err := NewComparer(p.variant, ca)
 	if err != nil {
@@ -397,8 +409,8 @@ func (p pipelineRun) run(t testing.TB, dev *gpu.Device) (*pipelineResult, error)
 	if err != nil {
 		return nil, err
 	}
-	if res.dropped[1] = carena.Overflow[0]; res.dropped[1] == 0 {
-		if _, err := carena.Decode(); err != nil {
+	if res.dropped[1] = *carena.Overflow; res.dropped[1] == 0 {
+		if _, err := alloc.Decode(cl.PageSlots, cl.Pages, cstate); err != nil {
 			t.Fatalf("comparer arena decode: %v", err)
 		}
 	}

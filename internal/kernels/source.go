@@ -43,10 +43,9 @@ func localSlots(args []any, i int, elemBytes int) (int, error) {
 }
 
 // Finder argument-slot order for the OpenCL frontend, following the kernel
-// signature of Table VI with the flat count buffer replaced by the output
-// arena's state (page geometry scalars, page cursor, per-group counters and
-// page table, overflow counter), plus a trailing slot for the chunk's
-// ChunkView.
+// signature of Table VI. The output arena's page geometry scalars and its
+// one claim-state buffer stand where the paper's count buffer stood, and a
+// trailing slot takes the chunk's ChunkView.
 const (
 	FinderArgChr = iota
 	FinderArgPat
@@ -57,10 +56,7 @@ const (
 	FinderArgFlags
 	FinderArgPageSlots
 	FinderArgPages
-	FinderArgPageCursor
-	FinderArgGroupCount
-	FinderArgGroupPage
-	FinderArgOverflow
+	FinderArgArenaState
 	FinderArgLocalPat
 	FinderArgLocalPatIndex
 	FinderArgView
@@ -68,8 +64,9 @@ const (
 )
 
 // Comparer argument-slot order for the OpenCL frontend, following the
-// signature of Listing 1 with the "entrycount" cursor replaced by the
-// output arena's state, plus a trailing slot for the chunk's ChunkView.
+// signature of Listing 1. The output arena's page geometry scalars and its
+// one claim-state buffer stand where the paper's "entrycount" buffer stood,
+// and a trailing slot takes the chunk's ChunkView.
 const (
 	ComparerArgLociCount = iota
 	ComparerArgChr
@@ -84,10 +81,7 @@ const (
 	ComparerArgDirection
 	ComparerArgPageSlots
 	ComparerArgPages
-	ComparerArgPageCursor
-	ComparerArgGroupCount
-	ComparerArgGroupPage
-	ComparerArgOverflow
+	ComparerArgArenaState
 	ComparerArgLocalComp
 	ComparerArgLocalCompIndex
 	ComparerArgView
@@ -95,14 +89,13 @@ const (
 )
 
 // Gather argument-slot order for the OpenCL frontend: the entry count, the
-// finder arena's geometry scalars and group tables, the page-strided finder
-// outputs, the dense outputs and the __local offsets array.
+// finder arena's geometry scalars and claim-state buffer, the page-strided
+// finder outputs, the dense outputs and the __local offsets array.
 const (
 	GatherArgLociCount = iota
 	GatherArgPageSlots
 	GatherArgPages
-	GatherArgGroupCount
-	GatherArgGroupPage
+	GatherArgArenaState
 	GatherArgLoci
 	GatherArgFlags
 	GatherArgOutLoci
@@ -111,9 +104,8 @@ const (
 	gatherNumArgs
 )
 
-// arenaSlots parses the six arena argument slots starting at base: the
-// page-size and page-count scalars, then the cursor, group-counter,
-// group-page and overflow buffers.
+// arenaSlots parses the three arena argument slots starting at base: the
+// page-size and page-count scalars, then the claim-state buffer.
 func arenaSlots(kernel string, args []any, base int) (*alloc.Device, error) {
 	pageSlots, err := scalar[int32](args, base)
 	if err != nil {
@@ -123,33 +115,15 @@ func arenaSlots(kernel string, args []any, base int) (*alloc.Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	cursor, err := memSlice[uint32](args, base+2)
+	state, err := memSlice[uint32](args, base+2)
 	if err != nil {
 		return nil, err
 	}
-	count, err := memSlice[uint32](args, base+3)
+	arena, err := alloc.Bind(int(pageSlots), int(pages), state)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("kernels: %s: argument %d: %w", kernel, base+2, err)
 	}
-	pageOf, err := memSlice[uint32](args, base+4)
-	if err != nil {
-		return nil, err
-	}
-	overflow, err := memSlice[uint32](args, base+5)
-	if err != nil {
-		return nil, err
-	}
-	if len(cursor) < 1 || len(overflow) < 1 {
-		return nil, fmt.Errorf("kernels: %s: empty arena cursor or overflow buffer", kernel)
-	}
-	return &alloc.Device{
-		PageSlots: int(pageSlots),
-		Pages:     int(pages),
-		Cursor:    &cursor[0],
-		Count:     count,
-		PageOf:    pageOf,
-		Overflow:  &overflow[0],
-	}, nil
+	return arena, nil
 }
 
 // ComparerKernelName returns the registry name of a comparer variant
@@ -361,19 +335,14 @@ func gatherSlots(args []any) (ga *GatherArgs, lSumsN int, err error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	pageSlots, err := scalar[int32](args, GatherArgPageSlots)
-	if err != nil {
+	ga = &GatherArgs{N: int(n)}
+	if ga.Arena, err = arenaSlots("gather", args, GatherArgPageSlots); err != nil {
 		return nil, 0, err
 	}
-	pages, err := scalar[int32](args, GatherArgPages)
-	if err != nil {
-		return nil, 0, err
-	}
-	ga = &GatherArgs{N: int(n), PageSlots: int(pageSlots), Pages: int(pages)}
 	for _, s := range []struct {
 		dst *[]uint32
 		i   int
-	}{{&ga.Count, GatherArgGroupCount}, {&ga.PageOf, GatherArgGroupPage}, {&ga.Loci, GatherArgLoci}, {&ga.OutLoci, GatherArgOutLoci}} {
+	}{{&ga.Loci, GatherArgLoci}, {&ga.OutLoci, GatherArgOutLoci}} {
 		if *s.dst, err = memSlice[uint32](args, s.i); err != nil {
 			return nil, 0, err
 		}

@@ -86,51 +86,24 @@ func TestCLSourceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each launch gets a fresh arena state stack: host data enters an
-	// OpenCL buffer only at creation, so the zeroed cursor, counters and
-	// overflow and the unset pages are written there.
-	type arenaBufs struct{ cursor, count, page, ovf *opencl.Mem }
-	newArena := func(groups int) arenaBufs {
+	// Each launch gets a fresh claim state: host data enters an OpenCL
+	// buffer only at creation, so NewState's contents are written there.
+	newArena := func(l alloc.Layout) *opencl.Mem {
 		t.Helper()
-		var a arenaBufs
-		var err error
-		for _, b := range []struct {
-			dst  **opencl.Mem
-			host []uint32
-		}{
-			{&a.cursor, []uint32{0}},
-			{&a.count, make([]uint32, groups)},
-			{&a.page, alloc.UnsetPages(groups)},
-			{&a.ovf, []uint32{0}},
-		} {
-			if *b.dst, err = opencl.CreateBuffer(ctx, opencl.MemReadWrite|opencl.MemCopyHostPtr, len(b.host), b.host); err != nil {
-				t.Fatal(err)
-			}
+		state := l.NewState()
+		m, err := opencl.CreateBuffer(ctx, opencl.MemReadWrite|opencl.MemCopyHostPtr, len(state), state)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return a
+		return m
 	}
-	readArena := func(a arenaBufs, groups, pageSlots, pages int) *alloc.Geometry {
+	readArena := func(m *opencl.Mem, l alloc.Layout) *alloc.Geometry {
 		t.Helper()
-		ovf := make([]uint32, 1)
-		if _, err := opencl.EnqueueReadBuffer(q, a.ovf, true, 0, 1, ovf); err != nil {
+		state := make([]uint32, l.StateWords())
+		if _, err := opencl.EnqueueReadBuffer(q, m, true, 0, len(state), state); err != nil {
 			t.Fatal(err)
 		}
-		if ovf[0] != 0 {
-			t.Fatalf("worst-case arena overflowed %d entries", ovf[0])
-		}
-		cursor := make([]uint32, 1)
-		if _, err := opencl.EnqueueReadBuffer(q, a.cursor, true, 0, 1, cursor); err != nil {
-			t.Fatal(err)
-		}
-		count := make([]uint32, groups)
-		if _, err := opencl.EnqueueReadBuffer(q, a.count, true, 0, groups, count); err != nil {
-			t.Fatal(err)
-		}
-		pageOf := make([]uint32, groups)
-		if _, err := opencl.EnqueueReadBuffer(q, a.page, true, 0, groups, pageOf); err != nil {
-			t.Fatal(err)
-		}
-		geo, err := alloc.Decode(cursor[0], count, pageOf, pageSlots, pages)
+		geo, err := alloc.Decode(l.PageSlots, l.Pages, state)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,13 +114,12 @@ func TestCLSourceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fArena := newArena(fLayout.Groups)
+	fArena := newArena(fLayout)
 	finderArgs := []any{
 		chrBuf, patBuf, patIdxBuf,
 		int32(pat.PatternLen), uint32(sites),
 		lociBuf, flagsBuf,
-		int32(fLayout.PageSlots), int32(fLayout.Pages),
-		fArena.cursor, fArena.count, fArena.page, fArena.ovf,
+		int32(fLayout.PageSlots), int32(fLayout.Pages), fArena,
 	}
 	for i, a := range finderArgs {
 		if err := finder.SetArg(i, a); err != nil {
@@ -167,7 +139,7 @@ func TestCLSourceEndToEnd(t *testing.T) {
 		t.Fatalf("finder enqueue: %v", err)
 	}
 
-	fgeo := readArena(fArena, fLayout.Groups, fLayout.PageSlots, fLayout.Pages)
+	fgeo := readArena(fArena, fLayout)
 	n := fgeo.Total
 	if n == 0 {
 		t.Fatal("finder found no candidate sites")
@@ -215,7 +187,7 @@ func TestCLSourceEndToEnd(t *testing.T) {
 	}
 
 	for _, variant := range Variants() {
-		cArena := newArena(cLayout.Groups)
+		cArena := newArena(cLayout)
 		comparer, err := prog.CreateKernel(ComparerKernelName(variant))
 		if err != nil {
 			t.Fatal(err)
@@ -225,8 +197,7 @@ func TestCLSourceEndToEnd(t *testing.T) {
 			compBuf, compIdxBuf,
 			int32(gd.PatternLen), uint16(maxMM),
 			cFlagsBuf, mmCountBuf, dirBuf,
-			int32(cLayout.PageSlots), int32(cLayout.Pages),
-			cArena.cursor, cArena.count, cArena.page, cArena.ovf,
+			int32(cLayout.PageSlots), int32(cLayout.Pages), cArena,
 		}
 		for i, a := range comparerArgs {
 			if err := comparer.SetArg(i, a); err != nil {
@@ -246,7 +217,7 @@ func TestCLSourceEndToEnd(t *testing.T) {
 			t.Fatalf("%s enqueue: %v", variant, err)
 		}
 
-		cgeo := readArena(cArena, cLayout.Groups, cLayout.PageSlots, cLayout.Pages)
+		cgeo := readArena(cArena, cLayout)
 		mmStrided := make([]uint32, cLayout.Slots())
 		if _, err := opencl.EnqueueReadBuffer(q, mmLociBuf, true, 0, len(mmStrided), mmStrided); err != nil {
 			t.Fatal(err)
@@ -299,8 +270,7 @@ func TestCLSourceArgTypeErrors(t *testing.T) {
 	// Slot 0 wants a byte buffer; give it a uint32 one.
 	args := []any{
 		wrong, wrong, wrong, int32(3), uint32(1),
-		wrong, wrong, int32(4), int32(1),
-		wrong, wrong, wrong, wrong,
+		wrong, wrong, int32(4), int32(1), wrong,
 	}
 	for i, a := range args {
 		if err := finder.SetArg(i, a); err != nil {
@@ -320,4 +290,54 @@ func TestCLSourceArgTypeErrors(t *testing.T) {
 		t.Errorf("mistyped kernel arguments: enqueue error %v, want argument 0 rejected", err)
 	}
 
+}
+
+// TestCLSourceBadArenaState binds a claim state that is not 2+2G words long
+// for G ≥ 1 groups into each kernel's state slot: the launch must fail with
+// an error naming the state, never panic or index past it.
+func TestCLSourceBadArenaState(t *testing.T) {
+	ctx, q, prog := clEnv(t, gpu.New(device.MI60(), gpu.WithWorkers(2)))
+	mem := func(m *opencl.Mem, err error) *opencl.Mem {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	const n = 64
+	u8 := mem(opencl.CreateBuffer[byte](ctx, opencl.MemReadWrite, n, nil))
+	u16 := mem(opencl.CreateBuffer[uint16](ctx, opencl.MemReadWrite, n, nil))
+	u32 := mem(opencl.CreateBuffer[uint32](ctx, opencl.MemReadWrite, n, nil))
+	i32 := mem(opencl.CreateBuffer[int32](ctx, opencl.MemReadWrite, n, nil))
+	view := viewOf(make([]byte, n))
+	// local marks a __local argument's size in bytes.
+	type local int
+	for _, words := range []int{1, 2, 5} {
+		state := mem(opencl.CreateBuffer[uint32](ctx, opencl.MemReadWrite, words, nil))
+		for name, args := range map[string][]any{
+			"finder": {u8, u8, i32, int32(3), uint32(1), u32, u8,
+				int32(4), int32(1), state, local(6), local(24), view},
+			ComparerKernelName(Base): {uint32(1), u8, u32, u32, u8, i32, int32(3), uint16(1), u8, u16, u8,
+				int32(4), int32(1), state, local(6), local(24), view},
+			GatherKernelName: {uint32(1), int32(4), int32(1), state, u32, u8, u32, u8, local(4)},
+		} {
+			k, err := prog.CreateKernel(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, a := range args {
+				if l, ok := a.(local); ok {
+					err = k.SetArgLocal(i, int(l))
+				} else {
+					err = k.SetArg(i, a)
+				}
+				if err != nil {
+					t.Fatalf("%s arg %d: %v", name, i, err)
+				}
+			}
+			if _, err := q.EnqueueNDRangeKernel(nil, k, 1, 1); err == nil || !strings.Contains(err.Error(), "claim state") {
+				t.Errorf("%s over a %d-word claim state: enqueue error %v, want the state rejected", name, words, err)
+			}
+		}
+	}
 }

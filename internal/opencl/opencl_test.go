@@ -35,24 +35,25 @@ func vecScaleSource() Source {
 				}
 				return func() []gpu.Phase {
 					staging := make([]int32, local.Bytes/4)
-					stage := func(it *gpu.Item) {
-						if gid := it.GlobalID(); gid < len(in) {
-							staging[it.LocalID()] = in[gid]
-							it.LoadGlobal(4)
-							it.StoreLocal()
+					stage := func(g *gpu.Group) {
+						for li := range g.Size() {
+							if gid := g.Base() + li; gid < len(in) {
+								staging[li] = in[gid]
+								g.Stats().LoadGlobal(4)
+								g.Stats().StoreLocal()
+							}
 						}
 					}
-					scaleOut := func(it *gpu.Item) {
-						if gid := it.GlobalID(); gid < len(out) {
-							out[gid] = staging[it.LocalID()] * scale
-							it.LoadLocal()
-							it.StoreGlobal(4)
+					scaleOut := func(g *gpu.Group) {
+						for li := range g.Size() {
+							if gid := g.Base() + li; gid < len(out) {
+								out[gid] = staging[li] * scale
+								g.Stats().LoadLocal()
+								g.Stats().StoreGlobal(4)
+							}
 						}
 					}
-					return []gpu.Phase{
-						func(g *gpu.Group) { g.Each(stage) },
-						func(g *gpu.Group) { g.Each(scaleOut) }, // after the barrier
-					}
+					return []gpu.Phase{stage, scaleOut} // a barrier between them
 				}, nil
 			},
 		},

@@ -176,6 +176,76 @@ func TestHostOpsFailureSweep(t *testing.T) {
 	}
 }
 
+// countingOps counts the device buffers a host-ops implementation is asked
+// for.
+type countingOps struct {
+	hostOps
+	allocs int
+}
+
+func (c *countingOps) alloc(kind bufKind, n int, host any) (devBuf, error) {
+	c.allocs++
+	return c.hostOps.alloc(kind, n, host)
+}
+
+// TestBuffersPerLaunch pins the device buffers a chunk allocates, on both
+// veneers: 5 per Find (the finder's two page-strided outputs, its claim
+// state and the two dense candidate buffers the gather fills) and 6 per
+// guide per Compare (the guide's two tables, the comparer's three outputs
+// and its claim state). A buffer added to any launch shows here.
+func TestBuffersPerLaunch(t *testing.T) {
+	_, ch := sweepChunk(t, 300, 200)
+	req := denseRequest()
+	req.ChunkBytes = 0
+	req.Queries = append(req.Queries, Query{Guide: "GGGGGGGGGGNN", MaxMismatches: 0})
+	plan, err := pipeline.Compile(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, core := range sweepCores() {
+		t.Run(core.name, func(t *testing.T) {
+			c := &countingOps{}
+			open := core.open
+			core.open = func(dev *gpu.Device, v kernels.ComparerVariant, onAsync func()) (hostOps, error) {
+				inner, err := open(dev, v, onAsync)
+				c.hostOps = inner
+				return c, err
+			}
+			core.profile = newProfile()
+			b, err := newSimBackend(core, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			st, err := b.Stage(ctx, ch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Release(st)
+			c.allocs = 0
+			if err := b.Find(ctx, st); err != nil {
+				t.Fatal(err)
+			}
+			if st.(*simStaged).n == 0 {
+				t.Fatal("chunk has no candidates; Compare would launch nothing")
+			}
+			find := c.allocs
+			c.allocs = 0
+			if err := b.Compare(ctx, st); err != nil {
+				t.Fatal(err)
+			}
+			if n := core.profile.OverflowRetries; n != 0 {
+				t.Fatalf("%d arena relaunches, each with buffers of its own", n)
+			}
+			if want := 6 * len(plan.Guides); find != 5 || c.allocs != want {
+				t.Errorf("%d buffers per Find, %d per Compare of %d guides; want 5 and %d",
+					find, c.allocs, len(plan.Guides), want)
+			}
+		})
+	}
+}
+
 // TestFindAllocsFlatInPages pins the cost of one Find to the chunk, not to
 // what the finder claims: a chunk whose candidates fill four times the
 // finder pages of a sparse chunk of the same length must cost the same
@@ -318,8 +388,8 @@ func sweepCores() []*simCore {
 }
 
 // overflowOps is a host-ops implementation whose arena readback lies about
-// one kernel: that kernel's overflow counter always reads back non-zero and
-// its emission counters read back as the first emit groups emitting one
+// one kernel: reads of that kernel's claim state see its overflow counter
+// non-zero and its emission counters as the first emit groups emitting one
 // entry each, emit growing by grow after every read (a negative emit fails
 // the read with errCounterRead). It records the layout of each of that
 // kernel's launches.
@@ -327,13 +397,13 @@ type overflowOps struct {
 	hostOps
 	comparer   bool
 	emit, grow int
-	ovf, count devBuf
+	arena      *simArena
 	layouts    []alloc.Layout
 }
 
 func (o *overflowOps) watch(comparer bool, a *simArena) {
 	if comparer == o.comparer {
-		o.ovf, o.count = a.ovf, a.count
+		o.arena = a
 		o.layouts = append(o.layouts, a.layout)
 	}
 }
@@ -352,10 +422,13 @@ func (o *overflowOps) readRange(src devBuf, off, n int, dst any) error {
 	if err := o.hostOps.readRange(src, off, n, dst); err != nil {
 		return err
 	}
-	switch src {
-	case o.ovf:
+	if o.arena == nil || src != o.arena.state {
+		return nil
+	}
+	switch l := o.arena.layout; (alloc.Words{Off: off, N: n}) {
+	case l.OverflowWords():
 		dst.([]uint32)[0] = 1
-	case o.count:
+	case l.CountWords():
 		if o.emit < 0 {
 			return errCounterRead
 		}

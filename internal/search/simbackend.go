@@ -77,12 +77,11 @@ func hostSlice[T any](v any) ([]T, error) {
 	return s, nil
 }
 
-// simArena is one launch's device-side arena state: the page cursor, the
-// per-group emission counters and page table, and the overflow counter.
+// simArena is one launch's device-side arena: its layout and the one
+// claim-state buffer alloc lays out for it.
 type simArena struct {
 	layout alloc.Layout
-
-	cursor, count, page, ovf devBuf
+	state  devBuf
 }
 
 // finderLaunch is one finder launch: the staged chunk and its word view, the
@@ -207,26 +206,16 @@ func (b *simBackend) Close() (err error) {
 	return err
 }
 
-// createArena allocates and initialises one launch's arena state buffers
-// for the layout (cursor and counters zeroed, page table cleared to NoPage).
-// On error the partial allocation is left to Close.
+// createArena allocates one launch's claim-state buffer for the layout,
+// initialised to alloc's NewState.
 func (b *simBackend) createArena(l alloc.Layout) (*simArena, error) {
-	a := &simArena{layout: l}
-	var err error
-	if a.cursor, err = b.alloc(bufState, 1, []uint32(nil)); err != nil {
-		return nil, err
-	}
-	if a.count, err = b.alloc(bufState, l.Groups, []uint32(nil)); err != nil {
-		return nil, err
-	}
-	if a.page, err = b.alloc(bufState, l.Groups, alloc.UnsetPages(l.Groups)); err != nil {
-		return nil, err
-	}
-	if a.ovf, err = b.alloc(bufState, 1, []uint32(nil)); err != nil {
+	state := l.NewState()
+	m, err := b.alloc(bufState, len(state), state)
+	if err != nil {
 		return nil, err
 	}
 	b.prof.addStaged(l.MetaBytes())
-	return a, nil
+	return &simArena{layout: l, state: m}, nil
 }
 
 // readArena reads the launch's arena state back. The overflow counter is
@@ -238,31 +227,32 @@ func (b *simBackend) createArena(l alloc.Layout) (*simArena, error) {
 // and decoded instead — Decode rejects impossible state as fault.SiteArena
 // corruption, after the readback bytes are already on the profile.
 func (b *simBackend) readArena(a *simArena) (geo *alloc.Geometry, overflowed []uint32, err error) {
-	groups := a.layout.Groups
-	state := make([]uint32, 2+2*groups)
-	ovf, cursor, count, pageOf := state[:1], state[1:2], state[2:2+groups], state[2+groups:]
-	if err := b.ops.readRange(a.ovf, 0, 1, ovf); err != nil {
+	l := a.layout
+	state := make([]uint32, l.StateWords())
+	read := func(w alloc.Words) ([]uint32, error) {
+		dst := w.Of(state)
+		return dst, b.ops.readRange(a.state, w.Off, w.N, dst)
+	}
+	ovf, err := read(l.OverflowWords())
+	if err != nil {
 		return nil, nil, err
 	}
 	b.prof.addRead(4)
 	if ovf[0] != 0 {
-		if err := b.ops.readRange(a.count, 0, groups, count); err != nil {
+		count, err := read(l.CountWords())
+		if err != nil {
 			return nil, count, err
 		}
-		b.prof.addRead(4 * int64(groups))
+		b.prof.addRead(4 * int64(l.Groups))
 		return nil, count, nil
 	}
-	if err := b.ops.readRange(a.cursor, 0, 1, cursor); err != nil {
-		return nil, nil, err
+	for _, w := range []alloc.Words{l.CursorWords(), l.CountWords(), l.PageWords()} {
+		if _, err := read(w); err != nil {
+			return nil, nil, err
+		}
 	}
-	if err := b.ops.readRange(a.count, 0, groups, count); err != nil {
-		return nil, nil, err
-	}
-	if err := b.ops.readRange(a.page, 0, groups, pageOf); err != nil {
-		return nil, nil, err
-	}
-	b.prof.addRead(4 + 8*int64(groups))
-	geo, err = alloc.Decode(cursor[0], count, pageOf, a.layout.PageSlots, a.layout.Pages)
+	b.prof.addRead(4 + 8*int64(l.Groups))
+	geo, err = alloc.Decode(l.PageSlots, l.Pages, state)
 	return geo, nil, err
 }
 
@@ -311,9 +301,7 @@ func (b *simBackend) runArena(layout alloc.Layout, p *arenaPass) error {
 			for _, m := range out {
 				closeErr(b.free(m), &err)
 			}
-			for _, m := range []devBuf{arena.cursor, arena.count, arena.page, arena.ovf} {
-				closeErr(b.free(m), &err)
-			}
+			closeErr(b.free(arena.state), &err)
 			return err
 		}
 

@@ -217,8 +217,7 @@ func (o *clOps) launchFinder(ctx context.Context, l *finderLaunch) (*gpu.Stats, 
 		l.chr, l.pat, l.patIdx,
 		int32(l.plen), uint32(l.sites),
 		l.loci, l.flags,
-		int32(a.layout.PageSlots), int32(a.layout.Pages),
-		a.cursor, a.count, a.page, a.ovf,
+		int32(a.layout.PageSlots), int32(a.layout.Pages), a.state,
 		clLocal(2 * l.plen), clLocal(4 * 2 * l.plen),
 		l.view,
 	}, l.gws, l.wg)
@@ -231,8 +230,7 @@ func (o *clOps) launchComparer(ctx context.Context, l *comparerLaunch) (*gpu.Sta
 		l.comp, l.compIdx,
 		int32(l.plen), l.threshold,
 		l.flags, l.mmCnt, l.dir,
-		int32(a.layout.PageSlots), int32(a.layout.Pages),
-		a.cursor, a.count, a.page, a.ovf,
+		int32(a.layout.PageSlots), int32(a.layout.Pages), a.state,
 		clLocal(2 * l.plen), clLocal(4 * 2 * l.plen),
 		l.view,
 	}, l.gws, l.wg)
@@ -242,8 +240,7 @@ func (o *clOps) launchComparer(ctx context.Context, l *comparerLaunch) (*gpu.Sta
 func (o *clOps) gather(ctx context.Context, l *gatherLaunch) error {
 	a := l.arena
 	_, err := o.launch(ctx, o.gatherKernel, []any{
-		uint32(l.n), int32(a.layout.PageSlots), int32(a.layout.Pages),
-		a.count, a.page,
+		uint32(l.n), int32(a.layout.PageSlots), int32(a.layout.Pages), a.state,
 		l.loci, l.flags,
 		l.outLoci, l.outFlags,
 		clLocal(4 * l.wg),

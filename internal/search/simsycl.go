@@ -160,24 +160,17 @@ func syclLocal[T any](h *sycl.Handler, n int, err *error) *sycl.LocalAccessor[T]
 	return acc
 }
 
-// syclAccessArena binds the arena state into a command group, returning the
-// kernel-visible alloc.Device over the accessor slices.
-func syclAccessArena(h *sycl.Handler, a *simArena, err *error) *alloc.Device {
-	cursor := syclAccess[uint32](h, a.cursor, sycl.ReadWrite, err)
-	count := syclAccess[uint32](h, a.count, sycl.ReadWrite, err)
-	pageOf := syclAccess[uint32](h, a.page, sycl.ReadWrite, err)
-	ovf := syclAccess[uint32](h, a.ovf, sycl.ReadWrite, err)
+// syclAccessArena binds the arena's claim state into a command group with
+// one accessor of the given mode, returning the kernel-visible alloc.Device
+// over its window, folding the error like syclAccess.
+func syclAccessArena(h *sycl.Handler, a *simArena, mode sycl.AccessMode, err *error) *alloc.Device {
+	state := syclAccess[uint32](h, a.state, mode, err)
 	if *err != nil {
 		return nil
 	}
-	return &alloc.Device{
-		PageSlots: a.layout.PageSlots,
-		Pages:     a.layout.Pages,
-		Cursor:    &cursor[0],
-		Count:     count,
-		PageOf:    pageOf,
-		Overflow:  &ovf[0],
-	}
+	d, berr := alloc.Bind(a.layout.PageSlots, a.layout.Pages, state)
+	*err = berr
+	return d
 }
 
 // syclWait waits on a kernel command group's event and returns its
@@ -205,7 +198,7 @@ func (o *syclOps) launchFinder(ctx context.Context, l *finderLaunch) (*gpu.Stats
 			Sites: l.sites,
 			Loci:  syclAccess[uint32](h, l.loci, sycl.Write, &err),
 			Flags: syclAccess[byte](h, l.flags, sycl.Write, &err),
-			Arena: syclAccessArena(h, l.arena, &err),
+			Arena: syclAccessArena(h, l.arena, sycl.ReadWrite, &err),
 		}
 		lPat := syclLocal[byte](h, 2*l.plen, &err)
 		lPatIdx := syclLocal[int32](h, 2*l.plen, &err)
@@ -242,7 +235,7 @@ func (o *syclOps) launchComparer(ctx context.Context, l *comparerLaunch) (*gpu.S
 			MMLoci:    syclAccess[uint32](h, l.mmLoci, sycl.Write, &err),
 			MMCount:   syclAccess[uint16](h, l.mmCnt, sycl.Write, &err),
 			Direction: syclAccess[byte](h, l.dir, sycl.Write, &err),
-			Arena:     syclAccessArena(h, l.arena, &err),
+			Arena:     syclAccessArena(h, l.arena, sycl.ReadWrite, &err),
 		}
 		lComp := syclLocal[byte](h, 2*l.plen, &err)
 		lCompIdx := syclLocal[int32](h, 2*l.plen, &err)
@@ -265,15 +258,12 @@ func (o *syclOps) gather(ctx context.Context, l *gatherLaunch) error {
 	return o.queue.Submit(ctx, func(h *sycl.Handler) error {
 		var err error
 		ga := &kernels.GatherArgs{
-			Count:     syclAccess[uint32](h, l.arena.count, sycl.Read, &err),
-			PageOf:    syclAccess[uint32](h, l.arena.page, sycl.Read, &err),
-			PageSlots: l.arena.layout.PageSlots,
-			Pages:     l.arena.layout.Pages,
-			Loci:      syclAccess[uint32](h, l.loci, sycl.Read, &err),
-			Flags:     syclAccess[byte](h, l.flags, sycl.Read, &err),
-			N:         l.n,
-			OutLoci:   syclAccess[uint32](h, l.outLoci, sycl.Write, &err),
-			OutFlags:  syclAccess[byte](h, l.outFlags, sycl.Write, &err),
+			Arena:    syclAccessArena(h, l.arena, sycl.Read, &err),
+			Loci:     syclAccess[uint32](h, l.loci, sycl.Read, &err),
+			Flags:    syclAccess[byte](h, l.flags, sycl.Read, &err),
+			N:        l.n,
+			OutLoci:  syclAccess[uint32](h, l.outLoci, sycl.Write, &err),
+			OutFlags: syclAccess[byte](h, l.outFlags, sycl.Write, &err),
 		}
 		lSums := syclLocal[uint32](h, l.wg, &err)
 		if err != nil {

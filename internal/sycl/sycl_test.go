@@ -20,10 +20,14 @@ func newTestQueue(t *testing.T) *Queue {
 }
 
 // perItem is a barrier-free kernel: one phase running body for every
-// work-item of each group.
-func perItem(body func(it *gpu.Item)) func(*LocalMem) []gpu.Phase {
+// work-item of each group, by global index.
+func perItem(body func(g *gpu.Group, gid int)) func(*LocalMem) []gpu.Phase {
 	return func(*LocalMem) []gpu.Phase {
-		return []gpu.Phase{func(g *gpu.Group) { g.Each(body) }}
+		return []gpu.Phase{func(g *gpu.Group) {
+			for li := range g.Size() {
+				body(g, g.Base()+li)
+			}
+		}}
 	}
 }
 
@@ -93,10 +97,14 @@ func TestSubmitParallelFor(t *testing.T) {
 			s := staging.Slice(m)
 			return []gpu.Phase{
 				func(g *gpu.Group) {
-					g.Each(func(it *gpu.Item) { s[it.LocalID()] = inAcc.Slice()[it.GlobalID()] })
+					for li := range g.Size() {
+						s[li] = inAcc.Slice()[g.Base()+li]
+					}
 				},
 				func(g *gpu.Group) { // after item.barrier(local_space)
-					g.Each(func(it *gpu.Item) { outAcc.Slice()[it.GlobalID()] = s[it.LocalID()] * 2 })
+					for li := range g.Size() {
+						outAcc.Slice()[g.Base()+li] = s[li] * 2
+					}
 				},
 			}
 		})
@@ -129,8 +137,8 @@ func TestImplicitDependencies(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		return h.ParallelForPhases("fill", n, 64, perItem(func(it *gpu.Item) {
-			acc.Slice()[it.GlobalID()] = int32(it.GlobalID())
+		return h.ParallelForPhases("fill", n, 64, perItem(func(g *gpu.Group, gid int) {
+			acc.Slice()[gid] = int32(gid)
 		}))
 	})
 	// Group 2: b[i] = a[i] + 1 (depends on group 1 through buffer a).
@@ -143,8 +151,7 @@ func TestImplicitDependencies(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		return h.ParallelForPhases("inc", n, 64, perItem(func(it *gpu.Item) {
-			gid := it.GlobalID()
+		return h.ParallelForPhases("inc", n, 64, perItem(func(g *gpu.Group, gid int) {
 			wb.Slice()[gid] = ra.Slice()[gid] + 1
 		}))
 	})
@@ -154,8 +161,8 @@ func TestImplicitDependencies(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		return h.ParallelForPhases("clear", n, 64, perItem(func(it *gpu.Item) {
-			acc.Slice()[it.GlobalID()] = 0
+		return h.ParallelForPhases("clear", n, 64, perItem(func(g *gpu.Group, gid int) {
+			acc.Slice()[gid] = 0
 		}))
 	})
 	for _, ev := range []*Event{ev1, ev2, ev3} {
@@ -186,9 +193,9 @@ func TestBufferWriteBack(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		return h.ParallelForPhases("square", 4, 4, perItem(func(it *gpu.Item) {
-			v := acc.Slice()[it.GlobalID()]
-			acc.Slice()[it.GlobalID()] = v * v
+		return h.ParallelForPhases("square", 4, 4, perItem(func(g *gpu.Group, gid int) {
+			v := acc.Slice()[gid]
+			acc.Slice()[gid] = v * v
 		}))
 	})
 	// No explicit wait: Destroy must wait for the kernel itself.
@@ -217,8 +224,8 @@ func TestBufferNoWriteBackWhenUnwritten(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		return h.ParallelForPhases("copy", 2, 2, perItem(func(it *gpu.Item) {
-			dst[it.GlobalID()] = acc.Slice()[it.GlobalID()]
+		return h.ParallelForPhases("copy", 2, 2, perItem(func(g *gpu.Group, gid int) {
+			dst[gid] = acc.Slice()[gid]
 		}))
 	})
 	if err := ev.Wait(); err != nil {
@@ -287,7 +294,7 @@ func TestCommandGroupErrors(t *testing.T) {
 			t.Errorf("%s: async handler saw %d deliveries, want %d", what, got, want)
 		}
 	}
-	nop := perItem(func(*gpu.Item) {})
+	nop := perItem(func(*gpu.Group, int) {})
 
 	// No action.
 	ev := q.Submit(nil, func(h *Handler) error { return nil })
@@ -321,8 +328,8 @@ func TestCommandGroupErrors(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		return h.ParallelForPhases("bad", 100, 64, perItem(func(it *gpu.Item) {
-			acc.Slice()[it.GlobalID()] = 1
+		return h.ParallelForPhases("bad", 100, 64, perItem(func(g *gpu.Group, gid int) {
+			acc.Slice()[gid] = 1
 		}))
 	})
 	if err := ev.Wait(); !errors.Is(err, gpu.ErrLocalSize) {
@@ -404,8 +411,8 @@ func TestAsyncErrorOnQueueWait(t *testing.T) {
 			return err
 		}
 		// 100 % 64 != 0: invalid nd_range surfaces asynchronously.
-		return h.ParallelForPhases("bad", 100, 64, perItem(func(it *gpu.Item) {
-			acc.Slice()[it.GlobalID()] = 1
+		return h.ParallelForPhases("bad", 100, 64, perItem(func(g *gpu.Group, gid int) {
+			acc.Slice()[gid] = 1
 		}))
 	})
 	if err := ev.Wait(); !errors.Is(err, gpu.ErrLocalSize) {
@@ -431,8 +438,8 @@ func TestConstantBuffer(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		return h.ParallelForPhases("touch", 4, 4, perItem(func(it *gpu.Item) {
-			it.LoadConstant()
+		return h.ParallelForPhases("touch", 4, 4, perItem(func(g *gpu.Group, gid int) {
+			g.Stats().LoadConstant()
 			_ = acc.Slice()[0]
 		}))
 	})
@@ -463,7 +470,7 @@ func TestDeviceOOMSurfacesOnEvent(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		return h.ParallelForPhases("oom", 64, 64, perItem(func(*gpu.Item) { _ = acc }))
+		return h.ParallelForPhases("oom", 64, 64, perItem(func(*gpu.Group, int) { _ = acc }))
 	})
 	if err := ev.Wait(); !errors.Is(err, gpu.ErrOutOfMemory) {
 		t.Errorf("oversized buffer = %v, want ErrOutOfMemory", err)
@@ -494,8 +501,8 @@ func TestCrossQueueBufferDependencies(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		return h.ParallelForPhases("fill", 256, 64, perItem(func(it *gpu.Item) {
-			acc.Slice()[it.GlobalID()] = 7
+		return h.ParallelForPhases("fill", 256, 64, perItem(func(g *gpu.Group, gid int) {
+			acc.Slice()[gid] = 7
 		}))
 	})
 	ev := q2.Submit(nil, func(h *Handler) error {
@@ -503,8 +510,8 @@ func TestCrossQueueBufferDependencies(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		return h.ParallelForPhases("inc", 256, 64, perItem(func(it *gpu.Item) {
-			acc.Slice()[it.GlobalID()]++
+		return h.ParallelForPhases("inc", 256, 64, perItem(func(g *gpu.Group, gid int) {
+			acc.Slice()[gid]++
 		}))
 	})
 	if err := ev.Wait(); err != nil {
