@@ -67,7 +67,12 @@ race:
 # shard in place), the NDJSON encoder's
 # zero-allocation pin, and the simulator engines'
 # whole-Profile equality, no field excluded (arena relaunches included),
-# with the dense region matrix, at the same count.
+# with the dense region matrix and the buffer-lifecycle tests (buffers per
+# launch, the host-ops failure sweep, a Find's allocations and bytes), at
+# the same count. The simulator core's line includes its storage-pool tests
+# (zeroed takes, no aliasing, one recycle per buffer, the retention cap);
+# race builds poison recycled storage, so any read of storage a buffer did
+# not initialise changes a hit or a counter in these runs.
 # The group-kernel vs per-access-reference differential
 # (TestGroupMatchesReference, 40 randomized trials that FuzzGroupKernels'
 # corpus also covers) runs once per P count, as do the seeded fault matrix
@@ -86,14 +91,15 @@ stress:
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/serve -run 'TestCoalesce|TestCoalescedRequestsOverHTTP|TestPanicIsolation'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/serve -run 'TestQuotaTokenBucket|TestShedNewestLowestPriority|TestDeadlineAwareRejection|TestAdmitContextCancellation|TestAdmitCancellationCountsCanceled|TestLeaveDistinguishesShedFromStart|TestDrainShedsQueue|TestFullBatchRunsAtOnce|TestBurstSheds|TestRejectionAdvertisesExactRetryAfter|TestOnePassCarriesEveryWaiter|TestStalledReader'
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/search/ -run 'TestSWAR|TestGuideWordLanes|TestScanChunkMatchesSeed|TestScanInnerLoopZeroAllocs|TestWriteHitJSONZeroAllocs|TestBatchedMatchesPerPattern|TestCompareMultiWordPatterns|TestArtifactEquivalenceAllEngines|TestArtifactShardMatchesScan|TestArtifactCorruptShardRejected'
-	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/search/ -run 'TestSimProfileSchedule|TestDenseCandidateRegionMatrix'
+	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/search/ -run 'TestSimProfileSchedule|TestDenseCandidateRegionMatrix|TestBuffersPerLaunch|TestHostOpsFailureSweep|TestFindAllocsFlatInPages|TestFindBytesBelowOutputs'
 	$(GO) test -race -count 1 -cpu 1,2,8 ./internal/search/ -run 'TestFaultDeterminism|TestFaultMatrix|TestMetricsAgreeWithProfile|TestProfileMerge'
 
 # One iteration of the layer benchmarks that performance claims rest on —
-# the simulator's group kernels and the CPU compare — so they cannot rot.
+# the simulator's group kernels, one whole simulated pass per host API and
+# the CPU compare — so they cannot rot.
 # A smoke run: the numbers it prints are not compared with anything.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'GroupKernels|CompareGuides' -benchtime 1x ./internal/kernels ./internal/search
+	$(GO) test -run '^$$' -bench 'GroupKernels|CompareGuides|SimPass' -benchtime 1x ./internal/kernels ./internal/search
 
 # Fuzz regression mode: the seed corpora (f.Add entries) replay on every
 # plain `go test`; this target additionally fuzzes each target briefly to

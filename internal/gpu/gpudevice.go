@@ -27,6 +27,7 @@ type Device struct {
 
 	mu        sync.Mutex
 	allocated int64
+	pool      storagePool
 }
 
 // Option configures a Device.

@@ -17,9 +17,10 @@ const (
 )
 
 // Allocation is one region of simulated device memory. The simulator tracks
-// only sizes and lifetimes — the actual data lives in ordinary Go slices
-// owned by the runtime frontends — but allocations enforce the device
-// global-memory budget and catch use-after-release.
+// only sizes and lifetimes — the actual data lives in ordinary Go slices the
+// runtime frontends take from the device's pool (Take, Recycle) — but
+// allocations enforce the device global-memory budget and catch
+// use-after-release.
 type Allocation struct {
 	dev   *Device
 	kind  MemKind

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -246,6 +247,30 @@ func TestBuffersPerLaunch(t *testing.T) {
 	}
 }
 
+// pagedChunk is a chunk of groups·wg finder sites whose every every-th
+// group of wg sites holds one forward PAM ("GG" closing the site) in an
+// all-A sequence, for a pattern of plen bases.
+func pagedChunk(groups, wg, plen, every int) *genome.Chunk {
+	data := bytes.Repeat([]byte("A"), groups*wg+plen-1)
+	for g := 0; g < groups; g += every {
+		copy(data[g*wg+plen-2:], "GG")
+	}
+	return &genome.Chunk{SeqName: "chr1", Data: data, Body: groups * wg, Overlap: plen - 1}
+}
+
+// findAndFree runs one Find over a staged chunk, checks its candidate count
+// and frees the dense candidate buffers it made, as Drain would.
+func findAndFree(t *testing.T, b *simBackend, st pipeline.Staged, wantN int) {
+	s := st.(*simStaged)
+	if err := b.Find(context.Background(), st); err != nil || s.n != wantN {
+		t.Fatalf("Find = %d, %v; want %d candidates", s.n, err, wantN)
+	}
+	if err := errors.Join(b.free(s.cLoci), b.free(s.cFlags)); err != nil {
+		t.Fatal(err)
+	}
+	s.cLoci, s.cFlags = nil, nil
+}
+
 // TestFindAllocsFlatInPages pins the cost of one Find to the chunk, not to
 // what the finder claims: a chunk whose candidates fill four times the
 // finder pages of a sparse chunk of the same length must cost the same
@@ -260,15 +285,6 @@ func TestFindAllocsFlatInPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	plen := plan.Pattern.PatternLen
-	// chunk plants one forward PAM ("GG" closing the site) in every every-th
-	// finder group of an all-A sequence.
-	chunk := func(every int) *genome.Chunk {
-		data := bytes.Repeat([]byte("A"), groups*wg+plen-1)
-		for g := 0; g < groups; g += every {
-			copy(data[g*wg+plen-2:], "GG")
-		}
-		return &genome.Chunk{SeqName: "chr1", Data: data, Body: groups * wg, Overlap: plen - 1}
-	}
 	ctx := context.Background()
 	for _, core := range sweepCores() {
 		t.Run(core.name, func(t *testing.T) {
@@ -278,24 +294,15 @@ func TestFindAllocsFlatInPages(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer b.Close()
-			allocs := func(ch *genome.Chunk, wantN int) float64 {
-				st, err := b.Stage(ctx, ch)
+			allocs := func(every int) float64 {
+				st, err := b.Stage(ctx, pagedChunk(groups, wg, plen, every))
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer b.Release(st)
-				s := st.(*simStaged)
-				return testing.AllocsPerRun(20, func() {
-					if err := b.Find(ctx, st); err != nil || s.n != wantN {
-						t.Fatalf("Find = %d, %v; want %d candidates", s.n, err, wantN)
-					}
-					if err := errors.Join(b.free(s.cLoci), b.free(s.cFlags)); err != nil {
-						t.Fatal(err)
-					}
-					s.cLoci, s.cFlags = nil, nil
-				})
+				return testing.AllocsPerRun(20, func() { findAndFree(t, b, st, groups/every) })
 			}
-			sparse, dense := allocs(chunk(8), groups/8), allocs(chunk(2), groups/2)
+			sparse, dense := allocs(8), allocs(2)
 			t.Logf("allocations per Find: %.0f over %d claimed pages, %.0f over %d", sparse, groups/8, dense, groups/2)
 			// A few allocations of slack absorb the runtime's own (goroutine
 			// descriptors the SYCL queue's completions may need); a cost per
@@ -303,6 +310,51 @@ func TestFindAllocsFlatInPages(t *testing.T) {
 			if dense > sparse+4 {
 				t.Errorf("Find over %d claimed pages made %.0f allocations, over %d pages %.0f: the cost grows with the pages",
 					groups/2, dense, groups/8, sparse)
+			}
+		})
+	}
+}
+
+// TestFindBytesBelowOutputs pins the device pool's gain on both veneers:
+// once a backend has run a Find, the next ones take their buffers' storage
+// from the device's pool, so a Find over the TestFindAllocsFlatInPages
+// chunk allocates fewer bytes than its page-strided outputs alone would
+// take from the heap.
+func TestFindBytesBelowOutputs(t *testing.T) {
+	const groups, wg, runs = 64, 64, 20
+	req := denseRequest()
+	req.ChunkBytes = 0
+	plan, err := pipeline.Compile(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := pagedChunk(groups, wg, plan.Pattern.PatternLen, 2)
+	outputs := uint64(finderEntryBytes * ch.Body)
+	for _, core := range sweepCores() {
+		t.Run(core.name, func(t *testing.T) {
+			core.profile = newProfile()
+			b, err := newSimBackend(core, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			st, err := b.Stage(context.Background(), ch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Release(st)
+			findAndFree(t, b, st, groups/2) // warms the pool
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				findAndFree(t, b, st, groups/2)
+			}
+			runtime.ReadMemStats(&after)
+			perFind := (after.TotalAlloc - before.TotalAlloc) / runs
+			t.Logf("%d bytes allocated per Find; its page-strided outputs are %d bytes", perFind, outputs)
+			if perFind >= outputs {
+				t.Errorf("a warmed Find allocates %d bytes, not below its %d bytes of outputs: buffer storage is not reused", perFind, outputs)
 			}
 		})
 	}

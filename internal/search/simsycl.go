@@ -87,12 +87,7 @@ func (b syclMem[T]) read(off, n int, dst any) error {
 	if err != nil {
 		return err
 	}
-	got, err := b.SnapshotRange(off, n)
-	if err != nil {
-		return err
-	}
-	copy(host, got)
-	return nil
+	return b.SnapshotRange(off, n, host)
 }
 
 func syclCreate[T any](kind bufKind, n int, host []T) (devBuf, error) {

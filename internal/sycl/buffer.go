@@ -39,17 +39,25 @@ func (ds *depState) acquire(ev *Event, write bool) []*Event {
 	return deps
 }
 
-// settled returns the events an outside observer (buffer destruction, host
-// snapshot) must wait for: the last writer and all readers.
-func (ds *depState) settled() []*Event {
+// wait waits for what an outside observer (buffer destruction, a host
+// read) must see complete — the last writer and every reader since — and
+// returns the first error. The readers are the state's own slice, read
+// without a copy and waited on outside the lock: acquire only appends past
+// the window read here or drops the slice, so the window never changes.
+func (ds *depState) wait() error {
 	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	deps := make([]*Event, 0, len(ds.readers)+1)
-	if ds.lastWrite != nil {
-		deps = append(deps, ds.lastWrite)
+	last, readers := ds.lastWrite, ds.readers
+	ds.mu.Unlock()
+	var first error
+	if last != nil {
+		first = last.Wait()
 	}
-	deps = append(deps, ds.readers...)
-	return deps
+	for _, e := range readers {
+		if err := e.Wait(); first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // bufferLike is the type-erased view of Buffer[T] the handler scheduler
@@ -66,10 +74,13 @@ type bufferLike interface {
 // out of scope in C++) waits for outstanding work and writes the contents
 // back to the host slice the buffer was constructed over.
 type Buffer[T any] struct {
-	mu        sync.Mutex
-	length    int
-	data      []T // materialised lazily for sized constructors
-	host      []T // write-back target; nil for sized constructors
+	mu     sync.Mutex
+	length int
+	// data is the buffer's storage, taken from dev's pool when the buffer
+	// is first used on a device (dev is nil until then).
+	data      []T
+	dev       *gpu.Device
+	host      []T // initial contents and write-back target; nil for sized constructors
 	written   bool
 	destroyed bool
 	alloc     *gpu.Allocation
@@ -80,7 +91,7 @@ type Buffer[T any] struct {
 // NewBuffer constructs a buffer of ws zero elements —
 // "buffer<T, D> d (WS)" in Table II. The initial content is unspecified in
 // SYCL; the simulator zeroes it. Storage is materialised when the buffer is
-// first used on a device, after the device memory budget admits it.
+// first used on a device.
 func NewBuffer[T any](ws int) (*Buffer[T], error) {
 	if ws < 0 {
 		return nil, fmt.Errorf("sycl: negative buffer size %d", ws)
@@ -90,11 +101,11 @@ func NewBuffer[T any](ws int) (*Buffer[T], error) {
 
 // NewBufferFrom constructs a buffer initialised from, and owning, the host
 // slice for the buffer's lifetime — "buffer<T, D> d (h, WS)" in Table II.
-// Destroy copies the (possibly modified) contents back to host.
+// The contents are copied from host when the buffer is first used on a
+// device, so host must not change before then, as in SYCL; Destroy copies
+// the (possibly modified) contents back to host.
 func NewBufferFrom[T any](host []T) (*Buffer[T], error) {
-	b := &Buffer[T]{length: len(host), data: make([]T, len(host)), host: host, kind: gpu.GlobalMem}
-	copy(b.data, host)
-	return b, nil
+	return &Buffer[T]{length: len(host), host: host, kind: gpu.GlobalMem}, nil
 }
 
 // NewConstantBuffer constructs a read-only buffer that kernels access
@@ -139,18 +150,23 @@ func (b *Buffer[T]) ensureAlloc(dev *gpu.Device) error {
 		return fmt.Errorf("sycl: materialising buffer on %s: %w", dev.Spec().Name, err)
 	}
 	b.alloc = alloc
-	if b.data == nil {
-		b.data = make([]T, b.length)
-	}
+	b.materialize(dev)
 	return nil
 }
 
-func (b *Buffer[T]) materialize() {
-	b.mu.Lock()
-	if b.data == nil {
-		b.data = make([]T, b.length)
+// materialize takes the buffer's storage from dev's pool on first use: a
+// copy of host for a buffer constructed over one, zeroed storage otherwise.
+// A destroyed buffer takes nothing. The caller holds b.mu.
+func (b *Buffer[T]) materialize(dev *gpu.Device) {
+	if b.dev != nil || b.destroyed {
+		return
 	}
-	b.mu.Unlock()
+	if b.host != nil {
+		b.data = gpu.TakeCopy(dev, b.host)
+	} else {
+		b.data = gpu.Take[T](dev, b.length)
+	}
+	b.dev = dev
 }
 
 func (b *Buffer[T]) markWritten() {
@@ -168,17 +184,19 @@ func (b *Buffer[T]) markWritten() {
 // group's error was already delivered on its event and to the queue's
 // asynchronous handler, so the wait here is a completion barrier only.
 func (b *Buffer[T]) Destroy() error {
-	for _, e := range b.deps.settled() {
-		_ = e.Wait()
-	}
+	_ = b.deps.wait()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.destroyed {
 		return nil
 	}
 	b.destroyed = true
-	if b.host != nil && b.written && b.data != nil {
-		copy(b.host, b.data)
+	if b.dev != nil {
+		if b.host != nil && b.written {
+			copy(b.host, b.data)
+		}
+		gpu.Recycle(b.dev, b.data)
+		b.data = nil
 	}
 	if b.alloc != nil {
 		if err := b.alloc.Free(); err != nil {
@@ -189,27 +207,35 @@ func (b *Buffer[T]) Destroy() error {
 	return nil
 }
 
-// SnapshotRange waits for all outstanding work on the buffer and returns a
-// copy of n elements starting at element offset — a ranged host accessor,
-// reading back only the window the host needs.
-func (b *Buffer[T]) SnapshotRange(offset, n int) ([]T, error) {
-	for _, e := range b.deps.settled() {
-		if err := e.Wait(); err != nil {
-			return nil, fmt.Errorf("sycl: waiting for work on buffer: %w", err)
-		}
+// SnapshotRange waits for all outstanding work on the buffer and copies n
+// elements starting at element offset into dst — a ranged host accessor,
+// reading back only the window the host needs. A buffer never used on a
+// device reads as it was constructed: its host contents, or zeros.
+func (b *Buffer[T]) SnapshotRange(offset, n int, dst []T) error {
+	if err := b.deps.wait(); err != nil {
+		return fmt.Errorf("sycl: waiting for work on buffer: %w", err)
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.destroyed {
-		return nil, ErrBufferDestroyed
+		return ErrBufferDestroyed
 	}
 	if offset < 0 || n < 0 || offset+n > b.length {
-		return nil, fmt.Errorf("%w: snapshot [%d, %d) of %d",
+		return fmt.Errorf("%w: snapshot [%d, %d) of %d",
 			ErrInvalidAccessRange, offset, offset+n, b.length)
 	}
-	out := make([]T, n)
-	if b.data != nil { // data may be nil (never materialised): zeros
+	if len(dst) < n {
+		return fmt.Errorf("%w: destination holds %d of %d elements",
+			ErrInvalidAccessRange, len(dst), n)
+	}
+	out := dst[:n]
+	switch {
+	case b.dev != nil:
 		copy(out, b.data[offset:offset+n])
+	case b.host != nil:
+		copy(out, b.host[offset:offset+n])
+	default:
+		clear(out)
 	}
 	// Readback corruption strikes the host copy only, after the device
 	// contents were read: the buffer itself stays intact, as when a bus
@@ -220,7 +246,7 @@ func (b *Buffer[T]) SnapshotRange(offset, n int) ([]T, error) {
 			fault.CorruptAny(any(out))
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // AccessMode says how a kernel uses an accessor (read, write or
@@ -242,14 +268,18 @@ func (m AccessMode) writes() bool { return m&Write != 0 }
 // window onto the whole buffer.
 type Accessor[T any] struct {
 	buf *Buffer[T]
+	dev *gpu.Device
 }
 
-// Slice returns the buffer data, materialising the host-side storage of a
-// sized buffer on first access (the device-side budget is still charged
-// when the owning command group runs).
+// Slice returns the buffer data, taking the buffer's storage from the
+// queue's device on first access (the device memory budget is still
+// charged when the owning command group runs).
 func (a *Accessor[T]) Slice() []T {
-	a.buf.materialize()
-	return a.buf.data
+	b := a.buf
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.materialize(a.dev)
+	return b.data
 }
 
 // Access creates an accessor covering the whole buffer —
@@ -266,5 +296,5 @@ func Access[T any](h *Handler, buf *Buffer[T], mode AccessMode) (*Accessor[T], e
 		return nil, fmt.Errorf("sycl: constant buffer cannot be written")
 	}
 	h.registerAccess(buf, mode)
-	return &Accessor[T]{buf: buf}, nil
+	return &Accessor[T]{buf: buf, dev: h.dev}, nil
 }

@@ -21,6 +21,7 @@ type bufAccess struct {
 // Submit call.
 type Handler struct {
 	ctx    context.Context
+	dev    *gpu.Device // the queue's, where accessed buffers take storage
 	usable bool
 
 	accesses []bufAccess
@@ -139,7 +140,7 @@ func (la *LocalAccessor[T]) Slice(m *LocalMem) []T {
 // delivered to the queue's async handler before the event completes.
 func (q *Queue) Submit(ctx context.Context, cg func(h *Handler) error) *Event {
 	ev := newEvent()
-	h := &Handler{ctx: ctx, usable: true}
+	h := &Handler{ctx: ctx, dev: q.dev, usable: true}
 	if err := cg(h); err != nil {
 		ev.complete(nil, err)
 		return ev

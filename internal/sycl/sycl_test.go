@@ -34,8 +34,8 @@ func perItem(body func(g *gpu.Group, gid int)) func(*LocalMem) []gpu.Phase {
 // snapshot reads a whole buffer back through a host accessor.
 func snapshot[T any](t *testing.T, b *Buffer[T], n int) []T {
 	t.Helper()
-	got, err := b.SnapshotRange(0, n)
-	if err != nil {
+	got := make([]T, n)
+	if err := b.SnapshotRange(0, n, got); err != nil {
 		t.Fatal(err)
 	}
 	return got
@@ -256,7 +256,7 @@ func TestUseAfterDestroy(t *testing.T) {
 	if err := ev.Wait(); !errors.Is(err, ErrBufferDestroyed) {
 		t.Errorf("access after destroy = %v, want ErrBufferDestroyed", err)
 	}
-	if _, err := buf.SnapshotRange(0, 8); !errors.Is(err, ErrBufferDestroyed) {
+	if err := buf.SnapshotRange(0, 8, make([]int32, 8)); !errors.Is(err, ErrBufferDestroyed) {
 		t.Errorf("snapshot after destroy = %v, want ErrBufferDestroyed", err)
 	}
 }
@@ -265,13 +265,17 @@ func TestUseAfterDestroy(t *testing.T) {
 // refused, and one inside it reads just its window.
 func TestAccessRangeErrors(t *testing.T) {
 	buf, _ := NewBufferFrom([]int32{0, 1, 2, 3, 4, 5, 6, 7})
+	dst := make([]int32, 8)
 	for _, r := range [][2]int{{6, 4}, {-1, 2}, {0, -1}, {0, 9}} {
-		if _, err := buf.SnapshotRange(r[0], r[1]); !errors.Is(err, ErrInvalidAccessRange) {
+		if err := buf.SnapshotRange(r[0], r[1], dst); !errors.Is(err, ErrInvalidAccessRange) {
 			t.Errorf("SnapshotRange(%d, %d) = %v, want ErrInvalidAccessRange", r[0], r[1], err)
 		}
 	}
-	got, err := buf.SnapshotRange(3, 4)
-	if err != nil {
+	if err := buf.SnapshotRange(0, 4, dst[:3]); !errors.Is(err, ErrInvalidAccessRange) {
+		t.Errorf("SnapshotRange into 3 of 4 elements = %v, want ErrInvalidAccessRange", err)
+	}
+	got := dst[:4]
+	if err := buf.SnapshotRange(3, 4, got); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 4 || got[0] != 3 || got[3] != 6 {
